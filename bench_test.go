@@ -212,12 +212,13 @@ func BenchmarkFig49Union(b *testing.B) {
 
 // BenchmarkProbe measures the verification inner loop: an exhaustive
 // query is dominated by per-segment probes of the on-disk time lists, so
-// ns/op here tracks the bitset + decoded-cache fast path directly.
-// verified/op reports how many segments each query probes.
+// ns/op here tracks the streaming matcher directly (probes never touch
+// the decoded-list cache). verified/op reports how many segments each
+// query probes.
 func BenchmarkProbe(b *testing.B) {
 	w := world(b)
 	sys, q := benchQuery(b, w)
-	// Populate the decoded cache the way a warm server would be.
+	// Fill the buffer pool the way a warm server's would be.
 	if _, err := sys.ReachES(q); err != nil {
 		b.Fatal(err)
 	}
@@ -233,32 +234,10 @@ func BenchmarkProbe(b *testing.B) {
 	b.ReportMetric(float64(evaluated)/float64(b.N), "verified/op")
 }
 
-// BenchmarkProbeColdCache is the same sweep with the decoded time-list
-// cache disabled: every probe decodes blobs through the buffer pool.
-func BenchmarkProbeColdCache(b *testing.B) {
-	w := world(b)
-	sys, err := streach.NewSystemFromData(w.Net, w.DS, streach.IndexConfig{SlotSeconds: 300, TimeListCache: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys.Warm(11*time.Hour, 10*time.Minute)
-	loc, err := w.QueryLocation()
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := streach.Query{Lat: loc.Lat, Lng: loc.Lng, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.ReachES(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkReachParallel measures SQMB+TBS throughput under concurrent
 // clients: the engine is safe for concurrent Reach calls, and scaling to
 // 8 clients should be near-linear now that the Con-Index expansion
-// scratch is per-worker and time lists are served from the shared caches.
+// scratch is per-worker and every verifier streams off the shared pool.
 func BenchmarkReachParallel(b *testing.B) {
 	w := world(b)
 	sys, q := benchQuery(b, w)

@@ -72,7 +72,9 @@ func TestConcurrentReach(t *testing.T) {
 }
 
 // TestCacheMetricsSurfaced checks the decoded time-list cache counters
-// reach the public Metrics: a repeated query must report hits.
+// reach the public Metrics: a repeated query must report hits (on the
+// start list it decodes into a probe set; candidates never touch the
+// cache).
 func TestCacheMetricsSurfaced(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)

@@ -110,4 +110,3 @@ func ForEachDiff(a, b []uint64, fn func(i int)) {
 		}
 	}
 }
-

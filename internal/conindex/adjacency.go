@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
 
 	"streach/internal/roadnet"
 	"streach/internal/storage"
@@ -54,8 +53,8 @@ func (x *Index) adjTables() []*table {
 }
 
 // SaveAdjacency writes every materialised row of all four adjacency
-// tables. Safe to call concurrently with queries (tables are snapshotted
-// under their read locks; rows are immutable).
+// tables. Safe to call concurrently with queries (each table is walked
+// through its atomic cells in key order; rows are immutable).
 func (x *Index) SaveAdjacency(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	h := storage.NewChecksum()
@@ -71,31 +70,28 @@ func (x *Index) SaveAdjacency(w io.Writer) error {
 	binary.LittleEndian.PutUint32(buf[:4], uint32(x.net.NumSegments()))
 	tee.Write(buf[:4])
 
-	type snap struct {
-		keys []int64
-		rows map[int64]Row
+	// Snapshot first: the row count precedes the rows on disk, and the
+	// tables keep changing under live queries and ingest.
+	type snapRow struct {
+		slot int
+		seg  roadnet.SegmentID
+		row  Row
 	}
-	snaps := make([]snap, 0, 4)
+	var snaps [4][]snapRow
 	numRows := 0
-	for _, t := range x.adjTables() {
-		t.mu.RLock()
-		s := snap{keys: make([]int64, 0, len(t.rows)), rows: make(map[int64]Row, len(t.rows))}
-		for k, r := range t.rows {
-			s.keys = append(s.keys, k)
-			s.rows[k] = r
-		}
-		t.mu.RUnlock()
-		sort.Slice(s.keys, func(i, j int) bool { return s.keys[i] < s.keys[j] })
-		numRows += len(s.keys)
-		snaps = append(snaps, s)
+	for ti, t := range x.adjTables() {
+		t.forEach(func(slot int, seg roadnet.SegmentID, r Row) {
+			snaps[ti] = append(snaps[ti], snapRow{slot, seg, r})
+		})
+		numRows += len(snaps[ti])
 	}
 	binary.LittleEndian.PutUint32(buf[:4], uint32(numRows))
 	if _, err := tee.Write(buf[:4]); err != nil {
 		return err
 	}
-	for ti, s := range snaps {
-		for _, k := range s.keys {
-			if err := writeAdjRow(tee, uint8(ti), k, s.rows[k]); err != nil {
+	for ti, rows := range snaps {
+		for _, sr := range rows {
+			if err := writeAdjRow(tee, uint8(ti), sr.slot, sr.seg, sr.row); err != nil {
 				return err
 			}
 		}
@@ -107,15 +103,15 @@ func (x *Index) SaveAdjacency(w io.Writer) error {
 	return bw.Flush()
 }
 
-func writeAdjRow(w io.Writer, tableID uint8, key int64, r Row) error {
+func writeAdjRow(w io.Writer, tableID uint8, slot int, seg roadnet.SegmentID, r Row) error {
 	var buf [8]byte
 	buf[0] = tableID
 	if _, err := w.Write(buf[:1]); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(key>>32)) // slot
+	binary.LittleEndian.PutUint32(buf[:4], uint32(slot))
 	w.Write(buf[:4])
-	binary.LittleEndian.PutUint32(buf[:4], uint32(key&0xffffffff)) // segment
+	binary.LittleEndian.PutUint32(buf[:4], uint32(seg))
 	w.Write(buf[:4])
 	if r.bits != nil {
 		words := r.bits
@@ -192,7 +188,8 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 	maxWords := (numSeg + 63) / 64
 	type pendingRow struct {
 		tableID uint8
-		key     int64
+		slot    int
+		seg     roadnet.SegmentID
 		row     Row
 	}
 	pending := make([]pendingRow, 0, numRows)
@@ -250,7 +247,7 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 		default:
 			return fmt.Errorf("conindex: adjacency row %d has bad encoding %d", i, enc)
 		}
-		pending = append(pending, pendingRow{tableID: tableID, key: cacheKey(roadnet.SegmentID(seg), slot), row: row})
+		pending = append(pending, pendingRow{tableID: tableID, slot: slot, seg: roadnet.SegmentID(seg), row: row})
 	}
 	if ver >= 2 {
 		// The stored checksum is read from br directly: it is not part
@@ -267,7 +264,7 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 		return xerr.Markf(xerr.KindCorrupt, "conindex: trailing bytes after v%d adjacency blob", ver)
 	}
 	for _, p := range pending {
-		tables[p.tableID].put(p.key, p.row)
+		tables[p.tableID].put(p.slot, p.seg, p.row)
 		x.stats.loaded.Add(1)
 	}
 	return nil

@@ -2,22 +2,12 @@ package conindex
 
 import (
 	"bytes"
-	"context"
 	"reflect"
 	"sync"
 	"testing"
 
 	"streach/internal/roadnet"
 )
-
-// mustList unwraps a (list, error) expansion result in table literals;
-// background-context expansions never fail.
-func mustList(ids []roadnet.SegmentID, err error) []roadnet.SegmentID {
-	if err != nil {
-		panic(err)
-	}
-	return ids
-}
 
 // materialise a representative mix of rows across all four tables.
 func warmSome(idx *Index) {
@@ -132,10 +122,10 @@ func TestRowMatchesExpansion(t *testing.T) {
 				row  Row
 				want []roadnet.SegmentID
 			}{
-				{"far", idx.FarRow(id, slot), mustList(idx.expand(context.Background(), id, slot, true))},
-				{"near", idx.NearRow(id, slot), mustList(idx.expand(context.Background(), id, slot, false))},
-				{"farRev", idx.FarReverseRow(id, slot), mustList(idx.expandReverse(context.Background(), id, slot, true))},
-				{"nearRev", idx.NearReverseRow(id, slot), mustList(idx.expandReverse(context.Background(), id, slot, false))},
+				{"far", idx.FarRow(id, slot), refExpand(idx, id, slot, true)},
+				{"near", idx.NearRow(id, slot), refExpand(idx, id, slot, false)},
+				{"farRev", idx.FarReverseRow(id, slot), refExpandReverse(idx, id, slot, true)},
+				{"nearRev", idx.NearReverseRow(id, slot), refExpandReverse(idx, id, slot, false)},
 			} {
 				if tc.row.bits != nil {
 					sawDense = true

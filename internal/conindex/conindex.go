@@ -18,7 +18,6 @@
 package conindex
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -177,6 +176,9 @@ type expScratch struct {
 	enterStamp []int32
 	stamp      int32
 	pq         entryPQ
+	// out collects the expansion's members; makeRow copies them into the
+	// row's own storage, so the buffer is reused by the next expansion.
+	out []roadnet.SegmentID
 }
 
 // getScratch checks out scratch sized for the network.
@@ -197,6 +199,7 @@ func (x *Index) getScratch() *expScratch {
 	}
 	sc.stamp++
 	sc.pq = sc.pq[:0]
+	sc.out = sc.out[:0]
 	return sc
 }
 
@@ -224,10 +227,10 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 		sumSpeed: make([]uint32, numSlots*n),
 		cntSpeed: make([]uint32, numSlots*n),
 		slotGen:  make([]atomic.Uint64, numSlots),
-		near:     newTable(),
-		far:      newTable(),
-		nearRev:  newTable(),
-		farRev:   newTable(),
+		near:     newTable(numSlots, n),
+		far:      newTable(numSlots, n),
+		nearRev:  newTable(numSlots, n),
+		farRev:   newTable(numSlots, n),
 	}
 	// Accumulate in plain float32 (construction is offline and
 	// single-threaded), then publish as bits.
@@ -344,7 +347,7 @@ func (x *Index) FarRow(seg roadnet.SegmentID, slot int) Row {
 // returned regardless of ctx state — only new work is cancellable.
 func (x *Index) FarRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
 	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.far.row(x, cacheKey(seg, slot), func() ([]roadnet.SegmentID, error) {
+	return x.far.row(x, seg, slot, func() (Row, error) {
 		return x.expand(ctx, seg, slot, true)
 	})
 }
@@ -360,7 +363,7 @@ func (x *Index) NearRow(seg roadnet.SegmentID, slot int) Row {
 // FarRowCtx).
 func (x *Index) NearRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
 	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.near.row(x, cacheKey(seg, slot), func() ([]roadnet.SegmentID, error) {
+	return x.near.row(x, seg, slot, func() (Row, error) {
 		return x.expand(ctx, seg, slot, false)
 	})
 }
@@ -369,7 +372,7 @@ func (x *Index) NearRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int)
 // returned slice is shared; callers must not modify it.
 func (x *Index) Far(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
 	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.far.list(x, cacheKey(seg, slot), func() ([]roadnet.SegmentID, error) {
+	return x.far.list(x, seg, slot, func() (Row, error) {
 		return x.expand(context.Background(), seg, slot, true)
 	})
 }
@@ -378,7 +381,7 @@ func (x *Index) Far(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
 // returned slice is shared; callers must not modify it.
 func (x *Index) Near(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
 	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.near.list(x, cacheKey(seg, slot), func() ([]roadnet.SegmentID, error) {
+	return x.near.list(x, seg, slot, func() (Row, error) {
 		return x.expand(context.Background(), seg, slot, false)
 	})
 }
@@ -395,14 +398,11 @@ func (x *Index) Near(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
 // Near mode (lower bound): a segment is reached when it can be *fully
 // traversed* within the budget at per-slot minimum speeds, including
 // traversing seg itself first.
-func (x *Index) expand(ctx context.Context, seg roadnet.SegmentID, slot int, far bool) ([]roadnet.SegmentID, error) {
+func (x *Index) expand(ctx context.Context, seg roadnet.SegmentID, slot int, far bool) (Row, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	n := x.net.NumSegments()
-	if seg < 0 || int(seg) >= n {
-		return nil, nil
-	}
 	budget := float64(x.slotSec)
 	base := slot * n
 	speeds := x.minSpeed
@@ -420,15 +420,14 @@ func (x *Index) expand(ctx context.Context, seg roadnet.SegmentID, slot int, far
 	// segments (exit <= budget) while Far only needs to enter them.
 	sc.enterCost[seg] = 0
 	sc.enterStamp[seg] = stamp
-	heap.Push(pq, entryItem{seg, 0})
-	var out []roadnet.SegmentID
-	for pops := 0; pq.Len() > 0; pops++ {
+	pq.push(entryItem{seg, 0})
+	for pops := 0; len(*pq) > 0; pops++ {
 		if pops%ctxCheckInterval == 0 && pops > 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return Row{}, err
 			}
 		}
-		it := heap.Pop(pq).(entryItem)
+		it := pq.pop()
 		if sc.enterStamp[it.seg] == stamp && it.cost > sc.enterCost[it.seg] {
 			continue // stale entry
 		}
@@ -441,12 +440,12 @@ func (x *Index) expand(ctx context.Context, seg roadnet.SegmentID, slot int, far
 			if it.cost > budget {
 				continue
 			}
-			out = append(out, it.seg)
+			sc.out = append(sc.out, it.seg)
 		} else {
 			if exit > budget {
 				continue // cannot finish this segment: prune the branch
 			}
-			out = append(out, it.seg)
+			sc.out = append(sc.out, it.seg)
 		}
 		if exit > budget {
 			continue // successors cannot be entered in time
@@ -460,16 +459,16 @@ func (x *Index) expand(ctx context.Context, seg roadnet.SegmentID, slot int, far
 			if sc.enterStamp[next] != stamp || exit < sc.enterCost[next] {
 				sc.enterCost[next] = exit
 				sc.enterStamp[next] = stamp
-				heap.Push(pq, entryItem{next, exit})
+				pq.push(entryItem{next, exit})
 			}
 		}
 	}
-	return out, nil
+	return makeRow(sc.out, n), nil
 }
 
 // PrecomputeSlot materialises the Near and Far rows of every segment for
-// one slot. This is the offline index-construction step of the thesis;
-// queries against warmed slots are pure lookups.
+// one slot, forward and reverse. This is the offline index-construction
+// step of the thesis; queries against warmed slots are pure lookups.
 func (x *Index) PrecomputeSlot(slot int) {
 	x.PrecomputeSlots(slot, slot)
 }
@@ -511,7 +510,15 @@ func (x *Index) PrecomputeSlotsCtx(ctx context.Context, lo, hi, workers int) err
 		if _, err := x.FarRowCtx(ctx, seg, slot); err != nil {
 			return err
 		}
-		_, err := x.NearRowCtx(ctx, seg, slot)
+		if _, err := x.NearRowCtx(ctx, seg, slot); err != nil {
+			return err
+		}
+		// Reverse queries bound through the reverse tables; left cold they
+		// would run their Dijkstras at query time on a "warmed" system.
+		if _, err := x.FarReverseRowCtx(ctx, seg, slot); err != nil {
+			return err
+		}
+		_, err := x.NearReverseRowCtx(ctx, seg, slot)
 		return err
 	}
 	if workers <= 1 {
@@ -565,26 +572,55 @@ type entryItem struct {
 	cost float64
 }
 
+// entryPQ is the expansions' min-heap on cost. push and pop replay
+// container/heap's sift-up and sift-down step for step, so entries leave
+// the queue in exactly the order they did when the queue went through
+// heap.Interface — but as plain entryItem values: no boxing into an
+// interface per push and pop, which is what made cold bounding and
+// warm-up allocate by the gigabyte.
 type entryPQ []entryItem
 
-func (q entryPQ) Len() int            { return len(q) }
-func (q entryPQ) Less(i, j int) bool  { return q[i].cost < q[j].cost }
-func (q entryPQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *entryPQ) Push(v interface{}) { *q = append(*q, v.(entryItem)) }
-func (q *entryPQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *entryPQ) push(it entryItem) {
+	h := append(*q, it)
+	*q = h
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].cost < h[i].cost) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
 }
 
-// PrecomputeAll materialises every (segment, slot) Near and Far row.
-// Only sensible for small networks or coarse Δt; returns the number of
-// lists built.
+func (q *entryPQ) pop() entryItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].cost < h[j].cost {
+			j = r
+		}
+		if !(h[j].cost < h[i].cost) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
+}
+
+// PrecomputeAll materialises every (segment, slot) Near and Far row,
+// forward and reverse. Only sensible for small networks or coarse Δt;
+// returns the number of rows built.
 func (x *Index) PrecomputeAll() int {
 	x.PrecomputeSlots(0, x.numSlots-1)
-	return 2 * x.numSlots * x.net.NumSegments()
+	return 4 * x.numSlots * x.net.NumSegments()
 }
 
 // CachedLists reports how many forward Near/Far rows are materialised.

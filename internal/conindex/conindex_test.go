@@ -221,9 +221,9 @@ func TestPrecomputeAllSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	count := idx.PrecomputeAll()
-	want := 24 * n.NumSegments() * 2
-	if count != want {
-		t.Fatalf("PrecomputeAll = %d, want %d", count, want)
+	want := 24 * n.NumSegments() * 2 // forward rows; as many reverse
+	if count != 2*want {
+		t.Fatalf("PrecomputeAll = %d, want %d", count, 2*want)
 	}
 	if idx.CachedLists() != want {
 		t.Fatalf("CachedLists = %d, want %d", idx.CachedLists(), want)

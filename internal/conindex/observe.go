@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"streach/internal/bitset"
 	"streach/internal/roadnet"
 )
 
@@ -54,9 +55,10 @@ func (x *Index) ObserveSpeed(seg roadnet.SegmentID, slot0, slot1 int, speed floa
 // result is identical to per-sample ObserveSpeed calls) and then
 // invalidates affected adjacency rows with one merged scan per touched
 // slot rather than one per sample. The merge is what keeps live ingest
-// off the query path: each scan takes the tables' write locks, so at
-// thousands of samples/s per-sample scanning would starve row lookups
-// even with the by-slot index. Reports whether any bound moved.
+// off the query path: each scan walks a slot's whole array under the
+// tables' mutexes — which cold misses need to install their rows — so
+// at thousands of samples/s per-sample scanning would starve them.
+// Reports whether any bound moved.
 func (x *Index) ObserveSpeedBatch(samples []SpeedSample) bool {
 	var changed map[int][]roadnet.SegmentID
 	for _, sm := range samples {
@@ -136,30 +138,20 @@ func (x *Index) observeSlot(seg roadnet.SegmentID, slot int, sp float32) bool {
 // rows. The one case membership cannot witness — a row that is empty
 // because its own segment was too slow to traverse — is covered by
 // always dropping each changed segment's own (seg, slot) key. The
-// probe sets of every changed segment are merged so the slot's rows are
-// scanned once per batch, not once per sample.
+// probe sets of every changed segment are merged into one segment
+// bitset, so the slot's rows are scanned once per batch, not once per
+// sample, and each row costs one intersection however large the batch.
 func (x *Index) invalidateRows(slot int, segs []roadnet.SegmentID) {
-	seen := make(map[roadnet.SegmentID]struct{}, len(segs)*4)
-	probes := make([]roadnet.SegmentID, 0, len(segs)*4)
-	add := func(s roadnet.SegmentID) {
-		if _, ok := seen[s]; !ok {
-			seen[s] = struct{}{}
-			probes = append(probes, s)
-		}
-	}
-	selfSeen := make(map[roadnet.SegmentID]struct{}, len(segs))
-	selves := make([]int64, 0, len(segs))
+	n := x.net.NumSegments()
+	selves, probes := bitset.New(n), bitset.New(n)
 	for _, seg := range segs {
-		if _, ok := selfSeen[seg]; !ok {
-			selfSeen[seg] = struct{}{}
-			selves = append(selves, cacheKey(seg, slot))
-		}
-		add(seg)
+		selves.Add(int(seg))
+		probes.Add(int(seg))
 		for _, p := range x.net.Incoming(seg) {
-			add(p)
+			probes.Add(int(p))
 		}
 		for _, p := range x.net.Outgoing(seg) {
-			add(p)
+			probes.Add(int(p))
 		}
 	}
 	for _, t := range []*table{&x.near, &x.far, &x.nearRev, &x.farRev} {

@@ -122,10 +122,10 @@ func Load(net *roadnet.Network, r io.Reader) (*Index, error) {
 		sumSpeed: make([]uint32, total),
 		cntSpeed: make([]uint32, total),
 		slotGen:  make([]atomic.Uint64, numSlots),
-		near:     newTable(),
-		far:      newTable(),
-		nearRev:  newTable(),
-		farRev:   newTable(),
+		near:     newTable(numSlots, numSeg),
+		far:      newTable(numSlots, numSeg),
+		nearRev:  newTable(numSlots, numSeg),
+		farRev:   newTable(numSlots, numSeg),
 	}
 	for i := 0; i < total; i++ {
 		if _, err := io.ReadFull(tee, buf[:16]); err != nil {

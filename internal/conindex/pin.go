@@ -6,87 +6,53 @@ import (
 	"streach/internal/roadnet"
 )
 
-// Pin is a batch-scoped view over the four adjacency tables: every row the
-// pin fetches is memoised locally, so repeated lookups of the same
-// (segment, slot) key — MQMB's overlap rule re-reading the row of a
-// candidate's nearest region segment, or a shared batch plan touching the
-// same working set for several queries — are served from a plain map owned
-// by one goroutine instead of taking the table's RWMutex again.
-//
-// A Pin holds plain references to the immutable shared rows; it pins
-// nothing against eviction (the tables never evict) and is NOT safe for
-// concurrent use. Create one per query plan and drop it when the plan is
-// done.
+// Pin is the plan-scoped core.RowSource over the index's own tables: it
+// resolves every row straight through them — a hit there is two atomic
+// loads, so there is nothing a plan-local memo could save — and counts
+// the resolutions for the plan's sharing accounting. Not safe for
+// concurrent use; create one per query plan.
 type Pin struct {
-	x                   *Index
-	near, far           map[int64]Row
-	nearRev, farRev     map[int64]Row
-	rowHits, rowFetched int64
+	x       *Index
+	fetched int64
 }
 
-// NewPin returns an empty pin over the index.
+// NewPin returns a pin over the index.
 func (x *Index) NewPin() *Pin {
 	return &Pin{x: x}
 }
 
-// PinStats reports the pin's activity: hits were served from the local
-// memo without touching the shared tables, fetched went through the index
-// (its own hit/materialise accounting applies there).
+// PinStats reports a row source's activity: Fetched counts the row
+// resolutions a plan made through the index (its own hit/materialise
+// accounting applies there).
 type PinStats struct {
-	Hits, Fetched int64
+	Fetched int64
 }
 
-// Stats snapshots the pin counters.
+// Stats snapshots the pin counter.
 func (p *Pin) Stats() PinStats {
-	return PinStats{Hits: p.rowHits, Fetched: p.rowFetched}
+	return PinStats{Fetched: p.fetched}
 }
 
-// row resolves one key through the local memo, falling back to fetch.
-func (p *Pin) row(memo *map[int64]Row, key int64, fetch func() (Row, error)) (Row, error) {
-	if r, ok := (*memo)[key]; ok {
-		p.rowHits++
-		return r, nil
-	}
-	r, err := fetch()
-	if err != nil {
-		return Row{}, err
-	}
-	if *memo == nil {
-		*memo = map[int64]Row{}
-	}
-	(*memo)[key] = r
-	p.rowFetched++
-	return r, nil
-}
-
-// FarRow is FarRowCtx through the pin's memo.
+// FarRow is FarRowCtx, counted.
 func (p *Pin) FarRow(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	slot = ((slot % p.x.numSlots) + p.x.numSlots) % p.x.numSlots
-	return p.row(&p.far, cacheKey(seg, slot), func() (Row, error) {
-		return p.x.FarRowCtx(ctx, seg, slot)
-	})
+	p.fetched++
+	return p.x.FarRowCtx(ctx, seg, slot)
 }
 
-// NearRow is NearRowCtx through the pin's memo.
+// NearRow is NearRowCtx, counted.
 func (p *Pin) NearRow(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	slot = ((slot % p.x.numSlots) + p.x.numSlots) % p.x.numSlots
-	return p.row(&p.near, cacheKey(seg, slot), func() (Row, error) {
-		return p.x.NearRowCtx(ctx, seg, slot)
-	})
+	p.fetched++
+	return p.x.NearRowCtx(ctx, seg, slot)
 }
 
-// FarReverseRow is FarReverseRowCtx through the pin's memo.
+// FarReverseRow is FarReverseRowCtx, counted.
 func (p *Pin) FarReverseRow(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	slot = ((slot % p.x.numSlots) + p.x.numSlots) % p.x.numSlots
-	return p.row(&p.farRev, cacheKey(seg, slot), func() (Row, error) {
-		return p.x.FarReverseRowCtx(ctx, seg, slot)
-	})
+	p.fetched++
+	return p.x.FarReverseRowCtx(ctx, seg, slot)
 }
 
-// NearReverseRow is NearReverseRowCtx through the pin's memo.
+// NearReverseRow is NearReverseRowCtx, counted.
 func (p *Pin) NearReverseRow(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	slot = ((slot % p.x.numSlots) + p.x.numSlots) % p.x.numSlots
-	return p.row(&p.nearRev, cacheKey(seg, slot), func() (Row, error) {
-		return p.x.NearReverseRowCtx(ctx, seg, slot)
-	})
+	p.fetched++
+	return p.x.NearReverseRowCtx(ctx, seg, slot)
 }

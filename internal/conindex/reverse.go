@@ -1,7 +1,6 @@
 package conindex
 
 import (
-	"container/heap"
 	"context"
 
 	"streach/internal/roadnet"
@@ -29,7 +28,7 @@ func (x *Index) FarReverseRow(seg roadnet.SegmentID, slot int) Row {
 // (see FarRowCtx).
 func (x *Index) FarReverseRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
 	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.farRev.row(x, cacheKey(seg, slot), func() ([]roadnet.SegmentID, error) {
+	return x.farRev.row(x, seg, slot, func() (Row, error) {
 		return x.expandReverse(ctx, seg, slot, true)
 	})
 }
@@ -44,7 +43,7 @@ func (x *Index) NearReverseRow(seg roadnet.SegmentID, slot int) Row {
 // (see FarRowCtx).
 func (x *Index) NearReverseRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
 	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.nearRev.row(x, cacheKey(seg, slot), func() ([]roadnet.SegmentID, error) {
+	return x.nearRev.row(x, seg, slot, func() (Row, error) {
 		return x.expandReverse(ctx, seg, slot, false)
 	})
 }
@@ -54,7 +53,7 @@ func (x *Index) NearReverseRowCtx(ctx context.Context, seg roadnet.SegmentID, sl
 // The returned slice is shared; callers must not modify it.
 func (x *Index) FarReverse(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
 	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.farRev.list(x, cacheKey(seg, slot), func() ([]roadnet.SegmentID, error) {
+	return x.farRev.list(x, seg, slot, func() (Row, error) {
 		return x.expandReverse(context.Background(), seg, slot, true)
 	})
 }
@@ -63,7 +62,7 @@ func (x *Index) FarReverse(seg roadnet.SegmentID, slot int) []roadnet.SegmentID 
 // within one Δt even at the slot's minimum speeds, sorted by ID.
 func (x *Index) NearReverse(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
 	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.nearRev.list(x, cacheKey(seg, slot), func() ([]roadnet.SegmentID, error) {
+	return x.nearRev.list(x, seg, slot, func() (Row, error) {
 		return x.expandReverse(context.Background(), seg, slot, false)
 	})
 }
@@ -76,14 +75,11 @@ func (x *Index) NearReverse(seg roadnet.SegmentID, slot int) []roadnet.SegmentID
 // Far mode: include q when cost[q] <= budget (the mover enters seg in
 // time). Near mode: include q when cost[q] + time(seg) <= budget (the
 // whole journey, including finishing seg, fits).
-func (x *Index) expandReverse(ctx context.Context, seg roadnet.SegmentID, slot int, far bool) ([]roadnet.SegmentID, error) {
+func (x *Index) expandReverse(ctx context.Context, seg roadnet.SegmentID, slot int, far bool) (Row, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	n := x.net.NumSegments()
-	if seg < 0 || int(seg) >= n {
-		return nil, nil
-	}
 	budget := float64(x.slotSec)
 	base := slot * n
 	speeds := x.minSpeed
@@ -102,7 +98,7 @@ func (x *Index) expandReverse(ctx context.Context, seg roadnet.SegmentID, slot i
 	// In Near mode, if seg itself cannot be traversed in time, nothing —
 	// not even seg — is surely reachable.
 	if !far && segTime > budget {
-		return nil, nil
+		return Row{}, nil
 	}
 	effBudget := budget
 	if !far {
@@ -115,22 +111,21 @@ func (x *Index) expandReverse(ctx context.Context, seg roadnet.SegmentID, slot i
 	pq := &sc.pq
 	sc.enterCost[seg] = 0
 	sc.enterStamp[seg] = stamp
-	heap.Push(pq, entryItem{seg, 0})
-	var out []roadnet.SegmentID
-	for pops := 0; pq.Len() > 0; pops++ {
+	pq.push(entryItem{seg, 0})
+	for pops := 0; len(*pq) > 0; pops++ {
 		if pops%ctxCheckInterval == 0 && pops > 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return Row{}, err
 			}
 		}
-		it := heap.Pop(pq).(entryItem)
+		it := pq.pop()
 		if sc.enterStamp[it.seg] == stamp && it.cost > sc.enterCost[it.seg] {
 			continue
 		}
 		if it.cost > effBudget {
 			continue
 		}
-		out = append(out, it.seg)
+		sc.out = append(sc.out, it.seg)
 		pred := x.net.Incoming(it.seg)
 		rev := x.net.Segment(it.seg).Reverse
 		for _, prev := range pred {
@@ -144,9 +139,9 @@ func (x *Index) expandReverse(ctx context.Context, seg roadnet.SegmentID, slot i
 			if sc.enterStamp[prev] != stamp || c < sc.enterCost[prev] {
 				sc.enterCost[prev] = c
 				sc.enterStamp[prev] = stamp
-				heap.Push(pq, entryItem{prev, c})
+				pq.push(entryItem{prev, c})
 			}
 		}
 	}
-	return out, nil
+	return makeRow(sc.out, n), nil
 }

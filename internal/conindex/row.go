@@ -2,6 +2,7 @@ package conindex
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"streach/internal/bitset"
@@ -35,7 +36,7 @@ func makeRow(list []roadnet.SegmentID, numSegments int) Row {
 	}
 	if rowSparse(len(list), numSegments) {
 		ids := append([]roadnet.SegmentID(nil), list...)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		// Dedupe in place (expansion lists are unique already; this is a
 		// cheap invariant guard).
 		out := ids[:1]
@@ -100,6 +101,20 @@ func (r Row) Has(s roadnet.SegmentID) bool {
 	}
 	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= s })
 	return i < len(r.ids) && r.ids[i] == s
+}
+
+// Intersects reports whether the row shares a member with set, a bitset
+// over the full segment space.
+func (r Row) Intersects(set bitset.Set) bool {
+	if r.bits != nil {
+		return bitset.Intersects(r.bits, set)
+	}
+	for _, s := range r.ids {
+		if set.Has(int(s)) {
+			return true
+		}
+	}
+	return false
 }
 
 // OrInto unions the row into dst, a bitset over the full segment space.

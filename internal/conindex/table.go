@@ -2,26 +2,35 @@ package conindex
 
 import (
 	"sync"
+	"sync/atomic"
 
+	"streach/internal/bitset"
 	"streach/internal/roadnet"
 )
 
-// table is one of the four adjacency tables (forward/reverse × Near/Far):
-// materialised rows keyed by (slot, segment), plus a decoded-slice memo
-// for the legacy list API and a singleflight registry so concurrent cold
-// misses on the same key run one Dijkstra instead of racing to compute
-// identical lists.
+// table is one of the four adjacency tables (forward/reverse × Near/Far).
+// Materialised rows live in per-slot arrays indexed by segment, each
+// cell an atomic pointer to an immutable Row: a hit is two atomic loads
+// and takes no lock, which matters because a bounding round resolves one
+// row per region segment. A slot's array is allocated when its first row
+// is installed, so memory follows the slots queries and warm-ups touch
+// (one pointer per segment each) rather than numSlots × numSegments.
+//
+// mu serialises everything that changes the table — installs,
+// invalidations, the singleflight registry and the decoded-slice memo —
+// and is never taken by a hit.
 type table struct {
-	mu     sync.RWMutex
-	rows   map[int64]Row
+	slots []atomic.Pointer[slotRows]
+	nseg  int          // cells per slot array
+	n     atomic.Int64 // materialised rows
+
+	mu     sync.Mutex
 	lists  map[int64][]roadnet.SegmentID
 	flight map[int64]*flightCall
-	// bySlot indexes the materialised row keys by slot. A live speed
-	// observation invalidates rows at exactly one slot; without this
-	// index every invalidation would scan the whole rows map under the
-	// write lock, which at ingest rates starves the read path.
-	bySlot map[int]map[int64]struct{}
 }
+
+// slotRows holds one slot's materialised rows; nil cells are cold.
+type slotRows []atomic.Pointer[Row]
 
 // flightCall is one in-progress row materialisation. row and err are
 // written before done is closed; waiters read them only after <-done.
@@ -31,43 +40,57 @@ type flightCall struct {
 	err  error
 }
 
-func newTable() table {
+func newTable(numSlots, numSegments int) table {
 	return table{
-		rows:   map[int64]Row{},
-		lists:  map[int64][]roadnet.SegmentID{},
-		bySlot: map[int]map[int64]struct{}{},
+		slots: make([]atomic.Pointer[slotRows], numSlots),
+		nseg:  numSegments,
+		lists: map[int64][]roadnet.SegmentID{},
 	}
 }
 
-// index records key in the by-slot index. Caller holds t.mu.
-func (t *table) index(key int64) {
-	slot := int(key >> 32)
-	m := t.bySlot[slot]
-	if m == nil {
-		m = map[int64]struct{}{}
-		t.bySlot[slot] = m
+// lookup returns the materialised row of (slot, seg), if any.
+func (t *table) lookup(slot int, seg roadnet.SegmentID) (Row, bool) {
+	if sr := t.slots[slot].Load(); sr != nil {
+		if r := (*sr)[seg].Load(); r != nil {
+			return *r, true
+		}
 	}
-	m[key] = struct{}{}
+	return Row{}, false
 }
 
-// row returns the cached row for key, materialising it with compute on a
-// cold miss. Concurrent cold misses on the same key block on a single
-// computation (singleflight): exactly one caller runs the expansion, the
-// rest wait for its result. When the computing caller aborts (its context
-// was cancelled mid-Dijkstra), nothing is stored and each waiter retries
-// with its own compute — one caller's cancellation never poisons another
-// caller's lookup.
-func (t *table) row(x *Index, key int64, compute func() ([]roadnet.SegmentID, error)) (Row, error) {
+// store installs r at (slot, seg). Caller holds t.mu.
+func (t *table) store(slot int, seg roadnet.SegmentID, r Row) {
+	sr := t.slots[slot].Load()
+	if sr == nil {
+		fresh := make(slotRows, t.nseg)
+		sr = &fresh
+		t.slots[slot].Store(sr)
+	}
+	if (*sr)[seg].Swap(&r) == nil {
+		t.n.Add(1)
+	}
+}
+
+// row returns the cached row for (seg, slot), materialising it with
+// compute on a cold miss. Concurrent cold misses on the same key block on
+// a single computation (singleflight): exactly one caller runs the
+// expansion, the rest wait for its result. When the computing caller
+// aborts (its context was cancelled mid-Dijkstra), nothing is stored and
+// each waiter retries with its own compute — one caller's cancellation
+// never poisons another caller's lookup. A segment outside the network
+// has the empty row and is never stored.
+func (t *table) row(x *Index, seg roadnet.SegmentID, slot int, compute func() (Row, error)) (Row, error) {
+	if seg < 0 || int(seg) >= t.nseg {
+		return Row{}, nil
+	}
+	key := cacheKey(seg, slot)
 	for {
-		t.mu.RLock()
-		r, ok := t.rows[key]
-		t.mu.RUnlock()
-		if ok {
+		if r, ok := t.lookup(slot, seg); ok {
 			x.stats.hits.Add(1)
 			return r, nil
 		}
 		t.mu.Lock()
-		if r, ok := t.rows[key]; ok {
+		if r, ok := t.lookup(slot, seg); ok {
 			t.mu.Unlock()
 			x.stats.hits.Add(1)
 			return r, nil
@@ -96,7 +119,6 @@ func (t *table) row(x *Index, key int64, compute func() ([]roadnet.SegmentID, er
 		// query merely raced the ingest. The guard is per slot because an
 		// expansion only reads its own slot's speeds; observations on
 		// other slots cannot stale this row.
-		slot := int(key >> 32)
 		gen := x.slotGen[slot].Load()
 
 		// Deregister and release waiters even if compute panics — a
@@ -108,8 +130,7 @@ func (t *table) row(x *Index, key int64, compute func() ([]roadnet.SegmentID, er
 			defer func() {
 				t.mu.Lock()
 				if stored && x.slotGen[slot].Load() == gen {
-					t.rows[key] = fc.row
-					t.index(key)
+					t.store(slot, seg, fc.row)
 				} else if !stored && fc.err == nil {
 					fc.err = errAborted
 				}
@@ -117,10 +138,8 @@ func (t *table) row(x *Index, key int64, compute func() ([]roadnet.SegmentID, er
 				t.mu.Unlock()
 				close(fc.done)
 			}()
-			var ids []roadnet.SegmentID
-			ids, fc.err = compute()
+			fc.row, fc.err = compute()
 			if fc.err == nil {
-				fc.row = makeRow(ids, x.net.NumSegments())
 				x.stats.materialised.Add(1)
 				stored = true
 			}
@@ -132,14 +151,15 @@ func (t *table) row(x *Index, key int64, compute func() ([]roadnet.SegmentID, er
 // list returns the row expanded to the shared sorted-slice form, memoised
 // per key (only the legacy list API pays for this; the bounding phase
 // works on rows directly).
-func (t *table) list(x *Index, key int64, compute func() ([]roadnet.SegmentID, error)) []roadnet.SegmentID {
-	t.mu.RLock()
+func (t *table) list(x *Index, seg roadnet.SegmentID, slot int, compute func() (Row, error)) []roadnet.SegmentID {
+	key := cacheKey(seg, slot)
+	t.mu.Lock()
 	l, ok := t.lists[key]
-	t.mu.RUnlock()
+	t.mu.Unlock()
 	if ok {
 		return l
 	}
-	r, err := t.row(x, key, compute)
+	r, err := t.row(x, seg, slot, compute)
 	if err != nil {
 		return nil
 	}
@@ -155,50 +175,59 @@ func (t *table) list(x *Index, key int64, compute func() ([]roadnet.SegmentID, e
 }
 
 // size returns how many rows are materialised.
-func (t *table) size() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
+func (t *table) size() int { return int(t.n.Load()) }
+
+// forEach calls fn for every materialised row in (slot, segment) order.
+// Rows installed or dropped while it runs may or may not be seen.
+func (t *table) forEach(fn func(slot int, seg roadnet.SegmentID, r Row)) {
+	for slot := range t.slots {
+		sr := t.slots[slot].Load()
+		if sr == nil {
+			continue
+		}
+		for seg := range *sr {
+			if r := (*sr)[seg].Load(); r != nil {
+				fn(slot, roadnet.SegmentID(seg), *r)
+			}
+		}
+	}
 }
 
 // invalidateSlot drops every materialised row at slot that the probe
-// set can have influenced: the rows keyed by selves (a row always
+// set can have influenced: the rows of the selves segments (a row always
 // contains its own segment, but may be empty when nothing is reachable
 // — the one case membership cannot witness), plus any row containing a
-// probe segment. Decoded-slice memos go with their rows. Only the
-// touched slot's rows are visited (bySlot), so an observation on a slot
-// no query has materialised costs one map lookup.
-func (t *table) invalidateSlot(slot int, selves []int64, probes []roadnet.SegmentID) {
+// probe segment. Both sets are bitsets over the segments. Decoded-slice
+// memos go with their rows. Only the touched slot's array is visited.
+// The array is looked up under mu: an install that passed its
+// generation check before this slot's generation moved has then
+// finished storing, so the scan sees its row.
+func (t *table) invalidateSlot(slot int, selves, probes bitset.Set) {
 	t.mu.Lock()
-	keys := t.bySlot[slot]
-	for key := range keys {
-		r := t.rows[key]
-		drop := false
-		for i := 0; !drop && i < len(selves); i++ {
-			drop = key == selves[i]
+	defer t.mu.Unlock()
+	sr := t.slots[slot].Load()
+	if sr == nil {
+		return
+	}
+	for seg := range *sr {
+		r := (*sr)[seg].Load()
+		if r == nil {
+			continue
 		}
-		for i := 0; !drop && i < len(probes); i++ {
-			drop = r.Has(probes[i])
-		}
-		if drop {
-			delete(t.rows, key)
-			delete(t.lists, key)
-			delete(keys, key)
+		if selves.Has(seg) || r.Intersects(probes) {
+			(*sr)[seg].Store(nil)
+			t.n.Add(-1)
+			delete(t.lists, cacheKey(roadnet.SegmentID(seg), slot))
 		}
 	}
-	if len(keys) == 0 {
-		delete(t.bySlot, slot)
-	}
-	t.mu.Unlock()
 }
 
 // put installs a row directly (the adjacency-blob load path), dropping
 // any decoded-slice memo so the list API cannot serve a stale decode of
 // a replaced row.
-func (t *table) put(key int64, r Row) {
+func (t *table) put(slot int, seg roadnet.SegmentID, r Row) {
 	t.mu.Lock()
-	t.rows[key] = r
-	t.index(key)
-	delete(t.lists, key)
+	t.store(slot, seg, r)
+	delete(t.lists, cacheKey(seg, slot))
 	t.mu.Unlock()
 }

@@ -1,0 +1,195 @@
+package conindex
+
+import (
+	"context"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"streach/internal/roadnet"
+)
+
+// TestTableOneComputePerColdKey: many goroutines missing on the same cold
+// keys at once run exactly one expansion per key, and all of them get the
+// row it built.
+func TestTableOneComputePerColdKey(t *testing.T) {
+	n := testNetwork(t)
+	idx := build(t, n, testDataset(t, n))
+	const slot, goroutines = 132, 8
+	nseg := n.NumSegments()
+	computes := make([]atomic.Int64, nseg)
+	rows := make([][]Row, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rows[g] = make([]Row, nseg)
+			for seg := 0; seg < nseg; seg++ {
+				id := roadnet.SegmentID(seg)
+				r, err := idx.far.row(idx, id, slot, func() (Row, error) {
+					computes[seg].Add(1)
+					return idx.expand(context.Background(), id, slot, true)
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rows[g][seg] = r
+			}
+		}(g)
+	}
+	wg.Wait()
+	for seg := range computes {
+		if c := computes[seg].Load(); c != 1 {
+			t.Fatalf("seg %d: %d expansions for one cold key, want 1", seg, c)
+		}
+		want := makeRow(refExpand(idx, roadnet.SegmentID(seg), slot, true), nseg)
+		for g := range rows {
+			if !slices.Equal(rows[g][seg].AppendTo(nil), want.AppendTo(nil)) {
+				t.Fatalf("seg %d: goroutine %d got a row that is not the expansion", seg, g)
+			}
+		}
+	}
+	if got := idx.far.size(); got != nseg {
+		t.Fatalf("table holds %d rows, want %d", got, nseg)
+	}
+}
+
+// TestTableRowsNeverOutliveInvalidation hammers all four tables with
+// lock-free lookups and cold misses while speed observations keep
+// invalidating the slot and an adjacency load keeps installing rows at
+// another. When the dust settles, every row still materialised at the
+// observed slot must be the expansion under the final speeds: a row
+// built from older speeds has either been dropped by the invalidation
+// scan or was refused at install by the slot's generation. The loaded
+// rows must all be there, served without a single expansion.
+func TestTableRowsNeverOutliveInvalidation(t *testing.T) {
+	n := testNetwork(t)
+	idx := build(t, n, testDataset(t, n))
+	const slot, loadSlot = 132, 40
+	nseg := n.NumSegments()
+	ctx := context.Background()
+
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := roadnet.SegmentID(i % nseg)
+				for _, fetch := range []func(context.Context, roadnet.SegmentID, int) (Row, error){
+					idx.FarRowCtx, idx.NearRowCtx, idx.FarReverseRowCtx, idx.NearReverseRowCtx,
+				} {
+					if _, err := fetch(ctx, id, slot); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	writers.Add(2)
+	go func() { // live speeds: every sample moves a bound at slot
+		defer writers.Done()
+		for i := 0; i < 400; i++ {
+			seg := roadnet.SegmentID((i * 7) % nseg)
+			idx.ObserveSpeed(seg, slot, slot, 40+float64(i)/10) // ever faster: max moves
+			idx.ObserveSpeed(seg, slot, slot, 3-float64(i)/200) // ever slower: min moves
+		}
+	}()
+	loaded := makeRow([]roadnet.SegmentID{1, 2, 3}, nseg)
+	go func() { // adjacency load path
+		defer writers.Done()
+		for round := 0; round < 20; round++ {
+			for seg := 0; seg < nseg; seg++ {
+				for _, tbl := range idx.adjTables() {
+					tbl.put(loadSlot, roadnet.SegmentID(seg), loaded)
+				}
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+
+	survivors := 0
+	for ti, tbl := range idx.adjTables() {
+		far, reverse := ti == 0 || ti == 2, ti >= 2
+		for seg := 0; seg < nseg; seg++ {
+			id := roadnet.SegmentID(seg)
+			if got, ok := tbl.lookup(slot, id); ok {
+				survivors++
+				list := refExpand(idx, id, slot, far)
+				if reverse {
+					list = refExpandReverse(idx, id, slot, far)
+				}
+				if want := makeRow(list, nseg); !slices.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
+					t.Fatalf("table %d seg %d: a row built from superseded speeds survived", ti, seg)
+				}
+			}
+			if got, ok := tbl.lookup(loadSlot, id); !ok || !slices.Equal(got.AppendTo(nil), loaded.AppendTo(nil)) {
+				t.Fatalf("table %d seg %d: loaded row missing or altered", ti, seg)
+			}
+		}
+		if got := tbl.size(); got < nseg {
+			t.Fatalf("table %d counts %d rows with %d loaded", ti, got, nseg)
+		}
+	}
+	if survivors == 0 {
+		t.Fatal("no row outlived the last observation; nothing was checked")
+	}
+	before := idx.Stats().Materialised
+	for seg := 0; seg < nseg; seg++ {
+		if _, err := idx.FarRowCtx(ctx, roadnet.SegmentID(seg), loadSlot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := idx.Stats().Materialised; after != before {
+		t.Fatalf("loaded rows re-ran %d expansions", after-before)
+	}
+}
+
+// TestTableRefusesRowStaledMidCompute: an observation that lands on the
+// slot while a row's expansion is running has already scanned the table
+// by the time the row is ready; the row is handed to its caller but must
+// not be installed.
+func TestTableRefusesRowStaledMidCompute(t *testing.T) {
+	n := testNetwork(t)
+	idx := build(t, n, testDataset(t, n))
+	const slot = 132
+	seg := roadnet.SegmentID(3)
+	stale, err := idx.far.row(idx, seg, slot, func() (Row, error) {
+		r, err := idx.expand(context.Background(), seg, slot, true)
+		if !idx.ObserveSpeed(seg, slot, slot, 60) {
+			t.Error("the observation moved no bound; the fixture tests nothing")
+		}
+		return r, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := idx.far.lookup(slot, seg); ok {
+		t.Fatal("a row computed before the observation was installed after it")
+	}
+	fresh, err := idx.FarRowCtx(context.Background(), seg, slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := makeRow(refExpand(idx, seg, slot, true), n.NumSegments()); !slices.Equal(fresh.AppendTo(nil), want.AppendTo(nil)) {
+		t.Fatal("the row materialised after the observation is not the expansion under the new speeds")
+	}
+	if fresh.Len() <= stale.Len() {
+		t.Fatalf("a faster segment did not widen the row (%d -> %d members)", stale.Len(), fresh.Len())
+	}
+}

@@ -67,8 +67,9 @@ type Metrics struct {
 	// IO is the buffer-pool activity attributed to the query.
 	IO storage.IOStats
 	// TLCacheHits and TLCacheMisses count decoded time-list cache
-	// activity attributed to the query: hits skipped the buffer pool and
-	// blob decoding entirely. Under concurrent queries the counters are
+	// activity attributed to the query: the start and destination lists
+	// it decodes into probe sets (candidates are matched on the page and
+	// never touch the cache). Under concurrent queries the counters are
 	// shared, so per-query attribution is approximate (same as IO).
 	TLCacheHits, TLCacheMisses int64
 	// BoundNS and VerifyNS split Elapsed into the two query phases:
@@ -387,30 +388,27 @@ func (e *Engine) finish(res *Result, began time.Time, io0 storage.IOStats, tl0 s
 }
 
 // probe verifies reachability probabilities against the ST-Index time
-// lists. The per-day start sets of each query source are materialized
-// once as taxi bitsets; after that every prob call is read-only, so any
-// number of workers may verify candidate segments concurrently, each with
-// its own scratch (worker()).
+// lists. The per-day taxi sets each candidate is matched against — one
+// per query source for the forward direction, the destination's folded
+// window for the reverse one — are materialised once; after that the
+// probe is read-only, so any number of workers may verify candidate
+// segments concurrently, each with its own matcher (worker()).
 type probe struct {
 	e *Engine
-	// starts[i][d] is the taxi bitset seen at source i's segment during
-	// the start slot on day d (nil when the day has no traffic).
-	starts    [][][]uint64
-	loSlot    int
-	hiSlot    int
-	days      int
-	evaluated atomic.Int64
+	// sets holds, per source and day, the taxi bitset a candidate's time
+	// lists must intersect for the day to count.
+	sets *stindex.MatchSets
+	// loSlot..hiSlot is the slot range read of every candidate.
+	loSlot int
+	hiSlot int
+	days   int
 }
 
-// newProbe reads each source's start-slot time list once.
+// newProbe builds the forward probe: each source's start-slot time list
+// is read once, and candidates are matched over the whole window.
 func (e *Engine) newProbe(ctx context.Context, sources []roadnet.SegmentID, startSlot, loSlot, hiSlot int) (*probe, error) {
-	p := &probe{
-		e:      e,
-		starts: make([][][]uint64, len(sources)),
-		loSlot: loSlot,
-		hiSlot: hiSlot,
-		days:   e.st.Days(),
-	}
+	days := e.st.Days()
+	starts := make([][][]uint64, len(sources))
 	for i, src := range sources {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -419,96 +417,52 @@ func (e *Engine) newProbe(ctx context.Context, sources []roadnet.SegmentID, star
 		if err != nil {
 			return nil, err
 		}
-		byDay := make([][]uint64, p.days)
+		byDay := make([][]uint64, days)
 		for j, d := range bits.Days {
-			if int(d) < p.days {
+			if int(d) < days {
 				byDay[d] = bits.Bits[j]
 			}
 		}
-		p.starts[i] = byDay
+		starts[i] = byDay
 	}
-	return p, nil
+	return &probe{e: e, sets: stindex.NewMatchSets(days, starts), loSlot: loSlot, hiSlot: hiSlot, days: days}, nil
 }
 
-// probeWorker carries one verifier's scratch. Workers are cheap; create
-// one per goroutine that calls prob.
+// probeWorker is one verifier: the probe's shared sets plus a streaming
+// matcher of its own. Workers are cheap; create one per goroutine that
+// calls prob.
 type probeWorker struct {
 	p *probe
-	// st is the index the worker reads candidate time lists from: the
-	// planning engine's by default, a shard's slice when the worker
-	// verifies that shard's subset of the candidates.
-	st *stindex.Index
-	// matched[source][day] is per-call scratch.
-	matched [][]bool
-	// lists is the reusable time-list fetch buffer.
-	lists []*stindex.TimeListBits
+	// m reads candidate time lists from the planning engine's index by
+	// default, from a shard's slice when the worker verifies that shard's
+	// subset of the candidates.
+	m *stindex.Matcher
 }
 
-// worker returns a fresh verifier over the probe's shared start sets.
+// worker returns a fresh verifier over the probe's shared sets.
 func (p *probe) worker() *probeWorker {
 	return p.workerFor(p.e.st)
 }
 
 // workerFor returns a verifier that reads candidate time lists from st —
 // a shard's ST-Index slice during scatter verification. The probe's
-// materialised start sets are shared either way, which is the replicated
+// materialised sets are shared either way, which is the replicated
 // boundary metadata a shard needs to verify without owning the start
 // segments.
 func (p *probe) workerFor(st *stindex.Index) *probeWorker {
-	w := &probeWorker{p: p, st: st, matched: make([][]bool, len(p.starts))}
-	for i := range w.matched {
-		w.matched[i] = make([]bool, p.days)
-	}
-	return w
+	return &probeWorker{p: p, m: st.NewMatcher(p.sets)}
 }
 
 // prob returns max over sources of probability(seg, source): the fraction
-// of days on which some trajectory appears both in the source's start
-// window and at seg within the query window (Eq. 3.1). The per-day taxi
-// intersections are word-AND loops over bitsets, and the window's time
-// lists are fetched in one batch.
+// of days on which some trajectory appears both in the source's set and
+// at seg within the probe's slot range (Eq. 3.1). The candidate's time
+// lists are matched where they lie on the page (stindex.Matcher).
 func (w *probeWorker) prob(seg roadnet.SegmentID) (float64, error) {
-	p := w.p
-	p.evaluated.Add(1)
-	nsrc := len(p.starts)
-	for i := range w.matched {
-		for d := range w.matched[i] {
-			w.matched[i][d] = false
-		}
-	}
-	lists, err := w.st.TimeListsRange(seg, p.loSlot, p.hiSlot, w.lists[:0])
+	n, err := w.m.Match(seg, w.p.loSlot, w.p.hiSlot)
 	if err != nil {
 		return 0, err
 	}
-	w.lists = lists[:0]
-	for _, bits := range lists {
-		for j, d := range bits.Days {
-			if int(d) >= p.days {
-				continue
-			}
-			for i := 0; i < nsrc; i++ {
-				if w.matched[i][d] {
-					continue
-				}
-				if stindex.BitsIntersect(p.starts[i][d], bits.Bits[j]) {
-					w.matched[i][d] = true
-				}
-			}
-		}
-	}
-	best := 0.0
-	for i := 0; i < nsrc; i++ {
-		n := 0
-		for _, ok := range w.matched[i] {
-			if ok {
-				n++
-			}
-		}
-		if pr := float64(n) / float64(p.days); pr > best {
-			best = pr
-		}
-	}
-	return best, nil
+	return float64(n) / float64(w.p.days), nil
 }
 
 // verifyWorkers resolves the configured verification parallelism.

@@ -9,9 +9,11 @@ import (
 )
 
 // TestResultsStableUnderCache runs each query twice: the first run
-// populates the decoded time-list cache, the second is served from it.
-// Results must be bit-identical either way, and the warm run must
-// actually register cache hits.
+// populates the decoded time-list cache with the start list it turns
+// into a probe set (candidates stream off the page and never enter the
+// cache), the second reads it back from there. Results must be
+// bit-identical either way, and the warm run must actually register
+// cache hits.
 func TestResultsStableUnderCache(t *testing.T) {
 	f := getFixture(t)
 	e := newEngine(t, Options{VerifyAll: true})

@@ -48,10 +48,9 @@ func (e *Engine) SQuerySequential(ctx context.Context, q MultiQuery) (*Result, e
 // filters candidates through the overlap rule: a candidate b survives
 // only when it appears in the row of its nearest region segment rs
 // (line 8's rs = argmin dis(r', b)), so duplicated influence inside
-// overlapping regions is eliminated. Adjacency rows resolve through a
-// batch-scoped pin: the overlap rule re-reads the row of a candidate's
-// nearest region segment, so the pin's local memo saves one shared-table
-// round-trip per candidate even for a single query.
+// overlapping regions is eliminated. Adjacency rows resolve through the
+// plan's RowSource; the overlap rule's re-read of the row of a
+// candidate's nearest region segment is another lock-free table hit.
 func (e *Engine) unifiedRegionPin(ctx context.Context, rows RowSource, starts []roadnet.SegmentID, startOfDay, dur time.Duration, far bool) (*region, error) {
 	n := e.net.NumSegments()
 	reg := e.getRegion()

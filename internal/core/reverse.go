@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"streach/internal/conindex"
@@ -21,22 +20,11 @@ import (
 // [T, T+Δt] and at the destination during [T, T+L] on day d — Eq 3.1
 // with the roles of the endpoints swapped.
 
-// reverseProbe verifies reverse reachability probabilities. The
-// destination's per-day taxi bitsets over the whole window are OR-folded
-// once; each candidate then costs a single start-slot time list read and
-// a word-AND loop per shared day. After construction the probe is
-// read-only, so prob is safe to call from any number of goroutines.
-type reverseProbe struct {
-	e *Engine
-	// targets[d] is the bitset of taxis seen at the destination during
-	// the window on day d (nil when the day has none).
-	targets   [][]uint64
-	startSlot int
-	days      int
-	evaluated atomic.Int64
-}
-
-func (e *Engine) newReverseProbe(ctx context.Context, dst roadnet.SegmentID, startSlot, loSlot, hiSlot int) (*reverseProbe, error) {
+// newReverseProbe builds the reverse probe on the forward probe's
+// machinery with the roles swapped: its single "source" is the
+// destination's per-day taxi bitsets OR-folded over the whole window,
+// and each candidate is matched on its start-slot time list alone.
+func (e *Engine) newReverseProbe(ctx context.Context, dst roadnet.SegmentID, startSlot, loSlot, hiSlot int) (*probe, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -44,44 +32,18 @@ func (e *Engine) newReverseProbe(ctx context.Context, dst roadnet.SegmentID, sta
 	if err != nil {
 		return nil, err
 	}
-	p := &reverseProbe{e: e, startSlot: startSlot, days: e.st.Days()}
-	p.targets = make([][]uint64, p.days)
+	days := e.st.Days()
+	targets := make([][]uint64, days)
 	for _, bits := range lists {
 		for j, d := range bits.Days {
-			if int(d) >= p.days {
+			if int(d) >= days {
 				continue
 			}
-			p.targets[d] = stindex.OrBits(p.targets[d], bits.Bits[j])
+			targets[d] = stindex.OrBits(targets[d], bits.Bits[j])
 		}
 	}
-	return p, nil
-}
-
-// prob returns the fraction of days on which some trajectory appears at
-// seg in the start window and at the destination within the full window.
-func (p *reverseProbe) prob(seg roadnet.SegmentID) (float64, error) {
-	return p.probOn(p.e.st, seg)
-}
-
-// probOn is prob with the candidate's time list read from st — a shard's
-// ST-Index slice during scatter verification; the destination's folded
-// target bitsets are shared either way.
-func (p *reverseProbe) probOn(st *stindex.Index, seg roadnet.SegmentID) (float64, error) {
-	p.evaluated.Add(1)
-	bits, err := st.TimeListBitsAt(seg, p.startSlot)
-	if err != nil {
-		return 0, err
-	}
-	matched := 0
-	for i, d := range bits.Days {
-		if int(d) >= p.days {
-			continue
-		}
-		if stindex.BitsIntersect(p.targets[d], bits.Bits[i]) {
-			matched++
-		}
-	}
-	return float64(matched) / float64(p.days), nil
+	sets := stindex.NewMatchSets(days, [][][]uint64{targets})
+	return &probe{e: e, sets: sets, loSlot: startSlot, hiSlot: startSlot, days: days}, nil
 }
 
 // ReverseES answers a reverse reachability query by exhaustive reverse

@@ -34,9 +34,9 @@ func (p *SharedPlan) Deferred() bool { return p.deferred && !p.verified }
 // EarlyStop policy), which a scatter step cannot split across shards.
 func (p *SharedPlan) Lazy() bool { return p.lazy }
 
-// Candidates returns the plan's verification candidates in trace-back
-// order. The slice is the plan's own: read it, don't mutate it, and drop
-// it before Close.
+// Candidates returns the plan's verification candidates; positions
+// index into it. The slice is the plan's own: read it, don't mutate it,
+// and drop it before Close.
 func (p *SharedPlan) Candidates() []roadnet.SegmentID { return p.order }
 
 // SlotWindow returns the inclusive slot range [lo, hi] of the plan's
@@ -102,19 +102,9 @@ func (p *SharedPlan) VerifyPositions(ctx context.Context, eng *Engine, positions
 	for j, i := range positions {
 		segs[j] = p.order[i]
 	}
-	var newWorker func() func(roadnet.SegmentID) (float64, error)
-	if p.pr != nil {
-		pr, st := p.pr, eng.st
-		newWorker = func() func(roadnet.SegmentID) (float64, error) {
-			return pr.workerFor(st).prob
-		}
-	} else {
-		rpr, st := p.rpr, eng.st
-		newWorker = func() func(roadnet.SegmentID) (float64, error) {
-			return func(seg roadnet.SegmentID) (float64, error) {
-				return rpr.probOn(st, seg)
-			}
-		}
+	pr, st := p.pr, eng.st
+	newWorker := func() func(roadnet.SegmentID) (float64, error) {
+		return pr.workerFor(st).prob
 	}
 	return eng.verifyMany(ctx, segs, newWorker)
 }

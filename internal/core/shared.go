@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"streach/internal/conindex"
@@ -61,9 +60,10 @@ type SharedPlan struct {
 	// keep is Bmax ∩ Bmin: admitted without verification under the
 	// default trace-back policy.
 	keep []roadnet.SegmentID
-	// order holds the verification candidates in trace-back order, and
-	// probs their empirical probabilities (eager modes: default,
-	// VerifyAll, exhaustive).
+	// order holds the verification candidates — in ascending segment ID
+	// under the default policy (page order for the matchers), in region
+	// or expansion order under VerifyAll and the exhaustive baseline —
+	// and probs their empirical probabilities (the eager modes).
 	order []roadnet.SegmentID
 	probs []float64
 
@@ -74,8 +74,9 @@ type SharedPlan struct {
 	memo map[roadnet.SegmentID]float64
 	wave *probeWorker
 
-	pr  *probe
-	rpr *reverseProbe
+	// pr is the plan's probe: the forward one for reach and multi plans,
+	// the reverse one (newReverseProbe) for reverse plans.
+	pr *probe
 
 	boundNS, verifyNS int64
 	maxSize, minSize  int
@@ -265,7 +266,7 @@ func (e *Engine) PlanReverse(ctx context.Context, q Query, opts ...PlanOption) (
 	tVerify := now()
 	lo, hi := e.slotWindow(q.Start, q.Duration)
 	p.slotLo, p.slotHi = lo, hi
-	p.rpr, err = e.newReverseProbe(ctx, dst, lo, lo, hi)
+	p.pr, err = e.newReverseProbe(ctx, dst, lo, lo, hi)
 	if err != nil {
 		p.Close()
 		return nil, err
@@ -290,7 +291,7 @@ func (e *Engine) PlanReverse(ctx context.Context, q Query, opts ...PlanOption) (
 		return p, nil
 	}
 	p.probs, err = e.verifyMany(ctx, p.order, func() func(roadnet.SegmentID) (float64, error) {
-		return p.rpr.prob
+		return p.pr.worker().prob
 	})
 	if err != nil {
 		p.Close()
@@ -372,12 +373,13 @@ func (e *Engine) PlanReverseES(ctx context.Context, q Query, opts ...PlanOption)
 	p.starts = []roadnet.SegmentID{dst}
 	lo, hi := e.slotWindow(q.Start, q.Duration)
 	p.slotLo, p.slotHi = lo, hi
-	rpr, err := e.newReverseProbe(ctx, dst, lo, lo, hi)
+	pr, err := e.newReverseProbe(ctx, dst, lo, lo, hi)
 	if err != nil {
 		p.Close()
 		return nil, err
 	}
-	p.rpr = rpr
+	p.pr = pr
+	w := pr.worker()
 	budget := q.Duration.Seconds() * roadnet.Highway.FreeFlowSpeed()
 	var expandErr error
 	e.expandReverseDistance(dst, budget, func(r roadnet.SegmentID) bool {
@@ -386,7 +388,7 @@ func (e *Engine) PlanReverseES(ctx context.Context, q Query, opts ...PlanOption)
 			return false
 		}
 		if !cfg.deferVerify {
-			pv, err := rpr.prob(r)
+			pv, err := w.prob(r)
 			if err != nil {
 				expandErr = err
 				return false
@@ -452,21 +454,18 @@ func (p *SharedPlan) boundForward(ctx context.Context, start, dur time.Duration,
 	if e.opts.VerifyAll {
 		p.order = append([]roadnet.SegmentID(nil), maxReg.segs...)
 	} else {
-		// Verify Bmax \ Bmin outer-to-inner (descending expansion round,
-		// the trace back order), admit Bmax ∩ Bmin unverified. Both sets
-		// come from word-level bitset ops on the regions.
+		// Verify Bmax \ Bmin, admit Bmax ∩ Bmin unverified. Both sets come
+		// from word-level bitset ops on the regions, in ascending ID
+		// order. Every candidate is verified whatever the threshold, so
+		// the trace back's outer-to-inner order (which only the EarlyStop
+		// wave acts on) buys nothing here, while ascending IDs walk each
+		// slot's time lists front to back: neighbouring candidates share
+		// pages, and a worker's page memo sees each page once.
 		p.order = make([]roadnet.SegmentID, 0, maxReg.size())
 		p.keep = make([]roadnet.SegmentID, 0, minReg.size())
 		maxReg.splitAgainst(minReg,
 			func(s roadnet.SegmentID) { p.keep = append(p.keep, s) },
 			func(s roadnet.SegmentID) { p.order = append(p.order, s) })
-		sort.Slice(p.order, func(i, j int) bool {
-			ri, rj := maxReg.round[p.order[i]], maxReg.round[p.order[j]]
-			if ri != rj {
-				return ri > rj // outer rounds first
-			}
-			return p.order[i] < p.order[j]
-		})
 	}
 	p.evalFixed = len(p.order)
 	if cfg.deferVerify {
@@ -546,7 +545,6 @@ func (p *SharedPlan) ResultAt(ctx context.Context, prob float64) (*Result, error
 			Starts:      append([]roadnet.SegmentID(nil), p.starts...),
 			Probability: map[roadnet.SegmentID]float64{},
 		}
-		include := make(map[roadnet.SegmentID]bool, p.maxReg.size())
 		evaluated := p.evalFixed
 		verifyNS := p.verifyNS
 		if p.lazy {
@@ -564,24 +562,26 @@ func (p *SharedPlan) ResultAt(ctx context.Context, prob float64) (*Result, error
 				p.memo[s] = v
 				return v, nil
 			}
+			include := make(map[roadnet.SegmentID]bool, p.maxReg.size())
 			if err := e.earlyStopWave(ctx, p.maxReg, p.minReg, probFn, prob, include, res.Probability); err != nil {
 				return nil, err
+			}
+			for s := range include {
+				res.Segments = append(res.Segments, s)
 			}
 			evaluated = calls
 			verifyNS += now().Sub(tWave).Nanoseconds()
 		} else {
-			for _, s := range p.keep {
-				include[s] = true
-			}
+			// keep and order partition Bmax, so the answer is their
+			// concatenation — no set the size of Bmax to build for an
+			// answer of a few dozen segments (finish sorts it).
+			res.Segments = append(res.Segments, p.keep...)
 			for i, s := range p.order {
 				if p.probs[i] >= prob {
-					include[s] = true
+					res.Segments = append(res.Segments, s)
 					res.Probability[s] = p.probs[i]
 				}
 			}
-		}
-		for s := range include {
-			res.Segments = append(res.Segments, s)
 		}
 		res.Metrics.Evaluated = evaluated
 		res.Metrics.BoundNS = p.boundNS
@@ -600,7 +600,6 @@ func (p *SharedPlan) RowStats() conindex.PinStats {
 	st := p.rows.Stats()
 	for _, c := range p.children {
 		cs := c.RowStats()
-		st.Hits += cs.Hits
 		st.Fetched += cs.Fetched
 	}
 	return st

@@ -118,9 +118,8 @@ func (e *Engine) boundingRegion(ctx context.Context, starts []roadnet.SegmentID,
 }
 
 // boundingRegionPin is boundingRegion with adjacency rows resolved
-// through a batch-scoped RowSource (a conindex.Pin by default, a shard
-// router on a cluster's planner), so a plan that grows several regions
-// over the same working set fetches each row once.
+// through the plan's RowSource (a conindex.Pin by default, a shard
+// router on a cluster's planner), which also counts the resolutions.
 func (e *Engine) boundingRegionPin(ctx context.Context, rows RowSource, starts []roadnet.SegmentID, startOfDay, dur time.Duration, far bool) (*region, error) {
 	reg := e.getRegion()
 	for _, r := range starts {

@@ -147,7 +147,7 @@ func (c *Cluster) verifyShardHedged(ctx context.Context, leaf *core.SharedPlan, 
 	var (
 		timerC       <-chan time.Time = timer.C
 		cancelHedge  context.CancelFunc
-		outstanding                   = 1
+		outstanding  = 1
 		won, byHedge bool
 		firstErr     error
 	)

@@ -12,76 +12,43 @@ import (
 // fetch of the bounding phase resolves through the Con-Index slice of
 // the shard owning the segment, so one logical bounding-region search
 // scatters its row traffic across the partition without the algorithms
-// (SQMB, MQMB's overlap rule, the reverse pipeline) knowing. Rows are
-// memoised locally with the same batch-scoped semantics as
-// conindex.Pin — a plan that grows several regions over one working set,
-// or MQMB re-reading a candidate's nearest-segment row, pays each shard
-// round-trip once. One router per plan; not safe for concurrent use,
-// exactly like a pin.
+// (SQMB, MQMB's overlap rule, the reverse pipeline) knowing. Each
+// resolution is charged to the owning shard's row counter. One router
+// per plan; not safe for concurrent use, exactly like a conindex.Pin.
 type rowRouter struct {
-	c                   *Cluster
-	far, near           map[int64]conindex.Row
-	farRev, nearRev     map[int64]conindex.Row
-	rowHits, rowFetched int64
+	c       *Cluster
+	fetched int64
 }
 
 func (c *Cluster) newRowRouter() core.RowSource {
 	return &rowRouter{c: c}
 }
 
-func (r *rowRouter) key(seg roadnet.SegmentID, slot int) int64 {
-	slot = ((slot % r.c.numSlots) + r.c.numSlots) % r.c.numSlots
-	return int64(slot)<<32 | int64(uint32(seg))
-}
-
-// row resolves one key through the local memo, routing misses to the
-// owning shard's slice and charging that shard's row counter.
-func (r *rowRouter) row(memo *map[int64]conindex.Row, seg roadnet.SegmentID, slot int,
-	fetch func(*conindex.Slice) (conindex.Row, error)) (conindex.Row, error) {
-	k := r.key(seg, slot)
-	if row, ok := (*memo)[k]; ok {
-		r.rowHits++
-		return row, nil
-	}
+// slice routes one resolution to the owning shard's slice.
+func (r *rowRouter) slice(seg roadnet.SegmentID, slot int) *conindex.Slice {
 	sh := r.c.shardOf(seg, slot)
-	row, err := fetch(r.c.conSlices[sh])
-	if err != nil {
-		return conindex.Row{}, err
-	}
-	if *memo == nil {
-		*memo = map[int64]conindex.Row{}
-	}
-	(*memo)[k] = row
-	r.rowFetched++
+	r.fetched++
 	r.c.m.rows[sh].Add(1)
-	return row, nil
+	return r.c.conSlices[sh]
 }
 
 func (r *rowRouter) FarRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error) {
-	return r.row(&r.far, seg, slot, func(s *conindex.Slice) (conindex.Row, error) {
-		return s.FarRow(ctx, seg, slot)
-	})
+	return r.slice(seg, slot).FarRow(ctx, seg, slot)
 }
 
 func (r *rowRouter) NearRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error) {
-	return r.row(&r.near, seg, slot, func(s *conindex.Slice) (conindex.Row, error) {
-		return s.NearRow(ctx, seg, slot)
-	})
+	return r.slice(seg, slot).NearRow(ctx, seg, slot)
 }
 
 func (r *rowRouter) FarReverseRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error) {
-	return r.row(&r.farRev, seg, slot, func(s *conindex.Slice) (conindex.Row, error) {
-		return s.FarReverseRow(ctx, seg, slot)
-	})
+	return r.slice(seg, slot).FarReverseRow(ctx, seg, slot)
 }
 
 func (r *rowRouter) NearReverseRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error) {
-	return r.row(&r.nearRev, seg, slot, func(s *conindex.Slice) (conindex.Row, error) {
-		return s.NearReverseRow(ctx, seg, slot)
-	})
+	return r.slice(seg, slot).NearReverseRow(ctx, seg, slot)
 }
 
 // Stats mirrors conindex.Pin.Stats for the plan's RowStats accounting.
 func (r *rowRouter) Stats() conindex.PinStats {
-	return conindex.PinStats{Hits: r.rowHits, Fetched: r.rowFetched}
+	return conindex.PinStats{Fetched: r.fetched}
 }

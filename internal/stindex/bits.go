@@ -34,6 +34,17 @@ const (
 	bitsMarker1 = 0xFE
 )
 
+// maxDays bounds the day index of either encoding (Build rejects larger
+// datasets; the packed tuples give the day 9 bits). The decoders reject
+// anything past it instead of letting a damaged day wrap around traj.Day
+// into a valid one.
+const maxDays = 1 << 9
+
+// maxTaxis bounds taxi IDs the same way (Build and AppendDelta reject
+// larger ones). A sparse list's last entry sizes the decoded bitset, so
+// without the bound a few damaged bytes would ask for half a gigabyte.
+const maxTaxis = 1 << 15
+
 // TimeListBits is the decoded bitset form of one (segment, slot) time
 // list: a day-presence bitmask plus per-day taxi bitsets. Instances
 // returned by the index may be shared (cached); callers must not modify
@@ -196,6 +207,9 @@ func decodeTimeListBits(blob []byte) (*TimeListBits, error) {
 	}
 	numDays := int(binary.LittleEndian.Uint16(blob[2:4]))
 	maskWords := int(binary.LittleEndian.Uint16(blob[4:6]))
+	if maskWords > maxDays/64 {
+		return nil, fmt.Errorf("stindex: bitset day mask of %d words is past the format's %d days", maskWords, maxDays)
+	}
 	off := 6
 	if off+8*maskWords > len(blob) {
 		return nil, fmt.Errorf("stindex: truncated bitset day mask")
@@ -271,11 +285,17 @@ func bitsFromV1Blob(blob []byte) (*TimeListBits, error) {
 		day := int(binary.LittleEndian.Uint16(blob[off : off+2]))
 		cnt := int(binary.LittleEndian.Uint16(blob[off+2 : off+4]))
 		off += 4
+		if day >= maxDays {
+			return nil, fmt.Errorf("stindex: time list day %d is past the format's %d days", day, maxDays)
+		}
 		if off+4*cnt > len(blob) {
 			return nil, fmt.Errorf("stindex: truncated time list entries at day %d", i)
 		}
 		if cnt > 0 {
 			last := int(binary.LittleEndian.Uint32(blob[off+4*(cnt-1) : off+4*cnt]))
+			if last >= maxTaxis {
+				return nil, fmt.Errorf("stindex: time list taxi %d is past the format's %d taxis", last, maxTaxis)
+			}
 			total += last>>6 + 1
 		}
 		if w := day >> 6; w > maxWord {
@@ -314,4 +334,3 @@ func bitsFromV1Blob(blob []byte) (*TimeListBits, error) {
 	}
 	return b, nil
 }
-

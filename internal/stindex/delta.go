@@ -154,8 +154,8 @@ func (x *Index) AppendDelta(obs []DeltaObs) error {
 		if o.Day < 0 || int(o.Day) >= x.days {
 			return fmt.Errorf("stindex: delta day %d out of range [0,%d)", o.Day, x.days)
 		}
-		if o.Taxi < 0 || o.Taxi >= 1<<15 {
-			return fmt.Errorf("stindex: delta taxi %d out of range [0,%d)", o.Taxi, 1<<15)
+		if o.Taxi < 0 || o.Taxi >= maxTaxis {
+			return fmt.Errorf("stindex: delta taxi %d out of range [0,%d)", o.Taxi, maxTaxis)
 		}
 	}
 	if len(obs) == 0 {

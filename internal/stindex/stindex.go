@@ -9,12 +9,13 @@
 //  3. per-(segment, slot) *time lists*: for each date in the dataset, the
 //     IDs of the trajectories that traversed the segment during the slot.
 //
-// Time lists live on disk as bitset-encoded blobs (bits.go) behind a
-// buffer pool; reading one is the unit of I/O the evaluation charges
-// queries for. A decoded-list LRU (cache.go) sits above the pool so hot
-// (segment, slot) pairs skip page access and decoding entirely, and
-// TimeListsRange batches a probe window's reads so shared pages are
-// fetched once per probe. See DESIGN.md §2–3.
+// Time lists live on disk as encoded blobs (bits.go) behind a buffer
+// pool; reading one is the unit of I/O the evaluation charges queries
+// for. Verification never decodes them: a Matcher (match.go) walks each
+// candidate's blobs where they lie in the pooled pages. The decoded
+// forms (TimeListBitsAt, TimeListsRange, behind the decoded-list LRU of
+// cache.go) serve the handful of start and destination lists a query
+// turns into probe sets, compaction, and tools. See DESIGN.md §2–3.
 package stindex
 
 import (
@@ -39,8 +40,10 @@ type Config struct {
 	PoolPages int
 	// TimeListCache is the decoded time-list LRU capacity in entries
 	// (default 8192, negative disables). The cache sits above the buffer
-	// pool: repeated probes of hot (segment, slot) pairs skip page access
-	// and blob decoding entirely.
+	// pool: repeated decoded reads of hot (segment, slot) pairs — a
+	// query's start and destination lists — skip page access and blob
+	// decoding. Candidate verification streams off the page and never
+	// touches it.
 	TimeListCache int
 	// Store is the page backend; nil means a fresh in-memory store.
 	Store storage.Store
@@ -240,8 +243,8 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 	if net.NumSegments() >= 1<<22 {
 		return nil, fmt.Errorf("stindex: network too large (%d segments, max %d)", net.NumSegments(), 1<<22-1)
 	}
-	if ds.Days >= 1<<9 {
-		return nil, fmt.Errorf("stindex: too many days (%d, max %d)", ds.Days, 1<<9-1)
+	if ds.Days >= maxDays {
+		return nil, fmt.Errorf("stindex: too many days (%d, max %d)", ds.Days, maxDays-1)
 	}
 	var tuples []uint64
 	maxTaxi := traj.TaxiID(0)
@@ -261,8 +264,8 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 			}
 		}
 	}
-	if maxTaxi >= 1<<15 {
-		return nil, fmt.Errorf("stindex: taxi ID %d too large (max %d)", maxTaxi, 1<<15-1)
+	if maxTaxi >= maxTaxis {
+		return nil, fmt.Errorf("stindex: taxi ID %d too large (max %d)", maxTaxi, maxTaxis-1)
 	}
 	sort.Slice(tuples, func(i, j int) bool { return tuples[i] < tuples[j] })
 
@@ -474,8 +477,9 @@ func (x *Index) TimeListBitsAt(seg roadnet.SegmentID, slot int) (*TimeListBits, 
 // TimeListsRange reads the time lists of (segment, lo..hi inclusive) in
 // one batch, appending to dst and returning it: dst[i] covers slot lo+i
 // and is never nil. Cache misses share a single batch blob reader, so
-// every buffer-pool page the window touches is pinned once per call
-// instead of once per slot — the fetch pattern probe verification uses.
+// every buffer-pool page the window touches is fetched once per call
+// instead of once per slot. The reverse probe folds its destination's
+// window through it; candidates go through a Matcher instead.
 func (x *Index) TimeListsRange(seg roadnet.SegmentID, loSlot, hiSlot int, dst []*TimeListBits) ([]*TimeListBits, error) {
 	if seg < 0 || int(seg) >= x.net.NumSegments() {
 		for s := loSlot; s <= hiSlot; s++ {

@@ -60,21 +60,24 @@ func (f *BlobFile) Append(data []byte) (BlobHandle, error) {
 	return h, nil
 }
 
-// Read returns the blob's contents.
+// Read returns the blob's contents in a fresh slice.
 func (f *BlobFile) Read(h BlobHandle) ([]byte, error) {
-	return readBlob(h, f.pool.GetPage)
+	return readBlob(nil, h, f.pool.GetPage)
 }
 
-// readBlob gathers a blob's bytes through any page source: the buffer
-// pool directly, or a BlobReader's per-batch page memo.
-func readBlob(h BlobHandle, getPage func(PageID) ([]byte, error)) ([]byte, error) {
+// readBlob gathers a blob's bytes into dst[:0] (grown as needed) through
+// any page source: the buffer pool directly, or a BlobReader's page memo.
+func readBlob(dst []byte, h BlobHandle, getPage func(PageID) ([]byte, error)) ([]byte, error) {
 	if h.Length < 0 {
 		return nil, fmt.Errorf("storage: negative blob length %d", h.Length)
 	}
 	if h.Length == 0 {
 		return nil, nil
 	}
-	out := make([]byte, h.Length)
+	if cap(dst) < int(h.Length) {
+		dst = make([]byte, h.Length)
+	}
+	out := dst[:h.Length]
 	off := h.Offset
 	buf := out
 	for len(buf) > 0 {
@@ -108,12 +111,7 @@ func (f *BlobFile) writeAt(off int64, data []byte) error {
 				return err
 			}
 		}
-		page, err := f.pool.GetPage(pid)
-		if err != nil {
-			return err
-		}
-		copy(page[inPage:inPage+n], data[:n])
-		if err := f.pool.WritePage(pid, page); err != nil {
+		if err := f.pool.PatchPage(pid, inPage, data[:n]); err != nil {
 			return err
 		}
 		off += int64(n)
@@ -122,55 +120,76 @@ func (f *BlobFile) writeAt(off int64, data []byte) error {
 	return nil
 }
 
-// BlobReader reads blobs through a per-batch page memo: each page touched
-// by the batch is fetched from the buffer pool exactly once, no matter how
-// many blobs share it. Small neighbouring blobs (the common case for
-// per-(segment, slot) time lists, which pack many lists per page) then
-// cost one pool access per page instead of one per list. A BlobReader is
-// cheap to create, not safe for concurrent use, and must not outlive
-// writes to the underlying file.
+// readerMemoSize is the BlobReader's page memo size (a power of two). A
+// probe window touches one page per slot plus the odd straddle, so a few
+// dozen direct-mapped entries keep collisions — which only cost a pool
+// access, never correctness — rare.
+const readerMemoSize = 64
+
+// BlobReader reads blobs through a page memo: each page it touches is
+// fetched from the buffer pool once and then served from a small
+// direct-mapped table, no matter how many blobs share the page. Small
+// neighbouring blobs (the common case for per-(segment, slot) time
+// lists, which pack many lists per page) then cost one pool access per
+// page instead of one per list. A BlobReader is not safe for concurrent
+// use.
+//
+// The memo holds zero-copy views of pool frames. Blobs are immutable once
+// written and appends only touch bytes past the old tail, so a memoised
+// view stays correct for every blob that existed when the page was
+// fetched — but a blob appended later may be missing from it (the frame
+// can have been evicted and re-read into a fresh buffer in between). A
+// reader that outlives appends must therefore Reset before reading
+// handles it did not know when the memo was filled.
 type BlobReader struct {
 	f     *BlobFile
-	pages map[PageID][]byte
+	ids   [readerMemoSize]PageID
+	pages [readerMemoSize][]byte
+	buf   []byte // assembly buffer for blobs that span pages
 }
 
-// NewReader returns a batch reader over the file.
+// NewReader returns a reader over the file with an empty memo.
 func (f *BlobFile) NewReader() *BlobReader {
-	return &BlobReader{f: f, pages: make(map[PageID][]byte, 8)}
+	return &BlobReader{f: f}
 }
 
-// Read returns the blob's contents, memoizing every page it touches.
-// The returned slice may alias pooled page memory: treat it as read-only
-// and decode it before the underlying file is written again (the blob
-// file is append-only, so existing blobs never change — the only hazard
-// is page eviction racing a concurrent writer, which the time-list read
-// path never has).
+// Reset drops the page memo.
+func (r *BlobReader) Reset() {
+	r.pages = [readerMemoSize][]byte{}
+}
+
+// Read returns the blob's contents without allocating: a single-page
+// blob (the common case: many small time lists per page) is a view into
+// the memoised page, a blob that spans pages is assembled in the
+// reader's own buffer. Either way the slice is read-only and valid only
+// until the next Read.
 func (r *BlobReader) Read(h BlobHandle) ([]byte, error) {
-	if h.Length <= 0 || h.Offset < 0 {
-		return readBlob(h, r.getPage)
-	}
-	pid := PageID(h.Offset / PageSize)
-	inPage := int(h.Offset % PageSize)
-	if inPage+int(h.Length) <= PageSize {
-		// Single-page blob (the common case: many small time lists per
-		// page): zero-copy view into the memoized page.
-		page, err := r.getPage(pid)
-		if err != nil {
-			return nil, err
+	if h.Length > 0 && h.Offset >= 0 {
+		inPage := int(h.Offset % PageSize)
+		if end := inPage + int(h.Length); end <= PageSize {
+			page, err := r.getPage(PageID(h.Offset / PageSize))
+			if err != nil {
+				return nil, err
+			}
+			return page[inPage:end:end], nil
 		}
-		return page[inPage : inPage+int(h.Length) : inPage+int(h.Length)], nil
 	}
-	return readBlob(h, r.getPage)
+	out, err := readBlob(r.buf, h, r.getPage)
+	if out != nil {
+		r.buf = out
+	}
+	return out, err
 }
 
 func (r *BlobReader) getPage(pid PageID) ([]byte, error) {
-	if page, ok := r.pages[pid]; ok {
-		return page, nil
+	i := uint64(pid) & (readerMemoSize - 1)
+	if r.ids[i] == pid && r.pages[i] != nil {
+		return r.pages[i], nil
 	}
 	page, err := r.f.pool.ViewPage(pid)
 	if err != nil {
 		return nil, err
 	}
-	r.pages[pid] = page
+	r.ids[i], r.pages[i] = pid, page
 	return page, nil
 }

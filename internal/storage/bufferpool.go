@@ -89,12 +89,12 @@ func (bp *BufferPool) ResetStats() {
 func (bp *BufferPool) GetPage(id PageID) ([]byte, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	data, err := bp.frameData(id)
+	fr, err := bp.frameOf(id)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]byte, PageSize)
-	copy(out, data)
+	copy(out, fr.data)
 	return out, nil
 }
 
@@ -102,33 +102,60 @@ func (bp *BufferPool) GetPage(id PageID) ([]byte, error) {
 // through the cache on a miss. The view is read-only and aliases pool
 // memory: callers must not modify it, and must not use it after a
 // subsequent WritePage to the same page (the frame mutates in place).
-// Intended for read-mostly stores — e.g. the append-only time-list blob
-// file, whose pages never change once written — where GetPage's
-// page-sized allocation and copy per access would dominate cold reads.
+// PatchPage is safe beside views as long as nobody reads the patched
+// bytes through a view taken earlier. Intended for read-mostly stores —
+// e.g. the append-only time-list blob file, whose written bytes never
+// change — where GetPage's page-sized allocation and copy per access
+// would dominate cold reads.
 func (bp *BufferPool) ViewPage(id PageID) ([]byte, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	return bp.frameData(id)
+	fr, err := bp.frameOf(id)
+	if err != nil {
+		return nil, err
+	}
+	return fr.data, nil
 }
 
-// frameData returns the resident frame's bytes, reading through the
-// cache on a miss. Caller holds bp.mu; the slice aliases the frame.
-func (bp *BufferPool) frameData(id PageID) ([]byte, error) {
+// frameOf returns the resident frame, reading through the cache on a
+// miss. Caller holds bp.mu.
+func (bp *BufferPool) frameOf(id PageID) (*frame, error) {
 	if el, ok := bp.frames[id]; ok {
 		bp.stats.Hits++
 		bp.lru.MoveToFront(el)
-		return el.Value.(*frame).data, nil
+		return el.Value.(*frame), nil
 	}
 	bp.stats.Misses++
 	bp.stats.Reads++
-	data := make([]byte, PageSize)
-	if err := bp.store.ReadPage(id, data); err != nil {
+	fr := &frame{id: id, data: make([]byte, PageSize)}
+	if err := bp.store.ReadPage(id, fr.data); err != nil {
 		return nil, err
 	}
-	if err := bp.admit(&frame{id: id, data: data}); err != nil {
+	if err := bp.admit(fr); err != nil {
 		return nil, err
 	}
-	return data, nil
+	return fr, nil
+}
+
+// PatchPage overwrites bytes [off, off+len(data)) of the page through
+// the cache (write-back) and leaves every other byte of the frame
+// untouched. That is what lets an append-only writer share frames with
+// ViewPage readers: the bytes of blobs already written are never stored
+// to again, so a reader walking an older blob in place does not race an
+// append landing later in the same page.
+func (bp *BufferPool) PatchPage(id PageID, off int, data []byte) error {
+	if off < 0 || off+len(data) > PageSize {
+		return fmt.Errorf("storage: PatchPage range [%d, %d) leaves the %d-byte page", off, off+len(data), PageSize)
+	}
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	fr, err := bp.frameOf(id)
+	if err != nil {
+		return err
+	}
+	copy(fr.data[off:], data)
+	fr.dirty = true
+	return nil
 }
 
 // WritePage stores new contents for the page through the cache

@@ -760,8 +760,7 @@ func (s *System) doGroup(ctx context.Context, reqs []Request, idxs []int, qo que
 	s.sharing.groups.Add(1)
 	s.sharing.coalesced.Add(shared)
 	s.sharing.probeSets.Add(shared)
-	rows := plan.RowStats()
-	// Rows the member queries did not have to re-resolve: the pin's own
-	// local hits plus one full working-set fetch per extra member.
-	s.sharing.rowsShared.Add(rows.Hits + rows.Fetched*shared)
+	// Rows the member queries did not have to re-resolve: one full
+	// working-set fetch per extra member.
+	s.sharing.rowsShared.Add(plan.RowStats().Fetched * shared)
 }

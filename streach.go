@@ -115,8 +115,9 @@ type IndexConfig struct {
 	// PoolPages is the buffer pool capacity (default 1024 pages).
 	PoolPages int
 	// TimeListCache is the decoded time-list LRU capacity in entries
-	// (default 8192, negative disables). Hits skip the buffer pool and
-	// blob decoding entirely; see Metrics.TLCacheHits.
+	// (default 8192, negative disables). It serves the start and
+	// destination lists a query decodes into probe sets; candidate
+	// verification streams off the page. See Metrics.TLCacheHits.
 	TimeListCache int
 	// VerifyWorkers bounds the per-query verification worker pool
 	// (0 = GOMAXPROCS, 1 = serial).
@@ -328,7 +329,7 @@ type SharingStats struct {
 	// sharing (reachability groups only; routes have no probe).
 	ProbeSetsShared int64
 	// ConRowsShared counts Con-Index adjacency-row resolutions avoided:
-	// pin-local re-reads plus one working-set fetch per coalesced query.
+	// one working-set fetch per coalesced query.
 	ConRowsShared int64
 	// PlanCacheHits and PlanCacheMisses count cross-batch plan-cache
 	// activity: a hit answered a query (or a whole batch group) from a
@@ -629,13 +630,14 @@ func (s *System) ShardStats() []ShardStat {
 	return out
 }
 
-// Warm precomputes the Con-Index Near/Far tables for every time slot
-// touched by queries starting in [start, start+dur], fanning the
-// travel-time Dijkstras out over a GOMAXPROCS-wide worker pool. The
-// thesis builds these tables offline during index construction; calling
-// Warm moves that cost out of the first query's measured time, and Save
-// persists the materialised rows so reopened systems skip it entirely.
-// Idempotent.
+// Warm precomputes the Con-Index Near/Far tables, forward and reverse,
+// for every time slot touched by queries starting in [start, start+dur],
+// fanning the travel-time Dijkstras out over a GOMAXPROCS-wide worker
+// pool: reach, multi and reverse queries inside the window then bound
+// by lookups alone. The thesis builds these tables offline during index
+// construction; calling Warm moves that cost out of the first query's
+// measured time, and Save persists the materialised rows so reopened
+// systems skip it entirely. Idempotent.
 func (s *System) Warm(start, dur time.Duration) {
 	_ = s.WarmCtx(context.Background(), start, dur)
 }
