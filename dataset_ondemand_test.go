@@ -1,0 +1,237 @@
+package streach
+
+import (
+	"bytes"
+	"log"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+)
+
+// openedCopy saves the shared fixture into a fresh directory and opens
+// it.
+func openedCopy(t *testing.T) (built, opened *System, dir string) {
+	t.Helper()
+	built = smallSystem(t)
+	dir = t.TempDir()
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	idx := DefaultIndexConfig()
+	idx.PlanCache = -1
+	opened, err := OpenSystem(dir, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { opened.Close() })
+	return built, opened, dir
+}
+
+// TestOpenedSystemHoldsNoDataset: a system opened from a directory keeps
+// its indexes and the dataset's statistics, not the trajectories, and
+// everything that wants the trajectories still works by reading
+// dataset.bin when asked.
+func TestOpenedSystemHoldsNoDataset(t *testing.T) {
+	built, opened, dir := openedCopy(t)
+	if opened.ds != nil {
+		t.Fatal("an opened system retains the decoded dataset")
+	}
+	if got, want := opened.Stats(), built.Stats(); got != want {
+		t.Fatalf("Stats() = %+v, want the built system's %+v", got, want)
+	}
+	if got, want := opened.dsStats, built.ds.Stats(); got != want {
+		t.Fatalf("dataset statistics = %+v, want ds.Stats() = %+v", got, want)
+	}
+	if ds := opened.Dataset(); !reflect.DeepEqual(ds, built.ds) {
+		t.Fatal("Dataset() of the opened system differs from the dataset it was saved from")
+	}
+	want, err := built.Reach(testQuery(built))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Save into another directory copies dataset.bin as it is; the copy
+	// opens into an equivalent system.
+	other := t.TempDir()
+	if err := opened.Save(other); err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile(filepath.Join(dir, fileDataset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := os.ReadFile(filepath.Join(other, fileDataset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(src, dst) {
+		t.Fatalf("Save copied dataset.bin inexactly: %d bytes, source has %d", len(dst), len(src))
+	}
+	idx := DefaultIndexConfig()
+	idx.PlanCache = -1
+	again, err := OpenSystem(other, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again.Stats() != built.Stats() {
+		t.Fatalf("reopened copy: Stats() = %+v, want %+v", again.Stats(), built.Stats())
+	}
+	got, err := again.Reach(testQuery(built))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRegion(t, "the reopened copy", got, want)
+
+	// Save into the directory the system lives in must leave dataset.bin
+	// alone, however the path is spelled — creating it would truncate the
+	// only copy.
+	if err := again.Save(other + string(filepath.Separator) + "."); err != nil {
+		t.Fatal(err)
+	}
+	if dst, err = os.ReadFile(filepath.Join(other, fileDataset)); err != nil || !bytes.Equal(src, dst) {
+		t.Fatalf("Save into the system's own directory damaged dataset.bin (%d bytes, err %v)", len(dst), err)
+	}
+}
+
+// TestBusiestLocationStreamsAndMemoises: an opened system answers
+// BusiestLocation from one streamed pass over dataset.bin — the same
+// answer the in-memory scan gives — and a repeated question from its
+// memo, without the file.
+func TestBusiestLocationStreamsAndMemoises(t *testing.T) {
+	built, opened, dir := openedCopy(t)
+	for _, tod := range []time.Duration{11 * time.Hour, 8*time.Hour + 7*time.Minute, 3 * time.Hour} {
+		if got, want := opened.BusiestLocation(tod), built.BusiestLocation(tod); got != want {
+			t.Fatalf("BusiestLocation(%v) = %+v from the file, %+v from memory", tod, got, want)
+		}
+	}
+	// With the file gone a repeated question is still answered (one file
+	// read for two calls) and a new one is visibly not.
+	if err := os.Rename(filepath.Join(dir, fileDataset), filepath.Join(dir, "moved")); err != nil {
+		t.Fatal(err)
+	}
+	var logBuf bytes.Buffer
+	log.SetOutput(&logBuf)
+	defer log.SetOutput(os.Stderr)
+	if got, want := opened.BusiestLocation(11*time.Hour), built.BusiestLocation(11*time.Hour); got != want {
+		t.Fatalf("memoised BusiestLocation = %+v, want %+v", got, want)
+	}
+	if logBuf.Len() != 0 {
+		t.Fatalf("a memoised answer went to the file:\n%s", logBuf.String())
+	}
+	opened.BusiestLocation(17 * time.Hour)
+	if !strings.Contains(logBuf.String(), "dataset scan cut short") {
+		t.Fatal("a new time of day did not read the dataset file")
+	}
+	if len(opened.busiest) != 3 {
+		t.Fatalf("memo holds %d answers, want the 3 complete ones", len(opened.busiest))
+	}
+	if opened.Dataset() != nil {
+		t.Fatal("Dataset() of a system whose file is gone should be nil")
+	}
+
+	// The memo is bounded.
+	for i := 0; i < 3*busiestMemoCap; i++ {
+		built.BusiestLocation(time.Duration(i) * time.Second)
+		if len(built.busiest) > busiestMemoCap {
+			t.Fatalf("memo grew to %d entries, cap is %d", len(built.busiest), busiestMemoCap)
+		}
+	}
+}
+
+// TestOpenRebuildsBothIndexesFromDatasetFile: with stindex.meta and
+// conindex.bin both damaged, the open decodes dataset.bin for the cold
+// rebuilds, answers as the undamaged system does, and still retains no
+// dataset.
+func TestOpenRebuildsBothIndexesFromDatasetFile(t *testing.T) {
+	built := smallSystem(t)
+	want, err := built.Reach(testQuery(built))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{fileSTMeta, fileConIndex} {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x04
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var logBuf bytes.Buffer
+	log.SetOutput(&logBuf)
+	idx := DefaultIndexConfig()
+	idx.PlanCache = -1
+	sys, err := OpenSystem(dir, idx)
+	log.SetOutput(os.Stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if n := strings.Count(logBuf.String(), "cold rebuild from trajectories"); n != 2 {
+		t.Fatalf("want both indexes cold-rebuilt, log says:\n%s", logBuf.String())
+	}
+	if sys.ds != nil {
+		t.Fatal("the dataset decoded for the rebuilds outlived the open")
+	}
+	got, err := sys.Reach(testQuery(built))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRegion(t, "the rebuilt system", got, want)
+}
+
+// TestOpenSystemRejectsDamagedDataset: the structural walk fails on what
+// the full decode failed on, with the same words.
+func TestOpenSystemRejectsDamagedDataset(t *testing.T) {
+	built := smallSystem(t)
+	src := t.TempDir()
+	if err := built.Save(src); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(src, fileDataset))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstVisits := 22 + 10 + 16*len(built.ds.Matched[0].Visits)
+	badMagic := append([]byte("JRTS"), data[4:]...)
+	badVersion := append(append([]byte{}, data[:4]...), append([]byte{9, 0}, data[6:]...)...)
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"bad magic", `traj: bad magic "JRTS"`, badMagic},
+		{"bad version", "traj: unsupported version 9", badVersion},
+		{"empty", "traj: read magic: EOF", nil},
+		{"cut in the header", "traj: read days: unexpected EOF", data[:16]},
+		{"cut between trajectories", "traj: trajectory 1: EOF", data[:firstVisits]},
+		{"cut inside a visit field", "traj: trajectory 0 visit 2: unexpected EOF", data[:22+10+2*16+5]},
+		{"cut between visit fields", "traj: trajectory 0 visit 2: EOF", data[:22+10+2*16+8]},
+		{"last byte missing", "unexpected EOF", data[:len(data)-1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, src, dir)
+			if err := os.WriteFile(filepath.Join(dir, fileDataset), tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sys, err := OpenSystem(dir, DefaultIndexConfig())
+			if err == nil {
+				sys.Close()
+				t.Fatal("a damaged dataset.bin opened")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q, want it to say %q", err, tc.want)
+			}
+		})
+	}
+}

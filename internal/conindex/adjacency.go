@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 
+	"streach/internal/bitset"
 	"streach/internal/roadnet"
 	"streach/internal/storage"
 	"streach/internal/xerr"
@@ -28,9 +30,11 @@ import (
 //	    bitset: nwords u32, nwords x u64 (trailing zero words trimmed)
 //	then crc u32 (v2+, CRC-32C of every preceding byte incl. magic)
 //
-// The sparse/bitset choice mirrors the in-memory adaptive rows (and the
-// v2 time-list format): dense rows ship as word arrays, sparse rows as
-// ID lists, so blob size stays proportional to what was materialised.
+// The sparse/bitset choice is the record's own (the in-memory rows have
+// one form, see Row): a bitset costs numSegments/8 bytes and a list 4
+// bytes per member, so rows of fewer than numSegments/32 members ship as
+// ID lists and the rest as word arrays, as in the v2 time-list format,
+// and blob size stays proportional to what was materialised.
 //
 // v2 adds the trailing checksum, and loading became transactional: rows
 // are parsed and validated first, the checksum (or, on v1, a strict
@@ -46,6 +50,10 @@ const (
 	adjEncSparse = 0
 	adjEncBitset = 1
 )
+
+// adjSparse reports whether a row of n members over numSegments
+// segments is written as a sorted ID list rather than as a bitset.
+func adjSparse(n, numSegments int) bool { return n*32 < numSegments }
 
 // adjTables returns the four tables in their fixed on-disk order.
 func (x *Index) adjTables() []*table {
@@ -91,7 +99,7 @@ func (x *Index) SaveAdjacency(w io.Writer) error {
 	}
 	for ti, rows := range snaps {
 		for _, sr := range rows {
-			if err := writeAdjRow(tee, uint8(ti), sr.slot, sr.seg, sr.row); err != nil {
+			if err := writeAdjRow(tee, uint8(ti), sr.slot, sr.seg, sr.row, x.net.NumSegments()); err != nil {
 				return err
 			}
 		}
@@ -103,7 +111,7 @@ func (x *Index) SaveAdjacency(w io.Writer) error {
 	return bw.Flush()
 }
 
-func writeAdjRow(w io.Writer, tableID uint8, slot int, seg roadnet.SegmentID, r Row) error {
+func writeAdjRow(w io.Writer, tableID uint8, slot int, seg roadnet.SegmentID, r Row, numSegments int) error {
 	var buf [8]byte
 	buf[0] = tableID
 	if _, err := w.Write(buf[:1]); err != nil {
@@ -113,31 +121,40 @@ func writeAdjRow(w io.Writer, tableID uint8, slot int, seg roadnet.SegmentID, r 
 	w.Write(buf[:4])
 	binary.LittleEndian.PutUint32(buf[:4], uint32(seg))
 	w.Write(buf[:4])
-	if r.bits != nil {
-		words := r.bits
-		for len(words) > 0 && words[len(words)-1] == 0 {
-			words = words[:len(words)-1]
-		}
+	idx, words := r.parts()
+	if !adjSparse(r.Len(), numSegments) {
+		// Words 0 through the row's last non-zero word, the gaps between
+		// its non-zero words written as zeros.
 		buf[0] = adjEncBitset
 		w.Write(buf[:1])
-		binary.LittleEndian.PutUint32(buf[:4], uint32(len(words)))
+		binary.LittleEndian.PutUint32(buf[:4], uint32(idx[len(idx)-1])+1)
 		w.Write(buf[:4])
-		for _, wd := range words {
+		var zero [8]byte
+		next := 0
+		for i, wd := range words {
+			for ; next < int(idx[i]); next++ {
+				if _, err := w.Write(zero[:]); err != nil {
+					return err
+				}
+			}
 			binary.LittleEndian.PutUint64(buf[:8], wd)
 			if _, err := w.Write(buf[:8]); err != nil {
 				return err
 			}
+			next++
 		}
 		return nil
 	}
 	buf[0] = adjEncSparse
 	w.Write(buf[:1])
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(r.ids)))
+	binary.LittleEndian.PutUint32(buf[:4], uint32(r.Len()))
 	w.Write(buf[:4])
-	for _, s := range r.ids {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(s))
-		if _, err := w.Write(buf[:4]); err != nil {
-			return err
+	for i, wd := range words {
+		for base := uint32(idx[i]) << 6; wd != 0; wd &= wd - 1 {
+			binary.LittleEndian.PutUint32(buf[:4], base+uint32(bits.TrailingZeros64(wd)))
+			if _, err := w.Write(buf[:4]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -192,7 +209,14 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 		seg     roadnet.SegmentID
 		row     Row
 	}
-	pending := make([]pendingRow, 0, numRows)
+	pending := make([]pendingRow, 0, min(numRows, 4*x.numSlots*numSeg))
+	// Record payloads are decoded into these and compressed out of them,
+	// so they are reused from row to row.
+	var (
+		ids     []roadnet.SegmentID
+		words   []uint64
+		scratch = bitset.New(numSeg)
+	)
 	for i := 0; i < numRows; i++ {
 		hdr := make([]byte, 1+4+4+1+4)
 		if _, err := io.ReadFull(tee, hdr); err != nil {
@@ -215,7 +239,7 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 			if count > numSeg {
 				return fmt.Errorf("conindex: adjacency row %d sparse count %d too large", i, count)
 			}
-			ids := make([]roadnet.SegmentID, count)
+			ids = ids[:0]
 			for j := 0; j < count; j++ {
 				if _, err := io.ReadFull(tee, buf[:4]); err != nil {
 					return fmt.Errorf("conindex: read adjacency row %d: %w", i, err)
@@ -224,26 +248,26 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 				if int(id) >= numSeg {
 					return fmt.Errorf("conindex: adjacency row %d member %d out of range", i, id)
 				}
-				// Row.Has binary-searches, so the list must be strictly
-				// ascending; reject corrupt out-of-order rows.
+				// The writer emits members strictly ascending; anything
+				// else is a corrupt record.
 				if j > 0 && roadnet.SegmentID(id) <= ids[j-1] {
 					return fmt.Errorf("conindex: adjacency row %d members not strictly ascending", i)
 				}
-				ids[j] = roadnet.SegmentID(id)
+				ids = append(ids, roadnet.SegmentID(id))
 			}
-			row = rowFromIDs(ids, numSeg)
+			row = makeRow(ids, scratch)
 		case adjEncBitset:
 			if count > maxWords {
 				return fmt.Errorf("conindex: adjacency row %d bitset words %d too large", i, count)
 			}
-			words := make([]uint64, count)
+			words = words[:0]
 			for j := 0; j < count; j++ {
 				if _, err := io.ReadFull(tee, buf[:8]); err != nil {
 					return fmt.Errorf("conindex: read adjacency row %d: %w", i, err)
 				}
-				words[j] = binary.LittleEndian.Uint64(buf[:8])
+				words = append(words, binary.LittleEndian.Uint64(buf[:8]))
 			}
-			row = rowFromBits(words, numSeg)
+			row = packWords(0, words)
 		default:
 			return fmt.Errorf("conindex: adjacency row %d has bad encoding %d", i, enc)
 		}

@@ -107,9 +107,9 @@ func TestAdjacencyRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestRowMatchesExpansion asserts the adaptive row form expands to
-// exactly the Dijkstra list, per (segment, slot), for all four tables —
-// the bitset path and the sparse path must be lossless.
+// TestRowMatchesExpansion asserts the row form expands to exactly the
+// Dijkstra list, per (segment, slot), for all four tables, over rows on
+// both sides of the adjacency blob's list/bitset cutoff.
 func TestRowMatchesExpansion(t *testing.T) {
 	n := testNetwork(t)
 	idx := build(t, n, testDataset(t, n))
@@ -127,9 +127,9 @@ func TestRowMatchesExpansion(t *testing.T) {
 				{"farRev", idx.FarReverseRow(id, slot), refExpandReverse(idx, id, slot, true)},
 				{"nearRev", idx.NearReverseRow(id, slot), refExpandReverse(idx, id, slot, false)},
 			} {
-				if tc.row.bits != nil {
+				if !adjSparse(tc.row.Len(), n.NumSegments()) {
 					sawDense = true
-				} else if len(tc.row.ids) > 0 {
+				} else if tc.row.Len() > 0 {
 					sawSparse = true
 				}
 				if tc.row.Len() != len(tc.want) {
@@ -152,7 +152,7 @@ func TestRowMatchesExpansion(t *testing.T) {
 		}
 	}
 	if !sawSparse || !sawDense {
-		t.Fatalf("test should exercise both encodings (sparse=%v dense=%v)", sawSparse, sawDense)
+		t.Fatalf("test should exercise rows on both sides of the cutoff (sparse=%v dense=%v)", sawSparse, sawDense)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"streach/internal/bitset"
 	"streach/internal/roadnet"
 	"streach/internal/traj"
 )
@@ -117,9 +118,8 @@ type Index struct {
 	// bounding phase degrades to one Dijkstra per row per query.
 	slotGen []atomic.Uint64
 
-	// The four adjacency tables: materialised Near/Far rows in adaptive
-	// sparse-list/bitset encoding (see row.go), with singleflight cold
-	// misses (see table.go).
+	// The four adjacency tables: materialised Near/Far rows, word-sparse
+	// (see row.go), with singleflight cold misses (see table.go).
 	near, far       table
 	nearRev, farRev table
 
@@ -176,9 +176,12 @@ type expScratch struct {
 	enterStamp []int32
 	stamp      int32
 	pq         entryPQ
-	// out collects the expansion's members; makeRow copies them into the
-	// row's own storage, so the buffer is reused by the next expansion.
-	out []roadnet.SegmentID
+	// out collects the expansion's members; makeRow compresses them
+	// through bits, a bitset over the segments that is all zero between
+	// expansions. The row gets storage of its own, so both are reused by
+	// the next expansion.
+	out  []roadnet.SegmentID
+	bits bitset.Set
 }
 
 // getScratch checks out scratch sized for the network.
@@ -191,6 +194,7 @@ func (x *Index) getScratch() *expScratch {
 	if len(sc.enterCost) != n {
 		sc.enterCost = make([]float64, n)
 		sc.enterStamp = make([]int32, n)
+		sc.bits = bitset.New(n)
 		sc.stamp = 0
 	}
 	if sc.stamp == 1<<31-1 { // stamp wrap: clear instead of colliding
@@ -211,6 +215,9 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 	cfg = cfg.withDefaults()
 	if net.NumSegments() == 0 {
 		return nil, fmt.Errorf("conindex: empty network")
+	}
+	if net.NumSegments() > maxRowSegments {
+		return nil, fmt.Errorf("conindex: network too large (%d segments, max %d)", net.NumSegments(), maxRowSegments)
 	}
 	if 86400%cfg.SlotSeconds != 0 {
 		return nil, fmt.Errorf("conindex: slot seconds %d must divide 86400", cfg.SlotSeconds)
@@ -331,8 +338,8 @@ func cacheKey(seg roadnet.SegmentID, slot int) int64 {
 	return int64(slot)<<32 | int64(uint32(seg))
 }
 
-// FarRow returns F(r, t) as an adaptive bitset/list row (the bounding
-// phase's native form): every segment enterable from seg within one Δt
+// FarRow returns F(r, t) as a word-sparse row (the bounding phase's
+// native form): every segment enterable from seg within one Δt
 // at the slot's maximum speeds (seg itself included). Rows are shared
 // and immutable. Cold misses materialise the row once even under
 // concurrency (singleflight).
@@ -352,7 +359,7 @@ func (x *Index) FarRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) 
 	})
 }
 
-// NearRow returns N(r, t) as an adaptive row: every segment fully
+// NearRow returns N(r, t) as a row: every segment fully
 // traversable from seg within one Δt at the slot's minimum speeds.
 func (x *Index) NearRow(seg roadnet.SegmentID, slot int) Row {
 	r, _ := x.NearRowCtx(context.Background(), seg, slot)
@@ -463,7 +470,7 @@ func (x *Index) expand(ctx context.Context, seg roadnet.SegmentID, slot int, far
 			}
 		}
 	}
-	return makeRow(sc.out, n), nil
+	return makeRow(sc.out, sc.bits), nil
 }
 
 // PrecomputeSlot materialises the Near and Far rows of every segment for
@@ -491,21 +498,29 @@ func (x *Index) PrecomputeSlotsWorkers(lo, hi, workers int) {
 // pairs, so even a single-slot warm parallelises across segments; the
 // singleflight tables make concurrent warms and queries against the same
 // keys safe and duplicate-free. Rows already warmed before cancellation
-// stay warm.
+// stay warm. A slot whose four rows are materialised for every segment
+// is skipped — the tables count their rows per slot, so warming a warm
+// window costs four loads per slot, not four lookups per segment.
 func (x *Index) PrecomputeSlotsCtx(ctx context.Context, lo, hi, workers int) error {
-	if hi < lo {
+	var slots []int
+	for slot := lo; slot <= hi; slot++ {
+		if !x.slotWarm(slot) {
+			slots = append(slots, slot)
+		}
+	}
+	if len(slots) == 0 {
 		return nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	nSeg := x.net.NumSegments()
-	total := (hi - lo + 1) * nSeg
+	total := len(slots) * nSeg
 	if workers > total {
 		workers = total
 	}
 	warm := func(i int) error {
-		slot := lo + i/nSeg
+		slot := slots[i/nSeg]
 		seg := roadnet.SegmentID(i % nSeg)
 		if _, err := x.FarRowCtx(ctx, seg, slot); err != nil {
 			return err
@@ -565,6 +580,17 @@ func (x *Index) PrecomputeSlotsCtx(ctx context.Context, lo, hi, workers int) err
 		return firstEr
 	}
 	return nil
+}
+
+// slotWarm reports whether all four tables hold every row of slot.
+func (x *Index) slotWarm(slot int) bool {
+	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
+	for _, t := range x.adjTables() {
+		if !t.full(slot) {
+			return false
+		}
+	}
+	return true
 }
 
 type entryItem struct {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"streach/internal/bitset"
 	"streach/internal/roadnet"
 )
 
@@ -173,13 +174,13 @@ func TestRowsAndAdjacencyMatchReference(t *testing.T) {
 				if reverse {
 					list = refExpandReverse(ref, id, slot, far)
 				}
-				want := makeRow(list, nseg)
+				want := makeRow(list, bitset.New(nseg))
 				tbl.put(slot, id, want)
 				got, ok := idx.adjTables()[ti].lookup(slot, id)
 				if !ok {
 					t.Fatalf("table %d slot %d seg %d: not warmed", ti, slot, seg)
 				}
-				if !slices.Equal(got.AppendTo(nil), want.AppendTo(nil)) || (got.bits == nil) != (want.bits == nil) {
+				if !slices.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
 					t.Fatalf("table %d slot %d seg %d: row differs from the reference expansion", ti, slot, seg)
 				}
 			}

@@ -107,6 +107,9 @@ func Load(net *roadnet.Network, r io.Reader) (*Index, error) {
 	if numSeg != net.NumSegments() {
 		return nil, fmt.Errorf("conindex: saved over %d segments, network has %d", numSeg, net.NumSegments())
 	}
+	if numSeg > maxRowSegments {
+		return nil, fmt.Errorf("conindex: network too large (%d segments, max %d)", numSeg, maxRowSegments)
+	}
 	numSlots := 86400 / slotSec
 	total := numSlots * numSeg
 	idx := &Index{

@@ -17,7 +17,7 @@ import (
 // NearReverse(r, t) is the lower bound at minimum speeds, requiring r
 // itself to be fully traversed too.
 
-// FarReverseRow returns the FarReverse list as an adaptive row (see
+// FarReverseRow returns the FarReverse list as a row (see
 // FarRow).
 func (x *Index) FarReverseRow(seg roadnet.SegmentID, slot int) Row {
 	r, _ := x.FarReverseRowCtx(context.Background(), seg, slot)
@@ -33,7 +33,7 @@ func (x *Index) FarReverseRowCtx(ctx context.Context, seg roadnet.SegmentID, slo
 	})
 }
 
-// NearReverseRow returns the NearReverse list as an adaptive row.
+// NearReverseRow returns the NearReverse list as a row.
 func (x *Index) NearReverseRow(seg roadnet.SegmentID, slot int) Row {
 	r, _ := x.NearReverseRowCtx(context.Background(), seg, slot)
 	return r
@@ -143,5 +143,5 @@ func (x *Index) expandReverse(ctx context.Context, seg roadnet.SegmentID, slot i
 			}
 		}
 	}
-	return makeRow(sc.out, n), nil
+	return makeRow(sc.out, sc.bits), nil
 }

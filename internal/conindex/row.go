@@ -3,145 +3,162 @@ package conindex
 import (
 	"math/bits"
 	"slices"
-	"sort"
+	"unsafe"
 
 	"streach/internal/bitset"
 	"streach/internal/roadnet"
 )
 
-// Row is one materialised Near/Far list in adaptive encoding. Dense rows
-// are stored as segment bitsets so the bounding phase can union whole
-// rows word-by-word; sparse rows stay as sorted ID lists, which keeps
-// memory (and the persisted adjacency blob) proportional to list size.
-// The break-even point mirrors the v2 time-list format: a bitset costs
-// numSegments/8 bytes, a sparse list 4 bytes per member, so bitsets win
-// past numSegments/32 members.
+// Row is one materialised Near/Far list, held word-sparse: the non-zero
+// 64-bit words of the row's bitset over the segments, each with its word
+// index. A list is a travel-time ball around one segment, so its members
+// crowd into a few words of the segment space (on a 5 438-segment
+// network, 38–375 members in 8–24 of 85 words): the form is smaller than
+// both a sorted ID list and a full-width bitset at every list size, and
+// the bounding phase's union (OrInto) touches only the words that carry
+// members. Word indexes are uint16 — stindex.Build caps a network at
+// 2^22 segments, 65 536 words.
 //
-// Rows are immutable once built and shared between callers.
+// A row is one allocation of uint64s, and a Row is the pointer to it,
+// so a table cell holds a row with no box in between:
+//
+//	[0]        members n (low 32 bits) | non-zero words k (high 32 bits)
+//	[1, 1+i)   the k word indexes, ascending, four uint16 to a word
+//	[1+i, ...) the k words
+//
+// with i = ceil(k/4). The zero Row is the empty list. Rows are immutable
+// once built and shared between callers.
 type Row struct {
-	ids  []roadnet.SegmentID // sorted ascending; nil when bits is used
-	bits bitset.Set
-	n    int
+	p *uint64
 }
 
-// rowSparseCutoff reports whether a list of n members over numSegments
-// segments is smaller as a sorted list than as a bitset.
-func rowSparse(n, numSegments int) bool { return n*32 < numSegments }
+// emptyRow is the materialised form of an empty list: a table cell must
+// tell "known to be empty" from "not computed", so it cannot hold nil.
+var emptyRow = Row{p: new(uint64)}
+
+// maxRowSegments is the widest segment space a Row's uint16 word
+// indexes can address.
+const maxRowSegments = 1 << 22
+
+// parts returns the row's word indexes and words. This is the one place
+// that turns the block pointer back into slices: k is read from the
+// block's own first word, which only packWords writes.
+func (r Row) parts() (idx []uint16, words []uint64) {
+	if r.p == nil {
+		return nil, nil
+	}
+	k := int(*r.p >> 32)
+	if k == 0 {
+		return nil, nil
+	}
+	ni := (k + 3) / 4
+	block := unsafe.Slice(r.p, 1+ni+k)
+	return unsafe.Slice((*uint16)(unsafe.Pointer(&block[1])), k), block[1+ni:]
+}
+
+// packWords builds a Row from a span of dense bitset words, words[i]
+// being word lo+i of the row.
+func packWords(lo int, words []uint64) Row {
+	n, k := 0, 0
+	for _, w := range words {
+		if w != 0 {
+			n += bits.OnesCount64(w)
+			k++
+		}
+	}
+	if k == 0 {
+		return Row{}
+	}
+	block := make([]uint64, 1+(k+3)/4+k)
+	block[0] = uint64(n) | uint64(k)<<32
+	r := Row{p: &block[0]}
+	idx, out := r.parts()
+	j := 0
+	for i, w := range words {
+		if w != 0 {
+			idx[j], out[j] = uint16(lo+i), w
+			j++
+		}
+	}
+	return r
+}
 
 // makeRow builds a Row from an expansion list (any order, duplicates
-// tolerated).
-func makeRow(list []roadnet.SegmentID, numSegments int) Row {
+// tolerated) through scratch, a zeroed bitset over the segments: set the
+// members' bits, compress the span they fall in, zero it again. scratch
+// is all zero on return.
+func makeRow(list []roadnet.SegmentID, scratch bitset.Set) Row {
 	if len(list) == 0 {
 		return Row{}
 	}
-	if rowSparse(len(list), numSegments) {
-		ids := append([]roadnet.SegmentID(nil), list...)
-		slices.Sort(ids)
-		// Dedupe in place (expansion lists are unique already; this is a
-		// cheap invariant guard).
-		out := ids[:1]
-		for _, s := range ids[1:] {
-			if s != out[len(out)-1] {
-				out = append(out, s)
-			}
-		}
-		return Row{ids: out, n: len(out)}
-	}
-	bs := bitset.New(numSegments)
+	lo, hi := len(scratch), 0
 	for _, s := range list {
-		bs.Add(int(s))
+		scratch.Add(int(s))
+		w := int(s) >> 6
+		lo, hi = min(lo, w), max(hi, w)
 	}
-	return Row{bits: bs, n: bs.Count()}
-}
-
-// rowFromIDs builds a Row from a sorted, deduplicated ID list (the
-// adjacency-blob decode path).
-func rowFromIDs(ids []roadnet.SegmentID, numSegments int) Row {
-	if len(ids) == 0 {
-		return Row{}
-	}
-	if rowSparse(len(ids), numSegments) {
-		return Row{ids: ids, n: len(ids)}
-	}
-	bs := bitset.New(numSegments)
-	for _, s := range ids {
-		bs.Add(int(s))
-	}
-	return Row{bits: bs, n: bs.Count()}
-}
-
-// rowFromBits builds a Row from bitset words (the adjacency-blob decode
-// path); words may be trimmed short of the full segment count.
-func rowFromBits(words []uint64, numSegments int) Row {
-	n := 0
-	for _, w := range words {
-		n += bits.OnesCount64(w)
-	}
-	if n == 0 {
-		return Row{}
-	}
-	if rowSparse(n, numSegments) {
-		ids := make([]roadnet.SegmentID, 0, n)
-		bitset.ForEach(words, func(i int) { ids = append(ids, roadnet.SegmentID(i)) })
-		return Row{ids: ids, n: n}
-	}
-	bs := bitset.New(numSegments)
-	copy(bs, words)
-	return Row{bits: bs, n: n}
+	r := packWords(lo, scratch[lo:hi+1])
+	clear(scratch[lo : hi+1])
+	return r
 }
 
 // Len returns the member count.
-func (r Row) Len() int { return r.n }
-
-// Has reports membership. Sparse rows binary-search; dense rows test one
-// bit.
-func (r Row) Has(s roadnet.SegmentID) bool {
-	if r.bits != nil {
-		return r.bits.Has(int(s))
+func (r Row) Len() int {
+	if r.p == nil {
+		return 0
 	}
-	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= s })
-	return i < len(r.ids) && r.ids[i] == s
+	return int(uint32(*r.p))
+}
+
+// Has reports membership: a binary search over the word indexes, then
+// one bit.
+func (r Row) Has(s roadnet.SegmentID) bool {
+	if s < 0 || s >= maxRowSegments {
+		return false
+	}
+	idx, words := r.parts()
+	i, ok := slices.BinarySearch(idx, uint16(s>>6))
+	return ok && words[i]&(1<<(uint(s)&63)) != 0
 }
 
 // Intersects reports whether the row shares a member with set, a bitset
-// over the full segment space.
+// over the segment space (words beyond its end are implicitly zero).
 func (r Row) Intersects(set bitset.Set) bool {
-	if r.bits != nil {
-		return bitset.Intersects(r.bits, set)
-	}
-	for _, s := range r.ids {
-		if set.Has(int(s)) {
+	idx, words := r.parts()
+	for i, w := range words {
+		if wi := int(idx[i]); wi < len(set) && set[wi]&w != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// OrInto unions the row into dst, a bitset over the full segment space.
-// Dense rows fold word-by-word; sparse rows set individual bits.
+// OrInto unions the row into dst, a bitset over the full segment space:
+// one OR per non-zero word of the row.
 func (r Row) OrInto(dst bitset.Set) {
-	if r.bits != nil {
-		bitset.Or(dst, r.bits)
-		return
-	}
-	for _, s := range r.ids {
-		dst.Add(int(s))
+	idx, words := r.parts()
+	for i, w := range words {
+		dst[idx[i]] |= w
 	}
 }
 
 // ForEach calls fn for every member in ascending ID order.
 func (r Row) ForEach(fn func(roadnet.SegmentID)) {
-	if r.bits != nil {
-		bitset.ForEach(r.bits, func(i int) { fn(roadnet.SegmentID(i)) })
-		return
-	}
-	for _, s := range r.ids {
-		fn(s)
+	idx, words := r.parts()
+	for i, w := range words {
+		for base := int(idx[i]) << 6; w != 0; w &= w - 1 {
+			fn(roadnet.SegmentID(base + bits.TrailingZeros64(w)))
+		}
 	}
 }
 
 // AppendTo appends the members to dst in ascending ID order.
 func (r Row) AppendTo(dst []roadnet.SegmentID) []roadnet.SegmentID {
-	r.ForEach(func(s roadnet.SegmentID) { dst = append(dst, s) })
+	idx, words := r.parts()
+	for i, w := range words {
+		for base := int(idx[i]) << 6; w != 0; w &= w - 1 {
+			dst = append(dst, roadnet.SegmentID(base+bits.TrailingZeros64(w)))
+		}
+	}
 	return dst
 }

@@ -10,19 +10,22 @@ import (
 
 // table is one of the four adjacency tables (forward/reverse × Near/Far).
 // Materialised rows live in per-slot arrays indexed by segment, each
-// cell an atomic pointer to an immutable Row: a hit is two atomic loads
-// and takes no lock, which matters because a bounding round resolves one
-// row per region segment. A slot's array is allocated when its first row
-// is installed, so memory follows the slots queries and warm-ups touch
-// (one pointer per segment each) rather than numSlots × numSegments.
+// cell an atomic pointer to an immutable row's block (see Row): a hit is
+// two atomic loads and takes no lock, which matters because a bounding
+// round resolves one row per region segment. A slot's array is allocated
+// when its first row is installed, so memory follows the slots queries
+// and warm-ups touch (one pointer per segment each) rather than
+// numSlots × numSegments. filled counts each slot's materialised rows,
+// so "is this slot fully warm" is one load per table (see
+// PrecomputeSlotsCtx) instead of a walk over its cells.
 //
 // mu serialises everything that changes the table — installs,
 // invalidations, the singleflight registry and the decoded-slice memo —
 // and is never taken by a hit.
 type table struct {
-	slots []atomic.Pointer[slotRows]
-	nseg  int          // cells per slot array
-	n     atomic.Int64 // materialised rows
+	slots  []atomic.Pointer[slotRows]
+	filled []atomic.Int32 // materialised rows per slot
+	nseg   int            // cells per slot array
 
 	mu     sync.Mutex
 	lists  map[int64][]roadnet.SegmentID
@@ -30,7 +33,7 @@ type table struct {
 }
 
 // slotRows holds one slot's materialised rows; nil cells are cold.
-type slotRows []atomic.Pointer[Row]
+type slotRows []atomic.Pointer[uint64]
 
 // flightCall is one in-progress row materialisation. row and err are
 // written before done is closed; waiters read them only after <-done.
@@ -42,17 +45,18 @@ type flightCall struct {
 
 func newTable(numSlots, numSegments int) table {
 	return table{
-		slots: make([]atomic.Pointer[slotRows], numSlots),
-		nseg:  numSegments,
-		lists: map[int64][]roadnet.SegmentID{},
+		slots:  make([]atomic.Pointer[slotRows], numSlots),
+		filled: make([]atomic.Int32, numSlots),
+		nseg:   numSegments,
+		lists:  map[int64][]roadnet.SegmentID{},
 	}
 }
 
 // lookup returns the materialised row of (slot, seg), if any.
 func (t *table) lookup(slot int, seg roadnet.SegmentID) (Row, bool) {
 	if sr := t.slots[slot].Load(); sr != nil {
-		if r := (*sr)[seg].Load(); r != nil {
-			return *r, true
+		if p := (*sr)[seg].Load(); p != nil {
+			return Row{p}, true
 		}
 	}
 	return Row{}, false
@@ -66,8 +70,11 @@ func (t *table) store(slot int, seg roadnet.SegmentID, r Row) {
 		sr = &fresh
 		t.slots[slot].Store(sr)
 	}
-	if (*sr)[seg].Swap(&r) == nil {
-		t.n.Add(1)
+	if r.p == nil {
+		r = emptyRow
+	}
+	if (*sr)[seg].Swap(r.p) == nil {
+		t.filled[slot].Add(1)
 	}
 }
 
@@ -175,7 +182,16 @@ func (t *table) list(x *Index, seg roadnet.SegmentID, slot int, compute func() (
 }
 
 // size returns how many rows are materialised.
-func (t *table) size() int { return int(t.n.Load()) }
+func (t *table) size() int {
+	n := 0
+	for i := range t.filled {
+		n += int(t.filled[i].Load())
+	}
+	return n
+}
+
+// full reports whether every row of slot is materialised.
+func (t *table) full(slot int) bool { return int(t.filled[slot].Load()) == t.nseg }
 
 // forEach calls fn for every materialised row in (slot, segment) order.
 // Rows installed or dropped while it runs may or may not be seen.
@@ -186,8 +202,8 @@ func (t *table) forEach(fn func(slot int, seg roadnet.SegmentID, r Row)) {
 			continue
 		}
 		for seg := range *sr {
-			if r := (*sr)[seg].Load(); r != nil {
-				fn(slot, roadnet.SegmentID(seg), *r)
+			if p := (*sr)[seg].Load(); p != nil {
+				fn(slot, roadnet.SegmentID(seg), Row{p})
 			}
 		}
 	}
@@ -210,13 +226,13 @@ func (t *table) invalidateSlot(slot int, selves, probes bitset.Set) {
 		return
 	}
 	for seg := range *sr {
-		r := (*sr)[seg].Load()
-		if r == nil {
+		p := (*sr)[seg].Load()
+		if p == nil {
 			continue
 		}
-		if selves.Has(seg) || r.Intersects(probes) {
+		if selves.Has(seg) || (Row{p}).Intersects(probes) {
 			(*sr)[seg].Store(nil)
-			t.n.Add(-1)
+			t.filled[slot].Add(-1)
 			delete(t.lists, cacheKey(roadnet.SegmentID(seg), slot))
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"streach/internal/bitset"
 	"streach/internal/roadnet"
 )
 
@@ -45,7 +46,7 @@ func TestTableOneComputePerColdKey(t *testing.T) {
 		if c := computes[seg].Load(); c != 1 {
 			t.Fatalf("seg %d: %d expansions for one cold key, want 1", seg, c)
 		}
-		want := makeRow(refExpand(idx, roadnet.SegmentID(seg), slot, true), nseg)
+		want := makeRow(refExpand(idx, roadnet.SegmentID(seg), slot, true), bitset.New(nseg))
 		for g := range rows {
 			if !slices.Equal(rows[g][seg].AppendTo(nil), want.AppendTo(nil)) {
 				t.Fatalf("seg %d: goroutine %d got a row that is not the expansion", seg, g)
@@ -105,7 +106,7 @@ func TestTableRowsNeverOutliveInvalidation(t *testing.T) {
 			idx.ObserveSpeed(seg, slot, slot, 3-float64(i)/200) // ever slower: min moves
 		}
 	}()
-	loaded := makeRow([]roadnet.SegmentID{1, 2, 3}, nseg)
+	loaded := makeRow([]roadnet.SegmentID{1, 2, 3}, bitset.New(nseg))
 	go func() { // adjacency load path
 		defer writers.Done()
 		for round := 0; round < 20; round++ {
@@ -134,7 +135,7 @@ func TestTableRowsNeverOutliveInvalidation(t *testing.T) {
 				if reverse {
 					list = refExpandReverse(idx, id, slot, far)
 				}
-				if want := makeRow(list, nseg); !slices.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
+				if want := makeRow(list, bitset.New(nseg)); !slices.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
 					t.Fatalf("table %d seg %d: a row built from superseded speeds survived", ti, seg)
 				}
 			}
@@ -186,10 +187,58 @@ func TestTableRefusesRowStaledMidCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := makeRow(refExpand(idx, seg, slot, true), n.NumSegments()); !slices.Equal(fresh.AppendTo(nil), want.AppendTo(nil)) {
+	if want := makeRow(refExpand(idx, seg, slot, true), bitset.New(n.NumSegments())); !slices.Equal(fresh.AppendTo(nil), want.AppendTo(nil)) {
 		t.Fatal("the row materialised after the observation is not the expansion under the new speeds")
 	}
 	if fresh.Len() <= stale.Len() {
 		t.Fatalf("a faster segment did not widen the row (%d -> %d members)", stale.Len(), fresh.Len())
+	}
+}
+
+// TestPrecomputeSkipsWarmSlots: warming a window that is already fully
+// materialised looks no row up, a slot that lost rows to an invalidating
+// observation is warmed again — only it, only the rows it lost — and the
+// per-slot counts the skip rests on agree with the cells.
+func TestPrecomputeSkipsWarmSlots(t *testing.T) {
+	n := testNetwork(t)
+	idx := build(t, n, testDataset(t, n))
+	nseg := n.NumSegments()
+	const lo, hi = 130, 132
+	idx.PrecomputeSlotsWorkers(lo, hi, 2)
+	if got, want := idx.Stats().Materialised, int64(4*3*nseg); got != want {
+		t.Fatalf("first warm materialised %d rows, want %d", got, want)
+	}
+	before := idx.Stats()
+	idx.PrecomputeSlotsWorkers(lo, hi, 2)
+	idx.PrecomputeSlotsWorkers(lo+idx.NumSlots(), hi+idx.NumSlots(), 1) // the same slots, a day on
+	if d := idx.Stats().Sub(before); d.Hits != 0 || d.Materialised != 0 {
+		t.Fatalf("warming a warm window did work: %+v", d)
+	}
+
+	if !idx.ObserveSpeed(4, lo+1, lo+1, 60) {
+		t.Fatal("observation did not move a bound")
+	}
+	lost := 0
+	for _, tbl := range idx.adjTables() {
+		if !tbl.full(lo) || !tbl.full(hi) {
+			t.Fatal("an observation on one slot emptied another")
+		}
+		lost += nseg - int(tbl.filled[lo+1].Load())
+	}
+	if lost == 0 {
+		t.Fatal("the observation invalidated no row")
+	}
+	before = idx.Stats()
+	idx.PrecomputeSlotsWorkers(lo, hi, 2)
+	d := idx.Stats().Sub(before)
+	if d.Materialised != int64(lost) || d.Hits != int64(4*nseg-lost) {
+		t.Fatalf("re-warm materialised %d rows and hit %d, want %d and %d (one slot's rows)", d.Materialised, d.Hits, lost, 4*nseg-lost)
+	}
+	for ti, tbl := range idx.adjTables() {
+		cells := 0
+		tbl.forEach(func(int, roadnet.SegmentID, Row) { cells++ })
+		if cells != tbl.size() || cells != 3*nseg {
+			t.Fatalf("table %d: %d cells hold rows, counts say %d, want %d", ti, cells, tbl.size(), 3*nseg)
+		}
 	}
 }

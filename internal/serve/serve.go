@@ -245,10 +245,9 @@ func (s *Server) allowClient(w http.ResponseWriter, r *http.Request) bool {
 // in the background — forward and reverse rows, so a reverse query over
 // the next window is a pure lookup too — the cheapest work there is, and
 // therefore the first thing the brownout ladder sheds. On an already
-// warm window the pass is four lock-free row lookups per segment, not
-// free: it still visits every segment of the slots after every answer.
-// At most one warm runs at a time, bounded to the server's lifetime
-// (Close).
+// warm window the pass finds every slot fully materialised and returns
+// without visiting a row. At most one warm runs at a time, bounded to
+// the server's lifetime (Close).
 func (s *Server) maybePrefetch(start, dur time.Duration, level int) {
 	if level >= brownoutShedWork {
 		s.vars.Add("brownout_warm_shed_total", 1)

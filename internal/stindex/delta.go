@@ -1,9 +1,10 @@
 package stindex
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,8 +27,9 @@ import (
 //
 // Concurrency discipline:
 //
-//   - handles is an atomic pointer to an immutable slice; readers load
-//     it without locking.
+//   - handles is an atomic pointer to an immutable table of immutable
+//     per-slot rows; readers load it without locking. An install swaps
+//     in a fresh top level that shares every row it did not change.
 //   - the delta map is guarded by mu. Readers decode the base blob
 //     OUTSIDE the lock, then under RLock (a) re-check the handle they
 //     decoded is still installed — if compaction swapped the table the
@@ -55,7 +57,7 @@ import (
 type liveState struct {
 	epoch   atomic.Uint64
 	version atomic.Uint64
-	handles atomic.Pointer[[]storage.BlobHandle]
+	handles atomic.Pointer[handleTable]
 
 	mu      sync.RWMutex
 	entries map[int]*deltaEntry
@@ -78,14 +80,43 @@ type deltaEntry struct {
 	days map[int][]uint64 // day -> taxi bitset
 }
 
-func newLiveState(handles []storage.BlobHandle) *liveState {
+// handleTable locates the time-list blobs: one row per slot, row[seg]
+// the handle of (slot, seg). A slot with no list at all has a nil row —
+// most of a day, for a fleet that works a shift — so the table costs 16
+// bytes per (slot, segment) only in the slots that carry traffic. Tables
+// and their rows are immutable once installed: a compaction installs a
+// new top level and copies only the rows of the slots it folds keys
+// into, so successive tables share every other row.
+type handleTable [][]storage.BlobHandle
+
+// at returns the handle of (slot, seg), zero when the pair has no list.
+func (t handleTable) at(slot, seg int) storage.BlobHandle {
+	if row := t[slot]; row != nil {
+		return row[seg]
+	}
+	return storage.BlobHandle{}
+}
+
+// set records h for (slot, seg) in a table still being assembled,
+// allocating the slot's row at its first list.
+func (t handleTable) set(slot, seg, numSegments int, h storage.BlobHandle) {
+	if t[slot] == nil {
+		if h.IsZero() {
+			return
+		}
+		t[slot] = make([]storage.BlobHandle, numSegments)
+	}
+	t[slot][seg] = h
+}
+
+func newLiveState(handles handleTable) *liveState {
 	lv := &liveState{entries: make(map[int]*deltaEntry)}
 	lv.handles.Store(&handles)
 	return lv
 }
 
 // liveHandles returns the currently installed handle table.
-func (x *Index) liveHandles() []storage.BlobHandle { return *x.live.handles.Load() }
+func (x *Index) liveHandles() handleTable { return *x.live.handles.Load() }
 
 // DeltaObs is one ingested observation: taxi was on seg during slot on
 // day. The ingest layer expands a position report into one DeltaObs per
@@ -227,7 +258,7 @@ func (x *Index) AppendDelta(obs []DeltaObs) error {
 func (x *Index) readMerged(key int, seg roadnet.SegmentID, slot int, read func(storage.BlobHandle) ([]byte, error)) (*TimeListBits, error) {
 	lv := x.live
 	for {
-		h := (*lv.handles.Load())[key]
+		h := lv.handles.Load().at(slot, int(seg))
 		base := emptyBits
 		if !h.IsZero() {
 			var err error
@@ -236,7 +267,7 @@ func (x *Index) readMerged(key int, seg roadnet.SegmentID, slot int, read func(s
 			}
 		}
 		lv.mu.RLock()
-		if (*lv.handles.Load())[key] != h {
+		if lv.handles.Load().at(slot, int(seg)) != h {
 			lv.mu.RUnlock()
 			continue
 		}
@@ -316,6 +347,62 @@ type CompactStats struct {
 	Epoch        uint64        // epoch after the install
 }
 
+// snapEntry is a compaction's private copy of one pending delta entry.
+type snapEntry struct {
+	seq  uint64
+	obs  int64
+	days map[int][]uint64
+}
+
+// snapshot copies the delta entries one compaction cycle folds — all of
+// them, or the maxKeys deepest (ties broken by key for determinism)
+// when maxKeys > 0 — and returns their keys in ascending order. The
+// keys are chosen first, which takes each entry's depth and nothing
+// else, and only the chosen entries' day maps are copied: a budgeted
+// cycle over a deep backlog copies maxKeys entries, not the backlog.
+// The caller holds compactMu: the lock on the entries is dropped for
+// the sort in between, and only a compaction removes entries, so every
+// chosen key is still there afterwards.
+func (lv *liveState) snapshot(maxKeys int) ([]int, map[int]snapEntry) {
+	type keyDepth struct {
+		key int
+		obs int64
+	}
+	lv.mu.RLock()
+	picked := make([]keyDepth, 0, len(lv.entries))
+	for key, e := range lv.entries {
+		picked = append(picked, keyDepth{key, e.obs})
+	}
+	lv.mu.RUnlock()
+	if maxKeys > 0 && len(picked) > maxKeys {
+		// Hottest first: deep entries cost the most to merge at read time
+		// and hold the most pending memory, so folding them buys the most
+		// per unit of install pause.
+		slices.SortFunc(picked, func(a, b keyDepth) int {
+			if a.obs != b.obs {
+				return cmp.Compare(b.obs, a.obs)
+			}
+			return cmp.Compare(a.key, b.key)
+		})
+		picked = picked[:maxKeys]
+	}
+	keys := make([]int, len(picked))
+	snaps := make(map[int]snapEntry, len(picked))
+	lv.mu.RLock()
+	for i, p := range picked {
+		e := lv.entries[p.key]
+		cp := make(map[int][]uint64, len(e.days))
+		for d, w := range e.days {
+			cp[d] = slices.Clone(w)
+		}
+		keys[i] = p.key
+		snaps[p.key] = snapEntry{seq: e.seq, obs: e.obs, days: cp}
+	}
+	lv.mu.RUnlock()
+	slices.Sort(keys)
+	return keys, snaps
+}
+
 // CompactDeltas folds the whole pending delta layer; see
 // CompactDeltasBudget.
 func (x *Index) CompactDeltas() (CompactStats, error) {
@@ -345,59 +432,25 @@ func (x *Index) CompactDeltasBudget(maxKeys int) (CompactStats, error) {
 	lv.compactMu.Lock()
 	defer lv.compactMu.Unlock()
 
-	type snapEntry struct {
-		seq  uint64
-		obs  int64
-		days map[int][]uint64
-	}
-	lv.mu.RLock()
-	snaps := make(map[int]snapEntry, len(lv.entries))
-	for key, e := range lv.entries {
-		cp := make(map[int][]uint64, len(e.days))
-		for d, w := range e.days {
-			cp[d] = append([]uint64(nil), w...)
-		}
-		snaps[key] = snapEntry{seq: e.seq, obs: e.obs, days: cp}
-	}
-	lv.mu.RUnlock()
-	if len(snaps) == 0 {
+	keys, snaps := lv.snapshot(maxKeys)
+	if len(keys) == 0 {
 		return CompactStats{Epoch: lv.epoch.Load()}, nil
 	}
 
-	keys := make([]int, 0, len(snaps))
-	for key := range snaps {
-		keys = append(keys, key)
-	}
-	remaining := 0
-	if maxKeys > 0 && len(keys) > maxKeys {
-		// Hottest first: deep entries cost the most to merge at read time
-		// and hold the most pending memory, so folding them buys the most
-		// per unit of install pause.
-		sort.Slice(keys, func(i, j int) bool {
-			oi, oj := snaps[keys[i]].obs, snaps[keys[j]].obs
-			if oi != oj {
-				return oi > oj
-			}
-			return keys[i] < keys[j]
-		})
-		for _, key := range keys[maxKeys:] {
-			delete(snaps, key)
-		}
-		remaining = len(keys) - maxKeys
-		keys = keys[:maxKeys]
-	}
-	sort.Ints(keys)
-
+	// The new table shares every row the fold leaves alone: the top
+	// level is copied, and a slot's row only when the first of its keys
+	// comes up (keys ascend, so a slot's keys are consecutive).
 	old := *lv.handles.Load()
-	next := append([]storage.BlobHandle(nil), old...)
+	next := slices.Clone(old)
 	reader := x.blob.NewReader()
 	n := x.net.NumSegments()
 	var appendedBytes, obsFolded int64
+	copied := -1
 	for _, key := range keys {
 		s := snaps[key]
 		slot, seg := key/n, key%n
 		base := emptyBits
-		if h := old[key]; !h.IsZero() {
+		if h := old.at(slot, seg); !h.IsZero() {
 			var err error
 			if base, err = x.decodeHandle(h, reader.Read, roadnet.SegmentID(seg), slot); err != nil {
 				return CompactStats{}, fmt.Errorf("stindex: compact read: %w", err)
@@ -409,7 +462,12 @@ func (x *Index) CompactDeltasBudget(maxKeys int) (CompactStats, error) {
 		if err != nil {
 			return CompactStats{}, fmt.Errorf("stindex: compact write: %w", err)
 		}
-		next[key] = h
+		if slot != copied {
+			next[slot] = make([]storage.BlobHandle, n)
+			copy(next[slot], old[slot])
+			copied = slot
+		}
+		next[slot][seg] = h
 		appendedBytes += int64(len(blob))
 		obsFolded += s.obs
 	}
@@ -432,7 +490,7 @@ func (x *Index) CompactDeltasBudget(maxKeys int) (CompactStats, error) {
 	lv.lastPauseNS.Store(int64(pause))
 	lv.lastKeys.Store(int64(len(keys)))
 	lv.mu.RLock()
-	remaining = len(lv.entries)
+	remaining := len(lv.entries)
 	lv.mu.RUnlock()
 	return CompactStats{
 		Keys:         len(keys),

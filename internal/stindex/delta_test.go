@@ -130,7 +130,7 @@ func TestDeltaMergeMatchesOfflineRebuild(t *testing.T) {
 	// The acceptance criterion is bit-identity of the persisted form:
 	// every blob the compaction wrote must be byte-identical to the blob
 	// an offline rebuild over the union writes for the same key.
-	liveHandles, offHandles := live.liveHandles(), offline.liveHandles()
+	liveHandles, offHandles := flatHandles(live), flatHandles(offline)
 	lr, or := live.blob.NewReader(), offline.blob.NewReader()
 	for key := range liveHandles {
 		lh, oh := liveHandles[key], offHandles[key]
@@ -412,6 +412,27 @@ func TestDeltaBudgetedCompactionConverges(t *testing.T) {
 	budget := dirty0 / 4
 	if budget < 1 {
 		t.Fatalf("test dataset too small: %d dirty keys", dirty0)
+	}
+
+	// A budgeted cycle snapshots what it will fold and no more: budget
+	// entries out of the whole backlog, the deepest ones.
+	live.live.compactMu.Lock()
+	keys, snaps := live.live.snapshot(budget)
+	live.live.compactMu.Unlock()
+	if len(keys) != budget || len(snaps) != budget {
+		t.Fatalf("budgeted snapshot holds %d keys / %d entries of a %d-key backlog, want %d", len(keys), len(snaps), dirty0, budget)
+	}
+	shallowest := int64(1 << 62)
+	for _, key := range keys {
+		shallowest = min(shallowest, snaps[key].obs)
+	}
+	for key, e := range live.live.entries {
+		if _, picked := snaps[key]; !picked && e.obs > shallowest {
+			t.Fatalf("snapshot left out key %d (%d observations) for one with %d", key, e.obs, shallowest)
+		}
+	}
+	if all, _ := live.live.snapshot(0); len(all) != dirty0 {
+		t.Fatalf("unbudgeted snapshot holds %d keys, want all %d", len(all), dirty0)
 	}
 
 	var cycles int

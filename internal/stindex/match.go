@@ -274,7 +274,7 @@ type Matcher struct {
 	// filled under. A compaction appends blobs and then installs a new
 	// table; a page memoised before that may predate those blobs, so the
 	// memo is dropped whenever the installed table is no longer this one.
-	table *[]storage.BlobHandle
+	table *handleTable
 	lists int64
 }
 
@@ -290,7 +290,7 @@ func (m *Matcher) Lists() int64 { return m.lists }
 
 // handles returns the installed handle table, dropping the page memo
 // when it is not the table the memo was filled under.
-func (m *Matcher) handles() []storage.BlobHandle {
+func (m *Matcher) handles() handleTable {
 	t := m.x.live.handles.Load()
 	if t != m.table {
 		m.reader.Reset()
@@ -338,7 +338,7 @@ func (m *Matcher) Match(seg roadnet.SegmentID, loSlot, hiSlot int) (int, error) 
 			}
 			continue
 		}
-		if h := handles[key]; !h.IsZero() {
+		if h := handles.at(slot, int(seg)); !h.IsZero() {
 			if err := m.matchHandle(h, seg, slot); err != nil {
 				return 0, err
 			}
@@ -368,7 +368,7 @@ func (m *Matcher) matchHandle(h storage.BlobHandle, seg roadnet.SegmentID, slot 
 func (m *Matcher) matchMerged(key int, seg roadnet.SegmentID, slot int) error {
 	lv := m.x.live
 	for {
-		h := m.handles()[key]
+		h := m.handles().at(slot, int(seg))
 		if !h.IsZero() {
 			if err := m.matchHandle(h, seg, slot); err != nil {
 				return err
@@ -378,7 +378,7 @@ func (m *Matcher) matchMerged(key int, seg roadnet.SegmentID, slot int) error {
 			return nil
 		}
 		lv.mu.RLock()
-		if (*lv.handles.Load())[key] != h {
+		if lv.handles.Load().at(slot, int(seg)) != h {
 			lv.mu.RUnlock()
 			continue
 		}

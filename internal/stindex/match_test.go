@@ -1,7 +1,9 @@
 package stindex
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -354,7 +356,7 @@ func TestMatcherAgreesWithTimeListsRange(t *testing.T) {
 	// boundary and are assembled rather than viewed: make sure the
 	// windows below walk such lists.
 	straddlers := 0
-	for _, h := range x.liveHandles() {
+	for _, h := range flatHandles(x) {
 		if !h.IsZero() && int(h.Offset%storage.PageSize)+int(h.Length) > storage.PageSize {
 			straddlers++
 		}
@@ -432,6 +434,12 @@ func TestMatcherEnforcesSliceOwnership(t *testing.T) {
 // final one; once the writers stop, the same matchers — page memos and
 // all — must answer exactly as an offline rebuild over the union does,
 // before and after the last fold.
+//
+// Every install is also held to the table's copy-on-write contract: a
+// fresh top level, the rows of slots it folded nothing into shared with
+// the table before (the very same array), the superseded table left
+// exactly as it was, and slots that never had a list still without a
+// row.
 func TestMatcherUnderAppendsAndCompactions(t *testing.T) {
 	n := testNetwork(t)
 	ds := testDataset(t, n)
@@ -528,6 +536,8 @@ func TestMatcherUnderAppendsAndCompactions(t *testing.T) {
 				}
 			default:
 			}
+			before := live.liveHandles()
+			frozen := flatHandles(live)
 			st, err := live.CompactDeltasBudget(24)
 			if err != nil {
 				t.Error(err)
@@ -535,6 +545,10 @@ func TestMatcherUnderAppendsAndCompactions(t *testing.T) {
 			}
 			if st.Keys > 0 {
 				installs++
+				if msg := checkInstall(before, frozen, live, lo, hi, st.Keys); msg != "" {
+					t.Error(msg)
+					return
+				}
 			}
 			// Churn the four-page pool, so the tail page the next cycle
 			// appends to has been evicted and comes back as a fresh frame —
@@ -599,4 +613,62 @@ func TestMatcherUnderAppendsAndCompactions(t *testing.T) {
 		t.Fatalf("delta not drained: %+v", st)
 	}
 	equalOffline("after the last fold")
+	if installs < 5 {
+		t.Fatalf("only %d installs ran beside the matchers", installs)
+	}
+	// The folded table is the offline rebuild's, row for row: the same
+	// slots have rows, the same keys have lists.
+	lt, ot := live.liveHandles(), offline.liveHandles()
+	empty := 0
+	for slot := range lt {
+		if (lt[slot] == nil) != (ot[slot] == nil) {
+			t.Fatalf("slot %d: live has a row %v, offline rebuild %v", slot, lt[slot] != nil, ot[slot] != nil)
+		}
+		if lt[slot] == nil {
+			empty++
+		}
+		for seg := range lt[slot] {
+			if lt[slot][seg].IsZero() != ot[slot][seg].IsZero() {
+				t.Fatalf("slot %d seg %d: list presence differs from the offline rebuild", slot, seg)
+			}
+		}
+	}
+	if empty == 0 {
+		t.Fatal("every slot has a row; the fixture never exercises a slot without one")
+	}
+}
+
+// checkInstall holds one compaction install to the handle table's
+// copy-on-write contract (see TestMatcherUnderAppendsAndCompactions):
+// before and frozen are the table installed before the cycle and a flat
+// copy of its contents, [lo, hi] the only slots the test appends to.
+// It returns what is wrong, or "".
+func checkInstall(before handleTable, frozen []storage.BlobHandle, x *Index, lo, hi, folded int) string {
+	after := x.liveHandles()
+	if &after[0] == &before[0] {
+		return "install reused the superseded table's top level"
+	}
+	nseg := x.net.NumSegments()
+	changed := 0
+	for slot := range after {
+		b, a := before[slot], after[slot]
+		if b != nil && !slices.Equal(b, frozen[slot*nseg:(slot+1)*nseg]) {
+			return fmt.Sprintf("slot %d: the install wrote into the superseded table's row", slot)
+		}
+		same := (a == nil && b == nil) || (a != nil && b != nil && &a[0] == &b[0])
+		if same {
+			continue
+		}
+		changed++
+		if slot < lo || slot > hi {
+			return fmt.Sprintf("slot %d: row replaced although nothing is appended outside [%d, %d]", slot, lo, hi)
+		}
+		if a == nil {
+			return fmt.Sprintf("slot %d: row dropped by an install", slot)
+		}
+	}
+	if changed == 0 || changed > folded {
+		return fmt.Sprintf("install of %d keys replaced %d rows", folded, changed)
+	}
+	return ""
 }

@@ -49,26 +49,29 @@ const (
 )
 
 // PagesChecksum computes the CRC-32C of the page store's full contents,
-// read through the buffer pool so unflushed dirty pages are included —
-// exactly the bytes a flush would persist. This is the v3 meta check.
+// unflushed dirty pages included — exactly the bytes a flush would
+// persist. This is the v3 meta check.
 func (x *Index) PagesChecksum() (uint32, error) {
 	return x.PagesChecksumN(x.pool.NumPages() * storage.PageSize)
 }
 
 // PagesChecksumN computes the CRC-32C of the first limit bytes of the
-// page store, read through the buffer pool. v4 metas record the checksum
-// of the first Tail() bytes — everything their handles can reach — so
-// blobs appended after the meta was saved (a compaction that crashed
-// before its meta install) do not invalidate it.
+// page store, unflushed dirty pages included. v4 metas record the
+// checksum of the first Tail() bytes — everything their handles can
+// reach — so blobs appended after the meta was saved (a compaction that
+// crashed before its meta install) do not invalidate it. The walk goes
+// through one page buffer and admits nothing to the pool: it runs at
+// every open and every durable compaction, over every page there is.
 func (x *Index) PagesChecksumN(limit int64) (uint32, error) {
 	h := storage.NewChecksum()
 	remain := limit
 	n := x.pool.NumPages()
+	buf := make([]byte, storage.PageSize)
 	for id := storage.PageID(0); int64(id) < n && remain > 0; id++ {
-		page, err := x.pool.GetPage(id)
-		if err != nil {
+		if err := x.pool.ReadPageInto(id, buf); err != nil {
 			return 0, fmt.Errorf("stindex: checksum page %d: %w", id, err)
 		}
+		page := buf
 		if remain < int64(len(page)) {
 			page = page[:remain]
 		}
@@ -138,15 +141,21 @@ func (x *Index) SaveMeta(w io.Writer) error {
 	if err := u32(pagesCRC); err != nil {
 		return err
 	}
-	handles := x.liveHandles()
-	if err := u32(uint32(len(handles))); err != nil {
+	// The table goes out flat, slot-major, a slot without a row as
+	// numSegments zero handles.
+	nseg := x.net.NumSegments()
+	if err := u32(uint32(x.numSlots * nseg)); err != nil {
 		return err
 	}
-	for _, hd := range handles {
-		binary.LittleEndian.PutUint64(buf[:8], uint64(hd.Offset))
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(hd.Length))
-		if _, err := tee.Write(buf[:12]); err != nil {
-			return fmt.Errorf("stindex: write handle: %w", err)
+	handles := x.liveHandles()
+	for slot := range handles {
+		for seg := 0; seg < nseg; seg++ {
+			hd := handles.at(slot, seg)
+			binary.LittleEndian.PutUint64(buf[:8], uint64(hd.Offset))
+			binary.LittleEndian.PutUint32(buf[8:12], uint32(hd.Length))
+			if _, err := tee.Write(buf[:12]); err != nil {
+				return fmt.Errorf("stindex: write handle: %w", err)
+			}
 		}
 	}
 	// Trailing meta checksum, written outside the tee: it covers
@@ -246,15 +255,15 @@ func LoadIndex(net *roadnet.Network, cfg Config, meta io.Reader) (*Index, error)
 		return nil, fmt.Errorf("stindex: meta has %d handles, want %d", numHandles, numSlots*int(numSeg))
 	}
 
-	handles := make([]storage.BlobHandle, numHandles)
-	for i := range handles {
+	handles := make(handleTable, numSlots)
+	for i := 0; i < int(numHandles); i++ {
 		if _, err := io.ReadFull(tee, buf[:12]); err != nil {
 			return nil, fmt.Errorf("stindex: read handle %d: %w", i, err)
 		}
-		handles[i] = storage.BlobHandle{
+		handles.set(i/int(numSeg), i%int(numSeg), int(numSeg), storage.BlobHandle{
 			Offset: int64(binary.LittleEndian.Uint64(buf[:8])),
 			Length: int32(binary.LittleEndian.Uint32(buf[8:12])),
-		}
+		})
 	}
 	if ver >= 3 {
 		// The stored checksum is read from br directly: it is not part of

@@ -21,7 +21,7 @@ package stindex
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"streach/internal/bitset"
@@ -93,11 +93,11 @@ type Index struct {
 	temporal *btree.Tree // slot start second -> slot index
 	pool     *storage.BufferPool
 	blob     *storage.BlobFile
-	// live holds the installed handle table
-	// (handles[slot*numSegments + segment] locates the time list blob)
-	// plus the ingest delta layer and epoch counters (delta.go). Shared
-	// by every Slice of this index, so deltas and epoch swaps are
-	// visible to all shards at once.
+	// live holds the installed handle table (one row per slot, row[seg]
+	// locating the time list blob; see handleTable) plus the ingest
+	// delta layer and epoch counters (delta.go). Shared by every Slice
+	// of this index, so deltas and epoch swaps are visible to all shards
+	// at once.
 	live *liveState
 	// cache holds decoded time lists (nil when disabled).
 	cache *tlCache
@@ -185,11 +185,8 @@ func (x *Index) checkSlotRange(lo, hi int) error {
 // (day, taxi) observations, which makes the vector the balancing
 // weight PartitionSlots uses to cut the day into even-load ranges.
 func (x *Index) SlotDensity() []int64 {
-	handles := x.liveHandles()
-	nseg := x.net.NumSegments()
 	density := make([]int64, x.numSlots)
-	for slot := 0; slot < x.numSlots; slot++ {
-		row := handles[slot*nseg : (slot+1)*nseg]
+	for slot, row := range x.liveHandles() {
 		var sum int64
 		for i := range row {
 			sum += int64(row[i].Length)
@@ -217,7 +214,7 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	handles := make([]storage.BlobHandle, numSlots*net.NumSegments())
+	handles := make(handleTable, numSlots)
 	idx := &Index{
 		net:      net,
 		slotSec:  cfg.SlotSeconds,
@@ -267,7 +264,7 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 	if maxTaxi >= maxTaxis {
 		return nil, fmt.Errorf("stindex: taxi ID %d too large (max %d)", maxTaxi, maxTaxis-1)
 	}
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i] < tuples[j] })
+	slices.Sort(tuples)
 
 	// Serialize each (slot, segment) run to the blob file.
 	for i := 0; i < len(tuples); {
@@ -289,7 +286,7 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stindex: write time list: %w", err)
 		}
-		handles[slot*net.NumSegments()+seg] = h
+		handles.set(slot, seg, net.NumSegments(), h)
 		i = j
 	}
 	// Construction happens offline: flush, drop the cache so queries start
@@ -463,7 +460,7 @@ func (x *Index) TimeListBitsAt(seg roadnet.SegmentID, slot int) (*TimeListBits, 
 		return nil, err
 	}
 	key := slot*x.net.NumSegments() + int(seg)
-	if x.live.pending.Load() == 0 && x.liveHandles()[key].IsZero() {
+	if x.live.pending.Load() == 0 && x.liveHandles().at(slot, int(seg)).IsZero() {
 		return emptyBits, nil // nothing to read; keep the cache for real lists
 	}
 	if x.cache != nil {
@@ -502,7 +499,7 @@ func (x *Index) TimeListsRange(seg roadnet.SegmentID, loSlot, hiSlot int, dst []
 			continue
 		}
 		key := s*x.net.NumSegments() + int(seg)
-		if deltaEmpty && handles[key].IsZero() {
+		if deltaEmpty && handles.at(s, int(seg)).IsZero() {
 			dst = append(dst, emptyBits)
 			continue
 		}

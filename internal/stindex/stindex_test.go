@@ -6,6 +6,7 @@ import (
 
 	"streach/internal/geo"
 	"streach/internal/roadnet"
+	"streach/internal/storage"
 	"streach/internal/traj"
 )
 
@@ -260,6 +261,17 @@ func TestDecodedCacheShieldsPool(t *testing.T) {
 	}
 }
 
+// flatHandles returns x's installed handle table in stindex.meta order:
+// slot-major, a slot without a row as zero handles.
+func flatHandles(x *Index) []storage.BlobHandle {
+	nseg := x.net.NumSegments()
+	out := make([]storage.BlobHandle, x.numSlots*nseg)
+	for slot, row := range x.liveHandles() {
+		copy(out[slot*nseg:], row)
+	}
+	return out
+}
+
 func TestBuildDeterministic(t *testing.T) {
 	n := testNetwork(t)
 	ds := testDataset(t, n)
@@ -268,7 +280,7 @@ func TestBuildDeterministic(t *testing.T) {
 	b := buildIndex(t, n, ds)
 	defer b.Close()
 	// Same handles imply identical serialized layout.
-	ah, bh := a.liveHandles(), b.liveHandles()
+	ah, bh := flatHandles(a), flatHandles(b)
 	for i := range ah {
 		if ah[i] != bh[i] {
 			t.Fatalf("handle %d differs between builds", i)

@@ -117,6 +117,26 @@ func (bp *BufferPool) ViewPage(id PageID) ([]byte, error) {
 	return fr.data, nil
 }
 
+// ReadPageInto copies the page's current contents into buf (PageSize
+// bytes) and leaves the cache as it was: a resident frame is copied, so
+// unflushed writes are seen; any other page is read straight from the
+// backend and not admitted. For walks over the whole store — checksums,
+// copies — which through GetPage would allocate a frame and a copy per
+// page and evict the queries' working set. Such a walk is not query I/O:
+// it moves no counter.
+func (bp *BufferPool) ReadPageInto(id PageID, buf []byte) error {
+	if len(buf) != PageSize {
+		return fmt.Errorf("storage: ReadPageInto needs exactly %d bytes, got %d", PageSize, len(buf))
+	}
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	if el, ok := bp.frames[id]; ok {
+		copy(buf, el.Value.(*frame).data)
+		return nil
+	}
+	return bp.store.ReadPage(id, buf)
+}
+
 // frameOf returns the resident frame, reading through the cache on a
 // miss. Caller holds bp.mu.
 func (bp *BufferPool) frameOf(id PageID) (*frame, error) {

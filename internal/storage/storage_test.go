@@ -246,6 +246,57 @@ func TestBufferPoolGetReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestBufferPoolReadPageInto: the walk's read sees an unflushed write in
+// a resident frame, reads anything else from the store, and leaves the
+// pool — residency, recency, counters — exactly as it found it.
+func TestBufferPoolReadPageInto(t *testing.T) {
+	s := NewMemStore()
+	bp, _ := NewBufferPool(s, 2)
+	var ids [4]PageID
+	for i := range ids {
+		ids[i], _ = bp.Allocate()
+		if err := s.WritePage(ids[i], fillPage(byte(10+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Page 0 resident and dirty (the store still holds the old bytes),
+	// page 1 resident and clean, pages 2 and 3 on the store only.
+	if err := bp.WritePage(ids[0], fillPage(99)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bp.GetPage(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	before := bp.Stats()
+	buf := make([]byte, PageSize)
+	for i, want := range []byte{99, 11, 12, 13} {
+		if err := bp.ReadPageInto(ids[i], buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, fillPage(want)) {
+			t.Fatalf("page %d read as %d..., want %d...", i, buf[0], want)
+		}
+	}
+	if bp.Stats() != before {
+		t.Fatalf("walk moved the counters: %v -> %v", before, bp.Stats())
+	}
+	if bp.Len() != 2 {
+		t.Fatalf("walk changed residency: %d frames, want 2", bp.Len())
+	}
+	// Both frames still resident: reading them again is two hits.
+	bp.GetPage(ids[0])
+	bp.GetPage(ids[1])
+	if d := bp.Stats().Sub(before); d.Hits != 2 || d.Misses != 0 {
+		t.Fatalf("frames resident before the walk were evicted by it: %v", d)
+	}
+	if err := bp.ReadPageInto(ids[0], buf[:10]); err == nil {
+		t.Fatal("short buffer should error")
+	}
+	if err := bp.ReadPageInto(PageID(99), buf); err == nil {
+		t.Fatal("page beyond the store should error")
+	}
+}
+
 func TestBlobFileRoundTrip(t *testing.T) {
 	bp, _ := NewBufferPool(NewMemStore(), 16)
 	f := NewBlobFile(bp)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -81,102 +82,143 @@ func WriteDataset(w io.Writer, ds *Dataset) error {
 	return bw.Flush()
 }
 
-// ReadDataset decodes a dataset from r.
+// ReadDataset decodes a dataset from r. No slice is sized from a length
+// the input declares: everything grows with the bytes that arrive.
 func ReadDataset(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("traj: read magic: %w", err)
+	ds := &Dataset{}
+	base, stats, err := ScanDataset(r, func(mt *MatchedTrajectory) error {
+		ds.Matched = append(ds.Matched, MatchedTrajectory{
+			Taxi:   mt.Taxi,
+			Day:    mt.Day,
+			Visits: slices.Clone(mt.Visits),
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	ds.BaseDate, ds.Days = base, stats.Days
+	return ds, nil
+}
+
+const (
+	visitBytes = 16
+	// scanChunkVisits bounds one bulk read of visits: a trajectory that
+	// declares more is read in several chunks, so a corrupt count costs
+	// one chunk of memory before the input runs dry, not count x 16 B.
+	scanChunkVisits = 4096
+)
+
+// ScanDataset decodes a dataset from r one trajectory at a time, in file
+// order, and returns its base date and statistics — what ReadDataset
+// followed by Dataset.Stats would report — holding one trajectory in
+// memory at a time. mt and mt.Visits are reused for the next trajectory:
+// visit must copy what it keeps. An error from visit stops the scan and
+// is returned as is.
+//
+// With a nil visit the scan is structural: it reads the file header and
+// each trajectory's head and skips the visits undecoded. It accepts
+// exactly the inputs a decoding scan accepts, with the same statistics,
+// and rejects the others with the same errors.
+func ScanDataset(r io.Reader, visit func(mt *MatchedTrajectory) error) (time.Time, DatasetStats, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var scratch [8]byte
+	read := func(n int) ([]byte, error) {
+		_, err := io.ReadFull(br, scratch[:n])
+		return scratch[:n], err
+	}
+	fail := func(format string, args ...any) (time.Time, DatasetStats, error) {
+		return time.Time{}, DatasetStats{}, fmt.Errorf(format, args...)
+	}
+	magic, err := read(4)
+	if err != nil {
+		return fail("traj: read magic: %w", err)
 	}
 	if string(magic) != codecMagic {
-		return nil, fmt.Errorf("traj: bad magic %q", magic)
+		return fail("traj: bad magic %q", magic)
 	}
-	var scratch [8]byte
-	readU16 := func() (uint16, error) {
-		if _, err := io.ReadFull(br, scratch[:2]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint16(scratch[:2]), nil
-	}
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:8]), nil
-	}
-	ver, err := readU16()
+	b, err := read(2)
 	if err != nil {
-		return nil, fmt.Errorf("traj: read version: %w", err)
+		return fail("traj: read version: %w", err)
 	}
-	if ver != codecVersion {
-		return nil, fmt.Errorf("traj: unsupported version %d", ver)
+	if ver := binary.LittleEndian.Uint16(b); ver != codecVersion {
+		return fail("traj: unsupported version %d", ver)
 	}
-	baseUnix, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("traj: read base date: %w", err)
+	if b, err = read(8); err != nil {
+		return fail("traj: read base date: %w", err)
 	}
-	days, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("traj: read days: %w", err)
+	base := time.Unix(int64(binary.LittleEndian.Uint64(b)), 0).UTC()
+	if b, err = read(4); err != nil {
+		return fail("traj: read days: %w", err)
 	}
-	count, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("traj: read count: %w", err)
+	stats := DatasetStats{Days: int(binary.LittleEndian.Uint32(b))}
+	if b, err = read(4); err != nil {
+		return fail("traj: read count: %w", err)
 	}
-	ds := &Dataset{
-		BaseDate: time.Unix(int64(baseUnix), 0).UTC(),
-		Days:     int(days),
-		Matched:  make([]MatchedTrajectory, 0, count),
+	count := binary.LittleEndian.Uint32(b)
+
+	taxis := map[TaxiID]struct{}{}
+	var (
+		mt  MatchedTrajectory
+		raw []byte
+	)
+	if visit != nil {
+		raw = make([]byte, scanChunkVisits*visitBytes)
 	}
 	for i := uint32(0); i < count; i++ {
-		taxi, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("traj: trajectory %d: %w", i, err)
+		if b, err = read(4); err != nil {
+			return fail("traj: trajectory %d: %w", i, err)
 		}
-		day, err := readU16()
-		if err != nil {
-			return nil, fmt.Errorf("traj: trajectory %d: %w", i, err)
+		mt.Taxi = TaxiID(binary.LittleEndian.Uint32(b))
+		if b, err = read(2); err != nil {
+			return fail("traj: trajectory %d: %w", i, err)
 		}
-		nv, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("traj: trajectory %d: %w", i, err)
+		mt.Day = Day(binary.LittleEndian.Uint16(b))
+		if b, err = read(4); err != nil {
+			return fail("traj: trajectory %d: %w", i, err)
 		}
-		mt := MatchedTrajectory{
-			Taxi:   TaxiID(taxi),
-			Day:    Day(day),
-			Visits: make([]Visit, nv),
-		}
-		for j := uint32(0); j < nv; j++ {
-			seg, err := readU32()
+		nv := int(binary.LittleEndian.Uint32(b))
+		mt.Visits = mt.Visits[:0]
+		for done := 0; done < nv; {
+			chunk := min(nv-done, scanChunkVisits)
+			var got int
+			if visit == nil {
+				got, err = br.Discard(chunk * visitBytes)
+			} else {
+				got, err = io.ReadFull(br, raw[:chunk*visitBytes])
+			}
 			if err != nil {
-				return nil, fmt.Errorf("traj: trajectory %d visit %d: %w", i, j, err)
+				// A visit is four 4-byte fields: input that ends between
+				// two fields is a clean EOF, inside one an unexpected EOF.
+				if err == io.EOF || err == io.ErrUnexpectedEOF {
+					err = io.EOF
+					if got%4 != 0 {
+						err = io.ErrUnexpectedEOF
+					}
+				}
+				return fail("traj: trajectory %d visit %d: %w", i, done+got/visitBytes, err)
 			}
-			enter, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("traj: trajectory %d visit %d: %w", i, j, err)
+			if visit != nil {
+				for v := raw[:got]; len(v) > 0; v = v[visitBytes:] {
+					mt.Visits = append(mt.Visits, Visit{
+						Segment: segID(binary.LittleEndian.Uint32(v[0:4])),
+						EnterMs: int32(binary.LittleEndian.Uint32(v[4:8])),
+						ExitMs:  int32(binary.LittleEndian.Uint32(v[8:12])),
+						Speed:   float32(bitsFloat(binary.LittleEndian.Uint32(v[12:16]))),
+					})
+				}
 			}
-			exit, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("traj: trajectory %d visit %d: %w", i, j, err)
-			}
-			spd, err := readU32()
-			if err != nil {
-				return nil, fmt.Errorf("traj: trajectory %d visit %d: %w", i, j, err)
-			}
-			mt.Visits[j] = Visit{
-				Segment: segID(seg),
-				EnterMs: int32(enter),
-				ExitMs:  int32(exit),
-				Speed:   float32(bitsFloat(spd)),
+			done += chunk
+		}
+		taxis[mt.Taxi] = struct{}{}
+		stats.Trajectories++
+		stats.Visits += nv
+		if visit != nil {
+			if err := visit(&mt); err != nil {
+				return time.Time{}, DatasetStats{}, err
 			}
 		}
-		ds.Matched = append(ds.Matched, mt)
 	}
-	return ds, nil
+	stats.Taxis = len(taxis)
+	return base, stats, nil
 }

@@ -2,6 +2,7 @@ package streach
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -19,16 +20,23 @@ import (
 // On-disk layout of a saved system:
 //
 //	dir/network.bin    road network (roadnet codec)
-//	dir/dataset.bin    matched trajectories (traj codec)
+//	dir/dataset.bin    matched trajectories (traj codec). The indexes
+//	                   are derived from it; an opened system checks its
+//	                   structure, keeps its statistics and reads it again
+//	                   only on demand (see System.Dataset).
 //	dir/pages.db       ST-Index time-list pages
-//	dir/stindex.meta   ST-Index handle table and metadata
+//	dir/stindex.meta   ST-Index metadata and handle table (flat,
+//	                   slot-major, one handle per (slot, segment))
 //	dir/conindex.bin   Con-Index speed statistics
 //	dir/conindex.adj   Con-Index materialised Near/Far adjacency rows
-//	                   (optional warm cache, "CADJ" blob: adaptive
-//	                   sparse-list/bitset rows for all four tables; see
-//	                   conindex.SaveAdjacency). Save dirs written before
-//	                   the adjacency blob existed simply lack the file
-//	                   and reopen with cold, lazily-materialised tables.
+//	                   (optional warm cache, "CADJ" blob: the rows of all
+//	                   four tables, each as a sorted ID list or a bitset,
+//	                   whichever is smaller; see conindex.SaveAdjacency).
+//	                   Save dirs written before the adjacency blob
+//	                   existed simply lack the file and reopen with cold,
+//	                   lazily-materialised tables.
+//	dir/planshapes.bin recorded plan shapes (optional warm-start hint;
+//	                   see warmplans.go)
 //
 // A live-ingesting system adds a write-ahead log directory:
 //
@@ -80,7 +88,7 @@ func (s *System) Save(dir string) error {
 	if err := writeTo(fileNetwork, func(f *os.File) error { return roadnet.WriteNetwork(f, s.net) }); err != nil {
 		return err
 	}
-	if err := writeTo(fileDataset, func(f *os.File) error { return traj.WriteDataset(f, s.ds) }); err != nil {
+	if err := s.saveDataset(dir, writeTo); err != nil {
 		return err
 	}
 	if err := writeTo(fileConIndex, func(f *os.File) error { return s.con.Save(f) }); err != nil {
@@ -119,16 +127,71 @@ func (s *System) Save(dir string) error {
 	return nil
 }
 
+// saveDataset puts the base dataset into dir/dataset.bin: encoded from
+// memory for a system that holds it, copied byte for byte from the
+// system's own directory for one that was opened from disk — unless that
+// file is the destination, which is then already in place (and creating
+// it would truncate the source).
+func (s *System) saveDataset(dir string, writeTo func(name string, fn func(f *os.File) error) error) error {
+	if s.ds != nil {
+		return writeTo(fileDataset, func(f *os.File) error { return traj.WriteDataset(f, s.ds) })
+	}
+	src, err := openDataset(s.dir)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	if srcInfo, err := src.Stat(); err == nil {
+		if dstInfo, err := os.Stat(filepath.Join(dir, fileDataset)); err == nil && os.SameFile(srcInfo, dstInfo) {
+			return nil
+		}
+	}
+	return writeTo(fileDataset, func(f *os.File) error {
+		_, err := io.Copy(f, src)
+		return err
+	})
+}
+
+// openDataset opens dir/dataset.bin for reading.
+func openDataset(dir string) (*os.File, error) {
+	f, err := os.Open(filepath.Join(dir, fileDataset))
+	if err != nil {
+		return nil, fmt.Errorf("streach: open dataset: %w", err)
+	}
+	return f, nil
+}
+
+// scanDataset streams dir/dataset.bin through visit one trajectory at a
+// time (traj.ScanDataset; a nil visit only walks the file's structure)
+// and returns the dataset's statistics.
+func scanDataset(dir string, visit func(*traj.MatchedTrajectory) error) (traj.DatasetStats, error) {
+	f, err := openDataset(dir)
+	if err != nil {
+		return traj.DatasetStats{}, err
+	}
+	defer f.Close()
+	_, stats, err := traj.ScanDataset(f, visit)
+	return stats, err
+}
+
+// readDataset decodes dir/dataset.bin in full.
+func readDataset(dir string) (*traj.Dataset, error) {
+	f, err := openDataset(dir)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return traj.ReadDataset(f)
+}
+
 // copyPagesTo streams every page of the pool's store into f.
 func (s *System) copyPagesTo(f *os.File) error {
 	buf := make([]byte, storage.PageSize)
 	n := s.st.Pool().NumPages()
 	for id := storage.PageID(0); int64(id) < n; id++ {
-		page, err := s.st.Pool().GetPage(id)
-		if err != nil {
+		if err := s.st.Pool().ReadPageInto(id, buf); err != nil {
 			return err
 		}
-		copy(buf, page)
 		if _, err := f.Write(buf); err != nil {
 			return err
 		}
@@ -221,6 +284,12 @@ func (s *System) persistCompacted() error {
 // trajectories instead of failing the open (or worse, serving wrong
 // answers from flipped bits). The repaired index is re-saved into dir
 // (best effort) so the next open is warm again.
+//
+// The opened system holds its indexes, not its input: dataset.bin is
+// walked once for structure and statistics (a bad magic, an unsupported
+// version or a truncation fails the open) and decoded only if an index
+// needs a cold rebuild. What later asks for the trajectories reads the
+// file then; see System.Dataset.
 func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 	if idx.PoolPages == 0 {
 		idx.PoolPages = 1024
@@ -234,14 +303,21 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	dsFile, err := os.Open(filepath.Join(dir, fileDataset))
-	if err != nil {
-		return nil, fmt.Errorf("streach: open dataset: %w", err)
-	}
-	ds, err := traj.ReadDataset(dsFile)
-	dsFile.Close()
+	dsStats, err := scanDataset(dir, nil)
 	if err != nil {
 		return nil, err
+	}
+	// A cold rebuild is the one part of an open that needs the
+	// trajectories themselves: decoded at the first rebuild, shared with
+	// the second, dropped when OpenSystem returns.
+	var ds *traj.Dataset
+	rebuildData := func() (*traj.Dataset, error) {
+		if ds != nil {
+			return ds, nil
+		}
+		var err error
+		ds, err = readDataset(dir)
+		return ds, err
 	}
 	st, stErr := openSTIndex(dir, net, idx)
 	con, conErr := openConIndex(dir, net)
@@ -258,13 +334,21 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 	}
 	if stErr != nil {
 		log.Printf("streach: st-index unreadable (%v): cold rebuild from trajectories", stErr)
-		if st, err = rebuildSTIndex(dir, net, ds, idx, slotSec); err != nil {
+		data, err := rebuildData()
+		if err == nil {
+			st, err = rebuildSTIndex(dir, net, data, idx, slotSec)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("streach: st-index cold rebuild: %w", err)
 		}
 	}
 	if conErr != nil {
 		log.Printf("streach: con-index unreadable (%v): cold rebuild from trajectories", conErr)
-		if con, err = rebuildConIndex(dir, net, ds, slotSec); err != nil {
+		data, err := rebuildData()
+		if err == nil {
+			con, err = rebuildConIndex(dir, net, data, slotSec)
+		}
+		if err != nil {
 			st.Close()
 			return nil, fmt.Errorf("streach: con-index cold rebuild: %w", err)
 		}
@@ -331,7 +415,7 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 			segStats.Segments, segApplied.Load()+segDropped.Load(), segObs.Load(),
 			segDropped.Load()+segObsDropped.Load(), segStats.CorruptSegments, segStats.TruncatedBytes)
 	}
-	s, err := assembleSystem(net, ds, st, con, idx)
+	s, err := assembleSystem(net, nil, dsStats, st, con, idx)
 	if err != nil {
 		st.Close()
 		return nil, err

@@ -41,6 +41,7 @@ package streach
 import (
 	"context"
 	"fmt"
+	"log"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -252,8 +253,25 @@ type Region struct {
 
 // System is a built reachability query system.
 type System struct {
-	net    *roadnet.Network
-	ds     *traj.Dataset
+	net *roadnet.Network
+	// netStats is net.Stats(), taken once: the network never changes,
+	// and Stats() is on serve's per-answer path (maybePrefetch).
+	netStats roadnet.Stats
+	// ds is the base dataset of a system built in memory (NewSystem,
+	// NewSystemFromData), which keeps what its caller handed it. A system
+	// opened from a directory holds none — its indexes are the resident
+	// form of the data — and what asks for the trajectories themselves
+	// (Dataset, BusiestLocation, Save elsewhere) reads dir/dataset.bin
+	// when it is called and keeps nothing. dsStats is the dataset's
+	// statistics either way, taken when the system was assembled.
+	ds      *traj.Dataset
+	dsStats traj.DatasetStats
+	// busiest memoises BusiestLocation per time of day: the base dataset
+	// never changes (live updates do not enter it) and each answer is a
+	// scan of every visit.
+	busiestMu sync.Mutex
+	busiest   map[time.Duration]Location
+
 	st     *stindex.Index
 	con    *conindex.Index
 	engine *core.Engine
@@ -469,7 +487,7 @@ func NewSystemFromData(net *roadnet.Network, ds *traj.Dataset, idx IndexConfig) 
 	if err != nil {
 		return nil, fmt.Errorf("streach: build Con-Index: %w", err)
 	}
-	return assembleSystem(net, ds, st, con, idx)
+	return assembleSystem(net, ds, ds.Stats(), st, con, idx)
 }
 
 // assembleSystem wires built (or reopened) indexes into a System: the
@@ -477,7 +495,7 @@ func NewSystemFromData(net *roadnet.Network, ds *traj.Dataset, idx IndexConfig) 
 // cache, and — when IndexConfig.Shards asks for it — the sharded
 // execution layer. Shared by NewSystemFromData and OpenSystem so both
 // construction paths honour the whole IndexConfig.
-func assembleSystem(net *roadnet.Network, ds *traj.Dataset, st *stindex.Index, con *conindex.Index, idx IndexConfig) (*System, error) {
+func assembleSystem(net *roadnet.Network, ds *traj.Dataset, dsStats traj.DatasetStats, st *stindex.Index, con *conindex.Index, idx IndexConfig) (*System, error) {
 	engine, err := core.NewEngine(st, con, core.Options{
 		VerifyAll:       idx.VerifyAll,
 		EarlyStop:       idx.EarlyStop,
@@ -492,7 +510,8 @@ func assembleSystem(net *roadnet.Network, ds *traj.Dataset, st *stindex.Index, c
 	if planCap == 0 {
 		planCap = 32
 	}
-	s := &System{net: net, ds: ds, st: st, con: con, engine: engine, plans: newPlanCache(planCap),
+	s := &System{net: net, netStats: net.Stats(), ds: ds, dsStats: dsStats, busiest: map[time.Duration]Location{},
+		st: st, con: con, engine: engine, plans: newPlanCache(planCap),
 		shardBudget: idx.ShardBudget, breakerCfg: idx.Breaker, hedgeCfg: idx.Hedge,
 		shapes: newShapeRecorder()}
 	s.warmCtx, s.warmCancel = context.WithCancel(context.Background())
@@ -637,7 +656,8 @@ func (s *System) ShardStats() []ShardStat {
 // by lookups alone. The thesis builds these tables offline during index
 // construction; calling Warm moves that cost out of the first query's
 // measured time, and Save persists the materialised rows so reopened
-// systems skip it entirely. Idempotent.
+// systems skip it entirely. Idempotent, and cheap to repeat: a slot
+// that is already fully warm is recognised without walking its rows.
 func (s *System) Warm(start, dur time.Duration) {
 	_ = s.WarmCtx(context.Background(), start, dur)
 }
@@ -693,8 +713,24 @@ func (s *System) Close() error {
 // Network exposes the underlying road network (in-module callers).
 func (s *System) Network() *roadnet.Network { return s.net }
 
-// Dataset exposes the underlying trajectory dataset (in-module callers).
-func (s *System) Dataset() *traj.Dataset { return s.ds }
+// Dataset returns the base trajectory dataset (in-module callers). A
+// system built in memory returns the dataset it was built from. A system
+// opened from a directory holds no dataset: each call decodes
+// dir/dataset.bin afresh — tens of megabytes on a large world, so keep
+// the result rather than calling twice — and returns nil, with the
+// reason logged, if the file can no longer be read. Live updates are
+// not part of it.
+func (s *System) Dataset() *traj.Dataset {
+	if s.ds != nil {
+		return s.ds
+	}
+	ds, err := readDataset(s.dir)
+	if err != nil {
+		log.Printf("streach: dataset unavailable: %v", err)
+		return nil
+	}
+	return ds
+}
 
 // Engine exposes the query engine (in-module callers, benchmarks).
 func (s *System) Engine() *core.Engine { return s.engine }
@@ -854,8 +890,8 @@ type Stats struct {
 
 // Stats summarises the system.
 func (s *System) Stats() Stats {
-	ns := s.net.Stats()
-	ts := s.ds.Stats()
+	ns := s.netStats
+	ts := s.dsStats
 	return Stats{
 		Segments:     ns.Segments,
 		Vertices:     ns.Vertices,
@@ -868,32 +904,55 @@ func (s *System) Stats() Stats {
 	}
 }
 
+// busiestMemoCap bounds the BusiestLocation memo. Callers ask for a
+// handful of round times of day; a client that walks the clock only
+// makes the memo start over.
+const busiestMemoCap = 64
+
 // BusiestLocation returns the midpoint of the segment with traffic on the
 // most distinct days during the 5-minute window starting at tod. Useful
 // for picking realistic query origins, mirroring the paper's downtown
-// query location.
+// query location. The first call for a tod scans every visit of the base
+// dataset — streamed from dir/dataset.bin, one trajectory in memory at a
+// time, when the system holds no dataset — and later calls are answered
+// from a memo.
 func (s *System) BusiestLocation(tod time.Duration) Location {
+	// Held across the scan, so concurrent first calls make one scan.
+	s.busiestMu.Lock()
+	defer s.busiestMu.Unlock()
+	if loc, ok := s.busiest[tod]; ok {
+		return loc
+	}
 	lo, hi := tod, tod+5*time.Minute
 	// One flat pass: a [segment]-indexed slice of day bitmasks instead of
 	// nested maps — no per-segment allocations on what is a full scan of
 	// every visit in the dataset.
-	words := (s.ds.Days + 63) / 64
-	masks := make([]uint64, s.net.NumSegments()*words)
-	for i := range s.ds.Matched {
-		mt := &s.ds.Matched[i]
-		if int(mt.Day) >= s.ds.Days {
-			continue
+	days, nseg := s.dsStats.Days, s.net.NumSegments()
+	words := (days + 63) / 64
+	masks := make([]uint64, nseg*words)
+	visit := func(mt *traj.MatchedTrajectory) error {
+		if mt.Day < 0 || int(mt.Day) >= days {
+			return nil
 		}
 		for _, v := range mt.Visits {
 			enter := time.Duration(v.EnterMs) * time.Millisecond
-			if enter >= lo && enter < hi {
+			if enter >= lo && enter < hi && v.Segment >= 0 && int(v.Segment) < nseg {
 				masks[int(v.Segment)*words+int(mt.Day)>>6] |= 1 << (uint(mt.Day) & 63)
 			}
 		}
+		return nil
+	}
+	var err error
+	if s.ds != nil {
+		for i := range s.ds.Matched {
+			visit(&s.ds.Matched[i])
+		}
+	} else {
+		_, err = scanDataset(s.dir, visit)
 	}
 	best := roadnet.SegmentID(0)
 	bestN := -1
-	for seg := 0; seg < s.net.NumSegments(); seg++ {
+	for seg := 0; seg < nseg; seg++ {
 		n := 0
 		for w := 0; w < words; w++ {
 			n += bits.OnesCount64(masks[seg*words+w])
@@ -903,5 +962,15 @@ func (s *System) BusiestLocation(tod time.Duration) Location {
 		}
 	}
 	p := s.net.Segment(best).Midpoint()
-	return Location{Lat: p.Lat, Lng: p.Lng}
+	loc := Location{Lat: p.Lat, Lng: p.Lng}
+	if err != nil {
+		// Answer from what was read, and ask the file again next time.
+		log.Printf("streach: busiest location: dataset scan cut short: %v", err)
+		return loc
+	}
+	if len(s.busiest) >= busiestMemoCap {
+		clear(s.busiest)
+	}
+	s.busiest[tod] = loc
+	return loc
 }
