@@ -1,9 +1,11 @@
 package streach
 
 import (
-	"encoding/json"
 	"fmt"
+	"slices"
+	"strconv"
 
+	"streach/internal/jsonenc"
 	"streach/internal/roadnet"
 )
 
@@ -13,43 +15,68 @@ import (
 // matching how the thesis visualises Prob-reachable regions (Fig 4.2,
 // 4.4, 4.6, 4.9).
 func (r *Region) GeoJSON() (string, error) {
-	type feature struct {
-		Type       string                 `json:"type"`
-		Geometry   map[string]interface{} `json:"geometry"`
-		Properties map[string]interface{} `json:"properties"`
-	}
-	fc := struct {
-		Type     string    `json:"type"`
-		Features []feature `json:"features"`
-	}{Type: "FeatureCollection"}
-
-	if r.sys == nil {
-		return "", fmt.Errorf("streach: region is not attached to a system")
-	}
-	for _, id := range r.SegmentIDs {
-		seg := r.sys.net.Segment(roadnet.SegmentID(id))
-		coords := make([][2]float64, len(seg.Shape))
-		for i, p := range seg.Shape {
-			coords[i] = [2]float64{p.Lng, p.Lat} // GeoJSON is lng,lat
-		}
-		fc.Features = append(fc.Features, feature{
-			Type: "Feature",
-			Geometry: map[string]interface{}{
-				"type":        "LineString",
-				"coordinates": coords,
-			},
-			Properties: map[string]interface{}{
-				"segment": id,
-				"class":   seg.Class.String(),
-				"length":  seg.Length,
-			},
-		})
-	}
-	out, err := json.Marshal(fc)
+	out, err := r.AppendGeoJSON(nil)
 	if err != nil {
-		return "", fmt.Errorf("streach: marshal geojson: %w", err)
+		return "", err
 	}
 	return string(out), nil
+}
+
+// AppendGeoJSON appends the GeoJSON rendering to dst and returns the
+// extended buffer — the form a server encodes into a reused buffer. The
+// bytes are those encoding/json produced when the collection was built
+// from maps (object keys in sorted order, floats by jsonenc.AppendFloat),
+// except that an empty region is "features":[] rather than null, which
+// RFC 7946 §3.3 requires. On error dst is returned unextended.
+func (r *Region) AppendGeoJSON(dst []byte) ([]byte, error) {
+	if r.sys == nil {
+		return dst, fmt.Errorf("streach: region is not attached to a system")
+	}
+	// One growth, sized from the shapes (a feature is ~150 bytes around
+	// ~40 per coordinate pair), instead of doubling the way up.
+	size := 64
+	for _, id := range r.SegmentIDs {
+		size += 160 + 42*len(r.sys.net.Segment(roadnet.SegmentID(id)).Shape)
+	}
+	b := append(slices.Grow(dst, size), `{"type":"FeatureCollection","features":[`...)
+	// A float that JSON cannot hold is the only error, and it sticks:
+	// the features after it append no number.
+	var err error
+	float := func(f float64) {
+		if err == nil {
+			b, err = jsonenc.AppendFloat(b, f, 64)
+		}
+	}
+	for i, id := range r.SegmentIDs {
+		seg := r.sys.net.Segment(roadnet.SegmentID(id))
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"type":"Feature","geometry":{"coordinates":[`...)
+		for j, p := range seg.Shape {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, '[')
+			float(p.Lng) // GeoJSON is lng,lat
+			b = append(b, ',')
+			float(p.Lat)
+			b = append(b, ']')
+		}
+		// Every RoadClass name is plain ASCII that JSON leaves unescaped
+		// (TestRoadClassNamesNeedNoEscaping).
+		b = append(b, `],"type":"LineString"},"properties":{"class":"`...)
+		b = append(b, seg.Class.String()...)
+		b = append(b, `","length":`...)
+		float(seg.Length)
+		b = append(b, `,"segment":`...)
+		b = strconv.AppendInt(b, int64(id), 10)
+		b = append(b, `}}`...)
+	}
+	if err != nil {
+		return dst, fmt.Errorf("streach: marshal geojson: %w", err)
+	}
+	return append(b, `]}`...), nil
 }
 
 // Bounds returns the region's bounding box as (minLat, minLng, maxLat,

@@ -1,0 +1,202 @@
+package streach
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"strings"
+	"testing"
+
+	"streach/internal/race"
+	"streach/internal/roadnet"
+)
+
+// geoJSONOracle is Region.GeoJSON as it was before AppendGeoJSON: the
+// collection built from maps and marshalled by encoding/json. Kept
+// verbatim as the reference the append encoder must match byte for byte.
+func geoJSONOracle(r *Region) (string, error) {
+	type feature struct {
+		Type       string                 `json:"type"`
+		Geometry   map[string]interface{} `json:"geometry"`
+		Properties map[string]interface{} `json:"properties"`
+	}
+	fc := struct {
+		Type     string    `json:"type"`
+		Features []feature `json:"features"`
+	}{Type: "FeatureCollection"}
+
+	if r.sys == nil {
+		return "", fmt.Errorf("streach: region is not attached to a system")
+	}
+	for _, id := range r.SegmentIDs {
+		seg := r.sys.net.Segment(roadnet.SegmentID(id))
+		coords := make([][2]float64, len(seg.Shape))
+		for i, p := range seg.Shape {
+			coords[i] = [2]float64{p.Lng, p.Lat} // GeoJSON is lng,lat
+		}
+		fc.Features = append(fc.Features, feature{
+			Type: "Feature",
+			Geometry: map[string]interface{}{
+				"type":        "LineString",
+				"coordinates": coords,
+			},
+			Properties: map[string]interface{}{
+				"segment": id,
+				"class":   seg.Class.String(),
+				"length":  seg.Length,
+			},
+		})
+	}
+	out, err := json.Marshal(fc)
+	if err != nil {
+		return "", fmt.Errorf("streach: marshal geojson: %w", err)
+	}
+	return string(out), nil
+}
+
+func checkGeoJSON(t *testing.T, name string, r *Region) {
+	t.Helper()
+	want, err := geoJSONOracle(r)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", name, err)
+	}
+	// Into a non-empty buffer: the prefix must survive untouched.
+	got, err := r.AppendGeoJSON([]byte("prefix"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if string(got) != "prefix"+want {
+		t.Fatalf("%s: AppendGeoJSON differs from the encoding/json oracle\n got %.300s\nwant %.300s", name, got[len("prefix"):], want)
+	}
+	s, err := r.GeoJSON()
+	if err != nil || s != want {
+		t.Fatalf("%s: GeoJSON() differs from the oracle (err %v)", name, err)
+	}
+}
+
+// TestAppendGeoJSONMatchesOracle walks every segment of the test network
+// through both encoders — alone and all together — plus real answers.
+func TestAppendGeoJSONMatchesOracle(t *testing.T) {
+	s := smallSystem(t)
+	n := s.Network().NumSegments()
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+		checkGeoJSON(t, fmt.Sprintf("segment %d", i), &Region{SegmentIDs: all[i : i+1], sys: s})
+	}
+	checkGeoJSON(t, "every segment", &Region{SegmentIDs: all, sys: s})
+
+	for _, prob := range []float64{0.05, 0.2, 0.8} {
+		q := testQuery(s)
+		q.Prob = prob
+		region, err := s.Reach(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGeoJSON(t, fmt.Sprintf("reach prob=%v (%d segments)", prob, len(region.SegmentIDs)), region)
+		// The string form costs its buffer, grown once, and the string.
+		if a := testing.AllocsPerRun(20, func() { _, _ = region.GeoJSON() }); a > 2 && !race.Enabled {
+			t.Fatalf("GeoJSON() of %d segments allocates %.0f times, want 2", len(region.SegmentIDs), a)
+		}
+	}
+}
+
+// TestAppendGeoJSONEmptyRegion pins the one intended byte difference: a
+// region without segments has "features":[] where encoding/json wrote
+// null for the nil slice (RFC 7946 §3.3: features is an array).
+func TestAppendGeoJSONEmptyRegion(t *testing.T) {
+	s := smallSystem(t)
+	for _, r := range []*Region{{sys: s}, {SegmentIDs: []int32{}, sys: s}} {
+		got, err := r.GeoJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `{"type":"FeatureCollection","features":[]}`; got != want {
+			t.Fatalf("empty region: got %s, want %s", got, want)
+		}
+		oracle, _ := geoJSONOracle(r)
+		if strings.Replace(oracle, "null", "[]", 1) != got {
+			t.Fatalf("empty region differs from the oracle by more than null → []: %s vs %s", got, oracle)
+		}
+	}
+	if _, err := (&Region{SegmentIDs: []int32{0}}).AppendGeoJSON(nil); err == nil {
+		t.Fatal("a detached region must not encode")
+	}
+}
+
+// TestAppendGeoJSONShardedMatchesUnsharded: the same query through the
+// 4-shard cluster renders the same bytes.
+func TestAppendGeoJSONShardedMatchesUnsharded(t *testing.T) {
+	base, sharded := smallSystem(t), shardedSystem(t)
+	q := testQuery(base)
+	want, err := base.Reach(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sharded.Reach(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := want.AppendGeoJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := got.AppendGeoJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.SegmentIDs) == 0 || !bytes.Equal(a, b) {
+		t.Fatalf("sharded GeoJSON differs from unsharded (%d vs %d bytes, %d segments)", len(b), len(a), len(want.SegmentIDs))
+	}
+	checkGeoJSON(t, "sharded", got)
+}
+
+// TestRoadClassNamesNeedNoEscaping: AppendGeoJSON copies the class name
+// between quotes, so no name any RoadClass value can print may contain
+// a byte encoding/json would escape (quote, backslash, control, <, >, &,
+// or anything non-ASCII).
+func TestRoadClassNamesNeedNoEscaping(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		name := roadnet.RoadClass(c).String()
+		want, err := json.Marshal(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(want) != `"`+name+`"` {
+			t.Fatalf("RoadClass(%d) prints %q, which JSON escapes to %s", c, name, want)
+		}
+	}
+}
+
+func BenchmarkGeoJSON(b *testing.B) {
+	s := smallSystem(b)
+	region, err := s.Reach(testQuery(s))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			if buf, err = region.AppendGeoJSON(buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("string", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := region.GeoJSON(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("oracle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := geoJSONOracle(region); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

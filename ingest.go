@@ -6,6 +6,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"streach/internal/ingest"
@@ -428,7 +429,7 @@ func (s *System) IndexDataVersion() uint64 { return s.st.DataVersion() }
 // serving layer's coalescer. Two calls returning the same string are
 // guaranteed to observe index state producing identical answers.
 func (s *System) DataVersionKey() string {
-	return fmt.Sprintf("v%d.%d", s.st.DataVersion(), s.con.InvalidationGen())
+	return "v" + strconv.FormatUint(s.st.DataVersion(), 10) + "." + strconv.FormatUint(s.con.InvalidationGen(), 10)
 }
 
 // CompactIngest flushes the pending ingest queue, folds the whole delta

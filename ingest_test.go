@@ -488,6 +488,73 @@ func TestIngestWALReplayOnOpen(t *testing.T) {
 	regionsEqual(t, "post-compaction reopen", got2, want)
 }
 
+// TestSaveElsewhereThenCompactPersistsThere: an opened system saved into
+// a second directory lives there from then on, but its page store is
+// still the first directory's pages.db. A durable compaction must
+// therefore carry the pages over with the meta — syncing the store is
+// not enough — or the second directory ends up with a meta whose
+// handles point past its stale page file.
+func TestSaveElsewhereThenCompactPersistsThere(t *testing.T) {
+	base := smallSystem(t)
+	dir, other := t.TempDir(), t.TempDir()
+	if err := base.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	idx := DefaultIndexConfig()
+	idx.PlanCache = -1
+	sys, err := OpenSystem(dir, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.Save(other); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Ingest(context.Background(), liveFixtureUpdates(sys)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.CompactIngest(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Durable || res.Epoch == 0 {
+		t.Fatalf("compaction after Save(other) not durable: %+v", res)
+	}
+	if left := walSegmentFiles(t, other); len(left) != 0 {
+		t.Fatalf("wal segments left in the new directory after a durable full compaction: %v", left)
+	}
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	reopened, err := OpenSystem(other, idx)
+	log.SetOutput(os.Stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if strings.Contains(logged.String(), "rebuild") {
+		t.Fatalf("the new directory needed a repair on open:\n%s", logged.String())
+	}
+	for _, prob := range []float64{0.2, 0.6} {
+		req := ReachRequest(sys.BusiestLocation(10*time.Hour), 10*time.Hour, 10*time.Minute, prob)
+		want, err := sys.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reopened.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regionsEqual(t, fmt.Sprintf("reopened from the new directory, prob %v", prob), got, want)
+		if len(want.SegmentIDs) == 0 {
+			t.Fatal("fixture query answers nothing")
+		}
+	}
+}
+
 // TestIngestWALCorruptionFuzz pins damage containment at the system
 // level: a flipped bit in one WAL segment is detected by frame CRC on
 // reopen and costs only that segment's suffix — the file is truncated

@@ -399,8 +399,8 @@ func (x *Index) Near(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
 //
 // Far mode (upper bound): a segment is reached when it can be *entered*
 // within the budget, travelling at per-slot maximum speeds, starting from
-// the entry of seg at time 0 with seg itself free (the object may already
-// be at seg's exit).
+// the entry of seg at time 0: seg's own traversal is charged, so its
+// successors are entered only once seg has been driven end to end.
 //
 // Near mode (lower bound): a segment is reached when it can be *fully
 // traversed* within the budget at per-slot minimum speeds, including
@@ -580,6 +580,18 @@ func (x *Index) PrecomputeSlotsCtx(ctx context.Context, lo, hi, workers int) err
 		return firstEr
 	}
 	return nil
+}
+
+// SlotsWarm reports whether PrecomputeSlotsCtx over [lo, hi] would find
+// nothing to do: all four tables hold every row of every slot in the
+// range. It reads the tables' per-slot counts and visits no row.
+func (x *Index) SlotsWarm(lo, hi int) bool {
+	for s := lo; s <= hi; s++ {
+		if !x.slotWarm(s) {
+			return false
+		}
+	}
+	return true
 }
 
 // slotWarm reports whether all four tables hold every row of slot.

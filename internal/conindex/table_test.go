@@ -204,9 +204,15 @@ func TestPrecomputeSkipsWarmSlots(t *testing.T) {
 	idx := build(t, n, testDataset(t, n))
 	nseg := n.NumSegments()
 	const lo, hi = 130, 132
+	if idx.SlotsWarm(lo, hi) {
+		t.Fatal("a cold window reports warm")
+	}
 	idx.PrecomputeSlotsWorkers(lo, hi, 2)
 	if got, want := idx.Stats().Materialised, int64(4*3*nseg); got != want {
 		t.Fatalf("first warm materialised %d rows, want %d", got, want)
+	}
+	if !idx.SlotsWarm(lo, hi) || !idx.SlotsWarm(lo+idx.NumSlots(), hi+idx.NumSlots()) || idx.SlotsWarm(lo, hi+1) {
+		t.Fatal("SlotsWarm disagrees with what was just warmed")
 	}
 	before := idx.Stats()
 	idx.PrecomputeSlotsWorkers(lo, hi, 2)
@@ -217,6 +223,9 @@ func TestPrecomputeSkipsWarmSlots(t *testing.T) {
 
 	if !idx.ObserveSpeed(4, lo+1, lo+1, 60) {
 		t.Fatal("observation did not move a bound")
+	}
+	if idx.SlotsWarm(lo, hi) || !idx.SlotsWarm(lo, lo) || !idx.SlotsWarm(hi, hi) {
+		t.Fatal("SlotsWarm missed the invalidated slot, or blames its neighbours")
 	}
 	lost := 0
 	for _, tbl := range idx.adjTables() {

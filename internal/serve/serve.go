@@ -244,19 +244,23 @@ func (s *Server) allowClient(w http.ResponseWriter, r *http.Request) bool {
 // maybePrefetch warms the Con-Index window following an answered query
 // in the background — forward and reverse rows, so a reverse query over
 // the next window is a pure lookup too — the cheapest work there is, and
-// therefore the first thing the brownout ladder sheds. On an already
-// warm window the pass finds every slot fully materialised and returns
-// without visiting a row. At most one warm runs at a time, bounded to
-// the server's lifetime (Close).
+// therefore the first thing the brownout ladder sheds. It asks first
+// whether that window is already warm (a few loads per slot): on a warm
+// system, the steady state, an answer takes no gate and starts no
+// goroutine. At most one warm runs at a time, bounded to the server's
+// lifetime (Close); prefetch_warms_total counts the passes that ran.
 func (s *Server) maybePrefetch(start, dur time.Duration, level int) {
 	if level >= brownoutShedWork {
 		s.vars.Add("brownout_warm_shed_total", 1)
 		return
 	}
+	slot := time.Duration(s.sys.Stats().SlotSeconds) * time.Second
+	if s.sys.Warmed(start+dur, slot) {
+		return
+	}
 	if !s.warmBusy.CompareAndSwap(false, true) {
 		return
 	}
-	slot := time.Duration(s.sys.Stats().SlotSeconds) * time.Second
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -432,12 +436,13 @@ func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, format strin
 // applies only to client-requested timeouts — the operator's configured
 // default is honoured as-is. The effective timeout is returned too: it
 // is the deadline budget the AIMD limiter measures headroom against.
-func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc, time.Duration, error) {
+// param is the request's ?timeout= value ("" when absent).
+func (s *Server) queryCtx(r *http.Request, param string) (context.Context, context.CancelFunc, time.Duration, error) {
 	timeout := s.cfg.DefaultTimeout
-	if v := r.URL.Query().Get("timeout"); v != "" {
-		d, err := time.ParseDuration(v)
+	if param != "" {
+		d, err := time.ParseDuration(param)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("bad timeout %q: %v", v, err)
+			return nil, nil, 0, fmt.Errorf("bad timeout %q: %v", param, err)
 		}
 		if d <= 0 {
 			return nil, nil, 0, fmt.Errorf("timeout must be positive, got %v", d)
@@ -475,9 +480,11 @@ type reachPayload struct {
 // at the start time, which makes smoke tests self-contained.
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	var p reachPayload
+	// The URL parameters are parsed once: GET carries the whole query in
+	// them, and both methods read timeout and format from them below.
+	q := r.URL.Query()
 	switch r.Method {
 	case http.MethodGet:
-		q := r.URL.Query()
 		if q.Get("lat") != "" || q.Get("lng") != "" {
 			lat, lng, err := parseFloatPair(q.Get("lat"), q.Get("lng"))
 			if err != nil {
@@ -572,7 +579,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	if !s.allowClient(w, r) {
 		return
 	}
-	ctx, cancel, timeout, err := s.queryCtx(r)
+	ctx, cancel, timeout, err := s.queryCtx(r, q.Get("timeout"))
 	if err != nil {
 		s.badRequest(w, r, "%v", err)
 		return
@@ -619,17 +626,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	s.observe(kind, time.Since(began))
 	s.maybePrefetch(start, dur, level)
 
-	if wantsGeoJSON(r) {
-		gj, err := region.GeoJSON()
-		if err != nil {
-			s.httpError(w, r, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/geo+json")
-		fmt.Fprint(w, gj)
-		return
-	}
-	writeJSON(w, http.StatusOK, regionResponse(region))
+	s.writeRegion(w, r, region, wantsGeoJSON(r, q.Get("format")))
 }
 
 // handleRoute answers route queries. GET parameters: from_lat, from_lng,
@@ -675,7 +672,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if !s.allowClient(w, r) {
 		return
 	}
-	ctx, cancel, timeout, err := s.queryCtx(r)
+	ctx, cancel, timeout, err := s.queryCtx(r, q.Get("timeout"))
 	if err != nil {
 		s.badRequest(w, r, "%v", err)
 		return
@@ -731,51 +728,37 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 // a compaction must stop new requests from latching onto an in-flight
 // execution that started over the older data.
 func (s *Server) coalesceKey(req streach.Request, alg string, partial bool) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%s|%t|%s|%s|%d|%d|%x", int(req.Kind), strings.ToLower(alg), partial,
-		s.sys.DataVersionKey(),
-		streach.OptionKeyBits(s.sys.Engine().Options()),
-		req.Start, req.Duration, math.Float64bits(req.Prob))
+	// Appended into a stack buffer: one allocation (the returned string)
+	// for the usual single-location key.
+	var stack [160]byte
+	b := strconv.AppendInt(stack[:0], int64(req.Kind), 10)
+	b = append(b, '|')
+	b = append(b, strings.ToLower(alg)...)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, partial)
+	b = append(b, '|')
+	b = append(b, s.sys.DataVersionKey()...)
+	b = append(b, '|')
+	b = append(b, streach.OptionKeyBits(s.sys.Engine().Options())...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(req.Start), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(req.Duration), 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, math.Float64bits(req.Prob), 16)
 	for _, l := range req.Locations {
-		fmt.Fprintf(&b, "|%x,%x", math.Float64bits(l.Lat), math.Float64bits(l.Lng))
+		b = append(b, '|')
+		b = strconv.AppendUint(b, math.Float64bits(l.Lat), 16)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, math.Float64bits(l.Lng), 16)
 	}
-	return b.String()
+	return string(b)
 }
 
-// regionResponse is the default JSON shape of a reachability answer.
-// A partial-results answer additionally carries "degraded": true with
-// the missing shards and the coverage fraction.
-func regionResponse(region *streach.Region) map[string]any {
-	m := region.Metrics
-	resp := map[string]any{
-		"segments":      region.SegmentIDs,
-		"probabilities": region.Probabilities,
-		"road_km":       region.RoadKm,
-		"metrics": map[string]any{
-			"elapsed_ms":    float64(m.Elapsed) / float64(time.Millisecond),
-			"bound_ms":      float64(m.Bound) / float64(time.Millisecond),
-			"verify_ms":     float64(m.Verify) / float64(time.Millisecond),
-			"evaluated":     m.Evaluated,
-			"page_reads":    m.PageReads,
-			"page_hits":     m.PageHits,
-			"max_region":    m.MaxRegion,
-			"min_region":    m.MinRegion,
-			"road_segments": m.RoadSegments,
-		},
-	}
-	if d := region.Degraded; d != nil {
-		resp["degraded"] = true
-		resp["missing_shards"] = d.MissingShards
-		resp["coverage"] = d.Coverage
-	}
-	return resp
-}
-
-func wantsGeoJSON(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "geojson" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "geo+json")
+// wantsGeoJSON negotiates the reply format: ?format=geojson (format is
+// that parameter's value) or an Accept header naming geo+json.
+func wantsGeoJSON(r *http.Request, format string) bool {
+	return format == "geojson" || strings.Contains(r.Header.Get("Accept"), "geo+json")
 }
 
 func parseAlgorithm(s string) (streach.Algorithm, error) {

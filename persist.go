@@ -110,7 +110,7 @@ func (s *System) Save(dir string) error {
 	if err := s.st.Pool().Flush(); err != nil {
 		return err
 	}
-	if !(s.pagesInDir && s.dir == dir) {
+	if !s.pagesLiveIn(dir) {
 		if err := writeTo(filePages, s.copyPagesTo); err != nil {
 			return err
 		}
@@ -125,6 +125,27 @@ func (s *System) Save(dir string) error {
 	// CompactIngest can persist folds (and place the ingest WAL) here.
 	s.dir = dir
 	return nil
+}
+
+// pagesLiveIn reports whether dir/pages.db is the file the pool's store
+// holds open, however dir is spelled. Then syncing the pool is all it
+// takes to bring that file up to date, and writing it any other way
+// would truncate the store under the pool. Anywhere else — a memory- or
+// PageFile-backed system, or an opened system saved into a second
+// directory — the pages have to be copied there.
+func (s *System) pagesLiveIn(dir string) bool {
+	if s.pagesDir == "" {
+		return false
+	}
+	if s.pagesDir == dir {
+		return true
+	}
+	held, err := os.Stat(filepath.Join(s.pagesDir, filePages))
+	if err != nil {
+		return false
+	}
+	there, err := os.Stat(filepath.Join(dir, filePages))
+	return err == nil && os.SameFile(held, there)
 }
 
 // saveDataset puts the base dataset into dir/dataset.bin: encoded from
@@ -248,7 +269,7 @@ func (s *System) persistCompacted() error {
 	if err := s.st.Pool().Sync(); err != nil {
 		return fmt.Errorf("streach: flush pages: %w", err)
 	}
-	if !s.pagesInDir {
+	if !s.pagesLiveIn(s.dir) {
 		if err := writeFileAtomic(s.dir, filePages, s.copyPagesTo); err != nil {
 			return err
 		}
@@ -428,7 +449,7 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 		log.Printf("streach: plan shapes unreadable (%v): dropped, warm planning starts empty", perr)
 	}
 	s.dir = dir
-	s.pagesInDir = true
+	s.pagesDir = dir
 	return s, nil
 }
 

@@ -295,11 +295,13 @@ type System struct {
 	breakerCfg BreakerConfig
 	hedgeCfg   HedgeConfig
 	// dir is the save directory backing the system (set by OpenSystem
-	// and Save); empty for purely in-memory systems. pagesInDir reports
-	// that the page store IS dir/pages.db (the OpenSystem case), so
-	// persisting a compaction only needs a pool flush, not a page copy.
-	dir        string
-	pagesInDir bool
+	// and Save); empty for purely in-memory systems. pagesDir is the
+	// directory whose pages.db the page store is (set by OpenSystem only;
+	// empty for memory- and PageFile-backed stores): persisting into that
+	// directory only needs a pool sync, anywhere else a page copy. The
+	// two part ways when an opened system is saved elsewhere.
+	dir      string
+	pagesDir string
 	// ingestMu guards the live-ingest machinery (see ingest.go);
 	// compactMu serialises whole CompactIngest cycles.
 	ingestMu  sync.Mutex
@@ -666,19 +668,35 @@ func (s *System) Warm(start, dur time.Duration) {
 // precompute workers early and returns ctx's error. Rows warmed before
 // the cancellation stay warm, so an interrupted warm resumes cheaply.
 func (s *System) WarmCtx(ctx context.Context, start, dur time.Duration) error {
+	lo, hi, ok := s.warmSlots(start, dur)
+	if !ok {
+		return nil
+	}
+	return s.con.PrecomputeSlotsCtx(ctx, lo, hi, 0)
+}
+
+// Warmed reports whether WarmCtx over the same window would find nothing
+// to do: every Con-Index row of every slot it covers is materialised.
+// It costs a few loads per slot, so a caller that warms speculatively
+// (serve's post-answer prefetch) can ask before it schedules anything.
+func (s *System) Warmed(start, dur time.Duration) bool {
+	lo, hi, ok := s.warmSlots(start, dur)
+	return !ok || s.con.SlotsWarm(lo, hi)
+}
+
+// warmSlots maps a time window to the inclusive Con-Index slot range a
+// query over it touches; ok is false when that range is empty.
+func (s *System) warmSlots(start, dur time.Duration) (lo, hi int, ok bool) {
 	slotSec := s.con.SlotSeconds()
-	lo := int(start.Seconds()) / slotSec
-	hi := int((start + dur).Seconds()) / slotSec
+	lo = int(start.Seconds()) / slotSec
+	hi = int((start + dur).Seconds()) / slotSec
 	// Cap at the end of the day exactly as Engine.slotWindow does:
 	// queries never touch slots past midnight, so warming a window that
 	// crosses it must not precompute (wrapped) out-of-range slots.
 	if maxSlot := s.con.NumSlots() - 1; hi > maxSlot {
 		hi = maxSlot
 	}
-	if lo > hi {
-		return nil
-	}
-	return s.con.PrecomputeSlotsCtx(ctx, lo, hi, 0)
+	return lo, hi, lo <= hi
 }
 
 // SetShardBudget sets the default per-shard deadline budget (see

@@ -16,7 +16,7 @@ var (
 )
 
 // smallSystem builds a small shared system once for all facade tests.
-func smallSystem(t *testing.T) *System {
+func smallSystem(t testing.TB) *System {
 	t.Helper()
 	sysOnce.Do(func() {
 		city := CityConfig{
