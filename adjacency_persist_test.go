@@ -1,6 +1,7 @@
 package streach
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,8 +14,8 @@ import (
 func TestSaveRestoresWarmedAdjacency(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)
-	s.Warm(q.Start, q.Duration)
-	want, err := s.Reach(q)
+	warmWindow(t, s, q.Start, q.Duration)
+	want, err := s.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestSaveRestoresWarmedAdjacency(t *testing.T) {
 	if con.CachedLists() == 0 {
 		t.Fatal("reopened system should have warmed forward tables")
 	}
-	got, err := reopened.Reach(q)
+	got, err := reopened.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +65,8 @@ func TestSaveRestoresWarmedAdjacency(t *testing.T) {
 func TestOpenSystemPreAdjacencySaveDir(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)
-	s.Warm(q.Start, q.Duration)
-	want, err := s.Reach(q)
+	warmWindow(t, s, q.Start, q.Duration)
+	want, err := s.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestOpenSystemPreAdjacencySaveDir(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		defer reopened.Close()
-		got, err := reopened.Reach(q)
+		got, err := reopened.Do(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -112,7 +113,7 @@ func TestWarmParallelDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cold.Close()
-	want, err := cold.Reach(q)
+	want, err := cold.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +122,8 @@ func TestWarmParallelDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer warm.Close()
-	warm.Warm(q.Start, 30*time.Minute)
-	got, err := warm.Reach(q)
+	warmWindow(t, warm, q.Start, 30*time.Minute)
+	got, err := warm.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func clearChaos(t *testing.T, s *System) {
 func TestChaosTypedErrorCodes(t *testing.T) {
 	s := chaosSystem(t)
 	defer clearChaos(t, s)
-	req := ReachRequest(Location{Lat: testQuery(s).Lat, Lng: testQuery(s).Lng},
+	req := ReachRequest(testQuery(s).Locations[0],
 		11*time.Hour, 10*time.Minute, 0.2)
 
 	variants := []struct {
@@ -106,7 +106,7 @@ func TestChaosTypedErrorCodes(t *testing.T) {
 func TestChaosPartialResults(t *testing.T) {
 	s := chaosSystem(t)
 	defer clearChaos(t, s)
-	req := ReachRequest(Location{Lat: testQuery(s).Lat, Lng: testQuery(s).Lng},
+	req := ReachRequest(testQuery(s).Locations[0],
 		11*time.Hour, 10*time.Minute, 0.2)
 
 	healthy, err := s.Do(context.Background(), req)

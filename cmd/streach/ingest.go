@@ -2,18 +2,14 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
-	"sort"
 	"time"
 
-	"streach"
 	"streach/internal/mapmatch"
 	"streach/internal/traj"
 )
@@ -155,273 +151,4 @@ func postIngest(client *http.Client, endpoint string, batch []wireUpdate) (int, 
 		return ack.Accepted, nil
 	}
 	return 0, fmt.Errorf("ingest: %s: %s", resp.Status, ack.Error)
-}
-
-// runBench dispatches the bench modes ("streach bench ingest",
-// "streach bench queries").
-func runBench(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("bench: usage: streach bench ingest|queries [flags]")
-	}
-	switch args[0] {
-	case "ingest":
-		return runBenchIngest(args[1:])
-	case "queries":
-		return runBenchQueries(args[1:])
-	}
-	return fmt.Errorf("bench: unknown mode %q (want ingest or queries)", args[0])
-}
-
-// runBenchIngest measures the live-ingestion subsystem in process and
-// writes BENCH_ingest.json: sustained insert throughput, the merged-read
-// query p95 against the base-only p95 (the delta-layer read overhead),
-// and the compaction pause. The read probes are full reach queries over
-// distinct start times with the plan cache off, so the delta merge, the
-// decoded-list cache invalidation, and the speed-bound recomputes are
-// all on the measured path.
-func runBenchIngest(args []string) error {
-	fs := flag.NewFlagSet("bench ingest", flag.ExitOnError)
-	wf := addWorldFlags(fs)
-	out := fs.String("out", "BENCH_ingest.json", "output JSON path")
-	rate := fs.Float64("rate", 5000, "target ingest rate in updates/second")
-	dur := fs.Duration("ingest-dur", 2*time.Second, "how long to sustain the ingest load")
-	queries := fs.Int("queries", 40, "read probes per phase")
-	prob := fs.Float64("prob", 0.2, "probe probability threshold")
-	window := fs.Duration("window", 10*time.Minute, "probe window L")
-	compactKeys := fs.Int("compact-keys", 0, "per-cycle dirty-key cap for the incremental compaction phase (0 = dirty/4, min 64)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(os.Stderr, "bench ingest: building world (%d taxis x %d days)...\n", wf.taxis, wf.days)
-	sys, err := streach.NewSystem(
-		streach.CityConfig{
-			OriginLat: 22.45, OriginLng: 113.90,
-			Rows: wf.rows, Cols: wf.cols,
-			SpacingMeters: wf.spacing, LocalFraction: 0.4,
-			ResegmentMeters: wf.reseg, Seed: wf.seed,
-		},
-		streach.FleetConfig{Taxis: wf.taxis, Days: wf.days, Seed: wf.seed + 1},
-		streach.IndexConfig{SlotSeconds: wf.slotSecs, PlanCache: -1},
-	)
-	if err != nil {
-		return err
-	}
-	defer sys.Close()
-	if err := sys.StartIngest(streach.IngestConfig{}); err != nil {
-		return err
-	}
-	numSegments := sys.Network().NumSegments()
-
-	// Probe set: one busy location, distinct start times spread over an
-	// hour so every probe bounds and verifies for itself.
-	loc := sys.BusiestLocation(11 * time.Hour)
-	type probeLats struct {
-		total, bound, verify []time.Duration
-		conMaterialised      int64
-	}
-	probe := func() (probeLats, error) {
-		var lats probeLats
-		for i := 0; i < *queries; i++ {
-			start := 11*time.Hour + time.Duration(i)*90*time.Second
-			t0 := time.Now()
-			reg, err := sys.Do(context.Background(),
-				streach.ReachRequest(loc, start, *window, *prob))
-			if err != nil {
-				return probeLats{}, err
-			}
-			lats.total = append(lats.total, time.Since(t0))
-			lats.bound = append(lats.bound, reg.Metrics.Bound)
-			lats.verify = append(lats.verify, reg.Metrics.Verify)
-			lats.conMaterialised += reg.Metrics.ConMaterialised
-		}
-		return lats, nil
-	}
-	p95ms := func(lats []time.Duration) float64 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		return float64(lats[int(0.95*float64(len(lats)-1))]) / float64(time.Millisecond)
-	}
-
-	// Warm pass (Con-Index rows, buffer pool), then the base measurement.
-	if _, err := probe(); err != nil {
-		return err
-	}
-	baseLats, err := probe()
-	if err != nil {
-		return err
-	}
-	baseP95 := p95ms(baseLats.total)
-
-	// Sustained open-loop ingest on a background goroutine: synthetic
-	// updates over real segments, fresh taxi IDs (a live fleet joining
-	// the historical one), speeds near free flow.
-	var accepted, shed int64
-	var ingestElapsed time.Duration
-	ingestDone := make(chan struct{})
-	go func() {
-		defer close(ingestDone)
-		rng := rand.New(rand.NewSource(wf.seed + 99))
-		const benchBatch = 256
-		batch := make([]streach.IngestUpdate, 0, benchBatch)
-		interval := time.Duration(float64(benchBatch) / *rate * float64(time.Second))
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		began := time.Now()
-		for time.Since(began) < *dur {
-			batch = batch[:0]
-			for i := 0; i < benchBatch; i++ {
-				enter := int32(rng.Intn(86_000_000))
-				batch = append(batch, streach.IngestUpdate{
-					TaxiID:    int32(wf.taxis + rng.Intn(1000)),
-					Day:       rng.Intn(wf.days),
-					SegmentID: int32(rng.Intn(numSegments)),
-					EnterMs:   enter,
-					ExitMs:    enter + 5000 + int32(rng.Intn(30000)),
-					SpeedMps:  6 + 8*rng.Float32(),
-				})
-			}
-			n, err := sys.TryIngest(batch)
-			accepted += int64(n)
-			if err != nil {
-				shed += int64(len(batch) - n)
-			}
-			<-tick.C
-		}
-		ingestElapsed = time.Since(began)
-	}()
-
-	// Merged reads, measured concurrently with the ingest load and with
-	// the same warm-then-measure discipline as the base pass: a quarter
-	// of the load runs first so a real delta depth has accumulated, the
-	// warm pass repopulates the keys the burst invalidated, and the
-	// measured pass then pays re-merges only for keys live appends keep
-	// invalidating under it — the steady state an operator actually sees
-	// between compactions.
-	time.Sleep(*dur / 4)
-	if _, err := probe(); err != nil {
-		return err
-	}
-	mergedLats, err := probe()
-	if err != nil {
-		return err
-	}
-	mergedP95 := p95ms(mergedLats.total)
-	<-ingestDone
-	if err := sys.FlushIngest(context.Background()); err != nil {
-		return err
-	}
-	preStats := sys.IngestStats()
-
-	// Incremental compaction: drain the accumulated delta in budgeted
-	// cycles instead of one stop-the-world fold. The per-cycle cap is
-	// deliberately smaller than the dirty-key backlog, so the measurement
-	// exercises the roll-forward path: each install pause is bounded by
-	// the cap, not by the backlog — the property that keeps a live server
-	// responsive while a deep delta drains.
-	cap0 := *compactKeys
-	if cap0 <= 0 {
-		cap0 = preStats.DirtyKeys / 4
-		if cap0 < 64 {
-			cap0 = 64
-		}
-	}
-	type cycleStat struct {
-		Keys      int     `json:"keys"`
-		PauseMs   float64 `json:"pause_ms"`
-		Remaining int     `json:"remaining"`
-	}
-	var cycles []cycleStat
-	var cres streach.CompactResult
-	var totKeys int
-	var totObs, totBytes int64
-	var maxPause time.Duration
-	for {
-		res, err := sys.CompactIngestN(context.Background(), cap0)
-		if err != nil {
-			return err
-		}
-		cres = res
-		totKeys += res.Keys
-		totObs += res.Observations
-		totBytes += res.Bytes
-		if res.Pause > maxPause {
-			maxPause = res.Pause
-		}
-		cycles = append(cycles, cycleStat{
-			Keys:      res.Keys,
-			PauseMs:   float64(res.Pause) / float64(time.Millisecond),
-			Remaining: res.Remaining,
-		})
-		if res.Remaining == 0 {
-			break
-		}
-	}
-
-	// Post-compaction reads answer from the freshly encoded blobs (the
-	// warm pass re-reads the keys the ingest tail invalidated after the
-	// merged measurement).
-	if _, err := probe(); err != nil {
-		return err
-	}
-	postLats, err := probe()
-	if err != nil {
-		return err
-	}
-
-	report := map[string]any{
-		"world": map[string]any{
-			"segments":     numSegments,
-			"taxis":        wf.taxis,
-			"days":         wf.days,
-			"slot_seconds": wf.slotSecs,
-		},
-		"ingest": map[string]any{
-			"target_rate":   *rate,
-			"achieved_rate": float64(accepted) / ingestElapsed.Seconds(),
-			"accepted":      accepted,
-			"shed":          shed,
-			"applied":       preStats.Applied,
-			"dropped":       preStats.Dropped,
-			"pending_obs":   preStats.PendingObs,
-			"dirty_keys":    preStats.DirtyKeys,
-		},
-		"reads": map[string]any{
-			"queries_per_phase":       *queries,
-			"base_p95_ms":             baseP95,
-			"merged_p95_ms":           mergedP95,
-			"post_compact_p95_ms":     p95ms(postLats.total),
-			"merged_overhead_pct":     (mergedP95/baseP95 - 1) * 100,
-			"base_bound_p95_ms":       p95ms(baseLats.bound),
-			"base_verify_p95_ms":      p95ms(baseLats.verify),
-			"merged_bound_p95_ms":     p95ms(mergedLats.bound),
-			"merged_verify_p95_ms":    p95ms(mergedLats.verify),
-			"base_con_materialised":   baseLats.conMaterialised,
-			"merged_con_materialised": mergedLats.conMaterialised,
-		},
-		"compaction": map[string]any{
-			"keys":         totKeys,
-			"observations": totObs,
-			"bytes":        totBytes,
-			"epoch":        cres.Epoch,
-			"incremental": map[string]any{
-				"key_cap":      cap0,
-				"dirty_keys":   preStats.DirtyKeys,
-				"cycles":       len(cycles),
-				"max_pause_ms": float64(maxPause) / float64(time.Millisecond),
-				"per_cycle":    cycles,
-			},
-		},
-	}
-	enc, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	fmt.Println(string(enc))
-	if *out != "" {
-		if err := os.WriteFile(*out, append(enc, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "bench ingest: report written to %s\n", *out)
-	}
-	return nil
 }

@@ -1,21 +1,12 @@
 // Command streach builds a synthetic city + taxi fleet, constructs the
 // ST-Index and Con-Index, and answers spatio-temporal reachability
-// queries or regenerates the paper's evaluation figures.
-//
-// Usage:
-//
-//	streach stats  [world flags]
-//	streach query  [world flags] -start 11h -dur 10m -prob 0.2 [-lat .. -lng ..] [-alg sqmb|es] [-geojson out.json]
-//	               [-precompute] [-dir saved/]   materialise + persist the Con-Index adjacency, or reopen a saved system
-//	streach mquery [world flags] -start 11h -dur 10m -prob 0.2 -n 3 [-alg mqmb|seq]
-//	streach serve  [world flags] -addr :8780 [-timeout 10s] [-warm-start 11h -warm-dur 1h] [-dir saved/]
-//	streach experiment [world flags] -fig all|4.1|4.2|4.3|4.4|4.5|4.6|4.7|4.8a|4.8b|4.9|t4.1|t4.2
-//
-// World flags (shared): -rows, -cols, -spacing, -reseg, -taxis, -days,
-// -seed, -dt. The world is deterministic for a given flag set.
+// queries, serves them over HTTP, or regenerates the paper's evaluation
+// figures. Run "streach help" for the command list and
+// "streach <command> -h" for a command's flags.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -28,71 +19,61 @@ import (
 	"streach/internal/roadnet"
 )
 
+// commands drives both dispatch and usage().
+var commands = []struct {
+	name, summary string
+	run           func([]string) error
+}{
+	{"stats", "print the generated world's Table 4.1-style statistics", runStats},
+	{"query", "answer a single-location reachability query (s-query)", runQuery},
+	{"mquery", "answer a multi-location reachability query (m-query)", runMQuery},
+	{"route", "plan a time-dependent route between two busy locations", runRoute},
+	{"gen-gps", "simulate a fleet and emit its raw GPS records as CSV", runGenGPS},
+	{"match", "map-match a GPS CSV onto the network, writing a dataset", runMatch},
+	{"serve", `serve reachability and route queries over HTTP
+(JSON/GeoJSON /v1/reach, /v1/route, /healthz, /metrics;
+request deadlines propagate into the query engine)`, runServe},
+	{"ingest", `map-match a GPS CSV and replay it open-loop against a
+running serve's POST /v1/ingest at a target rate`, runIngest},
+	// overload stays: its CI leg has no bench/ replacement until ROADMAP 1(b).
+	{"overload", `flood a running serve past its admission limit and report
+status mix, latency quantiles, and self-protection metrics`, runOverload},
+	{"experiment", "regenerate the paper's evaluation tables and figures", runExperiment},
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
 	cmd, args := os.Args[1], os.Args[2:]
-	var err error
 	switch cmd {
-	case "stats":
-		err = runStats(args)
-	case "query":
-		err = runQuery(args)
-	case "mquery":
-		err = runMQuery(args)
-	case "route":
-		err = runRoute(args)
-	case "gen-gps":
-		err = runGenGPS(args)
-	case "match":
-		err = runMatch(args)
-	case "serve":
-		err = runServe(args)
-	case "ingest":
-		err = runIngest(args)
-	case "bench":
-		err = runBench(args)
-	case "overload":
-		err = runOverload(args)
-	case "experiment":
-		err = runExperiment(args)
 	case "help", "-h", "--help":
 		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "streach: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
+		return
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "streach:", err)
-		os.Exit(1)
+	for _, c := range commands {
+		if c.name != cmd {
+			continue
+		}
+		if err := c.run(args); err != nil {
+			fmt.Fprintln(os.Stderr, "streach:", err)
+			os.Exit(1)
+		}
+		return
 	}
+	fmt.Fprintf(os.Stderr, "streach: unknown command %q\n", cmd)
+	usage()
+	os.Exit(2)
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: streach <command> [flags]
-
-commands:
-  stats        print the generated world's Table 4.1-style statistics
-  query        answer a single-location reachability query (s-query)
-  mquery       answer a multi-location reachability query (m-query)
-  route        plan a time-dependent route between two busy locations
-  gen-gps      simulate a fleet and emit its raw GPS records as CSV
-  match        map-match a GPS CSV onto the network, writing a dataset
-  serve        serve reachability and route queries over HTTP
-               (JSON/GeoJSON /v1/reach, /v1/route, /healthz, /metrics;
-               request deadlines propagate into the query engine)
-  ingest       map-match a GPS CSV and replay it open-loop against a
-               running serve's POST /v1/ingest at a target rate
-  bench        offline harnesses; "bench ingest" measures live-ingest
-               throughput, merged-read p95, and the compaction pause
-  overload     flood a running serve past its admission limit and report
-               status mix, latency quantiles, and self-protection metrics
-  experiment   regenerate the paper's evaluation tables and figures
-
-run "streach <command> -h" for command flags`)
+	fmt.Fprint(os.Stderr, "usage: streach <command> [flags]\n\ncommands:\n")
+	for _, c := range commands {
+		summary := strings.ReplaceAll(c.summary, "\n", "\n               ")
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", c.name, summary)
+	}
+	fmt.Fprint(os.Stderr, "\nrun \"streach <command> -h\" for command flags\n")
 }
 
 // worldFlags registers the shared world-sizing flags.
@@ -196,17 +177,17 @@ func runQuery(args []string) error {
 		loc = sys.BusiestLocation(*start)
 		fmt.Fprintf(os.Stderr, "using busiest location (%.5f, %.5f)\n", loc.Lat, loc.Lng)
 	}
-	q := streach.Query{Lat: loc.Lat, Lng: loc.Lng, Start: *start, Duration: *dur, Prob: *prob}
-
-	var region *streach.Region
+	var algo streach.Algorithm
 	switch strings.ToLower(*alg) {
 	case "sqmb":
-		region, err = sys.Reach(q)
+		algo = streach.AlgoAuto
 	case "es":
-		region, err = sys.ReachES(q)
+		algo = streach.AlgoExhaustive
 	default:
 		return fmt.Errorf("unknown algorithm %q", *alg)
 	}
+	region, err := sys.Do(context.Background(),
+		streach.ReachRequest(loc, *start, *dur, *prob), streach.WithAlgorithm(algo))
 	if err != nil {
 		return err
 	}
@@ -255,14 +236,16 @@ func runRoute(args []string) error {
 	}
 	from, to := locs[0], locs[1]
 	fmt.Fprintf(os.Stderr, "route: (%.5f, %.5f) -> (%.5f, %.5f)\n", from.Lat, from.Lng, to.Lat, to.Lng)
-	td, err := sys.Route(from, to, *depart)
+	tdRegion, err := sys.Do(context.Background(), streach.RouteRequest(from, to, *depart))
 	if err != nil {
 		return err
 	}
-	ff, err := sys.RouteFreeFlow(from, to)
+	ffRegion, err := sys.Do(context.Background(), streach.RouteRequest(from, to, 0),
+		streach.WithAlgorithm(streach.AlgoFreeFlow))
 	if err != nil {
 		return err
 	}
+	td, ff := tdRegion.Route, ffRegion.Route
 	fmt.Printf("time-dependent @ %v: %v over %.1f km (%d segments)\n",
 		*depart, td.TravelTime.Round(time.Second), td.DistanceKm, len(td.SegmentIDs))
 	fmt.Printf("free-flow (static):   %v over %.1f km (%d segments)\n",
@@ -296,15 +279,17 @@ func runMQuery(args []string) error {
 	for i, l := range locs {
 		fmt.Fprintf(os.Stderr, "location %d: (%.5f, %.5f)\n", i+1, l.Lat, l.Lng)
 	}
-	var region *streach.Region
+	var algo streach.Algorithm
 	switch strings.ToLower(*alg) {
 	case "mqmb":
-		region, err = sys.ReachMulti(locs, *start, *dur, *prob)
+		algo = streach.AlgoAuto
 	case "seq":
-		region, err = sys.ReachMultiSequential(locs, *start, *dur, *prob)
+		algo = streach.AlgoSequential
 	default:
 		return fmt.Errorf("unknown algorithm %q", *alg)
 	}
+	region, err := sys.Do(context.Background(),
+		streach.MultiRequest(locs, *start, *dur, *prob), streach.WithAlgorithm(algo))
 	if err != nil {
 		return err
 	}
@@ -342,7 +327,9 @@ func loadOrBuildSystem(wf *worldFlags, dir string, precompute bool, start, dur t
 	}
 	if precompute {
 		t0 := time.Now()
-		sys.Warm(start, dur)
+		if err := sys.WarmCtx(context.Background(), start, dur); err != nil {
+			return nil, fmt.Errorf("precompute: %w", err)
+		}
 		stats := sys.Engine().ConIndex().Stats()
 		fmt.Fprintf(os.Stderr, "precomputed %d adjacency rows in %.2fs\n",
 			stats.Materialised, time.Since(t0).Seconds())

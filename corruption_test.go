@@ -2,6 +2,7 @@ package streach
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"log"
 	"math/rand"
@@ -20,7 +21,7 @@ import (
 // uncorrupted one.
 func TestCorruptionFuzzReopen(t *testing.T) {
 	s := smallSystem(t)
-	want, err := s.Reach(testQuery(s))
+	want, err := s.Do(context.Background(), testQuery(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestCorruptionFuzzReopen(t *testing.T) {
 					t.Fatalf("bit %d: corruption in %s went undetected (no cold rebuild logged):\n%s",
 						bit, name, logBuf.String())
 				}
-				got, err := sys.Reach(testQuery(sys))
+				got, err := sys.Do(context.Background(), testQuery(sys))
 				if err != nil {
 					t.Fatalf("bit %d: query on repaired system: %v", bit, err)
 				}

@@ -2,6 +2,7 @@ package streach
 
 import (
 	"bytes"
+	"context"
 	"log"
 	"os"
 	"path/filepath"
@@ -48,7 +49,7 @@ func TestOpenedSystemHoldsNoDataset(t *testing.T) {
 	if ds := opened.Dataset(); !reflect.DeepEqual(ds, built.ds) {
 		t.Fatal("Dataset() of the opened system differs from the dataset it was saved from")
 	}
-	want, err := built.Reach(testQuery(built))
+	want, err := built.Do(context.Background(), testQuery(built))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestOpenedSystemHoldsNoDataset(t *testing.T) {
 	if again.Stats() != built.Stats() {
 		t.Fatalf("reopened copy: Stats() = %+v, want %+v", again.Stats(), built.Stats())
 	}
-	got, err := again.Reach(testQuery(built))
+	got, err := again.Do(context.Background(), testQuery(built))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestBusiestLocationStreamsAndMemoises(t *testing.T) {
 // dataset.
 func TestOpenRebuildsBothIndexesFromDatasetFile(t *testing.T) {
 	built := smallSystem(t)
-	want, err := built.Reach(testQuery(built))
+	want, err := built.Do(context.Background(), testQuery(built))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestOpenRebuildsBothIndexesFromDatasetFile(t *testing.T) {
 	if sys.ds != nil {
 		t.Fatal("the dataset decoded for the rebuilds outlived the open")
 	}
-	got, err := sys.Reach(testQuery(built))
+	got, err := sys.Do(context.Background(), testQuery(built))
 	if err != nil {
 		t.Fatal(err)
 	}

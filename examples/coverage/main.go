@@ -45,10 +45,12 @@ func main() {
 		prob  = 0.2
 	)
 
-	sys.Warm(start, dur) // offline Con-Index construction
+	ctx := context.Background()
+	if err := sys.WarmCtx(ctx, start, dur); err != nil { // offline Con-Index construction
+		log.Fatal(err)
+	}
 
 	// Coverage per branch (s-queries).
-	ctx := context.Background()
 	fmt.Println("\nper-branch 15-minute coverage:")
 	for i, b := range branches {
 		r, err := sys.Do(ctx, streach.ReachRequest(b, start, dur, prob))

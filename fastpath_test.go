@@ -1,6 +1,7 @@
 package streach
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -15,16 +16,18 @@ import (
 func TestConcurrentReach(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)
+	rev := q
+	rev.Kind = KindReverse
 
-	serial, err := s.Reach(q)
+	serial, err := s.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialES, err := s.ReachES(q)
+	serialES, err := s.Do(context.Background(), q, WithAlgorithm(AlgoExhaustive))
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialRev, err := s.ReverseReach(q)
+	serialRev, err := s.Do(context.Background(), rev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +46,13 @@ func TestConcurrentReach(t *testing.T) {
 				)
 				switch (g + i) % 3 {
 				case 0:
-					got, err = s.Reach(q)
+					got, err = s.Do(context.Background(), q)
 					want = serial
 				case 1:
-					got, err = s.ReachES(q)
+					got, err = s.Do(context.Background(), q, WithAlgorithm(AlgoExhaustive))
 					want = serialES
 				default:
-					got, err = s.ReverseReach(q)
+					got, err = s.Do(context.Background(), rev)
 					want = serialRev
 				}
 				if err != nil {
@@ -78,10 +81,10 @@ func TestConcurrentReach(t *testing.T) {
 func TestCacheMetricsSurfaced(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)
-	if _, err := s.Reach(q); err != nil {
+	if _, err := s.Do(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := s.Reach(q)
+	warm, err := s.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func TestWarmCrossingMidnight(t *testing.T) {
 	}
 	defer sys.Close()
 	before := sys.con.CachedLists()
-	sys.Warm(23*time.Hour+55*time.Minute, 30*time.Minute)
+	warmWindow(t, sys, 23*time.Hour+55*time.Minute, 30*time.Minute)
 	after := sys.con.CachedLists()
 	// One slot (the day's last) => exactly 2*NumSegments lists. Without
 	// the cap the wrapped early-morning slots warm too, tripling this.
@@ -119,7 +122,7 @@ func TestWarmCrossingMidnight(t *testing.T) {
 		t.Fatalf("midnight-crossing Warm materialised %d lists, want %d (one slot)", after-before, want)
 	}
 	// Entirely past the end of the day: a no-op, not a wrap-around.
-	sys.Warm(24*time.Hour-time.Nanosecond, time.Hour)
+	warmWindow(t, sys, 24*time.Hour-time.Nanosecond, time.Hour)
 	if sys.con.CachedLists() != after {
 		t.Fatal("Warm past midnight should be a no-op")
 	}
@@ -140,7 +143,7 @@ func TestOpenSystemHonorsFastPathOptions(t *testing.T) {
 	}
 	defer reopened.Close()
 	q := testQuery(s)
-	r, err := reopened.Reach(q)
+	r, err := reopened.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package streach
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -89,7 +90,7 @@ func TestAppendGeoJSONMatchesOracle(t *testing.T) {
 	for _, prob := range []float64{0.05, 0.2, 0.8} {
 		q := testQuery(s)
 		q.Prob = prob
-		region, err := s.Reach(q)
+		region, err := s.Do(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +130,11 @@ func TestAppendGeoJSONEmptyRegion(t *testing.T) {
 func TestAppendGeoJSONShardedMatchesUnsharded(t *testing.T) {
 	base, sharded := smallSystem(t), shardedSystem(t)
 	q := testQuery(base)
-	want, err := base.Reach(q)
+	want, err := base.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sharded.Reach(q)
+	got, err := sharded.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestRoadClassNamesNeedNoEscaping(t *testing.T) {
 
 func BenchmarkGeoJSON(b *testing.B) {
 	s := smallSystem(b)
-	region, err := s.Reach(testQuery(s))
+	region, err := s.Do(context.Background(), testQuery(s))
 	if err != nil {
 		b.Fatal(err)
 	}

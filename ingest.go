@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"os"
 	"path/filepath"
 	"strconv"
 	"time"
 
 	"streach/internal/ingest"
 	"streach/internal/roadnet"
-	"streach/internal/storage"
 	"streach/internal/traj"
 )
 
@@ -42,7 +40,7 @@ type IngestUpdate struct {
 
 // IngestConfig controls the live-ingest writer. The zero value is
 // usable: two workers, a 4096-update queue, 256-update batches, and a
-// write-ahead log at dir/ingest.delta when the system has a save
+// segmented write-ahead log under dir/wal/ when the system has a save
 // directory.
 type IngestConfig struct {
 	// Workers is the apply worker-pool size (default 2).
@@ -205,9 +203,7 @@ func (s *System) StartIngest(cfg IngestConfig) error {
 		SpeedBuffer:   cfg.SpeedBuffer,
 		Owner:         owner,
 		Shards:        shards,
-	}
-	if wal != nil {
-		icfg.WAL = wal
+		WAL:           wal,
 	}
 	s.wal = wal
 	s.ingestW = ingest.NewWriter(s.st, s.con, icfg)
@@ -532,16 +528,6 @@ func (s *System) CompactIngestN(ctx context.Context, maxKeys int) (CompactResult
 			// Leftover segments cost reopen time, never correctness:
 			// replay is idempotent.
 			return res, fmt.Errorf("streach: retire wal segments: %w", err)
-		}
-	}
-	// A pre-segmented save dir may still hold the legacy single-file WAL
-	// (already replayed on open); this durable fold covers it, so the
-	// migration completes here.
-	if legacy := filepath.Join(s.dir, fileIngestDelta); wal != nil {
-		if err := os.Remove(legacy); err == nil {
-			storage.SyncDir(s.dir)
-		} else if !os.IsNotExist(err) {
-			log.Printf("streach: remove legacy ingest wal: %v", err)
 		}
 	}
 	res.Durable = true

@@ -393,6 +393,70 @@ func walSegmentFiles(t *testing.T, dir string) []string {
 	return out
 }
 
+// TestOpenRefusesLegacyIngestDelta: a save directory holding a non-empty
+// ingest.delta (the single-file WAL of builds before the segmented one)
+// must not open — ignoring the file would drop acknowledged updates —
+// and the refusal comes before anything in the directory is rewritten,
+// even a damaged index that an open would otherwise repair in place. An
+// empty file is no updates and opens normally.
+func TestOpenRefusesLegacyIngestDelta(t *testing.T) {
+	dir := t.TempDir()
+	if err := smallSystem(t).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	meta := filepath.Join(dir, fileSTMeta)
+	if err := os.Truncate(meta, 10); err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, fileIngestDelta)
+	if err := os.WriteFile(legacy, []byte("IDLT\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() map[string]string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]string, len(entries))
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		return files
+	}
+	before := snapshot()
+
+	sys, err := OpenSystem(dir, DefaultIndexConfig())
+	if err == nil {
+		sys.Close()
+		t.Fatal("OpenSystem accepted a directory with a non-empty ingest.delta")
+	}
+	if CodeOf(err) != CorruptData {
+		t.Fatalf("code = %v, want CorruptData: %v", CodeOf(err), err)
+	}
+	for _, want := range []string{legacy, "before the segmented WAL", "delete the file"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error does not mention %q: %v", want, err)
+		}
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatal("refused open modified the save directory")
+	}
+
+	if err := os.Truncate(legacy, 0); err != nil {
+		t.Fatal(err)
+	}
+	sys, err = OpenSystem(dir, DefaultIndexConfig())
+	if err != nil {
+		t.Fatalf("zero-length ingest.delta should open: %v", err)
+	}
+	sys.Close()
+}
+
 // TestIngestWALReplayOnOpen: accepted updates survive a crash (a close
 // without compaction) via the segmented WAL, and the reopened system
 // folds them back in before serving.

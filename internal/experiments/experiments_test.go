@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -119,10 +120,8 @@ func TestFig47SmallWorldCoarseOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := sys.Reach(streach.Query{
-			Lat: loc.Lat, Lng: loc.Lng,
-			Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2,
-		})
+		r, err := sys.Do(context.Background(),
+			streach.ReachRequest(loc, 11*time.Hour, 10*time.Minute, 0.2))
 		if err != nil {
 			t.Fatal(err)
 		}

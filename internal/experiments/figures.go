@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -48,20 +49,23 @@ func Fig41(w *World) ([]Fig41Row, error) {
 	}
 	// Index construction is offline in the thesis: warm the Con-Index
 	// tables for the query window before timing.
-	sys5.Warm(11*time.Hour, 35*time.Minute)
-	sys10.Warm(11*time.Hour, 35*time.Minute)
+	for _, sys := range []*streach.System{sys5, sys10} {
+		if err := sys.WarmCtx(context.Background(), 11*time.Hour, 35*time.Minute); err != nil {
+			return nil, err
+		}
+	}
 	var rows []Fig41Row
 	for _, L := range durationSweep {
-		q := streach.Query{Lat: loc.Lat, Lng: loc.Lng, Start: 11 * time.Hour, Duration: L, Prob: 0.2}
-		es, err := timedReach(func() (*streach.Region, error) { return sys5.ReachES(q) })
+		q := streach.ReachRequest(loc, 11*time.Hour, L, 0.2)
+		es, err := timedReach(sys5, q, exhaustive)
 		if err != nil {
 			return nil, err
 		}
-		r5, err := timedReach(func() (*streach.Region, error) { return sys5.Reach(q) })
+		r5, err := timedReach(sys5, q)
 		if err != nil {
 			return nil, err
 		}
-		r10, err := timedReach(func() (*streach.Region, error) { return sys10.Reach(q) })
+		r10, err := timedReach(sys10, q)
 		if err != nil {
 			return nil, err
 		}
@@ -104,10 +108,12 @@ func Fig42(w *World) ([]Fig42Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys.Warm(11*time.Hour, 10*time.Minute)
+	if err := sys.WarmCtx(context.Background(), 11*time.Hour, 10*time.Minute); err != nil {
+		return nil, err
+	}
 	var out []Fig42Region
 	for _, L := range []time.Duration{5 * time.Minute, 10 * time.Minute} {
-		region, err := sys.Reach(streach.Query{Lat: loc.Lat, Lng: loc.Lng, Start: 11 * time.Hour, Duration: L, Prob: 0.2})
+		region, err := sys.Do(context.Background(), streach.ReachRequest(loc, 11*time.Hour, L, 0.2))
 		if err != nil {
 			return nil, err
 		}
@@ -147,21 +153,23 @@ func Fig43(w *World) ([]Fig43Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys.Warm(11*time.Hour, 15*time.Minute)
+	if err := sys.WarmCtx(context.Background(), 11*time.Hour, 15*time.Minute); err != nil {
+		return nil, err
+	}
 	var rows []Fig43Row
 	for _, p := range probSweep {
-		q10 := streach.Query{Lat: loc.Lat, Lng: loc.Lng, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: p}
+		q10 := streach.ReachRequest(loc, 11*time.Hour, 10*time.Minute, p)
 		q15 := q10
 		q15.Duration = 15 * time.Minute
-		es, err := timedReach(func() (*streach.Region, error) { return sys.ReachES(q10) })
+		es, err := timedReach(sys, q10, exhaustive)
 		if err != nil {
 			return nil, err
 		}
-		r10, err := timedReach(func() (*streach.Region, error) { return sys.Reach(q10) })
+		r10, err := timedReach(sys, q10)
 		if err != nil {
 			return nil, err
 		}
-		r15, err := timedReach(func() (*streach.Region, error) { return sys.Reach(q15) })
+		r15, err := timedReach(sys, q15)
 		if err != nil {
 			return nil, err
 		}
@@ -196,10 +204,12 @@ func Fig44(w *World) ([]Fig42Region, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys.Warm(11*time.Hour, 10*time.Minute)
+	if err := sys.WarmCtx(context.Background(), 11*time.Hour, 10*time.Minute); err != nil {
+		return nil, err
+	}
 	var out []Fig42Region
 	for _, p := range []float64{0.2, 0.6, 0.8, 1.0} {
-		region, err := sys.Reach(streach.Query{Lat: loc.Lat, Lng: loc.Lng, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: p})
+		region, err := sys.Do(context.Background(), streach.ReachRequest(loc, 11*time.Hour, 10*time.Minute, p))
 		if err != nil {
 			return nil, err
 		}
@@ -245,15 +255,17 @@ func Fig45(w *World) ([]Fig45Row, error) {
 	}
 	var rows []Fig45Row
 	for h := 0; h < 24; h++ {
-		sys.Warm(time.Duration(h)*time.Hour, 10*time.Minute)
-		q5 := streach.Query{Lat: loc.Lat, Lng: loc.Lng, Start: time.Duration(h) * time.Hour, Duration: 5 * time.Minute, Prob: 0.2}
+		if err := sys.WarmCtx(context.Background(), time.Duration(h)*time.Hour, 10*time.Minute); err != nil {
+			return nil, err
+		}
+		q5 := streach.ReachRequest(loc, time.Duration(h)*time.Hour, 5*time.Minute, 0.2)
 		q10 := q5
 		q10.Duration = 10 * time.Minute
-		r5, err := timedReach(func() (*streach.Region, error) { return sys.Reach(q5) })
+		r5, err := timedReach(sys, q5)
 		if err != nil {
 			return nil, err
 		}
-		r10, err := timedReach(func() (*streach.Region, error) { return sys.Reach(q10) })
+		r10, err := timedReach(sys, q10)
 		if err != nil {
 			return nil, err
 		}
@@ -288,11 +300,11 @@ func Fig46(w *World) ([]Fig42Region, error) {
 	}
 	var out []Fig42Region
 	for _, h := range []int{1, 6, 12, 18} {
-		sys.Warm(time.Duration(h)*time.Hour, 5*time.Minute)
-		region, err := sys.Reach(streach.Query{
-			Lat: loc.Lat, Lng: loc.Lng,
-			Start: time.Duration(h) * time.Hour, Duration: 5 * time.Minute, Prob: 0.8,
-		})
+		if err := sys.WarmCtx(context.Background(), time.Duration(h)*time.Hour, 5*time.Minute); err != nil {
+			return nil, err
+		}
+		region, err := sys.Do(context.Background(),
+			streach.ReachRequest(loc, time.Duration(h)*time.Hour, 5*time.Minute, 0.8))
 		if err != nil {
 			return nil, err
 		}
@@ -335,19 +347,21 @@ func Fig47(w *World) ([]Fig47Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys.Warm(11*time.Hour, 10*time.Minute)
-		q5 := streach.Query{Lat: loc.Lat, Lng: loc.Lng, Start: 11 * time.Hour, Duration: 5 * time.Minute, Prob: 0.2}
+		if err := sys.WarmCtx(context.Background(), 11*time.Hour, 10*time.Minute); err != nil {
+			return nil, err
+		}
+		q5 := streach.ReachRequest(loc, 11*time.Hour, 5*time.Minute, 0.2)
 		q10 := q5
 		q10.Duration = 10 * time.Minute
-		r5, err := timedReach(func() (*streach.Region, error) { return sys.Reach(q5) })
+		r5, err := timedReach(sys, q5)
 		if err != nil {
 			return nil, err
 		}
-		r10, err := timedReach(func() (*streach.Region, error) { return sys.Reach(q10) })
+		r10, err := timedReach(sys, q10)
 		if err != nil {
 			return nil, err
 		}
-		es, err := timedReach(func() (*streach.Region, error) { return sys.ReachES(q10) })
+		es, err := timedReach(sys, q10, exhaustive)
 		if err != nil {
 			return nil, err
 		}
@@ -383,14 +397,17 @@ func Fig48a(w *World) ([]Fig48aRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys.Warm(11*time.Hour, 35*time.Minute)
+	if err := sys.WarmCtx(context.Background(), 11*time.Hour, 35*time.Minute); err != nil {
+		return nil, err
+	}
 	var rows []Fig48aRow
 	for _, L := range durationSweep {
-		m, err := timedReach(func() (*streach.Region, error) { return sys.ReachMulti(locs, 11*time.Hour, L, 0.2) })
+		q := streach.MultiRequest(locs, 11*time.Hour, L, 0.2)
+		m, err := timedReach(sys, q)
 		if err != nil {
 			return nil, err
 		}
-		s, err := timedReach(func() (*streach.Region, error) { return sys.ReachMultiSequential(locs, 11*time.Hour, L, 0.2) })
+		s, err := timedReach(sys, q, sequential)
 		if err != nil {
 			return nil, err
 		}
@@ -426,16 +443,17 @@ func Fig48b(w *World, maxLocs int) ([]Fig48bRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys.Warm(10*time.Hour, 20*time.Minute)
+	if err := sys.WarmCtx(context.Background(), 10*time.Hour, 20*time.Minute); err != nil {
+		return nil, err
+	}
 	var rows []Fig48bRow
 	for n := 1; n <= maxLocs; n++ {
-		m, err := timedReach(func() (*streach.Region, error) { return sys.ReachMulti(locs[:n], 10*time.Hour, 20*time.Minute, 0.2) })
+		q := streach.MultiRequest(locs[:n], 10*time.Hour, 20*time.Minute, 0.2)
+		m, err := timedReach(sys, q)
 		if err != nil {
 			return nil, err
 		}
-		s, err := timedReach(func() (*streach.Region, error) {
-			return sys.ReachMultiSequential(locs[:n], 10*time.Hour, 20*time.Minute, 0.2)
-		})
+		s, err := timedReach(sys, q, sequential)
 		if err != nil {
 			return nil, err
 		}
@@ -472,14 +490,14 @@ func Fig49(w *World) (*Fig49Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := sys.ReachMulti(locs, 11*time.Hour, 10*time.Minute, 0.2)
+	m, err := sys.Do(context.Background(), streach.MultiRequest(locs, 11*time.Hour, 10*time.Minute, 0.2))
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig49Result{MQuerySegments: len(m.SegmentIDs)}
 	union := map[int32]bool{}
 	for i, loc := range locs {
-		r, err := sys.Reach(streach.Query{Lat: loc.Lat, Lng: loc.Lng, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2})
+		r, err := sys.Do(context.Background(), streach.ReachRequest(loc, 11*time.Hour, 10*time.Minute, 0.2))
 		if err != nil {
 			return nil, err
 		}
@@ -537,12 +555,19 @@ func Table42(out io.Writer) {
 	fmt.Fprintln(out, "   m-query:           SQMB+TBS xN, MQMB+TBS")
 }
 
+// The figures' baselines: exhaustive search for an s-query, one
+// SQMB+TBS per location for an m-query.
+var (
+	exhaustive = streach.WithAlgorithm(streach.AlgoExhaustive)
+	sequential = streach.WithAlgorithm(streach.AlgoSequential)
+)
+
 // timedReach runs the query three times and returns the result with the
 // minimum elapsed time, damping scheduler noise in the figures.
-func timedReach(reach func() (*streach.Region, error)) (*streach.Region, error) {
+func timedReach(sys *streach.System, req streach.Request, opts ...streach.Option) (*streach.Region, error) {
 	var best *streach.Region
 	for i := 0; i < 3; i++ {
-		r, err := reach()
+		r, err := sys.Do(context.Background(), req, opts...)
 		if err != nil {
 			return nil, err
 		}

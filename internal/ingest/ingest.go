@@ -36,12 +36,11 @@ type Config struct {
 	// (default 50ms).
 	FlushInterval time.Duration
 	// WAL, when non-nil, receives every applied batch before it is
-	// acknowledged: a *SegmentedLog in production, the legacy *Log in
-	// older tests. WAL write failures do not fail the apply — the
+	// acknowledged. WAL write failures do not fail the apply — the
 	// update is live in memory, just not crash-durable — but they are
 	// counted, logged, and surfaced as a degraded-durability state until
 	// an append succeeds again.
-	WAL WALog
+	WAL *SegmentedLog
 	// Owner, when non-nil, maps a segment to its owning shard; per-shard
 	// accepted counts are kept so the scatter layout of ingest traffic
 	// is observable. Shards sizes the counter vector.
@@ -86,17 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// WALog is the write-ahead log a Writer appends applied batches to.
-// The shard is the batch's owning shard (always 0 without an Owner
-// hook); the segmented log keeps one append stream per shard.
-type WALog interface {
-	AppendUpdates(shard int, batch []Update) error
-}
-
-// AppendUpdates adapts the legacy single-file Log to the WALog
-// interface; the shard is ignored, every stream shares the one file.
-func (l *Log) AppendUpdates(_ int, batch []Update) error { return l.Append(batch) }
 
 // Stats snapshots a Writer's counters.
 type Stats struct {

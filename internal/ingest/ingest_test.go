@@ -3,9 +3,6 @@ package ingest
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 	"time"
 
@@ -14,7 +11,6 @@ import (
 	"streach/internal/roadnet"
 	"streach/internal/stindex"
 	"streach/internal/traj"
-	"streach/internal/xerr"
 )
 
 func testIndexes(t *testing.T) (*stindex.Index, *conindex.Index) {
@@ -93,7 +89,7 @@ func TestWriterAppliesAndCounts(t *testing.T) {
 
 func TestTryAddBackpressureAndClose(t *testing.T) {
 	st, con := testIndexes(t)
-	wal, err := OpenLog(filepath.Join(t.TempDir(), "wal"))
+	wal, err := OpenSegmented(t.TempDir(), SegmentedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,146 +135,12 @@ func TestTryAddBackpressureAndClose(t *testing.T) {
 	}
 }
 
-func TestWALRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1 := testUpdates(7)
-	b2 := testUpdates(3)
-	for i := range b2 {
-		b2[i].Taxi += 1000
-	}
-	if err := l.Append(b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(b2); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var got [][]Update
-	n, err := ReplayLog(path, func(b []Update) error {
-		got = append(got, append([]Update(nil), b...))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 || len(got) != 2 {
-		t.Fatalf("replayed %d updates in %d batches", n, len(got))
-	}
-	if !reflect.DeepEqual(got[0], b1) || !reflect.DeepEqual(got[1], b2) {
-		t.Fatal("replayed batches differ from appended")
-	}
-}
-
-func TestWALReplayMissingFile(t *testing.T) {
-	n, err := ReplayLog(filepath.Join(t.TempDir(), "absent"), func([]Update) error {
-		t.Fatal("callback on missing file")
-		return nil
-	})
-	if n != 0 || err != nil {
-		t.Fatalf("missing wal: n=%d err=%v", n, err)
-	}
-}
-
-// TestWALCorruptionFuzz: flip a single bit anywhere in the log. The
-// replay must either still succeed (the flip landed in the pre-corrupt
-// prefix CRC's own batch, impossible — every byte is covered) or stop
-// with a KindCorrupt error after delivering only intact prefix batches.
-// Never a panic, never a silently wrong record.
-func TestWALCorruptionFuzz(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, b2 := testUpdates(5), testUpdates(4)
-	if err := l.Append(b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(b2); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for bit := 0; bit < len(data)*8; bit += 13 {
-		mut := append([]byte(nil), data...)
-		mut[bit/8] ^= 1 << (bit % 8)
-		p := filepath.Join(dir, "mut")
-		if err := os.WriteFile(p, mut, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var batches [][]Update
-		n, err := ReplayLog(p, func(b []Update) error {
-			batches = append(batches, append([]Update(nil), b...))
-			return nil
-		})
-		if err == nil {
-			t.Fatalf("bit %d: corruption went undetected (replayed %d)", bit, n)
-		}
-		if xerr.KindOf(err) != xerr.KindCorrupt {
-			t.Fatalf("bit %d: error not marked corrupt: %v", bit, err)
-		}
-		// Only intact prefix batches may have been delivered, verbatim.
-		for i, b := range batches {
-			var want []Update
-			if i == 0 {
-				want = b1
-			} else {
-				want = b2
-			}
-			if !reflect.DeepEqual(b, want) {
-				t.Fatalf("bit %d: delivered batch %d differs from appended", bit, i)
-			}
-		}
-	}
-}
-
-func TestWALTruncate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	l, err := OpenLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(testUpdates(9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(testUpdates(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	n, err := ReplayLog(path, func([]Update) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("replay after truncate = %d updates, want 2", n)
-	}
-}
-
 // TestWriterDegradedWAL: WAL append failures keep the updates live (the
 // indexes got them) and are counted, never silently swallowed and never
 // fatal to the writer.
 func TestWriterDegradedWAL(t *testing.T) {
 	st, con := testIndexes(t)
-	wal, err := OpenLog(filepath.Join(t.TempDir(), "wal"))
+	wal, err := OpenSegmented(t.TempDir(), SegmentedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

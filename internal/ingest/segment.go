@@ -40,7 +40,7 @@ import (
 //	header: magic "IDSG" | version u16 | shard u16 | seq u64 | epoch u64
 //	frame:  kind u8 | count u32 | count x record | crc u32
 //
-// kind 0 frames hold 20-byte Update records (the legacy WAL record),
+// kind 0 frames hold 20-byte Update records (see wal.go),
 // kind 1 frames hold 12-byte DeltaObs records — the "carry" a durable
 // budgeted compaction writes for delta entries it rolled over, so
 // retiring their original segments never sheds acknowledged data. The

@@ -8,18 +8,11 @@
 package ingest
 
 import (
-	"bufio"
 	"encoding/binary"
-	"fmt"
-	"io"
 	"math"
-	"os"
-	"sync"
 
 	"streach/internal/roadnet"
-	"streach/internal/storage"
 	"streach/internal/traj"
-	"streach/internal/xerr"
 )
 
 // Update is one accepted position report, resolved to a road segment:
@@ -34,111 +27,15 @@ type Update struct {
 	Speed   float32
 }
 
-// WAL format (little endian):
+// recordSize is the encoded size of one Update:
 //
-//	magic "IDLT" | version u16
-//	then per batch: u32 count | count x record | crc u32
-//	record: seg u32 | day u16 | taxi u16 | enterMs u32 | exitMs u32 |
-//	        speed f32 (20 bytes)
+//	seg u32 | day u16 | taxi u16 | enterMs u32 | exitMs u32 | speed f32
 //
-// The CRC-32C covers the count and the records. A batch that fails its
-// CRC — or a truncated tail batch from a crash mid-append — ends the
-// replay: everything before it is applied, the file is reported
-// corrupt, and the caller drops it (cold re-ingest is the recovery
-// path). A corrupt batch is never partially applied.
-const (
-	walMagic   = "IDLT"
-	walVersion = 1
-	recordSize = 20
-)
+// little endian.
+const recordSize = 20
 
-// Log is the ingest write-ahead log. Appends are serialised and synced
-// per batch; Replay streams a log back.
-type Log struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	// fault, when set, is called before every append; a non-nil return
-	// is treated as the write failing (test hook for degraded-WAL
-	// behaviour).
-	fault func() error
-}
-
-// OpenLog opens (or creates) the WAL at path for appending. A new file
-// gets the header; an existing file is appended to as-is (the caller is
-// expected to have replayed it first).
-func OpenLog(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: open wal: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ingest: stat wal: %w", err)
-	}
-	if st.Size() == 0 {
-		var hdr [6]byte
-		copy(hdr[:4], walMagic)
-		binary.LittleEndian.PutUint16(hdr[4:6], walVersion)
-		if _, err := f.Write(hdr[:]); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("ingest: write wal header: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("ingest: seek wal: %w", err)
-	}
-	return &Log{f: f, path: path}, nil
-}
-
-// SetFault installs a write-fault hook (tests only): fn is consulted
-// before each append and a non-nil error fails the append.
-func (l *Log) SetFault(fn func() error) {
-	l.mu.Lock()
-	l.fault = fn
-	l.mu.Unlock()
-}
-
-// Append writes one batch record and syncs it.
-func (l *Log) Append(batch []Update) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return fmt.Errorf("ingest: wal is closed")
-	}
-	if l.fault != nil {
-		if err := l.fault(); err != nil {
-			return err
-		}
-	}
-	buf := encodeBatch(batch)
-	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("ingest: append wal: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("ingest: sync wal: %w", err)
-	}
-	return nil
-}
-
-func encodeBatch(batch []Update) []byte {
-	buf := make([]byte, 4+recordSize*len(batch)+4)
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(batch)))
-	off := 4 + copy(buf[4:], encodeUpdateRecords(batch))
-	h := storage.NewChecksum()
-	h.Write(buf[:off])
-	binary.LittleEndian.PutUint32(buf[off:], h.Sum32())
-	return buf
-}
-
-// encodeUpdateRecords serialises a batch as bare 20-byte records — the
-// shared record codec of the legacy single-file WAL and the segmented
-// WAL's kind-0 frames.
+// encodeUpdateRecords serialises a batch as bare 20-byte records, the
+// payload of the segmented WAL's kind-0 frames.
 func encodeUpdateRecords(batch []Update) []byte {
 	buf := make([]byte, recordSize*len(batch))
 	off := 0
@@ -171,114 +68,4 @@ func decodeUpdateRecords(payload []byte, n int) []Update {
 		off += recordSize
 	}
 	return batch
-}
-
-// Truncate discards the log's contents, leaving a fresh header. Called
-// after a durable compaction: the folded observations are now in the
-// page store and meta, so replaying them would double-apply the speed
-// statistics.
-func (l *Log) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return fmt.Errorf("ingest: wal is closed")
-	}
-	if err := l.f.Truncate(0); err != nil {
-		return fmt.Errorf("ingest: truncate wal: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	var hdr [6]byte
-	copy(hdr[:4], walMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], walVersion)
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("ingest: rewrite wal header: %w", err)
-	}
-	return l.f.Sync()
-}
-
-// Close syncs and closes the log.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	return err
-}
-
-// ReplayLog streams every intact batch of the WAL at path to fn, in
-// order. A missing file replays nothing. A bad header, a CRC mismatch,
-// or a truncated batch stops the replay and returns a KindCorrupt
-// error; batches before the damage have already been delivered (they
-// were individually checksummed), so the caller can keep them and drop
-// the file.
-func ReplayLog(path string, fn func([]Update) error) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("ingest: open wal: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	hdr := make([]byte, 6)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return 0, xerr.Markf(xerr.KindCorrupt, "ingest: wal header: %v", err)
-	}
-	if string(hdr[:4]) != walMagic {
-		return 0, xerr.Markf(xerr.KindCorrupt, "ingest: bad wal magic %q", hdr[:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != walVersion {
-		return 0, xerr.Markf(xerr.KindCorrupt, "ingest: unsupported wal version %d", v)
-	}
-	total := 0
-	var cnt [4]byte
-	for {
-		if _, err := io.ReadFull(br, cnt[:]); err != nil {
-			if err == io.EOF {
-				return total, nil
-			}
-			return total, xerr.Markf(xerr.KindCorrupt, "ingest: truncated wal batch header: %v", err)
-		}
-		n := int(binary.LittleEndian.Uint32(cnt[:]))
-		if n <= 0 || n > 1<<20 {
-			return total, xerr.Markf(xerr.KindCorrupt, "ingest: implausible wal batch count %d", n)
-		}
-		payload := make([]byte, recordSize*n+4)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return total, xerr.Markf(xerr.KindCorrupt, "ingest: truncated wal batch: %v", err)
-		}
-		h := storage.NewChecksum()
-		h.Write(cnt[:])
-		h.Write(payload[:recordSize*n])
-		want := binary.LittleEndian.Uint32(payload[recordSize*n:])
-		if got := h.Sum32(); got != want {
-			return total, xerr.Markf(xerr.KindCorrupt, "ingest: wal batch checksum mismatch (stored %08x, computed %08x)", want, got)
-		}
-		batch := make([]Update, n)
-		off := 0
-		for i := range batch {
-			batch[i] = Update{
-				Seg:     roadnet.SegmentID(binary.LittleEndian.Uint32(payload[off:])),
-				Day:     traj.Day(binary.LittleEndian.Uint16(payload[off+4:])),
-				Taxi:    traj.TaxiID(binary.LittleEndian.Uint16(payload[off+6:])),
-				EnterMs: int32(binary.LittleEndian.Uint32(payload[off+8:])),
-				ExitMs:  int32(binary.LittleEndian.Uint32(payload[off+12:])),
-				Speed:   math.Float32frombits(binary.LittleEndian.Uint32(payload[off+16:])),
-			}
-			off += recordSize
-		}
-		if err := fn(batch); err != nil {
-			return total, err
-		}
-		total += n
-	}
 }

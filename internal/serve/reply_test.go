@@ -220,7 +220,9 @@ func TestPlanHitReplyAllocations(t *testing.T) {
 	sys := system(t)
 	// The post-answer prefetch asks for the next window; warm it so the
 	// steady state — no goroutine per answer — is what is measured.
-	sys.Warm(11*time.Hour, 20*time.Minute)
+	if err := sys.WarmCtx(context.Background(), 11*time.Hour, 20*time.Minute); err != nil {
+		t.Fatal(err)
+	}
 	srv := New(sys, Config{})
 	defer srv.Close()
 	h := srv.Handler()

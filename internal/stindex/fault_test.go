@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"streach/internal/storage"
 	"streach/internal/traj"
@@ -11,10 +12,9 @@ import (
 )
 
 // The ST-Index persistence tests reuse the exported storage.FaultStore
-// as their chaos harness: the same scenario spec a `serve -chaos`
-// deployment would use drives reads through the page store at load
-// time, when the buffer pool is cold and every page fetch hits the
-// store.
+// as their chaos harness: a scenario drives reads through the page
+// store at load time, when the buffer pool is cold and every page fetch
+// hits the store.
 
 // savedIndex builds an index over a MemStore, persists its meta to a
 // buffer, flushes the pages, and returns both so tests can reload the
@@ -101,11 +101,9 @@ func TestLoadOverFaultStoreErrorPropagates(t *testing.T) {
 func TestLoadOverFaultStoreLatencyIsHarmless(t *testing.T) {
 	_, mem, meta := savedIndex(t)
 	n := testNetwork(t)
-	sc, err := storage.ParseScenario("read:latencyx2=1ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := storage.NewFaultStore(mem, sc)
+	fs := storage.NewFaultStore(mem, storage.Scenario{Rules: []storage.FaultRule{
+		{Op: storage.OpRead, Mode: storage.ModeLatency, Count: 2, Latency: time.Millisecond},
+	}})
 	idx, err := LoadIndex(n, Config{Store: fs}, bytes.NewReader(meta))
 	if err != nil {
 		t.Fatalf("load under latency injection: %v", err)

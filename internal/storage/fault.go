@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +22,7 @@ const (
 	OpAlloc
 )
 
-// String names the op (scenario-spec keyword).
+// String names the op.
 func (o FaultOp) String() string {
 	switch o {
 	case OpRead:
@@ -51,7 +49,7 @@ const (
 	ModeCorrupt
 )
 
-// String names the mode (scenario-spec keyword).
+// String names the mode.
 func (m FaultMode) String() string {
 	switch m {
 	case ModeError:
@@ -75,95 +73,12 @@ type FaultRule struct {
 	Latency time.Duration // delay for ModeLatency
 }
 
-// Scenario is a seedable set of fault rules, the unit a chaos flag or a
-// test configures a FaultStore with. Seed drives corruption-bit choice
-// so a scenario replays identically.
+// Scenario is a seedable set of fault rules, the unit a test configures
+// a FaultStore with. Seed drives corruption-bit choice so a scenario
+// replays identically.
 type Scenario struct {
 	Seed  int64
 	Rules []FaultRule
-}
-
-// ParseScenario parses a compact comma-separated spec into a Scenario,
-// the grammar behind `serve -chaos store=...`:
-//
-//	rule     := op ":" mode [ "@" after ] [ "x" count ] [ "=" latency ]
-//	op       := "read" | "write" | "alloc"
-//	mode     := "error" | "latency" | "corrupt"
-//	seedrule := "seed" "=" int64
-//
-// Examples: "read:error@100" (fail every read after the first 100),
-// "read:error@10x3" (fail reads 11-13, then recover),
-// "write:latency=5ms", "read:corrupt,seed=42".
-func ParseScenario(spec string) (Scenario, error) {
-	var sc Scenario
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		if rest, ok := strings.CutPrefix(part, "seed="); ok {
-			seed, err := strconv.ParseInt(rest, 10, 64)
-			if err != nil {
-				return Scenario{}, fmt.Errorf("storage: bad scenario seed %q", rest)
-			}
-			sc.Seed = seed
-			continue
-		}
-		opStr, rest, ok := strings.Cut(part, ":")
-		if !ok {
-			return Scenario{}, fmt.Errorf("storage: bad scenario rule %q (want op:mode)", part)
-		}
-		var r FaultRule
-		switch opStr {
-		case "read":
-			r.Op = OpRead
-		case "write":
-			r.Op = OpWrite
-		case "alloc":
-			r.Op = OpAlloc
-		default:
-			return Scenario{}, fmt.Errorf("storage: unknown fault op %q", opStr)
-		}
-		if mode, lat, ok := strings.Cut(rest, "="); ok {
-			d, err := time.ParseDuration(lat)
-			if err != nil {
-				return Scenario{}, fmt.Errorf("storage: bad latency %q: %v", lat, err)
-			}
-			r.Latency = d
-			rest = mode
-		}
-		if mode, cnt, ok := strings.Cut(rest, "x"); ok {
-			n, err := strconv.Atoi(cnt)
-			if err != nil {
-				return Scenario{}, fmt.Errorf("storage: bad count %q", cnt)
-			}
-			r.Count = n
-			rest = mode
-		}
-		if mode, after, ok := strings.Cut(rest, "@"); ok {
-			n, err := strconv.Atoi(after)
-			if err != nil {
-				return Scenario{}, fmt.Errorf("storage: bad arming offset %q", after)
-			}
-			r.After = n
-			rest = mode
-		}
-		switch rest {
-		case "error":
-			r.Mode = ModeError
-		case "latency":
-			r.Mode = ModeLatency
-			if r.Latency == 0 {
-				return Scenario{}, fmt.Errorf("storage: latency rule %q needs =duration", part)
-			}
-		case "corrupt":
-			r.Mode = ModeCorrupt
-		default:
-			return Scenario{}, fmt.Errorf("storage: unknown fault mode %q", rest)
-		}
-		sc.Rules = append(sc.Rules, r)
-	}
-	return sc, nil
 }
 
 // armedRule is a FaultRule plus its live op counter.

@@ -177,31 +177,6 @@ func TestFaultStoreLatency(t *testing.T) {
 	}
 }
 
-func TestParseScenario(t *testing.T) {
-	sc, err := ParseScenario("read:error@10x3,write:latency=5ms,alloc:corrupt,seed=42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Seed != 42 || len(sc.Rules) != 3 {
-		t.Fatalf("scenario = %+v", sc)
-	}
-	want := []FaultRule{
-		{Op: OpRead, Mode: ModeError, After: 10, Count: 3},
-		{Op: OpWrite, Mode: ModeLatency, Latency: 5 * time.Millisecond},
-		{Op: OpAlloc, Mode: ModeCorrupt},
-	}
-	for i, r := range sc.Rules {
-		if r != want[i] {
-			t.Fatalf("rule %d = %+v, want %+v", i, r, want[i])
-		}
-	}
-	for _, bad := range []string{"read", "spin:error", "read:explode", "read:latency", "read:error@x", "seed=abc"} {
-		if _, err := ParseScenario(bad); err == nil {
-			t.Fatalf("ParseScenario(%q) should fail", bad)
-		}
-	}
-}
-
 func TestConcurrentPoolAccess(t *testing.T) {
 	bp, _ := NewBufferPool(NewMemStore(), 8)
 	var ids []PageID

@@ -49,9 +49,10 @@ import (
 //	                   CRC and the segment truncated to its intact
 //	                   prefix, with later segments unaffected — never
 //	                   silently merged.
-//	dir/ingest.delta   the pre-segmented single-file WAL ("IDLT").
-//	                   Still replayed on open for migration; removed by
-//	                   the first durable compaction.
+//
+// dir/ingest.delta, the single-file WAL of builds before the segmented
+// one, is no longer read: OpenSystem refuses a directory that holds a
+// non-empty one rather than drop the updates in it.
 const (
 	fileNetwork     = "network.bin"
 	fileDataset     = "dataset.bin"
@@ -315,6 +316,15 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 	if idx.PoolPages == 0 {
 		idx.PoolPages = 1024
 	}
+	// Checked before anything can rewrite dir: ignoring the file would
+	// drop updates its writer acknowledged as durable.
+	legacyWAL := filepath.Join(dir, fileIngestDelta)
+	if fi, err := os.Stat(legacyWAL); err == nil && fi.Size() > 0 {
+		return nil, &Error{Code: CorruptData, Op: "open", Err: fmt.Errorf(
+			"streach: %s is a write-ahead log (%d bytes) from a build before the segmented WAL, which this build cannot replay: "+
+				"open and compact the directory with the build that wrote it, or delete the file to discard the updates in it",
+			legacyWAL, fi.Size())}
+	}
 	netFile, err := os.Open(filepath.Join(dir, fileNetwork))
 	if err != nil {
 		return nil, fmt.Errorf("streach: open network: %w", err)
@@ -388,26 +398,7 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 	// Replay the ingest WAL: live updates accepted since the last durable
 	// compaction fold back into the delta layer and the speed statistics
 	// (after the adjacency load, so replayed observations invalidate any
-	// stale restored rows). The legacy single-file log replays first for
-	// migration — a corrupt one is detected by its per-batch CRC and
-	// dropped, intact batches before the damage kept. A corrupt log is
-	// never silently merged.
-	walPath := filepath.Join(dir, fileIngestDelta)
-	var replayed, replayDropped int
-	if n, rerr := ingest.ReplayLog(walPath, func(batch []ingest.Update) error {
-		a, d := ingest.ApplyBatch(st, con, batch)
-		replayed += a
-		replayDropped += d
-		return nil
-	}); rerr != nil {
-		log.Printf("streach: ingest wal corrupt after %d updates (%v): dropped — re-ingest anything newer", n, rerr)
-		if remErr := os.Remove(walPath); remErr != nil && !os.IsNotExist(remErr) {
-			log.Printf("streach: drop corrupt ingest wal: %v", remErr)
-		}
-	} else if replayed > 0 || replayDropped > 0 {
-		log.Printf("streach: replayed %d live updates from ingest wal (%d dropped)", replayed, replayDropped)
-	}
-	// Then the segmented WAL, shards in parallel. Frame corruption is
+	// stale restored rows). Shards replay in parallel. Frame corruption is
 	// contained per segment: the file is truncated to its intact prefix
 	// and later segments still replay. The apply callbacks hit the same
 	// locked index paths the live worker pool does, so concurrent shard

@@ -233,9 +233,8 @@ func (s *System) resolveOptions(opts []Option) queryOptions {
 	return qo
 }
 
-// Do answers one Request. It is the single context-first entry point the
-// legacy facade methods (Reach, ReachES, ReverseReach, ReachMulti, Route,
-// …) now wrap: the context carries cancellation and deadlines into every
+// Do answers one Request; with DoBatch it is the facade's only query
+// entry point. The context carries cancellation and deadlines into every
 // layer below — bounding rounds, Con-Index Dijkstras, the verification
 // worker pool, route searches — so an abandoned HTTP request or an
 // expired deadline stops the query within one checkpoint interval and

@@ -29,75 +29,11 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-func testRequest(s *System) Request {
-	q := testQuery(s)
-	return q.request(KindReach)
-}
-
-// TestDoMatchesDeprecatedWrappers: the old facade methods are now thin
-// wrappers over Do; both spellings must agree exactly, kind by kind.
-func TestDoMatchesDeprecatedWrappers(t *testing.T) {
-	s := smallSystem(t)
-	ctx := context.Background()
-	q := testQuery(s)
-	loc := Location{Lat: q.Lat, Lng: q.Lng}
-	locs := []Location{loc, {Lat: loc.Lat + 0.01, Lng: loc.Lng + 0.01}}
-
-	type pair struct {
-		name   string
-		viaDo  func() (*Region, error)
-		viaOld func() (*Region, error)
-	}
-	pairs := []pair{
-		{
-			"reach",
-			func() (*Region, error) { return s.Do(ctx, q.request(KindReach)) },
-			func() (*Region, error) { return s.Reach(q) },
-		},
-		{
-			"reach-exhaustive",
-			func() (*Region, error) { return s.Do(ctx, q.request(KindReach), WithAlgorithm(AlgoExhaustive)) },
-			func() (*Region, error) { return s.ReachES(q) },
-		},
-		{
-			"reverse",
-			func() (*Region, error) { return s.Do(ctx, q.request(KindReverse)) },
-			func() (*Region, error) { return s.ReverseReach(q) },
-		},
-		{
-			"multi",
-			func() (*Region, error) { return s.Do(ctx, MultiRequest(locs, q.Start, q.Duration, q.Prob)) },
-			func() (*Region, error) { return s.ReachMulti(locs, q.Start, q.Duration, q.Prob) },
-		},
-		{
-			"multi-sequential",
-			func() (*Region, error) {
-				return s.Do(ctx, MultiRequest(locs, q.Start, q.Duration, q.Prob), WithAlgorithm(AlgoSequential))
-			},
-			func() (*Region, error) { return s.ReachMultiSequential(locs, q.Start, q.Duration, q.Prob) },
-		},
-	}
-	for _, p := range pairs {
-		a, err := p.viaDo()
-		if err != nil {
-			t.Fatalf("%s via Do: %v", p.name, err)
-		}
-		b, err := p.viaOld()
-		if err != nil {
-			t.Fatalf("%s via wrapper: %v", p.name, err)
-		}
-		if !reflect.DeepEqual(a.SegmentIDs, b.SegmentIDs) {
-			t.Fatalf("%s: Do and wrapper disagree (%d vs %d segments)",
-				p.name, len(a.SegmentIDs), len(b.SegmentIDs))
-		}
-	}
-}
-
 func TestDoRoute(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)
-	from := Location{Lat: q.Lat, Lng: q.Lng}
-	to := Location{Lat: q.Lat + 0.02, Lng: q.Lng + 0.02}
+	from := q.Locations[0]
+	to := Location{Lat: from.Lat + 0.02, Lng: from.Lng + 0.02}
 
 	region, err := s.Do(context.Background(), RouteRequest(from, to, 8*time.Hour))
 	if err != nil {
@@ -130,12 +66,12 @@ func TestDoRejectsBadRequests(t *testing.T) {
 		opts []Option
 	}{
 		"no-location":        {r: Request{Kind: KindReach, Start: q.Start, Duration: q.Duration, Prob: q.Prob}},
-		"route-one-location": {r: Request{Kind: KindRoute, Locations: []Location{{q.Lat, q.Lng}}}},
+		"route-one-location": {r: Request{Kind: KindRoute, Locations: q.Locations}},
 		"multi-none":         {r: Request{Kind: KindMulti, Start: q.Start, Duration: q.Duration, Prob: q.Prob}},
-		"bad-kind":           {r: Request{Kind: Kind(42), Locations: []Location{{q.Lat, q.Lng}}}},
-		"route-exhaustive":   {r: RouteRequest(Location{q.Lat, q.Lng}, Location{q.Lat, q.Lng}, 0), opts: []Option{WithAlgorithm(AlgoExhaustive)}},
-		"reach-sequential":   {r: q.request(KindReach), opts: []Option{WithAlgorithm(AlgoSequential)}},
-		"multi-exhaustive":   {r: MultiRequest([]Location{{q.Lat, q.Lng}}, q.Start, q.Duration, q.Prob), opts: []Option{WithAlgorithm(AlgoExhaustive)}},
+		"bad-kind":           {r: Request{Kind: Kind(42), Locations: q.Locations}},
+		"route-exhaustive":   {r: RouteRequest(q.Locations[0], q.Locations[0], 0), opts: []Option{WithAlgorithm(AlgoExhaustive)}},
+		"reach-sequential":   {r: q, opts: []Option{WithAlgorithm(AlgoSequential)}},
+		"multi-exhaustive":   {r: MultiRequest(q.Locations, q.Start, q.Duration, q.Prob), opts: []Option{WithAlgorithm(AlgoExhaustive)}},
 	} {
 		if _, err := s.Do(ctx, req.r, req.opts...); err == nil {
 			t.Errorf("%s: Do accepted an invalid request", name)
@@ -148,7 +84,7 @@ func TestDoRejectsBadRequests(t *testing.T) {
 func TestPerQueryOptionsOverrideDefaults(t *testing.T) {
 	s := smallSystem(t)
 	ctx := context.Background()
-	req := testRequest(s)
+	req := testQuery(s)
 
 	def, err := s.Do(ctx, req)
 	if err != nil {
@@ -202,7 +138,7 @@ func TestPerQueryOptionsOverrideDefaults(t *testing.T) {
 // both pre-cancelled and mid-query (at a deterministic checkpoint).
 func TestDoCancellation(t *testing.T) {
 	s := smallSystem(t)
-	req := testRequest(s)
+	req := testQuery(s)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -224,7 +160,7 @@ func TestDoCancellation(t *testing.T) {
 // deadline even under a background parent context.
 func TestDoDeadlineBudget(t *testing.T) {
 	s := smallSystem(t)
-	req := testRequest(s)
+	req := testQuery(s)
 	if _, err := s.Do(context.Background(), req, WithDeadlineBudget(time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("1ns budget = %v, want context.DeadlineExceeded", err)
 	}
@@ -237,14 +173,14 @@ func TestDoBatchParallelMatchesSerial(t *testing.T) {
 	s := smallSystem(t)
 	ctx := context.Background()
 	q := testQuery(s)
-	loc := Location{Lat: q.Lat, Lng: q.Lng}
+	loc := q.Locations[0]
 	reqs := []Request{
-		q.request(KindReach),
-		q.request(KindReverse),
+		q,
+		ReverseRequest(loc, q.Start, q.Duration, q.Prob),
 		MultiRequest([]Location{loc, {Lat: loc.Lat + 0.01, Lng: loc.Lng}}, q.Start, q.Duration, q.Prob),
 		RouteRequest(loc, Location{Lat: loc.Lat + 0.02, Lng: loc.Lng + 0.02}, q.Start),
 		{Kind: KindReach}, // invalid: no location — errors positionally
-		q.request(KindReach),
+		q,
 	}
 
 	batch := s.DoBatch(ctx, reqs, WithBatchWorkers(4))
@@ -275,8 +211,8 @@ func TestDoBatchSharingMatchesIndependent(t *testing.T) {
 	s := smallSystem(t)
 	ctx := context.Background()
 	q := testQuery(s)
-	loc := Location{Lat: q.Lat, Lng: q.Lng}
-	loc2 := Location{Lat: q.Lat + 0.01, Lng: q.Lng + 0.01}
+	loc := q.Locations[0]
+	loc2 := Location{Lat: loc.Lat + 0.01, Lng: loc.Lng + 0.01}
 	probs := []float64{0.1, 0.2, 0.35, 0.5}
 
 	build := func(k Kind) []Request {
@@ -338,8 +274,8 @@ func TestDoBatchSharingMatchesIndependent(t *testing.T) {
 func TestDoBatchRouteGroupSharing(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)
-	from := Location{Lat: q.Lat, Lng: q.Lng}
-	to := Location{Lat: q.Lat + 0.02, Lng: q.Lng + 0.02}
+	from := q.Locations[0]
+	to := Location{Lat: from.Lat + 0.02, Lng: from.Lng + 0.02}
 	req := RouteRequest(from, to, q.Start)
 	reqs := []Request{req, req, req}
 
@@ -367,7 +303,7 @@ func TestDoBatchRouteGroupSharing(t *testing.T) {
 // its own budget exactly as independent execution would.
 func TestDoBatchBudgetedRequestsStayIndependent(t *testing.T) {
 	s := smallSystem(t)
-	req := testRequest(s)
+	req := testQuery(s)
 	reqs := []Request{req, req}
 	before := s.SharingStats().BatchGroups
 	for i, r := range s.DoBatch(context.Background(), reqs, WithDeadlineBudget(time.Minute)) {
@@ -388,7 +324,7 @@ func TestDoBatchGroupCancellation(t *testing.T) {
 	q := testQuery(s)
 	reqs := make([]Request, 8)
 	for i := range reqs {
-		reqs[i] = q.request(KindReach)
+		reqs[i] = q
 		reqs[i].Prob = 0.1 + 0.05*float64(i) // one group, eight thresholds
 	}
 	// Three polls land the cancel inside the plan's bounding phase (the
@@ -404,7 +340,7 @@ func TestDoBatchGroupCancellation(t *testing.T) {
 // unfinished request with context.Canceled.
 func TestDoBatchCancellation(t *testing.T) {
 	s := smallSystem(t)
-	req := testRequest(s)
+	req := testQuery(s)
 	reqs := []Request{req, req, req, req}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -463,7 +399,7 @@ func TestWarmEndOfDaySlotCap(t *testing.T) {
 	// A start past the last slot start must warm nothing new; so must a
 	// start at exactly midnight-adjacent hi < lo edge.
 	before := con.CachedLists()
-	sys.Warm(24*time.Hour-time.Nanosecond, time.Hour)
+	warmWindow(t, sys, 24*time.Hour-time.Nanosecond, time.Hour)
 	if got := con.CachedLists(); got != before {
 		// The last slot was already warm from the first call; nothing new
 		// may appear.

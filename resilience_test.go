@@ -36,7 +36,7 @@ func TestFacadeBreakerTripAndRecovery(t *testing.T) {
 	}, HedgeConfig{})
 	defer clearChaos(t, s)
 	q := testQuery(s)
-	req := ReachRequest(Location{Lat: q.Lat, Lng: q.Lng}, 11*time.Hour, 10*time.Minute, 0.2)
+	req := ReachRequest(q.Locations[0], 11*time.Hour, 10*time.Minute, 0.2)
 	ctx := context.Background()
 
 	healthy, err := s.Do(ctx, req)
@@ -98,7 +98,7 @@ func TestFacadeBreakerTripAndRecovery(t *testing.T) {
 // pooled scratch.
 func TestFacadeHedgedQueriesBitIdentical(t *testing.T) {
 	q := testQuery(smallSystem(t))
-	req := ReachRequest(Location{Lat: q.Lat, Lng: q.Lng}, 11*time.Hour, 10*time.Minute, 0.2)
+	req := ReachRequest(q.Locations[0], 11*time.Hour, 10*time.Minute, 0.2)
 	ctx := context.Background()
 
 	plain := resilienceSystem(t, BreakerConfig{}, HedgeConfig{})

@@ -40,10 +40,10 @@ func TestScratchPoolIntegrityAcrossShardFailure(t *testing.T) {
 	// plus a distinct window, so both the grouped and ungrouped DoBatch
 	// paths run.
 	reqs := []Request{
-		ReachRequest(Location{Lat: q.Lat, Lng: q.Lng}, 11*time.Hour, 10*time.Minute, 0.2),
-		ReachRequest(Location{Lat: q.Lat, Lng: q.Lng}, 11*time.Hour, 10*time.Minute, 0.4),
-		ReachRequest(Location{Lat: q.Lat, Lng: q.Lng}, 11*time.Hour, 10*time.Minute, 0.6),
-		ReachRequest(Location{Lat: q.Lat, Lng: q.Lng}, 11*time.Hour+30*time.Minute, 10*time.Minute, 0.3),
+		ReachRequest(q.Locations[0], 11*time.Hour, 10*time.Minute, 0.2),
+		ReachRequest(q.Locations[0], 11*time.Hour, 10*time.Minute, 0.4),
+		ReachRequest(q.Locations[0], 11*time.Hour, 10*time.Minute, 0.6),
+		ReachRequest(q.Locations[0], 11*time.Hour+30*time.Minute, 10*time.Minute, 0.3),
 	}
 	ctx := context.Background()
 

@@ -167,12 +167,6 @@ type IndexConfig struct {
 	// success wins, answers stay bit-identical. Default off. See
 	// HedgeConfig.
 	Hedge HedgeConfig
-	// StoreFaults, when non-empty, wraps the page store in a
-	// storage.FaultStore armed with this scenario spec (see
-	// storage.ParseScenario; e.g. "read:error@100" or "read:corrupt").
-	// The development hook behind `serve -chaos store=...` — never set
-	// it in production.
-	StoreFaults string
 	// VerifyAll switches trace back search to full verification (see
 	// core.Options).
 	VerifyAll bool
@@ -188,18 +182,6 @@ type IndexConfig struct {
 // DefaultIndexConfig uses the paper's 5-minute granularity.
 func DefaultIndexConfig() IndexConfig {
 	return IndexConfig{SlotSeconds: 300, PoolPages: 1024}
-}
-
-// Query is a single-location reachability query.
-type Query struct {
-	// Lat, Lng locate the start S.
-	Lat, Lng float64
-	// Start is the time of day T.
-	Start time.Duration
-	// Duration is the horizon L.
-	Duration time.Duration
-	// Prob is the required reachability probability in (0, 1].
-	Prob float64
 }
 
 // Location is a query start point.
@@ -466,16 +448,6 @@ func NewSystemFromData(net *roadnet.Network, ds *traj.Dataset, idx IndexConfig) 
 		}
 		store = fs
 	}
-	if idx.StoreFaults != "" {
-		sc, err := storage.ParseScenario(idx.StoreFaults)
-		if err != nil {
-			return nil, fmt.Errorf("streach: store-fault scenario: %w", err)
-		}
-		if store == nil {
-			store = storage.NewMemStore()
-		}
-		store = storage.NewFaultStore(store, sc)
-	}
 	st, err := stindex.Build(net, ds, stindex.Config{
 		SlotSeconds:   idx.SlotSeconds,
 		PoolPages:     idx.PoolPages,
@@ -651,22 +623,19 @@ func (s *System) ShardStats() []ShardStat {
 	return out
 }
 
-// Warm precomputes the Con-Index Near/Far tables, forward and reverse,
+// WarmCtx precomputes the Con-Index Near/Far tables, forward and reverse,
 // for every time slot touched by queries starting in [start, start+dur],
 // fanning the travel-time Dijkstras out over a GOMAXPROCS-wide worker
 // pool: reach, multi and reverse queries inside the window then bound
 // by lookups alone. The thesis builds these tables offline during index
-// construction; calling Warm moves that cost out of the first query's
+// construction; calling WarmCtx moves that cost out of the first query's
 // measured time, and Save persists the materialised rows so reopened
 // systems skip it entirely. Idempotent, and cheap to repeat: a slot
 // that is already fully warm is recognised without walking its rows.
-func (s *System) Warm(start, dur time.Duration) {
-	_ = s.WarmCtx(context.Background(), start, dur)
-}
-
-// WarmCtx is Warm under a context: a cancelled or expired ctx stops the
-// precompute workers early and returns ctx's error. Rows warmed before
-// the cancellation stay warm, so an interrupted warm resumes cheaply.
+//
+// A cancelled or expired ctx stops the precompute workers early and
+// returns ctx's error. Rows warmed before the cancellation stay warm, so
+// an interrupted warm resumes cheaply.
 func (s *System) WarmCtx(ctx context.Context, start, dur time.Duration) error {
 	lo, hi, ok := s.warmSlots(start, dur)
 	if !ok {
@@ -753,67 +722,6 @@ func (s *System) Dataset() *traj.Dataset {
 // Engine exposes the query engine (in-module callers, benchmarks).
 func (s *System) Engine() *core.Engine { return s.engine }
 
-// request converts a legacy Query to the unified Request form.
-func (q Query) request(kind Kind) Request {
-	return Request{
-		Kind:      kind,
-		Locations: []Location{{Lat: q.Lat, Lng: q.Lng}},
-		Start:     q.Start,
-		Duration:  q.Duration,
-		Prob:      q.Prob,
-	}
-}
-
-// Reach answers a single-location query with SQMB+TBS (the paper's
-// algorithm).
-//
-// Deprecated: use Do with a KindReach Request; it adds context
-// cancellation, deadlines, and per-query options.
-func (s *System) Reach(q Query) (*Region, error) {
-	return s.Do(context.Background(), q.request(KindReach))
-}
-
-// ReachES answers the same query with the exhaustive-search baseline.
-//
-// Deprecated: use Do with WithAlgorithm(AlgoExhaustive).
-func (s *System) ReachES(q Query) (*Region, error) {
-	return s.Do(context.Background(), q.request(KindReach), WithAlgorithm(AlgoExhaustive))
-}
-
-// ReverseReach answers the mirror query: from which road segments can
-// the location be reached within [T, T+L] on at least Prob of the days?
-// This is the catchment-area direction used by the advertising scenario.
-//
-// Deprecated: use Do with a KindReverse Request.
-func (s *System) ReverseReach(q Query) (*Region, error) {
-	return s.Do(context.Background(), q.request(KindReverse))
-}
-
-// ReverseReachES answers the reverse query with the exhaustive baseline.
-//
-// Deprecated: use Do with a KindReverse Request and
-// WithAlgorithm(AlgoExhaustive).
-func (s *System) ReverseReachES(q Query) (*Region, error) {
-	return s.Do(context.Background(), q.request(KindReverse), WithAlgorithm(AlgoExhaustive))
-}
-
-// ReachMulti answers a multi-location query with MQMB+TBS.
-//
-// Deprecated: use Do with a KindMulti Request.
-func (s *System) ReachMulti(locs []Location, start, duration time.Duration, prob float64) (*Region, error) {
-	return s.Do(context.Background(), MultiRequest(locs, start, duration, prob))
-}
-
-// ReachMultiSequential answers a multi-location query by running the
-// single-location pipeline per location and unioning (the m-query
-// baseline of §4.3).
-//
-// Deprecated: use Do with a KindMulti Request and
-// WithAlgorithm(AlgoSequential).
-func (s *System) ReachMultiSequential(locs []Location, start, duration time.Duration, prob float64) (*Region, error) {
-	return s.Do(context.Background(), MultiRequest(locs, start, duration, prob), WithAlgorithm(AlgoSequential))
-}
-
 func toPoints(locs []Location) []geo.Point {
 	out := make([]geo.Point, len(locs))
 	for i, l := range locs {
@@ -865,33 +773,6 @@ type RouteResult struct {
 	TravelTime time.Duration
 	// DistanceKm is the route length.
 	DistanceKm float64
-}
-
-// Route plans the fastest route between two locations departing at the
-// given time of day, using per-slot mean speeds learned from the
-// trajectories (the time-dependent route query of thesis §5.2). Use
-// RouteFreeFlow for the static baseline.
-//
-// Deprecated: use Do with a KindRoute Request; the answer's Route field
-// carries the journey.
-func (s *System) Route(from, to Location, departAt time.Duration) (*RouteResult, error) {
-	region, err := s.Do(context.Background(), RouteRequest(from, to, departAt))
-	if err != nil {
-		return nil, err
-	}
-	return region.Route, nil
-}
-
-// RouteFreeFlow plans the static free-flow route (time-invariant).
-//
-// Deprecated: use Do with a KindRoute Request and
-// WithAlgorithm(AlgoFreeFlow).
-func (s *System) RouteFreeFlow(from, to Location) (*RouteResult, error) {
-	region, err := s.Do(context.Background(), RouteRequest(from, to, 0), WithAlgorithm(AlgoFreeFlow))
-	if err != nil {
-		return nil, err
-	}
-	return region.Route, nil
 }
 
 // Stats describes the built system, Table 4.1-style.

@@ -1,6 +1,7 @@
 package streach
 
 import (
+	"context"
 	"encoding/json"
 	"path/filepath"
 	"strings"
@@ -43,13 +44,15 @@ func smallSystem(t testing.TB) *System {
 	return testSys
 }
 
-func testQuery(s *System) Query {
-	loc := s.BusiestLocation(11 * time.Hour)
-	return Query{
-		Lat: loc.Lat, Lng: loc.Lng,
-		Start:    11 * time.Hour,
-		Duration: 10 * time.Minute,
-		Prob:     0.2,
+func testQuery(s *System) Request {
+	return ReachRequest(s.BusiestLocation(11*time.Hour), 11*time.Hour, 10*time.Minute, 0.2)
+}
+
+// warmWindow precomputes the Con-Index tables a query over the window touches.
+func warmWindow(t testing.TB, s *System, start, dur time.Duration) {
+	t.Helper()
+	if err := s.WarmCtx(context.Background(), start, dur); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -72,7 +75,7 @@ func TestNewSystemAndStats(t *testing.T) {
 
 func TestReach(t *testing.T) {
 	s := smallSystem(t)
-	region, err := s.Reach(testQuery(s))
+	region, err := s.Do(context.Background(), testQuery(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +98,11 @@ func TestReach(t *testing.T) {
 func TestReachESSlowerButVerifiesMore(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)
-	fast, err := s.Reach(q)
+	fast, err := s.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := s.ReachES(q)
+	slow, err := s.Do(context.Background(), q, WithAlgorithm(AlgoExhaustive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,16 +115,18 @@ func TestReachESSlowerButVerifiesMore(t *testing.T) {
 func TestReachMulti(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)
+	loc := q.Locations[0]
 	locs := []Location{
-		{q.Lat, q.Lng},
-		{q.Lat + 0.01, q.Lng},
-		{q.Lat, q.Lng + 0.01},
+		loc,
+		{loc.Lat + 0.01, loc.Lng},
+		{loc.Lat, loc.Lng + 0.01},
 	}
-	m, err := s.ReachMulti(locs, q.Start, q.Duration, q.Prob)
+	mq := MultiRequest(locs, q.Start, q.Duration, q.Prob)
+	m, err := s.Do(context.Background(), mq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := s.ReachMultiSequential(locs, q.Start, q.Duration, q.Prob)
+	seq, err := s.Do(context.Background(), mq, WithAlgorithm(AlgoSequential))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +135,7 @@ func TestReachMulti(t *testing.T) {
 	}
 	// The m-query region must cover (most of) each single region's union;
 	// check it at least covers the single-location region.
-	one, err := s.Reach(q)
+	one, err := s.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,22 +154,22 @@ func TestQueryValidationSurfacesErrors(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)
 	q.Prob = 0
-	if _, err := s.Reach(q); err == nil {
+	if _, err := s.Do(context.Background(), q); err == nil {
 		t.Fatal("Prob=0 should error")
 	}
 	q = testQuery(s)
 	q.Duration = 0
-	if _, err := s.Reach(q); err == nil {
+	if _, err := s.Do(context.Background(), q); err == nil {
 		t.Fatal("zero duration should error")
 	}
-	if _, err := s.ReachMulti(nil, 11*time.Hour, 10*time.Minute, 0.2); err == nil {
+	if _, err := s.Do(context.Background(), MultiRequest(nil, 11*time.Hour, 10*time.Minute, 0.2)); err == nil {
 		t.Fatal("no locations should error")
 	}
 }
 
 func TestGeoJSONWellFormed(t *testing.T) {
 	s := smallSystem(t)
-	region, err := s.Reach(testQuery(s))
+	region, err := s.Do(context.Background(), testQuery(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +209,7 @@ func TestGeoJSONWellFormed(t *testing.T) {
 
 func TestRegionBounds(t *testing.T) {
 	s := smallSystem(t)
-	region, err := s.Reach(testQuery(s))
+	region, err := s.Do(context.Background(), testQuery(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +255,7 @@ func TestFileBackedSystem(t *testing.T) {
 	}
 	defer sys.Close()
 	loc := sys.BusiestLocation(10 * time.Hour)
-	region, err := sys.Reach(Query{Lat: loc.Lat, Lng: loc.Lng, Start: 10 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2})
+	region, err := sys.Do(context.Background(), ReachRequest(loc, 10*time.Hour, 10*time.Minute, 0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,21 +277,20 @@ func TestRouteTimeDependent(t *testing.T) {
 	s := smallSystem(t)
 	loc := s.BusiestLocation(11 * time.Hour)
 	far := Location{Lat: loc.Lat + 0.03, Lng: loc.Lng + 0.03}
-	night, err := s.Route(Location{loc.Lat, loc.Lng}, far, 3*time.Hour)
-	if err != nil {
-		t.Fatal(err)
+	route := func(req Request, opts ...Option) *RouteResult {
+		t.Helper()
+		region, err := s.Do(context.Background(), req, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return region.Route
 	}
-	rush, err := s.Route(Location{loc.Lat, loc.Lng}, far, 18*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
+	night := route(RouteRequest(loc, far, 3*time.Hour))
+	rush := route(RouteRequest(loc, far, 18*time.Hour))
 	if rush.TravelTime <= night.TravelTime {
 		t.Fatalf("rush ETA %v should exceed night ETA %v", rush.TravelTime, night.TravelTime)
 	}
-	ff, err := s.RouteFreeFlow(Location{loc.Lat, loc.Lng}, far)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ff := route(RouteRequest(loc, far, 0), WithAlgorithm(AlgoFreeFlow))
 	if ff.TravelTime > night.TravelTime {
 		t.Fatalf("free-flow ETA %v should be the optimistic bound (night %v)", ff.TravelTime, night.TravelTime)
 	}
@@ -297,7 +301,7 @@ func TestRouteTimeDependent(t *testing.T) {
 
 func TestLeafletHTML(t *testing.T) {
 	s := smallSystem(t)
-	region, err := s.Reach(testQuery(s))
+	region, err := s.Do(context.Background(), testQuery(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +323,7 @@ func TestLeafletHTML(t *testing.T) {
 func TestSystemSaveOpenRoundTrip(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)
-	want, err := s.Reach(q)
+	want, err := s.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +336,7 @@ func TestSystemSaveOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	got, err := reopened.Reach(q)
+	got, err := reopened.Do(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +362,7 @@ func TestOpenSystemMissingDir(t *testing.T) {
 
 func TestRegionProbabilities(t *testing.T) {
 	s := smallSystem(t)
-	region, err := s.Reach(testQuery(s))
+	region, err := s.Do(context.Background(), testQuery(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +385,7 @@ func TestRegionProbabilities(t *testing.T) {
 		t.Fatal("no verified probabilities in the result")
 	}
 	// ES verifies everything, so no -1 entries.
-	es, err := s.ReachES(testQuery(s))
+	es, err := s.Do(context.Background(), testQuery(s), WithAlgorithm(AlgoExhaustive))
 	if err != nil {
 		t.Fatal(err)
 	}
