@@ -55,11 +55,6 @@ const (
 // segments is written as a sorted ID list rather than as a bitset.
 func adjSparse(n, numSegments int) bool { return n*32 < numSegments }
 
-// adjTables returns the four tables in their fixed on-disk order.
-func (x *Index) adjTables() []*table {
-	return []*table{&x.far, &x.near, &x.farRev, &x.nearRev}
-}
-
 // SaveAdjacency writes every materialised row of all four adjacency
 // tables. Safe to call concurrently with queries (each table is walked
 // through its atomic cells in key order; rows are immutable).

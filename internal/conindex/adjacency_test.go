@@ -189,9 +189,9 @@ func TestParallelPrecomputeMatchesSerial(t *testing.T) {
 	n := testNetwork(t)
 	ds := testDataset(t, n)
 	serial := build(t, n, ds)
-	serial.PrecomputeSlotsWorkers(130, 135, 1)
+	warm(t, serial, 130, 135, 1)
 	parallel := build(t, n, ds)
-	parallel.PrecomputeSlotsWorkers(130, 135, 8)
+	warm(t, parallel, 130, 135, 8)
 	if serial.CachedLists() != parallel.CachedLists() {
 		t.Fatalf("serial warmed %d rows, parallel %d", serial.CachedLists(), parallel.CachedLists())
 	}

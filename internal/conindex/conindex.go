@@ -28,6 +28,7 @@ import (
 	"streach/internal/bitset"
 	"streach/internal/roadnet"
 	"streach/internal/traj"
+	"streach/internal/xerr"
 )
 
 // errAborted marks a singleflight computation that ended without a row or
@@ -330,67 +331,91 @@ func (x *Index) Observations(seg roadnet.SegmentID, slot int) int {
 }
 
 func (x *Index) key(seg roadnet.SegmentID, slot int) int {
-	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return slot*x.net.NumSegments() + int(seg)
+	return x.normSlot(slot)*x.net.NumSegments() + int(seg)
 }
 
 func cacheKey(seg roadnet.SegmentID, slot int) int64 {
 	return int64(slot)<<32 | int64(uint32(seg))
 }
 
-// FarRow returns F(r, t) as a word-sparse row (the bounding phase's
-// native form): every segment enterable from seg within one Δt
-// at the slot's maximum speeds (seg itself included). Rows are shared
-// and immutable. Cold misses materialise the row once even under
-// concurrency (singleflight).
+// Kind names one of the four adjacency tables, in their fixed on-disk
+// order.
+type Kind uint8
+
+const (
+	Far Kind = iota
+	Near
+	FarReverse
+	NearReverse
+	numKinds
+)
+
+// adjTables returns the four tables, indexed by Kind.
+func (x *Index) adjTables() [numKinds]*table {
+	return [numKinds]*table{Far: &x.far, Near: &x.near, FarReverse: &x.farRev, NearReverse: &x.nearRev}
+}
+
+func (x *Index) normSlot(slot int) int {
+	return ((slot % x.numSlots) + x.numSlots) % x.numSlots
+}
+
+// resolve is the one path to a row: a lock-free table hit, else a
+// singleflight expansion under ctx (see table.row). slot is normalised.
+// built reports that this call ran the expansion itself.
+func (x *Index) resolve(ctx context.Context, k Kind, seg roadnet.SegmentID, slot int) (r Row, built bool, err error) {
+	return x.adjTables()[k].row(x, seg, slot, func() (Row, error) {
+		if k >= FarReverse {
+			return x.expandReverse(ctx, seg, slot, k == FarReverse)
+		}
+		return x.expand(ctx, seg, slot, k == Far)
+	})
+}
+
+// RowCtx returns the kind row of (seg, slot) as a word-sparse row (the
+// bounding phase's native form). Rows are shared and immutable. A cold
+// miss materialises the row once even under concurrency (singleflight),
+// running the travel-time Dijkstra under ctx: it aborts (returning ctx's
+// error) within one checkpoint interval of cancellation. Cached rows are
+// returned regardless of ctx state — only new work is cancellable.
+func (x *Index) RowCtx(ctx context.Context, k Kind, seg roadnet.SegmentID, slot int) (Row, error) {
+	r, _, err := x.resolve(ctx, k, seg, x.normSlot(slot))
+	return r, err
+}
+
+// FarRow returns F(r, t): every segment enterable from seg within one Δt
+// at the slot's maximum speeds (seg itself included).
 func (x *Index) FarRow(seg roadnet.SegmentID, slot int) Row {
-	r, _ := x.FarRowCtx(context.Background(), seg, slot)
+	r, _ := x.RowCtx(context.Background(), Far, seg, slot)
 	return r
 }
 
-// FarRowCtx is FarRow with a cancellable materialisation: a cold miss
-// runs the travel-time Dijkstra under ctx and aborts (returning ctx's
-// error) within one checkpoint interval of cancellation. Cached rows are
-// returned regardless of ctx state — only new work is cancellable.
+// FarRowCtx is RowCtx on the Far table.
 func (x *Index) FarRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.far.row(x, seg, slot, func() (Row, error) {
-		return x.expand(ctx, seg, slot, true)
-	})
+	return x.RowCtx(ctx, Far, seg, slot)
 }
 
 // NearRow returns N(r, t) as a row: every segment fully
 // traversable from seg within one Δt at the slot's minimum speeds.
 func (x *Index) NearRow(seg roadnet.SegmentID, slot int) Row {
-	r, _ := x.NearRowCtx(context.Background(), seg, slot)
+	r, _ := x.RowCtx(context.Background(), Near, seg, slot)
 	return r
 }
 
-// NearRowCtx is NearRow with a cancellable materialisation (see
-// FarRowCtx).
+// NearRowCtx is RowCtx on the Near table.
 func (x *Index) NearRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.near.row(x, seg, slot, func() (Row, error) {
-		return x.expand(ctx, seg, slot, false)
-	})
+	return x.RowCtx(ctx, Near, seg, slot)
 }
 
 // Far returns F(r, t) as a sorted ID slice (seg itself included). The
 // returned slice is shared; callers must not modify it.
 func (x *Index) Far(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
-	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.far.list(x, seg, slot, func() (Row, error) {
-		return x.expand(context.Background(), seg, slot, true)
-	})
+	return x.list(Far, seg, slot)
 }
 
 // Near returns N(r, t) as a sorted ID slice (seg itself included). The
 // returned slice is shared; callers must not modify it.
 func (x *Index) Near(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
-	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.near.list(x, seg, slot, func() (Row, error) {
-		return x.expand(context.Background(), seg, slot, false)
-	})
+	return x.list(Near, seg, slot)
 }
 
 // expand runs a travel-time Dijkstra from seg bounded by Δt, checking ctx
@@ -473,29 +498,96 @@ func (x *Index) expand(ctx context.Context, seg roadnet.SegmentID, slot int, far
 	return makeRow(sc.out, sc.bits), nil
 }
 
-// PrecomputeSlot materialises the Near and Far rows of every segment for
-// one slot, forward and reverse. This is the offline index-construction
-// step of the thesis; queries against warmed slots are pure lookups.
-func (x *Index) PrecomputeSlot(slot int) {
-	x.PrecomputeSlots(slot, slot)
+// rowKey names one row: its table, its segment and its normalised slot.
+type rowKey struct {
+	kind Kind
+	seg  roadnet.SegmentID
+	slot int
 }
 
-// PrecomputeSlots warms a slot range [lo, hi] inclusive (wrapping modulo
-// the day) with a GOMAXPROCS-wide worker pool.
-func (x *Index) PrecomputeSlots(lo, hi int) {
-	x.PrecomputeSlotsWorkers(lo, hi, 0)
+// materialise resolves the rows key(0) … key(n-1) through their tables
+// — singleflight, slot-generation guard and ctx checkpoints as for any
+// single lookup, each expansion on scratch from the pool — on
+// min(workers, n) goroutines (workers <= 0: GOMAXPROCS), the caller
+// among them; with one it starts none. It is the one fan-out that
+// warm-up, serve's prefetch (both through PrecomputeSlotsCtx) and a
+// query's bounding round (Pin.OrRows) share. out, when non-nil, receives
+// row i at out[i]; built counts the expansions this call ran itself.
+// The first error stops the remaining keys, and every worker has
+// returned when materialise does. A panic under a key is recovered into
+// a KindInternal error: on a worker goroutine it would otherwise take
+// the process down rather than fail the one query (table.row has
+// deregistered the flight by then, so nothing stays poisoned).
+func (x *Index) materialise(ctx context.Context, workers, n int, key func(int) rowKey, out []Row) (built int64, err error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	one := func(i int) (built bool, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = xerr.Markf(xerr.KindInternal, "conindex: row materialisation panicked: %v", p)
+			}
+		}()
+		// Warm rows are returned whatever ctx says, so a cancelled
+		// warm-up over warm keys would otherwise run to the end.
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		k := key(i)
+		r, built, err := x.resolve(ctx, k.kind, k.seg, k.slot)
+		if err == nil && out != nil {
+			out[i] = r
+		}
+		return built, err
+	}
+	var (
+		next, total atomic.Int64
+		wg          sync.WaitGroup
+		failed      atomic.Bool // set by the first failing key, whose error is err
+	)
+	work := func() {
+		var mine int64
+		defer func() { total.Add(mine) }()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n || failed.Load() {
+				return
+			}
+			b, e := one(i)
+			if e != nil {
+				if failed.CompareAndSwap(false, true) {
+					err = e
+				}
+				return
+			}
+			if b {
+				mine++
+			}
+		}
+	}
+	for g := 1; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return total.Load(), err
 }
 
-// PrecomputeSlotsWorkers warms [lo, hi] with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial).
-func (x *Index) PrecomputeSlotsWorkers(lo, hi, workers int) {
-	_ = x.PrecomputeSlotsCtx(context.Background(), lo, hi, workers)
-}
-
-// PrecomputeSlotsCtx warms [lo, hi] with a bounded worker pool
-// (workers 0 = GOMAXPROCS, 1 = serial), stopping early when ctx is
-// cancelled and returning its error. Work items are (segment, slot)
-// pairs, so even a single-slot warm parallelises across segments; the
+// PrecomputeSlotsCtx materialises all four rows — Near and Far, forward
+// and reverse (reverse queries bound through the reverse tables) — of
+// every segment for the slots [lo, hi] inclusive, wrapping modulo the
+// day, on a bounded worker pool (workers 0 = GOMAXPROCS, 1 = serial);
+// see materialise. This is the offline index-construction step of the
+// thesis; queries against warmed slots are pure lookups. It stops early
+// when ctx is cancelled and returns its error. Work items are single
+// rows, so even a one-slot warm parallelises across segments; the
 // singleflight tables make concurrent warms and queries against the same
 // keys safe and duplicate-free. Rows already warmed before cancellation
 // stay warm. A slot whose four rows are materialised for every segment
@@ -505,81 +597,14 @@ func (x *Index) PrecomputeSlotsCtx(ctx context.Context, lo, hi, workers int) err
 	var slots []int
 	for slot := lo; slot <= hi; slot++ {
 		if !x.slotWarm(slot) {
-			slots = append(slots, slot)
+			slots = append(slots, x.normSlot(slot))
 		}
-	}
-	if len(slots) == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	nSeg := x.net.NumSegments()
-	total := len(slots) * nSeg
-	if workers > total {
-		workers = total
-	}
-	warm := func(i int) error {
-		slot := slots[i/nSeg]
-		seg := roadnet.SegmentID(i % nSeg)
-		if _, err := x.FarRowCtx(ctx, seg, slot); err != nil {
-			return err
-		}
-		if _, err := x.NearRowCtx(ctx, seg, slot); err != nil {
-			return err
-		}
-		// Reverse queries bound through the reverse tables; left cold they
-		// would run their Dijkstras at query time on a "warmed" system.
-		if _, err := x.FarReverseRowCtx(ctx, seg, slot); err != nil {
-			return err
-		}
-		_, err := x.NearReverseRowCtx(ctx, seg, slot)
-		return err
-	}
-	if workers <= 1 {
-		for i := 0; i < total; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := warm(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		firstEr error
-		failed  atomic.Bool
-	)
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total || failed.Load() {
-					return
-				}
-				err := ctx.Err()
-				if err == nil {
-					err = warm(i)
-				}
-				if err != nil {
-					errOnce.Do(func() { firstEr = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		return firstEr
-	}
-	return nil
+	_, err := x.materialise(ctx, workers, len(slots)*nSeg*int(numKinds), func(i int) rowKey {
+		return rowKey{Kind(i % int(numKinds)), roadnet.SegmentID(i / int(numKinds) % nSeg), slots[i/int(numKinds)/nSeg]}
+	}, nil)
+	return err
 }
 
 // SlotsWarm reports whether PrecomputeSlotsCtx over [lo, hi] would find
@@ -596,7 +621,7 @@ func (x *Index) SlotsWarm(lo, hi int) bool {
 
 // slotWarm reports whether all four tables hold every row of slot.
 func (x *Index) slotWarm(slot int) bool {
-	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
+	slot = x.normSlot(slot)
 	for _, t := range x.adjTables() {
 		if !t.full(slot) {
 			return false
@@ -655,10 +680,12 @@ func (q *entryPQ) pop() entryItem {
 
 // PrecomputeAll materialises every (segment, slot) Near and Far row,
 // forward and reverse. Only sensible for small networks or coarse Δt;
-// returns the number of rows built.
-func (x *Index) PrecomputeAll() int {
-	x.PrecomputeSlots(0, x.numSlots-1)
-	return 4 * x.numSlots * x.net.NumSegments()
+// returns the number of rows the tables then hold.
+func (x *Index) PrecomputeAll(ctx context.Context) (int, error) {
+	if err := x.PrecomputeSlotsCtx(ctx, 0, x.numSlots-1, 0); err != nil {
+		return 0, err
+	}
+	return int(numKinds) * x.numSlots * x.net.NumSegments(), nil
 }
 
 // CachedLists reports how many forward Near/Far rows are materialised.

@@ -2,6 +2,7 @@ package conindex
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"streach/internal/geo"
@@ -34,6 +35,14 @@ func testDataset(t *testing.T, n *roadnet.Network) *traj.Dataset {
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// warm materialises the slots [lo, hi] on the given worker count.
+func warm(t testing.TB, x *Index, lo, hi, workers int) {
+	t.Helper()
+	if err := x.PrecomputeSlotsCtx(context.Background(), lo, hi, workers); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func build(t *testing.T, n *roadnet.Network, ds *traj.Dataset) *Index {
@@ -220,7 +229,10 @@ func TestPrecomputeAllSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := idx.PrecomputeAll()
+	count, err := idx.PrecomputeAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := 24 * n.NumSegments() * 2 // forward rows; as many reverse
 	if count != 2*want {
 		t.Fatalf("PrecomputeAll = %d, want %d", count, 2*want)

@@ -162,7 +162,7 @@ func TestRowsAndAdjacencyMatchReference(t *testing.T) {
 	n := testNetwork(t)
 	ds := testDataset(t, n)
 	idx := build(t, n, ds)
-	idx.PrecomputeSlotsWorkers(131, 133, 2)
+	warm(t, idx, 131, 133, 2)
 	ref := build(t, n, ds)
 	nseg := n.NumSegments()
 	for ti, tbl := range ref.adjTables() {

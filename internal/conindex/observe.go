@@ -154,7 +154,7 @@ func (x *Index) invalidateRows(slot int, segs []roadnet.SegmentID) {
 			probes.Add(int(p))
 		}
 	}
-	for _, t := range []*table{&x.near, &x.far, &x.nearRev, &x.farRev} {
+	for _, t := range x.adjTables() {
 		t.invalidateSlot(slot, selves, probes)
 	}
 }

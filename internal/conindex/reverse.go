@@ -20,51 +20,37 @@ import (
 // FarReverseRow returns the FarReverse list as a row (see
 // FarRow).
 func (x *Index) FarReverseRow(seg roadnet.SegmentID, slot int) Row {
-	r, _ := x.FarReverseRowCtx(context.Background(), seg, slot)
+	r, _ := x.RowCtx(context.Background(), FarReverse, seg, slot)
 	return r
 }
 
-// FarReverseRowCtx is FarReverseRow with a cancellable materialisation
-// (see FarRowCtx).
+// FarReverseRowCtx is RowCtx on the FarReverse table.
 func (x *Index) FarReverseRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.farRev.row(x, seg, slot, func() (Row, error) {
-		return x.expandReverse(ctx, seg, slot, true)
-	})
+	return x.RowCtx(ctx, FarReverse, seg, slot)
 }
 
 // NearReverseRow returns the NearReverse list as a row.
 func (x *Index) NearReverseRow(seg roadnet.SegmentID, slot int) Row {
-	r, _ := x.NearReverseRowCtx(context.Background(), seg, slot)
+	r, _ := x.RowCtx(context.Background(), NearReverse, seg, slot)
 	return r
 }
 
-// NearReverseRowCtx is NearReverseRow with a cancellable materialisation
-// (see FarRowCtx).
+// NearReverseRowCtx is RowCtx on the NearReverse table.
 func (x *Index) NearReverseRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.nearRev.row(x, seg, slot, func() (Row, error) {
-		return x.expandReverse(ctx, seg, slot, false)
-	})
+	return x.RowCtx(ctx, NearReverse, seg, slot)
 }
 
 // FarReverse returns the segments from which seg is reachable within one
 // Δt at the slot's maximum speeds (seg itself included), sorted by ID.
 // The returned slice is shared; callers must not modify it.
 func (x *Index) FarReverse(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
-	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.farRev.list(x, seg, slot, func() (Row, error) {
-		return x.expandReverse(context.Background(), seg, slot, true)
-	})
+	return x.list(FarReverse, seg, slot)
 }
 
 // NearReverse returns the segments from which seg is surely reachable
 // within one Δt even at the slot's minimum speeds, sorted by ID.
 func (x *Index) NearReverse(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
-	slot = ((slot % x.numSlots) + x.numSlots) % x.numSlots
-	return x.nearRev.list(x, seg, slot, func() (Row, error) {
-		return x.expandReverse(context.Background(), seg, slot, false)
-	})
+	return x.list(NearReverse, seg, slot)
 }
 
 // expandReverse runs the mirrored travel-time Dijkstra: cost[q] is the

@@ -246,7 +246,7 @@ func TestAdjacencyGolden(t *testing.T) {
 	ds := testDataset(t, n)
 	idx := build(t, n, ds)
 	warmSome(idx)
-	idx.PrecomputeSlotsWorkers(270, 270, 1)
+	warm(t, idx, 270, 270, 1)
 	// A materialised empty row (a Near list whose own segment cannot be
 	// crossed in one Δt) must round-trip as a zero-count list record.
 	idx.nearRev.put(7, 3, Row{})

@@ -1,7 +1,6 @@
 package conindex
 
 import (
-	"context"
 	"fmt"
 
 	"streach/internal/bitset"
@@ -56,70 +55,33 @@ func (s *Slice) Owns(seg roadnet.SegmentID) bool {
 	return seg >= 0 && int(seg) < s.x.net.NumSegments() && s.owned.Has(int(seg))
 }
 
-func (s *Slice) check(seg roadnet.SegmentID) error {
-	if s.owned != nil && !s.Owns(seg) {
-		return fmt.Errorf("conindex: segment %d is not owned by shard %d", seg, s.shard)
-	}
-	return nil
-}
-
-// checkSlot rejects row fetches outside a slot-ranged slice's served
-// range, normalising the slot mod numSlots exactly as the row
-// resolvers do, so a wrapped slot checks against the slot it actually
-// reads.
-func (s *Slice) checkSlot(slot int) error {
-	if !s.slotRanged {
+// admit rejects a round — the rows of segs at slot — that names a
+// segment the slice does not own or, on a slot-ranged slice, a slot
+// outside its served range; the slot is normalised mod numSlots exactly
+// as the row resolvers do, so a wrapped slot checks against the slot it
+// actually reads. A nil slice admits everything.
+func (s *Slice) admit(slot int, segs ...roadnet.SegmentID) error {
+	if s == nil {
 		return nil
 	}
-	n := s.x.numSlots
-	slot = ((slot % n) + n) % n
-	if slot < s.slotLo || slot > s.slotHi {
+	if slot = s.x.normSlot(slot); s.slotRanged && (slot < s.slotLo || slot > s.slotHi) {
 		return fmt.Errorf("conindex: slot %d is outside shard %d's served range [%d, %d]",
 			slot, s.shard, s.slotLo, s.slotHi)
 	}
+	if s.owned == nil {
+		return nil
+	}
+	for _, seg := range segs {
+		if !s.Owns(seg) {
+			return fmt.Errorf("conindex: segment %d is not owned by shard %d", seg, s.shard)
+		}
+	}
 	return nil
 }
 
-// FarRow resolves F(seg, slot) through the shard slice.
-func (s *Slice) FarRow(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	if err := s.check(seg); err != nil {
-		return Row{}, err
-	}
-	if err := s.checkSlot(slot); err != nil {
-		return Row{}, err
-	}
-	return s.x.FarRowCtx(ctx, seg, slot)
-}
-
-// NearRow resolves N(seg, slot) through the shard slice.
-func (s *Slice) NearRow(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	if err := s.check(seg); err != nil {
-		return Row{}, err
-	}
-	if err := s.checkSlot(slot); err != nil {
-		return Row{}, err
-	}
-	return s.x.NearRowCtx(ctx, seg, slot)
-}
-
-// FarReverseRow resolves the reverse Far row through the shard slice.
-func (s *Slice) FarReverseRow(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	if err := s.check(seg); err != nil {
-		return Row{}, err
-	}
-	if err := s.checkSlot(slot); err != nil {
-		return Row{}, err
-	}
-	return s.x.FarReverseRowCtx(ctx, seg, slot)
-}
-
-// NearReverseRow resolves the reverse Near row through the shard slice.
-func (s *Slice) NearReverseRow(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	if err := s.check(seg); err != nil {
-		return Row{}, err
-	}
-	if err := s.checkSlot(slot); err != nil {
-		return Row{}, err
-	}
-	return s.x.NearReverseRowCtx(ctx, seg, slot)
+// NewPin returns a plan-scoped row source restricted to the slice: a
+// round that names a segment or slot the shard does not serve fails
+// whole.
+func (s *Slice) NewPin() *Pin {
+	return &Pin{x: s.x, only: s}
 }

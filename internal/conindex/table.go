@@ -1,6 +1,7 @@
 package conindex
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -85,22 +86,24 @@ func (t *table) store(slot int, seg roadnet.SegmentID, r Row) {
 // aborts (its context was cancelled mid-Dijkstra), nothing is stored and
 // each waiter retries with its own compute — one caller's cancellation
 // never poisons another caller's lookup. A segment outside the network
-// has the empty row and is never stored.
-func (t *table) row(x *Index, seg roadnet.SegmentID, slot int, compute func() (Row, error)) (Row, error) {
+// has the empty row and is never stored. built reports that this call
+// ran compute to the end itself — the Materialised count, attributable
+// to one caller.
+func (t *table) row(x *Index, seg roadnet.SegmentID, slot int, compute func() (Row, error)) (r Row, built bool, err error) {
 	if seg < 0 || int(seg) >= t.nseg {
-		return Row{}, nil
+		return Row{}, false, nil
 	}
 	key := cacheKey(seg, slot)
 	for {
 		if r, ok := t.lookup(slot, seg); ok {
 			x.stats.hits.Add(1)
-			return r, nil
+			return r, false, nil
 		}
 		t.mu.Lock()
 		if r, ok := t.lookup(slot, seg); ok {
 			t.mu.Unlock()
 			x.stats.hits.Add(1)
-			return r, nil
+			return r, false, nil
 		}
 		if fc, ok := t.flight[key]; ok {
 			t.mu.Unlock()
@@ -109,7 +112,7 @@ func (t *table) row(x *Index, seg roadnet.SegmentID, slot int, compute func() (R
 				continue // the computing caller aborted: retry ourselves
 			}
 			x.stats.hits.Add(1)
-			return fc.row, nil
+			return fc.row, false, nil
 		}
 		fc := &flightCall{done: make(chan struct{})}
 		if t.flight == nil {
@@ -151,14 +154,34 @@ func (t *table) row(x *Index, seg roadnet.SegmentID, slot int, compute func() (R
 				stored = true
 			}
 		}()
-		return fc.row, fc.err
+		return fc.row, stored, fc.err
 	}
+}
+
+// orHits ORs every materialised row of segs at slot into dst and
+// appends the segments whose row is cold to misses: one bounding round's
+// lock-free pass, two atomic loads and a word-sparse OR per hit. Segments
+// outside the network have the empty row.
+func (t *table) orHits(slot int, segs []roadnet.SegmentID, dst bitset.Set, misses []roadnet.SegmentID) []roadnet.SegmentID {
+	for _, seg := range segs {
+		if seg < 0 || int(seg) >= t.nseg {
+			continue
+		}
+		if r, ok := t.lookup(slot, seg); ok {
+			r.OrInto(dst)
+		} else {
+			misses = append(misses, seg)
+		}
+	}
+	return misses
 }
 
 // list returns the row expanded to the shared sorted-slice form, memoised
 // per key (only the legacy list API pays for this; the bounding phase
 // works on rows directly).
-func (t *table) list(x *Index, seg roadnet.SegmentID, slot int, compute func() (Row, error)) []roadnet.SegmentID {
+func (x *Index) list(k Kind, seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
+	slot = x.normSlot(slot)
+	t := x.adjTables()[k]
 	key := cacheKey(seg, slot)
 	t.mu.Lock()
 	l, ok := t.lists[key]
@@ -166,7 +189,7 @@ func (t *table) list(x *Index, seg roadnet.SegmentID, slot int, compute func() (
 	if ok {
 		return l
 	}
-	r, err := t.row(x, seg, slot, compute)
+	r, _, err := x.resolve(context.Background(), k, seg, slot)
 	if err != nil {
 		return nil
 	}

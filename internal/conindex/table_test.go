@@ -29,7 +29,7 @@ func TestTableOneComputePerColdKey(t *testing.T) {
 			rows[g] = make([]Row, nseg)
 			for seg := 0; seg < nseg; seg++ {
 				id := roadnet.SegmentID(seg)
-				r, err := idx.far.row(idx, id, slot, func() (Row, error) {
+				r, _, err := idx.far.row(idx, id, slot, func() (Row, error) {
 					computes[seg].Add(1)
 					return idx.expand(context.Background(), id, slot, true)
 				})
@@ -170,7 +170,7 @@ func TestTableRefusesRowStaledMidCompute(t *testing.T) {
 	idx := build(t, n, testDataset(t, n))
 	const slot = 132
 	seg := roadnet.SegmentID(3)
-	stale, err := idx.far.row(idx, seg, slot, func() (Row, error) {
+	stale, _, err := idx.far.row(idx, seg, slot, func() (Row, error) {
 		r, err := idx.expand(context.Background(), seg, slot, true)
 		if !idx.ObserveSpeed(seg, slot, slot, 60) {
 			t.Error("the observation moved no bound; the fixture tests nothing")
@@ -207,7 +207,7 @@ func TestPrecomputeSkipsWarmSlots(t *testing.T) {
 	if idx.SlotsWarm(lo, hi) {
 		t.Fatal("a cold window reports warm")
 	}
-	idx.PrecomputeSlotsWorkers(lo, hi, 2)
+	warm(t, idx, lo, hi, 2)
 	if got, want := idx.Stats().Materialised, int64(4*3*nseg); got != want {
 		t.Fatalf("first warm materialised %d rows, want %d", got, want)
 	}
@@ -215,8 +215,8 @@ func TestPrecomputeSkipsWarmSlots(t *testing.T) {
 		t.Fatal("SlotsWarm disagrees with what was just warmed")
 	}
 	before := idx.Stats()
-	idx.PrecomputeSlotsWorkers(lo, hi, 2)
-	idx.PrecomputeSlotsWorkers(lo+idx.NumSlots(), hi+idx.NumSlots(), 1) // the same slots, a day on
+	warm(t, idx, lo, hi, 2)
+	warm(t, idx, lo+idx.NumSlots(), hi+idx.NumSlots(), 1) // the same slots, a day on
 	if d := idx.Stats().Sub(before); d.Hits != 0 || d.Materialised != 0 {
 		t.Fatalf("warming a warm window did work: %+v", d)
 	}
@@ -238,7 +238,7 @@ func TestPrecomputeSkipsWarmSlots(t *testing.T) {
 		t.Fatal("the observation invalidated no row")
 	}
 	before = idx.Stats()
-	idx.PrecomputeSlotsWorkers(lo, hi, 2)
+	warm(t, idx, lo, hi, 2)
 	d := idx.Stats().Sub(before)
 	if d.Materialised != int64(lost) || d.Hits != int64(4*nseg-lost) {
 		t.Fatalf("re-warm materialised %d rows and hit %d, want %d and %d (one slot's rows)", d.Materialised, d.Hits, lost, 4*nseg-lost)

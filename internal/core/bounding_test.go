@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"streach/internal/conindex"
 	"streach/internal/roadnet"
 )
 
@@ -72,6 +73,14 @@ func checkRegionAgainstReference(t *testing.T, name string, reg *region, wantRou
 // phase reproduces the element-wise expansion exactly — members and
 // round tags — for SQMB and the reverse pipeline, across durations that
 // exercise one and several rounds.
+// forwardKind is the forward table the far flag of the references names.
+func forwardKind(far bool) conindex.Kind {
+	if far {
+		return conindex.Far
+	}
+	return conindex.Near
+}
+
 func TestBoundingRegionMatchesSliceReference(t *testing.T) {
 	e := newEngine(t, Options{})
 	f := getFixture(t)
@@ -82,7 +91,7 @@ func TestBoundingRegionMatchesSliceReference(t *testing.T) {
 	for _, dur := range []time.Duration{4 * time.Minute, 10 * time.Minute, 25 * time.Minute} {
 		for _, far := range []bool{true, false} {
 			starts := []roadnet.SegmentID{r0}
-			reg, err := e.boundingRegion(bg, starts, 11*time.Hour, dur, far)
+			reg, err := e.boundingRegionPin(bg, e.con.NewPin(), forwardKind(far), starts, 11*time.Hour, dur)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +100,7 @@ func TestBoundingRegionMatchesSliceReference(t *testing.T) {
 		}
 	}
 	// Reverse tables: the same growth loop over mirrored rows.
-	rev, err := e.reverseBoundingRegionPin(bg, e.con.NewPin(), r0, 11*time.Hour, 10*time.Minute, true)
+	rev, err := e.boundingRegionPin(bg, e.con.NewPin(), conindex.FarReverse, []roadnet.SegmentID{r0}, 11*time.Hour, 10*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +132,7 @@ func TestUnifiedRegionMatchesSliceReference(t *testing.T) {
 	starts := multiStarts(t, e, f, 3)
 
 	for _, far := range []bool{true, false} {
-		reg, err := e.unifiedRegionPin(bg, e.con.NewPin(), starts, 11*time.Hour, 10*time.Minute, far)
+		reg, err := e.unifiedRegionPin(bg, e.con.NewPin(), forwardKind(far), starts, 11*time.Hour, 10*time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,11 +77,14 @@ type Metrics struct {
 	// (TBS probing of the time lists). Zero for ES, which has no
 	// bounding phase.
 	BoundNS, VerifyNS int64
-	// ConHits and ConMaterialised count Con-Index adjacency-row activity
-	// attributed to the query: hits were served from materialised rows,
-	// materialised rows ran a travel-time Dijkstra at query time (the
-	// cold-start cost the persisted adjacency blob eliminates). Shared
-	// counters; per-query attribution is approximate under concurrency.
+	// ConHits and ConMaterialised count the Con-Index adjacency rows the
+	// query's own plan resolved: hits were served from materialised rows
+	// (or from another query's expansion of the same key in flight),
+	// materialised rows ran a travel-time Dijkstra for this query (the
+	// cold-start cost the persisted adjacency blob eliminates). Counted by
+	// the plan's row source, so exact under concurrency: over any set of
+	// queries ConMaterialised sums to the index's Stats().Materialised
+	// delta. A plan reused from the plan cache reports zero.
 	ConHits, ConMaterialised int64
 	// MaxRegion and MinRegion are the bounding-region sizes (SQMB/MQMB
 	// only; zero for ES).
@@ -142,17 +145,23 @@ type Options struct {
 }
 
 // RowSource supplies Con-Index adjacency rows to a plan's bounding
-// phase. The default source is a batch-scoped pin over the engine's own
-// Con-Index (conindex.Pin implements the interface); a sharded cluster
-// installs a routing source that resolves each segment's row through the
-// slice of the shard owning it, which is how one logical bounding-region
-// search scatters across partitioned Con-Index slices without the
-// algorithms knowing.
+// phase, one round at a time: OrRows unions the kind rows of a round's
+// region segments at the round's slot into the round's bitset, and is
+// the only way a bounding round reads the index — how the rows are
+// found, and on how many cores the cold ones are built, is the source's
+// business. Row resolves a single row, for MQMB's overlap rule, which
+// re-reads the row of a candidate's nearest region segment. Stats is
+// what the plan resolved and what it had to build, the per-query
+// Con-Index figures in Metrics. The default source is a plan-scoped pin
+// over the engine's own Con-Index (conindex.Pin implements the
+// interface); a sharded cluster installs a routing source that resolves
+// each segment's row through the slice of the shard owning it, which is
+// how one logical bounding-region search scatters across partitioned
+// Con-Index slices without the algorithms knowing. A source belongs to
+// one plan and is not safe for concurrent use.
 type RowSource interface {
-	FarRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error)
-	NearRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error)
-	FarReverseRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error)
-	NearReverseRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error)
+	OrRows(ctx context.Context, kind conindex.Kind, segs []roadnet.SegmentID, slot int, dst bitset.Set) error
+	Row(ctx context.Context, kind conindex.Kind, seg roadnet.SegmentID, slot int) (conindex.Row, error)
 	Stats() conindex.PinStats
 }
 
@@ -366,25 +375,6 @@ func (e *Engine) slotWindow(start, dur time.Duration) (lo, hi int) {
 		hi = e.st.NumSlots() - 1
 	}
 	return lo, hi
-}
-
-// finish fills the derived metrics fields and sorts the result.
-func (e *Engine) finish(res *Result, began time.Time, io0 storage.IOStats, tl0 stindex.CacheStats, con0 conindex.Stats) {
-	sort.Slice(res.Segments, func(i, j int) bool { return res.Segments[i] < res.Segments[j] })
-	var km float64
-	for _, s := range res.Segments {
-		km += e.net.Segment(s).Length / 1000
-	}
-	res.Metrics.RoadKm = km
-	res.Metrics.ResultSegments = len(res.Segments)
-	res.Metrics.IO = e.st.Pool().Stats().Sub(io0)
-	tl := e.st.CacheStats().Sub(tl0)
-	res.Metrics.TLCacheHits = tl.Hits
-	res.Metrics.TLCacheMisses = tl.Misses
-	con := e.con.Stats().Sub(con0)
-	res.Metrics.ConHits = con.Hits
-	res.Metrics.ConMaterialised = con.Materialised
-	res.Metrics.Elapsed = time.Since(began)
 }
 
 // probe verifies reachability probabilities against the ST-Index time

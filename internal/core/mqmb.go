@@ -48,10 +48,11 @@ func (e *Engine) SQuerySequential(ctx context.Context, q MultiQuery) (*Result, e
 // filters candidates through the overlap rule: a candidate b survives
 // only when it appears in the row of its nearest region segment rs
 // (line 8's rs = argmin dis(r', b)), so duplicated influence inside
-// overlapping regions is eliminated. Adjacency rows resolve through the
-// plan's RowSource; the overlap rule's re-read of the row of a
-// candidate's nearest region segment is another lock-free table hit.
-func (e *Engine) unifiedRegionPin(ctx context.Context, rows RowSource, starts []roadnet.SegmentID, startOfDay, dur time.Duration, far bool) (*region, error) {
+// overlapping regions is eliminated. The round's union is one
+// RowSource.OrRows call, as in SQMB; the overlap rule's re-read of the
+// row of a candidate's nearest region segment is a single Row — a
+// lock-free table hit, the round having just resolved it.
+func (e *Engine) unifiedRegionPin(ctx context.Context, rows RowSource, kind conindex.Kind, starts []roadnet.SegmentID, startOfDay, dur time.Duration) (*region, error) {
 	n := e.net.NumSegments()
 	reg := e.getRegion()
 	grown := false
@@ -65,12 +66,6 @@ func (e *Engine) unifiedRegionPin(ctx context.Context, rows RowSource, starts []
 	}
 	k := e.rounds(dur)
 	slotSec := e.st.SlotSeconds()
-	rowOf := func(r roadnet.SegmentID, slot int) (conindex.Row, error) {
-		if far {
-			return rows.FarRow(ctx, r, slot)
-		}
-		return rows.NearRow(ctx, r, slot)
-	}
 	nb := e.getBitset()
 	defer e.putBitset(nb)
 	next := nb.bits
@@ -84,12 +79,8 @@ func (e *Engine) unifiedRegionPin(ctx context.Context, rows RowSource, starts []
 		slot := (int(startOfDay.Seconds()) + i*slotSec) / slotSec
 		snapshot := append([]roadnet.SegmentID(nil), reg.segs...)
 		copy(next, reg.bits)
-		for _, r := range snapshot {
-			row, err := rowOf(r, slot)
-			if err != nil {
-				return nil, err
-			}
-			row.OrInto(next)
+		if err := rows.OrRows(ctx, kind, snapshot, slot, next); err != nil {
+			return nil, err
 		}
 		if e.opts.NoOverlapFilter {
 			reg.adopt(next, i+1)
@@ -111,7 +102,7 @@ func (e *Engine) unifiedRegionPin(ctx context.Context, rows RowSource, starts []
 			if !ok {
 				continue // not reached by the bounded expansion: drop
 			}
-			row, err := rowOf(rs, slot)
+			row, err := rows.Row(ctx, kind, rs, slot)
 			if err != nil {
 				return nil, err
 			}

@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"time"
 
-	"streach/internal/conindex"
 	"streach/internal/roadnet"
 	"streach/internal/stindex"
 )
@@ -106,30 +104,9 @@ func (e *Engine) expandReverseDistance(dst roadnet.SegmentID, budget float64, vi
 	}
 }
 
-// reverseBoundingRegionPin mirrors SQMB over the reverse connection
-// tables, with the same word-level row unions as the forward bounding
-// phase; adjacency rows resolve through the plan's RowSource (a
-// conindex.Pin by default, a shard router on a cluster's planner). The
-// returned region is pooled; callers release it with putRegion.
-func (e *Engine) reverseBoundingRegionPin(ctx context.Context, rows RowSource, dst roadnet.SegmentID, startOfDay, dur time.Duration, far bool) (*region, error) {
-	reg := e.getRegion()
-	reg.add(dst, 0)
-	err := e.growRegion(ctx, reg, startOfDay, dur, func(r roadnet.SegmentID, slot int) (conindex.Row, error) {
-		if far {
-			return rows.FarReverseRow(ctx, r, slot)
-		}
-		return rows.NearReverseRow(ctx, r, slot)
-	})
-	if err != nil {
-		e.putRegion(reg)
-		return nil, err
-	}
-	return reg, nil
-}
-
 // ReverseSQMB answers a reverse reachability query with the bounded
 // pipeline: reverse maximum/minimum bounding regions from the reverse
-// connection tables, then a trace back verification between them. Like
+// connection tables (boundingRegionPin with the reverse kinds), then a trace back verification between them. Like
 // SQMB it is a single-use shared plan (see SharedPlan).
 func (e *Engine) ReverseSQMB(ctx context.Context, q Query) (*Result, error) {
 	if err := e.validate(q.Start, q.Duration, q.Prob); err != nil {

@@ -223,7 +223,7 @@ func (p *SharedPlan) Finalize(res *Result) {
 		// parents have zero, so this is exact either way.
 		res.Metrics.VerifyNS += p.verifyNS
 	}
-	p.e.finish(res, p.began, p.io0, p.tl0, p.con0)
+	p.finish(res)
 }
 
 // Rebase resets the plan's cost-attribution snapshots to now, so a plan
@@ -234,7 +234,7 @@ func (p *SharedPlan) Rebase() {
 	p.began = now()
 	p.io0 = p.e.st.Pool().Stats()
 	p.tl0 = p.e.st.CacheStats()
-	p.con0 = p.e.con.Stats()
+	p.rows0 = p.RowStats()
 	for _, c := range p.children {
 		c.Rebase()
 	}

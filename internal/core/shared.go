@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sort"
 	"time"
 
 	"streach/internal/conindex"
@@ -39,10 +40,12 @@ type SharedPlan struct {
 	// ResultAt diffs against these, so under sharing each member query
 	// reports the group's cumulative IO/cache activity — the same
 	// "approximate under concurrency" semantics the counters already have.
+	// rows0 is the exception: the row source's counters are the plan's
+	// own, so the Con-Index figures are exact.
 	began time.Time
 	io0   storage.IOStats
 	tl0   stindex.CacheStats
-	con0  conindex.Stats
+	rows0 conindex.PinStats
 
 	// rows resolves the bounding phase's Con-Index adjacency rows: a
 	// batch-scoped pin by default, a shard-routing source on a cluster's
@@ -144,7 +147,6 @@ func (e *Engine) newSharedPlan(kind planKind) *SharedPlan {
 		began: now(),
 		io0:   e.st.Pool().Stats(),
 		tl0:   e.st.CacheStats(),
-		con0:  e.con.Stats(),
 		rows:  e.newRowSource(),
 	}
 }
@@ -248,13 +250,13 @@ func (e *Engine) PlanReverse(ctx context.Context, q Query, opts ...PlanOption) (
 	p.starts = []roadnet.SegmentID{dst}
 
 	tBound := now()
-	maxReg, err := e.reverseBoundingRegionPin(ctx, p.rows, dst, q.Start, q.Duration, true)
+	maxReg, err := e.boundingRegionPin(ctx, p.rows, conindex.FarReverse, p.starts, q.Start, q.Duration)
 	if err != nil {
 		p.Close()
 		return nil, err
 	}
 	p.maxReg = maxReg
-	minReg, err := e.reverseBoundingRegionPin(ctx, p.rows, dst, q.Start, q.Duration, false)
+	minReg, err := e.boundingRegionPin(ctx, p.rows, conindex.NearReverse, p.starts, q.Start, q.Duration)
 	if err != nil {
 		p.Close()
 		return nil, err
@@ -416,19 +418,19 @@ func (e *Engine) PlanReverseES(ctx context.Context, q Query, opts ...PlanOption)
 // candidate once.
 func (p *SharedPlan) boundForward(ctx context.Context, start, dur time.Duration, unified bool, cfg planConfig) error {
 	e := p.e
-	grow := func(far bool) (*region, error) {
+	grow := func(kind conindex.Kind) (*region, error) {
 		if unified {
-			return e.unifiedRegionPin(ctx, p.rows, p.starts, start, dur, far)
+			return e.unifiedRegionPin(ctx, p.rows, kind, p.starts, start, dur)
 		}
-		return e.boundingRegionPin(ctx, p.rows, p.starts, start, dur, far)
+		return e.boundingRegionPin(ctx, p.rows, kind, p.starts, start, dur)
 	}
 	tBound := now()
-	maxReg, err := grow(true)
+	maxReg, err := grow(conindex.Far)
 	if err != nil {
 		return err
 	}
 	p.maxReg = maxReg
-	minReg, err := grow(false)
+	minReg, err := grow(conindex.Near)
 	if err != nil {
 		return err
 	}
@@ -522,7 +524,7 @@ func (p *SharedPlan) ResultAt(ctx context.Context, prob float64) (*Result, error
 		// verification to the parent; fold it in (zero when unsharded, so
 		// the merged child timings stand alone as before).
 		res.Metrics.VerifyNS += p.verifyNS
-		e.finish(res, p.began, p.io0, p.tl0, p.con0)
+		p.finish(res)
 		return res, nil
 
 	case planExhaustive:
@@ -537,7 +539,7 @@ func (p *SharedPlan) ResultAt(ctx context.Context, prob float64) (*Result, error
 			}
 		}
 		res.Metrics.Evaluated = p.evalFixed
-		e.finish(res, p.began, p.io0, p.tl0, p.con0)
+		p.finish(res)
 		return res, nil
 
 	default: // planBounded
@@ -588,7 +590,7 @@ func (p *SharedPlan) ResultAt(ctx context.Context, prob float64) (*Result, error
 		res.Metrics.VerifyNS = verifyNS
 		res.Metrics.MaxRegion = p.maxSize
 		res.Metrics.MinRegion = p.minSize
-		e.finish(res, p.began, p.io0, p.tl0, p.con0)
+		p.finish(res)
 		return res, nil
 	}
 }
@@ -599,10 +601,30 @@ func (p *SharedPlan) ResultAt(ctx context.Context, prob float64) (*Result, error
 func (p *SharedPlan) RowStats() conindex.PinStats {
 	st := p.rows.Stats()
 	for _, c := range p.children {
-		cs := c.RowStats()
-		st.Fetched += cs.Fetched
+		st = st.Add(c.RowStats())
 	}
 	return st
+}
+
+// finish sorts the result and fills the derived metrics fields from the
+// plan's cost-attribution snapshots.
+func (p *SharedPlan) finish(res *Result) {
+	e := p.e
+	sort.Slice(res.Segments, func(i, j int) bool { return res.Segments[i] < res.Segments[j] })
+	var km float64
+	for _, s := range res.Segments {
+		km += e.net.Segment(s).Length / 1000
+	}
+	res.Metrics.RoadKm = km
+	res.Metrics.ResultSegments = len(res.Segments)
+	res.Metrics.IO = e.st.Pool().Stats().Sub(p.io0)
+	tl := e.st.CacheStats().Sub(p.tl0)
+	res.Metrics.TLCacheHits = tl.Hits
+	res.Metrics.TLCacheMisses = tl.Misses
+	con := p.RowStats().Sub(p.rows0)
+	res.Metrics.ConHits = con.Hits()
+	res.Metrics.ConMaterialised = con.Materialised
+	res.Metrics.Elapsed = time.Since(p.began)
 }
 
 // Close releases the plan's pooled bounding regions. The plan must not be

@@ -102,48 +102,31 @@ func (e *Engine) rounds(dur time.Duration) int {
 	return k
 }
 
-// boundingRegion implements the s-query maximum bounding region search
-// (SQMB, Algorithm 1): starting from r0, repeatedly union the Con-Index
-// Far rows of every region segment, stepping the time slot by Δt each
-// round, until the duration is covered. With far=false it computes the
+// boundingRegionPin implements the s-query maximum bounding region
+// search (SQMB, Algorithm 1): starting from starts, repeatedly union the
+// Con-Index Far rows of every region segment, stepping the time slot by
+// Δt each round, until the duration is covered. Kind Near computes the
 // minimum bounding region from the Near rows instead (the thesis notes
-// SQMB applies "naturally" to the minimum region). Each round ORs whole
-// adjacency rows into a scratch bitset word-by-word, then adopts the
-// newly covered segments with the round tag (see region.adopt).
+// SQMB applies "naturally" to the minimum region), and the reverse kinds
+// mirror both over the reverse connection tables from a destination.
+//
+// A round is one RowSource.OrRows call: the plan's row source (a
+// conindex.Pin by default, a shard router on a cluster's planner) ORs
+// the rows of a snapshot of the whole accumulated region (Algorithm 1
+// line 8 sets R = B each round) into a scratch bitset, building the cold
+// ones on every core, and the region then adopts the newly covered
+// segments with the round tag (see region.adopt). Cancellation surfaces
+// through OrRows (cold rows abort their Dijkstra) and through the
+// per-round ctx check, so even an all-warm bounding phase stops between
+// rounds.
 //
 // The returned region comes from the engine's scratch pool; callers
 // release it with putRegion when done.
-func (e *Engine) boundingRegion(ctx context.Context, starts []roadnet.SegmentID, startOfDay, dur time.Duration, far bool) (*region, error) {
-	return e.boundingRegionPin(ctx, e.con.NewPin(), starts, startOfDay, dur, far)
-}
-
-// boundingRegionPin is boundingRegion with adjacency rows resolved
-// through the plan's RowSource (a conindex.Pin by default, a shard
-// router on a cluster's planner), which also counts the resolutions.
-func (e *Engine) boundingRegionPin(ctx context.Context, rows RowSource, starts []roadnet.SegmentID, startOfDay, dur time.Duration, far bool) (*region, error) {
+func (e *Engine) boundingRegionPin(ctx context.Context, rows RowSource, kind conindex.Kind, starts []roadnet.SegmentID, startOfDay, dur time.Duration) (*region, error) {
 	reg := e.getRegion()
 	for _, r := range starts {
 		reg.add(r, 0)
 	}
-	err := e.growRegion(ctx, reg, startOfDay, dur, func(r roadnet.SegmentID, slot int) (conindex.Row, error) {
-		if far {
-			return rows.FarRow(ctx, r, slot)
-		}
-		return rows.NearRow(ctx, r, slot)
-	})
-	if err != nil {
-		e.putRegion(reg)
-		return nil, err
-	}
-	return reg, nil
-}
-
-// growRegion runs Algorithm 1's expansion rounds with word-level row
-// unions. rowOf supplies the per-(segment, slot) adjacency row (forward
-// or reverse, Near or Far); cancellation surfaces through rowOf (cold
-// rows abort their Dijkstra) and through the per-round ctx check, so even
-// an all-warm bounding phase stops between rounds.
-func (e *Engine) growRegion(ctx context.Context, reg *region, startOfDay, dur time.Duration, rowOf func(roadnet.SegmentID, int) (conindex.Row, error)) error {
 	k := e.rounds(dur)
 	slotSec := e.st.SlotSeconds()
 	n := e.net.NumSegments()
@@ -152,26 +135,21 @@ func (e *Engine) growRegion(ctx context.Context, reg *region, startOfDay, dur ti
 	next := nb.bits
 	for i := 0; i < k; i++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			e.putRegion(reg)
+			return nil, err
 		}
 		if reg.size() == n {
 			break // the region saturated the network; no round can add more
 		}
 		slot := (int(startOfDay.Seconds()) + i*slotSec) / slotSec
-		// Expand a snapshot of the whole accumulated region (Algorithm 1
-		// line 8 sets R = B each round).
 		copy(next, reg.bits)
-		snapshot := len(reg.segs)
-		for j := 0; j < snapshot; j++ {
-			row, err := rowOf(reg.segs[j], slot)
-			if err != nil {
-				return err
-			}
-			row.OrInto(next)
+		if err := rows.OrRows(ctx, kind, reg.segs, slot, next); err != nil {
+			e.putRegion(reg)
+			return nil, err
 		}
 		reg.adopt(next, i+1)
 	}
-	return nil
+	return reg, nil
 }
 
 // SQMB answers an s-query with the paper's two-step pipeline: maximum/
@@ -203,7 +181,7 @@ func (e *Engine) MaxBoundingRegion(ctx context.Context, q Query) ([]roadnet.Segm
 	if !ok {
 		return nil, xerr.Markf(xerr.KindInvalid, "core: no road segment near %v", q.Location)
 	}
-	reg, err := e.boundingRegion(ctx, []roadnet.SegmentID{r0}, q.Start, q.Duration, true)
+	reg, err := e.boundingRegionPin(ctx, e.con.NewPin(), conindex.Far, []roadnet.SegmentID{r0}, q.Start, q.Duration)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +199,7 @@ func (e *Engine) MinBoundingRegion(ctx context.Context, q Query) ([]roadnet.Segm
 	if !ok {
 		return nil, xerr.Markf(xerr.KindInvalid, "core: no road segment near %v", q.Location)
 	}
-	reg, err := e.boundingRegion(ctx, []roadnet.SegmentID{r0}, q.Start, q.Duration, false)
+	reg, err := e.boundingRegionPin(ctx, e.con.NewPin(), conindex.Near, []roadnet.SegmentID{r0}, q.Start, q.Duration)
 	if err != nil {
 		return nil, err
 	}

@@ -22,8 +22,8 @@ import (
 //
 //   - plan: the planner engine (full-network view) builds a deferred
 //     core.SharedPlan. Its bounding phase already executes sharded —
-//     the planner's RowSource routes every Con-Index row fetch to the
-//     slice of the shard owning the segment;
+//     the planner's RowSource groups each bounding round's segments by
+//     owning shard and resolves every group through that shard's slice;
 //   - scatter: each shard engine verifies the candidate positions it
 //     owns against its own ST-Index slice, concurrently;
 //   - gather: one mergeable partial region per shard (SharedPlan.
@@ -192,15 +192,20 @@ func (c *Cluster) GridShards() int { return c.gridK }
 // SlotPartition returns the temporal partition (nil when spatial-only).
 func (c *Cluster) SlotPartition() *SlotPartition { return c.slots }
 
+// slotRow returns the first shard ordinal of the slot row serving slot
+// (0 on a spatial-only cluster).
+func (c *Cluster) slotRow(slot int) int {
+	if c.slots == nil {
+		return 0
+	}
+	slot = ((slot % c.numSlots) + c.numSlots) % c.numSlots
+	return c.slots.OwnerOf(slot) * c.gridK
+}
+
 // shardOf returns the shard ordinal serving (segment, slot): the slot's
 // serving row crossed with the segment's spatial owner.
 func (c *Cluster) shardOf(seg roadnet.SegmentID, slot int) int {
-	g := c.part.Owner(seg)
-	if c.slots == nil {
-		return g
-	}
-	slot = ((slot % c.numSlots) + c.numSlots) % c.numSlots
-	return c.slots.OwnerOf(slot)*c.gridK + g
+	return c.slotRow(slot) + c.part.Owner(seg)
 }
 
 // routeSlots picks the slot row serving a query window: the row whose

@@ -3,52 +3,80 @@ package shard
 import (
 	"context"
 
+	"streach/internal/bitset"
 	"streach/internal/conindex"
 	"streach/internal/core"
 	"streach/internal/roadnet"
 )
 
-// rowRouter is the cluster's sharded core.RowSource: every adjacency-row
-// fetch of the bounding phase resolves through the Con-Index slice of
-// the shard owning the segment, so one logical bounding-region search
-// scatters its row traffic across the partition without the algorithms
-// (SQMB, MQMB's overlap rule, the reverse pipeline) knowing. Each
-// resolution is charged to the owning shard's row counter. One router
-// per plan; not safe for concurrent use, exactly like a conindex.Pin.
+// rowRouter is the cluster's sharded core.RowSource: a bounding round's
+// segments are grouped by owning shard and each group resolves through
+// a pin over that shard's Con-Index slice (hits ORed in one pass, cold
+// rows built on every core — see conindex.Pin.OrRows), so one logical
+// bounding-region search scatters its row traffic across the partition
+// without the algorithms (SQMB, MQMB's overlap rule, the reverse
+// pipeline) knowing. Each resolution is charged to the owning shard's
+// row counter. One router per plan; not safe for concurrent use, exactly
+// like a conindex.Pin.
 type rowRouter struct {
-	c       *Cluster
-	fetched int64
+	c *Cluster
+	// pins holds one pin per shard, made when a round first reaches the
+	// shard; groups is one round's segments per spatial shard, reused.
+	pins   []*conindex.Pin
+	groups [][]roadnet.SegmentID
 }
 
 func (c *Cluster) newRowRouter() core.RowSource {
 	return &rowRouter{c: c}
 }
 
-// slice routes one resolution to the owning shard's slice.
-func (r *rowRouter) slice(seg roadnet.SegmentID, slot int) *conindex.Slice {
-	sh := r.c.shardOf(seg, slot)
-	r.fetched++
-	r.c.m.rows[sh].Add(1)
-	return r.c.conSlices[sh]
+// pin returns the plan's pin over shard sh's slice, charging it n rows.
+func (r *rowRouter) pin(sh, n int) *conindex.Pin {
+	if r.pins == nil {
+		r.pins = make([]*conindex.Pin, len(r.c.conSlices))
+	}
+	if r.pins[sh] == nil {
+		r.pins[sh] = r.c.conSlices[sh].NewPin()
+	}
+	r.c.m.rows[sh].Add(int64(n))
+	return r.pins[sh]
 }
 
-func (r *rowRouter) FarRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error) {
-	return r.slice(seg, slot).FarRow(ctx, seg, slot)
+func (r *rowRouter) Row(ctx context.Context, kind conindex.Kind, seg roadnet.SegmentID, slot int) (conindex.Row, error) {
+	return r.pin(r.c.shardOf(seg, slot), 1).Row(ctx, kind, seg, slot)
 }
 
-func (r *rowRouter) NearRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error) {
-	return r.slice(seg, slot).NearRow(ctx, seg, slot)
+func (r *rowRouter) OrRows(ctx context.Context, kind conindex.Kind, segs []roadnet.SegmentID, slot int, dst bitset.Set) error {
+	c := r.c
+	if r.groups == nil {
+		r.groups = make([][]roadnet.SegmentID, c.gridK)
+	}
+	for g := range r.groups {
+		r.groups[g] = r.groups[g][:0]
+	}
+	for _, seg := range segs {
+		g := c.part.Owner(seg)
+		r.groups[g] = append(r.groups[g], seg)
+	}
+	row := c.slotRow(slot)
+	for g, group := range r.groups {
+		if len(group) == 0 {
+			continue
+		}
+		if err := r.pin(row+g, len(group)).OrRows(ctx, kind, group, slot, dst); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-func (r *rowRouter) FarReverseRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error) {
-	return r.slice(seg, slot).FarReverseRow(ctx, seg, slot)
-}
-
-func (r *rowRouter) NearReverseRow(ctx context.Context, seg roadnet.SegmentID, slot int) (conindex.Row, error) {
-	return r.slice(seg, slot).NearReverseRow(ctx, seg, slot)
-}
-
-// Stats mirrors conindex.Pin.Stats for the plan's RowStats accounting.
+// Stats sums the shard pins for the plan's accounting.
 func (r *rowRouter) Stats() conindex.PinStats {
-	return conindex.PinStats{Fetched: r.fetched}
+	var st conindex.PinStats
+	for _, p := range r.pins {
+		if p != nil {
+			st = st.Add(p.Stats())
+		}
+	}
+	return st
 }

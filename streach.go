@@ -199,9 +199,10 @@ type Metrics struct {
 	PageHits      int64 // buffer pool hits
 	TLCacheHits   int64 // decoded time-list cache hits (skip pool + decode)
 	TLCacheMisses int64 // decoded time-list cache misses
-	// ConHits and ConMaterialised count Con-Index adjacency rows served
-	// from cache vs. materialised by a query-time Dijkstra (the cost a
-	// persisted conindex.adj eliminates on cold starts).
+	// ConHits and ConMaterialised count the Con-Index adjacency rows this
+	// query's plan was served from cache vs. materialised itself by a
+	// query-time Dijkstra (the cost a persisted conindex.adj eliminates
+	// on cold starts). Counted per plan, so exact under concurrency.
 	ConHits         int64
 	ConMaterialised int64
 	MaxRegion       int
