@@ -230,6 +230,10 @@ func benchQuery(b *testing.B, w *experiments.World) (*streach.System, streach.Re
 	return sys, streach.ReachRequest(loc, 11*time.Hour, 10*time.Minute, 0.2)
 }
 
+// unshared keeps every ablation Do an execution of its own: a plan-cache
+// hit would time the cache, not the algorithm.
+var unshared = streach.WithBatchSharing(false)
+
 // BenchmarkAblationNoConIndex compares SQMB+TBS (Con-Index pruning)
 // against the exhaustive expansion that verifies the full worst-case
 // radius.
@@ -238,14 +242,14 @@ func BenchmarkAblationNoConIndex(b *testing.B) {
 	sys, q := benchQuery(b, w)
 	b.Run("with-conindex", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sys.Do(context.Background(), q); err != nil {
+			if _, err := sys.Do(context.Background(), q, unshared); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("without-conindex-ES", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sys.Do(context.Background(), q, streach.WithAlgorithm(streach.AlgoExhaustive)); err != nil {
+			if _, err := sys.Do(context.Background(), q, unshared, streach.WithAlgorithm(streach.AlgoExhaustive)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -271,7 +275,7 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 			var reads int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := sys.Do(context.Background(), q)
+				r, err := sys.Do(context.Background(), q, unshared)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -286,28 +290,18 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 // without the visited-set deduplication (thesis §3.3.1's r* example).
 func BenchmarkAblationVisited(b *testing.B) {
 	w := world(b)
-	loc, err := w.QueryLocation()
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := streach.ReachRequest(loc, 11*time.Hour, 10*time.Minute, 0.2)
+	sys, q := benchQuery(b, w)
 	for _, tc := range []struct {
 		name string
-		idx  streach.IndexConfig
+		opts []streach.Option
 	}{
-		{"visited-set", streach.IndexConfig{SlotSeconds: 300, EarlyStop: true}},
-		{"no-visited-set", streach.IndexConfig{SlotSeconds: 300, EarlyStop: true, NoVisitedSet: true}},
+		{"visited-set", []streach.Option{unshared, streach.WithEarlyStop(true)}},
+		{"no-visited-set", []streach.Option{unshared, streach.WithEarlyStop(true), streach.WithNoVisitedSet(true)}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			sys, err := streach.NewSystemFromData(w.Net, w.DS, tc.idx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			warmWindow(b, sys, 11*time.Hour, 10*time.Minute)
 			var evaluated int64
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := sys.Do(context.Background(), q)
+				r, err := sys.Do(context.Background(), q, tc.opts...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -322,27 +316,23 @@ func BenchmarkAblationVisited(b *testing.B) {
 // elimination of Algorithm 3 lines 7-10.
 func BenchmarkAblationMQMBFilter(b *testing.B) {
 	w := world(b)
+	sys, _ := benchQuery(b, w)
 	locs, err := w.MultiQueryLocations(3, 11*time.Hour)
 	if err != nil {
 		b.Fatal(err)
 	}
+	q := streach.MultiRequest(locs, 11*time.Hour, 10*time.Minute, 0.2)
 	for _, tc := range []struct {
 		name string
-		idx  streach.IndexConfig
+		opts []streach.Option
 	}{
-		{"overlap-filter", streach.IndexConfig{SlotSeconds: 300}},
-		{"no-overlap-filter", streach.IndexConfig{SlotSeconds: 300, NoOverlapFilter: true}},
+		{"overlap-filter", []streach.Option{unshared}},
+		{"no-overlap-filter", []streach.Option{unshared, streach.WithNoOverlapFilter(true)}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			sys, err := streach.NewSystemFromData(w.Net, w.DS, tc.idx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			warmWindow(b, sys, 11*time.Hour, 10*time.Minute)
 			var maxRegion int64
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := sys.Do(context.Background(), streach.MultiRequest(locs, 11*time.Hour, 10*time.Minute, 0.2))
+				r, err := sys.Do(context.Background(), q, tc.opts...)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -24,8 +24,9 @@ func chaosSystem(t *testing.T) *System {
 	chaosOnce.Do(func() {
 		idx := DefaultIndexConfig()
 		idx.PlanCache = -1
-		idx.Shards = 4
-		chaosSys, chaosErr = NewSystemFromData(base.Network(), base.Dataset(), idx)
+		if chaosSys, chaosErr = NewSystemFromData(base.Network(), base.Dataset(), idx); chaosErr == nil {
+			chaosErr = chaosSys.Shard(4)
+		}
 	})
 	if chaosErr != nil {
 		t.Fatal(chaosErr)

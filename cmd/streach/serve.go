@@ -30,16 +30,10 @@ func runServe(args []string) error {
 	addr := fs.String("addr", ":8780", "listen address")
 	timeout := fs.Duration("timeout", 10*time.Second, "default per-request query deadline")
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "cap on client-requested ?timeout=")
-	maxInFlight := fs.Int("max-inflight", 0, "adaptive admission ceiling: max concurrent query requests, 429 beyond (0 = default 64, negative = unlimited)")
-	minInFlight := fs.Int("min-inflight", 0, "adaptive admission floor: overload never shrinks the limit below this (0 = max/4)")
-	staticAdmission := fs.Bool("static-admission", false, "disable AIMD adaptation: keep the in-flight bound fixed at -max-inflight")
-	clientRPS := fs.Float64("client-rps", 0, "per-client token-bucket quota in requests/second, keyed by X-API-Key or peer host (0 = off)")
-	clientBurst := fs.Int("client-burst", 0, "per-client quota burst depth (0 = 2x -client-rps)")
-	breakers := fs.Bool("breakers", false, "per-shard circuit breakers: short-circuit a repeatedly failing shard instead of paying its budget every query (requires -shards)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = default 2s)")
-	breakerRatio := fs.Float64("breaker-ratio", 0, "failure ratio over the rolling window that trips a breaker (0 = default 0.5)")
-	hedge := fs.Bool("hedge", false, "hedged shard verification: race a slow shard's verify slice with a second attempt, first result wins (requires -shards)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "hedge trigger latency floor (0 = default 25ms; effective trigger also tracks 2x shard p95)")
+	maxInFlight := fs.Int("max-inflight", 0, "adaptive admission ceiling: max concurrent query requests, 429 beyond; overload shrinks the limit to no less than a quarter of it (0 = default 64, negative = unlimited)")
+	clientRPS := fs.Float64("client-rps", 0, "per-client token-bucket quota in requests/second, 2x as deep, keyed by X-API-Key or peer host (0 = off)")
+	breakers := fs.Bool("breakers", false, "per-shard circuit breakers: short-circuit a repeatedly failing shard instead of paying its budget every query; a half-open probe follows after 2s (requires -shards)")
+	hedge := fs.Bool("hedge", false, "hedged shard verification: race a slow shard's verify slice with a second attempt, first result wins; the trigger is 25ms or 2x the shard's p95, whichever is larger (requires -shards)")
 	shards := fs.Int("shards", 0, "sharded execution: partition the network across this many engines and answer by scatter-gather (0/1 = single engine; results are bit-identical)")
 	slotShards := fs.Int("slot-shards", 0, "temporal sharding: cut the day's slot axis into this many density-balanced ranges, one shard row each, routing queries by window start; composes with -shards into grid x slots (0/1 = off; results are bit-identical)")
 	warmPlans := fs.Int("warm-plans", 0, "warm-plan pipeline: re-plan this many of the hottest recorded query shapes in the background after open and after each compaction epoch swap; grows the plan cache to hold them (0 = off)")
@@ -48,8 +42,7 @@ func runServe(args []string) error {
 	accessLog := fs.Bool("access-log", false, "log one line per request (method, URI, status, latency, request ID) to stderr")
 	ingestOn := fs.Bool("ingest", false, "enable live ingestion: POST /v1/ingest accepts position updates, /v1/ingest/compact folds the delta layer")
 	compactEvery := fs.Duration("compact-every", 0, "background incremental compaction period (0 = manual compaction only)")
-	compactKeys := fs.Int("compact-keys", 0, "dirty keys folded per background cycle; the rest roll forward (0 = default 4096)")
-	compactBudget := fs.Duration("compact-pause-budget", 0, "install-pause budget the background loop adapts its per-cycle key cap toward (0 = no adaptation)")
+	compactBudget := fs.Duration("compact-pause-budget", 0, "install-pause budget the background loop adapts its per-cycle key cap (starting at 4096) toward (0 = no adaptation)")
 	warmStart := fs.Duration("warm-start", 0, "precompute the Con-Index adjacency from this time of day (with -warm-dur)")
 	warmDur := fs.Duration("warm-dur", 0, "warm window length (0 = skip warming)")
 	dir := fs.String("dir", "", "system save directory: reopened when it holds a saved system")
@@ -62,9 +55,7 @@ func runServe(args []string) error {
 		return err
 	}
 	defer sys.Close()
-	if *shardBudget > 0 {
-		sys.SetShardBudget(*shardBudget)
-	}
+	sys.SetShardBudget(*shardBudget)
 	if *shards > 1 || *slotShards > 1 {
 		gridK := *shards
 		if gridK < 1 {
@@ -84,16 +75,14 @@ func runServe(args []string) error {
 		if sys.Shards() <= 1 {
 			return errors.New("-breakers requires -shards > 1")
 		}
-		sys.ConfigureBreakers(streach.BreakerConfig{
-			Enabled: true, FailureRatio: *breakerRatio, Cooldown: *breakerCooldown,
-		})
+		sys.ConfigureBreakers(streach.BreakerConfig{Enabled: true})
 		fmt.Fprintln(os.Stderr, "per-shard circuit breakers enabled")
 	}
 	if *hedge {
 		if sys.Shards() <= 1 {
 			return errors.New("-hedge requires -shards > 1")
 		}
-		sys.SetHedging(streach.HedgeConfig{Enabled: true, Trigger: *hedgeAfter})
+		sys.SetHedging(streach.HedgeConfig{Enabled: true})
 		fmt.Fprintln(os.Stderr, "hedged shard verification enabled")
 	}
 	if *chaos != "" {
@@ -106,7 +95,6 @@ func runServe(args []string) error {
 	if *ingestOn {
 		if err := sys.StartIngest(streach.IngestConfig{
 			CompactInterval:    *compactEvery,
-			CompactMaxKeys:     *compactKeys,
 			CompactPauseBudget: *compactBudget,
 		}); err != nil {
 			return err
@@ -130,13 +118,10 @@ func runServe(args []string) error {
 	}
 
 	cfg := serve.Config{
-		DefaultTimeout:  *timeout,
-		MaxTimeout:      *maxTimeout,
-		MaxInFlight:     *maxInFlight,
-		MinInFlight:     *minInFlight,
-		StaticAdmission: *staticAdmission,
-		ClientRPS:       *clientRPS,
-		ClientBurst:     *clientBurst,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		MaxInFlight:    *maxInFlight,
+		ClientRPS:      *clientRPS,
 	}
 	if *accessLog {
 		cfg.AccessLog = log.New(os.Stderr, "", log.LstdFlags|log.Lmicroseconds)

@@ -63,7 +63,7 @@ func WithPartialResults(on bool) Option {
 // fail-fast with a typed Timeout error by default, or skipped and
 // reported via Region.Degraded under WithPartialResults. This is the
 // bound that turns a hung shard into a bounded-latency failure. Zero
-// removes the bound; it overrides IndexConfig.ShardBudget for this
+// removes the bound; it overrides the system's SetShardBudget for this
 // call. No effect on unsharded systems.
 func WithShardBudget(d time.Duration) Option {
 	return func(o *queryOptions) { o.shardBudget, o.shardBudgetSet = d, true }

@@ -129,21 +129,21 @@ func TestWarmCrossingMidnight(t *testing.T) {
 }
 
 // TestOpenSystemHonorsFastPathOptions checks the reopened system carries
-// TimeListCache and VerifyWorkers through (regression: OpenSystem used to
-// drop both, silently reverting to defaults).
+// TimeListCache through (regression: OpenSystem used to drop it,
+// silently reverting to the default).
 func TestOpenSystemHonorsFastPathOptions(t *testing.T) {
 	s := smallSystem(t)
 	dir := t.TempDir()
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenSystem(dir, IndexConfig{TimeListCache: -1, VerifyWorkers: 1})
+	reopened, err := OpenSystem(dir, IndexConfig{TimeListCache: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
 	q := testQuery(s)
-	r, err := reopened.Do(context.Background(), q)
+	r, err := reopened.Do(context.Background(), q, WithVerifyWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,13 +73,10 @@ type IngestConfig struct {
 	WALSegmentAge time.Duration
 	// CompactInterval, when positive, runs incremental compactions on a
 	// background loop every interval while dirty keys are pending, with
-	// exponential backoff after a persist failure. Zero leaves
-	// compaction to explicit CompactIngest calls.
+	// exponential backoff after a persist failure. Each cycle folds at
+	// most compactCycleKeys dirty keys; the rest roll to the next cycle.
+	// Zero leaves compaction to explicit CompactIngest calls.
 	CompactInterval time.Duration
-	// CompactMaxKeys caps how many dirty keys one background compaction
-	// cycle folds (default 4096 when the loop is enabled); the rest roll
-	// to the next cycle. Zero or negative folds everything.
-	CompactMaxKeys int
 	// CompactPauseBudget, when positive, adapts the background loop's
 	// per-cycle key cap so the install pause stays at or under this
 	// budget: a cycle that overshoots halves the cap, a cycle under half
@@ -208,25 +205,25 @@ func (s *System) StartIngest(cfg IngestConfig) error {
 	s.wal = wal
 	s.ingestW = ingest.NewWriter(s.st, s.con, icfg)
 	if cfg.CompactInterval > 0 {
-		maxKeys := cfg.CompactMaxKeys
-		if maxKeys == 0 {
-			maxKeys = 4096
-		}
 		s.compactStop = make(chan struct{})
 		s.compactDone = make(chan struct{})
-		go s.compactLoop(cfg.CompactInterval, maxKeys, cfg.CompactPauseBudget, s.compactStop, s.compactDone)
+		go s.compactLoop(cfg.CompactInterval, cfg.CompactPauseBudget, s.compactStop, s.compactDone)
 	}
 	return nil
 }
 
+// compactCycleKeys is the background loop's starting per-cycle key cap;
+// a pause budget moves it from there.
+const compactCycleKeys = 4096
+
 // compactLoop runs incremental compactions in the background: every
-// interval it folds up to maxKeys of the hottest dirty keys (rolling
+// interval it folds up to its key cap of the hottest dirty keys (rolling
 // the rest forward), adapting the cap to the pause budget and backing
 // off exponentially when a cycle fails (typically a persist error —
 // nothing is lost, the WAL keeps everything until a cycle succeeds).
-func (s *System) compactLoop(interval time.Duration, maxKeys int, budget time.Duration, stop, done chan struct{}) {
+func (s *System) compactLoop(interval, budget time.Duration, stop, done chan struct{}) {
 	defer close(done)
-	keys := maxKeys
+	keys := compactCycleKeys
 	backoff := interval
 	timer := time.NewTimer(interval)
 	defer timer.Stop()
@@ -253,7 +250,7 @@ func (s *System) compactLoop(interval time.Duration, maxKeys int, budget time.Du
 		}
 		backoff = interval
 		s.bgCompacts.Add(1)
-		if budget > 0 && keys > 0 {
+		if budget > 0 {
 			// Keep the install pause at or under its budget: overshooting
 			// halves the per-cycle cap, comfortably undershooting with
 			// backlog left doubles it.

@@ -15,11 +15,11 @@ func warmSome(idx *Index) {
 	for _, slot := range slots {
 		for seg := 0; seg < idx.net.NumSegments(); seg += 3 {
 			id := roadnet.SegmentID(seg)
-			idx.Far(id, slot)
-			idx.Near(id, slot)
+			list(idx, Far, id, slot)
+			list(idx, Near, id, slot)
 			if seg%6 == 0 {
-				idx.FarReverse(id, slot)
-				idx.NearReverse(id, slot)
+				list(idx, FarReverse, id, slot)
+				list(idx, NearReverse, id, slot)
 			}
 		}
 	}
@@ -61,17 +61,17 @@ func TestAdjacencySaveLoadRoundTrip(t *testing.T) {
 	for _, slot := range []int{0, 90, 132} {
 		for seg := 0; seg < n.NumSegments(); seg += 3 {
 			id := roadnet.SegmentID(seg)
-			if !reflect.DeepEqual(orig.Far(id, slot), got.Far(id, slot)) {
+			if !reflect.DeepEqual(list(orig, Far, id, slot), list(got, Far, id, slot)) {
 				t.Fatalf("Far mismatch at seg=%d slot=%d", seg, slot)
 			}
-			if !reflect.DeepEqual(orig.Near(id, slot), got.Near(id, slot)) {
+			if !reflect.DeepEqual(list(orig, Near, id, slot), list(got, Near, id, slot)) {
 				t.Fatalf("Near mismatch at seg=%d slot=%d", seg, slot)
 			}
 			if seg%6 == 0 {
-				if !reflect.DeepEqual(orig.FarReverse(id, slot), got.FarReverse(id, slot)) {
+				if !reflect.DeepEqual(list(orig, FarReverse, id, slot), list(got, FarReverse, id, slot)) {
 					t.Fatalf("FarReverse mismatch at seg=%d slot=%d", seg, slot)
 				}
-				if !reflect.DeepEqual(orig.NearReverse(id, slot), got.NearReverse(id, slot)) {
+				if !reflect.DeepEqual(list(orig, NearReverse, id, slot), list(got, NearReverse, id, slot)) {
 					t.Fatalf("NearReverse mismatch at seg=%d slot=%d", seg, slot)
 				}
 			}
@@ -122,10 +122,10 @@ func TestRowMatchesExpansion(t *testing.T) {
 				row  Row
 				want []roadnet.SegmentID
 			}{
-				{"far", idx.FarRow(id, slot), refExpand(idx, id, slot, true)},
-				{"near", idx.NearRow(id, slot), refExpand(idx, id, slot, false)},
-				{"farRev", idx.FarReverseRow(id, slot), refExpandReverse(idx, id, slot, true)},
-				{"nearRev", idx.NearReverseRow(id, slot), refExpandReverse(idx, id, slot, false)},
+				{"far", row(idx, Far, id, slot), refExpand(idx, id, slot, true)},
+				{"near", row(idx, Near, id, slot), refExpand(idx, id, slot, false)},
+				{"farRev", row(idx, FarReverse, id, slot), refExpandReverse(idx, id, slot, true)},
+				{"nearRev", row(idx, NearReverse, id, slot), refExpandReverse(idx, id, slot, false)},
 			} {
 				if !adjSparse(tc.row.Len(), n.NumSegments()) {
 					sawDense = true
@@ -170,7 +170,7 @@ func TestSingleflightColdMiss(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			lists[g] = idx.Far(7, 130)
+			lists[g] = list(idx, Far, 7, 130)
 		}(g)
 	}
 	close(start)
@@ -198,10 +198,10 @@ func TestParallelPrecomputeMatchesSerial(t *testing.T) {
 	for slot := 130; slot <= 135; slot++ {
 		for seg := 0; seg < n.NumSegments(); seg += 5 {
 			id := roadnet.SegmentID(seg)
-			if !reflect.DeepEqual(serial.Far(id, slot), parallel.Far(id, slot)) {
+			if !reflect.DeepEqual(list(serial, Far, id, slot), list(parallel, Far, id, slot)) {
 				t.Fatalf("Far mismatch at seg=%d slot=%d", seg, slot)
 			}
-			if !reflect.DeepEqual(serial.Near(id, slot), parallel.Near(id, slot)) {
+			if !reflect.DeepEqual(list(serial, Near, id, slot), list(parallel, Near, id, slot)) {
 				t.Fatalf("Near mismatch at seg=%d slot=%d", seg, slot)
 			}
 		}

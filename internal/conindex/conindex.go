@@ -382,40 +382,17 @@ func (x *Index) RowCtx(ctx context.Context, k Kind, seg roadnet.SegmentID, slot 
 	return r, err
 }
 
-// FarRow returns F(r, t): every segment enterable from seg within one Δt
-// at the slot's maximum speeds (seg itself included).
-func (x *Index) FarRow(seg roadnet.SegmentID, slot int) Row {
-	r, _ := x.RowCtx(context.Background(), Far, seg, slot)
-	return r
-}
-
-// FarRowCtx is RowCtx on the Far table.
+// FarRowCtx is RowCtx on the Far table: F(r, t), every segment
+// enterable from seg within one Δt at the slot's maximum speeds (seg
+// itself included).
 func (x *Index) FarRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
 	return x.RowCtx(ctx, Far, seg, slot)
 }
 
-// NearRow returns N(r, t) as a row: every segment fully
+// NearRowCtx is RowCtx on the Near table: N(r, t), every segment fully
 // traversable from seg within one Δt at the slot's minimum speeds.
-func (x *Index) NearRow(seg roadnet.SegmentID, slot int) Row {
-	r, _ := x.RowCtx(context.Background(), Near, seg, slot)
-	return r
-}
-
-// NearRowCtx is RowCtx on the Near table.
 func (x *Index) NearRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
 	return x.RowCtx(ctx, Near, seg, slot)
-}
-
-// Far returns F(r, t) as a sorted ID slice (seg itself included). The
-// returned slice is shared; callers must not modify it.
-func (x *Index) Far(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
-	return x.list(Far, seg, slot)
-}
-
-// Near returns N(r, t) as a sorted ID slice (seg itself included). The
-// returned slice is shared; callers must not modify it.
-func (x *Index) Near(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
-	return x.list(Near, seg, slot)
 }
 
 // expand runs a travel-time Dijkstra from seg bounded by Δt, checking ctx

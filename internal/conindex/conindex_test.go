@@ -45,6 +45,18 @@ func warm(t testing.TB, x *Index, lo, hi, workers int) {
 	}
 }
 
+// row is the tests' plain row lookup: RowCtx under a background context,
+// which never cancels an expansion.
+func row(idx *Index, k Kind, seg roadnet.SegmentID, slot int) Row {
+	r, _ := idx.RowCtx(context.Background(), k, seg, slot)
+	return r
+}
+
+// list is row expanded to a sorted ID slice (seg itself included).
+func list(idx *Index, k Kind, seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
+	return row(idx, k, seg, slot).AppendTo(nil)
+}
+
 func build(t *testing.T, n *roadnet.Network, ds *traj.Dataset) *Index {
 	t.Helper()
 	idx, err := Build(n, ds, Config{SlotSeconds: 300})
@@ -89,10 +101,10 @@ func TestNearSubsetOfFar(t *testing.T) {
 	for seg := 0; seg < n.NumSegments(); seg += 7 {
 		id := roadnet.SegmentID(seg)
 		far := map[roadnet.SegmentID]bool{}
-		for _, s := range idx.Far(id, slot) {
+		for _, s := range list(idx, Far, id, slot) {
 			far[s] = true
 		}
-		for _, s := range idx.Near(id, slot) {
+		for _, s := range list(idx, Near, id, slot) {
 			if !far[s] {
 				t.Fatalf("Near(%d) contains %d missing from Far", seg, s)
 			}
@@ -105,7 +117,7 @@ func TestFarIncludesSelfAndSuccessors(t *testing.T) {
 	idx := build(t, n, testDataset(t, n))
 	slot := 10 * 3600 / 300
 	id := roadnet.SegmentID(0)
-	far := idx.Far(id, slot)
+	far := list(idx, Far, id, slot)
 	set := map[roadnet.SegmentID]bool{}
 	for _, s := range far {
 		set[s] = true
@@ -136,8 +148,8 @@ func TestFarGrowsWithSpeed(t *testing.T) {
 	larger, smaller := 0, 0
 	for seg := 0; seg < n.NumSegments(); seg += 5 {
 		id := roadnet.SegmentID(seg)
-		r := len(idx.Far(id, rushSlot))
-		f := len(idx.Far(id, nightSlot))
+		r := len(list(idx, Far, id, rushSlot))
+		f := len(list(idx, Far, id, nightSlot))
 		if f > r {
 			larger++
 		}
@@ -156,15 +168,14 @@ func TestListsAreCached(t *testing.T) {
 	if idx.CachedLists() != 0 {
 		t.Fatal("fresh index should have no cached lists")
 	}
-	a := idx.Far(3, 100)
+	a := row(idx, Far, 3, 100)
 	if idx.CachedLists() != 1 {
 		t.Fatalf("CachedLists = %d, want 1", idx.CachedLists())
 	}
-	b := idx.Far(3, 100)
-	if &a[0] != &b[0] {
-		t.Fatal("repeated Far should return the memoised slice")
+	if b := row(idx, Far, 3, 100); a.p != b.p {
+		t.Fatal("repeated Far should return the materialised row")
 	}
-	idx.Near(3, 100)
+	row(idx, Near, 3, 100)
 	if idx.CachedLists() != 2 {
 		t.Fatalf("CachedLists = %d, want 2", idx.CachedLists())
 	}
@@ -173,13 +184,13 @@ func TestListsAreCached(t *testing.T) {
 func TestSlotWrapsAround(t *testing.T) {
 	n := testNetwork(t)
 	idx := build(t, n, testDataset(t, n))
-	a := idx.Far(0, 5)
-	b := idx.Far(0, 5+idx.NumSlots())
+	a := list(idx, Far, 0, 5)
+	b := list(idx, Far, 0, 5+idx.NumSlots())
 	if len(a) != len(b) {
 		t.Fatal("slot index should wrap modulo a day")
 	}
-	c := idx.Far(0, -1)
-	d := idx.Far(0, idx.NumSlots()-1)
+	c := list(idx, Far, 0, -1)
+	d := list(idx, Far, 0, idx.NumSlots()-1)
 	if len(c) != len(d) {
 		t.Fatal("negative slot should wrap to end of day")
 	}
@@ -207,11 +218,11 @@ func TestNearRequiresFullTraversal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	near := idx.Near(0, 0)
+	near := list(idx, Near, 0, 0)
 	if len(near) != 0 {
 		t.Fatalf("Near at fallback min speed should be empty, got %v", near)
 	}
-	far := idx.Far(0, 0)
+	far := list(idx, Far, 0, 0)
 	if len(far) < 3 {
 		t.Fatalf("Far at free-flow should span the line, got %v", far)
 	}
@@ -285,14 +296,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				got.Observations(id, slot) != orig.Observations(id, slot) {
 				t.Fatalf("stats differ at seg=%d slot=%d", seg, slot)
 			}
-			a, b := orig.Far(id, slot), got.Far(id, slot)
+			a, b := list(orig, Far, id, slot), list(got, Far, id, slot)
 			if len(a) != len(b) {
 				t.Fatalf("Far list differs at seg=%d slot=%d", seg, slot)
 			}
 		}
 	}
 	// Reverse tables must also work on the loaded index.
-	if len(got.FarReverse(0, 0)) == 0 {
+	if len(list(got, FarReverse, 0, 0)) == 0 {
 		t.Fatal("loaded index reverse tables broken")
 	}
 }

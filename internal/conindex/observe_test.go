@@ -90,7 +90,7 @@ func TestObserveSpeedInvalidatesCachedRows(t *testing.T) {
 	seg := roadnet.SegmentID(4)
 	slot := 130
 	// Materialise the forward near row for (seg, slot).
-	live.Near(seg, slot)
+	list(live, Near, seg, slot)
 	if live.Stats().Materialised == 0 {
 		t.Fatal("no row materialised")
 	}
@@ -103,7 +103,7 @@ func TestObserveSpeedInvalidatesCachedRows(t *testing.T) {
 	// The row must be rebuilt on next access (cache miss), reflecting the
 	// new bound rather than returning the cached pre-observation row.
 	st1 := live.Stats()
-	live.Near(seg, slot)
+	list(live, Near, seg, slot)
 	if got := live.Stats().Materialised - st1.Materialised; got == 0 {
 		t.Fatal("row served from cache after an invalidating observation")
 	}

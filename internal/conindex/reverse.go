@@ -17,42 +17,6 @@ import (
 // NearReverse(r, t) is the lower bound at minimum speeds, requiring r
 // itself to be fully traversed too.
 
-// FarReverseRow returns the FarReverse list as a row (see
-// FarRow).
-func (x *Index) FarReverseRow(seg roadnet.SegmentID, slot int) Row {
-	r, _ := x.RowCtx(context.Background(), FarReverse, seg, slot)
-	return r
-}
-
-// FarReverseRowCtx is RowCtx on the FarReverse table.
-func (x *Index) FarReverseRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	return x.RowCtx(ctx, FarReverse, seg, slot)
-}
-
-// NearReverseRow returns the NearReverse list as a row.
-func (x *Index) NearReverseRow(seg roadnet.SegmentID, slot int) Row {
-	r, _ := x.RowCtx(context.Background(), NearReverse, seg, slot)
-	return r
-}
-
-// NearReverseRowCtx is RowCtx on the NearReverse table.
-func (x *Index) NearReverseRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	return x.RowCtx(ctx, NearReverse, seg, slot)
-}
-
-// FarReverse returns the segments from which seg is reachable within one
-// Δt at the slot's maximum speeds (seg itself included), sorted by ID.
-// The returned slice is shared; callers must not modify it.
-func (x *Index) FarReverse(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
-	return x.list(FarReverse, seg, slot)
-}
-
-// NearReverse returns the segments from which seg is surely reachable
-// within one Δt even at the slot's minimum speeds, sorted by ID.
-func (x *Index) NearReverse(seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
-	return x.list(NearReverse, seg, slot)
-}
-
 // expandReverse runs the mirrored travel-time Dijkstra: cost[q] is the
 // travel time from the *entry* of q to the *entry* of seg, i.e. the sum
 // of traversal times of q and every intermediate segment, excluding seg.

@@ -15,10 +15,10 @@ func TestReverseNearSubsetOfFar(t *testing.T) {
 	for seg := 0; seg < n.NumSegments(); seg += 9 {
 		id := roadnet.SegmentID(seg)
 		far := map[roadnet.SegmentID]bool{}
-		for _, s := range idx.FarReverse(id, slot) {
+		for _, s := range list(idx, FarReverse, id, slot) {
 			far[s] = true
 		}
-		for _, s := range idx.NearReverse(id, slot) {
+		for _, s := range list(idx, NearReverse, id, slot) {
 			if !far[s] {
 				t.Fatalf("NearReverse(%d) contains %d missing from FarReverse", seg, s)
 			}
@@ -32,7 +32,7 @@ func TestReverseFarIncludesSelfAndPredecessors(t *testing.T) {
 	slot := 10 * 3600 / 300
 	id := roadnet.SegmentID(5)
 	set := map[roadnet.SegmentID]bool{}
-	for _, s := range idx.FarReverse(id, slot) {
+	for _, s := range list(idx, FarReverse, id, slot) {
 		set[s] = true
 	}
 	if !set[id] {
@@ -69,8 +69,8 @@ func TestReverseMirrorsForwardOnLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd := idx.Far(0, 0)        // from the head of the chain
-	rev := idx.FarReverse(2, 0) // into the tail of the chain
+	fwd := list(idx, Far, 0, 0)        // from the head of the chain
+	rev := list(idx, FarReverse, 2, 0) // into the tail of the chain
 	if len(fwd) != 3 || len(rev) != 3 {
 		t.Fatalf("expected full chain both ways, got fwd=%v rev=%v", fwd, rev)
 	}
@@ -79,23 +79,19 @@ func TestReverseMirrorsForwardOnLine(t *testing.T) {
 func TestReverseCached(t *testing.T) {
 	n := testNetwork(t)
 	idx := build(t, n, testDataset(t, n))
-	a := idx.FarReverse(3, 50)
-	b := idx.FarReverse(3, 50)
-	if len(a) > 0 && &a[0] != &b[0] {
-		t.Fatal("repeated FarReverse should return the memoised slice")
+	if a, b := row(idx, FarReverse, 3, 50), row(idx, FarReverse, 3, 50); a.p != b.p {
+		t.Fatal("repeated FarReverse should return the materialised row")
 	}
-	c := idx.NearReverse(3, 50)
-	d := idx.NearReverse(3, 50)
-	if len(c) > 0 && &c[0] != &d[0] {
-		t.Fatal("repeated NearReverse should return the memoised slice")
+	if c, d := row(idx, NearReverse, 3, 50), row(idx, NearReverse, 3, 50); c.p != d.p {
+		t.Fatal("repeated NearReverse should return the materialised row")
 	}
 }
 
 func TestReverseSlotWraps(t *testing.T) {
 	n := testNetwork(t)
 	idx := build(t, n, testDataset(t, n))
-	a := idx.FarReverse(0, 5)
-	b := idx.FarReverse(0, 5+idx.NumSlots())
+	a := list(idx, FarReverse, 0, 5)
+	b := list(idx, FarReverse, 0, 5+idx.NumSlots())
 	if len(a) != len(b) {
 		t.Fatal("reverse slot index should wrap modulo a day")
 	}

@@ -44,14 +44,8 @@ func (x *Index) SliceSlots(shard int, owned bitset.Set, slotLo, slotHi int) *Sli
 	return &Slice{x: x, shard: shard, owned: owned, slotRanged: true, slotLo: slotLo, slotHi: slotHi}
 }
 
-// Index returns the shared underlying index.
-func (s *Slice) Index() *Index { return s.x }
-
-// Shard returns the owning shard's ordinal.
-func (s *Slice) Shard() int { return s.shard }
-
-// Owns reports whether the slice serves rows for seg.
-func (s *Slice) Owns(seg roadnet.SegmentID) bool {
+// owns reports whether the slice serves rows for seg.
+func (s *Slice) owns(seg roadnet.SegmentID) bool {
 	return seg >= 0 && int(seg) < s.x.net.NumSegments() && s.owned.Has(int(seg))
 }
 
@@ -72,7 +66,7 @@ func (s *Slice) admit(slot int, segs ...roadnet.SegmentID) error {
 		return nil
 	}
 	for _, seg := range segs {
-		if !s.Owns(seg) {
+		if !s.owns(seg) {
 			return fmt.Errorf("conindex: segment %d is not owned by shard %d", seg, s.shard)
 		}
 	}

@@ -1,7 +1,6 @@
 package conindex
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -21,15 +20,14 @@ import (
 // PrecomputeSlotsCtx) instead of a walk over its cells.
 //
 // mu serialises everything that changes the table — installs,
-// invalidations, the singleflight registry and the decoded-slice memo —
-// and is never taken by a hit.
+// invalidations and the singleflight registry — and is never taken by a
+// hit.
 type table struct {
 	slots  []atomic.Pointer[slotRows]
 	filled []atomic.Int32 // materialised rows per slot
 	nseg   int            // cells per slot array
 
 	mu     sync.Mutex
-	lists  map[int64][]roadnet.SegmentID
 	flight map[int64]*flightCall
 }
 
@@ -49,7 +47,6 @@ func newTable(numSlots, numSegments int) table {
 		slots:  make([]atomic.Pointer[slotRows], numSlots),
 		filled: make([]atomic.Int32, numSlots),
 		nseg:   numSegments,
-		lists:  map[int64][]roadnet.SegmentID{},
 	}
 }
 
@@ -176,34 +173,6 @@ func (t *table) orHits(slot int, segs []roadnet.SegmentID, dst bitset.Set, misse
 	return misses
 }
 
-// list returns the row expanded to the shared sorted-slice form, memoised
-// per key (only the legacy list API pays for this; the bounding phase
-// works on rows directly).
-func (x *Index) list(k Kind, seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
-	slot = x.normSlot(slot)
-	t := x.adjTables()[k]
-	key := cacheKey(seg, slot)
-	t.mu.Lock()
-	l, ok := t.lists[key]
-	t.mu.Unlock()
-	if ok {
-		return l
-	}
-	r, _, err := x.resolve(context.Background(), k, seg, slot)
-	if err != nil {
-		return nil
-	}
-	l = r.AppendTo(make([]roadnet.SegmentID, 0, r.Len()))
-	t.mu.Lock()
-	if prev, ok := t.lists[key]; ok {
-		l = prev // another goroutine decoded first; share its slice
-	} else {
-		t.lists[key] = l
-	}
-	t.mu.Unlock()
-	return l
-}
-
 // size returns how many rows are materialised.
 func (t *table) size() int {
 	n := 0
@@ -236,8 +205,8 @@ func (t *table) forEach(fn func(slot int, seg roadnet.SegmentID, r Row)) {
 // set can have influenced: the rows of the selves segments (a row always
 // contains its own segment, but may be empty when nothing is reachable
 // — the one case membership cannot witness), plus any row containing a
-// probe segment. Both sets are bitsets over the segments. Decoded-slice
-// memos go with their rows. Only the touched slot's array is visited.
+// probe segment. Both sets are bitsets over the segments. Only the
+// touched slot's array is visited.
 // The array is looked up under mu: an install that passed its
 // generation check before this slot's generation moved has then
 // finished storing, so the scan sees its row.
@@ -256,17 +225,13 @@ func (t *table) invalidateSlot(slot int, selves, probes bitset.Set) {
 		if selves.Has(seg) || (Row{p}).Intersects(probes) {
 			(*sr)[seg].Store(nil)
 			t.filled[slot].Add(-1)
-			delete(t.lists, cacheKey(roadnet.SegmentID(seg), slot))
 		}
 	}
 }
 
-// put installs a row directly (the adjacency-blob load path), dropping
-// any decoded-slice memo so the list API cannot serve a stale decode of
-// a replaced row.
+// put installs a row directly (the adjacency-blob load path).
 func (t *table) put(slot int, seg roadnet.SegmentID, r Row) {
 	t.mu.Lock()
 	t.store(slot, seg, r)
-	delete(t.lists, cacheKey(seg, slot))
 	t.mu.Unlock()
 }

@@ -34,18 +34,19 @@ func referenceRegion(e *Engine, starts []roadnet.SegmentID, startOfDay, dur time
 		slot := (slot0 + i*slotSec) / slotSec
 		snapshot := len(order)
 		for j := 0; j < snapshot; j++ {
-			var list []roadnet.SegmentID
-			if far {
-				list = e.con.Far(order[j], slot)
-			} else {
-				list = e.con.Near(order[j], slot)
-			}
-			for _, s := range list {
+			for _, s := range conList(e.con, forwardKind(far), order[j], slot) {
 				add(s, i+1)
 			}
 		}
 	}
 	return round, order
+}
+
+// conList is the references' view of a Con-Index row: RowCtx under a
+// background context, expanded to a sorted ID slice.
+func conList(con *conindex.Index, k conindex.Kind, seg roadnet.SegmentID, slot int) []roadnet.SegmentID {
+	r, _ := con.RowCtx(bg, k, seg, slot)
+	return r.AppendTo(nil)
 }
 
 func checkRegionAgainstReference(t *testing.T, name string, reg *region, wantRound map[roadnet.SegmentID]int16) {
@@ -112,7 +113,7 @@ func TestBoundingRegionMatchesSliceReference(t *testing.T) {
 		slot := (int((11 * time.Hour).Seconds()) + i*slotSec) / slotSec
 		snapshot := len(orderRev)
 		for j := 0; j < snapshot; j++ {
-			for _, s := range e.con.FarReverse(orderRev[j], slot) {
+			for _, s := range conList(e.con, conindex.FarReverse, orderRev[j], slot) {
 				if _, ok := wantRev[s]; !ok {
 					wantRev[s] = int16(i + 1)
 					orderRev = append(orderRev, s)
@@ -157,12 +158,6 @@ func referenceUnified(e *Engine, starts []roadnet.SegmentID, startOfDay, dur tim
 	}
 	k := e.rounds(dur)
 	slotSec := e.st.SlotSeconds()
-	listOf := func(r roadnet.SegmentID, slot int) []roadnet.SegmentID {
-		if far {
-			return e.con.Far(r, slot)
-		}
-		return e.con.Near(r, slot)
-	}
 	for i := 0; i < k; i++ {
 		if len(order) == e.net.NumSegments() {
 			break
@@ -171,7 +166,7 @@ func referenceUnified(e *Engine, starts []roadnet.SegmentID, startOfDay, dur tim
 		snapshot := append([]roadnet.SegmentID(nil), order...)
 		producers := map[roadnet.SegmentID][]roadnet.SegmentID{}
 		for _, r := range snapshot {
-			for _, b := range listOf(r, slot) {
+			for _, b := range conList(e.con, forwardKind(far), r, slot) {
 				if _, in := round[b]; in {
 					continue
 				}

@@ -187,12 +187,22 @@ func TestFmtDur(t *testing.T) {
 
 func TestFig43SmallWorld(t *testing.T) {
 	w := smallWorld(t)
+	sys, err := w.System(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := sys.SharingStats().PlanCacheHits
 	rows, err := Fig43(w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 5 {
 		t.Fatalf("Fig43 rows = %d, want 5", len(rows))
+	}
+	// Every timed Do is a whole execution: the figure compares the
+	// algorithms, not the plan cache.
+	if got := sys.SharingStats().PlanCacheHits; got != hits {
+		t.Fatalf("Fig43 timed %d plan-cache hits", got-hits)
 	}
 	// Road length must be non-increasing in Prob.
 	for i := 1; i < len(rows); i++ {

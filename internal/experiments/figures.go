@@ -563,8 +563,12 @@ var (
 )
 
 // timedReach runs the query three times and returns the result with the
-// minimum elapsed time, damping scheduler noise in the figures.
+// minimum elapsed time, damping scheduler noise in the figures. Every
+// run is an execution of its own: a plan-cache hit would time the
+// cache's threshold scan, not the algorithm (the Prob sweeps vary only
+// the threshold, which is not part of the plan key).
 func timedReach(sys *streach.System, req streach.Request, opts ...streach.Option) (*streach.Region, error) {
+	opts = append([]streach.Option{streach.WithBatchSharing(false)}, opts...)
 	var best *streach.Region
 	for i := 0; i < 3; i++ {
 		r, err := sys.Do(context.Background(), req, opts...)

@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// Adaptive admission: an AIMD concurrency limiter replaces the old
-// static in-flight semaphore. The limit starts at Config.MaxInFlight
-// (the ceiling) and adapts to the engine's observed behaviour: a
-// request that blows (or gets close to) its deadline multiplies the
-// limit down, a request that finishes with comfortable headroom adds a
-// fractional slot back — the classic AIMD shape that converges on the
-// concurrency the engine can actually sustain within its deadlines.
+// Adaptive admission: an AIMD concurrency limiter. The limit starts at
+// Config.MaxInFlight (the ceiling, a quarter of which is the floor) and
+// adapts to the engine's observed behaviour: a request that blows (or
+// gets close to) its deadline multiplies the limit down, a request that
+// finishes with comfortable headroom adds a fractional slot back — the
+// classic AIMD shape that converges on the concurrency the engine can
+// actually sustain within its deadlines.
 //
 // Occupancy of the current limit drives a brownout ladder, shedding the
 // cheapest work first:
@@ -44,20 +44,16 @@ type aimdLimiter struct {
 	inflight     int
 	ewmaNS       float64 // EWMA of observed request latency
 	lastDecrease time.Time
-	static       bool // adaptation off: behave as the old fixed gate
 }
 
-func newLimiter(max, min int, static bool) *aimdLimiter {
-	if min <= 0 {
-		min = max / 4
-	}
+// newLimiter returns a limiter admitting up to max requests, whose limit
+// overload can shrink to max/4 (at least 1) but never below.
+func newLimiter(max int) *aimdLimiter {
+	min := max / 4
 	if min < 1 {
 		min = 1
 	}
-	if min > max {
-		min = max
-	}
-	return &aimdLimiter{limit: float64(max), min: float64(min), max: float64(max), static: static}
+	return &aimdLimiter{limit: float64(max), min: float64(min), max: float64(max)}
 }
 
 // admit claims a slot. level is the brownout rung the request enters
@@ -94,7 +90,7 @@ func (l *aimdLimiter) release(lat, deadline time.Duration, deadlineHit bool) {
 	} else {
 		l.ewmaNS = 0.8*l.ewmaNS + 0.2*float64(lat)
 	}
-	if l.static || deadline <= 0 {
+	if deadline <= 0 {
 		return
 	}
 	headroom := float64(lat) / float64(deadline)

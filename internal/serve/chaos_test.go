@@ -27,8 +27,9 @@ func shardedSystem(t *testing.T) *streach.System {
 	shardedOnce.Do(func() {
 		idx := streach.DefaultIndexConfig()
 		idx.PlanCache = -1
-		idx.Shards = 4
-		shardedSys, shardedErr = streach.NewSystemFromData(base.Network(), base.Dataset(), idx)
+		if shardedSys, shardedErr = streach.NewSystemFromData(base.Network(), base.Dataset(), idx); shardedErr == nil {
+			shardedErr = shardedSys.Shard(4)
+		}
 	})
 	if shardedErr != nil {
 		t.Fatal(shardedErr)

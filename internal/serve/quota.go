@@ -33,15 +33,14 @@ type quotaBucket struct {
 	elem   *list.Element
 }
 
-func newQuotas(rate float64, burst int) *quotas {
-	b := float64(burst)
-	if b <= 0 {
-		b = 2 * rate
-		if b < 1 {
-			b = 1
-		}
+// newQuotas returns buckets refilling at rate tokens per second, each
+// holding up to two seconds' worth (at least one token).
+func newQuotas(rate float64) *quotas {
+	burst := 2 * rate
+	if burst < 1 {
+		burst = 1
 	}
-	return &quotas{rate: rate, burst: b, table: map[string]*quotaBucket{}, order: list.New()}
+	return &quotas{rate: rate, burst: burst, table: map[string]*quotaBucket{}, order: list.New()}
 }
 
 // allow spends one token from the client's bucket. When the bucket is

@@ -53,25 +53,17 @@ type Config struct {
 	// MaxTimeout caps client-requested timeouts (default 30 s).
 	MaxTimeout time.Duration
 	// MaxInFlight is the ceiling on concurrently admitted query
-	// requests — the AIMD limiter's starting point and maximum; excess
-	// requests are rejected immediately with 429 and a Retry-After
-	// header instead of queueing behind a saturated engine. 0 means the
-	// default (64); negative disables admission control.
+	// requests — the AIMD limiter's starting point and maximum, with
+	// MaxInFlight/4 (at least 1) its floor; excess requests are rejected
+	// immediately with 429 and a Retry-After header instead of queueing
+	// behind a saturated engine. 0 means the default (64); negative
+	// disables admission control.
 	MaxInFlight int
-	// MinInFlight is the AIMD limiter's floor: overload can shrink the
-	// admitted concurrency down to this but never below. 0 means
-	// MaxInFlight/4, at least 1.
-	MinInFlight int
-	// StaticAdmission disables AIMD adaptation: the in-flight bound
-	// stays fixed at MaxInFlight, as before adaptive admission.
-	StaticAdmission bool
 	// ClientRPS, when positive, enforces a per-client token-bucket
-	// quota of this many requests per second (keyed by X-API-Key, else
-	// peer host) in front of global admission. 0 disables quotas.
+	// quota of this many requests per second, 2×ClientRPS (at least 1)
+	// deep, keyed by X-API-Key, else peer host, in front of global
+	// admission. 0 disables quotas.
 	ClientRPS float64
-	// ClientBurst is the quota bucket depth (default 2×ClientRPS, at
-	// least 1).
-	ClientBurst int
 	// AccessLog, when set, receives one line per request (method, URI,
 	// status, latency, request ID) plus panic reports. nil disables
 	// access logging.
@@ -101,8 +93,8 @@ type Server struct {
 	// its canonical expvar JSON.
 	vars expvar.Map
 	// lim is the adaptive admission gate: one slot per in-flight query
-	// request, AIMD-adjusted between MinInFlight and MaxInFlight (nil =
-	// unlimited).
+	// request, AIMD-adjusted between MaxInFlight/4 and MaxInFlight (nil
+	// = unlimited).
 	lim *aimdLimiter
 	// quota is the per-client token-bucket table (nil = no quotas).
 	quota *quotas
@@ -126,10 +118,10 @@ func New(sys *streach.System, cfg Config) *Server {
 	s := &Server{sys: sys, cfg: cfg.withDefaults(), flights: newCoalescer()}
 	s.vars.Init()
 	if s.cfg.MaxInFlight > 0 {
-		s.lim = newLimiter(s.cfg.MaxInFlight, s.cfg.MinInFlight, s.cfg.StaticAdmission)
+		s.lim = newLimiter(s.cfg.MaxInFlight)
 	}
 	if s.cfg.ClientRPS > 0 {
-		s.quota = newQuotas(s.cfg.ClientRPS, s.cfg.ClientBurst)
+		s.quota = newQuotas(s.cfg.ClientRPS)
 	}
 	s.hist = make(map[string]*histogram, len(endpoints))
 	for _, ep := range endpoints {
@@ -714,16 +706,14 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 // coalesceKey canonicalises everything that determines a query's answer
-// — kind, algorithm, the system's result-affecting engine options,
-// locations, start, window, and probability — so only truly identical
-// in-flight queries share an execution. The response format and timeout
-// are deliberately absent: they shape the reply, not the answer. This
-// mirrors streach's batch groupKey except that Prob is included, because
-// the coalescer shares whole answers, not plans — keep the two in step
-// when Request grows a field. The option bits are constant per server
-// today (HTTP exposes no per-query ablation toggles), but folding them
-// in keeps the key honest if that ever changes, exactly as the group-key
-// fix did for batches.
+// — kind, algorithm, partial mode, locations, start, window, and
+// probability — so only truly identical in-flight queries share an
+// execution. The response format and timeout are deliberately absent:
+// they shape the reply, not the answer. This mirrors streach's batch
+// groupKey except that Prob is included, because the coalescer shares
+// whole answers, not plans — keep the two in step when Request grows a
+// field. HTTP has no per-query ablation, so groupKey's engine-option
+// bits have no counterpart here.
 // The system's live data version joins the key too: an ingest append or
 // a compaction must stop new requests from latching onto an in-flight
 // execution that started over the older data.
@@ -738,8 +728,6 @@ func (s *Server) coalesceKey(req streach.Request, alg string, partial bool) stri
 	b = strconv.AppendBool(b, partial)
 	b = append(b, '|')
 	b = append(b, s.sys.DataVersionKey()...)
-	b = append(b, '|')
-	b = append(b, streach.OptionKeyBits(s.sys.Engine().Options())...)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(req.Start), 10)
 	b = append(b, '|')

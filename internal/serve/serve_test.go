@@ -471,10 +471,11 @@ func TestAlgorithmParamAliases(t *testing.T) {
 // /healthz, and exposes per-shard metrics on /metrics/prometheus.
 func TestShardedServing(t *testing.T) {
 	base := system(t)
-	idx := streach.DefaultIndexConfig()
-	idx.Shards = 2
-	sharded, err := streach.NewSystemFromData(base.Network(), base.Dataset(), idx)
+	sharded, err := streach.NewSystemFromData(base.Network(), base.Dataset(), streach.DefaultIndexConfig())
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded.Shard(2); err != nil {
 		t.Fatal(err)
 	}
 	ts := server(t, Config{})

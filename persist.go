@@ -295,9 +295,9 @@ func (s *System) persistCompacted() error {
 	return nil
 }
 
-// OpenSystem reopens a system saved with Save. PoolPages, the TBS
-// policy options, Shards, and PlanCache are taken from idx; granularity
-// comes from the saved indexes.
+// OpenSystem reopens a system saved with Save, unsharded. PoolPages,
+// TimeListCache and PlanCache are taken from idx; granularity comes from
+// the saved indexes.
 //
 // The network and dataset are the ground truth and must load cleanly.
 // Both indexes are derived from them, so a corrupt index file — a

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -132,15 +131,14 @@ func RouteRequest(from, to Location, depart time.Duration) Request {
 }
 
 // queryOptions is the resolved per-call option set: the engine options
-// start from the system's build-time defaults and each With... override
-// replaces one knob for this call only.
+// start from the paper's defaults (the zero core.Options) and each
+// With... override replaces one knob for this call only.
 type queryOptions struct {
 	algorithm      Algorithm
 	prob           float64
 	probSet        bool
 	budget         time.Duration
 	engine         core.Options
-	engineDirty    bool
 	batchWorkers   int
 	noSharing      bool
 	partial        bool          // WithPartialResults: degrade, don't die
@@ -157,8 +155,7 @@ func (qo queryOptions) effectiveProb(req Request) float64 {
 	return req.Prob
 }
 
-// Option overrides one engine or dispatch knob for a single Do/DoBatch
-// call, without touching the System's build-time configuration.
+// Option sets one engine or dispatch knob for a single Do/DoBatch call.
 type Option func(*queryOptions)
 
 // WithAlgorithm selects the processing variant (see Algorithm).
@@ -180,32 +177,33 @@ func WithDeadlineBudget(d time.Duration) Option {
 }
 
 // WithVerifyWorkers bounds the verification worker pool for this query
-// (0 = GOMAXPROCS, 1 = serial), overriding IndexConfig.VerifyWorkers.
+// (0 = GOMAXPROCS, the default; 1 = serial).
 func WithVerifyWorkers(n int) Option {
-	return func(o *queryOptions) { o.engine.VerifyWorkers, o.engineDirty = n, true }
+	return func(o *queryOptions) { o.engine.VerifyWorkers = n }
 }
 
 // WithVerifyAll toggles full verification of the maximum bounding region
-// (see IndexConfig.VerifyAll) for this query.
+// for this query: slower, but the answer is exactly the segments of the
+// maximum region whose probability reaches Prob.
 func WithVerifyAll(on bool) Option {
-	return func(o *queryOptions) { o.engine.VerifyAll, o.engineDirty = on, true }
+	return func(o *queryOptions) { o.engine.VerifyAll = on }
 }
 
 // WithEarlyStop toggles the thesis's literal Algorithm 2 queue variant
-// (see IndexConfig.EarlyStop) for this query.
+// for this query (fastest, over-approximates on sparse data).
 func WithEarlyStop(on bool) Option {
-	return func(o *queryOptions) { o.engine.EarlyStop, o.engineDirty = on, true }
+	return func(o *queryOptions) { o.engine.EarlyStop = on }
 }
 
 // WithNoVisitedSet toggles the TBS visited-set ablation for this query.
 func WithNoVisitedSet(on bool) Option {
-	return func(o *queryOptions) { o.engine.NoVisitedSet, o.engineDirty = on, true }
+	return func(o *queryOptions) { o.engine.NoVisitedSet = on }
 }
 
 // WithNoOverlapFilter toggles the MQMB overlap-elimination ablation for
 // this query.
 func WithNoOverlapFilter(on bool) Option {
-	return func(o *queryOptions) { o.engine.NoOverlapFilter, o.engineDirty = on, true }
+	return func(o *queryOptions) { o.engine.NoOverlapFilter = on }
 }
 
 // WithBatchWorkers bounds DoBatch's parallelism (0 = min(GOMAXPROCS,
@@ -224,9 +222,9 @@ func WithBatchSharing(on bool) Option {
 	return func(o *queryOptions) { o.noSharing = !on }
 }
 
-// resolveOptions folds the call's options over the system defaults.
-func (s *System) resolveOptions(opts []Option) queryOptions {
-	qo := queryOptions{engine: s.engine.Options()}
+// resolveOptions folds the call's options over the defaults.
+func resolveOptions(opts []Option) queryOptions {
+	var qo queryOptions
 	for _, o := range opts {
 		o(&qo)
 	}
@@ -240,15 +238,14 @@ func (s *System) resolveOptions(opts []Option) queryOptions {
 // expired deadline stops the query within one checkpoint interval and
 // Do returns ctx.Err().
 //
-// Options override the system's build-time engine configuration for this
-// call only (per-query ablations, verification parallelism, probability,
-// algorithm, deadline budget).
+// Options configure this call only (per-query ablations, verification
+// parallelism, probability, algorithm, deadline budget).
 //
 // For KindRoute the returned Region holds the path in SegmentIDs and the
 // journey in Region.Route; all other kinds fill the usual reachability
 // region fields.
 func (s *System) Do(ctx context.Context, req Request, opts ...Option) (*Region, error) {
-	qo := s.resolveOptions(opts)
+	qo := resolveOptions(opts)
 	region, err := s.do(ctx, req, qo)
 	return region, wrapError(req.Kind.String(), err)
 }
@@ -415,8 +412,9 @@ func engineBackend(e *core.Engine) planBackend {
 // The request's kind/algorithm pairing must already be validated.
 func (s *System) newPlan(ctx context.Context, req Request, qo queryOptions) (queryPlan, error) {
 	var be planBackend
+	custom := qo.engine != core.Options{}
 	if c := s.cluster.Load(); c != nil {
-		if qo.engineDirty {
+		if custom {
 			c = c.WithOptions(qo.engine)
 		}
 		if qo.partial {
@@ -428,7 +426,7 @@ func (s *System) newPlan(ctx context.Context, req Request, qo queryOptions) (que
 		be = clusterBackend(c)
 	} else {
 		eng := s.engine
-		if qo.engineDirty {
+		if custom {
 			eng = s.engine.WithOptions(qo.engine)
 		}
 		be = engineBackend(eng)
@@ -542,7 +540,7 @@ func (s *System) DoBatch(ctx context.Context, reqs []Request, opts ...Option) []
 	if len(reqs) == 0 {
 		return out
 	}
-	qo := s.resolveOptions(opts)
+	qo := resolveOptions(opts)
 
 	// Each unit is one scheduling item: a singleton request, or a group
 	// of request indexes sharing one plan. Units preserve first-seen
@@ -672,7 +670,7 @@ func groupable(req Request, qo queryOptions) bool {
 // plans — keep the two in step when Request grows a field.
 func groupKey(req Request, qo queryOptions) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|%s|%d", int(req.Kind), int(qo.algorithm), engineOptionBits(qo.engine), req.Start)
+	fmt.Fprintf(&b, "%d|%d|o%d|%d", int(req.Kind), int(qo.algorithm), optionBits(qo.engine), req.Start)
 	if req.Kind != KindRoute {
 		fmt.Fprintf(&b, "|%d", req.Duration)
 	}
@@ -682,10 +680,11 @@ func groupKey(req Request, qo queryOptions) string {
 	return b.String()
 }
 
-// engineOptionBits packs the result-affecting engine options into the
-// canonical key segment shared by groupKey and serve's coalesceKey.
-func engineOptionBits(o core.Options) string {
-	bits := 0
+// optionBits packs the result-affecting engine options into one byte —
+// VerifyAll 1, EarlyStop 2, NoVisitedSet 4, NoOverlapFilter 8 — the form
+// groupKey prints and planshapes.bin stores; optionsOf unpacks it.
+func optionBits(o core.Options) uint8 {
+	var bits uint8
 	if o.VerifyAll {
 		bits |= 1
 	}
@@ -698,14 +697,18 @@ func engineOptionBits(o core.Options) string {
 	if o.NoOverlapFilter {
 		bits |= 8
 	}
-	return "o" + strconv.Itoa(bits)
+	return bits
 }
 
-// OptionKeyBits canonicalises the result-affecting engine options into
-// the key segment shared by the batch group key and the serving layer's
-// coalesce key (internal/serve) — the two serialisations must stay in
-// step, so both call this.
-func OptionKeyBits(o core.Options) string { return engineOptionBits(o) }
+// optionsOf is the inverse of optionBits.
+func optionsOf(bits uint8) core.Options {
+	return core.Options{
+		VerifyAll:       bits&1 != 0,
+		EarlyStop:       bits&2 != 0,
+		NoVisitedSet:    bits&4 != 0,
+		NoOverlapFilter: bits&8 != 0,
+	}
+}
 
 // doGroup answers one group of requests off a single shared plan. Plan
 // failure (including cancellation mid-plan) reclaims the whole group:

@@ -80,7 +80,7 @@ func TestDoRejectsBadRequests(t *testing.T) {
 }
 
 // TestPerQueryOptionsOverrideDefaults: options must override the
-// build-time engine configuration for one call only.
+// default engine policy for one call only.
 func TestPerQueryOptionsOverrideDefaults(t *testing.T) {
 	s := smallSystem(t)
 	ctx := context.Background()
@@ -103,7 +103,7 @@ func TestPerQueryOptionsOverrideDefaults(t *testing.T) {
 
 	// WithVerifyAll probes the otherwise-unverified minimum region, so it
 	// must evaluate strictly more segments — observable proof the
-	// build-time default was overridden for this call.
+	// default was overridden for this call.
 	all, err := s.Do(ctx, req, WithVerifyAll(true))
 	if err != nil {
 		t.Fatal(err)

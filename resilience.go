@@ -8,8 +8,8 @@ import (
 )
 
 // Overload self-protection knobs: per-shard circuit breakers and hedged
-// scatter verification. Both default off; enable via IndexConfig or the
-// System methods below. See DESIGN.md §12 for the model.
+// scatter verification. Both default off; enable them with the System
+// methods below. See DESIGN.md §12 for the model.
 
 // BreakerConfig tunes the per-shard circuit breakers of a sharded
 // system. A shard whose recent scatter/gather calls keep failing trips

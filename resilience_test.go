@@ -7,19 +7,21 @@ import (
 )
 
 // resilienceSystem builds a dedicated 4-shard system with the overload
-// self-protection knobs wired through IndexConfig — the configuration
-// path production deployments use — so injected faults and tripped
-// breakers never leak into the shared fixtures.
+// self-protection knobs set before it shards (so Shard must carry them
+// into the new cluster); injected faults and tripped breakers never leak
+// into the shared fixtures.
 func resilienceSystem(t *testing.T, brk BreakerConfig, hedge HedgeConfig) *System {
 	t.Helper()
 	base := smallSystem(t)
 	idx := DefaultIndexConfig()
 	idx.PlanCache = -1
-	idx.Shards = 4
-	idx.Breaker = brk
-	idx.Hedge = hedge
 	s, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
 	if err != nil {
+		t.Fatal(err)
+	}
+	s.ConfigureBreakers(brk)
+	s.SetHedging(hedge)
+	if err := s.Shard(4); err != nil {
 		t.Fatal(err)
 	}
 	return s
@@ -123,4 +125,75 @@ func TestFacadeHedgedQueriesBitIdentical(t *testing.T) {
 	}
 	assertScratchBalanced(t, hedged, "after hedged queries")
 	assertNoGoroutineGrowth(t, before)
+}
+
+// TestShardSettersOrderFree: SetShardBudget, ConfigureBreakers and
+// SetHedging configure the same cluster whether they run before or after
+// the system shards, and clearing the budget takes effect on the live
+// cluster — a hung shard is then waited for, not skipped.
+func TestShardSettersOrderFree(t *testing.T) {
+	base := smallSystem(t)
+	req := ReachRequest(testQuery(base).Locations[0], 11*time.Hour, 10*time.Minute, 0.2)
+	brk := BreakerConfig{Enabled: true, Window: 8, Cooldown: time.Minute}
+	hedge := HedgeConfig{Enabled: true, Trigger: time.Hour}
+	set := func(s *System) {
+		s.SetShardBudget(50 * time.Millisecond)
+		s.ConfigureBreakers(brk)
+		s.SetHedging(hedge)
+	}
+	systems := map[string]*System{}
+	for _, order := range []struct {
+		name     string
+		setFirst bool
+	}{{"set-then-shard", true}, {"shard-then-set", false}} {
+		idx := DefaultIndexConfig()
+		idx.PlanCache = -1
+		s, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if order.setFirst {
+			set(s)
+		}
+		if err := s.Shard(4); err != nil {
+			t.Fatal(err)
+		}
+		if !order.setFirst {
+			set(s)
+		}
+		if err := s.InjectShardFault(1, ShardFaultHang); err != nil {
+			t.Fatal(err)
+		}
+		systems[order.name] = s
+	}
+
+	before, after := systems["set-then-shard"].cluster.Load(), systems["shard-then-set"].cluster.Load()
+	if got, want := before.BreakerConfigured(), after.BreakerConfigured(); got != want || !got.Enabled {
+		t.Fatalf("breakers differ by setter order: %+v vs %+v", got, want)
+	}
+	if got, want := before.HedgeConfigured(), after.HedgeConfigured(); got != want || !got.Enabled {
+		t.Fatalf("hedging differs by setter order: %+v vs %+v", got, want)
+	}
+	for name, s := range systems {
+		// The budget bounds the hung shard: a partial answer without it.
+		got, err := s.Do(context.Background(), req, WithPartialResults(true))
+		if err != nil {
+			t.Fatalf("%s: budgeted partial query failed: %v", name, err)
+		}
+		if got.Degraded == nil || len(got.Degraded.MissingShards) != 1 || got.Degraded.MissingShards[0] != 1 {
+			t.Fatalf("%s: degradation = %+v, want missing shard 1", name, got.Degraded)
+		}
+		// Cleared, the hung shard holds the query until its deadline.
+		s.SetShardBudget(0)
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		_, err = s.Do(ctx, req, WithPartialResults(true))
+		cancel()
+		if err == nil {
+			t.Fatalf("%s: SetShardBudget(0) left the live cluster budgeted", name)
+		}
+		if CodeOf(err) != Timeout {
+			t.Fatalf("%s: unbudgeted hang = %v, want a Timeout at the query deadline", name, err)
+		}
+	}
 }

@@ -24,8 +24,9 @@ func shardedSystem(t *testing.T) *System {
 	shardedOnce.Do(func() {
 		idx := DefaultIndexConfig()
 		idx.PlanCache = -1
-		idx.Shards = 4
-		shardedSys, shardedErr = NewSystemFromData(base.Network(), base.Dataset(), idx)
+		if shardedSys, shardedErr = NewSystemFromData(base.Network(), base.Dataset(), idx); shardedErr == nil {
+			shardedErr = shardedSys.Shard(4)
+		}
 	})
 	if shardedErr != nil {
 		t.Fatal(shardedErr)
@@ -206,22 +207,23 @@ func TestShardReshard(t *testing.T) {
 	sameRegion(t, "unsharded-again", got, want)
 }
 
-// TestOpenSystemSharded: a reopened save directory honours
-// IndexConfig.Shards (and the plan-cache default), answering
-// bit-identically to the live system it was saved from.
+// TestOpenSystemSharded: a reopened save directory shards (and keeps the
+// plan-cache default), answering bit-identically to the live system it
+// was saved from.
 func TestOpenSystemSharded(t *testing.T) {
 	base := smallSystem(t)
 	dir := t.TempDir()
 	if err := base.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	idx := DefaultIndexConfig()
-	idx.Shards = 2
-	reopened, err := OpenSystem(dir, idx)
+	reopened, err := OpenSystem(dir, DefaultIndexConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
+	if err := reopened.Shard(2); err != nil {
+		t.Fatal(err)
+	}
 	if reopened.Shards() != 2 {
 		t.Fatalf("reopened Shards() = %d, want 2", reopened.Shards())
 	}

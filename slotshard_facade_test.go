@@ -22,23 +22,28 @@ func slotShardedSystems(t *testing.T) (pure, hybrid *System) {
 	t.Helper()
 	base := smallSystem(t)
 	slotShardedOnce.Do(func() {
-		idx := DefaultIndexConfig()
-		idx.PlanCache = -1
-		idx.SlotShards = 4
-		slotShardedSys, slotShardedErr = NewSystemFromData(base.Network(), base.Dataset(), idx)
+		slotShardedSys, slotShardedErr = slotShardedSystem(base, 1, 4)
 		if slotShardedErr != nil {
 			return
 		}
-		idx = DefaultIndexConfig()
-		idx.PlanCache = -1
-		idx.Shards = 2
-		idx.SlotShards = 2
-		hybridSys, slotShardedErr = NewSystemFromData(base.Network(), base.Dataset(), idx)
+		hybridSys, slotShardedErr = slotShardedSystem(base, 2, 2)
 	})
 	if slotShardedErr != nil {
 		t.Fatal(slotShardedErr)
 	}
 	return slotShardedSys, hybridSys
+}
+
+// slotShardedSystem builds a system over base's world, plan cache off,
+// sharded gridK x slotK.
+func slotShardedSystem(base *System, gridK, slotK int) (*System, error) {
+	idx := DefaultIndexConfig()
+	idx.PlanCache = -1
+	sys, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
+	if err != nil {
+		return nil, err
+	}
+	return sys, sys.ShardSlots(gridK, slotK)
 }
 
 // TestSlotShardedEquivalence pins the tentpole acceptance criterion:
@@ -166,10 +171,7 @@ func TestSlotShardStatsCoverage(t *testing.T) {
 // only on that row's shards — the other rows see no work at all.
 func TestSlotWindowPruning(t *testing.T) {
 	base := smallSystem(t)
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-	idx.SlotShards = 4
-	sys, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
+	sys, err := slotShardedSystem(base, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,10 +206,7 @@ func TestSlotWindowPruning(t *testing.T) {
 // unsharded — counted, and still bit-identical.
 func TestSlotWindowFallback(t *testing.T) {
 	base := smallSystem(t)
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-	idx.SlotShards = 4
-	sys, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
+	sys, err := slotShardedSystem(base, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,22 +232,22 @@ func TestSlotWindowFallback(t *testing.T) {
 	}
 }
 
-// TestOpenSystemSlotSharded: a reopened save directory honours
-// IndexConfig.SlotShards and answers bit-identically.
+// TestOpenSystemSlotSharded: a reopened save directory slot-shards and
+// answers bit-identically.
 func TestOpenSystemSlotSharded(t *testing.T) {
 	base := smallSystem(t)
 	dir := t.TempDir()
 	if err := base.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	idx := DefaultIndexConfig()
-	idx.Shards = 2
-	idx.SlotShards = 2
-	reopened, err := OpenSystem(dir, idx)
+	reopened, err := OpenSystem(dir, DefaultIndexConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
+	if err := reopened.ShardSlots(2, 2); err != nil {
+		t.Fatal(err)
+	}
 	if reopened.Shards() != 4 || reopened.SlotShards() != 2 {
 		t.Fatalf("reopened Shards=%d SlotShards=%d, want 4/2", reopened.Shards(), reopened.SlotShards())
 	}

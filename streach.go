@@ -109,7 +109,12 @@ func DefaultFleetConfig() FleetConfig {
 	return FleetConfig{Taxis: 250, Days: 30, Seed: 2, DaySpeedJitter: 0.15}
 }
 
-// IndexConfig controls index construction.
+// IndexConfig describes the index: its granularity and the storage and
+// caches behind it. How a query runs — algorithm, ablations,
+// verification parallelism — is a per-query Option; how the system is
+// laid out — shards, slot shards, shard budget, breakers, hedging — is
+// set by the System methods (Shard, ShardSlots, SetShardBudget,
+// ConfigureBreakers, SetHedging) after construction.
 type IndexConfig struct {
 	// SlotSeconds is the Δt granularity (default 300 s).
 	SlotSeconds int
@@ -120,63 +125,15 @@ type IndexConfig struct {
 	// destination lists a query decodes into probe sets; candidate
 	// verification streams off the page. See Metrics.TLCacheHits.
 	TimeListCache int
-	// VerifyWorkers bounds the per-query verification worker pool
-	// (0 = GOMAXPROCS, 1 = serial).
-	VerifyWorkers int
 	// PageFile, when set, backs the time lists with a real file instead
 	// of memory.
 	PageFile string
-	// Shards partitions query execution: a value above 1 builds a
-	// spatial grid partition of the road network into that many shards,
-	// one engine per shard over shard-local Con-Index/ST-Index slices,
-	// and answers reach/reverse/multi queries by scatter-gather (plan on
-	// the cluster planner, verify per shard, merge partial regions).
-	// Results are bit-identical to unsharded execution. 0 or 1 keeps the
-	// single engine. Route queries always run unsharded.
-	Shards int
-	// SlotShards adds the temporal sharding dimension: a value above 1
-	// cuts the day's slot axis into that many contiguous ranges balanced
-	// by observation density, one shard row per range, and routes each
-	// query to the row serving its window's start slot — so hot-hours
-	// traffic spreads across rows instead of all landing on one working
-	// set. Composes with Shards into a grid × slots hybrid (Shards ×
-	// SlotShards total shards). Windows outgrowing a row's held range
-	// fall back to unsharded execution (counted, never wrong); results
-	// stay bit-identical either way. 0 or 1 disables the temporal
-	// dimension.
-	SlotShards int
 	// PlanCache is the cross-batch shared-plan LRU capacity in plans:
 	// recently built plans are kept (keyed by the batch group key) so
 	// steady-state duplicate traffic skips bounding and verification
 	// entirely. 0 means the default (32); negative disables. The cache
 	// is invalidated by Close and re-sharding.
 	PlanCache int
-	// ShardBudget bounds each shard's per-query scatter/gather work on a
-	// sharded system: a shard that has not finished inside the budget is
-	// treated as failed (fail-fast by default, skipped under
-	// WithPartialResults) instead of stalling the query. Zero means no
-	// bound; WithShardBudget overrides per call.
-	ShardBudget time.Duration
-	// Breaker configures per-shard circuit breakers on a sharded
-	// system: a shard whose recent calls keep failing is short-circuited
-	// instead of paying its budget on every query. Default off. See
-	// BreakerConfig.
-	Breaker BreakerConfig
-	// Hedge configures hedged scatter verification on a sharded system:
-	// a slow shard's verify slice is raced by a hedge attempt, first
-	// success wins, answers stay bit-identical. Default off. See
-	// HedgeConfig.
-	Hedge HedgeConfig
-	// VerifyAll switches trace back search to full verification (see
-	// core.Options).
-	VerifyAll bool
-	// EarlyStop enables the thesis's literal Algorithm 2 queue variant
-	// (fastest, over-approximates on sparse data).
-	EarlyStop bool
-	// NoVisitedSet disables TBS visited-set deduplication (ablation).
-	NoVisitedSet bool
-	// NoOverlapFilter disables MQMB overlap elimination (ablation).
-	NoOverlapFilter bool
 }
 
 // DefaultIndexConfig uses the paper's 5-minute granularity.
@@ -259,7 +216,7 @@ type System struct {
 	con    *conindex.Index
 	engine *core.Engine
 	// cluster, when non-nil, answers reach/reverse/multi queries by
-	// scatter-gather over partitioned engines (IndexConfig.Shards > 1).
+	// scatter-gather over partitioned engines (set by Shard/ShardSlots).
 	// An atomic pointer so Shard can re-partition while queries are in
 	// flight: each query snapshots one cluster (or nil) and runs against
 	// it — both layouts answer bit-identically over the same indexes.
@@ -269,14 +226,13 @@ type System struct {
 	// sharing accumulates the batch executor's cross-query work-sharing
 	// counters (see SharingStats).
 	sharing sharingCounters
-	// shardBudget is IndexConfig.ShardBudget, applied to every cluster
-	// the system shards into.
+	// shardBudget (SetShardBudget), breakerCfg (ConfigureBreakers) and
+	// hedgeCfg (SetHedging) are applied to the live cluster when set and
+	// to every cluster the system shards into later, so the setters and
+	// Shard/ShardSlots may be called in either order.
 	shardBudget time.Duration
-	// breakerCfg and hedgeCfg are the overload self-protection knobs
-	// (IndexConfig.Breaker/Hedge), applied to every cluster the system
-	// shards into.
-	breakerCfg BreakerConfig
-	hedgeCfg   HedgeConfig
+	breakerCfg  BreakerConfig
+	hedgeCfg    HedgeConfig
 	// dir is the save directory backing the system (set by OpenSystem
 	// and Save); empty for purely in-memory systems. pagesDir is the
 	// directory whose pages.db the page store is (set by OpenSystem only;
@@ -465,19 +421,12 @@ func NewSystemFromData(net *roadnet.Network, ds *traj.Dataset, idx IndexConfig) 
 	return assembleSystem(net, ds, ds.Stats(), st, con, idx)
 }
 
-// assembleSystem wires built (or reopened) indexes into a System: the
-// engine with the configured policy options, the cross-batch plan
-// cache, and — when IndexConfig.Shards asks for it — the sharded
-// execution layer. Shared by NewSystemFromData and OpenSystem so both
-// construction paths honour the whole IndexConfig.
+// assembleSystem wires built (or reopened) indexes into an unsharded
+// System: the engine with the paper's default policy (per-query options
+// change it per call) and the cross-batch plan cache. Shared by
+// NewSystemFromData and OpenSystem.
 func assembleSystem(net *roadnet.Network, ds *traj.Dataset, dsStats traj.DatasetStats, st *stindex.Index, con *conindex.Index, idx IndexConfig) (*System, error) {
-	engine, err := core.NewEngine(st, con, core.Options{
-		VerifyAll:       idx.VerifyAll,
-		EarlyStop:       idx.EarlyStop,
-		NoVisitedSet:    idx.NoVisitedSet,
-		NoOverlapFilter: idx.NoOverlapFilter,
-		VerifyWorkers:   idx.VerifyWorkers,
-	})
+	engine, err := core.NewEngine(st, con, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -486,19 +435,8 @@ func assembleSystem(net *roadnet.Network, ds *traj.Dataset, dsStats traj.Dataset
 		planCap = 32
 	}
 	s := &System{net: net, netStats: net.Stats(), ds: ds, dsStats: dsStats, busiest: map[time.Duration]Location{},
-		st: st, con: con, engine: engine, plans: newPlanCache(planCap),
-		shardBudget: idx.ShardBudget, breakerCfg: idx.Breaker, hedgeCfg: idx.Hedge,
-		shapes: newShapeRecorder()}
+		st: st, con: con, engine: engine, plans: newPlanCache(planCap), shapes: newShapeRecorder()}
 	s.warmCtx, s.warmCancel = context.WithCancel(context.Background())
-	if idx.Shards > 1 || idx.SlotShards > 1 {
-		gridK := idx.Shards
-		if gridK < 1 {
-			gridK = 1
-		}
-		if err := s.ShardSlots(gridK, idx.SlotShards); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
@@ -519,10 +457,14 @@ func (s *System) Shard(k int) error {
 
 // ShardSlots switches the system to hybrid grid × slots sharded
 // execution: gridK spatial shards (as Shard) times slotK temporal shard
-// rows, each row serving the queries whose window starts in its
-// density-balanced slice of the day's slot axis (see
-// IndexConfig.SlotShards). gridK <= 1 with slotK > 1 is pure temporal
-// sharding; both <= 1 restores single-engine execution. Everything else
+// rows. The day's slot axis is cut into slotK contiguous ranges
+// balanced by observation density, and each row serves the queries
+// whose window starts in its range, so hot-hours traffic spreads across
+// rows instead of landing on one working set; a window outgrowing its
+// row's held range runs unsharded (counted in PlansSlotFallback, never
+// wrong). gridK <= 1 with slotK > 1 is pure temporal sharding; both <= 1
+// restores single-engine execution. The new cluster carries the shard
+// budget, breaker and hedging configuration set so far. Everything else
 // behaves exactly as Shard: safe while queries are in flight, plan
 // cache flushed, answers bit-identical.
 func (s *System) ShardSlots(gridK, slotK int) error {
@@ -535,9 +477,7 @@ func (s *System) ShardSlots(gridK, slotK int) error {
 	if err != nil {
 		return err
 	}
-	if s.shardBudget > 0 {
-		cluster = cluster.WithShardBudget(s.shardBudget)
-	}
+	cluster = cluster.WithShardBudget(s.shardBudget)
 	if s.breakerCfg.Enabled {
 		cluster.ConfigureBreakers(s.breakerCfg.internal())
 	}
@@ -669,17 +609,16 @@ func (s *System) warmSlots(start, dur time.Duration) (lo, hi int, ok bool) {
 	return lo, hi, lo <= hi
 }
 
-// SetShardBudget sets the default per-shard deadline budget (see
-// IndexConfig.ShardBudget): a shard that has not finished its share of
-// a query inside d counts as failed. Applied to the current cluster (if
-// sharded) and to every later Shard call; WithShardBudget overrides it
-// per query. Zero removes the budget for subsequent Shard calls only.
+// SetShardBudget bounds each shard's per-query scatter/gather work on a
+// sharded system: a shard that has not finished its share of a query
+// inside d counts as failed (fail-fast by default, skipped under
+// WithPartialResults) instead of stalling the query. Applied to the
+// current cluster (if sharded) and to every later Shard call;
+// WithShardBudget overrides it per query. Zero removes the bound.
 func (s *System) SetShardBudget(d time.Duration) {
 	s.shardBudget = d
-	if d > 0 {
-		if c := s.cluster.Load(); c != nil {
-			s.cluster.Store(c.WithShardBudget(d))
-		}
+	if c := s.cluster.Load(); c != nil {
+		s.cluster.Store(c.WithShardBudget(d))
 	}
 }
 

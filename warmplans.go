@@ -46,7 +46,8 @@ var planShapesCRC = crc32.MakeTable(crc32.Castagnoli)
 // planShape is one recorded query shape: everything groupKey
 // canonicalises except the probability threshold (the axis plans are
 // shared across), so re-planning a shape reproduces the exact cache key
-// live traffic will ask for.
+// live traffic will ask for. OptionBits is optionBits of the engine
+// options.
 type planShape struct {
 	Kind       Kind
 	Algorithm  Algorithm
@@ -54,25 +55,6 @@ type planShape struct {
 	Start      time.Duration
 	Duration   time.Duration
 	Locations  []Location
-}
-
-// shapeOptionBits packs the result-affecting engine options the same
-// way engineOptionBits does, as a byte for the shape encoding.
-func shapeOptionBits(qo queryOptions) uint8 {
-	var bits uint8
-	if qo.engine.VerifyAll {
-		bits |= 1
-	}
-	if qo.engine.EarlyStop {
-		bits |= 2
-	}
-	if qo.engine.NoVisitedSet {
-		bits |= 4
-	}
-	if qo.engine.NoOverlapFilter {
-		bits |= 8
-	}
-	return bits
 }
 
 // shapeRecorder is the fixed-capacity ring of recent plan-cache-miss
@@ -285,7 +267,7 @@ func (s *System) recordPlanShape(req Request, qo queryOptions) {
 	shape := planShape{
 		Kind:       req.Kind,
 		Algorithm:  qo.algorithm,
-		OptionBits: shapeOptionBits(qo),
+		OptionBits: optionBits(qo.engine),
 		Start:      req.Start,
 		Duration:   req.Duration,
 		Locations:  append([]Location(nil), req.Locations...),
@@ -294,10 +276,9 @@ func (s *System) recordPlanShape(req Request, qo queryOptions) {
 }
 
 // shapeQuery rebuilds the request and resolved options a recorded shape
-// was planned under: the system's engine options with the shape's
-// result-affecting bits applied, so the rebuilt groupKey is
-// byte-identical to the one live traffic computes.
-func (s *System) shapeQuery(sh planShape) (Request, queryOptions) {
+// was planned under, so the rebuilt groupKey is byte-identical to the
+// one live traffic computes.
+func shapeQuery(sh planShape) (Request, queryOptions) {
 	req := Request{
 		Kind:      sh.Kind,
 		Locations: sh.Locations,
@@ -305,14 +286,7 @@ func (s *System) shapeQuery(sh planShape) (Request, queryOptions) {
 		Duration:  sh.Duration,
 		Prob:      0.5, // plans are threshold-independent; any valid value
 	}
-	qo := queryOptions{algorithm: sh.Algorithm, engine: s.engine.Options()}
-	base := shapeOptionBits(qo)
-	qo.engine.VerifyAll = sh.OptionBits&1 != 0
-	qo.engine.EarlyStop = sh.OptionBits&2 != 0
-	qo.engine.NoVisitedSet = sh.OptionBits&4 != 0
-	qo.engine.NoOverlapFilter = sh.OptionBits&8 != 0
-	qo.engineDirty = shapeOptionBits(qo) != base
-	return req, qo
+	return req, queryOptions{algorithm: sh.Algorithm, engine: optionsOf(sh.OptionBits)}
 }
 
 // WarmPlans re-plans up to topN of the most frequent recorded shapes
@@ -331,10 +305,10 @@ func (s *System) WarmPlans(ctx context.Context, topN int) (int, error) {
 		if err := ctx.Err(); err != nil {
 			return warmed, err
 		}
-		if !groupable(s.shapeQuery(sh)) {
+		req, qo := shapeQuery(sh)
+		if !groupable(req, qo) {
 			continue
 		}
-		req, qo := s.shapeQuery(sh)
 		key := groupKey(req, qo) + "|" + s.DataVersionKey()
 		if pl, ok := s.plans.take(key); ok {
 			s.plans.put(key, pl) // already warm
@@ -416,8 +390,7 @@ func (s *System) loadPlanShapes(dir string) error {
 	}
 	keys := make([]string, len(shapes))
 	for i, sh := range shapes {
-		req, qo := s.shapeQuery(sh)
-		keys[i] = groupKey(req, qo)
+		keys[i] = groupKey(shapeQuery(sh))
 	}
 	s.shapes.load(shapes, keys)
 	return nil

@@ -2,6 +2,7 @@ package streach
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -86,6 +87,52 @@ func TestPlanShapesCodecRoundTrip(t *testing.T) {
 		for j := range a.Locations {
 			if a.Locations[j] != b.Locations[j] {
 				t.Fatalf("shape %d location %d mismatch", i, j)
+			}
+		}
+	}
+
+	// One option-bit codec: every ablation combination of every
+	// kind/algorithm pairing a plan is cached under is recorded in the
+	// documented bit order (VerifyAll 1, EarlyStop 2, NoVisitedSet 4,
+	// NoOverlapFilter 8 — the planshapes.bin byte) and, through
+	// planshapes.bin and shapeQuery, rebuilds the live request's group key
+	// byte for byte. VerifyWorkers is cost-only and must not matter.
+	pairs := map[Kind][]Algorithm{
+		KindReach:   {AlgoAuto, AlgoBounded, AlgoExhaustive},
+		KindReverse: {AlgoAuto, AlgoBounded, AlgoExhaustive},
+		KindMulti:   {AlgoAuto, AlgoBounded, AlgoSequential},
+	}
+	for kind, algs := range pairs {
+		locs := []Location{{Lat: 22.51, Lng: 114.02}}
+		if kind == KindMulti {
+			locs = append(locs, Location{Lat: 22.53, Lng: 114.05})
+		}
+		req := Request{Kind: kind, Locations: locs, Start: 8 * time.Hour, Duration: 10 * time.Minute, Prob: 0.3}
+		for _, alg := range algs {
+			for bits := uint8(0); bits < 16; bits++ {
+				qo := resolveOptions([]Option{
+					WithAlgorithm(alg), WithVerifyWorkers(3),
+					WithVerifyAll(bits&1 != 0), WithEarlyStop(bits&2 != 0),
+					WithNoVisitedSet(bits&4 != 0), WithNoOverlapFilter(bits&8 != 0),
+				})
+				name := fmt.Sprintf("%v/%v/bits=%d", kind, alg, bits)
+				s := &System{shapes: newShapeRecorder()}
+				s.recordPlanShape(req, qo)
+				recorded, _ := s.shapes.snapshot()
+				if len(recorded) != 1 || recorded[0].OptionBits != bits {
+					t.Fatalf("%s: recorded %+v, want one shape with option bits %d", name, recorded, bits)
+				}
+				decoded, err := decodePlanShapes(encodePlanShapes(recorded))
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				wreq, wqo := shapeQuery(decoded[0])
+				if !groupable(wreq, wqo) {
+					t.Fatalf("%s: rebuilt shape is not groupable", name)
+				}
+				if got, want := groupKey(wreq, wqo), groupKey(req, qo); got != want {
+					t.Fatalf("%s: rebuilt group key %q, live %q", name, got, want)
+				}
 			}
 		}
 	}
