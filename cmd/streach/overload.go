@@ -126,7 +126,7 @@ func runOverload(args []string) error {
 }
 
 // scrapeResilienceMetrics pulls the self-protection gauges and counters
-// (breaker state, admission limit, hedges, quota rejections) off the
+// (breaker state, admission limit, quota rejections) off the
 // server's Prometheus endpoint; best-effort, nil on any failure.
 func scrapeResilienceMetrics(client *http.Client, base string) map[string]float64 {
 	resp, err := client.Get(base + "/metrics/prometheus")
@@ -136,8 +136,7 @@ func scrapeResilienceMetrics(client *http.Client, base string) map[string]float6
 	defer resp.Body.Close()
 	keep := []string{
 		"streach_breaker_state", "streach_breaker_opens_total",
-		"streach_breaker_short_circuits_total", "streach_hedges_total",
-		"streach_hedge_wins_total", "streach_admission_limit",
+		"streach_breaker_short_circuits_total", "streach_admission_limit",
 		"streach_admission_inflight", "streach_admission_rejected_total",
 		"streach_quota_rejections_total", "streach_brownout_warm_shed_total",
 		"streach_brownout_forced_partial_total",

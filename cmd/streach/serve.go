@@ -33,7 +33,6 @@ func runServe(args []string) error {
 	maxInFlight := fs.Int("max-inflight", 0, "adaptive admission ceiling: max concurrent query requests, 429 beyond; overload shrinks the limit to no less than a quarter of it (0 = default 64, negative = unlimited)")
 	clientRPS := fs.Float64("client-rps", 0, "per-client token-bucket quota in requests/second, 2x as deep, keyed by X-API-Key or peer host (0 = off)")
 	breakers := fs.Bool("breakers", false, "per-shard circuit breakers: short-circuit a repeatedly failing shard instead of paying its budget every query; a half-open probe follows after 2s (requires -shards)")
-	hedge := fs.Bool("hedge", false, "hedged shard verification: race a slow shard's verify slice with a second attempt, first result wins; the trigger is 25ms or 2x the shard's p95, whichever is larger (requires -shards)")
 	shards := fs.Int("shards", 0, "sharded execution: partition the network across this many engines and answer by scatter-gather (0/1 = single engine; results are bit-identical)")
 	slotShards := fs.Int("slot-shards", 0, "temporal sharding: cut the day's slot axis into this many density-balanced ranges, one shard row each, routing queries by window start; composes with -shards into grid x slots (0/1 = off; results are bit-identical)")
 	warmPlans := fs.Int("warm-plans", 0, "warm-plan pipeline: re-plan this many of the hottest recorded query shapes in the background after open and after each compaction epoch swap; grows the plan cache to hold them (0 = off)")
@@ -77,13 +76,6 @@ func runServe(args []string) error {
 		}
 		sys.ConfigureBreakers(streach.BreakerConfig{Enabled: true})
 		fmt.Fprintln(os.Stderr, "per-shard circuit breakers enabled")
-	}
-	if *hedge {
-		if sys.Shards() <= 1 {
-			return errors.New("-hedge requires -shards > 1")
-		}
-		sys.SetHedging(streach.HedgeConfig{Enabled: true})
-		fmt.Fprintln(os.Stderr, "hedged shard verification enabled")
 	}
 	if *chaos != "" {
 		if err := applyChaos(sys, *chaos); err != nil {

@@ -39,38 +39,28 @@ type IngestUpdate struct {
 }
 
 // IngestConfig controls the live-ingest writer. The zero value is
-// usable: two workers, a 4096-update queue, 256-update batches, and a
-// segmented write-ahead log under dir/wal/ when the system has a save
-// directory.
+// usable: two workers, a 4096-update queue (TryIngest rejects beyond
+// it), 256-update batches, 65536 buffered Con-Index speed samples, and a
+// segmented write-ahead log under dir/wal/ (segments rotated at 4 MiB
+// or 1 min) when the system has a save directory. Trajectory data goes
+// live in the ST-Index delta on every batch; the speed bounds — pruning
+// statistics — fold at FlushIngest/CompactIngest/Close or when the
+// sample buffer fills, so live write load cannot turn the query bounding
+// phase into a per-sample row-recompute storm.
 type IngestConfig struct {
 	// Workers is the apply worker-pool size (default 2).
 	Workers int
-	// QueueDepth bounds the pending-update queue (default 4096);
-	// TryIngest rejects beyond it.
-	QueueDepth int
 	// BatchSize is how many updates fold into one index append and one
 	// WAL record (default 256).
 	BatchSize int
 	// FlushInterval bounds how long a partial batch waits (default 50ms).
 	FlushInterval time.Duration
-	// SpeedBuffer caps how many Con-Index speed samples buffer before
-	// being folded into the min/max bounds (default 65536). Trajectory
-	// data goes live in the ST-Index delta on every batch; the speed
-	// bounds — pruning statistics — fold at FlushIngest/CompactIngest/
-	// Close or when this cap fills, so live write load cannot turn the
-	// query bounding phase into a per-sample row-recompute storm.
-	SpeedBuffer int
 	// WALPath overrides the write-ahead log directory. Empty uses
 	// dir/wal when the system was opened from (or saved to) a
 	// directory; a directory-less system runs without a WAL.
 	WALPath string
-	// DisableWAL runs without crash durability even when a directory or
-	// WALPath is available.
-	DisableWAL bool
 	// WALSegmentBytes rotates a WAL segment past this size (default 4 MiB).
 	WALSegmentBytes int64
-	// WALSegmentAge rotates a WAL segment older than this (default 1m).
-	WALSegmentAge time.Duration
 	// CompactInterval, when positive, runs incremental compactions on a
 	// background loop every interval while dirty keys are pending, with
 	// exponential backoff after a persist failure. Each cycle folds at
@@ -96,8 +86,8 @@ type IngestStats struct {
 	WALErrors int64 // WAL append failures (updates stayed live, not durable)
 	QueueLen  int   // updates currently queued
 	// PendingSpeedSamples counts Con-Index speed samples buffered for
-	// the next fold (FlushIngest, CompactIngest, Close, or the
-	// SpeedBuffer cap).
+	// the next fold (FlushIngest, CompactIngest, Close, or the buffer
+	// cap).
 	PendingSpeedSamples int
 	// PerShard counts applied updates per owning shard (len 1 when
 	// unsharded).
@@ -110,8 +100,8 @@ type IngestStats struct {
 	// WALLastError is the most recent WAL append failure ("" when none).
 	WALLastError string
 	// WALEnabled reports whether a segmented WAL is attached (false
-	// before StartIngest, with DisableWAL, or on a directory-less
-	// system).
+	// before StartIngest, or on a directory-less system without a
+	// WALPath).
 	WALEnabled bool
 	// WALSegments counts live WAL segment files (0 without a WAL).
 	WALSegments int
@@ -175,29 +165,24 @@ func (s *System) StartIngest(cfg IngestConfig) error {
 		shards = part.Shards()
 	}
 	var wal *ingest.SegmentedLog
-	if !cfg.DisableWAL {
-		walDir := cfg.WALPath
-		if walDir == "" && s.dir != "" {
-			walDir = filepath.Join(s.dir, walDirName)
-		}
-		if walDir != "" {
-			var err error
-			if wal, err = ingest.OpenSegmented(walDir, ingest.SegmentedConfig{
-				SegmentBytes: cfg.WALSegmentBytes,
-				SegmentAge:   cfg.WALSegmentAge,
-				Shards:       shards,
-				Epoch:        s.st.Epoch(),
-			}); err != nil {
-				return fmt.Errorf("streach: %w", err)
-			}
+	walDir := cfg.WALPath
+	if walDir == "" && s.dir != "" {
+		walDir = filepath.Join(s.dir, walDirName)
+	}
+	if walDir != "" {
+		var err error
+		if wal, err = ingest.OpenSegmented(walDir, ingest.SegmentedConfig{
+			SegmentBytes: cfg.WALSegmentBytes,
+			Shards:       shards,
+			Epoch:        s.st.Epoch(),
+		}); err != nil {
+			return fmt.Errorf("streach: %w", err)
 		}
 	}
 	icfg := ingest.Config{
 		Workers:       cfg.Workers,
-		QueueDepth:    cfg.QueueDepth,
 		BatchSize:     cfg.BatchSize,
 		FlushInterval: cfg.FlushInterval,
-		SpeedBuffer:   cfg.SpeedBuffer,
 		Owner:         owner,
 		Shards:        shards,
 		WAL:           wal,

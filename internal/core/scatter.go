@@ -70,33 +70,17 @@ func (p *SharedPlan) Starts() []roadnet.SegmentID {
 // scatter step and are safe exactly when their position sets are
 // disjoint (each position is written once).
 func (p *SharedPlan) VerifyOn(ctx context.Context, eng *Engine, positions []int) error {
-	out, err := p.VerifyPositions(ctx, eng, positions)
-	if err != nil {
-		return err
-	}
-	p.CommitVerified(positions, out)
-	return nil
-}
-
-// VerifyPositions computes the empirical probabilities of the candidates
-// at the given positions on eng without committing them into the plan:
-// the racing half of a hedged scatter, where a primary and a hedge
-// attempt verify the same positions concurrently into private buffers
-// and only the first finisher's values are committed. Probabilities are
-// a property of the data, so both attempts compute identical values;
-// keeping the buffers private is what makes the race benign.
-func (p *SharedPlan) VerifyPositions(ctx context.Context, eng *Engine, positions []int) ([]float64, error) {
 	if p.closed {
-		return nil, xerr.Markf(xerr.KindInternal, "core: VerifyPositions on a closed plan")
+		return xerr.Markf(xerr.KindInternal, "core: VerifyOn on a closed plan")
 	}
 	if !p.deferred || p.verified {
-		return nil, xerr.Markf(xerr.KindInternal, "core: VerifyPositions needs a deferred, unsealed plan")
+		return xerr.Markf(xerr.KindInternal, "core: VerifyOn needs a deferred, unsealed plan")
 	}
 	if p.kind == planSequential {
-		return nil, xerr.Markf(xerr.KindInternal, "core: VerifyPositions on a sequential plan; verify its children")
+		return xerr.Markf(xerr.KindInternal, "core: VerifyOn on a sequential plan; verify its children")
 	}
 	if len(positions) == 0 {
-		return nil, nil
+		return nil
 	}
 	segs := make([]roadnet.SegmentID, len(positions))
 	for j, i := range positions {
@@ -106,18 +90,14 @@ func (p *SharedPlan) VerifyPositions(ctx context.Context, eng *Engine, positions
 	newWorker := func() func(roadnet.SegmentID) (float64, error) {
 		return pr.workerFor(st).prob
 	}
-	return eng.verifyMany(ctx, segs, newWorker)
-}
-
-// CommitVerified writes vals (from VerifyPositions over the same
-// positions) into the plan. The caller owns the once-per-position
-// guarantee: under hedging exactly one of the racing attempts commits,
-// and concurrent commits are safe exactly when their position sets are
-// disjoint — the same contract as VerifyOn.
-func (p *SharedPlan) CommitVerified(positions []int, vals []float64) {
-	for j, i := range positions {
-		p.probs[i] = vals[j]
+	out, err := eng.verifyMany(ctx, segs, newWorker)
+	if err != nil {
+		return err
 	}
+	for j, i := range positions {
+		p.probs[i] = out[j]
+	}
+	return nil
 }
 
 // FinishVerification seals a deferred plan (and its children) after the

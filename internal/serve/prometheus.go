@@ -137,7 +137,7 @@ func (s *Server) writePrometheus(w io.Writer) {
 			s.sys.PlansSlotFallback())
 
 		// Overload self-protection: per-shard breaker state plus the
-		// cluster-wide hedge/breaker counters.
+		// cluster-wide breaker counters.
 		if hs := s.sys.ShardHealth(); len(hs) > 0 {
 			fmt.Fprintf(w, "# HELP streach_breaker_state Circuit-breaker state per shard (0=closed, 1=half_open, 2=open).\n")
 			fmt.Fprintf(w, "# TYPE streach_breaker_state gauge\n")
@@ -157,10 +157,6 @@ func (s *Server) writePrometheus(w io.Writer) {
 			"Circuit-breaker trips (closed/half-open to open).", rs.BreakerOpens)
 		counter("streach_breaker_short_circuits_total",
 			"Shard calls rejected by an open breaker.", rs.BreakerShortCircuits)
-		counter("streach_hedges_total",
-			"Hedged shard verification attempts launched.", rs.HedgesLaunched)
-		counter("streach_hedge_wins_total",
-			"Hedge attempts that finished before their primary.", rs.HedgeWins)
 	}
 
 	// Live ingestion: the index epoch, the delta layer's depth, and the

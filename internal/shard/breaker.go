@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,10 +16,6 @@ import (
 // timeout on every query. After a cooldown the breaker half-opens and
 // admits exactly one probe call; the probe's outcome decides between
 // closing (healthy again) and re-opening for another cooldown.
-//
-// The breaker's rolling outcome window doubles as the latency record
-// hedged verification uses for its quantile trigger, so durations are
-// recorded even while the state machine is disabled.
 
 // ErrBreakerOpen is the cause on a ShardError for a shard that was
 // short-circuited by its open circuit breaker rather than called.
@@ -90,16 +85,11 @@ func (s BreakerState) String() string {
 	return "?"
 }
 
-type breakerOutcome struct {
-	ok    bool
-	durNS int64
-}
-
-// breaker is one shard's state machine plus rolling outcome window.
+// breaker is one shard's state machine plus rolling ok/fail window.
 type breaker struct {
 	mu       sync.Mutex
 	state    BreakerState
-	ring     []breakerOutcome
+	ring     []bool // true: the call succeeded
 	idx, n   int
 	openedAt time.Time
 	probing  bool // a half-open probe slot is granted and unresolved
@@ -180,28 +170,27 @@ func (t *breakerTable) allow(sh int) (ok, probe bool) {
 	return true, false
 }
 
-// record feeds one genuine call outcome. Durations are recorded even
-// with the state machine disabled — they are the latency window hedging
-// triggers on. A probe outcome settles the half-open state: success
-// closes the breaker (and forgets the sick window), failure re-opens it
-// for another cooldown. Failures observed while not closed (in-flight
-// stragglers from before the trip) don't re-trip; the probe decides.
-func (t *breakerTable) record(sh int, ok bool, dur time.Duration, probe bool) {
+// record feeds one genuine call outcome; with breakers disabled it is a
+// no-op. A probe outcome settles the half-open state: success closes the
+// breaker (and forgets the sick window), failure re-opens it for another
+// cooldown. Failures observed while not closed (in-flight stragglers
+// from before the trip) don't re-trip; the probe decides.
+func (t *breakerTable) record(sh int, ok, probe bool) {
 	cfg := t.config()
+	if !cfg.Enabled {
+		return
+	}
 	b := t.brks[sh]
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.ring) != cfg.Window {
-		b.ring = make([]breakerOutcome, cfg.Window)
+		b.ring = make([]bool, cfg.Window)
 		b.idx, b.n = 0, 0
 	}
-	b.ring[b.idx] = breakerOutcome{ok: ok, durNS: int64(dur)}
+	b.ring[b.idx] = ok
 	b.idx = (b.idx + 1) % len(b.ring)
 	if b.n < len(b.ring) {
 		b.n++
-	}
-	if !cfg.Enabled {
-		return
 	}
 	if probe {
 		b.probing = false
@@ -219,8 +208,8 @@ func (t *breakerTable) record(sh int, ok bool, dur time.Duration, probe bool) {
 		return
 	}
 	fails := 0
-	for i := 0; i < b.n; i++ {
-		if !b.ring[i].ok {
+	for _, ok := range b.ring[:b.n] {
+		if !ok {
 			fails++
 		}
 	}
@@ -253,27 +242,6 @@ func (t *breakerTable) state(sh int) BreakerState {
 	return b.state
 }
 
-// successQuantile returns the q-quantile of the successful call
-// durations in the shard's window, or 0 with fewer than min successes —
-// the signal hedged verification triggers on.
-func (t *breakerTable) successQuantile(sh int, q float64, min int) time.Duration {
-	b := t.brks[sh]
-	b.mu.Lock()
-	durs := make([]int64, 0, b.n)
-	for i := 0; i < b.n; i++ {
-		if b.ring[i].ok {
-			durs = append(durs, b.ring[i].durNS)
-		}
-	}
-	b.mu.Unlock()
-	if len(durs) < min {
-		return 0
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	i := int(q * float64(len(durs)-1))
-	return time.Duration(durs[i])
-}
-
 func (t *breakerTable) counters() (opens, shorts int64) {
 	for _, b := range t.brks {
 		opens += b.opens.Load()
@@ -298,19 +266,10 @@ type Resilience struct {
 	BreakerOpens int64
 	// BreakerShortCircuits counts calls rejected by an open breaker.
 	BreakerShortCircuits int64
-	// HedgesLaunched counts hedge attempts started.
-	HedgesLaunched int64
-	// HedgeWins counts hedges that finished before their primary.
-	HedgeWins int64
 }
 
 // Resilience snapshots the cluster's self-protection counters.
 func (c *Cluster) Resilience() Resilience {
 	opens, shorts := c.brk.counters()
-	return Resilience{
-		BreakerOpens:         opens,
-		BreakerShortCircuits: shorts,
-		HedgesLaunched:       c.hedge.launched.Load(),
-		HedgeWins:            c.hedge.wins.Load(),
-	}
+	return Resilience{BreakerOpens: opens, BreakerShortCircuits: shorts}
 }

@@ -15,7 +15,7 @@ func tripTable(t *testing.T, cfg BreakerConfig) *breakerTable {
 	cfg.Enabled = true
 	tab := newBreakerTable(1, cfg)
 	for i := 0; i < tab.config().MinSamples; i++ {
-		tab.record(0, false, time.Millisecond, false)
+		tab.record(0, false, false)
 	}
 	if got := tab.state(0); got != BreakerOpen {
 		t.Fatalf("breaker did not trip: state = %v", got)
@@ -35,50 +35,20 @@ func TestBreakerDefaults(t *testing.T) {
 	}
 }
 
-// TestBreakerDisabledStillRecordsLatency: with the state machine off
-// (the default), every call is admitted and failures never trip — but
-// durations still land in the window, because the hedge trigger reads
-// its latency quantile from there.
-func TestBreakerDisabledStillRecordsLatency(t *testing.T) {
-	tab := newBreakerTable(1, BreakerConfig{})
-	for i := 0; i < 8; i++ {
-		tab.record(0, false, time.Millisecond, false)
-	}
-	if ok, probe := tab.allow(0); !ok || probe {
-		t.Fatalf("disabled allow = (%v, %v), want (true, false)", ok, probe)
-	}
-	if got := tab.state(0); got != BreakerClosed {
-		t.Fatalf("disabled breaker state = %v, want closed", got)
-	}
-	for _, d := range []time.Duration{10, 20, 30, 40} {
-		tab.record(0, true, d*time.Millisecond, false)
-	}
-	// Floor-rank quantile: p95 over 4 samples lands on index 2.
-	if q := tab.successQuantile(0, 0.95, 4); q != 30*time.Millisecond {
-		t.Fatalf("p95 of recorded successes = %v, want 30ms", q)
-	}
-	if q := tab.successQuantile(0, 1.0, 4); q != 40*time.Millisecond {
-		t.Fatalf("max of recorded successes = %v, want 40ms", q)
-	}
-	if q := tab.successQuantile(0, 0.95, 5); q != 0 {
-		t.Fatalf("quantile below min samples = %v, want 0", q)
-	}
-}
-
 // TestBreakerTripAndShortCircuit: failures at the configured ratio trip
 // the breaker open; while open (inside the cooldown) every call is
 // rejected and counted as a short-circuit.
 func TestBreakerTripAndShortCircuit(t *testing.T) {
 	tab := newBreakerTable(1, BreakerConfig{Enabled: true, Window: 8, MinSamples: 4, Cooldown: time.Hour})
 	// 2 ok + 1 fail: 3 samples, below MinSamples — must not trip.
-	tab.record(0, true, time.Millisecond, false)
-	tab.record(0, true, time.Millisecond, false)
-	tab.record(0, false, time.Millisecond, false)
+	tab.record(0, true, false)
+	tab.record(0, true, false)
+	tab.record(0, false, false)
 	if got := tab.state(0); got != BreakerClosed {
 		t.Fatalf("tripped below MinSamples: %v", got)
 	}
 	// Fourth sample makes 2/4 = 0.5 >= default ratio: trips.
-	tab.record(0, false, time.Millisecond, false)
+	tab.record(0, false, false)
 	if got := tab.state(0); got != BreakerOpen {
 		t.Fatalf("state = %v, want open at ratio 0.5", got)
 	}
@@ -110,13 +80,13 @@ func TestBreakerHalfOpenProbeCloses(t *testing.T) {
 	if ok, _ := tab.allow(0); ok {
 		t.Fatal("second call admitted while a probe is in flight")
 	}
-	tab.record(0, true, time.Millisecond, true)
+	tab.record(0, true, true)
 	if got := tab.state(0); got != BreakerClosed {
 		t.Fatalf("state after successful probe = %v, want closed", got)
 	}
 	// The pre-trip window of failures is gone: a single new failure must
 	// not re-trip on stale outcomes.
-	tab.record(0, false, time.Millisecond, false)
+	tab.record(0, false, false)
 	if got := tab.state(0); got != BreakerClosed {
 		t.Fatalf("stale window survived the close: %v", got)
 	}
@@ -130,7 +100,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	if ok, probe := tab.allow(0); !ok || !probe {
 		t.Fatalf("probe not granted: (%v, %v)", ok, probe)
 	}
-	tab.record(0, false, time.Millisecond, true)
+	tab.record(0, false, true)
 	if got := tab.state(0); got != BreakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", got)
 	}
@@ -168,12 +138,17 @@ func TestBreakerCancelReleasesProbeSlot(t *testing.T) {
 // don't carry over.
 func TestBreakerConfigureResets(t *testing.T) {
 	tab := tripTable(t, BreakerConfig{Cooldown: time.Hour})
-	tab.configure(BreakerConfig{Enabled: true, Window: 8})
+	tab.configure(BreakerConfig{Enabled: true, Cooldown: time.Hour})
 	if got := tab.state(0); got != BreakerClosed {
 		t.Fatalf("state after configure = %v, want closed", got)
 	}
-	if q := tab.successQuantile(0, 0.5, 1); q != 0 {
-		t.Fatalf("window survived configure: quantile = %v", q)
+	// 1 failure in 4 fresh outcomes stays under the 0.5 ratio; on top of
+	// the 4 pre-configure failures it would be 5 in 8 and trip.
+	for _, ok := range []bool{true, true, true, false} {
+		tab.record(0, ok, false)
+	}
+	if got := tab.state(0); got != BreakerClosed {
+		t.Fatalf("window survived configure: state = %v", got)
 	}
 }
 
@@ -185,88 +160,91 @@ func TestBreakerConfigureResets(t *testing.T) {
 func TestClusterBreakerShortCircuitsAndRecovers(t *testing.T) {
 	f := getFixture(t)
 	q := core.Query{Location: f.center, Start: 11 * time.Hour, Duration: 10 * time.Minute}
-	c, err := NewCluster(f.st, f.con, core.Options{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ConfigureBreakers(BreakerConfig{
-		Enabled: true, Window: 8, FailureRatio: 0.5, MinSamples: 2, Cooldown: 50 * time.Millisecond,
-	})
-	cp := c.WithPartialResults(true)
-	if err := c.InjectFault(1, FaultError); err != nil {
-		t.Fatal(err)
-	}
+	atProcs(t, func(t *testing.T) {
+		c, err := NewCluster(f.st, f.con, core.Options{}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		balancedAfter(t, c)
+		c.ConfigureBreakers(BreakerConfig{
+			Enabled: true, Window: 8, FailureRatio: 0.5, MinSamples: 2, Cooldown: 50 * time.Millisecond,
+		})
+		cp := c.WithPartialResults(true)
+		if err := c.InjectFault(1, FaultError); err != nil {
+			t.Fatal(err)
+		}
 
-	// Fail until the breaker trips (scatter + gather both record).
-	query := func() *Degraded {
-		t.Helper()
+		// Fail until the breaker trips (scatter + gather both record).
+		query := func() *Degraded {
+			t.Helper()
+			pl, err := cp.PlanReach(bg, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pl.Close()
+			if _, err := pl.ResultAt(bg, 0.2); err != nil {
+				t.Fatal(err)
+			}
+			return pl.Degraded()
+		}
+		for i := 0; i < 10 && c.BreakerState(1) != BreakerOpen; i++ {
+			query()
+		}
+		if got := c.BreakerState(1); got != BreakerOpen {
+			t.Fatalf("breaker never opened under sustained failures: %v", got)
+		}
+		failuresAtTrip := c.Health()[1].Failures
+
+		// Open: the next query short-circuits shard 1 — degraded answer, no
+		// new health failures (the shard was never called), counters move.
+		d := query()
+		if d == nil || len(d.MissingShards) != 1 || d.MissingShards[0] != 1 {
+			t.Fatalf("short-circuited query degradation = %+v, want missing shard 1", d)
+		}
+		if got := c.Health()[1].Failures; got != failuresAtTrip {
+			t.Fatalf("short-circuit recorded health failures: %d -> %d", failuresAtTrip, got)
+		}
+		r := c.Resilience()
+		if r.BreakerOpens == 0 || r.BreakerShortCircuits == 0 {
+			t.Fatalf("resilience counters = %+v", r)
+		}
+		if h := c.Health()[1]; h.Breaker != BreakerOpen {
+			t.Fatalf("health breaker state = %v, want open", h.Breaker)
+		}
+
+		// Fault cleared + cooldown elapsed: the half-open probe heals the
+		// shard and the answer is complete and bit-identical to unsharded.
+		if err := c.InjectFault(1, FaultNone); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(60 * time.Millisecond)
+		if d := query(); d != nil {
+			t.Fatalf("post-recovery query still degraded: %+v", d)
+		}
+		if got := c.BreakerState(1); got != BreakerClosed {
+			t.Fatalf("breaker after successful probe = %v, want closed", got)
+		}
+		eng, err := core.NewEngine(f.st, f.con, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		pl, err := cp.PlanReach(bg, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer pl.Close()
-		if _, err := pl.ResultAt(bg, 0.2); err != nil {
+		got, err := pl.ResultAt(bg, 0.2)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return pl.Degraded()
-	}
-	for i := 0; i < 10 && c.BreakerState(1) != BreakerOpen; i++ {
-		query()
-	}
-	if got := c.BreakerState(1); got != BreakerOpen {
-		t.Fatalf("breaker never opened under sustained failures: %v", got)
-	}
-	failuresAtTrip := c.Health()[1].Failures
-
-	// Open: the next query short-circuits shard 1 — degraded answer, no
-	// new health failures (the shard was never called), counters move.
-	d := query()
-	if d == nil || len(d.MissingShards) != 1 || d.MissingShards[0] != 1 {
-		t.Fatalf("short-circuited query degradation = %+v, want missing shard 1", d)
-	}
-	if got := c.Health()[1].Failures; got != failuresAtTrip {
-		t.Fatalf("short-circuit recorded health failures: %d -> %d", failuresAtTrip, got)
-	}
-	r := c.Resilience()
-	if r.BreakerOpens == 0 || r.BreakerShortCircuits == 0 {
-		t.Fatalf("resilience counters = %+v", r)
-	}
-	if h := c.Health()[1]; h.Breaker != BreakerOpen {
-		t.Fatalf("health breaker state = %v, want open", h.Breaker)
-	}
-
-	// Fault cleared + cooldown elapsed: the half-open probe heals the
-	// shard and the answer is complete and bit-identical to unsharded.
-	if err := c.InjectFault(1, FaultNone); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(60 * time.Millisecond)
-	if d := query(); d != nil {
-		t.Fatalf("post-recovery query still degraded: %+v", d)
-	}
-	if got := c.BreakerState(1); got != BreakerClosed {
-		t.Fatalf("breaker after successful probe = %v, want closed", got)
-	}
-	eng, err := core.NewEngine(f.st, f.con, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := cp.PlanReach(bg, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pl.Close()
-	got, err := pl.ResultAt(bg, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qq := q
-	qq.Prob = 0.2
-	want, err := eng.SQMB(bg, qq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "healed", got, want)
+		qq := q
+		qq.Prob = 0.2
+		want, err := eng.SQMB(bg, qq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, "healed", got, want)
+	})
 }
 
 // TestClusterBreakerFailFast: in default (fail-fast) mode an open
@@ -275,40 +253,43 @@ func TestClusterBreakerShortCircuitsAndRecovers(t *testing.T) {
 func TestClusterBreakerFailFast(t *testing.T) {
 	f := getFixture(t)
 	q := core.Query{Location: f.center, Start: 11 * time.Hour, Duration: 10 * time.Minute}
-	c, err := NewCluster(f.st, f.con, core.Options{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ConfigureBreakers(BreakerConfig{
-		Enabled: true, Window: 8, FailureRatio: 0.5, MinSamples: 2, Cooldown: time.Hour,
-	})
-	if err := c.InjectFault(1, FaultError); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10 && c.BreakerState(1) != BreakerOpen; i++ {
-		if pl, err := c.PlanReach(bg, q); err == nil {
-			pl.Close()
+	atProcs(t, func(t *testing.T) {
+		c, err := NewCluster(f.st, f.con, core.Options{}, 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := c.BreakerState(1); got != BreakerOpen {
-		t.Fatalf("breaker never opened: %v", got)
-	}
-	// Even with the fault cleared, the hour-long cooldown keeps the
-	// breaker open: proof the rejection comes from the breaker, not the
-	// fault.
-	if err := c.InjectFault(1, FaultNone); err != nil {
-		t.Fatal(err)
-	}
-	began := time.Now()
-	pl, err := c.PlanReach(bg, q)
-	if err == nil {
-		pl.Close()
-		t.Fatal("fail-fast plan succeeded through an open breaker")
-	}
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("error = %v, want ErrBreakerOpen cause", err)
-	}
-	if elapsed := time.Since(began); elapsed > time.Second {
-		t.Fatalf("short-circuit took %v; it must not pay the shard's cost", elapsed)
-	}
+		balancedAfter(t, c)
+		c.ConfigureBreakers(BreakerConfig{
+			Enabled: true, Window: 8, FailureRatio: 0.5, MinSamples: 2, Cooldown: time.Hour,
+		})
+		if err := c.InjectFault(1, FaultError); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10 && c.BreakerState(1) != BreakerOpen; i++ {
+			if pl, err := c.PlanReach(bg, q); err == nil {
+				pl.Close()
+			}
+		}
+		if got := c.BreakerState(1); got != BreakerOpen {
+			t.Fatalf("breaker never opened: %v", got)
+		}
+		// Even with the fault cleared, the hour-long cooldown keeps the
+		// breaker open: proof the rejection comes from the breaker, not the
+		// fault.
+		if err := c.InjectFault(1, FaultNone); err != nil {
+			t.Fatal(err)
+		}
+		began := time.Now()
+		pl, err := c.PlanReach(bg, q)
+		if err == nil {
+			pl.Close()
+			t.Fatal("fail-fast plan succeeded through an open breaker")
+		}
+		if !errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("error = %v, want ErrBreakerOpen cause", err)
+		}
+		if elapsed := time.Since(began); elapsed > time.Second {
+			t.Fatalf("short-circuit took %v; it must not pay the shard's cost", elapsed)
+		}
+	})
 }

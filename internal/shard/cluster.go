@@ -54,7 +54,6 @@ type Cluster struct {
 	faults    *faultTable   // injected per-shard faults (shared by views)
 	hlth      *healthTable  // per-shard failure records (shared by views)
 	brk       *breakerTable // per-shard circuit breakers (shared by views)
-	hedge     *hedgeState   // hedge budget and counters (shared by views)
 	partial   bool          // degrade instead of failing (view-local)
 	budget    time.Duration // per-shard scatter/gather bound (view-local)
 }
@@ -139,7 +138,6 @@ func NewClusterSlots(st *stindex.Index, con *conindex.Index, opts core.Options, 
 		faults: newFaultTable(),
 		hlth:   newHealthTable(k),
 		brk:    newBreakerTable(k, BreakerConfig{}),
-		hedge:  newHedgeState(k),
 	}
 	for sh := 0; sh < k; sh++ {
 		g := sh % gridK
@@ -402,20 +400,22 @@ func (c *Cluster) PlanReverseES(ctx context.Context, q core.Query) (*Plan, error
 
 // scatter ships the plan to the shards: every leaf plan's candidates are
 // routed to their owners, each shard verifies its positions on its own
-// engine concurrently, and the plan is sealed. A shard worker that
-// errors, panics, or overruns the per-shard budget becomes a
-// ShardError: in default (fail-fast) mode the first one cancels the
-// surviving workers and fails the scatter with a typed error; in
-// partial-results mode the loss is recorded and the surviving shards'
-// work still seals the plan, returning the failures for the gather step
-// to skip.
+// engine, and the plan is sealed. Every shard with work passes its
+// breaker first; the admitted shards then verify concurrently, or one
+// after another when GOMAXPROCS is 1 and there is no parallelism to win.
+// A shard that errors, panics, or overruns the per-shard budget becomes
+// a ShardError: in default (fail-fast) mode the first one cancels the
+// shards still running, releases the probe slots of those not yet run,
+// and fails the scatter with a typed error; in partial-results mode the
+// loss is recorded and the surviving shards' work still seals the plan,
+// returning the failures for the gather step to skip.
 func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan, rowBase int) ([]*ShardError, error) {
 	began := time.Now()
 	leaves := []*core.SharedPlan{p}
 	if kids := p.Children(); len(kids) > 0 {
 		leaves = kids
 	}
-	// scatterCtx cancels the surviving workers once a failure has already
+	// scatterCtx cancels the surviving shards once a failure has already
 	// decided the query's fate (fail-fast mode only).
 	scatterCtx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
@@ -423,28 +423,33 @@ func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan, rowBase int) 
 		mu      sync.Mutex
 		failed  []*ShardError
 		failSet = map[int]bool{}
+		fatal   *ShardError
 	)
-	// record classifies one worker error: collateral cancellations (the
-	// caller's context ended, or fail-fast already cancelled the scatter)
-	// are not the shard's failure and return nil; genuine failures are
-	// recorded against the shard's health, once per scatter.
-	record := func(sh int, err error) *ShardError {
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			return nil
-		}
-		if errors.Is(err, context.Canceled) && scatterCtx.Err() != nil {
-			return nil
-		}
-		se := &ShardError{Shard: sh, Err: err}
-		c.hlth.record(sh, se)
+	// lose records a shard's loss once per scatter; in fail-fast mode the
+	// first loss is fatal and cancels the shards still running.
+	lose := func(se *ShardError) {
 		mu.Lock()
 		defer mu.Unlock()
-		if !failSet[sh] {
-			failSet[sh] = true
+		if !failSet[se.Shard] {
+			failSet[se.Shard] = true
 			failed = append(failed, se)
 		}
-		return se
+		if !c.partial && fatal == nil {
+			fatal = se
+			cancelAll()
+		}
 	}
+	// collateral reports whether a shard's error is a cancellation it did
+	// not cause: the caller's context ended, or fail-fast already
+	// cancelled the scatter. It says nothing about the shard's health.
+	collateral := func(err error) bool {
+		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
+			return true
+		}
+		return errors.Is(err, context.Canceled) && scatterCtx.Err() != nil
+	}
+	inline := runtime.GOMAXPROCS(0) == 1
+	k := len(c.engines)
 	for _, leaf := range leaves {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -460,7 +465,6 @@ func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan, rowBase int) 
 		// slot-sharded cluster every bucket lands inside the serving row
 		// [rowBase, rowBase+gridK); the other rows stay untouched and
 		// contribute nothing — the window pruning is the routing itself.
-		k := len(c.engines)
 		counts := make([]int, k)
 		for _, s := range cands {
 			counts[rowBase+c.part.Owner(s)]++
@@ -475,129 +479,68 @@ func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan, rowBase int) 
 			sh := rowBase + c.part.Owner(s)
 			positions[sh] = append(positions[sh], i)
 		}
-		// shortCircuit records a breaker rejection: the shard was never
-		// called, so its health record is untouched — the breaker opening
-		// already counted the underlying failures.
-		shortCircuit := func(sh int) *ShardError {
-			se := &ShardError{Shard: sh, Err: ErrBreakerOpen}
-			mu.Lock()
-			defer mu.Unlock()
-			if !failSet[sh] {
-				failSet[sh] = true
-				failed = append(failed, se)
-			}
-			return se
-		}
-		if runtime.GOMAXPROCS(0) == 1 {
-			// No parallelism to win: verify the shards inline and skip the
-			// goroutine fan-out (keeps single-CPU overhead down).
-			for sh, pos := range positions {
-				if len(pos) == 0 || failSet[sh] {
-					continue
-				}
-				admit, probe := c.brk.allow(sh)
-				if !admit {
-					if se := shortCircuit(sh); !c.partial {
-						return nil, shardFailure(ctx, se)
-					}
-					continue
-				}
-				began := time.Now()
-				if err := c.verifyShardHedged(scatterCtx, leaf, sh, c.engines[sh], pos, probe); err != nil {
-					if se := record(sh, err); se != nil {
-						c.brk.record(sh, false, time.Since(began), probe)
-						if !c.partial {
-							return nil, shardFailure(ctx, se)
-						}
-					} else {
-						c.brk.cancel(sh, probe)
-					}
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				} else {
-					c.brk.record(sh, true, time.Since(began), probe)
-				}
-			}
-			continue
-		}
-		// Breaker gate first, before any worker launches: a fail-fast
-		// short-circuit must not leave workers running, and a granted
-		// half-open probe must be returned if the scatter aborts early.
+		// Breaker gate first, before any shard runs: a fail-fast
+		// short-circuit must not leave shards running. A rejected shard was
+		// never called, so its health record is untouched — the breaker
+		// opening already counted the underlying failures.
 		admitted := make([]bool, k)
 		probes := make([]bool, k)
+		active := 0
 		for sh, pos := range positions {
 			if len(pos) == 0 || failSet[sh] {
 				continue
 			}
 			admit, probe := c.brk.allow(sh)
 			if !admit {
-				se := shortCircuit(sh)
-				if !c.partial {
-					for g := range admitted {
-						if admitted[g] {
-							c.brk.cancel(g, probes[g])
-						}
-					}
-					return nil, shardFailure(ctx, se)
+				lose(&ShardError{Shard: sh, Err: ErrBreakerOpen})
+				if fatal != nil {
+					break
 				}
 				continue
 			}
 			admitted[sh], probes[sh] = true, probe
+			active++
 		}
-		// Split the verification worker budget across the shards that
-		// have work: each shard's VerifyOn runs its own verifyMany pool,
-		// and without the split k concurrent pools would oversubscribe
-		// the CPUs k-fold over what unsharded verification uses. Worker
-		// count never changes results, only cost.
-		active := 0
-		for sh := range admitted {
-			if admitted[sh] {
-				active++
-			}
-		}
-		if active == 0 {
-			continue
-		}
+		// Split the verification worker budget across the admitted shards:
+		// each shard's VerifyOn runs its own verifyMany pool, and without
+		// the split k concurrent pools would oversubscribe the CPUs k-fold
+		// over what unsharded verification uses. Worker count never changes
+		// results, only cost.
 		budget := c.opts.VerifyWorkers
 		if budget <= 0 {
 			budget = runtime.GOMAXPROCS(0)
 		}
-		perShard := budget / active
-		if perShard < 1 {
-			perShard = 1
-		}
 		shardOpts := c.opts
-		shardOpts.VerifyWorkers = perShard
-		var (
-			wg    sync.WaitGroup
-			once  sync.Once
-			fatal *ShardError
-		)
-		for sh, pos := range positions {
-			if !admitted[sh] {
-				continue
+		shardOpts.VerifyWorkers = max(1, budget/max(1, active))
+		run := func(sh int) {
+			err := c.verifyShard(scatterCtx, leaf, sh, c.engines[sh].WithOptions(shardOpts), positions[sh])
+			switch {
+			case err == nil:
+				c.brk.record(sh, true, probes[sh])
+			case collateral(err):
+				c.brk.cancel(sh, probes[sh])
+			default:
+				se := &ShardError{Shard: sh, Err: err}
+				c.hlth.record(sh, se)
+				c.brk.record(sh, false, probes[sh])
+				lose(se)
 			}
-			wg.Add(1)
-			go func(sh int, pos []int, probe bool) {
-				defer wg.Done()
-				began := time.Now()
-				if err := c.verifyShardHedged(scatterCtx, leaf, sh, c.engines[sh].WithOptions(shardOpts), pos, probe); err != nil {
-					if se := record(sh, err); se != nil {
-						c.brk.record(sh, false, time.Since(began), probe)
-						if !c.partial {
-							once.Do(func() {
-								fatal = se
-								cancelAll() // fail fast: stop the surviving workers
-							})
-						}
-					} else {
-						c.brk.cancel(sh, probe)
-					}
-				} else {
-					c.brk.record(sh, true, time.Since(began), probe)
-				}
-			}(sh, pos, probes[sh])
+		}
+		var wg sync.WaitGroup
+		for sh, ok := range admitted {
+			switch {
+			case !ok:
+			case scatterCtx.Err() != nil:
+				c.brk.cancel(sh, probes[sh]) // not run: return its probe slot
+			case inline:
+				run(sh)
+			default:
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					run(sh)
+				}()
+			}
 		}
 		wg.Wait()
 		if fatal != nil {
@@ -620,43 +563,27 @@ func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan, rowBase int) 
 // failure policy applied: the shard's injected fault (if any) fires
 // first, the per-shard budget bounds the work, and a panic anywhere
 // inside verification is recovered into an error.
-func (c *Cluster) verifyShard(ctx context.Context, leaf *core.SharedPlan, sh int, eng *core.Engine, pos []int) error {
+func (c *Cluster) verifyShard(ctx context.Context, leaf *core.SharedPlan, sh int, eng *core.Engine, pos []int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
 	if c.budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.budget)
 		defer cancel()
 	}
 	t0 := time.Now()
-	vals, err := c.verifyShardVals(ctx, leaf, sh, eng, pos, false)
-	if err != nil {
+	if err := c.injectedFault(ctx, sh); err != nil {
 		return err
 	}
-	leaf.CommitVerified(pos, vals)
+	if err := leaf.VerifyOn(ctx, eng, pos); err != nil {
+		return err
+	}
 	c.m.verified[sh].Add(int64(len(pos)))
 	c.m.verifyNS[sh].Add(time.Since(t0).Nanoseconds())
 	return nil
-}
-
-// verifyShardVals computes one shard's verification slice into a
-// private buffer without committing it — the racing half of a hedged
-// scatter. The hedge attempt models a retry against a healthy replica
-// of the slice, so it skips the shard's injected fault (that is what
-// lets a hedge heal a chaos-injected hang); everything else — panic
-// recovery, context cancellation — applies to both attempts.
-func (c *Cluster) verifyShardVals(ctx context.Context, leaf *core.SharedPlan, sh int, eng *core.Engine, pos []int, hedge bool) (vals []float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	if !hedge {
-		if err := c.injectedFault(ctx, sh); err != nil {
-			return nil, err
-		}
-	} else if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return leaf.VerifyPositions(ctx, eng, pos)
 }
 
 // injectedFault fires the shard's injected fault, if any.
@@ -729,7 +656,6 @@ func (pl *Plan) ResultAt(ctx context.Context, prob float64) (*core.Result, error
 			missing = append(missing, se)
 			continue
 		}
-		began := time.Now()
 		part, err := pl.partialOn(ctx, sh, prob)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
@@ -738,7 +664,7 @@ func (pl *Plan) ResultAt(ctx context.Context, prob float64) (*core.Result, error
 			}
 			se := &ShardError{Shard: sh, Err: err}
 			pl.c.hlth.record(sh, se)
-			pl.c.brk.record(sh, false, time.Since(began), probe)
+			pl.c.brk.record(sh, false, probe)
 			if !pl.c.partial {
 				return nil, shardFailure(ctx, se)
 			}
@@ -746,7 +672,7 @@ func (pl *Plan) ResultAt(ctx context.Context, prob float64) (*core.Result, error
 			missing = append(missing, se)
 			continue
 		}
-		pl.c.brk.record(sh, true, time.Since(began), probe)
+		pl.c.brk.record(sh, true, probe)
 		parts = append(parts, part)
 	}
 	if len(parts) == 0 {

@@ -86,7 +86,7 @@ func TestLoadOverFaultStoreErrorPropagates(t *testing.T) {
 	defer idx.Close()
 	mt := &ds.Matched[0]
 	v := mt.Visits[0]
-	slot := idx.SlotOf(v.Enter(ds.DayStart(mt.Day)))
+	slot := slotOf(idx, v.Enter(ds.DayStart(mt.Day)))
 	tl, err := idx.TimeListAt(v.Segment, slot)
 	if err != nil {
 		t.Fatal(err)

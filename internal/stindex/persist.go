@@ -7,7 +7,6 @@ import (
 	"io"
 	"time"
 
-	"streach/internal/btree"
 	"streach/internal/roadnet"
 	"streach/internal/storage"
 	"streach/internal/xerr"
@@ -293,14 +292,10 @@ func LoadIndex(net *roadnet.Network, cfg Config, meta io.Reader) (*Index, error)
 		numSlots: numSlots,
 		days:     int(days),
 		baseDate: time.Unix(int64(baseUnix), 0).UTC(),
-		temporal: btree.New(),
 		pool:     pool,
 		blob:     storage.ReopenBlobFile(pool, int64(tail)),
 		live:     newLiveState(handles),
 		cache:    newTLCache(cfg.TimeListCache),
-	}
-	for s := 0; s < numSlots; s++ {
-		idx.temporal.Put(int64(s*int(slotSec)), int64(s))
 	}
 	switch {
 	case ver >= 4:

@@ -40,7 +40,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// Record some ground truth before closing.
 	mt := &ds.Matched[0]
 	v := mt.Visits[0]
-	slot := idx.SlotOf(v.Enter(ds.DayStart(mt.Day)))
+	slot := slotOf(idx, v.Enter(ds.DayStart(mt.Day)))
 	want, err := idx.TimeListAt(v.Segment, slot)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestSaveLoadPreservesProbeSemantics(t *testing.T) {
 	for i := 0; i < 10 && i < len(ds.Matched); i++ {
 		mt := &ds.Matched[i]
 		v := mt.Visits[len(mt.Visits)/3]
-		slot := idx.SlotOf(v.Enter(ds.DayStart(mt.Day)))
+		slot := slotOf(idx, v.Enter(ds.DayStart(mt.Day)))
 		sets, err := daySets(idx, v.Segment, slot, slot+2)
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,9 @@
 //
 // The ST-Index has three levels:
 //
-//  1. a temporal B+tree over fixed Δt time slots of the day;
+//  1. a temporal level over fixed Δt time slots of the day: the slots are
+//     uniform, so a time's slot is its second of the day divided by Δt,
+//     and the level itself is the per-slot row of the handle table;
 //  2. a spatial R-tree over the re-segmented road network — the network is
 //     static, so a single R-tree is shared by every temporal leaf, exactly
 //     as the thesis observes;
@@ -25,7 +27,6 @@ import (
 	"time"
 
 	"streach/internal/bitset"
-	"streach/internal/btree"
 	"streach/internal/geo"
 	"streach/internal/roadnet"
 	"streach/internal/storage"
@@ -90,9 +91,8 @@ type Index struct {
 	days     int
 	baseDate time.Time
 
-	temporal *btree.Tree // slot start second -> slot index
-	pool     *storage.BufferPool
-	blob     *storage.BlobFile
+	pool *storage.BufferPool
+	blob *storage.BlobFile
 	// live holds the installed handle table (one row per slot, row[seg]
 	// locating the time list blob; see handleTable) plus the ingest
 	// delta layer and epoch counters (delta.go). Shared by every Slice
@@ -221,14 +221,10 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 		numSlots: numSlots,
 		days:     ds.Days,
 		baseDate: ds.BaseDate,
-		temporal: btree.New(),
 		pool:     pool,
 		blob:     storage.NewBlobFile(pool),
 		live:     newLiveState(handles),
 		cache:    newTLCache(cfg.TimeListCache),
-	}
-	for s := 0; s < numSlots; s++ {
-		idx.temporal.Put(int64(s*cfg.SlotSeconds), int64(s))
 	}
 
 	// Accumulate (slot, segment, day, taxi) tuples packed into uint64s,
@@ -407,16 +403,6 @@ func (x *Index) Network() *roadnet.Network { return x.net }
 
 // Pool exposes the buffer pool for I/O accounting.
 func (x *Index) Pool() *storage.BufferPool { return x.pool }
-
-// SlotOf maps a time to its slot index via the temporal B+tree.
-func (x *Index) SlotOf(t time.Time) int {
-	sec := int64(traj.SecondsOfDay(x.baseDate, t))
-	_, slot, ok := x.temporal.Floor(sec)
-	if !ok {
-		return 0
-	}
-	return int(slot)
-}
 
 // DayOf maps a time to its dataset day index (may be out of range for
 // times outside the dataset).

@@ -47,6 +47,9 @@ func buildIndex(t *testing.T, n *roadnet.Network, ds *traj.Dataset) *Index {
 	return idx
 }
 
+// slotOf maps a time to its slot, as queries do: by division.
+func slotOf(x *Index, t time.Time) int { return traj.SecondsOfDay(x.BaseDate(), t) / x.SlotSeconds() }
+
 func TestBuildValidations(t *testing.T) {
 	n := testNetwork(t)
 	ds := testDataset(t, n)
@@ -147,29 +150,6 @@ func TestTimeListOutOfRangeInputs(t *testing.T) {
 	}
 }
 
-func TestSlotOf(t *testing.T) {
-	n := testNetwork(t)
-	ds := testDataset(t, n)
-	idx := buildIndex(t, n, ds)
-	defer idx.Close()
-	base := ds.BaseDate
-	cases := []struct {
-		t    time.Time
-		want int
-	}{
-		{base, 0},
-		{base.Add(299 * time.Second), 0},
-		{base.Add(300 * time.Second), 1},
-		{base.Add(9 * time.Hour), 9 * 12},
-		{base.AddDate(0, 0, 2).Add(9 * time.Hour), 9 * 12}, // day wraps
-	}
-	for _, c := range cases {
-		if got := idx.SlotOf(c.t); got != c.want {
-			t.Fatalf("SlotOf(%v) = %d, want %d", c.t, got, c.want)
-		}
-	}
-}
-
 func TestDayOf(t *testing.T) {
 	n := testNetwork(t)
 	ds := testDataset(t, n)
@@ -213,7 +193,7 @@ func TestIOAccountingThroughPool(t *testing.T) {
 	// First read misses, repeated read hits.
 	mt := &ds.Matched[0]
 	v := mt.Visits[0]
-	slot := idx.SlotOf(v.Enter(ds.DayStart(mt.Day)))
+	slot := slotOf(idx, v.Enter(ds.DayStart(mt.Day)))
 	if _, err := idx.TimeListAt(v.Segment, slot); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +217,7 @@ func TestDecodedCacheShieldsPool(t *testing.T) {
 	defer idx.Close()
 	mt := &ds.Matched[0]
 	v := mt.Visits[0]
-	slot := idx.SlotOf(v.Enter(ds.DayStart(mt.Day)))
+	slot := slotOf(idx, v.Enter(ds.DayStart(mt.Day)))
 	if _, err := idx.TimeListBitsAt(v.Segment, slot); err != nil {
 		t.Fatal(err)
 	}

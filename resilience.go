@@ -7,9 +7,9 @@ import (
 	"streach/internal/shard"
 )
 
-// Overload self-protection knobs: per-shard circuit breakers and hedged
-// scatter verification. Both default off; enable them with the System
-// methods below. See DESIGN.md §12 for the model.
+// Overload self-protection knobs: per-shard circuit breakers, default
+// off; enable them with ConfigureBreakers. See DESIGN.md §12 for the
+// model.
 
 // BreakerConfig tunes the per-shard circuit breakers of a sharded
 // system. A shard whose recent scatter/gather calls keep failing trips
@@ -45,49 +45,15 @@ func (c BreakerConfig) internal() shard.BreakerConfig {
 	}
 }
 
-// HedgeConfig tunes hedged scatter verification: when a shard's verify
-// slice runs past a latency-quantile trigger, a hedge attempt races it
-// over the same positions and the first success wins (the loser is
-// cancelled and returns its scratch) — answers stay bit-identical
-// either way. Hedges draw from a cluster-wide budget so they can never
-// amplify an overload. The zero value disables hedging; Enabled with
-// zero fields uses the defaults.
-type HedgeConfig struct {
-	// Enabled turns hedging on.
-	Enabled bool
-	// Trigger is the floor latency before a hedge launches (default
-	// 25ms); the effective trigger is the larger of this and 2× the
-	// shard's recent p95.
-	Trigger time.Duration
-	// MaxOutstanding bounds concurrent hedges cluster-wide (default
-	// half the shard count, at least 1).
-	MaxOutstanding int
-}
-
-func (c HedgeConfig) internal() shard.HedgeConfig {
-	return shard.HedgeConfig{
-		Enabled:        c.Enabled,
-		Trigger:        c.Trigger,
-		MaxOutstanding: c.MaxOutstanding,
-	}
-}
-
 // ConfigureBreakers applies cfg to the current cluster (if sharded) and
 // to every later Shard call. Reconfiguring resets all breakers to
 // closed.
 func (s *System) ConfigureBreakers(cfg BreakerConfig) {
+	s.topoMu.Lock()
+	defer s.topoMu.Unlock()
 	s.breakerCfg = cfg
 	if c := s.cluster.Load(); c != nil {
 		c.ConfigureBreakers(cfg.internal())
-	}
-}
-
-// SetHedging applies cfg to the current cluster (if sharded) and to
-// every later Shard call.
-func (s *System) SetHedging(cfg HedgeConfig) {
-	s.hedgeCfg = cfg
-	if c := s.cluster.Load(); c != nil {
-		c.SetHedging(cfg.internal())
 	}
 }
 
@@ -99,9 +65,6 @@ type ResilienceStats struct {
 	// BreakerShortCircuits counts shard calls rejected by an open
 	// breaker.
 	BreakerShortCircuits int64
-	// HedgesLaunched counts hedge attempts started; HedgeWins those
-	// that finished before their primary.
-	HedgesLaunched, HedgeWins int64
 }
 
 // ResilienceStats snapshots the self-protection counters.
@@ -114,8 +77,6 @@ func (s *System) ResilienceStats() ResilienceStats {
 	return ResilienceStats{
 		BreakerOpens:         r.BreakerOpens,
 		BreakerShortCircuits: r.BreakerShortCircuits,
-		HedgesLaunched:       r.HedgesLaunched,
-		HedgeWins:            r.HedgeWins,
 	}
 }
 
@@ -136,9 +97,8 @@ func (s ScratchStat) Balanced() bool {
 // ScratchStats snapshots the scratch-pool counters of the base engine
 // (index 0) and, on a sharded system, the cluster planner and every
 // shard engine after it. With no query in flight every snapshot must be
-// Balanced() — including after shed, cancelled, hedged, or failed
-// queries; an imbalance is a leaked pooled region or bitset on some
-// error path.
+// Balanced() — including after shed, cancelled, or failed queries; an
+// imbalance is a leaked pooled region or bitset on some error path.
 func (s *System) ScratchStats() []ScratchStat {
 	out := []ScratchStat{fromCoreScratch(s.engine.ScratchStats())}
 	if c := s.cluster.Load(); c != nil {

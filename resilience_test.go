@@ -2,6 +2,7 @@ package streach
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 )
@@ -10,7 +11,7 @@ import (
 // self-protection knobs set before it shards (so Shard must carry them
 // into the new cluster); injected faults and tripped breakers never leak
 // into the shared fixtures.
-func resilienceSystem(t *testing.T, brk BreakerConfig, hedge HedgeConfig) *System {
+func resilienceSystem(t *testing.T, brk BreakerConfig) *System {
 	t.Helper()
 	base := smallSystem(t)
 	idx := DefaultIndexConfig()
@@ -20,7 +21,6 @@ func resilienceSystem(t *testing.T, brk BreakerConfig, hedge HedgeConfig) *Syste
 		t.Fatal(err)
 	}
 	s.ConfigureBreakers(brk)
-	s.SetHedging(hedge)
 	if err := s.Shard(4); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func resilienceSystem(t *testing.T, brk BreakerConfig, hedge HedgeConfig) *Syste
 func TestFacadeBreakerTripAndRecovery(t *testing.T) {
 	s := resilienceSystem(t, BreakerConfig{
 		Enabled: true, Window: 8, FailureRatio: 0.5, MinSamples: 2, Cooldown: 50 * time.Millisecond,
-	}, HedgeConfig{})
+	})
 	defer clearChaos(t, s)
 	q := testQuery(s)
 	req := ReachRequest(q.Locations[0], 11*time.Hour, 10*time.Minute, 0.2)
@@ -92,60 +92,26 @@ func TestFacadeBreakerTripAndRecovery(t *testing.T) {
 	assertScratchBalanced(t, s, "after breaker trip and recovery")
 }
 
-// TestFacadeHedgedQueriesBitIdentical pins hedge determinism end to
-// end: with an aggressive trigger every scatter slice races a hedge,
-// and whichever attempt commits, answers are bit-identical to an
-// unhedged system's — while the losing attempts are cancelled, reaped
-// (no goroutine growth; run under -race in CI), and return all their
-// pooled scratch.
-func TestFacadeHedgedQueriesBitIdentical(t *testing.T) {
-	q := testQuery(smallSystem(t))
-	req := ReachRequest(q.Locations[0], 11*time.Hour, 10*time.Minute, 0.2)
-	ctx := context.Background()
-
-	plain := resilienceSystem(t, BreakerConfig{}, HedgeConfig{})
-	baseline, err := plain.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	before := goroutineCount()
-	hedged := resilienceSystem(t, BreakerConfig{}, HedgeConfig{
-		Enabled: true, Trigger: time.Nanosecond, MaxOutstanding: 4,
-	})
-	for round := 0; round < 3; round++ {
-		got, err := hedged.Do(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRegion(t, "hedged", got, baseline)
-	}
-	if rs := hedged.ResilienceStats(); rs.HedgesLaunched == 0 {
-		t.Fatalf("resilience stats = %+v, want launched hedges", rs)
-	}
-	assertScratchBalanced(t, hedged, "after hedged queries")
-	assertNoGoroutineGrowth(t, before)
-}
-
-// TestShardSettersOrderFree: SetShardBudget, ConfigureBreakers and
-// SetHedging configure the same cluster whether they run before or after
-// the system shards, and clearing the budget takes effect on the live
-// cluster — a hung shard is then waited for, not skipped.
+// TestShardSettersOrderFree: SetShardBudget and ConfigureBreakers
+// configure the same cluster whether they run before or after the
+// system shards, or while other goroutines keep re-sharding it, and
+// clearing the budget takes effect on the live cluster — a hung shard is
+// then waited for, not skipped.
 func TestShardSettersOrderFree(t *testing.T) {
 	base := smallSystem(t)
 	req := ReachRequest(testQuery(base).Locations[0], 11*time.Hour, 10*time.Minute, 0.2)
 	brk := BreakerConfig{Enabled: true, Window: 8, Cooldown: time.Minute}
-	hedge := HedgeConfig{Enabled: true, Trigger: time.Hour}
 	set := func(s *System) {
 		s.SetShardBudget(50 * time.Millisecond)
 		s.ConfigureBreakers(brk)
-		s.SetHedging(hedge)
+	}
+	shard := func(s *System, gridK int) {
+		if err := s.ShardSlots(gridK, 1); err != nil {
+			t.Error(err)
+		}
 	}
 	systems := map[string]*System{}
-	for _, order := range []struct {
-		name     string
-		setFirst bool
-	}{{"set-then-shard", true}, {"shard-then-set", false}} {
+	for _, order := range []string{"set-then-shard", "shard-then-set", "concurrent"} {
 		idx := DefaultIndexConfig()
 		idx.PlanCache = -1
 		s, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
@@ -153,27 +119,52 @@ func TestShardSettersOrderFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if order.setFirst {
+		switch order {
+		case "set-then-shard":
 			set(s)
-		}
-		if err := s.Shard(4); err != nil {
-			t.Fatal(err)
-		}
-		if !order.setFirst {
+			shard(s, 4)
+		case "shard-then-set":
+			shard(s, 4)
 			set(s)
+		case "concurrent":
+			// Setters race re-sharding into 2, 4 and 1 shards; a setter
+			// that stored a view of the layout it loaded would undo a
+			// re-shard landing in between.
+			var wg sync.WaitGroup
+			for g := 0; g < 3; g++ {
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 10; i++ {
+						set(s)
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 4; i++ {
+						shard(s, 2)
+						shard(s, 4)
+						shard(s, 1)
+					}
+				}()
+			}
+			wg.Wait()
+			shard(s, 4)
+		}
+		if got := s.Shards(); got != 4 {
+			t.Fatalf("%s: %d shards, want 4", order, got)
 		}
 		if err := s.InjectShardFault(1, ShardFaultHang); err != nil {
 			t.Fatal(err)
 		}
-		systems[order.name] = s
+		systems[order] = s
 	}
 
-	before, after := systems["set-then-shard"].cluster.Load(), systems["shard-then-set"].cluster.Load()
-	if got, want := before.BreakerConfigured(), after.BreakerConfigured(); got != want || !got.Enabled {
-		t.Fatalf("breakers differ by setter order: %+v vs %+v", got, want)
-	}
-	if got, want := before.HedgeConfigured(), after.HedgeConfigured(); got != want || !got.Enabled {
-		t.Fatalf("hedging differs by setter order: %+v vs %+v", got, want)
+	want := systems["set-then-shard"].cluster.Load().BreakerConfigured()
+	for name, s := range systems {
+		if got := s.cluster.Load().BreakerConfigured(); got != want || !got.Enabled {
+			t.Fatalf("%s: breakers = %+v, want %+v", name, got, want)
+		}
 	}
 	for name, s := range systems {
 		// The budget bounds the hung shard: a partial answer without it.

@@ -112,9 +112,9 @@ func DefaultFleetConfig() FleetConfig {
 // IndexConfig describes the index: its granularity and the storage and
 // caches behind it. How a query runs — algorithm, ablations,
 // verification parallelism — is a per-query Option; how the system is
-// laid out — shards, slot shards, shard budget, breakers, hedging — is
-// set by the System methods (Shard, ShardSlots, SetShardBudget,
-// ConfigureBreakers, SetHedging) after construction.
+// laid out — shards, slot shards, shard budget, breakers — is set by the
+// System methods (Shard, ShardSlots, SetShardBudget, ConfigureBreakers)
+// after construction.
 type IndexConfig struct {
 	// SlotSeconds is the Δt granularity (default 300 s).
 	SlotSeconds int
@@ -226,13 +226,15 @@ type System struct {
 	// sharing accumulates the batch executor's cross-query work-sharing
 	// counters (see SharingStats).
 	sharing sharingCounters
-	// shardBudget (SetShardBudget), breakerCfg (ConfigureBreakers) and
-	// hedgeCfg (SetHedging) are applied to the live cluster when set and
-	// to every cluster the system shards into later, so the setters and
-	// Shard/ShardSlots may be called in either order.
+	// shardBudget (SetShardBudget) and breakerCfg (ConfigureBreakers) are
+	// applied to the live cluster when set and to every cluster the
+	// system shards into later, so the setters and Shard/ShardSlots may
+	// be called in either order. topoMu serialises those setters with
+	// ShardSlots — each reads the live cluster and stores or configures
+	// one — while queries keep loading cluster lock-free.
+	topoMu      sync.Mutex
 	shardBudget time.Duration
 	breakerCfg  BreakerConfig
-	hedgeCfg    HedgeConfig
 	// dir is the save directory backing the system (set by OpenSystem
 	// and Save); empty for purely in-memory systems. pagesDir is the
 	// directory whose pages.db the page store is (set by OpenSystem only;
@@ -464,10 +466,12 @@ func (s *System) Shard(k int) error {
 // row's held range runs unsharded (counted in PlansSlotFallback, never
 // wrong). gridK <= 1 with slotK > 1 is pure temporal sharding; both <= 1
 // restores single-engine execution. The new cluster carries the shard
-// budget, breaker and hedging configuration set so far. Everything else
-// behaves exactly as Shard: safe while queries are in flight, plan
-// cache flushed, answers bit-identical.
+// budget and breaker configuration set so far. Everything else behaves
+// exactly as Shard: safe while queries are in flight, plan cache
+// flushed, answers bit-identical.
 func (s *System) ShardSlots(gridK, slotK int) error {
+	s.topoMu.Lock()
+	defer s.topoMu.Unlock()
 	if gridK <= 1 && slotK <= 1 {
 		s.cluster.Store(nil)
 		s.plans.clear()
@@ -480,9 +484,6 @@ func (s *System) ShardSlots(gridK, slotK int) error {
 	cluster = cluster.WithShardBudget(s.shardBudget)
 	if s.breakerCfg.Enabled {
 		cluster.ConfigureBreakers(s.breakerCfg.internal())
-	}
-	if s.hedgeCfg.Enabled {
-		cluster.SetHedging(s.hedgeCfg.internal())
 	}
 	s.cluster.Store(cluster)
 	s.plans.clear()
@@ -616,6 +617,8 @@ func (s *System) warmSlots(start, dur time.Duration) (lo, hi int, ok bool) {
 // current cluster (if sharded) and to every later Shard call;
 // WithShardBudget overrides it per query. Zero removes the bound.
 func (s *System) SetShardBudget(d time.Duration) {
+	s.topoMu.Lock()
+	defer s.topoMu.Unlock()
 	s.shardBudget = d
 	if c := s.cluster.Load(); c != nil {
 		s.cluster.Store(c.WithShardBudget(d))
