@@ -56,9 +56,9 @@ func coldSystem(t *testing.T) *System {
 }
 
 // TestBatchRoundsMatchPerRowReference: reach, reverse and multi answers
-// at four thresholds, bounded cold through the batch call — unsharded,
-// on four grid shards and on four slot shards, at 1, 2 and 8 Ps — are
-// bit-identical to the per-row reference's.
+// at four thresholds, bounded cold through the batch call — unsharded
+// and on four shards, at 1, 2 and 8 Ps — are bit-identical to the
+// per-row reference's.
 func TestBatchRoundsMatchPerRowReference(t *testing.T) {
 	base := smallSystem(t)
 	loc := base.BusiestLocation(11 * time.Hour)
@@ -102,7 +102,6 @@ func TestBatchRoundsMatchPerRowReference(t *testing.T) {
 	}{
 		{"unsharded", func(*System) error { return nil }},
 		{"Shard(4)", func(s *System) error { return s.Shard(4) }},
-		{"ShardSlots(4)", func(s *System) error { return s.ShardSlots(1, 4) }},
 	}
 	for _, procs := range []int{1, 2, 8} {
 		for _, topo := range topologies {

@@ -34,7 +34,6 @@ func runServe(args []string) error {
 	clientRPS := fs.Float64("client-rps", 0, "per-client token-bucket quota in requests/second, 2x as deep, keyed by X-API-Key or peer host (0 = off)")
 	breakers := fs.Bool("breakers", false, "per-shard circuit breakers: short-circuit a repeatedly failing shard instead of paying its budget every query; a half-open probe follows after 2s (requires -shards)")
 	shards := fs.Int("shards", 0, "sharded execution: partition the network across this many engines and answer by scatter-gather (0/1 = single engine; results are bit-identical)")
-	slotShards := fs.Int("slot-shards", 0, "temporal sharding: cut the day's slot axis into this many density-balanced ranges, one shard row each, routing queries by window start; composes with -shards into grid x slots (0/1 = off; results are bit-identical)")
 	warmPlans := fs.Int("warm-plans", 0, "warm-plan pipeline: re-plan this many of the hottest recorded query shapes in the background after open and after each compaction epoch swap; grows the plan cache to hold them (0 = off)")
 	shardBudget := fs.Duration("shard-budget", 0, "per-shard deadline budget: a shard slower than this fails (typed Timeout) or is skipped under ?partial=true (0 = no budget)")
 	chaos := fs.String("chaos", "", "DEV ONLY fault injection: comma-separated shard=N:error|panic|hang items, e.g. shard=1:error,shard=2:hang (requires -shards)")
@@ -55,20 +54,11 @@ func runServe(args []string) error {
 	}
 	defer sys.Close()
 	sys.SetShardBudget(*shardBudget)
-	if *shards > 1 || *slotShards > 1 {
-		gridK := *shards
-		if gridK < 1 {
-			gridK = 1
-		}
-		if err := sys.ShardSlots(gridK, *slotShards); err != nil {
+	if *shards > 1 {
+		if err := sys.Shard(*shards); err != nil {
 			return err
 		}
-		if sys.SlotShards() > 1 {
-			fmt.Fprintf(os.Stderr, "sharded execution: %d partitioned engines (%d slot rows x %d grid shards)\n",
-				sys.Shards(), sys.SlotShards(), sys.Shards()/sys.SlotShards())
-		} else {
-			fmt.Fprintf(os.Stderr, "sharded execution: %d partitioned engines\n", sys.Shards())
-		}
+		fmt.Fprintf(os.Stderr, "sharded execution: %d partitioned engines\n", sys.Shards())
 	}
 	if *breakers {
 		if sys.Shards() <= 1 {

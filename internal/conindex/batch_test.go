@@ -315,7 +315,11 @@ func TestAllHitRoundAllocatesNothing(t *testing.T) {
 	segs := allSegments(n)
 	const slot = 180
 	warm(t, idx, slot, slot, 0)
-	sliced := idx.SliceSlots(0, nil, slot, slot)
+	owned := bitset.New(n.NumSegments())
+	for _, seg := range segs {
+		owned.Add(int(seg))
+	}
+	sliced := idx.Slice(0, owned)
 	for name, pin := range map[string]*Pin{"index": idx.NewPin(), "slice": sliced.NewPin()} {
 		dst := bitset.New(n.NumSegments())
 		before, base := idx.Stats(), runtime.NumGoroutine()

@@ -58,7 +58,7 @@ func (p *Pin) Stats() PinStats { return p.stats }
 
 // Row resolves a single row (see Index.RowCtx), counted.
 func (p *Pin) Row(ctx context.Context, k Kind, seg roadnet.SegmentID, slot int) (Row, error) {
-	if err := p.only.admit(slot, seg); err != nil {
+	if err := p.only.admit(seg); err != nil {
 		return Row{}, err
 	}
 	p.stats.Fetched++
@@ -80,7 +80,7 @@ func (p *Pin) Row(ctx context.Context, k Kind, seg roadnet.SegmentID, slot int) 
 // worker built what. ctx cancels the expansions within one checkpoint
 // interval; on error dst holds a partial union.
 func (p *Pin) OrRows(ctx context.Context, k Kind, segs []roadnet.SegmentID, slot int, dst bitset.Set) error {
-	if err := p.only.admit(slot, segs...); err != nil {
+	if err := p.only.admit(segs...); err != nil {
 		return err
 	}
 	x := p.x

@@ -40,8 +40,8 @@ func (p *SharedPlan) Lazy() bool { return p.lazy }
 func (p *SharedPlan) Candidates() []roadnet.SegmentID { return p.order }
 
 // SlotWindow returns the inclusive slot range [lo, hi] of the plan's
-// query window, recorded at plan time. The temporal sharding layer
-// scatters only to the shard row whose held slot range covers it.
+// query window, recorded at plan time: the slots whose Con-Index rows
+// and time lists the plan read.
 func (p *SharedPlan) SlotWindow() (lo, hi int) { return p.slotLo, p.slotHi }
 
 // Children returns the per-location child plans of a sequential m-query

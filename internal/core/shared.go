@@ -54,9 +54,8 @@ type SharedPlan struct {
 	starts []roadnet.SegmentID
 
 	// slotLo, slotHi is the query window's slot range, recorded at plan
-	// time for the temporal sharding layer: a slot-sharded cluster
-	// scatters only to the shard row whose slot range covers the window
-	// and falls back to eager execution when no row holds it whole.
+	// time so that a caller can replay the plan's index reads (see
+	// SlotWindow).
 	slotLo, slotHi int
 
 	maxReg, minReg *region

@@ -120,22 +120,6 @@ func (s *Server) writePrometheus(w io.Writer) {
 			"Wall-clock the shard spent in scatter verification.", "counter",
 			func(st streach.ShardStat) float64 { return st.Verify.Seconds() })
 
-		// Temporal sharding: the row layout (served slot ranges) and the
-		// fallback counter. slot_shards stays 1 and the ranges span the
-		// whole day on spatially-sharded systems, so dashboards need no
-		// mode-specific queries.
-		fmt.Fprintf(w, "# HELP streach_slot_shards Temporal shard rows of the sharded execution layer.\n")
-		fmt.Fprintf(w, "# TYPE streach_slot_shards gauge\nstreach_slot_shards %d\n", s.sys.SlotShards())
-		shardMetric("streach_shard_slot_lo",
-			"First slot of the inclusive slot range the shard's row serves.", "gauge",
-			func(st streach.ShardStat) float64 { return float64(st.SlotLo) })
-		shardMetric("streach_shard_slot_hi",
-			"Last slot of the inclusive slot range the shard's row serves.", "gauge",
-			func(st streach.ShardStat) float64 { return float64(st.SlotHi) })
-		counter("streach_plans_slot_fallback_total",
-			"Sharded queries whose window outgrew its row's held slot range and ran unsharded.",
-			s.sys.PlansSlotFallback())
-
 		// Overload self-protection: per-shard breaker state plus the
 		// cluster-wide breaker counters.
 		if hs := s.sys.ShardHealth(); len(hs) > 0 {

@@ -273,7 +273,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"days":         st.Days,
 		"slot_seconds": st.SlotSeconds,
 		"shards":       s.sys.Shards(),
-		"slot_shards":  s.sys.SlotShards(),
 	}
 	// Durability state: "ok" while the ingest WAL is keeping up,
 	// "degraded" while appends are failing (updates stay live but are

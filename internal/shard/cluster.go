@@ -12,7 +12,6 @@ import (
 
 	"streach/internal/conindex"
 	"streach/internal/core"
-	"streach/internal/roadnet"
 	"streach/internal/stindex"
 	"streach/internal/xerr"
 )
@@ -37,18 +36,10 @@ import (
 // multi-process deployment would exercise, while topology and speed
 // statistics stay replicated as the partitioner intends.
 type Cluster struct {
-	part *Partition
-	// slots is the temporal sharding dimension (nil: spatial-only). With
-	// K slot rows and a gridK-way spatial partition the cluster runs
-	// K·gridK shard engines; shard ordinal sh = row·gridK + grid, so the
-	// spatial tables compose with the temporal ranges unchanged.
-	slots     *SlotPartition
-	gridK     int // spatial shards per slot row (= part.Shards())
-	slotSec   int // ST-Index slot length, for window routing
+	part      *Partition
 	planner   *core.Engine
-	engines   []*core.Engine
+	engines   []*core.Engine // one per shard, indexed like part
 	conSlices []*conindex.Slice
-	numSlots  int
 	opts      core.Options
 	m         *metrics
 	faults    *faultTable   // injected per-shard faults (shared by views)
@@ -61,12 +52,11 @@ type Cluster struct {
 // metrics holds the cluster's per-shard activity counters, shared by
 // every WithOptions view.
 type metrics struct {
-	rows         []atomic.Int64 // Con-Index rows routed to the shard's slice
-	verified     []atomic.Int64 // candidates scatter-verified on the shard
-	verifyNS     []atomic.Int64 // wall-clock the shard spent verifying
-	plans        atomic.Int64   // sharded plans built
-	fallback     atomic.Int64   // plans answered unsharded (EarlyStop + slot overflow)
-	slotFallback atomic.Int64   // fallbacks caused by a window outliving its row's held range
+	rows     []atomic.Int64 // Con-Index rows routed to the shard's slice
+	verified []atomic.Int64 // candidates scatter-verified on the shard
+	verifyNS []atomic.Int64 // wall-clock the shard spent verifying
+	plans    atomic.Int64   // sharded plans built
+	fallback atomic.Int64   // plans answered unsharded (EarlyStop)
 }
 
 // Stats is one shard's activity snapshot.
@@ -76,9 +66,6 @@ type Stats struct {
 	// Segments and BoundarySegments describe the spatial partition:
 	// owned segments and how many of them border another shard.
 	Segments, BoundarySegments int
-	// SlotLo, SlotHi is the inclusive slot range the shard serves on the
-	// temporal axis (the whole day on a spatial-only cluster).
-	SlotLo, SlotHi int
 	// RowsFetched counts Con-Index adjacency rows the bounding phase
 	// routed through this shard's slice.
 	RowsFetched int64
@@ -94,41 +81,15 @@ type Stats struct {
 // per-shard engines and the planner. The indexes are the same ones an
 // unsharded engine would use; every shard view shares their storage.
 func NewCluster(st *stindex.Index, con *conindex.Index, opts core.Options, k int) (*Cluster, error) {
-	return NewClusterSlots(st, con, opts, k, 1, -1)
-}
-
-// NewClusterSlots builds a hybrid grid × slots cluster: the network
-// partitioned into gridK spatial shards, crossed with slotK temporal
-// rows cut from the day's slot axis by observation density. slotK = 1
-// degrades to the spatial-only cluster; gridK = 1 with slotK > 1 is
-// pure temporal sharding. overhang is the held-range overhang in slots
-// (-1: default, see PartitionSlots).
-func NewClusterSlots(st *stindex.Index, con *conindex.Index, opts core.Options, gridK, slotK, overhang int) (*Cluster, error) {
-	part, err := PartitionGrid(st.Network(), gridK)
+	part, err := PartitionGrid(st.Network(), k)
 	if err != nil {
 		return nil, err
 	}
-	gridK = part.Shards() // clamped
-	var slots *SlotPartition
-	if slotK > 1 {
-		slots, err = PartitionSlots(st.SlotDensity(), slotK, overhang)
-		if err != nil {
-			return nil, err
-		}
-	}
-	rows := 1
-	if slots != nil {
-		rows = slots.Shards()
-	}
-	k := rows * gridK
+	k = part.Shards() // clamped
 	c := &Cluster{
 		part:      part,
-		slots:     slots,
-		gridK:     gridK,
-		slotSec:   st.SlotSeconds(),
 		engines:   make([]*core.Engine, k),
 		conSlices: make([]*conindex.Slice, k),
-		numSlots:  con.NumSlots(),
 		opts:      opts,
 		m: &metrics{
 			rows:     make([]atomic.Int64, k),
@@ -140,25 +101,8 @@ func NewClusterSlots(st *stindex.Index, con *conindex.Index, opts core.Options, 
 		brk:    newBreakerTable(k, BreakerConfig{}),
 	}
 	for sh := 0; sh < k; sh++ {
-		g := sh % gridK
-		if slots == nil {
-			c.conSlices[sh] = con.Slice(sh, part.Owned(g))
-			eng, err := core.NewEngine(st.Slice(sh, part.Owned(g)), con, opts)
-			if err != nil {
-				return nil, err
-			}
-			c.engines[sh] = eng
-			continue
-		}
-		row := sh / gridK
-		servedLo, servedHi := slots.Served(row)
-		heldLo, heldHi := slots.Held(row)
-		// Con-Index rows are fetched per (segment, slot) and routed to
-		// the slot's serving row, so the con slice enforces the served
-		// range; ST time-list reads span a whole query window, so the
-		// engine's ST slice holds the overhang too.
-		c.conSlices[sh] = con.SliceSlots(sh, part.Owned(g), servedLo, servedHi)
-		eng, err := core.NewEngine(st.SliceSlots(sh, part.Owned(g), heldLo, heldHi), con, opts)
+		c.conSlices[sh] = con.Slice(sh, part.Owned(sh))
+		eng, err := core.NewEngine(st.Slice(sh, part.Owned(sh)), con, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -172,57 +116,8 @@ func NewClusterSlots(st *stindex.Index, con *conindex.Index, opts core.Options, 
 	return c, nil
 }
 
-// Shards returns the total shard count (slot rows × spatial shards).
+// Shards returns the shard count.
 func (c *Cluster) Shards() int { return len(c.engines) }
-
-// SlotShards returns the temporal row count (1 on a spatial-only
-// cluster).
-func (c *Cluster) SlotShards() int {
-	if c.slots == nil {
-		return 1
-	}
-	return c.slots.Shards()
-}
-
-// GridShards returns the spatial shard count per slot row.
-func (c *Cluster) GridShards() int { return c.gridK }
-
-// SlotPartition returns the temporal partition (nil when spatial-only).
-func (c *Cluster) SlotPartition() *SlotPartition { return c.slots }
-
-// slotRow returns the first shard ordinal of the slot row serving slot
-// (0 on a spatial-only cluster).
-func (c *Cluster) slotRow(slot int) int {
-	if c.slots == nil {
-		return 0
-	}
-	slot = ((slot % c.numSlots) + c.numSlots) % c.numSlots
-	return c.slots.OwnerOf(slot) * c.gridK
-}
-
-// shardOf returns the shard ordinal serving (segment, slot): the slot's
-// serving row crossed with the segment's spatial owner.
-func (c *Cluster) shardOf(seg roadnet.SegmentID, slot int) int {
-	return c.slotRow(slot) + c.part.Owner(seg)
-}
-
-// routeSlots picks the slot row serving a query window: the row whose
-// served range contains the window's start slot, provided the whole
-// window fits inside that row's held range. ok = false means no row
-// holds the window — the caller falls back to unsharded execution.
-func (c *Cluster) routeSlots(start, dur time.Duration) (row int, ok bool) {
-	wlo := int(start.Seconds()) / c.slotSec
-	whi := int((start + dur).Seconds()) / c.slotSec
-	if whi >= c.numSlots {
-		whi = c.numSlots - 1
-	}
-	if wlo < 0 || wlo >= c.numSlots {
-		return 0, false // invalid window; the plan build will reject it
-	}
-	row = c.slots.OwnerOf(wlo)
-	_, heldHi := c.slots.Held(row)
-	return row, whi <= heldHi
-}
 
 // Partition returns the cluster's segment partition.
 func (c *Cluster) Partition() *Partition { return c.part }
@@ -248,17 +143,10 @@ func (c *Cluster) WithOptions(opts core.Options) *Cluster {
 func (c *Cluster) Stats() []Stats {
 	out := make([]Stats, len(c.engines))
 	for sh := range out {
-		g := sh % c.gridK
-		slotLo, slotHi := 0, c.numSlots-1
-		if c.slots != nil {
-			slotLo, slotHi = c.slots.Served(sh / c.gridK)
-		}
 		out[sh] = Stats{
 			Shard:              sh,
-			Segments:           c.part.Size(g),
-			BoundarySegments:   c.part.BoundarySize(g),
-			SlotLo:             slotLo,
-			SlotHi:             slotHi,
+			Segments:           c.part.Size(sh),
+			BoundarySegments:   c.part.BoundarySize(sh),
 			RowsFetched:        c.m.rows[sh].Load(),
 			CandidatesVerified: c.m.verified[sh].Load(),
 			VerifyNS:           c.m.verifyNS[sh].Load(),
@@ -268,12 +156,14 @@ func (c *Cluster) Stats() []Stats {
 }
 
 // PlansSharded and PlansFallback report how many plans ran scatter-gather
-// vs fell back to single-engine execution (EarlyStop policy, or a query
-// window no slot row holds whole). PlansSlotFallback counts the subset
-// of fallbacks caused by the slot routing.
-func (c *Cluster) PlansSharded() int64      { return c.m.plans.Load() }
-func (c *Cluster) PlansFallback() int64     { return c.m.fallback.Load() }
-func (c *Cluster) PlansSlotFallback() int64 { return c.m.slotFallback.Load() }
+// vs fell back to single-engine execution (the EarlyStop policy).
+func (c *Cluster) PlansSharded() int64  { return c.m.plans.Load() }
+func (c *Cluster) PlansFallback() int64 { return c.m.fallback.Load() }
+
+// PlansSlotFallback is always 0: a cluster is partitioned by space only,
+// so no query window can outgrow a shard. It stays for callers that
+// still read it.
+func (c *Cluster) PlansSlotFallback() int64 { return 0 }
 
 // ScratchStats snapshots the scratch-pool counters of the planner
 // (index 0 — shared with the base engine it is a view of) and every
@@ -296,10 +186,6 @@ type Plan struct {
 	c       *Cluster
 	p       *core.SharedPlan
 	sharded bool
-	// rowBase is the first shard ordinal of the slot row serving the
-	// plan's window (0 on a spatial-only cluster): the scatter and
-	// gather touch only shards [rowBase, rowBase+gridK).
-	rowBase int
 	// failed holds the shards lost at scatter time (partial-results mode
 	// only; fail-fast scatters never produce a plan with losses).
 	failed []*ShardError
@@ -314,26 +200,7 @@ type Plan struct {
 // whose probes depend on neighbouring outcomes cannot be split by
 // segment owner — so it plans eagerly on the planner instead (bounding
 // still routes through the shard slices) and skips the scatter.
-// A slot-sharded cluster routes on the query window first: the row
-// whose served range contains the window's start slot answers it whole.
-// A window no row holds (it outruns the row's held overhang) falls back
-// to eager execution the same way — correct by construction, counted so
-// operators see when the overhang is too small for their traffic.
-func (c *Cluster) plan(ctx context.Context, start, dur time.Duration, build func(opts ...core.PlanOption) (*core.SharedPlan, error)) (*Plan, error) {
-	rowBase := 0
-	if c.slots != nil && !c.opts.EarlyStop {
-		row, ok := c.routeSlots(start, dur)
-		if !ok {
-			c.m.slotFallback.Add(1)
-			p, err := build()
-			if err != nil {
-				return nil, err
-			}
-			c.m.fallback.Add(1)
-			return &Plan{c: c, p: p, sharded: false}, nil
-		}
-		rowBase = row * c.gridK
-	}
+func (c *Cluster) plan(ctx context.Context, build func(opts ...core.PlanOption) (*core.SharedPlan, error)) (*Plan, error) {
 	if c.opts.EarlyStop {
 		p, err := build()
 		if err != nil {
@@ -346,32 +213,32 @@ func (c *Cluster) plan(ctx context.Context, start, dur time.Duration, build func
 	if err != nil {
 		return nil, err
 	}
-	failed, err := c.scatter(ctx, p, rowBase)
+	failed, err := c.scatter(ctx, p)
 	if err != nil {
 		p.Close()
 		return nil, err
 	}
 	c.m.plans.Add(1)
-	return &Plan{c: c, p: p, sharded: true, rowBase: rowBase, failed: failed}, nil
+	return &Plan{c: c, p: p, sharded: true, failed: failed}, nil
 }
 
 // PlanReach plans a forward s-query across the shards.
 func (c *Cluster) PlanReach(ctx context.Context, q core.Query) (*Plan, error) {
-	return c.plan(ctx, q.Start, q.Duration, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
+	return c.plan(ctx, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
 		return c.planner.PlanReach(ctx, q, opts...)
 	})
 }
 
 // PlanReverse plans a reverse s-query across the shards.
 func (c *Cluster) PlanReverse(ctx context.Context, q core.Query) (*Plan, error) {
-	return c.plan(ctx, q.Start, q.Duration, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
+	return c.plan(ctx, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
 		return c.planner.PlanReverse(ctx, q, opts...)
 	})
 }
 
 // PlanMulti plans an m-query (MQMB unified region) across the shards.
 func (c *Cluster) PlanMulti(ctx context.Context, q core.MultiQuery) (*Plan, error) {
-	return c.plan(ctx, q.Start, q.Duration, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
+	return c.plan(ctx, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
 		return c.planner.PlanMulti(ctx, q, opts...)
 	})
 }
@@ -379,21 +246,21 @@ func (c *Cluster) PlanMulti(ctx context.Context, q core.MultiQuery) (*Plan, erro
 // PlanMultiSequential plans the sequential m-query baseline across the
 // shards (each per-location child scatter-verifies independently).
 func (c *Cluster) PlanMultiSequential(ctx context.Context, q core.MultiQuery) (*Plan, error) {
-	return c.plan(ctx, q.Start, q.Duration, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
+	return c.plan(ctx, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
 		return c.planner.PlanMultiSequential(ctx, q, opts...)
 	})
 }
 
 // PlanReachES plans the exhaustive forward baseline across the shards.
 func (c *Cluster) PlanReachES(ctx context.Context, q core.Query) (*Plan, error) {
-	return c.plan(ctx, q.Start, q.Duration, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
+	return c.plan(ctx, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
 		return c.planner.PlanReachES(ctx, q, opts...)
 	})
 }
 
 // PlanReverseES plans the exhaustive reverse baseline across the shards.
 func (c *Cluster) PlanReverseES(ctx context.Context, q core.Query) (*Plan, error) {
-	return c.plan(ctx, q.Start, q.Duration, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
+	return c.plan(ctx, func(opts ...core.PlanOption) (*core.SharedPlan, error) {
 		return c.planner.PlanReverseES(ctx, q, opts...)
 	})
 }
@@ -409,7 +276,7 @@ func (c *Cluster) PlanReverseES(ctx context.Context, q core.Query) (*Plan, error
 // and fails the scatter with a typed error; in partial-results mode the
 // loss is recorded and the surviving shards' work still seals the plan,
 // returning the failures for the gather step to skip.
-func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan, rowBase int) ([]*ShardError, error) {
+func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan) ([]*ShardError, error) {
 	began := time.Now()
 	leaves := []*core.SharedPlan{p}
 	if kids := p.Children(); len(kids) > 0 {
@@ -461,13 +328,10 @@ func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan, rowBase int) 
 		if len(cands) == 0 {
 			continue // nothing to verify (max region == min region)
 		}
-		// Exact-size position buckets: count per owner, then fill. On a
-		// slot-sharded cluster every bucket lands inside the serving row
-		// [rowBase, rowBase+gridK); the other rows stay untouched and
-		// contribute nothing — the window pruning is the routing itself.
+		// Exact-size position buckets: count per owner, then fill.
 		counts := make([]int, k)
 		for _, s := range cands {
-			counts[rowBase+c.part.Owner(s)]++
+			counts[c.part.Owner(s)]++
 		}
 		positions := make([][]int, k)
 		for sh, n := range counts {
@@ -476,7 +340,7 @@ func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan, rowBase int) 
 			}
 		}
 		for i, s := range cands {
-			sh := rowBase + c.part.Owner(s)
+			sh := c.part.Owner(s)
 			positions[sh] = append(positions[sh], i)
 		}
 		// Breaker gate first, before any shard runs: a fail-fast
@@ -550,7 +414,7 @@ func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan, rowBase int) 
 			return nil, err
 		}
 	}
-	if c.partial && len(failed) == c.gridK {
+	if c.partial && len(failed) == k {
 		return nil, xerr.Mark(xerr.KindShardFailure,
 			fmt.Errorf("shard: all %d shards failed: %w", len(failed), failed[0]))
 	}
@@ -633,14 +497,14 @@ func (pl *Plan) ResultAt(ctx context.Context, prob float64) (*core.Result, error
 		return nil, err
 	}
 	pl.degraded = nil
-	lo, hi := pl.rowBase, pl.rowBase+pl.c.gridK // the serving slot row
+	k := pl.c.Shards()
 	missing := append([]*ShardError(nil), pl.failed...)
 	failSet := make(map[int]bool, len(missing))
 	for _, se := range missing {
 		failSet[se.Shard] = true
 	}
-	parts := make([]*core.Result, 0, pl.c.gridK)
-	for sh := lo; sh < hi; sh++ {
+	parts := make([]*core.Result, 0, k)
+	for sh := 0; sh < k; sh++ {
 		if failSet[sh] {
 			continue
 		}
@@ -688,12 +552,12 @@ func (pl *Plan) ResultAt(ctx context.Context, prob float64) (*core.Result, error
 		sort.Slice(missing, func(i, j int) bool { return missing[i].Shard < missing[j].Shard })
 		d := &Degraded{Failures: missing}
 		owned, total := 0, 0
-		for sh := lo; sh < hi; sh++ {
-			total += pl.c.part.Size(sh % pl.c.gridK)
+		for sh := 0; sh < k; sh++ {
+			total += pl.c.part.Size(sh)
 			if failSet[sh] {
 				d.MissingShards = append(d.MissingShards, sh)
 			} else {
-				owned += pl.c.part.Size(sh % pl.c.gridK)
+				owned += pl.c.part.Size(sh)
 			}
 		}
 		if total > 0 {
@@ -721,7 +585,7 @@ func (pl *Plan) partialOn(ctx context.Context, sh int, prob float64) (res *core.
 	if err := pl.c.injectedFault(ctx, sh); err != nil {
 		return nil, err
 	}
-	return pl.p.PartialAt(ctx, prob, pl.c.part.Owned(sh%pl.c.gridK))
+	return pl.p.PartialAt(ctx, prob, pl.c.part.Owned(sh))
 }
 
 // Degraded reports the loss behind the plan's most recent ResultAt: nil
@@ -745,8 +609,5 @@ func (pl *Plan) Sharded() bool { return pl.sharded }
 
 // String names the cluster for logs.
 func (c *Cluster) String() string {
-	if c.slots != nil {
-		return fmt.Sprintf("shard.Cluster(slots=%d, grid=%d)", c.slots.Shards(), c.gridK)
-	}
 	return fmt.Sprintf("shard.Cluster(k=%d)", c.part.Shards())
 }

@@ -21,7 +21,7 @@ import (
 type rowRouter struct {
 	c *Cluster
 	// pins holds one pin per shard, made when a round first reaches the
-	// shard; groups is one round's segments per spatial shard, reused.
+	// shard; groups is one round's segments per shard, reused.
 	pins   []*conindex.Pin
 	groups [][]roadnet.SegmentID
 }
@@ -43,27 +43,25 @@ func (r *rowRouter) pin(sh, n int) *conindex.Pin {
 }
 
 func (r *rowRouter) Row(ctx context.Context, kind conindex.Kind, seg roadnet.SegmentID, slot int) (conindex.Row, error) {
-	return r.pin(r.c.shardOf(seg, slot), 1).Row(ctx, kind, seg, slot)
+	return r.pin(r.c.part.Owner(seg), 1).Row(ctx, kind, seg, slot)
 }
 
 func (r *rowRouter) OrRows(ctx context.Context, kind conindex.Kind, segs []roadnet.SegmentID, slot int, dst bitset.Set) error {
-	c := r.c
 	if r.groups == nil {
-		r.groups = make([][]roadnet.SegmentID, c.gridK)
+		r.groups = make([][]roadnet.SegmentID, r.c.Shards())
 	}
-	for g := range r.groups {
-		r.groups[g] = r.groups[g][:0]
+	for sh := range r.groups {
+		r.groups[sh] = r.groups[sh][:0]
 	}
 	for _, seg := range segs {
-		g := c.part.Owner(seg)
-		r.groups[g] = append(r.groups[g], seg)
+		sh := r.c.part.Owner(seg)
+		r.groups[sh] = append(r.groups[sh], seg)
 	}
-	row := c.slotRow(slot)
-	for g, group := range r.groups {
+	for sh, group := range r.groups {
 		if len(group) == 0 {
 			continue
 		}
-		if err := r.pin(row+g, len(group)).OrRows(ctx, kind, group, slot, dst); err != nil {
+		if err := r.pin(sh, len(group)).OrRows(ctx, kind, group, slot, dst); err != nil {
 			return err
 		}
 	}

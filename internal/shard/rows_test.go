@@ -11,11 +11,10 @@ import (
 	"streach/internal/roadnet"
 )
 
-// TestRouterRoundGroupsByShard: a round through the router — grid, slot
-// and hybrid clusters — is the union the index's own pin returns, charges
-// every row to the shard that owns it, and once the slot is warm
-// allocates nothing (the per-shard groups and pins are the plan's, made
-// by its first round).
+// TestRouterRoundGroupsByShard: a round through the router is the union
+// the index's own pin returns, charges every row to the shard that owns
+// it, and once the slot is warm allocates nothing (the per-shard groups
+// and pins are the plan's, made by its first round).
 func TestRouterRoundGroupsByShard(t *testing.T) {
 	f := getFixture(t)
 	const slot = 200
@@ -27,8 +26,8 @@ func TestRouterRoundGroupsByShard(t *testing.T) {
 	if err := f.con.NewPin().OrRows(bg, conindex.Far, segs, slot, want); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range [][2]int{{4, 1}, {1, 4}, {2, 2}} {
-		c, err := NewClusterSlots(f.st, f.con, core.Options{}, k[0], k[1], -1)
+	for _, k := range []int{2, 4} {
+		c, err := NewCluster(f.st, f.con, core.Options{}, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,23 +40,23 @@ func TestRouterRoundGroupsByShard(t *testing.T) {
 		}
 		round()
 		if !slices.Equal(got, want) {
-			t.Fatalf("%dx%d: the routed round's union differs from the unrouted one", k[0], k[1])
+			t.Fatalf("k=%d: the routed round's union differs from the unrouted one", k)
 		}
 		perShard := make([]int64, c.Shards())
 		for _, seg := range segs {
-			perShard[c.shardOf(seg, slot)]++
+			perShard[c.part.Owner(seg)]++
 		}
 		for sh, st := range c.Stats() {
 			if st.RowsFetched != perShard[sh] {
-				t.Fatalf("%dx%d: shard %d charged %d rows, owns %d of the round's", k[0], k[1], sh, st.RowsFetched, perShard[sh])
+				t.Fatalf("k=%d: shard %d charged %d rows, owns %d of the round's", k, sh, st.RowsFetched, perShard[sh])
 			}
 		}
 		if st := router.Stats(); st.Fetched != int64(len(segs)) || st.Materialised != 0 {
-			t.Fatalf("%dx%d: router stats %+v after one warm round of %d", k[0], k[1], st, len(segs))
+			t.Fatalf("k=%d: router stats %+v after one warm round of %d", k, st, len(segs))
 		}
 		if !race.Enabled {
 			if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
-				t.Fatalf("%dx%d: a warm routed round allocates %.1f times", k[0], k[1], allocs)
+				t.Fatalf("k=%d: a warm routed round allocates %.1f times", k, allocs)
 			}
 		}
 	}

@@ -303,8 +303,8 @@ func (m *Matcher) handles() handleTable {
 // per-source number of days on which the source's start set shares a
 // taxi with some list of the window — the numerator of Eq. 3.1. It is
 // the value decoding every list with TimeListsRange and intersecting
-// day by day would give, including the ownership and slot-range errors
-// of a shard slice. The walk stops as soon as every (source, day) that
+// day by day would give, including the ownership error of a shard
+// slice. The walk stops as soon as every (source, day) that
 // can match has: further lists cannot change the count, which is what
 // makes the early exit exact.
 func (m *Matcher) Match(seg roadnet.SegmentID, loSlot, hiSlot int) (int, error) {
@@ -314,9 +314,6 @@ func (m *Matcher) Match(seg roadnet.SegmentID, loSlot, hiSlot int) (int, error) 
 		return 0, nil
 	}
 	if err := x.checkOwned(seg); err != nil {
-		return 0, err
-	}
-	if err := x.checkSlotRange(loSlot, hiSlot); err != nil {
 		return 0, err
 	}
 	if loSlot < 0 {

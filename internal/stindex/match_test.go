@@ -408,19 +408,18 @@ func TestMatcherEnforcesSliceOwnership(t *testing.T) {
 	}
 	const lo, hi = 110, 120
 	sets := startSetsOf(t, x, busiest(t, x, 114, 1), 114)
-	for _, slice := range []*Index{x.Slice(1, owned), x.SliceSlots(2, owned, lo, hi), x.SliceSlots(3, nil, lo, hi)} {
-		m := slice.NewMatcher(NewMatchSets(x.Days(), sets))
-		for _, w := range [][2]int{{lo, hi}, {lo + 2, hi - 2}, {lo - 1, hi}, {lo, hi + 1}, {-5, 3}, {x.NumSlots() + 1, x.NumSlots() + 2}} {
-			for seg := -1; seg <= n.NumSegments(); seg++ {
-				id := roadnet.SegmentID(seg)
-				want, werr := rangeOracle(slice, sets, id, w[0], w[1])
-				got, gerr := m.Match(id, w[0], w[1])
-				if errText(gerr) != errText(werr) {
-					t.Fatalf("shard %d seg %d window %v: streamed error %q, decoded error %q", slice.shard, seg, w, errText(gerr), errText(werr))
-				}
-				if werr == nil && got != want {
-					t.Fatalf("shard %d seg %d window %v: streamed %d, decoded %d", slice.shard, seg, w, got, want)
-				}
+	slice := x.Slice(1, owned)
+	m := slice.NewMatcher(NewMatchSets(x.Days(), sets))
+	for _, w := range [][2]int{{lo, hi}, {lo + 2, hi - 2}, {lo - 1, hi}, {lo, hi + 1}, {-5, 3}, {x.NumSlots() + 1, x.NumSlots() + 2}} {
+		for seg := -1; seg <= n.NumSegments(); seg++ {
+			id := roadnet.SegmentID(seg)
+			want, werr := rangeOracle(slice, sets, id, w[0], w[1])
+			got, gerr := m.Match(id, w[0], w[1])
+			if errText(gerr) != errText(werr) {
+				t.Fatalf("seg %d window %v: streamed error %q, decoded error %q", seg, w, errText(gerr), errText(werr))
+			}
+			if werr == nil && got != want {
+				t.Fatalf("seg %d window %v: streamed %d, decoded %d", seg, w, got, want)
 			}
 		}
 	}

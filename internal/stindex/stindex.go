@@ -108,14 +108,6 @@ type Index struct {
 	// not hold. shard is the owning shard's ordinal for error messages.
 	owned bitset.Set
 	shard int
-
-	// slotRanged, when true, additionally restricts the slice to the
-	// inclusive slot range [slotLo, slotHi]: a temporally sharded engine
-	// may only read time lists inside its held range, so a mis-routed
-	// query window fails loudly instead of answering from slots the
-	// shard does not serve.
-	slotRanged     bool
-	slotLo, slotHi int
 }
 
 // Slice returns a shard-local view of the index that serves time lists
@@ -131,69 +123,12 @@ func (x *Index) Slice(shard int, owned bitset.Set) *Index {
 	return &cp
 }
 
-// SliceSlots returns a shard-local view restricted on both axes: time
-// lists resolve only for the owned segments AND only for slots inside
-// the inclusive [slotLo, slotHi] range. This is the ownership test of
-// the temporal sharding dimension — a slot shard's held range covers
-// its served range plus an overhang so a whole query window routed to
-// the shard stays on its slice. owned may be nil to restrict on the
-// slot axis alone (pure temporal sharding, no spatial partition).
-func (x *Index) SliceSlots(shard int, owned bitset.Set, slotLo, slotHi int) *Index {
-	cp := *x
-	cp.owned = owned
-	cp.shard = shard
-	cp.slotRanged = true
-	cp.slotLo, cp.slotHi = slotLo, slotHi
-	return &cp
-}
-
 // checkOwned rejects reads outside a slice's partition.
 func (x *Index) checkOwned(seg roadnet.SegmentID) error {
 	if x.owned != nil && seg >= 0 && int(seg) < x.net.NumSegments() && !x.owned.Has(int(seg)) {
 		return fmt.Errorf("stindex: segment %d is not owned by shard %d", seg, x.shard)
 	}
 	return nil
-}
-
-// checkSlotRange rejects reads whose (clamped) slot range leaves a
-// slot-ranged slice's held range. Slots outside [0, numSlots) are
-// served as empty lists by the read paths and are not an ownership
-// violation, so only the in-bounds part of [lo, hi] is checked.
-func (x *Index) checkSlotRange(lo, hi int) error {
-	if !x.slotRanged {
-		return nil
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi >= x.numSlots {
-		hi = x.numSlots - 1
-	}
-	if lo > hi {
-		return nil // fully out of bounds: reads yield empty lists
-	}
-	if lo < x.slotLo || hi > x.slotHi {
-		return fmt.Errorf("stindex: slots [%d, %d] are outside shard %d's held range [%d, %d]",
-			lo, hi, x.shard, x.slotLo, x.slotHi)
-	}
-	return nil
-}
-
-// SlotDensity returns the per-slot observation density of the installed
-// handle table: for each slot, the summed byte length of every
-// segment's time-list blob. Blob bytes are proportional to encoded
-// (day, taxi) observations, which makes the vector the balancing
-// weight PartitionSlots uses to cut the day into even-load ranges.
-func (x *Index) SlotDensity() []int64 {
-	density := make([]int64, x.numSlots)
-	for slot, row := range x.liveHandles() {
-		var sum int64
-		for i := range row {
-			sum += int64(row[i].Length)
-		}
-		density[slot] = sum
-	}
-	return density
 }
 
 // Build constructs the ST-Index over the dataset. Every visit contributes
@@ -442,9 +377,6 @@ func (x *Index) TimeListBitsAt(seg roadnet.SegmentID, slot int) (*TimeListBits, 
 	if err := x.checkOwned(seg); err != nil {
 		return nil, err
 	}
-	if err := x.checkSlotRange(slot, slot); err != nil {
-		return nil, err
-	}
 	key := slot*x.net.NumSegments() + int(seg)
 	if x.live.pending.Load() == 0 && x.liveHandles().at(slot, int(seg)).IsZero() {
 		return emptyBits, nil // nothing to read; keep the cache for real lists
@@ -471,9 +403,6 @@ func (x *Index) TimeListsRange(seg roadnet.SegmentID, loSlot, hiSlot int, dst []
 		return dst, nil
 	}
 	if err := x.checkOwned(seg); err != nil {
-		return nil, err
-	}
-	if err := x.checkSlotRange(loSlot, hiSlot); err != nil {
 		return nil, err
 	}
 	var reader *storage.BlobReader

@@ -351,7 +351,8 @@ func (s *System) acquirePlan(ctx context.Context, req Request, qo queryOptions) 
 		// uses the bare groupKey — members of one DoBatch call share a
 		// plan regardless of concurrent ingest, which is the same
 		// query-raced-the-ingest linearization a single query has.)
-		key = groupKey(req, qo) + "|" + s.DataVersionKey()
+		shapeKey := groupKey(req, qo)
+		key = shapeKey + "|" + s.DataVersionKey()
 		if pl, ok := s.plans.take(key); ok {
 			s.sharing.planHits.Add(1)
 			pl.Rebase()
@@ -361,7 +362,7 @@ func (s *System) acquirePlan(ctx context.Context, req Request, qo queryOptions) 
 		// An organic miss is exactly the signal the warm-plan pipeline
 		// feeds on: record the shape so the next epoch swap can rebuild
 		// this plan before traffic asks for it.
-		s.recordPlanShape(req, qo)
+		s.recordPlanShape(req, qo, shapeKey)
 	}
 	plan, err = s.newPlan(ctx, req, qo)
 	return plan, key, cacheable, err

@@ -105,8 +105,8 @@ func TestShardSettersOrderFree(t *testing.T) {
 		s.SetShardBudget(50 * time.Millisecond)
 		s.ConfigureBreakers(brk)
 	}
-	shard := func(s *System, gridK int) {
-		if err := s.ShardSlots(gridK, 1); err != nil {
+	shard := func(s *System, k int) {
+		if err := s.Shard(k); err != nil {
 			t.Error(err)
 		}
 	}

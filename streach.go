@@ -9,9 +9,9 @@
 //
 //   - a synthetic metropolis generator and taxi-fleet simulator (the
 //     stand-in for the paper's Shenzhen network and 194 GB GPS corpus);
-//   - the ST-Index (temporal B+tree → shared R-tree → on-disk time lists
-//     behind an LRU buffer pool) and the Con-Index (per-slot Near/Far
-//     connection tables);
+//   - the ST-Index (uniform Δt time slots → shared R-tree → on-disk time
+//     lists behind an LRU buffer pool) and the Con-Index (per-slot
+//     Near/Far connection tables);
 //   - the query algorithms: SQMB+TBS for single-location queries, MQMB
 //     for multi-location queries, and the exhaustive-search baseline.
 //
@@ -112,9 +112,8 @@ func DefaultFleetConfig() FleetConfig {
 // IndexConfig describes the index: its granularity and the storage and
 // caches behind it. How a query runs — algorithm, ablations,
 // verification parallelism — is a per-query Option; how the system is
-// laid out — shards, slot shards, shard budget, breakers — is set by the
-// System methods (Shard, ShardSlots, SetShardBudget, ConfigureBreakers)
-// after construction.
+// laid out — shards, shard budget, breakers — is set by the System
+// methods (Shard, SetShardBudget, ConfigureBreakers) after construction.
 type IndexConfig struct {
 	// SlotSeconds is the Δt granularity (default 300 s).
 	SlotSeconds int
@@ -216,7 +215,7 @@ type System struct {
 	con    *conindex.Index
 	engine *core.Engine
 	// cluster, when non-nil, answers reach/reverse/multi queries by
-	// scatter-gather over partitioned engines (set by Shard/ShardSlots).
+	// scatter-gather over spatially partitioned engines (set by Shard).
 	// An atomic pointer so Shard can re-partition while queries are in
 	// flight: each query snapshots one cluster (or nil) and runs against
 	// it — both layouts answer bit-identically over the same indexes.
@@ -228,10 +227,10 @@ type System struct {
 	sharing sharingCounters
 	// shardBudget (SetShardBudget) and breakerCfg (ConfigureBreakers) are
 	// applied to the live cluster when set and to every cluster the
-	// system shards into later, so the setters and Shard/ShardSlots may
-	// be called in either order. topoMu serialises those setters with
-	// ShardSlots — each reads the live cluster and stores or configures
-	// one — while queries keep loading cluster lock-free.
+	// system shards into later, so the setters and Shard may be called in
+	// either order. topoMu serialises those setters with Shard — each
+	// reads the live cluster and stores or configures one — while queries
+	// keep loading cluster lock-free.
 	topoMu      sync.Mutex
 	shardBudget time.Duration
 	breakerCfg  BreakerConfig
@@ -447,37 +446,22 @@ func assembleSystem(net *roadnet.Network, ds *traj.Dataset, dsStats traj.Dataset
 // Con-Index/ST-Index slices, and reach/reverse/multi queries run
 // scatter-gather with answers bit-identical to unsharded execution
 // (route queries always run on the single engine). k <= 1 restores
-// single-engine execution. Safe to call while queries are in flight:
-// in-flight queries finish on the layout they started with (both
-// layouts answer identically over the same indexes), new queries see
-// the new one. The shared-plan cache is flushed — cached plans belong
-// to the previous execution layout; a straggler parking a plan after
-// the flush is harmless, as its answers stay bit-identical.
+// single-engine execution. The new cluster carries the shard budget and
+// breaker configuration set so far. Safe to call while queries are in
+// flight: in-flight queries finish on the layout they started with
+// (both layouts answer identically over the same indexes), new queries
+// see the new one. The shared-plan cache is flushed — cached plans
+// belong to the previous execution layout; a straggler parking a plan
+// after the flush is harmless, as its answers stay bit-identical.
 func (s *System) Shard(k int) error {
-	return s.ShardSlots(k, 1)
-}
-
-// ShardSlots switches the system to hybrid grid × slots sharded
-// execution: gridK spatial shards (as Shard) times slotK temporal shard
-// rows. The day's slot axis is cut into slotK contiguous ranges
-// balanced by observation density, and each row serves the queries
-// whose window starts in its range, so hot-hours traffic spreads across
-// rows instead of landing on one working set; a window outgrowing its
-// row's held range runs unsharded (counted in PlansSlotFallback, never
-// wrong). gridK <= 1 with slotK > 1 is pure temporal sharding; both <= 1
-// restores single-engine execution. The new cluster carries the shard
-// budget and breaker configuration set so far. Everything else behaves
-// exactly as Shard: safe while queries are in flight, plan cache
-// flushed, answers bit-identical.
-func (s *System) ShardSlots(gridK, slotK int) error {
 	s.topoMu.Lock()
 	defer s.topoMu.Unlock()
-	if gridK <= 1 && slotK <= 1 {
+	if k <= 1 {
 		s.cluster.Store(nil)
 		s.plans.clear()
 		return nil
 	}
-	cluster, err := shard.NewClusterSlots(s.st, s.con, s.engine.Options(), gridK, slotK, -1)
+	cluster, err := shard.NewCluster(s.st, s.con, s.engine.Options(), k)
 	if err != nil {
 		return err
 	}
@@ -499,26 +483,6 @@ func (s *System) Shards() int {
 	return 1
 }
 
-// SlotShards reports how many temporal shard rows the system executes
-// across (1 = no temporal dimension).
-func (s *System) SlotShards() int {
-	if c := s.cluster.Load(); c != nil {
-		return c.SlotShards()
-	}
-	return 1
-}
-
-// PlansSlotFallback counts sharded queries whose window outgrew its
-// serving row's held slot range and ran unsharded instead (still
-// bit-identical; a persistently high rate suggests a larger overhang or
-// fewer slot shards).
-func (s *System) PlansSlotFallback() int64 {
-	if c := s.cluster.Load(); c != nil {
-		return c.PlansSlotFallback()
-	}
-	return 0
-}
-
 // ShardStat describes one shard of a sharded system: its slice of the
 // partition and the work routed to it.
 type ShardStat struct {
@@ -535,10 +499,6 @@ type ShardStat struct {
 	// shard's ST-Index slice, and Verify the wall-clock spent doing it.
 	CandidatesVerified int64
 	Verify             time.Duration
-	// SlotLo and SlotHi are the inclusive slot range the shard's row
-	// serves under temporal sharding; [0, numSlots-1] (the whole day)
-	// when the system has no temporal dimension.
-	SlotLo, SlotHi int
 }
 
 // ShardStats snapshots per-shard activity; nil when the system is
@@ -558,8 +518,6 @@ func (s *System) ShardStats() []ShardStat {
 			RowsFetched:        st.RowsFetched,
 			CandidatesVerified: st.CandidatesVerified,
 			Verify:             time.Duration(st.VerifyNS),
-			SlotLo:             st.SlotLo,
-			SlotHi:             st.SlotHi,
 		}
 	}
 	return out

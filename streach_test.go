@@ -395,3 +395,31 @@ func TestRegionProbabilities(t *testing.T) {
 		}
 	}
 }
+
+// TestShardTablesAgree: on every layout the per-shard tables — stats,
+// health, faults — cover exactly the shards Shards() reports, so the
+// last shard is visible to /healthz and reachable by fault injection.
+func TestShardTablesAgree(t *testing.T) {
+	base := smallSystem(t)
+	sys, err := NewSystemFromData(base.Network(), base.Dataset(), DefaultIndexConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for _, k := range []int{2, 3, 4} {
+		if err := sys.Shard(k); err != nil {
+			t.Fatal(err)
+		}
+		n := sys.Shards()
+		if n != k || len(sys.ShardStats()) != n || len(sys.ShardHealth()) != n {
+			t.Fatalf("Shard(%d): Shards()=%d, %d stats, %d health records",
+				k, n, len(sys.ShardStats()), len(sys.ShardHealth()))
+		}
+		if err := sys.InjectShardFault(n-1, ShardFaultError); err != nil {
+			t.Fatalf("Shard(%d): the last shard takes no fault: %v", k, err)
+		}
+		if err := sys.InjectShardFault(n, ShardFaultError); err == nil {
+			t.Fatalf("Shard(%d): a fault on shard %d was accepted", k, n)
+		}
+	}
+}

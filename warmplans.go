@@ -258,9 +258,10 @@ func validatePlanShape(sh planShape) error {
 	return nil
 }
 
-// recordPlanShape notes one plan-cache miss's shape in the ring (called
-// from acquirePlan; only cacheable shapes reach it).
-func (s *System) recordPlanShape(req Request, qo queryOptions) {
+// recordPlanShape notes one plan-cache miss's shape in the ring under
+// key, its groupKey (called from acquirePlan, which has already built
+// the key; only cacheable shapes reach it).
+func (s *System) recordPlanShape(req Request, qo queryOptions, key string) {
 	if s.shapes == nil {
 		return
 	}
@@ -272,7 +273,7 @@ func (s *System) recordPlanShape(req Request, qo queryOptions) {
 		Duration:   req.Duration,
 		Locations:  append([]Location(nil), req.Locations...),
 	}
-	s.shapes.record(shape, groupKey(req, qo))
+	s.shapes.record(shape, key)
 }
 
 // shapeQuery rebuilds the request and resolved options a recorded shape

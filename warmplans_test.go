@@ -117,7 +117,7 @@ func TestPlanShapesCodecRoundTrip(t *testing.T) {
 				})
 				name := fmt.Sprintf("%v/%v/bits=%d", kind, alg, bits)
 				s := &System{shapes: newShapeRecorder()}
-				s.recordPlanShape(req, qo)
+				s.recordPlanShape(req, qo, groupKey(req, qo))
 				recorded, _ := s.shapes.snapshot()
 				if len(recorded) != 1 || recorded[0].OptionBits != bits {
 					t.Fatalf("%s: recorded %+v, want one shape with option bits %d", name, recorded, bits)
