@@ -1,8 +1,7 @@
 // Benchmark harness: one benchmark per table and figure of the thesis's
 // evaluation chapter, plus ablations of the design choices called out in
 // DESIGN.md §5. Each figure benchmark regenerates the paper's rows and
-// prints them (captured in bench_output.txt); see EXPERIMENTS.md for the
-// paper-vs-measured comparison.
+// prints them to the benchmark log; no paper-vs-measured record is kept.
 //
 // Run everything with:
 //

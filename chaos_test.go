@@ -5,34 +5,13 @@ import (
 	"errors"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-var (
-	chaosOnce sync.Once
-	chaosSys  *System
-	chaosErr  error
-)
-
-// chaosSystem builds a dedicated 4-shard system for fault injection, so
-// injected faults never leak into the shared fixtures.
-func chaosSystem(t *testing.T) *System {
-	t.Helper()
-	base := smallSystem(t)
-	chaosOnce.Do(func() {
-		idx := DefaultIndexConfig()
-		idx.PlanCache = -1
-		if chaosSys, chaosErr = NewSystemFromData(base.Network(), base.Dataset(), idx); chaosErr == nil {
-			chaosErr = chaosSys.Shard(4)
-		}
-	})
-	if chaosErr != nil {
-		t.Fatal(chaosErr)
-	}
-	return chaosSys
-}
+// chaosCfg is the 4-shard system a fault-injection test builds for
+// itself: its faults and health records stay with that test.
+var chaosCfg = vcfg{planCache: -1, shards: 4}
 
 func clearChaos(t *testing.T, s *System) {
 	t.Helper()
@@ -48,8 +27,7 @@ func clearChaos(t *testing.T, s *System) {
 // streach.Error whose code is ShardFailure (hang variant, bounded by a
 // shard budget: Timeout), and no goroutines leak across the failures.
 func TestChaosTypedErrorCodes(t *testing.T) {
-	s := chaosSystem(t)
-	defer clearChaos(t, s)
+	s := variant(t, chaosCfg)
 	req := ReachRequest(testQuery(s).Locations[0],
 		11*time.Hour, 10*time.Minute, 0.2)
 
@@ -105,8 +83,7 @@ func TestChaosTypedErrorCodes(t *testing.T) {
 // Degraded metadata names the lost shard, is a strict subset of the
 // healthy answer, and heals back to bit-identical once cleared.
 func TestChaosPartialResults(t *testing.T) {
-	s := chaosSystem(t)
-	defer clearChaos(t, s)
+	s := variant(t, chaosCfg)
 	req := ReachRequest(testQuery(s).Locations[0],
 		11*time.Hour, 10*time.Minute, 0.2)
 
@@ -165,15 +142,8 @@ func TestChaosPartialResults(t *testing.T) {
 				t.Fatal("no single-shard failure shrank the answer: injection had no observable effect")
 			}
 
-			// Cleared: bit-identical to the healthy answer again.
-			again, err := s.Do(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again.Degraded != nil {
-				t.Fatal("healed answer still reports degradation")
-			}
-			sameRegion(t, "healed", again, healthy)
+			// Cleared: bit-identical to the offline build again.
+			checkOracle(t, reference(t), serial(s), requestMatrix(s, 11*time.Hour).smoke)
 		})
 	}
 }

@@ -1,16 +1,12 @@
 package streach
 
 import (
-	"bytes"
-	"context"
-	"io"
-	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCorruptionFuzzReopen pins the checksummed-persistence acceptance
@@ -21,10 +17,7 @@ import (
 // uncorrupted one.
 func TestCorruptionFuzzReopen(t *testing.T) {
 	s := smallSystem(t)
-	want, err := s.Do(context.Background(), testQuery(s))
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := requestMatrix(s, 11*time.Hour).smoke
 	src := t.TempDir()
 	if err := s.Save(src); err != nil {
 		t.Fatal(err)
@@ -34,6 +27,7 @@ func TestCorruptionFuzzReopen(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, name := range []string{fileSTMeta, filePages, fileConIndex, fileConAdj} {
 		t.Run(name, func(t *testing.T) {
+			logBuf := captureLog(t)
 			for trial := 0; trial < trials; trial++ {
 				dir := t.TempDir()
 				copyDir(t, src, dir)
@@ -48,15 +42,8 @@ func TestCorruptionFuzzReopen(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				var logBuf bytes.Buffer
-				log.SetOutput(&logBuf)
-				idx := DefaultIndexConfig()
-				idx.PlanCache = -1
-				sys, err := OpenSystem(dir, idx)
-				log.SetOutput(os.Stderr)
-				if err != nil {
-					t.Fatalf("bit %d: reopen failed instead of repairing: %v", bit, err)
-				}
+				logBuf.Reset()
+				sys := variant(t, vcfg{planCache: -1, dir: dir})
 				if name == fileConAdj {
 					// The warm cache is dropped, not rebuilt.
 					if strings.Contains(logBuf.String(), "cold rebuild") {
@@ -69,15 +56,7 @@ func TestCorruptionFuzzReopen(t *testing.T) {
 					t.Fatalf("bit %d: corruption in %s went undetected (no cold rebuild logged):\n%s",
 						bit, name, logBuf.String())
 				}
-				got, err := sys.Do(context.Background(), testQuery(sys))
-				if err != nil {
-					t.Fatalf("bit %d: query on repaired system: %v", bit, err)
-				}
-				if !reflect.DeepEqual(got.SegmentIDs, want.SegmentIDs) ||
-					!reflect.DeepEqual(got.Probabilities, want.Probabilities) {
-					t.Fatalf("bit %d in %s: repaired system answers differently (%d segments, want %d)",
-						bit, name, len(got.SegmentIDs), len(want.SegmentIDs))
-				}
+				checkOracle(t, reference(t), serial(sys), reqs)
 			}
 		})
 	}
@@ -100,54 +79,15 @@ func TestCorruptionRepairIsDurable(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
 
-	var logBuf bytes.Buffer
-	log.SetOutput(&logBuf)
-	_, err = OpenSystem(dir, idx)
-	log.SetOutput(os.Stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	logBuf := captureLog(t)
+	variant(t, vcfg{planCache: -1, dir: dir}).Close()
 	if !strings.Contains(logBuf.String(), "cold rebuild") {
 		t.Fatalf("corrupted meta not rebuilt:\n%s", logBuf.String())
 	}
-
 	logBuf.Reset()
-	log.SetOutput(&logBuf)
-	_, err = OpenSystem(dir, idx)
-	log.SetOutput(os.Stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	variant(t, vcfg{planCache: -1, dir: dir})
 	if strings.Contains(logBuf.String(), "cold rebuild") {
 		t.Fatalf("second open still rebuilds — repair was not persisted:\n%s", logBuf.String())
-	}
-}
-
-func copyDir(t *testing.T, src, dst string) {
-	t.Helper()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		in, err := os.Open(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := os.Create(filepath.Join(dst, e.Name()))
-		if err != nil {
-			in.Close()
-			t.Fatal(err)
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			t.Fatal(err)
-		}
-		in.Close()
-		if err := out.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

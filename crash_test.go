@@ -2,9 +2,6 @@ package streach
 
 import (
 	"context"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -21,41 +18,6 @@ import (
 // every crash the reopened system must answer bit-identically to the
 // uncrashed run: the on-disk state is always "some prefix of the cycle
 // plus a WAL that replays the rest", never a torn hybrid.
-
-// copyTree clones a saved-system directory, including the wal/
-// subdirectory, for an isolated crash trial.
-func copyTree(t *testing.T, src, dst string) {
-	t.Helper()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		sp, dp := filepath.Join(src, e.Name()), filepath.Join(dst, e.Name())
-		if e.IsDir() {
-			if err := os.MkdirAll(dp, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			copyTree(t, sp, dp)
-			continue
-		}
-		in, err := os.Open(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := os.Create(dp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.Copy(out, in); err != nil {
-			t.Fatal(err)
-		}
-		in.Close()
-		if err := out.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
 
 // crashExtraUpdates is the deterministic second wave each trial ingests
 // live, so the WAL has an active segment for the compaction to seal.
@@ -102,7 +64,7 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 	if err := sys.FlushIngest(ctx); err != nil {
 		t.Fatal(err)
 	}
-	req := ReachRequest(sys.BusiestLocation(10*time.Hour), 10*time.Hour, 10*time.Minute, 0.2)
+	reqs := requestMatrix(sys, 10*time.Hour).smoke
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +111,7 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 	var points []string
 	seen := make(map[string]bool)
 	recDir := t.TempDir()
-	copyTree(t, tmpl, recDir)
+	copyDir(t, tmpl, recDir)
 	rec, res, err := runCycle(t, recDir, func(name string) {
 		mu.Lock()
 		if !seen[name] {
@@ -167,10 +129,7 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 	if res.CarriedObs == 0 {
 		t.Fatal("budgeted compaction carried no rolled-over observations")
 	}
-	want, err := rec.Do(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := replay(serial(rec), reqs)
 	rec.Close()
 	for _, must := range []string{
 		"wal.seal", "wal.create", "wal.append", "wal.sync", "wal.retire",
@@ -188,7 +147,7 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 		point := point
 		t.Run(point, func(t *testing.T) {
 			dir := t.TempDir()
-			copyTree(t, tmpl, dir)
+			copyDir(t, tmpl, dir)
 			crashed := false
 			func() {
 				defer func() {
@@ -210,15 +169,8 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 			}
 			// The crashed System is abandoned, as a real power cut would
 			// abandon the process; a fresh open must recover.
-			re, err := OpenSystem(dir, idx)
-			if err != nil {
-				t.Fatalf("reopen after crash at %s: %v", point, err)
-			}
-			got, err := re.Do(ctx, req)
-			if err != nil {
-				t.Fatalf("query after crash at %s: %v", point, err)
-			}
-			regionsEqual(t, "recovered answer ("+point+")", got, want)
+			re := variant(t, vcfg{planCache: -1, dir: dir})
+			checkOracle(t, want, serial(re), reqs)
 
 			// Recovery converges: a full durable compaction from the
 			// crashed state drains the WAL and still answers identically
@@ -239,16 +191,7 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 			if left := walSegmentFiles(t, dir); len(left) != 0 {
 				t.Fatalf("wal segments survived a full durable compaction after crash at %s: %v", point, left)
 			}
-			cold, err := OpenSystem(dir, idx)
-			if err != nil {
-				t.Fatalf("cold reopen after recovery from %s: %v", point, err)
-			}
-			got2, err := cold.Do(ctx, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			regionsEqual(t, "post-recovery cold answer ("+point+")", got2, want)
-			cold.Close()
+			checkOracle(t, want, serial(variant(t, vcfg{planCache: -1, dir: dir})), reqs)
 		})
 	}
 }

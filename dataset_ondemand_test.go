@@ -2,8 +2,6 @@ package streach
 
 import (
 	"bytes"
-	"context"
-	"log"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,31 +10,12 @@ import (
 	"time"
 )
 
-// openedCopy saves the shared fixture into a fresh directory and opens
-// it.
-func openedCopy(t *testing.T) (built, opened *System, dir string) {
-	t.Helper()
-	built = smallSystem(t)
-	dir = t.TempDir()
-	if err := built.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-	opened, err := OpenSystem(dir, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { opened.Close() })
-	return built, opened, dir
-}
-
 // TestOpenedSystemHoldsNoDataset: a system opened from a directory keeps
 // its indexes and the dataset's statistics, not the trajectories, and
 // everything that wants the trajectories still works by reading
 // dataset.bin when asked.
 func TestOpenedSystemHoldsNoDataset(t *testing.T) {
-	built, opened, dir := openedCopy(t)
+	built, opened := smallSystem(t), variant(t, vcfg{planCache: -1, saved: true})
 	if opened.ds != nil {
 		t.Fatal("an opened system retains the decoded dataset")
 	}
@@ -49,10 +28,6 @@ func TestOpenedSystemHoldsNoDataset(t *testing.T) {
 	if ds := opened.Dataset(); !reflect.DeepEqual(ds, built.ds) {
 		t.Fatal("Dataset() of the opened system differs from the dataset it was saved from")
 	}
-	want, err := built.Do(context.Background(), testQuery(built))
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Save into another directory copies dataset.bin as it is; the copy
 	// opens into an equivalent system.
@@ -60,7 +35,7 @@ func TestOpenedSystemHoldsNoDataset(t *testing.T) {
 	if err := opened.Save(other); err != nil {
 		t.Fatal(err)
 	}
-	src, err := os.ReadFile(filepath.Join(dir, fileDataset))
+	src, err := os.ReadFile(filepath.Join(opened.dir, fileDataset))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,21 +46,11 @@ func TestOpenedSystemHoldsNoDataset(t *testing.T) {
 	if !bytes.Equal(src, dst) {
 		t.Fatalf("Save copied dataset.bin inexactly: %d bytes, source has %d", len(dst), len(src))
 	}
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-	again, err := OpenSystem(other, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer again.Close()
+	again := variant(t, vcfg{planCache: -1, dir: other})
 	if again.Stats() != built.Stats() {
 		t.Fatalf("reopened copy: Stats() = %+v, want %+v", again.Stats(), built.Stats())
 	}
-	got, err := again.Do(context.Background(), testQuery(built))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRegion(t, "the reopened copy", got, want)
+	checkOracle(t, reference(t), serial(again), requestMatrix(built, 11*time.Hour).full)
 
 	// Save into the directory the system lives in must leave dataset.bin
 	// alone, however the path is spelled — creating it would truncate the
@@ -103,7 +68,8 @@ func TestOpenedSystemHoldsNoDataset(t *testing.T) {
 // answer the in-memory scan gives — and a repeated question from its
 // memo, without the file.
 func TestBusiestLocationStreamsAndMemoises(t *testing.T) {
-	built, opened, dir := openedCopy(t)
+	built, opened := smallSystem(t), variant(t, vcfg{planCache: -1, saved: true})
+	dir := opened.dir
 	for _, tod := range []time.Duration{11 * time.Hour, 8*time.Hour + 7*time.Minute, 3 * time.Hour} {
 		if got, want := opened.BusiestLocation(tod), built.BusiestLocation(tod); got != want {
 			t.Fatalf("BusiestLocation(%v) = %+v from the file, %+v from memory", tod, got, want)
@@ -114,9 +80,7 @@ func TestBusiestLocationStreamsAndMemoises(t *testing.T) {
 	if err := os.Rename(filepath.Join(dir, fileDataset), filepath.Join(dir, "moved")); err != nil {
 		t.Fatal(err)
 	}
-	var logBuf bytes.Buffer
-	log.SetOutput(&logBuf)
-	defer log.SetOutput(os.Stderr)
+	logBuf := captureLog(t)
 	if got, want := opened.BusiestLocation(11*time.Hour), built.BusiestLocation(11*time.Hour); got != want {
 		t.Fatalf("memoised BusiestLocation = %+v, want %+v", got, want)
 	}
@@ -149,10 +113,6 @@ func TestBusiestLocationStreamsAndMemoises(t *testing.T) {
 // dataset.
 func TestOpenRebuildsBothIndexesFromDatasetFile(t *testing.T) {
 	built := smallSystem(t)
-	want, err := built.Do(context.Background(), testQuery(built))
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
 	if err := built.Save(dir); err != nil {
 		t.Fatal(err)
@@ -168,27 +128,15 @@ func TestOpenRebuildsBothIndexesFromDatasetFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var logBuf bytes.Buffer
-	log.SetOutput(&logBuf)
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-	sys, err := OpenSystem(dir, idx)
-	log.SetOutput(os.Stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+	logBuf := captureLog(t)
+	sys := variant(t, vcfg{planCache: -1, dir: dir})
 	if n := strings.Count(logBuf.String(), "cold rebuild from trajectories"); n != 2 {
 		t.Fatalf("want both indexes cold-rebuilt, log says:\n%s", logBuf.String())
 	}
 	if sys.ds != nil {
 		t.Fatal("the dataset decoded for the rebuilds outlived the open")
 	}
-	got, err := sys.Do(context.Background(), testQuery(built))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRegion(t, "the rebuilt system", got, want)
+	checkOracle(t, reference(t), serial(sys), requestMatrix(built, 11*time.Hour).full)
 }
 
 // TestOpenSystemRejectsDamagedDataset: the structural walk fails on what

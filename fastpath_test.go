@@ -2,76 +2,18 @@ package streach
 
 import (
 	"context"
-	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"streach/internal/roadnet"
 )
 
-// TestConcurrentReach hammers one System with concurrent forward,
-// exhaustive, and reverse queries (run under -race in CI): results must
-// match the serial answers exactly.
+// TestConcurrentReach hammers one System with the request matrix from
+// eight concurrent clients (run under -race in CI): every answer must
+// match the offline build's exactly.
 func TestConcurrentReach(t *testing.T) {
 	s := smallSystem(t)
-	q := testQuery(s)
-	rev := q
-	rev.Kind = KindReverse
-
-	serial, err := s.Do(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialES, err := s.Do(context.Background(), q, WithAlgorithm(AlgoExhaustive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialRev, err := s.Do(context.Background(), rev)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				var (
-					got  *Region
-					want *Region
-					err  error
-				)
-				switch (g + i) % 3 {
-				case 0:
-					got, err = s.Do(context.Background(), q)
-					want = serial
-				case 1:
-					got, err = s.Do(context.Background(), q, WithAlgorithm(AlgoExhaustive))
-					want = serialES
-				default:
-					got, err = s.Do(context.Background(), rev)
-					want = serialRev
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !reflect.DeepEqual(got.SegmentIDs, want.SegmentIDs) {
-					t.Errorf("goroutine %d: concurrent result has %d segments, serial %d",
-						g, len(got.SegmentIDs), len(want.SegmentIDs))
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+	checkOracle(t, reference(t), clients(s, 8), requestMatrix(s, 11*time.Hour).full)
 }
 
 // TestCacheMetricsSurfaced checks the decoded time-list cache counters

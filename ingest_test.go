@@ -3,8 +3,6 @@ package streach
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -74,16 +72,6 @@ func unionDataset(base *traj.Dataset, updates []IngestUpdate) *traj.Dataset {
 	return &traj.Dataset{BaseDate: base.BaseDate, Days: base.Days, Matched: matched}
 }
 
-func regionsEqual(t *testing.T, label string, got, want *Region) {
-	t.Helper()
-	if !reflect.DeepEqual(got.SegmentIDs, want.SegmentIDs) {
-		t.Fatalf("%s: segment sets differ (%d vs %d segments)", label, len(got.SegmentIDs), len(want.SegmentIDs))
-	}
-	if !reflect.DeepEqual(got.Probabilities, want.Probabilities) {
-		t.Fatalf("%s: probabilities differ", label)
-	}
-}
-
 // TestIngestEquivalenceOfflineRebuild is the tentpole acceptance test:
 // a system answering from base + delta (and, after compaction, from the
 // folded blobs) is bit-identical to one built offline over the union of
@@ -91,13 +79,7 @@ func regionsEqual(t *testing.T, label string, got, want *Region) {
 // and sharding.
 func TestIngestEquivalenceOfflineRebuild(t *testing.T) {
 	base := smallSystem(t)
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-	live, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer live.Close()
+	live := variant(t, vcfg{planCache: -1})
 	if err := live.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -111,38 +93,10 @@ func TestIngestEquivalenceOfflineRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	offline, err := NewSystemFromData(base.Network(), unionDataset(base.Dataset(), updates), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer offline.Close()
-
-	loc := base.BusiestLocation(10 * time.Hour)
-	locs := []Location{loc, {loc.Lat + 0.01, loc.Lng}, {loc.Lat, loc.Lng + 0.01}}
-	start, dur := 10*time.Hour, 10*time.Minute
-	requests := func(prob float64) map[string]Request {
-		return map[string]Request{
-			"reach":   ReachRequest(loc, start, dur, prob),
-			"reverse": ReverseRequest(loc, start, dur, prob),
-			"multi":   MultiRequest(locs, start, dur, prob),
-		}
-	}
-
+	reqs := requestMatrix(base, 10*time.Hour).full
+	offline := replay(serial(variant(t, vcfg{planCache: -1, data: unionDataset(base.Dataset(), updates)})), reqs)
 	check := func(stage string, sys *System) {
-		t.Helper()
-		for _, prob := range []float64{0.1, 0.2, 0.4, 0.8} {
-			for kind, req := range requests(prob) {
-				got, err := sys.Do(context.Background(), req)
-				if err != nil {
-					t.Fatalf("%s %s p=%.1f: %v", stage, kind, prob, err)
-				}
-				want, err := offline.Do(context.Background(), req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				regionsEqual(t, fmt.Sprintf("%s %s p=%.1f", stage, kind, prob), got, want)
-			}
-		}
+		t.Run(stage, func(t *testing.T) { checkOracle(t, offline, serial(sys), reqs) })
 	}
 
 	check("base+delta k=1", live)
@@ -186,12 +140,7 @@ func TestIngestEquivalenceOfflineRebuild(t *testing.T) {
 // answer can never outlive the data it was computed from.
 func TestIngestVersionKeysInvalidateCaches(t *testing.T) {
 	base := smallSystem(t)
-	idx := DefaultIndexConfig() // plan cache ON
-	sys, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+	sys := variant(t, vcfg{}) // plan cache ON
 	if err := sys.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -255,16 +204,7 @@ func TestIngestVersionKeysInvalidateCaches(t *testing.T) {
 // state answers like the offline rebuild.
 func TestIngestConcurrentWithQueries(t *testing.T) {
 	base := smallSystem(t)
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-	live, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer live.Close()
-	if err := live.Shard(4); err != nil {
-		t.Fatal(err)
-	}
+	live := variant(t, vcfg{planCache: -1, shards: 4})
 	if err := live.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -319,34 +259,17 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	offline, err := NewSystemFromData(base.Network(), unionDataset(base.Dataset(), updates), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer offline.Close()
-	got, err := live.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := offline.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regionsEqual(t, "after concurrent ingest", got, want)
+	offline := variant(t, vcfg{planCache: -1, data: unionDataset(base.Dataset(), updates)})
+	checkOracle(t, serial(offline), serial(live), requestMatrix(base, 10*time.Hour).smoke)
 }
 
 // TestIngestEpochSwapLeaksNoGoroutines: repeated start/ingest/compact/
 // close cycles leave no workers behind.
 func TestIngestEpochSwapLeaksNoGoroutines(t *testing.T) {
-	base := smallSystem(t)
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
+	smallSystem(t) // built before the count
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		live, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		live := variant(t, vcfg{planCache: -1})
 		if err := live.StartIngest(IngestConfig{Workers: 3, FlushInterval: time.Millisecond}); err != nil {
 			t.Fatal(err)
 		}
@@ -466,18 +389,11 @@ func TestIngestWALReplayOnOpen(t *testing.T) {
 	if err := base.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-
-	sys, err := OpenSystem(dir, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := variant(t, vcfg{planCache: -1, dir: dir})
 	if err := sys.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	updates := liveFixtureUpdates(sys)
-	if err := sys.Ingest(context.Background(), updates); err != nil {
+	if err := sys.Ingest(context.Background(), liveFixtureUpdates(sys)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -485,11 +401,8 @@ func TestIngestWALReplayOnOpen(t *testing.T) {
 	if err := sys.FlushIngest(ctx); err != nil {
 		t.Fatal(err)
 	}
-	req := ReachRequest(sys.BusiestLocation(10*time.Hour), 10*time.Hour, 10*time.Minute, 0.2)
-	want, err := sys.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reqs := requestMatrix(sys, 10*time.Hour).full
+	want := replay(serial(sys), reqs)
 	// "Crash": close without compacting. The WAL segments must hold the
 	// updates.
 	if err := sys.Close(); err != nil {
@@ -511,16 +424,8 @@ func TestIngestWALReplayOnOpen(t *testing.T) {
 		t.Fatalf("wal segments hold no frames (%d files, %d bytes)", len(segs), walBytes)
 	}
 
-	reopened, err := OpenSystem(dir, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	got, err := reopened.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regionsEqual(t, "replayed reopen", got, want)
+	reopened := variant(t, vcfg{planCache: -1, dir: dir})
+	checkOracle(t, want, serial(reopened), reqs)
 
 	// A durable compaction retires every covered segment; the next open
 	// needs no replay and still answers identically.
@@ -540,16 +445,7 @@ func TestIngestWALReplayOnOpen(t *testing.T) {
 	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := OpenSystem(dir, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Close()
-	got2, err := cold.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regionsEqual(t, "post-compaction reopen", got2, want)
+	checkOracle(t, want, serial(variant(t, vcfg{planCache: -1, dir: dir})), reqs)
 }
 
 // TestSaveElsewhereThenCompactPersistsThere: an opened system saved into
@@ -564,13 +460,7 @@ func TestSaveElsewhereThenCompactPersistsThere(t *testing.T) {
 	if err := base.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-	sys, err := OpenSystem(dir, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+	sys := variant(t, vcfg{planCache: -1, dir: dir})
 	if err := sys.Save(other); err != nil {
 		t.Fatal(err)
 	}
@@ -591,32 +481,12 @@ func TestSaveElsewhereThenCompactPersistsThere(t *testing.T) {
 		t.Fatalf("wal segments left in the new directory after a durable full compaction: %v", left)
 	}
 
-	var logged bytes.Buffer
-	log.SetOutput(&logged)
-	reopened, err := OpenSystem(other, idx)
-	log.SetOutput(os.Stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
+	logged := captureLog(t)
+	reopened := variant(t, vcfg{planCache: -1, dir: other})
 	if strings.Contains(logged.String(), "rebuild") {
 		t.Fatalf("the new directory needed a repair on open:\n%s", logged.String())
 	}
-	for _, prob := range []float64{0.2, 0.6} {
-		req := ReachRequest(sys.BusiestLocation(10*time.Hour), 10*time.Hour, 10*time.Minute, prob)
-		want, err := sys.Do(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := reopened.Do(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		regionsEqual(t, fmt.Sprintf("reopened from the new directory, prob %v", prob), got, want)
-		if len(want.SegmentIDs) == 0 {
-			t.Fatal("fixture query answers nothing")
-		}
-	}
+	checkOracle(t, serial(sys), serial(reopened), requestMatrix(sys, 10*time.Hour).smoke)
 }
 
 // TestIngestWALCorruptionFuzz pins damage containment at the system
@@ -631,16 +501,11 @@ func TestIngestWALCorruptionFuzz(t *testing.T) {
 	if err := base.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-	req := ReachRequest(base.BusiestLocation(10*time.Hour), 10*time.Hour, 10*time.Minute, 0.2)
+	reqs := requestMatrix(base, 10*time.Hour).smoke
 
 	// Write a multi-segment WAL through a live session (tiny rotation
 	// threshold), keep a pristine copy of every segment.
-	sys, err := OpenSystem(dir, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := variant(t, vcfg{planCache: -1, dir: dir})
 	if err := sys.StartIngest(IngestConfig{FlushInterval: time.Millisecond, BatchSize: 16, WALSegmentBytes: 512}); err != nil {
 		t.Fatal(err)
 	}
@@ -652,10 +517,7 @@ func TestIngestWALCorruptionFuzz(t *testing.T) {
 	if err := sys.FlushIngest(ctx); err != nil {
 		t.Fatal(err)
 	}
-	fullAnswer, err := sys.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fullAnswer := replay(serial(sys), reqs)
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -679,6 +541,7 @@ func TestIngestWALCorruptionFuzz(t *testing.T) {
 		}
 	}
 
+	logBuf := captureLog(t)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 6; trial++ {
 		// Flip a bit in an early segment — never the last, so "later
@@ -698,14 +561,9 @@ func TestIngestWALCorruptionFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		var logBuf bytes.Buffer
-		log.SetOutput(&logBuf)
-		reopened, err := OpenSystem(dir, idx)
-		log.SetOutput(os.Stderr)
-		if err != nil {
-			t.Fatalf("trial %d (bit %d of %s): reopen failed instead of containing the damage: %v",
-				trial, bit, filepath.Base(target), err)
-		}
+		t.Logf("trial %d: bit %d of %s flipped", trial, bit, filepath.Base(target))
+		logBuf.Reset()
+		reopened := variant(t, vcfg{planCache: -1, dir: dir})
 		logs := logBuf.String()
 		if !strings.Contains(logs, "corrupt") && !strings.Contains(logs, "unreadable") {
 			t.Fatalf("trial %d: corruption not logged:\n%s", trial, logs)
@@ -748,14 +606,10 @@ func TestIngestWALCorruptionFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		cancel2()
-		got, err := reopened.Do(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Set-union ingest and idempotent min/max bounds make the recovery
 		// converge exactly (reach answers never read the mean-speed
 		// accumulators, the one statistic replay may double-count).
-		regionsEqual(t, fmt.Sprintf("trial %d: recovery", trial), got, fullAnswer)
+		checkOracle(t, fullAnswer, serial(reopened), reqs)
 		if err := reopened.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -343,7 +344,9 @@ func (e *Engine) validate(start, dur time.Duration, prob float64) error {
 }
 
 func validateProb(prob float64) error {
-	if prob <= 0 || prob > 1 {
+	// Written as the negation of the legal range so NaN, for which every
+	// comparison is false, is refused too.
+	if !(prob > 0 && prob <= 1) {
 		return xerr.Markf(xerr.KindInvalid, "core: Prob must be in (0, 1], got %v", prob)
 	}
 	return nil
@@ -361,6 +364,11 @@ func validateWindow(start, dur time.Duration) error {
 	}
 	if start < 0 || start >= 24*time.Hour {
 		return xerr.Markf(xerr.KindInvalid, "core: start must be a time of day, got %v", start)
+	}
+	// slotWindow computes start+dur; past the largest Duration it would
+	// wrap negative and select the wrong slots.
+	if dur > math.MaxInt64-start {
+		return xerr.Markf(xerr.KindInvalid, "core: window end overflows: start %v, duration %v", start, dur)
 	}
 	return nil
 }

@@ -5,8 +5,9 @@
 //
 // Absolute numbers differ from the paper (their testbed was 194 GB of
 // real Shenzhen GPS on server hardware; ours is a laptop-scale synthetic
-// city), but the comparative shapes are expected to hold — see
-// EXPERIMENTS.md for paper-vs-measured notes.
+// city), but the comparative shapes are expected to hold. The measured
+// rows are printed by `streach experiment -fig N` and by the root
+// package's figure benchmarks; no paper-vs-measured record is kept.
 package experiments
 
 import (

@@ -21,8 +21,9 @@ var (
 	sysErr  error
 )
 
-// system builds one small world shared by all server tests.
-func system(t *testing.T) *streach.System {
+// system builds one small world shared by all server tests and the
+// fuzz target.
+func system(t testing.TB) *streach.System {
 	t.Helper()
 	sysOnce.Do(func() {
 		testSys, sysErr = streach.NewSystem(streach.CityConfig{
@@ -223,6 +224,17 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s = %d, want 400/404", url, resp.StatusCode)
+		}
+	}
+}
+
+// TestReachRejectsNaNAndOverflow: a NaN threshold and a window whose end
+// overflows a Duration are typed 400s, not answers.
+func TestReachRejectsNaNAndOverflow(t *testing.T) {
+	ts := server(t, Config{})
+	for _, q := range []string{"prob=NaN", "start=11h&dur=2562047h"} {
+		if out := getJSON(t, ts.URL+"/v1/reach?"+q, http.StatusBadRequest); out["code"] != "invalid_request" {
+			t.Fatalf("%s: body %v, want code invalid_request", q, out)
 		}
 	}
 }

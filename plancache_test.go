@@ -2,87 +2,44 @@ package streach
 
 import (
 	"context"
-	"reflect"
-	"sync"
 	"testing"
 	"time"
 )
 
-var (
-	cacheSysOnce sync.Once
-	cacheSys     *System
-	cacheSysErr  error
-)
-
-// cacheSystem is a dedicated system with the cross-batch plan cache on
-// (the shared fixture disables it — see smallSystem).
-func cacheSystem(t *testing.T) *System {
-	t.Helper()
-	base := smallSystem(t)
-	cacheSysOnce.Do(func() {
-		idx := DefaultIndexConfig()
-		idx.PlanCache = 8
-		cacheSys, cacheSysErr = NewSystemFromData(base.Network(), base.Dataset(), idx)
-	})
-	if cacheSysErr != nil {
-		t.Fatal(cacheSysErr)
-	}
-	return cacheSys
-}
+// cacheCfg is a system with the cross-batch plan cache on (the shared
+// fixture disables it — see smallSystem), shared by the cache tests.
+var cacheCfg = vcfg{planCache: 8, shared: true}
 
 // TestPlanCacheCrossBatch: a second batch with the same group key must
 // ride the first batch's plan — counted as a cache hit — and still
-// answer bit-identically to independent execution.
+// answer bit-identically to the offline build.
 func TestPlanCacheCrossBatch(t *testing.T) {
-	s := cacheSystem(t)
-	loc := s.BusiestLocation(11 * time.Hour)
-	var reqs []Request
-	for i := 0; i < 6; i++ {
-		reqs = append(reqs, ReachRequest(loc, 11*time.Hour, 10*time.Minute, 0.1+0.1*float64(i)))
-	}
+	s := variant(t, cacheCfg)
+	reqs := requestMatrix(s, 11*time.Hour).full
 	before := s.SharingStats()
-	first := s.DoBatch(context.Background(), reqs)
-	second := s.DoBatch(context.Background(), reqs)
-	after := s.SharingStats()
-	if after.PlanCacheHits <= before.PlanCacheHits {
+	checkOracle(t, reference(t), batched(s), reqs)
+	checkOracle(t, reference(t), batched(s), reqs)
+	if after := s.SharingStats(); after.PlanCacheHits <= before.PlanCacheHits {
 		t.Fatalf("no plan-cache hit across batches: %+v -> %+v", before, after)
-	}
-	// The cached answers must match both the first batch and independent
-	// execution.
-	independent := s.DoBatch(context.Background(), reqs, WithBatchSharing(false))
-	for i := range reqs {
-		for _, r := range []BatchResult{first[i], second[i], independent[i]} {
-			if r.Err != nil {
-				t.Fatalf("request %d: %v", i, r.Err)
-			}
-		}
-		if !reflect.DeepEqual(second[i].Region.SegmentIDs, independent[i].Region.SegmentIDs) ||
-			!reflect.DeepEqual(second[i].Region.Probabilities, independent[i].Region.Probabilities) {
-			t.Fatalf("request %d: cached answer differs from independent execution", i)
-		}
 	}
 }
 
-// TestPlanCacheDoPath: single Do calls share plans across calls too.
+// TestPlanCacheDoPath: single Do calls share plans across calls too,
+// unsharded and on four shards: every repeated request is a hit and
+// answers bit-identically to the offline build.
 func TestPlanCacheDoPath(t *testing.T) {
-	s := cacheSystem(t)
-	loc := s.BusiestLocation(11 * time.Hour)
-	req := ReverseRequest(loc, 11*time.Hour+5*time.Minute, 10*time.Minute, 0.2)
-	before := s.SharingStats()
-	want, err := s.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := s.SharingStats()
-	if after.PlanCacheHits <= before.PlanCacheHits {
-		t.Fatalf("repeat Do missed the plan cache: %+v -> %+v", before, after)
-	}
-	if !reflect.DeepEqual(got.SegmentIDs, want.SegmentIDs) || !reflect.DeepEqual(got.Probabilities, want.Probabilities) {
-		t.Fatal("cached answer differs")
+	s := variant(t, vcfg{})
+	reqs := requestMatrix(s, 11*time.Hour+5*time.Minute).full
+	for _, k := range []int{1, 4} {
+		if err := s.Shard(k); err != nil {
+			t.Fatal(err)
+		}
+		checkOracle(t, reference(t), serial(s), reqs)
+		before := s.SharingStats()
+		checkOracle(t, reference(t), serial(s), reqs)
+		if hits := s.SharingStats().PlanCacheHits - before.PlanCacheHits; hits != int64(len(valid(reqs))) {
+			t.Fatalf("Shard(%d): %d of %d repeated requests hit the plan cache", k, hits, len(valid(reqs)))
+		}
 	}
 }
 
@@ -122,39 +79,24 @@ func TestGroupKeyFoldsEngineOptions(t *testing.T) {
 // right after a default query must not reuse the default plan — the two
 // answers differ in which segments carry verified probabilities.
 func TestGroupKeyOptionsEndToEnd(t *testing.T) {
-	s := cacheSystem(t)
-	loc := s.BusiestLocation(11 * time.Hour)
-	req := ReachRequest(loc, 11*time.Hour+10*time.Minute, 10*time.Minute, 0.05)
-	def, err := s.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	s := variant(t, cacheCfg)
+	all := requestMatrix(s, 11*time.Hour+10*time.Minute).full
+	var reqs []oracleReq
+	for _, q := range all {
+		if q.req.Prob == 0.05 && (q.kind == "reach" || q.kind == "reach-verifyall") {
+			reqs = append(reqs, q)
+		}
 	}
-	all, err := s.Do(context.Background(), req, WithVerifyAll(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Independent executions as ground truth.
-	wantDef, err := s.Do(context.Background(), req, WithBatchSharing(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAll, err := s.Do(context.Background(), req, WithVerifyAll(true), WithBatchSharing(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(def.Probabilities, wantDef.Probabilities) {
-		t.Fatal("default-policy answer corrupted by option-crossing plan share")
-	}
-	if !reflect.DeepEqual(all.Probabilities, wantAll.Probabilities) {
-		t.Fatal("VerifyAll answer corrupted by option-crossing plan share")
-	}
+	checkOracle(t, reference(t), serial(s), reqs)
+	want := reference(t)(reqs)
+	def, verified := want[0].Region, want[1].Region
 	unverifiedDef := 0
-	for _, p := range wantDef.Probabilities {
+	for _, p := range def.Probabilities {
 		if p < 0 {
 			unverifiedDef++
 		}
 	}
-	for _, p := range wantAll.Probabilities {
+	for _, p := range verified.Probabilities {
 		if p < 0 {
 			t.Fatal("VerifyAll result carries unverified segments; the policies were not distinguished")
 		}
@@ -167,12 +109,7 @@ func TestGroupKeyOptionsEndToEnd(t *testing.T) {
 // TestPlanCacheInvalidation: Close and re-sharding flush the cache.
 func TestPlanCacheInvalidation(t *testing.T) {
 	base := smallSystem(t)
-	idx := DefaultIndexConfig()
-	idx.PlanCache = 8
-	s, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := variant(t, vcfg{planCache: 8})
 	loc := base.BusiestLocation(11 * time.Hour)
 	if _, err := s.Do(context.Background(), ReachRequest(loc, 11*time.Hour, 10*time.Minute, 0.2)); err != nil {
 		t.Fatal(err)
@@ -197,12 +134,7 @@ func TestPlanCacheInvalidation(t *testing.T) {
 // TestPlanCacheEviction: the LRU respects its capacity.
 func TestPlanCacheEviction(t *testing.T) {
 	base := smallSystem(t)
-	idx := DefaultIndexConfig()
-	idx.PlanCache = 2
-	s, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := variant(t, vcfg{planCache: 2})
 	loc := base.BusiestLocation(11 * time.Hour)
 	for i := 0; i < 4; i++ {
 		req := ReachRequest(loc, 11*time.Hour+time.Duration(i)*5*time.Minute, 10*time.Minute, 0.2)
@@ -220,12 +152,7 @@ func TestPlanCacheEviction(t *testing.T) {
 // own work.
 func TestPlanCacheGrow(t *testing.T) {
 	base := smallSystem(t)
-	idx := DefaultIndexConfig()
-	idx.PlanCache = 2
-	s, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := variant(t, vcfg{planCache: 2})
 	loc := base.BusiestLocation(11 * time.Hour)
 	for i := 0; i < 4; i++ {
 		req := ReachRequest(loc, 11*time.Hour+time.Duration(i)*5*time.Minute, 10*time.Minute, 0.2)

@@ -57,26 +57,12 @@ func TestDoRoute(t *testing.T) {
 	}
 }
 
+// TestDoRejectsBadRequests: every request of the invalid block — bad
+// kinds, locations, algorithm pairings, thresholds and windows — is
+// refused with InvalidRequest.
 func TestDoRejectsBadRequests(t *testing.T) {
 	s := smallSystem(t)
-	ctx := context.Background()
-	q := testQuery(s)
-	for name, req := range map[string]struct {
-		r    Request
-		opts []Option
-	}{
-		"no-location":        {r: Request{Kind: KindReach, Start: q.Start, Duration: q.Duration, Prob: q.Prob}},
-		"route-one-location": {r: Request{Kind: KindRoute, Locations: q.Locations}},
-		"multi-none":         {r: Request{Kind: KindMulti, Start: q.Start, Duration: q.Duration, Prob: q.Prob}},
-		"bad-kind":           {r: Request{Kind: Kind(42), Locations: q.Locations}},
-		"route-exhaustive":   {r: RouteRequest(q.Locations[0], q.Locations[0], 0), opts: []Option{WithAlgorithm(AlgoExhaustive)}},
-		"reach-sequential":   {r: q, opts: []Option{WithAlgorithm(AlgoSequential)}},
-		"multi-exhaustive":   {r: MultiRequest(q.Locations, q.Start, q.Duration, q.Prob), opts: []Option{WithAlgorithm(AlgoExhaustive)}},
-	} {
-		if _, err := s.Do(ctx, req.r, req.opts...); err == nil {
-			t.Errorf("%s: Do accepted an invalid request", name)
-		}
-	}
+	checkOracle(t, reference(t), serial(s), requestMatrix(s, 11*time.Hour).invalid)
 }
 
 // TestPerQueryOptionsOverrideDefaults: options must override the
@@ -97,8 +83,8 @@ func TestPerQueryOptionsOverrideDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(def.SegmentIDs, serial.SegmentIDs) {
-		t.Fatal("WithVerifyWorkers(1) changed the answer")
+	if d := diffRegion(serial, def); d != "" {
+		t.Fatalf("WithVerifyWorkers(1) changed the answer: %s", d)
 	}
 
 	// WithVerifyAll probes the otherwise-unverified minimum region, so it
@@ -129,8 +115,8 @@ func TestPerQueryOptionsOverrideDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(def.SegmentIDs, again.SegmentIDs) {
-		t.Fatal("per-query options leaked into later calls")
+	if d := diffRegion(again, def); d != "" {
+		t.Fatalf("per-query options leaked into later calls: %s", d)
 	}
 }
 
@@ -166,102 +152,55 @@ func TestDoDeadlineBudget(t *testing.T) {
 	}
 }
 
-// TestDoBatchParallelMatchesSerial runs a mixed batch under -race: the
-// bounded pool must return, positionally, exactly what one-at-a-time Do
-// returns.
+// TestDoBatchParallelMatchesSerial runs the request matrix as batches
+// under -race: the bounded pool must return, positionally, exactly what
+// one-at-a-time Do returns, errors included.
 func TestDoBatchParallelMatchesSerial(t *testing.T) {
 	s := smallSystem(t)
-	ctx := context.Background()
+	checkOracle(t, reference(t), batched(s, WithBatchWorkers(4)), requestMatrix(s, 11*time.Hour).full)
+
+	// Routes are outside the matrix: one rides a mixed batch on the same
+	// pool and must match Do by position, journey included.
 	q := testQuery(s)
 	loc := q.Locations[0]
-	reqs := []Request{
+	mixed := []Request{
 		q,
-		ReverseRequest(loc, q.Start, q.Duration, q.Prob),
-		MultiRequest([]Location{loc, {Lat: loc.Lat + 0.01, Lng: loc.Lng}}, q.Start, q.Duration, q.Prob),
 		RouteRequest(loc, Location{Lat: loc.Lat + 0.02, Lng: loc.Lng + 0.02}, q.Start),
-		{Kind: KindReach}, // invalid: no location — errors positionally
-		q,
+		ReverseRequest(loc, q.Start, q.Duration, q.Prob),
 	}
-
-	batch := s.DoBatch(ctx, reqs, WithBatchWorkers(4))
-	if len(batch) != len(reqs) {
-		t.Fatalf("batch returned %d results for %d requests", len(batch), len(reqs))
-	}
-	for i, req := range reqs {
-		want, wantErr := s.Do(ctx, req)
-		got := batch[i]
-		if (wantErr == nil) != (got.Err == nil) {
-			t.Fatalf("request %d: batch err %v, serial err %v", i, got.Err, wantErr)
+	for i, got := range s.DoBatch(context.Background(), mixed, WithBatchWorkers(4)) {
+		want, err := s.Do(context.Background(), mixed[i])
+		if err != nil || got.Err != nil {
+			t.Fatalf("request %d: batch err %v, serial err %v", i, got.Err, err)
 		}
-		if wantErr != nil {
-			continue
+		if d := diffRegion(got.Region, want); d != "" || !reflect.DeepEqual(got.Region.Route, want.Route) {
+			t.Fatalf("request %d: batch and serial answers differ (%s)", i, d)
 		}
-		if !reflect.DeepEqual(want.SegmentIDs, got.Region.SegmentIDs) {
-			t.Fatalf("request %d: batch and serial answers differ", i)
+		if mixed[i].Kind == KindRoute && (want.Route == nil || len(want.Route.SegmentIDs) == 0) {
+			t.Fatal("the route in the mixed batch has no journey")
 		}
 	}
 }
 
 // TestDoBatchSharingMatchesIndependent: a duplicate-heavy batch — same
-// (kind, location, start, window), different probabilities — must return,
-// for every algorithm, exactly what independent Do calls return, and the
-// same again with sharing disabled. Runs under -race in CI, so it also
-// proves the shared plans race-free across the batch worker pool.
+// (kind, location, start, window), different probabilities, every
+// request twice — must return, for every algorithm, exactly what
+// independent Do calls return, and the same again with sharing disabled.
+// Runs under -race in CI, so it also proves the shared plans race-free
+// across the batch worker pool.
 func TestDoBatchSharingMatchesIndependent(t *testing.T) {
 	s := smallSystem(t)
-	ctx := context.Background()
-	q := testQuery(s)
-	loc := q.Locations[0]
-	loc2 := Location{Lat: loc.Lat + 0.01, Lng: loc.Lng + 0.01}
-	probs := []float64{0.1, 0.2, 0.35, 0.5}
-
-	build := func(k Kind) []Request {
-		var reqs []Request
-		for _, p := range probs {
-			r := Request{Kind: k, Locations: []Location{loc}, Start: q.Start, Duration: q.Duration, Prob: p}
-			if k == KindMulti {
-				r.Locations = []Location{loc, loc2}
-			}
-			reqs = append(reqs, r)
-		}
-		// A second copy of every request: identical probs must share too.
-		return append(reqs, reqs...)
-	}
-
-	cases := []struct {
-		name string
-		reqs []Request
-		opts []Option
-	}{
-		{"reach-bounded", build(KindReach), nil},
-		{"reach-exhaustive", build(KindReach), []Option{WithAlgorithm(AlgoExhaustive)}},
-		{"reverse", build(KindReverse), nil},
-		{"reverse-exhaustive", build(KindReverse), []Option{WithAlgorithm(AlgoExhaustive)}},
-		{"multi-mqmb", build(KindMulti), nil},
-		{"multi-sequential", build(KindMulti), []Option{WithAlgorithm(AlgoSequential)}},
-	}
+	names := map[string]string{"reach": "reach-bounded", "reach-es": "reach-exhaustive",
+		"reverse-es": "reverse-exhaustive", "multi": "multi-mqmb", "multi-seq": "multi-sequential"}
 	groups0 := s.SharingStats().BatchGroups
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			shared := s.DoBatch(ctx, tc.reqs, tc.opts...)
-			unshared := s.DoBatch(ctx, tc.reqs, append([]Option{WithBatchSharing(false)}, tc.opts...)...)
-			for i, req := range tc.reqs {
-				want, err := s.Do(ctx, req, tc.opts...)
-				if err != nil {
-					t.Fatalf("request %d independent: %v", i, err)
-				}
-				for which, got := range map[string]BatchResult{"shared": shared[i], "unshared": unshared[i]} {
-					if got.Err != nil {
-						t.Fatalf("request %d %s: %v", i, which, got.Err)
-					}
-					if !reflect.DeepEqual(want.SegmentIDs, got.Region.SegmentIDs) {
-						t.Fatalf("request %d %s: segments differ from independent Do", i, which)
-					}
-					if !reflect.DeepEqual(want.Probabilities, got.Region.Probabilities) {
-						t.Fatalf("request %d %s: probabilities differ from independent Do", i, which)
-					}
-				}
-			}
+	for _, reqs := range byKind(requestMatrix(s, 11*time.Hour).full) {
+		name := reqs[0].kind
+		if n, ok := names[name]; ok {
+			name = n
+		}
+		t.Run(name, func(t *testing.T) {
+			checkOracle(t, reference(t), batched(s), reqs)
+			checkOracle(t, reference(t), batched(s, WithBatchSharing(false)), reqs)
 		})
 	}
 	if got := s.SharingStats(); got.BatchGroups <= groups0 || got.QueriesCoalesced == 0 {

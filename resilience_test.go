@@ -7,35 +7,21 @@ import (
 	"time"
 )
 
-// resilienceSystem builds a dedicated 4-shard system with the overload
-// self-protection knobs set before it shards (so Shard must carry them
-// into the new cluster); injected faults and tripped breakers never leak
-// into the shared fixtures.
-func resilienceSystem(t *testing.T, brk BreakerConfig) *System {
-	t.Helper()
-	base := smallSystem(t)
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-	s, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.ConfigureBreakers(brk)
-	if err := s.Shard(4); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 // TestFacadeBreakerTripAndRecovery pins the facade breaker contract: a
 // repeatedly failing shard trips its breaker (visible in ShardHealth
 // and ResilienceStats), open-breaker queries short-circuit into the
 // degraded path, and once the fault clears the half-open probe heals
 // the system back to answers bit-identical to the healthy baseline.
 func TestFacadeBreakerTripAndRecovery(t *testing.T) {
-	s := resilienceSystem(t, BreakerConfig{
+	// Breakers configured before the system shards: Shard must carry them
+	// into the new cluster.
+	s := variant(t, vcfg{planCache: -1})
+	s.ConfigureBreakers(BreakerConfig{
 		Enabled: true, Window: 8, FailureRatio: 0.5, MinSamples: 2, Cooldown: 50 * time.Millisecond,
 	})
+	if err := s.Shard(4); err != nil {
+		t.Fatal(err)
+	}
 	defer clearChaos(t, s)
 	q := testQuery(s)
 	req := ReachRequest(q.Locations[0], 11*time.Hour, 10*time.Minute, 0.2)
@@ -88,7 +74,9 @@ func TestFacadeBreakerTripAndRecovery(t *testing.T) {
 	if state := s.ShardHealth()[1].Breaker; state != "closed" {
 		t.Fatalf("breaker after recovery = %q, want closed", state)
 	}
-	sameRegion(t, "healed", healed, healthy)
+	if d := diffRegion(healed, healthy); d != "" {
+		t.Fatalf("healed answer: %s", d)
+	}
 	assertScratchBalanced(t, s, "after breaker trip and recovery")
 }
 
@@ -112,13 +100,7 @@ func TestShardSettersOrderFree(t *testing.T) {
 	}
 	systems := map[string]*System{}
 	for _, order := range []string{"set-then-shard", "shard-then-set", "concurrent"} {
-		idx := DefaultIndexConfig()
-		idx.PlanCache = -1
-		s, err := NewSystemFromData(base.Network(), base.Dataset(), idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
+		s := variant(t, vcfg{planCache: -1})
 		switch order {
 		case "set-then-shard":
 			set(s)

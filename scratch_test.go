@@ -32,8 +32,7 @@ func assertScratchBalanced(t *testing.T, s *System, when string) {
 // return everything they checked out, and the pool must keep serving
 // healthy traffic afterwards.
 func TestScratchPoolIntegrityAcrossShardFailure(t *testing.T) {
-	s := chaosSystem(t)
-	defer clearChaos(t, s)
+	s := variant(t, chaosCfg)
 	q := testQuery(s)
 
 	// A batch with shareable groups (same window, different thresholds)

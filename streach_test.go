@@ -3,6 +3,7 @@ package streach
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,18 +17,20 @@ var (
 	sysErr  error
 )
 
+// smallCity is the shared fixture's road network.
+var smallCity = CityConfig{
+	OriginLat: 22.50, OriginLng: 114.00,
+	Rows: 8, Cols: 8,
+	SpacingMeters:   900,
+	LocalFraction:   0.4,
+	ResegmentMeters: 450,
+	Seed:            3,
+}
+
 // smallSystem builds a small shared system once for all facade tests.
 func smallSystem(t testing.TB) *System {
 	t.Helper()
 	sysOnce.Do(func() {
-		city := CityConfig{
-			OriginLat: 22.50, OriginLng: 114.00,
-			Rows: 8, Cols: 8,
-			SpacingMeters:   900,
-			LocalFraction:   0.4,
-			ResegmentMeters: 450,
-			Seed:            3,
-		}
 		fleet := FleetConfig{Taxis: 80, Days: 6, Seed: 4}
 		// The shared fixture disables the cross-batch plan cache: many
 		// tests here pin per-execution observables (cancellation
@@ -36,7 +39,7 @@ func smallSystem(t testing.TB) *System {
 		// systems (plancache_test.go).
 		idx := DefaultIndexConfig()
 		idx.PlanCache = -1
-		testSys, sysErr = NewSystem(city, fleet, idx)
+		testSys, sysErr = NewSystem(smallCity, fleet, idx)
 	})
 	if sysErr != nil {
 		t.Fatal(sysErr)
@@ -150,20 +153,23 @@ func TestReachMulti(t *testing.T) {
 	}
 }
 
+// TestQueryValidationSurfacesErrors: the common caller mistakes reach the
+// caller as a typed *Error carrying InvalidRequest, not as a bare error.
 func TestQueryValidationSurfacesErrors(t *testing.T) {
 	s := smallSystem(t)
-	q := testQuery(s)
-	q.Prob = 0
-	if _, err := s.Do(context.Background(), q); err == nil {
-		t.Fatal("Prob=0 should error")
-	}
-	q = testQuery(s)
-	q.Duration = 0
-	if _, err := s.Do(context.Background(), q); err == nil {
-		t.Fatal("zero duration should error")
-	}
-	if _, err := s.Do(context.Background(), MultiRequest(nil, 11*time.Hour, 10*time.Minute, 0.2)); err == nil {
-		t.Fatal("no locations should error")
+	zeroProb, zeroDur := testQuery(s), testQuery(s)
+	zeroProb.Prob = 0
+	zeroDur.Duration = 0
+	for name, req := range map[string]Request{
+		"Prob=0":        zeroProb,
+		"zero duration": zeroDur,
+		"no locations":  MultiRequest(nil, 11*time.Hour, 10*time.Minute, 0.2),
+	} {
+		_, err := s.Do(context.Background(), req)
+		var e *Error
+		if !errors.As(err, &e) || e.Code != InvalidRequest {
+			t.Fatalf("%s: got %v, want a *Error with InvalidRequest", name, err)
+		}
 	}
 }
 
@@ -322,32 +328,8 @@ func TestLeafletHTML(t *testing.T) {
 
 func TestSystemSaveOpenRoundTrip(t *testing.T) {
 	s := smallSystem(t)
-	q := testQuery(s)
-	want, err := s.Do(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "saved")
-	if err := s.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := OpenSystem(dir, DefaultIndexConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	got, err := reopened.Do(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.SegmentIDs) != len(want.SegmentIDs) {
-		t.Fatalf("reopened system region has %d segments, want %d", len(got.SegmentIDs), len(want.SegmentIDs))
-	}
-	for i := range want.SegmentIDs {
-		if got.SegmentIDs[i] != want.SegmentIDs[i] {
-			t.Fatalf("reopened region differs at %d", i)
-		}
-	}
+	reopened := variant(t, vcfg{saved: true})
+	checkOracle(t, reference(t), serial(reopened), requestMatrix(s, 11*time.Hour).full)
 	// Stats must survive too.
 	if reopened.Stats() != s.Stats() {
 		t.Fatalf("stats differ after reopen: %+v vs %+v", reopened.Stats(), s.Stats())
@@ -400,12 +382,7 @@ func TestRegionProbabilities(t *testing.T) {
 // health, faults — cover exactly the shards Shards() reports, so the
 // last shard is visible to /healthz and reachable by fault injection.
 func TestShardTablesAgree(t *testing.T) {
-	base := smallSystem(t)
-	sys, err := NewSystemFromData(base.Network(), base.Dataset(), DefaultIndexConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
+	sys := variant(t, vcfg{})
 	for _, k := range []int{2, 3, 4} {
 		if err := sys.Shard(k); err != nil {
 			t.Fatal(err)

@@ -10,18 +10,6 @@ import (
 	"time"
 )
 
-// warmTestSystem builds a private system with the plan cache on, so
-// warm-pipeline tests don't disturb the shared fixtures' counters.
-func warmTestSystem(t *testing.T) *System {
-	t.Helper()
-	base := smallSystem(t)
-	sys, err := NewSystemFromData(base.Network(), base.Dataset(), DefaultIndexConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
 func TestShapeRecorderTop(t *testing.T) {
 	r := newShapeRecorder()
 	shape := func(start time.Duration) planShape {
@@ -175,7 +163,7 @@ func TestPlanShapesBitFlipFuzz(t *testing.T) {
 // must not fail the reopen — the ring is dropped and warming starts
 // empty.
 func TestOpenSystemCorruptPlanShapes(t *testing.T) {
-	sys := warmTestSystem(t)
+	sys := variant(t, vcfg{})
 	loc := smallSystem(t).BusiestLocation(9 * time.Hour)
 	if _, err := sys.Do(context.Background(), ReachRequest(loc, 9*time.Hour, 10*time.Minute, 0.2)); err != nil {
 		t.Fatal(err)
@@ -215,18 +203,30 @@ func TestOpenSystemCorruptPlanShapes(t *testing.T) {
 	reopened2.Close()
 }
 
-// TestWarmPlansEffectiveness: a warmed shape answers its next query
-// from the cache — a hit without a preceding organic miss — and the
-// warm pass is visible in SharingStats.PlansWarmed only.
-func TestWarmPlansEffectiveness(t *testing.T) {
-	sys := warmTestSystem(t)
-	loc := smallSystem(t).BusiestLocation(9 * time.Hour)
-	req := ReachRequest(loc, 9*time.Hour, 10*time.Minute, 0.2)
-	if _, err := sys.Do(context.Background(), req); err != nil {
-		t.Fatal(err)
+// warmPlanShapes answers the valid requests of the matrix around 9:00
+// on sys, so its shape recorder holds one shape per request kind (the
+// first threshold of each misses, the others share its plan), and
+// returns the requests and the number of shapes.
+func warmPlanShapes(t *testing.T, sys *System) ([]oracleReq, int) {
+	reqs := valid(requestMatrix(sys, 9*time.Hour).full)
+	for _, r := range serial(sys)(reqs) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
 	}
-	if miss := sys.SharingStats().PlanCacheMisses; miss != 1 {
-		t.Fatalf("setup: %d misses, want 1", miss)
+	return reqs, len(byKind(reqs))
+}
+
+// TestWarmPlansEffectiveness: a warmed shape answers its next query
+// from the cache — a hit without a preceding organic miss — exactly as
+// the offline build does, and the warm pass is visible in
+// SharingStats.PlansWarmed only.
+func TestWarmPlansEffectiveness(t *testing.T) {
+	sys := variant(t, vcfg{})
+	reqs, shapes := warmPlanShapes(t, sys)
+	n := int64(shapes)
+	if miss := sys.SharingStats().PlanCacheMisses; miss != n {
+		t.Fatalf("setup: %d misses, want %d", miss, n)
 	}
 	// Simulate the post-epoch-swap cold cache.
 	sys.plans.clear()
@@ -234,71 +234,57 @@ func TestWarmPlansEffectiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warmed != 1 {
-		t.Fatalf("WarmPlans built %d plans, want 1", warmed)
+	if int64(warmed) != n {
+		t.Fatalf("WarmPlans built %d plans, want %d", warmed, n)
 	}
 	st := sys.SharingStats()
-	if st.PlansWarmed != 1 {
-		t.Fatalf("PlansWarmed = %d, want 1", st.PlansWarmed)
+	if st.PlansWarmed != n {
+		t.Fatalf("PlansWarmed = %d, want %d", st.PlansWarmed, n)
 	}
-	if _, err := sys.Do(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
+	checkOracle(t, reference(t), serial(sys), reqs)
 	after := sys.SharingStats()
-	if after.PlanCacheHits != st.PlanCacheHits+1 || after.PlanCacheMisses != st.PlanCacheMisses {
-		t.Fatalf("warmed shape not served from cache: hits %d->%d misses %d->%d",
+	if after.PlanCacheHits != st.PlanCacheHits+int64(len(reqs)) || after.PlanCacheMisses != st.PlanCacheMisses {
+		t.Fatalf("warmed shapes not served from cache: hits %d->%d misses %d->%d",
 			st.PlanCacheHits, after.PlanCacheHits, st.PlanCacheMisses, after.PlanCacheMisses)
 	}
-	// Warming again is a no-op: the shape is already cached.
+	// Warming again is a no-op: the shapes are already cached.
 	if warmed, err = sys.WarmPlans(context.Background(), 8); err != nil || warmed != 0 {
 		t.Fatalf("re-warm built %d plans (%v), want 0", warmed, err)
 	}
+	checkOracle(t, reference(t), serial(sys), requestMatrix(sys, 9*time.Hour).invalid)
 }
 
 // TestWarmPlansPersistedAcrossReopen: the recorded shapes ride Save and
 // OpenSystem, so a reopened system warms the shapes its predecessor
-// served.
+// served, and answers them from the cache as the offline build does.
 func TestWarmPlansPersistedAcrossReopen(t *testing.T) {
-	sys := warmTestSystem(t)
-	loc := smallSystem(t).BusiestLocation(9 * time.Hour)
-	req := ReachRequest(loc, 9*time.Hour, 10*time.Minute, 0.2)
-	if _, err := sys.Do(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
+	sys := variant(t, vcfg{})
+	reqs, shapes := warmPlanShapes(t, sys)
 	dir := t.TempDir()
 	if err := sys.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := OpenSystem(dir, DefaultIndexConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
+	reopened := variant(t, vcfg{dir: dir})
 	warmed, err := reopened.WarmPlans(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warmed != 1 {
-		t.Fatalf("reopened system warmed %d plans, want 1", warmed)
+	if warmed != shapes {
+		t.Fatalf("reopened system warmed %d plans, want %d", warmed, shapes)
 	}
-	if _, err := reopened.Do(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
+	checkOracle(t, reference(t), serial(reopened), reqs)
 	st := reopened.SharingStats()
-	if st.PlanCacheHits != 1 || st.PlanCacheMisses != 0 {
-		t.Fatalf("reopened warm plan not hit: hits=%d misses=%d", st.PlanCacheHits, st.PlanCacheMisses)
+	if st.PlanCacheHits != int64(len(reqs)) || st.PlanCacheMisses != 0 {
+		t.Fatalf("reopened warm plans not hit: hits=%d misses=%d", st.PlanCacheHits, st.PlanCacheMisses)
 	}
 }
 
-// TestEnableWarmPlanning: the background trigger builds plans and is
-// re-armed by compaction epoch swaps; Close waits it out.
+// TestEnableWarmPlanning: the background trigger builds plans that
+// answer as the offline build does, and is re-armed by compaction epoch
+// swaps; Close waits it out.
 func TestEnableWarmPlanning(t *testing.T) {
-	sys := warmTestSystem(t)
-	loc := smallSystem(t).BusiestLocation(9 * time.Hour)
-	req := ReachRequest(loc, 9*time.Hour, 10*time.Minute, 0.2)
-	if _, err := sys.Do(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
+	sys := variant(t, vcfg{})
+	reqs, _ := warmPlanShapes(t, sys)
 	sys.plans.clear()
 	sys.EnableWarmPlanning(8)
 	deadline := time.Now().Add(5 * time.Second)
@@ -310,10 +296,9 @@ func TestEnableWarmPlanning(t *testing.T) {
 	}
 	sys.warmWG.Wait()
 	before := sys.SharingStats()
-	if _, err := sys.Do(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	if after := sys.SharingStats(); after.PlanCacheHits != before.PlanCacheHits+1 {
-		t.Fatalf("background-warmed shape missed the cache")
+	checkOracle(t, reference(t), serial(sys), reqs)
+	if after := sys.SharingStats(); after.PlanCacheHits != before.PlanCacheHits+int64(len(reqs)) {
+		t.Fatalf("background-warmed shapes missed the cache: %d hits for %d requests",
+			after.PlanCacheHits-before.PlanCacheHits, len(reqs))
 	}
 }
