@@ -17,16 +17,16 @@ import (
 )
 
 // runOverload floods a running `streach serve` past its admission limit
-// and reports what came back: status counts, latency quantiles, how
-// many answers were degraded, and — the overload-protection contract —
-// whether any 5xx arrived without a typed error body. The report is
-// written as JSON (the BENCH_overload.json artifact CI persists), with
-// the server's self-protection gauges scraped from /metrics/prometheus
-// appended so the artifact captures breaker and limiter state too.
+// and reports what came back: status counts, latency quantiles, and —
+// the overload-protection contract — whether any 5xx arrived without a
+// typed error body. The report is written as JSON (the
+// BENCH_overload.json artifact CI persists), with the server's
+// self-protection gauges scraped from /metrics/prometheus appended so
+// the artifact captures limiter and quota state too.
 func runOverload(args []string) error {
 	fs := flag.NewFlagSet("overload", flag.ExitOnError)
 	base := fs.String("url", "http://localhost:8780", "base URL of a running streach serve")
-	path := fs.String("path", "/v1/reach?start=11h&dur=10m&prob=0.2&partial=true", "query path to flood")
+	path := fs.String("path", "/v1/reach?start=11h&dur=10m&prob=0.2", "query path to flood")
 	n := fs.Int("n", 200, "total requests")
 	c := fs.Int("c", 16, "concurrent clients (open-loop-ish: each fires its next request immediately)")
 	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request client timeout")
@@ -41,7 +41,6 @@ func runOverload(args []string) error {
 		mu        sync.Mutex
 		statuses  = map[string]int{}
 		latencies []time.Duration
-		degraded  int
 		untyped   int
 		issued    atomic.Int64
 		wg        sync.WaitGroup
@@ -67,9 +66,6 @@ func runOverload(args []string) error {
 				mu.Lock()
 				statuses[strconv.Itoa(resp.StatusCode)]++
 				latencies = append(latencies, lat)
-				if strings.Contains(string(body), `"degraded":true`) {
-					degraded++
-				}
 				if resp.StatusCode >= 500 && !strings.Contains(string(body), `"code"`) {
 					untyped++
 				}
@@ -95,7 +91,6 @@ func runOverload(args []string) error {
 		"elapsed_s":   elapsed.Seconds(),
 		"rps":         float64(*n) / elapsed.Seconds(),
 		"statuses":    statuses,
-		"degraded":    degraded,
 		"untyped_5xx": untyped,
 		"latency_ms": map[string]float64{
 			"p50": quant(0.50),
@@ -126,7 +121,7 @@ func runOverload(args []string) error {
 }
 
 // scrapeResilienceMetrics pulls the self-protection gauges and counters
-// (breaker state, admission limit, quota rejections) off the
+// (admission limit, quota rejections, brownout sheds) off the
 // server's Prometheus endpoint; best-effort, nil on any failure.
 func scrapeResilienceMetrics(client *http.Client, base string) map[string]float64 {
 	resp, err := client.Get(base + "/metrics/prometheus")
@@ -135,11 +130,9 @@ func scrapeResilienceMetrics(client *http.Client, base string) map[string]float6
 	}
 	defer resp.Body.Close()
 	keep := []string{
-		"streach_breaker_state", "streach_breaker_opens_total",
-		"streach_breaker_short_circuits_total", "streach_admission_limit",
-		"streach_admission_inflight", "streach_admission_rejected_total",
-		"streach_quota_rejections_total", "streach_brownout_warm_shed_total",
-		"streach_brownout_forced_partial_total",
+		"streach_admission_limit", "streach_admission_inflight",
+		"streach_admission_rejected_total", "streach_quota_rejections_total",
+		"streach_brownout_warm_shed_total",
 	}
 	out := map[string]float64{}
 	sc := bufio.NewScanner(resp.Body)

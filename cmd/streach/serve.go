@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -32,11 +30,8 @@ func runServe(args []string) error {
 	maxTimeout := fs.Duration("max-timeout", 30*time.Second, "cap on client-requested ?timeout=")
 	maxInFlight := fs.Int("max-inflight", 0, "adaptive admission ceiling: max concurrent query requests, 429 beyond; overload shrinks the limit to no less than a quarter of it (0 = default 64, negative = unlimited)")
 	clientRPS := fs.Float64("client-rps", 0, "per-client token-bucket quota in requests/second, 2x as deep, keyed by X-API-Key or peer host (0 = off)")
-	breakers := fs.Bool("breakers", false, "per-shard circuit breakers: short-circuit a repeatedly failing shard instead of paying its budget every query; a half-open probe follows after 2s (requires -shards)")
 	shards := fs.Int("shards", 0, "sharded execution: partition the network across this many engines and answer by scatter-gather (0/1 = single engine; results are bit-identical)")
 	warmPlans := fs.Int("warm-plans", 0, "warm-plan pipeline: re-plan this many of the hottest recorded query shapes in the background after open and after each compaction epoch swap; grows the plan cache to hold them (0 = off)")
-	shardBudget := fs.Duration("shard-budget", 0, "per-shard deadline budget: a shard slower than this fails (typed Timeout) or is skipped under ?partial=true (0 = no budget)")
-	chaos := fs.String("chaos", "", "DEV ONLY fault injection: comma-separated shard=N:error|panic|hang items, e.g. shard=1:error,shard=2:hang (requires -shards)")
 	accessLog := fs.Bool("access-log", false, "log one line per request (method, URI, status, latency, request ID) to stderr")
 	ingestOn := fs.Bool("ingest", false, "enable live ingestion: POST /v1/ingest accepts position updates, /v1/ingest/compact folds the delta layer")
 	compactEvery := fs.Duration("compact-every", 0, "background incremental compaction period (0 = manual compaction only)")
@@ -53,24 +48,11 @@ func runServe(args []string) error {
 		return err
 	}
 	defer sys.Close()
-	sys.SetShardBudget(*shardBudget)
 	if *shards > 1 {
 		if err := sys.Shard(*shards); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "sharded execution: %d partitioned engines\n", sys.Shards())
-	}
-	if *breakers {
-		if sys.Shards() <= 1 {
-			return errors.New("-breakers requires -shards > 1")
-		}
-		sys.ConfigureBreakers(streach.BreakerConfig{Enabled: true})
-		fmt.Fprintln(os.Stderr, "per-shard circuit breakers enabled")
-	}
-	if *chaos != "" {
-		if err := applyChaos(sys, *chaos); err != nil {
-			return err
-		}
 	}
 	// Ingest starts after sharding so the writer's per-shard routing sees
 	// the cluster partition.
@@ -132,39 +114,4 @@ func runServe(args []string) error {
 		return err
 	}
 	return <-idle
-}
-
-// applyChaos parses and applies the -chaos spec: comma-separated
-// "shard=N:kind" items, where kind is error, panic, or hang. Development
-// tooling for exercising the degraded-serving paths against a live
-// server; it refuses to run on an unsharded system rather than silently
-// doing nothing.
-func applyChaos(sys *streach.System, spec string) error {
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		rest, ok := strings.CutPrefix(item, "shard=")
-		if !ok {
-			return fmt.Errorf("bad -chaos item %q: want shard=N:error|panic|hang", item)
-		}
-		nStr, kindStr, ok := strings.Cut(rest, ":")
-		if !ok {
-			return fmt.Errorf("bad -chaos item %q: want shard=N:error|panic|hang", item)
-		}
-		n, err := strconv.Atoi(nStr)
-		if err != nil {
-			return fmt.Errorf("bad -chaos shard %q: %v", nStr, err)
-		}
-		kind, err := streach.ParseShardFault(kindStr)
-		if err != nil {
-			return fmt.Errorf("bad -chaos item %q: %v", item, err)
-		}
-		if err := sys.InjectShardFault(n, kind); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "chaos: injected %s fault on shard %d\n", kind, n)
-	}
-	return nil
 }

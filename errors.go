@@ -21,15 +21,11 @@ const (
 	// probability or window, missing locations, no road near the query
 	// point, an algorithm/kind pairing that does not exist.
 	InvalidRequest
-	// Timeout: a deadline expired — the caller's context, a
-	// WithDeadlineBudget, or a per-shard budget.
+	// Timeout: a deadline expired — the caller's context or a
+	// WithDeadlineBudget.
 	Timeout
 	// Overloaded: the system shed the request under admission control.
 	Overloaded
-	// ShardFailure: one or more shards of a scatter-gather query
-	// failed (error, panic, or injected fault) and the query was not
-	// running in partial-results mode.
-	ShardFailure
 	// CorruptData: persisted or in-flight index data failed validation
 	// (checksum mismatch, undecodable blob).
 	CorruptData
@@ -46,8 +42,6 @@ func (c ErrorCode) String() string {
 		return "timeout"
 	case Overloaded:
 		return "overloaded"
-	case ShardFailure:
-		return "shard_failure"
 	case CorruptData:
 		return "corrupt_data"
 	case Internal:
@@ -110,8 +104,6 @@ func codeOfKind(k xerr.Kind) ErrorCode {
 		return Timeout
 	case xerr.KindOverloaded:
 		return Overloaded
-	case xerr.KindShardFailure:
-		return ShardFailure
 	case xerr.KindCorrupt:
 		return CorruptData
 	case xerr.KindInternal:

@@ -13,21 +13,14 @@ import (
 // classic AIMD shape that converges on the concurrency the engine can
 // actually sustain within its deadlines.
 //
-// Occupancy of the current limit drives a brownout ladder, shedding the
-// cheapest work first:
+// Occupancy of the current limit drives a two-rung brownout ladder,
+// shedding the cheapest work first:
 //
-//	level 1 (occupancy ≥ 0.55): shed prefetch/warm background work
-//	level 2 (occupancy ≥ 0.85): force aggressive partial semantics for
-//	        queries that opted in with ?partial=true (tight per-shard
-//	        budget: a slow shard is skipped, not waited for)
-//	level 3 (occupancy = 1):    reject with 429 and an honest
-//	        Retry-After derived from the limiter state
+//	occupancy ≥ 0.55: shed prefetch/warm background work
+//	occupancy = 1:    reject with 429 and an honest Retry-After
+//	                  derived from the limiter state
 const (
-	brownoutShedWork     = 1
-	brownoutForcePartial = 2
-
-	brownoutShedOcc    = 0.55
-	brownoutPartialOcc = 0.85
+	brownoutShedOcc = 0.55
 
 	// decreaseEvery rate-limits multiplicative decreases so one burst of
 	// concurrent deadline failures counts as one congestion signal, not
@@ -56,24 +49,17 @@ func newLimiter(max int) *aimdLimiter {
 	return &aimdLimiter{limit: float64(max), min: float64(min), max: float64(max)}
 }
 
-// admit claims a slot. level is the brownout rung the request enters
-// under (0 = none); !ok means the limit is full and the request must be
-// rejected.
-func (l *aimdLimiter) admit() (ok bool, level int) {
+// admit claims a slot. shed reports that the request enters under the
+// first brownout rung, so the background work it would start is shed;
+// !ok means the limit is full and the request must be rejected.
+func (l *aimdLimiter) admit() (ok, shed bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if float64(l.inflight+1) > l.limit {
-		return false, 0
+		return false, false
 	}
 	l.inflight++
-	occ := float64(l.inflight) / l.limit
-	switch {
-	case occ >= brownoutPartialOcc:
-		level = brownoutForcePartial
-	case occ >= brownoutShedOcc:
-		level = brownoutShedWork
-	}
-	return true, level
+	return true, float64(l.inflight)/l.limit >= brownoutShedOcc
 }
 
 // release returns the slot and feeds the request's outcome back into

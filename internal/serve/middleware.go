@@ -14,7 +14,7 @@ import (
 
 // Request identity and the outer middleware: every request gets an
 // X-Request-ID (the client's, sanitised, or a fresh one), echoed on the
-// response, included in error bodies and access-log lines, so a chaos
+// response, included in error bodies and access-log lines, so a
 // failure seen by a client is attributable to one server-side log line.
 // The same wrapper recovers handler panics into typed 500s — a panicking
 // query must not take the serving process down.

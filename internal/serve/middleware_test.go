@@ -9,42 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"streach"
 )
-
-var (
-	shardedOnce sync.Once
-	shardedSys  *streach.System
-	shardedErr  error
-)
-
-// shardedSystem builds a dedicated 4-shard system for the chaos serving
-// tests (the shared fixture stays unsharded and uninjected).
-func shardedSystem(t *testing.T) *streach.System {
-	t.Helper()
-	base := system(t)
-	shardedOnce.Do(func() {
-		idx := streach.DefaultIndexConfig()
-		idx.PlanCache = -1
-		if shardedSys, shardedErr = streach.NewSystemFromData(base.Network(), base.Dataset(), idx); shardedErr == nil {
-			shardedErr = shardedSys.Shard(4)
-		}
-	})
-	if shardedErr != nil {
-		t.Fatal(shardedErr)
-	}
-	return shardedSys
-}
-
-func clearFaults(t *testing.T, sys *streach.System) {
-	t.Helper()
-	for sh := 0; sh < sys.Shards(); sh++ {
-		if err := sys.InjectShardFault(sh, streach.ShardFaultNone); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
 
 const reachPath = "/v1/reach?start=11h&dur=10m&prob=0.2"
 
@@ -112,74 +77,6 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	}
 	if out["request_id"] == "" {
 		t.Fatalf("panic response missing request_id: %v", out)
-	}
-}
-
-// TestServeChaosDegraded pins the serving half of the chaos acceptance
-// criterion: with 1 of 4 shards fault-injected, the same query answers
-// 200 + "degraded": true under ?partial=true and a typed 5xx without
-// it, and /healthz reports the degraded shard.
-func TestServeChaosDegraded(t *testing.T) {
-	sys := shardedSystem(t)
-	defer clearFaults(t, sys)
-	ts := httptest.NewServer(New(sys, Config{}).Handler())
-	defer ts.Close()
-
-	// Healthy first: 200, no degradation.
-	out := getJSON(t, ts.URL+reachPath, http.StatusOK)
-	if out["degraded"] != nil {
-		t.Fatalf("healthy answer reports degradation: %v", out["degraded"])
-	}
-
-	if err := sys.InjectShardFault(1, streach.ShardFaultError); err != nil {
-		t.Fatal(err)
-	}
-
-	// Default mode: typed shard failure, 502.
-	out = getJSON(t, ts.URL+reachPath, http.StatusBadGateway)
-	if out["code"] != "shard_failure" {
-		t.Fatalf("fail-fast error = %v, want code shard_failure", out)
-	}
-
-	// Partial mode: 200 with degraded metadata.
-	out = getJSON(t, ts.URL+reachPath+"&partial=true", http.StatusOK)
-	if out["degraded"] != true {
-		t.Fatalf("partial answer not degraded: %v", out)
-	}
-	missing, _ := out["missing_shards"].([]any)
-	if len(missing) != 1 || missing[0].(float64) != 1 {
-		t.Fatalf("missing_shards = %v, want [1]", out["missing_shards"])
-	}
-	cov, _ := out["coverage"].(float64)
-	if cov <= 0 || cov >= 1 {
-		t.Fatalf("coverage = %v, want in (0, 1)", out["coverage"])
-	}
-	if segs, _ := out["segments"].([]any); len(segs) == 0 {
-		t.Fatalf("degraded answer is empty: %v", out)
-	}
-
-	// The probe shows the injected shard.
-	hz := getJSON(t, ts.URL+"/healthz", http.StatusOK)
-	if hz["status"] != "degraded" || hz["degraded"] != true {
-		t.Fatalf("healthz = %v, want degraded", hz)
-	}
-	states, _ := hz["shard_health"].([]any)
-	if len(states) != 4 {
-		t.Fatalf("shard_health = %v", hz["shard_health"])
-	}
-	s1 := states[1].(map[string]any)
-	if s1["fault"] != "error" || s1["degraded"] != true {
-		t.Fatalf("shard 1 health = %v", s1)
-	}
-
-	// Hang + per-query shard budget is out of HTTP reach, but the hang
-	// fault bounded by the server's request deadline still answers typed.
-	if err := sys.InjectShardFault(1, streach.ShardFaultHang); err != nil {
-		t.Fatal(err)
-	}
-	out = getJSON(t, ts.URL+reachPath+"&timeout=100ms", http.StatusGatewayTimeout)
-	if out["code"] != "timeout" {
-		t.Fatalf("hang error = %v, want code timeout", out)
 	}
 }
 

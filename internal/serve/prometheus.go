@@ -119,28 +119,6 @@ func (s *Server) writePrometheus(w io.Writer) {
 		shardMetric("streach_shard_verify_seconds_total",
 			"Wall-clock the shard spent in scatter verification.", "counter",
 			func(st streach.ShardStat) float64 { return st.Verify.Seconds() })
-
-		// Overload self-protection: per-shard breaker state plus the
-		// cluster-wide breaker counters.
-		if hs := s.sys.ShardHealth(); len(hs) > 0 {
-			fmt.Fprintf(w, "# HELP streach_breaker_state Circuit-breaker state per shard (0=closed, 1=half_open, 2=open).\n")
-			fmt.Fprintf(w, "# TYPE streach_breaker_state gauge\n")
-			for _, h := range hs {
-				v := 0
-				switch h.Breaker {
-				case "half_open":
-					v = 1
-				case "open":
-					v = 2
-				}
-				fmt.Fprintf(w, "streach_breaker_state{shard=\"%d\"} %d\n", h.Shard, v)
-			}
-		}
-		rs := s.sys.ResilienceStats()
-		counter("streach_breaker_opens_total",
-			"Circuit-breaker trips (closed/half-open to open).", rs.BreakerOpens)
-		counter("streach_breaker_short_circuits_total",
-			"Shard calls rejected by an open breaker.", rs.BreakerShortCircuits)
 	}
 
 	// Live ingestion: the index epoch, the delta layer's depth, and the

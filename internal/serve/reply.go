@@ -59,8 +59,7 @@ func (s *Server) writeRegion(w http.ResponseWriter, r *http.Request, region *str
 // answer: the bytes json.NewEncoder(w).Encode wrote for the nested maps
 // this reply used to be built from — keys in sorted order, nil slices as
 // null, floats by jsonenc.AppendFloat (probabilities at float32 width),
-// a trailing newline. A partial-results answer additionally carries
-// "degraded": true with the missing shards and the coverage fraction.
+// a trailing newline.
 func appendRegionJSON(dst []byte, region *streach.Region) ([]byte, error) {
 	b := append(dst, '{')
 	// A float that JSON cannot hold is the only error, and it sticks:
@@ -70,12 +69,6 @@ func appendRegionJSON(dst []byte, region *streach.Region) ([]byte, error) {
 		if err == nil {
 			b, err = jsonenc.AppendFloat(b, f, bitSize)
 		}
-	}
-	d := region.Degraded
-	if d != nil {
-		b = append(b, `"coverage":`...)
-		float(d.Coverage, 64)
-		b = append(b, `,"degraded":true,`...)
 	}
 	m := region.Metrics
 	b = append(b, `"metrics":{"bound_ms":`...)
@@ -97,9 +90,6 @@ func appendRegionJSON(dst []byte, region *streach.Region) ([]byte, error) {
 	b = append(b, `,"verify_ms":`...)
 	float(millis(m.Verify), 64)
 	b = append(b, '}')
-	if d != nil {
-		b = appendInts(append(b, `,"missing_shards":`...), d.MissingShards)
-	}
 	b = append(b, `,"probabilities":`...)
 	if region.Probabilities == nil {
 		b = append(b, "null"...)
@@ -124,7 +114,7 @@ func appendRegionJSON(dst []byte, region *streach.Region) ([]byte, error) {
 
 // appendInts appends a JSON array of integers; a nil slice is null, as
 // encoding/json has it.
-func appendInts[T int | int32](b []byte, s []T) []byte {
+func appendInts(b []byte, s []int32) []byte {
 	if s == nil {
 		return append(b, "null"...)
 	}

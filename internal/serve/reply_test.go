@@ -37,11 +37,6 @@ func regionResponseOracle(region *streach.Region) map[string]any {
 			"road_segments": m.RoadSegments,
 		},
 	}
-	if d := region.Degraded; d != nil {
-		resp["degraded"] = true
-		resp["missing_shards"] = d.MissingShards
-		resp["coverage"] = d.Coverage
-	}
 	return resp
 }
 
@@ -83,13 +78,6 @@ func TestAppendRegionJSONMatchesOracle(t *testing.T) {
 			Metrics: streach.Metrics{Elapsed: 1, Bound: 0, Verify: -5},
 		},
 		"tiny road km": {RoadKm: 1.5e-9},
-		"degraded": {
-			SegmentIDs: []int32{3}, Probabilities: []float32{0.25}, RoadKm: 0.4, Metrics: metrics,
-			Degraded: &streach.Degraded{MissingShards: []int{1, 3}, Coverage: 0.5123},
-		},
-		"degraded, no shard list": {
-			Degraded: &streach.Degraded{Coverage: 1e-7},
-		},
 	}
 	for name, region := range cases {
 		want, err := oracleReply(t, region)
@@ -109,7 +97,6 @@ func TestAppendRegionJSONMatchesOracle(t *testing.T) {
 	for name, region := range map[string]*streach.Region{
 		"NaN probability": {SegmentIDs: []int32{1}, Probabilities: []float32{float32(math.NaN())}},
 		"Inf road km":     {RoadKm: math.Inf(1)},
-		"NaN coverage":    {Degraded: &streach.Degraded{Coverage: math.NaN()}},
 	} {
 		if _, err := oracleReply(t, region); err == nil {
 			t.Fatalf("%s: the oracle encodes it", name)
@@ -284,13 +271,13 @@ func TestPrefetchAsksBeforeItWarms(t *testing.T) {
 	if sys.Warmed(start+dur, slot) {
 		t.Fatal("the window after 15:10 is warm before anything asked for it")
 	}
-	srv.maybePrefetch(start, dur, 0)
+	srv.maybePrefetch(start, dur, false)
 	srv.wg.Wait()
 	if passes() != "1" || !sys.Warmed(start+dur, slot) {
 		t.Fatalf("a cold window: %s passes ran, warmed %v", passes(), sys.Warmed(start+dur, slot))
 	}
 	for i := 0; i < 50; i++ {
-		srv.maybePrefetch(start, dur, 0)
+		srv.maybePrefetch(start, dur, false)
 		if srv.warmBusy.Load() {
 			t.Fatal("a warm window took the prefetch gate")
 		}

@@ -17,9 +17,10 @@
 // first. Adaptive admission bounds the in-flight query count with an
 // AIMD limiter that starts at Config.MaxInFlight and converges on what
 // the engine sustains within its deadlines (admission.go); occupancy
-// drives a brownout ladder — shed prefetch work, force aggressive
-// partial semantics for opted-in clients, and finally reject with 429 +
-// an honest Retry-After derived from the limiter state. Singleflight
+// drives a brownout ladder — shed prefetch work, then reject with 429 +
+// an honest Retry-After derived from the limiter state. A sharded
+// system fails a query exactly as the unsharded one does, so a reply
+// is always the whole answer or a typed error. Singleflight
 // coalescing merges concurrent identical queries into one execution
 // (coalesce.go), the serving-layer mirror of DoBatch's group-and-plan
 // scheduler: a burst of duplicate-heavy traffic reaches the engine once
@@ -153,11 +154,11 @@ func (s *Server) Handler() http.Handler {
 	return s.middleware(mux)
 }
 
-// admit claims an admission slot; level is the brownout rung the
-// request enters under (0 = none), !ok means the limiter is full.
-func (s *Server) admit() (ok bool, level int) {
+// admit claims an admission slot; shed reports that the request's
+// background work is to be shed, !ok means the limiter is full.
+func (s *Server) admit() (ok, shed bool) {
 	if s.lim == nil {
-		return true, 0
+		return true, false
 	}
 	return s.lim.admit()
 }
@@ -241,8 +242,8 @@ func (s *Server) allowClient(w http.ResponseWriter, r *http.Request) bool {
 // system, the steady state, an answer takes no gate and starts no
 // goroutine. At most one warm runs at a time, bounded to the server's
 // lifetime (Close); prefetch_warms_total counts the passes that ran.
-func (s *Server) maybePrefetch(start, dur time.Duration, level int) {
-	if level >= brownoutShedWork {
+func (s *Server) maybePrefetch(start, dur time.Duration, shed bool) {
+	if shed {
 		s.vars.Add("brownout_warm_shed_total", 1)
 		return
 	}
@@ -276,7 +277,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	// Durability state: "ok" while the ingest WAL is keeping up,
 	// "degraded" while appends are failing (updates stay live but are
-	// not crash-durable), "none" without a WAL-backed ingest writer.
+	// not crash-durable), "none" without a WAL-backed ingest writer. It
+	// is the only thing that makes status "degraded".
 	ist := s.sys.IngestStats()
 	switch {
 	case ist.DurabilityDegraded:
@@ -287,31 +289,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp["durability"] = "ok"
 	default:
 		resp["durability"] = "none"
-	}
-	// On a sharded system the probe also reports per-shard failure
-	// state, so a cluster running degraded (injected fault, repeated
-	// scatter failures) is visible before it costs a query.
-	if hs := s.sys.ShardHealth(); hs != nil {
-		degraded := false
-		shardStates := make([]map[string]any, len(hs))
-		for i, h := range hs {
-			if h.Degraded() {
-				degraded = true
-			}
-			shardStates[i] = map[string]any{
-				"shard":      h.Shard,
-				"failures":   h.Failures,
-				"last_error": h.LastError,
-				"fault":      h.Fault,
-				"breaker":    h.Breaker,
-				"degraded":   h.Degraded(),
-			}
-		}
-		resp["degraded"] = degraded
-		resp["shard_health"] = shardStates
-		if degraded {
-			resp["status"] = "degraded"
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -386,8 +363,6 @@ func statusOf(err error) int {
 		return http.StatusGatewayTimeout
 	case streach.Overloaded:
 		return http.StatusTooManyRequests
-	case streach.ShardFailure:
-		return http.StatusBadGateway
 	case streach.CorruptData, streach.Internal:
 		return http.StatusInternalServerError
 	}
@@ -460,7 +435,6 @@ type reachPayload struct {
 	Prob      float64            `json:"prob"`
 	Algorithm string             `json:"algorithm"`
 	Reverse   bool               `json:"reverse"`
-	Partial   bool               `json:"partial"`
 }
 
 // handleReach answers reachability queries. GET parameters (or the POST
@@ -497,7 +471,6 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 			p.Algorithm = q.Get("algorithm")
 		}
 		p.Reverse = q.Get("reverse") == "true" || q.Get("reverse") == "1"
-		p.Partial = q.Get("partial") == "true" || q.Get("partial") == "1"
 	case http.MethodPost:
 		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
 			s.badRequest(w, r, "bad JSON body: %v", err)
@@ -563,9 +536,6 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		}
 		opts = append(opts, streach.WithAlgorithm(alg))
 	}
-	if p.Partial {
-		opts = append(opts, streach.WithPartialResults(true))
-	}
 
 	if !s.allowClient(w, r) {
 		return
@@ -577,31 +547,16 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	ok, level := s.admit()
+	ok, shed := s.admit()
 	if !ok {
 		s.reject(w, r)
 		return
-	}
-	// Brownout level 2 forces aggressive partial semantics for clients
-	// that opted in: a tight per-shard budget skips a slow shard instead
-	// of waiting for it, trading coverage for bounded latency. The
-	// forced flag joins the coalesce key — a budgeted answer must not be
-	// shared with un-browned-out duplicates.
-	forced := false
-	if level >= brownoutForcePartial && p.Partial {
-		forced = true
-		s.vars.Add("brownout_forced_partial_total", 1)
-		opts = append(opts, streach.WithShardBudget(timeout/4))
 	}
 
 	began := time.Now()
 	var qerr error
 	defer func() { s.finish(time.Since(began), timeout, qerr) }()
-	key := s.coalesceKey(req, p.Algorithm, p.Partial)
-	if forced {
-		key += "|browned"
-	}
-	region, shared, err := s.flights.do(ctx, key, func() (*streach.Region, error) {
+	region, shared, err := s.flights.do(ctx, s.coalesceKey(req, p.Algorithm), func() (*streach.Region, error) {
 		return s.sys.Do(ctx, req, opts...)
 	})
 	if err != nil {
@@ -615,7 +570,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		s.record(kind, region.Metrics)
 	}
 	s.observe(kind, time.Since(began))
-	s.maybePrefetch(start, dur, level)
+	s.maybePrefetch(start, dur, shed)
 
 	s.writeRegion(w, r, region, wantsGeoJSON(r, q.Get("format")))
 }
@@ -683,7 +638,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	began := time.Now()
 	var qerr error
 	defer func() { s.finish(time.Since(began), timeout, qerr) }()
-	region, shared, err := s.flights.do(ctx, s.coalesceKey(req, q.Get("alg"), false), func() (*streach.Region, error) {
+	region, shared, err := s.flights.do(ctx, s.coalesceKey(req, q.Get("alg")), func() (*streach.Region, error) {
 		return s.sys.Do(ctx, req, opts...)
 	})
 	if err != nil {
@@ -705,7 +660,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 }
 
 // coalesceKey canonicalises everything that determines a query's answer
-// — kind, algorithm, partial mode, locations, start, window, and
+// — kind, algorithm, locations, start, window, and
 // probability — so only truly identical in-flight queries share an
 // execution. The response format and timeout are deliberately absent:
 // they shape the reply, not the answer. This mirrors streach's batch
@@ -716,15 +671,13 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 // The system's live data version joins the key too: an ingest append or
 // a compaction must stop new requests from latching onto an in-flight
 // execution that started over the older data.
-func (s *Server) coalesceKey(req streach.Request, alg string, partial bool) string {
+func (s *Server) coalesceKey(req streach.Request, alg string) string {
 	// Appended into a stack buffer: one allocation (the returned string)
 	// for the usual single-location key.
 	var stack [160]byte
 	b := strconv.AppendInt(stack[:0], int64(req.Kind), 10)
 	b = append(b, '|')
 	b = append(b, strings.ToLower(alg)...)
-	b = append(b, '|')
-	b = strconv.AppendBool(b, partial)
 	b = append(b, '|')
 	b = append(b, s.sys.DataVersionKey()...)
 	b = append(b, '|')

@@ -2,10 +2,8 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,11 +40,6 @@ type Cluster struct {
 	conSlices []*conindex.Slice
 	opts      core.Options
 	m         *metrics
-	faults    *faultTable   // injected per-shard faults (shared by views)
-	hlth      *healthTable  // per-shard failure records (shared by views)
-	brk       *breakerTable // per-shard circuit breakers (shared by views)
-	partial   bool          // degrade instead of failing (view-local)
-	budget    time.Duration // per-shard scatter/gather bound (view-local)
 }
 
 // metrics holds the cluster's per-shard activity counters, shared by
@@ -96,9 +89,6 @@ func NewCluster(st *stindex.Index, con *conindex.Index, opts core.Options, k int
 			verified: make([]atomic.Int64, k),
 			verifyNS: make([]atomic.Int64, k),
 		},
-		faults: newFaultTable(),
-		hlth:   newHealthTable(k),
-		brk:    newBreakerTable(k, BreakerConfig{}),
 	}
 	for sh := 0; sh < k; sh++ {
 		c.conSlices[sh] = con.Slice(sh, part.Owned(sh))
@@ -168,8 +158,8 @@ func (c *Cluster) PlansSlotFallback() int64 { return 0 }
 // ScratchStats snapshots the scratch-pool counters of the planner
 // (index 0 — shared with the base engine it is a view of) and every
 // shard engine (index 1..k). With no query in flight each snapshot must
-// be Balanced(), including after a shard failed or panicked mid-query;
-// an imbalance is a leaked pooled region or bitset on some error path.
+// be Balanced(), including after a shard failed mid-query; an
+// imbalance is a leaked pooled region or bitset on some error path.
 func (c *Cluster) ScratchStats() []core.ScratchStats {
 	out := make([]core.ScratchStats, 0, 1+len(c.engines))
 	out = append(out, c.planner.ScratchStats())
@@ -186,13 +176,6 @@ type Plan struct {
 	c       *Cluster
 	p       *core.SharedPlan
 	sharded bool
-	// failed holds the shards lost at scatter time (partial-results mode
-	// only; fail-fast scatters never produce a plan with losses).
-	failed []*ShardError
-	// degraded describes the loss behind the most recent ResultAt, nil
-	// when the answer was complete. Plans are single-goroutine by the
-	// facade's ownership contract, so a plain field suffices.
-	degraded *Degraded
 }
 
 // plan builds one deferred plan via build, scatter-verifies it, and
@@ -213,13 +196,12 @@ func (c *Cluster) plan(ctx context.Context, build func(opts ...core.PlanOption) 
 	if err != nil {
 		return nil, err
 	}
-	failed, err := c.scatter(ctx, p)
-	if err != nil {
+	if err := c.scatter(ctx, p); err != nil {
 		p.Close()
 		return nil, err
 	}
 	c.m.plans.Add(1)
-	return &Plan{c: c, p: p, sharded: true, failed: failed}, nil
+	return &Plan{c: c, p: p, sharded: true}, nil
 }
 
 // PlanReach plans a forward s-query across the shards.
@@ -267,60 +249,35 @@ func (c *Cluster) PlanReverseES(ctx context.Context, q core.Query) (*Plan, error
 
 // scatter ships the plan to the shards: every leaf plan's candidates are
 // routed to their owners, each shard verifies its positions on its own
-// engine, and the plan is sealed. Every shard with work passes its
-// breaker first; the admitted shards then verify concurrently, or one
+// engine, and the plan is sealed. The shards verify concurrently, or one
 // after another when GOMAXPROCS is 1 and there is no parallelism to win.
-// A shard that errors, panics, or overruns the per-shard budget becomes
-// a ShardError: in default (fail-fast) mode the first one cancels the
-// shards still running, releases the probe slots of those not yet run,
-// and fails the scatter with a typed error; in partial-results mode the
-// loss is recorded and the surviving shards' work still seals the plan,
-// returning the failures for the gather step to skip.
-func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan) ([]*ShardError, error) {
+// The first shard to fail cancels the others and its error fails the
+// scatter: it is the error the unsharded engine returns for the same
+// cause, so it carries the same kind. A caller context that has ended
+// wins and stays a bare context error.
+func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan) error {
 	began := time.Now()
 	leaves := []*core.SharedPlan{p}
 	if kids := p.Children(); len(kids) > 0 {
 		leaves = kids
 	}
-	// scatterCtx cancels the surviving shards once a failure has already
-	// decided the query's fate (fail-fast mode only).
-	scatterCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
+	scatterCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
-		mu      sync.Mutex
-		failed  []*ShardError
-		failSet = map[int]bool{}
-		fatal   *ShardError
+		once  sync.Once
+		first error
 	)
-	// lose records a shard's loss once per scatter; in fail-fast mode the
-	// first loss is fatal and cancels the shards still running.
-	lose := func(se *ShardError) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !failSet[se.Shard] {
-			failSet[se.Shard] = true
-			failed = append(failed, se)
-		}
-		if !c.partial && fatal == nil {
-			fatal = se
-			cancelAll()
-		}
-	}
-	// collateral reports whether a shard's error is a cancellation it did
-	// not cause: the caller's context ended, or fail-fast already
-	// cancelled the scatter. It says nothing about the shard's health.
-	collateral := func(err error) bool {
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			return true
-		}
-		return errors.Is(err, context.Canceled) && scatterCtx.Err() != nil
+	// fail keeps the first shard error and cancels the shards still
+	// running; their cancellations come after it and are dropped.
+	fail := func(err error) {
+		once.Do(func() {
+			first = err
+			cancel()
+		})
 	}
 	inline := runtime.GOMAXPROCS(0) == 1
 	k := len(c.engines)
 	for _, leaf := range leaves {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		if !leaf.Deferred() {
 			continue
 		}
@@ -330,8 +287,13 @@ func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan) ([]*ShardErro
 		}
 		// Exact-size position buckets: count per owner, then fill.
 		counts := make([]int, k)
+		active := 0
 		for _, s := range cands {
-			counts[c.part.Owner(s)]++
+			sh := c.part.Owner(s)
+			if counts[sh] == 0 {
+				active++
+			}
+			counts[sh]++
 		}
 		positions := make([][]int, k)
 		for sh, n := range counts {
@@ -343,29 +305,7 @@ func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan) ([]*ShardErro
 			sh := c.part.Owner(s)
 			positions[sh] = append(positions[sh], i)
 		}
-		// Breaker gate first, before any shard runs: a fail-fast
-		// short-circuit must not leave shards running. A rejected shard was
-		// never called, so its health record is untouched — the breaker
-		// opening already counted the underlying failures.
-		admitted := make([]bool, k)
-		probes := make([]bool, k)
-		active := 0
-		for sh, pos := range positions {
-			if len(pos) == 0 || failSet[sh] {
-				continue
-			}
-			admit, probe := c.brk.allow(sh)
-			if !admit {
-				lose(&ShardError{Shard: sh, Err: ErrBreakerOpen})
-				if fatal != nil {
-					break
-				}
-				continue
-			}
-			admitted[sh], probes[sh] = true, probe
-			active++
-		}
-		// Split the verification worker budget across the admitted shards:
+		// Split the verification worker budget across the active shards:
 		// each shard's VerifyOn runs its own verifyMany pool, and without
 		// the split k concurrent pools would oversubscribe the CPUs k-fold
 		// over what unsharded verification uses. Worker count never changes
@@ -375,107 +315,55 @@ func (c *Cluster) scatter(ctx context.Context, p *core.SharedPlan) ([]*ShardErro
 			budget = runtime.GOMAXPROCS(0)
 		}
 		shardOpts := c.opts
-		shardOpts.VerifyWorkers = max(1, budget/max(1, active))
-		run := func(sh int) {
-			err := c.verifyShard(scatterCtx, leaf, sh, c.engines[sh].WithOptions(shardOpts), positions[sh])
-			switch {
-			case err == nil:
-				c.brk.record(sh, true, probes[sh])
-			case collateral(err):
-				c.brk.cancel(sh, probes[sh])
-			default:
-				se := &ShardError{Shard: sh, Err: err}
-				c.hlth.record(sh, se)
-				c.brk.record(sh, false, probes[sh])
-				lose(se)
-			}
-		}
+		shardOpts.VerifyWorkers = max(1, budget/active)
 		var wg sync.WaitGroup
-		for sh, ok := range admitted {
-			switch {
-			case !ok:
-			case scatterCtx.Err() != nil:
-				c.brk.cancel(sh, probes[sh]) // not run: return its probe slot
-			case inline:
-				run(sh)
-			default:
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					run(sh)
-				}()
+		for sh, pos := range positions {
+			if len(pos) == 0 || scatterCtx.Err() != nil {
+				continue
 			}
+			run := func() {
+				if err := c.verifyShard(scatterCtx, leaf, sh, c.engines[sh].WithOptions(shardOpts), pos); err != nil {
+					fail(err)
+				}
+			}
+			if inline {
+				run()
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
 		}
 		wg.Wait()
-		if fatal != nil {
-			return nil, shardFailure(ctx, fatal)
-		}
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
+		}
+		if first != nil {
+			return first
 		}
 	}
-	if c.partial && len(failed) == k {
-		return nil, xerr.Mark(xerr.KindShardFailure,
-			fmt.Errorf("shard: all %d shards failed: %w", len(failed), failed[0]))
-	}
-	sort.Slice(failed, func(i, j int) bool { return failed[i].Shard < failed[j].Shard })
 	p.FinishVerification(time.Since(began))
-	return failed, nil
+	return nil
 }
 
-// verifyShard runs one shard's verification slice with the cluster's
-// failure policy applied: the shard's injected fault (if any) fires
-// first, the per-shard budget bounds the work, and a panic anywhere
-// inside verification is recovered into an error.
+// verifyShard runs one shard's verification slice. A panic inside it is
+// recovered into a KindInternal error: on a scatter goroutine it would
+// otherwise take the process down rather than fail the one query.
 func (c *Cluster) verifyShard(ctx context.Context, leaf *core.SharedPlan, sh int, eng *core.Engine, pos []int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
+			err = xerr.Markf(xerr.KindInternal, "shard %d: verification panicked: %v", sh, r)
 		}
 	}()
-	if c.budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.budget)
-		defer cancel()
-	}
 	t0 := time.Now()
-	if err := c.injectedFault(ctx, sh); err != nil {
-		return err
-	}
 	if err := leaf.VerifyOn(ctx, eng, pos); err != nil {
-		return err
+		return fmt.Errorf("shard %d: %w", sh, err)
 	}
 	c.m.verified[sh].Add(int64(len(pos)))
 	c.m.verifyNS[sh].Add(time.Since(t0).Nanoseconds())
 	return nil
-}
-
-// injectedFault fires the shard's injected fault, if any.
-func (c *Cluster) injectedFault(ctx context.Context, sh int) error {
-	switch c.faults.get(sh) {
-	case FaultError:
-		return errors.New("injected shard fault")
-	case FaultPanic:
-		panic(fmt.Sprintf("injected shard panic (shard %d)", sh))
-	case FaultHang:
-		<-ctx.Done()
-		return ctx.Err()
-	}
-	return nil
-}
-
-// shardFailure types one fatal shard error for the facade: a budget
-// expiry surfaces as a timeout, everything else as a shard failure. A
-// caller context that has itself ended wins — that is not the shard's
-// fault — and stays a bare context error.
-func shardFailure(ctx context.Context, se *ShardError) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if errors.Is(se.Err, context.DeadlineExceeded) {
-		return xerr.Mark(xerr.KindTimeout, se)
-	}
-	return xerr.Mark(xerr.KindShardFailure, se)
 }
 
 // ResultAt runs the gather step for one probability threshold: one
@@ -483,12 +371,6 @@ func shardFailure(ctx context.Context, se *ShardError) error {
 // stamped by the plan's Finalize — bit-identical to ResultAt on an
 // unsharded engine. Lazy (EarlyStop) plans answer directly from the
 // planner.
-//
-// Shards lost at scatter time are skipped, and a shard failing its
-// gather step (error, recovered panic, injected fault, budget expiry)
-// is — in partial-results mode — added to the loss; either way the
-// surviving partials merge and the loss is reported via Degraded. In
-// fail-fast mode a gather failure fails the query with a typed error.
 func (pl *Plan) ResultAt(ctx context.Context, prob float64) (*core.Result, error) {
 	if !pl.sharded {
 		return pl.p.ResultAt(ctx, prob)
@@ -496,102 +378,18 @@ func (pl *Plan) ResultAt(ctx context.Context, prob float64) (*core.Result, error
 	if err := core.ValidateProb(prob); err != nil {
 		return nil, err
 	}
-	pl.degraded = nil
-	k := pl.c.Shards()
-	missing := append([]*ShardError(nil), pl.failed...)
-	failSet := make(map[int]bool, len(missing))
-	for _, se := range missing {
-		failSet[se.Shard] = true
-	}
-	parts := make([]*core.Result, 0, k)
-	for sh := 0; sh < k; sh++ {
-		if failSet[sh] {
-			continue
-		}
-		admit, probe := pl.c.brk.allow(sh)
-		if !admit {
-			// Short-circuited by the open breaker: the shard was never
-			// called, so its health record is untouched.
-			se := &ShardError{Shard: sh, Err: ErrBreakerOpen}
-			if !pl.c.partial {
-				return nil, shardFailure(ctx, se)
-			}
-			failSet[sh] = true
-			missing = append(missing, se)
-			continue
-		}
-		part, err := pl.partialOn(ctx, sh, prob)
+	parts := make([]*core.Result, 0, pl.c.Shards())
+	for sh := range pl.c.Shards() {
+		part, err := pl.p.PartialAt(ctx, prob, pl.c.part.Owned(sh))
 		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-				pl.c.brk.cancel(sh, probe)
-				return nil, ctxErr
-			}
-			se := &ShardError{Shard: sh, Err: err}
-			pl.c.hlth.record(sh, se)
-			pl.c.brk.record(sh, false, probe)
-			if !pl.c.partial {
-				return nil, shardFailure(ctx, se)
-			}
-			failSet[sh] = true
-			missing = append(missing, se)
-			continue
+			return nil, err
 		}
-		pl.c.brk.record(sh, true, probe)
 		parts = append(parts, part)
-	}
-	if len(parts) == 0 {
-		err := errors.New("shard: no shard answered")
-		if len(missing) > 0 {
-			err = fmt.Errorf("shard: no shard answered: %w", missing[0])
-		}
-		return nil, xerr.Mark(xerr.KindShardFailure, err)
 	}
 	res := core.MergeRegions(true, parts...)
 	pl.p.Finalize(res)
-	if len(missing) > 0 {
-		sort.Slice(missing, func(i, j int) bool { return missing[i].Shard < missing[j].Shard })
-		d := &Degraded{Failures: missing}
-		owned, total := 0, 0
-		for sh := 0; sh < k; sh++ {
-			total += pl.c.part.Size(sh)
-			if failSet[sh] {
-				d.MissingShards = append(d.MissingShards, sh)
-			} else {
-				owned += pl.c.part.Size(sh)
-			}
-		}
-		if total > 0 {
-			d.Coverage = float64(owned) / float64(total)
-		}
-		pl.degraded = d
-	}
 	return res, nil
 }
-
-// partialOn gathers one shard's partial with the cluster's failure
-// policy applied: injected fault first, per-shard budget, panic
-// recovery.
-func (pl *Plan) partialOn(ctx context.Context, sh int, prob float64) (res *core.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	if pl.c.budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, pl.c.budget)
-		defer cancel()
-	}
-	if err := pl.c.injectedFault(ctx, sh); err != nil {
-		return nil, err
-	}
-	return pl.p.PartialAt(ctx, prob, pl.c.part.Owned(sh))
-}
-
-// Degraded reports the loss behind the plan's most recent ResultAt: nil
-// for a complete answer, else the missing shards and surviving
-// ownership coverage. The facade surfaces it on the result.
-func (pl *Plan) Degraded() *Degraded { return pl.degraded }
 
 // RowStats reports the plan's row-source activity (see
 // core.SharedPlan.RowStats).

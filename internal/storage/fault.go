@@ -89,9 +89,9 @@ type armedRule struct {
 }
 
 // FaultStore wraps a Store with deterministic fault injection. It is
-// the chaos harness shared by the storage, stindex, conindex, and shard
-// tests and by the `serve -chaos` dev flag. Safe for concurrent use;
-// rule evaluation is serialized, injected latency is not.
+// the fault harness shared by the storage, stindex, conindex, and shard
+// tests. Safe for concurrent use; rule evaluation is serialized,
+// injected latency is not.
 type FaultStore struct {
 	inner    Store
 	mu       sync.Mutex

@@ -20,14 +20,10 @@ const (
 	// KindInvalid: the request itself is malformed (bad probability,
 	// empty window, no road segment near the query point, ...).
 	KindInvalid
-	// KindTimeout: a deadline - the caller's or a per-shard budget -
-	// expired before the work finished.
+	// KindTimeout: a deadline expired before the work finished.
 	KindTimeout
 	// KindOverloaded: the system shed the request (admission control).
 	KindOverloaded
-	// KindShardFailure: one or more shards of a scatter-gather query
-	// failed (error, panic, or injected fault).
-	KindShardFailure
 	// KindCorrupt: persisted state failed validation (checksum mismatch,
 	// truncated or malformed blob).
 	KindCorrupt
@@ -44,8 +40,6 @@ func (k Kind) String() string {
 		return "timeout"
 	case KindOverloaded:
 		return "overloaded"
-	case KindShardFailure:
-		return "shard_failure"
 	case KindCorrupt:
 		return "corrupt"
 	case KindInternal:

@@ -28,7 +28,7 @@ import (
 // same answer, else the first difference. Every field it reads is a
 // function of the data and the request alone: the segments and their
 // probabilities, the road length, the bounding-region sizes and the
-// verification count, the absence of degradation, and the GeoJSON bytes.
+// verification count, and the GeoJSON bytes.
 func diffRegion(got, want *Region) string {
 	if got == nil || want == nil {
 		return fmt.Sprintf("missing region (got %v, want %v)", got != nil, want != nil)
@@ -46,8 +46,6 @@ func diffRegion(got, want *Region) string {
 		return fmt.Sprintf("metrics (evaluated, max, min, segments, km) (%d %d %d %d %v) vs (%d %d %d %d %v)",
 			g.Evaluated, g.MaxRegion, g.MinRegion, g.RoadSegments, g.RoadKm,
 			w.Evaluated, w.MaxRegion, w.MinRegion, w.RoadSegments, w.RoadKm)
-	case got.Degraded != nil || want.Degraded != nil:
-		return fmt.Sprintf("degraded answer (got %v, want %v)", got.Degraded != nil, want.Degraded != nil)
 	}
 	a, aerr := got.AppendGeoJSON(nil)
 	b, berr := want.AppendGeoJSON(nil)
@@ -413,7 +411,6 @@ func TestDiffRegionBites(t *testing.T) {
 		"min region":      func(r *Region) { r.Metrics.MinRegion++ },
 		"road segments":   func(r *Region) { r.Metrics.RoadSegments++ },
 		"metrics road km": func(r *Region) { r.Metrics.RoadKm += 1e-9 },
-		"degraded":        func(r *Region) { r.Degraded = &Degraded{} },
 		"geojson":         func(r *Region) { r.sys = &System{net: moved} },
 	} {
 		r := cloneRegion(want)

@@ -134,16 +134,13 @@ func RouteRequest(from, to Location, depart time.Duration) Request {
 // start from the paper's defaults (the zero core.Options) and each
 // With... override replaces one knob for this call only.
 type queryOptions struct {
-	algorithm      Algorithm
-	prob           float64
-	probSet        bool
-	budget         time.Duration
-	engine         core.Options
-	batchWorkers   int
-	noSharing      bool
-	partial        bool          // WithPartialResults: degrade, don't die
-	shardBudget    time.Duration // WithShardBudget override
-	shardBudgetSet bool
+	algorithm    Algorithm
+	prob         float64
+	probSet      bool
+	budget       time.Duration
+	engine       core.Options
+	batchWorkers int
+	noSharing    bool
 }
 
 // effectiveProb resolves the probability threshold for one request:
@@ -324,17 +321,7 @@ func (s *System) doPlan(ctx context.Context, req Request, qo queryOptions, prob 
 	if rerr != nil {
 		return nil, rerr
 	}
-	// Capture the loss record before the plan is released (a released
-	// plan may be reused or closed by another goroutine).
-	var deg *shard.Degraded
-	if p, ok := plan.(interface{ Degraded() *shard.Degraded }); ok {
-		deg = p.Degraded()
-	}
-	region := s.region(res)
-	if deg != nil {
-		region.Degraded = newDegraded(deg)
-	}
-	return region, nil
+	return s.region(res), nil
 }
 
 // acquirePlan resolves the shared plan for a reachability request: from
@@ -417,12 +404,6 @@ func (s *System) newPlan(ctx context.Context, req Request, qo queryOptions) (que
 	if c := s.cluster.Load(); c != nil {
 		if custom {
 			c = c.WithOptions(qo.engine)
-		}
-		if qo.partial {
-			c = c.WithPartialResults(true)
-		}
-		if qo.shardBudgetSet {
-			c = c.WithShardBudget(qo.shardBudget)
 		}
 		be = clusterBackend(c)
 	} else {
@@ -619,12 +600,6 @@ func (s *System) DoBatch(ctx context.Context, reqs []Request, opts ...Option) []
 // pressure.
 func groupable(req Request, qo queryOptions) bool {
 	if qo.budget > 0 {
-		return false
-	}
-	// Partial-results plans are only valid for the shard failures they
-	// observed, and a per-call shard budget is a per-query latency
-	// guarantee — neither can ride a plan shared with other queries.
-	if qo.partial || qo.shardBudgetSet {
 		return false
 	}
 	switch req.Kind {

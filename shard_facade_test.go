@@ -3,6 +3,7 @@ package streach
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -101,6 +102,41 @@ func TestShardReshard(t *testing.T) {
 		}
 		checkOracle(t, reference(t), serial(sys), reqs)
 	}
+}
+
+// TestShardSettersOrderFree: Shard calls racing each other and queries
+// settle on the last one to run, and every answer given meanwhile —
+// on whichever layout the query loaded — is the unsharded one. Run it
+// under -race: topoMu serialises the re-shards, queries load the
+// cluster without it.
+func TestShardSettersOrderFree(t *testing.T) {
+	s := variant(t, vcfg{planCache: -1})
+	reqs := requestMatrix(s, 11*time.Hour).smoke
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				for _, k := range []int{2, 4, 1} {
+					if err := s.Shard(k); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 3; i++ {
+		checkOracle(t, reference(t), clients(s, 2), reqs)
+	}
+	wg.Wait()
+	if err := s.Shard(4); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Shards(); got != 4 {
+		t.Fatalf("%d shards after the last Shard(4), want 4", got)
+	}
+	checkOracle(t, reference(t), serial(s), reqs)
 }
 
 // TestOpenSystemSharded: a reopened save directory shards (and keeps the

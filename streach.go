@@ -112,8 +112,8 @@ func DefaultFleetConfig() FleetConfig {
 // IndexConfig describes the index: its granularity and the storage and
 // caches behind it. How a query runs — algorithm, ablations,
 // verification parallelism — is a per-query Option; how the system is
-// laid out — shards, shard budget, breakers — is set by the System
-// methods (Shard, SetShardBudget, ConfigureBreakers) after construction.
+// laid out — its shard count — is set by the System method Shard after
+// construction.
 type IndexConfig struct {
 	// SlotSeconds is the Δt granularity (default 300 s).
 	SlotSeconds int
@@ -182,10 +182,6 @@ type Region struct {
 	// Route is set only for KindRoute answers: the planned journey, whose
 	// path SegmentIDs mirrors.
 	Route *RouteResult
-	// Degraded is set only when a sharded query ran with
-	// WithPartialResults and lost shards: the answer covers the
-	// surviving shards only. Nil for complete answers.
-	Degraded *Degraded
 
 	sys *System
 }
@@ -225,15 +221,9 @@ type System struct {
 	// sharing accumulates the batch executor's cross-query work-sharing
 	// counters (see SharingStats).
 	sharing sharingCounters
-	// shardBudget (SetShardBudget) and breakerCfg (ConfigureBreakers) are
-	// applied to the live cluster when set and to every cluster the
-	// system shards into later, so the setters and Shard may be called in
-	// either order. topoMu serialises those setters with Shard — each
-	// reads the live cluster and stores or configures one — while queries
-	// keep loading cluster lock-free.
-	topoMu      sync.Mutex
-	shardBudget time.Duration
-	breakerCfg  BreakerConfig
+	// topoMu serialises Shard calls, so concurrent re-shards settle on
+	// the last one to run, while queries keep loading cluster lock-free.
+	topoMu sync.Mutex
 	// dir is the save directory backing the system (set by OpenSystem
 	// and Save); empty for purely in-memory systems. pagesDir is the
 	// directory whose pages.db the page store is (set by OpenSystem only;
@@ -326,7 +316,6 @@ func cloneRegion(r *Region) *Region {
 	cp := *r
 	cp.SegmentIDs = append([]int32(nil), r.SegmentIDs...)
 	cp.Probabilities = append([]float32(nil), r.Probabilities...)
-	cp.Degraded = cloneDegraded(r.Degraded)
 	if r.Route != nil {
 		rt := *r.Route
 		rt.SegmentIDs = append([]int32(nil), r.Route.SegmentIDs...)
@@ -446,13 +435,14 @@ func assembleSystem(net *roadnet.Network, ds *traj.Dataset, dsStats traj.Dataset
 // Con-Index/ST-Index slices, and reach/reverse/multi queries run
 // scatter-gather with answers bit-identical to unsharded execution
 // (route queries always run on the single engine). k <= 1 restores
-// single-engine execution. The new cluster carries the shard budget and
-// breaker configuration set so far. Safe to call while queries are in
-// flight: in-flight queries finish on the layout they started with
-// (both layouts answer identically over the same indexes), new queries
-// see the new one. The shared-plan cache is flushed — cached plans
-// belong to the previous execution layout; a straggler parking a plan
-// after the flush is harmless, as its answers stay bit-identical.
+// single-engine execution. A shard that fails fails the query with the
+// error the unsharded engine returns for the same cause (DESIGN.md
+// §12.1). Safe to call while queries are in flight: in-flight queries
+// finish on the layout they started with (both layouts answer
+// identically over the same indexes), new queries see the new one. The
+// shared-plan cache is flushed — cached plans belong to the previous
+// execution layout; a straggler parking a plan after the flush is
+// harmless, as its answers stay bit-identical.
 func (s *System) Shard(k int) error {
 	s.topoMu.Lock()
 	defer s.topoMu.Unlock()
@@ -464,10 +454,6 @@ func (s *System) Shard(k int) error {
 	cluster, err := shard.NewCluster(s.st, s.con, s.engine.Options(), k)
 	if err != nil {
 		return err
-	}
-	cluster = cluster.WithShardBudget(s.shardBudget)
-	if s.breakerCfg.Enabled {
-		cluster.ConfigureBreakers(s.breakerCfg.internal())
 	}
 	s.cluster.Store(cluster)
 	s.plans.clear()
@@ -566,21 +552,6 @@ func (s *System) warmSlots(start, dur time.Duration) (lo, hi int, ok bool) {
 		hi = maxSlot
 	}
 	return lo, hi, lo <= hi
-}
-
-// SetShardBudget bounds each shard's per-query scatter/gather work on a
-// sharded system: a shard that has not finished its share of a query
-// inside d counts as failed (fail-fast by default, skipped under
-// WithPartialResults) instead of stalling the query. Applied to the
-// current cluster (if sharded) and to every later Shard call;
-// WithShardBudget overrides it per query. Zero removes the bound.
-func (s *System) SetShardBudget(d time.Duration) {
-	s.topoMu.Lock()
-	defer s.topoMu.Unlock()
-	s.shardBudget = d
-	if c := s.cluster.Load(); c != nil {
-		s.cluster.Store(c.WithShardBudget(d))
-	}
 }
 
 // Close stops the live-ingest writer (draining its queue), closes the
