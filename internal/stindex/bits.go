@@ -9,40 +9,47 @@ import (
 	"streach/internal/traj"
 )
 
-// Bitset time-list encoding (blob format v2, see DESIGN.md §Performance).
+// Time-list blob formats (DESIGN.md §2).
 //
-// The legacy (v1) encoding stores each day's taxis as a sorted u32 list,
-// which forces the verification inner loop into a per-day merge scan. The
-// v2 encoding stores the same information as bitsets so that probe
-// intersections become word-AND loops:
+// The index writes one format, packed (v5): each distinct (day, taxi)
+// visit of the (segment, slot) run as one 3-byte entry.
 //
-//	[0]=0xB2 [1]=0xFE                    two-byte marker (impossible as a
+//	[0]=0xB3 [1]=0xFE                    two-byte marker (impossible as a
 //	                                     v1 prefix: v1 byte 1 is the high
 //	                                     byte of a <512 day count)
-//	u16 numDays                          popcount of the day mask
-//	u16 maskWords, maskWords x u64      day-presence bitmask
-//	per present day, ascending:
-//	    u16 nwords, nwords x u64        taxi bitset, sized to the day's
-//	                                     highest taxi ID
+//	n x 3 bytes                          day<<15 | taxi, little endian,
+//	                                     strictly ascending
 //
-// Taxi bitsets are sized per day, so the format needs no global taxi
-// bound; intersecting two bitsets only scans min(len) words because the
-// missing high words are implicitly zero.
+// Day and taxi fit their 9 and 15 bits by construction, so an entry is
+// valid whatever its bits; a blob is valid when its body is a whole
+// number of entries and every entry is above the one before it.
+//
+// Two legacy formats are still read, from indexes written before the
+// packed one, until a compaction rewrites their lists:
+//
+//	v1: u16 numDays, then per day: u16 day, u16 count, count x u32 taxi
+//	    (sorted)
+//	v2: [0]=0xB2 [1]=0xFE, u16 numDays, u16 maskWords, maskWords x u64
+//	    day mask, then per present day ascending: u16 nwords, nwords x
+//	    u64 taxi bitset
 
 const (
-	bitsMarker0 = 0xB2
-	bitsMarker1 = 0xFE
+	packedMarker0 = 0xB3
+	packedMarker1 = 0xFE
+	bitsMarker0   = 0xB2
+	bitsMarker1   = 0xFE
 )
 
-// maxDays bounds the day index of either encoding (Build rejects larger
-// datasets; the packed tuples give the day 9 bits). The decoders reject
-// anything past it instead of letting a damaged day wrap around traj.Day
-// into a valid one.
+// maxDays bounds the day index of every format (Build rejects larger
+// datasets and LoadIndex larger metas; a packed entry gives the day 9
+// bits). The legacy decoders reject anything past it instead of letting
+// a damaged day wrap around traj.Day into a valid one.
 const maxDays = 1 << 9
 
 // maxTaxis bounds taxi IDs the same way (Build and AppendDelta reject
-// larger ones). A sparse list's last entry sizes the decoded bitset, so
-// without the bound a few damaged bytes would ask for half a gigabyte.
+// larger ones; a packed entry gives the taxi 15 bits). A v1 list's last
+// entry sizes the decoded bitset, so without the bound a few damaged
+// bytes would ask for half a gigabyte.
 const maxTaxis = 1 << 15
 
 // TimeListBits is the decoded bitset form of one (segment, slot) time
@@ -88,100 +95,24 @@ func BitsIntersect(a, b []uint64) bool { return bitset.Intersects(a, b) }
 // OrBits folds src into dst, growing dst as needed, and returns dst.
 func OrBits(dst, src []uint64) []uint64 { return bitset.OrGrow(dst, src) }
 
-// encodeTimeListRunAdaptive picks between the two encodings for the
-// run. Dense lists (the ones probe verification spends its time on) win
-// as bitsets; sparse lists — a handful of taxis with high IDs — stay as
-// sorted u32 lists, which keeps blob sizes and therefore cold-read page
-// I/O near parity with the v1 index. The sparse form must earn its keep:
-// decoding it costs a bitset conversion on every cache miss, so it is
-// chosen only when clearly smaller (below 2/3 of the bitset bytes), not
-// merely a few bytes ahead. The decoder dispatches per blob, so the two
-// formats coexist freely.
-func encodeTimeListRunAdaptive(run []uint64) []byte {
-	bits := encodeTimeListBitsRun(run)
-	legacy := encodeTimeListRun(run)
-	if 3*len(legacy) < 2*len(bits) {
-		return legacy
-	}
-	return bits
-}
-
-// encodeTimeListBitsRun serializes one sorted, deduplicated (slot,
-// segment) run of packed tuples in the v2 bitset format.
-func encodeTimeListBitsRun(run []uint64) []byte {
-	// Pass 1: day mask and per-day max taxi (tuples are sorted, so the
-	// last tuple of each day's group carries its maximum taxi ID).
-	var dayMask [8]uint64    // days < 512
-	var dayWords [512]uint16 // taxi bitset words needed per day
-	maxWord := 0
-	numDays := 0
-	size := 2 + 2 + 2
+// encodePackedRun serializes one sorted (slot, segment) run of packed
+// tuples in the packed format, dropping duplicate tuples. An entry is the
+// tuple's low 24 bits, day<<15 | taxi.
+func encodePackedRun(run []uint64) []byte {
+	out := make([]byte, 2, 2+3*len(run))
+	out[0], out[1] = packedMarker0, packedMarker1
 	for i, t := range run {
 		if i > 0 && t == run[i-1] {
 			continue
 		}
-		_, _, d, taxi := unpackTuple(t)
-		w := d >> 6
-		if dayMask[w]&(1<<(uint(d)&63)) == 0 {
-			dayMask[w] |= 1 << (uint(d) & 63)
-			numDays++
-			size += 2
-		}
-		if w > maxWord {
-			maxWord = w
-		}
-		if nw := uint16(taxi>>6 + 1); nw > dayWords[d] {
-			size += 8 * int(nw-dayWords[d])
-			dayWords[d] = nw
-		}
-	}
-	maskWords := maxWord + 1
-	size += 8 * maskWords
-	out := make([]byte, 0, size)
-	out = append(out, bitsMarker0, bitsMarker1)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(numDays))
-	out = append(out, tmp[:2]...)
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(maskWords))
-	out = append(out, tmp[:2]...)
-	for i := 0; i < maskWords; i++ {
-		binary.LittleEndian.PutUint64(tmp[:8], dayMask[i])
-		out = append(out, tmp[:8]...)
-	}
-	// Pass 2: per-day taxi bitsets, in ascending day order (= run order).
-	i := 0
-	scratch := make([]uint64, 0, 8)
-	for i < len(run) {
-		if i > 0 && run[i] == run[i-1] {
-			i++
-			continue
-		}
-		_, _, day, _ := unpackTuple(run[i])
-		nw := int(dayWords[day])
-		scratch = scratch[:0]
-		for len(scratch) < nw {
-			scratch = append(scratch, 0)
-		}
-		for i < len(run) {
-			if i > 0 && run[i] == run[i-1] {
-				i++
-				continue
-			}
-			_, _, d, taxi := unpackTuple(run[i])
-			if d != day {
-				break
-			}
-			scratch[taxi>>6] |= 1 << (uint(taxi) & 63)
-			i++
-		}
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(nw))
-		out = append(out, tmp[:2]...)
-		for _, w := range scratch {
-			binary.LittleEndian.PutUint64(tmp[:8], w)
-			out = append(out, tmp[:8]...)
-		}
+		out = append(out, byte(t), byte(t>>8), byte(t>>16))
 	}
 	return out
+}
+
+// isPackedBlob reports whether the blob carries the packed marker.
+func isPackedBlob(blob []byte) bool {
+	return len(blob) >= 2 && blob[0] == packedMarker0 && blob[1] == packedMarker1
 }
 
 // isBitsBlob reports whether the blob carries the v2 marker.
@@ -189,15 +120,37 @@ func isBitsBlob(blob []byte) bool {
 	return len(blob) >= 2 && blob[0] == bitsMarker0 && blob[1] == bitsMarker1
 }
 
-// decodeTimeListBits decodes either blob format into the bitset form.
-// Legacy/sparse (v1) blobs are converted on the fly, so indexes
-// persisted before the bitset encoding keep working. Both paths carve
-// the per-day word slices out of one backing allocation: a decode is a
-// handful of allocations regardless of day count, which is what keeps
-// cold-cache probes (and the first query after OpenSystem) cheap.
+// packedEntry returns entry k of a packed body.
+func packedEntry(body []byte, k int) int {
+	return int(body[3*k]) | int(body[3*k+1])<<8 | int(body[3*k+2])<<16
+}
+
+// checkPacked validates a packed body's framing: a whole number of
+// entries. The decoder and the matcher check ordering as they walk.
+func checkPacked(body []byte) error {
+	if len(body)%3 != 0 {
+		return fmt.Errorf("stindex: packed time list body of %d bytes is not a whole number of entries", len(body))
+	}
+	return nil
+}
+
+// errPackedOrder is the error for entry k of a packed body not being
+// above its predecessor.
+func errPackedOrder(k int) error {
+	return fmt.Errorf("stindex: packed time list entry %d is not above its predecessor", k)
+}
+
+// decodeTimeListBits decodes a blob of any format into the bitset form.
+// Every path carves the per-day word slices out of one backing
+// allocation: a decode is a handful of allocations regardless of day
+// count, which is what keeps cold-cache probes (and the first query
+// after OpenSystem) cheap.
 func decodeTimeListBits(blob []byte) (*TimeListBits, error) {
 	if len(blob) < 2 {
 		return &TimeListBits{}, nil
+	}
+	if isPackedBlob(blob) {
+		return bitsFromPacked(blob[2:])
 	}
 	if !isBitsBlob(blob) {
 		return bitsFromV1Blob(blob)
@@ -259,6 +212,54 @@ func decodeTimeListBits(blob []byte) (*TimeListBits, error) {
 			words[j] = binary.LittleEndian.Uint64(blob[off : off+8])
 			off += 8
 		}
+		b.Bits[i] = words
+	}
+	return b, nil
+}
+
+// bitsFromPacked decodes a packed body.
+func bitsFromPacked(body []byte) (*TimeListBits, error) {
+	if err := checkPacked(body); err != nil {
+		return nil, err
+	}
+	// Pass 1: ordering, day count, and the words each day needs (entries
+	// ascend, so a day's last entry carries its highest taxi).
+	n := len(body) / 3
+	numDays, total, prev := 0, 0, -1
+	for k := 0; k < n; k++ {
+		e := packedEntry(body, k)
+		if e <= prev {
+			return nil, errPackedOrder(k)
+		}
+		prev = e
+		if k+1 == n || packedEntry(body, k+1)>>15 != e>>15 {
+			numDays++
+			total += (e&(maxTaxis-1))>>6 + 1
+		}
+	}
+	b := &TimeListBits{
+		Days: make([]traj.Day, 0, numDays),
+		Bits: make([][]uint64, numDays),
+	}
+	if n > 0 {
+		b.DayMask = make([]uint64, (prev>>15)>>6+1)
+	}
+	backing := make([]uint64, total)
+	for k, i := 0, 0; k < n; i++ {
+		day := packedEntry(body, k) >> 15
+		end := k + 1
+		for end < n && packedEntry(body, end)>>15 == day {
+			end++
+		}
+		nw := (packedEntry(body, end-1)&(maxTaxis-1))>>6 + 1
+		words := backing[:nw:nw]
+		backing = backing[nw:]
+		for ; k < end; k++ {
+			taxi := packedEntry(body, k) & (maxTaxis - 1)
+			words[taxi>>6] |= 1 << (uint(taxi) & 63)
+		}
+		b.DayMask[day>>6] |= 1 << (uint(day) & 63)
+		b.Days = append(b.Days, traj.Day(day))
 		b.Bits[i] = words
 	}
 	return b, nil

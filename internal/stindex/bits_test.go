@@ -45,52 +45,57 @@ func TestBitsCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bits, err := decodeTimeListBits(encodeTimeListBitsRun(run))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := bits.TimeList()
-		if !reflect.DeepEqual(got.Days, legacy.Days) {
-			t.Fatalf("trial %d: days %v != %v", trial, got.Days, legacy.Days)
-		}
-		if !reflect.DeepEqual(got.Taxis, legacy.Taxis) {
-			t.Fatalf("trial %d: taxis %v != %v", trial, got.Taxis, legacy.Taxis)
-		}
-		// The day mask must agree with the day list.
-		for _, d := range bits.Days {
-			if bits.DayMask[int(d)>>6]&(1<<(uint(d)&63)) == 0 {
-				t.Fatalf("trial %d: day %d missing from mask", trial, d)
+		for _, blob := range [][]byte{encodeTimeListBitsRun(run), encodePackedRun(run)} {
+			bits, err := decodeTimeListBits(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := bits.TimeList()
+			if !reflect.DeepEqual(got.Days, legacy.Days) {
+				t.Fatalf("trial %d %x: days %v != %v", trial, blob[:2], got.Days, legacy.Days)
+			}
+			if !reflect.DeepEqual(got.Taxis, legacy.Taxis) {
+				t.Fatalf("trial %d %x: taxis %v != %v", trial, blob[:2], got.Taxis, legacy.Taxis)
+			}
+			// The day mask must agree with the day list.
+			for _, d := range bits.Days {
+				if bits.DayMask[int(d)>>6]&(1<<(uint(d)&63)) == 0 {
+					t.Fatalf("trial %d %x: day %d missing from mask", trial, blob[:2], d)
+				}
 			}
 		}
 	}
 }
 
-func TestAdaptiveEncodingPicksSmaller(t *testing.T) {
-	// Sparse: one high-ID taxi on one day — the u32 list wins.
-	sparse := []uint64{packTuple(0, 0, 3, 500)}
-	if blob := encodeTimeListRunAdaptive(sparse); isBitsBlob(blob) {
-		t.Fatalf("sparse run should stay in list form, got %d-byte bitset blob", len(blob))
-	}
-	// Dense: 60 low-ID taxis on one day — the bitset wins.
-	var dense []uint64
-	for taxi := 0; taxi < 60; taxi++ {
-		dense = append(dense, packTuple(0, 0, 3, taxi))
-	}
-	if blob := encodeTimeListRunAdaptive(dense); !isBitsBlob(blob) {
-		t.Fatalf("dense run should be bitset-encoded, got %d-byte list blob", len(blob))
-	}
-	// Both decode to the same lists through the bitset path.
-	for _, run := range [][]uint64{sparse, dense} {
-		a, err := decodeTimeListBits(encodeTimeListRunAdaptive(run))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := decodeTimeListBits(encodeTimeListBitsRun(run))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a.TimeList(), b.TimeList()) {
-			t.Fatal("adaptive and bitset decodes differ")
+// TestFormatsDecodeAndMatchAlike: one run written as v1, v2 and packed
+// decodes to the same TimeListBits and matches the same days.
+func TestFormatsDecodeAndMatchAlike(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const days, maxTaxi = 70, 300
+	for trial := 0; trial < 30; trial++ {
+		run := randomRun(rng, 4, 2, days, maxTaxi, 1+rng.Intn(150))
+		sets := randomSets(rng, 1+rng.Intn(3), days, maxTaxi, 0.3)
+		var want *TimeListBits
+		wantBest := -1
+		for _, blob := range [][]byte{encodeTimeListRun(run), encodeTimeListBitsRun(run), encodePackedRun(run)} {
+			got, err := decodeTimeListBits(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := streamMatch(days, sets, [][]byte{blob})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want, wantBest = got, st.best()
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: %x decodes to %+v, v1 to %+v", trial, blob[:2], got, want)
+			}
+			if st.best() != wantBest {
+				t.Fatalf("trial %d: %x matches %d days, v1 %d", trial, blob[:2], st.best(), wantBest)
+			}
 		}
 	}
 }
@@ -114,12 +119,29 @@ func TestBitsDecodeLegacyBlob(t *testing.T) {
 }
 
 func TestBitsEmptyBlob(t *testing.T) {
-	b, err := decodeTimeListBits(nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, blob := range [][]byte{nil, encodePackedRun(nil)} {
+		b, err := decodeTimeListBits(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.Days) != 0 || len(b.Bits) != 0 {
+			t.Fatalf("empty blob %x should decode to an empty list", blob)
+		}
 	}
-	if len(b.Days) != 0 || len(b.Bits) != 0 {
-		t.Fatal("empty blob should decode to an empty list")
+}
+
+// TestPackedEntryLayout pins the packed bytes: the marker, then each
+// distinct tuple's day<<15 | taxi as three little-endian bytes.
+func TestPackedEntryLayout(t *testing.T) {
+	run := []uint64{
+		packTuple(7, 3, 0, 9),
+		packTuple(7, 3, 2, 1),
+		packTuple(7, 3, 2, 1),
+		packTuple(7, 3, maxDays-1, maxTaxis-1),
+	}
+	want := []byte{0xB3, 0xFE, 9, 0, 0, 1, 0, 1, 0xff, 0xff, 0xff}
+	if got := encodePackedRun(run); !reflect.DeepEqual(got, want) {
+		t.Fatalf("packed = %x, want %x", got, want)
 	}
 }
 
@@ -129,21 +151,23 @@ func TestMultiWordDayMask(t *testing.T) {
 		packTuple(0, 0, 2, 70),
 		packTuple(0, 0, 65, 1),
 	}
-	b, err := decodeTimeListBits(encodeTimeListBitsRun(run))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Days) != 2 || b.Days[0] != 2 || b.Days[1] != 65 {
-		t.Fatalf("days = %v, want [2 65]", b.Days)
-	}
-	if got := b.Bits[0]; got[0]&(1<<5) == 0 || got[1]&(1<<6) == 0 {
-		t.Fatalf("day 2 bitset wrong: %v", got)
-	}
-	if got := b.Bits[1]; got[0]&(1<<1) == 0 {
-		t.Fatalf("day 65 bitset wrong: %v", got)
-	}
-	if len(b.DayMask) != 2 || b.DayMask[0] != 1<<2 || b.DayMask[1] != 1<<1 {
-		t.Fatalf("day mask = %v", b.DayMask)
+	for _, blob := range [][]byte{encodeTimeListBitsRun(run), encodePackedRun(run)} {
+		b, err := decodeTimeListBits(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.Days) != 2 || b.Days[0] != 2 || b.Days[1] != 65 {
+			t.Fatalf("%x: days = %v, want [2 65]", blob[:2], b.Days)
+		}
+		if got := b.Bits[0]; got[0]&(1<<5) == 0 || got[1]&(1<<6) == 0 {
+			t.Fatalf("%x: day 2 bitset wrong: %v", blob[:2], got)
+		}
+		if got := b.Bits[1]; got[0]&(1<<1) == 0 {
+			t.Fatalf("%x: day 65 bitset wrong: %v", blob[:2], got)
+		}
+		if len(b.DayMask) != 2 || b.DayMask[0] != 1<<2 || b.DayMask[1] != 1<<1 {
+			t.Fatalf("%x: day mask = %v", blob[:2], b.DayMask)
+		}
 	}
 }
 

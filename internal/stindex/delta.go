@@ -423,7 +423,7 @@ func (x *Index) CompactDeltas() (CompactStats, error) {
 // proportional to the folded key count — flat under sustained write
 // load. CompactStats.Remaining reports the rolled-over keys.
 //
-// The re-encode goes through the same adaptive encoder as Build, so a
+// The re-encode goes through the same packed writer as Build, so a
 // post-compaction blob is byte-identical to what an offline rebuild
 // over the union of base and ingested trajectories would have written
 // for that (segment, slot).
@@ -457,7 +457,7 @@ func (x *Index) CompactDeltasBudget(maxKeys int) (CompactStats, error) {
 			}
 		}
 		run := tuplesFromBits(slot, seg, mergeDeltaBits(base, s.days))
-		blob := encodeTimeListRunAdaptive(run)
+		blob := encodePackedRun(run)
 		h, err := x.blob.Append(blob)
 		if err != nil {
 			return CompactStats{}, fmt.Errorf("stindex: compact write: %w", err)
@@ -535,7 +535,7 @@ func (x *Index) PendingDelta() []DeltaObs {
 
 // tuplesFromBits rebuilds the sorted packed-tuple run Build would have
 // produced for this (slot, seg) content, so compaction can reuse the
-// exact adaptive encoder.
+// exact packed writer.
 func tuplesFromBits(slot, seg int, b *TimeListBits) []uint64 {
 	total := 0
 	for _, words := range b.Bits {

@@ -19,12 +19,17 @@ import (
 // savedIndex builds an index over a MemStore, persists its meta to a
 // buffer, flushes the pages, and returns both so tests can reload the
 // same bytes through an arbitrary Store wrapper.
-func savedIndex(t *testing.T) (*traj.Dataset, *storage.MemStore, []byte) {
+func savedIndex(t testing.TB) (*traj.Dataset, *storage.MemStore, []byte) {
+	return savedIndexAt(t, 300)
+}
+
+// savedIndexAt is savedIndex at a slot width of slotSec.
+func savedIndexAt(t testing.TB, slotSec int) (*traj.Dataset, *storage.MemStore, []byte) {
 	t.Helper()
 	n := testNetwork(t)
 	ds := testDataset(t, n)
 	mem := storage.NewMemStore()
-	idx, err := Build(n, ds, Config{SlotSeconds: 300, Store: mem})
+	idx, err := Build(n, ds, Config{SlotSeconds: slotSec, Store: mem})
 	if err != nil {
 		t.Fatal(err)
 	}

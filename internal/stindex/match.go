@@ -1,33 +1,41 @@
 package stindex
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
+	"streach/internal/bitset"
 	"streach/internal/roadnet"
 	"streach/internal/storage"
 )
 
-// Streaming verification (DESIGN.md §3).
+// Verification on the encoded bytes (DESIGN.md §3).
 //
 // A probe asks one question of a candidate segment: on how many days
 // does some taxi of the query's start set also appear in the candidate's
 // time lists inside the window? Decoding every list into a TimeListBits
 // to answer it spends nearly all of its time building values that are
-// read once and dropped. A Matcher answers the question on the encoded
-// bytes instead: it walks each blob where it lies in the pooled page,
-// tests sparse (v1) taxi IDs as single bits of the start set and ANDs
-// bitset (v2) lists word by word as little-endian loads, and keeps only
-// a day mask per source as state.
+// read once and dropped. A Matcher answers the question on the packed
+// bytes instead: it walks each blob where it lies in the pooled page and
+// settles every (day, taxi) entry with one lookup in a per-taxi day
+// mask, keeping only a day mask per source as state. Legacy (v1, v2)
+// blobs, which only an index written before the packed format holds
+// until compaction rewrites them, go through the decoder.
 
-// MatchSets is the probe side of a streaming match: per source, the
-// per-day taxi bitset a candidate's lists are intersected with. It is
-// immutable once built and shared by every Matcher of a query.
+// MatchSets is the probe side of a match: per source, the per-day taxi
+// bitset a candidate's lists are intersected with, and the same sets
+// turned around into per-taxi day masks. It is immutable once built and
+// shared by every Matcher of a query.
 type MatchSets struct {
 	days int
+	// dw is the number of words in a day mask.
+	dw int
 	// sets[i][d] is source i's taxi bitset on day d (nil: no traffic).
 	sets [][][]uint64
+	// byTaxi[i][t*dw+w] is word w of the mask of days on which source i
+	// holds taxi t, for t below taxis (no source holds a higher one).
+	byTaxi [][]uint64
+	taxis  int
 	// need[i] has bit d set when sets[i][d] holds any taxi — the only
 	// (source, day) pairs a candidate can ever match.
 	need  [][]uint64
@@ -38,19 +46,28 @@ type MatchSets struct {
 // indexed by day and has exactly days entries). The slices are retained,
 // not copied.
 func NewMatchSets(days int, sets [][][]uint64) *MatchSets {
-	s := &MatchSets{days: days, sets: sets, need: make([][]uint64, len(sets))}
-	words := (days + 63) / 64
-	for i, byDay := range sets {
-		s.need[i] = make([]uint64, words)
-		for d, set := range byDay {
-			for _, w := range set {
-				if w != 0 {
-					s.need[i][d>>6] |= 1 << (uint(d) & 63)
-					s.needN++
+	dw := bitset.Words(days)
+	s := &MatchSets{days: days, dw: dw, sets: sets, need: make([][]uint64, len(sets)), byTaxi: make([][]uint64, len(sets))}
+	for _, byDay := range sets {
+		for _, set := range byDay {
+			for wi := len(set) - 1; wi >= 0; wi-- {
+				if set[wi] != 0 {
+					s.taxis = max(s.taxis, wi<<6+bits.Len64(set[wi]))
 					break
 				}
 			}
 		}
+	}
+	for i, byDay := range sets {
+		need, byTaxi := bitset.New(days), make([]uint64, s.taxis*dw)
+		for d, set := range byDay {
+			bitset.ForEach(set, func(t int) {
+				byTaxi[t*dw+d>>6] |= 1 << (uint(d) & 63)
+				need.Add(d)
+			})
+		}
+		s.need[i], s.byTaxi[i] = need, byTaxi
+		s.needN += need.Count()
 	}
 	return s
 }
@@ -62,15 +79,14 @@ func NewMatchSets(days int, sets [][][]uint64) *MatchSets {
 // against their union.
 type matchState struct {
 	s *MatchSets
-	// pend[i] holds the days source i still needs; any is their union
-	// over sources, left the number of set bits across pend.
+	// pend[i] holds the days source i still needs; left is the number of
+	// set bits across pend.
 	pend [][]uint64
-	any  []uint64
 	left int
 }
 
 func newMatchState(s *MatchSets) matchState {
-	st := matchState{s: s, pend: make([][]uint64, len(s.need)), any: make([]uint64, (s.days+63)/64)}
+	st := matchState{s: s, pend: make([][]uint64, len(s.need))}
 	for i, n := range s.need {
 		st.pend[i] = make([]uint64, len(n))
 	}
@@ -79,40 +95,10 @@ func newMatchState(s *MatchSets) matchState {
 
 // reset starts a new candidate: every matchable (source, day) is pending.
 func (st *matchState) reset() {
-	clear(st.any)
 	for i, n := range st.s.need {
 		copy(st.pend[i], n)
-		for w, v := range n {
-			st.any[w] |= v
-		}
 	}
 	st.left = st.s.needN
-}
-
-// wants reports whether any source still needs day d.
-func (st *matchState) wants(d int) bool {
-	return d < st.s.days && st.any[d>>6]&(1<<(uint(d)&63)) != 0
-}
-
-// settle records that hit matched day d for source i, and retires the
-// day once no source needs it.
-func (st *matchState) settle(d int, test func(set []uint64) bool) {
-	w, bit := d>>6, uint64(1)<<(uint(d)&63)
-	still := false
-	for i, p := range st.pend {
-		if p[w]&bit == 0 {
-			continue
-		}
-		if test(st.s.sets[i][d]) {
-			p[w] &^= bit
-			st.left--
-		} else {
-			still = true
-		}
-	}
-	if !still {
-		st.any[w] &^= bit
-	}
 }
 
 // best is the largest per-source count of matched days.
@@ -130,141 +116,84 @@ func (st *matchState) best() int {
 	return best
 }
 
+// matchDay folds in one day's taxi bitset of some decoded list or delta.
+func (st *matchState) matchDay(d int, words []uint64) {
+	if d >= st.s.days {
+		return
+	}
+	w, bit := d>>6, uint64(1)<<(uint(d)&63)
+	for i, p := range st.pend {
+		if p[w]&bit != 0 && BitsIntersect(st.s.sets[i][d], words) {
+			p[w] &^= bit
+			st.left--
+		}
+	}
+}
+
 // matchDelta folds a pending delta entry's day map in.
 func (st *matchState) matchDelta(days map[int][]uint64) {
 	for d, words := range days {
-		if st.wants(d) {
-			st.settle(d, func(set []uint64) bool { return BitsIntersect(set, words) })
-		}
+		st.matchDay(d, words)
 	}
 }
 
-// matchBlob folds one encoded time list in without decoding it. The blob
-// is validated exactly as decodeTimeListBits validates it — the whole
-// framing, and for sparse lists the ordering of every day's entries —
-// and a blob the decoder rejects returns the decoder's error, whether or
-// not the damaged part was needed; only the matching itself skips days
-// nobody is waiting for. On error the state is undefined.
+// matchBlob folds one encoded time list in. A packed blob is matched in
+// place and validated exactly as decodeTimeListBits validates it — a
+// blob the decoder rejects returns the decoder's error, whether or not
+// the damaged part was needed; a legacy blob is decoded. On error the
+// state is undefined.
 func (st *matchState) matchBlob(blob []byte) error {
-	if len(blob) < 2 {
-		return nil
+	if isPackedBlob(blob) {
+		return st.matchPacked(blob[2:])
 	}
-	if !isBitsBlob(blob) {
-		return st.matchV1(blob)
+	tl, err := decodeTimeListBits(blob)
+	if err != nil {
+		return err
 	}
-	if len(blob) < 6 {
-		return fmt.Errorf("stindex: truncated bitset time list header")
-	}
-	numDays := int(binary.LittleEndian.Uint16(blob[2:4]))
-	maskWords := int(binary.LittleEndian.Uint16(blob[4:6]))
-	if maskWords > maxDays/64 {
-		return fmt.Errorf("stindex: bitset day mask of %d words is past the format's %d days", maskWords, maxDays)
-	}
-	off := 6 + 8*maskWords
-	if off > len(blob) {
-		return fmt.Errorf("stindex: truncated bitset day mask")
-	}
-	mask := blob[6:off]
-	got := 0
-	for wi := 0; wi < maskWords; wi++ {
-		got += bits.OnesCount64(binary.LittleEndian.Uint64(mask[8*wi:]))
-	}
-	if got != numDays {
-		return fmt.Errorf("stindex: bitset day count %d does not match mask popcount %d", numDays, got)
-	}
-	i := 0
-	for wi := 0; wi < maskWords; wi++ {
-		for w := binary.LittleEndian.Uint64(mask[8*wi:]); w != 0; w &= w - 1 {
-			if off+2 > len(blob) {
-				return fmt.Errorf("stindex: truncated bitset entry header at day %d", i)
-			}
-			nw := int(binary.LittleEndian.Uint16(blob[off:]))
-			if off+2+8*nw > len(blob) {
-				return fmt.Errorf("stindex: truncated bitset entry at day %d", i)
-			}
-			words := blob[off+2 : off+2+8*nw]
-			off += 2 + 8*nw
-			i++
-			if d := wi<<6 + bits.TrailingZeros64(w); st.wants(d) {
-				st.settle(d, func(set []uint64) bool {
-					n := nw
-					if len(set) < n {
-						n = len(set)
-					}
-					for j := 0; j < n; j++ {
-						if set[j]&binary.LittleEndian.Uint64(words[8*j:]) != 0 {
-							return true
-						}
-					}
-					return false
-				})
-			}
-		}
+	for j, d := range tl.Days {
+		st.matchDay(int(d), tl.Bits[j])
 	}
 	return nil
 }
 
-// matchV1 is matchBlob for the sparse encoding: per day, a sorted u32
-// taxi list whose entries are tested as single bits of the start sets.
-func (st *matchState) matchV1(blob []byte) error {
-	numDays := int(binary.LittleEndian.Uint16(blob[:2]))
-	off := 2
-	// The decoder checks all framing before any ordering, so an ordering
-	// fault is only reported once the framing has held to the end.
-	unsorted := -1
-	for i := 0; i < numDays; i++ {
-		if off+4 > len(blob) {
-			return fmt.Errorf("stindex: truncated time list header at day %d", i)
+// matchPacked folds a packed body in: an entry (d, t) clears day d of
+// every source whose day mask for taxi t has it — one table lookup per
+// source, no per-day framing. Days past the sets' range and taxis no
+// source holds fall outside the tables and match nothing.
+func (st *matchState) matchPacked(body []byte) error {
+	if err := checkPacked(body); err != nil {
+		return err
+	}
+	s := st.s
+	dw, taxis := s.dw, s.taxis
+	prev := -1
+	for b := body; len(b) >= 3; b = b[3:] {
+		e := int(b[0]) | int(b[1])<<8 | int(b[2])<<16
+		if e <= prev {
+			return errPackedOrder((len(body) - len(b)) / 3)
 		}
-		d := int(binary.LittleEndian.Uint16(blob[off:]))
-		cnt := int(binary.LittleEndian.Uint16(blob[off+2:]))
-		off += 4
-		if d >= maxDays {
-			return fmt.Errorf("stindex: time list day %d is past the format's %d days", d, maxDays)
-		}
-		if off+4*cnt > len(blob) {
-			return fmt.Errorf("stindex: truncated time list entries at day %d", i)
-		}
-		taxis := blob[off : off+4*cnt]
-		off += 4 * cnt
-		if cnt == 0 {
-			continue
-		}
-		last := binary.LittleEndian.Uint32(taxis[4*(cnt-1):])
-		if last >= maxTaxis {
-			return fmt.Errorf("stindex: time list taxi %d is past the format's %d taxis", last, maxTaxis)
-		}
-		if unsorted >= 0 {
-			continue
-		}
-		lastWord := last >> 6
-		for j := 0; j < cnt-1; j++ {
-			if binary.LittleEndian.Uint32(taxis[4*j:])>>6 > lastWord {
-				unsorted = i
-				break
+		prev = e
+		d, t := e>>15, e&(maxTaxis-1)
+		if w := d >> 6; w < dw && t < taxis {
+			bit := uint64(1) << (uint(d) & 63)
+			for i, p := range st.pend {
+				p[w] &^= s.byTaxi[i][t*dw+w] & bit
 			}
 		}
-		if unsorted < 0 && st.wants(d) {
-			st.settle(d, func(set []uint64) bool {
-				for j := 0; j < cnt; j++ {
-					t := binary.LittleEndian.Uint32(taxis[4*j:])
-					if w := int(t >> 6); w < len(set) && set[w]&(1<<(t&63)) != 0 {
-						return true
-					}
-				}
-				return false
-			})
+	}
+	left := 0
+	for _, p := range st.pend {
+		for _, v := range p {
+			left += bits.OnesCount64(v)
 		}
 	}
-	if unsorted >= 0 {
-		return fmt.Errorf("stindex: unsorted time list entries at day %d", unsorted)
-	}
+	st.left = left
 	return nil
 }
 
-// Matcher runs streaming matches for one verification worker. It owns a
+// Matcher runs matches for one verification worker. It owns a
 // page-memoising blob reader and the per-candidate day masks, so a match
-// allocates nothing. Not safe for concurrent use; create one per
+// over packed lists allocates nothing. Not safe for concurrent use; create one per
 // goroutine (they share the MatchSets).
 type Matcher struct {
 	x *Index

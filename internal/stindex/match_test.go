@@ -113,23 +113,32 @@ func TestMatchBlobAgreesWithDecoder(t *testing.T) {
 		encode              func([]uint64) []byte
 		nsrc, days, runDays int // runDays > days puts list days past Days()
 		maxTaxi, perBlob    int
+		setTaxi             int // sets draw taxis below it (0: maxTaxi)
 		blobs               int
 		emptyShare          float64
 	}{
 		{name: "v1 single source", encode: encodeTimeListRun, nsrc: 1, days: 30, runDays: 30, maxTaxi: 500, perBlob: 12, blobs: 5},
 		{name: "v2 single source", encode: encodeTimeListBitsRun, nsrc: 1, days: 30, runDays: 30, maxTaxi: 500, perBlob: 200, blobs: 5},
-		{name: "adaptive multi source", encode: encodeTimeListRunAdaptive, nsrc: 3, days: 30, runDays: 30, maxTaxi: 300, perBlob: 60, blobs: 6},
-		{name: "list days past Days()", encode: encodeTimeListRunAdaptive, nsrc: 2, days: 10, runDays: 90, maxTaxi: 200, perBlob: 80, blobs: 4},
-		{name: "multi-word day mask", encode: encodeTimeListBitsRun, nsrc: 2, days: 200, runDays: 200, maxTaxi: 100, perBlob: 300, blobs: 3},
-		{name: "mostly empty start days", encode: encodeTimeListRunAdaptive, nsrc: 2, days: 30, runDays: 30, maxTaxi: 200, perBlob: 50, blobs: 4, emptyShare: 0.8},
-		{name: "no start day at all", encode: encodeTimeListRunAdaptive, nsrc: 1, days: 30, runDays: 30, maxTaxi: 200, perBlob: 50, blobs: 2, emptyShare: 1},
-		{name: "dense: early exit", encode: encodeTimeListBitsRun, nsrc: 1, days: 6, runDays: 6, maxTaxi: 20, perBlob: 120, blobs: 8},
+		{name: "v1 multi source", encode: encodeTimeListRun, nsrc: 3, days: 30, runDays: 30, maxTaxi: 300, perBlob: 60, blobs: 6},
+		{name: "v2 multi-word day mask", encode: encodeTimeListBitsRun, nsrc: 2, days: 200, runDays: 200, maxTaxi: 100, perBlob: 300, blobs: 3},
+		{name: "packed single source", encode: encodePackedRun, nsrc: 1, days: 30, runDays: 30, maxTaxi: 500, perBlob: 12, blobs: 5},
+		{name: "packed multi source", encode: encodePackedRun, nsrc: 3, days: 30, runDays: 30, maxTaxi: 300, perBlob: 60, blobs: 6},
+		{name: "list days past Days()", encode: encodePackedRun, nsrc: 2, days: 10, runDays: 90, maxTaxi: 200, perBlob: 80, blobs: 4},
+		{name: "multi-word day mask", encode: encodePackedRun, nsrc: 2, days: 200, runDays: 200, maxTaxi: 100, perBlob: 300, blobs: 3},
+		{name: "packed taxis past the sets", encode: encodePackedRun, nsrc: 2, days: 30, runDays: 30, maxTaxi: maxTaxis, perBlob: 200, setTaxi: 150, blobs: 4},
+		{name: "mostly empty start days", encode: encodePackedRun, nsrc: 2, days: 30, runDays: 30, maxTaxi: 200, perBlob: 50, blobs: 4, emptyShare: 0.8},
+		{name: "no start day at all", encode: encodePackedRun, nsrc: 1, days: 30, runDays: 30, maxTaxi: 200, perBlob: 50, blobs: 2, emptyShare: 1},
+		{name: "dense: early exit", encode: encodePackedRun, nsrc: 1, days: 6, runDays: 6, maxTaxi: 20, perBlob: 120, blobs: 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			for trial := 0; trial < 40; trial++ {
-				sets := randomSets(rng, tc.nsrc, tc.days, tc.maxTaxi, tc.emptyShare)
+				setTaxi := tc.setTaxi
+				if setTaxi == 0 {
+					setTaxi = tc.maxTaxi
+				}
+				sets := randomSets(rng, tc.nsrc, tc.days, setTaxi, tc.emptyShare)
 				blobs := make([][]byte, tc.blobs)
 				for b := range blobs {
 					blobs[b] = tc.encode(randomRun(rng, b, 1, tc.runDays, tc.maxTaxi, tc.perBlob))
@@ -172,20 +181,23 @@ func TestMatchEarlyExitIsExact(t *testing.T) {
 	}
 	st := newMatchState(NewMatchSets(days, sets))
 	st.reset()
-	if err := st.matchBlob(encodeTimeListBitsRun(full)); err != nil {
+	if err := st.matchBlob(encodePackedRun(full)); err != nil {
 		t.Fatal(err)
 	}
 	if st.left != 0 {
 		t.Fatalf("a list holding every taxi on every day left %d pairs unmatched", st.left)
 	}
 	best := st.best()
-	if err := st.matchBlob(encodeTimeListRun(randomRun(rng, 1, 1, days, maxTaxi, 20))); err != nil {
-		t.Fatal(err)
+	rest := randomRun(rng, 1, 1, days, maxTaxi, 20)
+	for _, blob := range [][]byte{encodePackedRun(rest), encodeTimeListRun(rest)} {
+		if err := st.matchBlob(blob); err != nil {
+			t.Fatal(err)
+		}
+		if st.left != 0 || st.best() != best {
+			t.Fatalf("a list after the exit moved the answer: left %d best %d -> %d", st.left, best, st.best())
+		}
 	}
-	if st.left != 0 || st.best() != best {
-		t.Fatalf("a list after the exit moved the answer: left %d best %d -> %d", st.left, best, st.best())
-	}
-	want, _ := oracleMatch(days, sets, [][]byte{encodeTimeListBitsRun(full)})
+	want, _ := oracleMatch(days, sets, [][]byte{encodePackedRun(full)})
 	if best != bestOf(want) {
 		t.Fatalf("best %d, decoder says %d", best, bestOf(want))
 	}
@@ -199,7 +211,7 @@ func TestMatchBlobErrorsAreTheDecoders(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const days, maxTaxi = 12, 300
 	run := randomRun(rng, 2, 1, days, maxTaxi, 60)
-	v1, v2 := encodeTimeListRun(run), encodeTimeListBitsRun(run)
+	v1, v2, packed := encodeTimeListRun(run), encodeTimeListBitsRun(run), encodePackedRun(run)
 	check := func(name string, blob []byte, sets [][][]uint64) {
 		t.Helper()
 		_, want := oracleMatch(days, sets, [][]byte{blob})
@@ -216,6 +228,22 @@ func TestMatchBlobErrorsAreTheDecoders(t *testing.T) {
 		}
 		for cut := 0; cut <= len(v2); cut++ {
 			check("v2 prefix", v2[:cut], sets)
+		}
+		for cut := 0; cut <= len(packed); cut++ {
+			check("packed prefix", packed[:cut], sets)
+		}
+		// Packed entries out of order and repeated, early and last.
+		for _, k := range []int{1, len(run) - 1} {
+			swapped := slices.Clone(packed)
+			copy(swapped[2+3*k:2+3*k+3], packed[2+3*(k-1):2+3*k])
+			copy(swapped[2+3*(k-1):2+3*k], packed[2+3*k:2+3*k+3])
+			check(fmt.Sprintf("packed unsorted at %d", k), swapped, sets)
+			dup := slices.Clone(packed)
+			copy(dup[2+3*k:2+3*k+3], packed[2+3*(k-1):2+3*k])
+			check(fmt.Sprintf("packed duplicate at %d", k), dup, sets)
+			if _, err := decodeTimeListBits(dup); err == nil {
+				t.Fatal("the duplicate fixture decodes; it no longer tests anything")
+			}
 		}
 		// Unsorted entries: day 3 of three holds taxis 1 and 200 (two
 		// words apart); store them as 200, 1.
@@ -236,7 +264,7 @@ func TestMatchBlobErrorsAreTheDecoders(t *testing.T) {
 	}
 }
 
-// FuzzMatchBlob: arbitrary bytes never panic the streaming matcher, it
+// FuzzMatchBlob: arbitrary bytes never panic the matcher, it
 // fails exactly when the decoder fails and with the same message, and on
 // every blob the decoder accepts both paths agree on every (source, day).
 func FuzzMatchBlob(f *testing.F) {
@@ -245,8 +273,15 @@ func FuzzMatchBlob(f *testing.F) {
 		run := randomRun(rng, 1, 1, 40, 300, 1+40*i)
 		f.Add(encodeTimeListRun(run), int64(i))
 		f.Add(encodeTimeListBitsRun(run), int64(i))
+		f.Add(encodePackedRun(run), int64(i))
 	}
 	f.Add([]byte{}, int64(0))
+	// Packed: an empty body, a body that is not a whole number of
+	// entries, entries out of order, and an entry repeated.
+	f.Add([]byte{packedMarker0, packedMarker1}, int64(4))
+	f.Add([]byte{packedMarker0, packedMarker1, 5, 0, 1, 7}, int64(5))
+	f.Add([]byte{packedMarker0, packedMarker1, 5, 0, 1, 4, 0, 1}, int64(6))
+	f.Add([]byte{packedMarker0, packedMarker1, 5, 0, 1, 5, 0, 1}, int64(7))
 	f.Add([]byte{bitsMarker0, bitsMarker1, 1, 0, 1, 0}, int64(1))
 	f.Add([]byte{2, 0, 1, 0, 2, 0, 200, 0, 0, 0, 1, 0, 0, 0}, int64(2))
 	// Found by this target: a day that wraps traj.Day negative, and a

@@ -38,12 +38,19 @@ import (
 // meta leaves bytes only beyond the old tail: a v4 meta still verifies
 // and reopens over them (the WAL replays the unfolded rest), where a v3
 // meta would declare the whole store corrupt and force a cold rebuild.
-// New indexes are always saved as v4; v1-v3 metas still load (v3 with
-// its whole-store check), and trailing garbage is rejected so a
-// corrupted version field cannot silently downgrade a checksummed file.
+// v5 keeps v4's layout and marks an index whose blobs are packed
+// (bits.go): a binary that predates the packed format refuses the meta
+// at open instead of failing on every query. New indexes are always
+// saved as v5; v1-v4 metas still load (v3 with its whole-store check)
+// and their legacy blobs verify through the decoder until compaction
+// rewrites them. Trailing garbage is rejected so a corrupted version
+// field cannot silently downgrade a checksummed file. The day count must
+// be below maxDays, the blob tail inside the page store and every handle
+// inside the tail: v1 and v2 metas carry no checksum to vouch for them,
+// and a probe sizes its slices by the day count and a read by the handle.
 const (
 	metaMagic      = "STIX"
-	metaVersion    = 4
+	metaVersion    = 5
 	metaVersionMin = 1
 )
 
@@ -91,7 +98,7 @@ func (x *Index) PagesChecksumN(limit int64) (uint32, error) {
 func (x *Index) SaveMeta(w io.Writer) error {
 	x.live.compactMu.Lock()
 	defer x.live.compactMu.Unlock()
-	// v4: the checksum covers exactly the bytes the handle table can
+	// v4+: the checksum covers exactly the bytes the handle table can
 	// reach, so later appends never invalidate this meta.
 	pagesCRC, err := x.PagesChecksumN(x.blob.Tail())
 	if err != nil {
@@ -253,16 +260,26 @@ func LoadIndex(net *roadnet.Network, cfg Config, meta io.Reader) (*Index, error)
 	if int(numHandles) != numSlots*int(numSeg) {
 		return nil, fmt.Errorf("stindex: meta has %d handles, want %d", numHandles, numSlots*int(numSeg))
 	}
+	if days == 0 || days >= maxDays {
+		return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta has %d days, want 1..%d", days, maxDays-1)
+	}
+	if stored := cfg.Store.NumPages() * storage.PageSize; int64(tail) < 0 || int64(tail) > stored {
+		return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta blob tail %d is past the page store's %d bytes", tail, stored)
+	}
 
 	handles := make(handleTable, numSlots)
 	for i := 0; i < int(numHandles); i++ {
 		if _, err := io.ReadFull(tee, buf[:12]); err != nil {
 			return nil, fmt.Errorf("stindex: read handle %d: %w", i, err)
 		}
-		handles.set(i/int(numSeg), i%int(numSeg), int(numSeg), storage.BlobHandle{
+		h := storage.BlobHandle{
 			Offset: int64(binary.LittleEndian.Uint64(buf[:8])),
 			Length: int32(binary.LittleEndian.Uint32(buf[8:12])),
-		})
+		}
+		if h.Offset < 0 || h.Length < 0 || h.Offset > int64(tail)-int64(h.Length) {
+			return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta handle %d (offset %d, length %d) is past the blob tail %d", i, h.Offset, h.Length, tail)
+		}
+		handles.set(i/int(numSeg), i%int(numSeg), int(numSeg), h)
 	}
 	if ver >= 3 {
 		// The stored checksum is read from br directly: it is not part of

@@ -11,9 +11,9 @@
 //  3. per-(segment, slot) *time lists*: for each date in the dataset, the
 //     IDs of the trajectories that traversed the segment during the slot.
 //
-// Time lists live on disk as encoded blobs (bits.go) behind a buffer
+// Time lists live on disk as packed blobs (bits.go) behind a buffer
 // pool; reading one is the unit of I/O the evaluation charges queries
-// for. Verification never decodes them: a Matcher (match.go) walks each
+// for. Verification does not decode them: a Matcher (match.go) walks each
 // candidate's blobs where they lie in the pooled pages. The decoded
 // forms (TimeListBitsAt, TimeListsRange, behind the decoded-list LRU of
 // cache.go) serve the handful of start and destination lists a query
@@ -21,7 +21,6 @@
 package stindex
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -212,7 +211,7 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 			}
 			j++
 		}
-		blob := encodeTimeListRunAdaptive(tuples[i:j])
+		blob := encodePackedRun(tuples[i:j])
 		h, err := idx.blob.Append(blob)
 		if err != nil {
 			return nil, fmt.Errorf("stindex: write time list: %w", err)
@@ -237,88 +236,6 @@ func packTuple(slot, seg, day, taxi int) uint64 {
 
 func unpackTuple(t uint64) (slot, seg, day, taxi int) {
 	return int(t >> 46), int(t >> 24 & (1<<22 - 1)), int(t >> 15 & (1<<9 - 1)), int(t & (1<<15 - 1))
-}
-
-// encodeTimeListRun serializes one sorted, deduplicated (slot, segment)
-// run of packed tuples as:
-//
-//	u16 numDays, then per day: u16 day, u16 count, count x u32 taxi
-func encodeTimeListRun(run []uint64) []byte {
-	// Count distinct days first.
-	numDays := 0
-	prevDay := -1
-	for i, t := range run {
-		if i > 0 && t == run[i-1] {
-			continue
-		}
-		_, _, d, _ := unpackTuple(t)
-		if d != prevDay {
-			numDays++
-			prevDay = d
-		}
-	}
-	out := make([]byte, 0, 2+len(run)*4+numDays*4)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(numDays))
-	out = append(out, tmp[:2]...)
-	i := 0
-	for i < len(run) {
-		if i > 0 && run[i] == run[i-1] {
-			i++
-			continue
-		}
-		_, _, day, _ := unpackTuple(run[i])
-		// Collect this day's distinct taxis (already sorted by packing).
-		start := len(out)
-		binary.LittleEndian.PutUint16(tmp[:2], uint16(day))
-		out = append(out, tmp[:2]...)
-		out = append(out, 0, 0) // count placeholder
-		count := 0
-		for i < len(run) {
-			if i > 0 && run[i] == run[i-1] {
-				i++
-				continue
-			}
-			_, _, d, taxi := unpackTuple(run[i])
-			if d != day {
-				break
-			}
-			binary.LittleEndian.PutUint32(tmp[:4], uint32(taxi))
-			out = append(out, tmp[:4]...)
-			count++
-			i++
-		}
-		binary.LittleEndian.PutUint16(out[start+2:start+4], uint16(count))
-	}
-	return out
-}
-
-func decodeTimeList(blob []byte) (*TimeList, error) {
-	if len(blob) < 2 {
-		return &TimeList{}, nil
-	}
-	n := int(binary.LittleEndian.Uint16(blob[:2]))
-	tl := &TimeList{Days: make([]traj.Day, 0, n), Taxis: make([][]traj.TaxiID, 0, n)}
-	off := 2
-	for i := 0; i < n; i++ {
-		if off+4 > len(blob) {
-			return nil, fmt.Errorf("stindex: truncated time list header at day %d", i)
-		}
-		day := traj.Day(binary.LittleEndian.Uint16(blob[off : off+2]))
-		cnt := int(binary.LittleEndian.Uint16(blob[off+2 : off+4]))
-		off += 4
-		if off+4*cnt > len(blob) {
-			return nil, fmt.Errorf("stindex: truncated time list entries at day %d", i)
-		}
-		taxis := make([]traj.TaxiID, cnt)
-		for j := 0; j < cnt; j++ {
-			taxis[j] = traj.TaxiID(binary.LittleEndian.Uint32(blob[off : off+4]))
-			off += 4
-		}
-		tl.Days = append(tl.Days, day)
-		tl.Taxis = append(tl.Taxis, taxis)
-	}
-	return tl, nil
 }
 
 // SlotSeconds returns the temporal granularity Δt.

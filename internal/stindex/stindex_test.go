@@ -10,7 +10,7 @@ import (
 	"streach/internal/traj"
 )
 
-func testNetwork(t *testing.T) *roadnet.Network {
+func testNetwork(t testing.TB) *roadnet.Network {
 	t.Helper()
 	n, err := roadnet.Generate(roadnet.GenerateConfig{
 		Origin:        geo.Point{Lat: 22.5, Lng: 114.0},
@@ -26,7 +26,7 @@ func testNetwork(t *testing.T) *roadnet.Network {
 	return n
 }
 
-func testDataset(t *testing.T, n *roadnet.Network) *traj.Dataset {
+func testDataset(t testing.TB, n *roadnet.Network) *traj.Dataset {
 	t.Helper()
 	ds, err := traj.Simulate(n, traj.SimConfig{
 		Taxis: 12, Days: 4, Profile: traj.DefaultSpeedProfile(), Seed: 5,
