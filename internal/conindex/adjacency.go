@@ -2,6 +2,7 @@ package conindex
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -59,9 +60,7 @@ func adjSparse(n, numSegments int) bool { return n*32 < numSegments }
 // tables. Safe to call concurrently with queries (each table is walked
 // through its atomic cells in key order; rows are immutable).
 func (x *Index) SaveAdjacency(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	h := storage.NewChecksum()
-	tee := io.MultiWriter(bw, h)
+	tee := storage.NewChecksumWriter(w)
 	if _, err := io.WriteString(tee, adjMagic); err != nil {
 		return fmt.Errorf("conindex: write adjacency magic: %w", err)
 	}
@@ -99,14 +98,13 @@ func (x *Index) SaveAdjacency(w io.Writer) error {
 			}
 		}
 	}
-	binary.LittleEndian.PutUint32(buf[:4], h.Sum32())
-	if _, err := bw.Write(buf[:4]); err != nil {
+	if err := tee.Finish(); err != nil {
 		return fmt.Errorf("conindex: write adjacency checksum: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
-func writeAdjRow(w io.Writer, tableID uint8, slot int, seg roadnet.SegmentID, r Row, numSegments int) error {
+func writeAdjRow(w *storage.ChecksumWriter, tableID uint8, slot int, seg roadnet.SegmentID, r Row, numSegments int) error {
 	var buf [8]byte
 	buf[0] = tableID
 	if _, err := w.Write(buf[:1]); err != nil {
@@ -159,7 +157,10 @@ func writeAdjRow(w io.Writer, tableID uint8, slot int, seg roadnet.SegmentID, r 
 // index's tables, replacing any rows already materialised for the same
 // keys. The blob must match the index's Δt and segment count. Nothing is
 // installed until the whole blob has parsed, validated, and (v2)
-// checksum-verified: a corrupt blob is rejected in full.
+// checksum-verified: a corrupt blob is rejected in full. Records are
+// accepted only in the form SaveAdjacency writes them — keys ascending
+// and unique, each row in its own encoding, bitsets trimmed — so a
+// loaded blob re-saves byte for byte (a v1 blob as its v2 form).
 func (x *Index) LoadAdjacency(r io.Reader) error {
 	br := bufio.NewReader(r)
 	h := storage.NewChecksum()
@@ -204,7 +205,11 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 		seg     roadnet.SegmentID
 		row     Row
 	}
-	pending := make([]pendingRow, 0, min(numRows, 4*x.numSlots*numSeg))
+	// The row count is the header's word, not evidence that the rows are
+	// there: pending is sized from it only as far as the file's length
+	// can back it (a record takes at least 14 bytes), and grows as rows
+	// arrive past that.
+	pending := make([]pendingRow, 0, min(int64(numRows), fileSize(r)/14))
 	// Record payloads are decoded into these and compressed out of them,
 	// so they are reused from row to row.
 	var (
@@ -212,9 +217,9 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 		words   []uint64
 		scratch = bitset.New(numSeg)
 	)
+	var hdr [1 + 4 + 4 + 1 + 4]byte
 	for i := 0; i < numRows; i++ {
-		hdr := make([]byte, 1+4+4+1+4)
-		if _, err := io.ReadFull(tee, hdr); err != nil {
+		if _, err := io.ReadFull(tee, hdr[:]); err != nil {
 			return fmt.Errorf("conindex: read adjacency row %d: %w", i, err)
 		}
 		tableID := hdr[0]
@@ -225,6 +230,14 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 		seg := int(binary.LittleEndian.Uint32(hdr[5:9]))
 		if slot >= x.numSlots || seg >= numSeg {
 			return fmt.Errorf("conindex: adjacency row %d out of range (slot %d, seg %d)", i, slot, seg)
+		}
+		// The writer emits each key once, in (table, slot, segment)
+		// order; a repeat or a step back is a corrupt record.
+		if k := len(pending); k > 0 {
+			p := pending[k-1]
+			if cmp.Or(cmp.Compare(tableID, p.tableID), cmp.Compare(slot, p.slot), cmp.Compare(roadnet.SegmentID(seg), p.seg)) <= 0 {
+				return fmt.Errorf("conindex: adjacency row %d out of key order", i)
+			}
 		}
 		enc := hdr[9]
 		count := int(binary.LittleEndian.Uint32(hdr[10:14]))
@@ -250,6 +263,9 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 				}
 				ids = append(ids, roadnet.SegmentID(id))
 			}
+			if !adjSparse(count, numSeg) {
+				return fmt.Errorf("conindex: adjacency row %d of %d members written as a list", i, count)
+			}
 			row = makeRow(ids, scratch)
 		case adjEncBitset:
 			if count > maxWords {
@@ -262,7 +278,18 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 				}
 				words = append(words, binary.LittleEndian.Uint64(buf[:8]))
 			}
+			// The writer trims trailing zero words, and a member past the
+			// network is out of range like any other.
+			if count == 0 || words[count-1] == 0 {
+				return fmt.Errorf("conindex: adjacency row %d bitset not trimmed", i)
+			}
+			if (count-1)<<6+bits.Len64(words[count-1]) > numSeg {
+				return fmt.Errorf("conindex: adjacency row %d bitset member out of range", i)
+			}
 			row = packWords(0, words)
+			if adjSparse(row.Len(), numSeg) {
+				return fmt.Errorf("conindex: adjacency row %d of %d members written as a bitset", i, row.Len())
+			}
 		default:
 			return fmt.Errorf("conindex: adjacency row %d has bad encoding %d", i, enc)
 		}

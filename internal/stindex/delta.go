@@ -30,22 +30,35 @@ import (
 //   - handles is an atomic pointer to an immutable table of immutable
 //     per-slot rows; readers load it without locking. An install swaps
 //     in a fresh top level that shares every row it did not change.
-//   - the delta map is guarded by mu. Readers decode the base blob
-//     OUTSIDE the lock, then under RLock (a) re-check the handle they
+//   - the delta map is guarded by mu, and so is the dirty bitmap: bit
+//     seg of dirty[slot] is set exactly while entries holds the key
+//     (slot, seg). An append sets it when it creates the entry; a
+//     compaction clears it when it deletes the entry, and only after it
+//     has stored the table that folds it. Readers load the bit without
+//     locking and the handle table after it, so a clean bit proves the
+//     table they read holds every fold of the key (Matcher.matchKey
+//     spells the argument out): a clean key — nearly every key, even
+//     under live ingest — is read with two atomic loads and no lock.
+//   - a dirty key is read as before: the base blob is decoded OUTSIDE
+//     the lock, then under RLock the reader (a) re-checks the handle it
 //     decoded is still installed — if compaction swapped the table the
-//     read retries — and (b) merge the delta and publish to the
-//     decoded-list cache. Appends and the compaction install take the
-//     write lock, so a cached value is always the CURRENT merge of the
-//     handle table and delta map: a reader publishes it with no append
+//     read retries — and (b) merges the delta. Appends and the
+//     compaction install take the write lock.
+//   - a decoded-list cache fill (readMerged) always takes RLock, clean
+//     key or not: a cached value must be the CURRENT merge of the
+//     handle table and delta map. A reader publishes it with no append
 //     in flight, every append refreshes resident keys inside its
 //     critical section (copy-on-write — never by mutating a published
 //     list, which readers may still hold), and the install leaves
 //     cached merges valid by construction (old base ∪ delta == new
-//     base ∪ remaining delta). Refresh-instead-of-invalidate is what
-//     keeps merged reads near base-read cost under live write load: at
-//     thousands of appends/second, invalidation would evict keys
-//     faster than queries re-warm them and every read would pay a cold
-//     blob decode.
+//     base ∪ remaining delta). A base-only publish made outside the
+//     lock could land after an append that created the key's entry;
+//     that append refreshed only resident keys, so the cache would pin
+//     a list without it and later appends would OR their bits into the
+//     stale list. Refresh-instead-of-invalidate is what keeps merged
+//     reads near base-read cost under live write load: at thousands of
+//     appends/second, invalidation would evict keys faster than queries
+//     re-warm them and every read would pay a cold blob decode.
 //   - per-entry seq numbers let compaction clear only entries unchanged
 //     since its snapshot; appends that raced the fold stay pending and
 //     re-fold next time (set-union is idempotent, so nothing is lost or
@@ -61,6 +74,12 @@ type liveState struct {
 
 	mu      sync.RWMutex
 	entries map[int]*deltaEntry
+	// dirty[slot] marks the segments of slot that have a delta entry,
+	// one bit each; nil until the slot's first one, as handleTable rows
+	// are (one flat bitmap over every slot would be 151 MB at the
+	// 2^22-segment cap). Written under mu only, read without it
+	// (isDirty).
+	dirty []atomic.Pointer[dirtyRow]
 
 	pending     atomic.Int64 // delta observations not yet compacted
 	appended    atomic.Int64 // cumulative accepted observations
@@ -109,10 +128,41 @@ func (t handleTable) set(slot, seg, numSegments int, h storage.BlobHandle) {
 	t[slot][seg] = h
 }
 
+// dirtyRow is one slot's dirty bits, bit seg for segment seg.
+type dirtyRow []atomic.Uint64
+
 func newLiveState(handles handleTable) *liveState {
-	lv := &liveState{entries: make(map[int]*deltaEntry)}
+	lv := &liveState{entries: make(map[int]*deltaEntry), dirty: make([]atomic.Pointer[dirtyRow], len(handles))}
 	lv.handles.Store(&handles)
 	return lv
+}
+
+// isDirty reports whether (slot, seg) has a pending delta entry. It
+// takes no lock; see Matcher.matchKey for what a clean answer proves.
+func (lv *liveState) isDirty(slot, seg int) bool {
+	row := lv.dirty[slot].Load()
+	return row != nil && (*row)[seg>>6].Load()&(1<<(uint(seg)&63)) != 0
+}
+
+// setDirty sets or clears the dirty bit of (slot, seg), allocating the
+// slot's row at its first dirty key. The caller holds mu for writing,
+// so the load-modify-store on a word shared with other keys is safe.
+func (lv *liveState) setDirty(slot, seg, numSegments int, dirty bool) {
+	row := lv.dirty[slot].Load()
+	if row == nil {
+		if !dirty {
+			return
+		}
+		r := make(dirtyRow, (numSegments+63)>>6)
+		row = &r
+		lv.dirty[slot].Store(row)
+	}
+	w, bit := &(*row)[seg>>6], uint64(1)<<(uint(seg)&63)
+	if dirty {
+		w.Store(w.Load() | bit)
+	} else {
+		w.Store(w.Load() &^ bit)
+	}
 }
 
 // liveHandles returns the currently installed handle table.
@@ -206,6 +256,7 @@ func (x *Index) AppendDelta(obs []DeltaObs) error {
 		if e == nil {
 			e = &deltaEntry{days: make(map[int][]uint64)}
 			lv.entries[key] = e
+			lv.setDirty(o.Slot, int(o.Seg), n, true)
 		}
 		w := e.days[int(o.Day)]
 		wi, bit := int(o.Taxi)>>6, uint64(1)<<(uint(o.Taxi)&63)
@@ -474,11 +525,14 @@ func (x *Index) CompactDeltasBudget(maxKeys int) (CompactStats, error) {
 
 	began := time.Now()
 	lv.mu.Lock()
+	// The table goes in before any bit is cleared: a reader that sees a
+	// clear bit must find the fold in the table it loads next.
 	lv.handles.Store(&next)
 	for key, s := range snaps {
 		if e := lv.entries[key]; e != nil && e.seq == s.seq {
 			lv.pending.Add(-e.obs)
 			delete(lv.entries, key)
+			lv.setDirty(key/n, key%n, n, false)
 		}
 	}
 	lv.epoch.Add(1)

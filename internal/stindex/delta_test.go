@@ -334,6 +334,79 @@ func TestDeltaEpochSwapKeepsReadersConsistent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestDeltaCleanKeyNeverReadsEmpty pins the dirty-bit protocol a
+// lock-free read of a clean key relies on: a compaction clears a key's
+// bit only after the table that folds it is installed, so a key that
+// has had an observation never again reads as having no list. Each
+// round dirties a few thousand keys with no base list, and while one
+// compaction folds them all a reader sweeps them without the lock. The
+// clear loop runs over every folded key, so clearing before the install
+// leaves a wide window in which a swept key reads clean on the old
+// table.
+func TestDeltaCleanKeyNeverReadsEmpty(t *testing.T) {
+	n := testNetwork(t)
+	ds := testDataset(t, n)
+	x := buildIndex(t, n, ds)
+	defer x.Close()
+
+	type key struct{ slot, seg int }
+	var empty []key
+	table := x.liveHandles()
+	for slot := range table {
+		for seg := 0; seg < n.NumSegments(); seg++ {
+			if table.at(slot, seg).IsZero() {
+				empty = append(empty, key{slot, seg})
+			}
+		}
+	}
+	const rounds, perRound = 8, 3000
+	if len(empty) < rounds*perRound {
+		t.Fatalf("only %d keys without a list; the fixture needs %d", len(empty), rounds*perRound)
+	}
+	for r := 0; r < rounds; r++ {
+		keys := empty[r*perRound : (r+1)*perRound]
+		obs := make([]DeltaObs, len(keys))
+		for i, k := range keys {
+			obs[i] = DeltaObs{Seg: roadnet.SegmentID(k.seg), Slot: k.slot, Day: 1, Taxi: 7}
+		}
+		if err := x.AppendDelta(obs); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for _, k := range keys {
+					if !x.hasList(k.slot, k.seg) {
+						t.Errorf("round %d: slot %d seg %d read as having no list mid-compaction", r, k.slot, k.seg)
+						return
+					}
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+		if _, err := x.CompactDeltas(); err != nil {
+			t.Fatal(err)
+		}
+		close(done)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		for _, k := range keys {
+			if x.live.isDirty(k.slot, k.seg) {
+				t.Fatalf("slot %d seg %d still dirty after a full compaction", k.slot, k.seg)
+			}
+		}
+	}
+}
+
 // TestDeltaAppendRefreshesCachedReads pins the copy-on-write cache
 // refresh: a key resident in the decoded-list cache before an append
 // must serve the appended observation on the next read as a cache HIT

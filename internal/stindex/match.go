@@ -252,22 +252,9 @@ func (m *Matcher) Match(seg roadnet.SegmentID, loSlot, hiSlot int) (int, error) 
 		hiSlot = x.numSlots - 1
 	}
 	m.reset()
-	// Same order as TimeListsRange: an empty delta layer observed before
-	// the table is loaded means the table already holds every fold.
-	deltaEmpty := x.live.pending.Load() == 0
-	handles := m.handles()
 	for slot := loSlot; slot <= hiSlot && m.left > 0; slot++ {
-		key := slot*nseg + int(seg)
-		if !deltaEmpty {
-			if err := m.matchMerged(key, seg, slot); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if h := handles.at(slot, int(seg)); !h.IsZero() {
-			if err := m.matchHandle(h, seg, slot); err != nil {
-				return 0, err
-			}
+		if err := m.matchKey(seg, slot); err != nil {
+			return 0, err
 		}
 	}
 	return m.best(), nil
@@ -283,24 +270,39 @@ func (m *Matcher) matchHandle(h storage.BlobHandle, seg roadnet.SegmentID, slot 
 	return m.matchBlob(blob)
 }
 
-// matchMerged matches one key's base blob and pending delta with the
-// discipline of readMerged: the base is walked outside the lock, then
-// under RLock the handle is re-checked — a compaction that swapped the
-// table in between may already have cleared the delta it folded, so the
-// key is walked again on the new table — and the delta entry is
-// intersected where it lies instead of being merged into a copy. What
-// the superseded base matched stays matched: a fold only ever adds to a
-// key's base.
-func (m *Matcher) matchMerged(key int, seg roadnet.SegmentID, slot int) error {
+// matchKey folds in the time list of (seg, slot): its base blob, walked
+// in place, and its pending delta, if it has one.
+//
+// A clean key — nearly every key, even under live ingest — costs two
+// atomic loads and no lock, and the order of those loads is the whole
+// correctness argument: the key's dirty bit first, the handle table
+// after it. Dirty bits are written only under the delta lock. An append
+// sets the key's bit when it creates the key's entry; a compaction
+// clears it when it deletes the entry, and only after storing the table
+// that folds it. So a clear bit is either one no append has set — there
+// is no delta to miss — or a clear this load observed, which happened
+// after that table's store: the table loaded next is that one or a later
+// one, and it holds the fold. Loaded the other way round, a compaction
+// could store and clear between the two loads, and the read would see
+// neither the folded observations nor their delta.
+//
+// A dirty key takes the read lock after its base walk, to re-check the
+// handle — a compaction that swapped the table in between may already
+// have cleared the delta it folded, so the key is walked again on the new
+// table — and to intersect the delta entry where it lies instead of
+// merging it into a copy. What a superseded base matched stays matched:
+// a fold only ever adds to a key's base.
+func (m *Matcher) matchKey(seg roadnet.SegmentID, slot int) error {
 	lv := m.x.live
 	for {
+		dirty := lv.isDirty(slot, int(seg))
 		h := m.handles().at(slot, int(seg))
 		if !h.IsZero() {
 			if err := m.matchHandle(h, seg, slot); err != nil {
 				return err
 			}
 		}
-		if m.left == 0 {
+		if !dirty || m.left == 0 {
 			return nil
 		}
 		lv.mu.RLock()
@@ -308,7 +310,7 @@ func (m *Matcher) matchMerged(key int, seg roadnet.SegmentID, slot int) error {
 			lv.mu.RUnlock()
 			continue
 		}
-		if e := lv.entries[key]; e != nil {
+		if e := lv.entries[slot*m.x.net.NumSegments()+int(seg)]; e != nil {
 			m.lists++
 			m.matchDelta(e.days)
 		}

@@ -465,7 +465,8 @@ func TestMatcherEnforcesSliceOwnership(t *testing.T) {
 // installing new handle tables, on a pool small enough that pages are
 // evicted and re-read between installs. Observations only accumulate, so
 // a match may never fall below the base index's answer nor exceed the
-// final one; once the writers stop, the same matchers — page memos and
+// final one, nor fall below the same matcher's previous answer for the
+// segment; once the writers stop, the same matchers — page memos and
 // all — must answer exactly as an offline rebuild over the union does,
 // before and after the last fold.
 //
@@ -600,6 +601,12 @@ func TestMatcherUnderAppendsAndCompactions(t *testing.T) {
 		readers.Add(1)
 		go func(m *Matcher) {
 			defer readers.Done()
+			// last[seg] is this matcher's previous answer for seg.
+			// Observations only accumulate, so a later read may never
+			// match fewer days: the bound the [floor, ceiling] check
+			// cannot see, of a fold lost between a clean key's bit and
+			// its table.
+			last := slices.Clone(floor)
 			for seg := 0; ; seg = (seg + 1) % nseg {
 				select {
 				case <-stop:
@@ -615,6 +622,11 @@ func TestMatcherUnderAppendsAndCompactions(t *testing.T) {
 					t.Errorf("seg %d: matched %d days mid-ingest, outside [%d, %d]", seg, got, floor[seg], ceiling[seg])
 					return
 				}
+				if got < last[seg] {
+					t.Errorf("seg %d: matched %d days after matching %d", seg, got, last[seg])
+					return
+				}
+				last[seg] = got
 			}
 		}(m)
 	}

@@ -104,9 +104,7 @@ func (x *Index) SaveMeta(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	h := storage.NewChecksum()
-	tee := io.MultiWriter(bw, h)
+	tee := storage.NewChecksumWriter(w)
 	if _, err := io.WriteString(tee, metaMagic); err != nil {
 		return fmt.Errorf("stindex: write meta magic: %w", err)
 	}
@@ -164,13 +162,11 @@ func (x *Index) SaveMeta(w io.Writer) error {
 			}
 		}
 	}
-	// Trailing meta checksum, written outside the tee: it covers
-	// everything before itself.
-	binary.LittleEndian.PutUint32(buf[:4], h.Sum32())
-	if _, err := bw.Write(buf[:4]); err != nil {
+	// Trailing meta checksum: it covers everything before itself.
+	if err := tee.Finish(); err != nil {
 		return fmt.Errorf("stindex: write meta checksum: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
 // LoadIndex reopens a persisted index: net must be the same network it

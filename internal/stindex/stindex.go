@@ -294,10 +294,10 @@ func (x *Index) TimeListBitsAt(seg roadnet.SegmentID, slot int) (*TimeListBits, 
 	if err := x.checkOwned(seg); err != nil {
 		return nil, err
 	}
-	key := slot*x.net.NumSegments() + int(seg)
-	if x.live.pending.Load() == 0 && x.liveHandles().at(slot, int(seg)).IsZero() {
+	if !x.hasList(slot, int(seg)) {
 		return emptyBits, nil // nothing to read; keep the cache for real lists
 	}
+	key := slot*x.net.NumSegments() + int(seg)
 	if x.cache != nil {
 		if b, ok := x.cache.get(key); ok {
 			return b, nil
@@ -323,18 +323,12 @@ func (x *Index) TimeListsRange(seg roadnet.SegmentID, loSlot, hiSlot int, dst []
 		return nil, err
 	}
 	var reader *storage.BlobReader
-	deltaEmpty := x.live.pending.Load() == 0
-	handles := x.liveHandles()
 	for s := loSlot; s <= hiSlot; s++ {
-		if s < 0 || s >= x.numSlots {
+		if s < 0 || s >= x.numSlots || !x.hasList(s, int(seg)) {
 			dst = append(dst, emptyBits)
 			continue
 		}
 		key := s*x.net.NumSegments() + int(seg)
-		if deltaEmpty && handles.at(s, int(seg)).IsZero() {
-			dst = append(dst, emptyBits)
-			continue
-		}
 		if x.cache != nil {
 			if b, ok := x.cache.get(key); ok {
 				dst = append(dst, b)
@@ -351,6 +345,14 @@ func (x *Index) TimeListsRange(seg roadnet.SegmentID, loSlot, hiSlot int, dst []
 		dst = append(dst, b)
 	}
 	return dst, nil
+}
+
+// hasList reports whether (slot, seg) has a time list: a base blob in the
+// installed table or a pending delta. The dirty bit is loaded before the
+// table, the order Matcher.matchKey relies on, so false is exact: a key
+// whose bit a compaction cleared is found in the table that folded it.
+func (x *Index) hasList(slot, seg int) bool {
+	return x.live.isDirty(slot, seg) || !x.liveHandles().at(slot, seg).IsZero()
 }
 
 // decodeHandle reads and decodes one blob via the given read function.
