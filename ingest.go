@@ -480,7 +480,7 @@ func (s *System) CompactIngestN(ctx context.Context, maxKeys int) (CompactResult
 	if s.dir == "" {
 		return res, nil
 	}
-	if err := s.persistCompacted(); err != nil {
+	if err := s.persistIndexes(s.dir); err != nil {
 		// The fold is live in memory and every accepted update is still
 		// in the WAL (nothing was retired): the next open replays it, so
 		// nothing is lost.

@@ -1,7 +1,6 @@
 package conindex
 
 import (
-	"bufio"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"streach/internal/bitset"
 	"streach/internal/roadnet"
 	"streach/internal/storage"
-	"streach/internal/xerr"
 )
 
 // Adjacency persistence: the materialised Near/Far rows of all four
@@ -20,31 +18,29 @@ import (
 // derived cache — loading is optional and an absent or stale blob only
 // costs lazy re-materialisation.
 //
-// Format (little endian), rows sorted by (table, slot, segment):
+// The file is a storage frame (magic "CADJ", version 3) whose payload
+// is, little endian, rows sorted by (table, slot, segment):
 //
-//	magic "CADJ" | version u16 | slotSec u32 | numSegments u32 |
-//	numRows u32, then per row:
+//	slotSec u32 | numSegments u32 | numRows u32, then per row:
 //	    table u8      0=far 1=near 2=farRev 3=nearRev
 //	    slot u32 | seg u32
 //	    enc u8        0=sparse sorted-ID list, 1=bitset
 //	    sparse: count u32, count x u32 segment IDs
 //	    bitset: nwords u32, nwords x u64 (trailing zero words trimmed)
-//	then crc u32 (v2+, CRC-32C of every preceding byte incl. magic)
 //
 // The sparse/bitset choice is the record's own (the in-memory rows have
 // one form, see Row): a bitset costs numSegments/8 bytes and a list 4
 // bytes per member, so rows of fewer than numSegments/32 members ship as
-// ID lists and the rest as word arrays, as in the v2 time-list format,
-// and blob size stays proportional to what was materialised.
+// ID lists and the rest as word arrays, and blob size stays
+// proportional to what was materialised.
 //
-// v2 adds the trailing checksum, and loading became transactional: rows
-// are parsed and validated first, the checksum (or, on v1, a strict
-// EOF) is verified, and only then is anything installed — a corrupt
-// blob warms nothing instead of warming a prefix.
+// Loading is transactional: rows are parsed and validated, the frame is
+// finished, and only then is anything installed — a corrupt blob warms
+// nothing instead of warming a prefix. A blob of any other version is
+// dropped like a corrupt one.
 const (
-	adjMagic      = "CADJ"
-	adjVersion    = 2
-	adjVersionMin = 1
+	adjMagic   = "CADJ"
+	adjVersion = 3
 )
 
 const (
@@ -60,18 +56,6 @@ func adjSparse(n, numSegments int) bool { return n*32 < numSegments }
 // tables. Safe to call concurrently with queries (each table is walked
 // through its atomic cells in key order; rows are immutable).
 func (x *Index) SaveAdjacency(w io.Writer) error {
-	tee := storage.NewChecksumWriter(w)
-	if _, err := io.WriteString(tee, adjMagic); err != nil {
-		return fmt.Errorf("conindex: write adjacency magic: %w", err)
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint16(buf[:2], adjVersion)
-	tee.Write(buf[:2])
-	binary.LittleEndian.PutUint32(buf[:4], uint32(x.slotSec))
-	tee.Write(buf[:4])
-	binary.LittleEndian.PutUint32(buf[:4], uint32(x.net.NumSegments()))
-	tee.Write(buf[:4])
-
 	// Snapshot first: the row count precedes the rows on disk, and the
 	// tables keep changing under live queries and ingest.
 	type snapRow struct {
@@ -87,116 +71,73 @@ func (x *Index) SaveAdjacency(w io.Writer) error {
 		})
 		numRows += len(snaps[ti])
 	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(numRows))
-	if _, err := tee.Write(buf[:4]); err != nil {
-		return err
-	}
+	fw := storage.NewChecksumWriter(w, adjMagic, adjVersion)
+	fw.Uint32(uint32(x.slotSec))
+	fw.Uint32(uint32(x.net.NumSegments()))
+	fw.Uint32(uint32(numRows))
 	for ti, rows := range snaps {
 		for _, sr := range rows {
-			if err := writeAdjRow(tee, uint8(ti), sr.slot, sr.seg, sr.row, x.net.NumSegments()); err != nil {
-				return err
-			}
+			writeAdjRow(fw, uint8(ti), sr.slot, sr.seg, sr.row, x.net.NumSegments())
 		}
 	}
-	if err := tee.Finish(); err != nil {
-		return fmt.Errorf("conindex: write adjacency checksum: %w", err)
+	if err := fw.Finish(); err != nil {
+		return fmt.Errorf("conindex: write adjacency: %w", err)
 	}
 	return nil
 }
 
-func writeAdjRow(w *storage.ChecksumWriter, tableID uint8, slot int, seg roadnet.SegmentID, r Row, numSegments int) error {
-	var buf [8]byte
-	buf[0] = tableID
-	if _, err := w.Write(buf[:1]); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(slot))
-	w.Write(buf[:4])
-	binary.LittleEndian.PutUint32(buf[:4], uint32(seg))
-	w.Write(buf[:4])
+func writeAdjRow(w *storage.ChecksumWriter, tableID uint8, slot int, seg roadnet.SegmentID, r Row, numSegments int) {
+	w.Uint8(tableID)
+	w.Uint32(uint32(slot))
+	w.Uint32(uint32(seg))
 	idx, words := r.parts()
 	if !adjSparse(r.Len(), numSegments) {
 		// Words 0 through the row's last non-zero word, the gaps between
 		// its non-zero words written as zeros.
-		buf[0] = adjEncBitset
-		w.Write(buf[:1])
-		binary.LittleEndian.PutUint32(buf[:4], uint32(idx[len(idx)-1])+1)
-		w.Write(buf[:4])
-		var zero [8]byte
+		w.Uint8(adjEncBitset)
+		w.Uint32(uint32(idx[len(idx)-1]) + 1)
 		next := 0
 		for i, wd := range words {
 			for ; next < int(idx[i]); next++ {
-				if _, err := w.Write(zero[:]); err != nil {
-					return err
-				}
+				w.Uint64(0)
 			}
-			binary.LittleEndian.PutUint64(buf[:8], wd)
-			if _, err := w.Write(buf[:8]); err != nil {
-				return err
-			}
+			w.Uint64(wd)
 			next++
 		}
-		return nil
+		return
 	}
-	buf[0] = adjEncSparse
-	w.Write(buf[:1])
-	binary.LittleEndian.PutUint32(buf[:4], uint32(r.Len()))
-	w.Write(buf[:4])
+	w.Uint8(adjEncSparse)
+	w.Uint32(uint32(r.Len()))
 	for i, wd := range words {
 		for base := uint32(idx[i]) << 6; wd != 0; wd &= wd - 1 {
-			binary.LittleEndian.PutUint32(buf[:4], base+uint32(bits.TrailingZeros64(wd)))
-			if _, err := w.Write(buf[:4]); err != nil {
-				return err
-			}
+			w.Uint32(base + uint32(bits.TrailingZeros64(wd)))
 		}
 	}
-	return nil
 }
 
 // LoadAdjacency restores rows persisted with SaveAdjacency into the
 // index's tables, replacing any rows already materialised for the same
 // keys. The blob must match the index's Δt and segment count. Nothing is
-// installed until the whole blob has parsed, validated, and (v2)
-// checksum-verified: a corrupt blob is rejected in full. Records are
-// accepted only in the form SaveAdjacency writes them — keys ascending
-// and unique, each row in its own encoding, bitsets trimmed — so a
-// loaded blob re-saves byte for byte (a v1 blob as its v2 form).
+// installed until the whole blob has parsed, validated, and verified: a
+// corrupt blob is rejected in full. Records are accepted only in the
+// form SaveAdjacency writes them — keys ascending and unique, each row in
+// its own encoding, bitsets trimmed — so a loaded blob re-saves byte for
+// byte.
 func (x *Index) LoadAdjacency(r io.Reader) error {
-	br := bufio.NewReader(r)
-	h := storage.NewChecksum()
-	tee := io.TeeReader(br, h)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(tee, magic); err != nil {
-		return fmt.Errorf("conindex: read adjacency magic: %w", err)
+	fr, err := storage.NewChecksumReader(r, adjMagic, adjVersion)
+	if err != nil {
+		return fmt.Errorf("conindex: read adjacency: %w", err)
 	}
-	if string(magic) != adjMagic {
-		return fmt.Errorf("conindex: bad adjacency magic %q", magic)
+	slotSec, numSeg, numRows := int(fr.Uint32()), int(fr.Uint32()), int(fr.Uint32())
+	if err := fr.Err(); err != nil {
+		return fmt.Errorf("conindex: read adjacency: %w", err)
 	}
-	var buf [8]byte
-	if _, err := io.ReadFull(tee, buf[:2]); err != nil {
-		return fmt.Errorf("conindex: read adjacency version: %w", err)
+	if slotSec != x.slotSec {
+		return fmt.Errorf("conindex: adjacency slot seconds %d, index has %d", slotSec, x.slotSec)
 	}
-	ver := binary.LittleEndian.Uint16(buf[:2])
-	if ver < adjVersionMin || ver > adjVersion {
-		return fmt.Errorf("conindex: unsupported adjacency version %d", ver)
+	if numSeg != x.net.NumSegments() {
+		return fmt.Errorf("conindex: adjacency over %d segments, network has %d", numSeg, x.net.NumSegments())
 	}
-	if _, err := io.ReadFull(tee, buf[:4]); err != nil {
-		return err
-	}
-	if got := int(binary.LittleEndian.Uint32(buf[:4])); got != x.slotSec {
-		return fmt.Errorf("conindex: adjacency slot seconds %d, index has %d", got, x.slotSec)
-	}
-	if _, err := io.ReadFull(tee, buf[:4]); err != nil {
-		return err
-	}
-	numSeg := x.net.NumSegments()
-	if got := int(binary.LittleEndian.Uint32(buf[:4])); got != numSeg {
-		return fmt.Errorf("conindex: adjacency over %d segments, network has %d", got, numSeg)
-	}
-	if _, err := io.ReadFull(tee, buf[:4]); err != nil {
-		return err
-	}
-	numRows := int(binary.LittleEndian.Uint32(buf[:4]))
 	tables := x.adjTables()
 	maxWords := (numSeg + 63) / 64
 	type pendingRow struct {
@@ -206,10 +147,10 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 		row     Row
 	}
 	// The row count is the header's word, not evidence that the rows are
-	// there: pending is sized from it only as far as the file's length
-	// can back it (a record takes at least 14 bytes), and grows as rows
+	// there: pending is sized from it only as far as the file can hold
+	// the rows (a record takes at least 14 bytes), and grows as rows
 	// arrive past that.
-	pending := make([]pendingRow, 0, min(int64(numRows), fileSize(r)/14))
+	pending := make([]pendingRow, 0, min(int64(numRows), fr.Remaining()/14))
 	// Record payloads are decoded into these and compressed out of them,
 	// so they are reused from row to row.
 	var (
@@ -217,10 +158,10 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 		words   []uint64
 		scratch = bitset.New(numSeg)
 	)
-	var hdr [1 + 4 + 4 + 1 + 4]byte
 	for i := 0; i < numRows; i++ {
-		if _, err := io.ReadFull(tee, hdr[:]); err != nil {
-			return fmt.Errorf("conindex: read adjacency row %d: %w", i, err)
+		hdr := fr.Next(14)
+		if hdr == nil {
+			return fmt.Errorf("conindex: read adjacency row %d: %w", i, fr.Err())
 		}
 		tableID := hdr[0]
 		if int(tableID) >= len(tables) {
@@ -249,10 +190,10 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 			}
 			ids = ids[:0]
 			for j := 0; j < count; j++ {
-				if _, err := io.ReadFull(tee, buf[:4]); err != nil {
+				id := fr.Uint32()
+				if err := fr.Err(); err != nil {
 					return fmt.Errorf("conindex: read adjacency row %d: %w", i, err)
 				}
-				id := binary.LittleEndian.Uint32(buf[:4])
 				if int(id) >= numSeg {
 					return fmt.Errorf("conindex: adjacency row %d member %d out of range", i, id)
 				}
@@ -273,10 +214,10 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 			}
 			words = words[:0]
 			for j := 0; j < count; j++ {
-				if _, err := io.ReadFull(tee, buf[:8]); err != nil {
-					return fmt.Errorf("conindex: read adjacency row %d: %w", i, err)
-				}
-				words = append(words, binary.LittleEndian.Uint64(buf[:8]))
+				words = append(words, fr.Uint64())
+			}
+			if err := fr.Err(); err != nil {
+				return fmt.Errorf("conindex: read adjacency row %d: %w", i, err)
 			}
 			// The writer trims trailing zero words, and a member past the
 			// network is out of range like any other.
@@ -295,19 +236,8 @@ func (x *Index) LoadAdjacency(r io.Reader) error {
 		}
 		pending = append(pending, pendingRow{tableID: tableID, slot: slot, seg: roadnet.SegmentID(seg), row: row})
 	}
-	if ver >= 2 {
-		// The stored checksum is read from br directly: it is not part
-		// of its own coverage.
-		want := h.Sum32()
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return fmt.Errorf("conindex: read adjacency checksum: %w", err)
-		}
-		if got := binary.LittleEndian.Uint32(buf[:4]); got != want {
-			return xerr.Markf(xerr.KindCorrupt, "conindex: adjacency checksum mismatch (stored %08x, computed %08x)", got, want)
-		}
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return xerr.Markf(xerr.KindCorrupt, "conindex: trailing bytes after v%d adjacency blob", ver)
+	if err := fr.Finish(); err != nil {
+		return fmt.Errorf("conindex: read adjacency: %w", err)
 	}
 	for _, p := range pending {
 		tables[p.tableID].put(p.slot, p.seg, p.row)

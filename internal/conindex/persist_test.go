@@ -7,11 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"testing"
 
 	"streach/internal/roadnet"
 	"streach/internal/storage"
+	"streach/internal/xerr"
 )
 
 // allocatedBy reports the bytes fn allocates.
@@ -23,36 +23,50 @@ func allocatedBy(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// conHeader is a conindex.bin header and nothing else: magic, version 2,
-// slot seconds, segment count.
-func conHeader(slotSec, numSeg uint32) []byte {
-	b := []byte(conMagic)
-	b = binary.LittleEndian.AppendUint16(b, conVersion)
-	b = binary.LittleEndian.AppendUint32(b, slotSec)
-	return binary.LittleEndian.AppendUint32(b, numSeg)
+// framed is payload in a frame with a valid checksum.
+func framed(magic string, version uint16, payload []byte) []byte {
+	var b bytes.Buffer
+	fw := storage.NewChecksumWriter(&b, magic, version)
+	fw.Write(payload)
+	fw.Finish()
+	return b.Bytes()
 }
 
-// adjHeader is a conindex.adj header claiming rows it does not hold.
-func adjHeader(slotSec, numSeg, rows uint32) []byte {
-	b := []byte(adjMagic)
-	b = binary.LittleEndian.AppendUint16(b, adjVersion)
-	b = binary.LittleEndian.AppendUint32(b, slotSec)
-	b = binary.LittleEndian.AppendUint32(b, numSeg)
-	return binary.LittleEndian.AppendUint32(b, rows)
+// payloadOf is the payload of a frame.
+func payloadOf(frame []byte) []byte {
+	var p []byte
+	for off := 6; ; {
+		n := int(binary.LittleEndian.Uint32(frame[off:]))
+		if n == 0 {
+			return p
+		}
+		p = append(p, frame[off+4:off+4+n]...)
+		off += 8 + n
+	}
 }
 
-// TestLoadAllocatesByBytesRead: a 14-byte header claiming 1-second slots
-// must fail without allocating the 86 400 × 112 statistics it promises
-// (160 MB), from a stream and from a file alike; allocation follows the
-// records that actually arrive, or the file's length.
+// u32s is the records of a header: each value as a u32.
+func u32s(vs ...uint32) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return b
+}
+
+// TestLoadAllocatesByBytesRead: a conindex.bin whose checksums hold but
+// whose header claims 1-second slots and carries no statistics must fail
+// without allocating the 86 400 × 112 statistics it promises (160 MB),
+// from a stream and from a file alike: the arrays are sized by what the
+// file can hold.
 func TestLoadAllocatesByBytesRead(t *testing.T) {
 	n := testNetwork(t)
-	blob := conHeader(1, uint32(n.NumSegments()))
+	blob := framed(conMagic, conVersion, u32s(1, uint32(n.NumSegments())))
 	for name, r := range streamAndFile(t, blob) {
 		var err error
 		got := allocatedBy(func() { _, err = Load(n, r) })
-		if err == nil {
-			t.Fatalf("%s: a header-only blob loaded", name)
+		if xerr.KindOf(err) != xerr.KindCorrupt {
+			t.Fatalf("%s: a header-only blob loaded or failed unmarked: %v", name, err)
 		}
 		if got > 1<<20 {
 			t.Fatalf("%s: loading a %d-byte blob allocated %d bytes", name, len(blob), got)
@@ -60,19 +74,19 @@ func TestLoadAllocatesByBytesRead(t *testing.T) {
 	}
 }
 
-// TestLoadAdjacencyAllocatesByBytesRead: an 18-byte blob claiming
-// 2^32-1 rows must fail without pre-sizing its pending rows from that
-// count (4 MB on this network at 300 s slots), from a stream and from a
-// file alike.
+// TestLoadAdjacencyAllocatesByBytesRead: a conindex.adj whose checksums
+// hold but whose header claims 2^32-1 rows and carries none must fail
+// without pre-sizing its pending rows from that count, from a stream and
+// from a file alike.
 func TestLoadAdjacencyAllocatesByBytesRead(t *testing.T) {
 	n := testNetwork(t)
 	idx := build(t, n, testDataset(t, n))
-	blob := adjHeader(300, uint32(n.NumSegments()), 0xFFFFFFFF)
+	blob := framed(adjMagic, adjVersion, u32s(300, uint32(n.NumSegments()), 0xFFFFFFFF))
 	for name, r := range streamAndFile(t, blob) {
 		var err error
 		got := allocatedBy(func() { err = idx.LoadAdjacency(r) })
-		if err == nil {
-			t.Fatalf("%s: a header-only adjacency blob loaded", name)
+		if xerr.KindOf(err) != xerr.KindCorrupt {
+			t.Fatalf("%s: a header-only adjacency blob loaded or failed unmarked: %v", name, err)
 		}
 		if got > 1<<20 {
 			t.Fatalf("%s: loading a %d-byte adjacency blob allocated %d bytes", name, len(blob), got)
@@ -95,17 +109,6 @@ func streamAndFile(t *testing.T, blob []byte) map[string]io.Reader {
 	return map[string]io.Reader{"stream": bytes.NewReader(blob), "file": f}
 }
 
-// asV2 is the blob a v1 blob re-saves as: version 2, then the checksum
-// v1 lacks. Any other blob re-saves as itself.
-func asV2(blob []byte) []byte {
-	if len(blob) < 6 || binary.LittleEndian.Uint16(blob[4:6]) != 1 {
-		return blob
-	}
-	out := slices.Clone(blob)
-	binary.LittleEndian.PutUint16(out[4:6], 2)
-	return binary.LittleEndian.AppendUint32(out, storage.Checksum(out))
-}
-
 // fuzzIndex is a small Con-Index for the fuzz targets: 6-hour slots, so
 // its statistics are 7 KB and a Load is cheap enough to run per input.
 func fuzzIndex(f *testing.F) (*roadnet.Network, *Index) {
@@ -117,18 +120,19 @@ func fuzzIndex(f *testing.F) (*roadnet.Network, *Index) {
 	return n, idx
 }
 
-// FuzzLoadConIndex: no byte string panics Load or makes it allocate past
-// what it reads, and a blob Load accepts holds one statistic per (slot,
-// segment) and re-saves byte for byte.
+// FuzzLoadConIndex: no records, framed with a valid checksum (the frame
+// itself is FuzzFrame's), panic Load, and a blob Load accepts holds one
+// statistic per (slot, segment) and re-saves byte for byte.
 func FuzzLoadConIndex(f *testing.F) {
 	n, idx := fuzzIndex(f)
 	var saved bytes.Buffer
 	if err := idx.Save(&saved); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(saved.Bytes())
-	f.Add(conHeader(1, uint32(n.NumSegments())))
-	f.Fuzz(func(t *testing.T, blob []byte) {
+	f.Add(payloadOf(saved.Bytes()))
+	f.Add(u32s(1, uint32(n.NumSegments())))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		blob := framed(conMagic, conVersion, payload)
 		x, err := Load(n, bytes.NewReader(blob))
 		if err != nil {
 			return
@@ -140,15 +144,15 @@ func FuzzLoadConIndex(f *testing.F) {
 		if err := x.Save(&out); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(out.Bytes(), asV2(blob)) {
+		if !bytes.Equal(out.Bytes(), blob) {
 			t.Fatalf("a loaded blob re-saves differently (%d bytes in, %d out)", len(blob), out.Len())
 		}
 	})
 }
 
-// FuzzLoadAdjacency: no byte string panics LoadAdjacency, and a blob it
-// accepts installs rows whose keys and members lie inside the index and
-// re-saves byte for byte.
+// FuzzLoadAdjacency: no records, framed with a valid checksum, panic
+// LoadAdjacency, and a blob it accepts installs rows whose keys and
+// members lie inside the index and re-saves byte for byte.
 func FuzzLoadAdjacency(f *testing.F) {
 	n, idx := fuzzIndex(f)
 	for slot := 0; slot < idx.numSlots; slot++ {
@@ -165,9 +169,10 @@ func FuzzLoadAdjacency(f *testing.F) {
 	if err := idx.SaveAdjacency(&adj); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(adj.Bytes())
-	f.Add(adjHeader(21600, uint32(n.NumSegments()), 0xFFFFFFFF))
-	f.Fuzz(func(t *testing.T, blob []byte) {
+	f.Add(payloadOf(adj.Bytes()))
+	f.Add(u32s(21600, uint32(n.NumSegments()), 0xFFFFFFFF))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		blob := framed(adjMagic, adjVersion, payload)
 		x, err := Load(n, bytes.NewReader(stats.Bytes()))
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +196,7 @@ func FuzzLoadAdjacency(f *testing.F) {
 		if err := x.SaveAdjacency(&out); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(out.Bytes(), asV2(blob)) {
+		if !bytes.Equal(out.Bytes(), blob) {
 			t.Fatalf("a loaded adjacency blob re-saves differently (%d bytes in, %d out)", len(blob), out.Len())
 		}
 	})

@@ -1,7 +1,6 @@
 package conindex
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -203,38 +202,34 @@ func refWriteAdjRow(w io.Writer, tableID uint8, slot int, seg roadnet.SegmentID,
 }
 
 // refSaveAdjacency writes x's materialised tables the way the two-form
-// writer did, and reports how many records of each encoding it wrote.
+// writer did — the records, in the storage frame every derived file
+// shares — and reports how many records of each encoding it wrote.
 func refSaveAdjacency(x *Index, w io.Writer) (sparse, dense int, err error) {
-	bw := bufio.NewWriter(w)
-	h := storage.NewChecksum()
-	tee := io.MultiWriter(bw, h)
-	io.WriteString(tee, adjMagic)
-	var buf [8]byte
-	binary.LittleEndian.PutUint16(buf[:2], adjVersion)
-	tee.Write(buf[:2])
-	binary.LittleEndian.PutUint32(buf[:4], uint32(x.slotSec))
-	tee.Write(buf[:4])
-	nseg := x.net.NumSegments()
-	binary.LittleEndian.PutUint32(buf[:4], uint32(nseg))
-	tee.Write(buf[:4])
+	var rec bytes.Buffer
+	var buf [4]byte
+	for _, v := range []int{x.slotSec, x.net.NumSegments()} {
+		binary.LittleEndian.PutUint32(buf[:], uint32(v))
+		rec.Write(buf[:])
+	}
 	numRows := 0
 	for _, t := range x.adjTables() {
 		numRows += t.size()
 	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(numRows))
-	tee.Write(buf[:4])
+	binary.LittleEndian.PutUint32(buf[:], uint32(numRows))
+	rec.Write(buf[:])
+	nseg := x.net.NumSegments()
 	for ti, t := range x.adjTables() {
 		t.forEach(func(slot int, seg roadnet.SegmentID, r Row) {
-			if refWriteAdjRow(tee, uint8(ti), slot, seg, refMakeRow(r.AppendTo(nil), nseg)) == adjEncBitset {
+			if refWriteAdjRow(&rec, uint8(ti), slot, seg, refMakeRow(r.AppendTo(nil), nseg)) == adjEncBitset {
 				dense++
 			} else {
 				sparse++
 			}
 		})
 	}
-	binary.LittleEndian.PutUint32(buf[:4], h.Sum32())
-	bw.Write(buf[:4])
-	return sparse, dense, bw.Flush()
+	fw := storage.NewChecksumWriter(w, adjMagic, adjVersion)
+	fw.Write(rec.Bytes())
+	return sparse, dense, fw.Finish()
 }
 
 // TestAdjacencyGolden pins the bytes of conindex.adj: for the same

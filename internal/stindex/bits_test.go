@@ -40,92 +40,76 @@ func TestBitsCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		run := randomRun(rng, 3, 9, 1+rng.Intn(120), 1+rng.Intn(400), 1+rng.Intn(80))
-		// Reference decode: the legacy encoder over the same run.
-		legacy, err := decodeTimeList(encodeTimeListRun(run))
+		want := runTimeList(run)
+		bits, err := decodeTimeListBits(encodePackedRun(run))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, blob := range [][]byte{encodeTimeListBitsRun(run), encodePackedRun(run)} {
-			bits, err := decodeTimeListBits(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := bits.TimeList()
-			if !reflect.DeepEqual(got.Days, legacy.Days) {
-				t.Fatalf("trial %d %x: days %v != %v", trial, blob[:2], got.Days, legacy.Days)
-			}
-			if !reflect.DeepEqual(got.Taxis, legacy.Taxis) {
-				t.Fatalf("trial %d %x: taxis %v != %v", trial, blob[:2], got.Taxis, legacy.Taxis)
-			}
-			// The day mask must agree with the day list.
-			for _, d := range bits.Days {
-				if bits.DayMask[int(d)>>6]&(1<<(uint(d)&63)) == 0 {
-					t.Fatalf("trial %d %x: day %d missing from mask", trial, blob[:2], d)
-				}
+		got := bits.TimeList()
+		if !reflect.DeepEqual(got.Days, want.Days) {
+			t.Fatalf("trial %d: days %v != %v", trial, got.Days, want.Days)
+		}
+		if !reflect.DeepEqual(got.Taxis, want.Taxis) {
+			t.Fatalf("trial %d: taxis %v != %v", trial, got.Taxis, want.Taxis)
+		}
+		// The day mask must agree with the day list.
+		for _, d := range bits.Days {
+			if bits.DayMask[int(d)>>6]&(1<<(uint(d)&63)) == 0 {
+				t.Fatalf("trial %d: day %d missing from mask", trial, d)
 			}
 		}
 	}
 }
 
-// TestFormatsDecodeAndMatchAlike: one run written as v1, v2 and packed
-// decodes to the same TimeListBits and matches the same days.
+// TestFormatsDecodeAndMatchAlike: the decoded form and the packed bytes
+// answer alike — a run decodes to its own days and taxis, and the
+// matcher over its packed bytes finds the days intersecting those
+// decoded sets finds.
 func TestFormatsDecodeAndMatchAlike(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const days, maxTaxi = 70, 300
 	for trial := 0; trial < 30; trial++ {
 		run := randomRun(rng, 4, 2, days, maxTaxi, 1+rng.Intn(150))
 		sets := randomSets(rng, 1+rng.Intn(3), days, maxTaxi, 0.3)
-		var want *TimeListBits
-		wantBest := -1
-		for _, blob := range [][]byte{encodeTimeListRun(run), encodeTimeListBitsRun(run), encodePackedRun(run)} {
-			got, err := decodeTimeListBits(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, st, err := streamMatch(days, sets, [][]byte{blob})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want == nil {
-				want, wantBest = got, st.best()
-				continue
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: %x decodes to %+v, v1 to %+v", trial, blob[:2], got, want)
-			}
-			if st.best() != wantBest {
-				t.Fatalf("trial %d: %x matches %d days, v1 %d", trial, blob[:2], st.best(), wantBest)
-			}
-		}
-	}
-}
-
-func TestBitsDecodeLegacyBlob(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	run := randomRun(rng, 1, 2, 30, 250, 40)
-	legacyBlob := encodeTimeListRun(run)
-	bits, err := decodeTimeListBits(legacyBlob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := decodeTimeList(legacyBlob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := bits.TimeList()
-	if !reflect.DeepEqual(got.Days, legacy.Days) || !reflect.DeepEqual(got.Taxis, legacy.Taxis) {
-		t.Fatal("legacy blob decoded through the bitset path differs")
-	}
-}
-
-func TestBitsEmptyBlob(t *testing.T) {
-	for _, blob := range [][]byte{nil, encodePackedRun(nil)} {
-		b, err := decodeTimeListBits(blob)
+		blob := encodePackedRun(run)
+		got, err := decodeTimeListBits(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b.Days) != 0 || len(b.Bits) != 0 {
-			t.Fatalf("empty blob %x should decode to an empty list", blob)
+		if want := runTimeList(run); !reflect.DeepEqual(got.TimeList(), want) {
+			t.Fatalf("trial %d: decodes to %+v, want %+v", trial, got.TimeList(), want)
+		}
+		matched := make([][]bool, len(sets))
+		for i := range sets {
+			matched[i] = make([]bool, days)
+			for j, d := range got.Days {
+				matched[i][d] = BitsIntersect(sets[i][d], got.Bits[j])
+			}
+		}
+		_, st, err := streamMatch(days, sets, [][]byte{blob})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.best() != bestOf(matched) {
+			t.Fatalf("trial %d: matches %d days, the decoded sets %d", trial, st.best(), bestOf(matched))
+		}
+	}
+}
+
+// TestBitsEmptyBlob: a run with no visits encodes to the bare marker and
+// decodes to an empty list; a blob too short to carry the marker is an
+// error, not an empty list.
+func TestBitsEmptyBlob(t *testing.T) {
+	b, err := decodeTimeListBits(encodePackedRun(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Days) != 0 || len(b.Bits) != 0 {
+		t.Fatal("the empty run should decode to an empty list")
+	}
+	for _, blob := range [][]byte{nil, {packedMarker0}} {
+		if _, err := decodeTimeListBits(blob); err == nil {
+			t.Fatalf("blob %x decodes", blob)
 		}
 	}
 }
@@ -151,23 +135,21 @@ func TestMultiWordDayMask(t *testing.T) {
 		packTuple(0, 0, 2, 70),
 		packTuple(0, 0, 65, 1),
 	}
-	for _, blob := range [][]byte{encodeTimeListBitsRun(run), encodePackedRun(run)} {
-		b, err := decodeTimeListBits(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b.Days) != 2 || b.Days[0] != 2 || b.Days[1] != 65 {
-			t.Fatalf("%x: days = %v, want [2 65]", blob[:2], b.Days)
-		}
-		if got := b.Bits[0]; got[0]&(1<<5) == 0 || got[1]&(1<<6) == 0 {
-			t.Fatalf("%x: day 2 bitset wrong: %v", blob[:2], got)
-		}
-		if got := b.Bits[1]; got[0]&(1<<1) == 0 {
-			t.Fatalf("%x: day 65 bitset wrong: %v", blob[:2], got)
-		}
-		if len(b.DayMask) != 2 || b.DayMask[0] != 1<<2 || b.DayMask[1] != 1<<1 {
-			t.Fatalf("%x: day mask = %v", blob[:2], b.DayMask)
-		}
+	b, err := decodeTimeListBits(encodePackedRun(run))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Days) != 2 || b.Days[0] != 2 || b.Days[1] != 65 {
+		t.Fatalf("days = %v, want [2 65]", b.Days)
+	}
+	if got := b.Bits[0]; got[0]&(1<<5) == 0 || got[1]&(1<<6) == 0 {
+		t.Fatalf("day 2 bitset wrong: %v", got)
+	}
+	if got := b.Bits[1]; got[0]&(1<<1) == 0 {
+		t.Fatalf("day 65 bitset wrong: %v", got)
+	}
+	if len(b.DayMask) != 2 || b.DayMask[0] != 1<<2 || b.DayMask[1] != 1<<1 {
+		t.Fatalf("day mask = %v", b.DayMask)
 	}
 }
 

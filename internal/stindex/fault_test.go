@@ -44,7 +44,7 @@ func savedIndexAt(t testing.TB, slotSec int) (*traj.Dataset, *storage.MemStore, 
 }
 
 // TestLoadOverFaultStoreDetectsCorruption: a single bit flipped by the
-// fault layer in any page read during load must trip the v3 page-store
+// fault layer in any page read during load must trip the meta's page-store
 // checksum — the load fails typed CorruptData instead of serving a
 // silently wrong index.
 func TestLoadOverFaultStoreDetectsCorruption(t *testing.T) {

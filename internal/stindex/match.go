@@ -18,9 +18,7 @@ import (
 // read once and dropped. A Matcher answers the question on the packed
 // bytes instead: it walks each blob where it lies in the pooled page and
 // settles every (day, taxi) entry with one lookup in a per-taxi day
-// mask, keeping only a day mask per source as state. Legacy (v1, v2)
-// blobs, which only an index written before the packed format holds
-// until compaction rewrites them, go through the decoder.
+// mask, keeping only a day mask per source as state.
 
 // MatchSets is the probe side of a match: per source, the per-day taxi
 // bitset a candidate's lists are intersected with, and the same sets
@@ -137,23 +135,15 @@ func (st *matchState) matchDelta(days map[int][]uint64) {
 	}
 }
 
-// matchBlob folds one encoded time list in. A packed blob is matched in
-// place and validated exactly as decodeTimeListBits validates it — a
-// blob the decoder rejects returns the decoder's error, whether or not
-// the damaged part was needed; a legacy blob is decoded. On error the
-// state is undefined.
+// matchBlob folds one encoded time list in, matched in place and
+// validated exactly as decodeTimeListBits validates it: a blob the
+// decoder rejects returns the decoder's error, whether or not the
+// damaged part was needed. On error the state is undefined.
 func (st *matchState) matchBlob(blob []byte) error {
-	if isPackedBlob(blob) {
-		return st.matchPacked(blob[2:])
+	if !isPackedBlob(blob) {
+		return errNotPacked(blob)
 	}
-	tl, err := decodeTimeListBits(blob)
-	if err != nil {
-		return err
-	}
-	for j, d := range tl.Days {
-		st.matchDay(int(d), tl.Bits[j])
-	}
-	return nil
+	return st.matchPacked(blob[2:])
 }
 
 // matchPacked folds a packed body in: an entry (d, t) clears day d of

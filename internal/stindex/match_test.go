@@ -110,25 +110,20 @@ func randomSets(rng *rand.Rand, nsrc, days, maxTaxi int, emptyShare float64) [][
 func TestMatchBlobAgreesWithDecoder(t *testing.T) {
 	cases := []struct {
 		name                string
-		encode              func([]uint64) []byte
 		nsrc, days, runDays int // runDays > days puts list days past Days()
 		maxTaxi, perBlob    int
 		setTaxi             int // sets draw taxis below it (0: maxTaxi)
 		blobs               int
 		emptyShare          float64
 	}{
-		{name: "v1 single source", encode: encodeTimeListRun, nsrc: 1, days: 30, runDays: 30, maxTaxi: 500, perBlob: 12, blobs: 5},
-		{name: "v2 single source", encode: encodeTimeListBitsRun, nsrc: 1, days: 30, runDays: 30, maxTaxi: 500, perBlob: 200, blobs: 5},
-		{name: "v1 multi source", encode: encodeTimeListRun, nsrc: 3, days: 30, runDays: 30, maxTaxi: 300, perBlob: 60, blobs: 6},
-		{name: "v2 multi-word day mask", encode: encodeTimeListBitsRun, nsrc: 2, days: 200, runDays: 200, maxTaxi: 100, perBlob: 300, blobs: 3},
-		{name: "packed single source", encode: encodePackedRun, nsrc: 1, days: 30, runDays: 30, maxTaxi: 500, perBlob: 12, blobs: 5},
-		{name: "packed multi source", encode: encodePackedRun, nsrc: 3, days: 30, runDays: 30, maxTaxi: 300, perBlob: 60, blobs: 6},
-		{name: "list days past Days()", encode: encodePackedRun, nsrc: 2, days: 10, runDays: 90, maxTaxi: 200, perBlob: 80, blobs: 4},
-		{name: "multi-word day mask", encode: encodePackedRun, nsrc: 2, days: 200, runDays: 200, maxTaxi: 100, perBlob: 300, blobs: 3},
-		{name: "packed taxis past the sets", encode: encodePackedRun, nsrc: 2, days: 30, runDays: 30, maxTaxi: maxTaxis, perBlob: 200, setTaxi: 150, blobs: 4},
-		{name: "mostly empty start days", encode: encodePackedRun, nsrc: 2, days: 30, runDays: 30, maxTaxi: 200, perBlob: 50, blobs: 4, emptyShare: 0.8},
-		{name: "no start day at all", encode: encodePackedRun, nsrc: 1, days: 30, runDays: 30, maxTaxi: 200, perBlob: 50, blobs: 2, emptyShare: 1},
-		{name: "dense: early exit", encode: encodePackedRun, nsrc: 1, days: 6, runDays: 6, maxTaxi: 20, perBlob: 120, blobs: 8},
+		{name: "packed single source", nsrc: 1, days: 30, runDays: 30, maxTaxi: 500, perBlob: 12, blobs: 5},
+		{name: "packed multi source", nsrc: 3, days: 30, runDays: 30, maxTaxi: 300, perBlob: 60, blobs: 6},
+		{name: "list days past Days()", nsrc: 2, days: 10, runDays: 90, maxTaxi: 200, perBlob: 80, blobs: 4},
+		{name: "multi-word day mask", nsrc: 2, days: 200, runDays: 200, maxTaxi: 100, perBlob: 300, blobs: 3},
+		{name: "packed taxis past the sets", nsrc: 2, days: 30, runDays: 30, maxTaxi: maxTaxis, perBlob: 200, setTaxi: 150, blobs: 4},
+		{name: "mostly empty start days", nsrc: 2, days: 30, runDays: 30, maxTaxi: 200, perBlob: 50, blobs: 4, emptyShare: 0.8},
+		{name: "no start day at all", nsrc: 1, days: 30, runDays: 30, maxTaxi: 200, perBlob: 50, blobs: 2, emptyShare: 1},
+		{name: "dense: early exit", nsrc: 1, days: 6, runDays: 6, maxTaxi: 20, perBlob: 120, blobs: 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,7 +136,7 @@ func TestMatchBlobAgreesWithDecoder(t *testing.T) {
 				sets := randomSets(rng, tc.nsrc, tc.days, setTaxi, tc.emptyShare)
 				blobs := make([][]byte, tc.blobs)
 				for b := range blobs {
-					blobs[b] = tc.encode(randomRun(rng, b, 1, tc.runDays, tc.maxTaxi, tc.perBlob))
+					blobs[b] = encodePackedRun(randomRun(rng, b, 1, tc.runDays, tc.maxTaxi, tc.perBlob))
 				}
 				want, err := oracleMatch(tc.days, sets, blobs)
 				if err != nil {
@@ -189,13 +184,11 @@ func TestMatchEarlyExitIsExact(t *testing.T) {
 	}
 	best := st.best()
 	rest := randomRun(rng, 1, 1, days, maxTaxi, 20)
-	for _, blob := range [][]byte{encodePackedRun(rest), encodeTimeListRun(rest)} {
-		if err := st.matchBlob(blob); err != nil {
-			t.Fatal(err)
-		}
-		if st.left != 0 || st.best() != best {
-			t.Fatalf("a list after the exit moved the answer: left %d best %d -> %d", st.left, best, st.best())
-		}
+	if err := st.matchBlob(encodePackedRun(rest)); err != nil {
+		t.Fatal(err)
+	}
+	if st.left != 0 || st.best() != best {
+		t.Fatalf("a list after the exit moved the answer: left %d best %d -> %d", st.left, best, st.best())
 	}
 	want, _ := oracleMatch(days, sets, [][]byte{encodePackedRun(full)})
 	if best != bestOf(want) {
@@ -204,14 +197,15 @@ func TestMatchEarlyExitIsExact(t *testing.T) {
 }
 
 // TestMatchBlobErrorsAreTheDecoders: every truncation of a valid blob,
-// and the corruptions the decoder knows, fail both paths with the same
-// message — also when the damage sits in a day no source needs, or after
-// the point where everything has matched.
+// the corruptions the decoder knows, and blobs without the packed
+// marker — the layouts before it among them — fail both paths with the
+// same message, also when the damage sits in a day no source needs, or
+// after the point where everything has matched.
 func TestMatchBlobErrorsAreTheDecoders(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const days, maxTaxi = 12, 300
 	run := randomRun(rng, 2, 1, days, maxTaxi, 60)
-	v1, v2, packed := encodeTimeListRun(run), encodeTimeListBitsRun(run), encodePackedRun(run)
+	packed := encodePackedRun(run)
 	check := func(name string, blob []byte, sets [][][]uint64) {
 		t.Helper()
 		_, want := oracleMatch(days, sets, [][]byte{blob})
@@ -223,12 +217,6 @@ func TestMatchBlobErrorsAreTheDecoders(t *testing.T) {
 	someSets := randomSets(rng, 2, days, maxTaxi, 0.3)
 	noSets := randomSets(rng, 1, days, maxTaxi, 1) // nothing is ever needed
 	for _, sets := range [][][][]uint64{someSets, noSets} {
-		for cut := 0; cut <= len(v1); cut++ {
-			check("v1 prefix", v1[:cut], sets)
-		}
-		for cut := 0; cut <= len(v2); cut++ {
-			check("v2 prefix", v2[:cut], sets)
-		}
 		for cut := 0; cut <= len(packed); cut++ {
 			check("packed prefix", packed[:cut], sets)
 		}
@@ -245,22 +233,18 @@ func TestMatchBlobErrorsAreTheDecoders(t *testing.T) {
 				t.Fatal("the duplicate fixture decodes; it no longer tests anything")
 			}
 		}
-		// Unsorted entries: day 3 of three holds taxis 1 and 200 (two
-		// words apart); store them as 200, 1.
-		unsorted := encodeTimeListRun([]uint64{
-			packTuple(2, 1, 0, 5), packTuple(2, 1, 3, 1), packTuple(2, 1, 3, 200), packTuple(2, 1, 5, 7),
-		})
-		copy(unsorted[14:22], []byte{200, 0, 0, 0, 1, 0, 0, 0})
-		if _, err := decodeTimeListBits(unsorted); err == nil {
-			t.Fatal("the unsorted fixture decodes; it no longer tests anything")
+		// No marker: a sorted-ID list (one day, day 3, taxi 1), a bitset
+		// list's marker, and the packed body alone.
+		for name, blob := range map[string][]byte{
+			"id list":     {1, 0, 3, 0, 1, 0, 1, 0, 0, 0},
+			"bitset list": {0xB2, 0xFE, 1, 0, 1, 0, 8, 0, 0, 0, 0, 0, 0, 0},
+			"bare body":   packed[2:],
+		} {
+			if _, err := decodeTimeListBits(blob); err == nil {
+				t.Fatalf("%s: a blob without the marker decodes", name)
+			}
+			check(name, blob, sets)
 		}
-		check("v1 unsorted", unsorted, sets)
-		// An ordering fault ahead of a framing fault: framing wins.
-		check("v1 unsorted then truncated", unsorted[:len(unsorted)-1], sets)
-		// Day count disagreeing with the mask.
-		badCount := append([]byte(nil), v2...)
-		badCount[2]++
-		check("v2 day count", badCount, sets)
 	}
 }
 
@@ -269,11 +253,8 @@ func TestMatchBlobErrorsAreTheDecoders(t *testing.T) {
 // every blob the decoder accepts both paths agree on every (source, day).
 func FuzzMatchBlob(f *testing.F) {
 	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 4; i++ {
-		run := randomRun(rng, 1, 1, 40, 300, 1+40*i)
-		f.Add(encodeTimeListRun(run), int64(i))
-		f.Add(encodeTimeListBitsRun(run), int64(i))
-		f.Add(encodePackedRun(run), int64(i))
+	for i := 0; i < 12; i++ {
+		f.Add(encodePackedRun(randomRun(rng, 1, 1, 40, 300, 1+13*i)), int64(i))
 	}
 	f.Add([]byte{}, int64(0))
 	// Packed: an empty body, a body that is not a whole number of
@@ -282,12 +263,15 @@ func FuzzMatchBlob(f *testing.F) {
 	f.Add([]byte{packedMarker0, packedMarker1, 5, 0, 1, 7}, int64(5))
 	f.Add([]byte{packedMarker0, packedMarker1, 5, 0, 1, 4, 0, 1}, int64(6))
 	f.Add([]byte{packedMarker0, packedMarker1, 5, 0, 1, 5, 0, 1}, int64(7))
-	f.Add([]byte{bitsMarker0, bitsMarker1, 1, 0, 1, 0}, int64(1))
+	// Blobs without the marker, which both paths reject: the layouts
+	// before the packed one (the last two once made the v1 decoder wrap
+	// a day negative and size a bitset at half a gigabyte), and half a
+	// marker.
+	f.Add([]byte{0xB2, 0xFE, 1, 0, 1, 0}, int64(1))
 	f.Add([]byte{2, 0, 1, 0, 2, 0, 200, 0, 0, 0, 1, 0, 0, 0}, int64(2))
-	// Found by this target: a day that wraps traj.Day negative, and a
-	// last taxi that sized the decoded bitset at half a gigabyte.
 	f.Add([]byte{1, 0, 0x30, 0x80, 0, 0}, int64(8))
 	f.Add([]byte{1, 0, 1, 0, 1, 0, 0xff, 0xff, 0xff, 0xff}, int64(3))
+	f.Add([]byte{packedMarker0}, int64(3))
 	f.Fuzz(func(t *testing.T, blob []byte, seed int64) {
 		const days = 40
 		sets := randomSets(rand.New(rand.NewSource(seed)), 2, days, 300, 0.3)

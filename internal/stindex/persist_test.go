@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
-	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -230,168 +228,13 @@ func daySets(idx *Index, seg roadnet.SegmentID, lo, hi int) (map[traj.Day]map[tr
 	return out, nil
 }
 
-// withMetaVersion rewrites a saved meta's version field and re-seals its
-// checksum. v4 and v5 share a layout, so this turns a v5 meta into the
-// v4 meta a binary before the packed format would have saved.
-func withMetaVersion(meta []byte, ver uint16) []byte {
-	out := slices.Clone(meta)
-	binary.LittleEndian.PutUint16(out[4:6], ver)
-	h := storage.NewChecksum()
-	h.Write(out[:len(out)-4])
-	binary.LittleEndian.PutUint32(out[len(out)-4:], h.Sum32())
-	return out
-}
-
-// legacyIndex builds the dataset's index over store, rewrites every time
-// list in a legacy format — v1 and v2 by turns — and returns a v4 meta
-// for it: the index a binary before the packed format wrote.
-func legacyIndex(t *testing.T, n *roadnet.Network, ds *traj.Dataset, store storage.Store) []byte {
-	t.Helper()
-	idx, err := Build(n, ds, Config{SlotSeconds: 300, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, nseg := idx.liveHandles(), n.NumSegments()
-	next := make(handleTable, len(old))
-	for slot := range old {
-		for seg := 0; seg < nseg; seg++ {
-			h := old.at(slot, seg)
-			if h.IsZero() {
-				continue
-			}
-			b, err := idx.decodeHandle(h, idx.blob.Read, roadnet.SegmentID(seg), slot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			encode := encodeTimeListRun
-			if (slot+seg)%2 == 1 {
-				encode = encodeTimeListBitsRun
-			}
-			nh, err := idx.blob.Append(encode(tuplesFromBits(slot, seg, b)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			next.set(slot, seg, nseg, nh)
-		}
-	}
-	idx.live.handles.Store(&next)
-	var meta bytes.Buffer
-	if err := idx.SaveMeta(&meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Pool().Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return withMetaVersion(meta.Bytes(), 4)
-}
-
-// TestLegacyIndexAnswersAsPacked: an index of v1 and v2 blobs under a v4
-// meta loads, decodes and matches exactly as the packed build of the
-// same dataset, and a compaction rewrites the lists it folds into the
-// bytes the packed index writes for them.
-func TestLegacyIndexAnswersAsPacked(t *testing.T) {
-	n := testNetwork(t)
-	ds := testDataset(t, n)
-	packed := buildIndex(t, n, ds)
-	defer packed.Close()
-	mem := storage.NewMemStore()
-	legacy, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(legacyIndex(t, n, ds, mem)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-
-	formats := map[string]int{}
-	for slot := 0; slot < packed.NumSlots(); slot++ {
-		for seg := 0; seg < n.NumSegments(); seg++ {
-			if h := legacy.liveHandles().at(slot, seg); !h.IsZero() {
-				blob, err := legacy.blob.Read(h)
-				if err != nil {
-					t.Fatal(err)
-				}
-				switch {
-				case isPackedBlob(blob):
-					formats["packed"]++
-				case isBitsBlob(blob):
-					formats["v2"]++
-				default:
-					formats["v1"]++
-				}
-			}
-			want, err := packed.TimeListBitsAt(roadnet.SegmentID(seg), slot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := legacy.TimeListBitsAt(roadnet.SegmentID(seg), slot)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seg %d slot %d: legacy decodes %+v, packed %+v", seg, slot, got, want)
-			}
-		}
-	}
-	if formats["packed"] != 0 || formats["v1"] == 0 || formats["v2"] == 0 {
-		t.Fatalf("fixture holds %v blobs, want v1 and v2 only", formats)
-	}
-
-	const startSlot = 114
-	sets := NewMatchSets(ds.Days, startSetsOf(t, packed, busiest(t, packed, startSlot, 3), startSlot))
-	mp, ml := packed.NewMatcher(sets), legacy.NewMatcher(sets)
-	nonzero := 0
-	for seg := 0; seg < n.NumSegments(); seg++ {
-		want, err := mp.Match(roadnet.SegmentID(seg), startSlot, startSlot+4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ml.Match(roadnet.SegmentID(seg), startSlot, startSlot+4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("seg %d: legacy matches %d days, packed %d", seg, got, want)
-		}
-		if want > 0 {
-			nonzero++
-		}
-	}
-	if nonzero == 0 {
-		t.Fatal("no segment matched a day; the comparison compares nothing")
-	}
-
-	obs := testDeltaObs(packed)
-	for _, x := range []*Index{packed, legacy} {
-		if err := x.AppendDelta(obs); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := x.CompactDeltas(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, o := range obs {
-		hp := packed.liveHandles().at(o.Slot, int(o.Seg))
-		hl := legacy.liveHandles().at(o.Slot, int(o.Seg))
-		want, err := packed.blob.Read(hp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := legacy.blob.Read(hl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !isPackedBlob(got) || !bytes.Equal(got, want) {
-			t.Fatalf("seg %d slot %d: compacted legacy blob %x, packed %x", o.Seg, o.Slot, got, want)
-		}
-	}
-}
-
-// TestMetaV5RoundTrip: a fresh index saves a v5 meta, and the loaded
-// index saves it back byte for byte.
-func TestMetaV5RoundTrip(t *testing.T) {
+// TestMetaRoundTrip: a fresh index saves a meta of the current
+// version, and the loaded index saves it back byte for byte.
+func TestMetaRoundTrip(t *testing.T) {
 	n := testNetwork(t)
 	_, mem, meta := savedIndex(t)
-	if v := binary.LittleEndian.Uint16(meta[4:6]); v != 5 {
-		t.Fatalf("saved meta version %d, want 5", v)
+	if string(meta[:4]) != metaMagic || binary.LittleEndian.Uint16(meta[4:6]) != metaVersion {
+		t.Fatalf("saved meta header %q v%d", meta[:4], binary.LittleEndian.Uint16(meta[4:6]))
 	}
 	idx, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(meta))
 	if err != nil {
@@ -403,24 +246,43 @@ func TestMetaV5RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), meta) {
-		t.Fatal("a loaded v5 meta saves back different bytes")
+		t.Fatal("a loaded meta saves back different bytes")
 	}
 }
 
-// v2Meta writes a v2 meta by hand: no checksums, so LoadIndex has only
-// its bounds checks to go on. Handles not in set are zero.
-func v2Meta(n *roadnet.Network, slotSec int, days uint32, tail uint64, set map[int]storage.BlobHandle) []byte {
+// framed is payload in a frame with a valid checksum.
+func framed(magic string, version uint16, payload []byte) []byte {
+	var b bytes.Buffer
+	fw := storage.NewChecksumWriter(&b, magic, version)
+	fw.Write(payload)
+	fw.Finish()
+	return b.Bytes()
+}
+
+// payloadOf is the payload of a frame.
+func payloadOf(frame []byte) []byte {
+	var p []byte
+	for off := 6; ; {
+		n := int(binary.LittleEndian.Uint32(frame[off:]))
+		if n == 0 {
+			return p
+		}
+		p = append(p, frame[off+4:off+4+n]...)
+		off += 8 + n
+	}
+}
+
+// metaPayload writes a meta's records by hand. Handles not in set are
+// zero.
+func metaPayload(n *roadnet.Network, slotSec int, days uint32, tail uint64, pagesCRC uint32, set map[int]storage.BlobHandle) []byte {
 	var b []byte
-	b = append(b, metaMagic...)
-	b = binary.LittleEndian.AppendUint16(b, 2)
 	b = binary.LittleEndian.AppendUint32(b, uint32(slotSec))
 	b = binary.LittleEndian.AppendUint32(b, days)
 	b = binary.LittleEndian.AppendUint64(b, uint64(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC).Unix()))
 	b = binary.LittleEndian.AppendUint32(b, uint32(n.NumSegments()))
 	b = binary.LittleEndian.AppendUint64(b, tail)
-	numHandles := 86400 / slotSec * n.NumSegments()
-	b = binary.LittleEndian.AppendUint32(b, uint32(numHandles))
-	for i := 0; i < numHandles; i++ {
+	b = binary.LittleEndian.AppendUint32(b, pagesCRC)
+	for i := 0; i < 86400/slotSec*n.NumSegments(); i++ {
 		h := set[i]
 		b = binary.LittleEndian.AppendUint64(b, uint64(h.Offset))
 		b = binary.LittleEndian.AppendUint32(b, uint32(h.Length))
@@ -428,26 +290,26 @@ func v2Meta(n *roadnet.Network, slotSec int, days uint32, tail uint64, set map[i
 	return b
 }
 
-// badV2Metas are v2 metas whose counts would, if trusted, make the first
-// probe allocate gigabytes.
-func badV2Metas(n *roadnet.Network, slotSec int, tail int64) map[string][]byte {
+// badMetaPayloads are meta records whose counts would, if trusted, make
+// the first probe allocate gigabytes.
+func badMetaPayloads(n *roadnet.Network, slotSec int, tail int64, pagesCRC uint32) map[string][]byte {
 	return map[string][]byte{
-		"days 1<<30": v2Meta(n, slotSec, 1<<30, uint64(tail), nil),
-		"handle past the tail": v2Meta(n, slotSec, 7, uint64(tail), map[int]storage.BlobHandle{
+		"days 1<<30": metaPayload(n, slotSec, 1<<30, uint64(tail), pagesCRC, nil),
+		"handle past the tail": metaPayload(n, slotSec, 7, uint64(tail), pagesCRC, map[int]storage.BlobHandle{
 			5: {Offset: 1 << 40, Length: 1<<31 - 1},
 		}),
-		"negative handle length": v2Meta(n, slotSec, 7, uint64(tail), map[int]storage.BlobHandle{
+		"negative handle length": metaPayload(n, slotSec, 7, uint64(tail), pagesCRC, map[int]storage.BlobHandle{
 			5: {Offset: 1, Length: -1},
 		}),
-		"tail past the page store": v2Meta(n, slotSec, 7, 1<<41, map[int]storage.BlobHandle{
+		"tail past the page store": metaPayload(n, slotSec, 7, 1<<41, pagesCRC, map[int]storage.BlobHandle{
 			5: {Offset: 1 << 40, Length: 1<<31 - 1},
 		}),
 	}
 }
 
-// TestLoadRejectsUntrustworthyCounts: a checksum-less meta whose day
-// count or handles are out of bounds is corrupt, and the same meta with
-// sane values loads.
+// TestLoadRejectsUntrustworthyCounts: a meta whose checksums all hold
+// but whose day count or handles are out of bounds is corrupt, and the
+// same meta with sane values loads.
 func TestLoadRejectsUntrustworthyCounts(t *testing.T) {
 	n := testNetwork(t)
 	_, mem, meta := savedIndex(t)
@@ -456,19 +318,24 @@ func TestLoadRejectsUntrustworthyCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	tail := idx.blob.Tail()
-	for name, bad := range badV2Metas(n, 300, tail) {
-		_, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(bad))
+	pagesCRC, err := idx.pool.Checksum(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range badMetaPayloads(n, 300, tail, pagesCRC) {
+		_, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(framed(metaMagic, metaVersion, bad)))
 		if xerr.KindOf(err) != xerr.KindCorrupt {
 			t.Fatalf("%s: load error %v, want KindCorrupt", name, err)
 		}
 	}
-	ok := v2Meta(n, 300, 7, uint64(tail), map[int]storage.BlobHandle{5: {Offset: tail - 10, Length: 10}})
-	if _, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(ok)); err != nil {
-		t.Fatalf("in-bounds v2 meta: %v", err)
+	ok := metaPayload(n, 300, 7, uint64(tail), pagesCRC, map[int]storage.BlobHandle{5: {Offset: tail - 10, Length: 10}})
+	if _, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(framed(metaMagic, metaVersion, ok))); err != nil {
+		t.Fatalf("in-bounds meta: %v", err)
 	}
 }
 
-// FuzzLoadMeta: no meta bytes panic LoadIndex, and an index it returns
+// FuzzLoadMeta: no meta records, framed with a valid checksum (the frame
+// itself is FuzzFrame's), panic LoadIndex, and an index it returns
 // has a day count below maxDays and every handle inside a blob tail the
 // page store holds — so no list it serves can ask for more memory than
 // the store has bytes. Every list it locates then reads without a panic.
@@ -480,14 +347,18 @@ func FuzzLoadMeta(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(meta)
-	f.Add(withMetaVersion(meta, 4))
-	for _, bad := range badV2Metas(n, slotSec, idx.blob.Tail()) {
+	pagesCRC, err := idx.pool.Checksum(idx.blob.Tail())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(payloadOf(meta))
+	f.Add(payloadOf(meta)[:len(payloadOf(meta))-6]) // ends inside a handle
+	for _, bad := range badMetaPayloads(n, slotSec, idx.blob.Tail(), pagesCRC) {
 		f.Add(bad)
 	}
 	storeBytes := mem.NumPages() * storage.PageSize
-	f.Fuzz(func(t *testing.T, meta []byte) {
-		x, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(meta))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		x, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(framed(metaMagic, metaVersion, payload)))
 		if err != nil {
 			return
 		}

@@ -65,23 +65,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// TimeList is the decoded per-day content of one (segment, slot) entry:
-// for each day that has traffic, the sorted taxi IDs observed.
-type TimeList struct {
-	Days  []traj.Day
-	Taxis [][]traj.TaxiID // parallel to Days
-}
-
-// TaxisOn returns the taxi IDs for a day (nil when the day has none).
-func (tl *TimeList) TaxisOn(day traj.Day) []traj.TaxiID {
-	for i, d := range tl.Days {
-		if d == day {
-			return tl.Taxis[i]
-		}
-	}
-	return nil
-}
-
 // Index is the built ST-Index.
 type Index struct {
 	net      *roadnet.Network
@@ -272,17 +255,6 @@ func (x *Index) SnapLocation(p geo.Point) (roadnet.SegmentID, bool) {
 
 // emptyBits is the shared decode of an absent time list.
 var emptyBits = &TimeListBits{}
-
-// TimeListAt reads the time list for (segment, slot) from disk through
-// the buffer pool (and the decoded-list cache) in the legacy sorted-ID
-// representation. A TimeList with no days means no traffic.
-func (x *Index) TimeListAt(seg roadnet.SegmentID, slot int) (*TimeList, error) {
-	b, err := x.TimeListBitsAt(seg, slot)
-	if err != nil {
-		return nil, err
-	}
-	return b.TimeList(), nil
-}
 
 // TimeListBitsAt reads the time list for (segment, slot) in bitset form,
 // through the decoded-list cache. The returned value is shared; callers

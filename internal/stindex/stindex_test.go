@@ -277,11 +277,12 @@ func TestEncodeDecodeTimeList(t *testing.T) {
 		packTuple(0, 0, 2, 1),
 		packTuple(0, 0, 2, 5),
 	}
-	blob := encodeTimeListRun(run)
-	tl, err := decodeTimeList(blob)
+	blob := encodePackedRun(run)
+	b, err := decodeTimeListBits(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tl := b.TimeList()
 	if len(tl.Days) != 2 || tl.Days[0] != 0 || tl.Days[1] != 2 {
 		t.Fatalf("days = %v", tl.Days)
 	}
@@ -291,13 +292,11 @@ func TestEncodeDecodeTimeList(t *testing.T) {
 	if got := tl.TaxisOn(7); got != nil {
 		t.Fatal("absent day should be nil")
 	}
-	// Truncated blobs must error, not panic.
-	for cut := 3; cut < len(blob)-1; cut += 3 {
-		if _, err := decodeTimeList(blob[:cut]); err == nil {
-			// Cuts that land exactly on a record boundary decode fine as a
-			// shorter list only if the header count matches; with count
-			// fixed this must error.
-			t.Fatalf("truncation at %d should error", cut)
+	// Truncated blobs must error, not panic: a cut inside the marker or
+	// inside an entry. A cut between entries is a shorter list.
+	for cut := 0; cut < len(blob); cut++ {
+		if _, err := decodeTimeListBits(blob[:cut]); (err == nil) != (cut >= 2 && (cut-2)%3 == 0) {
+			t.Fatalf("truncation at %d: error %v", cut, err)
 		}
 	}
 }

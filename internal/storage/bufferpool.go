@@ -137,6 +137,30 @@ func (bp *BufferPool) ReadPageInto(id PageID, buf []byte) error {
 	return bp.store.ReadPage(id, buf)
 }
 
+// Checksum computes the CRC-32C of the first limit bytes of the store,
+// unflushed writes included — what a flush would persist. It walks
+// through one page buffer with ReadPageInto, so it admits nothing to the
+// pool: the ST-Index checks its page store with it at every open and
+// every durable compaction, over every page there is.
+func (bp *BufferPool) Checksum(limit int64) (uint32, error) {
+	h := NewChecksum()
+	remain := limit
+	n := bp.NumPages()
+	buf := make([]byte, PageSize)
+	for id := PageID(0); int64(id) < n && remain > 0; id++ {
+		if err := bp.ReadPageInto(id, buf); err != nil {
+			return 0, fmt.Errorf("storage: checksum page %d: %w", id, err)
+		}
+		page := buf[:min(remain, PageSize)]
+		h.Write(page)
+		remain -= int64(len(page))
+	}
+	if remain > 0 {
+		return 0, fmt.Errorf("storage: store holds %d bytes, checksum needs %d", n*PageSize, limit)
+	}
+	return h.Sum32(), nil
+}
+
 // frameOf returns the resident frame, reading through the cache on a
 // miss. Caller holds bp.mu.
 func (bp *BufferPool) frameOf(id PageID) (*frame, error) {

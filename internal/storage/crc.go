@@ -5,14 +5,11 @@ import (
 	"hash/crc32"
 )
 
-// Checksums for persisted blobs. All streach on-disk formats share one
-// polynomial (Castagnoli, hardware-accelerated on amd64/arm64) so a
-// checksum computed by one layer can be verified by another — e.g. the
-// ST-Index meta records the checksum of the page store's contents.
+// Checksums for persisted data. Every checksummed on-disk format shares one
+// polynomial (Castagnoli, hardware-accelerated on amd64/arm64) — the
+// frame of the derived files (frame.go), the WAL segments, and the
+// ST-Index meta's checksum of the page store's contents.
 var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
 
 // NewChecksum returns a running CRC-32C hash.
 func NewChecksum() hash.Hash32 { return crc32.New(castagnoliTable) }
-
-// Checksum returns the CRC-32C of data.
-func Checksum(data []byte) uint32 { return crc32.Checksum(data, castagnoliTable) }

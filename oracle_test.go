@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -419,4 +420,47 @@ func TestDiffRegionBites(t *testing.T) {
 			t.Errorf("%s: the perturbation is no difference", name)
 		}
 	}
+}
+
+// TestOpenPreFrameDirectory: a directory saved before the derived files
+// shared one frame (testdata/preframe, Δt one hour: meta v5, CIDX v2,
+// CADJ v2 and SPSH v1 files) opens by rebuilding both indexes and
+// dropping the two warm caches, answers exactly as a fresh build over
+// its own network and trajectories, and opens the second time with no
+// rebuild.
+func TestOpenPreFrameDirectory(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "preframe"), dir)
+	idx := DefaultIndexConfig()
+	idx.PlanCache = -1
+	idx.SlotSeconds = 3600
+	logBuf := captureLog(t)
+	opened, err := OpenSystem(dir, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	for _, want := range []string{"st-index unreadable", "con-index unreadable", "adjacency cache unreadable", "plan shapes unreadable"} {
+		if !strings.Contains(logBuf.String(), want) {
+			t.Fatalf("open of a pre-frame directory did not log %q:\n%s", want, logBuf.String())
+		}
+	}
+	fresh, err := NewSystemFromData(opened.Network(), opened.Dataset(), idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	reqs := requestMatrix(fresh, 10*time.Hour).full
+	checkOracle(t, serial(fresh), serial(opened), reqs)
+
+	logBuf.Reset()
+	again, err := OpenSystem(dir, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if strings.Contains(logBuf.String(), "cold rebuild") {
+		t.Fatalf("the second open rebuilt again:\n%s", logBuf.String())
+	}
+	checkOracle(t, serial(fresh), serial(again), reqs)
 }

@@ -29,14 +29,21 @@ import (
 //	                   slot-major, one handle per (slot, segment))
 //	dir/conindex.bin   Con-Index speed statistics
 //	dir/conindex.adj   Con-Index materialised Near/Far adjacency rows
-//	                   (optional warm cache, "CADJ" blob: the rows of all
-//	                   four tables, each as a sorted ID list or a bitset,
-//	                   whichever is smaller; see conindex.SaveAdjacency).
-//	                   Save dirs written before the adjacency blob
-//	                   existed simply lack the file and reopen with cold,
-//	                   lazily-materialised tables.
+//	                   (optional warm cache: the rows of all four tables,
+//	                   each as a sorted ID list or a bitset, whichever is
+//	                   smaller; see conindex.SaveAdjacency). A directory
+//	                   without it reopens with cold, lazily-materialised
+//	                   tables.
 //	dir/planshapes.bin recorded plan shapes (optional warm-start hint;
 //	                   see warmplans.go)
+//
+// The four files derived from the ground truth — stindex.meta,
+// conindex.bin, conindex.adj and planshapes.bin — share one checksummed
+// frame (storage.ChecksumWriter, DESIGN.md §11.3). One that does not
+// load, whatever the reason (a layout from before the frame included),
+// is rebuilt from the trajectories or, for the two warm caches, dropped.
+// The network and the dataset keep their own codecs: they have no
+// rebuild path.
 //
 // A live-ingesting system adds a write-ahead log directory:
 //
@@ -67,7 +74,9 @@ const (
 
 // Save persists the whole system into dir (created if absent): network,
 // trajectories, and both indexes. A saved system reopens with OpenSystem
-// without re-simulating or re-indexing.
+// without re-simulating or re-indexing. Every file is installed
+// atomically, so a crash mid-save — into the directory the system was
+// opened from as into any other — leaves a directory that opens.
 //
 // Note: a system built with an in-memory page store is persisted by
 // copying its pages into dir/pages.db.
@@ -75,52 +84,14 @@ func (s *System) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("streach: create %s: %w", dir, err)
 	}
-	writeTo := func(name string, fn func(f *os.File) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("streach: create %s: %w", name, err)
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			return fmt.Errorf("streach: write %s: %w", name, err)
-		}
-		return f.Close()
-	}
-	if err := writeTo(fileNetwork, func(f *os.File) error { return roadnet.WriteNetwork(f, s.net) }); err != nil {
+	if err := writeFileAtomic(dir, fileNetwork, func(w io.Writer) error { return roadnet.WriteNetwork(w, s.net) }); err != nil {
 		return err
 	}
-	if err := s.saveDataset(dir, writeTo); err != nil {
+	if err := s.saveDataset(dir); err != nil {
 		return err
 	}
-	if err := writeTo(fileConIndex, func(f *os.File) error { return s.con.Save(f) }); err != nil {
+	if err := s.persistIndexes(dir); err != nil {
 		return err
-	}
-	// Materialised adjacency rides along so a reopened system starts with
-	// warmed Near/Far tables (cold queries skip the travel-time Dijkstras).
-	if err := writeTo(fileConAdj, func(f *os.File) error { return s.con.SaveAdjacency(f) }); err != nil {
-		return err
-	}
-	if err := writeTo(fileSTMeta, func(f *os.File) error { return s.st.SaveMeta(f) }); err != nil {
-		return err
-	}
-	// Copy the page store contents (works for both memory- and
-	// file-backed systems). When the pool's store already is
-	// dir/pages.db (a system reopened from this very dir), a flush is
-	// the copy — rewriting the file the store holds open would corrupt
-	// it.
-	if err := s.st.Pool().Flush(); err != nil {
-		return err
-	}
-	if !s.pagesLiveIn(dir) {
-		if err := writeTo(filePages, s.copyPagesTo); err != nil {
-			return err
-		}
-	}
-	// The recorded plan shapes ride along (best effort — a hint, not
-	// state) so a reopened system warms the same query shapes this one
-	// served.
-	if err := s.savePlanShapes(dir); err != nil {
-		log.Printf("streach: save plan shapes: %v", err)
 	}
 	// The directory now holds the whole system: remember it so
 	// CompactIngest can persist folds (and place the ingest WAL) here.
@@ -152,11 +123,10 @@ func (s *System) pagesLiveIn(dir string) bool {
 // saveDataset puts the base dataset into dir/dataset.bin: encoded from
 // memory for a system that holds it, copied byte for byte from the
 // system's own directory for one that was opened from disk — unless that
-// file is the destination, which is then already in place (and creating
-// it would truncate the source).
-func (s *System) saveDataset(dir string, writeTo func(name string, fn func(f *os.File) error) error) error {
+// file is the destination, which is then already in place.
+func (s *System) saveDataset(dir string) error {
 	if s.ds != nil {
-		return writeTo(fileDataset, func(f *os.File) error { return traj.WriteDataset(f, s.ds) })
+		return writeFileAtomic(dir, fileDataset, func(w io.Writer) error { return traj.WriteDataset(w, s.ds) })
 	}
 	src, err := openDataset(s.dir)
 	if err != nil {
@@ -168,8 +138,8 @@ func (s *System) saveDataset(dir string, writeTo func(name string, fn func(f *os
 			return nil
 		}
 	}
-	return writeTo(fileDataset, func(f *os.File) error {
-		_, err := io.Copy(f, src)
+	return writeFileAtomic(dir, fileDataset, func(w io.Writer) error {
+		_, err := io.Copy(w, src)
 		return err
 	})
 }
@@ -206,15 +176,15 @@ func readDataset(dir string) (*traj.Dataset, error) {
 	return traj.ReadDataset(f)
 }
 
-// copyPagesTo streams every page of the pool's store into f.
-func (s *System) copyPagesTo(f *os.File) error {
+// copyPagesTo streams every page of the pool's store into w.
+func (s *System) copyPagesTo(w io.Writer) error {
 	buf := make([]byte, storage.PageSize)
 	n := s.st.Pool().NumPages()
 	for id := storage.PageID(0); int64(id) < n; id++ {
 		if err := s.st.Pool().ReadPageInto(id, buf); err != nil {
 			return err
 		}
-		if _, err := f.Write(buf); err != nil {
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
@@ -227,7 +197,7 @@ func (s *System) copyPagesTo(f *os.File) error {
 // it the rename itself can be lost to a power cut, resurrecting the old
 // file — legal for the caller (the old state plus a WAL replay), but
 // only because the WAL is never retired before this returns.
-func writeFileAtomic(dir, name string, fn func(f *os.File) error) error {
+func writeFileAtomic(dir, name string, fn func(w io.Writer) error) error {
 	storage.CrashPoint("persist." + name + ".write")
 	tmp, err := os.CreateTemp(dir, name+".tmp-*")
 	if err != nil {
@@ -256,40 +226,42 @@ func writeFileAtomic(dir, name string, fn func(f *os.File) error) error {
 	return nil
 }
 
-// persistCompacted makes a just-folded compaction durable in s.dir:
-// pages first (the blob data the new handles point into), then the
-// ST-Index meta, then the Con-Index statistics and adjacency cache —
-// each installed atomically. Ordering matters for crash consistency:
-// a crash between steps leaves a meta whose handles all resolve (the
-// blob file is append-only) plus a WAL that replays anything newer.
-func (s *System) persistCompacted() error {
+// persistIndexes makes the system's derived state durable in dir, the
+// one write path of Save and of a compaction: the pages first (the blob
+// data the new handles point into), then the ST-Index meta, then the
+// Con-Index statistics and adjacency rows, each installed atomically,
+// and the plan shapes last. Ordering matters for crash consistency: a
+// crash between steps leaves a meta whose handles all resolve (the blob
+// file is append-only) plus a WAL that replays anything newer.
+func (s *System) persistIndexes(dir string) error {
 	// Sync, not just Flush: the new blobs must be on stable storage
 	// before a meta whose handles (and tail-bounded checksum) reference
-	// them can be installed.
+	// them can be installed. When the pool's store is dir/pages.db the
+	// sync is the write; anywhere else the pages are copied there.
 	storage.CrashPoint("persist.pages.flush")
 	if err := s.st.Pool().Sync(); err != nil {
 		return fmt.Errorf("streach: flush pages: %w", err)
 	}
-	if !s.pagesLiveIn(s.dir) {
-		if err := writeFileAtomic(s.dir, filePages, s.copyPagesTo); err != nil {
+	if !s.pagesLiveIn(dir) {
+		if err := writeFileAtomic(dir, filePages, s.copyPagesTo); err != nil {
 			return err
 		}
 	}
-	if err := writeFileAtomic(s.dir, fileSTMeta, func(f *os.File) error { return s.st.SaveMeta(f) }); err != nil {
+	if err := writeFileAtomic(dir, fileSTMeta, s.st.SaveMeta); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(s.dir, fileConIndex, func(f *os.File) error { return s.con.Save(f) }); err != nil {
+	if err := writeFileAtomic(dir, fileConIndex, s.con.Save); err != nil {
 		return err
 	}
 	// The adjacency cache is re-written too: rows invalidated by live
 	// speed observations must not resurrect from a stale blob on the
 	// next open.
-	if err := writeFileAtomic(s.dir, fileConAdj, func(f *os.File) error { return s.con.SaveAdjacency(f) }); err != nil {
+	if err := writeFileAtomic(dir, fileConAdj, s.con.SaveAdjacency); err != nil {
 		return err
 	}
 	// Plan shapes last and best effort: they are a warm-start hint, not
-	// crash-consistency state, so a failed write must not fail the fold.
-	if err := s.savePlanShapes(s.dir); err != nil {
+	// crash-consistency state, so a failed write must not fail the save.
+	if err := s.savePlanShapes(dir); err != nil {
 		log.Printf("streach: save plan shapes: %v", err)
 	}
 	return nil
@@ -385,10 +357,10 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 		}
 	}
 	// Restore the persisted adjacency rows when present. The blob is a
-	// derived warm cache, so a missing file (pre-adjacency save dir) or a
-	// corrupt/mismatched one must not fail the open: the blob is fully
-	// validated (v2: checksum-verified) before anything is installed, and
-	// anything not restored just re-materialises lazily.
+	// derived warm cache, so a missing file or a corrupt, mismatched or
+	// old-version one must not fail the open: the blob is fully validated
+	// and verified before anything is installed, and anything not
+	// restored just re-materialises lazily.
 	if adjFile, err := os.Open(filepath.Join(dir, fileConAdj)); err == nil {
 		if aerr := con.LoadAdjacency(adjFile); aerr != nil {
 			log.Printf("streach: con-index adjacency cache unreadable (%v): dropped, rows re-materialise lazily", aerr)
@@ -493,25 +465,14 @@ func rebuildSTIndex(dir string, net *roadnet.Network, ds *traj.Dataset, idx Inde
 		store.Close()
 		return nil, err
 	}
-	if err := resaveSTMeta(dir, st); err != nil {
+	err = st.Pool().Sync()
+	if err == nil {
+		err = writeFileAtomic(dir, fileSTMeta, st.SaveMeta)
+	}
+	if err != nil {
 		log.Printf("streach: re-save rebuilt st-index: %v", err)
 	}
 	return st, nil
-}
-
-func resaveSTMeta(dir string, st *stindex.Index) error {
-	f, err := os.Create(filepath.Join(dir, fileSTMeta))
-	if err != nil {
-		return err
-	}
-	if err := st.SaveMeta(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return st.Pool().Flush()
 }
 
 // openConIndex loads the persisted Con-Index statistics.
@@ -531,15 +492,8 @@ func rebuildConIndex(dir string, net *roadnet.Network, ds *traj.Dataset, slotSec
 	if err != nil {
 		return nil, err
 	}
-	f, cerr := os.Create(filepath.Join(dir, fileConIndex))
-	if cerr == nil {
-		cerr = con.Save(f)
-		if e := f.Close(); cerr == nil {
-			cerr = e
-		}
-	}
-	if cerr != nil {
-		log.Printf("streach: re-save rebuilt con-index: %v", cerr)
+	if err := writeFileAtomic(dir, fileConIndex, con.Save); err != nil {
+		log.Printf("streach: re-save rebuilt con-index: %v", err)
 	}
 	return con, nil
 }

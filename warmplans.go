@@ -2,15 +2,15 @@ package streach
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
+
+	"streach/internal/storage"
 )
 
 // Warm-plan pipeline: the plan cache only pays off after the first
@@ -33,15 +33,10 @@ const (
 	// locations — rare shapes whose encoded size isn't worth the ring
 	// space.
 	planShapeMaxLocs = 8
-	// planShapesMaxBytes caps how much of planshapes.bin a load will
-	// read: the file is a hint, and a runaway size is corruption.
-	planShapesMaxBytes = 256 << 10
 
 	planShapesMagic   = "SPSH"
-	planShapesVersion = 1
+	planShapesVersion = 2
 )
-
-var planShapesCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // planShape is one recorded query shape: everything groupKey
 // canonicalises except the probability threshold (the axis plans are
@@ -162,90 +157,81 @@ func (r *shapeRecorder) load(shapes []planShape, keys []string) {
 	r.next = len(r.shapes) % planShapeRingCap
 }
 
-// encodePlanShapes serialises the ring: "SPSH" | version u16 | count
-// u16 | shapes | crc32c of everything before it. Shapes carry no query
-// results — only the request parameters needed to rebuild a plan.
-func encodePlanShapes(shapes []planShape) []byte {
-	var buf []byte
-	buf = append(buf, planShapesMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, planShapesVersion)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(shapes)))
+// encodePlanShapes writes the ring to w as a storage frame (magic
+// "SPSH", version 2) whose payload is, little endian: count u16, then
+// per shape kind u8 | algorithm u8 | option bits u8 | start i64 |
+// duration i64 | nloc u16 | nloc x (lat f64, lng f64). Shapes carry no
+// query results — only the request parameters needed to rebuild a plan.
+func encodePlanShapes(w io.Writer, shapes []planShape) error {
+	fw := storage.NewChecksumWriter(w, planShapesMagic, planShapesVersion)
+	fw.Uint16(uint16(len(shapes)))
 	for _, sh := range shapes {
-		buf = append(buf, byte(sh.Kind), byte(sh.Algorithm), sh.OptionBits)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(sh.Start))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(sh.Duration))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(sh.Locations)))
+		fw.Uint8(uint8(sh.Kind))
+		fw.Uint8(uint8(sh.Algorithm))
+		fw.Uint8(sh.OptionBits)
+		fw.Uint64(uint64(sh.Start))
+		fw.Uint64(uint64(sh.Duration))
+		fw.Uint16(uint16(len(sh.Locations)))
 		for _, l := range sh.Locations {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.Lat))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.Lng))
+			fw.Uint64(math.Float64bits(l.Lat))
+			fw.Uint64(math.Float64bits(l.Lng))
 		}
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, planShapesCRC))
+	return fw.Finish()
 }
 
-// decodePlanShapes validates and decodes a planshapes.bin payload.
-// Every failure is an error — the caller drops the ring and logs, it
-// never fails the open.
-func decodePlanShapes(buf []byte) ([]planShape, error) {
-	if len(buf) < len(planShapesMagic)+2+2+4 {
-		return nil, fmt.Errorf("truncated (%d bytes)", len(buf))
+// decodePlanShapes validates and decodes a planshapes.bin file. Every
+// failure is an error — the caller drops the ring and logs, it never
+// fails the open. The count and the location counts are bounded before
+// anything is sized from them.
+func decodePlanShapes(r io.Reader) ([]planShape, error) {
+	fr, err := storage.NewChecksumReader(r, planShapesMagic, planShapesVersion)
+	if err != nil {
+		return nil, err
 	}
-	body, sum := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
-	if got := crc32.Checksum(body, planShapesCRC); got != sum {
-		return nil, fmt.Errorf("checksum mismatch (%08x != %08x)", got, sum)
-	}
-	if string(body[:4]) != planShapesMagic {
-		return nil, fmt.Errorf("bad magic %q", body[:4])
-	}
-	if v := binary.LittleEndian.Uint16(body[4:]); v != planShapesVersion {
-		return nil, fmt.Errorf("unsupported version %d", v)
-	}
-	count := int(binary.LittleEndian.Uint16(body[6:]))
+	count := int(fr.Uint16())
 	if count > planShapeRingCap {
 		return nil, fmt.Errorf("shape count %d exceeds ring capacity %d", count, planShapeRingCap)
 	}
-	p := body[8:]
-	shapes := make([]planShape, 0, count)
+	shapes := make([]planShape, 0, min(int64(count), fr.Remaining()/(3+8+8+2)))
 	for i := 0; i < count; i++ {
-		if len(p) < 3+8+8+2 {
-			return nil, fmt.Errorf("shape %d truncated", i)
-		}
 		sh := planShape{
-			Kind:       Kind(p[0]),
-			Algorithm:  Algorithm(p[1]),
-			OptionBits: p[2],
-			Start:      time.Duration(binary.LittleEndian.Uint64(p[3:])),
-			Duration:   time.Duration(binary.LittleEndian.Uint64(p[11:])),
+			Kind:       Kind(fr.Uint8()),
+			Algorithm:  Algorithm(fr.Uint8()),
+			OptionBits: fr.Uint8(),
+			Start:      time.Duration(fr.Uint64()),
+			Duration:   time.Duration(fr.Uint64()),
 		}
-		nloc := int(binary.LittleEndian.Uint16(p[19:]))
-		p = p[21:]
+		nloc := int(fr.Uint16())
+		if err := fr.Err(); err != nil {
+			return nil, fmt.Errorf("shape %d: %w", i, err)
+		}
 		if nloc == 0 || nloc > planShapeMaxLocs {
 			return nil, fmt.Errorf("shape %d has %d locations (cap %d)", i, nloc, planShapeMaxLocs)
 		}
-		if len(p) < nloc*16 {
-			return nil, fmt.Errorf("shape %d locations truncated", i)
-		}
 		for j := 0; j < nloc; j++ {
 			sh.Locations = append(sh.Locations, Location{
-				Lat: math.Float64frombits(binary.LittleEndian.Uint64(p[j*16:])),
-				Lng: math.Float64frombits(binary.LittleEndian.Uint64(p[j*16+8:])),
+				Lat: math.Float64frombits(fr.Uint64()),
+				Lng: math.Float64frombits(fr.Uint64()),
 			})
 		}
-		p = p[nloc*16:]
+		if err := fr.Err(); err != nil {
+			return nil, fmt.Errorf("shape %d: %w", i, err)
+		}
 		if err := validatePlanShape(sh); err != nil {
 			return nil, fmt.Errorf("shape %d: %w", i, err)
 		}
 		shapes = append(shapes, sh)
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(p))
+	if err := fr.Finish(); err != nil {
+		return nil, err
 	}
 	return shapes, nil
 }
 
-// validatePlanShape rejects decoded shapes a bit-flip turned
-// semantically invalid even though the CRC (vanishingly unlikely) or a
-// hand-edited file let them through.
+// validatePlanShape rejects decoded shapes that are semantically
+// invalid although their checksums hold: a hand-edited file, or a
+// corruption the CRC (vanishingly unlikely) let through.
 func validatePlanShape(sh planShape) error {
 	switch sh.Kind {
 	case KindReach, KindReverse, KindMulti:
@@ -359,16 +345,13 @@ func (s *System) warmPlansAsync() {
 // to poison a later load).
 func (s *System) savePlanShapes(dir string) error {
 	shapes, _ := s.shapes.snapshot()
-	return writeFileAtomic(dir, filePlanShapes, func(f *os.File) error {
-		_, err := f.Write(encodePlanShapes(shapes))
-		return err
-	})
+	return writeFileAtomic(dir, filePlanShapes, func(w io.Writer) error { return encodePlanShapes(w, shapes) })
 }
 
 // loadPlanShapes restores the shape ring from dir/planshapes.bin. A
-// missing file is a fresh system; anything unreadable — bad magic, size
-// over the cap, CRC mismatch, truncation, invalid shapes — drops the
-// ring with an error for the caller to log. Never fails an open.
+// missing file is a fresh system; anything unreadable — a bad frame,
+// an old version, invalid shapes — drops the ring with an error for the
+// caller to log. Never fails an open.
 func (s *System) loadPlanShapes(dir string) error {
 	f, err := os.Open(filepath.Join(dir, filePlanShapes))
 	if err != nil {
@@ -378,14 +361,7 @@ func (s *System) loadPlanShapes(dir string) error {
 		return err
 	}
 	defer f.Close()
-	buf, err := io.ReadAll(io.LimitReader(f, planShapesMaxBytes+1))
-	if err != nil {
-		return err
-	}
-	if len(buf) > planShapesMaxBytes {
-		return fmt.Errorf("file exceeds %d-byte cap", planShapesMaxBytes)
-	}
-	shapes, err := decodePlanShapes(buf)
+	shapes, err := decodePlanShapes(f)
 	if err != nil {
 		return err
 	}

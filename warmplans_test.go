@@ -1,6 +1,7 @@
 package streach
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -58,8 +59,7 @@ func TestPlanShapesCodecRoundTrip(t *testing.T) {
 		{Kind: KindReverse, Start: 0, Duration: time.Minute,
 			Locations: []Location{{Lat: -1.5, Lng: 100.25}}},
 	}
-	buf := encodePlanShapes(shapes)
-	got, err := decodePlanShapes(buf)
+	got, err := decodePlanShapes(bytes.NewReader(planShapesFile(t, shapes)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPlanShapesCodecRoundTrip(t *testing.T) {
 				if len(recorded) != 1 || recorded[0].OptionBits != bits {
 					t.Fatalf("%s: recorded %+v, want one shape with option bits %d", name, recorded, bits)
 				}
-				decoded, err := decodePlanShapes(encodePlanShapes(recorded))
+				decoded, err := decodePlanShapes(bytes.NewReader(planShapesFile(t, recorded)))
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -137,7 +137,7 @@ func TestPlanShapesBitFlipFuzz(t *testing.T) {
 		{Kind: KindReverse, OptionBits: 1, Start: 17 * time.Hour,
 			Duration: 45 * time.Minute, Locations: []Location{{Lat: 22.5, Lng: 114}}},
 	}
-	buf := encodePlanShapes(shapes)
+	buf := planShapesFile(t, shapes)
 	rng := rand.New(rand.NewSource(42))
 	flips := len(buf) * 8
 	if flips > 2000 {
@@ -147,16 +147,53 @@ func TestPlanShapesBitFlipFuzz(t *testing.T) {
 		bit := rng.Intn(len(buf) * 8)
 		mut := append([]byte(nil), buf...)
 		mut[bit/8] ^= 1 << (bit % 8)
-		if _, err := decodePlanShapes(mut); err == nil {
+		if _, err := decodePlanShapes(bytes.NewReader(mut)); err == nil {
 			t.Fatalf("bit flip at %d decoded cleanly", bit)
 		}
 	}
 	// Truncations must fail too, not panic.
 	for _, cut := range []int{0, 1, 4, 7, 8, len(buf) / 2, len(buf) - 1} {
-		if _, err := decodePlanShapes(buf[:cut]); err == nil {
+		if _, err := decodePlanShapes(bytes.NewReader(buf[:cut])); err == nil {
 			t.Fatalf("truncation to %d bytes decoded cleanly", cut)
 		}
 	}
+}
+
+// planShapesFile is the planshapes.bin of shapes.
+func planShapesFile(t testing.TB, shapes []planShape) []byte {
+	var b bytes.Buffer
+	if err := encodePlanShapes(&b, shapes); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// FuzzDecodePlanShapes: no records, framed with a valid checksum (the
+// frame itself is FuzzFrame's), panic decodePlanShapes, and a ring it
+// accepts holds only valid shapes and re-encodes byte for byte.
+func FuzzDecodePlanShapes(f *testing.F) {
+	f.Add(payloadOf(planShapesFile(f, []planShape{
+		{Kind: KindReach, Algorithm: AlgoBounded, Start: 8 * time.Hour,
+			Duration: 10 * time.Minute, Locations: []Location{{Lat: 22.51, Lng: 114.02}}},
+		{Kind: KindMulti, OptionBits: 5, Start: 17 * time.Hour, Duration: 45 * time.Minute,
+			Locations: []Location{{Lat: 22.5, Lng: 114}, {Lat: 22.52, Lng: 114.03}}},
+	})))
+	f.Add([]byte{0xff, 0xff})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		file := framed(planShapesMagic, planShapesVersion, payload)
+		shapes, err := decodePlanShapes(bytes.NewReader(file))
+		if err != nil {
+			return
+		}
+		for i, sh := range shapes {
+			if err := validatePlanShape(sh); err != nil || len(sh.Locations) == 0 || len(sh.Locations) > planShapeMaxLocs {
+				t.Fatalf("shape %d accepted: %+v (%v)", i, sh, err)
+			}
+		}
+		if again := planShapesFile(t, shapes); !bytes.Equal(again, file) {
+			t.Fatalf("an accepted ring re-encodes differently (%d bytes in, %d out)", len(file), len(again))
+		}
+	})
 }
 
 // TestOpenSystemCorruptPlanShapes: a flipped bit in the persisted file
@@ -177,7 +214,7 @@ func TestOpenSystemCorruptPlanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, derr := decodePlanShapes(raw); derr != nil || len(got) == 0 {
+	if got, derr := decodePlanShapes(bytes.NewReader(raw)); derr != nil || len(got) == 0 {
 		t.Fatalf("saved ring unreadable or empty (%v, %d shapes)", derr, len(got))
 	}
 	raw[len(raw)/2] ^= 0x10
@@ -193,7 +230,7 @@ func TestOpenSystemCorruptPlanShapes(t *testing.T) {
 		t.Fatalf("corrupt ring partially restored: %d shapes", len(got))
 	}
 	// An oversize file is corruption too.
-	if err := os.WriteFile(path, make([]byte, planShapesMaxBytes+1), 0o644); err != nil {
+	if err := os.WriteFile(path, make([]byte, 1<<20), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reopened2, err := OpenSystem(dir, DefaultIndexConfig())
