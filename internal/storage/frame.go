@@ -174,16 +174,12 @@ func NewChecksumReader(r io.Reader, magic string, version uint16) (*ChecksumRead
 	return c, nil
 }
 
-// inputSize is r's length when r can tell it — a regular file, or an
-// in-memory reader with Len — else -1.
+// inputSize is r's length when r is a regular file, else -1.
 func inputSize(r io.Reader) int64 {
-	switch v := r.(type) {
-	case interface{ Stat() (fs.FileInfo, error) }:
-		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
 			return fi.Size()
 		}
-	case interface{ Len() int }:
-		return int64(v.Len())
 	}
 	return -1
 }

@@ -211,8 +211,8 @@ func TestChecksumReaderRejectsDamage(t *testing.T) {
 }
 
 // TestChecksumReaderRemaining: Remaining never falls below the payload
-// still to come, from a file and from an in-memory reader; a stream
-// that cannot tell its length vouches for the bytes in hand only.
+// still to come from a file; any other reader, in-memory ones included,
+// vouches for the verified bytes in hand only.
 func TestChecksumReaderRemaining(t *testing.T) {
 	payload := make([]byte, 3*frameChunk)
 	frame := refFrame(testMagic, testVersion, payload, frameChunk)
@@ -225,39 +225,40 @@ func TestChecksumReaderRemaining(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	for name, r := range map[string]io.Reader{"file": f, "bytes": bytes.NewReader(frame)} {
+	fr, err := NewChecksumReader(f, testMagic, testVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for left := len(payload); left > 0; left -= 1000 {
+		if rem := fr.Remaining(); rem < int64(left) || rem > int64(len(frame)) {
+			t.Fatalf("Remaining %d with %d payload bytes to come in a %d-byte frame", rem, left, len(frame))
+		}
+		fr.Next(min(1000, left))
+	}
+	if err := fr.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]io.Reader{"bytes": bytes.NewReader(frame), "stream": io.MultiReader(bytes.NewReader(frame))} {
 		fr, err := NewChecksumReader(r, testMagic, testVersion)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for left := len(payload); left > 0; left -= 1000 {
-			if rem := fr.Remaining(); rem < int64(left) || rem > int64(len(frame)) {
-				t.Fatalf("%s: Remaining %d with %d payload bytes to come in a %d-byte frame", name, rem, left, len(frame))
-			}
-			fr.Next(min(1000, left))
+		if fr.Remaining() != 0 {
+			t.Fatalf("%s: vouches for %d bytes before any chunk is read", name, fr.Remaining())
 		}
-		if err := fr.Finish(); err != nil {
-			t.Fatal(err)
+		fr.Next(10)
+		if fr.Remaining() != frameChunk-10 {
+			t.Fatalf("%s: vouches for %d bytes with %d in hand", name, fr.Remaining(), frameChunk-10)
 		}
-	}
-	fr, err := NewChecksumReader(io.MultiReader(bytes.NewReader(frame)), testMagic, testVersion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Remaining() != 0 {
-		t.Fatalf("a stream vouches for %d bytes before any chunk is read", fr.Remaining())
-	}
-	fr.Next(10)
-	if fr.Remaining() != frameChunk-10 {
-		t.Fatalf("a stream vouches for %d bytes with %d in hand", fr.Remaining(), frameChunk-10)
 	}
 }
 
 // FuzzFrame: no byte string panics the reader, every failure is marked
-// corrupt, Remaining bounds the payload still to come by the input's
+// corrupt, Remaining bounds the payload still to come by the file's
 // length, and a frame the reader accepts is, byte for byte, the frame
 // its payload makes under its own chunking — no byte went unchecked.
 func FuzzFrame(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "frame")
 	rng := rand.New(rand.NewSource(6))
 	for _, n := range []int{0, 1, 40, 300} {
 		p := make([]byte, n)
@@ -276,7 +277,15 @@ func FuzzFrame(f *testing.F) {
 		// Pass 1: the payload, in records of n bytes, up to the first
 		// record the frame cannot deliver.
 		n := 1 + int(rec)%16
-		fr, err := NewChecksumReader(bytes.NewReader(data), testMagic, testVersion)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer file.Close()
+		fr, err := NewChecksumReader(file, testMagic, testVersion)
 		if err != nil {
 			isCorrupt(err)
 			return

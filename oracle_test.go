@@ -424,16 +424,21 @@ func TestDiffRegionBites(t *testing.T) {
 
 // TestOpenPreFrameDirectory: a directory saved before the derived files
 // shared one frame (testdata/preframe, Δt one hour: meta v5, CIDX v2,
-// CADJ v2 and SPSH v1 files) opens by rebuilding both indexes and
-// dropping the two warm caches, answers exactly as a fresh build over
-// its own network and trajectories, and opens the second time with no
-// rebuild.
+// CADJ v2 and SPSH v1 files), opened with the default 300 s config,
+// rebuilds both indexes at its own hour and drops the two warm caches,
+// answers exactly as a fresh build over its own network and
+// trajectories, and opens the second time with no rebuild.
 func TestOpenPreFrameDirectory(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "preframe"), dir)
 	idx := DefaultIndexConfig()
 	idx.PlanCache = -1
-	idx.SlotSeconds = 3600
+	slotOf := func(s *System) {
+		t.Helper()
+		if st, con := s.st.SlotSeconds(), s.con.SlotSeconds(); st != 3600 || con != 3600 {
+			t.Fatalf("reopened at %d s (st-index) and %d s (con-index), saved at 3600 s", st, con)
+		}
+	}
 	logBuf := captureLog(t)
 	opened, err := OpenSystem(dir, idx)
 	if err != nil {
@@ -445,7 +450,10 @@ func TestOpenPreFrameDirectory(t *testing.T) {
 			t.Fatalf("open of a pre-frame directory did not log %q:\n%s", want, logBuf.String())
 		}
 	}
-	fresh, err := NewSystemFromData(opened.Network(), opened.Dataset(), idx)
+	slotOf(opened)
+	hourly := idx
+	hourly.SlotSeconds = 3600
+	fresh, err := NewSystemFromData(opened.Network(), opened.Dataset(), hourly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,5 +470,6 @@ func TestOpenPreFrameDirectory(t *testing.T) {
 	if strings.Contains(logBuf.String(), "cold rebuild") {
 		t.Fatalf("the second open rebuilt again:\n%s", logBuf.String())
 	}
+	slotOf(again)
 	checkOracle(t, serial(fresh), serial(again), reqs)
 }

@@ -1,6 +1,7 @@
 package streach
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"log"
@@ -269,7 +270,7 @@ func (s *System) persistIndexes(dir string) error {
 
 // OpenSystem reopens a system saved with Save, unsharded. PoolPages,
 // TimeListCache and PlanCache are taken from idx; granularity comes from
-// the saved indexes.
+// the saved indexes, and from idx only when neither index file tells it.
 //
 // The network and dataset are the ground truth and must load cleanly.
 // Both indexes are derived from them, so a corrupt index file — a
@@ -325,12 +326,15 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 	st, stErr := openSTIndex(dir, net, idx)
 	con, conErr := openConIndex(dir, net)
 	// Cold rebuilds need the saved granularity; a surviving index carries
-	// it, otherwise fall back to the configured (or default) slot width.
+	// it, an index file saved before the frame names it in its header,
+	// otherwise fall back to the configured (or default) slot width.
 	slotSec := idx.SlotSeconds
 	if st != nil {
 		slotSec = st.SlotSeconds()
 	} else if con != nil {
 		slotSec = con.SlotSeconds()
+	} else if sec := preFrameSlotSeconds(dir); sec > 0 {
+		slotSec = sec
 	}
 	if slotSec == 0 {
 		slotSec = 300
@@ -414,6 +418,32 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 	s.dir = dir
 	s.pagesDir = dir
 	return s, nil
+}
+
+// preFrameSlotSeconds is the slot width of a directory whose index
+// files were saved before the frame, or 0. Every layout of those files —
+// meta v1–v5 ("STIX"), Con-Index v1–v2 ("CIDX") — begins magic |
+// version u16 | slotSec u32, so this one field is all an old directory
+// needs to be rebuilt at the width it was built at.
+func preFrameSlotSeconds(dir string) int {
+	for _, old := range []struct {
+		file, magic string
+		maxVersion  uint16
+	}{{fileSTMeta, "STIX", 5}, {fileConIndex, "CIDX", 2}} {
+		f, err := os.Open(filepath.Join(dir, old.file))
+		if err != nil {
+			continue
+		}
+		var hdr [10]byte
+		_, err = io.ReadFull(f, hdr[:])
+		f.Close()
+		v := binary.LittleEndian.Uint16(hdr[4:])
+		sec := int(binary.LittleEndian.Uint32(hdr[6:]))
+		if err == nil && string(hdr[:4]) == old.magic && v >= 1 && v <= old.maxVersion && sec > 0 && 86400%sec == 0 {
+			return sec
+		}
+	}
+	return 0
 }
 
 // openSTIndex loads the persisted ST-Index over dir's page store. Any
