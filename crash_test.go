@@ -47,7 +47,6 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
 	ctx := context.Background()
 
 	// Template: a saved system whose WAL holds an acknowledged first wave

@@ -59,13 +59,11 @@ func faultySystem(t *testing.T) (*System, *storage.FaultStore, *panicStore) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
-	idx.PoolPages = 4
-	s, err := assembleSystem(net, ds, ds.Stats(), st, con, idx)
+	s, err := assembleSystem(net, ds, ds.Stats(), st, con)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.plans.cap = 0 // park no plan: the scratch checks count every region
 	t.Cleanup(func() { s.Close() })
 	return s, fs, ps
 }

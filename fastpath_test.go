@@ -10,10 +10,25 @@ import (
 
 // TestConcurrentReach hammers one System with the request matrix from
 // eight concurrent clients (run under -race in CI): every answer must
-// match the offline build's exactly.
+// match the offline build's exactly — on the shared fixture, whose plan
+// store parks nothing, so clients only share plans being built, and on a
+// system with the default store, where each valid shape is built once
+// and every request is counted once, as a hit, a miss or a coalesced
+// wait.
 func TestConcurrentReach(t *testing.T) {
 	s := smallSystem(t)
 	checkOracle(t, reference(t), clients(s, 8), requestMatrix(s, 11*time.Hour).full)
+
+	fresh := variant(t, vcfg{})
+	reqs := valid(requestMatrix(fresh, 11*time.Hour).full)
+	checkOracle(t, reference(t), clients(fresh, 8), reqs)
+	st := fresh.SharingStats()
+	if got := st.PlanCacheHits + st.PlanCacheMisses + st.QueriesCoalesced; got != int64(8*len(reqs)) {
+		t.Fatalf("%d requests counted, %d answered: %+v", got, 8*len(reqs), st)
+	}
+	if shapes := int64(len(byKind(reqs))); st.PlanCacheMisses != shapes {
+		t.Fatalf("%d plans built for %d shapes", st.PlanCacheMisses, shapes)
+	}
 }
 
 // TestCacheMetricsSurfaced checks the decoded time-list cache counters

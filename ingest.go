@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"streach/internal/ingest"
@@ -393,22 +392,6 @@ func (s *System) IngestStats() IngestStats {
 
 // IndexEpoch reports the ST-Index epoch, bumped once per compaction.
 func (s *System) IndexEpoch() uint64 { return s.st.Epoch() }
-
-// IndexDataVersion reports the live data version, bumped on every
-// applied append batch and every compaction. It is folded into the
-// shared-plan cache key (and the serving layer's coalesce key via
-// DataVersionKey), so cached results never outlive the data they were
-// computed from.
-func (s *System) IndexDataVersion() uint64 { return s.st.DataVersion() }
-
-// DataVersionKey canonicalises everything that versions the system's
-// live data — the ST-Index data version and the Con-Index invalidation
-// generation — into the key segment shared by the plan cache and the
-// serving layer's coalescer. Two calls returning the same string are
-// guaranteed to observe index state producing identical answers.
-func (s *System) DataVersionKey() string {
-	return "v" + strconv.FormatUint(s.st.DataVersion(), 10) + "." + strconv.FormatUint(s.con.InvalidationGen(), 10)
-}
 
 // CompactIngest flushes the pending ingest queue, folds the whole delta
 // layer into freshly encoded blobs, and installs a new index epoch. See

@@ -135,20 +135,25 @@ func TestIngestEquivalenceOfflineRebuild(t *testing.T) {
 	}
 }
 
-// TestIngestVersionKeysInvalidateCaches pins satellite (a): the plan
-// cache and the serve coalescer key on DataVersionKey, so a cached
-// answer can never outlive the data it was computed from.
+// TestIngestVersionKeysInvalidateCaches: the plan store's key carries
+// the data version (ST-Index data version, Con-Index invalidation
+// generation), so a stored plan can never outlive the data it was
+// computed from.
 func TestIngestVersionKeysInvalidateCaches(t *testing.T) {
 	base := smallSystem(t)
-	sys := variant(t, vcfg{}) // plan cache ON
+	sys := variant(t, vcfg{}) // the default plan store
 	if err := sys.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 
-	key0 := sys.DataVersionKey()
 	// Query an off-peak window, then blanket it with live traffic: the
-	// answer is guaranteed to change, so a stale cached plan is caught.
+	// answer is guaranteed to change, so a stale stored plan is caught.
 	req := ReachRequest(base.BusiestLocation(10*time.Hour), 2*time.Hour, 10*time.Minute, 0.2)
+	version := func() [2]uint64 {
+		k := sys.planKey(req, queryOptions{})
+		return [2]uint64{k.data, k.conGen}
+	}
+	key0 := version()
 	before, err := sys.Do(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +175,8 @@ func TestIngestVersionKeysInvalidateCaches(t *testing.T) {
 	if err := sys.FlushIngest(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if sys.DataVersionKey() == key0 {
-		t.Fatal("ingest did not change DataVersionKey")
+	if version() == key0 {
+		t.Fatal("ingest did not change the plan key's data version")
 	}
 
 	// The same request now must MISS the plan cache (stale plan would
@@ -190,12 +195,12 @@ func TestIngestVersionKeysInvalidateCaches(t *testing.T) {
 	}
 
 	// Compaction bumps the version again (new epoch).
-	key1 := sys.DataVersionKey()
+	key1 := version()
 	if _, err := sys.CompactIngest(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if sys.DataVersionKey() == key1 {
-		t.Fatal("compaction did not change DataVersionKey")
+	if version() == key1 {
+		t.Fatal("compaction did not change the plan key's data version")
 	}
 }
 

@@ -103,8 +103,9 @@ type Index struct {
 
 	// obsMu serialises ObserveSpeed writers; readers stay lock-free.
 	obsMu sync.Mutex
-	// invGen is bumped after every speed change that can alter a row; it
-	// feeds DataVersionKey so plan caches key on the Con-Index state.
+	// invGen is bumped after every speed change that can alter a row; the
+	// facade's plan store keys on it, so a stored plan never outlives the
+	// Con-Index state it was bounded over.
 	invGen atomic.Uint64
 	// slotGen is invGen broken out per slot. An expansion only reads
 	// speeds at its own slot, so a materialisation records slotGen[slot]

@@ -289,19 +289,6 @@ func (e *Engine) Network() *roadnet.Network { return e.net }
 // Options returns the engine's build-time options.
 func (e *Engine) Options() Options { return e.opts }
 
-// IndexEpoch reports the ST-Index epoch the engine reads from, bumped
-// once per delta compaction. Reads are epoch-pinned without any engine
-// cooperation: every query snapshots one immutable handle table and the
-// blob file is append-only, so a compaction installing a new epoch never
-// blocks — or is blocked by — an in-flight query, which simply finishes
-// on the epoch it started with.
-func (e *Engine) IndexEpoch() uint64 { return e.st.Epoch() }
-
-// IndexDataVersion reports the ST-Index data version, bumped on every
-// live delta append and every compaction. Anything caching query results
-// across requests must fold it into its key.
-func (e *Engine) IndexDataVersion() uint64 { return e.st.DataVersion() }
-
 // WithOptions returns an engine view over the same indexes with opts in
 // place of the build-time options. The copy is cheap (the indexes and
 // their caches are shared), which is how the facade applies per-query

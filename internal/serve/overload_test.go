@@ -249,28 +249,20 @@ func TestQuotaHTTP(t *testing.T) {
 	}
 }
 
-var (
-	shardedOnce sync.Once
-	shardedSys  *streach.System
-	shardedErr  error
-)
-
 // shardedSystem builds a 4-shard system over the shared fixture's data
-// (the shared fixture stays unsharded).
+// (the shared fixture stays unsharded), closed when t ends.
 func shardedSystem(t *testing.T) *streach.System {
 	t.Helper()
 	base := system(t)
-	shardedOnce.Do(func() {
-		idx := streach.DefaultIndexConfig()
-		idx.PlanCache = -1
-		if shardedSys, shardedErr = streach.NewSystemFromData(base.Network(), base.Dataset(), idx); shardedErr == nil {
-			shardedErr = shardedSys.Shard(4)
-		}
-	})
-	if shardedErr != nil {
-		t.Fatal(shardedErr)
+	sys, err := streach.NewSystemFromData(base.Network(), base.Dataset(), streach.DefaultIndexConfig())
+	if err == nil {
+		err = sys.Shard(4)
 	}
-	return shardedSys
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	return sys
 }
 
 // TestServeOverload is the acceptance scenario end to end: open-loop load
@@ -293,9 +285,8 @@ func TestServeOverload(t *testing.T) {
 		latencies []time.Duration
 		bad       []string
 	)
-	// flood sends workers×perWorker requests from concurrent workers.
-	// Distinct probabilities defeat singleflight coalescing, so every
-	// request is real load.
+	// flood sends workers×perWorker requests from concurrent workers,
+	// each at its own probability over one shape: they share one plan.
 	const workers, perWorker = 8, 5
 	flood := func(round int) {
 		var wg sync.WaitGroup
@@ -376,10 +367,12 @@ func TestServeOverload(t *testing.T) {
 		}
 	}
 
-	// Scratch-drain regression (run after Close so no background warm is
-	// mid-checkout): every pooled region and bitset came back, including
-	// from shed queries.
+	// Scratch-drain regression (run after both Closes, so no background
+	// warm is mid-checkout and the plan store has closed its plans):
+	// every pooled region and bitset came back, including from shed
+	// queries.
 	srv.Close()
+	sys.Close()
 	for i, st := range sys.ScratchStats() {
 		if !st.Balanced() {
 			t.Fatalf("scratch pool %d leaked across the overload flood: %+v", i, st)

@@ -43,9 +43,9 @@ func (h *histogram) observe(d time.Duration) {
 var endpoints = []string{"reach", "reverse", "multi", "route", "ingest"}
 
 // writePrometheus renders the server's metrics in the Prometheus text
-// exposition format: per-endpoint latency histograms, the batch-sharing
-// and coalescing counters, and every cumulative expvar counter /metrics
-// already serves as JSON.
+// exposition format: per-endpoint latency histograms, the plan-sharing
+// counters, and every cumulative expvar counter /metrics already serves
+// as JSON.
 func (s *Server) writePrometheus(w io.Writer) {
 	fmt.Fprint(w, "# HELP streach_request_duration_seconds Query latency by endpoint.\n")
 	fmt.Fprint(w, "# TYPE streach_request_duration_seconds histogram\n")
@@ -67,29 +67,13 @@ func (s *Server) writePrometheus(w io.Writer) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
-	counter("streach_batch_groups_total",
-		"DoBatch request groups that shared one plan.", sh.BatchGroups)
-	counter("streach_batch_queries_coalesced_total",
-		"Batch queries answered from another query's plan.", sh.QueriesCoalesced)
-	counter("streach_batch_probe_sets_shared_total",
-		"Probe start-set materialisations avoided by batch sharing.", sh.ProbeSetsShared)
-	counter("streach_batch_con_rows_shared_total",
-		"Con-Index row resolutions avoided by batch sharing.", sh.ConRowsShared)
+	counter("streach_queries_coalesced_total",
+		"Queries that waited for another query's plan build instead of building their own.", sh.QueriesCoalesced)
 	counter("streach_plan_cache_hits_total",
-		"Queries answered from a cached cross-batch shared plan.", sh.PlanCacheHits)
+		"Queries answered from a plan parked in the plan store.", sh.PlanCacheHits)
 	counter("streach_plan_cache_misses_total",
-		"Plan-cache lookups that built a fresh plan.", sh.PlanCacheMisses)
-	// Gauge aliases of the plan-cache counters plus the warm-plan count:
-	// dashboards graphing cache effectiveness alongside the warm pipeline
-	// read all three from one family.
-	planGauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	planGauge("streach_plan_cache_hits",
-		"Queries answered from a cached cross-batch shared plan.", sh.PlanCacheHits)
-	planGauge("streach_plan_cache_misses",
-		"Plan-cache lookups that built a fresh plan.", sh.PlanCacheMisses)
-	planGauge("streach_plans_warmed",
+		"Queries that built their plan.", sh.PlanCacheMisses)
+	counter("streach_plans_warmed_total",
 		"Plans built proactively by the warm-plan pipeline (neither hits nor misses).", sh.PlansWarmed)
 
 	// Sharded execution: one gauge/counter set per shard, labelled by

@@ -197,7 +197,7 @@ func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len
 
 // TestPlanHitReplyAllocations pins the allocations of one plan-hit
 // request through the whole handler stack (request ID, deadline context,
-// coalescer, System.Do's plan hit, the reply). Before the append
+// System.Do's plan-store hit, the reply). Before the append
 // encoders a 40-segment GeoJSON reply alone made ~800; what is left is a
 // small constant that does not grow with the region.
 func TestPlanHitReplyAllocations(t *testing.T) {
@@ -227,17 +227,17 @@ func TestPlanHitReplyAllocations(t *testing.T) {
 				t.Fatalf("%s: status %d, %d bytes", name, w.status, w.n)
 			}
 		}
-		serveOnce() // builds and caches the plan
+		serveOnce() // builds and parks the plan
 		hits0 := sys.SharingStats().PlanCacheHits
 		allocs := testing.AllocsPerRun(200, serveOnce)
 		if hits := sys.SharingStats().PlanCacheHits - hits0; hits < 200 {
 			t.Fatalf("%s: %d plan hits over 201 requests — not measuring the plan-hit path", name, hits)
 		}
 		t.Logf("%s: %.1f allocations per plan-hit request, %d reply bytes", name, allocs, w.n)
-		// 69 (JSON) and 70 (GeoJSON, one more URL parameter) when written;
-		// the headroom is for net/url and context differing between Go
-		// releases.
-		const maxPlanHitAllocs = 85
+		// 52 (JSON) and 53 (GeoJSON, one more URL parameter) since the
+		// plan store's key is built in one allocation; the headroom is for
+		// net/url and context differing between Go releases.
+		const maxPlanHitAllocs = 68
 		if allocs > maxPlanHitAllocs {
 			t.Fatalf("%s: %.1f allocations per plan-hit request, pinned at %d", name, allocs, maxPlanHitAllocs)
 		}

@@ -20,11 +20,11 @@
 // drives a brownout ladder — shed prefetch work, then reject with 429 +
 // an honest Retry-After derived from the limiter state. A sharded
 // system fails a query exactly as the unsharded one does, so a reply
-// is always the whole answer or a typed error. Singleflight
-// coalescing merges concurrent identical queries into one execution
-// (coalesce.go), the serving-layer mirror of DoBatch's group-and-plan
-// scheduler: a burst of duplicate-heavy traffic reaches the engine once
-// per distinct query.
+// is always the whole answer or a typed error. Duplicate traffic is
+// deduplicated below the server, in the system's plan store: concurrent
+// queries of one shape wait for one plan build, later ones find the plan
+// parked, and /metrics' coalesced_total reads the store's count of
+// waits (streach.SharingStats.QueriesCoalesced).
 package serve
 
 import (
@@ -34,7 +34,6 @@ import (
 	"expvar"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -99,8 +98,6 @@ type Server struct {
 	lim *aimdLimiter
 	// quota is the per-client token-bucket table (nil = no quotas).
 	quota *quotas
-	// flights coalesces concurrent identical queries into one execution.
-	flights *coalescer
 	// hist holds the per-endpoint latency histograms the Prometheus
 	// rendering of /metrics exposes.
 	hist map[string]*histogram
@@ -116,8 +113,9 @@ type Server struct {
 // New wraps a built system in a server. Call Close when done to stop
 // background prefetch work.
 func New(sys *streach.System, cfg Config) *Server {
-	s := &Server{sys: sys, cfg: cfg.withDefaults(), flights: newCoalescer()}
+	s := &Server{sys: sys, cfg: cfg.withDefaults()}
 	s.vars.Init()
+	s.vars.Set("coalesced_total", expvar.Func(func() any { return sys.SharingStats().QueriesCoalesced }))
 	if s.cfg.MaxInFlight > 0 {
 		s.lim = newLimiter(s.cfg.MaxInFlight)
 	}
@@ -320,14 +318,6 @@ func (s *Server) record(kind string, m streach.Metrics) {
 	s.vars.Add("elapsed_ns", int64(m.Elapsed))
 	s.vars.Add("bound_ns", int64(m.Bound))
 	s.vars.Add("verify_ns", int64(m.Verify))
-}
-
-// recordShared counts a request answered from a coalesced execution: the
-// engine-cost counters stay with the leader that actually paid them.
-func (s *Server) recordShared(kind string) {
-	s.vars.Add("requests_total", 1)
-	s.vars.Add("requests_"+kind, 1)
-	s.vars.Add("coalesced_total", 1)
 }
 
 // observe feeds one answered request into its endpoint's latency
@@ -556,19 +546,13 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	began := time.Now()
 	var qerr error
 	defer func() { s.finish(time.Since(began), timeout, qerr) }()
-	region, shared, err := s.flights.do(ctx, s.coalesceKey(req, p.Algorithm), func() (*streach.Region, error) {
-		return s.sys.Do(ctx, req, opts...)
-	})
+	region, err := s.sys.Do(ctx, req, opts...)
 	if err != nil {
 		qerr = err
 		s.httpError(w, r, err)
 		return
 	}
-	if shared {
-		s.recordShared(kind)
-	} else {
-		s.record(kind, region.Metrics)
-	}
+	s.record(kind, region.Metrics)
 	s.observe(kind, time.Since(began))
 	s.maybePrefetch(start, dur, shed)
 
@@ -638,61 +622,19 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	began := time.Now()
 	var qerr error
 	defer func() { s.finish(time.Since(began), timeout, qerr) }()
-	region, shared, err := s.flights.do(ctx, s.coalesceKey(req, q.Get("alg")), func() (*streach.Region, error) {
-		return s.sys.Do(ctx, req, opts...)
-	})
+	region, err := s.sys.Do(ctx, req, opts...)
 	if err != nil {
 		qerr = err
 		s.httpError(w, r, err)
 		return
 	}
-	if shared {
-		s.recordShared("route")
-	} else {
-		s.record("route", region.Metrics)
-	}
+	s.record("route", region.Metrics)
 	s.observe("route", time.Since(began))
 	writeJSON(w, http.StatusOK, map[string]any{
 		"segments":       region.Route.SegmentIDs,
 		"travel_time_ms": region.Route.TravelTime.Milliseconds(),
 		"distance_km":    region.Route.DistanceKm,
 	})
-}
-
-// coalesceKey canonicalises everything that determines a query's answer
-// — kind, algorithm, locations, start, window, and
-// probability — so only truly identical in-flight queries share an
-// execution. The response format and timeout are deliberately absent:
-// they shape the reply, not the answer. This mirrors streach's batch
-// groupKey except that Prob is included, because the coalescer shares
-// whole answers, not plans — keep the two in step when Request grows a
-// field. HTTP has no per-query ablation, so groupKey's engine-option
-// bits have no counterpart here.
-// The system's live data version joins the key too: an ingest append or
-// a compaction must stop new requests from latching onto an in-flight
-// execution that started over the older data.
-func (s *Server) coalesceKey(req streach.Request, alg string) string {
-	// Appended into a stack buffer: one allocation (the returned string)
-	// for the usual single-location key.
-	var stack [160]byte
-	b := strconv.AppendInt(stack[:0], int64(req.Kind), 10)
-	b = append(b, '|')
-	b = append(b, strings.ToLower(alg)...)
-	b = append(b, '|')
-	b = append(b, s.sys.DataVersionKey()...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(req.Start), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(req.Duration), 10)
-	b = append(b, '|')
-	b = strconv.AppendUint(b, math.Float64bits(req.Prob), 16)
-	for _, l := range req.Locations {
-		b = append(b, '|')
-		b = strconv.AppendUint(b, math.Float64bits(l.Lat), 16)
-		b = append(b, ',')
-		b = strconv.AppendUint(b, math.Float64bits(l.Lng), 16)
-	}
-	return string(b)
 }
 
 // wantsGeoJSON negotiates the reply format: ?format=geojson (format is

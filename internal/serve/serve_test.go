@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -275,116 +274,9 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestCoalescerSharesExecution: a follower that arrives while a leader's
-// identical query is in flight shares the leader's answer; the query
-// executes once.
-func TestCoalescerSharesExecution(t *testing.T) {
-	c := newCoalescer()
-	block := make(chan struct{})
-	execs := 0
-	want := &streach.Region{SegmentIDs: []int32{1, 2, 3}}
-	exec := func() (*streach.Region, error) {
-		execs++
-		<-block
-		return want, nil
-	}
-
-	type res struct {
-		region *streach.Region
-		shared bool
-		err    error
-	}
-	results := make(chan res, 2)
-	run := func() {
-		r, shared, err := c.do(context.Background(), "k", exec)
-		results <- res{r, shared, err}
-	}
-	go run()
-	// Wait for the leader to register, then attach a follower and wait
-	// until it is counted before releasing the leader — fully
-	// deterministic, no sleeps in the happy path.
-	waitFor(t, func() bool { c.mu.Lock(); defer c.mu.Unlock(); return len(c.inflight) == 1 })
-	var fe *flightEntry
-	c.mu.Lock()
-	fe = c.inflight["k"]
-	c.mu.Unlock()
-	go run()
-	waitFor(t, func() bool { return fe.waiters.Load() == 1 })
-	close(block)
-
-	a, b := <-results, <-results
-	for _, r := range []res{a, b} {
-		if r.err != nil || r.region != want {
-			t.Fatalf("coalesced result = %+v", r)
-		}
-	}
-	if execs != 1 {
-		t.Fatalf("query executed %d times, want 1", execs)
-	}
-	if a.shared == b.shared {
-		t.Fatalf("exactly one caller should be the leader (shared: %v, %v)", a.shared, b.shared)
-	}
-}
-
-// TestCoalescerLeaderDeadlineDoesNotPoisonFollower: when the leader dies
-// of its own context, a live follower retries instead of inheriting the
-// leader's deadline error.
-func TestCoalescerLeaderDeadlineDoesNotPoisonFollower(t *testing.T) {
-	c := newCoalescer()
-	block := make(chan struct{})
-	calls := 0
-	want := &streach.Region{SegmentIDs: []int32{7}}
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		_, _, err := c.do(context.Background(), "k", func() (*streach.Region, error) {
-			calls++
-			<-block
-			return nil, context.DeadlineExceeded // the leader's own deadline
-		})
-		if err == nil {
-			t.Error("leader should surface its deadline error")
-		}
-	}()
-	waitFor(t, func() bool { c.mu.Lock(); defer c.mu.Unlock(); return len(c.inflight) == 1 })
-	c.mu.Lock()
-	fe := c.inflight["k"]
-	c.mu.Unlock()
-
-	followerDone := make(chan struct{})
-	go func() {
-		defer close(followerDone)
-		region, _, err := c.do(context.Background(), "k", func() (*streach.Region, error) {
-			calls++
-			return want, nil // the follower's retry succeeds
-		})
-		if err != nil || region != want {
-			t.Errorf("follower retry = %v, %v", region, err)
-		}
-	}()
-	waitFor(t, func() bool { return fe.waiters.Load() == 1 })
-	close(block)
-	<-leaderDone
-	<-followerDone
-	if calls != 2 {
-		t.Fatalf("exec ran %d times, want 2 (leader + follower retry)", calls)
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in 5s")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // TestCoalescedEndToEnd: concurrent identical HTTP queries all answer
-// correctly (whether or not they overlapped enough to coalesce), and the
-// coalescing counter is exposed on /metrics.
+// correctly (whether or not they overlapped enough to wait on one plan
+// build), and /metrics' coalesced_total is the plan store's count.
 func TestCoalescedEndToEnd(t *testing.T) {
 	ts := server(t, Config{})
 	url := ts.URL + "/v1/reach?start=11h&dur=10m&prob=0.2"
@@ -410,10 +302,14 @@ func TestCoalescedEndToEnd(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	got := getJSON(t, ts.URL+"/metrics", http.StatusOK)["coalesced_total"]
+	if want := system(t).SharingStats().QueriesCoalesced; got != float64(want) {
+		t.Fatalf("/metrics coalesced_total = %v, SharingStats says %d", got, want)
+	}
 }
 
 // TestPrometheusMetrics: after a query, the Prometheus rendering exposes
-// the per-endpoint latency histogram, the batch-sharing counters, and the
+// the per-endpoint latency histogram, the plan-sharing counters, and the
 // cumulative counters, in text exposition format.
 func TestPrometheusMetrics(t *testing.T) {
 	ts := server(t, Config{})
@@ -435,7 +331,8 @@ func TestPrometheusMetrics(t *testing.T) {
 	for _, want := range []string{
 		`streach_request_duration_seconds_bucket{endpoint="reach",le="+Inf"}`,
 		`streach_request_duration_seconds_count{endpoint="reach"}`,
-		"streach_batch_groups_total",
+		"streach_plan_cache_hits_total",
+		"streach_plans_warmed_total",
 		"streach_requests_total",
 		"# TYPE streach_request_duration_seconds histogram",
 	} {

@@ -391,10 +391,6 @@ func (pl *Plan) ResultAt(ctx context.Context, prob float64) (*core.Result, error
 	return res, nil
 }
 
-// RowStats reports the plan's row-source activity (see
-// core.SharedPlan.RowStats).
-func (pl *Plan) RowStats() conindex.PinStats { return pl.p.RowStats() }
-
 // Rebase resets the plan's cost attribution (see core.SharedPlan.Rebase).
 func (pl *Plan) Rebase() { pl.p.Rebase() }
 

@@ -65,7 +65,7 @@ import (
 //     double-counted in the bitsets).
 //
 // dataVersion increments on every append batch and every install; epoch
-// increments only on install. Plan caches and coalescers key on the
+// increments only on install. The facade's plan store keys on the
 // version so a shared plan never outlives the data it was computed from.
 type liveState struct {
 	epoch   atomic.Uint64

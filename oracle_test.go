@@ -284,7 +284,7 @@ func checkOracle(t testing.TB, ref, subject side, reqs []oracleReq) {
 
 // vcfg is one configuration for variant.
 type vcfg struct {
-	planCache int           // IndexConfig.PlanCache: 0 the default LRU, -1 none
+	planCache int           // plan-store capacity: 0 the default, -1 parks no plan
 	shards    int           // Shard(shards) when > 1
 	warm      time.Duration // WarmCtx over [warm, warm+10m] when non-zero
 	saved     bool          // open a saved copy of smallSystem, or of warmed
@@ -313,7 +313,6 @@ func variant(t testing.TB, cfg vcfg) *System {
 	}
 	base := smallSystem(t)
 	idx := DefaultIndexConfig()
-	idx.PlanCache = cfg.planCache
 	var s *System
 	var err error
 	switch {
@@ -342,6 +341,9 @@ func variant(t testing.TB, cfg vcfg) *System {
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cfg.planCache != 0 {
+		s.plans.cap = max(cfg.planCache, 0)
 	}
 	if cfg.shared {
 		sharedVariants.Store(cfg, s)
@@ -375,6 +377,19 @@ func copyDir(t testing.TB, src, dst string) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// cloneRegion deep-copies an answer, so a test can perturb the copy.
+func cloneRegion(r *Region) *Region {
+	cp := *r
+	cp.SegmentIDs = slices.Clone(r.SegmentIDs)
+	cp.Probabilities = slices.Clone(r.Probabilities)
+	if r.Route != nil {
+		rt := *r.Route
+		rt.SegmentIDs = slices.Clone(r.Route.SegmentIDs)
+		cp.Route = &rt
+	}
+	return &cp
 }
 
 // captureLog sends the standard logger to a buffer until t ends.
@@ -432,7 +447,6 @@ func TestOpenPreFrameDirectory(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "preframe"), dir)
 	idx := DefaultIndexConfig()
-	idx.PlanCache = -1
 	slotOf := func(s *System) {
 		t.Helper()
 		if st, con := s.st.SlotSeconds(), s.con.SlotSeconds(); st != 3600 || con != 3600 {

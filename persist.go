@@ -268,8 +268,8 @@ func (s *System) persistIndexes(dir string) error {
 	return nil
 }
 
-// OpenSystem reopens a system saved with Save, unsharded. PoolPages,
-// TimeListCache and PlanCache are taken from idx; granularity comes from
+// OpenSystem reopens a system saved with Save, unsharded. PoolPages
+// and TimeListCache are taken from idx; granularity comes from
 // the saved indexes, and from idx only when neither index file tells it.
 //
 // The network and dataset are the ground truth and must load cleanly.
@@ -403,7 +403,7 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 			segStats.Segments, segApplied.Load()+segDropped.Load(), segObs.Load(),
 			segDropped.Load()+segObsDropped.Load(), segStats.CorruptSegments, segStats.TruncatedBytes)
 	}
-	s, err := assembleSystem(net, nil, dsStats, st, con, idx)
+	s, err := assembleSystem(net, nil, dsStats, st, con)
 	if err != nil {
 		st.Close()
 		return nil, err

@@ -3,9 +3,7 @@ package streach
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -209,10 +207,10 @@ func WithBatchWorkers(n int) Option {
 	return func(o *queryOptions) { o.batchWorkers = n }
 }
 
-// WithBatchSharing toggles cross-query work sharing (default on): in
-// DoBatch, the group-and-plan scheduler — requests that differ only in
-// Prob share one bounding + probe + verification plan — and, in both Do
-// and DoBatch, the cross-batch plan cache. Results are bit-identical
+// WithBatchSharing toggles plan sharing (default on): Do and DoBatch
+// take their plans from the system's plan store, so requests that differ
+// only in Prob — concurrent or not, in one batch or across calls — share
+// one bounding + probe + verification plan. Results are bit-identical
 // either way; turning it off recovers fully independent execution
 // (benchmarks, debugging, tests that pin per-execution observables).
 func WithBatchSharing(on bool) Option {
@@ -256,113 +254,97 @@ func (s *System) do(ctx context.Context, req Request, qo queryOptions) (*Region,
 		ctx, cancel = context.WithTimeout(ctx, qo.budget)
 		defer cancel()
 	}
-	prob := req.Prob
-	if qo.probSet {
-		prob = qo.prob
+	if err := validateRequest(req, qo); err != nil {
+		return nil, err
 	}
+	if req.Kind == KindRoute {
+		return s.doRoute(ctx, req.Locations[0], req.Locations[1], req.Start, qo.algorithm == AlgoFreeFlow)
+	}
+	return s.doPlan(ctx, req, qo)
+}
 
+// validateRequest checks that the request has the locations its kind
+// needs and that the algorithm answers that kind.
+func validateRequest(req Request, qo queryOptions) error {
+	op := req.Kind.String()
 	switch req.Kind {
 	case KindReach, KindReverse:
 		if len(req.Locations) < 1 {
-			return nil, errInvalid(req.Kind.String(), "streach: %v request needs a location", req.Kind)
+			return errInvalid(op, "streach: %v request needs a location", req.Kind)
 		}
 		switch qo.algorithm {
 		case AlgoAuto, AlgoBounded, AlgoExhaustive:
-		default:
-			return nil, errInvalid(req.Kind.String(), "streach: algorithm %v does not answer %v requests", qo.algorithm, req.Kind)
+			return nil
 		}
-		return s.doPlan(ctx, req, qo, prob)
-
 	case KindMulti:
 		if len(req.Locations) == 0 {
-			return nil, errInvalid("multi", "streach: multi request needs at least one location")
+			return errInvalid(op, "streach: multi request needs at least one location")
 		}
 		switch qo.algorithm {
 		case AlgoAuto, AlgoBounded, AlgoSequential:
+			return nil
 		case AlgoExhaustive:
-			return nil, errInvalid("multi", "streach: exhaustive search has no multi-location variant; use sequential")
-		default:
-			return nil, errInvalid("multi", "streach: algorithm %v does not answer multi requests", qo.algorithm)
+			return errInvalid(op, "streach: exhaustive search has no multi-location variant; use sequential")
 		}
-		return s.doPlan(ctx, req, qo, prob)
-
 	case KindRoute:
 		if len(req.Locations) < 2 {
-			return nil, errInvalid("route", "streach: route request needs origin and destination locations")
+			return errInvalid(op, "streach: route request needs origin and destination locations")
 		}
 		switch qo.algorithm {
 		case AlgoAuto, AlgoBounded, AlgoFreeFlow:
-		default:
-			return nil, errInvalid("route", "streach: algorithm %v does not answer route requests", qo.algorithm)
+			return nil
 		}
-		return s.doRoute(ctx, req.Locations[0], req.Locations[1], req.Start, qo.algorithm == AlgoFreeFlow)
-
 	default:
-		return nil, errInvalid("do", "streach: unknown request kind %v", req.Kind)
+		return errInvalid("do", "streach: unknown request kind %v", req.Kind)
 	}
+	return errInvalid(op, "streach: algorithm %v does not answer %v requests", qo.algorithm, req.Kind)
 }
 
-// doPlan answers one reachability request plan-first: probability
-// validated up front (matching the one-shot engine methods' validation
-// order), then a shared plan — cached, sharded, or freshly built — and
-// one ResultAt at the request's threshold.
-func (s *System) doPlan(ctx context.Context, req Request, qo queryOptions, prob float64) (*Region, error) {
+// doPlan answers one validated reachability request plan-first:
+// probability validated up front (matching the one-shot engine methods'
+// validation order), then a shared plan and one ResultAt at the
+// request's threshold. The plan comes from the plan store unless the
+// request opts out of sharing or carries a deadline budget — a per-query
+// guarantee a plan built under another caller's context cannot honour.
+func (s *System) doPlan(ctx context.Context, req Request, qo queryOptions) (*Region, error) {
+	prob := qo.effectiveProb(req)
 	if err := core.ValidateProb(prob); err != nil {
 		return nil, err
 	}
-	plan, key, cacheable, err := s.acquirePlan(ctx, req, qo)
+	if qo.noSharing || qo.budget > 0 {
+		plan, err := s.newPlan(ctx, req, qo)
+		if err != nil {
+			return nil, err
+		}
+		defer plan.Close()
+		return s.answer(plan.ResultAt(ctx, prob))
+	}
+	key := s.planKey(req, qo)
+	e, how, err := s.plans.acquire(ctx, key, func(ctx context.Context) (queryPlan, error) {
+		return s.newPlan(ctx, req, qo)
+	})
+	s.sharing.acquired[how].Add(1)
 	if err != nil {
 		return nil, err
 	}
-	// Deferred so the plan (and its pooled bounding regions) is released
-	// on every exit, including a panic unwinding through ResultAt.
-	defer func() { s.releasePlan(key, cacheable, plan) }()
-	res, rerr := plan.ResultAt(ctx, prob)
-	if rerr != nil {
-		return nil, rerr
-	}
-	return s.region(res), nil
-}
-
-// acquirePlan resolves the shared plan for a reachability request: from
-// the cross-batch cache when an equivalent plan is parked there, else
-// freshly built — on the shard cluster when the system is sharded, on
-// the (possibly option-overridden) engine otherwise.
-func (s *System) acquirePlan(ctx context.Context, req Request, qo queryOptions) (plan queryPlan, key string, cacheable bool, err error) {
-	cacheable = s.plans != nil && !qo.noSharing && req.Kind != KindRoute && groupable(req, qo)
-	if cacheable {
-		// The data-version suffix keeps cached plans from outliving the
-		// data they were computed from: a live ingest append or a
-		// compaction bumps the version, so a plan parked before it can
-		// never answer a query issued after it. (Intra-batch grouping
-		// uses the bare groupKey — members of one DoBatch call share a
-		// plan regardless of concurrent ingest, which is the same
-		// query-raced-the-ingest linearization a single query has.)
-		shapeKey := groupKey(req, qo)
-		key = shapeKey + "|" + s.DataVersionKey()
-		if pl, ok := s.plans.take(key); ok {
-			s.sharing.planHits.Add(1)
-			pl.Rebase()
-			return pl, key, true, nil
-		}
-		s.sharing.planMisses.Add(1)
+	// Deferred so the hold is given back on every exit, including a panic
+	// unwinding through ResultAt.
+	defer s.plans.release(e)
+	if how == planMiss {
 		// An organic miss is exactly the signal the warm-plan pipeline
 		// feeds on: record the shape so the next epoch swap can rebuild
 		// this plan before traffic asks for it.
-		s.recordPlanShape(req, qo, shapeKey)
+		s.recordPlanShape(req, qo, key.shape)
 	}
-	plan, err = s.newPlan(ctx, req, qo)
-	return plan, key, cacheable, err
+	return s.answer(e.resultAt(ctx, prob, how != planMiss))
 }
 
-// releasePlan parks a cacheable plan for the next equivalent query, or
-// closes it.
-func (s *System) releasePlan(key string, cacheable bool, plan queryPlan) {
-	if cacheable {
-		s.plans.put(key, plan)
-	} else {
-		plan.Close()
+// answer turns a plan's result into the facade's Region.
+func (s *System) answer(res *core.Result, err error) (*Region, error) {
+	if err != nil {
+		return nil, err
 	}
+	return s.region(res), nil
 }
 
 // planBackend is one execution backend's plan constructors — the shard
@@ -507,83 +489,32 @@ type BatchResult struct {
 // ctx.Err(); options apply to every request in the batch (use
 // WithBatchWorkers to bound the parallelism).
 //
-// DoBatch is batch-aware: requests asking about the same (kind, start
-// set, start time, window, algorithm) — differing only in Prob — are
-// grouped, and each group is planned once (core.SharedPlan): one
-// bounding-region search, one materialised probe start-set, one
-// verification pass building a per-candidate empirical-probability map
-// that every member's threshold is resolved from. Group results are
-// bit-identical to independent execution (the single-query path runs the
-// same plan machinery); WithBatchSharing(false) disables grouping. The
-// scheduling unit is a group, so a mid-batch cancellation fails a whole
-// group at once and unstarted groups are marked without planning.
+// Each request runs through Do's path on a bounded worker pool. Requests
+// asking about the same (kind, start set, start time, window, algorithm)
+// — differing only in Prob — share one plan through the plan store
+// (core.SharedPlan): one bounding-region search, one materialised probe
+// start-set, one verification pass building a per-candidate
+// empirical-probability map that every request's threshold is resolved
+// from. Answers are bit-identical to independent execution;
+// WithBatchSharing(false) turns the sharing off.
 func (s *System) DoBatch(ctx context.Context, reqs []Request, opts ...Option) []BatchResult {
 	out := make([]BatchResult, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
 	qo := resolveOptions(opts)
-
-	// Each unit is one scheduling item: a singleton request, or a group
-	// of request indexes sharing one plan. Units preserve first-seen
-	// request order.
-	var units [][]int
-	if qo.noSharing {
-		units = make([][]int, len(reqs))
-		for i := range reqs {
-			units[i] = []int{i}
-		}
-	} else {
-		byKey := map[string]int{}
-		for i, req := range reqs {
-			if !groupable(req, qo) {
-				units = append(units, []int{i})
-				continue
-			}
-			k := groupKey(req, qo)
-			if u, ok := byKey[k]; ok {
-				units[u] = append(units[u], i)
-			} else {
-				byKey[k] = len(units)
-				units = append(units, []int{i})
-			}
-		}
-	}
-
 	workers := qo.batchWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(units) {
-		workers = len(units)
 	}
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
-	for g := 0; g < workers; g++ {
+	for range min(workers, len(reqs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				u := int(next.Add(1)) - 1
-				if u >= len(units) {
-					return
-				}
-				idxs := units[u]
-				if err := ctx.Err(); err != nil {
-					for _, i := range idxs {
-						out[i] = BatchResult{Err: err}
-					}
-					continue // mark the rest, don't start new work
-				}
-				if len(idxs) == 1 {
-					i := idxs[0]
-					region, err := s.do(ctx, reqs[i], qo)
-					out[i] = BatchResult{Region: region, Err: wrapError(reqs[i].Kind.String(), err)}
-					continue
-				}
-				s.doGroup(ctx, reqs, idxs, qo, out)
+			for i := int(next.Add(1)) - 1; i < len(reqs); i = int(next.Add(1)) - 1 {
+				region, err := s.do(ctx, reqs[i], qo)
+				out[i] = BatchResult{Region: region, Err: wrapError(reqs[i].Kind.String(), err)}
 			}
 		}()
 	}
@@ -591,74 +522,9 @@ func (s *System) DoBatch(ctx context.Context, reqs []Request, opts ...Option) []
 	return out
 }
 
-// groupable reports whether the request can ride a shared plan: a valid
-// kind/algorithm pairing with the locations and probability it needs.
-// Malformed requests take the singleton path so their error is exactly
-// what independent execution would return, and so does any request with
-// a deadline budget — the budget is a per-query guarantee, which a plan
-// shared across members cannot honour bit-identically under time
-// pressure.
-func groupable(req Request, qo queryOptions) bool {
-	if qo.budget > 0 {
-		return false
-	}
-	switch req.Kind {
-	case KindReach, KindReverse:
-		if len(req.Locations) < 1 {
-			return false
-		}
-		switch qo.algorithm {
-		case AlgoAuto, AlgoBounded, AlgoExhaustive:
-		default:
-			return false
-		}
-	case KindMulti:
-		if len(req.Locations) == 0 {
-			return false
-		}
-		switch qo.algorithm {
-		case AlgoAuto, AlgoBounded, AlgoSequential:
-		default:
-			return false
-		}
-	case KindRoute:
-		// Route answers are Prob-independent: only literally identical
-		// requests group, and they share one computed journey.
-		return len(req.Locations) >= 2
-	default:
-		return false
-	}
-	p := qo.effectiveProb(req)
-	return p > 0 && p <= 1
-}
-
-// groupKey canonicalises everything that determines a request's shared
-// plan — kind, algorithm, the result-affecting engine options, start
-// set, start time, and (except for routes, which ignore it) the window.
-// Prob is deliberately absent: that is the axis the plan is shared
-// across. The options matter because the key outlives one DoBatch call:
-// it is also the cross-batch plan-cache key, and two executions that
-// differ in any result-affecting option (WithVerifyAll, WithEarlyStop,
-// WithNoVisitedSet, WithNoOverlapFilter) must never share a plan.
-// VerifyWorkers is excluded on purpose — it changes cost, not results.
-// The serving layer's coalesceKey (internal/serve) mirrors this
-// serialisation but includes Prob, because it shares whole answers, not
-// plans — keep the two in step when Request grows a field.
-func groupKey(req Request, qo queryOptions) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|o%d|%d", int(req.Kind), int(qo.algorithm), optionBits(qo.engine), req.Start)
-	if req.Kind != KindRoute {
-		fmt.Fprintf(&b, "|%d", req.Duration)
-	}
-	for _, l := range req.Locations {
-		fmt.Fprintf(&b, "|%x,%x", math.Float64bits(l.Lat), math.Float64bits(l.Lng))
-	}
-	return b.String()
-}
-
 // optionBits packs the result-affecting engine options into one byte —
 // VerifyAll 1, EarlyStop 2, NoVisitedSet 4, NoOverlapFilter 8 — the form
-// groupKey prints and planshapes.bin stores; optionsOf unpacks it.
+// shapeKey and planshapes.bin store; optionsOf unpacks it.
 func optionBits(o core.Options) uint8 {
 	var bits uint8
 	if o.VerifyAll {
@@ -684,61 +550,4 @@ func optionsOf(bits uint8) core.Options {
 		NoVisitedSet:    bits&4 != 0,
 		NoOverlapFilter: bits&8 != 0,
 	}
-}
-
-// doGroup answers one group of requests off a single shared plan. Plan
-// failure (including cancellation mid-plan) reclaims the whole group:
-// every member is marked with the same error.
-func (s *System) doGroup(ctx context.Context, reqs []Request, idxs []int, qo queryOptions, out []BatchResult) {
-	rep := reqs[idxs[0]]
-	op := rep.Kind.String()
-	fail := func(err error) {
-		err = wrapError(op, err)
-		for _, i := range idxs {
-			out[i] = BatchResult{Err: err}
-		}
-	}
-	if rep.Kind == KindRoute {
-		// One journey computation, cloned per member.
-		region, err := s.do(ctx, rep, qo)
-		if err != nil {
-			fail(err)
-			return
-		}
-		out[idxs[0]] = BatchResult{Region: region}
-		for _, i := range idxs[1:] {
-			out[i] = BatchResult{Region: cloneRegion(region)}
-		}
-		s.sharing.groups.Add(1)
-		s.sharing.coalesced.Add(int64(len(idxs) - 1))
-		return
-	}
-
-	plan, key, cacheable, err := s.acquirePlan(ctx, rep, qo)
-	if err != nil {
-		fail(err)
-		return
-	}
-	defer func() { s.releasePlan(key, cacheable, plan) }()
-
-	for _, i := range idxs {
-		if err := ctx.Err(); err != nil {
-			out[i] = BatchResult{Err: err}
-			continue
-		}
-		res, rerr := plan.ResultAt(ctx, qo.effectiveProb(reqs[i]))
-		if rerr != nil {
-			out[i] = BatchResult{Err: wrapError(op, rerr)}
-			continue
-		}
-		out[i] = BatchResult{Region: s.region(res)}
-	}
-
-	shared := int64(len(idxs) - 1)
-	s.sharing.groups.Add(1)
-	s.sharing.coalesced.Add(shared)
-	s.sharing.probeSets.Add(shared)
-	// Rows the member queries did not have to re-resolve: one full
-	// working-set fetch per extra member.
-	s.sharing.rowsShared.Add(plan.RowStats().Fetched * shared)
 }

@@ -186,77 +186,50 @@ func TestDoBatchParallelMatchesSerial(t *testing.T) {
 // (kind, location, start, window), different probabilities, every
 // request twice — must return, for every algorithm, exactly what
 // independent Do calls return, and the same again with sharing disabled.
-// Runs under -race in CI, so it also proves the shared plans race-free
-// across the batch worker pool.
+// On a system with the default plan store each valid shape is built
+// exactly once, however the batch workers interleave. Runs under -race
+// in CI, so it also proves the shared plans race-free across the batch
+// worker pool.
 func TestDoBatchSharingMatchesIndependent(t *testing.T) {
-	s := smallSystem(t)
+	s := variant(t, vcfg{})
 	names := map[string]string{"reach": "reach-bounded", "reach-es": "reach-exhaustive",
 		"reverse-es": "reverse-exhaustive", "multi": "multi-mqmb", "multi-seq": "multi-sequential"}
-	groups0 := s.SharingStats().BatchGroups
 	for _, reqs := range byKind(requestMatrix(s, 11*time.Hour).full) {
 		name := reqs[0].kind
 		if n, ok := names[name]; ok {
 			name = n
 		}
 		t.Run(name, func(t *testing.T) {
+			misses := s.SharingStats().PlanCacheMisses
 			checkOracle(t, reference(t), batched(s), reqs)
+			if got := s.SharingStats().PlanCacheMisses - misses; !reqs[0].invalid && got != 1 {
+				t.Fatalf("%d plans built for one shape", got)
+			}
 			checkOracle(t, reference(t), batched(s, WithBatchSharing(false)), reqs)
 		})
-	}
-	if got := s.SharingStats(); got.BatchGroups <= groups0 || got.QueriesCoalesced == 0 {
-		t.Fatalf("sharing counters did not advance: %+v", got)
-	}
-}
-
-// TestDoBatchRouteGroupSharing: identical route requests share one
-// journey computation; every member owns an equal, independent copy.
-func TestDoBatchRouteGroupSharing(t *testing.T) {
-	s := smallSystem(t)
-	q := testQuery(s)
-	from := q.Locations[0]
-	to := Location{Lat: from.Lat + 0.02, Lng: from.Lng + 0.02}
-	req := RouteRequest(from, to, q.Start)
-	reqs := []Request{req, req, req}
-
-	want, err := s.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := s.DoBatch(context.Background(), reqs)
-	for i, r := range batch {
-		if r.Err != nil {
-			t.Fatalf("route %d: %v", i, r.Err)
-		}
-		if !reflect.DeepEqual(want.SegmentIDs, r.Region.SegmentIDs) {
-			t.Fatalf("route %d differs from independent Do", i)
-		}
-	}
-	// Clones must be independent slices, not views of the same array.
-	if &batch[0].Region.SegmentIDs[0] == &batch[1].Region.SegmentIDs[0] {
-		t.Fatal("route group members share one SegmentIDs array")
 	}
 }
 
 // TestDoBatchBudgetedRequestsStayIndependent: WithDeadlineBudget is a
-// per-query guarantee, so budgeted requests bypass grouping — each gets
-// its own budget exactly as independent execution would.
+// per-query guarantee, so budgeted requests bypass the plan store — each
+// gets its own budget exactly as independent execution would.
 func TestDoBatchBudgetedRequestsStayIndependent(t *testing.T) {
-	s := smallSystem(t)
+	s := variant(t, cacheCfg)
 	req := testQuery(s)
 	reqs := []Request{req, req}
-	before := s.SharingStats().BatchGroups
+	before := s.SharingStats()
 	for i, r := range s.DoBatch(context.Background(), reqs, WithDeadlineBudget(time.Minute)) {
 		if r.Err != nil {
 			t.Fatalf("budgeted request %d: %v", i, r.Err)
 		}
 	}
-	if got := s.SharingStats().BatchGroups; got != before {
-		t.Fatalf("budgeted duplicates formed a shared group (%d -> %d)", before, got)
+	if got := s.SharingStats(); got != before {
+		t.Fatalf("budgeted duplicates went through the plan store (%+v -> %+v)", before, got)
 	}
 }
 
-// TestDoBatchGroupCancellation: a cancellation landing inside a group's
-// shared plan reclaims the whole group — every member reports
+// TestDoBatchGroupCancellation: a cancellation landing inside the plan
+// build a batch's requests share fails every one of them — each reports
 // context.Canceled, none hangs with a partial answer.
 func TestDoBatchGroupCancellation(t *testing.T) {
 	s := smallSystem(t)
@@ -266,8 +239,8 @@ func TestDoBatchGroupCancellation(t *testing.T) {
 		reqs[i] = q
 		reqs[i].Prob = 0.1 + 0.05*float64(i) // one group, eight thresholds
 	}
-	// Three polls land the cancel inside the plan's bounding phase (the
-	// batch loop checks once, then each bounding round checks).
+	// Three polls land the cancel inside the plan's bounding phase (Do
+	// checks once, then each bounding round checks).
 	for i, r := range s.DoBatch(cancelAfterN(3), reqs, WithBatchWorkers(1)) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("group member %d after mid-plan cancel = %v, want context.Canceled", i, r.Err)

@@ -127,12 +127,6 @@ type IndexConfig struct {
 	// PageFile, when set, backs the time lists with a real file instead
 	// of memory.
 	PageFile string
-	// PlanCache is the cross-batch shared-plan LRU capacity in plans:
-	// recently built plans are kept (keyed by the batch group key) so
-	// steady-state duplicate traffic skips bounding and verification
-	// entirely. 0 means the default (32); negative disables. The cache
-	// is invalidated by Close and re-sharding.
-	PlanCache int
 }
 
 // DefaultIndexConfig uses the paper's 5-minute granularity.
@@ -216,10 +210,9 @@ type System struct {
 	// flight: each query snapshots one cluster (or nil) and runs against
 	// it — both layouts answer bit-identically over the same indexes.
 	cluster atomic.Pointer[shard.Cluster]
-	// plans is the cross-batch shared-plan LRU (nil when disabled).
-	plans *planCache
-	// sharing accumulates the batch executor's cross-query work-sharing
-	// counters (see SharingStats).
+	// plans is the shared-plan store behind Do, DoBatch and WarmPlans.
+	plans *planStore
+	// sharing counts what the plan store saved (see SharingStats).
 	sharing sharingCounters
 	// topoMu serialises Shard calls, so concurrent re-shards settle on
 	// the last one to run, while queries keep loading cluster lock-free.
@@ -244,7 +237,7 @@ type System struct {
 	bgCompacts    atomic.Int64
 	bgCompactErrs atomic.Int64
 	// Warm-plan pipeline (see warmplans.go): shapes records recent
-	// plan-cache-miss query shapes; warmN > 0 re-plans the top shapes in
+	// plan-store-miss query shapes; warmN > 0 re-plans the top shapes in
 	// the background after opens and compaction epoch swaps.
 	shapes     *shapeRecorder
 	warmN      atomic.Int32
@@ -254,74 +247,42 @@ type System struct {
 	warmCancel context.CancelFunc
 }
 
-// sharingCounters are the live batch-sharing counters; snapshot with
+// sharingCounters are the live plan-sharing counters; snapshot with
 // SharingStats.
 type sharingCounters struct {
-	groups      atomic.Int64
-	coalesced   atomic.Int64
-	probeSets   atomic.Int64
-	rowsShared  atomic.Int64
-	planHits    atomic.Int64
-	planMisses  atomic.Int64
+	acquired    [3]atomic.Int64 // plan-store requests by how they got their plan
 	plansWarmed atomic.Int64
 }
 
-// SharingStats counts the cross-query work sharing DoBatch's group-and-
-// plan scheduler has performed since the system was built.
+// SharingStats counts the plan sharing the system's plan store has done
+// since the system was built. Every request that takes its plan from the
+// store — all of Do's and DoBatch's reach, reverse and multi requests
+// except those with WithBatchSharing(false) or WithDeadlineBudget — is
+// counted exactly once, as a hit, a miss or a coalesced wait.
 type SharingStats struct {
-	// BatchGroups counts groups of two or more requests that shared one
-	// plan.
-	BatchGroups int64
-	// QueriesCoalesced counts requests beyond the first in each group —
-	// queries that did not pay for their own bounding/probe/verification.
+	// QueriesCoalesced counts requests that waited for a plan another
+	// request was building, instead of building their own.
 	QueriesCoalesced int64
-	// ProbeSetsShared counts probe start-set materialisations avoided by
-	// sharing (reachability groups only; routes have no probe).
-	ProbeSetsShared int64
-	// ConRowsShared counts Con-Index adjacency-row resolutions avoided:
-	// one working-set fetch per coalesced query.
-	ConRowsShared int64
-	// PlanCacheHits and PlanCacheMisses count cross-batch plan-cache
-	// activity: a hit answered a query (or a whole batch group) from a
-	// plan built by an earlier batch, skipping bounding, probing, and
-	// verification entirely.
+	// PlanCacheHits counts requests answered from a plan already parked
+	// in the store, skipping bounding, probing and verification entirely;
+	// PlanCacheMisses counts requests that built their plan.
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 	// PlansWarmed counts plans built proactively by the warm-plan
 	// pipeline (WarmPlans / EnableWarmPlanning) rather than by a query
-	// paying the cold-planning cost. Warm passes touch neither hit nor
-	// miss counters.
+	// paying the cold-planning cost. Warm passes touch none of the
+	// counters above.
 	PlansWarmed int64
 }
 
-// SharingStats snapshots the batch-sharing counters.
+// SharingStats snapshots the plan-sharing counters.
 func (s *System) SharingStats() SharingStats {
 	return SharingStats{
-		BatchGroups:      s.sharing.groups.Load(),
-		QueriesCoalesced: s.sharing.coalesced.Load(),
-		ProbeSetsShared:  s.sharing.probeSets.Load(),
-		ConRowsShared:    s.sharing.rowsShared.Load(),
-		PlanCacheHits:    s.sharing.planHits.Load(),
-		PlanCacheMisses:  s.sharing.planMisses.Load(),
+		QueriesCoalesced: s.sharing.acquired[planCoalesced].Load(),
+		PlanCacheHits:    s.sharing.acquired[planHit].Load(),
+		PlanCacheMisses:  s.sharing.acquired[planMiss].Load(),
 		PlansWarmed:      s.sharing.plansWarmed.Load(),
 	}
-}
-
-// cloneRegion deep-copies a query answer so group members sharing one
-// computation each own their slices.
-func cloneRegion(r *Region) *Region {
-	if r == nil {
-		return nil
-	}
-	cp := *r
-	cp.SegmentIDs = append([]int32(nil), r.SegmentIDs...)
-	cp.Probabilities = append([]float32(nil), r.Probabilities...)
-	if r.Route != nil {
-		rt := *r.Route
-		rt.SegmentIDs = append([]int32(nil), r.Route.SegmentIDs...)
-		cp.Route = &rt
-	}
-	return &cp
 }
 
 // NewSystem generates a city, simulates a fleet over it, builds both
@@ -408,24 +369,20 @@ func NewSystemFromData(net *roadnet.Network, ds *traj.Dataset, idx IndexConfig) 
 	if err != nil {
 		return nil, fmt.Errorf("streach: build Con-Index: %w", err)
 	}
-	return assembleSystem(net, ds, ds.Stats(), st, con, idx)
+	return assembleSystem(net, ds, ds.Stats(), st, con)
 }
 
 // assembleSystem wires built (or reopened) indexes into an unsharded
 // System: the engine with the paper's default policy (per-query options
-// change it per call) and the cross-batch plan cache. Shared by
-// NewSystemFromData and OpenSystem.
-func assembleSystem(net *roadnet.Network, ds *traj.Dataset, dsStats traj.DatasetStats, st *stindex.Index, con *conindex.Index, idx IndexConfig) (*System, error) {
+// change it per call) and the plan store. Shared by NewSystemFromData
+// and OpenSystem.
+func assembleSystem(net *roadnet.Network, ds *traj.Dataset, dsStats traj.DatasetStats, st *stindex.Index, con *conindex.Index) (*System, error) {
 	engine, err := core.NewEngine(st, con, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	planCap := idx.PlanCache
-	if planCap == 0 {
-		planCap = 32
-	}
 	s := &System{net: net, netStats: net.Stats(), ds: ds, dsStats: dsStats, busiest: map[time.Duration]Location{},
-		st: st, con: con, engine: engine, plans: newPlanCache(planCap), shapes: newShapeRecorder()}
+		st: st, con: con, engine: engine, plans: newPlanStore(), shapes: newShapeRecorder()}
 	s.warmCtx, s.warmCancel = context.WithCancel(context.Background())
 	return s, nil
 }
@@ -440,9 +397,9 @@ func assembleSystem(net *roadnet.Network, ds *traj.Dataset, dsStats traj.Dataset
 // §12.1). Safe to call while queries are in flight: in-flight queries
 // finish on the layout they started with (both layouts answer
 // identically over the same indexes), new queries see the new one. The
-// shared-plan cache is flushed — cached plans belong to the previous
-// execution layout; a straggler parking a plan after the flush is
-// harmless, as its answers stay bit-identical.
+// plan store is flushed — its plans belong to the previous execution
+// layout; a plan held or being built across the flush is closed when its
+// last holder is done with it, and its answers stay bit-identical.
 func (s *System) Shard(k int) error {
 	s.topoMu.Lock()
 	defer s.topoMu.Unlock()
@@ -555,7 +512,7 @@ func (s *System) warmSlots(start, dur time.Duration) (lo, hi int, ok bool) {
 }
 
 // Close stops the live-ingest writer (draining its queue), closes the
-// WAL, flushes the shared-plan cache, and releases index storage.
+// WAL, flushes the plan store, and releases index storage.
 func (s *System) Close() error {
 	if s.warmCancel != nil {
 		s.warmCancel()

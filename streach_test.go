@@ -32,14 +32,15 @@ func smallSystem(t testing.TB) *System {
 	t.Helper()
 	sysOnce.Do(func() {
 		fleet := FleetConfig{Taxis: 80, Days: 6, Seed: 4}
-		// The shared fixture disables the cross-batch plan cache: many
-		// tests here pin per-execution observables (cancellation
-		// checkpoints, IO and cache counters) that a cached plan would
-		// legitimately skip. The cache has its own tests over dedicated
-		// systems (plancache_test.go).
-		idx := DefaultIndexConfig()
-		idx.PlanCache = -1
-		testSys, sysErr = NewSystem(smallCity, fleet, idx)
+		testSys, sysErr = NewSystem(smallCity, fleet, DefaultIndexConfig())
+		if sysErr == nil {
+			// The shared fixture parks no plan: many tests here pin
+			// per-execution observables (cancellation checkpoints, IO
+			// and cache counters) that a parked plan would legitimately
+			// skip. The store has its own tests over dedicated systems
+			// (planstore_test.go).
+			testSys.plans.cap = 0
+		}
 	})
 	if sysErr != nil {
 		t.Fatal(sysErr)

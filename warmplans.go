@@ -13,12 +13,12 @@ import (
 	"streach/internal/storage"
 )
 
-// Warm-plan pipeline: the plan cache only pays off after the first
+// Warm-plan pipeline: the plan store only pays off after the first
 // query of each shape has eaten a cold bounding + verification pass,
-// and every compaction epoch swap invalidates the whole cache again
-// (the data-version key moves). This file closes the gap: the system
-// records the shape — kind, algorithm, result-affecting option bits,
-// window, locations; never results — of every plan-cache miss in a
+// and every compaction epoch swap invalidates the whole store again
+// (the data version in the key moves). This file closes the gap: the
+// system records the shape — kind, algorithm, result-affecting option
+// bits, window, locations; never results — of every plan-store miss in a
 // small ring, persists the ring to dir/planshapes.bin alongside the
 // indexes, and re-plans the top-N most frequent shapes in the
 // background after an open or a compaction, so steady traffic lands on
@@ -38,11 +38,10 @@ const (
 	planShapesVersion = 2
 )
 
-// planShape is one recorded query shape: everything groupKey
-// canonicalises except the probability threshold (the axis plans are
-// shared across), so re-planning a shape reproduces the exact cache key
-// live traffic will ask for. OptionBits is optionBits of the engine
-// options.
+// planShape is one recorded query shape: everything shapeKey encodes
+// (the probability threshold is the axis plans are shared across), so
+// re-planning a shape reproduces the exact store key live traffic will
+// ask for. OptionBits is optionBits of the engine options.
 type planShape struct {
 	Kind       Kind
 	Algorithm  Algorithm
@@ -52,13 +51,13 @@ type planShape struct {
 	Locations  []Location
 }
 
-// shapeRecorder is the fixed-capacity ring of recent plan-cache-miss
+// shapeRecorder is the fixed-capacity ring of recent plan-store-miss
 // shapes, deduplicated at read time by frequency. Safe for concurrent
 // record/snapshot.
 type shapeRecorder struct {
 	mu     sync.Mutex
 	shapes []planShape // ring storage, len == cap once full
-	keys   []string    // parallel groupKeys (no data-version suffix)
+	keys   []string    // parallel shapeKeys
 	next   int         // next write position
 	full   bool
 }
@@ -244,13 +243,10 @@ func validatePlanShape(sh planShape) error {
 	return nil
 }
 
-// recordPlanShape notes one plan-cache miss's shape in the ring under
-// key, its groupKey (called from acquirePlan, which has already built
-// the key; only cacheable shapes reach it).
+// recordPlanShape notes one plan-store miss's shape in the ring under
+// key, its shapeKey (called from doPlan, which has already built the
+// key).
 func (s *System) recordPlanShape(req Request, qo queryOptions, key string) {
-	if s.shapes == nil {
-		return
-	}
 	shape := planShape{
 		Kind:       req.Kind,
 		Algorithm:  qo.algorithm,
@@ -263,7 +259,7 @@ func (s *System) recordPlanShape(req Request, qo queryOptions, key string) {
 }
 
 // shapeQuery rebuilds the request and resolved options a recorded shape
-// was planned under, so the rebuilt groupKey is byte-identical to the
+// was planned under, so the rebuilt shapeKey is byte-identical to the
 // one live traffic computes.
 func shapeQuery(sh planShape) (Request, queryOptions) {
 	req := Request{
@@ -277,14 +273,14 @@ func shapeQuery(sh planShape) (Request, queryOptions) {
 }
 
 // WarmPlans re-plans up to topN of the most frequent recorded shapes
-// and parks the plans in the shared-plan cache under the current data
-// version, so the next matching query is a cache hit instead of a cold
-// bounding + verification pass. Shapes already cached are skipped;
+// and parks the plans in the plan store under the current data version,
+// so the next matching query is a hit instead of a cold bounding +
+// verification pass. Shapes already in the store are skipped;
 // shapes that no longer plan (e.g. recorded against a different
 // network) are dropped silently. Returns how many plans were built.
 // Safe to call concurrently with live queries.
 func (s *System) WarmPlans(ctx context.Context, topN int) (int, error) {
-	if s.plans == nil || s.shapes == nil || topN <= 0 {
+	if topN <= 0 {
 		return 0, nil
 	}
 	warmed := 0
@@ -293,29 +289,28 @@ func (s *System) WarmPlans(ctx context.Context, topN int) (int, error) {
 			return warmed, err
 		}
 		req, qo := shapeQuery(sh)
-		if !groupable(req, qo) {
+		if validateRequest(req, qo) != nil {
 			continue
 		}
-		key := groupKey(req, qo) + "|" + s.DataVersionKey()
-		if pl, ok := s.plans.take(key); ok {
-			s.plans.put(key, pl) // already warm
-			continue
-		}
-		plan, err := s.newPlan(ctx, req, qo)
+		e, how, err := s.plans.acquire(ctx, s.planKey(req, qo), func(ctx context.Context) (queryPlan, error) {
+			return s.newPlan(ctx, req, qo)
+		})
 		if err != nil {
 			continue
 		}
-		s.plans.put(key, plan)
-		s.sharing.plansWarmed.Add(1)
-		warmed++
+		s.plans.release(e)
+		if how == planMiss {
+			s.sharing.plansWarmed.Add(1)
+			warmed++
+		}
 	}
 	return warmed, nil
 }
 
 // EnableWarmPlanning turns on background plan warming: the top topN
 // recorded shapes are re-planned now and again after every compaction
-// epoch swap (whose data-version bump invalidates all cached plans).
-// topN <= 0 disables. The plan cache is grown to hold at least topN
+// epoch swap (whose data-version bump invalidates all stored plans).
+// topN <= 0 disables. The plan store is grown to hold at least topN
 // plans — warming more shapes than the LRU can park would evict its
 // own work. The background pass is skipped while one is already
 // running and is cancelled by Close.
@@ -367,7 +362,7 @@ func (s *System) loadPlanShapes(dir string) error {
 	}
 	keys := make([]string, len(shapes))
 	for i, sh := range shapes {
-		keys[i] = groupKey(shapeQuery(sh))
+		keys[i] = shapeKey(shapeQuery(sh))
 	}
 	s.shapes.load(shapes, keys)
 	return nil

@@ -80,10 +80,10 @@ func TestPlanShapesCodecRoundTrip(t *testing.T) {
 	}
 
 	// One option-bit codec: every ablation combination of every
-	// kind/algorithm pairing a plan is cached under is recorded in the
+	// kind/algorithm pairing a plan is stored under is recorded in the
 	// documented bit order (VerifyAll 1, EarlyStop 2, NoVisitedSet 4,
 	// NoOverlapFilter 8 — the planshapes.bin byte) and, through
-	// planshapes.bin and shapeQuery, rebuilds the live request's group key
+	// planshapes.bin and shapeQuery, rebuilds the live request's shape key
 	// byte for byte. VerifyWorkers is cost-only and must not matter.
 	pairs := map[Kind][]Algorithm{
 		KindReach:   {AlgoAuto, AlgoBounded, AlgoExhaustive},
@@ -105,7 +105,7 @@ func TestPlanShapesCodecRoundTrip(t *testing.T) {
 				})
 				name := fmt.Sprintf("%v/%v/bits=%d", kind, alg, bits)
 				s := &System{shapes: newShapeRecorder()}
-				s.recordPlanShape(req, qo, groupKey(req, qo))
+				s.recordPlanShape(req, qo, shapeKey(req, qo))
 				recorded, _ := s.shapes.snapshot()
 				if len(recorded) != 1 || recorded[0].OptionBits != bits {
 					t.Fatalf("%s: recorded %+v, want one shape with option bits %d", name, recorded, bits)
@@ -115,11 +115,11 @@ func TestPlanShapesCodecRoundTrip(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				wreq, wqo := shapeQuery(decoded[0])
-				if !groupable(wreq, wqo) {
-					t.Fatalf("%s: rebuilt shape is not groupable", name)
+				if err := validateRequest(wreq, wqo); err != nil {
+					t.Fatalf("%s: rebuilt shape is invalid: %v", name, err)
 				}
-				if got, want := groupKey(wreq, wqo), groupKey(req, qo); got != want {
-					t.Fatalf("%s: rebuilt group key %q, live %q", name, got, want)
+				if got, want := shapeKey(wreq, wqo), shapeKey(req, qo); got != want {
+					t.Fatalf("%s: rebuilt shape key %x, live %x", name, got, want)
 				}
 			}
 		}
