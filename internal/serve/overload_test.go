@@ -285,8 +285,9 @@ func TestServeOverload(t *testing.T) {
 		latencies []time.Duration
 		bad       []string
 	)
-	// flood sends workers×perWorker requests from concurrent workers,
-	// each at its own probability over one shape: they share one plan.
+	// flood sends workers×perWorker requests from concurrent workers.
+	// Each request starts at its own minute, so no two share a plan and
+	// every request is real load: a sharded plan build of its own.
 	const workers, perWorker = 8, 5
 	flood := func(round int) {
 		var wg sync.WaitGroup
@@ -295,8 +296,8 @@ func TestServeOverload(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < perWorker; i++ {
-					prob := 0.10 + 0.01*float64(w*perWorker+i) + 0.001*float64(round)
-					url := fmt.Sprintf("%s/v1/reach?start=11h&dur=10m&prob=%.3f", ts.URL, prob)
+					start := 10*60 + (round*workers+w)*perWorker + i
+					url := fmt.Sprintf("%s/v1/reach?start=%dm&dur=10m&prob=0.2", ts.URL, start)
 					began := time.Now()
 					resp, err := http.Get(url)
 					lat := time.Since(began)
@@ -346,6 +347,9 @@ func TestServeOverload(t *testing.T) {
 	if statuses[http.StatusTooManyRequests] == 0 {
 		t.Fatalf("the saturated flood never saw a 429: %v", statuses)
 	}
+	if st := sys.SharingStats(); st.PlanCacheHits+st.QueriesCoalesced != 0 || st.PlanCacheMisses == 0 {
+		t.Fatalf("the flood's requests shared plans: %+v", st)
+	}
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	if p99 := latencies[len(latencies)*99/100]; p99 > 2*deadline {
 		t.Fatalf("p99 latency %v exceeds 2x the %v deadline budget", p99, deadline)
@@ -368,7 +372,8 @@ func TestServeOverload(t *testing.T) {
 	}
 
 	// Scratch-drain regression (run after both Closes, so no background
-	// warm is mid-checkout and the plan store has closed its plans):
+	// warm is mid-checkout and the plan store has closed the plans it
+	// parks):
 	// every pooled region and bitset came back, including from shed
 	// queries.
 	srv.Close()

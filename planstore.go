@@ -86,7 +86,8 @@ type planEntry struct {
 	idleEl  *list.Element // its place in idle while no caller holds it
 	dropped bool          // out of entries; closed by its last release
 
-	// mu serialises Rebase and ResultAt on the single-goroutine plan.
+	// mu serialises Rebase and ResultAt on the single-goroutine plan. The
+	// builder holds it from the entry's creation to its own answer.
 	mu sync.Mutex
 }
 
@@ -108,7 +109,9 @@ func newPlanStore() *planStore {
 }
 
 // acquire returns the entry for key, held until release, building its
-// plan with build when nobody has. A waiter whose own ctx ends stops
+// plan with build when nobody has. The builder gets the entry with its
+// mutex held, to be given up by its own resultAt (or, if it answers
+// nothing, by itself). A waiter whose own ctx ends stops
 // waiting with ctx's error. A build that fails is dropped before its
 // waiters wake, so its error reaches each of them once and is never
 // stored — except that a waiter whose builder died of the builder's own
@@ -119,10 +122,12 @@ func (c *planStore) acquire(ctx context.Context, key planKey, build func(context
 		e, ok := c.entries[key]
 		if !ok {
 			e = &planEntry{key: key, ready: make(chan struct{}), refs: 1}
+			e.mu.Lock() // the builder answers first; see resultAt
 			c.entries[key] = e
 			c.mu.Unlock()
 			c.build(ctx, e, build)
 			if e.err != nil {
+				e.mu.Unlock()
 				c.release(e)
 				return nil, planMiss, e.err
 			}
@@ -235,13 +240,17 @@ func (c *planStore) grow(n int) {
 	c.mu.Unlock()
 }
 
-// resultAt answers one threshold off the entry's plan. rebase resets the
-// plan's cost attribution first, so a caller that did not build the plan
-// is charged only for its own work.
-func (e *planEntry) resultAt(ctx context.Context, prob float64, rebase bool) (*core.Result, error) {
-	e.mu.Lock()
+// resultAt answers one threshold off the entry's plan for a caller that
+// acquired it how. The builder holds e.mu from the entry's creation, so
+// its answer comes before any other caller's and carries the build's
+// cost. Every other caller locks e.mu and rebases the plan's cost
+// attribution first, so it is charged only for its own work.
+func (e *planEntry) resultAt(ctx context.Context, prob float64, how acquired) (*core.Result, error) {
+	if how != planMiss {
+		e.mu.Lock()
+	}
 	defer e.mu.Unlock()
-	if rebase {
+	if how != planMiss {
 		e.plan.Rebase()
 	}
 	return e.plan.ResultAt(ctx, prob)

@@ -3,6 +3,7 @@ package streach
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,18 @@ func (p *fakePlan) Close() {
 		panic("plan closed twice")
 	}
 }
+
+// loggedPlan is a queryPlan that logs its calls, in the order the store
+// lets callers make them.
+type loggedPlan struct{ calls []string }
+
+func (p *loggedPlan) ResultAt(context.Context, float64) (*core.Result, error) {
+	p.calls = append(p.calls, "answer")
+	return &core.Result{}, nil
+}
+
+func (p *loggedPlan) Rebase() { p.calls = append(p.calls, "rebase") }
+func (p *loggedPlan) Close()  {}
 
 // holders reports how many callers hold (or wait on) key's entry.
 func holders(c *planStore, key planKey) int {
@@ -109,6 +122,125 @@ func TestPlanStoreSingleFlight(t *testing.T) {
 	c.release(e)
 	if plan.closed.Load() {
 		t.Fatal("a parked plan was closed")
+	}
+}
+
+// TestPlanStoreBuilderAnswersFirst: callers that waited on a build do
+// not touch the plan — in particular do not rebase its cost attribution
+// — until the builder has answered off it, however long the builder
+// takes to get there.
+func TestPlanStoreBuilderAnswersFirst(t *testing.T) {
+	c := newPlanStore()
+	key := planKey{shape: "k"}
+	plan := &loggedPlan{}
+	gate := make(chan struct{})
+	build := func(context.Context) (queryPlan, error) {
+		<-gate
+		return plan, nil
+	}
+	type held struct {
+		e   *planEntry
+		how acquired
+	}
+	builder := make(chan held, 1)
+	go func() {
+		e, how, err := c.acquire(context.Background(), key, build)
+		if err != nil {
+			t.Error(err)
+		}
+		builder <- held{e, how}
+	}()
+	waitFor(t, func() bool { return holders(c, key) == 1 })
+	const waiters = 4
+	var wg sync.WaitGroup
+	for range waiters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, how, err := c.acquire(context.Background(), key, build)
+			if err != nil || how != planCoalesced {
+				t.Errorf("waiter: %v, %v", how, err)
+				return
+			}
+			defer c.release(e)
+			if _, err := e.resultAt(context.Background(), 0.5, how); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	waitFor(t, func() bool { return holders(c, key) == 1+waiters })
+	close(gate)
+	b := <-builder
+	if b.how != planMiss {
+		t.Fatalf("first acquirer got %v, want a miss", b.how)
+	}
+	time.Sleep(20 * time.Millisecond) // room for the waiters to reach the plan, were they let
+	if _, err := b.e.resultAt(context.Background(), 0.5, b.how); err != nil {
+		t.Fatal(err)
+	}
+	c.release(b.e)
+	wg.Wait()
+	want := []string{"answer"}
+	for range waiters {
+		want = append(want, "rebase", "answer")
+	}
+	if !slices.Equal(plan.calls, want) {
+		t.Fatalf("plan calls %v, want %v", plan.calls, want)
+	}
+}
+
+// TestCoalescedDoCountsTheBuildOnce: when concurrent Do calls of one
+// shape share one plan build, the builder's Metrics carry the build's
+// Con-Index rows and every other caller's carry only its own answer's,
+// so over the calls ConMaterialised and ConHits sum to the index's
+// deltas exactly. A waiter that rebased the plan before the builder
+// answered would wipe the build's rows from every caller's Metrics.
+func TestCoalescedDoCountsTheBuildOnce(t *testing.T) {
+	s := variant(t, vcfg{})
+	const callers, rounds = 8, 12
+	var built int64
+	for round := range rounds {
+		req := testQuery(s)
+		req.Start += time.Duration(round) * 30 * time.Minute // a cold slot each round
+		before, shared := s.con.Stats(), s.SharingStats()
+		var (
+			wg                 sync.WaitGroup
+			mu                 sync.Mutex
+			materialised, hits int64
+		)
+		start := make(chan struct{})
+		for i := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				reg, err := s.Do(context.Background(), req, WithProb(0.1+0.1*float64(i)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				materialised += reg.Metrics.ConMaterialised
+				hits += reg.Metrics.ConHits
+				mu.Unlock()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		after := s.con.Stats()
+		if d := after.Materialised - before.Materialised; materialised != d {
+			t.Fatalf("round %d: callers report %d rows materialised, the index %d", round, materialised, d)
+		}
+		if d := after.Hits - before.Hits; hits != d {
+			t.Fatalf("round %d: callers report %d row hits, the index %d", round, hits, d)
+		}
+		if m := s.SharingStats().PlanCacheMisses - shared.PlanCacheMisses; m != 1 {
+			t.Fatalf("round %d: %d plans built for one shape", round, m)
+		}
+		built += materialised
+	}
+	if built == 0 {
+		t.Fatal("no build materialised a row; the fixture tests nothing")
 	}
 }
 
@@ -219,11 +351,14 @@ func TestPlanStoreHeldPlanOutlivesClear(t *testing.T) {
 	c.cap = 2
 	plans := map[string]*fakePlan{"a": {}, "b": {}, "c": {}}
 	acquire := func(shape string) *planEntry {
-		e, _, err := c.acquire(context.Background(), planKey{shape: shape}, func(context.Context) (queryPlan, error) {
+		e, how, err := c.acquire(context.Background(), planKey{shape: shape}, func(context.Context) (queryPlan, error) {
 			return plans[shape], nil
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if how == planMiss {
+			e.mu.Unlock() // the builder's first answer, not asked for here
 		}
 		return e
 	}
@@ -239,7 +374,7 @@ func TestPlanStoreHeldPlanOutlivesClear(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := a.resultAt(context.Background(), 0.5, true); err != nil {
+			if _, err := a.resultAt(context.Background(), 0.5, planHit); err != nil {
 				t.Error(err)
 				return
 			}

@@ -330,13 +330,14 @@ func (s *System) doPlan(ctx context.Context, req Request, qo queryOptions) (*Reg
 	// Deferred so the hold is given back on every exit, including a panic
 	// unwinding through ResultAt.
 	defer s.plans.release(e)
+	res, err := e.resultAt(ctx, prob, how)
 	if how == planMiss {
 		// An organic miss is exactly the signal the warm-plan pipeline
 		// feeds on: record the shape so the next epoch swap can rebuild
 		// this plan before traffic asks for it.
 		s.recordPlanShape(req, qo, key.shape)
 	}
-	return s.answer(e.resultAt(ctx, prob, how != planMiss))
+	return s.answer(res, err)
 }
 
 // answer turns a plan's result into the facade's Region.

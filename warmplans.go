@@ -298,11 +298,12 @@ func (s *System) WarmPlans(ctx context.Context, topN int) (int, error) {
 		if err != nil {
 			continue
 		}
-		s.plans.release(e)
 		if how == planMiss {
+			e.mu.Unlock() // the builder's first answer, which warming does not ask for
 			s.sharing.plansWarmed.Add(1)
 			warmed++
 		}
+		s.plans.release(e)
 	}
 	return warmed, nil
 }
