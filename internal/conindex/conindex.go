@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -128,10 +129,16 @@ type Index struct {
 	// stats counts adjacency-row activity across all four tables.
 	stats statCounters
 
+	// g is the network flattened for the expansion kernels (see graph).
+	g graph
+
 	// scratch pools Dijkstra working state so concurrent expansions never
 	// serialize on a shared mutex: each expansion checks out its own
 	// scratch and returns it when done.
 	scratch sync.Pool
+	// buckets overrides the expansion queue's bucket count when
+	// non-zero; only tests set it (to 1, the worst pop order).
+	buckets int
 }
 
 // statCounters are the live adjacency counters; snapshot with Stats().
@@ -171,13 +178,16 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// expScratch is the per-expansion Dijkstra working state. The stamp trick
+// expScratch is the per-expansion working state. The stamp trick
 // avoids clearing the n-sized arrays between expansions.
 type expScratch struct {
 	enterCost  []float64
 	enterStamp []int32
 	stamp      int32
-	pq         entryPQ
+	q          bucketQueue
+	// pops is how many entries the last finished expansion popped
+	// (BenchmarkExpand reports it).
+	pops int
 	// out collects the expansion's members; makeRow compresses them
 	// through bits, a bitset over the segments that is all zero between
 	// expansions. The row gets storage of its own, so both are reused by
@@ -186,7 +196,8 @@ type expScratch struct {
 	bits bitset.Set
 }
 
-// getScratch checks out scratch sized for the network.
+// getScratch checks out scratch sized for the network, its queue
+// emptied of whatever an aborted expansion left behind.
 func (x *Index) getScratch() *expScratch {
 	sc, _ := x.scratch.Get().(*expScratch)
 	if sc == nil {
@@ -204,7 +215,11 @@ func (x *Index) getScratch() *expScratch {
 		sc.stamp = 0
 	}
 	sc.stamp++
-	sc.pq = sc.pq[:0]
+	nb := numBuckets
+	if x.buckets > 0 {
+		nb = x.buckets
+	}
+	sc.q.reset(nb, float64(x.slotSec))
 	sc.out = sc.out[:0]
 	return sc
 }
@@ -240,6 +255,7 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 		far:      newTable(numSlots, n),
 		nearRev:  newTable(numSlots, n),
 		farRev:   newTable(numSlots, n),
+		g:        newGraph(net),
 	}
 	// Accumulate in plain float32 (construction is offline and
 	// single-threaded), then publish as bits.
@@ -396,9 +412,9 @@ func (x *Index) NearRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int)
 	return x.RowCtx(ctx, Near, seg, slot)
 }
 
-// expand runs a travel-time Dijkstra from seg bounded by Δt, checking ctx
-// every ctxCheckInterval pops so a cancelled query abandons the expansion
-// promptly.
+// expand runs a travel-time expansion from seg bounded by Δt, checking
+// ctx every ctxCheckInterval pops so a cancelled query abandons the
+// expansion promptly.
 //
 // Far mode (upper bound): a segment is reached when it can be *entered*
 // within the budget, travelling at per-slot maximum speeds, starting from
@@ -408,71 +424,80 @@ func (x *Index) NearRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int)
 // Near mode (lower bound): a segment is reached when it can be *fully
 // traversed* within the budget at per-slot minimum speeds, including
 // traversing seg itself first.
+//
+// Rows do not depend on the order the queue pops entries in, which is
+// what lets bucketQueue pop out of cost order within a bucket. Every
+// pushed cost is at most the budget, and float addition of non-negative
+// numbers is monotone. The kernel re-pushes a segment whenever its cost
+// strictly drops and skips stale entries, which makes it a
+// label-correcting search: in any pop order, when the queue runs dry
+// each segment's cost is its minimum left-to-right float path sum (over
+// the paths the pruning lets through), the same minimum Dijkstra
+// settles it at. Membership tests the popped cost against the budget,
+// so it only grows as the cost drops: a segment admitted at a dearer
+// cost is admitted at the minimum too, and one the minimum admits is
+// admitted when that entry pops. A segment popped twice is appended
+// twice, and makeRow collapses the repeat through its bitset. So every
+// row is bit-identical whatever order entries pop in.
 func (x *Index) expand(ctx context.Context, seg roadnet.SegmentID, slot int, far bool) (Row, error) {
 	if err := ctx.Err(); err != nil {
 		return Row{}, err
 	}
-	n := x.net.NumSegments()
 	budget := float64(x.slotSec)
-	base := slot * n
+	base := slot * len(x.g.length)
 	speeds := x.minSpeed
 	if far {
 		speeds = x.maxSpeed
 	}
+	length, off, succ := x.g.length, x.g.succOff, x.g.succ
 
 	sc := x.getScratch()
 	defer x.putScratch(sc)
 	stamp := sc.stamp
-	pq := &sc.pq
+	q := &sc.q
 
 	// enterCost[s]: earliest time s can be entered. Both modes enter the
 	// start segment at time 0; Near must additionally finish traversing
 	// segments (exit <= budget) while Far only needs to enter them.
 	sc.enterCost[seg] = 0
 	sc.enterStamp[seg] = stamp
-	pq.push(entryItem{seg, 0})
-	for pops := 0; len(*pq) > 0; pops++ {
+	q.push(entryItem{seg, 0})
+	pops := 0
+	for ; q.next(); pops++ {
 		if pops%ctxCheckInterval == 0 && pops > 0 {
 			if err := ctx.Err(); err != nil {
 				return Row{}, err
 			}
 		}
-		it := pq.pop()
-		if sc.enterStamp[it.seg] == stamp && it.cost > sc.enterCost[it.seg] {
-			continue // stale entry
+		it := q.pop()
+		if it.cost > sc.enterCost[it.seg] {
+			continue // stale entry (a pushed segment carries this stamp)
 		}
 		sp := float64(loadSpeed(speeds, base+int(it.seg)))
 		exit := budget + 1
 		if sp > 0 {
-			exit = it.cost + x.net.Segment(it.seg).Length/sp
+			exit = it.cost + length[it.seg]/sp
 		}
 		if far {
 			if it.cost > budget {
 				continue
 			}
-			sc.out = append(sc.out, it.seg)
-		} else {
-			if exit > budget {
-				continue // cannot finish this segment: prune the branch
-			}
-			sc.out = append(sc.out, it.seg)
+		} else if exit > budget {
+			continue // cannot finish this segment: prune the branch
 		}
+		sc.out = append(sc.out, it.seg)
 		if exit > budget {
 			continue // successors cannot be entered in time
 		}
-		succ := x.net.Outgoing(it.seg)
-		rev := x.net.Segment(it.seg).Reverse
-		for _, next := range succ {
-			if next == rev && len(succ) > 1 {
-				continue
-			}
+		for _, next := range succ[off[it.seg]:off[it.seg+1]] {
 			if sc.enterStamp[next] != stamp || exit < sc.enterCost[next] {
 				sc.enterCost[next] = exit
 				sc.enterStamp[next] = stamp
-				pq.push(entryItem{next, exit})
+				q.push(entryItem{next, exit})
 			}
 		}
 	}
+	sc.pops = pops
 	return makeRow(sc.out, sc.bits), nil
 }
 
@@ -613,47 +638,125 @@ type entryItem struct {
 	cost float64
 }
 
-// entryPQ is the expansions' min-heap on cost. push and pop replay
-// container/heap's sift-up and sift-down step for step, so entries leave
-// the queue in exactly the order they did when the queue went through
-// heap.Interface — but as plain entryItem values: no boxing into an
-// interface per push and pop, which is what made cold bounding and
-// warm-up allocate by the gigabyte.
-type entryPQ []entryItem
+// numBuckets is the expansion queue's bucket count over [0, Δt].
+const numBuckets = 256
 
-func (q *entryPQ) push(it entryItem) {
-	h := append(*q, it)
-	*q = h
-	for j := len(h) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || !(h[j].cost < h[i].cost) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
+// bucketQueue is the expansions' monotone bucket queue (Dial, CACM
+// 1969). Every cost an expansion pushes lies in [0, Δt], and an entry
+// goes in bucket int(cost·(buckets-1)/Δt), clamped to the last bucket.
+// Entries pop from the cursor's bucket, LIFO, so they leave in cost
+// order only to a bucket's width, which the kernels tolerate by
+// construction (see expand). The cursor only moves forward: a push
+// never costs less than the pop that caused it (push clamps to the
+// cursor all the same, so no entry can be stranded below it). When the
+// cursor's bucket empties, an occupancy bitmap finds the next occupied
+// one, so a small expansion never walks the empty buckets between and
+// above its costs. A push and a pop are an append and a slice shrink,
+// with none of a binary heap's O(log n) compares per pop.
+type bucketQueue struct {
+	b   [][]entryItem
+	cur int // the cursor: every bucket below it is empty
+	// occ has bit i set for every non-empty bucket i; the bit of an
+	// emptied bucket is cleared only when the cursor leaves it.
+	occ   [numBuckets / 64]uint64
+	scale float64 // (buckets-1)/Δt
 }
 
-func (q *entryPQ) pop() entryItem {
-	h := *q
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && h[r].cost < h[j].cost {
-			j = r
-		}
-		if !(h[j].cost < h[i].cost) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
+// reset empties the queue for an expansion with the given bucket count
+// (at most numBuckets) and budget. Entries are left queued only by an
+// aborted expansion.
+func (q *bucketQueue) reset(buckets int, budget float64) {
+	if len(q.b) != buckets {
+		q.b, q.occ = make([][]entryItem, buckets), [numBuckets / 64]uint64{}
 	}
-	*q = h[:n]
-	return h[n]
+	for w := range q.occ {
+		for word := q.occ[w]; word != 0; word &= word - 1 {
+			i := w<<6 + bits.TrailingZeros64(word)
+			q.b[i] = q.b[i][:0]
+		}
+		q.occ[w] = 0
+	}
+	q.cur = 0
+	q.scale = float64(buckets-1) / budget
+}
+
+func (q *bucketQueue) push(it entryItem) {
+	i := min(max(int(it.cost*q.scale), q.cur), len(q.b)-1)
+	q.b[i] = append(q.b[i], it)
+	q.occ[i>>6] |= 1 << (i & 63)
+}
+
+// next reports whether an entry is queued, leaving the cursor on the
+// lowest non-empty bucket for pop.
+func (q *bucketQueue) next() bool {
+	return len(q.b[q.cur]) > 0 || q.advance()
+}
+
+// advance moves the cursor off its emptied bucket to the next occupied
+// one; false when none is. It is next's slow path, kept out of line so
+// next inlines.
+//
+//go:noinline
+func (q *bucketQueue) advance() bool {
+	w := q.cur >> 6
+	q.occ[w] &^= 1 << (q.cur & 63)
+	for q.occ[w] == 0 {
+		if w++; w == len(q.occ) {
+			return false
+		}
+	}
+	q.cur = w<<6 + bits.TrailingZeros64(q.occ[w])
+	return true
+}
+
+// pop removes and returns the last entry of the cursor's bucket, which
+// next has reported non-empty.
+func (q *bucketQueue) pop() entryItem {
+	b := q.b[q.cur]
+	q.b[q.cur] = b[:len(b)-1]
+	return b[len(b)-1]
+}
+
+// graph is the network as the expansion kernels read it: flat arrays
+// built once per index, so a pop loads a length and an offset pair, not
+// a whole Segment (shape, box, class …) through Network.Segment.
+type graph struct {
+	// length[s] is Segment(s).Length.
+	length []float64
+	// succ[succOff[s]:succOff[s+1]] are the segments a forward expansion
+	// may enter after s: Outgoing(s) less s's reverse twin when s has
+	// another way out (no U-turns). pred/predOff mirror it over
+	// Incoming(s) for expandReverse.
+	succOff, predOff []int32
+	succ, pred       []roadnet.SegmentID
+}
+
+// newGraph flattens net; Build and Load both call it.
+func newGraph(net *roadnet.Network) graph {
+	n := net.NumSegments()
+	g := graph{
+		length:  make([]float64, n),
+		succOff: make([]int32, 1, n+1),
+		predOff: make([]int32, 1, n+1),
+	}
+	adj := func(dst []roadnet.SegmentID, from []roadnet.SegmentID, rev roadnet.SegmentID) []roadnet.SegmentID {
+		for _, s := range from {
+			if s != rev || len(from) == 1 {
+				dst = append(dst, s)
+			}
+		}
+		return dst
+	}
+	for s := 0; s < n; s++ {
+		id := roadnet.SegmentID(s)
+		seg := net.Segment(id)
+		g.length[s] = seg.Length
+		g.succ = adj(g.succ, net.Outgoing(id), seg.Reverse)
+		g.succOff = append(g.succOff, int32(len(g.succ)))
+		g.pred = adj(g.pred, net.Incoming(id), seg.Reverse)
+		g.predOff = append(g.predOff, int32(len(g.pred)))
+	}
+	return g
 }
 
 // PrecomputeAll materialises every (segment, slot) Near and Far row,

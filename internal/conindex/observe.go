@@ -130,17 +130,22 @@ func (x *Index) observeSlot(seg roadnet.SegmentID, slot int, sp float32) bool {
 
 // invalidateRows removes every materialised adjacency row the changed
 // bounds at (segs, slot) can have influenced. Membership is the
-// witness: an expansion only consults a segment's speed after entering
-// it, and entering it puts either the segment or one of its graph
-// neighbours in the row (forward rows via its predecessors, reverse
-// rows via its successors), so probing {seg} ∪ In(seg) ∪ Out(seg)
+// witness, whatever order the expansion pops in (a label-correcting
+// order can pop a segment, and read its speed, more than once): an
+// expansion reads a segment's speed only when it pops the segment or
+// prices a push of it, and it pushes and prices only from a popped
+// segment it has already put in the row. So for every segment read but
+// the start, either the segment or the graph neighbour that pushed or
+// priced it (forward rows via its predecessors, reverse rows via its
+// successors) is in the row, and probing {seg} ∪ In(seg) ∪ Out(seg)
 // across all four tables is a conservative superset of the affected
-// rows. The one case membership cannot witness — a row that is empty
-// because its own segment was too slow to traverse — is covered by
-// always dropping each changed segment's own (seg, slot) key. The
-// probe sets of every changed segment are merged into one segment
-// bitset, so the slot's rows are scanned once per batch, not once per
-// sample, and each row costs one intersection however large the batch.
+// rows. The start — the one case membership cannot witness, a row that
+// is empty because its own segment was too slow to traverse — is
+// covered by always dropping each changed segment's own (seg, slot)
+// key. The probe sets of every changed segment are merged into one
+// segment bitset, so the slot's rows are scanned once per batch, not
+// once per sample, and each row costs one intersection however large
+// the batch.
 func (x *Index) invalidateRows(slot int, segs []roadnet.SegmentID) {
 	n := x.net.NumSegments()
 	selves, probes := bitset.New(n), bitset.New(n)

@@ -17,10 +17,11 @@ import (
 // NearReverse(r, t) is the lower bound at minimum speeds, requiring r
 // itself to be fully traversed too.
 
-// expandReverse runs the mirrored travel-time Dijkstra: cost[q] is the
+// expandReverse runs the mirrored travel-time expansion: cost[q] is the
 // travel time from the *entry* of q to the *entry* of seg, i.e. the sum
 // of traversal times of q and every intermediate segment, excluding seg.
-// ctx is checked every ctxCheckInterval pops, same as the forward expand.
+// ctx is checked every ctxCheckInterval pops, and rows do not depend on
+// pop order, for the reasons given at expand.
 //
 // Far mode: include q when cost[q] <= budget (the mover enters seg in
 // time). Near mode: include q when cost[q] + time(seg) <= budget (the
@@ -29,19 +30,19 @@ func (x *Index) expandReverse(ctx context.Context, seg roadnet.SegmentID, slot i
 	if err := ctx.Err(); err != nil {
 		return Row{}, err
 	}
-	n := x.net.NumSegments()
 	budget := float64(x.slotSec)
-	base := slot * n
+	base := slot * len(x.g.length)
 	speeds := x.minSpeed
 	if far {
 		speeds = x.maxSpeed
 	}
+	length, off, pred := x.g.length, x.g.predOff, x.g.pred
 	timeOf := func(s roadnet.SegmentID) float64 {
 		sp := float64(loadSpeed(speeds, base+int(s)))
 		if sp <= 0 {
 			return budget + 1
 		}
-		return x.net.Segment(s).Length / sp
+		return length[s] / sp
 	}
 
 	segTime := timeOf(seg)
@@ -58,30 +59,23 @@ func (x *Index) expandReverse(ctx context.Context, seg roadnet.SegmentID, slot i
 	sc := x.getScratch()
 	defer x.putScratch(sc)
 	stamp := sc.stamp
-	pq := &sc.pq
+	q := &sc.q
 	sc.enterCost[seg] = 0
 	sc.enterStamp[seg] = stamp
-	pq.push(entryItem{seg, 0})
-	for pops := 0; len(*pq) > 0; pops++ {
+	q.push(entryItem{seg, 0})
+	pops := 0
+	for ; q.next(); pops++ {
 		if pops%ctxCheckInterval == 0 && pops > 0 {
 			if err := ctx.Err(); err != nil {
 				return Row{}, err
 			}
 		}
-		it := pq.pop()
-		if sc.enterStamp[it.seg] == stamp && it.cost > sc.enterCost[it.seg] {
-			continue
-		}
-		if it.cost > effBudget {
+		it := q.pop()
+		if it.cost > sc.enterCost[it.seg] || it.cost > effBudget {
 			continue
 		}
 		sc.out = append(sc.out, it.seg)
-		pred := x.net.Incoming(it.seg)
-		rev := x.net.Segment(it.seg).Reverse
-		for _, prev := range pred {
-			if prev == rev && len(pred) > 1 {
-				continue // mirror of the forward no-U-turn rule
-			}
+		for _, prev := range pred[off[it.seg]:off[it.seg+1]] {
 			c := it.cost + timeOf(prev)
 			if c > effBudget {
 				continue
@@ -89,9 +83,10 @@ func (x *Index) expandReverse(ctx context.Context, seg roadnet.SegmentID, slot i
 			if sc.enterStamp[prev] != stamp || c < sc.enterCost[prev] {
 				sc.enterCost[prev] = c
 				sc.enterStamp[prev] = stamp
-				pq.push(entryItem{prev, c})
+				q.push(entryItem{prev, c})
 			}
 		}
 	}
+	sc.pops = pops
 	return makeRow(sc.out, sc.bits), nil
 }
