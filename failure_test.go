@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"streach/internal/conindex"
+	"streach/internal/roadnet"
 	"streach/internal/stindex"
 	"streach/internal/storage"
+	"streach/internal/traj"
 )
 
 // panicStore is a page store whose reads panic while armed: the fault a
@@ -262,4 +267,47 @@ func TestScratchPoolIntegrityAcrossShardFailure(t *testing.T) {
 		}
 	}
 	assertScratchBalanced(t, s, "after healed batch")
+}
+
+// TestNewSystemFromDataRejectsOutOfRange: a visit on a segment the
+// network does not have fails NewSystemFromData with the ST-Index
+// builder's error naming the trajectory. Both builds have returned by
+// then: no build goroutine is left, and the page file is closed.
+func TestNewSystemFromDataRejectsOutOfRange(t *testing.T) {
+	net := smallSystem(t).Network()
+	bad := roadnet.SegmentID(net.NumSegments())
+	ds := &traj.Dataset{Days: 2, Matched: []traj.MatchedTrajectory{
+		{Taxi: 1, Day: 0, Visits: []traj.Visit{{Segment: 0, EnterMs: 1000, ExitMs: 2000, Speed: 9}}},
+		{Taxi: 2, Day: 1, Visits: []traj.Visit{{Segment: bad, EnterMs: 1000, ExitMs: 2000, Speed: 9}}},
+	}}
+	idx := DefaultIndexConfig()
+	idx.PageFile = filepath.Join(t.TempDir(), "pages.db")
+	build := func() {
+		t.Helper()
+		s, err := NewSystemFromData(net, ds, idx)
+		if err == nil {
+			s.Close()
+			t.Fatal("NewSystemFromData accepted a visit past the network")
+		}
+		want := fmt.Sprintf("streach: build ST-Index: stindex: trajectory 1 visit 0: segment %d outside [0, %d)", bad, bad)
+		if err.Error() != want {
+			t.Fatalf("error %q, want %q", err, want)
+		}
+	}
+	build() // the first call may start runtime helpers of its own
+	goroutines, fds := runtime.NumGoroutine(), openFiles()
+	for i := 0; i < 5; i++ {
+		build()
+	}
+	assertNoGoroutineGrowth(t, goroutines)
+	if now := openFiles(); now > fds {
+		t.Fatalf("open files grew %d -> %d: a failed build left its page file open", fds, now)
+	}
+}
+
+// openFiles counts this process's open file descriptors, or returns 0
+// where /proc/self/fd is not available.
+func openFiles() int {
+	ents, _ := os.ReadDir("/proc/self/fd")
+	return len(ents)
 }

@@ -3,6 +3,8 @@ package conindex
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"streach/internal/geo"
@@ -74,6 +76,37 @@ func TestBuildValidations(t *testing.T) {
 	}
 	if _, err := Build(n, ds, Config{SlotSeconds: 7}); err == nil {
 		t.Fatal("bad slot seconds should error")
+	}
+}
+
+// TestBuildRejectsOutOfRange: a segment past the network (which would
+// fold its speed into segment 0 of the next slot), a negative segment,
+// and a taxi or day out of range are errors naming the trajectory.
+func TestBuildRejectsOutOfRange(t *testing.T) {
+	n := testNetwork(t)
+	seg := roadnet.SegmentID(n.NumSegments())
+	visits := func(s roadnet.SegmentID) []traj.Visit {
+		return []traj.Visit{{Segment: 0, EnterMs: 1000, ExitMs: 2000, Speed: 9}, {Segment: s, EnterMs: 2000, ExitMs: 3000, Speed: 33}}
+	}
+	for _, tc := range []struct {
+		name string
+		mt   traj.MatchedTrajectory
+		want string
+	}{
+		{"segment past the network", traj.MatchedTrajectory{Taxi: 1, Day: 0, Visits: visits(seg)}, fmt.Sprintf("trajectory 1 visit 1: segment %d outside [0, %d)", seg, seg)},
+		{"negative segment", traj.MatchedTrajectory{Taxi: 1, Day: 0, Visits: visits(-1)}, "trajectory 1 visit 1: segment -1 outside"},
+		{"taxi too large", traj.MatchedTrajectory{Taxi: maxTaxis, Day: 0, Visits: visits(1)}, "trajectory 1: taxi 32768 outside [0, 32768)"},
+		{"negative taxi", traj.MatchedTrajectory{Taxi: -1, Day: 0, Visits: visits(1)}, "trajectory 1: taxi -1 outside"},
+		{"day past the dataset", traj.MatchedTrajectory{Taxi: 1, Day: 2, Visits: visits(1)}, "trajectory 1: day 2 outside [0, 2)"},
+		{"negative day", traj.MatchedTrajectory{Taxi: 1, Day: -1, Visits: visits(1)}, "trajectory 1: day -1 outside"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := &traj.Dataset{Days: 2, Matched: []traj.MatchedTrajectory{{Taxi: 2, Day: 1, Visits: visits(2)}, tc.mt}}
+			_, err := Build(n, ds, Config{SlotSeconds: 300})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Build error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -58,8 +58,14 @@ func OrBits(dst, src []uint64) []uint64 { return bitset.OrGrow(dst, src) }
 // tuples in the packed format, dropping duplicate tuples. An entry is the
 // tuple's low 24 bits, day<<15 | taxi.
 func encodePackedRun(run []uint64) []byte {
-	out := make([]byte, 2, 2+3*len(run))
-	out[0], out[1] = packedMarker0, packedMarker1
+	return appendPackedRun(make([]byte, 0, 2+3*len(run)), run)
+}
+
+// appendPackedRun appends the packed blob of one sorted run to out: the
+// run's packed tuples, or just their 24-bit entries (Build's form), with
+// duplicates dropped.
+func appendPackedRun[E uint32 | uint64](out []byte, run []E) []byte {
+	out = append(out, packedMarker0, packedMarker1)
 	for i, t := range run {
 		if i > 0 && t == run[i-1] {
 			continue

@@ -587,9 +587,9 @@ func (x *Index) PendingDelta() []DeltaObs {
 	return out
 }
 
-// tuplesFromBits rebuilds the sorted packed-tuple run Build would have
-// produced for this (slot, seg) content, so compaction can reuse the
-// exact packed writer.
+// tuplesFromBits rebuilds this (slot, seg) content as a sorted run of
+// packed tuples, so compaction writes it with the packed writer Build
+// uses, byte for byte as Build would.
 func tuplesFromBits(slot, seg int, b *TimeListBits) []uint64 {
 	total := 0
 	for _, words := range b.Bits {

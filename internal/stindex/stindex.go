@@ -22,7 +22,10 @@ package stindex
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"streach/internal/bitset"
@@ -115,18 +118,37 @@ func (x *Index) checkOwned(seg roadnet.SegmentID) error {
 
 // Build constructs the ST-Index over the dataset. Every visit contributes
 // its taxi ID to the time lists of each slot it overlaps.
+//
+// Construction is a counting sort: one pass over the visits counts the
+// (segment, day, taxi) tuples of each slot, a second scatters them into
+// one exactly sized array, slot by slot. Slots are independent, so
+// GOMAXPROCS workers split each slot into its segment runs and encode
+// them while this goroutine appends the encoded slots to the blob file in
+// slot order. The lists land in (slot, segment) order, the order of one
+// global sort of the tuples, so every handle and every page byte is what
+// such a sort would write.
 func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 	cfg = cfg.withDefaults()
 	if net.NumSegments() == 0 {
 		return nil, fmt.Errorf("stindex: empty network")
 	}
+	if net.NumSegments() >= 1<<22 {
+		return nil, fmt.Errorf("stindex: network too large (%d segments, max %d)", net.NumSegments(), 1<<22-1)
+	}
 	if ds.Days <= 0 {
 		return nil, fmt.Errorf("stindex: dataset has no days")
+	}
+	if ds.Days >= maxDays {
+		return nil, fmt.Errorf("stindex: too many days (%d, max %d)", ds.Days, maxDays-1)
 	}
 	if 86400%cfg.SlotSeconds != 0 {
 		return nil, fmt.Errorf("stindex: slot seconds %d must divide 86400", cfg.SlotSeconds)
 	}
 	numSlots := 86400 / cfg.SlotSeconds
+	tuples, starts, err := bucketTuples(net.NumSegments(), ds, cfg.SlotSeconds, numSlots)
+	if err != nil {
+		return nil, err
+	}
 	pool, err := storage.NewBufferPool(cfg.Store, cfg.PoolPages)
 	if err != nil {
 		return nil, err
@@ -143,64 +165,8 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 		live:     newLiveState(handles),
 		cache:    newTLCache(cfg.TimeListCache),
 	}
-
-	// Accumulate (slot, segment, day, taxi) tuples packed into uint64s,
-	// then sort and deduplicate. This keeps construction memory at ~8
-	// bytes per tuple, which matters for multi-million-visit datasets.
-	// Layout (high to low): slot 18b | segment 22b | day 9b | taxi 15b —
-	// sorting the packed value groups tuples exactly in the order the
-	// serializer needs.
-	if net.NumSegments() >= 1<<22 {
-		return nil, fmt.Errorf("stindex: network too large (%d segments, max %d)", net.NumSegments(), 1<<22-1)
-	}
-	if ds.Days >= maxDays {
-		return nil, fmt.Errorf("stindex: too many days (%d, max %d)", ds.Days, maxDays-1)
-	}
-	var tuples []uint64
-	maxTaxi := traj.TaxiID(0)
-	for i := range ds.Matched {
-		mt := &ds.Matched[i]
-		if mt.Taxi > maxTaxi {
-			maxTaxi = mt.Taxi
-		}
-		for _, v := range mt.Visits {
-			s0 := int(v.EnterMs) / 1000 / cfg.SlotSeconds
-			s1 := int(v.ExitMs) / 1000 / cfg.SlotSeconds
-			for s := s0; s <= s1; s++ {
-				if s < 0 || s >= numSlots {
-					continue // visit ran past midnight
-				}
-				tuples = append(tuples, packTuple(s, int(v.Segment), int(mt.Day), int(mt.Taxi)))
-			}
-		}
-	}
-	if maxTaxi >= maxTaxis {
-		return nil, fmt.Errorf("stindex: taxi ID %d too large (max %d)", maxTaxi, maxTaxis-1)
-	}
-	slices.Sort(tuples)
-
-	// Serialize each (slot, segment) run to the blob file.
-	for i := 0; i < len(tuples); {
-		if i > 0 && tuples[i] == tuples[i-1] {
-			i++ // duplicate tuple
-			continue
-		}
-		slot, seg, _, _ := unpackTuple(tuples[i])
-		j := i
-		for j < len(tuples) {
-			s2, g2, _, _ := unpackTuple(tuples[j])
-			if s2 != slot || g2 != seg {
-				break
-			}
-			j++
-		}
-		blob := encodePackedRun(tuples[i:j])
-		h, err := idx.blob.Append(blob)
-		if err != nil {
-			return nil, fmt.Errorf("stindex: write time list: %w", err)
-		}
-		handles.set(slot, seg, net.NumSegments(), h)
-		i = j
+	if err := idx.writeLists(tuples, starts, handles); err != nil {
+		return nil, err
 	}
 	// Construction happens offline: flush, drop the cache so queries start
 	// cold, and zero the I/O counters.
@@ -211,14 +177,196 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 	return idx, nil
 }
 
+// bucketTuples checks every trajectory, then packs each visit's
+// seg<<24 | day<<15 | taxi tuple once per slot it overlaps into one array
+// grouped by slot: slot s holds tuples[starts[s]:starts[s+1]]. A taxi,
+// day or segment out of range is an error naming the trajectory: packed,
+// it would overwrite its neighbour's bits or index past a handle row.
+func bucketTuples(numSegments int, ds *traj.Dataset, slotSec, numSlots int) (tuples []uint64, starts []int, err error) {
+	slotMs := int32(slotSec * 1000)
+	starts = make([]int, numSlots+1)
+	for i := range ds.Matched {
+		mt := &ds.Matched[i]
+		if mt.Taxi < 0 || mt.Taxi >= maxTaxis {
+			return nil, nil, fmt.Errorf("stindex: trajectory %d: taxi %d outside [0, %d)", i, mt.Taxi, maxTaxis)
+		}
+		if mt.Day < 0 || int(mt.Day) >= ds.Days {
+			return nil, nil, fmt.Errorf("stindex: trajectory %d: day %d outside [0, %d)", i, mt.Day, ds.Days)
+		}
+		for j, v := range mt.Visits {
+			if v.Segment < 0 || int(v.Segment) >= numSegments {
+				return nil, nil, fmt.Errorf("stindex: trajectory %d visit %d: segment %d outside [0, %d)", i, j, v.Segment, numSegments)
+			}
+			lo, hi := slotSpan(v, slotMs, numSlots)
+			for s := lo; s <= hi; s++ {
+				starts[s+1]++
+			}
+		}
+	}
+	for s := 1; s <= numSlots; s++ {
+		starts[s] += starts[s-1]
+	}
+	tuples = make([]uint64, starts[numSlots])
+	next := slices.Clone(starts[:numSlots])
+	for i := range ds.Matched {
+		mt := &ds.Matched[i]
+		entry := uint64(mt.Day)<<15 | uint64(mt.Taxi)
+		for _, v := range mt.Visits {
+			t := uint64(v.Segment)<<24 | entry
+			lo, hi := slotSpan(v, slotMs, numSlots)
+			for s := lo; s <= hi; s++ {
+				tuples[next[s]] = t
+				next[s]++
+			}
+		}
+	}
+	return tuples, starts, nil
+}
+
+// slotSpan returns the slots a visit overlaps, clipped to the day: a
+// visit that runs past midnight lists only its slots before it. slotMs
+// is Δt in milliseconds: one 32-bit division per end truncates exactly
+// as dividing by 1000 and then by Δt does, at a fraction of the cost.
+func slotSpan(v traj.Visit, slotMs int32, numSlots int) (lo, hi int) {
+	return max(int(v.EnterMs/slotMs), 0), min(int(v.ExitMs/slotMs), numSlots-1)
+}
+
+// slotLists is one slot's time lists, encoded: the blobs of segs
+// (ascending) back to back in buf, segs[i]'s ending at ends[i].
+type slotLists struct {
+	buf  []byte
+	segs []int
+	ends []int
+}
+
+// writeLists encodes every slot's lists on GOMAXPROCS workers and
+// appends them in slot order, recording each handle. The slotLists
+// buffers, two per worker, circulate between the workers and the
+// appender, so at most that many slots are encoded and not yet appended.
+func (x *Index) writeLists(tuples []uint64, starts []int, handles handleTable) error {
+	numSlots, n := len(starts)-1, x.net.NumSegments()
+	workers := min(runtime.GOMAXPROCS(0), numSlots)
+	free := make(chan *slotLists, 2*workers) // one place per buffer
+	for i := 0; i < cap(free); i++ {
+		free <- &slotLists{}
+	}
+	// Slots are taken in order, each with a buffer in hand, so the slots
+	// in flight are consecutive and fewer than there are buffers: slot s
+	// is handed over in encoded[s%len(encoded)], which the appender has
+	// emptied by the time a worker can take slot s+len(encoded).
+	encoded := make([]chan *slotLists, cap(free))
+	for i := range encoded {
+		encoded[i] = make(chan *slotLists, 1)
+	}
+	stop := make(chan struct{})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc runScratch
+			for {
+				var sl *slotLists
+				select {
+				case sl = <-free:
+				case <-stop:
+					return
+				}
+				s := int(next.Add(1) - 1)
+				if s >= numSlots {
+					return
+				}
+				sc.encodeSlot(sl, tuples[starts[s]:starts[s+1]], n)
+				select {
+				case encoded[s%len(encoded)] <- sl:
+				case <-stop:
+					return
+				}
+			}
+		}()
+	}
+	var err error
+	for s := 0; s < numSlots && err == nil; s++ {
+		sl := <-encoded[s%len(encoded)]
+		err = x.appendSlot(s, sl, handles)
+		free <- sl
+	}
+	close(stop)
+	wg.Wait()
+	return err
+}
+
+// appendSlot writes one slot's blobs with a single append and records
+// each blob's handle: back to back in the file as in buf, so each is
+// where appending it alone would have put it.
+func (x *Index) appendSlot(slot int, sl *slotLists, handles handleTable) error {
+	if len(sl.segs) == 0 {
+		return nil
+	}
+	h, err := x.blob.Append(sl.buf)
+	if err != nil {
+		return fmt.Errorf("stindex: write time lists of slot %d: %w", slot, err)
+	}
+	start := 0
+	for i, seg := range sl.segs {
+		handles.set(slot, seg, x.net.NumSegments(), storage.BlobHandle{Offset: h.Offset + int64(start), Length: int32(sl.ends[i] - start)})
+		start = sl.ends[i]
+	}
+	return nil
+}
+
+// runScratch is one worker's reusable counting-sort state.
+type runScratch struct {
+	ends    []int32  // per segment: the end of its run in entries
+	entries []uint32 // the slot's 24-bit entries, grouped by segment
+}
+
+// encodeSlot splits one slot's tuples into (slot, segment) runs by a
+// counting sort on the segment, then sorts each run's day<<15 | taxi
+// entries and encodes it in the packed format, in segment order.
+func (sc *runScratch) encodeSlot(sl *slotLists, tuples []uint64, numSegments int) {
+	sl.buf, sl.segs, sl.ends = sl.buf[:0], sl.segs[:0], sl.ends[:0]
+	if len(tuples) == 0 {
+		return
+	}
+	if len(sc.ends) != numSegments {
+		sc.ends = make([]int32, numSegments)
+	}
+	ends := sc.ends
+	clear(ends)
+	for _, t := range tuples {
+		ends[t>>24]++
+	}
+	var sum int32
+	for seg, c := range ends {
+		ends[seg] = sum // the run's start until the scatter moves it
+		sum += c
+	}
+	sc.entries = slices.Grow(sc.entries[:0], len(tuples))[:len(tuples)]
+	for _, t := range tuples {
+		seg := t >> 24
+		sc.entries[ends[seg]] = uint32(t & (1<<24 - 1))
+		ends[seg]++
+	}
+	var start int32
+	for seg, end := range ends {
+		if end == start {
+			continue
+		}
+		run := sc.entries[start:end]
+		slices.Sort(run)
+		sl.buf = appendPackedRun(sl.buf, run)
+		sl.segs = append(sl.segs, seg)
+		sl.ends = append(sl.ends, len(sl.buf))
+		start = end
+	}
+}
+
 // packTuple packs (slot, segment, day, taxi) so that numeric order equals
 // (slot, segment, day, taxi) lexicographic order.
 func packTuple(slot, seg, day, taxi int) uint64 {
 	return uint64(slot)<<46 | uint64(seg)<<24 | uint64(day)<<15 | uint64(taxi)
-}
-
-func unpackTuple(t uint64) (slot, seg, day, taxi int) {
-	return int(t >> 46), int(t >> 24 & (1<<22 - 1)), int(t >> 15 & (1<<9 - 1)), int(t & (1<<15 - 1))
 }
 
 // SlotSeconds returns the temporal granularity Δt.

@@ -19,67 +19,50 @@ const (
 	codecVersion = 2
 )
 
-// WriteDataset encodes ds to w.
+// WriteDataset encodes ds to w. The encoding is appended to one buffer
+// of encodeChunk bytes, reused, and written to w whenever the next record
+// would not fit.
 func WriteDataset(w io.Writer, ds *Dataset) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return fmt.Errorf("traj: write magic: %w", err)
-	}
-	var scratch [8]byte
-	writeU16 := func(v uint16) error {
-		binary.LittleEndian.PutUint16(scratch[:2], v)
-		_, err := bw.Write(scratch[:2])
-		return err
-	}
-	writeU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		_, err := bw.Write(scratch[:8])
-		return err
-	}
-	if err := writeU16(codecVersion); err != nil {
-		return fmt.Errorf("traj: write version: %w", err)
-	}
-	if err := writeU64(uint64(ds.BaseDate.Unix())); err != nil {
-		return fmt.Errorf("traj: write base date: %w", err)
-	}
-	if err := writeU32(uint32(ds.Days)); err != nil {
-		return fmt.Errorf("traj: write days: %w", err)
-	}
-	if err := writeU32(uint32(len(ds.Matched))); err != nil {
-		return fmt.Errorf("traj: write count: %w", err)
-	}
+	le := binary.LittleEndian
+	buf := make([]byte, 0, encodeChunk)
+	buf = append(buf, codecMagic...)
+	buf = le.AppendUint16(buf, codecVersion)
+	buf = le.AppendUint64(buf, uint64(ds.BaseDate.Unix()))
+	buf = le.AppendUint32(buf, uint32(ds.Days))
+	buf = le.AppendUint32(buf, uint32(len(ds.Matched)))
+	var err error
 	for i := range ds.Matched {
 		mt := &ds.Matched[i]
-		if err := writeU32(uint32(mt.Taxi)); err != nil {
-			return err
+		if buf, err = makeRoom(w, buf, trajHeadBytes); err != nil {
+			return fmt.Errorf("traj: write trajectory %d: %w", i, err)
 		}
-		if err := writeU16(uint16(mt.Day)); err != nil {
-			return err
-		}
-		if err := writeU32(uint32(len(mt.Visits))); err != nil {
-			return err
-		}
+		buf = le.AppendUint32(buf, uint32(mt.Taxi))
+		buf = le.AppendUint16(buf, uint16(mt.Day))
+		buf = le.AppendUint32(buf, uint32(len(mt.Visits)))
 		for _, v := range mt.Visits {
-			if err := writeU32(uint32(v.Segment)); err != nil {
-				return err
+			if buf, err = makeRoom(w, buf, visitBytes); err != nil {
+				return fmt.Errorf("traj: write trajectory %d: %w", i, err)
 			}
-			if err := writeU32(uint32(v.EnterMs)); err != nil {
-				return err
-			}
-			if err := writeU32(uint32(v.ExitMs)); err != nil {
-				return err
-			}
-			if err := writeU32(floatBits(float64(v.Speed))); err != nil {
-				return err
-			}
+			buf = le.AppendUint32(buf, uint32(v.Segment))
+			buf = le.AppendUint32(buf, uint32(v.EnterMs))
+			buf = le.AppendUint32(buf, uint32(v.ExitMs))
+			buf = le.AppendUint32(buf, floatBits(float64(v.Speed)))
 		}
 	}
-	return bw.Flush()
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("traj: write dataset: %w", err)
+	}
+	return nil
+}
+
+// makeRoom writes buf to w and returns it emptied, unless n more bytes
+// fit in it.
+func makeRoom(w io.Writer, buf []byte, n int) ([]byte, error) {
+	if len(buf)+n <= cap(buf) {
+		return buf, nil
+	}
+	_, err := w.Write(buf)
+	return buf[:0], err
 }
 
 // ReadDataset decodes a dataset from r. No slice is sized from a length
@@ -102,7 +85,11 @@ func ReadDataset(r io.Reader) (*Dataset, error) {
 }
 
 const (
-	visitBytes = 16
+	// encodeChunk is the size of WriteDataset's buffer: large enough
+	// that writes are few, small enough to stay out of the way.
+	encodeChunk   = 1 << 20
+	trajHeadBytes = 10 // taxi i32 | day i16 | nvisits u32
+	visitBytes    = 16
 	// scanChunkVisits bounds one bulk read of visits: a trajectory that
 	// declares more is read in several chunks, so a corrupt count costs
 	// one chunk of memory before the input runs dry, not count x 16 B.

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -256,4 +258,150 @@ func FuzzReadDataset(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAgainstRef(t, data)
 	})
+}
+
+// writeDatasetRef is the encoder this package shipped before the append
+// encoder: every field through its own bufio.Writer.Write. WriteDataset
+// is held to it byte for byte.
+func writeDatasetRef(w io.Writer, ds *Dataset) error {
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString(codecMagic); err != nil {
+		return fmt.Errorf("traj: write magic: %w", err)
+	}
+	var scratch [8]byte
+	writeU16 := func(v uint16) error {
+		binary.LittleEndian.PutUint16(scratch[:2], v)
+		_, err := bw.Write(scratch[:2])
+		return err
+	}
+	writeU32 := func(v uint32) error {
+		binary.LittleEndian.PutUint32(scratch[:4], v)
+		_, err := bw.Write(scratch[:4])
+		return err
+	}
+	writeU64 := func(v uint64) error {
+		binary.LittleEndian.PutUint64(scratch[:8], v)
+		_, err := bw.Write(scratch[:8])
+		return err
+	}
+	if err := writeU16(codecVersion); err != nil {
+		return fmt.Errorf("traj: write version: %w", err)
+	}
+	if err := writeU64(uint64(ds.BaseDate.Unix())); err != nil {
+		return fmt.Errorf("traj: write base date: %w", err)
+	}
+	if err := writeU32(uint32(ds.Days)); err != nil {
+		return fmt.Errorf("traj: write days: %w", err)
+	}
+	if err := writeU32(uint32(len(ds.Matched))); err != nil {
+		return fmt.Errorf("traj: write count: %w", err)
+	}
+	for i := range ds.Matched {
+		mt := &ds.Matched[i]
+		if err := writeU32(uint32(mt.Taxi)); err != nil {
+			return err
+		}
+		if err := writeU16(uint16(mt.Day)); err != nil {
+			return err
+		}
+		if err := writeU32(uint32(len(mt.Visits))); err != nil {
+			return err
+		}
+		for _, v := range mt.Visits {
+			if err := writeU32(uint32(v.Segment)); err != nil {
+				return err
+			}
+			if err := writeU32(uint32(v.EnterMs)); err != nil {
+				return err
+			}
+			if err := writeU32(uint32(v.ExitMs)); err != nil {
+				return err
+			}
+			if err := writeU32(floatBits(float64(v.Speed))); err != nil {
+				return err
+			}
+		}
+	}
+	return bw.Flush()
+}
+
+// randomBitsDataset fills every field with arbitrary bits (negative
+// taxis, days and segments, NaN speeds): the encoder writes what it is
+// given.
+func randomBitsDataset(rng *rand.Rand, trajs, maxVisits int) *Dataset {
+	ds := &Dataset{BaseDate: time.Unix(rng.Int63n(1<<40)-1<<39, 0).UTC(), Days: int(rng.Int31())}
+	for i := 0; i < trajs; i++ {
+		mt := MatchedTrajectory{Taxi: TaxiID(rng.Uint32()), Day: Day(rng.Uint32())}
+		for v, nv := 0, rng.Intn(maxVisits+1); v < nv; v++ {
+			mt.Visits = append(mt.Visits, Visit{
+				Segment: segID(rng.Uint32()),
+				EnterMs: int32(rng.Uint32()),
+				ExitMs:  int32(rng.Uint32()),
+				Speed:   math.Float32frombits(rng.Uint32()),
+			})
+		}
+		ds.Matched = append(ds.Matched, mt)
+	}
+	return ds
+}
+
+// TestWriteDatasetMatchesReference: the append encoder writes the bytes
+// the field-by-field encoder wrote, on random datasets, on datasets that
+// cross its buffer several times, on an empty dataset and on trajectories
+// with no visits.
+func TestWriteDatasetMatchesReference(t *testing.T) {
+	long := randomBitsDataset(rand.New(rand.NewSource(1)), 1, 0)
+	long.Matched[0].Visits = randomBitsDataset(rand.New(rand.NewSource(2)), 1, 0).Matched[0].Visits
+	for i := 0; i < 3*encodeChunk/visitBytes+5; i++ {
+		long.Matched[0].Visits = append(long.Matched[0].Visits, Visit{Segment: segID(uint32(i)), EnterMs: int32(i), ExitMs: int32(-i), Speed: float32(i)})
+	}
+	cases := map[string]*Dataset{
+		"empty":      {},
+		"no visits":  {Days: 2, Matched: []MatchedTrajectory{{Taxi: 3, Day: 1}, {Taxi: 4, Day: 0, Visits: []Visit{}}}},
+		"simulated":  smallSim(t, testNetwork(t)),
+		"long":       long,
+		"many small": randomBitsDataset(rand.New(rand.NewSource(3)), 120_000, 1),
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		cases[fmt.Sprintf("random %d", seed)] = randomBitsDataset(rand.New(rand.NewSource(seed)), int(seed)*37, 40)
+	}
+	for name, ds := range cases {
+		var got, want bytes.Buffer
+		if err := WriteDataset(&got, ds); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := writeDatasetRef(&want, ds); err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: %d bytes differ from the reference's %d", name, got.Len(), want.Len())
+		}
+	}
+}
+
+// shortWriter accepts limit bytes, then fails every write.
+type shortWriter struct{ limit int }
+
+var errShortWrite = errors.New("device full")
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, errShortWrite
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// TestWriteDatasetReportsWriteError: a writer that fails at the first
+// write, or after one or more full buffers, fails WriteDataset with its
+// error.
+func TestWriteDatasetReportsWriteError(t *testing.T) {
+	ds := randomBitsDataset(rand.New(rand.NewSource(4)), 3_000, 200) // about 4.8 MB
+	for _, limit := range []int{0, 100, encodeChunk - 1, encodeChunk + 1, 2 * encodeChunk} {
+		if err := WriteDataset(&shortWriter{limit: limit}, ds); !errors.Is(err, errShortWrite) {
+			t.Fatalf("limit %d: error %v, want the writer's", limit, err)
+		}
+	}
 }

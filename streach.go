@@ -356,20 +356,40 @@ func NewSystemFromData(net *roadnet.Network, ds *traj.Dataset, idx IndexConfig) 
 		}
 		store = fs
 	}
-	st, err := stindex.Build(net, ds, stindex.Config{
+	// The two builds share only the read-only network and dataset, so the
+	// Con-Index is built on its own goroutine beside the ST-Index.
+	var (
+		con     *conindex.Index
+		conErr  error
+		conDone = make(chan struct{})
+	)
+	go func() {
+		defer close(conDone)
+		con, conErr = conindex.Build(net, ds, conindex.Config{SlotSeconds: idx.SlotSeconds})
+	}()
+	st, stErr := stindex.Build(net, ds, stindex.Config{
 		SlotSeconds:   idx.SlotSeconds,
 		PoolPages:     idx.PoolPages,
 		TimeListCache: idx.TimeListCache,
 		Store:         store,
 	})
-	if err != nil {
-		return nil, fmt.Errorf("streach: build ST-Index: %w", err)
+	<-conDone
+	if stErr != nil {
+		if store != nil {
+			store.Close()
+		}
+		return nil, fmt.Errorf("streach: build ST-Index: %w", stErr)
 	}
-	con, err := conindex.Build(net, ds, conindex.Config{SlotSeconds: idx.SlotSeconds})
-	if err != nil {
-		return nil, fmt.Errorf("streach: build Con-Index: %w", err)
+	if conErr != nil {
+		st.Close()
+		return nil, fmt.Errorf("streach: build Con-Index: %w", conErr)
 	}
-	return assembleSystem(net, ds, ds.Stats(), st, con)
+	s, err := assembleSystem(net, ds, ds.Stats(), st, con)
+	if err != nil {
+		st.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // assembleSystem wires built (or reopened) indexes into an unsharded
