@@ -2,6 +2,7 @@ package traj
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -74,17 +75,61 @@ func (c SimConfig) withDefaults() SimConfig {
 	return c
 }
 
+// maxDays is the most days a dataset can span: Day is an int16.
+const maxDays = 1 << 15
+
+// validate rejects, before anything is drawn, a config whose output would
+// be corrupt: a day past Day's range, or a non-finite profile or rate that
+// would turn speeds and timestamps into NaN. It checks the config as given,
+// before withDefaults, so -Inf is not mistaken for "unset".
+func (c SimConfig) validate() error {
+	if c.Taxis <= 0 || c.Days <= 0 {
+		return fmt.Errorf("traj: need positive Taxis and Days, got %d and %d", c.Taxis, c.Days)
+	}
+	if c.Days > maxDays {
+		return fmt.Errorf("traj: Days is %d, at most %d fit a dataset", c.Days, maxDays)
+	}
+	type field struct {
+		name string
+		v    float64
+	}
+	var fields []field
+	for i, tr := range c.Profile.Troughs {
+		p := fmt.Sprintf("Profile.Troughs[%d].", i)
+		fields = append(fields, field{p + "CenterSec", tr.CenterSec}, field{p + "Depth", tr.Depth}, field{p + "WidthSec", tr.WidthSec})
+	}
+	fields = append(fields,
+		field{"Profile.NightBoost", c.Profile.NightBoost},
+		field{"MeanTripMinutes", c.MeanTripMinutes},
+		field{"MeanIdleMinutes", c.MeanIdleMinutes},
+		field{"DaySpeedJitter", c.DaySpeedJitter},
+		field{"CenterAttraction", c.CenterAttraction})
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("traj: %s is %v, want a finite number", f.name, f.v)
+		}
+	}
+	for i, tr := range c.Profile.Troughs {
+		if tr.WidthSec <= 0 {
+			return fmt.Errorf("traj: Profile.Troughs[%d].WidthSec is %v, want > 0", i, tr.WidthSec)
+		}
+	}
+	return nil
+}
+
 // Simulate drives a fleet of taxis over the network and returns their
 // map-matched trajectories. Taxis perform trips as speed-biased random
 // walks (highways preferred on through-travel), with per-segment speeds
 // set by road class, the time-of-day congestion profile, a per-day
-// multiplier, and per-taxi noise. The output is deterministic for a given
-// config.
+// multiplier, and per-taxi noise. The output is a fixed function of the
+// config and the network — the same random draws in the same order and
+// the same bits in every visit — which TestSimulateMatchesReference holds
+// against the straightforward implementation.
 func Simulate(n *roadnet.Network, cfg SimConfig) (*Dataset, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Taxis <= 0 || cfg.Days <= 0 {
-		return nil, fmt.Errorf("traj: need positive Taxis and Days, got %d and %d", cfg.Taxis, cfg.Days)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	if n.NumSegments() == 0 {
 		return nil, fmt.Errorf("traj: cannot simulate on an empty network")
 	}
@@ -96,46 +141,103 @@ func Simulate(n *roadnet.Network, cfg SimConfig) (*Dataset, error) {
 		dayFactor[d] = 1 + (rng.Float64()*2-1)*cfg.DaySpeedJitter
 	}
 
-	// Precompute each segment's distance to the city centre for the
-	// route-choice attraction bias.
-	center := n.Bounds().Center()
-	centerDist := make([]float64, n.NumSegments())
-	for i := 0; i < n.NumSegments(); i++ {
-		centerDist[i] = geo.Distance(n.Segment(roadnet.SegmentID(i)).Midpoint(), center)
+	s := &simulator{
+		cfg:     cfg,
+		rng:     rng,
+		tables:  newSimTables(n, cfg.CenterAttraction),
+		profile: cfg.Profile.compile(),
 	}
-
 	ds := &Dataset{BaseDate: cfg.BaseDate, Days: cfg.Days}
 	for taxi := 0; taxi < cfg.Taxis; taxi++ {
 		taxiJitter := 0.9 + rng.Float64()*0.2
 		for day := 0; day < cfg.Days; day++ {
-			mt := simulateTaxiDay(n, cfg, rng, centerDist, TaxiID(taxi), Day(day), dayFactor[day]*taxiJitter)
-			if len(mt.Visits) > 0 {
-				ds.Matched = append(ds.Matched, mt)
+			if visits := s.taxiDay(dayFactor[day] * taxiJitter); len(visits) > 0 {
+				ds.Matched = append(ds.Matched, MatchedTrajectory{Taxi: TaxiID(taxi), Day: Day(day), Visits: visits})
 			}
 		}
 	}
 	return ds, nil
 }
 
-// segmentSpeed returns the instantaneous speed on seg at secOfDay.
-func segmentSpeed(n *roadnet.Network, profile SpeedProfile, seg roadnet.SegmentID, secOfDay, mult float64) float64 {
-	base := n.Segment(seg).Class.FreeFlowSpeed()
-	v := base * profile.Factor(secOfDay) * mult
-	if v < 0.5 {
-		v = 0.5
-	}
-	return v
+// simTables are the per-segment quantities a simulation reads on every
+// visit, flattened once per Simulate call. Successors are in CSR form:
+// segment s may continue onto succ[off[s]:off[s+1]], drawn with the
+// matching weight, whose sum in scan order is total[s].
+type simTables struct {
+	freeFlow, length []float64
+	off              []int
+	succ             []roadnet.SegmentID
+	weight           []float64
+	total            []float64
 }
 
-func simulateTaxiDay(n *roadnet.Network, cfg SimConfig, rng *rand.Rand, centerDist []float64, taxi TaxiID, day Day, mult float64) MatchedTrajectory {
-	mt := MatchedTrajectory{Taxi: taxi, Day: day}
+// newSimTables weights each successor by its free-flow speed so highways
+// carry through-traffic, and by 1+attraction when it ends nearer the city
+// centre than the segment it leaves, so the fleet concentrates downtown.
+// The U-turn onto the twin weighs 0 unless it is the only way out.
+func newSimTables(n *roadnet.Network, attraction float64) *simTables {
+	nseg := n.NumSegments()
+	t := &simTables{
+		freeFlow: make([]float64, nseg),
+		length:   make([]float64, nseg),
+		off:      make([]int, nseg+1),
+		total:    make([]float64, nseg),
+	}
+	center := n.Bounds().Center()
+	centerDist := make([]float64, nseg)
+	for i := range centerDist {
+		seg := n.Segment(roadnet.SegmentID(i))
+		t.freeFlow[i] = seg.Class.FreeFlowSpeed()
+		t.length[i] = seg.Length
+		centerDist[i] = geo.Distance(seg.Midpoint(), center)
+	}
+	attract := 1 + attraction
+	for i := 0; i < nseg; i++ {
+		cur := roadnet.SegmentID(i)
+		out := n.Outgoing(cur)
+		rev := n.Segment(cur).Reverse
+		var total float64
+		for _, s := range out {
+			var w float64
+			if s != rev || len(out) == 1 {
+				w = t.freeFlow[s]
+				if centerDist[s] < centerDist[cur] {
+					w *= attract
+				}
+				total += w
+			}
+			t.succ = append(t.succ, s)
+			t.weight = append(t.weight, w)
+		}
+		t.total[i] = total
+		t.off[i+1] = len(t.succ)
+	}
+	return t
+}
+
+// simulator is one Simulate call's state: the tables, the compiled
+// profile, the random stream every draw comes from, and the buffer each
+// taxi-day's visits are gathered in before they are copied out.
+type simulator struct {
+	cfg     SimConfig
+	rng     *rand.Rand
+	tables  *simTables
+	profile compiledProfile
+	visits  []Visit
+}
+
+// taxiDay simulates one taxi's shift at the day's speed multiplier and
+// returns its visits in a slice of their exact length (nil for none).
+func (s *simulator) taxiDay(mult float64) []Visit {
+	t, rng := s.tables, s.rng
+	buf := s.visits[:0]
 	// Shift start spreads taxis across the first hour of the window.
-	sec := float64(cfg.ActiveStartSec) + rng.Float64()*3600
-	end := float64(cfg.ActiveEndSec)
-	cur := roadnet.SegmentID(rng.Intn(n.NumSegments()))
+	sec := float64(s.cfg.ActiveStartSec) + rng.Float64()*3600
+	end := float64(s.cfg.ActiveEndSec)
+	cur := roadnet.SegmentID(rng.Intn(len(t.freeFlow)))
 
 	for sec < end {
-		tripDur := rng.ExpFloat64() * cfg.MeanTripMinutes * 60
+		tripDur := rng.ExpFloat64() * s.cfg.MeanTripMinutes * 60
 		if tripDur < 120 {
 			tripDur = 120
 		}
@@ -147,64 +249,60 @@ func simulateTaxiDay(n *roadnet.Network, cfg SimConfig, rng *rand.Rand, centerDi
 			if rng.Float64() < 0.06 {
 				noise *= 0.35 // stuck behind a light or pickup
 			}
-			speed := segmentSpeed(n, cfg.Profile, cur, sec, mult) * noise
-			dt := n.Segment(cur).Length / speed
-			mt.Visits = append(mt.Visits, Visit{
+			v := t.freeFlow[cur] * s.profile.factor(sec) * mult
+			if v < 0.5 {
+				v = 0.5
+			}
+			speed := v * noise
+			dt := t.length[cur] / speed
+			buf = append(buf, Visit{
 				Segment: cur,
 				EnterMs: int32(sec * 1000),
 				ExitMs:  int32((sec + dt) * 1000),
 				Speed:   float32(speed),
 			})
 			sec += dt
-			next, ok := pickNext(n, rng, cfg, centerDist, cur)
+			next, ok := t.pickNext(rng, cur)
 			if !ok {
 				break
 			}
 			cur = next
 		}
 		// Idle between trips; next trip starts wherever this one ended.
-		sec += rng.ExpFloat64() * cfg.MeanIdleMinutes * 60
+		sec += rng.ExpFloat64() * s.cfg.MeanIdleMinutes * 60
 	}
-	return mt
+	s.visits = buf
+	if len(buf) == 0 {
+		return nil
+	}
+	visits := make([]Visit, len(buf))
+	copy(visits, buf)
+	return visits
 }
 
-// pickNext chooses the next segment from cur's successors, weighted by
-// free-flow speed so highways carry through-traffic, and by the centre
-// attraction so the fleet concentrates downtown. U-turns onto the twin
-// are only taken at dead ends.
-func pickNext(n *roadnet.Network, rng *rand.Rand, cfg SimConfig, centerDist []float64, cur roadnet.SegmentID) (roadnet.SegmentID, bool) {
-	out := n.Outgoing(cur)
-	if len(out) == 0 {
+// pickNext draws the segment after cur by the weights of newSimTables.
+// A dead end (no successor) ends the trip; a segment whose weights are
+// all zero continues onto its first successor without a draw.
+func (t *simTables) pickNext(rng *rand.Rand, cur roadnet.SegmentID) (roadnet.SegmentID, bool) {
+	lo, hi := t.off[cur], t.off[cur+1]
+	if lo == hi {
 		return 0, false
 	}
-	rev := n.Segment(cur).Reverse
-	var total float64
-	weights := make([]float64, len(out))
-	for i, s := range out {
-		if s == rev && len(out) > 1 {
-			continue
-		}
-		w := n.Segment(s).Class.FreeFlowSpeed()
-		if centerDist[s] < centerDist[cur] {
-			w *= 1 + cfg.CenterAttraction
-		}
-		weights[i] = w
-		total += w
+	if t.total[cur] == 0 {
+		return t.succ[lo], true
 	}
-	if total == 0 {
-		return out[0], true
-	}
-	r := rng.Float64() * total
-	for i, w := range weights {
+	r := rng.Float64() * t.total[cur]
+	for i := lo; i < hi; i++ {
+		w := t.weight[i]
 		if w == 0 {
 			continue
 		}
 		if r < w {
-			return out[i], true
+			return t.succ[i], true
 		}
 		r -= w
 	}
-	return out[len(out)-1], true
+	return t.succ[hi-1], true
 }
 
 // RawFromMatched synthesizes the raw GPS record stream a taxi's device

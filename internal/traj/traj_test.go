@@ -3,6 +3,7 @@ package traj
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,6 +136,80 @@ func TestSimulateRejectsBadConfig(t *testing.T) {
 	empty := roadnet.NewBuilder().Build()
 	if _, err := Simulate(empty, SimConfig{Taxis: 1, Days: 1}); err == nil {
 		t.Fatal("empty network should error")
+	}
+}
+
+// TestSimulateRejectsNonFinite checks that a config whose profile or
+// rates would turn speeds into NaN (visits with Speed NaN and ExitMs
+// -2147483648) is refused before anything is drawn, naming the field.
+func TestSimulateRejectsNonFinite(t *testing.T) {
+	n := testNetwork(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	trough := func(f func(tr *Trough)) func(c *SimConfig) {
+		return func(c *SimConfig) {
+			c.Profile = DefaultSpeedProfile()
+			f(&c.Profile.Troughs[0])
+		}
+	}
+	cases := []struct {
+		field string
+		edit  func(c *SimConfig)
+	}{
+		{"Profile.Troughs[0].Depth", trough(func(tr *Trough) { tr.Depth = nan })},
+		{"Profile.Troughs[0].Depth", trough(func(tr *Trough) { tr.Depth = -inf })},
+		{"Profile.Troughs[0].CenterSec", trough(func(tr *Trough) { tr.CenterSec = inf })},
+		{"Profile.Troughs[0].WidthSec", trough(func(tr *Trough) { tr.WidthSec = nan })},
+		{"Profile.Troughs[0].WidthSec", trough(func(tr *Trough) { tr.WidthSec = inf })},
+		{"Profile.Troughs[0].WidthSec", trough(func(tr *Trough) { tr.WidthSec = 0 })},
+		{"Profile.Troughs[0].WidthSec", trough(func(tr *Trough) { tr.WidthSec = -4500 })},
+		{"Profile.NightBoost", func(c *SimConfig) { c.Profile.NightBoost = nan }},
+		{"Profile.NightBoost", func(c *SimConfig) { c.Profile.NightBoost = inf }},
+		{"MeanTripMinutes", func(c *SimConfig) { c.MeanTripMinutes = nan }},
+		{"MeanTripMinutes", func(c *SimConfig) { c.MeanTripMinutes = -inf }},
+		{"MeanIdleMinutes", func(c *SimConfig) { c.MeanIdleMinutes = inf }},
+		{"DaySpeedJitter", func(c *SimConfig) { c.DaySpeedJitter = nan }},
+		{"CenterAttraction", func(c *SimConfig) { c.CenterAttraction = -inf }},
+	}
+	for _, c := range cases {
+		cfg := DefaultSimConfig()
+		cfg.Taxis, cfg.Days = 2, 2
+		c.edit(&cfg)
+		ds, err := Simulate(n, cfg)
+		if err == nil {
+			t.Fatalf("%s: accepted, simulated %d trajectories", c.field, len(ds.Matched))
+		}
+		if !strings.Contains(err.Error(), c.field+" is") {
+			t.Fatalf("%s: error %q does not name the field", c.field, err)
+		}
+	}
+	bench := benchSimConfig()
+	for name, cfg := range map[string]SimConfig{
+		"DefaultSimConfig": DefaultSimConfig(),
+		"flat profile":     {Taxis: 1, Days: 1, Profile: FlatSpeedProfile()},
+		"bench world":      bench,
+	} {
+		if err := cfg.validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestSimulateRejectsTooManyDays checks the day range: Day is an int16,
+// so day 32767 is the last one a dataset can hold, and Days 40000 would
+// emit day -25537.
+func TestSimulateRejectsTooManyDays(t *testing.T) {
+	n := testNetwork(t)
+	cfg := SimConfig{Taxis: 1, Days: 40000, Profile: FlatSpeedProfile(), ActiveEndSec: 3601} // every shift starts in the window
+	if _, err := Simulate(n, cfg); err == nil || !strings.Contains(err.Error(), "Days is 40000") {
+		t.Fatalf("Days 40000: got error %v", err)
+	}
+	cfg.Days = 1 << 15
+	ds, err := Simulate(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := ds.Matched[len(ds.Matched)-1].Day; last != 1<<15-1 {
+		t.Fatalf("last day %d, want %d", last, 1<<15-1)
 	}
 }
 
