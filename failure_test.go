@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -303,6 +305,50 @@ func TestNewSystemFromDataRejectsOutOfRange(t *testing.T) {
 	if now := openFiles(); now > fds {
 		t.Fatalf("open files grew %d -> %d: a failed build left its page file open", fds, now)
 	}
+}
+
+// TestNewSystemFromDataRejectsBadVisits: a visit whose speed is NaN,
+// infinite or negative, or that exits before it enters, fails
+// NewSystemFromData with an error naming the trajectory and the visit,
+// instead of putting NaN into the Con-Index's speed bounds. A visit
+// entering before midnight and one leaving after the next are kept.
+func TestNewSystemFromDataRejectsBadVisits(t *testing.T) {
+	net := smallSystem(t).Network()
+	good := traj.Visit{Segment: 0, EnterMs: 1000, ExitMs: 2000, Speed: 9}
+	for _, tc := range []struct {
+		name string
+		bad  traj.Visit
+		want string
+	}{
+		{"NaN speed", traj.Visit{Segment: 1, EnterMs: 1000, ExitMs: 2000, Speed: float32(math.NaN())}, "trajectory 1 visit 1: speed NaN m/s"},
+		{"infinite speed", traj.Visit{Segment: 1, EnterMs: 1000, ExitMs: 2000, Speed: float32(math.Inf(1))}, "trajectory 1 visit 1: speed +Inf m/s"},
+		{"negative speed", traj.Visit{Segment: 1, EnterMs: 1000, ExitMs: 2000, Speed: -3}, "trajectory 1 visit 1: speed -3 m/s"},
+		{"exit before entry", traj.Visit{Segment: 1, EnterMs: 1000, ExitMs: -5, Speed: 9}, "trajectory 1 visit 1: exit -5 ms before entry 1000 ms"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := &traj.Dataset{Days: 2, Matched: []traj.MatchedTrajectory{
+				{Taxi: 1, Day: 0, Visits: []traj.Visit{good}},
+				{Taxi: 2, Day: 1, Visits: []traj.Visit{good, tc.bad}},
+			}}
+			s, err := NewSystemFromData(net, ds, DefaultIndexConfig())
+			if err == nil {
+				s.Close()
+				t.Fatal("NewSystemFromData accepted the visit")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	ds := &traj.Dataset{Days: 2, Matched: []traj.MatchedTrajectory{
+		{Taxi: 1, Day: 0, Visits: []traj.Visit{{Segment: 0, EnterMs: -60_000, ExitMs: 2000, Speed: 0}}},
+		{Taxi: 2, Day: 1, Visits: []traj.Visit{{Segment: 1, EnterMs: 86_000_000, ExitMs: 86_500_000, Speed: 9}}},
+	}}
+	s, err := NewSystemFromData(net, ds, DefaultIndexConfig())
+	if err != nil {
+		t.Fatalf("visits across midnight and at speed 0: %v", err)
+	}
+	s.Close()
 }
 
 // openFiles counts this process's open file descriptors, or returns 0

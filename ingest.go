@@ -79,7 +79,7 @@ type IngestStats struct {
 	// Writer counters.
 	Accepted  int64 // updates admitted to the queue
 	Applied   int64 // updates folded into the indexes
-	Dropped   int64 // updates rejected during apply (bad segment/day/taxi/time)
+	Dropped   int64 // updates rejected during apply (bad segment/day/taxi/time/speed)
 	Rejected  int64 // updates refused by TryIngest (backpressure)
 	Batches   int64 // index append batches
 	WALErrors int64 // WAL append failures (updates stayed live, not durable)

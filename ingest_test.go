@@ -3,6 +3,7 @@ package streach
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -132,6 +133,39 @@ func TestIngestEquivalenceOfflineRebuild(t *testing.T) {
 	}
 	if st.Applied != int64(len(updates)) || st.Dropped != 0 {
 		t.Fatalf("writer stats: %+v (want %d applied)", st, len(updates))
+	}
+}
+
+// TestIngestDropsBadSpeeds: a live update whose speed is NaN, infinite
+// or negative is a counted drop, like one out of range, and adds no
+// observation to the ST-Index delta; the good update beside them is
+// applied.
+func TestIngestDropsBadSpeeds(t *testing.T) {
+	base := smallSystem(t)
+	s, err := NewSystemFromData(base.Network(), base.Dataset(), DefaultIndexConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	const enter = 10 * 3600 * 1000
+	update := func(speed float64) IngestUpdate {
+		return IngestUpdate{TaxiID: 1000, Day: 0, SegmentID: 3, EnterMs: enter, ExitMs: enter + 20_000, SpeedMps: float32(speed)}
+	}
+	updates := []IngestUpdate{update(math.NaN()), update(math.Inf(1)), update(math.Inf(-1)), update(-2), update(8)}
+	if err := s.Ingest(context.Background(), updates); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.FlushIngest(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := s.IngestStats()
+	if st.Applied != 1 || st.Dropped != 4 || st.PendingObs != 1 {
+		t.Fatalf("applied %d dropped %d pending observations %d, want 1, 4 and 1", st.Applied, st.Dropped, st.PendingObs)
 	}
 }
 

@@ -241,9 +241,6 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 	}
 	numSlots := 86400 / cfg.SlotSeconds
 	n := net.NumSegments()
-	if err := checkTrajectories(ds, n); err != nil {
-		return nil, err
-	}
 	idx := &Index{
 		net:      net,
 		slotSec:  cfg.SlotSeconds,
@@ -268,6 +265,14 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 	maxS := make([]float32, numSlots*n)
 	sumS := make([]float32, numSlots*n)
 	for i := range ds.Matched {
+		// A visit out of range would land on another segment's cell, or
+		// another slot's; a NaN speed would poison a bound. Refusing
+		// what the ST-Index refuses also keeps one system's two builders
+		// in step. Each trajectory is checked just before its fold, while
+		// its visits are in cache.
+		if err := ds.CheckTrajectory(i, n); err != nil {
+			return nil, fmt.Errorf("conindex: %w", err)
+		}
 		mt := &ds.Matched[i]
 		for _, v := range mt.Visits {
 			if float64(v.Speed) < cfg.MinSpeedFloor {
@@ -313,34 +318,6 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 		idx.sumSpeed[k] = math.Float32bits(sumS[k])
 	}
 	return idx, nil
-}
-
-// maxTaxis is the ST-Index's bound on taxi IDs (a packed time-list entry
-// gives the taxi 15 bits). The Con-Index keeps no taxi, but it refuses
-// the datasets the ST-Index refuses, so neither builder of a system
-// accepts what the other rejects.
-const maxTaxis = 1 << 15
-
-// checkTrajectories rejects a trajectory whose taxi or day is out of
-// range, or that visits a segment the network does not have: folded
-// into the speed arrays, such a visit would land on another segment's
-// cell, or another slot's.
-func checkTrajectories(ds *traj.Dataset, numSegments int) error {
-	for i := range ds.Matched {
-		mt := &ds.Matched[i]
-		if mt.Taxi < 0 || mt.Taxi >= maxTaxis {
-			return fmt.Errorf("conindex: trajectory %d: taxi %d outside [0, %d)", i, mt.Taxi, maxTaxis)
-		}
-		if mt.Day < 0 || int(mt.Day) >= ds.Days {
-			return fmt.Errorf("conindex: trajectory %d: day %d outside [0, %d)", i, mt.Day, ds.Days)
-		}
-		for j, v := range mt.Visits {
-			if v.Segment < 0 || int(v.Segment) >= numSegments {
-				return fmt.Errorf("conindex: trajectory %d visit %d: segment %d outside [0, %d)", i, j, v.Segment, numSegments)
-			}
-		}
-	}
-	return nil
 }
 
 // SlotSeconds returns Δt.

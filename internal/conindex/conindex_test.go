@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -81,7 +82,8 @@ func TestBuildValidations(t *testing.T) {
 
 // TestBuildRejectsOutOfRange: a segment past the network (which would
 // fold its speed into segment 0 of the next slot), a negative segment,
-// and a taxi or day out of range are errors naming the trajectory.
+// a taxi or day out of range, a NaN speed (which would poison a speed
+// bound) and an exit before the entry are errors naming the trajectory.
 func TestBuildRejectsOutOfRange(t *testing.T) {
 	n := testNetwork(t)
 	seg := roadnet.SegmentID(n.NumSegments())
@@ -95,10 +97,12 @@ func TestBuildRejectsOutOfRange(t *testing.T) {
 	}{
 		{"segment past the network", traj.MatchedTrajectory{Taxi: 1, Day: 0, Visits: visits(seg)}, fmt.Sprintf("trajectory 1 visit 1: segment %d outside [0, %d)", seg, seg)},
 		{"negative segment", traj.MatchedTrajectory{Taxi: 1, Day: 0, Visits: visits(-1)}, "trajectory 1 visit 1: segment -1 outside"},
-		{"taxi too large", traj.MatchedTrajectory{Taxi: maxTaxis, Day: 0, Visits: visits(1)}, "trajectory 1: taxi 32768 outside [0, 32768)"},
+		{"taxi too large", traj.MatchedTrajectory{Taxi: traj.MaxTaxis, Day: 0, Visits: visits(1)}, "trajectory 1: taxi 32768 outside [0, 32768)"},
 		{"negative taxi", traj.MatchedTrajectory{Taxi: -1, Day: 0, Visits: visits(1)}, "trajectory 1: taxi -1 outside"},
 		{"day past the dataset", traj.MatchedTrajectory{Taxi: 1, Day: 2, Visits: visits(1)}, "trajectory 1: day 2 outside [0, 2)"},
 		{"negative day", traj.MatchedTrajectory{Taxi: 1, Day: -1, Visits: visits(1)}, "trajectory 1: day -1 outside"},
+		{"NaN speed", traj.MatchedTrajectory{Taxi: 1, Day: 0, Visits: []traj.Visit{{Segment: 1, EnterMs: 1000, ExitMs: 2000, Speed: float32(math.NaN())}}}, "trajectory 1 visit 0: speed NaN"},
+		{"exit before entry", traj.MatchedTrajectory{Taxi: 1, Day: 0, Visits: []traj.Visit{{Segment: 1, EnterMs: 1000, ExitMs: -5, Speed: 9}}}, "trajectory 1 visit 0: exit -5 ms before entry 1000 ms"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := &traj.Dataset{Days: 2, Matched: []traj.MatchedTrajectory{{Taxi: 2, Day: 1, Visits: visits(2)}, tc.mt}}

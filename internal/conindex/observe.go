@@ -58,14 +58,18 @@ func (x *Index) ObserveSpeed(seg roadnet.SegmentID, slot0, slot1 int, speed floa
 // off the query path: each scan walks a slot's whole array under the
 // tables' mutexes — which cold misses need to install their rows — so
 // at thousands of samples/s per-sample scanning would starve them.
-// Reports whether any bound moved.
+// Samples on a segment the network does not have, or with a speed below
+// MinSpeedFloor, NaN or infinite, are skipped. Reports whether any bound
+// moved.
 func (x *Index) ObserveSpeedBatch(samples []SpeedSample) bool {
 	var changed map[int][]roadnet.SegmentID
 	for _, sm := range samples {
 		if sm.Seg < 0 || int(sm.Seg) >= x.net.NumSegments() {
 			continue
 		}
-		if sm.Speed < x.cfg.MinSpeedFloor {
+		// Written so a NaN speed is dropped too; +Inf would lift the
+		// max bound past any travel time.
+		if !(sm.Speed >= x.cfg.MinSpeedFloor) || math.IsInf(sm.Speed, 1) {
 			continue
 		}
 		s1 := sm.Slot1

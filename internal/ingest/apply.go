@@ -3,14 +3,18 @@ package ingest
 import (
 	"streach/internal/conindex"
 	"streach/internal/stindex"
+	"streach/internal/traj"
 )
 
-// expandBatch validates a batch against the index bounds and expands
-// each surviving update into per-slot ST-Index delta observations (the
-// same slot math Build applies to a visit: every slot the [enter, exit]
-// interval overlaps, with slots past midnight dropped). It returns the
-// good updates, their observations, and the rejected updates so the
-// caller can account for (and diagnose) each drop.
+// expandBatch validates a batch against the index bounds — the checks
+// Dataset.CheckTrajectory makes of a built dataset: taxi and day in
+// range, and the update as a visit passing traj.CheckVisit — and
+// expands each surviving update into per-slot ST-Index delta
+// observations (the same slot math Build applies to a visit: every slot
+// the [enter, exit] interval overlaps, with slots past midnight
+// dropped). It returns the good updates, their observations, and the
+// rejected updates so the caller can account for (and diagnose) each
+// drop.
 func expandBatch(st *stindex.Index, batch []Update) (good []Update, obs []stindex.DeltaObs, rejected []Update) {
 	numSeg := st.Network().NumSegments()
 	slotSec := st.SlotSeconds()
@@ -18,10 +22,8 @@ func expandBatch(st *stindex.Index, batch []Update) (good []Update, obs []stinde
 	days := st.Days()
 	good = batch[:0]
 	for _, u := range batch {
-		if u.Seg < 0 || int(u.Seg) >= numSeg ||
-			u.Day < 0 || int(u.Day) >= days ||
-			u.Taxi < 0 || u.Taxi >= 1<<15 ||
-			u.ExitMs < u.EnterMs {
+		if u.Day < 0 || int(u.Day) >= days || u.Taxi < 0 || u.Taxi >= traj.MaxTaxis ||
+			traj.CheckVisit(traj.Visit{Segment: u.Seg, EnterMs: u.EnterMs, ExitMs: u.ExitMs, Speed: u.Speed}, numSeg) != nil {
 			rejected = append(rejected, u)
 			continue
 		}

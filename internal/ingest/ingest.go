@@ -90,7 +90,7 @@ func (c Config) withDefaults() Config {
 type Stats struct {
 	Accepted  int64 // updates admitted to the queue
 	Applied   int64 // updates folded into the indexes
-	Dropped   int64 // updates rejected during apply (bad segment/day/taxi/time)
+	Dropped   int64 // updates rejected during apply (bad segment/day/taxi/time/speed)
 	Rejected  int64 // updates refused at TryAdd (backpressure)
 	Batches   int64 // index append batches
 	WALErrors int64 // WAL append failures (updates stayed live, not durable)
@@ -314,8 +314,8 @@ func (w *Writer) apply(batch []Update) {
 	good, obs, rejected := expandBatch(w.st, batch)
 	for _, u := range rejected {
 		w.dropped.Add(1)
-		w.cfg.Log.Printf("ingest: dropped update taxi=%d day=%d seg=%d [%d,%d]ms: out of range",
-			u.Taxi, u.Day, u.Seg, u.EnterMs, u.ExitMs)
+		w.cfg.Log.Printf("ingest: dropped update taxi=%d day=%d seg=%d [%d,%d]ms speed=%v: out of range",
+			u.Taxi, u.Day, u.Seg, u.EnterMs, u.ExitMs, u.Speed)
 	}
 	if len(good) == 0 {
 		return

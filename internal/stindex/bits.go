@@ -30,9 +30,10 @@ const (
 // LoadIndex larger metas; a packed entry gives the day 9 bits).
 const maxDays = 1 << 9
 
-// maxTaxis bounds taxi IDs the same way (Build and AppendDelta reject
-// larger ones; a packed entry gives the taxi 15 bits).
-const maxTaxis = 1 << 15
+// maxTaxis bounds taxi IDs the same way: a packed entry gives the taxi
+// 15 bits, which is traj.MaxTaxis (Build rejects larger IDs through
+// Dataset.CheckTrajectory, AppendDelta on its own).
+const maxTaxis = traj.MaxTaxis
 
 // TimeListBits is the decoded bitset form of one (segment, slot) time
 // list: a day-presence bitmask plus per-day taxi bitsets. Instances

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -218,7 +219,8 @@ func TestBuildMatchesReference(t *testing.T) {
 
 // TestBuildRejectsOutOfRange: a taxi, day or segment outside its range
 // is an error naming the trajectory, not a panic or a list written under
-// another key.
+// another key; so are a NaN speed and an exit before the entry
+// (Dataset.CheckTrajectory, shared with the Con-Index build).
 func TestBuildRejectsOutOfRange(t *testing.T) {
 	n := testNetwork(t)
 	seg := roadnet.SegmentID(n.NumSegments())
@@ -236,6 +238,8 @@ func TestBuildRejectsOutOfRange(t *testing.T) {
 		{"negative taxi", traj.MatchedTrajectory{Taxi: -1, Day: 0, Visits: visit(1)}, "trajectory 1: taxi -1 outside"},
 		{"day past the dataset", traj.MatchedTrajectory{Taxi: 1, Day: 3, Visits: visit(1)}, "trajectory 1: day 3 outside [0, 3)"},
 		{"negative day", traj.MatchedTrajectory{Taxi: 1, Day: -1, Visits: visit(1)}, "trajectory 1: day -1 outside"},
+		{"NaN speed", traj.MatchedTrajectory{Taxi: 1, Day: 0, Visits: []traj.Visit{{Segment: 1, EnterMs: 1000, ExitMs: 2000, Speed: float32(math.NaN())}}}, "trajectory 1 visit 0: speed NaN"},
+		{"exit before entry", traj.MatchedTrajectory{Taxi: 1, Day: 0, Visits: []traj.Visit{{Segment: 1, EnterMs: 1000, ExitMs: -5}}}, "trajectory 1 visit 0: exit -5 ms before entry 1000 ms"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := &traj.Dataset{Days: 3, Matched: []traj.MatchedTrajectory{{Taxi: 2, Day: 2, Visits: visit(2)}, tc.mt}}

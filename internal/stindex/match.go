@@ -1,6 +1,7 @@
 package stindex
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -147,13 +148,83 @@ func (st *matchState) matchBlob(blob []byte) error {
 }
 
 // matchPacked folds a packed body in: an entry (d, t) clears day d of
-// every source whose day mask for taxi t has it — one table lookup per
-// source, no per-day framing. Days past the sets' range and taxis no
-// source holds fall outside the tables and match nothing.
+// every source whose day mask for taxi t has it, with no per-day
+// framing. Days past the sets' range and taxis no source holds fall
+// outside the tables and match nothing.
+//
+// When a day mask is one word (days ≤ 64: the paper's 30-day window),
+// each source walks the body on its own with its pending days in a
+// register, so an entry costs one lookup and an AND-NOT (matchWord).
+// The first source's walk always runs, and checks the order; a later
+// source with nothing pending skips its walk. (A set without sources
+// needs no day, so Match walks no blob for it.) Wider masks take
+// matchPackedWide.
 func (st *matchState) matchPacked(body []byte) error {
 	if err := checkPacked(body); err != nil {
 		return err
 	}
+	s := st.s
+	if s.dw != 1 {
+		return st.matchPackedWide(body)
+	}
+	left := 0
+	for i, p := range st.pend {
+		if i == 0 || p[0] != 0 {
+			w, err := matchWord(body, s.byTaxi[i], p[0])
+			if err != nil {
+				return err
+			}
+			p[0] = w
+		}
+		left += bits.OnesCount64(p[0])
+	}
+	st.left = left
+	return nil
+}
+
+// matchWord walks a packed body of whole entries for one source whose
+// pending days all lie in one word: byTaxi[t] is the source's day mask
+// for taxi t, and the days of pend still unmatched are returned. An
+// entry out of order fails with the decoder's error.
+//
+// The main loop takes two entries from one 8-byte load while both
+// ascend and fall on days below 64; the tail loop takes the rest one at
+// a time and settles whatever the main loop left, errors included. A
+// day past 63 shifts its bit out there (a too-wide shift is zero in
+// Go), so it matches nothing, as it must: no source needs it.
+func matchWord(body []byte, byTaxi []uint64, pend uint64) (uint64, error) {
+	prev := -1
+	b := body
+	for ; len(b) >= 8; b = b[6:] {
+		w := binary.LittleEndian.Uint64(b)
+		e0, e1 := int(w&(1<<24-1)), int(w>>24&(1<<24-1))
+		if e0 <= prev || e1 <= e0 || e1 >= 64<<15 {
+			break
+		}
+		prev = e1
+		if t := e0 & (maxTaxis - 1); t < len(byTaxi) {
+			pend &^= byTaxi[t] & (1 << (uint(e0>>15) & 63))
+		}
+		if t := e1 & (maxTaxis - 1); t < len(byTaxi) {
+			pend &^= byTaxi[t] & (1 << (uint(e1>>15) & 63))
+		}
+	}
+	for ; len(b) >= 3; b = b[3:] {
+		e := int(b[0]) | int(b[1])<<8 | int(b[2])<<16
+		if e <= prev {
+			return 0, errPackedOrder((len(body) - len(b)) / 3)
+		}
+		prev = e
+		if t := e & (maxTaxis - 1); t < len(byTaxi) {
+			pend &^= byTaxi[t] & (1 << uint(e>>15))
+		}
+	}
+	return pend, nil
+}
+
+// matchPackedWide is matchPacked for day masks over more than one word:
+// one walk, each entry settled for every source in turn in memory.
+func (st *matchState) matchPackedWide(body []byte) error {
 	s := st.s
 	dw, taxis := s.dw, s.taxis
 	prev := -1

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"streach/internal/bitset"
+	"streach/internal/geo"
 	"streach/internal/roadnet"
 	"streach/internal/storage"
 	"streach/internal/traj"
@@ -251,17 +252,30 @@ func TestMatchBlobErrorsAreTheDecoders(t *testing.T) {
 // FuzzMatchBlob: arbitrary bytes never panic the matcher, it
 // fails exactly when the decoder fails and with the same message, and on
 // every blob the decoder accepts both paths agree on every (source, day).
+// The seed picks the start sets' shape, fuzzSetsShape, so the corpus
+// runs both kernels: one-word day masks (up to 64 days) with one to
+// three sources, and the wide masks past 64 days.
 func FuzzMatchBlob(f *testing.F) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 12; i++ {
-		f.Add(encodePackedRun(randomRun(rng, 1, 1, 40, 300, 1+13*i)), int64(i))
+		f.Add(encodePackedRun(randomRun(rng, 1, 1, 130, 300, 1+13*i)), int64(67*i))
 	}
 	f.Add([]byte{}, int64(0))
+	// One source over the paper's 30 days, one over 100, and three
+	// sources over 100, each on a list spanning 130 days; the first
+	// list is dense, so its days past 63 meet taxis the sets hold on
+	// day d-64.
+	f.Add(encodePackedRun(randomRun(rng, 1, 1, 130, 300, 4000)), int64(3*29))
+	f.Add(encodePackedRun(randomRun(rng, 1, 1, 130, 300, 150)), int64(3*99))
+	f.Add(encodePackedRun(randomRun(rng, 1, 1, 130, 300, 150)), int64(3*99+2))
 	// Packed: an empty body, a body that is not a whole number of
-	// entries, entries out of order, and an entry repeated.
+	// entries, entries out of order (in the last entry, and in the
+	// first two of three, which one 8-byte load reads), and an entry
+	// repeated.
 	f.Add([]byte{packedMarker0, packedMarker1}, int64(4))
 	f.Add([]byte{packedMarker0, packedMarker1, 5, 0, 1, 7}, int64(5))
 	f.Add([]byte{packedMarker0, packedMarker1, 5, 0, 1, 4, 0, 1}, int64(6))
+	f.Add([]byte{packedMarker0, packedMarker1, 5, 0, 1, 4, 0, 1, 6, 0, 1}, int64(6))
 	f.Add([]byte{packedMarker0, packedMarker1, 5, 0, 1, 5, 0, 1}, int64(7))
 	// Blobs without the marker, which both paths reject: the layouts
 	// before the packed one (the last two once made the v1 decoder wrap
@@ -273,12 +287,12 @@ func FuzzMatchBlob(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 1, 0, 0xff, 0xff, 0xff, 0xff}, int64(3))
 	f.Add([]byte{packedMarker0}, int64(3))
 	f.Fuzz(func(t *testing.T, blob []byte, seed int64) {
-		const days = 40
-		sets := randomSets(rand.New(rand.NewSource(seed)), 2, days, 300, 0.3)
+		nsrc, days := fuzzSetsShape(seed)
+		sets := randomSets(rand.New(rand.NewSource(seed)), nsrc, days, 300, 0.3)
 		want, werr := oracleMatch(days, sets, [][]byte{blob})
 		got, _, gerr := streamMatch(days, sets, [][]byte{blob})
 		if errText(gerr) != errText(werr) {
-			t.Fatalf("streamed error %q, decoder error %q", errText(gerr), errText(werr))
+			t.Fatalf("%d sources over %d days: streamed error %q, decoder error %q", nsrc, days, errText(gerr), errText(werr))
 		}
 		if werr != nil {
 			return
@@ -286,16 +300,23 @@ func FuzzMatchBlob(f *testing.F) {
 		for i := range want {
 			for d := range want[i] {
 				if got[i][d] != want[i][d] {
-					t.Fatalf("source %d day %d: streamed %v, decoded %v", i, d, got[i][d], want[i][d])
+					t.Fatalf("%d sources over %d days: source %d day %d: streamed %v, decoded %v", nsrc, days, i, d, got[i][d], want[i][d])
 				}
 			}
 		}
 	})
 }
 
+// fuzzSetsShape maps a fuzz seed to a source count in 1..3 and a day
+// count in 1..130: seed 3k+j has j+1 sources over k%130+1 days.
+func fuzzSetsShape(seed int64) (nsrc, days int) {
+	u := uint64(seed)
+	return 1 + int(u%3), 1 + int(u/3%130)
+}
+
 // startSetsOf reads the per-day taxi sets of (seg, slot) the way the
 // query engine's probe does.
-func startSetsOf(t *testing.T, x *Index, segs []roadnet.SegmentID, slot int) [][][]uint64 {
+func startSetsOf(t testing.TB, x *Index, segs []roadnet.SegmentID, slot int) [][][]uint64 {
 	t.Helper()
 	sets := make([][][]uint64, len(segs))
 	for i, seg := range segs {
@@ -340,7 +361,7 @@ func rangeOracle(x *Index, sets [][][]uint64, seg roadnet.SegmentID, lo, hi int)
 
 // busiest returns the segments with the most traffic at slot, busiest
 // first.
-func busiest(t *testing.T, x *Index, slot, n int) []roadnet.SegmentID {
+func busiest(t testing.TB, x *Index, slot, n int) []roadnet.SegmentID {
 	t.Helper()
 	type load struct {
 		seg roadnet.SegmentID
@@ -701,4 +722,78 @@ func checkInstall(before handleTable, frozen []storage.BlobHandle, x *Index, lo,
 		return fmt.Sprintf("install of %d keys replaced %d rows", folded, changed)
 	}
 	return ""
+}
+
+// BenchmarkMatch times the packed-blob matcher on lists shaped like the
+// benchmark world's: a quarter of its city (10×10 blocks of 1 km, cut
+// into 500 m segments) and of its fleet (125 taxis), the same 30 days
+// and 06:00–12:00 shift, so a list holds about as many entries. Each
+// candidate segment is matched over the five slots of a 20-minute window
+// from 09:00 against the start sets of the busiest one or three
+// segments, stopping early as Match does; the blobs are read into memory
+// first, so only the matcher is timed. It reports ns per entry walked.
+func BenchmarkMatch(b *testing.B) {
+	n, err := roadnet.Generate(roadnet.GenerateConfig{
+		Origin:        geo.Point{Lat: 22.45, Lng: 113.90},
+		Rows:          10,
+		Cols:          10,
+		SpacingMeters: 1000,
+		LocalFraction: 0.4,
+		Seed:          1,
+	})
+	if err == nil {
+		n, err = roadnet.Resegment(n, 500)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := traj.Simulate(n, traj.SimConfig{
+		Taxis: 125, Days: 30, Seed: 2, Profile: traj.DefaultSpeedProfile(), DaySpeedJitter: 0.15,
+		ActiveStartSec: 6 * 3600, ActiveEndSec: 12 * 3600,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, err := Build(n, ds, Config{SlotSeconds: 300})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer x.Close()
+	const lo, hi = 108, 112
+	reader := x.blob.NewReader()
+	candidates := make([][][]byte, n.NumSegments())
+	for seg := range candidates {
+		for slot := lo; slot <= hi; slot++ {
+			if h := x.liveHandles().at(slot, seg); !h.IsZero() {
+				blob, err := reader.Read(h)
+				if err != nil {
+					b.Fatal(err)
+				}
+				candidates[seg] = append(candidates[seg], slices.Clone(blob))
+			}
+		}
+	}
+	for _, nsrc := range []int{1, 3} {
+		b.Run(fmt.Sprintf("sources=%d", nsrc), func(b *testing.B) {
+			sets := startSetsOf(b, x, busiest(b, x, lo, nsrc), lo)
+			st := newMatchState(NewMatchSets(x.Days(), sets))
+			entries := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, blobs := range candidates {
+					st.reset()
+					for _, blob := range blobs {
+						if st.left == 0 {
+							break
+						}
+						if err := st.matchBlob(blob); err != nil {
+							b.Fatal(err)
+						}
+						entries += (len(blob) - 2) / 3
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
+		})
+	}
 }

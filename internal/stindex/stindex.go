@@ -177,26 +177,19 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 	return idx, nil
 }
 
-// bucketTuples checks every trajectory, then packs each visit's
-// seg<<24 | day<<15 | taxi tuple once per slot it overlaps into one array
-// grouped by slot: slot s holds tuples[starts[s]:starts[s+1]]. A taxi,
-// day or segment out of range is an error naming the trajectory: packed,
-// it would overwrite its neighbour's bits or index past a handle row.
+// bucketTuples checks every trajectory (Dataset.CheckTrajectory), then
+// packs each visit's seg<<24 | day<<15 | taxi tuple once per slot it
+// overlaps into one array grouped by slot: slot s holds
+// tuples[starts[s]:starts[s+1]]. A taxi, day or segment out of range
+// would overwrite its neighbour's bits or index past a handle row.
 func bucketTuples(numSegments int, ds *traj.Dataset, slotSec, numSlots int) (tuples []uint64, starts []int, err error) {
 	slotMs := int32(slotSec * 1000)
 	starts = make([]int, numSlots+1)
 	for i := range ds.Matched {
-		mt := &ds.Matched[i]
-		if mt.Taxi < 0 || mt.Taxi >= maxTaxis {
-			return nil, nil, fmt.Errorf("stindex: trajectory %d: taxi %d outside [0, %d)", i, mt.Taxi, maxTaxis)
+		if err := ds.CheckTrajectory(i, numSegments); err != nil {
+			return nil, nil, fmt.Errorf("stindex: %w", err)
 		}
-		if mt.Day < 0 || int(mt.Day) >= ds.Days {
-			return nil, nil, fmt.Errorf("stindex: trajectory %d: day %d outside [0, %d)", i, mt.Day, ds.Days)
-		}
-		for j, v := range mt.Visits {
-			if v.Segment < 0 || int(v.Segment) >= numSegments {
-				return nil, nil, fmt.Errorf("stindex: trajectory %d visit %d: segment %d outside [0, %d)", i, j, v.Segment, numSegments)
-			}
+		for _, v := range ds.Matched[i].Visits {
 			lo, hi := slotSpan(v, slotMs, numSlots)
 			for s := lo; s <= hi; s++ {
 				starts[s+1]++

@@ -78,16 +78,32 @@ func (c SimConfig) withDefaults() SimConfig {
 // maxDays is the most days a dataset can span: Day is an int16.
 const maxDays = 1 << 15
 
+// maxShiftSec bounds |ActiveStartSec| and |ActiveEndSec|. A visit's
+// times are int32 milliseconds, which end at 2 147 483 s. A shift starts
+// up to an hour after ActiveStartSec, and its last visit may exit after
+// ActiveEndSec: the 147 483 s (41 h) kept in hand cover a visit of 15 km
+// at the simulator's slowest speed, 0.105 m/s.
+const maxShiftSec = 2_000_000
+
 // validate rejects, before anything is drawn, a config whose output would
-// be corrupt: a day past Day's range, or a non-finite profile or rate that
-// would turn speeds and timestamps into NaN. It checks the config as given,
-// before withDefaults, so -Inf is not mistaken for "unset".
+// be corrupt: a day past Day's range, a shift whose millisecond times
+// would overflow int32, or a non-finite profile or rate that would turn
+// speeds and timestamps into NaN. It checks the config as given, before
+// withDefaults, so -Inf is not mistaken for "unset".
 func (c SimConfig) validate() error {
 	if c.Taxis <= 0 || c.Days <= 0 {
 		return fmt.Errorf("traj: need positive Taxis and Days, got %d and %d", c.Taxis, c.Days)
 	}
 	if c.Days > maxDays {
 		return fmt.Errorf("traj: Days is %d, at most %d fit a dataset", c.Days, maxDays)
+	}
+	for _, f := range []struct {
+		name string
+		sec  int
+	}{{"ActiveStartSec", c.ActiveStartSec}, {"ActiveEndSec", c.ActiveEndSec}} {
+		if f.sec < -maxShiftSec || f.sec > maxShiftSec {
+			return fmt.Errorf("traj: %s is %d, want within ±%d s: visit times are int32 milliseconds", f.name, f.sec, maxShiftSec)
+		}
 	}
 	type field struct {
 		name string

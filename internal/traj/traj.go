@@ -10,6 +10,7 @@ package traj
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"streach/internal/geo"
@@ -93,6 +94,62 @@ func (mt *MatchedTrajectory) Validate() error {
 		}
 		if i > 0 && v.EnterMs < mt.Visits[i-1].EnterMs {
 			return fmt.Errorf("traj: taxi %d day %d visit %d out of order", mt.Taxi, mt.Day, i)
+		}
+	}
+	return nil
+}
+
+// MaxTaxis bounds taxi IDs: the ST-Index packs a taxi into 15 bits of a
+// time-list entry, so both index builders and live ingest refuse IDs at
+// or above it.
+const MaxTaxis = 1 << 15
+
+// CheckVisit reports why v cannot be indexed on a network of numSegments
+// segments: a segment outside [0, numSegments), an exit before the
+// entry, or a speed that is not a finite number at or above zero. The
+// times themselves are not bounded: a visit may start before its day's
+// midnight or run past the next one, and the indexes keep the part
+// inside the day. The error names neither trajectory nor package;
+// callers add them.
+func CheckVisit(v Visit, numSegments int) error {
+	switch {
+	case validVisit(v, numSegments):
+		return nil
+	case v.Segment < 0 || int(v.Segment) >= numSegments:
+		return fmt.Errorf("segment %d outside [0, %d)", v.Segment, numSegments)
+	case v.ExitMs < v.EnterMs:
+		return fmt.Errorf("exit %d ms before entry %d ms", v.ExitMs, v.EnterMs)
+	}
+	return fmt.Errorf("speed %v m/s, want a finite number >= 0", v.Speed)
+}
+
+// validVisit is CheckVisit's verdict alone, small enough to inline into
+// CheckTrajectory's loop over every visit. A NaN speed fails both speed
+// comparisons.
+func validVisit(v Visit, numSegments int) bool {
+	return uint(v.Segment) < uint(numSegments) && v.ExitMs >= v.EnterMs && v.Speed >= 0 && v.Speed <= math.MaxFloat32
+}
+
+// CheckTrajectory is the index builders' trust boundary: it checks
+// trajectory i of the dataset for indexing on a network of numSegments
+// segments. Its taxi must lie in [0, MaxTaxis), its day in [0, Days),
+// and every visit must pass CheckVisit. A visit that failed would be
+// folded into another key's list or speed cell, or put NaN into a speed
+// bound. The error names the trajectory and the visit ("trajectory 3
+// visit 7: ..."); callers add their package. Both builders walk the
+// visits anyway, and check each trajectory just before its walk, while
+// its visits are in cache.
+func (ds *Dataset) CheckTrajectory(i, numSegments int) error {
+	mt := &ds.Matched[i]
+	if mt.Taxi < 0 || mt.Taxi >= MaxTaxis {
+		return fmt.Errorf("trajectory %d: taxi %d outside [0, %d)", i, mt.Taxi, MaxTaxis)
+	}
+	if mt.Day < 0 || int(mt.Day) >= ds.Days {
+		return fmt.Errorf("trajectory %d: day %d outside [0, %d)", i, mt.Day, ds.Days)
+	}
+	for j, v := range mt.Visits {
+		if !validVisit(v, numSegments) {
+			return fmt.Errorf("trajectory %d visit %d: %w", i, j, CheckVisit(v, numSegments))
 		}
 	}
 	return nil

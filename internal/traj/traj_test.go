@@ -213,6 +213,51 @@ func TestSimulateRejectsTooManyDays(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsOverflowingShift: a shift whose millisecond times
+// do not fit a visit's int32 is refused, naming the field; the one at
+// 3 000 000 s emitted visits entering and exiting at -2147483648 ms. A
+// shift near the bound still simulates, with every visit valid.
+func TestSimulateRejectsOverflowingShift(t *testing.T) {
+	n := testNetwork(t)
+	for _, tc := range []struct {
+		field      string
+		start, end int
+	}{
+		{"ActiveStartSec", 3_000_000, 3_000_600},
+		{"ActiveEndSec", 0, maxShiftSec + 1},
+		{"ActiveStartSec", -maxShiftSec - 1, 3600},
+	} {
+		cfg := SimConfig{Taxis: 4, Days: 2, Profile: DefaultSpeedProfile(), ActiveStartSec: tc.start, ActiveEndSec: tc.end}
+		ds, err := Simulate(n, cfg)
+		if err == nil {
+			t.Fatalf("shift %d-%d s: accepted, simulated %d trajectories", tc.start, tc.end, len(ds.Matched))
+		}
+		if !strings.Contains(err.Error(), tc.field+" is") {
+			t.Fatalf("shift %d-%d s: error %q does not name %s", tc.start, tc.end, err, tc.field)
+		}
+	}
+	cfg := SimConfig{Taxis: 4, Days: 2, Profile: DefaultSpeedProfile(), ActiveStartSec: maxShiftSec - 7200, ActiveEndSec: maxShiftSec}
+	ds, err := Simulate(n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Matched) == 0 {
+		t.Fatal("a shift near the bound simulated nothing")
+	}
+	for i := range ds.Matched {
+		if err := ds.CheckTrajectory(i, n.NumSegments()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mt := range ds.Matched {
+		for _, v := range mt.Visits {
+			if v.EnterMs < (maxShiftSec-7200)*1000 {
+				t.Fatalf("visit entering at %d ms, before the shift", v.EnterMs)
+			}
+		}
+	}
+}
+
 func TestRushHourSlowdown(t *testing.T) {
 	p := DefaultSpeedProfile()
 	rush := p.Factor(7.5 * 3600)
@@ -437,5 +482,43 @@ func TestSecondsOfDay(t *testing.T) {
 	at := base.Add(26*time.Hour + 30*time.Minute) // day 1, 02:30
 	if got := SecondsOfDay(base, at); got != 2*3600+1800 {
 		t.Fatalf("SecondsOfDay = %d, want %d", got, 2*3600+1800)
+	}
+}
+
+// TestCheckTrajectory: the builders' trust boundary refuses each bad field
+// with an error naming the trajectory and the visit, and keeps what the
+// index builders accept — visits entering before midnight or leaving
+// after the next one, and a speed of zero.
+func TestCheckTrajectory(t *testing.T) {
+	const segs = 10
+	good := Visit{Segment: 2, EnterMs: 1000, ExitMs: 2000, Speed: 7}
+	for _, tc := range []struct {
+		name string
+		mt   MatchedTrajectory
+		want string
+	}{
+		{"taxi past MaxTaxis", MatchedTrajectory{Taxi: MaxTaxis, Visits: []Visit{good}}, "trajectory 1: taxi 32768 outside [0, 32768)"},
+		{"negative taxi", MatchedTrajectory{Taxi: -1, Visits: []Visit{good}}, "trajectory 1: taxi -1 outside"},
+		{"day past the dataset", MatchedTrajectory{Day: 2, Visits: []Visit{good}}, "trajectory 1: day 2 outside [0, 2)"},
+		{"segment past the network", MatchedTrajectory{Visits: []Visit{good, {Segment: segs, ExitMs: 1}}}, "trajectory 1 visit 1: segment 10 outside [0, 10)"},
+		{"negative segment", MatchedTrajectory{Visits: []Visit{{Segment: -1}}}, "trajectory 1 visit 0: segment -1 outside"},
+		{"exit before entry", MatchedTrajectory{Visits: []Visit{good, {EnterMs: 10, ExitMs: -5, Speed: 3}}}, "trajectory 1 visit 1: exit -5 ms before entry 10 ms"},
+		{"NaN speed", MatchedTrajectory{Visits: []Visit{{Speed: float32(math.NaN())}}}, "trajectory 1 visit 0: speed NaN m/s"},
+		{"+Inf speed", MatchedTrajectory{Visits: []Visit{{Speed: float32(math.Inf(1))}}}, "trajectory 1 visit 0: speed +Inf m/s"},
+		{"-Inf speed", MatchedTrajectory{Visits: []Visit{{Speed: float32(math.Inf(-1))}}}, "trajectory 1 visit 0: speed -Inf m/s"},
+		{"negative speed", MatchedTrajectory{Visits: []Visit{{Speed: -0.5}}}, "trajectory 1 visit 0: speed -0.5 m/s"},
+	} {
+		ds := &Dataset{Days: 2, Matched: []MatchedTrajectory{{Taxi: 3, Visits: []Visit{good}}, tc.mt}}
+		if err := ds.CheckTrajectory(1, segs); err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Fatalf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	ds := &Dataset{Days: 2, Matched: []MatchedTrajectory{{Taxi: MaxTaxis - 1, Day: 1, Visits: []Visit{
+		{Segment: 0, EnterMs: -60_000, ExitMs: 1000, Speed: 0},
+		{Segment: segs - 1, EnterMs: 86_000_000, ExitMs: 87_000_000, Speed: float32(math.Copysign(0, -1))},
+		{Segment: 1, EnterMs: 5, ExitMs: 5, Speed: math.MaxFloat32},
+	}}}}
+	if err := ds.CheckTrajectory(0, segs); err != nil {
+		t.Fatal(err)
 	}
 }
