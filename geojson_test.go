@@ -1,13 +1,18 @@
 package streach
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"streach/internal/geo"
 	"streach/internal/race"
 	"streach/internal/roadnet"
 )
@@ -125,6 +130,66 @@ func TestAppendGeoJSONEmptyRegion(t *testing.T) {
 	}
 }
 
+// TestAppendGeoJSONRejectsOutOfRangeIDs: SegmentIDs is exported, so a
+// caller can put an ID outside the network into it. Rendering names the
+// ID and leaves dst as it was; Bounds reports no box.
+func TestAppendGeoJSONRejectsOutOfRangeIDs(t *testing.T) {
+	s := smallSystem(t)
+	n := int32(s.Network().NumSegments())
+	for _, bad := range []int32{n, -1, math.MaxInt32, math.MinInt32} {
+		r := &Region{SegmentIDs: []int32{0, bad}, sys: s}
+		want := fmt.Sprintf("segment %d is outside the network's %d segments", bad, n)
+		got, err := r.AppendGeoJSON([]byte("prefix"))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("ID %d: AppendGeoJSON err %v, want one containing %q", bad, err, want)
+		}
+		if string(got) != "prefix" {
+			t.Fatalf("ID %d: AppendGeoJSON extended dst to %.80q on error", bad, got)
+		}
+		if _, err := r.GeoJSON(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("ID %d: GeoJSON err %v, want one containing %q", bad, err, want)
+		}
+		if _, _, _, _, ok := r.Bounds(); ok {
+			t.Fatalf("ID %d: Bounds reported a box", bad)
+		}
+	}
+}
+
+// TestGeoJSONFirstUseRace: on a fresh system, 8 goroutines render their
+// first regions at once, so they race to build the feature table; every
+// rendering must still be the oracle's bytes.
+func TestGeoJSONFirstUseRace(t *testing.T) {
+	const workers = 8
+	s := variant(t, vcfg{})
+	n := s.Network().NumSegments()
+	regions := make([]*Region, workers)
+	want := make([]string, workers)
+	for g := range regions {
+		regions[g] = &Region{sys: s}
+		for id := g; id < n; id += workers {
+			regions[g].SegmentIDs = append(regions[g].SegmentIDs, int32(id))
+		}
+		var err error
+		if want[g], err = geoJSONOracle(regions[g]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range regions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if got, err := regions[g].GeoJSON(); err != nil || got != want[g] {
+				t.Errorf("worker %d: first GeoJSON differs from the oracle (err %v)", g, err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+}
+
 // TestAppendGeoJSONShardedMatchesUnsharded: the same queries through the
 // 4-shard cluster render the same bytes (diffRegion compares them), and
 // those bytes are what encoding/json writes.
@@ -162,6 +227,14 @@ func BenchmarkGeoJSON(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// The system's first render builds its feature table; time the rest.
+	if _, err := region.AppendGeoJSON(nil); err != nil {
+		b.Fatal(err)
+	}
+	// ns/segment compares renderings of regions of different sizes.
+	perSegment := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(region.SegmentIDs)), "ns/segment")
+	}
 	b.Run("append", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte
@@ -170,6 +243,7 @@ func BenchmarkGeoJSON(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		perSegment(b)
 	})
 	b.Run("string", func(b *testing.B) {
 		b.ReportAllocs()
@@ -178,12 +252,57 @@ func BenchmarkGeoJSON(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		perSegment(b)
 	})
 	b.Run("oracle", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := geoJSONOracle(region); err != nil {
 				b.Fatal(err)
+			}
+		}
+		perSegment(b)
+	})
+}
+
+// FuzzReadNetwork: network.bin is unframed, so its bytes reach AddRoad as
+// they are. A decode fails, or every point and length it yields is
+// finite and every segment's feature encodes to valid JSON.
+func FuzzReadNetwork(f *testing.F) {
+	net, err := roadnet.Generate(roadnet.GenerateConfig{
+		Origin: geo.Point{Lat: 22.5, Lng: 114}, Rows: 3, Cols: 3, SpacingMeters: 700, Seed: 11,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := roadnet.WriteNetwork(&buf, net); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// Road 0's second point with a NaN latitude (header 10 bytes, road
+	// header 4, point 0 16).
+	nan := bytes.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint64(nan[30:], math.Float64bits(math.NaN()))
+	f.Add(nan)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		net, err := roadnet.ReadNetwork(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i := 0; i < net.NumSegments(); i++ {
+			seg := net.Segment(roadnet.SegmentID(i))
+			for j, p := range seg.Shape {
+				if math.IsNaN(p.Lat) || math.IsInf(p.Lat, 0) || math.IsNaN(p.Lng) || math.IsInf(p.Lng, 0) {
+					t.Fatalf("segment %d point %d is %v", i, j, p)
+				}
+			}
+			if math.IsNaN(seg.Length) || math.IsInf(seg.Length, 0) {
+				t.Fatalf("segment %d has length %v", i, seg.Length)
+			}
+			feature, err := appendFeature(nil, net, int32(i))
+			if err != nil || !json.Valid(feature) {
+				t.Fatalf("segment %d: feature %.200q does not encode (err %v)", i, feature, err)
 			}
 		}
 	})

@@ -1,6 +1,8 @@
 // Package jsonenc holds the one piece of encoding/json the append-based
-// reply encoders (streach.Region.AppendGeoJSON, serve's default reply)
-// have to reproduce rather than call: its float formatting.
+// encoders have to reproduce rather than call: its float formatting.
+// serve's default reply formats its probabilities per reply; the facade's
+// GeoJSON formats each segment's coordinates and length once per system,
+// into the feature table Region.AppendGeoJSON copies from.
 package jsonenc
 
 import (

@@ -35,12 +35,22 @@ func (b *Builder) vertex(p geo.Point) int32 {
 }
 
 // AddRoad adds a road with the given shape. Two-way roads produce a pair
-// of twin directed segments. It returns the forward segment's ID.
+// of twin directed segments. It returns the forward segment's ID. A
+// shape with fewer than two points, a NaN or infinite coordinate, or a
+// length that is zero or not finite is refused.
 func (b *Builder) AddRoad(shape geo.Polyline, class RoadClass, oneWay bool) (SegmentID, error) {
 	if len(shape) < 2 {
 		return NoSegment, fmt.Errorf("roadnet: road shape needs >= 2 points, got %d", len(shape))
 	}
-	if shape.Length() <= 0 {
+	for j, p := range shape {
+		if !finite(p.Lat) || !finite(p.Lng) {
+			return NoSegment, fmt.Errorf("roadnet: road shape point %d (lat %v, lng %v) is not finite", j, p.Lat, p.Lng)
+		}
+	}
+	// Finite points can still overflow the distance arithmetic.
+	if l := shape.Length(); !finite(l) {
+		return NoSegment, fmt.Errorf("roadnet: road from %v to %v has length %v", shape[0], shape[len(shape)-1], l)
+	} else if l <= 0 {
 		return NoSegment, fmt.Errorf("roadnet: zero-length road at %v", shape[0])
 	}
 	fwd := SegmentID(len(b.segments))
@@ -70,6 +80,8 @@ func (b *Builder) AddRoad(shape geo.Polyline, class RoadClass, oneWay bool) (Seg
 	}
 	return fwd, nil
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Build finalizes the network. The builder must not be reused afterwards.
 func (b *Builder) Build() *Network {

@@ -2,7 +2,9 @@ package roadnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"streach/internal/geo"
@@ -108,6 +110,28 @@ func TestNetworkCodecRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadNetwork(bytes.NewReader(buf.Bytes()[:buf.Len()/3])); err == nil {
 		t.Fatal("truncated input should error")
+	}
+}
+
+// TestNetworkCodecRejectsNonFinite: network.bin is unframed, so a
+// corrupt coordinate reaches AddRoad, which must refuse it and name the
+// road and the point.
+func TestNetworkCodecRejectsNonFinite(t *testing.T) {
+	orig, err := Generate(GenerateConfig{Origin: o, Rows: 3, Cols: 3, SpacingMeters: 700, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteNetwork(&buf, orig); err != nil {
+		t.Fatal(err)
+	}
+	// Header (10 bytes), road 0's class, oneway and npoints (4), then
+	// point 0's lat and lng: make point 1's lng (offset 14+16+8) +Inf.
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw[38:], math.Float64bits(math.Inf(1)))
+	_, err = ReadNetwork(bytes.NewReader(raw))
+	if want := "road 0: roadnet: road shape point 1"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReadNetwork of an infinite coordinate: err %v, want one containing %q", err, want)
 	}
 }
 

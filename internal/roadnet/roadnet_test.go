@@ -2,6 +2,7 @@ package roadnet
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"streach/internal/geo"
@@ -51,6 +52,31 @@ func TestBuilderRejectsDegenerateRoads(t *testing.T) {
 	}
 	if _, err := b.AddRoad(geo.Polyline{o, o}, Primary, false); err == nil {
 		t.Fatal("zero-length road should fail")
+	}
+}
+
+// TestBuilderRejectsNonFinitePoints: a NaN or infinite coordinate, or
+// finite ones whose distance overflows, would poison the segment's length,
+// snapping and every reply that renders it.
+func TestBuilderRejectsNonFinitePoints(t *testing.T) {
+	mid := geo.Offset(o, 300, 0)
+	for _, c := range []struct {
+		bad  geo.Point
+		want string
+	}{
+		{geo.Point{Lat: math.NaN(), Lng: mid.Lng}, "point 1 (lat NaN, lng 114.00"},
+		{geo.Point{Lat: mid.Lat, Lng: math.Inf(1)}, "point 1 (lat 22.5, lng +Inf) is not finite"},
+		{geo.Point{Lat: math.Inf(-1), Lng: mid.Lng}, "point 1 (lat -Inf, lng 114.00"},
+		{geo.Point{Lat: -math.MaxFloat64, Lng: mid.Lng}, "has length"},
+	} {
+		b := NewBuilder()
+		_, err := b.AddRoad(geo.Polyline{o, c.bad, geo.Offset(o, 600, 0)}, Primary, false)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("point %v: got error %v, want one containing %q", c.bad, err, c.want)
+		}
+		if n := b.Build(); n.NumSegments() != 0 {
+			t.Fatalf("point %v: a refused road left %d segments", c.bad, n.NumSegments())
+		}
 	}
 }
 

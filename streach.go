@@ -186,6 +186,9 @@ type System struct {
 	// netStats is net.Stats(), taken once: the network never changes,
 	// and Stats() is on serve's per-answer path (maybePrefetch).
 	netStats roadnet.Stats
+	// features is every segment's GeoJSON Feature, encoded at the first
+	// render (geojson.go).
+	features geoFeatures
 	// ds is the base dataset of a system built in memory (NewSystem,
 	// NewSystemFromData), which keeps what its caller handed it. A system
 	// opened from a directory holds none — its indexes are the resident
