@@ -267,7 +267,8 @@ func BenchmarkGeoJSON(b *testing.B) {
 
 // FuzzReadNetwork: network.bin is unframed, so its bytes reach AddRoad as
 // they are. A decode fails, or every point and length it yields is
-// finite and every segment's feature encodes to valid JSON.
+// finite, every vertex lies on the globe (|lat| <= 90, |lng| <= 180) and
+// every segment's feature encodes to valid JSON.
 func FuzzReadNetwork(f *testing.F) {
 	net, err := roadnet.Generate(roadnet.GenerateConfig{
 		Origin: geo.Point{Lat: 22.5, Lng: 114}, Rows: 3, Cols: 3, SpacingMeters: 700, Seed: 11,
@@ -289,6 +290,11 @@ func FuzzReadNetwork(f *testing.F) {
 		net, err := roadnet.ReadNetwork(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for v := 0; v < net.NumVertices(); v++ {
+			if p := net.Vertex(int32(v)); !(math.Abs(p.Lat) <= 90 && math.Abs(p.Lng) <= 180) {
+				t.Fatalf("vertex %d is %v, off the globe", v, p)
+			}
 		}
 		for i := 0; i < net.NumSegments(); i++ {
 			seg := net.Segment(roadnet.SegmentID(i))

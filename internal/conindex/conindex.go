@@ -129,9 +129,6 @@ type Index struct {
 	// stats counts adjacency-row activity across all four tables.
 	stats statCounters
 
-	// g is the network flattened for the expansion kernels (see graph).
-	g graph
-
 	// scratch pools Dijkstra working state so concurrent expansions never
 	// serialize on a shared mutex: each expansion checks out its own
 	// scratch and returns it when done.
@@ -255,7 +252,6 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 		far:      newTable(numSlots, n),
 		nearRev:  newTable(numSlots, n),
 		farRev:   newTable(numSlots, n),
-		g:        newGraph(net),
 	}
 	// Accumulate in plain float32, then publish as bits: construction is
 	// offline, and this goroutine alone writes the index until Build
@@ -454,12 +450,13 @@ func (x *Index) expand(ctx context.Context, seg roadnet.SegmentID, slot int, far
 		return Row{}, err
 	}
 	budget := float64(x.slotSec)
-	base := slot * len(x.g.length)
+	length := x.net.Lengths()
+	off, succ := x.net.Adjacency(roadnet.Forward)
+	base := slot * len(length)
 	speeds := x.minSpeed
 	if far {
 		speeds = x.maxSpeed
 	}
-	length, off, succ := x.g.length, x.g.succOff, x.g.succ
 
 	sc := x.getScratch()
 	defer x.putScratch(sc)
@@ -725,48 +722,6 @@ func (q *bucketQueue) pop() entryItem {
 	b := q.b[q.cur]
 	q.b[q.cur] = b[:len(b)-1]
 	return b[len(b)-1]
-}
-
-// graph is the network as the expansion kernels read it: flat arrays
-// built once per index, so a pop loads a length and an offset pair, not
-// a whole Segment (shape, box, class …) through Network.Segment.
-type graph struct {
-	// length[s] is Segment(s).Length.
-	length []float64
-	// succ[succOff[s]:succOff[s+1]] are the segments a forward expansion
-	// may enter after s: Outgoing(s) less s's reverse twin when s has
-	// another way out (no U-turns). pred/predOff mirror it over
-	// Incoming(s) for expandReverse.
-	succOff, predOff []int32
-	succ, pred       []roadnet.SegmentID
-}
-
-// newGraph flattens net; Build and Load both call it.
-func newGraph(net *roadnet.Network) graph {
-	n := net.NumSegments()
-	g := graph{
-		length:  make([]float64, n),
-		succOff: make([]int32, 1, n+1),
-		predOff: make([]int32, 1, n+1),
-	}
-	adj := func(dst []roadnet.SegmentID, from []roadnet.SegmentID, rev roadnet.SegmentID) []roadnet.SegmentID {
-		for _, s := range from {
-			if s != rev || len(from) == 1 {
-				dst = append(dst, s)
-			}
-		}
-		return dst
-	}
-	for s := 0; s < n; s++ {
-		id := roadnet.SegmentID(s)
-		seg := net.Segment(id)
-		g.length[s] = seg.Length
-		g.succ = adj(g.succ, net.Outgoing(id), seg.Reverse)
-		g.succOff = append(g.succOff, int32(len(g.succ)))
-		g.pred = adj(g.pred, net.Incoming(id), seg.Reverse)
-		g.predOff = append(g.predOff, int32(len(g.pred)))
-	}
-	return g
 }
 
 // PrecomputeAll materialises every (segment, slot) Near and Far row,

@@ -105,6 +105,5 @@ func Load(net *roadnet.Network, r io.Reader) (*Index, error) {
 		far:      newTable(numSlots, numSeg),
 		nearRev:  newTable(numSlots, numSeg),
 		farRev:   newTable(numSlots, numSeg),
-		g:        newGraph(net),
 	}, nil
 }

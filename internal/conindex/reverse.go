@@ -31,12 +31,13 @@ func (x *Index) expandReverse(ctx context.Context, seg roadnet.SegmentID, slot i
 		return Row{}, err
 	}
 	budget := float64(x.slotSec)
-	base := slot * len(x.g.length)
+	length := x.net.Lengths()
+	off, pred := x.net.Adjacency(roadnet.Backward)
+	base := slot * len(length)
 	speeds := x.minSpeed
 	if far {
 		speeds = x.maxSpeed
 	}
-	length, off, pred := x.g.length, x.g.predOff, x.g.pred
 	timeOf := func(s roadnet.SegmentID) float64 {
 		sp := float64(loadSpeed(speeds, base+int(s)))
 		if sp <= 0 {

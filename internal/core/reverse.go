@@ -59,51 +59,6 @@ func (e *Engine) ReverseES(ctx context.Context, q Query) (*Result, error) {
 	return p.ResultAt(ctx, q.Prob)
 }
 
-// expandReverseDistance walks the reverse graph from dst in increasing
-// cumulative length order up to budget metres.
-func (e *Engine) expandReverseDistance(dst roadnet.SegmentID, budget float64, visit func(roadnet.SegmentID) bool) {
-	type item struct {
-		seg  roadnet.SegmentID
-		cost float64
-	}
-	dist := map[roadnet.SegmentID]float64{dst: 0}
-	queue := []item{{dst, 0}}
-	for len(queue) > 0 {
-		// Simple Dijkstra-by-scan: queue sizes here are modest and the
-		// per-pop verification dominates anyway.
-		best := 0
-		for i := 1; i < len(queue); i++ {
-			if queue[i].cost < queue[best].cost {
-				best = i
-			}
-		}
-		it := queue[best]
-		queue[best] = queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if d, ok := dist[it.seg]; !ok || it.cost > d {
-			continue
-		}
-		if !visit(it.seg) {
-			return
-		}
-		pred := e.net.Incoming(it.seg)
-		rev := e.net.Segment(it.seg).Reverse
-		for _, prev := range pred {
-			if prev == rev && len(pred) > 1 {
-				continue
-			}
-			c := it.cost + e.net.Segment(prev).Length
-			if c > budget {
-				continue
-			}
-			if d, ok := dist[prev]; !ok || c < d {
-				dist[prev] = c
-				queue = append(queue, item{prev, c})
-			}
-		}
-	}
-}
-
 // ReverseSQMB answers a reverse reachability query with the bounded
 // pipeline: reverse maximum/minimum bounding regions from the reverse
 // connection tables (boundingRegionPin with the reverse kinds), then a trace back verification between them. Like

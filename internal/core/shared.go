@@ -305,6 +305,19 @@ func (e *Engine) PlanReverse(ctx context.Context, q Query, opts ...PlanOption) (
 // PlanReachES runs the exhaustive-search baseline's threshold-independent
 // part: the worst-case-radius expansion verifies every expanded segment.
 func (e *Engine) PlanReachES(ctx context.Context, q Query, opts ...PlanOption) (*SharedPlan, error) {
+	return e.planES(ctx, q, roadnet.Forward, opts)
+}
+
+// PlanReverseES is PlanReachES over the reverse expansion and probe.
+func (e *Engine) PlanReverseES(ctx context.Context, q Query, opts ...PlanOption) (*SharedPlan, error) {
+	return e.planES(ctx, q, roadnet.Backward, opts)
+}
+
+// planES expands from the snapped location in direction dir out to the
+// worst-case radius in metres and verifies every segment it reaches.
+// Forward, the start segment costs its own length (it is driven end to
+// end); Backward, the destination costs nothing (it is reached on entry).
+func (e *Engine) planES(ctx context.Context, q Query, dir roadnet.Direction, opts []PlanOption) (*SharedPlan, error) {
 	if err := validateWindow(q.Start, q.Duration); err != nil {
 		return nil, err
 	}
@@ -317,87 +330,38 @@ func (e *Engine) PlanReachES(ctx context.Context, q Query, opts ...PlanOption) (
 	p.starts = []roadnet.SegmentID{r0}
 	lo, hi := e.slotWindow(q.Start, q.Duration)
 	p.slotLo, p.slotHi = lo, hi
-	pr, err := e.newProbe(ctx, p.starts, lo, lo, hi)
+	weight := e.net.DistanceWeight()
+	src := roadnet.Source{Seg: r0}
+	var err error
+	if dir == roadnet.Forward {
+		src.Cost = weight(r0)
+		p.pr, err = e.newProbe(ctx, p.starts, lo, lo, hi)
+	} else {
+		p.pr, err = e.newReverseProbe(ctx, r0, lo, lo, hi)
+	}
 	if err != nil {
 		p.Close()
 		return nil, err
 	}
-	p.pr = pr
-	w := pr.worker()
+	w := p.pr.worker()
 	budget := q.Duration.Seconds() * roadnet.Highway.FreeFlowSpeed()
 	var expandErr error
-	e.net.Expand(r0, budget, e.net.DistanceWeight(), func(r roadnet.SegmentID, _ float64) bool {
-		if expandErr != nil {
-			return false
-		}
-		if err := ctx.Err(); err != nil {
-			expandErr = err
-			return false
+	e.net.Search(dir, []roadnet.Source{src}, budget, weight, func(r roadnet.SegmentID, _ float64, _ int) roadnet.Step {
+		if expandErr = ctx.Err(); expandErr != nil {
+			return roadnet.Stop
 		}
 		// The expansion is probability-independent (it is bounded by the
 		// worst-case radius alone), so a deferred plan collects the
 		// candidate order here and verifies later on the shard engines.
 		if !cfg.deferVerify {
-			pv, err := w.prob(r)
-			if err != nil {
-				expandErr = err
-				return false
+			var pv float64
+			if pv, expandErr = w.prob(r); expandErr != nil {
+				return roadnet.Stop
 			}
 			p.probs = append(p.probs, pv)
 		}
 		p.order = append(p.order, r)
-		return true
-	})
-	if expandErr != nil {
-		p.Close()
-		return nil, expandErr
-	}
-	p.evalFixed = len(p.order)
-	if cfg.deferVerify {
-		p.deferred = true
-		p.probs = make([]float64, len(p.order))
-	}
-	return p, nil
-}
-
-// PlanReverseES is PlanReachES over the reverse expansion and probe.
-func (e *Engine) PlanReverseES(ctx context.Context, q Query, opts ...PlanOption) (*SharedPlan, error) {
-	if err := validateWindow(q.Start, q.Duration); err != nil {
-		return nil, err
-	}
-	dst, ok := e.st.SnapLocation(q.Location)
-	if !ok {
-		return nil, xerr.Markf(xerr.KindInvalid, "core: no road segment near %v", q.Location)
-	}
-	cfg := resolvePlanConfig(opts)
-	p := e.newSharedPlan(planExhaustive)
-	p.starts = []roadnet.SegmentID{dst}
-	lo, hi := e.slotWindow(q.Start, q.Duration)
-	p.slotLo, p.slotHi = lo, hi
-	pr, err := e.newReverseProbe(ctx, dst, lo, lo, hi)
-	if err != nil {
-		p.Close()
-		return nil, err
-	}
-	p.pr = pr
-	w := pr.worker()
-	budget := q.Duration.Seconds() * roadnet.Highway.FreeFlowSpeed()
-	var expandErr error
-	e.expandReverseDistance(dst, budget, func(r roadnet.SegmentID) bool {
-		if err := ctx.Err(); err != nil {
-			expandErr = err
-			return false
-		}
-		if !cfg.deferVerify {
-			pv, err := w.prob(r)
-			if err != nil {
-				expandErr = err
-				return false
-			}
-			p.probs = append(p.probs, pv)
-		}
-		p.order = append(p.order, r)
-		return true
+		return roadnet.Continue
 	})
 	if expandErr != nil {
 		p.Close()

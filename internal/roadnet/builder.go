@@ -36,8 +36,9 @@ func (b *Builder) vertex(p geo.Point) int32 {
 
 // AddRoad adds a road with the given shape. Two-way roads produce a pair
 // of twin directed segments. It returns the forward segment's ID. A
-// shape with fewer than two points, a NaN or infinite coordinate, or a
-// length that is zero or not finite is refused.
+// shape with fewer than two points, a NaN or infinite coordinate, a
+// length that is zero or not finite, or a point off the globe (|lat| >
+// 90 or |lng| > 180, which would overflow the vertex grid) is refused.
 func (b *Builder) AddRoad(shape geo.Polyline, class RoadClass, oneWay bool) (SegmentID, error) {
 	if len(shape) < 2 {
 		return NoSegment, fmt.Errorf("roadnet: road shape needs >= 2 points, got %d", len(shape))
@@ -52,6 +53,11 @@ func (b *Builder) AddRoad(shape geo.Polyline, class RoadClass, oneWay bool) (Seg
 		return NoSegment, fmt.Errorf("roadnet: road from %v to %v has length %v", shape[0], shape[len(shape)-1], l)
 	} else if l <= 0 {
 		return NoSegment, fmt.Errorf("roadnet: zero-length road at %v", shape[0])
+	}
+	for j, p := range shape {
+		if math.Abs(p.Lat) > 90 || math.Abs(p.Lng) > 180 {
+			return NoSegment, fmt.Errorf("roadnet: road shape point %d (lat %v, lng %v) is out of range", j, p.Lat, p.Lng)
+		}
 	}
 	fwd := SegmentID(len(b.segments))
 	from := b.vertex(shape[0])

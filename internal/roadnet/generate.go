@@ -3,6 +3,7 @@ package roadnet
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"streach/internal/geo"
 )
@@ -92,35 +93,40 @@ func Generate(cfg GenerateConfig) (*Network, error) {
 	for c := 0; c < cfg.Cols; c++ {
 		acrossRow = append(acrossRow, geo.Offset(pts[midR][c], 0, cfg.SpacingMeters*0.35))
 	}
-	// Split each highway at its ramp connection points so the ramps attach
-	// at real vertices rather than mid-polyline.
-	if err := addRoad(acrossRow[:midC+1], Highway, false); err != nil {
-		return nil, err
+	// Split each highway at its middle ramp so the ramps attach at real
+	// vertices rather than mid-polyline. On a side of 2 the middle ramp
+	// is the end one, and the highway stays whole.
+	highway := func(line geo.Polyline, mid int) error {
+		if mid == len(line)-1 {
+			return addRoad(line, Highway, false)
+		}
+		if err := addRoad(line[:mid+1], Highway, false); err != nil {
+			return err
+		}
+		return addRoad(line[mid:], Highway, false)
 	}
-	if err := addRoad(acrossRow[midC:], Highway, false); err != nil {
+	if err := highway(acrossRow, midC); err != nil {
 		return nil, err
 	}
 	var acrossCol geo.Polyline
 	for r := 0; r < cfg.Rows; r++ {
 		acrossCol = append(acrossCol, geo.Offset(pts[r][midC], cfg.SpacingMeters*0.35, 0))
 	}
-	if err := addRoad(acrossCol[:midR+1], Highway, false); err != nil {
-		return nil, err
-	}
-	if err := addRoad(acrossCol[midR:], Highway, false); err != nil {
+	if err := highway(acrossCol, midR); err != nil {
 		return nil, err
 	}
 	// Connect highway endpoints/midpoints to the grid with short ramps so
-	// the highways participate in the network.
+	// the highways participate in the network (once where the middle is
+	// the end).
 	ramp := func(a, bp geo.Point) error {
 		return addRoad(geo.Polyline{a, bp}, Secondary, false)
 	}
-	for _, c := range []int{0, midC, cfg.Cols - 1} {
+	for _, c := range slices.Compact([]int{0, midC, cfg.Cols - 1}) {
 		if err := ramp(pts[midR][c], acrossRow[c]); err != nil {
 			return nil, err
 		}
 	}
-	for _, r := range []int{0, midR, cfg.Rows - 1} {
+	for _, r := range slices.Compact([]int{0, midR, cfg.Rows - 1}) {
 		if err := ramp(pts[r][midC], acrossCol[r]); err != nil {
 			return nil, err
 		}
@@ -168,15 +174,18 @@ func abs(x int) float64 {
 }
 
 // verifyConnected checks the strong-connectivity invariant the queries
-// rely on (any snapped start segment can reach the whole city).
+// rely on: any snapped start segment can reach the whole city, and the
+// whole city can reach any destination. Segment 0 reaching every segment
+// and every segment reaching it is enough.
 func verifyConnected(n *Network) error {
 	if n.NumSegments() == 0 {
 		return fmt.Errorf("roadnet: generated empty network")
 	}
-	reached := n.StronglyConnectedFrom(0)
-	if len(reached) != n.NumSegments() {
-		return fmt.Errorf("roadnet: generated network not strongly connected: %d of %d segments reachable from segment 0",
-			len(reached), n.NumSegments())
+	for dir, how := range [2]string{"reachable from", "reaching"} {
+		if got := n.ReachableFrom(0, Direction(dir)); got != n.NumSegments() {
+			return fmt.Errorf("roadnet: generated network not strongly connected: %d of %d segments %s segment 0",
+				got, n.NumSegments(), how)
+		}
 	}
 	return nil
 }

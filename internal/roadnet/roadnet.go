@@ -2,15 +2,17 @@
 // reachability system operates on (thesis §2.1): road segments carry a
 // unique ID, an adjacency list, a shape polyline, a length, a direction
 // indicator, a road class, and an MBR. The package also provides the
-// pre-processing road re-segmentation step (§3.1), Dijkstra shortest
-// paths, the incremental network expansion used to build the connection
-// index, and a synthetic metropolis generator standing in for the Shenzhen
-// network (see DESIGN.md §2).
+// pre-processing road re-segmentation step (§3.1), the flat search graph
+// (CSR successor and predecessor lists with the no-U-turn rule applied)
+// with the one incremental network expansion every shortest-path search
+// runs on it, and a synthetic metropolis generator standing in for the
+// Shenzhen network (see DESIGN.md §2).
 package roadnet
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"streach/internal/geo"
 	"streach/internal/rtree"
@@ -93,6 +95,10 @@ type Network struct {
 	// spatial is an R-tree over segment MBRs for location snapping.
 	spatial *rtree.Tree
 	bounds  geo.MBR
+	// g is the search graph (see graph), scratch pools its searches'
+	// working state (see Scratch).
+	g       graph
+	scratch sync.Pool
 }
 
 // NumSegments returns the number of directed segments.
@@ -265,6 +271,7 @@ func (n *Network) finalize() {
 		sortSegs(n.out[v])
 		sortSegs(n.in[v])
 	}
+	n.buildGraph()
 	n.spatial = rtree.BulkLoad(items)
 }
 

@@ -347,9 +347,8 @@ func TestResegmentPreservesLengthAndConnectivity(t *testing.T) {
 			t.Fatalf("segment %d is %v m, exceeds 500 m granularity", i, l)
 		}
 	}
-	reached := res.StronglyConnectedFrom(0)
-	if len(reached) != res.NumSegments() {
-		t.Fatalf("resegmented network lost connectivity: %d of %d reachable", len(reached), res.NumSegments())
+	if reached := res.ReachableFrom(0, Forward); reached != res.NumSegments() {
+		t.Fatalf("resegmented network lost connectivity: %d of %d reachable", reached, res.NumSegments())
 	}
 }
 

@@ -5,6 +5,11 @@ import (
 	"math"
 )
 
+// The reference searches: Expand, ExpandMulti and ShortestPath as they
+// were when each kept map distances and a boxed container/heap queue of
+// its own. search_test.go holds the one search loop to them, visit for
+// visit and path for path.
+
 // pqItem is a priority-queue entry for Dijkstra-style searches over
 // segments. cost is travel time in seconds or distance in metres depending
 // on the caller's weight function.
@@ -27,35 +32,14 @@ func (q *segPQ) Pop() interface{} {
 	return it
 }
 
-// WeightFunc returns the cost of traversing a segment. Costs must be
-// positive. Typical weights: travel time (length/speed) or plain length.
-type WeightFunc func(id SegmentID) float64
-
-// DistanceWeight weights each segment by its length in metres.
-func (n *Network) DistanceWeight() WeightFunc {
-	return func(id SegmentID) float64 { return n.segments[id].Length }
-}
-
-// TravelTimeWeight weights each segment by length divided by speed(id)
-// (m/s). Speeds of zero or below yield an effectively unreachable segment.
-func (n *Network) TravelTimeWeight(speed func(id SegmentID) float64) WeightFunc {
-	return func(id SegmentID) float64 {
-		v := speed(id)
-		if v <= 0 {
-			return math.Inf(1)
-		}
-		return n.segments[id].Length / v
-	}
-}
-
-// Expand performs incremental network expansion (Papadias et al. [21], as
+// refExpand performs incremental network expansion (Papadias et al. [21], as
 // modified in thesis §3.2.2): starting from src, it explores successor
 // segments in increasing cumulative cost order and calls visit for every
 // segment whose total cost (cost to finish traversing it, including the
 // source segment itself at cost w(src)) is at most budget. visit returning
 // false prunes expansion beyond that segment. The source segment is
 // visited first.
-func (n *Network) Expand(src SegmentID, budget float64, w WeightFunc, visit func(id SegmentID, cost float64) bool) {
+func (n *Network) refExpand(src SegmentID, budget float64, w WeightFunc, visit func(id SegmentID, cost float64) bool) {
 	if src < 0 || int(src) >= len(n.segments) {
 		return
 	}
@@ -92,11 +76,11 @@ func (n *Network) Expand(src SegmentID, budget float64, w WeightFunc, visit func
 	}
 }
 
-// ExpandMulti runs Expand from several sources simultaneously, reporting
+// refExpandMulti runs refExpand from several sources simultaneously, reporting
 // for each reached segment the minimum cost and the source index that
 // achieved it. Used by the m-query bounding-region search to attribute
 // segments to their nearest start location (Algorithm 3, line 8).
-func (n *Network) ExpandMulti(srcs []SegmentID, budget float64, w WeightFunc, visit func(id SegmentID, cost float64, srcIdx int) bool) {
+func (n *Network) refExpandMulti(srcs []SegmentID, budget float64, w WeightFunc, visit func(id SegmentID, cost float64, srcIdx int) bool) {
 	type state struct {
 		cost float64
 		src  int
@@ -161,10 +145,10 @@ func (q *multiPQ) Pop() interface{} {
 	return it
 }
 
-// ShortestPath returns the minimum-cost segment sequence from src to dst
+// refShortestPath returns the minimum-cost segment sequence from src to dst
 // (both inclusive) under w, and the total cost. found is false when dst is
 // unreachable. src == dst returns the single-segment path.
-func (n *Network) ShortestPath(src, dst SegmentID, w WeightFunc) (path []SegmentID, cost float64, found bool) {
+func (n *Network) refShortestPath(src, dst SegmentID, w WeightFunc) (path []SegmentID, cost float64, found bool) {
 	if src < 0 || dst < 0 || int(src) >= len(n.segments) || int(dst) >= len(n.segments) {
 		return nil, 0, false
 	}
@@ -210,26 +194,4 @@ func (n *Network) ShortestPath(src, dst SegmentID, w WeightFunc) (path []Segment
 		}
 	}
 	return nil, 0, false
-}
-
-// NetworkDistance returns the shortest travel distance in metres from the
-// start of src to the end of dst, or +Inf when unreachable.
-func (n *Network) NetworkDistance(src, dst SegmentID) float64 {
-	_, cost, ok := n.ShortestPath(src, dst, n.DistanceWeight())
-	if !ok {
-		return math.Inf(1)
-	}
-	return cost
-}
-
-// StronglyConnectedFrom returns the set of segments reachable from src
-// with unbounded budget — used by tests and the generator to verify
-// connectivity.
-func (n *Network) StronglyConnectedFrom(src SegmentID) map[SegmentID]bool {
-	seen := map[SegmentID]bool{}
-	n.Expand(src, math.Inf(1), func(SegmentID) float64 { return 1 }, func(id SegmentID, _ float64) bool {
-		seen[id] = true
-		return true
-	})
-	return seen
 }

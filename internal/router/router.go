@@ -7,7 +7,6 @@
 package router
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -61,25 +60,6 @@ func (r *Router) FreeFlow(ctx context.Context, src, dst roadnet.SegmentID) (*Rou
 	})
 }
 
-type routeItem struct {
-	seg roadnet.SegmentID
-	at  float64 // arrival time at the segment's entry, seconds of day
-}
-
-type routePQ []routeItem
-
-func (q routePQ) Len() int            { return len(q) }
-func (q routePQ) Less(i, j int) bool  { return q[i].at < q[j].at }
-func (q routePQ) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *routePQ) Push(x interface{}) { *q = append(*q, x.(routeItem)) }
-func (q *routePQ) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 func (r *Router) route(ctx context.Context, src, dst roadnet.SegmentID, departSec float64, speedAt func(roadnet.SegmentID, float64) float64) (*Route, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -91,63 +71,46 @@ func (r *Router) route(ctx context.Context, src, dst roadnet.SegmentID, departSe
 	if departSec < 0 || departSec >= 86400 {
 		return nil, fmt.Errorf("router: departure %v is not a time of day", departSec)
 	}
-	arrive := map[roadnet.SegmentID]float64{src: departSec}
-	prev := map[roadnet.SegmentID]roadnet.SegmentID{}
-	pq := &routePQ{{src, departSec}}
-	for pops := 0; pq.Len() > 0; pops++ {
+	// Labels are arrival times at a segment's entry. A segment's
+	// traversal is charged when it pops, at the speed of the slot it is
+	// entered in, so this loop is not roadnet.Search's.
+	off, succ := r.net.Adjacency(roadnet.Forward)
+	length := r.net.Lengths()
+	sc := r.net.GetScratch()
+	defer r.net.PutScratch(sc)
+	sc.Label(src, departSec, roadnet.NoSegment)
+	sc.Heap.Push(roadnet.HeapItem{Seg: src, Cost: departSec})
+	for pops := 0; len(sc.Heap) > 0; pops++ {
 		if pops%ctxCheckInterval == 0 && pops > 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		it := heap.Pop(pq).(routeItem)
-		if a, ok := arrive[it.seg]; !ok || it.at > a {
+		it := sc.Heap.Pop()
+		if at, _ := sc.Cost(it.Seg); it.Cost > at {
 			continue
 		}
-		sp := speedAt(it.seg, it.at)
+		sp := speedAt(it.Seg, it.Cost)
 		if sp <= 0 {
 			continue
 		}
-		exit := it.at + r.net.Segment(it.seg).Length/sp
-		if it.seg == dst {
-			path := reconstruct(prev, dst)
+		exit := it.Cost + length[it.Seg]/sp
+		if it.Seg == dst {
+			path := sc.Path(dst)
 			var dist float64
 			for _, s := range path {
-				dist += r.net.Segment(s).Length
+				dist += length[s]
 			}
 			return &Route{Path: path, TravelTimeSec: exit - departSec, DistanceMeters: dist}, nil
 		}
-		succ := r.net.Outgoing(it.seg)
-		rev := r.net.Segment(it.seg).Reverse
-		for _, next := range succ {
-			if next == rev && len(succ) > 1 {
-				continue
-			}
-			if a, ok := arrive[next]; !ok || exit < a {
-				arrive[next] = exit
-				prev[next] = it.seg
-				heap.Push(pq, routeItem{next, exit})
+		for _, next := range succ[off[it.Seg]:off[it.Seg+1]] {
+			if at, ok := sc.Cost(next); !ok || exit < at {
+				sc.Label(next, exit, it.Seg)
+				sc.Heap.Push(roadnet.HeapItem{Seg: next, Cost: exit})
 			}
 		}
 	}
 	return nil, fmt.Errorf("router: no route from %d to %d", src, dst)
-}
-
-func reconstruct(prev map[roadnet.SegmentID]roadnet.SegmentID, dst roadnet.SegmentID) []roadnet.SegmentID {
-	var rev []roadnet.SegmentID
-	for at := dst; ; {
-		rev = append(rev, at)
-		p, ok := prev[at]
-		if !ok {
-			break
-		}
-		at = p
-	}
-	out := make([]roadnet.SegmentID, len(rev))
-	for i, s := range rev {
-		out[len(rev)-1-i] = s
-	}
-	return out
 }
 
 // ETAProfile returns the time-dependent travel time for the same
