@@ -178,7 +178,7 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 			if err := re.StartIngest(IngestConfig{}); err != nil {
 				t.Fatal(err)
 			}
-			fres, err := re.CompactIngest(ctx)
+			fres, err := re.CompactIngestN(ctx, 0)
 			if err != nil {
 				t.Fatalf("full compaction after crash at %s: %v", point, err)
 			}

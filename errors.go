@@ -21,8 +21,7 @@ const (
 	// probability or window, missing locations, no road near the query
 	// point, an algorithm/kind pairing that does not exist.
 	InvalidRequest
-	// Timeout: a deadline expired — the caller's context or a
-	// WithDeadlineBudget.
+	// Timeout: the caller's context deadline expired.
 	Timeout
 	// Overloaded: the system shed the request under admission control.
 	Overloaded
@@ -50,7 +49,7 @@ func (c ErrorCode) String() string {
 	return "unknown"
 }
 
-// Error is the typed failure Do and DoBatch return: a code for
+// Error is the typed failure Do returns: a code for
 // dispatch, the operation that failed, and the underlying cause for
 // detail. errors.Is/As see through it (Unwrap), so existing checks
 // against context.DeadlineExceeded or sentinel errors keep working.
@@ -113,9 +112,9 @@ func codeOfKind(k xerr.Kind) ErrorCode {
 }
 
 // wrapError classifies err and wraps it into a *Error at the API
-// boundary. Raw context errors pass through unwrapped — DoBatch
-// documents that unfinished requests carry ctx.Err() itself, and a
-// cancelled caller wants the sentinel, not a taxonomy entry. An error
+// boundary. Raw context errors pass through unwrapped — Do documents
+// that an abandoned query returns ctx.Err() itself, and a cancelled
+// caller wants the sentinel, not a taxonomy entry. An error
 // that is already a *Error passes through untouched.
 func wrapError(op string, err error) error {
 	if err == nil {

@@ -2,9 +2,9 @@
 // dispatcher compares candidate depot sites by how much of the city each
 // can actually reach within a response window, at different times of day.
 // Because the index is data-driven, the same site scores differently at
-// 03:00 and at 18:00. The site x window grid is one DoBatch call: the
-// system fans the queries out over a bounded worker pool and returns the
-// answers positionally.
+// 03:00 and at 18:00. The site x window grid is answered in parallel:
+// one Do call per cell, each on its own goroutine, since Do is safe for
+// concurrent use.
 //
 // Run with: go run ./examples/dispatch
 package main
@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"sync"
 	"time"
 
 	"streach"
@@ -64,26 +65,32 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	// The whole site x window grid as one batch, answered in parallel.
-	var reqs []streach.Request
-	for _, site := range sites {
-		for _, w := range windows {
-			reqs = append(reqs, streach.ReachRequest(site.loc, w, response, prob))
+	// The whole site x window grid, answered in parallel.
+	km := make([][]float64, len(sites))
+	var wg sync.WaitGroup
+	for i, site := range sites {
+		km[i] = make([]float64, len(windows))
+		for j, w := range windows {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				region, err := sys.Do(ctx, streach.ReachRequest(site.loc, w, response, prob))
+				if err != nil {
+					log.Fatal(err)
+				}
+				km[i][j] = region.RoadKm
+			}()
 		}
 	}
-	results := sys.DoBatch(ctx, reqs, streach.WithBatchWorkers(4))
+	wg.Wait()
 
 	var best score
 	for i, site := range sites {
 		fmt.Printf("%-10s", site.name)
 		var total float64
-		for j := range windows {
-			r := results[i*len(windows)+j]
-			if r.Err != nil {
-				log.Fatal(r.Err)
-			}
-			fmt.Printf("  %9.1f", r.Region.RoadKm)
-			total += r.Region.RoadKm
+		for _, v := range km[i] {
+			fmt.Printf("  %9.1f", v)
+			total += v
 		}
 		fmt.Println()
 		if total > best.total {

@@ -108,7 +108,7 @@ func assertNoGoroutineGrowth(t *testing.T, before int) {
 //
 //   - error: a store read error, as a *streach.Error that still wraps
 //     the store's sentinel;
-//   - hang: slow store reads, bounded by WithDeadlineBudget → Timeout,
+//   - hang: slow store reads, bounded by a context deadline → Timeout,
 //     returned as the bare context.DeadlineExceeded on both layouts (a
 //     context error is never wrapped; CodeOf classifies it);
 //   - panic: a store read that panics, recovered by the shard scatter →
@@ -138,6 +138,7 @@ func TestChaosTypedErrorCodes(t *testing.T) {
 		name     string
 		arm      func()
 		opts     []Option
+		timeout  time.Duration // a context deadline for the query, when non-zero
 		want     ErrorCode
 		sentinel error // errors.Is target, when the fault has one
 		bare     bool  // the error is the bare sentinel, not a *streach.Error
@@ -145,14 +146,14 @@ func TestChaosTypedErrorCodes(t *testing.T) {
 	}{
 		{"error", func() {
 			fs.Arm(storage.FaultRule{Op: storage.OpRead, Mode: storage.ModeError})
-		}, nil, Internal, storage.ErrInjected, false, []int{1, 4}},
+		}, nil, 0, Internal, storage.ErrInjected, false, []int{1, 4}},
 		{"hang", func() {
 			fs.Arm(storage.FaultRule{Op: storage.OpRead, Mode: storage.ModeLatency, Latency: 20 * time.Millisecond})
-		}, []Option{WithDeadlineBudget(50 * time.Millisecond)}, Timeout, context.DeadlineExceeded, true, []int{1, 4}},
+		}, nil, 50 * time.Millisecond, Timeout, context.DeadlineExceeded, true, []int{1, 4}},
 		{"panic", func() { ps.armed.Store(true) },
 			// One verification worker per shard keeps every store read
 			// on a goroutine the scatter recovers.
-			[]Option{WithVerifyWorkers(1)}, Internal, nil, false, []int{4}},
+			[]Option{WithVerifyWorkers(1)}, 0, Internal, nil, false, []int{4}},
 	}
 	before := runtime.NumGoroutine()
 	for _, v := range variants {
@@ -160,7 +161,12 @@ func TestChaosTypedErrorCodes(t *testing.T) {
 			for _, k := range v.layouts {
 				layout(k)
 				v.arm()
-				_, err := s.Do(ctx, req, v.opts...)
+				qctx, cancel := ctx, context.CancelFunc(func() {})
+				if v.timeout > 0 {
+					qctx, cancel = context.WithTimeout(ctx, v.timeout)
+				}
+				_, err := s.Do(qctx, req, v.opts...)
+				cancel()
 				fs.Clear()
 				ps.armed.Store(false)
 				if err == nil {
@@ -192,7 +198,7 @@ func TestChaosTypedErrorCodes(t *testing.T) {
 
 // TestScratchPoolIntegrityAcrossShardFailure is the pool-ownership
 // regression test: a shard failing (store error and recovered panic)
-// mid-DoBatch must not leak pooled bounding regions or bitsets — the
+// under a batch of concurrent requests must not leak pooled bounding regions or bitsets — the
 // error paths through plan construction, scatter, and release must
 // return everything they checked out, and the pool must keep serving
 // healthy traffic afterwards.
@@ -203,9 +209,8 @@ func TestScratchPoolIntegrityAcrossShardFailure(t *testing.T) {
 	}
 	q := testQuery(s)
 
-	// A batch with shareable groups (same window, different thresholds)
-	// plus a distinct window, so both the grouped and ungrouped DoBatch
-	// paths run.
+	// A batch with one shared shape (same window, different thresholds)
+	// plus a distinct window, so both shared and unshared plans run.
 	reqs := []Request{
 		ReachRequest(q.Locations[0], 11*time.Hour, 10*time.Minute, 0.2),
 		ReachRequest(q.Locations[0], 11*time.Hour, 10*time.Minute, 0.4),
@@ -219,7 +224,7 @@ func TestScratchPoolIntegrityAcrossShardFailure(t *testing.T) {
 
 	// The healthy batch also decodes the batch's time lists into the
 	// cache, so the armed faults below first meet a shard's verification.
-	for _, res := range s.DoBatch(ctx, reqs, opts...) {
+	for _, res := range doAll(ctx, s, reqs, opts...) {
 		if res.Err != nil {
 			t.Fatalf("healthy batch: %v", res.Err)
 		}
@@ -236,7 +241,7 @@ func TestScratchPoolIntegrityAcrossShardFailure(t *testing.T) {
 	for _, f := range faults {
 		f.arm()
 		failures := 0
-		for _, res := range s.DoBatch(ctx, reqs, opts...) {
+		for _, res := range doAll(ctx, s, reqs, opts...) {
 			if res.Err != nil {
 				failures++
 				if CodeOf(res.Err) != Internal {
@@ -255,7 +260,7 @@ func TestScratchPoolIntegrityAcrossShardFailure(t *testing.T) {
 	// Cancellation mid-batch is the third error path worth pinning.
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	for _, res := range s.DoBatch(cancelled, reqs, opts...) {
+	for _, res := range doAll(cancelled, s, reqs, opts...) {
 		if res.Err == nil {
 			t.Fatal("cancelled batch returned a result")
 		}
@@ -263,7 +268,7 @@ func TestScratchPoolIntegrityAcrossShardFailure(t *testing.T) {
 	assertScratchBalanced(t, s, "after cancelled batch")
 
 	// And the pool still serves healthy traffic.
-	for _, res := range s.DoBatch(ctx, reqs, opts...) {
+	for _, res := range doAll(ctx, s, reqs, opts...) {
 		if res.Err != nil {
 			t.Fatalf("healed batch: %v", res.Err)
 		}

@@ -17,7 +17,7 @@ import (
 // a batching, worker-pooled writer that folds streaming position
 // updates into the ST-Index delta layer and the Con-Index speed
 // statistics, queries merge base and delta transparently, and
-// CompactIngest folds the accumulated delta into freshly encoded blobs
+// CompactIngestN folds the accumulated delta into freshly encoded blobs
 // — a new index epoch — off the query hot path.
 
 // ErrIngestBackpressure is returned by TryIngest when the ingest queue
@@ -43,7 +43,7 @@ type IngestUpdate struct {
 // segmented write-ahead log under dir/wal/ (segments rotated at 4 MiB
 // or 1 min) when the system has a save directory. Trajectory data goes
 // live in the ST-Index delta on every batch; the speed bounds — pruning
-// statistics — fold at FlushIngest/CompactIngest/Close or when the
+// statistics — fold at FlushIngest/CompactIngestN/Close or when the
 // sample buffer fills, so live write load cannot turn the query bounding
 // phase into a per-sample row-recompute storm.
 type IngestConfig struct {
@@ -64,7 +64,7 @@ type IngestConfig struct {
 	// background loop every interval while dirty keys are pending, with
 	// exponential backoff after a persist failure. Each cycle folds at
 	// most compactCycleKeys dirty keys; the rest roll to the next cycle.
-	// Zero leaves compaction to explicit CompactIngest calls.
+	// Zero leaves compaction to explicit CompactIngestN calls.
 	CompactInterval time.Duration
 	// CompactPauseBudget, when positive, adapts the background loop's
 	// per-cycle key cap so the install pause stays at or under this
@@ -85,7 +85,7 @@ type IngestStats struct {
 	WALErrors int64 // WAL append failures (updates stayed live, not durable)
 	QueueLen  int   // updates currently queued
 	// PendingSpeedSamples counts Con-Index speed samples buffered for
-	// the next fold (FlushIngest, CompactIngest, Close, or the buffer
+	// the next fold (FlushIngest, CompactIngestN, Close, or the buffer
 	// cap).
 	PendingSpeedSamples int
 	// PerShard counts applied updates per owning shard (len 1 when
@@ -118,7 +118,7 @@ type IngestStats struct {
 	LastCompactPause time.Duration
 }
 
-// CompactResult reports one CompactIngest call.
+// CompactResult reports one CompactIngestN call.
 type CompactResult struct {
 	// Keys is how many dirty (segment, slot) keys were folded,
 	// Observations how many delta observations they held, and Bytes how
@@ -135,7 +135,7 @@ type CompactResult struct {
 	// save directory) and the covered WAL segments retired.
 	Durable bool
 	// Remaining counts dirty keys rolled to the next cycle by a
-	// budgeted (CompactIngestN) fold; 0 after a full compaction.
+	// budgeted fold (maxKeys > 0); 0 after a full compaction.
 	Remaining int
 	// CarriedObs counts rolled-over delta observations re-logged to the
 	// WAL as carry records so segment retirement never sheds them.
@@ -149,10 +149,13 @@ type CompactResult struct {
 // segmented write-ahead log under dir/wal makes accepted updates
 // crash-durable between compactions; OpenSystem replays it in parallel.
 // A positive CompactInterval also starts the background incremental
-// compaction loop.
+// compaction loop. A closed system starts nothing and returns an error.
 func (s *System) StartIngest(cfg IngestConfig) error {
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
+	if s.closed {
+		return fmt.Errorf("streach: ingest on a closed system")
+	}
 	if s.ingestW != nil {
 		return fmt.Errorf("streach: ingest already started")
 	}
@@ -267,11 +270,13 @@ func (s *System) ingestWriter() *ingest.Writer {
 func (s *System) IngestEnabled() bool { return s.ingestWriter() != nil }
 
 // stopIngest stops the background compaction loop and the writer
-// (draining its queue), then closes the WAL. Part of Close; idempotent.
+// (draining its queue), then closes the WAL, and refuses any later
+// StartIngest. Part of Close; idempotent.
 func (s *System) stopIngest() error {
 	// Stop the loop outside ingestMu: a mid-cycle CompactIngestN takes
 	// ingestMu itself, so waiting for it under the lock would deadlock.
 	s.ingestMu.Lock()
+	s.closed = true
 	stop, done := s.compactStop, s.compactDone
 	s.compactStop, s.compactDone = nil, nil
 	s.ingestMu.Unlock()
@@ -390,22 +395,13 @@ func (s *System) IngestStats() IngestStats {
 	return out
 }
 
-// IndexEpoch reports the ST-Index epoch, bumped once per compaction.
-func (s *System) IndexEpoch() uint64 { return s.st.Epoch() }
-
-// CompactIngest flushes the pending ingest queue, folds the whole delta
-// layer into freshly encoded blobs, and installs a new index epoch. See
-// CompactIngestN for the fold/persist/retire protocol.
-func (s *System) CompactIngest(ctx context.Context) (CompactResult, error) {
-	return s.CompactIngestN(ctx, 0)
-}
-
-// CompactIngestN is CompactIngest with a key budget: maxKeys > 0 folds
-// only the hottest maxKeys dirty (segment, slot) keys — bounding the
-// encode work and the install pause — and rolls the rest to the next
-// cycle (reported as Remaining). In-flight queries finish on the epoch
-// they started with; only the handle-table install (the reported Pause)
-// excludes concurrent appends.
+// CompactIngestN flushes the pending ingest queue, folds the delta layer
+// into freshly encoded blobs, and installs a new index epoch. maxKeys
+// <= 0 folds the whole layer; maxKeys > 0 folds only the hottest maxKeys
+// dirty (segment, slot) keys — bounding the encode work and the install
+// pause — and rolls the rest to the next cycle (reported as Remaining).
+// In-flight queries finish on the epoch they started with; only the
+// handle-table install (the reported Pause) excludes concurrent appends.
 //
 // When the system has a save directory the cycle is durable, in an
 // order that never sheds an acknowledged update:

@@ -108,7 +108,7 @@ func TestIngestEquivalenceOfflineRebuild(t *testing.T) {
 	}
 	check("base+delta k=4", live)
 
-	res, err := live.CompactIngest(context.Background())
+	res, err := live.CompactIngestN(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,8 @@ func TestIngestEquivalenceOfflineRebuild(t *testing.T) {
 	if res.Durable {
 		t.Fatal("directory-less system reported a durable compaction")
 	}
-	if live.IndexEpoch() != 1 {
-		t.Fatalf("epoch = %d after compaction", live.IndexEpoch())
+	if live.IngestStats().Epoch != 1 {
+		t.Fatalf("epoch = %d after compaction", live.IngestStats().Epoch)
 	}
 	check("post-compaction k=4", live)
 	if err := live.Shard(1); err != nil {
@@ -230,7 +230,7 @@ func TestIngestVersionKeysInvalidateCaches(t *testing.T) {
 
 	// Compaction bumps the version again (new epoch).
 	key1 := version()
-	if _, err := sys.CompactIngest(context.Background()); err != nil {
+	if _, err := sys.CompactIngestN(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if version() == key1 {
@@ -272,7 +272,7 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 	go func() { // compactor
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
-			if _, err := live.CompactIngest(context.Background()); err != nil {
+			if _, err := live.CompactIngestN(context.Background(), 0); err != nil {
 				t.Error(err)
 				return
 			}
@@ -294,7 +294,7 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if _, err := live.CompactIngest(context.Background()); err != nil {
+	if _, err := live.CompactIngestN(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -315,7 +315,7 @@ func TestIngestEpochSwapLeaksNoGoroutines(t *testing.T) {
 		if err := live.Ingest(context.Background(), liveFixtureUpdates(live)[:200]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := live.CompactIngest(context.Background()); err != nil {
+		if _, err := live.CompactIngestN(context.Background(), 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := live.Close(); err != nil {
@@ -333,6 +333,28 @@ func TestIngestEpochSwapLeaksNoGoroutines(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestStartIngestAfterClose: StartIngest on a closed system returns an
+// error and starts nothing — no writer, no WAL segment, no compaction
+// loop — so no later update is acknowledged.
+func TestStartIngestAfterClose(t *testing.T) {
+	s := variant(t, vcfg{saved: true})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, segments := runtime.NumGoroutine(), len(walSegmentFiles(t, s.dir))
+	if err := s.StartIngest(IngestConfig{CompactInterval: time.Second}); err == nil {
+		t.Fatal("StartIngest on a closed system returned nil")
+	}
+	upd := []IngestUpdate{{TaxiID: 1, Day: 0, SegmentID: 0, EnterMs: 1000, ExitMs: 2000, SpeedMps: 9}}
+	if err := s.Ingest(context.Background(), upd); err == nil {
+		t.Fatal("a closed system acknowledged an update")
+	}
+	if got := len(walSegmentFiles(t, s.dir)); got != segments {
+		t.Fatalf("the WAL went from %d to %d segments after Close", segments, got)
+	}
+	assertNoGoroutineGrowth(t, before)
 }
 
 // walSegmentFiles lists dir/wal's segment files, sorted by name (epoch
@@ -471,7 +493,7 @@ func TestIngestWALReplayOnOpen(t *testing.T) {
 	if err := reopened.StartIngest(IngestConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := reopened.CompactIngest(context.Background())
+	res, err := reopened.CompactIngestN(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +531,7 @@ func TestSaveElsewhereThenCompactPersistsThere(t *testing.T) {
 	if err := sys.Ingest(context.Background(), liveFixtureUpdates(sys)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.CompactIngest(context.Background())
+	res, err := sys.CompactIngestN(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

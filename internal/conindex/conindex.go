@@ -83,6 +83,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// speedCeiling is the fastest record the speed statistics fold, in m/s.
+// A faster one is a timing or matching error, not traffic, and a few of
+// them near float32's top would overflow a cell's speed sum to +Inf.
+const speedCeiling = 1000
+
+// folds reports whether a record at speed sp (m/s) enters the speed
+// statistics: at least MinSpeedFloor and at most speedCeiling, so never
+// NaN. A record that does not still enters the ST-Index.
+func (c Config) folds(sp float64) bool {
+	return sp >= c.MinSpeedFloor && sp <= speedCeiling
+}
+
 // Index is the built Con-Index.
 type Index struct {
 	net      *roadnet.Network
@@ -271,7 +283,7 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 		}
 		mt := &ds.Matched[i]
 		for _, v := range mt.Visits {
-			if float64(v.Speed) < cfg.MinSpeedFloor {
+			if !cfg.folds(float64(v.Speed)) {
 				continue
 			}
 			s0 := int(v.EnterMs) / 1000 / cfg.SlotSeconds

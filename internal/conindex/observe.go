@@ -30,8 +30,8 @@ import (
 //     in the last float32 ulp; the min/max bounds that decide
 //     reach/reverse/multi answers cannot.)
 //
-// Samples below the configured floor are dropped entirely, mirroring
-// Build's scan.
+// Samples Build's scan would not fold (Config.folds) are dropped
+// entirely.
 
 // SpeedSample is one live speed observation for ObserveSpeedBatch: a
 // speed in m/s seen on Seg across every slot in [Slot0, Slot1].
@@ -58,18 +58,16 @@ func (x *Index) ObserveSpeed(seg roadnet.SegmentID, slot0, slot1 int, speed floa
 // off the query path: each scan walks a slot's whole array under the
 // tables' mutexes — which cold misses need to install their rows — so
 // at thousands of samples/s per-sample scanning would starve them.
-// Samples on a segment the network does not have, or with a speed below
-// MinSpeedFloor, NaN or infinite, are skipped. Reports whether any bound
-// moved.
+// Samples on a segment the network does not have, or at a speed Build
+// would not fold (below MinSpeedFloor, above speedCeiling or NaN), are
+// skipped. Reports whether any bound moved.
 func (x *Index) ObserveSpeedBatch(samples []SpeedSample) bool {
 	var changed map[int][]roadnet.SegmentID
 	for _, sm := range samples {
 		if sm.Seg < 0 || int(sm.Seg) >= x.net.NumSegments() {
 			continue
 		}
-		// Written so a NaN speed is dropped too; +Inf would lift the
-		// max bound past any travel time.
-		if !(sm.Speed >= x.cfg.MinSpeedFloor) || math.IsInf(sm.Speed, 1) {
+		if !x.cfg.folds(sm.Speed) {
 			continue
 		}
 		s1 := sm.Slot1

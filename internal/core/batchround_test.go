@@ -49,11 +49,11 @@ func TestConcurrentColdQueriesCountTheirOwnRows(t *testing.T) {
 	run := func(e *Engine, i int) (*Result, error) {
 		switch i % 3 {
 		case 0:
-			return e.SQMB(bg, q)
+			return oneShot(bg, e.PlanReach, q)
 		case 1:
-			return e.ReverseSQMB(bg, q)
+			return oneShot(bg, e.PlanReverse, q)
 		}
-		return e.MQMB(bg, mq)
+		return oneShot(bg, e.PlanMulti, mq)
 	}
 
 	alone := coldEngine(t, Options{})
@@ -112,7 +112,7 @@ func TestCancelMidColdRound(t *testing.T) {
 	for _, polls := range []int{3, 12, 60, 200} {
 		e := coldEngine(t, Options{})
 		base := runtime.NumGoroutine()
-		if _, err := e.SQMB(cancelAfterN(polls), q); !errors.Is(err, context.Canceled) {
+		if _, err := oneShot(cancelAfterN(polls), e.PlanReach, q); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel at poll %d: err = %v, want context.Canceled", polls, err)
 		}
 		if e.ConIndex().Stats().Materialised == 0 && polls >= 60 {
@@ -129,7 +129,7 @@ func TestCancelMidColdRound(t *testing.T) {
 			runtime.Gosched()
 		}
 		// The keys the cancelled rounds left cold materialise as usual.
-		if _, err := e.SQMB(bg, q); err != nil {
+		if _, err := oneShot(bg, e.PlanReach, q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -45,12 +45,12 @@ func TestQueriesHonourPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, run := range map[string]func() error{
-		"SQMB":             func() error { _, err := e.SQMB(ctx, q); return err },
-		"ES":               func() error { _, err := e.ES(ctx, q); return err },
-		"ReverseSQMB":      func() error { _, err := e.ReverseSQMB(ctx, q); return err },
-		"ReverseES":        func() error { _, err := e.ReverseES(ctx, q); return err },
-		"MQMB":             func() error { _, err := e.MQMB(ctx, mq); return err },
-		"SQuerySequential": func() error { _, err := e.SQuerySequential(ctx, mq); return err },
+		"SQMB":             func() error { _, err := oneShot(ctx, e.PlanReach, q); return err },
+		"ES":               func() error { _, err := oneShot(ctx, e.PlanReachES, q); return err },
+		"ReverseSQMB":      func() error { _, err := oneShot(ctx, e.PlanReverse, q); return err },
+		"ReverseES":        func() error { _, err := oneShot(ctx, e.PlanReverseES, q); return err },
+		"MQMB":             func() error { _, err := oneShot(ctx, e.PlanMulti, mq); return err },
+		"SQuerySequential": func() error { _, err := oneShot(ctx, e.PlanMultiSequential, mq); return err },
 	} {
 		if err := run(); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s with cancelled ctx = %v, want context.Canceled", name, err)
@@ -72,7 +72,7 @@ func TestCancelMidQuery(t *testing.T) {
 		// (bounding rounds + one per verified candidate — several hundred
 		// on the fixture world) so the cancel always lands mid-query.
 		for _, n := range []int{1, 10, 100} {
-			if _, err := e.SQMB(cancelAfterN(n), q); !errors.Is(err, context.Canceled) {
+			if _, err := oneShot(cancelAfterN(n), e.PlanReach, q); !errors.Is(err, context.Canceled) {
 				t.Fatalf("workers=%d n=%d: err = %v, want context.Canceled", workers, n, err)
 			}
 		}
@@ -122,11 +122,11 @@ func TestWithOptionsOverridesPerQuery(t *testing.T) {
 		t.Fatal("WithOptions did not apply")
 	}
 
-	defRes, err := base.SQMB(bg, q)
+	defRes, err := oneShot(bg, base.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allRes, err := all.SQMB(bg, q)
+	allRes, err := oneShot(bg, all.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +18,43 @@ import (
 // bg is the background context used by tests that don't exercise
 // cancellation.
 var bg = context.Background()
+
+// oneShot answers one query the way the facade does: the threshold is
+// checked first, then the plan is built, read once at the threshold and
+// closed.
+func oneShot[Q Query | MultiQuery](ctx context.Context, plan func(context.Context, Q, ...PlanOption) (*SharedPlan, error), q Q) (*Result, error) {
+	var prob float64
+	switch q := any(q).(type) {
+	case Query:
+		prob = q.Prob
+	case MultiQuery:
+		prob = q.Prob
+	}
+	if err := ValidateProb(prob); err != nil {
+		return nil, err
+	}
+	p, err := plan(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return p.ResultAt(ctx, prob)
+}
+
+// boundingRegion returns the SQMB bounding region of kind (Far for the
+// maximum region, Near for the minimum) from q's snapped location.
+func boundingRegion(e *Engine, q Query, kind conindex.Kind) ([]roadnet.SegmentID, error) {
+	r0, ok := e.st.SnapLocation(q.Location)
+	if !ok {
+		return nil, fmt.Errorf("no road segment near %v", q.Location)
+	}
+	reg, err := e.boundingRegionPin(bg, e.con.NewPin(), kind, []roadnet.SegmentID{r0}, q.Start, q.Duration)
+	if err != nil {
+		return nil, err
+	}
+	defer e.putRegion(reg)
+	return slices.Clone(reg.segs), nil
+}
 
 // fixture is the shared test world: a mid-sized city with a dense-enough
 // fleet that central segments see traffic in most 5-minute slots.
@@ -181,16 +220,16 @@ func TestQueryValidation(t *testing.T) {
 		{Location: f.center, Start: 25 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2},
 	}
 	for i, q := range bad {
-		if _, err := e.SQMB(bg, q); err == nil {
+		if _, err := oneShot(bg, e.PlanReach, q); err == nil {
 			t.Fatalf("query %d should fail validation", i)
 		}
-		if _, err := e.ES(bg, q); err == nil {
+		if _, err := oneShot(bg, e.PlanReachES, q); err == nil {
 			t.Fatalf("ES query %d should fail validation", i)
 		}
 	}
 	// Location far from any road.
 	far := Query{Location: geo.Point{Lat: 0, Lng: 0}, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}
-	if _, err := e.SQMB(bg, far); err != nil {
+	if _, err := oneShot(bg, e.PlanReach, far); err != nil {
 		// Snap still finds the nearest segment even from far away; both
 		// behaviours (snap or error) are acceptable, but must not panic.
 		t.Logf("far snap errored: %v", err)
@@ -200,7 +239,7 @@ func TestQueryValidation(t *testing.T) {
 func TestSQMBReturnsNonEmptyRegion(t *testing.T) {
 	e := newEngine(t, Options{})
 	f := getFixture(t)
-	res, err := e.SQMB(bg, baseQuery(f))
+	res, err := oneShot(bg, e.PlanReach, baseQuery(f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +264,11 @@ func TestResultWithinMaxBoundingRegion(t *testing.T) {
 	e := newEngine(t, Options{})
 	f := getFixture(t)
 	q := baseQuery(f)
-	res, err := e.SQMB(bg, q)
+	res, err := oneShot(bg, e.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxReg, err := e.MaxBoundingRegion(bg, q)
+	maxReg, err := boundingRegion(e, q, conindex.Far)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,11 +284,11 @@ func TestMinRegionSubsetOfMaxRegion(t *testing.T) {
 	e := newEngine(t, Options{})
 	f := getFixture(t)
 	q := baseQuery(f)
-	maxReg, err := e.MaxBoundingRegion(bg, q)
+	maxReg, err := boundingRegion(e, q, conindex.Far)
 	if err != nil {
 		t.Fatal(err)
 	}
-	minReg, err := e.MinBoundingRegion(bg, q)
+	minReg, err := boundingRegion(e, q, conindex.Near)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +307,11 @@ func TestESAgreesWithVerifyAllTBS(t *testing.T) {
 	f := getFixture(t)
 	exact := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
-	esRes, err := exact.ES(bg, q)
+	esRes, err := oneShot(bg, exact.PlanReachES, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbsRes, err := exact.SQMB(bg, q)
+	tbsRes, err := oneShot(bg, exact.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,11 +341,11 @@ func TestPaperModeSupersetOfVerifyAll(t *testing.T) {
 	q := baseQuery(f)
 	paper := newEngine(t, Options{})
 	exact := newEngine(t, Options{VerifyAll: true})
-	pres, err := paper.SQMB(bg, q)
+	pres, err := oneShot(bg, paper.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := exact.SQMB(bg, q)
+	eres, err := oneShot(bg, exact.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +359,7 @@ func TestPaperModeSupersetOfVerifyAll(t *testing.T) {
 			t.Fatalf("exact qualifier %d missing from paper-mode result", s)
 		}
 	}
-	maxReg, err := paper.MaxBoundingRegion(bg, q)
+	maxReg, err := boundingRegion(paper, q, conindex.Far)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,11 +375,11 @@ func TestSQMBCheaperThanES(t *testing.T) {
 	f := getFixture(t)
 	q := baseQuery(f)
 	e := newEngine(t, Options{})
-	esRes, err := e.ES(bg, q)
+	esRes, err := oneShot(bg, e.PlanReachES, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sqRes, err := e.SQMB(bg, q)
+	sqRes, err := oneShot(bg, e.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,12 +394,12 @@ func TestRegionMonotoneInDuration(t *testing.T) {
 	exact := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
 	q.Duration = 5 * time.Minute
-	small, err := exact.SQMB(bg, q)
+	small, err := oneShot(bg, exact.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Duration = 15 * time.Minute
-	large, err := exact.SQMB(bg, q)
+	large, err := oneShot(bg, exact.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,12 +423,12 @@ func TestRegionMonotoneInProb(t *testing.T) {
 	exact := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
 	q.Prob = 0.2
-	loose, err := exact.SQMB(bg, q)
+	loose, err := oneShot(bg, exact.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Prob = 0.8
-	strict, err := exact.SQMB(bg, q)
+	strict, err := oneShot(bg, exact.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +447,7 @@ func TestIOAccountedPerQuery(t *testing.T) {
 	f := getFixture(t)
 	e := newEngine(t, Options{})
 	q := baseQuery(f)
-	res, err := e.SQMB(bg, q)
+	res, err := oneShot(bg, e.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,11 +472,11 @@ func TestMQMBMatchesSequentialUnion(t *testing.T) {
 		geo.Offset(f.center, 0, 1800),
 	}
 	mq := MultiQuery{Locations: locs, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}
-	mres, err := e.MQMB(bg, mq)
+	mres, err := oneShot(bg, e.PlanMulti, mq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := e.SQuerySequential(bg, mq)
+	sres, err := oneShot(bg, e.PlanMultiSequential, mq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,11 +498,11 @@ func TestMQMBCheaperThanSequential(t *testing.T) {
 		geo.Offset(f.center, -900, 900),
 	}
 	mq := MultiQuery{Locations: locs, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}
-	mres, err := e.MQMB(bg, mq)
+	mres, err := oneShot(bg, e.PlanMulti, mq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := e.SQuerySequential(bg, mq)
+	sres, err := oneShot(bg, e.PlanMultiSequential, mq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +516,11 @@ func TestMQMBSingleLocationMatchesSQMB(t *testing.T) {
 	f := getFixture(t)
 	e := newEngine(t, Options{})
 	q := baseQuery(f)
-	sres, err := e.SQMB(bg, q)
+	sres, err := oneShot(bg, e.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := e.MQMB(bg, MultiQuery{Locations: []geo.Point{q.Location}, Start: q.Start, Duration: q.Duration, Prob: q.Prob})
+	mres, err := oneShot(bg, e.PlanMulti, MultiQuery{Locations: []geo.Point{q.Location}, Start: q.Start, Duration: q.Duration, Prob: q.Prob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,10 +534,10 @@ func TestMQMBSingleLocationMatchesSQMB(t *testing.T) {
 
 func TestMQMBValidation(t *testing.T) {
 	e := newEngine(t, Options{})
-	if _, err := e.MQMB(bg, MultiQuery{Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}); err == nil {
+	if _, err := oneShot(bg, e.PlanMulti, MultiQuery{Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}); err == nil {
 		t.Fatal("m-query with no locations should error")
 	}
-	if _, err := e.SQuerySequential(bg, MultiQuery{Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}); err == nil {
+	if _, err := oneShot(bg, e.PlanMultiSequential, MultiQuery{Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}); err == nil {
 		t.Fatal("sequential with no locations should error")
 	}
 }
@@ -510,7 +549,7 @@ func TestMQMBDeduplicatesStarts(t *testing.T) {
 		Locations: []geo.Point{f.center, f.center, f.center},
 		Start:     11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2,
 	}
-	res, err := e.MQMB(bg, mq)
+	res, err := oneShot(bg, e.PlanMulti, mq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,11 +564,11 @@ func TestNoOverlapFilterAblation(t *testing.T) {
 	off := newEngine(t, Options{NoOverlapFilter: true})
 	locs := []geo.Point{f.center, geo.Offset(f.center, 1000, 0)}
 	mq := MultiQuery{Locations: locs, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}
-	a, err := on.MQMB(bg, mq)
+	a, err := oneShot(bg, on.PlanMulti, mq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := off.MQMB(bg, mq)
+	b, err := oneShot(bg, off.PlanMulti, mq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +584,7 @@ func TestNoVisitedSetTerminates(t *testing.T) {
 	q := baseQuery(f)
 	done := make(chan error, 1)
 	go func() {
-		_, err := e.SQMB(bg, q)
+		_, err := oneShot(bg, e.PlanReach, q)
 		done <- err
 	}()
 	select {
@@ -582,11 +621,11 @@ func TestRushHourShrinksMaxRegion(t *testing.T) {
 	qNight.Start = 3 * time.Hour
 	qRush := baseQuery(f)
 	qRush.Start = 18 * time.Hour
-	night, err := e.MaxBoundingRegion(bg, qNight)
+	night, err := boundingRegion(e, qNight, conindex.Far)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rush, err := e.MaxBoundingRegion(bg, qRush)
+	rush, err := boundingRegion(e, qRush, conindex.Far)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,7 @@ func TestHandComputedRegions(t *testing.T) {
 		{0.80, nil},
 	}
 	for _, c := range cases {
-		res, err := e.SQMB(bg, chainQuery(c.prob))
+		res, err := oneShot(bg, e.PlanReach, chainQuery(c.prob))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,11 +142,11 @@ func TestHandComputedRegions(t *testing.T) {
 func TestHandComputedESAgrees(t *testing.T) {
 	e := chainEngine(t, Options{VerifyAll: true})
 	for _, prob := range []float64{0.2, 0.5, 0.75} {
-		es, err := e.ES(bg, chainQuery(prob))
+		es, err := oneShot(bg, e.PlanReachES, chainQuery(prob))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sq, err := e.SQMB(bg, chainQuery(prob))
+		sq, err := oneShot(bg, e.PlanReach, chainQuery(prob))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestHandComputedReverse(t *testing.T) {
 		Duration: 10 * time.Minute,
 		Prob:     0.25,
 	}
-	res, err := e.ReverseSQMB(bg, q)
+	res, err := oneShot(bg, e.PlanReverse, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestHandComputedReverse(t *testing.T) {
 		t.Fatalf("reverse region = %v, want %v", res.Segments, want)
 	}
 	q.Prob = 0.3
-	res, err = e.ReverseSQMB(bg, q)
+	res, err = oneShot(bg, e.PlanReverse, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestHandComputedReverse(t *testing.T) {
 
 func TestHandComputedRoadLength(t *testing.T) {
 	e := chainEngine(t, Options{VerifyAll: true})
-	res, err := e.SQMB(bg, chainQuery(0.5))
+	res, err := oneShot(bg, e.PlanReach, chainQuery(0.5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,13 +323,6 @@ func (e *Engine) STIndex() *stindex.Index { return e.st }
 // ConIndex returns the engine's connection index.
 func (e *Engine) ConIndex() *conindex.Index { return e.con }
 
-func (e *Engine) validate(start, dur time.Duration, prob float64) error {
-	if err := validateProb(prob); err != nil {
-		return err
-	}
-	return validateWindow(start, dur)
-}
-
 func validateProb(prob float64) error {
 	// Written as the negation of the legal range so NaN, for which every
 	// comparison is false, is refused too.
@@ -340,9 +333,10 @@ func validateProb(prob float64) error {
 }
 
 // ValidateProb reports whether prob is a legal reachability threshold,
-// with the same error the query methods return — callers that separate
-// plan construction from threshold resolution use it to keep validation
-// order (probability before window) identical to the one-shot methods.
+// with the same error ResultAt returns. A caller answering one query
+// checks it before building the plan, so a request with both a bad
+// threshold and a bad window is refused for the threshold, and a bad
+// threshold never pays for a plan.
 func ValidateProb(prob float64) error { return validateProb(prob) }
 
 func validateWindow(start, dur time.Duration) error {

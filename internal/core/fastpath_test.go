@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"streach/internal/conindex"
 	"streach/internal/roadnet"
 )
 
@@ -19,11 +20,11 @@ func TestResultsStableUnderCache(t *testing.T) {
 	e := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
 
-	sqCold, err := e.SQMB(bg, q)
+	sqCold, err := oneShot(bg, e.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sqWarm, err := e.SQMB(bg, q)
+	sqWarm, err := oneShot(bg, e.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +39,11 @@ func TestResultsStableUnderCache(t *testing.T) {
 		t.Fatal("warm SQMB run should hit the decoded cache")
 	}
 
-	esCold, err := e.ES(bg, q)
+	esCold, err := oneShot(bg, e.PlanReachES, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	esWarm, err := e.ES(bg, q)
+	esWarm, err := oneShot(bg, e.PlanReachES, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,11 @@ func TestParallelVerifyMatchesSerial(t *testing.T) {
 		serial := newEngine(t, serialOpts)
 		par := newEngine(t, parOpts)
 
-		sres, err := serial.SQMB(bg, q)
+		sres, err := oneShot(bg, serial.PlanReach, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pres, err := par.SQMB(bg, q)
+		pres, err := oneShot(bg, par.PlanReach, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,11 +96,11 @@ func TestParallelVerifyMatchesSerial(t *testing.T) {
 				opts.VerifyAll, pres.Metrics.Evaluated, sres.Metrics.Evaluated)
 		}
 
-		srev, err := serial.ReverseSQMB(bg, q)
+		srev, err := oneShot(bg, serial.PlanReverse, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev, err := par.ReverseSQMB(bg, q)
+		prev, err := oneShot(bg, par.PlanReverse, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestProbeWorkersIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := e.MaxBoundingRegion(bg, q)
+	reg, err := boundingRegion(e, q, conindex.Far)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,39 +9,6 @@ import (
 	"streach/internal/roadnet"
 )
 
-// MQMB answers a multi-location ST reachability query (m-query) with the
-// m-query maximum bounding region search (Algorithm 3) followed by one
-// trace back search over the unified region. Compared with running SQMB
-// once per location, segments in overlapping bounding regions are
-// attributed to their nearest start location and expanded only once.
-// Like SQMB it is a single-use shared plan (see SharedPlan).
-func (e *Engine) MQMB(ctx context.Context, q MultiQuery) (*Result, error) {
-	if err := e.validate(q.Start, q.Duration, q.Prob); err != nil {
-		return nil, err
-	}
-	p, err := e.PlanMulti(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	return p.ResultAt(ctx, q.Prob)
-}
-
-// SQuerySequential answers an m-query the naive way (§3.3.2): one SQMB+TBS
-// run per location, results unioned. It is the baseline MQMB is compared
-// against in Fig 4.8.
-func (e *Engine) SQuerySequential(ctx context.Context, q MultiQuery) (*Result, error) {
-	if err := e.validate(q.Start, q.Duration, q.Prob); err != nil {
-		return nil, err
-	}
-	p, err := e.PlanMultiSequential(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	return p.ResultAt(ctx, q.Prob)
-}
-
 // unifiedRegionPin grows the m-query bounding region (Algorithm 3). Each
 // round ORs the Con-Index rows of every region segment into a scratch
 // bitset, diffs out the existing region to get the candidate set B, then

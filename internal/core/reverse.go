@@ -43,34 +43,3 @@ func (e *Engine) newReverseProbe(ctx context.Context, dst roadnet.SegmentID, sta
 	sets := stindex.NewMatchSets(days, [][][]uint64{targets})
 	return &probe{e: e, sets: sets, loSlot: startSlot, hiSlot: startSlot, days: days}, nil
 }
-
-// ReverseES answers a reverse reachability query by exhaustive reverse
-// network expansion out to the worst-case radius, verifying every
-// candidate (see PlanReverseES).
-func (e *Engine) ReverseES(ctx context.Context, q Query) (*Result, error) {
-	if err := e.validate(q.Start, q.Duration, q.Prob); err != nil {
-		return nil, err
-	}
-	p, err := e.PlanReverseES(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	return p.ResultAt(ctx, q.Prob)
-}
-
-// ReverseSQMB answers a reverse reachability query with the bounded
-// pipeline: reverse maximum/minimum bounding regions from the reverse
-// connection tables (boundingRegionPin with the reverse kinds), then a trace back verification between them. Like
-// SQMB it is a single-use shared plan (see SharedPlan).
-func (e *Engine) ReverseSQMB(ctx context.Context, q Query) (*Result, error) {
-	if err := e.validate(q.Start, q.Duration, q.Prob); err != nil {
-		return nil, err
-	}
-	p, err := e.PlanReverse(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	return p.ResultAt(ctx, q.Prob)
-}

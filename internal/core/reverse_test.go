@@ -10,7 +10,7 @@ func TestReverseSQMBBasics(t *testing.T) {
 	f := getFixture(t)
 	e := newEngine(t, Options{})
 	q := baseQuery(f)
-	res, err := e.ReverseSQMB(bg, q)
+	res, err := oneShot(bg, e.PlanReverse, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +29,11 @@ func TestReverseESMatchesReverseVerifyAll(t *testing.T) {
 	f := getFixture(t)
 	exact := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
-	es, err := exact.ReverseES(bg, q)
+	es, err := oneShot(bg, exact.PlanReverseES, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq, err := exact.ReverseSQMB(bg, q)
+	sq, err := oneShot(bg, exact.PlanReverse, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestReverseRegionDirectionality(t *testing.T) {
 	f := getFixture(t)
 	e := newEngine(t, Options{})
 	q := baseQuery(f)
-	fwd, err := e.SQMB(bg, q)
+	fwd, err := oneShot(bg, e.PlanReach, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := e.ReverseSQMB(bg, q)
+	rev, err := oneShot(bg, e.PlanReverse, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,10 @@ func TestReverseValidation(t *testing.T) {
 	f := getFixture(t)
 	q := baseQuery(f)
 	q.Prob = -1
-	if _, err := e.ReverseSQMB(bg, q); err == nil {
+	if _, err := oneShot(bg, e.PlanReverse, q); err == nil {
 		t.Fatal("invalid Prob should error")
 	}
-	if _, err := e.ReverseES(bg, q); err == nil {
+	if _, err := oneShot(bg, e.PlanReverseES, q); err == nil {
 		t.Fatal("invalid Prob should error for ES too")
 	}
 }
@@ -124,12 +124,12 @@ func TestReverseMonotoneInProb(t *testing.T) {
 	exact := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
 	q.Prob = 0.2
-	loose, err := exact.ReverseSQMB(bg, q)
+	loose, err := oneShot(bg, exact.PlanReverse, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Prob = 0.8
-	strict, err := exact.ReverseSQMB(bg, q)
+	strict, err := oneShot(bg, exact.PlanReverse, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +146,12 @@ func TestReverseDurationGrowsRegion(t *testing.T) {
 	e := newEngine(t, Options{})
 	q := baseQuery(f)
 	q.Duration = 5 * time.Minute
-	small, err := e.ReverseSQMB(bg, q)
+	small, err := oneShot(bg, e.PlanReverse, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Duration = 20 * time.Minute
-	large, err := e.ReverseSQMB(bg, q)
+	large, err := oneShot(bg, e.PlanReverse, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,10 @@ import (
 // differ only in Prob can share one plan and resolve their thresholds
 // from the shared per-candidate probability map.
 //
-// ResultAt(prob) assembles the same Result the corresponding single-query
-// method would return: the single-query methods (SQMB, ReverseSQMB, MQMB,
-// SQuerySequential, ES, ReverseES) are themselves implemented as
-// plan-then-ResultAt, so shared and independent execution are bit-identical
-// by construction rather than by parallel maintenance of two pipelines.
+// A plan and ResultAt(prob) are the only way the engine answers a query:
+// a single query is a plan read once, so shared and independent execution
+// are bit-identical by construction rather than by parallel maintenance
+// of two pipelines.
 //
 // A SharedPlan is owned by one goroutine: Close releases its pooled
 // bounding regions, and neither ResultAt nor Close is safe to call
@@ -150,9 +149,10 @@ func (e *Engine) newSharedPlan(kind planKind) *SharedPlan {
 	}
 }
 
-// PlanReach runs the threshold-independent part of an s-query (SQMB
-// bounding + candidate verification). q.Prob is ignored; pass it to
-// ResultAt.
+// PlanReach runs the threshold-independent part of an s-query with the
+// paper's two-step pipeline: maximum/minimum bounding region search via
+// the Con-Index (SQMB), then the candidates the trace back search (TBS)
+// verifies. q.Prob is ignored; pass it to ResultAt.
 func (e *Engine) PlanReach(ctx context.Context, q Query, opts ...PlanOption) (*SharedPlan, error) {
 	if err := validateWindow(q.Start, q.Duration); err != nil {
 		return nil, err
@@ -170,8 +170,11 @@ func (e *Engine) PlanReach(ctx context.Context, q Query, opts ...PlanOption) (*S
 	return p, nil
 }
 
-// PlanMulti runs the threshold-independent part of an m-query (MQMB
-// unified bounding + candidate verification).
+// PlanMulti runs the threshold-independent part of an m-query with the
+// m-query maximum bounding region search (MQMB, Algorithm 3) followed by
+// one trace back search over the unified region. Compared with running
+// SQMB once per location, segments in overlapping bounding regions are
+// attributed to their nearest start location and expanded only once.
 func (e *Engine) PlanMulti(ctx context.Context, q MultiQuery, opts ...PlanOption) (*SharedPlan, error) {
 	if err := validateWindow(q.Start, q.Duration); err != nil {
 		return nil, err
@@ -200,8 +203,9 @@ func (e *Engine) PlanMulti(ctx context.Context, q MultiQuery, opts ...PlanOption
 	return p, nil
 }
 
-// PlanMultiSequential builds one PlanReach per location (duplicates
-// included, matching the sequential baseline exactly).
+// PlanMultiSequential answers an m-query the naive way (§3.3.2), the
+// baseline MQMB is compared against in Fig 4.8: one PlanReach per
+// location (duplicates included), results unioned.
 func (e *Engine) PlanMultiSequential(ctx context.Context, q MultiQuery, opts ...PlanOption) (*SharedPlan, error) {
 	if err := validateWindow(q.Start, q.Duration); err != nil {
 		return nil, err
@@ -234,8 +238,10 @@ func (e *Engine) PlanMultiSequential(ctx context.Context, q MultiQuery, opts ...
 	return p, nil
 }
 
-// PlanReverse runs the threshold-independent part of a reverse s-query
-// (reverse bounding regions + candidate verification).
+// PlanReverse runs the threshold-independent part of a reverse s-query:
+// reverse maximum/minimum bounding regions from the reverse connection
+// tables (boundingRegionPin with the reverse kinds), then the candidates
+// a trace back verification between them checks.
 func (e *Engine) PlanReverse(ctx context.Context, q Query, opts ...PlanOption) (*SharedPlan, error) {
 	if err := validateWindow(q.Start, q.Duration); err != nil {
 		return nil, err
@@ -302,8 +308,18 @@ func (e *Engine) PlanReverse(ctx context.Context, q Query, opts ...PlanOption) (
 	return p, nil
 }
 
-// PlanReachES runs the exhaustive-search baseline's threshold-independent
-// part: the worst-case-radius expansion verifies every expanded segment.
+// PlanReachES runs the threshold-independent part of the exhaustive
+// search baseline (§4.1).
+//
+// Without the Con-Index, the baseline has no data-driven bound on how far
+// traffic can travel in L, so it falls back to the conservative network
+// expansion of [21]: expand the road network from the start segment out
+// to the worst-case radius (free-flow speed of the fastest road class
+// times L), and verify the reachability probability of every expanded
+// segment against the on-disk time lists. The search "terminates until
+// Prob-reachable road segments at all possible branches" — i.e. it is
+// exhaustive within the worst-case reach, which is what makes it pay
+// 2–10x the disk reads of SQMB+TBS.
 func (e *Engine) PlanReachES(ctx context.Context, q Query, opts ...PlanOption) (*SharedPlan, error) {
 	return e.planES(ctx, q, roadnet.Forward, opts)
 }

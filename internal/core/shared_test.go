@@ -63,56 +63,56 @@ func TestSharedPlanMatchesIndependent(t *testing.T) {
 			func(e *Engine, prob float64) (*Result, error) {
 				qq := q
 				qq.Prob = prob
-				return e.SQMB(bg, qq)
+				return oneShot(bg, e.PlanReach, qq)
 			}},
 		{"sqmb-verifyall", Options{VerifyAll: true},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanReach(bg, q) },
 			func(e *Engine, prob float64) (*Result, error) {
 				qq := q
 				qq.Prob = prob
-				return e.SQMB(bg, qq)
+				return oneShot(bg, e.PlanReach, qq)
 			}},
 		{"sqmb-earlystop", Options{EarlyStop: true},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanReach(bg, q) },
 			func(e *Engine, prob float64) (*Result, error) {
 				qq := q
 				qq.Prob = prob
-				return e.SQMB(bg, qq)
+				return oneShot(bg, e.PlanReach, qq)
 			}},
 		{"reverse", Options{},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanReverse(bg, q) },
 			func(e *Engine, prob float64) (*Result, error) {
 				qq := q
 				qq.Prob = prob
-				return e.ReverseSQMB(bg, qq)
+				return oneShot(bg, e.PlanReverse, qq)
 			}},
 		{"es", Options{},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanReachES(bg, q) },
 			func(e *Engine, prob float64) (*Result, error) {
 				qq := q
 				qq.Prob = prob
-				return e.ES(bg, qq)
+				return oneShot(bg, e.PlanReachES, qq)
 			}},
 		{"reverse-es", Options{},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanReverseES(bg, q) },
 			func(e *Engine, prob float64) (*Result, error) {
 				qq := q
 				qq.Prob = prob
-				return e.ReverseES(bg, qq)
+				return oneShot(bg, e.PlanReverseES, qq)
 			}},
 		{"mqmb", Options{},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanMulti(bg, multi) },
 			func(e *Engine, prob float64) (*Result, error) {
 				m := multi
 				m.Prob = prob
-				return e.MQMB(bg, m)
+				return oneShot(bg, e.PlanMulti, m)
 			}},
 		{"sequential", Options{},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanMultiSequential(bg, multi) },
 			func(e *Engine, prob float64) (*Result, error) {
 				m := multi
 				m.Prob = prob
-				return e.SQuerySequential(bg, m)
+				return oneShot(bg, e.PlanMultiSequential, m)
 			}},
 	}
 

@@ -8,7 +8,6 @@ import (
 	"streach/internal/bitset"
 	"streach/internal/conindex"
 	"streach/internal/roadnet"
-	"streach/internal/xerr"
 )
 
 // region is a bounding region over a fixed-size network, held in two
@@ -150,62 +149,6 @@ func (e *Engine) boundingRegionPin(ctx context.Context, rows RowSource, kind con
 		reg.adopt(next, i+1)
 	}
 	return reg, nil
-}
-
-// SQMB answers an s-query with the paper's two-step pipeline: maximum/
-// minimum bounding region search via the Con-Index, then trace back
-// search (TBS) to refine the Prob-reachable region. It is a single-use
-// shared plan: PlanReach does everything that is independent of the
-// probability threshold, ResultAt applies the threshold — so one query
-// and a batch group sharing a plan produce bit-identical results by
-// construction.
-func (e *Engine) SQMB(ctx context.Context, q Query) (*Result, error) {
-	if err := e.validate(q.Start, q.Duration, q.Prob); err != nil {
-		return nil, err
-	}
-	p, err := e.PlanReach(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	return p.ResultAt(ctx, q.Prob)
-}
-
-// MaxBoundingRegion exposes the SQMB maximum bounding region for tests,
-// tools, and visualisation.
-func (e *Engine) MaxBoundingRegion(ctx context.Context, q Query) ([]roadnet.SegmentID, error) {
-	if err := e.validate(q.Start, q.Duration, q.Prob); err != nil {
-		return nil, err
-	}
-	r0, ok := e.st.SnapLocation(q.Location)
-	if !ok {
-		return nil, xerr.Markf(xerr.KindInvalid, "core: no road segment near %v", q.Location)
-	}
-	reg, err := e.boundingRegionPin(ctx, e.con.NewPin(), conindex.Far, []roadnet.SegmentID{r0}, q.Start, q.Duration)
-	if err != nil {
-		return nil, err
-	}
-	segs := append([]roadnet.SegmentID(nil), reg.segs...)
-	e.putRegion(reg)
-	return segs, nil
-}
-
-// MinBoundingRegion exposes the SQMB minimum bounding region.
-func (e *Engine) MinBoundingRegion(ctx context.Context, q Query) ([]roadnet.SegmentID, error) {
-	if err := e.validate(q.Start, q.Duration, q.Prob); err != nil {
-		return nil, err
-	}
-	r0, ok := e.st.SnapLocation(q.Location)
-	if !ok {
-		return nil, xerr.Markf(xerr.KindInvalid, "core: no road segment near %v", q.Location)
-	}
-	reg, err := e.boundingRegionPin(ctx, e.con.NewPin(), conindex.Near, []roadnet.SegmentID{r0}, q.Start, q.Duration)
-	if err != nil {
-		return nil, err
-	}
-	segs := append([]roadnet.SegmentID(nil), reg.segs...)
-	e.putRegion(reg)
-	return segs, nil
 }
 
 // now is indirected for tests.

@@ -17,6 +17,28 @@ import (
 
 var bg = context.Background()
 
+// oneShot answers one query on an engine the way the facade does: the
+// threshold is checked first, then the plan is built, read once at the
+// threshold and closed.
+func oneShot[Q core.Query | core.MultiQuery](ctx context.Context, plan func(context.Context, Q, ...core.PlanOption) (*core.SharedPlan, error), q Q) (*core.Result, error) {
+	var prob float64
+	switch q := any(q).(type) {
+	case core.Query:
+		prob = q.Prob
+	case core.MultiQuery:
+		prob = q.Prob
+	}
+	if err := core.ValidateProb(prob); err != nil {
+		return nil, err
+	}
+	p, err := plan(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return p.ResultAt(ctx, prob)
+}
+
 // probs are the four thresholds every equivalence case answers.
 var probs = []float64{0.05, 0.2, 0.5, 0.9}
 
@@ -142,56 +164,56 @@ func TestClusterMatchesEngine(t *testing.T) {
 			func(e *core.Engine, prob float64) (*core.Result, error) {
 				qq := q
 				qq.Prob = prob
-				return e.SQMB(bg, qq)
+				return oneShot(bg, e.PlanReach, qq)
 			}},
 		{"reach-verifyall", core.Options{VerifyAll: true},
 			func(c *Cluster) (*Plan, error) { return c.PlanReach(bg, q) },
 			func(e *core.Engine, prob float64) (*core.Result, error) {
 				qq := q
 				qq.Prob = prob
-				return e.SQMB(bg, qq)
+				return oneShot(bg, e.PlanReach, qq)
 			}},
 		{"reverse", core.Options{},
 			func(c *Cluster) (*Plan, error) { return c.PlanReverse(bg, q) },
 			func(e *core.Engine, prob float64) (*core.Result, error) {
 				qq := q
 				qq.Prob = prob
-				return e.ReverseSQMB(bg, qq)
+				return oneShot(bg, e.PlanReverse, qq)
 			}},
 		{"multi", core.Options{},
 			func(c *Cluster) (*Plan, error) { return c.PlanMulti(bg, mq) },
 			func(e *core.Engine, prob float64) (*core.Result, error) {
 				m := mq
 				m.Prob = prob
-				return e.MQMB(bg, m)
+				return oneShot(bg, e.PlanMulti, m)
 			}},
 		{"multi-nooverlap", core.Options{NoOverlapFilter: true},
 			func(c *Cluster) (*Plan, error) { return c.PlanMulti(bg, mq) },
 			func(e *core.Engine, prob float64) (*core.Result, error) {
 				m := mq
 				m.Prob = prob
-				return e.MQMB(bg, m)
+				return oneShot(bg, e.PlanMulti, m)
 			}},
 		{"sequential", core.Options{},
 			func(c *Cluster) (*Plan, error) { return c.PlanMultiSequential(bg, mq) },
 			func(e *core.Engine, prob float64) (*core.Result, error) {
 				m := mq
 				m.Prob = prob
-				return e.SQuerySequential(bg, m)
+				return oneShot(bg, e.PlanMultiSequential, m)
 			}},
 		{"es", core.Options{},
 			func(c *Cluster) (*Plan, error) { return c.PlanReachES(bg, q) },
 			func(e *core.Engine, prob float64) (*core.Result, error) {
 				qq := q
 				qq.Prob = prob
-				return e.ES(bg, qq)
+				return oneShot(bg, e.PlanReachES, qq)
 			}},
 		{"reverse-es", core.Options{},
 			func(c *Cluster) (*Plan, error) { return c.PlanReverseES(bg, q) },
 			func(e *core.Engine, prob float64) (*core.Result, error) {
 				qq := q
 				qq.Prob = prob
-				return e.ReverseES(bg, qq)
+				return oneShot(bg, e.PlanReverseES, qq)
 			}},
 	}
 
@@ -260,7 +282,7 @@ func TestClusterEarlyStopFallback(t *testing.T) {
 		}
 		qq := q
 		qq.Prob = prob
-		want, err := eng.SQMB(bg, qq)
+		want, err := oneShot(bg, eng.PlanReach, qq)
 		if err != nil {
 			t.Fatal(err)
 		}

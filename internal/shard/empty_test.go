@@ -72,7 +72,7 @@ func TestClusterZeroCandidates(t *testing.T) {
 	if got.Metrics.Evaluated != 0 {
 		t.Fatalf("expected a zero-candidate plan, evaluated %d", got.Metrics.Evaluated)
 	}
-	want, err := eng.SQMB(bg, core.Query{Location: q.Location, Start: q.Start, Duration: q.Duration, Prob: 0.5})
+	want, err := oneShot(bg, eng.PlanReach, core.Query{Location: q.Location, Start: q.Start, Duration: q.Duration, Prob: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

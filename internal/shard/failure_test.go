@@ -73,7 +73,7 @@ func TestFailFastTypedErrors(t *testing.T) {
 	// A healthy answer first: it decodes the query's start lists into
 	// the time-list cache, so once a fault is armed planning succeeds and
 	// the first store read is a shard's verification.
-	if _, err := eng.SQMB(bg, q); err != nil {
+	if _, err := oneShot(bg, eng.PlanReach, q); err != nil {
 		t.Fatal(err)
 	}
 	sharded := func(ctx context.Context) error {
@@ -110,7 +110,7 @@ func TestFailFastTypedErrors(t *testing.T) {
 		{"error", func(t *testing.T) {
 			fs.Arm(storage.FaultRule{Op: storage.OpRead, Mode: storage.ModeError})
 			defer fs.Clear()
-			_, want := eng.SQMB(bg, q)
+			_, want := oneShot(bg, eng.PlanReach, q)
 			got := sharded(bg)
 			if want == nil || got == nil {
 				t.Fatalf("engine error %v, cluster error %v: both must fail", want, got)

@@ -18,7 +18,7 @@ import (
 )
 
 // The equivalence oracle (DESIGN.md §17). Every configuration of the
-// system — sharded, cached, batched, warmed, saved and reopened, live
+// system — sharded, cached, concurrent, warmed, saved and reopened, live
 // ingested, crashed and recovered — must answer every request exactly as
 // the unsharded, cache-less, offline-built engine over the same data
 // does. A test states that as a row: a subject, a reference, and a
@@ -146,15 +146,22 @@ func valid(reqs []oracleReq) []oracleReq {
 	return slices.DeleteFunc(slices.Clone(reqs), func(q oracleReq) bool { return q.invalid })
 }
 
+// outcome is one answer a side gives: a region, or the error Do
+// returned.
+type outcome struct {
+	Region *Region
+	Err    error
+}
+
 // A side answers a request list. It may answer each request more than
 // once: answer j is to reqs[j%len(reqs)].
-type side func(reqs []oracleReq) []BatchResult
+type side func(reqs []oracleReq) []outcome
 
 // clients answers through Do from n concurrent clients, each walking the
 // whole list from its own offset.
 func clients(s *System, n int) side {
-	return func(reqs []oracleReq) []BatchResult {
-		out := make([]BatchResult, n*len(reqs))
+	return func(reqs []oracleReq) []outcome {
+		out := make([]outcome, n*len(reqs))
 		var wg sync.WaitGroup
 		for c := 0; c < n; c++ {
 			wg.Add(1)
@@ -175,36 +182,22 @@ func clients(s *System, n int) side {
 // serial answers through Do, one request at a time.
 func serial(s *System) side { return clients(s, 1) }
 
-// batched answers through DoBatch, every request twice so identical
-// requests share a plan too. DoBatch takes one option list per call, so
-// the requests without options of their own go in one mixed batch and
-// the others in one batch per kind.
-func batched(s *System, opts ...Option) side {
-	return func(reqs []oracleReq) []BatchResult {
-		groups := map[string][]int{}
-		var order []string
-		for i, q := range reqs {
-			g := q.kind
-			if len(q.opts) == 0 {
-				g = ""
-			}
-			if groups[g] == nil {
-				order = append(order, g)
-			}
-			groups[g] = append(groups[g], i)
+// concurrent answers every request twice, all at once: each answer is a
+// Do call on a goroutine of its own, with opts ahead of the request's own
+// options, so identical requests race to share one plan.
+func concurrent(s *System, opts ...Option) side {
+	return func(reqs []oracleReq) []outcome {
+		out := make([]outcome, 2*len(reqs))
+		var wg sync.WaitGroup
+		for j := range out {
+			q := reqs[j%len(reqs)]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out[j].Region, out[j].Err = s.Do(context.Background(), q.req, append(slices.Clone(opts), q.opts...)...)
+			}()
 		}
-		out := make([]BatchResult, 2*len(reqs))
-		for _, g := range order {
-			idx := groups[g]
-			var batch []Request
-			for _, i := range idx {
-				batch = append(batch, reqs[i].req)
-			}
-			res := s.DoBatch(context.Background(), append(batch, batch...), append(slices.Clone(opts), reqs[idx[0]].opts...)...)
-			for k, i := range idx {
-				out[i], out[len(reqs)+i] = res[k], res[len(idx)+k]
-			}
-		}
+		wg.Wait()
 		return out
 	}
 }
@@ -213,12 +206,12 @@ func batched(s *System, opts ...Option) side {
 // order, from that record: the answers of a system as it was, or a
 // reference answered once for several subjects.
 func replay(s side, reqs []oracleReq) side {
-	answers := map[string]BatchResult{}
+	answers := map[string]outcome{}
 	for i, r := range s(reqs)[:len(reqs)] {
 		answers[reqs[i].key()] = r
 	}
-	return func(qs []oracleReq) []BatchResult {
-		out := make([]BatchResult, len(qs))
+	return func(qs []oracleReq) []outcome {
+		out := make([]outcome, len(qs))
 		for i, q := range qs {
 			out[i] = answers[q.key()]
 		}
@@ -226,18 +219,18 @@ func replay(s side, reqs []oracleReq) side {
 	}
 }
 
-var referenceAnswers sync.Map // oracleReq.key() → BatchResult
+var referenceAnswers sync.Map // oracleReq.key() → outcome
 
 // reference answers on smallSystem, the unsharded, cache-less,
 // offline-built engine, asking it each distinct request once per test
 // binary: the fixture never changes, so neither do its answers.
 func reference(t testing.TB) side {
 	s := smallSystem(t)
-	return func(reqs []oracleReq) []BatchResult {
-		out := make([]BatchResult, len(reqs))
+	return func(reqs []oracleReq) []outcome {
+		out := make([]outcome, len(reqs))
 		for i, q := range reqs {
 			if r, ok := referenceAnswers.Load(q.key()); ok {
-				out[i] = r.(BatchResult)
+				out[i] = r.(outcome)
 				continue
 			}
 			out[i].Region, out[i].Err = s.Do(context.Background(), q.req, q.opts...)

@@ -95,7 +95,7 @@ func (s *System) Save(dir string) error {
 		return err
 	}
 	// The directory now holds the whole system: remember it so
-	// CompactIngest can persist folds (and place the ingest WAL) here.
+	// CompactIngestN can persist folds (and place the ingest WAL) here.
 	s.dir = dir
 	return nil
 }

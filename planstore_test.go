@@ -214,7 +214,9 @@ func TestCoalescedDoCountsTheBuildOnce(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				reg, err := s.Do(context.Background(), req, WithProb(0.1+0.1*float64(i)))
+				req := req
+				req.Prob = 0.1 + 0.1*float64(i)
+				reg, err := s.Do(context.Background(), req)
 				if err != nil {
 					t.Error(err)
 					return
@@ -398,15 +400,15 @@ func TestPlanStoreHeldPlanOutlivesClear(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCrossBatch: a second batch asking the same shapes must
-// ride the first batch's plans — counted as hits — and still answer
-// bit-identically to the offline build.
+// TestPlanCacheCrossBatch: a second batch of concurrent requests asking
+// the same shapes must ride the first batch's plans — counted as hits —
+// and still answer bit-identically to the offline build.
 func TestPlanCacheCrossBatch(t *testing.T) {
 	s := variant(t, cacheCfg)
 	reqs := requestMatrix(s, 11*time.Hour).full
 	before := s.SharingStats()
-	checkOracle(t, reference(t), batched(s), reqs)
-	checkOracle(t, reference(t), batched(s), reqs)
+	checkOracle(t, reference(t), concurrent(s), reqs)
+	checkOracle(t, reference(t), concurrent(s), reqs)
 	if after := s.SharingStats(); after.PlanCacheHits <= before.PlanCacheHits {
 		t.Fatalf("no plan-cache hit across batches: %+v -> %+v", before, after)
 	}

@@ -3,9 +3,6 @@ package streach
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"streach/internal/core"
@@ -104,7 +101,7 @@ type Request struct {
 	// Duration is the horizon L. Ignored by KindRoute.
 	Duration time.Duration
 	// Prob is the required reachability probability in (0, 1]. Ignored by
-	// KindRoute. Overridable per call with WithProb.
+	// KindRoute.
 	Prob float64
 }
 
@@ -132,43 +129,17 @@ func RouteRequest(from, to Location, depart time.Duration) Request {
 // start from the paper's defaults (the zero core.Options) and each
 // With... override replaces one knob for this call only.
 type queryOptions struct {
-	algorithm    Algorithm
-	prob         float64
-	probSet      bool
-	budget       time.Duration
-	engine       core.Options
-	batchWorkers int
-	noSharing    bool
+	algorithm Algorithm
+	engine    core.Options
+	noSharing bool
 }
 
-// effectiveProb resolves the probability threshold for one request:
-// WithProb overrides the request's own Prob.
-func (qo queryOptions) effectiveProb(req Request) float64 {
-	if qo.probSet {
-		return qo.prob
-	}
-	return req.Prob
-}
-
-// Option sets one engine or dispatch knob for a single Do/DoBatch call.
+// Option sets one engine or dispatch knob for a single Do call.
 type Option func(*queryOptions)
 
 // WithAlgorithm selects the processing variant (see Algorithm).
 func WithAlgorithm(a Algorithm) Option {
 	return func(o *queryOptions) { o.algorithm = a }
-}
-
-// WithProb overrides the request's probability threshold.
-func WithProb(p float64) Option {
-	return func(o *queryOptions) { o.prob, o.probSet = p, true }
-}
-
-// WithDeadlineBudget caps the query's processing time: Do derives a
-// child context with this timeout, so the query is abandoned (returning
-// context.DeadlineExceeded) when the budget runs out. A zero or negative
-// budget means no extra deadline beyond the caller's context.
-func WithDeadlineBudget(d time.Duration) Option {
-	return func(o *queryOptions) { o.budget = d }
 }
 
 // WithVerifyWorkers bounds the verification worker pool for this query
@@ -201,18 +172,12 @@ func WithNoOverlapFilter(on bool) Option {
 	return func(o *queryOptions) { o.engine.NoOverlapFilter = on }
 }
 
-// WithBatchWorkers bounds DoBatch's parallelism (0 = min(GOMAXPROCS,
-// len(requests))). Ignored by Do.
-func WithBatchWorkers(n int) Option {
-	return func(o *queryOptions) { o.batchWorkers = n }
-}
-
-// WithBatchSharing toggles plan sharing (default on): Do and DoBatch
-// take their plans from the system's plan store, so requests that differ
-// only in Prob — concurrent or not, in one batch or across calls — share
-// one bounding + probe + verification plan. Results are bit-identical
-// either way; turning it off recovers fully independent execution
-// (benchmarks, debugging, tests that pin per-execution observables).
+// WithBatchSharing toggles plan sharing (default on): Do takes its plans
+// from the system's plan store, so requests that differ only in Prob —
+// concurrent or not — share one bounding + probe + verification plan.
+// Results are bit-identical either way; turning it off recovers fully
+// independent execution (benchmarks, debugging, tests that pin
+// per-execution observables).
 func WithBatchSharing(on bool) Option {
 	return func(o *queryOptions) { o.noSharing = !on }
 }
@@ -226,15 +191,17 @@ func resolveOptions(opts []Option) queryOptions {
 	return qo
 }
 
-// Do answers one Request; with DoBatch it is the facade's only query
-// entry point. The context carries cancellation and deadlines into every
-// layer below — bounding rounds, Con-Index Dijkstras, the verification
-// worker pool, route searches — so an abandoned HTTP request or an
-// expired deadline stops the query within one checkpoint interval and
-// Do returns ctx.Err().
+// Do answers one Request; it is the facade's only query entry point.
+// The context is the query's one deadline: it carries cancellation and
+// deadlines into every layer below — bounding rounds, Con-Index
+// Dijkstras, the verification worker pool, route searches — so an
+// abandoned HTTP request or an expired deadline stops the query within
+// one checkpoint interval and Do returns ctx.Err(). Do is safe for
+// concurrent use; concurrent requests that differ only in Prob share one
+// plan (see WithBatchSharing).
 //
 // Options configure this call only (per-query ablations, verification
-// parallelism, probability, algorithm, deadline budget).
+// parallelism, algorithm, plan sharing).
 //
 // For KindRoute the returned Region holds the path in SegmentIDs and the
 // journey in Region.Route; all other kinds fill the usual reachability
@@ -248,11 +215,6 @@ func (s *System) Do(ctx context.Context, req Request, opts ...Option) (*Region, 
 func (s *System) do(ctx context.Context, req Request, qo queryOptions) (*Region, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if qo.budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, qo.budget)
-		defer cancel()
 	}
 	if err := validateRequest(req, qo); err != nil {
 		return nil, err
@@ -300,18 +262,16 @@ func validateRequest(req Request, qo queryOptions) error {
 	return errInvalid(op, "streach: algorithm %v does not answer %v requests", qo.algorithm, req.Kind)
 }
 
-// doPlan answers one validated reachability request plan-first:
-// probability validated up front (matching the one-shot engine methods'
-// validation order), then a shared plan and one ResultAt at the
-// request's threshold. The plan comes from the plan store unless the
-// request opts out of sharing or carries a deadline budget — a per-query
-// guarantee a plan built under another caller's context cannot honour.
+// doPlan answers one validated reachability request plan-first: the
+// probability is validated up front (before the plan checks the window),
+// then a shared plan and one ResultAt at the request's threshold. The
+// plan comes from the plan store unless the request opts out of sharing.
 func (s *System) doPlan(ctx context.Context, req Request, qo queryOptions) (*Region, error) {
-	prob := qo.effectiveProb(req)
+	prob := req.Prob
 	if err := core.ValidateProb(prob); err != nil {
 		return nil, err
 	}
-	if qo.noSharing || qo.budget > 0 {
+	if qo.noSharing {
 		plan, err := s.newPlan(ctx, req, qo)
 		if err != nil {
 			return nil, err
@@ -472,55 +432,6 @@ func routeResult(r *router.Route) *RouteResult {
 		TravelTime: time.Duration(r.TravelTimeSec * float64(time.Second)),
 		DistanceKm: r.DistanceMeters / 1000,
 	}
-}
-
-// BatchResult pairs one DoBatch request with its answer (or error).
-type BatchResult struct {
-	// Region is the answer; nil when Err is set.
-	Region *Region
-	// Err is the per-request failure, context.Canceled /
-	// context.DeadlineExceeded when the batch context ended before the
-	// request completed.
-	Err error
-}
-
-// DoBatch answers every request and returns one BatchResult per request,
-// positionally. A cancelled or expired ctx stops in-flight queries at
-// their next checkpoint and marks every unfinished request with
-// ctx.Err(); options apply to every request in the batch (use
-// WithBatchWorkers to bound the parallelism).
-//
-// Each request runs through Do's path on a bounded worker pool. Requests
-// asking about the same (kind, start set, start time, window, algorithm)
-// — differing only in Prob — share one plan through the plan store
-// (core.SharedPlan): one bounding-region search, one materialised probe
-// start-set, one verification pass building a per-candidate
-// empirical-probability map that every request's threshold is resolved
-// from. Answers are bit-identical to independent execution;
-// WithBatchSharing(false) turns the sharing off.
-func (s *System) DoBatch(ctx context.Context, reqs []Request, opts ...Option) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	qo := resolveOptions(opts)
-	workers := qo.batchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for range min(workers, len(reqs)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(reqs); i = int(next.Add(1)) - 1 {
-				region, err := s.do(ctx, reqs[i], qo)
-				out[i] = BatchResult{Region: region, Err: wrapError(reqs[i].Kind.String(), err)}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // optionBits packs the result-affecting engine options into one byte —

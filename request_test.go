@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,17 +100,6 @@ func TestPerQueryOptionsOverrideDefaults(t *testing.T) {
 			all.Metrics.Evaluated, def.Metrics.Evaluated)
 	}
 
-	// WithProb replaces the request's threshold: a near-impossible
-	// probability must shrink the region.
-	strict, err := s.Do(ctx, req, WithProb(0.99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(strict.SegmentIDs) >= len(def.SegmentIDs) {
-		t.Fatalf("WithProb(0.99) kept %d of %d segments",
-			len(strict.SegmentIDs), len(def.SegmentIDs))
-	}
-
 	// The overrides must not stick to the system.
 	again, err := s.Do(ctx, req)
 	if err != nil {
@@ -142,25 +132,59 @@ func TestDoCancellation(t *testing.T) {
 	}
 }
 
-// TestDoDeadlineBudget: WithDeadlineBudget must impose a per-call
-// deadline even under a background parent context.
+// TestDoDeadlineBudget: the context's deadline is the query's one
+// budget. An expired deadline fails Do with the bare
+// context.DeadlineExceeded, which CodeOf classifies as Timeout; a
+// deadlined request still takes its plan from the store, so a duplicate
+// under a live deadline is a plan hit.
 func TestDoDeadlineBudget(t *testing.T) {
-	s := smallSystem(t)
+	s := variant(t, vcfg{})
 	req := testQuery(s)
-	if _, err := s.Do(context.Background(), req, WithDeadlineBudget(time.Nanosecond)); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("1ns budget = %v, want context.DeadlineExceeded", err)
+	expired, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	<-expired.Done()
+	if _, err := s.Do(expired, req); err != context.DeadlineExceeded || CodeOf(err) != Timeout {
+		t.Fatalf("expired deadline = %v (code %v), want the bare context.DeadlineExceeded, Timeout", err, CodeOf(err))
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	before := s.SharingStats()
+	for i := range 2 {
+		if _, err := s.Do(ctx, req); err != nil {
+			t.Fatalf("deadlined request %d: %v", i, err)
+		}
+	}
+	if got := s.SharingStats(); got.PlanCacheMisses-before.PlanCacheMisses != 1 || got.PlanCacheHits-before.PlanCacheHits != 1 {
+		t.Fatalf("two deadlined duplicates: %+v -> %+v, want one miss and one hit", before, got)
 	}
 }
 
-// TestDoBatchParallelMatchesSerial runs the request matrix as batches
-// under -race: the bounded pool must return, positionally, exactly what
+// doAll answers reqs through Do, each request on a goroutine of its own,
+// and returns the outcomes positionally.
+func doAll(ctx context.Context, s *System, reqs []Request, opts ...Option) []outcome {
+	out := make([]outcome, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i].Region, out[i].Err = s.Do(ctx, req, opts...)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// TestDoBatchParallelMatchesSerial runs the request matrix as a batch of
+// concurrent Do calls under -race: each must return exactly what
 // one-at-a-time Do returns, errors included.
 func TestDoBatchParallelMatchesSerial(t *testing.T) {
 	s := smallSystem(t)
-	checkOracle(t, reference(t), batched(s, WithBatchWorkers(4)), requestMatrix(s, 11*time.Hour).full)
+	checkOracle(t, reference(t), concurrent(s), requestMatrix(s, 11*time.Hour).full)
 
-	// Routes are outside the matrix: one rides a mixed batch on the same
-	// pool and must match Do by position, journey included.
+	// Routes are outside the matrix: one rides a mixed concurrent batch
+	// and must match serial Do by position, journey included.
 	q := testQuery(s)
 	loc := q.Locations[0]
 	mixed := []Request{
@@ -168,13 +192,13 @@ func TestDoBatchParallelMatchesSerial(t *testing.T) {
 		RouteRequest(loc, Location{Lat: loc.Lat + 0.02, Lng: loc.Lng + 0.02}, q.Start),
 		ReverseRequest(loc, q.Start, q.Duration, q.Prob),
 	}
-	for i, got := range s.DoBatch(context.Background(), mixed, WithBatchWorkers(4)) {
+	for i, got := range doAll(context.Background(), s, mixed) {
 		want, err := s.Do(context.Background(), mixed[i])
 		if err != nil || got.Err != nil {
-			t.Fatalf("request %d: batch err %v, serial err %v", i, got.Err, err)
+			t.Fatalf("request %d: concurrent err %v, serial err %v", i, got.Err, err)
 		}
 		if d := diffRegion(got.Region, want); d != "" || !reflect.DeepEqual(got.Region.Route, want.Route) {
-			t.Fatalf("request %d: batch and serial answers differ (%s)", i, d)
+			t.Fatalf("request %d: concurrent and serial answers differ (%s)", i, d)
 		}
 		if mixed[i].Kind == KindRoute && (want.Route == nil || len(want.Route.SegmentIDs) == 0) {
 			t.Fatal("the route in the mixed batch has no journey")
@@ -182,14 +206,13 @@ func TestDoBatchParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDoBatchSharingMatchesIndependent: a duplicate-heavy batch — same
-// (kind, location, start, window), different probabilities, every
-// request twice — must return, for every algorithm, exactly what
-// independent Do calls return, and the same again with sharing disabled.
-// On a system with the default plan store each valid shape is built
-// exactly once, however the batch workers interleave. Runs under -race
-// in CI, so it also proves the shared plans race-free across the batch
-// worker pool.
+// TestDoBatchSharingMatchesIndependent: a duplicate-heavy batch of
+// concurrent Do calls — same (kind, location, start, window), different
+// probabilities, every request twice — must return, for every
+// algorithm, exactly what independent Do calls return, and the same
+// again with sharing disabled. On a system with the default plan store
+// each valid shape is built exactly once, however the calls interleave.
+// Runs under -race in CI, so it also proves the shared plans race-free.
 func TestDoBatchSharingMatchesIndependent(t *testing.T) {
 	s := variant(t, vcfg{})
 	names := map[string]string{"reach": "reach-bounded", "reach-es": "reach-exhaustive",
@@ -201,55 +224,37 @@ func TestDoBatchSharingMatchesIndependent(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			misses := s.SharingStats().PlanCacheMisses
-			checkOracle(t, reference(t), batched(s), reqs)
+			checkOracle(t, reference(t), concurrent(s), reqs)
 			if got := s.SharingStats().PlanCacheMisses - misses; !reqs[0].invalid && got != 1 {
 				t.Fatalf("%d plans built for one shape", got)
 			}
-			checkOracle(t, reference(t), batched(s, WithBatchSharing(false)), reqs)
+			checkOracle(t, reference(t), concurrent(s, WithBatchSharing(false)), reqs)
 		})
 	}
 }
 
-// TestDoBatchBudgetedRequestsStayIndependent: WithDeadlineBudget is a
-// per-query guarantee, so budgeted requests bypass the plan store — each
-// gets its own budget exactly as independent execution would.
-func TestDoBatchBudgetedRequestsStayIndependent(t *testing.T) {
-	s := variant(t, cacheCfg)
-	req := testQuery(s)
-	reqs := []Request{req, req}
-	before := s.SharingStats()
-	for i, r := range s.DoBatch(context.Background(), reqs, WithDeadlineBudget(time.Minute)) {
-		if r.Err != nil {
-			t.Fatalf("budgeted request %d: %v", i, r.Err)
-		}
-	}
-	if got := s.SharingStats(); got != before {
-		t.Fatalf("budgeted duplicates went through the plan store (%+v -> %+v)", before, got)
-	}
-}
-
 // TestDoBatchGroupCancellation: a cancellation landing inside the plan
-// build a batch's requests share fails every one of them — each reports
-// context.Canceled, none hangs with a partial answer.
+// build that concurrent duplicates share fails every one of them — each
+// reports context.Canceled, none hangs with a partial answer.
 func TestDoBatchGroupCancellation(t *testing.T) {
 	s := smallSystem(t)
 	q := testQuery(s)
 	reqs := make([]Request, 8)
 	for i := range reqs {
 		reqs[i] = q
-		reqs[i].Prob = 0.1 + 0.05*float64(i) // one group, eight thresholds
+		reqs[i].Prob = 0.1 + 0.05*float64(i) // one shape, eight thresholds
 	}
-	// Three polls land the cancel inside the plan's bounding phase (Do
-	// checks once, then each bounding round checks).
-	for i, r := range s.DoBatch(cancelAfterN(3), reqs, WithBatchWorkers(1)) {
+	// Three polls pass: at most three requests get past Do's own check,
+	// and the one that builds meets the cancel in its bounding phase.
+	for i, r := range doAll(cancelAfterN(3), s, reqs) {
 		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("group member %d after mid-plan cancel = %v, want context.Canceled", i, r.Err)
+			t.Fatalf("request %d after mid-plan cancel = %v, want context.Canceled", i, r.Err)
 		}
 	}
 }
 
-// TestDoBatchCancellation: a cancelled batch context marks every
-// unfinished request with context.Canceled.
+// TestDoBatchCancellation: a cancelled context marks every unfinished
+// request of a concurrent batch with context.Canceled.
 func TestDoBatchCancellation(t *testing.T) {
 	s := smallSystem(t)
 	req := testQuery(s)
@@ -257,7 +262,7 @@ func TestDoBatchCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, r := range s.DoBatch(ctx, reqs, WithBatchWorkers(2)) {
+	for i, r := range doAll(ctx, s, reqs) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("result %d after pre-cancel = %v, want context.Canceled", i, r.Err)
 		}
@@ -266,7 +271,7 @@ func TestDoBatchCancellation(t *testing.T) {
 	// Mid-batch: the shared Err budget lets a prefix of checkpoints pass,
 	// then every later request must fail with Canceled — none may hang or
 	// return a different error.
-	for i, r := range s.DoBatch(cancelAfterN(10), reqs, WithBatchWorkers(2)) {
+	for i, r := range doAll(cancelAfterN(10), s, reqs) {
 		if r.Err != nil && !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("result %d after mid-batch cancel = %v", i, r.Err)
 		}

@@ -31,11 +31,12 @@ func TestShardedSystemEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedDoBatch: batch execution over a sharded system — shared
-// groups riding cluster plans — must match unsharded execution.
+// TestShardedDoBatch: a batch of concurrent requests over a sharded
+// system — duplicates sharing cluster plans — must match unsharded
+// execution.
 func TestShardedDoBatch(t *testing.T) {
 	sharded := variant(t, vcfg{planCache: -1, shards: 4, shared: true})
-	checkOracle(t, reference(t), batched(sharded), requestMatrix(sharded, 11*time.Hour).full)
+	checkOracle(t, reference(t), concurrent(sharded), requestMatrix(sharded, 11*time.Hour).full)
 }
 
 // TestShardedRoute: route queries bypass the cluster and still answer.

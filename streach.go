@@ -20,9 +20,9 @@
 // functional options override engine defaults per call. The context's
 // cancellation and deadline propagate into every layer — bounding
 // rounds, Con-Index Dijkstras, the verification worker pool — so an
-// abandoned caller stops paying for its query almost immediately.
-// DoBatch answers many requests on a bounded worker pool, and the
-// `streach serve` command exposes the same API over HTTP.
+// abandoned caller stops paying for its query almost immediately. Do is
+// safe to call from many goroutines at once, and the `streach serve`
+// command exposes the same API over HTTP.
 //
 // Quick start:
 //
@@ -213,7 +213,7 @@ type System struct {
 	// flight: each query snapshots one cluster (or nil) and runs against
 	// it — both layouts answer bit-identically over the same indexes.
 	cluster atomic.Pointer[shard.Cluster]
-	// plans is the shared-plan store behind Do, DoBatch and WarmPlans.
+	// plans is the shared-plan store behind Do and WarmPlans.
 	plans *planStore
 	// sharing counts what the plan store saved (see SharingStats).
 	sharing sharingCounters
@@ -228,10 +228,12 @@ type System struct {
 	// two part ways when an opened system is saved elsewhere.
 	dir      string
 	pagesDir string
-	// ingestMu guards the live-ingest machinery (see ingest.go);
-	// compactMu serialises whole CompactIngest cycles.
+	// ingestMu guards the live-ingest machinery (see ingest.go) and
+	// closed, which Close sets so StartIngest refuses to start;
+	// compactMu serialises whole CompactIngestN cycles.
 	ingestMu  sync.Mutex
 	compactMu sync.Mutex
+	closed    bool
 	ingestW   *ingest.Writer
 	wal       *ingest.SegmentedLog
 	// Background incremental compaction loop (see compactLoop).
@@ -259,9 +261,9 @@ type sharingCounters struct {
 
 // SharingStats counts the plan sharing the system's plan store has done
 // since the system was built. Every request that takes its plan from the
-// store — all of Do's and DoBatch's reach, reverse and multi requests
-// except those with WithBatchSharing(false) or WithDeadlineBudget — is
-// counted exactly once, as a hit, a miss or a coalesced wait.
+// store — all of Do's reach, reverse and multi requests except those
+// with WithBatchSharing(false) — is counted exactly once, as a hit, a
+// miss or a coalesced wait.
 type SharingStats struct {
 	// QueriesCoalesced counts requests that waited for a plan another
 	// request was building, instead of building their own.
