@@ -345,6 +345,11 @@ func loadOrBuildSystem(wf *worldFlags, dir string, precompute bool, start, dur t
 	return sys, nil
 }
 
+// printRegion prints an answer and what it cost. Page reads repeat run to
+// run; pool hits vary with how the candidates split across the
+// verification workers (GOMAXPROCS of them): each worker's blob reader
+// memoises the pages it has touched, so a page costs one pool lookup per
+// worker that reads it.
 func printRegion(r *streach.Region) {
 	fmt.Printf("Prob-reachable region: %d segments, %.1f km of road\n",
 		len(r.SegmentIDs), r.RoadKm)

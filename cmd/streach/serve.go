@@ -35,7 +35,6 @@ func runServe(args []string) error {
 	accessLog := fs.Bool("access-log", false, "log one line per request (method, URI, status, latency, request ID) to stderr")
 	ingestOn := fs.Bool("ingest", false, "enable live ingestion: POST /v1/ingest accepts position updates, /v1/ingest/compact folds the delta layer")
 	compactEvery := fs.Duration("compact-every", 0, "background incremental compaction period (0 = manual compaction only)")
-	compactBudget := fs.Duration("compact-pause-budget", 0, "install-pause budget the background loop adapts its per-cycle key cap (starting at 4096) toward (0 = no adaptation)")
 	warmStart := fs.Duration("warm-start", 0, "precompute the Con-Index adjacency from this time of day (with -warm-dur)")
 	warmDur := fs.Duration("warm-dur", 0, "warm window length (0 = skip warming)")
 	dir := fs.String("dir", "", "system save directory: reopened when it holds a saved system")
@@ -57,10 +56,7 @@ func runServe(args []string) error {
 	// Ingest starts after sharding so the writer's per-shard routing sees
 	// the cluster partition.
 	if *ingestOn {
-		if err := sys.StartIngest(streach.IngestConfig{
-			CompactInterval:    *compactEvery,
-			CompactPauseBudget: *compactBudget,
-		}); err != nil {
+		if err := sys.StartIngest(streach.IngestConfig{CompactInterval: *compactEvery}); err != nil {
 			return err
 		}
 		fmt.Fprintln(os.Stderr, "live ingest enabled (POST /v1/ingest)")

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"streach/internal/conindex"
+	"streach/internal/core"
 	"streach/internal/roadnet"
 	"streach/internal/stindex"
 	"streach/internal/storage"
@@ -82,7 +83,11 @@ func faultySystem(t *testing.T) (*System, *storage.FaultStore, *panicStore) {
 // cancellation path.
 func assertScratchBalanced(t *testing.T, s *System, when string) {
 	t.Helper()
-	for i, st := range s.ScratchStats() {
+	stats := []core.ScratchStats{s.engine.ScratchStats()}
+	if c := s.cluster.Load(); c != nil {
+		stats = append(stats, c.ScratchStats()...)
+	}
+	for i, st := range stats {
 		if !st.Balanced() {
 			t.Fatalf("%s: scratch pool %d leaked: %+v", when, i, st)
 		}
@@ -274,6 +279,31 @@ func TestScratchPoolIntegrityAcrossShardFailure(t *testing.T) {
 		}
 	}
 	assertScratchBalanced(t, s, "after healed batch")
+}
+
+// TestScratchBalancedAfterDeadlineFlood: on a 4-shard system with the
+// default plan store, a concurrent flood of distinct shapes, half of them
+// under a deadline too short to finish, leaves every scratch pool
+// balanced once Close has closed the plans the store parks.
+func TestScratchBalancedAfterDeadlineFlood(t *testing.T) {
+	s := variant(t, vcfg{shards: 4})
+	loc := testQuery(s).Locations[0]
+	var reqs []Request
+	for i := 0; i < 16; i++ {
+		reqs = append(reqs, ReachRequest(loc, 10*time.Hour+time.Duration(i)*time.Minute, 10*time.Minute, 0.2))
+	}
+	for _, res := range doAll(context.Background(), s, reqs[:8]) {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	short, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	doAll(short, s, reqs[8:])
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertScratchBalanced(t, s, "after the flood and Close")
 }
 
 // TestNewSystemFromDataRejectsOutOfRange: a visit on a segment the

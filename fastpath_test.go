@@ -85,30 +85,6 @@ func TestWarmCrossingMidnight(t *testing.T) {
 	}
 }
 
-// TestOpenSystemHonorsFastPathOptions checks the reopened system carries
-// TimeListCache through (regression: OpenSystem used to drop it,
-// silently reverting to the default).
-func TestOpenSystemHonorsFastPathOptions(t *testing.T) {
-	s := smallSystem(t)
-	dir := t.TempDir()
-	if err := s.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := OpenSystem(dir, IndexConfig{TimeListCache: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	q := testQuery(s)
-	r, err := reopened.Do(context.Background(), q, WithVerifyWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := r.Metrics.TLCacheHits, r.Metrics.TLCacheMisses; hits != 0 || misses != 0 {
-		t.Fatalf("decoded cache should be disabled on the reopened system, got %d hits %d misses", hits, misses)
-	}
-}
-
 // TestBusiestLocationMatchesNestedMapScan pins the flat-bitmask rewrite
 // against a straightforward nested-map reference implementation.
 func TestBusiestLocationMatchesNestedMapScan(t *testing.T) {

@@ -41,7 +41,8 @@ type IngestUpdate struct {
 // usable: two workers, a 4096-update queue (TryIngest rejects beyond
 // it), 256-update batches, 65536 buffered Con-Index speed samples, and a
 // segmented write-ahead log under dir/wal/ (segments rotated at 4 MiB
-// or 1 min) when the system has a save directory. Trajectory data goes
+// or 1 min) when the system has a save directory — a directory-less
+// system runs without one. Trajectory data goes
 // live in the ST-Index delta on every batch; the speed bounds — pruning
 // statistics — fold at FlushIngest/CompactIngestN/Close or when the
 // sample buffer fills, so live write load cannot turn the query bounding
@@ -54,23 +55,14 @@ type IngestConfig struct {
 	BatchSize int
 	// FlushInterval bounds how long a partial batch waits (default 50ms).
 	FlushInterval time.Duration
-	// WALPath overrides the write-ahead log directory. Empty uses
-	// dir/wal when the system was opened from (or saved to) a
-	// directory; a directory-less system runs without a WAL.
-	WALPath string
 	// WALSegmentBytes rotates a WAL segment past this size (default 4 MiB).
 	WALSegmentBytes int64
 	// CompactInterval, when positive, runs incremental compactions on a
 	// background loop every interval while dirty keys are pending, with
 	// exponential backoff after a persist failure. Each cycle folds at
-	// most compactCycleKeys dirty keys; the rest roll to the next cycle.
+	// most 4096 dirty keys; the rest roll to the next cycle.
 	// Zero leaves compaction to explicit CompactIngestN calls.
 	CompactInterval time.Duration
-	// CompactPauseBudget, when positive, adapts the background loop's
-	// per-cycle key cap so the install pause stays at or under this
-	// budget: a cycle that overshoots halves the cap, a cycle under half
-	// the budget with backlog remaining doubles it.
-	CompactPauseBudget time.Duration
 }
 
 // IngestStats snapshots the live-ingest machinery: the writer counters
@@ -99,8 +91,7 @@ type IngestStats struct {
 	// WALLastError is the most recent WAL append failure ("" when none).
 	WALLastError string
 	// WALEnabled reports whether a segmented WAL is attached (false
-	// before StartIngest, or on a directory-less system without a
-	// WALPath).
+	// before StartIngest, or on a directory-less system).
 	WALEnabled bool
 	// WALSegments counts live WAL segment files (0 without a WAL).
 	WALSegments int
@@ -167,13 +158,9 @@ func (s *System) StartIngest(cfg IngestConfig) error {
 		shards = part.Shards()
 	}
 	var wal *ingest.SegmentedLog
-	walDir := cfg.WALPath
-	if walDir == "" && s.dir != "" {
-		walDir = filepath.Join(s.dir, walDirName)
-	}
-	if walDir != "" {
+	if s.dir != "" {
 		var err error
-		if wal, err = ingest.OpenSegmented(walDir, ingest.SegmentedConfig{
+		if wal, err = ingest.OpenSegmented(filepath.Join(s.dir, walDirName), ingest.SegmentedConfig{
 			SegmentBytes: cfg.WALSegmentBytes,
 			Shards:       shards,
 			Epoch:        s.st.Epoch(),
@@ -194,23 +181,21 @@ func (s *System) StartIngest(cfg IngestConfig) error {
 	if cfg.CompactInterval > 0 {
 		s.compactStop = make(chan struct{})
 		s.compactDone = make(chan struct{})
-		go s.compactLoop(cfg.CompactInterval, cfg.CompactPauseBudget, s.compactStop, s.compactDone)
+		go s.compactLoop(cfg.CompactInterval, s.compactStop, s.compactDone)
 	}
 	return nil
 }
 
-// compactCycleKeys is the background loop's starting per-cycle key cap;
-// a pause budget moves it from there.
+// compactCycleKeys is the background loop's per-cycle key cap.
 const compactCycleKeys = 4096
 
 // compactLoop runs incremental compactions in the background: every
-// interval it folds up to its key cap of the hottest dirty keys (rolling
-// the rest forward), adapting the cap to the pause budget and backing
-// off exponentially when a cycle fails (typically a persist error —
-// nothing is lost, the WAL keeps everything until a cycle succeeds).
-func (s *System) compactLoop(interval, budget time.Duration, stop, done chan struct{}) {
+// interval it folds up to compactCycleKeys of the hottest dirty keys
+// (rolling the rest forward), backing off exponentially when a cycle
+// fails (typically a persist error — nothing is lost, the WAL keeps
+// everything until a cycle succeeds).
+func (s *System) compactLoop(interval time.Duration, stop, done chan struct{}) {
 	defer close(done)
-	keys := compactCycleKeys
 	backoff := interval
 	timer := time.NewTimer(interval)
 	defer timer.Stop()
@@ -224,7 +209,7 @@ func (s *System) compactLoop(interval, budget time.Duration, stop, done chan str
 			timer.Reset(interval)
 			continue
 		}
-		res, err := s.CompactIngestN(context.Background(), keys)
+		res, err := s.CompactIngestN(context.Background(), compactCycleKeys)
 		if err != nil {
 			s.bgCompactErrs.Add(1)
 			backoff *= 2
@@ -237,19 +222,6 @@ func (s *System) compactLoop(interval, budget time.Duration, stop, done chan str
 		}
 		backoff = interval
 		s.bgCompacts.Add(1)
-		if budget > 0 {
-			// Keep the install pause at or under its budget: overshooting
-			// halves the per-cycle cap, comfortably undershooting with
-			// backlog left doubles it.
-			if res.Pause > budget && keys > 64 {
-				keys /= 2
-				if keys < 64 {
-					keys = 64
-				}
-			} else if res.Pause < budget/2 && res.Remaining > 0 {
-				keys *= 2
-			}
-		}
 		if res.Remaining > 0 {
 			// Backlog left: come back sooner than a full interval.
 			timer.Reset(interval / 4)

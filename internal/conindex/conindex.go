@@ -46,53 +46,45 @@ const ctxCheckInterval = 32
 type Config struct {
 	// SlotSeconds is the temporal granularity Δt (default 300).
 	SlotSeconds int
-	// MinSpeedFloor drops implausibly slow records (m/s, default 0.5);
-	// the thesis removes 0-speed records when building Near lists.
-	MinSpeedFloor float64
-	// FallbackMinFraction sets the assumed minimum speed on segments with
-	// no observations, as a fraction of free-flow speed (default 0.2).
-	FallbackMinFraction float64
-	// FallbackMaxFraction sets the assumed maximum speed on segments with
-	// no observations, as a fraction of free-flow speed (default 1.0).
-	FallbackMaxFraction float64
-	// NearSafetyFactor scales the minimum speeds used for the Near
-	// (lower-bound) tables, default 0.5. Observed per-slot minima are
-	// sample minima over few observations and overestimate the true
-	// worst-case speed; the Near region must only contain segments that
-	// are reachable with near-certainty, so it is built at half the
-	// observed minimum. Set to 1.0 to use raw minima (ablation).
-	NearSafetyFactor float64
 }
+
+// The speed statistics' fixed parameters. Only the slot width varies
+// between indexes, so an index reopened from its SlotSeconds alone folds
+// live samples exactly as the build that saved it did.
+const (
+	// minSpeedFloor drops implausibly slow records (m/s); the thesis
+	// removes 0-speed records when building Near lists.
+	minSpeedFloor = 0.5
+	// speedCeiling is the fastest record the statistics fold (m/s). A
+	// faster one is a timing or matching error, not traffic, and a few
+	// of them near float32's top would overflow a cell's speed sum to
+	// +Inf.
+	speedCeiling = 1000
+	// fallbackMinFraction and fallbackMaxFraction set the assumed minimum
+	// and maximum speeds on a (segment, slot) with no observations, as
+	// fractions of the segment's free-flow speed.
+	fallbackMinFraction = 0.2
+	fallbackMaxFraction = 1.0
+	// nearSafetyFactor scales the minimum speeds used for the Near
+	// (lower-bound) tables. Observed per-slot minima are sample minima
+	// over few observations and overestimate the true worst-case speed;
+	// the Near region must only contain segments that are reachable with
+	// near-certainty, so it is built at half the observed minimum.
+	nearSafetyFactor = 0.5
+)
 
 func (c Config) withDefaults() Config {
 	if c.SlotSeconds <= 0 {
 		c.SlotSeconds = 300
 	}
-	if c.MinSpeedFloor <= 0 {
-		c.MinSpeedFloor = 0.5
-	}
-	if c.FallbackMinFraction <= 0 {
-		c.FallbackMinFraction = 0.2
-	}
-	if c.FallbackMaxFraction <= 0 {
-		c.FallbackMaxFraction = 1.0
-	}
-	if c.NearSafetyFactor <= 0 {
-		c.NearSafetyFactor = 0.5
-	}
 	return c
 }
 
-// speedCeiling is the fastest record the speed statistics fold, in m/s.
-// A faster one is a timing or matching error, not traffic, and a few of
-// them near float32's top would overflow a cell's speed sum to +Inf.
-const speedCeiling = 1000
-
 // folds reports whether a record at speed sp (m/s) enters the speed
-// statistics: at least MinSpeedFloor and at most speedCeiling, so never
+// statistics: at least minSpeedFloor and at most speedCeiling, so never
 // NaN. A record that does not still enters the ST-Index.
-func (c Config) folds(sp float64) bool {
-	return sp >= c.MinSpeedFloor && sp <= speedCeiling
+func folds(sp float64) bool {
+	return sp >= minSpeedFloor && sp <= speedCeiling
 }
 
 // Index is the built Con-Index.
@@ -100,10 +92,6 @@ type Index struct {
 	net      *roadnet.Network
 	slotSec  int
 	numSlots int
-	// cfg keeps the floor/fallback/safety knobs live so streaming speed
-	// observations (ObserveSpeed) can reproduce exactly what an offline
-	// Build over the union of the data would have computed.
-	cfg Config
 	// minSpeed/maxSpeed are indexed [slot*numSegments + segment] and hold
 	// math.Float32bits of the speed in m/s. They are read atomically: the
 	// ingest path updates them in place while expansions run.
@@ -254,7 +242,6 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 		net:      net,
 		slotSec:  cfg.SlotSeconds,
 		numSlots: numSlots,
-		cfg:      cfg,
 		minSpeed: make([]uint32, numSlots*n),
 		maxSpeed: make([]uint32, numSlots*n),
 		sumSpeed: make([]uint32, numSlots*n),
@@ -283,7 +270,7 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 		}
 		mt := &ds.Matched[i]
 		for _, v := range mt.Visits {
-			if !cfg.folds(float64(v.Speed)) {
+			if !folds(float64(v.Speed)) {
 				continue
 			}
 			s0 := int(v.EnterMs) / 1000 / cfg.SlotSeconds
@@ -312,12 +299,12 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 			k := s*n + seg
 			ff := net.Segment(roadnet.SegmentID(seg)).Class.FreeFlowSpeed()
 			if minS[k] == 0 {
-				minS[k] = float32(ff * cfg.FallbackMinFraction)
+				minS[k] = float32(ff * fallbackMinFraction)
 			}
 			if maxS[k] == 0 {
-				maxS[k] = float32(ff * cfg.FallbackMaxFraction)
+				maxS[k] = float32(ff * fallbackMaxFraction)
 			}
-			minS[k] *= float32(cfg.NearSafetyFactor)
+			minS[k] *= nearSafetyFactor
 		}
 	}
 	for k := range minS {

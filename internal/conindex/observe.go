@@ -30,7 +30,7 @@ import (
 //     in the last float32 ulp; the min/max bounds that decide
 //     reach/reverse/multi answers cannot.)
 //
-// Samples Build's scan would not fold (Config.folds) are dropped
+// Samples Build's scan would not fold (folds) are dropped
 // entirely.
 
 // SpeedSample is one live speed observation for ObserveSpeedBatch: a
@@ -59,7 +59,7 @@ func (x *Index) ObserveSpeed(seg roadnet.SegmentID, slot0, slot1 int, speed floa
 // tables' mutexes — which cold misses need to install their rows — so
 // at thousands of samples/s per-sample scanning would starve them.
 // Samples on a segment the network does not have, or at a speed Build
-// would not fold (below MinSpeedFloor, above speedCeiling or NaN), are
+// would not fold (below minSpeedFloor, above speedCeiling or NaN), are
 // skipped. Reports whether any bound moved.
 func (x *Index) ObserveSpeedBatch(samples []SpeedSample) bool {
 	var changed map[int][]roadnet.SegmentID
@@ -67,7 +67,7 @@ func (x *Index) ObserveSpeedBatch(samples []SpeedSample) bool {
 		if sm.Seg < 0 || int(sm.Seg) >= x.net.NumSegments() {
 			continue
 		}
-		if !x.cfg.folds(sm.Speed) {
+		if !folds(sm.Speed) {
 			continue
 		}
 		s1 := sm.Slot1
@@ -99,7 +99,7 @@ func (x *Index) ObserveSpeedBatch(samples []SpeedSample) bool {
 // refuses to cache itself.
 func (x *Index) observeSlot(seg roadnet.SegmentID, slot int, sp float32) bool {
 	k := slot*x.net.NumSegments() + int(seg)
-	spMin := sp * float32(x.cfg.NearSafetyFactor)
+	spMin := sp * nearSafetyFactor
 	x.obsMu.Lock()
 	oldMin := math.Float32frombits(x.minSpeed[k])
 	oldMax := math.Float32frombits(x.maxSpeed[k])

@@ -24,7 +24,7 @@ func liveExtras(n *roadnet.Network, days int) []traj.MatchedTrajectory {
 			}},
 		})
 	}
-	// Below the default MinSpeedFloor: both Build and ObserveSpeed must
+	// Below minSpeedFloor: both Build and ObserveSpeed must
 	// drop it.
 	out = append(out, traj.MatchedTrajectory{
 		Taxi: 501, Day: 0,

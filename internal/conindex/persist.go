@@ -92,10 +92,6 @@ func Load(net *roadnet.Network, r io.Reader) (*Index, error) {
 		net:      net,
 		slotSec:  slotSec,
 		numSlots: numSlots,
-		// The floor/fallback/safety knobs are not serialized; reopened
-		// indexes use the defaults, which is what every build path in
-		// this repo configures. They only matter for live ObserveSpeed.
-		cfg:      Config{SlotSeconds: slotSec}.withDefaults(),
 		minSpeed: minS,
 		maxSpeed: maxS,
 		sumSpeed: sumS,

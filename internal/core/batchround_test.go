@@ -45,15 +45,15 @@ func TestConcurrentColdQueriesCountTheirOwnRows(t *testing.T) {
 	atProcs(t, 8)
 	f := getFixture(t)
 	q := baseQuery(f)
-	mq := MultiQuery{Locations: []geo.Point{q.Location}, Start: q.Start, Duration: q.Duration, Prob: q.Prob}
+	mq := MultiQuery{Locations: []geo.Point{q.Location}, Start: q.Start, Duration: q.Duration}
 	run := func(e *Engine, i int) (*Result, error) {
 		switch i % 3 {
 		case 0:
-			return oneShot(bg, e.PlanReach, q)
+			return oneShot(bg, e.PlanReach, q, 0.2)
 		case 1:
-			return oneShot(bg, e.PlanReverse, q)
+			return oneShot(bg, e.PlanReverse, q, 0.2)
 		}
-		return oneShot(bg, e.PlanMulti, mq)
+		return oneShot(bg, e.PlanMulti, mq, 0.2)
 	}
 
 	alone := coldEngine(t, Options{})
@@ -112,7 +112,7 @@ func TestCancelMidColdRound(t *testing.T) {
 	for _, polls := range []int{3, 12, 60, 200} {
 		e := coldEngine(t, Options{})
 		base := runtime.NumGoroutine()
-		if _, err := oneShot(cancelAfterN(polls), e.PlanReach, q); !errors.Is(err, context.Canceled) {
+		if _, err := oneShot(cancelAfterN(polls), e.PlanReach, q, 0.2); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel at poll %d: err = %v, want context.Canceled", polls, err)
 		}
 		if e.ConIndex().Stats().Materialised == 0 && polls >= 60 {
@@ -129,7 +129,7 @@ func TestCancelMidColdRound(t *testing.T) {
 			runtime.Gosched()
 		}
 		// The keys the cancelled rounds left cold materialise as usual.
-		if _, err := oneShot(bg, e.PlanReach, q); err != nil {
+		if _, err := oneShot(bg, e.PlanReach, q, 0.2); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -225,7 +225,7 @@ func multiStarts(t *testing.T, e *Engine, f *fixture, n int) []roadnet.SegmentID
 func TestPhaseMetrics(t *testing.T) {
 	e := newEngine(t, Options{})
 	f := getFixture(t)
-	res, err := oneShot(bg, e.PlanReach, baseQuery(f))
+	res, err := oneShot(bg, e.PlanReach, baseQuery(f), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestPhaseMetrics(t *testing.T) {
 		t.Fatal("bounding phase should touch the Con-Index adjacency")
 	}
 	// A repeat query hits only materialised rows.
-	res2, err := oneShot(bg, e.PlanReach, baseQuery(f))
+	res2, err := oneShot(bg, e.PlanReach, baseQuery(f), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}

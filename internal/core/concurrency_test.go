@@ -14,15 +14,15 @@ func TestConcurrentQueries(t *testing.T) {
 	e := newEngine(t, Options{})
 	q := baseQuery(f)
 
-	serial, err := oneShot(bg, e.PlanReach, q)
+	serial, err := oneShot(bg, e.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialES, err := oneShot(bg, e.PlanReachES, q)
+	serialES, err := oneShot(bg, e.PlanReachES, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialRev, err := oneShot(bg, e.PlanReverse, q)
+	serialRev, err := oneShot(bg, e.PlanReverse, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestConcurrentQueries(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				switch (g + i) % 3 {
 				case 0:
-					res, err := oneShot(bg, e.PlanReach, q)
+					res, err := oneShot(bg, e.PlanReach, q, 0.2)
 					if err != nil {
 						errs <- err
 						return
@@ -47,7 +47,7 @@ func TestConcurrentQueries(t *testing.T) {
 						return
 					}
 				case 1:
-					res, err := oneShot(bg, e.PlanReachES, q)
+					res, err := oneShot(bg, e.PlanReachES, q, 0.2)
 					if err != nil {
 						errs <- err
 						return
@@ -58,7 +58,7 @@ func TestConcurrentQueries(t *testing.T) {
 						return
 					}
 				default:
-					res, err := oneShot(bg, e.PlanReverse, q)
+					res, err := oneShot(bg, e.PlanReverse, q, 0.2)
 					if err != nil {
 						errs <- err
 						return
@@ -91,7 +91,7 @@ func TestConcurrentMixedStartTimes(t *testing.T) {
 			defer wg.Done()
 			q := baseQuery(f)
 			q.Start = time.Duration(6+g*2) * time.Hour
-			if _, err := oneShot(bg, e.PlanReach, q); err != nil {
+			if _, err := oneShot(bg, e.PlanReach, q, 0.2); err != nil {
 				t.Error(err)
 			}
 		}(g)

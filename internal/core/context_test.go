@@ -40,17 +40,17 @@ func TestQueriesHonourPreCancelledContext(t *testing.T) {
 	e := newEngine(t, Options{})
 	f := getFixture(t)
 	q := baseQuery(f)
-	mq := MultiQuery{Locations: []geo.Point{q.Location}, Start: q.Start, Duration: q.Duration, Prob: q.Prob}
+	mq := MultiQuery{Locations: []geo.Point{q.Location}, Start: q.Start, Duration: q.Duration}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, run := range map[string]func() error{
-		"SQMB":             func() error { _, err := oneShot(ctx, e.PlanReach, q); return err },
-		"ES":               func() error { _, err := oneShot(ctx, e.PlanReachES, q); return err },
-		"ReverseSQMB":      func() error { _, err := oneShot(ctx, e.PlanReverse, q); return err },
-		"ReverseES":        func() error { _, err := oneShot(ctx, e.PlanReverseES, q); return err },
-		"MQMB":             func() error { _, err := oneShot(ctx, e.PlanMulti, mq); return err },
-		"SQuerySequential": func() error { _, err := oneShot(ctx, e.PlanMultiSequential, mq); return err },
+		"SQMB":             func() error { _, err := oneShot(ctx, e.PlanReach, q, 0.2); return err },
+		"ES":               func() error { _, err := oneShot(ctx, e.PlanReachES, q, 0.2); return err },
+		"ReverseSQMB":      func() error { _, err := oneShot(ctx, e.PlanReverse, q, 0.2); return err },
+		"ReverseES":        func() error { _, err := oneShot(ctx, e.PlanReverseES, q, 0.2); return err },
+		"MQMB":             func() error { _, err := oneShot(ctx, e.PlanMulti, mq, 0.2); return err },
+		"SQuerySequential": func() error { _, err := oneShot(ctx, e.PlanMultiSequential, mq, 0.2); return err },
 	} {
 		if err := run(); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s with cancelled ctx = %v, want context.Canceled", name, err)
@@ -72,7 +72,7 @@ func TestCancelMidQuery(t *testing.T) {
 		// (bounding rounds + one per verified candidate — several hundred
 		// on the fixture world) so the cancel always lands mid-query.
 		for _, n := range []int{1, 10, 100} {
-			if _, err := oneShot(cancelAfterN(n), e.PlanReach, q); !errors.Is(err, context.Canceled) {
+			if _, err := oneShot(cancelAfterN(n), e.PlanReach, q, 0.2); !errors.Is(err, context.Canceled) {
 				t.Fatalf("workers=%d n=%d: err = %v, want context.Canceled", workers, n, err)
 			}
 		}
@@ -122,11 +122,11 @@ func TestWithOptionsOverridesPerQuery(t *testing.T) {
 		t.Fatal("WithOptions did not apply")
 	}
 
-	defRes, err := oneShot(bg, base.PlanReach, q)
+	defRes, err := oneShot(bg, base.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allRes, err := oneShot(bg, all.PlanReach, q)
+	allRes, err := oneShot(bg, all.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,16 +20,8 @@ import (
 var bg = context.Background()
 
 // oneShot answers one query the way the facade does: the threshold is
-// checked first, then the plan is built, read once at the threshold and
-// closed.
-func oneShot[Q Query | MultiQuery](ctx context.Context, plan func(context.Context, Q, ...PlanOption) (*SharedPlan, error), q Q) (*Result, error) {
-	var prob float64
-	switch q := any(q).(type) {
-	case Query:
-		prob = q.Prob
-	case MultiQuery:
-		prob = q.Prob
-	}
+// checked first, then the plan is built, read once at prob and closed.
+func oneShot[Q Query | MultiQuery](ctx context.Context, plan func(context.Context, Q, ...PlanOption) (*SharedPlan, error), q Q, prob float64) (*Result, error) {
 	if err := ValidateProb(prob); err != nil {
 		return nil, err
 	}
@@ -165,7 +157,6 @@ func baseQuery(f *fixture) Query {
 		Location: f.center,
 		Start:    11 * time.Hour,
 		Duration: 10 * time.Minute,
-		Prob:     0.2,
 	}
 }
 
@@ -212,24 +203,27 @@ func TestNewEngineValidations(t *testing.T) {
 func TestQueryValidation(t *testing.T) {
 	e := newEngine(t, Options{})
 	f := getFixture(t)
-	bad := []Query{
-		{Location: f.center, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0},
-		{Location: f.center, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 1.5},
-		{Location: f.center, Start: 11 * time.Hour, Duration: 0, Prob: 0.2},
-		{Location: f.center, Start: -time.Hour, Duration: 10 * time.Minute, Prob: 0.2},
-		{Location: f.center, Start: 25 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2},
+	bad := []struct {
+		q    Query
+		prob float64
+	}{
+		{Query{Location: f.center, Start: 11 * time.Hour, Duration: 10 * time.Minute}, 0},
+		{Query{Location: f.center, Start: 11 * time.Hour, Duration: 10 * time.Minute}, 1.5},
+		{Query{Location: f.center, Start: 11 * time.Hour, Duration: 0}, 0.2},
+		{Query{Location: f.center, Start: -time.Hour, Duration: 10 * time.Minute}, 0.2},
+		{Query{Location: f.center, Start: 25 * time.Hour, Duration: 10 * time.Minute}, 0.2},
 	}
-	for i, q := range bad {
-		if _, err := oneShot(bg, e.PlanReach, q); err == nil {
+	for i, b := range bad {
+		if _, err := oneShot(bg, e.PlanReach, b.q, b.prob); err == nil {
 			t.Fatalf("query %d should fail validation", i)
 		}
-		if _, err := oneShot(bg, e.PlanReachES, q); err == nil {
+		if _, err := oneShot(bg, e.PlanReachES, b.q, b.prob); err == nil {
 			t.Fatalf("ES query %d should fail validation", i)
 		}
 	}
 	// Location far from any road.
-	far := Query{Location: geo.Point{Lat: 0, Lng: 0}, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}
-	if _, err := oneShot(bg, e.PlanReach, far); err != nil {
+	far := Query{Location: geo.Point{Lat: 0, Lng: 0}, Start: 11 * time.Hour, Duration: 10 * time.Minute}
+	if _, err := oneShot(bg, e.PlanReach, far, 0.2); err != nil {
 		// Snap still finds the nearest segment even from far away; both
 		// behaviours (snap or error) are acceptable, but must not panic.
 		t.Logf("far snap errored: %v", err)
@@ -239,7 +233,7 @@ func TestQueryValidation(t *testing.T) {
 func TestSQMBReturnsNonEmptyRegion(t *testing.T) {
 	e := newEngine(t, Options{})
 	f := getFixture(t)
-	res, err := oneShot(bg, e.PlanReach, baseQuery(f))
+	res, err := oneShot(bg, e.PlanReach, baseQuery(f), 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +258,7 @@ func TestResultWithinMaxBoundingRegion(t *testing.T) {
 	e := newEngine(t, Options{})
 	f := getFixture(t)
 	q := baseQuery(f)
-	res, err := oneShot(bg, e.PlanReach, q)
+	res, err := oneShot(bg, e.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +301,11 @@ func TestESAgreesWithVerifyAllTBS(t *testing.T) {
 	f := getFixture(t)
 	exact := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
-	esRes, err := oneShot(bg, exact.PlanReachES, q)
+	esRes, err := oneShot(bg, exact.PlanReachES, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbsRes, err := oneShot(bg, exact.PlanReach, q)
+	tbsRes, err := oneShot(bg, exact.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +335,11 @@ func TestPaperModeSupersetOfVerifyAll(t *testing.T) {
 	q := baseQuery(f)
 	paper := newEngine(t, Options{})
 	exact := newEngine(t, Options{VerifyAll: true})
-	pres, err := oneShot(bg, paper.PlanReach, q)
+	pres, err := oneShot(bg, paper.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eres, err := oneShot(bg, exact.PlanReach, q)
+	eres, err := oneShot(bg, exact.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +369,11 @@ func TestSQMBCheaperThanES(t *testing.T) {
 	f := getFixture(t)
 	q := baseQuery(f)
 	e := newEngine(t, Options{})
-	esRes, err := oneShot(bg, e.PlanReachES, q)
+	esRes, err := oneShot(bg, e.PlanReachES, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sqRes, err := oneShot(bg, e.PlanReach, q)
+	sqRes, err := oneShot(bg, e.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,12 +388,12 @@ func TestRegionMonotoneInDuration(t *testing.T) {
 	exact := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
 	q.Duration = 5 * time.Minute
-	small, err := oneShot(bg, exact.PlanReach, q)
+	small, err := oneShot(bg, exact.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Duration = 15 * time.Minute
-	large, err := oneShot(bg, exact.PlanReach, q)
+	large, err := oneShot(bg, exact.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,13 +416,11 @@ func TestRegionMonotoneInProb(t *testing.T) {
 	f := getFixture(t)
 	exact := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
-	q.Prob = 0.2
-	loose, err := oneShot(bg, exact.PlanReach, q)
+	loose, err := oneShot(bg, exact.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Prob = 0.8
-	strict, err := oneShot(bg, exact.PlanReach, q)
+	strict, err := oneShot(bg, exact.PlanReach, q, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +439,7 @@ func TestIOAccountedPerQuery(t *testing.T) {
 	f := getFixture(t)
 	e := newEngine(t, Options{})
 	q := baseQuery(f)
-	res, err := oneShot(bg, e.PlanReach, q)
+	res, err := oneShot(bg, e.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,12 +463,12 @@ func TestMQMBMatchesSequentialUnion(t *testing.T) {
 		geo.Offset(f.center, 1800, 0),
 		geo.Offset(f.center, 0, 1800),
 	}
-	mq := MultiQuery{Locations: locs, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}
-	mres, err := oneShot(bg, e.PlanMulti, mq)
+	mq := MultiQuery{Locations: locs, Start: 11 * time.Hour, Duration: 10 * time.Minute}
+	mres, err := oneShot(bg, e.PlanMulti, mq, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := oneShot(bg, e.PlanMultiSequential, mq)
+	sres, err := oneShot(bg, e.PlanMultiSequential, mq, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,12 +489,12 @@ func TestMQMBCheaperThanSequential(t *testing.T) {
 		geo.Offset(f.center, 1200, 600),
 		geo.Offset(f.center, -900, 900),
 	}
-	mq := MultiQuery{Locations: locs, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}
-	mres, err := oneShot(bg, e.PlanMulti, mq)
+	mq := MultiQuery{Locations: locs, Start: 11 * time.Hour, Duration: 10 * time.Minute}
+	mres, err := oneShot(bg, e.PlanMulti, mq, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres, err := oneShot(bg, e.PlanMultiSequential, mq)
+	sres, err := oneShot(bg, e.PlanMultiSequential, mq, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,11 +508,11 @@ func TestMQMBSingleLocationMatchesSQMB(t *testing.T) {
 	f := getFixture(t)
 	e := newEngine(t, Options{})
 	q := baseQuery(f)
-	sres, err := oneShot(bg, e.PlanReach, q)
+	sres, err := oneShot(bg, e.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := oneShot(bg, e.PlanMulti, MultiQuery{Locations: []geo.Point{q.Location}, Start: q.Start, Duration: q.Duration, Prob: q.Prob})
+	mres, err := oneShot(bg, e.PlanMulti, MultiQuery{Locations: []geo.Point{q.Location}, Start: q.Start, Duration: q.Duration}, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,10 +526,10 @@ func TestMQMBSingleLocationMatchesSQMB(t *testing.T) {
 
 func TestMQMBValidation(t *testing.T) {
 	e := newEngine(t, Options{})
-	if _, err := oneShot(bg, e.PlanMulti, MultiQuery{Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}); err == nil {
+	if _, err := oneShot(bg, e.PlanMulti, MultiQuery{Start: 11 * time.Hour, Duration: 10 * time.Minute}, 0.2); err == nil {
 		t.Fatal("m-query with no locations should error")
 	}
-	if _, err := oneShot(bg, e.PlanMultiSequential, MultiQuery{Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}); err == nil {
+	if _, err := oneShot(bg, e.PlanMultiSequential, MultiQuery{Start: 11 * time.Hour, Duration: 10 * time.Minute}, 0.2); err == nil {
 		t.Fatal("sequential with no locations should error")
 	}
 }
@@ -547,9 +539,9 @@ func TestMQMBDeduplicatesStarts(t *testing.T) {
 	e := newEngine(t, Options{})
 	mq := MultiQuery{
 		Locations: []geo.Point{f.center, f.center, f.center},
-		Start:     11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2,
+		Start:     11 * time.Hour, Duration: 10 * time.Minute,
 	}
-	res, err := oneShot(bg, e.PlanMulti, mq)
+	res, err := oneShot(bg, e.PlanMulti, mq, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,12 +555,12 @@ func TestNoOverlapFilterAblation(t *testing.T) {
 	on := newEngine(t, Options{})
 	off := newEngine(t, Options{NoOverlapFilter: true})
 	locs := []geo.Point{f.center, geo.Offset(f.center, 1000, 0)}
-	mq := MultiQuery{Locations: locs, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}
-	a, err := oneShot(bg, on.PlanMulti, mq)
+	mq := MultiQuery{Locations: locs, Start: 11 * time.Hour, Duration: 10 * time.Minute}
+	a, err := oneShot(bg, on.PlanMulti, mq, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := oneShot(bg, off.PlanMulti, mq)
+	b, err := oneShot(bg, off.PlanMulti, mq, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -584,7 +576,7 @@ func TestNoVisitedSetTerminates(t *testing.T) {
 	q := baseQuery(f)
 	done := make(chan error, 1)
 	go func() {
-		_, err := oneShot(bg, e.PlanReach, q)
+		_, err := oneShot(bg, e.PlanReach, q, 0.2)
 		done <- err
 	}()
 	select {

@@ -80,12 +80,11 @@ func chainEngine(t *testing.T, opts Options) *Engine {
 	return e
 }
 
-func chainQuery(prob float64) Query {
+func chainQuery() Query {
 	return Query{
 		Location: geo.Point{Lat: 22.5, Lng: 114.0022}, // on segment A
 		Start:    10 * time.Hour,
 		Duration: 10 * time.Minute,
-		Prob:     prob,
 	}
 }
 
@@ -124,7 +123,7 @@ func TestHandComputedRegions(t *testing.T) {
 		{0.80, nil},
 	}
 	for _, c := range cases {
-		res, err := oneShot(bg, e.PlanReach, chainQuery(c.prob))
+		res, err := oneShot(bg, e.PlanReach, chainQuery(), c.prob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,11 +141,11 @@ func TestHandComputedRegions(t *testing.T) {
 func TestHandComputedESAgrees(t *testing.T) {
 	e := chainEngine(t, Options{VerifyAll: true})
 	for _, prob := range []float64{0.2, 0.5, 0.75} {
-		es, err := oneShot(bg, e.PlanReachES, chainQuery(prob))
+		es, err := oneShot(bg, e.PlanReachES, chainQuery(), prob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sq, err := oneShot(bg, e.PlanReach, chainQuery(prob))
+		sq, err := oneShot(bg, e.PlanReach, chainQuery(), prob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,9 +173,8 @@ func TestHandComputedReverse(t *testing.T) {
 		Location: geo.Point{Lat: 22.5, Lng: 114.0122}, // on segment C
 		Start:    10 * time.Hour,
 		Duration: 10 * time.Minute,
-		Prob:     0.25,
 	}
-	res, err := oneShot(bg, e.PlanReverse, q)
+	res, err := oneShot(bg, e.PlanReverse, q, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +182,7 @@ func TestHandComputedReverse(t *testing.T) {
 	if len(res.Segments) != len(want) {
 		t.Fatalf("reverse region = %v, want %v", res.Segments, want)
 	}
-	q.Prob = 0.3
-	res, err = oneShot(bg, e.PlanReverse, q)
+	res, err = oneShot(bg, e.PlanReverse, q, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +193,7 @@ func TestHandComputedReverse(t *testing.T) {
 
 func TestHandComputedRoadLength(t *testing.T) {
 	e := chainEngine(t, Options{VerifyAll: true})
-	res, err := oneShot(bg, e.PlanReach, chainQuery(0.5))
+	res, err := oneShot(bg, e.PlanReach, chainQuery(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,9 @@ import (
 // a cancelled or deadline-expired context aborts an in-flight query
 // within one checkpoint interval and returns ctx.Err().
 
-// Query is a single-location ST reachability query (s-query).
+// Query is a single-location ST reachability query (s-query) without its
+// probability threshold: a plan is threshold-independent, and the
+// threshold is passed to SharedPlan.ResultAt.
 type Query struct {
 	// Location is the start location S.
 	Location geo.Point
@@ -46,16 +48,14 @@ type Query struct {
 	Start time.Duration
 	// Duration is the prediction length L.
 	Duration time.Duration
-	// Prob is the required reachability probability in (0, 1].
-	Prob float64
 }
 
-// MultiQuery is a multi-location ST reachability query (m-query).
+// MultiQuery is a multi-location ST reachability query (m-query), also
+// without its threshold.
 type MultiQuery struct {
 	Locations []geo.Point
 	Start     time.Duration
 	Duration  time.Duration
-	Prob      float64
 }
 
 // Metrics reports the cost of answering one query.

@@ -20,11 +20,11 @@ func TestResultsStableUnderCache(t *testing.T) {
 	e := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
 
-	sqCold, err := oneShot(bg, e.PlanReach, q)
+	sqCold, err := oneShot(bg, e.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sqWarm, err := oneShot(bg, e.PlanReach, q)
+	sqWarm, err := oneShot(bg, e.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestResultsStableUnderCache(t *testing.T) {
 		t.Fatal("warm SQMB run should hit the decoded cache")
 	}
 
-	esCold, err := oneShot(bg, e.PlanReachES, q)
+	esCold, err := oneShot(bg, e.PlanReachES, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	esWarm, err := oneShot(bg, e.PlanReachES, q)
+	esWarm, err := oneShot(bg, e.PlanReachES, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestParallelVerifyMatchesSerial(t *testing.T) {
 		serial := newEngine(t, serialOpts)
 		par := newEngine(t, parOpts)
 
-		sres, err := oneShot(bg, serial.PlanReach, q)
+		sres, err := oneShot(bg, serial.PlanReach, q, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pres, err := oneShot(bg, par.PlanReach, q)
+		pres, err := oneShot(bg, par.PlanReach, q, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +96,11 @@ func TestParallelVerifyMatchesSerial(t *testing.T) {
 				opts.VerifyAll, pres.Metrics.Evaluated, sres.Metrics.Evaluated)
 		}
 
-		srev, err := oneShot(bg, serial.PlanReverse, q)
+		srev, err := oneShot(bg, serial.PlanReverse, q, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev, err := oneShot(bg, par.PlanReverse, q)
+		prev, err := oneShot(bg, par.PlanReverse, q, 0.2)
 		if err != nil {
 			t.Fatal(err)
 		}

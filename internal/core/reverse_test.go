@@ -10,7 +10,7 @@ func TestReverseSQMBBasics(t *testing.T) {
 	f := getFixture(t)
 	e := newEngine(t, Options{})
 	q := baseQuery(f)
-	res, err := oneShot(bg, e.PlanReverse, q)
+	res, err := oneShot(bg, e.PlanReverse, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,11 +29,11 @@ func TestReverseESMatchesReverseVerifyAll(t *testing.T) {
 	f := getFixture(t)
 	exact := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
-	es, err := oneShot(bg, exact.PlanReverseES, q)
+	es, err := oneShot(bg, exact.PlanReverseES, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq, err := oneShot(bg, exact.PlanReverse, q)
+	sq, err := oneShot(bg, exact.PlanReverse, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func TestReverseRegionDirectionality(t *testing.T) {
 	f := getFixture(t)
 	e := newEngine(t, Options{})
 	q := baseQuery(f)
-	fwd, err := oneShot(bg, e.PlanReach, q)
+	fwd, err := oneShot(bg, e.PlanReach, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := oneShot(bg, e.PlanReverse, q)
+	rev, err := oneShot(bg, e.PlanReverse, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,10 @@ func TestReverseValidation(t *testing.T) {
 	e := newEngine(t, Options{})
 	f := getFixture(t)
 	q := baseQuery(f)
-	q.Prob = -1
-	if _, err := oneShot(bg, e.PlanReverse, q); err == nil {
+	if _, err := oneShot(bg, e.PlanReverse, q, -1); err == nil {
 		t.Fatal("invalid Prob should error")
 	}
-	if _, err := oneShot(bg, e.PlanReverseES, q); err == nil {
+	if _, err := oneShot(bg, e.PlanReverseES, q, -1); err == nil {
 		t.Fatal("invalid Prob should error for ES too")
 	}
 }
@@ -123,13 +122,11 @@ func TestReverseMonotoneInProb(t *testing.T) {
 	f := getFixture(t)
 	exact := newEngine(t, Options{VerifyAll: true})
 	q := baseQuery(f)
-	q.Prob = 0.2
-	loose, err := oneShot(bg, exact.PlanReverse, q)
+	loose, err := oneShot(bg, exact.PlanReverse, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Prob = 0.8
-	strict, err := oneShot(bg, exact.PlanReverse, q)
+	strict, err := oneShot(bg, exact.PlanReverse, q, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +143,12 @@ func TestReverseDurationGrowsRegion(t *testing.T) {
 	e := newEngine(t, Options{})
 	q := baseQuery(f)
 	q.Duration = 5 * time.Minute
-	small, err := oneShot(bg, e.PlanReverse, q)
+	small, err := oneShot(bg, e.PlanReverse, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q.Duration = 20 * time.Minute
-	large, err := oneShot(bg, e.PlanReverse, q)
+	large, err := oneShot(bg, e.PlanReverse, q, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}

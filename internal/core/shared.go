@@ -152,7 +152,7 @@ func (e *Engine) newSharedPlan(kind planKind) *SharedPlan {
 // PlanReach runs the threshold-independent part of an s-query with the
 // paper's two-step pipeline: maximum/minimum bounding region search via
 // the Con-Index (SQMB), then the candidates the trace back search (TBS)
-// verifies. q.Prob is ignored; pass it to ResultAt.
+// verifies. The threshold is passed to ResultAt.
 func (e *Engine) PlanReach(ctx context.Context, q Query, opts ...PlanOption) (*SharedPlan, error) {
 	if err := validateWindow(q.Start, q.Duration); err != nil {
 		return nil, err

@@ -60,60 +60,28 @@ func TestSharedPlanMatchesIndependent(t *testing.T) {
 	algos := []algo{
 		{"sqmb", Options{},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanReach(bg, q) },
-			func(e *Engine, prob float64) (*Result, error) {
-				qq := q
-				qq.Prob = prob
-				return oneShot(bg, e.PlanReach, qq)
-			}},
+			func(e *Engine, prob float64) (*Result, error) { return oneShot(bg, e.PlanReach, q, prob) }},
 		{"sqmb-verifyall", Options{VerifyAll: true},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanReach(bg, q) },
-			func(e *Engine, prob float64) (*Result, error) {
-				qq := q
-				qq.Prob = prob
-				return oneShot(bg, e.PlanReach, qq)
-			}},
+			func(e *Engine, prob float64) (*Result, error) { return oneShot(bg, e.PlanReach, q, prob) }},
 		{"sqmb-earlystop", Options{EarlyStop: true},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanReach(bg, q) },
-			func(e *Engine, prob float64) (*Result, error) {
-				qq := q
-				qq.Prob = prob
-				return oneShot(bg, e.PlanReach, qq)
-			}},
+			func(e *Engine, prob float64) (*Result, error) { return oneShot(bg, e.PlanReach, q, prob) }},
 		{"reverse", Options{},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanReverse(bg, q) },
-			func(e *Engine, prob float64) (*Result, error) {
-				qq := q
-				qq.Prob = prob
-				return oneShot(bg, e.PlanReverse, qq)
-			}},
+			func(e *Engine, prob float64) (*Result, error) { return oneShot(bg, e.PlanReverse, q, prob) }},
 		{"es", Options{},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanReachES(bg, q) },
-			func(e *Engine, prob float64) (*Result, error) {
-				qq := q
-				qq.Prob = prob
-				return oneShot(bg, e.PlanReachES, qq)
-			}},
+			func(e *Engine, prob float64) (*Result, error) { return oneShot(bg, e.PlanReachES, q, prob) }},
 		{"reverse-es", Options{},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanReverseES(bg, q) },
-			func(e *Engine, prob float64) (*Result, error) {
-				qq := q
-				qq.Prob = prob
-				return oneShot(bg, e.PlanReverseES, qq)
-			}},
+			func(e *Engine, prob float64) (*Result, error) { return oneShot(bg, e.PlanReverseES, q, prob) }},
 		{"mqmb", Options{},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanMulti(bg, multi) },
-			func(e *Engine, prob float64) (*Result, error) {
-				m := multi
-				m.Prob = prob
-				return oneShot(bg, e.PlanMulti, m)
-			}},
+			func(e *Engine, prob float64) (*Result, error) { return oneShot(bg, e.PlanMulti, multi, prob) }},
 		{"sequential", Options{},
 			func(e *Engine) (*SharedPlan, error) { return e.PlanMultiSequential(bg, multi) },
-			func(e *Engine, prob float64) (*Result, error) {
-				m := multi
-				m.Prob = prob
-				return oneShot(bg, e.PlanMultiSequential, m)
-			}},
+			func(e *Engine, prob float64) (*Result, error) { return oneShot(bg, e.PlanMultiSequential, multi, prob) }},
 	}
 
 	for _, a := range algos {

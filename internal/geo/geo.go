@@ -162,22 +162,13 @@ func (m MBR) Center() Point {
 	return Point{Lat: (m.MinLat + m.MaxLat) / 2, Lng: (m.MinLng + m.MaxLng) / 2}
 }
 
-// Area returns the rectangle's area in square degrees. It is only used for
-// R-tree split heuristics, where relative comparisons suffice.
+// Area returns the rectangle's area in square degrees, for relative
+// comparisons.
 func (m MBR) Area() float64 {
 	if m.Empty() {
 		return 0
 	}
 	return (m.MaxLat - m.MinLat) * (m.MaxLng - m.MinLng)
-}
-
-// Margin returns the rectangle's half-perimeter in degrees (an R* split
-// heuristic quantity).
-func (m MBR) Margin() float64 {
-	if m.Empty() {
-		return 0
-	}
-	return (m.MaxLat - m.MinLat) + (m.MaxLng - m.MinLng)
 }
 
 // Union returns the smallest MBR containing both m and o.
@@ -200,11 +191,6 @@ func (m MBR) Intersection(o MBR) MBR {
 		MaxLng:   math.Min(m.MaxLng, o.MaxLng),
 		nonEmpty: true,
 	}
-}
-
-// Enlargement returns how much m's area would grow to also cover o.
-func (m MBR) Enlargement(o MBR) float64 {
-	return m.Union(o).Area() - m.Area()
 }
 
 // Buffer returns m grown by approximately meters on every side.

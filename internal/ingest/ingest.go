@@ -46,19 +46,6 @@ type Config struct {
 	// is observable. Shards sizes the counter vector.
 	Owner  func(seg int) int
 	Shards int
-	// SpeedBuffer caps how many Con-Index speed samples accumulate
-	// before being folded into the min/max bounds (default 65536).
-	// Trajectory observations go live in the ST-Index delta on every
-	// batch, but the speed statistics — pruning bounds, not answer data
-	// — are buffered and folded at Flush/Close or when this cap fills,
-	// because every bound move invalidates materialised adjacency rows
-	// and per-batch folding at full ingest rate turns the query bounding
-	// phase into a Dijkstra storm. The cap bounds both memory and bound
-	// staleness: at r updates/s the bounds lag live by at most
-	// SpeedBuffer/r seconds between flushes.
-	SpeedBuffer int
-	// Log receives drop/corruption diagnostics (default log.Default()).
-	Log *log.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -77,14 +64,19 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.SpeedBuffer <= 0 {
-		c.SpeedBuffer = 65536
-	}
-	if c.Log == nil {
-		c.Log = log.Default()
-	}
 	return c
 }
+
+// speedBuffer caps how many Con-Index speed samples accumulate before
+// being folded into the min/max bounds. Trajectory observations go live
+// in the ST-Index delta on every batch, but the speed statistics —
+// pruning bounds, not answer data — are buffered and folded at
+// Flush/Close or when this cap fills, because every bound move
+// invalidates materialised adjacency rows and per-batch folding at full
+// ingest rate turns the query bounding phase into a Dijkstra storm. The
+// cap bounds both memory and bound staleness: at r updates/s the bounds
+// lag live by at most speedBuffer/r seconds between flushes.
+const speedBuffer = 65536
 
 // Stats snapshots a Writer's counters.
 type Stats struct {
@@ -103,7 +95,7 @@ type Stats struct {
 	// WALLastError is the most recent WAL append failure ("" when none).
 	WALLastError string
 	// PendingSpeeds counts buffered Con-Index speed samples awaiting the
-	// next fold (Flush, Close, or the SpeedBuffer cap).
+	// next fold (Flush, Close, or the speedBuffer cap).
 	PendingSpeeds int
 	PerShard      []int64
 }
@@ -133,7 +125,7 @@ type Writer struct {
 	walLastErr  string
 
 	// sampleMu guards the buffered Con-Index speed samples (see
-	// Config.SpeedBuffer and FoldSpeeds).
+	// speedBuffer and FoldSpeeds).
 	sampleMu sync.Mutex
 	samples  []conindex.SpeedSample
 }
@@ -226,7 +218,7 @@ func (w *Writer) bufferSpeeds(samples []conindex.SpeedSample) {
 	var drain []conindex.SpeedSample
 	w.sampleMu.Lock()
 	w.samples = append(w.samples, samples...)
-	if len(w.samples) >= w.cfg.SpeedBuffer {
+	if len(w.samples) >= speedBuffer {
 		drain = w.samples
 		w.samples = nil
 	}
@@ -314,7 +306,7 @@ func (w *Writer) apply(batch []Update) {
 	good, obs, rejected := expandBatch(w.st, batch)
 	for _, u := range rejected {
 		w.dropped.Add(1)
-		w.cfg.Log.Printf("ingest: dropped update taxi=%d day=%d seg=%d [%d,%d]ms speed=%v: out of range",
+		log.Printf("ingest: dropped update taxi=%d day=%d seg=%d [%d,%d]ms speed=%v: out of range",
 			u.Taxi, u.Day, u.Seg, u.EnterMs, u.ExitMs, u.Speed)
 	}
 	if len(good) == 0 {
@@ -324,7 +316,7 @@ func (w *Writer) apply(batch []Update) {
 		// Bounds were pre-checked, so this is unexpected; count the
 		// whole batch dropped rather than half-applying.
 		w.dropped.Add(int64(len(good)))
-		w.cfg.Log.Printf("ingest: append delta failed, dropped %d updates: %v", len(good), err)
+		log.Printf("ingest: append delta failed, dropped %d updates: %v", len(good), err)
 		return
 	}
 	w.bufferSpeeds(speedSamples(w.st.SlotSeconds(), good))
@@ -359,13 +351,13 @@ func (w *Writer) apply(batch []Update) {
 				w.walErrMu.Lock()
 				w.walLastErr = err.Error()
 				w.walErrMu.Unlock()
-				w.cfg.Log.Printf("ingest: wal append failed (%d updates live but not durable): %v", len(part), err)
+				log.Printf("ingest: wal append failed (%d updates live but not durable): %v", len(part), err)
 			}
 		}
 		if failed {
 			w.walDegraded.Store(true)
 		} else if w.walDegraded.CompareAndSwap(true, false) {
-			w.cfg.Log.Printf("ingest: wal append succeeded; durability restored")
+			log.Printf("ingest: wal append succeeded; durability restored")
 		}
 	}
 	w.batches.Add(1)

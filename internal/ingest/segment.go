@@ -83,9 +83,6 @@ type SegmentedConfig struct {
 	Backoff time.Duration
 	// Epoch stamps new segment names (informational; see SetEpoch).
 	Epoch uint64
-	// Log receives rotation/degradation diagnostics (default
-	// log.Default()).
-	Log *log.Logger
 }
 
 func (c SegmentedConfig) withDefaults() SegmentedConfig {
@@ -105,9 +102,6 @@ func (c SegmentedConfig) withDefaults() SegmentedConfig {
 	}
 	if c.Backoff <= 0 {
 		c.Backoff = 2 * time.Millisecond
-	}
-	if c.Log == nil {
-		c.Log = log.Default()
 	}
 	return c
 }
@@ -294,7 +288,7 @@ func (l *SegmentedLog) appendFrame(shard int, frame []byte) error {
 		var torn bool
 		if torn, err = l.writeFrameLocked(a, frame); err == nil {
 			if l.degraded.CompareAndSwap(true, false) {
-				l.cfg.Log.Printf("ingest: wal append recovered on shard %d; durability restored", a.shard)
+				log.Printf("ingest: wal append recovered on shard %d; durability restored", a.shard)
 			}
 			return nil
 		}
@@ -308,7 +302,7 @@ func (l *SegmentedLog) appendFrame(shard int, frame []byte) error {
 	l.errCount.Add(1)
 	l.setLastErr(err)
 	if l.degraded.CompareAndSwap(false, true) {
-		l.cfg.Log.Printf("ingest: wal append failed after %d attempts (%v); durability degraded, updates stay live", l.cfg.Retries+1, err)
+		log.Printf("ingest: wal append failed after %d attempts (%v); durability degraded, updates stay live", l.cfg.Retries+1, err)
 	}
 	return err
 }
@@ -441,7 +435,7 @@ func (l *SegmentedLog) Retire(cut uint64) error {
 	for _, s := range gone {
 		storage.CrashPoint("wal.retire")
 		if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) {
-			l.cfg.Log.Printf("ingest: retire wal segment %s: %v (left for replay)", filepath.Base(s.path), err)
+			log.Printf("ingest: retire wal segment %s: %v (left for replay)", filepath.Base(s.path), err)
 			if firstErr == nil {
 				firstErr = err
 			}

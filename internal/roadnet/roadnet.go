@@ -128,9 +128,6 @@ func (n *Network) Incoming(id SegmentID) []SegmentID {
 	return n.in[n.segments[id].From]
 }
 
-// OutgoingFrom returns the segments leaving vertex v.
-func (n *Network) OutgoingFrom(v int32) []SegmentID { return n.out[v] }
-
 // Neighbors returns all segments adjacent to id in either travel
 // direction: successors, predecessors, and the reverse twin. This is the
 // neighbor(r) set used by the trace back search (Algorithm 2).

@@ -113,21 +113,6 @@ func (r *Router) route(ctx context.Context, src, dst roadnet.SegmentID, departSe
 	return nil, fmt.Errorf("router: no route from %d to %d", src, dst)
 }
 
-// ETAProfile returns the time-dependent travel time for the same
-// origin-destination pair at each hour of the day — the "ETA by time of
-// day" curve applications plot.
-func (r *Router) ETAProfile(ctx context.Context, src, dst roadnet.SegmentID) ([24]float64, error) {
-	var out [24]float64
-	for h := 0; h < 24; h++ {
-		route, err := r.TimeDependent(ctx, src, dst, float64(h)*3600)
-		if err != nil {
-			return out, err
-		}
-		out[h] = route.TravelTimeSec
-	}
-	return out, nil
-}
-
 // validatePath reports whether the path is a connected forward walk.
 // Exported for tests via Validate.
 func (r *Router) validatePath(path []roadnet.SegmentID) error {

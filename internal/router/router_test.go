@@ -162,9 +162,14 @@ func TestETAProfileShape(t *testing.T) {
 	w := getWorld(t)
 	r := New(w.net, w.con)
 	src, dst := corners(w)
-	profile, err := r.ETAProfile(bg, src, dst)
-	if err != nil {
-		t.Fatal(err)
+	// The ETA-by-time-of-day curve: one time-dependent route per hour.
+	var profile [24]float64
+	for h := range profile {
+		route, err := r.TimeDependent(bg, src, dst, float64(h)*3600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profile[h] = route.TravelTimeSec
 	}
 	// The profile must dip at night relative to the evening rush.
 	if profile[18] <= profile[3] {

@@ -1,11 +1,11 @@
 // Package rtree implements the spatial index used by the ST-Index.
 //
 // The tree stores items keyed by their minimum bounding rectangle and
-// supports rectangle range queries, point stabbing queries, and nearest-
-// neighbour search. A bulk loader (Sort-Tile-Recursive) builds a packed
-// tree from a static set, which matches the paper's setting: the
-// re-segmented road network is fixed, so every temporal leaf can share the
-// same spatial index structure (thesis §3.2.1).
+// supports rectangle range queries and nearest-neighbour search. A bulk
+// loader (Sort-Tile-Recursive) builds a packed tree from a static set,
+// which matches the paper's setting: the re-segmented road network is
+// fixed, so every temporal leaf can share the same spatial index
+// structure (thesis §3.2.1).
 package rtree
 
 import (
@@ -22,10 +22,8 @@ type Item struct {
 	Box geo.MBR
 }
 
-const (
-	maxEntries = 16
-	minEntries = maxEntries * 2 / 5 // R*-tree style 40% minimum fill
-)
+// maxEntries is the fan-out of every node.
+const maxEntries = 16
 
 type node struct {
 	box      geo.MBR
@@ -34,16 +32,11 @@ type node struct {
 	children []*node // populated when !leaf
 }
 
-// Tree is an R-tree. The zero value is an empty tree ready for Insert;
-// BulkLoad builds a packed tree in one shot.
+// Tree is a static R-tree, built in one shot by BulkLoad. The zero value
+// is an empty tree.
 type Tree struct {
 	root  *node
 	count int
-}
-
-// New returns an empty tree.
-func New() *Tree {
-	return &Tree{root: &node{leaf: true}}
 }
 
 // BulkLoad builds a packed tree over items using Sort-Tile-Recursive
@@ -156,106 +149,6 @@ func (t *Tree) Bounds() geo.MBR {
 	return t.root.box
 }
 
-// Insert adds an item to the tree (quadratic-split R-tree insertion).
-func (t *Tree) Insert(it Item) {
-	if t.root == nil {
-		t.root = &node{leaf: true}
-	}
-	split := t.insert(t.root, it)
-	if split != nil {
-		newRoot := &node{children: []*node{t.root, split}}
-		newRoot.box = t.root.box.Union(split.box)
-		t.root = newRoot
-	}
-	t.count++
-}
-
-// insert descends to a leaf, adding it; returns a new sibling when the
-// visited node had to split.
-func (t *Tree) insert(n *node, it Item) *node {
-	n.box.ExpandMBR(it.Box)
-	if n.leaf {
-		n.items = append(n.items, it)
-		if len(n.items) > maxEntries {
-			return splitLeaf(n)
-		}
-		return nil
-	}
-	best := chooseSubtree(n.children, it.Box)
-	split := t.insert(n.children[best], it)
-	if split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > maxEntries {
-			return splitInternal(n)
-		}
-	}
-	return nil
-}
-
-func chooseSubtree(children []*node, box geo.MBR) int {
-	best := 0
-	bestEnl := children[0].box.Enlargement(box)
-	bestArea := children[0].box.Area()
-	for i := 1; i < len(children); i++ {
-		enl := children[i].box.Enlargement(box)
-		area := children[i].box.Area()
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	return best
-}
-
-// splitLeaf splits an over-full leaf along its longer axis at the median,
-// mutating n to hold the lower half and returning the upper half.
-func splitLeaf(n *node) *node {
-	byLng := n.box.MaxLng-n.box.MinLng > n.box.MaxLat-n.box.MinLat
-	sort.Slice(n.items, func(i, j int) bool {
-		if byLng {
-			return n.items[i].Box.Center().Lng < n.items[j].Box.Center().Lng
-		}
-		return n.items[i].Box.Center().Lat < n.items[j].Box.Center().Lat
-	})
-	mid := len(n.items) / 2
-	if mid < minEntries {
-		mid = minEntries
-	}
-	sib := &node{leaf: true, items: append([]Item(nil), n.items[mid:]...)}
-	n.items = n.items[:mid]
-	n.box = geo.MBR{}
-	for _, it := range n.items {
-		n.box.ExpandMBR(it.Box)
-	}
-	for _, it := range sib.items {
-		sib.box.ExpandMBR(it.Box)
-	}
-	return sib
-}
-
-func splitInternal(n *node) *node {
-	byLng := n.box.MaxLng-n.box.MinLng > n.box.MaxLat-n.box.MinLat
-	sort.Slice(n.children, func(i, j int) bool {
-		if byLng {
-			return n.children[i].box.Center().Lng < n.children[j].box.Center().Lng
-		}
-		return n.children[i].box.Center().Lat < n.children[j].box.Center().Lat
-	})
-	mid := len(n.children) / 2
-	if mid < minEntries {
-		mid = minEntries
-	}
-	sib := &node{children: append([]*node(nil), n.children[mid:]...)}
-	n.children = n.children[:mid]
-	n.box = geo.MBR{}
-	for _, c := range n.children {
-		n.box.ExpandMBR(c.box)
-	}
-	for _, c := range sib.children {
-		sib.box.ExpandMBR(c.box)
-	}
-	return sib
-}
-
 // Search appends to dst the IDs of all items whose boxes intersect query,
 // and returns the extended slice.
 func (t *Tree) Search(query geo.MBR, dst []int64) []int64 {
@@ -281,11 +174,6 @@ func searchNode(n *node, query geo.MBR, dst []int64) []int64 {
 		dst = searchNode(c, query, dst)
 	}
 	return dst
-}
-
-// SearchPoint appends the IDs of all items whose boxes contain p.
-func (t *Tree) SearchPoint(p geo.Point, dst []int64) []int64 {
-	return t.Search(geo.NewMBR(p, p), dst)
 }
 
 // nnEntry is a priority-queue entry for best-first nearest-neighbour search.

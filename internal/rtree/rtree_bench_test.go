@@ -27,16 +27,6 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	items := benchItems(10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	tr := New()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(items[i%len(items)])
-	}
-}
-
 func BenchmarkSearchSmallWindow(b *testing.B) {
 	tr := BulkLoad(benchItems(10000))
 	rng := rand.New(rand.NewSource(22))

@@ -51,19 +51,15 @@ func equalIDs(a, b []int64) bool {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New()
+	tr := BulkLoad(nil)
 	if tr.Len() != 0 {
-		t.Fatal("new tree should be empty")
+		t.Fatal("bulk load of nil should be empty")
 	}
 	if got := tr.Search(geo.NewMBR(origin, origin), nil); len(got) != 0 {
 		t.Fatal("search on empty tree should return nothing")
 	}
 	if got := tr.Nearest(origin, 3); len(got) != 0 {
 		t.Fatal("nearest on empty tree should return nothing")
-	}
-	bl := BulkLoad(nil)
-	if bl.Len() != 0 {
-		t.Fatal("bulk load of nil should be empty")
 	}
 }
 
@@ -89,65 +85,21 @@ func TestBulkLoadSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestInsertSearchMatchesBruteForce(t *testing.T) {
-	items := randomItems(1500, 9)
-	tr := New()
-	for _, it := range items {
-		tr.Insert(it)
-	}
-	if tr.Len() != len(items) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(items))
-	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-	rng := rand.New(rand.NewSource(10))
-	for i := 0; i < 100; i++ {
-		a := geo.Offset(origin, rng.Float64()*20000, rng.Float64()*20000)
-		b := geo.Offset(a, rng.Float64()*3000, rng.Float64()*3000)
-		query := geo.NewMBR(a, b)
-		got := sortIDs(tr.Search(query, nil))
-		want := sortIDs(bruteSearch(items, query))
-		if !equalIDs(got, want) {
-			t.Fatalf("query %d: got %d ids, want %d", i, len(got), len(want))
-		}
-	}
-}
-
-func TestMixedBulkLoadThenInsert(t *testing.T) {
-	base := randomItems(500, 11)
-	tr := BulkLoad(base)
-	extra := randomItems(500, 12)
-	for i := range extra {
-		extra[i].ID += 500
-		tr.Insert(extra[i])
-	}
-	all := append(append([]Item(nil), base...), extra...)
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatalf("invariants: %v", err)
-	}
-	query := tr.Bounds()
-	got := sortIDs(tr.Search(query, nil))
-	want := sortIDs(bruteSearch(all, query))
-	if !equalIDs(got, want) {
-		t.Fatalf("full-extent search: got %d, want %d", len(got), len(want))
-	}
-}
-
 func TestSearchPoint(t *testing.T) {
 	items := []Item{
 		{ID: 1, Box: geo.NewMBR(origin, geo.Offset(origin, 1000, 1000))},
 		{ID: 2, Box: geo.NewMBR(geo.Offset(origin, 2000, 2000), geo.Offset(origin, 3000, 3000))},
 	}
 	tr := BulkLoad(items)
+	// A point query is a search with a degenerate box.
 	inside := geo.Offset(origin, 500, 500)
-	got := tr.SearchPoint(inside, nil)
+	got := tr.Search(geo.NewMBR(inside, inside), nil)
 	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("SearchPoint inside box 1: got %v", got)
+		t.Fatalf("point search inside box 1: got %v", got)
 	}
 	nowhere := geo.Offset(origin, 1500, 1500)
-	if got := tr.SearchPoint(nowhere, nil); len(got) != 0 {
-		t.Fatalf("SearchPoint in gap: got %v", got)
+	if got := tr.Search(geo.NewMBR(nowhere, nowhere), nil); len(got) != 0 {
+		t.Fatalf("point search in gap: got %v", got)
 	}
 }
 
@@ -247,10 +199,11 @@ func TestBoundsCoverEverything(t *testing.T) {
 func TestDuplicateBoxes(t *testing.T) {
 	// Many items sharing the exact same MBR must all be stored and found.
 	box := geo.NewMBR(origin, geo.Offset(origin, 100, 100))
-	tr := New()
-	for i := 0; i < 100; i++ {
-		tr.Insert(Item{ID: int64(i), Box: box})
+	items := make([]Item, 100)
+	for i := range items {
+		items[i] = Item{ID: int64(i), Box: box}
 	}
+	tr := BulkLoad(items)
 	got := tr.Search(box, nil)
 	if len(got) != 100 {
 		t.Fatalf("found %d duplicates, want 100", len(got))

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -161,12 +160,7 @@ func (s *Server) handleIngestCompact(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("keys"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			s.recordError(http.StatusBadRequest)
-			writeJSON(w, http.StatusBadRequest, map[string]any{
-				"error":      fmt.Sprintf("invalid keys parameter %q", v),
-				"code":       streach.InvalidRequest.String(),
-				"request_id": RequestID(r.Context()),
-			})
+			s.badRequest(w, r, "invalid keys parameter %q", v)
 			return
 		}
 		maxKeys = n

@@ -270,12 +270,14 @@ func shardedSystem(t *testing.T) *streach.System {
 // four times the admission limit. Every response must be a 200 or a
 // typed 429 with Retry-After — never an untyped 5xx — there must be at
 // least one of each, and p99 stays within twice the deadline budget.
-// Afterwards every scratch pool balances: shed queries drained their
-// plans back.
+// That a flood of queries, some cut off by their deadline, leaves every
+// engine's scratch pool balanced is pinned in the streach package
+// (TestScratchBalancedAfterDeadlineFlood), which can read the pools.
 func TestServeOverload(t *testing.T) {
 	sys := shardedSystem(t)
 	const deadline = 2 * time.Second
 	srv := New(sys, Config{DefaultTimeout: deadline, MaxInFlight: 2})
+	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -371,16 +373,4 @@ func TestServeOverload(t *testing.T) {
 		}
 	}
 
-	// Scratch-drain regression (run after both Closes, so no background
-	// warm is mid-checkout and the plan store has closed the plans it
-	// parks):
-	// every pooled region and bitset came back, including from shed
-	// queries.
-	srv.Close()
-	sys.Close()
-	for i, st := range sys.ScratchStats() {
-		if !st.Balanced() {
-			t.Fatalf("scratch pool %d leaked across the overload flood: %+v", i, st)
-		}
-	}
 }

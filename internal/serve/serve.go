@@ -336,8 +336,8 @@ func (s *Server) recordError(status int) {
 // statusOf maps a query failure to an HTTP status: context sentinels
 // and the location-snap miss first (a missing road is 404, not the 400
 // its InvalidRequest marking would suggest), then the typed streach
-// error taxonomy, then the legacy message heuristics for errors that
-// predate it.
+// error taxonomy. An error that carries no code — a storage or render
+// failure outside the query path — is a 500.
 func statusOf(err error) int {
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -353,15 +353,6 @@ func statusOf(err error) int {
 		return http.StatusGatewayTimeout
 	case streach.Overloaded:
 		return http.StatusTooManyRequests
-	case streach.CorruptData, streach.Internal:
-		return http.StatusInternalServerError
-	}
-	switch {
-	case strings.Contains(err.Error(), "must be"),
-		strings.Contains(err.Error(), "needs"),
-		strings.Contains(err.Error(), "does not answer"),
-		strings.Contains(err.Error(), "has no multi-location"):
-		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
 }

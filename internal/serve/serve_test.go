@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -452,5 +454,35 @@ func TestShardedServing(t *testing.T) {
 	}
 	if verified == 0 {
 		t.Fatal("no candidates attributed to any shard")
+	}
+}
+
+// TestStatusOf pins the status of every error kind a handler can meet:
+// the typed codes, the bare context sentinels, the snap miss, and an
+// untyped failure whose message happens to read like a bad request.
+func TestStatusOf(t *testing.T) {
+	typed := func(c streach.ErrorCode, msg string) error {
+		return &streach.Error{Code: c, Op: "reach", Err: errors.New(msg)}
+	}
+	for _, c := range []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"unknown", typed(streach.CodeUnknown, "x"), http.StatusInternalServerError},
+		{"invalid", typed(streach.InvalidRequest, "core: Prob must be in (0, 1], got 2"), http.StatusBadRequest},
+		{"timeout", typed(streach.Timeout, "x"), http.StatusGatewayTimeout},
+		{"overloaded", typed(streach.Overloaded, "x"), http.StatusTooManyRequests},
+		{"corrupt", typed(streach.CorruptData, "x"), http.StatusInternalServerError},
+		{"internal", typed(streach.Internal, "x"), http.StatusInternalServerError},
+		{"canceled", context.Canceled, 499},
+		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout},
+		{"snap miss", typed(streach.InvalidRequest, "streach: no road near {Lat:0 Lng:0}"), http.StatusNotFound},
+		{"untyped needs", fmt.Errorf("streach: persist compaction: %w",
+			errors.New("storage: WritePage needs exactly 4096 bytes, got 1")), http.StatusInternalServerError},
+	} {
+		if got := statusOf(c.err); got != c.want {
+			t.Errorf("%s: statusOf(%v) = %d, want %d", c.name, c.err, got, c.want)
+		}
 	}
 }

@@ -20,14 +20,7 @@ var bg = context.Background()
 // oneShot answers one query on an engine the way the facade does: the
 // threshold is checked first, then the plan is built, read once at the
 // threshold and closed.
-func oneShot[Q core.Query | core.MultiQuery](ctx context.Context, plan func(context.Context, Q, ...core.PlanOption) (*core.SharedPlan, error), q Q) (*core.Result, error) {
-	var prob float64
-	switch q := any(q).(type) {
-	case core.Query:
-		prob = q.Prob
-	case core.MultiQuery:
-		prob = q.Prob
-	}
+func oneShot[Q core.Query | core.MultiQuery](ctx context.Context, plan func(context.Context, Q, ...core.PlanOption) (*core.SharedPlan, error), q Q, prob float64) (*core.Result, error) {
 	if err := core.ValidateProb(prob); err != nil {
 		return nil, err
 	}
@@ -161,60 +154,30 @@ func TestClusterMatchesEngine(t *testing.T) {
 	algos := []algo{
 		{"reach", core.Options{},
 			func(c *Cluster) (*Plan, error) { return c.PlanReach(bg, q) },
-			func(e *core.Engine, prob float64) (*core.Result, error) {
-				qq := q
-				qq.Prob = prob
-				return oneShot(bg, e.PlanReach, qq)
-			}},
+			func(e *core.Engine, prob float64) (*core.Result, error) { return oneShot(bg, e.PlanReach, q, prob) }},
 		{"reach-verifyall", core.Options{VerifyAll: true},
 			func(c *Cluster) (*Plan, error) { return c.PlanReach(bg, q) },
-			func(e *core.Engine, prob float64) (*core.Result, error) {
-				qq := q
-				qq.Prob = prob
-				return oneShot(bg, e.PlanReach, qq)
-			}},
+			func(e *core.Engine, prob float64) (*core.Result, error) { return oneShot(bg, e.PlanReach, q, prob) }},
 		{"reverse", core.Options{},
 			func(c *Cluster) (*Plan, error) { return c.PlanReverse(bg, q) },
-			func(e *core.Engine, prob float64) (*core.Result, error) {
-				qq := q
-				qq.Prob = prob
-				return oneShot(bg, e.PlanReverse, qq)
-			}},
+			func(e *core.Engine, prob float64) (*core.Result, error) { return oneShot(bg, e.PlanReverse, q, prob) }},
 		{"multi", core.Options{},
 			func(c *Cluster) (*Plan, error) { return c.PlanMulti(bg, mq) },
-			func(e *core.Engine, prob float64) (*core.Result, error) {
-				m := mq
-				m.Prob = prob
-				return oneShot(bg, e.PlanMulti, m)
-			}},
+			func(e *core.Engine, prob float64) (*core.Result, error) { return oneShot(bg, e.PlanMulti, mq, prob) }},
 		{"multi-nooverlap", core.Options{NoOverlapFilter: true},
 			func(c *Cluster) (*Plan, error) { return c.PlanMulti(bg, mq) },
-			func(e *core.Engine, prob float64) (*core.Result, error) {
-				m := mq
-				m.Prob = prob
-				return oneShot(bg, e.PlanMulti, m)
-			}},
+			func(e *core.Engine, prob float64) (*core.Result, error) { return oneShot(bg, e.PlanMulti, mq, prob) }},
 		{"sequential", core.Options{},
 			func(c *Cluster) (*Plan, error) { return c.PlanMultiSequential(bg, mq) },
 			func(e *core.Engine, prob float64) (*core.Result, error) {
-				m := mq
-				m.Prob = prob
-				return oneShot(bg, e.PlanMultiSequential, m)
+				return oneShot(bg, e.PlanMultiSequential, mq, prob)
 			}},
 		{"es", core.Options{},
 			func(c *Cluster) (*Plan, error) { return c.PlanReachES(bg, q) },
-			func(e *core.Engine, prob float64) (*core.Result, error) {
-				qq := q
-				qq.Prob = prob
-				return oneShot(bg, e.PlanReachES, qq)
-			}},
+			func(e *core.Engine, prob float64) (*core.Result, error) { return oneShot(bg, e.PlanReachES, q, prob) }},
 		{"reverse-es", core.Options{},
 			func(c *Cluster) (*Plan, error) { return c.PlanReverseES(bg, q) },
-			func(e *core.Engine, prob float64) (*core.Result, error) {
-				qq := q
-				qq.Prob = prob
-				return oneShot(bg, e.PlanReverseES, qq)
-			}},
+			func(e *core.Engine, prob float64) (*core.Result, error) { return oneShot(bg, e.PlanReverseES, q, prob) }},
 	}
 
 	for _, k := range []int{1, 4} {
@@ -280,9 +243,7 @@ func TestClusterEarlyStopFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qq := q
-		qq.Prob = prob
-		want, err := oneShot(bg, eng.PlanReach, qq)
+		want, err := oneShot(bg, eng.PlanReach, q, prob)
 		if err != nil {
 			t.Fatal(err)
 		}

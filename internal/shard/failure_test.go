@@ -61,7 +61,7 @@ func faultyIndex(t *testing.T) (*stindex.Index, *storage.FaultStore) {
 func TestFailFastTypedErrors(t *testing.T) {
 	f := getFixture(t)
 	st, fs := faultyIndex(t)
-	q := core.Query{Location: f.center, Start: 11 * time.Hour, Duration: 10 * time.Minute, Prob: 0.2}
+	q := core.Query{Location: f.center, Start: 11 * time.Hour, Duration: 10 * time.Minute}
 	eng, err := core.NewEngine(st, f.con, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestFailFastTypedErrors(t *testing.T) {
 	// A healthy answer first: it decodes the query's start lists into
 	// the time-list cache, so once a fault is armed planning succeeds and
 	// the first store read is a shard's verification.
-	if _, err := oneShot(bg, eng.PlanReach, q); err != nil {
+	if _, err := oneShot(bg, eng.PlanReach, q, 0.2); err != nil {
 		t.Fatal(err)
 	}
 	sharded := func(ctx context.Context) error {
@@ -82,7 +82,7 @@ func TestFailFastTypedErrors(t *testing.T) {
 			return err
 		}
 		defer pl.Close()
-		_, err = pl.ResultAt(ctx, q.Prob)
+		_, err = pl.ResultAt(ctx, 0.2)
 		return err
 	}
 	// balanced checks every scratch pool and that the goroutine count is
@@ -110,7 +110,7 @@ func TestFailFastTypedErrors(t *testing.T) {
 		{"error", func(t *testing.T) {
 			fs.Arm(storage.FaultRule{Op: storage.OpRead, Mode: storage.ModeError})
 			defer fs.Clear()
-			_, want := oneShot(bg, eng.PlanReach, q)
+			_, want := oneShot(bg, eng.PlanReach, q, 0.2)
 			got := sharded(bg)
 			if want == nil || got == nil {
 				t.Fatalf("engine error %v, cluster error %v: both must fail", want, got)

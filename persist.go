@@ -269,7 +269,7 @@ func (s *System) persistIndexes(dir string) error {
 }
 
 // OpenSystem reopens a system saved with Save, unsharded. PoolPages
-// and TimeListCache are taken from idx; granularity comes from
+// is taken from idx; granularity comes from
 // the saved indexes, and from idx only when neither index file tells it.
 //
 // The network and dataset are the ground truth and must load cleanly.
@@ -460,9 +460,8 @@ func openSTIndex(dir string, net *roadnet.Network, idx IndexConfig) (*stindex.In
 		return nil, fmt.Errorf("streach: open st-index meta: %w", err)
 	}
 	st, err := stindex.LoadIndex(net, stindex.Config{
-		Store:         store,
-		PoolPages:     idx.PoolPages,
-		TimeListCache: idx.TimeListCache,
+		Store:     store,
+		PoolPages: idx.PoolPages,
 	}, metaFile)
 	metaFile.Close()
 	if err != nil {
@@ -486,10 +485,9 @@ func rebuildSTIndex(dir string, net *roadnet.Network, ds *traj.Dataset, idx Inde
 		return nil, err
 	}
 	st, err := stindex.Build(net, ds, stindex.Config{
-		SlotSeconds:   slotSec,
-		PoolPages:     idx.PoolPages,
-		TimeListCache: idx.TimeListCache,
-		Store:         store,
+		SlotSeconds: slotSec,
+		PoolPages:   idx.PoolPages,
+		Store:       store,
 	})
 	if err != nil {
 		store.Close()

@@ -60,7 +60,7 @@ func shapeKey(req Request, qo queryOptions) string {
 const planStoreCap = 32
 
 // planStore is the one keyed, single-flight shared-plan store behind Do
-// and WarmPlans. The first caller of a key builds its plan under
+// and warmPlans. The first caller of a key builds its plan under
 // its own context; callers arriving during the build wait for it rather
 // than build their own, and callers arriving after find it parked. A
 // plan no caller holds is parked in an LRU of cap entries; a held plan

@@ -88,7 +88,8 @@ func DefaultCityConfig() CityConfig {
 	}
 }
 
-// FleetConfig controls the simulated taxi fleet.
+// FleetConfig controls the simulated taxi fleet. Traffic always follows
+// the default rush-hour congestion profile.
 type FleetConfig struct {
 	Taxis int
 	Days  int
@@ -96,11 +97,8 @@ type FleetConfig struct {
 	Seed int64
 	// DaySpeedJitter sets day-to-day traffic variation. The zero value
 	// keeps the default of 0.15; a negative value requests no jitter at
-	// all (the explicit "off" switch, consistent with how FlatTraffic
-	// disables the congestion profile).
+	// all.
 	DaySpeedJitter float64
-	// FlatTraffic disables the rush-hour congestion profile.
-	FlatTraffic bool
 }
 
 // DefaultFleetConfig simulates 250 taxis over 30 days, mirroring the
@@ -119,11 +117,6 @@ type IndexConfig struct {
 	SlotSeconds int
 	// PoolPages is the buffer pool capacity (default 1024 pages).
 	PoolPages int
-	// TimeListCache is the decoded time-list LRU capacity in entries
-	// (default 8192, negative disables). It serves the start and
-	// destination lists a query decodes into probe sets; candidate
-	// verification streams off the page. See Metrics.TLCacheHits.
-	TimeListCache int
 	// PageFile, when set, backs the time lists with a real file instead
 	// of memory.
 	PageFile string
@@ -213,7 +206,7 @@ type System struct {
 	// flight: each query snapshots one cluster (or nil) and runs against
 	// it — both layouts answer bit-identically over the same indexes.
 	cluster atomic.Pointer[shard.Cluster]
-	// plans is the shared-plan store behind Do and WarmPlans.
+	// plans is the shared-plan store behind Do and warmPlans.
 	plans *planStore
 	// sharing counts what the plan store saved (see SharingStats).
 	sharing sharingCounters
@@ -274,7 +267,7 @@ type SharingStats struct {
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 	// PlansWarmed counts plans built proactively by the warm-plan
-	// pipeline (WarmPlans / EnableWarmPlanning) rather than by a query
+	// pipeline (EnableWarmPlanning) rather than by a query
 	// paying the cold-planning cost. Warm passes touch none of the
 	// counters above.
 	PlansWarmed int64
@@ -297,10 +290,6 @@ func NewSystem(city CityConfig, fleet FleetConfig, idx IndexConfig) (*System, er
 	if err != nil {
 		return nil, err
 	}
-	profile := traj.DefaultSpeedProfile()
-	if fleet.FlatTraffic {
-		profile = traj.FlatSpeedProfile()
-	}
 	jitter := fleet.DaySpeedJitter
 	switch {
 	case jitter == 0:
@@ -311,7 +300,7 @@ func NewSystem(city CityConfig, fleet FleetConfig, idx IndexConfig) (*System, er
 	ds, err := traj.Simulate(net, traj.SimConfig{
 		Taxis:          fleet.Taxis,
 		Days:           fleet.Days,
-		Profile:        profile,
+		Profile:        traj.DefaultSpeedProfile(),
 		Seed:           fleet.Seed,
 		DaySpeedJitter: jitter,
 	})
@@ -373,10 +362,9 @@ func NewSystemFromData(net *roadnet.Network, ds *traj.Dataset, idx IndexConfig) 
 		con, conErr = conindex.Build(net, ds, conindex.Config{SlotSeconds: idx.SlotSeconds})
 	}()
 	st, stErr := stindex.Build(net, ds, stindex.Config{
-		SlotSeconds:   idx.SlotSeconds,
-		PoolPages:     idx.PoolPages,
-		TimeListCache: idx.TimeListCache,
-		Store:         store,
+		SlotSeconds: idx.SlotSeconds,
+		PoolPages:   idx.PoolPages,
+		Store:       store,
 	})
 	<-conDone
 	if stErr != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -391,5 +392,39 @@ func TestShardTablesAgree(t *testing.T) {
 		if n := sys.Shards(); n != k || len(sys.ShardStats()) != n {
 			t.Fatalf("Shard(%d): Shards()=%d, %d stats", k, n, len(sys.ShardStats()))
 		}
+	}
+}
+
+// TestPageCountsRepeatWithOneWorker: with one verification worker and no
+// plan sharing, a query's page reads and pool hits depend on the
+// system's state alone. Two fresh systems asked the same queries count
+// the same, call for call, and a repeat on a warm pool counts as the one
+// before it. With several workers pool hits also depend on how the
+// candidates split across them: each worker's blob reader memoises the
+// pages it has touched, so a page costs one pool lookup per worker that
+// reads it.
+func TestPageCountsRepeatWithOneWorker(t *testing.T) {
+	counts := func() [][2]int64 {
+		s := variant(t, vcfg{})
+		q := testQuery(s)
+		var out [][2]int64
+		for i := 0; i < 3; i++ {
+			r, err := s.Do(context.Background(), q, WithVerifyWorkers(1), WithBatchSharing(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, [2]int64{r.Metrics.PageReads, r.Metrics.PageHits})
+		}
+		return out
+	}
+	a, b := counts(), counts()
+	if a[0][0] == 0 {
+		t.Fatalf("the first query on a fresh system read no page: %v", a)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("(page reads, pool hits) per call differ between fresh systems: %v vs %v", a, b)
+	}
+	if a[1] != a[2] {
+		t.Fatalf("repeats on a warm pool count differently: %v", a)
 	}
 }

@@ -272,14 +272,14 @@ func shapeQuery(sh planShape) (Request, queryOptions) {
 	return req, queryOptions{algorithm: sh.Algorithm, engine: optionsOf(sh.OptionBits)}
 }
 
-// WarmPlans re-plans up to topN of the most frequent recorded shapes
+// warmPlans re-plans up to topN of the most frequent recorded shapes
 // and parks the plans in the plan store under the current data version,
 // so the next matching query is a hit instead of a cold bounding +
 // verification pass. Shapes already in the store are skipped;
 // shapes that no longer plan (e.g. recorded against a different
 // network) are dropped silently. Returns how many plans were built.
 // Safe to call concurrently with live queries.
-func (s *System) WarmPlans(ctx context.Context, topN int) (int, error) {
+func (s *System) warmPlans(ctx context.Context, topN int) (int, error) {
 	if topN <= 0 {
 		return 0, nil
 	}
@@ -332,7 +332,7 @@ func (s *System) warmPlansAsync() {
 	go func() {
 		defer s.warmWG.Done()
 		defer s.warmBusy.Store(false)
-		_, _ = s.WarmPlans(s.warmCtx, n)
+		_, _ = s.warmPlans(s.warmCtx, n)
 	}()
 }
 

@@ -267,12 +267,12 @@ func TestWarmPlansEffectiveness(t *testing.T) {
 	}
 	// Simulate the post-epoch-swap cold cache.
 	sys.plans.clear()
-	warmed, err := sys.WarmPlans(context.Background(), 8)
+	warmed, err := sys.warmPlans(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int64(warmed) != n {
-		t.Fatalf("WarmPlans built %d plans, want %d", warmed, n)
+		t.Fatalf("warmPlans built %d plans, want %d", warmed, n)
 	}
 	st := sys.SharingStats()
 	if st.PlansWarmed != n {
@@ -285,7 +285,7 @@ func TestWarmPlansEffectiveness(t *testing.T) {
 			st.PlanCacheHits, after.PlanCacheHits, st.PlanCacheMisses, after.PlanCacheMisses)
 	}
 	// Warming again is a no-op: the shapes are already cached.
-	if warmed, err = sys.WarmPlans(context.Background(), 8); err != nil || warmed != 0 {
+	if warmed, err = sys.warmPlans(context.Background(), 8); err != nil || warmed != 0 {
 		t.Fatalf("re-warm built %d plans (%v), want 0", warmed, err)
 	}
 	checkOracle(t, reference(t), serial(sys), requestMatrix(sys, 9*time.Hour).invalid)
@@ -302,7 +302,7 @@ func TestWarmPlansPersistedAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopened := variant(t, vcfg{dir: dir})
-	warmed, err := reopened.WarmPlans(context.Background(), 8)
+	warmed, err := reopened.warmPlans(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
