@@ -31,7 +31,6 @@ func runServe(args []string) error {
 	maxInFlight := fs.Int("max-inflight", 0, "adaptive admission ceiling: max concurrent query requests, 429 beyond; overload shrinks the limit to no less than a quarter of it (0 = default 64, negative = unlimited)")
 	clientRPS := fs.Float64("client-rps", 0, "per-client token-bucket quota in requests/second, 2x as deep, keyed by X-API-Key or peer host (0 = off)")
 	shards := fs.Int("shards", 0, "sharded execution: partition the network across this many engines and answer by scatter-gather (0/1 = single engine; results are bit-identical)")
-	warmPlans := fs.Int("warm-plans", 0, "warm-plan pipeline: re-plan this many of the hottest recorded query shapes in the background after open and after each compaction epoch swap; grows the plan store to hold them (0 = off)")
 	accessLog := fs.Bool("access-log", false, "log one line per request (method, URI, status, latency, request ID) to stderr")
 	ingestOn := fs.Bool("ingest", false, "enable live ingestion: POST /v1/ingest accepts position updates, /v1/ingest/compact folds the delta layer")
 	compactEvery := fs.Duration("compact-every", 0, "background incremental compaction period (0 = manual compaction only)")
@@ -63,10 +62,6 @@ func runServe(args []string) error {
 		if *compactEvery > 0 {
 			fmt.Fprintf(os.Stderr, "background incremental compaction every %v\n", *compactEvery)
 		}
-	}
-	if *warmPlans > 0 {
-		sys.EnableWarmPlanning(*warmPlans)
-		fmt.Fprintf(os.Stderr, "warm-plan pipeline enabled (top %d shapes)\n", *warmPlans)
 	}
 	if *warmDur > 0 {
 		t0 := time.Now()

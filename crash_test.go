@@ -231,7 +231,7 @@ func TestCrashPointResaveMatrix(t *testing.T) {
 			points = append(points, name)
 		}
 	})
-	for _, f := range []string{fileNetwork, fileSTMeta, fileConIndex, fileConAdj, filePlanShapes} {
+	for _, f := range []string{fileNetwork, fileSTMeta, fileConIndex, fileConAdj} {
 		for _, step := range []string{"write", "rename", "dirsync"} {
 			if !seen["persist."+f+"."+step] {
 				t.Fatalf("a re-save missed persist.%s.%s (saw %v)", f, step, points)

@@ -424,10 +424,6 @@ func (s *System) CompactIngestN(ctx context.Context, maxKeys int) (CompactResult
 		Epoch:        cs.Epoch,
 		Remaining:    cs.Remaining,
 	}
-	// The epoch swap just invalidated every cached plan (their keys carry
-	// the data version): re-plan the hot shapes in the background so
-	// steady traffic doesn't pay the cold-planning tail after each fold.
-	s.warmPlansAsync()
 	if s.dir == "" {
 		return res, nil
 	}

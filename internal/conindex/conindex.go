@@ -13,8 +13,8 @@
 // The lists are produced by the modified incremental network expansion of
 // Papadias et al. [21] with per-slot travel-time weights. Lists are
 // materialised on demand and memoised, so memory stays proportional to
-// the (segment, slot) pairs queries actually touch; PrecomputeAll builds
-// every list eagerly for small configurations.
+// the (segment, slot) pairs queries actually touch; PrecomputeSlotsCtx
+// builds every list of a slot range eagerly.
 package conindex
 
 import (
@@ -102,7 +102,7 @@ type Index struct {
 	sumSpeed []uint32
 	cntSpeed []uint32
 
-	// obsMu serialises ObserveSpeed writers; readers stay lock-free.
+	// obsMu serialises ObserveSpeedBatch writers; readers stay lock-free.
 	obsMu sync.Mutex
 	// invGen is bumped after every speed change that can alter a row; the
 	// facade's plan store keys on it, so a stored plan never outlives the
@@ -411,12 +411,6 @@ func (x *Index) FarRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) 
 	return x.RowCtx(ctx, Far, seg, slot)
 }
 
-// NearRowCtx is RowCtx on the Near table: N(r, t), every segment fully
-// traversable from seg within one Δt at the slot's minimum speeds.
-func (x *Index) NearRowCtx(ctx context.Context, seg roadnet.SegmentID, slot int) (Row, error) {
-	return x.RowCtx(ctx, Near, seg, slot)
-}
-
 // expand runs a travel-time expansion from seg bounded by Δt, checking
 // ctx every ctxCheckInterval pops so a cancelled query abandons the
 // expansion promptly.
@@ -721,16 +715,6 @@ func (q *bucketQueue) pop() entryItem {
 	b := q.b[q.cur]
 	q.b[q.cur] = b[:len(b)-1]
 	return b[len(b)-1]
-}
-
-// PrecomputeAll materialises every (segment, slot) Near and Far row,
-// forward and reverse. Only sensible for small networks or coarse Δt;
-// returns the number of rows the tables then hold.
-func (x *Index) PrecomputeAll(ctx context.Context) (int, error) {
-	if err := x.PrecomputeSlotsCtx(ctx, 0, x.numSlots-1, 0); err != nil {
-		return 0, err
-	}
-	return int(numKinds) * x.numSlots * x.net.NumSegments(), nil
 }
 
 // CachedLists reports how many forward Near/Far rows are materialised.

@@ -277,13 +277,16 @@ func TestPrecomputeAllSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count, err := idx.PrecomputeAll(context.Background())
-	if err != nil {
+	if err := idx.PrecomputeSlotsCtx(context.Background(), 0, idx.NumSlots()-1, 0); err != nil {
 		t.Fatal(err)
+	}
+	count := 0
+	for _, tab := range idx.adjTables() {
+		count += tab.size()
 	}
 	want := 24 * n.NumSegments() * 2 // forward rows; as many reverse
 	if count != 2*want {
-		t.Fatalf("PrecomputeAll = %d, want %d", count, 2*want)
+		t.Fatalf("tables hold %d rows, want %d", count, 2*want)
 	}
 	if idx.CachedLists() != want {
 		t.Fatalf("CachedLists = %d, want %d", idx.CachedLists(), want)

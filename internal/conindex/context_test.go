@@ -46,7 +46,7 @@ func TestRowMaterialisationCancellation(t *testing.T) {
 	// Cancel mid-expansion: the first Err poll passes, a later one (at a
 	// 32-pop checkpoint) fires. Either the expansion is small enough to
 	// finish (fine) or it must abort with Canceled — never anything else.
-	if _, err := idx.NearRowCtx(cancelAfterN(1), 9, 130); err != nil && !errors.Is(err, context.Canceled) {
+	if _, err := idx.RowCtx(cancelAfterN(1), Near, 9, 130); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-expansion cancel returned %v", err)
 	}
 

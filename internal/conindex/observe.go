@@ -41,18 +41,8 @@ type SpeedSample struct {
 	Speed        float64
 }
 
-// ObserveSpeed folds one live speed sample (m/s) into the statistics
-// for every slot in [slot0, slot1] and invalidates the affected
-// adjacency rows. It reports whether any min/max bound actually moved
-// (pure sum/cnt updates change MeanSpeed but no cached row). Batches
-// should go through ObserveSpeedBatch, which merges the invalidation
-// scans.
-func (x *Index) ObserveSpeed(seg roadnet.SegmentID, slot0, slot1 int, speed float64) bool {
-	return x.ObserveSpeedBatch([]SpeedSample{{Seg: seg, Slot0: slot0, Slot1: slot1, Speed: speed}})
-}
-
 // ObserveSpeedBatch folds a batch of samples in arrival order (the fold
-// result is identical to per-sample ObserveSpeed calls) and then
+// result is identical to one-sample batches in the same order) and then
 // invalidates affected adjacency rows with one merged scan per touched
 // slot rather than one per sample. The merge is what keeps live ingest
 // off the query path: each scan walks a slot's whole array under the

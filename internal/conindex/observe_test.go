@@ -50,7 +50,7 @@ func TestObserveSpeedMatchesOfflineRebuild(t *testing.T) {
 		for _, v := range mt.Visits {
 			s0 := int(v.EnterMs) / 1000 / live.SlotSeconds()
 			s1 := int(v.ExitMs) / 1000 / live.SlotSeconds()
-			live.ObserveSpeed(v.Segment, s0, s1, float64(v.Speed))
+			live.ObserveSpeedBatch([]SpeedSample{{Seg: v.Segment, Slot0: s0, Slot1: s1, Speed: float64(v.Speed)}})
 		}
 	}
 	if live.InvalidationGen() == gen0 {
@@ -97,7 +97,7 @@ func TestObserveSpeedInvalidatesCachedRows(t *testing.T) {
 
 	// A wildly fast sample on the segment moves its max bound, which can
 	// only grow the near set of rows that reach it.
-	if !live.ObserveSpeed(seg, slot, slot, 60) {
+	if !live.ObserveSpeedBatch([]SpeedSample{{Seg: seg, Slot0: slot, Slot1: slot, Speed: 60}}) {
 		t.Fatal("observation did not move a bound")
 	}
 	// The row must be rebuilt on next access (cache miss), reflecting the

@@ -119,7 +119,7 @@ func (t *table) row(x *Index, seg roadnet.SegmentID, slot int, compute func() (R
 		t.mu.Unlock()
 
 		// Record the slot's invalidation generation before the expansion
-		// reads any speed: if an ObserveSpeed lands on this slot
+		// reads any speed: if an ObserveSpeedBatch lands on this slot
 		// mid-compute, the row below was built from pre-update speeds and
 		// must not be cached (the invalidation scan may already have run
 		// and missed it). Waiters still get the computed row — their

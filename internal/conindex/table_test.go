@@ -100,8 +100,8 @@ func TestTableRowsNeverOutliveInvalidation(t *testing.T) {
 		defer writers.Done()
 		for i := 0; i < 400; i++ {
 			seg := roadnet.SegmentID((i * 7) % nseg)
-			idx.ObserveSpeed(seg, slot, slot, 40+float64(i)/10) // ever faster: max moves
-			idx.ObserveSpeed(seg, slot, slot, 3-float64(i)/200) // ever slower: min moves
+			idx.ObserveSpeedBatch([]SpeedSample{{Seg: seg, Slot0: slot, Slot1: slot, Speed: 40 + float64(i)/10}}) // ever faster: max moves
+			idx.ObserveSpeedBatch([]SpeedSample{{Seg: seg, Slot0: slot, Slot1: slot, Speed: 3 - float64(i)/200}}) // ever slower: min moves
 		}
 	}()
 	loaded := makeRow([]roadnet.SegmentID{1, 2, 3}, bitset.New(nseg))
@@ -170,7 +170,7 @@ func TestTableRefusesRowStaledMidCompute(t *testing.T) {
 	seg := roadnet.SegmentID(3)
 	stale, _, err := idx.far.row(idx, seg, slot, func() (Row, error) {
 		r, err := idx.expand(context.Background(), seg, slot, true)
-		if !idx.ObserveSpeed(seg, slot, slot, 60) {
+		if !idx.ObserveSpeedBatch([]SpeedSample{{Seg: seg, Slot0: slot, Slot1: slot, Speed: 60}}) {
 			t.Error("the observation moved no bound; the fixture tests nothing")
 		}
 		return r, err
@@ -219,7 +219,7 @@ func TestPrecomputeSkipsWarmSlots(t *testing.T) {
 		t.Fatalf("warming a warm window did work: %+v", d)
 	}
 
-	if !idx.ObserveSpeed(4, lo+1, lo+1, 60) {
+	if !idx.ObserveSpeedBatch([]SpeedSample{{Seg: 4, Slot0: lo + 1, Slot1: lo + 1, Speed: 60}}) {
 		t.Fatal("observation did not move a bound")
 	}
 	if idx.SlotsWarm(lo, hi) || !idx.SlotsWarm(lo, lo) || !idx.SlotsWarm(hi, hi) {

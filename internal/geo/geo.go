@@ -162,37 +162,6 @@ func (m MBR) Center() Point {
 	return Point{Lat: (m.MinLat + m.MaxLat) / 2, Lng: (m.MinLng + m.MaxLng) / 2}
 }
 
-// Area returns the rectangle's area in square degrees, for relative
-// comparisons.
-func (m MBR) Area() float64 {
-	if m.Empty() {
-		return 0
-	}
-	return (m.MaxLat - m.MinLat) * (m.MaxLng - m.MinLng)
-}
-
-// Union returns the smallest MBR containing both m and o.
-func (m MBR) Union(o MBR) MBR {
-	out := m
-	out.ExpandMBR(o)
-	return out
-}
-
-// Intersection returns the overlapping region of m and o, or an empty MBR
-// when they do not intersect.
-func (m MBR) Intersection(o MBR) MBR {
-	if !m.Intersects(o) {
-		return MBR{}
-	}
-	return MBR{
-		MinLat:   math.Max(m.MinLat, o.MinLat),
-		MinLng:   math.Max(m.MinLng, o.MinLng),
-		MaxLat:   math.Min(m.MaxLat, o.MaxLat),
-		MaxLng:   math.Min(m.MaxLng, o.MaxLng),
-		nonEmpty: true,
-	}
-}
-
 // Buffer returns m grown by approximately meters on every side.
 func (m MBR) Buffer(meters float64) MBR {
 	if m.Empty() {

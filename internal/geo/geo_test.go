@@ -93,7 +93,7 @@ func TestMBRBasics(t *testing.T) {
 	if !m.Contains(Lerp(shenzhen, p2, 0.5)) {
 		t.Fatal("MBR should contain midpoint of its corners")
 	}
-	if m.Area() <= 0 {
+	if m.MaxLat <= m.MinLat || m.MaxLng <= m.MinLng {
 		t.Fatal("non-degenerate MBR should have positive area")
 	}
 }
@@ -130,41 +130,6 @@ func TestMBRContainsMBR(t *testing.T) {
 	}
 	if !outer.ContainsMBR(outer) {
 		t.Fatal("MBR should contain itself")
-	}
-}
-
-func TestMBRUnionIntersection(t *testing.T) {
-	a := NewMBR(Point{0, 0}, Point{2, 2})
-	b := NewMBR(Point{1, 1}, Point{3, 3})
-	u := a.Union(b)
-	if !u.ContainsMBR(a) || !u.ContainsMBR(b) {
-		t.Fatal("union must contain both inputs")
-	}
-	x := a.Intersection(b)
-	if x.Empty() {
-		t.Fatal("intersection of overlapping MBRs should be non-empty")
-	}
-	if x.MinLat != 1 || x.MaxLat != 2 {
-		t.Fatalf("intersection lat range = [%v,%v], want [1,2]", x.MinLat, x.MaxLat)
-	}
-	c := NewMBR(Point{9, 9}, Point{10, 10})
-	if !a.Intersection(c).Empty() {
-		t.Fatal("intersection of disjoint MBRs should be empty")
-	}
-}
-
-func TestMBRUnionProperties(t *testing.T) {
-	f := func(a1, a2, b1, b2, c1, c2, d1, d2 float64) bool {
-		norm := func(v float64) float64 { return math.Mod(math.Abs(v), 10) }
-		a := NewMBR(Point{norm(a1), norm(a2)}, Point{norm(b1), norm(b2)})
-		b := NewMBR(Point{norm(c1), norm(c2)}, Point{norm(d1), norm(d2)})
-		u1 := a.Union(b)
-		u2 := b.Union(a)
-		return u1 == u2 && u1.ContainsMBR(a) && u1.ContainsMBR(b) &&
-			u1.Area() >= a.Area() && u1.Area() >= b.Area()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -48,8 +48,8 @@ func expandBatch(st *stindex.Index, batch []Update) (good []Update, obs []stinde
 
 // speedSamples converts a batch of updates into Con-Index speed
 // samples, one per update spanning every slot it overlaps. Feeding the
-// whole batch to ObserveSpeedBatch (instead of per-update ObserveSpeed
-// calls) merges the row-invalidation scans, which is what keeps the
+// whole batch to one ObserveSpeedBatch call (instead of one per update)
+// merges the row-invalidation scans, which is what keeps the
 // Con-Index tables readable while ingest runs at full rate.
 func speedSamples(slotSec int, good []Update) []conindex.SpeedSample {
 	samples := make([]conindex.SpeedSample, len(good))

@@ -257,19 +257,6 @@ func (t *Tree) NearestWithin(p geo.Point, radius float64, limit int) []Item {
 	return out
 }
 
-// Depth returns the height of the tree (1 for a lone leaf root).
-func (t *Tree) Depth() int {
-	d := 0
-	for n := t.root; n != nil; {
-		d++
-		if n.leaf {
-			break
-		}
-		n = n.children[0]
-	}
-	return d
-}
-
 // checkInvariants validates structural invariants; used by tests.
 func (t *Tree) checkInvariants() error {
 	if t.root == nil {

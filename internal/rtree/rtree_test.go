@@ -177,14 +177,6 @@ func TestNearestWithin(t *testing.T) {
 	}
 }
 
-func TestDepthGrowsLogarithmically(t *testing.T) {
-	tr := BulkLoad(randomItems(5000, 16))
-	d := tr.Depth()
-	if d < 2 || d > 6 {
-		t.Fatalf("depth %d for 5000 items looks wrong", d)
-	}
-}
-
 func TestBoundsCoverEverything(t *testing.T) {
 	items := randomItems(300, 17)
 	tr := BulkLoad(items)

@@ -73,8 +73,6 @@ func (s *Server) writePrometheus(w io.Writer) {
 		"Queries answered from a plan parked in the plan store.", sh.PlanCacheHits)
 	counter("streach_plan_cache_misses_total",
 		"Queries that built their plan.", sh.PlanCacheMisses)
-	counter("streach_plans_warmed_total",
-		"Plans built proactively by the warm-plan pipeline (neither hits nor misses).", sh.PlansWarmed)
 
 	// Sharded execution: one gauge/counter set per shard, labelled by
 	// ordinal, so a scrape shows partition balance and where the

@@ -334,7 +334,6 @@ func TestPrometheusMetrics(t *testing.T) {
 		`streach_request_duration_seconds_bucket{endpoint="reach",le="+Inf"}`,
 		`streach_request_duration_seconds_count{endpoint="reach"}`,
 		"streach_plan_cache_hits_total",
-		"streach_plans_warmed_total",
 		"streach_requests_total",
 		"# TYPE streach_request_duration_seconds histogram",
 	} {

@@ -454,12 +454,6 @@ func (lv *liveState) snapshot(maxKeys int) ([]int, map[int]snapEntry) {
 	return keys, snaps
 }
 
-// CompactDeltas folds the whole pending delta layer; see
-// CompactDeltasBudget.
-func (x *Index) CompactDeltas() (CompactStats, error) {
-	return x.CompactDeltasBudget(0)
-}
-
 // CompactDeltasBudget folds the pending delta layer into freshly encoded
 // blobs and installs a new handle table (a new index epoch). The fold
 // runs off the hot path: blob appends go to the append-only file while

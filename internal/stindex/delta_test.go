@@ -114,7 +114,7 @@ func TestDeltaMergeMatchesOfflineRebuild(t *testing.T) {
 	}
 	compare("base+delta")
 
-	cs, err := live.CompactDeltas()
+	cs, err := live.CompactDeltasBudget(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestDeltaConcurrentAppendReadCompact(t *testing.T) {
 	go func() { // compactor
 		defer auxWG.Done()
 		for i := 0; i < 5; i++ {
-			if _, err := live.CompactDeltas(); err != nil {
+			if _, err := live.CompactDeltasBudget(0); err != nil {
 				t.Error(err)
 				return
 			}
@@ -246,7 +246,7 @@ func TestDeltaConcurrentAppendReadCompact(t *testing.T) {
 	auxWG.Wait()
 
 	// One final compaction folds whatever raced the earlier ones.
-	if _, err := live.CompactDeltas(); err != nil {
+	if _, err := live.CompactDeltasBudget(0); err != nil {
 		t.Fatal(err)
 	}
 	if st := live.DeltaStats(); st.DirtyKeys != 0 || st.PendingObs != 0 {
@@ -322,7 +322,7 @@ func TestDeltaEpochSwapKeepsReadersConsistent(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 10; i++ {
-		if _, err := live.CompactDeltas(); err != nil {
+		if _, err := live.CompactDeltasBudget(0); err != nil {
 			t.Fatal(err)
 		}
 		// Re-dirty the key so every iteration swaps with a pending delta.
@@ -391,7 +391,7 @@ func TestDeltaCleanKeyNeverReadsEmpty(t *testing.T) {
 				}
 			}
 		}()
-		if _, err := x.CompactDeltas(); err != nil {
+		if _, err := x.CompactDeltasBudget(0); err != nil {
 			t.Fatal(err)
 		}
 		close(done)
@@ -557,7 +557,7 @@ func TestDeltaBudgetedCompactionConverges(t *testing.T) {
 	}
 
 	// The twin folds everything in one cycle; reads must agree bit for bit.
-	if _, err := twin.CompactDeltas(); err != nil {
+	if _, err := twin.CompactDeltasBudget(0); err != nil {
 		t.Fatal(err)
 	}
 	for seg := 0; seg < n.NumSegments(); seg++ {

@@ -657,7 +657,7 @@ func TestMatcherUnderAppendsAndCompactions(t *testing.T) {
 		}
 	}
 	equalOffline("with the delta tail pending")
-	if _, err := live.CompactDeltas(); err != nil {
+	if _, err := live.CompactDeltasBudget(0); err != nil {
 		t.Fatal(err)
 	}
 	if st := live.DeltaStats(); st.PendingObs != 0 {

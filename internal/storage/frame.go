@@ -12,9 +12,9 @@ import (
 	"streach/internal/xerr"
 )
 
-// The frame of every derived file on disk — the ST-Index meta, the
-// Con-Index statistics and adjacency rows, the plan-shape ring
-// (DESIGN.md §11.3). Little endian:
+// The frame of every derived file on disk — the ST-Index meta and the
+// Con-Index statistics and adjacency rows (DESIGN.md §11.3). Little
+// endian:
 //
 //	magic [4]byte | version u16
 //	chunk:  length u32 (1..64 KiB) | length bytes of payload | crc u32

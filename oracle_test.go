@@ -431,9 +431,10 @@ func TestDiffRegionBites(t *testing.T) {
 }
 
 // TestOpenPreFrameDirectory: a directory saved before the derived files
-// shared one frame (testdata/preframe, Δt one hour: meta v5, CIDX v2,
-// CADJ v2 and SPSH v1 files), opened with the default 300 s config,
-// rebuilds both indexes at its own hour and drops the two warm caches,
+// shared one frame (testdata/preframe, Δt one hour: meta v5, CIDX v2
+// and CADJ v2 files, and an SPSH v1 file no build reads any more),
+// opened with the default 300 s config, rebuilds both indexes at its own
+// hour and drops the adjacency cache,
 // answers exactly as a fresh build over its own network and
 // trajectories, and opens the second time with no rebuild.
 func TestOpenPreFrameDirectory(t *testing.T) {
@@ -452,7 +453,7 @@ func TestOpenPreFrameDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer opened.Close()
-	for _, want := range []string{"st-index unreadable", "con-index unreadable", "adjacency cache unreadable", "plan shapes unreadable"} {
+	for _, want := range []string{"st-index unreadable", "con-index unreadable", "adjacency cache unreadable"} {
 		if !strings.Contains(logBuf.String(), want) {
 			t.Fatalf("open of a pre-frame directory did not log %q:\n%s", want, logBuf.String())
 		}

@@ -35,14 +35,14 @@ import (
 //	                   smaller; see conindex.SaveAdjacency). A directory
 //	                   without it reopens with cold, lazily-materialised
 //	                   tables.
-//	dir/planshapes.bin recorded plan shapes (optional warm-start hint;
-//	                   see warmplans.go)
 //
-// The four files derived from the ground truth — stindex.meta,
-// conindex.bin, conindex.adj and planshapes.bin — share one checksummed
-// frame (storage.ChecksumWriter, DESIGN.md §11.3). One that does not
-// load, whatever the reason (a layout from before the frame included),
-// is rebuilt from the trajectories or, for the two warm caches, dropped.
+// The three files derived from the ground truth — stindex.meta,
+// conindex.bin and conindex.adj — share one checksummed frame
+// (storage.ChecksumWriter, DESIGN.md §11.3). One that does not load,
+// whatever the reason (a layout from before the frame included), is
+// rebuilt from the trajectories or, for the adjacency cache, dropped.
+// dir/planshapes.bin, a plan-shape hint written by earlier builds, is
+// now ignored: neither read nor removed.
 // The network and the dataset keep their own codecs: they have no
 // rebuild path.
 //
@@ -69,7 +69,6 @@ const (
 	fileConIndex    = "conindex.bin"
 	fileConAdj      = "conindex.adj"
 	fileIngestDelta = "ingest.delta"
-	filePlanShapes  = "planshapes.bin"
 	walDirName      = "wal"
 )
 
@@ -230,10 +229,10 @@ func writeFileAtomic(dir, name string, fn func(w io.Writer) error) error {
 // persistIndexes makes the system's derived state durable in dir, the
 // one write path of Save and of a compaction: the pages first (the blob
 // data the new handles point into), then the ST-Index meta, then the
-// Con-Index statistics and adjacency rows, each installed atomically,
-// and the plan shapes last. Ordering matters for crash consistency: a
-// crash between steps leaves a meta whose handles all resolve (the blob
-// file is append-only) plus a WAL that replays anything newer.
+// Con-Index statistics and adjacency rows, each installed atomically.
+// Ordering matters for crash consistency: a crash between steps leaves a
+// meta whose handles all resolve (the blob file is append-only) plus a
+// WAL that replays anything newer.
 func (s *System) persistIndexes(dir string) error {
 	// Sync, not just Flush: the new blobs must be on stable storage
 	// before a meta whose handles (and tail-bounded checksum) reference
@@ -257,15 +256,7 @@ func (s *System) persistIndexes(dir string) error {
 	// The adjacency cache is re-written too: rows invalidated by live
 	// speed observations must not resurrect from a stale blob on the
 	// next open.
-	if err := writeFileAtomic(dir, fileConAdj, s.con.SaveAdjacency); err != nil {
-		return err
-	}
-	// Plan shapes last and best effort: they are a warm-start hint, not
-	// crash-consistency state, so a failed write must not fail the save.
-	if err := s.savePlanShapes(dir); err != nil {
-		log.Printf("streach: save plan shapes: %v", err)
-	}
-	return nil
+	return writeFileAtomic(dir, fileConAdj, s.con.SaveAdjacency)
 }
 
 // OpenSystem reopens a system saved with Save, unsharded. PoolPages
@@ -407,13 +398,6 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 	if err != nil {
 		st.Close()
 		return nil, err
-	}
-	// Restore the recorded plan shapes when present. Like the adjacency
-	// cache, the ring is a derived warm-start hint: any corruption —
-	// CRC mismatch, truncation, oversize, invalid shapes — drops it with
-	// a log line and the open proceeds with an empty ring.
-	if perr := s.loadPlanShapes(dir); perr != nil {
-		log.Printf("streach: plan shapes unreadable (%v): dropped, warm planning starts empty", perr)
 	}
 	s.dir = dir
 	s.pagesDir = dir

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"streach/internal/stindex"
 	"streach/internal/storage"
@@ -20,19 +23,6 @@ func framed(magic string, version uint16, payload []byte) []byte {
 	fw.Write(payload)
 	fw.Finish()
 	return b.Bytes()
-}
-
-// payloadOf is the payload of a frame.
-func payloadOf(frame []byte) []byte {
-	var p []byte
-	for off := 6; ; {
-		n := int(binary.LittleEndian.Uint32(frame[off:]))
-		if n == 0 {
-			return p
-		}
-		p = append(p, frame[off+4:off+4+n]...)
-		off += 8 + n
-	}
 }
 
 // TestLoadersAllocateByBytesRead: a derived file whose checksums hold
@@ -57,10 +47,6 @@ func TestLoadersAllocateByBytesRead(t *testing.T) {
 		_, err := stindex.LoadIndex(net, stindex.Config{Store: storage.NewMemStore()}, r)
 		return err
 	}
-	loadShapes := func(r io.Reader) error {
-		_, err := decodePlanShapes(r)
-		return err
-	}
 	for _, row := range []struct {
 		name string
 		file []byte
@@ -68,7 +54,6 @@ func TestLoadersAllocateByBytesRead(t *testing.T) {
 	}{
 		{"stindex.meta: 1-second slots, no handles", meta(1, 7), loadMeta},
 		{"stindex.meta: 2^32-1 days", meta(300, 1<<32-1), loadMeta},
-		{"planshapes.bin: a full ring claimed, no shapes", framed(planShapesMagic, planShapesVersion, binary.LittleEndian.AppendUint16(nil, planShapeRingCap)), loadShapes},
 	} {
 		path := filepath.Join(t.TempDir(), "file")
 		if err := os.WriteFile(path, row.file, 0o644); err != nil {
@@ -102,5 +87,56 @@ func TestLoadersAllocateByBytesRead(t *testing.T) {
 				t.Fatalf("%s (%s): loading %d bytes allocated %d", row.name, from, len(row.file), least)
 			}
 		}
+	}
+}
+
+// TestOpenSystemIgnoresLeftoverPlanShapes: earlier builds wrote a
+// plan-shape hint, dir/planshapes.bin, beside the indexes. A directory
+// holding one — as an earlier build saved it (testdata/planshapes.bin,
+// over smallSystem's world) or as garbage — opens without a word about
+// it and answers bit-identically to the same directory without it, and
+// a save into it leaves the file as it was. Save itself writes none.
+func TestOpenSystemIgnoresLeftoverPlanShapes(t *testing.T) {
+	src := t.TempDir()
+	if err := smallSystem(t).Save(src); err != nil {
+		t.Fatal(err)
+	}
+	const leftover = "planshapes.bin"
+	if _, err := os.Stat(filepath.Join(src, leftover)); !os.IsNotExist(err) {
+		t.Fatalf("Save wrote %s (stat: %v)", leftover, err)
+	}
+	without := variant(t, vcfg{planCache: -1, dir: src})
+	reqs := requestMatrix(without, 9*time.Hour).full
+
+	saved, err := os.ReadFile(filepath.Join("testdata", leftover))
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbage := make([]byte, 4096)
+	rand.New(rand.NewSource(7)).Read(garbage)
+	for name, file := range map[string][]byte{"saved by an earlier build": saved, "garbage": garbage} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			copyDir(t, src, dir)
+			path := filepath.Join(dir, leftover)
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			logBuf := captureLog(t)
+			with := variant(t, vcfg{planCache: -1, dir: dir})
+			if logBuf.Len() != 0 {
+				t.Fatalf("open logged:\n%s", logBuf.String())
+			}
+			checkOracle(t, serial(without), serial(with), reqs)
+			if err := with.Save(dir); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, file) {
+				t.Fatalf("a save into the directory changed %s (read: %v)", leftover, err)
+			}
+			if strings.Contains(logBuf.String(), leftover) {
+				t.Fatalf("the save logged about %s:\n%s", leftover, logBuf.String())
+			}
+		})
 	}
 }

@@ -41,10 +41,11 @@ func (s *System) planKey(req Request, qo queryOptions) planKey {
 // shared plan: kind, algorithm, the result-affecting engine options
 // (optionBits), start, window and each location's float bits. Prob is
 // deliberately absent — it is the axis a plan is shared across — and so
-// is VerifyWorkers, which changes cost, not results. The shape ring
-// counts frequency on the same string.
+// is VerifyWorkers, which changes cost, not results.
 func shapeKey(req Request, qo queryOptions) string {
-	var stack [3 + 16 + 16*planShapeMaxLocs]byte
+	// Keys of up to stackLocs locations are built without a heap buffer.
+	const stackLocs = 8
+	var stack [3 + 16 + 16*stackLocs]byte
 	b := append(stack[:0], byte(req.Kind), byte(qo.algorithm), optionBits(qo.engine))
 	b = binary.LittleEndian.AppendUint64(b, uint64(req.Start))
 	b = binary.LittleEndian.AppendUint64(b, uint64(req.Duration))
@@ -55,20 +56,18 @@ func shapeKey(req Request, qo queryOptions) string {
 	return string(b)
 }
 
-// planStoreCap is the number of plans the store parks by default;
-// EnableWarmPlanning grows it.
+// planStoreCap is the number of plans the store parks.
 const planStoreCap = 32
 
-// planStore is the one keyed, single-flight shared-plan store behind Do
-// and warmPlans. The first caller of a key builds its plan under
-// its own context; callers arriving during the build wait for it rather
-// than build their own, and callers arriving after find it parked. A
-// plan no caller holds is parked in an LRU of cap entries; a held plan
-// is never closed — not by eviction, re-sharding or Close — until its
-// last holder releases it.
+// planStore is the one keyed, single-flight shared-plan store behind Do.
+// The first caller of a key builds its plan under its own context;
+// callers arriving during the build wait for it rather than build their
+// own, and callers arriving after find it parked. A plan no caller holds
+// is parked in an LRU of cap entries; a held plan is never closed — not
+// by eviction, re-sharding or Close — until its last holder releases it.
 type planStore struct {
 	mu      sync.Mutex
-	cap     int
+	cap     int // planStoreCap; tests shrink it
 	entries map[planKey]*planEntry
 	idle    *list.List // entries no caller holds, most recent first
 }
@@ -229,15 +228,6 @@ func (c *planStore) clear() {
 	for _, p := range closing {
 		p.Close()
 	}
-}
-
-// grow raises the capacity to at least n; it never shrinks. Warming N
-// shapes into a smaller LRU would evict its own work, so
-// EnableWarmPlanning grows the store to hold what it warms.
-func (c *planStore) grow(n int) {
-	c.mu.Lock()
-	c.cap = max(c.cap, n)
-	c.mu.Unlock()
 }
 
 // resultAt answers one threshold off the entry's plan for a caller that

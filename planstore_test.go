@@ -545,32 +545,3 @@ func TestPlanCacheEviction(t *testing.T) {
 		t.Fatalf("store holds %d plans, capacity 2", got)
 	}
 }
-
-// TestPlanCacheGrow: EnableWarmPlanning must grow the store to hold
-// what it warms — warming N shapes into a smaller LRU would evict its
-// own work.
-func TestPlanCacheGrow(t *testing.T) {
-	base := smallSystem(t)
-	s := variant(t, vcfg{planCache: 2})
-	loc := base.BusiestLocation(11 * time.Hour)
-	for i := 0; i < 4; i++ {
-		req := ReachRequest(loc, 11*time.Hour+time.Duration(i)*5*time.Minute, 10*time.Minute, 0.2)
-		if _, err := s.Do(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.plans.clear()
-	s.EnableWarmPlanning(8)
-	s.warmWG.Wait()
-	if got := stored(s.plans); got != 4 {
-		t.Fatalf("grown store holds %d plans after warming 4 shapes, want 4", got)
-	}
-	// grow never shrinks.
-	s.plans.grow(1)
-	s.plans.mu.Lock()
-	cap := s.plans.cap
-	s.plans.mu.Unlock()
-	if cap != 8 {
-		t.Fatalf("cap = %d after grow(1), want 8", cap)
-	}
-}

@@ -279,8 +279,7 @@ func (s *System) doPlan(ctx context.Context, req Request, qo queryOptions) (*Reg
 		defer plan.Close()
 		return s.answer(plan.ResultAt(ctx, prob))
 	}
-	key := s.planKey(req, qo)
-	e, how, err := s.plans.acquire(ctx, key, func(ctx context.Context) (queryPlan, error) {
+	e, how, err := s.plans.acquire(ctx, s.planKey(req, qo), func(ctx context.Context) (queryPlan, error) {
 		return s.newPlan(ctx, req, qo)
 	})
 	s.sharing.acquired[how].Add(1)
@@ -290,14 +289,7 @@ func (s *System) doPlan(ctx context.Context, req Request, qo queryOptions) (*Reg
 	// Deferred so the hold is given back on every exit, including a panic
 	// unwinding through ResultAt.
 	defer s.plans.release(e)
-	res, err := e.resultAt(ctx, prob, how)
-	if how == planMiss {
-		// An organic miss is exactly the signal the warm-plan pipeline
-		// feeds on: record the shape so the next epoch swap can rebuild
-		// this plan before traffic asks for it.
-		s.recordPlanShape(req, qo, key.shape)
-	}
-	return s.answer(res, err)
+	return s.answer(e.resultAt(ctx, prob, how))
 }
 
 // answer turns a plan's result into the facade's Region.
@@ -436,7 +428,7 @@ func routeResult(r *router.Route) *RouteResult {
 
 // optionBits packs the result-affecting engine options into one byte —
 // VerifyAll 1, EarlyStop 2, NoVisitedSet 4, NoOverlapFilter 8 — the form
-// shapeKey and planshapes.bin store; optionsOf unpacks it.
+// shapeKey stores.
 func optionBits(o core.Options) uint8 {
 	var bits uint8
 	if o.VerifyAll {
@@ -452,14 +444,4 @@ func optionBits(o core.Options) uint8 {
 		bits |= 8
 	}
 	return bits
-}
-
-// optionsOf is the inverse of optionBits.
-func optionsOf(bits uint8) core.Options {
-	return core.Options{
-		VerifyAll:       bits&1 != 0,
-		EarlyStop:       bits&2 != 0,
-		NoVisitedSet:    bits&4 != 0,
-		NoOverlapFilter: bits&8 != 0,
-	}
 }

@@ -206,7 +206,7 @@ type System struct {
 	// flight: each query snapshots one cluster (or nil) and runs against
 	// it — both layouts answer bit-identically over the same indexes.
 	cluster atomic.Pointer[shard.Cluster]
-	// plans is the shared-plan store behind Do and warmPlans.
+	// plans is the shared-plan store behind Do.
 	plans *planStore
 	// sharing counts what the plan store saved (see SharingStats).
 	sharing sharingCounters
@@ -234,22 +234,12 @@ type System struct {
 	compactDone   chan struct{}
 	bgCompacts    atomic.Int64
 	bgCompactErrs atomic.Int64
-	// Warm-plan pipeline (see warmplans.go): shapes records recent
-	// plan-store-miss query shapes; warmN > 0 re-plans the top shapes in
-	// the background after opens and compaction epoch swaps.
-	shapes     *shapeRecorder
-	warmN      atomic.Int32
-	warmBusy   atomic.Bool
-	warmWG     sync.WaitGroup
-	warmCtx    context.Context
-	warmCancel context.CancelFunc
 }
 
 // sharingCounters are the live plan-sharing counters; snapshot with
 // SharingStats.
 type sharingCounters struct {
-	acquired    [3]atomic.Int64 // plan-store requests by how they got their plan
-	plansWarmed atomic.Int64
+	acquired [3]atomic.Int64 // plan-store requests by how they got their plan
 }
 
 // SharingStats counts the plan sharing the system's plan store has done
@@ -266,11 +256,6 @@ type SharingStats struct {
 	// PlanCacheMisses counts requests that built their plan.
 	PlanCacheHits   int64
 	PlanCacheMisses int64
-	// PlansWarmed counts plans built proactively by the warm-plan
-	// pipeline (EnableWarmPlanning) rather than by a query
-	// paying the cold-planning cost. Warm passes touch none of the
-	// counters above.
-	PlansWarmed int64
 }
 
 // SharingStats snapshots the plan-sharing counters.
@@ -279,7 +264,6 @@ func (s *System) SharingStats() SharingStats {
 		QueriesCoalesced: s.sharing.acquired[planCoalesced].Load(),
 		PlanCacheHits:    s.sharing.acquired[planHit].Load(),
 		PlanCacheMisses:  s.sharing.acquired[planMiss].Load(),
-		PlansWarmed:      s.sharing.plansWarmed.Load(),
 	}
 }
 
@@ -395,8 +379,7 @@ func assembleSystem(net *roadnet.Network, ds *traj.Dataset, dsStats traj.Dataset
 		return nil, err
 	}
 	s := &System{net: net, netStats: net.Stats(), ds: ds, dsStats: dsStats, busiest: map[time.Duration]Location{},
-		st: st, con: con, engine: engine, plans: newPlanStore(), shapes: newShapeRecorder()}
-	s.warmCtx, s.warmCancel = context.WithCancel(context.Background())
+		st: st, con: con, engine: engine, plans: newPlanStore()}
 	return s, nil
 }
 
@@ -527,10 +510,6 @@ func (s *System) warmSlots(start, dur time.Duration) (lo, hi int, ok bool) {
 // Close stops the live-ingest writer (draining its queue), closes the
 // WAL, flushes the plan store, and releases index storage.
 func (s *System) Close() error {
-	if s.warmCancel != nil {
-		s.warmCancel()
-		s.warmWG.Wait()
-	}
 	err := s.stopIngest()
 	s.plans.clear()
 	if cerr := s.st.Close(); err == nil {
