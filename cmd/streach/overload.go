@@ -121,8 +121,8 @@ func runOverload(args []string) error {
 }
 
 // scrapeResilienceMetrics pulls the self-protection gauges and counters
-// (admission limit, quota rejections, brownout sheds) off the
-// server's Prometheus endpoint; best-effort, nil on any failure.
+// (admission limit, quota rejections) off the server's Prometheus
+// endpoint; best-effort, nil on any failure.
 func scrapeResilienceMetrics(client *http.Client, base string) map[string]float64 {
 	resp, err := client.Get(base + "/metrics/prometheus")
 	if err != nil {
@@ -132,7 +132,6 @@ func scrapeResilienceMetrics(client *http.Client, base string) map[string]float6
 	keep := []string{
 		"streach_admission_limit", "streach_admission_inflight",
 		"streach_admission_rejected_total", "streach_quota_rejections_total",
-		"streach_brownout_warm_shed_total",
 	}
 	out := map[string]float64{}
 	sc := bufio.NewScanner(resp.Body)

@@ -513,9 +513,9 @@ type rowKey struct {
 // single lookup, each expansion on scratch from the pool — on
 // min(workers, n) goroutines (workers <= 0: GOMAXPROCS), the caller
 // among them; with one it starts none. It is the one fan-out that
-// warm-up, serve's prefetch (both through PrecomputeSlotsCtx) and a
-// query's bounding round (Pin.OrRows) share. out, when non-nil, receives
-// row i at out[i]; built counts the expansions this call ran itself.
+// warm-up (PrecomputeSlotsCtx) and a query's bounding round
+// (Pin.OrRows) share. out, when non-nil, receives row i at out[i];
+// built counts the expansions this call ran itself.
 // The first error stops the remaining keys, and every worker has
 // returned when materialise does. A panic under a key is recovered into
 // a KindInternal error: on a worker goroutine it would otherwise take
@@ -608,18 +608,6 @@ func (x *Index) PrecomputeSlotsCtx(ctx context.Context, lo, hi, workers int) err
 		return rowKey{Kind(i % int(numKinds)), roadnet.SegmentID(i / int(numKinds) % nSeg), slots[i/int(numKinds)/nSeg]}
 	}, nil)
 	return err
-}
-
-// SlotsWarm reports whether PrecomputeSlotsCtx over [lo, hi] would find
-// nothing to do: all four tables hold every row of every slot in the
-// range. It reads the tables' per-slot counts and visits no row.
-func (x *Index) SlotsWarm(lo, hi int) bool {
-	for s := lo; s <= hi; s++ {
-		if !x.slotWarm(s) {
-			return false
-		}
-	}
-	return true
 }
 
 // slotWarm reports whether all four tables hold every row of slot.

@@ -202,15 +202,23 @@ func TestPrecomputeSkipsWarmSlots(t *testing.T) {
 	idx := build(t, n, testDataset(t, n))
 	nseg := n.NumSegments()
 	const lo, hi = 130, 132
-	if idx.SlotsWarm(lo, hi) {
+	slotsWarm := func(lo, hi int) bool {
+		for slot := lo; slot <= hi; slot++ {
+			if !idx.slotWarm(slot) {
+				return false
+			}
+		}
+		return true
+	}
+	if slotsWarm(lo, hi) {
 		t.Fatal("a cold window reports warm")
 	}
 	warm(t, idx, lo, hi, 2)
 	if got, want := idx.Stats().Materialised, int64(4*3*nseg); got != want {
 		t.Fatalf("first warm materialised %d rows, want %d", got, want)
 	}
-	if !idx.SlotsWarm(lo, hi) || !idx.SlotsWarm(lo+idx.NumSlots(), hi+idx.NumSlots()) || idx.SlotsWarm(lo, hi+1) {
-		t.Fatal("SlotsWarm disagrees with what was just warmed")
+	if !slotsWarm(lo, hi) || !slotsWarm(lo+idx.NumSlots(), hi+idx.NumSlots()) || slotsWarm(lo, hi+1) {
+		t.Fatal("slotWarm disagrees with what was just warmed")
 	}
 	before := idx.Stats()
 	warm(t, idx, lo, hi, 2)
@@ -222,8 +230,8 @@ func TestPrecomputeSkipsWarmSlots(t *testing.T) {
 	if !idx.ObserveSpeedBatch([]SpeedSample{{Seg: 4, Slot0: lo + 1, Slot1: lo + 1, Speed: 60}}) {
 		t.Fatal("observation did not move a bound")
 	}
-	if idx.SlotsWarm(lo, hi) || !idx.SlotsWarm(lo, lo) || !idx.SlotsWarm(hi, hi) {
-		t.Fatal("SlotsWarm missed the invalidated slot, or blames its neighbours")
+	if slotsWarm(lo, hi) || !slotsWarm(lo, lo) || !slotsWarm(hi, hi) {
+		t.Fatal("slotWarm missed the invalidated slot, or blames its neighbours")
 	}
 	lost := 0
 	for _, tbl := range idx.adjTables() {

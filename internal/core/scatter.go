@@ -30,10 +30,6 @@ import (
 // still awaits FinishVerification.
 func (p *SharedPlan) Deferred() bool { return p.deferred && !p.verified }
 
-// Lazy reports whether the plan verifies lazily per threshold (the
-// EarlyStop policy), which a scatter step cannot split across shards.
-func (p *SharedPlan) Lazy() bool { return p.lazy }
-
 // Candidates returns the plan's verification candidates; positions
 // index into it. The slice is the plan's own: read it, don't mutate it,
 // and drop it before Close.

@@ -325,16 +325,6 @@ func (n *Network) ShortestPath(src, dst SegmentID, w WeightFunc) (path []Segment
 	return path, cost, found
 }
 
-// NetworkDistance returns the shortest travel distance in metres from the
-// start of src to the end of dst, or +Inf when unreachable.
-func (n *Network) NetworkDistance(src, dst SegmentID) float64 {
-	_, cost, ok := n.ShortestPath(src, dst, n.DistanceWeight())
-	if !ok {
-		return math.Inf(1)
-	}
-	return cost
-}
-
 // ReachableFrom returns how many segments a search from src in direction
 // dir reaches with no budget: Forward counts the segments src can reach,
 // Backward those that can reach src.

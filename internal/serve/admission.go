@@ -11,22 +11,13 @@ import (
 // gets close to) its deadline multiplies the limit down, a request that
 // finishes with comfortable headroom adds a fractional slot back — the
 // classic AIMD shape that converges on the concurrency the engine can
-// actually sustain within its deadlines.
-//
-// Occupancy of the current limit drives a two-rung brownout ladder,
-// shedding the cheapest work first:
-//
-//	occupancy ≥ 0.55: shed prefetch/warm background work
-//	occupancy = 1:    reject with 429 and an honest Retry-After
-//	                  derived from the limiter state
-const (
-	brownoutShedOcc = 0.55
+// actually sustain within its deadlines. A full limit rejects with 429
+// and an honest Retry-After derived from the limiter state.
 
-	// decreaseEvery rate-limits multiplicative decreases so one burst of
-	// concurrent deadline failures counts as one congestion signal, not
-	// a collapse to the floor.
-	decreaseEvery = 100 * time.Millisecond
-)
+// decreaseEvery rate-limits multiplicative decreases so one burst of
+// concurrent deadline failures counts as one congestion signal, not a
+// collapse to the floor.
+const decreaseEvery = 100 * time.Millisecond
 
 // aimdLimiter is the adaptive admission gate. All methods are safe for
 // concurrent use.
@@ -49,17 +40,16 @@ func newLimiter(max int) *aimdLimiter {
 	return &aimdLimiter{limit: float64(max), min: float64(min), max: float64(max)}
 }
 
-// admit claims a slot. shed reports that the request enters under the
-// first brownout rung, so the background work it would start is shed;
-// !ok means the limit is full and the request must be rejected.
-func (l *aimdLimiter) admit() (ok, shed bool) {
+// admit claims a slot; false means the limit is full and the request
+// must be rejected.
+func (l *aimdLimiter) admit() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if float64(l.inflight+1) > l.limit {
-		return false, false
+		return false
 	}
 	l.inflight++
-	return true, float64(l.inflight)/l.limit >= brownoutShedOcc
+	return true
 }
 
 // release returns the slot and feeds the request's outcome back into
@@ -97,8 +87,8 @@ func (l *aimdLimiter) release(lat, deadline time.Duration, deadlineHit bool) {
 	}
 }
 
-// releaseIdle returns the slot without latency feedback (legacy acquire
-// paths and callers that never ran a query).
+// releaseIdle returns the slot without latency feedback, for callers
+// that ran no query (ingest batches).
 func (l *aimdLimiter) releaseIdle() {
 	l.mu.Lock()
 	l.inflight--

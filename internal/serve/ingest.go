@@ -75,7 +75,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.allowClient(w, r) {
 		return
 	}
-	if !s.acquire() {
+	if !s.admit() {
 		s.reject(w, r)
 		return
 	}

@@ -150,7 +150,7 @@ func (s *Server) writePrometheus(w io.Writer) {
 		"Handle-table install pause of the last compaction.", ist.LastCompactPause.Seconds())
 
 	// Adaptive admission: the live limit and occupancy, so dashboards see
-	// the brownout ladder move before clients see 429s.
+	// the limit fill before clients see 429s.
 	if s.lim != nil {
 		limit, inflight := s.lim.snapshot()
 		fmt.Fprintf(w, "# HELP streach_admission_limit Current AIMD admission limit.\n")

@@ -12,15 +12,16 @@
 // stops the query mid-flight instead of burning the worker pool on an
 // answer nobody will read.
 //
-// Three traffic-shaping layers sit in front of the engine. Per-client
+// Two traffic-shaping layers sit in front of the engine. Per-client
 // token-bucket quotas (Config.ClientRPS) fence off overeager clients
 // first. Adaptive admission bounds the in-flight query count with an
 // AIMD limiter that starts at Config.MaxInFlight and converges on what
-// the engine sustains within its deadlines (admission.go); occupancy
-// drives a brownout ladder — shed prefetch work, then reject with 429 +
-// an honest Retry-After derived from the limiter state. A sharded
-// system fails a query exactly as the unsharded one does, so a reply
-// is always the whole answer or a typed error. Duplicate traffic is
+// the engine sustains within its deadlines (admission.go); a full limit
+// answers 429 with an honest Retry-After derived from the limiter
+// state. The server starts no work of its own: Con-Index rows are built
+// by the queries that miss them and by the operator's System.WarmCtx.
+// A sharded system fails a query exactly as the unsharded one does, so
+// a reply is always the whole answer or a typed error. Duplicate traffic is
 // deduplicated below the server, in the system's plan store: concurrent
 // queries of one shape wait for one plan build, later ones find the plan
 // parked, and /metrics' coalesced_total reads the store's count of
@@ -37,8 +38,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"streach"
@@ -101,17 +100,9 @@ type Server struct {
 	// hist holds the per-endpoint latency histograms the Prometheus
 	// rendering of /metrics exposes.
 	hist map[string]*histogram
-	// Background prefetch lifecycle: warmBusy keeps at most one warm in
-	// flight, baseCtx/stop and wg bound it to the server's lifetime so
-	// Close leaves no goroutine behind.
-	warmBusy atomic.Bool
-	baseCtx  context.Context
-	stop     context.CancelFunc
-	wg       sync.WaitGroup
 }
 
-// New wraps a built system in a server. Call Close when done to stop
-// background prefetch work.
+// New wraps a built system in a server.
 func New(sys *streach.System, cfg Config) *Server {
 	s := &Server{sys: sys, cfg: cfg.withDefaults()}
 	s.vars.Init()
@@ -126,16 +117,12 @@ func New(sys *streach.System, cfg Config) *Server {
 	for _, ep := range endpoints {
 		s.hist[ep] = newHistogram()
 	}
-	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	return s
 }
 
-// Close stops the server's background work (prefetch warms) and waits
-// for it to exit. Idempotent.
-func (s *Server) Close() {
-	s.stop()
-	s.wg.Wait()
-}
+// Close is a no-op kept for callers that pair New with it: the server
+// starts no goroutine of its own, so it has nothing to stop.
+func (s *Server) Close() {}
 
 // Handler returns the route table, wrapped in the request-ID /
 // access-log / panic-recovery middleware.
@@ -152,23 +139,16 @@ func (s *Server) Handler() http.Handler {
 	return s.middleware(mux)
 }
 
-// admit claims an admission slot; shed reports that the request's
-// background work is to be shed, !ok means the limiter is full.
-func (s *Server) admit() (ok, shed bool) {
+// admit claims an admission slot; false means the limiter is full.
+// Paired with finish, or with release by a caller that ran no query.
+func (s *Server) admit() bool {
 	if s.lim == nil {
-		return true, false
+		return true
 	}
 	return s.lim.admit()
 }
 
-// acquire claims an admission slot without brownout context; false
-// means the server is saturated. Paired with release.
-func (s *Server) acquire() bool {
-	ok, _ := s.admit()
-	return ok
-}
-
-// release returns an acquire'd slot without latency feedback.
+// release returns an admitted slot without latency feedback.
 func (s *Server) release() {
 	if s.lim != nil {
 		s.lim.releaseIdle()
@@ -230,36 +210,6 @@ func (s *Server) allowClient(w http.ResponseWriter, r *http.Request) bool {
 		s.rejectQuota(w, r, retry)
 	}
 	return ok
-}
-
-// maybePrefetch warms the Con-Index window following an answered query
-// in the background — forward and reverse rows, so a reverse query over
-// the next window is a pure lookup too — the cheapest work there is, and
-// therefore the first thing the brownout ladder sheds. It asks first
-// whether that window is already warm (a few loads per slot): on a warm
-// system, the steady state, an answer takes no gate and starts no
-// goroutine. At most one warm runs at a time, bounded to the server's
-// lifetime (Close); prefetch_warms_total counts the passes that ran.
-func (s *Server) maybePrefetch(start, dur time.Duration, shed bool) {
-	if shed {
-		s.vars.Add("brownout_warm_shed_total", 1)
-		return
-	}
-	slot := time.Duration(s.sys.Stats().SlotSeconds) * time.Second
-	if s.sys.Warmed(start+dur, slot) {
-		return
-	}
-	if !s.warmBusy.CompareAndSwap(false, true) {
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer s.warmBusy.Store(false)
-		if s.sys.WarmCtx(s.baseCtx, start+dur, slot) == nil {
-			s.vars.Add("prefetch_warms_total", 1)
-		}
-	}()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -420,10 +370,10 @@ type reachPayload struct {
 
 // handleReach answers reachability queries. GET parameters (or the POST
 // JSON body): lat, lng (or locations for multi), start (Go duration
-// since midnight, e.g. 11h or 11h30m), dur, prob, alg — "algorithm" in
-// the JSON body — (auto|bounded|exhaustive|sequential), reverse,
-// timeout, format (geojson). Omitting lat/lng asks the busiest segment
-// at the start time, which makes smoke tests self-contained.
+// since midnight in [0, 24h), e.g. 11h or 11h30m), dur, prob, alg —
+// "algorithm" in the JSON body — (auto|bounded|exhaustive|sequential),
+// reverse, timeout, format (geojson). Omitting lat/lng asks the busiest
+// segment at the start time, which makes smoke tests self-contained.
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	var p reachPayload
 	// The URL parameters are parsed once: GET carries the whole query in
@@ -469,6 +419,10 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, r, "bad start: %v", err)
 		return
 	}
+	if start < 0 || start >= 24*time.Hour {
+		s.badRequest(w, r, "bad start: must be a time of day in [0, 24h), got %v", start)
+		return
+	}
 	dur, err := parseDurationDefault(p.Duration, 10*time.Minute)
 	if err != nil {
 		s.badRequest(w, r, "bad dur: %v", err)
@@ -495,9 +449,10 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, r, "lat/lng must be given together")
 		return
 	default:
-		// No location given: query the busiest segment at the start time.
+		// No location given: the busiest segment at the start time, picked
+		// once the request is admitted (the first pick per time of day
+		// scans the whole dataset).
 		req.Kind = streach.KindReach
-		req.Locations = []streach.Location{s.sys.BusiestLocation(start)}
 	}
 	if p.Reverse {
 		if req.Kind == streach.KindMulti {
@@ -528,8 +483,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	ok, shed := s.admit()
-	if !ok {
+	if !s.admit() {
 		s.reject(w, r)
 		return
 	}
@@ -537,6 +491,9 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	began := time.Now()
 	var qerr error
 	defer func() { s.finish(time.Since(began), timeout, qerr) }()
+	if req.Locations == nil {
+		req.Locations = []streach.Location{s.sys.BusiestLocation(start)}
+	}
 	region, err := s.sys.Do(ctx, req, opts...)
 	if err != nil {
 		qerr = err
@@ -545,7 +502,6 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	}
 	s.record(kind, region.Metrics)
 	s.observe(kind, time.Since(began))
-	s.maybePrefetch(start, dur, shed)
 
 	s.writeRegion(w, r, region, wantsGeoJSON(r, q.Get("format")))
 }
@@ -600,7 +556,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	if ok, _ := s.admit(); !ok {
+	if !s.admit() {
 		s.reject(w, r)
 		return
 	}

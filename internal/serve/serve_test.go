@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -240,6 +244,68 @@ func TestReachRejectsNaNAndOverflow(t *testing.T) {
 	}
 }
 
+// TestNoLocationScansOnlyWhenAdmitted: a request without a location
+// asks for the busiest segment at its start, and the first such pick
+// per time of day scans the whole dataset. Only a request that passed
+// its parameter checks, its client's quota and admission may start that
+// scan. The opened system's dataset.bin is removed, so every scan logs
+// "dataset scan cut short".
+func TestNoLocationScansOnlyWhenAdmitted(t *testing.T) {
+	built, err := streach.NewSystem(streach.CityConfig{
+		OriginLat: 22.50, OriginLng: 114.00,
+		Rows: 4, Cols: 4,
+		SpacingMeters: 900,
+		Seed:          71,
+	}, streach.FleetConfig{Taxis: 20, Days: 3, Seed: 72}, streach.DefaultIndexConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := built.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	built.Close()
+	sys, err := streach.OpenSystem(dir, streach.DefaultIndexConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := os.Remove(filepath.Join(dir, "dataset.bin")); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logged)
+	scanned := func() bool { return strings.Contains(logged.String(), "dataset scan cut short") }
+
+	// One request per client per two seconds, one deep.
+	h := New(sys, Config{ClientRPS: 0.5}).Handler()
+	get := func(client, query string) int {
+		req := httptest.NewRequest(http.MethodGet, "/v1/reach?"+query, nil)
+		req.Header.Set("X-API-Key", client)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := get("a", "start=25h&dur=10m"); code != http.StatusBadRequest || scanned() {
+		t.Errorf("start=25h: status %d, scanned %v; want 400 and no scan", code, scanned())
+	}
+	logged.Reset()
+	mid := sys.Network().Segment(0).Midpoint()
+	at := fmt.Sprintf("start=11h&dur=10m&lat=%g&lng=%g", mid.Lat, mid.Lng)
+	if code := get("c", at); code != http.StatusOK {
+		t.Fatalf("located request: status %d", code)
+	}
+	if code := get("c", "start=11h&dur=10m"); code != http.StatusTooManyRequests || scanned() {
+		t.Errorf("over quota: status %d, scanned %v; want 429 and no scan", code, scanned())
+	}
+	// The check sees a scan: an admitted request makes one.
+	get("b", "start=11h&dur=10m")
+	if !scanned() {
+		t.Fatal("an admitted no-location request logged no scan")
+	}
+}
+
 // TestAdmissionControl: with every admission slot held, query endpoints
 // answer 429 with a Retry-After hint; releasing a slot admits again.
 // The semaphore is filled directly so the test is deterministic.
@@ -248,7 +314,7 @@ func TestAdmissionControl(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	if !srv.acquire() || !srv.acquire() {
+	if !srv.admit() || !srv.admit() {
 		t.Fatal("could not fill the admission semaphore")
 	}
 	resp, err := http.Get(ts.URL + "/v1/reach?start=11h&dur=5m&prob=0.2")

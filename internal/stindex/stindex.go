@@ -380,12 +380,6 @@ func (x *Index) Network() *roadnet.Network { return x.net }
 // Pool exposes the buffer pool for I/O accounting.
 func (x *Index) Pool() *storage.BufferPool { return x.pool }
 
-// DayOf maps a time to its dataset day index (may be out of range for
-// times outside the dataset).
-func (x *Index) DayOf(t time.Time) traj.Day {
-	return traj.Day(int(t.Sub(x.baseDate).Hours()) / 24)
-}
-
 // SnapLocation finds the road segment a query location lies on, using the
 // spatial R-tree (thesis: "identify the start road segment r0 in the
 // R-tree from ST-Index").

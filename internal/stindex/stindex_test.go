@@ -150,19 +150,6 @@ func TestTimeListOutOfRangeInputs(t *testing.T) {
 	}
 }
 
-func TestDayOf(t *testing.T) {
-	n := testNetwork(t)
-	ds := testDataset(t, n)
-	idx := buildIndex(t, n, ds)
-	defer idx.Close()
-	if d := idx.DayOf(ds.BaseDate.Add(5 * time.Hour)); d != 0 {
-		t.Fatalf("DayOf day0 = %d", d)
-	}
-	if d := idx.DayOf(ds.BaseDate.AddDate(0, 0, 3).Add(time.Hour)); d != 3 {
-		t.Fatalf("DayOf day3 = %d", d)
-	}
-}
-
 func TestSnapLocation(t *testing.T) {
 	n := testNetwork(t)
 	idx := buildIndex(t, n, testDataset(t, n))

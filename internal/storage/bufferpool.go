@@ -293,9 +293,6 @@ func (bp *BufferPool) Len() int {
 	return bp.lru.Len()
 }
 
-// Capacity returns the pool capacity in pages.
-func (bp *BufferPool) Capacity() int { return bp.capacity }
-
 // Close flushes and closes the backend store.
 func (bp *BufferPool) Close() error {
 	if err := bp.Flush(); err != nil {

@@ -74,9 +74,6 @@ func (v Visit) Exit(dayStart time.Time) time.Time {
 // EnterSec returns the entry time in seconds since the day's midnight.
 func (v Visit) EnterSec() float64 { return float64(v.EnterMs) / 1000 }
 
-// ExitSec returns the exit time in seconds since the day's midnight.
-func (v Visit) ExitSec() float64 { return float64(v.ExitMs) / 1000 }
-
 // MatchedTrajectory is a trajectory projected onto the road network: an
 // ordered, connected sequence of segment visits. This is the form the
 // index builders consume.

@@ -57,18 +57,10 @@ type kindError struct {
 func (e *kindError) Error() string { return e.err.Error() }
 func (e *kindError) Unwrap() error { return e.err }
 
-// Mark wraps err with kind. A nil err returns nil. Re-marking an
-// already-kinded error overrides the inner kind (the outermost mark
-// wins in KindOf, since errors.As finds it first).
-func Mark(kind Kind, err error) error {
-	if err == nil {
-		return nil
-	}
-	return &kindError{kind: kind, err: err}
-}
-
-// Markf is Mark over a formatted error; %w verbs work as with
-// fmt.Errorf.
+// Markf returns a formatted error marked with kind; %w verbs work as
+// with fmt.Errorf. Marking an already-kinded error overrides the inner
+// kind (the outermost mark wins in KindOf, since errors.As finds it
+// first).
 func Markf(kind Kind, format string, args ...any) error {
 	return &kindError{kind: kind, err: fmt.Errorf(format, args...)}
 }

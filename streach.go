@@ -177,7 +177,7 @@ type Region struct {
 type System struct {
 	net *roadnet.Network
 	// netStats is net.Stats(), taken once: the network never changes,
-	// and Stats() is on serve's per-answer path (maybePrefetch).
+	// and a Stats() call (serve's /healthz) need not walk every segment.
 	netStats roadnet.Stats
 	// features is every segment's GeoJSON Feature, encoded at the first
 	// render (geojson.go).
@@ -471,6 +471,8 @@ func (s *System) ShardStats() []ShardStat {
 // measured time, and Save persists the materialised rows so reopened
 // systems skip it entirely. Idempotent, and cheap to repeat: a slot
 // that is already fully warm is recognised without walking its rows.
+// Nothing calls it on the caller's behalf: outside the windows it warmed,
+// a query builds the rows it misses itself.
 //
 // A cancelled or expired ctx stops the precompute workers early and
 // returns ctx's error. Rows warmed before the cancellation stay warm, so
@@ -481,15 +483,6 @@ func (s *System) WarmCtx(ctx context.Context, start, dur time.Duration) error {
 		return nil
 	}
 	return s.con.PrecomputeSlotsCtx(ctx, lo, hi, 0)
-}
-
-// Warmed reports whether WarmCtx over the same window would find nothing
-// to do: every Con-Index row of every slot it covers is materialised.
-// It costs a few loads per slot, so a caller that warms speculatively
-// (serve's post-answer prefetch) can ask before it schedules anything.
-func (s *System) Warmed(start, dur time.Duration) bool {
-	lo, hi, ok := s.warmSlots(start, dur)
-	return !ok || s.con.SlotsWarm(lo, hi)
 }
 
 // warmSlots maps a time window to the inclusive Con-Index slot range a
