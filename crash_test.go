@@ -55,7 +55,7 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
+	if err := sys.StartIngest(IngestConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Ingest(ctx, liveFixtureUpdates(sys)); err != nil {
@@ -88,7 +88,7 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		if err := s.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
+		if err := s.StartIngest(IngestConfig{}); err != nil {
 			t.Fatalf("start ingest: %v", err)
 		}
 		if err := s.Ingest(ctx, crashExtraUpdates(s)); err != nil {

@@ -99,10 +99,6 @@ func codeOfKind(k xerr.Kind) ErrorCode {
 	switch k {
 	case xerr.KindInvalid:
 		return InvalidRequest
-	case xerr.KindTimeout:
-		return Timeout
-	case xerr.KindOverloaded:
-		return Overloaded
 	case xerr.KindCorrupt:
 		return CorruptData
 	case xerr.KindInternal:

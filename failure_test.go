@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -309,7 +307,7 @@ func TestScratchBalancedAfterDeadlineFlood(t *testing.T) {
 // TestNewSystemFromDataRejectsOutOfRange: a visit on a segment the
 // network does not have fails NewSystemFromData with the ST-Index
 // builder's error naming the trajectory. Both builds have returned by
-// then: no build goroutine is left, and the page file is closed.
+// then: no build goroutine is left.
 func TestNewSystemFromDataRejectsOutOfRange(t *testing.T) {
 	net := smallSystem(t).Network()
 	bad := roadnet.SegmentID(net.NumSegments())
@@ -317,11 +315,9 @@ func TestNewSystemFromDataRejectsOutOfRange(t *testing.T) {
 		{Taxi: 1, Day: 0, Visits: []traj.Visit{{Segment: 0, EnterMs: 1000, ExitMs: 2000, Speed: 9}}},
 		{Taxi: 2, Day: 1, Visits: []traj.Visit{{Segment: bad, EnterMs: 1000, ExitMs: 2000, Speed: 9}}},
 	}}
-	idx := DefaultIndexConfig()
-	idx.PageFile = filepath.Join(t.TempDir(), "pages.db")
 	build := func() {
 		t.Helper()
-		s, err := NewSystemFromData(net, ds, idx)
+		s, err := NewSystemFromData(net, ds, DefaultIndexConfig())
 		if err == nil {
 			s.Close()
 			t.Fatal("NewSystemFromData accepted a visit past the network")
@@ -332,14 +328,11 @@ func TestNewSystemFromDataRejectsOutOfRange(t *testing.T) {
 		}
 	}
 	build() // the first call may start runtime helpers of its own
-	goroutines, fds := runtime.NumGoroutine(), openFiles()
+	goroutines := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
 		build()
 	}
 	assertNoGoroutineGrowth(t, goroutines)
-	if now := openFiles(); now > fds {
-		t.Fatalf("open files grew %d -> %d: a failed build left its page file open", fds, now)
-	}
 }
 
 // TestNewSystemFromDataRejectsBadVisits: a visit whose speed is NaN,
@@ -384,11 +377,4 @@ func TestNewSystemFromDataRejectsBadVisits(t *testing.T) {
 		t.Fatalf("visits across midnight and at speed 0: %v", err)
 	}
 	s.Close()
-}
-
-// openFiles counts this process's open file descriptors, or returns 0
-// where /proc/self/fd is not available.
-func openFiles() int {
-	ents, _ := os.ReadDir("/proc/self/fd")
-	return len(ents)
 }

@@ -37,26 +37,17 @@ type IngestUpdate struct {
 	SpeedMps  float32
 }
 
-// IngestConfig controls the live-ingest writer. The zero value is
-// usable: two workers, a 4096-update queue (TryIngest rejects beyond
-// it), 256-update batches, 65536 buffered Con-Index speed samples, and a
-// segmented write-ahead log under dir/wal/ (segments rotated at 4 MiB
-// or 1 min) when the system has a save directory — a directory-less
-// system runs without one. Trajectory data goes
-// live in the ST-Index delta on every batch; the speed bounds — pruning
-// statistics — fold at FlushIngest/CompactIngestN/Close or when the
-// sample buffer fills, so live write load cannot turn the query bounding
-// phase into a per-sample row-recompute storm.
+// IngestConfig controls the live-ingest writer. The writer itself is
+// fixed: two workers, a 4096-update queue (TryIngest rejects beyond
+// it), 256-update batches flushed at least every 50 ms, 65536 buffered
+// Con-Index speed samples, and a segmented write-ahead log under
+// dir/wal/ (segments rotated at 4 MiB or 1 min) when the system has a
+// save directory — a directory-less system runs without one. Trajectory
+// data goes live in the ST-Index delta on every batch; the speed bounds
+// — pruning statistics — fold at FlushIngest/CompactIngestN/Close or
+// when the sample buffer fills, so live write load cannot turn the query
+// bounding phase into a per-sample row-recompute storm.
 type IngestConfig struct {
-	// Workers is the apply worker-pool size (default 2).
-	Workers int
-	// BatchSize is how many updates fold into one index append and one
-	// WAL record (default 256).
-	BatchSize int
-	// FlushInterval bounds how long a partial batch waits (default 50ms).
-	FlushInterval time.Duration
-	// WALSegmentBytes rotates a WAL segment past this size (default 4 MiB).
-	WALSegmentBytes int64
 	// CompactInterval, when positive, runs incremental compactions on a
 	// background loop every interval while dirty keys are pending, with
 	// exponential backoff after a persist failure. Each cycle folds at
@@ -161,23 +152,14 @@ func (s *System) StartIngest(cfg IngestConfig) error {
 	if s.dir != "" {
 		var err error
 		if wal, err = ingest.OpenSegmented(filepath.Join(s.dir, walDirName), ingest.SegmentedConfig{
-			SegmentBytes: cfg.WALSegmentBytes,
-			Shards:       shards,
-			Epoch:        s.st.Epoch(),
+			Shards: shards,
+			Epoch:  s.st.Epoch(),
 		}); err != nil {
 			return fmt.Errorf("streach: %w", err)
 		}
 	}
-	icfg := ingest.Config{
-		Workers:       cfg.Workers,
-		BatchSize:     cfg.BatchSize,
-		FlushInterval: cfg.FlushInterval,
-		Owner:         owner,
-		Shards:        shards,
-		WAL:           wal,
-	}
 	s.wal = wal
-	s.ingestW = ingest.NewWriter(s.st, s.con, icfg)
+	s.ingestW = ingest.NewWriter(s.st, s.con, ingest.Config{Owner: owner, Shards: shards, WAL: wal})
 	if cfg.CompactInterval > 0 {
 		s.compactStop = make(chan struct{})
 		s.compactDone = make(chan struct{})

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"streach/internal/ingest"
 	"streach/internal/traj"
 )
 
@@ -81,7 +82,7 @@ func unionDataset(base *traj.Dataset, updates []IngestUpdate) *traj.Dataset {
 func TestIngestEquivalenceOfflineRebuild(t *testing.T) {
 	base := smallSystem(t)
 	live := variant(t, vcfg{planCache: -1})
-	if err := live.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
+	if err := live.StartIngest(IngestConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	updates := liveFixtureUpdates(live)
@@ -147,7 +148,7 @@ func TestIngestDropsBadSpeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
+	if err := s.StartIngest(IngestConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	const enter = 10 * 3600 * 1000
@@ -176,7 +177,7 @@ func TestIngestDropsBadSpeeds(t *testing.T) {
 func TestIngestVersionKeysInvalidateCaches(t *testing.T) {
 	base := smallSystem(t)
 	sys := variant(t, vcfg{}) // the default plan store
-	if err := sys.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
+	if err := sys.StartIngest(IngestConfig{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -244,7 +245,7 @@ func TestIngestVersionKeysInvalidateCaches(t *testing.T) {
 func TestIngestConcurrentWithQueries(t *testing.T) {
 	base := smallSystem(t)
 	live := variant(t, vcfg{planCache: -1, shards: 4})
-	if err := live.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
+	if err := live.StartIngest(IngestConfig{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -309,7 +310,7 @@ func TestIngestEpochSwapLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		live := variant(t, vcfg{planCache: -1})
-		if err := live.StartIngest(IngestConfig{Workers: 3, FlushInterval: time.Millisecond}); err != nil {
+		if err := live.StartIngest(IngestConfig{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := live.Ingest(context.Background(), liveFixtureUpdates(live)[:200]); err != nil {
@@ -451,7 +452,7 @@ func TestIngestWALReplayOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := variant(t, vcfg{planCache: -1, dir: dir})
-	if err := sys.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
+	if err := sys.StartIngest(IngestConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Ingest(context.Background(), liveFixtureUpdates(sys)); err != nil {
@@ -525,7 +526,7 @@ func TestSaveElsewhereThenCompactPersistsThere(t *testing.T) {
 	if err := sys.Save(other); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.StartIngest(IngestConfig{FlushInterval: time.Millisecond}); err != nil {
+	if err := sys.StartIngest(IngestConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Ingest(context.Background(), liveFixtureUpdates(sys)); err != nil {
@@ -564,22 +565,19 @@ func TestIngestWALCorruptionFuzz(t *testing.T) {
 	}
 	reqs := requestMatrix(base, 10*time.Hour).smoke
 
-	// Write a multi-segment WAL through a live session (tiny rotation
-	// threshold), keep a pristine copy of every segment.
-	sys := variant(t, vcfg{planCache: -1, dir: dir})
-	if err := sys.StartIngest(IngestConfig{FlushInterval: time.Millisecond, BatchSize: 16, WALSegmentBytes: 512}); err != nil {
+	// Write a multi-segment WAL straight through the log (tiny rotation
+	// threshold, 16-update records), keep a pristine copy of every segment.
+	wal, err := ingest.OpenSegmented(filepath.Join(dir, walDirName), ingest.SegmentedConfig{SegmentBytes: 512})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Ingest(context.Background(), liveFixtureUpdates(sys)[:300]); err != nil {
-		t.Fatal(err)
+	updates := liveFixtureUpdates(base)[:300]
+	for lo := 0; lo < len(updates); lo += 16 {
+		if err := wal.AppendUpdates(0, toIngestUpdates(updates[lo:min(lo+16, len(updates))])); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := sys.FlushIngest(ctx); err != nil {
-		t.Fatal(err)
-	}
-	fullAnswer := replay(serial(sys), reqs)
-	if err := sys.Close(); err != nil {
+	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
 	segs := walSegmentFiles(t, dir)
@@ -594,13 +592,30 @@ func TestIngestWALCorruptionFuzz(t *testing.T) {
 		}
 		pristine[p] = data
 	}
-	restore := func() {
+	// reset drops every segment a session appended or truncated and
+	// restores the pristine set.
+	reset := func() {
+		for _, p := range walSegmentFiles(t, dir) {
+			if err := os.Remove(p); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, p := range segs {
 			if err := os.WriteFile(p, pristine[p], 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+
+	// The reference is the pristine directory reopened: its whole WAL
+	// replayed (TestIngestWALReplayOnOpen holds that live and replayed
+	// answers agree).
+	ref := variant(t, vcfg{planCache: -1, dir: dir})
+	fullAnswer := replay(serial(ref), reqs)
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reset()
 
 	logBuf := captureLog(t)
 	rng := rand.New(rand.NewSource(42))
@@ -655,10 +670,10 @@ func TestIngestWALCorruptionFuzz(t *testing.T) {
 		// Re-ingesting everything must converge back to the full live
 		// answer: the replayed prefix and the later segments are absorbed
 		// by set union, the lost suffix is re-supplied.
-		if err := reopened.StartIngest(IngestConfig{FlushInterval: time.Millisecond, BatchSize: 16, WALSegmentBytes: 512}); err != nil {
+		if err := reopened.StartIngest(IngestConfig{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := reopened.Ingest(context.Background(), liveFixtureUpdates(reopened)[:300]); err != nil {
+		if err := reopened.Ingest(context.Background(), updates); err != nil {
 			t.Fatal(err)
 		}
 		ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Second)
@@ -675,13 +690,7 @@ func TestIngestWALCorruptionFuzz(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The session appended fresh segments and may have truncated the
-		// corrupt one; drop everything and restore the pristine set for
-		// the next trial.
-		for _, p := range walSegmentFiles(t, dir) {
-			if err := os.Remove(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		restore()
+		// corrupt one.
+		reset()
 	}
 }

@@ -603,9 +603,6 @@ func TestResultContains(t *testing.T) {
 	}
 }
 
-// The probe's taxi intersection is now a bitset word-AND; see
-// stindex.BitsIntersect and its tests in internal/stindex/bits_test.go.
-
 func TestRushHourShrinksMaxRegion(t *testing.T) {
 	f := getFixture(t)
 	e := newEngine(t, Options{})

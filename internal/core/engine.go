@@ -388,14 +388,16 @@ type probe struct {
 func (e *Engine) newProbe(ctx context.Context, sources []roadnet.SegmentID, startSlot, loSlot, hiSlot int) (*probe, error) {
 	days := e.st.Days()
 	starts := make([][][]uint64, len(sources))
+	var lists []*stindex.TimeListBits
 	for i, src := range sources {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		bits, err := e.st.TimeListBitsAt(src, startSlot)
-		if err != nil {
+		var err error
+		if lists, err = e.st.TimeListsRange(src, startSlot, startSlot, lists[:0]); err != nil {
 			return nil, err
 		}
+		bits := lists[0]
 		byDay := make([][]uint64, days)
 		for j, d := range bits.Days {
 			if int(d) < days {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"streach/internal/bitset"
 	"streach/internal/roadnet"
 	"streach/internal/stindex"
 )
@@ -37,7 +38,7 @@ func (e *Engine) newReverseProbe(ctx context.Context, dst roadnet.SegmentID, sta
 			if int(d) >= days {
 				continue
 			}
-			targets[d] = stindex.OrBits(targets[d], bits.Bits[j])
+			targets[d] = bitset.OrGrow(targets[d], bits.Bits[j])
 		}
 	}
 	sets := stindex.NewMatchSets(days, [][][]uint64{targets})

@@ -184,16 +184,6 @@ func (n *Network) SnapPoint(p geo.Point) (id SegmentID, distMeters, alongMeters 
 	return best, bestDist, bestAlong, true
 }
 
-// SegmentsWithin appends to dst the IDs of segments whose MBRs intersect
-// the query box.
-func (n *Network) SegmentsWithin(box geo.MBR, dst []SegmentID) []SegmentID {
-	ids := n.spatial.Search(box, nil)
-	for _, id := range ids {
-		dst = append(dst, SegmentID(id))
-	}
-	return dst
-}
-
 // CandidatesNear returns up to limit segments whose MBRs are within radius
 // metres of p, nearest first. Used by the map matcher.
 func (n *Network) CandidatesNear(p geo.Point, radius float64, limit int) []SegmentID {

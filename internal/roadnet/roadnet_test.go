@@ -441,24 +441,6 @@ func TestGenerateHasAllRoadClasses(t *testing.T) {
 	}
 }
 
-func TestSegmentsWithin(t *testing.T) {
-	n := lineNet(t)
-	box := geo.NewMBR(geo.Offset(o, -100, -100), geo.Offset(o, 1100, 100))
-	ids := n.SegmentsWithin(box, nil)
-	// First road (both directions) entirely inside; second road's MBR
-	// touches at x=1000.
-	if len(ids) < 2 {
-		t.Fatalf("SegmentsWithin found %d, want >= 2", len(ids))
-	}
-	set := map[SegmentID]bool{}
-	for _, id := range ids {
-		set[id] = true
-	}
-	if !set[0] || !set[1] {
-		t.Fatalf("SegmentsWithin missing first road: %v", ids)
-	}
-}
-
 func TestStatsConsistency(t *testing.T) {
 	n := lineNet(t)
 	st := n.Stats()

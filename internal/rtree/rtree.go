@@ -1,11 +1,10 @@
 // Package rtree implements the spatial index used by the ST-Index.
 //
 // The tree stores items keyed by their minimum bounding rectangle and
-// supports rectangle range queries and nearest-neighbour search. A bulk
-// loader (Sort-Tile-Recursive) builds a packed tree from a static set,
-// which matches the paper's setting: the re-segmented road network is
-// fixed, so every temporal leaf can share the same spatial index
-// structure (thesis §3.2.1).
+// supports nearest-neighbour search. A bulk loader (Sort-Tile-Recursive)
+// builds a packed tree from a static set, which matches the paper's
+// setting: the re-segmented road network is fixed, so every temporal leaf
+// can share the same spatial index structure (thesis §3.2.1).
 package rtree
 
 import (
@@ -140,41 +139,6 @@ func intSqrtCeil(n int) int {
 
 // Len returns the number of items in the tree.
 func (t *Tree) Len() int { return t.count }
-
-// Bounds returns the MBR covering every item in the tree.
-func (t *Tree) Bounds() geo.MBR {
-	if t.root == nil {
-		return geo.MBR{}
-	}
-	return t.root.box
-}
-
-// Search appends to dst the IDs of all items whose boxes intersect query,
-// and returns the extended slice.
-func (t *Tree) Search(query geo.MBR, dst []int64) []int64 {
-	if t.root == nil {
-		return dst
-	}
-	return searchNode(t.root, query, dst)
-}
-
-func searchNode(n *node, query geo.MBR, dst []int64) []int64 {
-	if !n.box.Intersects(query) {
-		return dst
-	}
-	if n.leaf {
-		for _, it := range n.items {
-			if it.Box.Intersects(query) {
-				dst = append(dst, it.ID)
-			}
-		}
-		return dst
-	}
-	for _, c := range n.children {
-		dst = searchNode(c, query, dst)
-	}
-	return dst
-}
 
 // nnEntry is a priority-queue entry for best-first nearest-neighbour search.
 type nnEntry struct {

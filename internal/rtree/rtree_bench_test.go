@@ -27,19 +27,17 @@ func BenchmarkBulkLoad(b *testing.B) {
 	}
 }
 
-func BenchmarkSearchSmallWindow(b *testing.B) {
+func BenchmarkNearestWithin(b *testing.B) {
 	tr := BulkLoad(benchItems(10000))
 	rng := rand.New(rand.NewSource(22))
-	queries := make([]geo.MBR, 256)
-	for i := range queries {
-		p := geo.Offset(origin, rng.Float64()*20000, rng.Float64()*20000)
-		queries[i] = geo.NewMBR(p, geo.Offset(p, 800, 800))
+	points := make([]geo.Point, 256)
+	for i := range points {
+		points[i] = geo.Offset(origin, rng.Float64()*20000, rng.Float64()*20000)
 	}
-	var dst []int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = tr.Search(queries[i%len(queries)], dst[:0])
+		tr.NearestWithin(points[i%len(points)], 400, 0)
 	}
 }
 

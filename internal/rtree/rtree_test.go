@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -22,15 +23,24 @@ func randomItems(n int, seed int64) []Item {
 	return items
 }
 
-// bruteSearch is the oracle for Search.
-func bruteSearch(items []Item, query geo.MBR) []int64 {
+// bruteWithin is the oracle for NearestWithin: the IDs of all items
+// whose boxes lie within radius metres of p.
+func bruteWithin(items []Item, p geo.Point, radius float64) []int64 {
 	var out []int64
 	for _, it := range items {
-		if it.Box.Intersects(query) {
+		if it.Box.DistanceTo(p) <= radius {
 			out = append(out, it.ID)
 		}
 	}
 	return out
+}
+
+func itemIDs(items []Item) []int64 {
+	ids := make([]int64, len(items))
+	for i, it := range items {
+		ids[i] = it.ID
+	}
+	return ids
 }
 
 func sortIDs(ids []int64) []int64 {
@@ -55,11 +65,14 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatal("bulk load of nil should be empty")
 	}
-	if got := tr.Search(geo.NewMBR(origin, origin), nil); len(got) != 0 {
-		t.Fatal("search on empty tree should return nothing")
+	if got := tr.NearestWithin(origin, math.Inf(1), 0); len(got) != 0 {
+		t.Fatal("nearest-within on empty tree should return nothing")
 	}
 	if got := tr.Nearest(origin, 3); len(got) != 0 {
 		t.Fatal("nearest on empty tree should return nothing")
+	}
+	if err := tr.checkInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
 	}
 }
 
@@ -74,12 +87,16 @@ func TestBulkLoadSearchMatchesBruteForce(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 100; i++ {
-		a := geo.Offset(origin, rng.Float64()*20000, rng.Float64()*20000)
-		b := geo.Offset(a, rng.Float64()*4000, rng.Float64()*4000)
-		query := geo.NewMBR(a, b)
-		got := sortIDs(tr.Search(query, nil))
-		want := sortIDs(bruteSearch(items, query))
-		if !equalIDs(got, want) {
+		p := geo.Offset(origin, rng.Float64()*20000, rng.Float64()*20000)
+		radius := rng.Float64() * 2000
+		got := tr.NearestWithin(p, radius, 0)
+		for j := 1; j < len(got); j++ {
+			if got[j].Box.DistanceTo(p) < got[j-1].Box.DistanceTo(p) {
+				t.Fatalf("query %d: result %d is closer than result %d", i, j, j-1)
+			}
+		}
+		want := sortIDs(bruteWithin(items, p, radius))
+		if !equalIDs(sortIDs(itemIDs(got)), want) {
 			t.Fatalf("query %d: got %d ids, want %d", i, len(got), len(want))
 		}
 	}
@@ -91,14 +108,14 @@ func TestSearchPoint(t *testing.T) {
 		{ID: 2, Box: geo.NewMBR(geo.Offset(origin, 2000, 2000), geo.Offset(origin, 3000, 3000))},
 	}
 	tr := BulkLoad(items)
-	// A point query is a search with a degenerate box.
+	// A point query is a search with radius 0.
 	inside := geo.Offset(origin, 500, 500)
-	got := tr.Search(geo.NewMBR(inside, inside), nil)
-	if len(got) != 1 || got[0] != 1 {
+	got := tr.NearestWithin(inside, 0, 0)
+	if len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("point search inside box 1: got %v", got)
 	}
 	nowhere := geo.Offset(origin, 1500, 1500)
-	if got := tr.Search(geo.NewMBR(nowhere, nowhere), nil); len(got) != 0 {
+	if got := tr.NearestWithin(nowhere, 0, 0); len(got) != 0 {
 		t.Fatalf("point search in gap: got %v", got)
 	}
 }
@@ -180,11 +197,12 @@ func TestNearestWithin(t *testing.T) {
 func TestBoundsCoverEverything(t *testing.T) {
 	items := randomItems(300, 17)
 	tr := BulkLoad(items)
-	b := tr.Bounds()
-	for _, it := range items {
-		if !b.ContainsMBR(it.Box) {
-			t.Fatalf("tree bounds do not cover item %d", it.ID)
-		}
+	if err := tr.checkInvariants(); err != nil {
+		t.Fatalf("invariants: %v", err)
+	}
+	got := sortIDs(itemIDs(tr.NearestWithin(origin, math.Inf(1), 0)))
+	if !equalIDs(got, sortIDs(itemIDs(items))) {
+		t.Fatalf("an unbounded search found %d of %d items", len(got), len(items))
 	}
 }
 
@@ -196,7 +214,7 @@ func TestDuplicateBoxes(t *testing.T) {
 		items[i] = Item{ID: int64(i), Box: box}
 	}
 	tr := BulkLoad(items)
-	got := tr.Search(box, nil)
+	got := tr.NearestWithin(geo.Offset(origin, 50, 50), 0, 0)
 	if len(got) != 100 {
 		t.Fatalf("found %d duplicates, want 100", len(got))
 	}

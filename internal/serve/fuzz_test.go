@@ -22,6 +22,7 @@ func FuzzReachRequest(f *testing.F) {
 		{"lat=1e308&lng=1e308&alg=es", ``},
 		{"reverse=1&start=23h55m&dur=1h", `{"reverse":true,"locations":[{"Lat":22.5,"Lng":114},{"Lat":22.51,"Lng":114.01},{"Lat":22.52,"Lng":114.02}]}`},
 		{"timeout=1ns", `{"locations":[{"Lat":22.5,"Lng":114}],"prob":1}`},
+		{"prob=0", `{"prob":0}`},
 	} {
 		f.Add(seed.query, []byte(seed.body))
 	}

@@ -356,26 +356,29 @@ func (s *Server) queryCtx(r *http.Request, param string) (context.Context, conte
 // reachPayload is the POST body of /v1/reach; GET requests carry the
 // same fields as URL parameters. Lat/Lng are pointers so an explicit
 // lat=0&lng=0 (a real coordinate) is distinguishable from an absent
-// location.
+// location, and Prob so an explicit "prob":0 is refused rather than
+// answered at the default.
 type reachPayload struct {
 	Locations []streach.Location `json:"locations"`
 	Lat       *float64           `json:"lat"`
 	Lng       *float64           `json:"lng"`
 	Start     string             `json:"start"`
 	Duration  string             `json:"dur"`
-	Prob      float64            `json:"prob"`
+	Prob      *float64           `json:"prob"`
 	Algorithm string             `json:"algorithm"`
 	Reverse   bool               `json:"reverse"`
 }
 
 // handleReach answers reachability queries. GET parameters (or the POST
 // JSON body): lat, lng (or locations for multi), start (Go duration
-// since midnight in [0, 24h), e.g. 11h or 11h30m), dur, prob, alg —
+// since midnight in [0, 24h), e.g. 11h or 11h30m), dur, prob (0.2 when
+// absent), alg —
 // "algorithm" in the JSON body — (auto|bounded|exhaustive|sequential),
 // reverse, timeout, format (geojson). Omitting lat/lng asks the busiest
 // segment at the start time, which makes smoke tests self-contained.
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	var p reachPayload
+	prob := 0.2 // when the request names none
 	// The URL parameters are parsed once: GET carries the whole query in
 	// them, and both methods read timeout and format from them below.
 	q := r.URL.Query()
@@ -391,9 +394,10 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		}
 		p.Start = q.Get("start")
 		p.Duration = q.Get("dur")
-		if v := q.Get("prob"); v != "" {
+		if q.Has("prob") {
+			v := q.Get("prob")
 			var err error
-			if p.Prob, err = strconv.ParseFloat(v, 64); err != nil {
+			if prob, err = strconv.ParseFloat(v, 64); err != nil {
 				s.badRequest(w, r, "bad prob %q", v)
 				return
 			}
@@ -406,6 +410,9 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
 			s.badRequest(w, r, "bad JSON body: %v", err)
 			return
+		}
+		if p.Prob != nil {
+			prob = *p.Prob
 		}
 	default:
 		w.Header().Set("Allow", "GET, POST")
@@ -428,11 +435,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, r, "bad dur: %v", err)
 		return
 	}
-	if p.Prob == 0 {
-		p.Prob = 0.2
-	}
-
-	req := streach.Request{Start: start, Duration: dur, Prob: p.Prob}
+	req := streach.Request{Start: start, Duration: dur, Prob: prob}
 	kind := "reach"
 	switch {
 	case len(p.Locations) > 1:
@@ -507,7 +510,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRoute answers route queries. GET parameters: from_lat, from_lng,
-// to_lat, to_lng, depart (Go duration since midnight), alg
+// to_lat, to_lng, depart (Go duration since midnight in [0, 24h)), alg
 // (auto|freeflow), timeout.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -534,6 +537,10 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	depart, err := parseDurationDefault(q.Get("depart"), 8*time.Hour)
 	if err != nil {
 		s.badRequest(w, r, "bad depart: %v", err)
+		return
+	}
+	if depart < 0 || depart >= 24*time.Hour {
+		s.badRequest(w, r, "bad depart: must be a time of day in [0, 24h), got %v", depart)
 		return
 	}
 	var opts []streach.Option

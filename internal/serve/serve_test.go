@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -221,6 +222,8 @@ func TestBadRequests(t *testing.T) {
 		"/v1/reach?alg=seq&reverse=1",       // sequential has no reverse
 		"/v1/route?from_lat=1&from_lng=1",   // destination missing
 		"/v1/reach?prob=2&lat=22.5&lng=114", // prob out of range
+		"/v1/route?from_lat=22.5&from_lng=114&to_lat=22.51&to_lng=114.01&depart=25h", // departs after the day
+		"/v1/route?from_lat=22.5&from_lng=114&to_lat=22.51&to_lng=114.01&depart=-1m", // departs before it
 	} {
 		resp, err := http.Get(ts.URL + url)
 		if err != nil {
@@ -233,14 +236,30 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestReachRejectsNaNAndOverflow: a NaN threshold and a window whose end
-// overflows a Duration are typed 400s, not answers.
+// TestReachRejectsNaNAndOverflow: a NaN or explicit zero threshold and
+// a window whose end overflows a Duration are typed 400s, not answers;
+// an absent threshold answers at 0.2.
 func TestReachRejectsNaNAndOverflow(t *testing.T) {
 	ts := server(t, Config{})
-	for _, q := range []string{"prob=NaN", "start=11h&dur=2562047h"} {
+	for _, q := range []string{"prob=NaN", "prob=0", "start=11h&dur=2562047h"} {
 		if out := getJSON(t, ts.URL+"/v1/reach?"+q, http.StatusBadRequest); out["code"] != "invalid_request" {
 			t.Fatalf("%s: body %v, want code invalid_request", q, out)
 		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/reach", "application/json", strings.NewReader(`{"prob":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || out["code"] != "invalid_request" {
+		t.Fatalf(`POST {"prob":0}: status %d, body %v (%v), want 400 invalid_request`, resp.StatusCode, out, err)
+	}
+	absent := getJSON(t, ts.URL+"/v1/reach?start=11h&dur=10m", http.StatusOK)
+	at02 := getJSON(t, ts.URL+"/v1/reach?start=11h&dur=10m&prob=0.2", http.StatusOK)
+	if !reflect.DeepEqual(absent["segments"], at02["segments"]) || len(at02["segments"].([]any)) == 0 {
+		t.Fatalf("an absent prob answered %d segments, prob=0.2 %d", len(absent["segments"].([]any)), len(at02["segments"].([]any)))
 	}
 }
 
@@ -544,7 +563,7 @@ func TestStatusOf(t *testing.T) {
 		{"deadline", context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{"snap miss", typed(streach.InvalidRequest, "streach: no road near {Lat:0 Lng:0}"), http.StatusNotFound},
 		{"untyped needs", fmt.Errorf("streach: persist compaction: %w",
-			errors.New("storage: WritePage needs exactly 4096 bytes, got 1")), http.StatusInternalServerError},
+			errors.New("storage: ReadPageInto needs exactly 4096 bytes, got 1")), http.StatusInternalServerError},
 	} {
 		if got := statusOf(c.err); got != c.want {
 			t.Errorf("%s: statusOf(%v) = %d, want %d", c.name, c.err, got, c.want)

@@ -48,8 +48,6 @@ type metrics struct {
 	rows     []atomic.Int64 // Con-Index rows routed to the shard's slice
 	verified []atomic.Int64 // candidates scatter-verified on the shard
 	verifyNS []atomic.Int64 // wall-clock the shard spent verifying
-	plans    atomic.Int64   // sharded plans built
-	fallback atomic.Int64   // plans answered unsharded (EarlyStop)
 }
 
 // Stats is one shard's activity snapshot.
@@ -145,11 +143,6 @@ func (c *Cluster) Stats() []Stats {
 	return out
 }
 
-// PlansSharded and PlansFallback report how many plans ran scatter-gather
-// vs fell back to single-engine execution (the EarlyStop policy).
-func (c *Cluster) PlansSharded() int64  { return c.m.plans.Load() }
-func (c *Cluster) PlansFallback() int64 { return c.m.fallback.Load() }
-
 // PlansSlotFallback is always 0: a cluster is partitioned by space only,
 // so no query window can outgrow a shard. It stays for callers that
 // still read it.
@@ -189,7 +182,6 @@ func (c *Cluster) plan(ctx context.Context, build func(opts ...core.PlanOption) 
 		if err != nil {
 			return nil, err
 		}
-		c.m.fallback.Add(1)
 		return &Plan{c: c, p: p, sharded: false}, nil
 	}
 	p, err := build(core.DeferVerification())
@@ -200,7 +192,6 @@ func (c *Cluster) plan(ctx context.Context, build func(opts ...core.PlanOption) 
 		p.Close()
 		return nil, err
 	}
-	c.m.plans.Add(1)
 	return &Plan{c: c, p: p, sharded: true}, nil
 }
 
@@ -396,10 +387,6 @@ func (pl *Plan) Rebase() { pl.p.Rebase() }
 
 // Close releases the plan.
 func (pl *Plan) Close() { pl.p.Close() }
-
-// Sharded reports whether the plan ran scatter-gather (false: EarlyStop
-// fallback on the planner).
-func (pl *Plan) Sharded() bool { return pl.sharded }
 
 // String names the cluster for logs.
 func (c *Cluster) String() string {

@@ -3,7 +3,6 @@ package stindex
 import (
 	"fmt"
 
-	"streach/internal/bitset"
 	"streach/internal/traj"
 )
 
@@ -47,13 +46,6 @@ type TimeListBits struct {
 	// Bits is parallel to Days: the day's taxi bitset (bit t = taxi t).
 	Bits [][]uint64
 }
-
-// BitsIntersect reports whether two taxi bitsets share a set bit. Words
-// beyond the shorter slice are implicitly zero.
-func BitsIntersect(a, b []uint64) bool { return bitset.Intersects(a, b) }
-
-// OrBits folds src into dst, growing dst as needed, and returns dst.
-func OrBits(dst, src []uint64) []uint64 { return bitset.OrGrow(dst, src) }
 
 // encodePackedRun serializes one sorted (slot, segment) run of packed
 // tuples in the packed format, dropping duplicate tuples. An entry is the

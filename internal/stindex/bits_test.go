@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"streach/internal/bitset"
 	"streach/internal/roadnet"
 )
 
@@ -83,7 +84,7 @@ func TestFormatsDecodeAndMatchAlike(t *testing.T) {
 		for i := range sets {
 			matched[i] = make([]bool, days)
 			for j, d := range got.Days {
-				matched[i][d] = BitsIntersect(sets[i][d], got.Bits[j])
+				matched[i][d] = bitset.Intersects(sets[i][d], got.Bits[j])
 			}
 		}
 		_, st, err := streamMatch(days, sets, [][]byte{blob})
@@ -150,33 +151,6 @@ func TestMultiWordDayMask(t *testing.T) {
 	}
 	if len(b.DayMask) != 2 || b.DayMask[0] != 1<<2 || b.DayMask[1] != 1<<1 {
 		t.Fatalf("day mask = %v", b.DayMask)
-	}
-}
-
-func TestBitsIntersect(t *testing.T) {
-	cases := []struct {
-		a, b []uint64
-		want bool
-	}{
-		{nil, nil, false},
-		{[]uint64{1}, nil, false},
-		{[]uint64{0b101}, []uint64{0b010}, false},
-		{[]uint64{0b101}, []uint64{0b100}, true},
-		{[]uint64{0, 1 << 9}, []uint64{0, 1 << 9}, true},
-		{[]uint64{0, 1 << 9}, []uint64{1 << 9}, false}, // different words
-	}
-	for i, c := range cases {
-		if got := BitsIntersect(c.a, c.b); got != c.want {
-			t.Fatalf("case %d: BitsIntersect = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
-func TestOrBits(t *testing.T) {
-	dst := OrBits(nil, []uint64{0b01, 0, 1 << 63})
-	dst = OrBits(dst, []uint64{0b10})
-	if dst[0] != 0b11 || dst[2] != 1<<63 {
-		t.Fatalf("OrBits = %v", dst)
 	}
 }
 

@@ -305,15 +305,16 @@ func (x *Index) AppendDelta(obs []DeltaObs) error {
 // under RLock and publish the result to the cache. If a compaction
 // installed a new handle table between the unlocked decode and the
 // locked merge, the read retries on the new table — the old merge could
-// otherwise pair a stale base with an already-cleared delta.
-func (x *Index) readMerged(key int, seg roadnet.SegmentID, slot int, read func(storage.BlobHandle) ([]byte, error)) (*TimeListBits, error) {
+// otherwise pair a stale base with an already-cleared delta — and r
+// drops its page memo, which may predate the new table's blobs.
+func (x *Index) readMerged(key int, seg roadnet.SegmentID, slot int, r *tableReader) (*TimeListBits, error) {
 	lv := x.live
 	for {
-		h := lv.handles.Load().at(slot, int(seg))
+		h := r.handles().at(slot, int(seg))
 		base := emptyBits
 		if !h.IsZero() {
 			var err error
-			if base, err = x.decodeHandle(h, read, seg, slot); err != nil {
+			if base, err = x.decodeHandle(h, r.reader.Read, seg, slot); err != nil {
 				return nil, err
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"streach/internal/roadnet"
+	"streach/internal/storage"
 	"streach/internal/traj"
 )
 
@@ -98,11 +99,11 @@ func TestDeltaMergeMatchesOfflineRebuild(t *testing.T) {
 		t.Helper()
 		for seg := 0; seg < n.NumSegments(); seg++ {
 			for slot := 0; slot < live.NumSlots(); slot++ {
-				got, err := live.TimeListBitsAt(roadnet.SegmentID(seg), slot)
+				got, err := live.timeListBitsAt(roadnet.SegmentID(seg), slot)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := offline.TimeListBitsAt(roadnet.SegmentID(seg), slot)
+				want, err := offline.timeListBitsAt(roadnet.SegmentID(seg), slot)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -226,7 +227,7 @@ func TestDeltaConcurrentAppendReadCompact(t *testing.T) {
 			default:
 			}
 			seg := roadnet.SegmentID(i % n.NumSegments())
-			if _, err := live.TimeListBitsAt(seg, (50+i)%live.NumSlots()); err != nil {
+			if _, err := live.timeListBitsAt(seg, (50+i)%live.NumSlots()); err != nil {
 				t.Error(err)
 				return
 			}
@@ -262,11 +263,11 @@ func TestDeltaConcurrentAppendReadCompact(t *testing.T) {
 	defer offline.Close()
 	for seg := 0; seg < n.NumSegments(); seg++ {
 		for slot := 0; slot < live.NumSlots(); slot++ {
-			got, err := live.TimeListBitsAt(roadnet.SegmentID(seg), slot)
+			got, err := live.timeListBitsAt(roadnet.SegmentID(seg), slot)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := offline.TimeListBitsAt(roadnet.SegmentID(seg), slot)
+			want, err := offline.timeListBitsAt(roadnet.SegmentID(seg), slot)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -289,7 +290,7 @@ func TestDeltaEpochSwapKeepsReadersConsistent(t *testing.T) {
 
 	seg, slot := roadnet.SegmentID(3), 110
 	key := fmt.Sprintf("seg=%d slot=%d", seg, slot)
-	base, err := live.TimeListBitsAt(seg, slot)
+	base, err := live.timeListBitsAt(seg, slot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestDeltaEpochSwapKeepsReadersConsistent(t *testing.T) {
 				return
 			default:
 			}
-			b, err := live.TimeListBitsAt(seg, slot)
+			b, err := live.timeListBitsAt(seg, slot)
 			if err != nil {
 				t.Error(err)
 				return
@@ -420,7 +421,7 @@ func TestDeltaAppendRefreshesCachedReads(t *testing.T) {
 	defer live.Close()
 
 	seg, slot := roadnet.SegmentID(3), 110
-	before, err := live.TimeListBitsAt(seg, slot) // warms the cache
+	before, err := live.timeListBitsAt(seg, slot) // warms the cache
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func TestDeltaAppendRefreshesCachedReads(t *testing.T) {
 	if err := live.AppendDelta([]DeltaObs{{Seg: seg, Slot: slot, Day: 1, Taxi: 310}}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := live.TimeListBitsAt(seg, slot)
+	after, err := live.timeListBitsAt(seg, slot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,11 +563,11 @@ func TestDeltaBudgetedCompactionConverges(t *testing.T) {
 	}
 	for seg := 0; seg < n.NumSegments(); seg++ {
 		for slot := 0; slot < live.NumSlots(); slot++ {
-			got, err := live.TimeListBitsAt(roadnet.SegmentID(seg), slot)
+			got, err := live.timeListBitsAt(roadnet.SegmentID(seg), slot)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := twin.TimeListBitsAt(roadnet.SegmentID(seg), slot)
+			want, err := twin.timeListBitsAt(roadnet.SegmentID(seg), slot)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -574,5 +575,61 @@ func TestDeltaBudgetedCompactionConverges(t *testing.T) {
 				t.Fatalf("(seg=%d slot=%d) budgeted convergence differs from one-shot compaction", seg, slot)
 			}
 		}
+	}
+}
+
+// TestRangeReaderDropsMemoAcrossCompaction: a TimeListsRange read whose
+// reader memoised the file's tail page before a compaction must not read
+// the blob the compaction appended to that page through the old view.
+// The one-frame pool evicts the page between the memo fill and the
+// append, so the append lands in a fresh frame the old view never sees.
+func TestRangeReaderDropsMemoAcrossCompaction(t *testing.T) {
+	n := testNetwork(t)
+	x, err := Build(n, testDataset(t, n), Config{SlotSeconds: 300, PoolPages: 1, TimeListCache: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	// The key whose base blob ends the file lies on the tail page.
+	seg, slot, found := 0, 0, false
+	for sl := 0; sl < x.NumSlots() && !found; sl++ {
+		for sg := 0; sg < n.NumSegments(); sg++ {
+			if h := x.liveHandles().at(sl, sg); !h.IsZero() && h.Offset+int64(h.Length) == x.blob.Tail() {
+				seg, slot, found = sg, sl, true
+				break
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no list ends the blob file")
+	}
+	key := slot*n.NumSegments() + seg
+	r := x.newTableReader()
+	if _, err := x.readMerged(key, roadnet.SegmentID(seg), slot, &r); err != nil {
+		t.Fatal(err)
+	}
+	tailPage := x.blob.Tail() / storage.PageSize
+	if _, err := x.pool.ViewPage(storage.PageID(tailPage - 1)); err != nil { // evicts the tail page
+		t.Fatal(err)
+	}
+	if err := x.AppendDelta([]DeltaObs{{Seg: roadnet.SegmentID(seg), Slot: slot, Day: 0, Taxi: 300}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.CompactDeltasBudget(0); err != nil {
+		t.Fatal(err)
+	}
+	if h := x.liveHandles().at(slot, seg); h.Offset/storage.PageSize != tailPage {
+		t.Fatalf("the compacted list starts on page %d, not on the memoised page %d", h.Offset/storage.PageSize, tailPage)
+	}
+	got, err := x.readMerged(key, roadnet.SegmentID(seg), slot, &r)
+	if err != nil {
+		t.Fatalf("read through the reader that memoised the tail page: %v", err)
+	}
+	want, err := x.timeListBitsAt(roadnet.SegmentID(seg), slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(setBits(got), setBits(want)) {
+		t.Fatalf("read %v through the old reader, %v through a fresh one", setBits(got), setBits(want))
 	}
 }

@@ -122,7 +122,7 @@ func (st *matchState) matchDay(d int, words []uint64) {
 	}
 	w, bit := d>>6, uint64(1)<<(uint(d)&63)
 	for i, p := range st.pend {
-		if p[w]&bit != 0 && BitsIntersect(st.s.sets[i][d], words) {
+		if p[w]&bit != 0 && bitset.Intersects(st.s.sets[i][d], words) {
 			p[w] &^= bit
 			st.left--
 		}
@@ -257,37 +257,46 @@ func (st *matchState) matchPackedWide(body []byte) error {
 // over packed lists allocates nothing. Not safe for concurrent use; create one per
 // goroutine (they share the MatchSets).
 type Matcher struct {
-	x *Index
 	matchState
-	reader *storage.BlobReader
-	// table is the installed handle table the reader's page memo was
-	// filled under. A compaction appends blobs and then installs a new
-	// table; a page memoised before that may predate those blobs, so the
-	// memo is dropped whenever the installed table is no longer this one.
-	table *handleTable
+	tableReader
 	lists int64
+}
+
+// tableReader reads blobs of x through a page-memoising BlobReader whose
+// memo belongs to one installed handle table. A compaction appends blobs
+// and then installs a new table; a page memoised before that may predate
+// those blobs, so the memo is dropped whenever the installed table is no
+// longer the one it was filled under.
+type tableReader struct {
+	x      *Index
+	reader *storage.BlobReader
+	table  *handleTable
+}
+
+func (x *Index) newTableReader() tableReader {
+	return tableReader{x: x, reader: x.blob.NewReader()}
+}
+
+// handles returns the installed handle table, dropping the page memo
+// when it is not the table the memo was filled under.
+func (r *tableReader) handles() handleTable {
+	t := r.x.live.handles.Load()
+	if t != r.table {
+		r.reader.Reset()
+		r.table = t
+	}
+	return *t
 }
 
 // NewMatcher returns a matcher reading candidate time lists from x (a
 // shard's slice during scatter verification) against the shared sets.
 func (x *Index) NewMatcher(s *MatchSets) *Matcher {
-	return &Matcher{x: x, matchState: newMatchState(s), reader: x.blob.NewReader()}
+	return &Matcher{matchState: newMatchState(s), tableReader: x.newTableReader()}
 }
 
 // Lists reports how many non-empty time lists (base blobs and pending
 // delta entries) the matcher has walked so far.
 func (m *Matcher) Lists() int64 { return m.lists }
-
-// handles returns the installed handle table, dropping the page memo
-// when it is not the table the memo was filled under.
-func (m *Matcher) handles() handleTable {
-	t := m.x.live.handles.Load()
-	if t != m.table {
-		m.reader.Reset()
-		m.table = t
-	}
-	return *t
-}
 
 // Match returns, for the time lists of (seg, loSlot..hiSlot), the largest
 // per-source number of days on which the source's start set shares a

@@ -34,7 +34,7 @@ func oracleMatch(days int, sets [][][]uint64, blobs [][]byte) ([][]bool, error) 
 				continue
 			}
 			for i := range sets {
-				if BitsIntersect(sets[i][d], tl.Bits[j]) {
+				if bitset.Intersects(sets[i][d], tl.Bits[j]) {
 					matched[i][d] = true
 				}
 			}
@@ -320,7 +320,7 @@ func startSetsOf(t testing.TB, x *Index, segs []roadnet.SegmentID, slot int) [][
 	t.Helper()
 	sets := make([][][]uint64, len(segs))
 	for i, seg := range segs {
-		tl, err := x.TimeListBitsAt(seg, slot)
+		tl, err := x.timeListBitsAt(seg, slot)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func rangeOracle(x *Index, sets [][][]uint64, seg roadnet.SegmentID, lo, hi int)
 				continue
 			}
 			for i := range sets {
-				if BitsIntersect(sets[i][d], tl.Bits[j]) {
+				if bitset.Intersects(sets[i][d], tl.Bits[j]) {
 					matched[i][d] = true
 				}
 			}
@@ -369,7 +369,7 @@ func busiest(t testing.TB, x *Index, slot, n int) []roadnet.SegmentID {
 	}
 	var loads []load
 	for seg := 0; seg < x.Network().NumSegments(); seg++ {
-		tl, err := x.TimeListBitsAt(roadnet.SegmentID(seg), slot)
+		tl, err := x.timeListBitsAt(roadnet.SegmentID(seg), slot)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -377,7 +377,7 @@ func FuzzLoadMeta(f *testing.F) {
 					t.Fatalf("slot %d seg %d: handle %+v outside the tail %d", slot, seg, h, tail)
 				}
 				if !h.IsZero() {
-					x.TimeListBitsAt(roadnet.SegmentID(seg), slot)
+					x.timeListBitsAt(roadnet.SegmentID(seg), slot)
 				}
 			}
 		}

@@ -15,9 +15,9 @@
 // pool; reading one is the unit of I/O the evaluation charges queries
 // for. Verification does not decode them: a Matcher (match.go) walks each
 // candidate's blobs where they lie in the pooled pages. The decoded
-// forms (TimeListBitsAt, TimeListsRange, behind the decoded-list LRU of
-// cache.go) serve the handful of start and destination lists a query
-// turns into probe sets, compaction, and tools. See DESIGN.md §2–3.
+// form (TimeListsRange, behind the decoded-list LRU of cache.go) serves
+// the handful of start and destination lists a query turns into probe
+// sets, and tools. See DESIGN.md §2–3.
 package stindex
 
 import (
@@ -391,34 +391,14 @@ func (x *Index) SnapLocation(p geo.Point) (roadnet.SegmentID, bool) {
 // emptyBits is the shared decode of an absent time list.
 var emptyBits = &TimeListBits{}
 
-// TimeListBitsAt reads the time list for (segment, slot) in bitset form,
-// through the decoded-list cache. The returned value is shared; callers
-// must not modify it.
-func (x *Index) TimeListBitsAt(seg roadnet.SegmentID, slot int) (*TimeListBits, error) {
-	if slot < 0 || slot >= x.numSlots || seg < 0 || int(seg) >= x.net.NumSegments() {
-		return emptyBits, nil
-	}
-	if err := x.checkOwned(seg); err != nil {
-		return nil, err
-	}
-	if !x.hasList(slot, int(seg)) {
-		return emptyBits, nil // nothing to read; keep the cache for real lists
-	}
-	key := slot*x.net.NumSegments() + int(seg)
-	if x.cache != nil {
-		if b, ok := x.cache.get(key); ok {
-			return b, nil
-		}
-	}
-	return x.readMerged(key, seg, slot, x.blob.Read)
-}
-
 // TimeListsRange reads the time lists of (segment, lo..hi inclusive) in
 // one batch, appending to dst and returning it: dst[i] covers slot lo+i
 // and is never nil. Cache misses share a single batch blob reader, so
 // every buffer-pool page the window touches is fetched once per call
-// instead of once per slot. The reverse probe folds its destination's
-// window through it; candidates go through a Matcher instead.
+// instead of once per slot. The lists are shared (cached); callers must
+// not modify them. The forward probe reads each source's start list
+// through it and the reverse probe its destination's window; candidates
+// go through a Matcher instead.
 func (x *Index) TimeListsRange(seg roadnet.SegmentID, loSlot, hiSlot int, dst []*TimeListBits) ([]*TimeListBits, error) {
 	if seg < 0 || int(seg) >= x.net.NumSegments() {
 		for s := loSlot; s <= hiSlot; s++ {
@@ -429,7 +409,7 @@ func (x *Index) TimeListsRange(seg roadnet.SegmentID, loSlot, hiSlot int, dst []
 	if err := x.checkOwned(seg); err != nil {
 		return nil, err
 	}
-	var reader *storage.BlobReader
+	var reader tableReader // made at the first cache miss
 	for s := loSlot; s <= hiSlot; s++ {
 		if s < 0 || s >= x.numSlots || !x.hasList(s, int(seg)) {
 			dst = append(dst, emptyBits)
@@ -442,10 +422,10 @@ func (x *Index) TimeListsRange(seg roadnet.SegmentID, loSlot, hiSlot int, dst []
 				continue
 			}
 		}
-		if reader == nil {
-			reader = x.blob.NewReader()
+		if reader.x == nil {
+			reader = x.newTableReader()
 		}
-		b, err := x.readMerged(key, seg, s, reader.Read)
+		b, err := x.readMerged(key, seg, s, &reader)
 		if err != nil {
 			return nil, err
 		}

@@ -205,7 +205,7 @@ func TestDecodedCacheShieldsPool(t *testing.T) {
 	mt := &ds.Matched[0]
 	v := mt.Visits[0]
 	slot := slotOf(idx, v.Enter(ds.DayStart(mt.Day)))
-	if _, err := idx.TimeListBitsAt(v.Segment, slot); err != nil {
+	if _, err := idx.timeListBitsAt(v.Segment, slot); err != nil {
 		t.Fatal(err)
 	}
 	c1 := idx.CacheStats()
@@ -213,7 +213,7 @@ func TestDecodedCacheShieldsPool(t *testing.T) {
 		t.Fatalf("first read should miss the decoded cache, got %+v", c1)
 	}
 	io1 := idx.Pool().Stats()
-	if _, err := idx.TimeListBitsAt(v.Segment, slot); err != nil {
+	if _, err := idx.timeListBitsAt(v.Segment, slot); err != nil {
 		t.Fatal(err)
 	}
 	c2 := idx.CacheStats()

@@ -42,10 +42,21 @@ func (b *TimeListBits) TimeList() *TimeList {
 	return tl
 }
 
-// TimeListAt reads the time list of (segment, slot) as TimeListBitsAt
+// timeListBitsAt reads the time list of (segment, slot) in bitset form:
+// the one-slot window of TimeListsRange, as the forward probe reads a
+// source's start list.
+func (x *Index) timeListBitsAt(seg roadnet.SegmentID, slot int) (*TimeListBits, error) {
+	lists, err := x.TimeListsRange(seg, slot, slot, nil)
+	if err != nil {
+		return nil, err
+	}
+	return lists[0], nil
+}
+
+// TimeListAt reads the time list of (segment, slot) as timeListBitsAt
 // does and expands it. A TimeList with no days means no traffic.
 func (x *Index) TimeListAt(seg roadnet.SegmentID, slot int) (*TimeList, error) {
-	b, err := x.TimeListBitsAt(seg, slot)
+	b, err := x.timeListBitsAt(seg, slot)
 	if err != nil {
 		return nil, err
 	}

@@ -15,10 +15,11 @@ type BlobHandle struct {
 func (h BlobHandle) IsZero() bool { return h.Offset == 0 && h.Length == 0 }
 
 // BlobFile lays variable-length records sequentially across the pages of a
-// buffer pool. Writers append; readers fetch by handle. This is how the
-// ST-Index persists its per-(segment, slot) time lists: each list is one
-// blob, and reading it costs ceil(len/PageSize) buffered page reads — the
-// unit of I/O the evaluation counts.
+// buffer pool. Writers append; readers fetch by handle through a
+// BlobReader (NewReader). This is how the ST-Index persists its
+// per-(segment, slot) time lists: each list is one blob, and reading it
+// costs ceil(len/PageSize) buffered page reads — the unit of I/O the
+// evaluation counts.
 type BlobFile struct {
 	pool *BufferPool
 	// tail is the next free byte offset.
@@ -58,44 +59,6 @@ func (f *BlobFile) Append(data []byte) (BlobHandle, error) {
 	}
 	f.tail += int64(len(data))
 	return h, nil
-}
-
-// Read returns the blob's contents in a fresh slice.
-func (f *BlobFile) Read(h BlobHandle) ([]byte, error) {
-	return readBlob(nil, h, f.pool.GetPage)
-}
-
-// readBlob gathers a blob's bytes into dst[:0] (grown as needed) through
-// any page source: the buffer pool directly, or a BlobReader's page memo.
-func readBlob(dst []byte, h BlobHandle, getPage func(PageID) ([]byte, error)) ([]byte, error) {
-	if h.Length < 0 {
-		return nil, fmt.Errorf("storage: negative blob length %d", h.Length)
-	}
-	if h.Length == 0 {
-		return nil, nil
-	}
-	if cap(dst) < int(h.Length) {
-		dst = make([]byte, h.Length)
-	}
-	out := dst[:h.Length]
-	off := h.Offset
-	buf := out
-	for len(buf) > 0 {
-		pid := PageID(off / PageSize)
-		inPage := int(off % PageSize)
-		n := PageSize - inPage
-		if n > len(buf) {
-			n = len(buf)
-		}
-		page, err := getPage(pid)
-		if err != nil {
-			return nil, err
-		}
-		copy(buf[:n], page[inPage:inPage+n])
-		off += int64(n)
-		buf = buf[n:]
-	}
-	return out, nil
 }
 
 func (f *BlobFile) writeAt(off int64, data []byte) error {
@@ -174,11 +137,7 @@ func (r *BlobReader) Read(h BlobHandle) ([]byte, error) {
 			return page[inPage:end:end], nil
 		}
 	}
-	out, err := readBlob(r.buf, h, r.getPage)
-	if out != nil {
-		r.buf = out
-	}
-	return out, err
+	return r.gather(h)
 }
 
 func (r *BlobReader) getPage(pid PageID) ([]byte, error) {
@@ -192,4 +151,37 @@ func (r *BlobReader) getPage(pid PageID) ([]byte, error) {
 	}
 	r.ids[i], r.pages[i] = pid, page
 	return page, nil
+}
+
+// gather assembles a blob's bytes in the reader's buffer (grown as
+// needed) through the page memo.
+func (r *BlobReader) gather(h BlobHandle) ([]byte, error) {
+	if h.Length < 0 {
+		return nil, fmt.Errorf("storage: negative blob length %d", h.Length)
+	}
+	if h.Length == 0 {
+		return nil, nil
+	}
+	if cap(r.buf) < int(h.Length) {
+		r.buf = make([]byte, h.Length)
+	}
+	out := r.buf[:h.Length]
+	off := h.Offset
+	buf := out
+	for len(buf) > 0 {
+		pid := PageID(off / PageSize)
+		inPage := int(off % PageSize)
+		n := PageSize - inPage
+		if n > len(buf) {
+			n = len(buf)
+		}
+		page, err := r.getPage(pid)
+		if err != nil {
+			return nil, err
+		}
+		copy(buf[:n], page[inPage:inPage+n])
+		off += int64(n)
+		buf = buf[n:]
+	}
+	return out, nil
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestBlobReaderMatchesRead: the memoising reader returns the bytes
-// BlobFile.Read returns, for blobs inside one page and across several,
-// in any order, and fails where it fails.
+// TestBlobReaderMatchesRead: a reader whose memo outlives the pool's
+// frames returns the bytes a fresh reader returns, for blobs inside one
+// page and across several, in any order, and fails where it fails.
 func TestBlobReaderMatchesRead(t *testing.T) {
 	bp, _ := NewBufferPool(NewMemStore(), 3) // smaller than the memo: views outlive their frames
 	f := NewBlobFile(bp)
@@ -29,7 +29,7 @@ func TestBlobReaderMatchesRead(t *testing.T) {
 	}
 	r := f.NewReader()
 	for _, i := range rng.Perm(len(handles)) {
-		want, err := f.Read(handles[i])
+		want, err := readBlob(f, handles[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestBlobReaderMatchesRead(t *testing.T) {
 		}
 	}
 	for _, bad := range []BlobHandle{{Offset: 5, Length: -1}, {Offset: -PageSize, Length: 4}, {Offset: 1 << 40, Length: 4}} {
-		_, ferr := f.Read(bad)
+		_, ferr := readBlob(f, bad)
 		_, rerr := r.Read(bad)
 		if ferr == nil || rerr == nil {
 			t.Fatalf("handle %+v: file error %v, reader error %v, want both to fail", bad, ferr, rerr)
@@ -93,7 +93,7 @@ func TestPatchPageLeavesOtherBytes(t *testing.T) {
 	store := NewMemStore()
 	bp, _ := NewBufferPool(store, 2)
 	id, _ := bp.Allocate()
-	if err := bp.WritePage(id, fillPage(7)); err != nil {
+	if err := bp.PatchPage(id, 0, fillPage(7)); err != nil {
 		t.Fatal(err)
 	}
 	view, err := bp.ViewPage(id)

@@ -12,8 +12,8 @@ import (
 type IOStats struct {
 	Reads     int64 // physical page reads from the backend
 	Writes    int64 // physical page writes to the backend
-	Hits      int64 // GetPage served from the pool
-	Misses    int64 // GetPage that had to read from the backend
+	Hits      int64 // page accesses served from the pool
+	Misses    int64 // page accesses that had to read from the backend
 	Evictions int64 // pages dropped (after flush when dirty)
 }
 
@@ -84,29 +84,12 @@ func (bp *BufferPool) ResetStats() {
 	bp.stats = IOStats{}
 }
 
-// GetPage returns the contents of the page, reading through the cache.
-// The returned slice is a copy; mutate it via WritePage.
-func (bp *BufferPool) GetPage(id PageID) ([]byte, error) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	fr, err := bp.frameOf(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, PageSize)
-	copy(out, fr.data)
-	return out, nil
-}
-
 // ViewPage returns the pooled frame's bytes without copying, reading
-// through the cache on a miss. The view is read-only and aliases pool
-// memory: callers must not modify it, and must not use it after a
-// subsequent WritePage to the same page (the frame mutates in place).
+// through the cache on a miss: the pool's one read. The view is
+// read-only and aliases pool memory: callers must not modify it.
 // PatchPage is safe beside views as long as nobody reads the patched
-// bytes through a view taken earlier. Intended for read-mostly stores —
-// e.g. the append-only time-list blob file, whose written bytes never
-// change — where GetPage's page-sized allocation and copy per access
-// would dominate cold reads.
+// bytes through a view taken earlier, which holds for the append-only
+// time-list blob file, whose written bytes never change.
 func (bp *BufferPool) ViewPage(id PageID) ([]byte, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -121,9 +104,9 @@ func (bp *BufferPool) ViewPage(id PageID) ([]byte, error) {
 // bytes) and leaves the cache as it was: a resident frame is copied, so
 // unflushed writes are seen; any other page is read straight from the
 // backend and not admitted. For walks over the whole store — checksums,
-// copies — which through GetPage would allocate a frame and a copy per
-// page and evict the queries' working set. Such a walk is not query I/O:
-// it moves no counter.
+// copies — which through ViewPage would allocate a frame per page and
+// evict the queries' working set. Such a walk is not query I/O: it moves
+// no counter.
 func (bp *BufferPool) ReadPageInto(id PageID, buf []byte) error {
 	if len(buf) != PageSize {
 		return fmt.Errorf("storage: ReadPageInto needs exactly %d bytes, got %d", PageSize, len(buf))
@@ -200,26 +183,6 @@ func (bp *BufferPool) PatchPage(id PageID, off int, data []byte) error {
 	copy(fr.data[off:], data)
 	fr.dirty = true
 	return nil
-}
-
-// WritePage stores new contents for the page through the cache
-// (write-back: the backend is updated on eviction or Flush).
-func (bp *BufferPool) WritePage(id PageID, data []byte) error {
-	if len(data) != PageSize {
-		return fmt.Errorf("storage: WritePage needs exactly %d bytes, got %d", PageSize, len(data))
-	}
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if el, ok := bp.frames[id]; ok {
-		fr := el.Value.(*frame)
-		copy(fr.data, data)
-		fr.dirty = true
-		bp.lru.MoveToFront(el)
-		return nil
-	}
-	buf := make([]byte, PageSize)
-	copy(buf, data)
-	return bp.admit(&frame{id: id, data: buf, dirty: true})
 }
 
 // admit inserts fr, evicting the LRU frame when over capacity.

@@ -12,8 +12,8 @@ func TestBufferPoolPropagatesReadFault(t *testing.T) {
 	fs := NewFaultStore(NewMemStore(), Scenario{Rules: []FaultRule{{Op: OpRead, Mode: ModeError}}})
 	bp, _ := NewBufferPool(fs, 4)
 	id, _ := bp.Allocate()
-	if _, err := bp.GetPage(id); !errors.Is(err, ErrInjected) {
-		t.Fatalf("GetPage error = %v, want injected fault", err)
+	if _, err := bp.ViewPage(id); !errors.Is(err, ErrInjected) {
+		t.Fatalf("ViewPage error = %v, want injected fault", err)
 	}
 	// The failed page must not be cached.
 	if bp.Len() != 0 {
@@ -26,11 +26,11 @@ func TestBufferPoolPropagatesEvictionWriteFault(t *testing.T) {
 	bp, _ := NewBufferPool(fs, 1)
 	a, _ := bp.Allocate()
 	b, _ := bp.Allocate()
-	if err := bp.WritePage(a, make([]byte, PageSize)); err != nil {
+	if err := bp.PatchPage(a, 0, make([]byte, PageSize)); err != nil {
 		t.Fatal(err)
 	}
 	// Touching b forces eviction of dirty a, whose write-back fails.
-	_, err := bp.GetPage(b)
+	_, err := bp.ViewPage(b)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("eviction error = %v, want injected fault", err)
 	}
@@ -40,7 +40,7 @@ func TestBufferPoolPropagatesFlushFault(t *testing.T) {
 	fs := NewFaultStore(NewMemStore(), Scenario{Rules: []FaultRule{{Op: OpWrite, Mode: ModeError}}})
 	bp, _ := NewBufferPool(fs, 8)
 	id, _ := bp.Allocate()
-	if err := bp.WritePage(id, make([]byte, PageSize)); err != nil {
+	if err := bp.PatchPage(id, 0, make([]byte, PageSize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := bp.Flush(); !errors.Is(err, ErrInjected) {
@@ -75,7 +75,7 @@ func TestBlobFileRecoversAfterTransientFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Arm(FaultRule{Op: OpRead, Mode: ModeError}) // next physical read faults
-	if _, err := f.Read(h1); !errors.Is(err, ErrInjected) {
+	if _, err := readBlob(f, h1); !errors.Is(err, ErrInjected) {
 		t.Fatalf("Read error = %v, want injected fault", err)
 	}
 	if fs.Injected() == 0 {
@@ -83,14 +83,14 @@ func TestBlobFileRecoversAfterTransientFault(t *testing.T) {
 	}
 	// Fault cleared: everything reads again, nothing was corrupted.
 	fs.Clear()
-	got, err := f.Read(h1)
+	got, err := readBlob(f, h1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "aaaa" {
 		t.Fatalf("recovered read = %q", got)
 	}
-	big, err := f.Read(h2)
+	big, err := readBlob(f, h2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestConcurrentPoolAccess(t *testing.T) {
 				id := ids[(g*7+i)%len(ids)]
 				if i%3 == 0 {
 					buf[0] = byte(g)
-					if err := bp.WritePage(id, buf); err != nil {
+					if err := bp.PatchPage(id, 0, buf); err != nil {
 						t.Error(err)
 						return
 					}
-				} else if _, err := bp.GetPage(id); err != nil {
+				} else if _, err := bp.ViewPage(id); err != nil {
 					t.Error(err)
 					return
 				}

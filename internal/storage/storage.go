@@ -4,7 +4,7 @@
 // reads of trajectory time lists* during query processing. To make that
 // claim measurable, this package provides an explicit page-based store
 // with an LRU buffer pool and I/O counters: every time-list access goes
-// through GetPage, and the pool's statistics expose exactly how many page
+// through ViewPage, and the pool's statistics expose exactly how many page
 // reads a query strategy cost. Two backends are provided — an in-memory
 // backend for tests and a file backend that performs real I/O.
 package storage

@@ -15,7 +15,7 @@ func BenchmarkBufferPoolHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bp.GetPage(ids[i%len(ids)]); err != nil {
+		if _, err := bp.ViewPage(ids[i%len(ids)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func BenchmarkBufferPoolMissEvict(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bp.GetPage(ids[order[i%len(order)]]); err != nil {
+		if _, err := bp.ViewPage(ids[order[i%len(order)]]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,10 +52,11 @@ func BenchmarkBlobAppendRead(b *testing.B) {
 		}
 		handles = append(handles, h)
 	}
+	r := f.NewReader()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Read(handles[i%len(handles)]); err != nil {
+		if _, err := r.Read(handles[i%len(handles)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,6 +16,13 @@ func fillPage(b byte) []byte {
 	return p
 }
 
+// readBlob reads one blob through a fresh BlobReader and copies it out
+// of the reader's page memo, so the caller may hold it across reads.
+func readBlob(f *BlobFile, h BlobHandle) ([]byte, error) {
+	b, err := f.NewReader().Read(h)
+	return bytes.Clone(b), err
+}
+
 func TestMemStoreRoundTrip(t *testing.T) {
 	s := NewMemStore()
 	if s.NumPages() != 0 {
@@ -117,10 +124,10 @@ func TestBufferPoolHitMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	id, _ := bp.Allocate()
-	if _, err := bp.GetPage(id); err != nil {
+	if _, err := bp.ViewPage(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bp.GetPage(id); err != nil {
+	if _, err := bp.ViewPage(id); err != nil {
 		t.Fatal(err)
 	}
 	st := bp.Stats()
@@ -137,17 +144,17 @@ func TestBufferPoolEvictionLRU(t *testing.T) {
 		id, _ := bp.Allocate()
 		ids = append(ids, id)
 	}
-	_, _ = bp.GetPage(ids[0])
-	_, _ = bp.GetPage(ids[1])
-	_, _ = bp.GetPage(ids[0]) // refresh 0; 1 is now LRU
-	_, _ = bp.GetPage(ids[2]) // evicts 1
+	_, _ = bp.ViewPage(ids[0])
+	_, _ = bp.ViewPage(ids[1])
+	_, _ = bp.ViewPage(ids[0]) // refresh 0; 1 is now LRU
+	_, _ = bp.ViewPage(ids[2]) // evicts 1
 	bp.ResetStats()
-	_, _ = bp.GetPage(ids[0]) // should still be cached
-	_, _ = bp.GetPage(ids[2]) // should still be cached
+	_, _ = bp.ViewPage(ids[0]) // should still be cached
+	_, _ = bp.ViewPage(ids[2]) // should still be cached
 	if st := bp.Stats(); st.Misses != 0 {
 		t.Fatalf("expected pages 0 and 2 cached, stats %v", st)
 	}
-	_, _ = bp.GetPage(ids[1]) // evicted earlier -> miss
+	_, _ = bp.ViewPage(ids[1]) // evicted earlier -> miss
 	if st := bp.Stats(); st.Misses != 1 {
 		t.Fatalf("expected page 1 to be a miss, stats %v", st)
 	}
@@ -158,11 +165,11 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	bp, _ := NewBufferPool(s, 1)
 	a, _ := bp.Allocate()
 	b, _ := bp.Allocate()
-	if err := bp.WritePage(a, fillPage(9)); err != nil {
+	if err := bp.PatchPage(a, 0, fillPage(9)); err != nil {
 		t.Fatal(err)
 	}
 	// Touching b evicts the dirty a, forcing a physical write.
-	if _, err := bp.GetPage(b); err != nil {
+	if _, err := bp.ViewPage(b); err != nil {
 		t.Fatal(err)
 	}
 	if st := bp.Stats(); st.Writes != 1 || st.Evictions != 1 {
@@ -181,7 +188,7 @@ func TestBufferPoolFlush(t *testing.T) {
 	s := NewMemStore()
 	bp, _ := NewBufferPool(s, 8)
 	id, _ := bp.Allocate()
-	if err := bp.WritePage(id, fillPage(3)); err != nil {
+	if err := bp.PatchPage(id, 0, fillPage(3)); err != nil {
 		t.Fatal(err)
 	}
 	raw := make([]byte, PageSize)
@@ -210,7 +217,7 @@ func TestBufferPoolInvalidate(t *testing.T) {
 	s := NewMemStore()
 	bp, _ := NewBufferPool(s, 8)
 	id, _ := bp.Allocate()
-	if err := bp.WritePage(id, fillPage(5)); err != nil {
+	if err := bp.PatchPage(id, 0, fillPage(5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := bp.Invalidate(); err != nil {
@@ -219,7 +226,7 @@ func TestBufferPoolInvalidate(t *testing.T) {
 	if bp.Len() != 0 {
 		t.Fatal("invalidate should empty the cache")
 	}
-	page, err := bp.GetPage(id)
+	page, err := bp.ViewPage(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,18 +238,6 @@ func TestBufferPoolInvalidate(t *testing.T) {
 func TestBufferPoolRejectsBadCapacity(t *testing.T) {
 	if _, err := NewBufferPool(NewMemStore(), 0); err == nil {
 		t.Fatal("capacity 0 should error")
-	}
-}
-
-func TestBufferPoolGetReturnsCopy(t *testing.T) {
-	s := NewMemStore()
-	bp, _ := NewBufferPool(s, 4)
-	id, _ := bp.Allocate()
-	page, _ := bp.GetPage(id)
-	page[0] = 0xFF // mutate the returned slice
-	again, _ := bp.GetPage(id)
-	if again[0] == 0xFF {
-		t.Fatal("GetPage must return a copy, not the cached frame")
 	}
 }
 
@@ -261,10 +256,10 @@ func TestBufferPoolReadPageInto(t *testing.T) {
 	}
 	// Page 0 resident and dirty (the store still holds the old bytes),
 	// page 1 resident and clean, pages 2 and 3 on the store only.
-	if err := bp.WritePage(ids[0], fillPage(99)); err != nil {
+	if err := bp.PatchPage(ids[0], 0, fillPage(99)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bp.GetPage(ids[1]); err != nil {
+	if _, err := bp.ViewPage(ids[1]); err != nil {
 		t.Fatal(err)
 	}
 	before := bp.Stats()
@@ -284,8 +279,8 @@ func TestBufferPoolReadPageInto(t *testing.T) {
 		t.Fatalf("walk changed residency: %d frames, want 2", bp.Len())
 	}
 	// Both frames still resident: reading them again is two hits.
-	bp.GetPage(ids[0])
-	bp.GetPage(ids[1])
+	bp.ViewPage(ids[0])
+	bp.ViewPage(ids[1])
 	if d := bp.Stats().Sub(before); d.Hits != 2 || d.Misses != 0 {
 		t.Fatalf("frames resident before the walk were evicted by it: %v", d)
 	}
@@ -315,7 +310,7 @@ func TestBlobFileRoundTrip(t *testing.T) {
 		blobs = append(blobs, blob)
 	}
 	for i, h := range handles {
-		got, err := f.Read(h)
+		got, err := readBlob(f, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +327,7 @@ func TestBlobFileEmptyBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.Read(h)
+	got, err := readBlob(f, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +360,7 @@ func TestBlobFileSpansPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.Read(h)
+	got, err := readBlob(f, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +398,7 @@ func TestBlobFileReopen(t *testing.T) {
 		h    BlobHandle
 		want string
 	}{{h1, "hello"}, {h2, "world"}} {
-		got, err := f2.Read(tc.h)
+		got, err := readBlob(f2, tc.h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +407,7 @@ func TestBlobFileReopen(t *testing.T) {
 		}
 	}
 	h3, _ := f2.Append([]byte("again"))
-	got, _ := f2.Read(h3)
+	got, _ := readBlob(f2, h3)
 	if string(got) != "again" {
 		t.Fatal("append after reopen broken")
 	}
@@ -430,7 +425,7 @@ func TestBlobFileQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := f.Read(h)
+		got, err := readBlob(f, h)
 		if err != nil {
 			return false
 		}

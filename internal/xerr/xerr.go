@@ -20,10 +20,6 @@ const (
 	// KindInvalid: the request itself is malformed (bad probability,
 	// empty window, no road segment near the query point, ...).
 	KindInvalid
-	// KindTimeout: a deadline expired before the work finished.
-	KindTimeout
-	// KindOverloaded: the system shed the request (admission control).
-	KindOverloaded
 	// KindCorrupt: persisted state failed validation (checksum mismatch,
 	// truncated or malformed blob).
 	KindCorrupt
@@ -36,10 +32,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindInvalid:
 		return "invalid"
-	case KindTimeout:
-		return "timeout"
-	case KindOverloaded:
-		return "overloaded"
 	case KindCorrupt:
 		return "corrupt"
 	case KindInternal:

@@ -127,6 +127,8 @@ func requestMatrix(s *System, at time.Duration) requestSet {
 	bad("multi-none", Request{Kind: KindMulti, Start: at, Duration: dur, Prob: 0.2})
 	bad("bad-kind", Request{Kind: Kind(42), Locations: []Location{loc}})
 	bad("route-exhaustive", RouteRequest(loc, loc, 0), WithAlgorithm(AlgoExhaustive))
+	bad("route-depart-negative", RouteRequest(loc, multi[1], -time.Minute))
+	bad("route-depart-24h", RouteRequest(loc, multi[1], 24*time.Hour))
 	bad("reach-sequential", reach(at, dur, 0.2), WithAlgorithm(AlgoSequential))
 	bad("multi-exhaustive", MultiRequest(multi, at, dur, 0.2), WithAlgorithm(AlgoExhaustive))
 	bad("prob-0", reach(at, dur, 0))

@@ -102,8 +102,8 @@ func (s *System) Save(dir string) error {
 // pagesLiveIn reports whether dir/pages.db is the file the pool's store
 // holds open, however dir is spelled. Then syncing the pool is all it
 // takes to bring that file up to date, and writing it any other way
-// would truncate the store under the pool. Anywhere else — a memory- or
-// PageFile-backed system, or an opened system saved into a second
+// would truncate the store under the pool. Anywhere else — a built
+// system's in-memory store, or an opened system saved into a second
 // directory — the pages have to be copied there.
 func (s *System) pagesLiveIn(dir string) bool {
 	if s.pagesDir == "" {

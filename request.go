@@ -226,7 +226,8 @@ func (s *System) do(ctx context.Context, req Request, qo queryOptions) (*Region,
 }
 
 // validateRequest checks that the request has the locations its kind
-// needs and that the algorithm answers that kind.
+// needs, that a route departs at a time of day, and that the algorithm
+// answers that kind.
 func validateRequest(req Request, qo queryOptions) error {
 	op := req.Kind.String()
 	switch req.Kind {
@@ -251,6 +252,9 @@ func validateRequest(req Request, qo queryOptions) error {
 	case KindRoute:
 		if len(req.Locations) < 2 {
 			return errInvalid(op, "streach: route request needs origin and destination locations")
+		}
+		if req.Start < 0 || req.Start >= 24*time.Hour {
+			return errInvalid(op, "streach: route departure must be a time of day in [0, 24h), got %v", req.Start)
 		}
 		switch qo.algorithm {
 		case AlgoAuto, AlgoBounded, AlgoFreeFlow:

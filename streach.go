@@ -54,7 +54,6 @@ import (
 	"streach/internal/roadnet"
 	"streach/internal/shard"
 	"streach/internal/stindex"
-	"streach/internal/storage"
 	"streach/internal/traj"
 )
 
@@ -89,26 +88,28 @@ func DefaultCityConfig() CityConfig {
 }
 
 // FleetConfig controls the simulated taxi fleet. Traffic always follows
-// the default rush-hour congestion profile.
+// the default rush-hour congestion profile, with each day's speeds
+// scaled by up to ±15 %.
 type FleetConfig struct {
 	Taxis int
 	Days  int
 	// Seed drives the simulation.
 	Seed int64
-	// DaySpeedJitter sets day-to-day traffic variation. The zero value
-	// keeps the default of 0.15; a negative value requests no jitter at
-	// all.
-	DaySpeedJitter float64
 }
+
+// fleetDayJitter scales each simulated day's overall speed by
+// U(0.85, 1.15): the day-to-day traffic variation of every fleet.
+const fleetDayJitter = 0.15
 
 // DefaultFleetConfig simulates 250 taxis over 30 days, mirroring the
 // paper's one-month window.
 func DefaultFleetConfig() FleetConfig {
-	return FleetConfig{Taxis: 250, Days: 30, Seed: 2, DaySpeedJitter: 0.15}
+	return FleetConfig{Taxis: 250, Days: 30, Seed: 2}
 }
 
-// IndexConfig describes the index: its granularity and the storage and
-// caches behind it. How a query runs — algorithm, ablations,
+// IndexConfig describes the index: its granularity and the buffer pool
+// behind it. A built system keeps its pages in memory until Save. How a
+// query runs — algorithm, ablations,
 // verification parallelism — is a per-query Option; how the system is
 // laid out — its shard count — is set by the System method Shard after
 // construction.
@@ -117,9 +118,6 @@ type IndexConfig struct {
 	SlotSeconds int
 	// PoolPages is the buffer pool capacity (default 1024 pages).
 	PoolPages int
-	// PageFile, when set, backs the time lists with a real file instead
-	// of memory.
-	PageFile string
 }
 
 // DefaultIndexConfig uses the paper's 5-minute granularity.
@@ -216,7 +214,7 @@ type System struct {
 	// dir is the save directory backing the system (set by OpenSystem
 	// and Save); empty for purely in-memory systems. pagesDir is the
 	// directory whose pages.db the page store is (set by OpenSystem only;
-	// empty for memory- and PageFile-backed stores): persisting into that
+	// empty for the in-memory store of a built system): persisting into that
 	// directory only needs a pool sync, anywhere else a page copy. The
 	// two part ways when an opened system is saved elsewhere.
 	dir      string
@@ -274,19 +272,12 @@ func NewSystem(city CityConfig, fleet FleetConfig, idx IndexConfig) (*System, er
 	if err != nil {
 		return nil, err
 	}
-	jitter := fleet.DaySpeedJitter
-	switch {
-	case jitter == 0:
-		jitter = 0.15 // zero value: the documented default
-	case jitter < 0:
-		jitter = 0 // negative: explicitly no day-to-day jitter
-	}
 	ds, err := traj.Simulate(net, traj.SimConfig{
 		Taxis:          fleet.Taxis,
 		Days:           fleet.Days,
 		Profile:        traj.DefaultSpeedProfile(),
 		Seed:           fleet.Seed,
-		DaySpeedJitter: jitter,
+		DaySpeedJitter: fleetDayJitter,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("streach: simulate fleet: %w", err)
@@ -326,14 +317,6 @@ func NewSystemFromData(net *roadnet.Network, ds *traj.Dataset, idx IndexConfig) 
 	if idx.PoolPages == 0 {
 		idx.PoolPages = 1024
 	}
-	var store storage.Store
-	if idx.PageFile != "" {
-		fs, err := storage.OpenFileStore(idx.PageFile)
-		if err != nil {
-			return nil, fmt.Errorf("streach: open page file: %w", err)
-		}
-		store = fs
-	}
 	// The two builds share only the read-only network and dataset, so the
 	// Con-Index is built on its own goroutine beside the ST-Index.
 	var (
@@ -348,13 +331,9 @@ func NewSystemFromData(net *roadnet.Network, ds *traj.Dataset, idx IndexConfig) 
 	st, stErr := stindex.Build(net, ds, stindex.Config{
 		SlotSeconds: idx.SlotSeconds,
 		PoolPages:   idx.PoolPages,
-		Store:       store,
 	})
 	<-conDone
 	if stErr != nil {
-		if store != nil {
-			store.Close()
-		}
 		return nil, fmt.Errorf("streach: build ST-Index: %w", stErr)
 	}
 	if conErr != nil {

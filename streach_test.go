@@ -248,30 +248,6 @@ func TestRegionContains(t *testing.T) {
 	}
 }
 
-func TestFileBackedSystem(t *testing.T) {
-	city := CityConfig{
-		OriginLat: 22.50, OriginLng: 114.00,
-		Rows: 4, Cols: 4, SpacingMeters: 800, LocalFraction: 0.3,
-		ResegmentMeters: 400, Seed: 9,
-	}
-	fleet := FleetConfig{Taxis: 20, Days: 3, Seed: 9}
-	idx := DefaultIndexConfig()
-	idx.PageFile = filepath.Join(t.TempDir(), "pages.db")
-	sys, err := NewSystem(city, fleet, idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	loc := sys.BusiestLocation(10 * time.Hour)
-	region, err := sys.Do(context.Background(), ReachRequest(loc, 10*time.Hour, 10*time.Minute, 0.2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if region.Metrics.PageReads == 0 && region.Metrics.PageHits == 0 {
-		t.Fatal("file-backed query should touch pages")
-	}
-}
-
 func TestBusiestLocationDeterministic(t *testing.T) {
 	s := smallSystem(t)
 	a := s.BusiestLocation(11 * time.Hour)
