@@ -50,21 +50,6 @@ func TestOrAndIntersects(t *testing.T) {
 	if !Intersects(a, short) {
 		t.Fatal("shared low bit should intersect")
 	}
-	for i, c := range []struct {
-		a, b []uint64
-		want bool
-	}{
-		{nil, nil, false},
-		{[]uint64{1}, nil, false},
-		{[]uint64{0b101}, []uint64{0b010}, false},
-		{[]uint64{0b101}, []uint64{0b100}, true},
-		{[]uint64{0, 1 << 9}, []uint64{0, 1 << 9}, true},
-		{[]uint64{0, 1 << 9}, []uint64{1 << 9}, false}, // different words
-	} {
-		if got := Intersects(c.a, c.b); got != c.want {
-			t.Fatalf("case %d: Intersects = %v, want %v", i, got, c.want)
-		}
-	}
 }
 
 func TestOrGrow(t *testing.T) {

@@ -154,6 +154,27 @@ func TestMultiWordDayMask(t *testing.T) {
 	}
 }
 
+// TestBitsIntersect checks the taxi-bitset intersection the matcher uses
+// to test a decoded day's taxis against a source set.
+func TestBitsIntersect(t *testing.T) {
+	cases := []struct {
+		a, b []uint64
+		want bool
+	}{
+		{nil, nil, false},
+		{[]uint64{1}, nil, false},
+		{[]uint64{0b101}, []uint64{0b010}, false},
+		{[]uint64{0b101}, []uint64{0b100}, true},
+		{[]uint64{0, 1 << 9}, []uint64{0, 1 << 9}, true},
+		{[]uint64{0, 1 << 9}, []uint64{1 << 9}, false}, // different words
+	}
+	for i, c := range cases {
+		if got := bitset.Intersects(c.a, c.b); got != c.want {
+			t.Fatalf("case %d: Intersects = %v, want %v", i, got, c.want)
+		}
+	}
+}
+
 func TestTimeListsRangeMatchesTimeListAt(t *testing.T) {
 	n := testNetwork(t)
 	ds := testDataset(t, n)
