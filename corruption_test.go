@@ -14,7 +14,9 @@ import (
 // detected on reopen and repaired by a cold rebuild (or, for the
 // adjacency warm cache, by dropping the blob) — the open never panics,
 // never fails, and the reopened system answers bit-identically to the
-// uncorrupted one.
+// uncorrupted one. The network and the trajectories have no rebuild
+// path: a flipped bit there fails the open as CorruptData, or the system
+// reopens and answers bit-identically — it never answers wrongly.
 func TestCorruptionFuzzReopen(t *testing.T) {
 	s := smallSystem(t)
 	reqs := requestMatrix(s, 11*time.Hour).smoke
@@ -25,7 +27,7 @@ func TestCorruptionFuzzReopen(t *testing.T) {
 
 	const trials = 4
 	rng := rand.New(rand.NewSource(99))
-	for _, name := range []string{fileSTMeta, filePages, fileConIndex, fileConAdj} {
+	for _, name := range []string{fileSTMeta, filePages, fileConIndex, fileConAdj, fileNetwork, fileDataset} {
 		t.Run(name, func(t *testing.T) {
 			logBuf := captureLog(t)
 			for trial := 0; trial < trials; trial++ {
@@ -43,6 +45,18 @@ func TestCorruptionFuzzReopen(t *testing.T) {
 				}
 
 				logBuf.Reset()
+				if name == fileNetwork || name == fileDataset {
+					sys, err := OpenSystem(dir, DefaultIndexConfig())
+					if err != nil {
+						if CodeOf(err) != CorruptData {
+							t.Fatalf("bit %d: open failed with %v, code %v, want CorruptData", bit, err, CodeOf(err))
+						}
+						continue
+					}
+					checkOracle(t, reference(t), serial(sys), reqs)
+					sys.Close()
+					continue
+				}
 				sys := variant(t, vcfg{planCache: -1, dir: dir})
 				if name == fileConAdj {
 					// The warm cache is dropped, not rebuilt.

@@ -2,12 +2,16 @@ package streach
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"streach/internal/traj"
 )
 
 // TestOpenedSystemHoldsNoDataset: a system opened from a directory keeps
@@ -139,21 +143,52 @@ func TestOpenRebuildsBothIndexesFromDatasetFile(t *testing.T) {
 	checkOracle(t, reference(t), serial(sys), requestMatrix(built, 11*time.Hour).full)
 }
 
-// TestOpenSystemRejectsDamagedDataset: the structural walk fails on what
-// the full decode failed on, with the same words.
+// datasetV2 is ds in version 2 of dataset.bin, the unframed layout
+// earlier builds wrote:
+//
+//	magic "STRJ" | version u16 | baseDate unix s i64 | days u32 | ntraj u32
+//	per trajectory: taxi i32 | day i16 | nvisits u32
+//	per visit: segment i32 | enter day-ms u32 | exit day-ms u32 | speed f32
+func datasetV2(ds *traj.Dataset) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint16([]byte("STRJ"), 2)
+	b = le.AppendUint64(b, uint64(ds.BaseDate.Unix()))
+	b = le.AppendUint32(b, uint32(ds.Days))
+	b = le.AppendUint32(b, uint32(len(ds.Matched)))
+	for _, mt := range ds.Matched {
+		b = le.AppendUint32(b, uint32(mt.Taxi))
+		b = le.AppendUint16(b, uint16(mt.Day))
+		b = le.AppendUint32(b, uint32(len(mt.Visits)))
+		for _, v := range mt.Visits {
+			b = le.AppendUint32(b, uint32(v.Segment))
+			b = le.AppendUint32(b, uint32(v.EnterMs))
+			b = le.AppendUint32(b, uint32(v.ExitMs))
+			b = le.AppendUint32(b, math.Float32bits(v.Speed))
+		}
+	}
+	return b
+}
+
+// TestOpenSystemRejectsDamagedDataset: the structural walk fails the
+// open on what the full decode fails on, with the same words, and as
+// CorruptData — on a version 2 file at every kind of cut, and on the
+// version 3 file Save writes wherever its frame is damaged.
 func TestOpenSystemRejectsDamagedDataset(t *testing.T) {
 	built := smallSystem(t)
 	src := t.TempDir()
 	if err := built.Save(src); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(src, fileDataset))
+	v3, err := os.ReadFile(filepath.Join(src, fileDataset))
 	if err != nil {
 		t.Fatal(err)
 	}
+	data := datasetV2(built.ds)
 	firstVisits := 22 + 10 + 16*len(built.ds.Matched[0].Visits)
 	badMagic := append([]byte("JRTS"), data[4:]...)
 	badVersion := append(append([]byte{}, data[:4]...), append([]byte{9, 0}, data[6:]...)...)
+	flipped := bytes.Clone(v3)
+	flipped[len(v3)/2] ^= 0x20
 	for _, tc := range []struct {
 		name, want string
 		data       []byte
@@ -166,12 +201,21 @@ func TestOpenSystemRejectsDamagedDataset(t *testing.T) {
 		{"cut inside a visit field", "traj: trajectory 0 visit 2: unexpected EOF", data[:22+10+2*16+5]},
 		{"cut between visit fields", "traj: trajectory 0 visit 2: EOF", data[:22+10+2*16+8]},
 		{"last byte missing", "unexpected EOF", data[:len(data)-1]},
+		{"v3 cut in the header", "traj: read header: storage: STRJ frame: truncated at byte 16", v3[:16]},
+		{"v3 flipped bit", "storage: STRJ frame: checksum mismatch", flipped},
+		{"v3 last byte missing", "storage: STRJ frame: truncated", v3[:len(v3)-1]},
+		{"v3 byte after the end", "storage: STRJ frame: bytes after the end marker", append(bytes.Clone(v3), 0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			copyDir(t, src, dir)
 			if err := os.WriteFile(filepath.Join(dir, fileDataset), tc.data, 0o644); err != nil {
 				t.Fatal(err)
+			}
+			if _, _, err := traj.ScanDataset(bytes.NewReader(tc.data), nil); err == nil {
+				t.Fatal("the structural walk passed the damage")
+			} else if _, derr := traj.ReadDataset(bytes.NewReader(tc.data)); derr == nil || derr.Error() != err.Error() {
+				t.Fatalf("the full decode says %v, the structural walk %v", derr, err)
 			}
 			sys, err := OpenSystem(dir, DefaultIndexConfig())
 			if err == nil {
@@ -180,6 +224,9 @@ func TestOpenSystemRejectsDamagedDataset(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q, want it to say %q", err, tc.want)
+			}
+			if CodeOf(err) != CorruptData {
+				t.Fatalf("error %q is %v, want CorruptData", err, CodeOf(err))
 			}
 		})
 	}

@@ -265,10 +265,13 @@ func BenchmarkGeoJSON(b *testing.B) {
 	})
 }
 
-// FuzzReadNetwork: network.bin is unframed, so its bytes reach AddRoad as
-// they are. A decode fails, or every point and length it yields is
+// FuzzReadNetwork: ReadNetwork's bytes reach AddRoad as they are in a
+// version 1 network.bin, which is unframed, and in a version 2 one whose
+// checksums hold. A decode fails, or every point and length it yields is
 // finite, every vertex lies on the globe (|lat| <= 90, |lng| <= 180) and
-// every segment's feature encodes to valid JSON.
+// every segment's feature encodes to valid JSON. With frame set the input
+// is a version 2 payload, framed with valid checksums so that mutation
+// reaches the records; otherwise it is the file itself.
 func FuzzReadNetwork(f *testing.F) {
 	net, err := roadnet.Generate(roadnet.GenerateConfig{
 		Origin: geo.Point{Lat: 22.5, Lng: 114}, Rows: 3, Cols: 3, SpacingMeters: 700, Seed: 11,
@@ -280,13 +283,21 @@ func FuzzReadNetwork(f *testing.F) {
 	if err := roadnet.WriteNetwork(&buf, net); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	// Road 0's second point with a NaN latitude (header 10 bytes, road
+	payload := payloadOf(buf.Bytes())
+	f.Add(payload, true)
+	// Road 0's second point with a NaN latitude (road count 4 bytes, road
 	// header 4, point 0 16).
-	nan := bytes.Clone(buf.Bytes())
-	binary.LittleEndian.PutUint64(nan[30:], math.Float64bits(math.NaN()))
-	f.Add(nan)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	nan := bytes.Clone(payload)
+	binary.LittleEndian.PutUint64(nan[24:], math.Float64bits(math.NaN()))
+	f.Add(nan, true)
+	// The same two as version 1 files.
+	v1 := []byte("STRN\x01\x00")
+	f.Add(append(bytes.Clone(v1), payload...), false)
+	f.Add(append(bytes.Clone(v1), nan...), false)
+	f.Fuzz(func(t *testing.T, data []byte, frame bool) {
+		if frame {
+			data = framed("STRN", 2, data)
+		}
 		net, err := roadnet.ReadNetwork(bytes.NewReader(data))
 		if err != nil {
 			return

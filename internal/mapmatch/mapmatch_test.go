@@ -82,8 +82,13 @@ func TestMatchOutputIsConnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
+	for i, v := range got.Visits {
+		if v.ExitMs < v.EnterMs {
+			t.Fatalf("visit %d exits before entering", i)
+		}
+		if i > 0 && v.EnterMs < got.Visits[i-1].EnterMs {
+			t.Fatalf("visit %d out of order", i)
+		}
 	}
 	for i := 1; i < len(got.Visits); i++ {
 		prev, cur := got.Visits[i-1], got.Visits[i]

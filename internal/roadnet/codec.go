@@ -3,17 +3,26 @@ package roadnet
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"streach/internal/geo"
+	"streach/internal/storage"
+	"streach/internal/xerr"
 )
 
-// Binary network format (little endian):
+// Binary network formats (little endian). Both begin magic "STRN" |
+// version u16, the header of storage's checksummed frame, and the
+// version picks the decoder. Version 2, the one WriteNetwork writes, is
+// a frame (DESIGN.md §11.3) whose payload is
 //
-//	magic "STRN" | version u16 | numRoads u32
+//	numRoads u32
 //	per road: class u8 | oneway u8 | npoints u16 | npoints x (lat f64, lng f64)
+//
+// Version 1, written by earlier builds and still read (the network has
+// no rebuild path), is the same records unframed after the header.
 //
 // Only the underlying roads are stored; vertices, adjacency, MBRs and the
 // spatial index are rebuilt on load, and two-way roads re-create their
@@ -21,20 +30,13 @@ import (
 // build order.
 const (
 	netMagic   = "STRN"
-	netVersion = 1
+	netVersion = 2
+	// v1Version is the unframed layout before the frame.
+	v1Version = 1
 )
 
-// WriteNetwork encodes n to w.
+// WriteNetwork encodes n to w as version 2.
 func WriteNetwork(w io.Writer, n *Network) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(netMagic); err != nil {
-		return fmt.Errorf("roadnet: write magic: %w", err)
-	}
-	var buf [8]byte
-	binary.LittleEndian.PutUint16(buf[:2], netVersion)
-	if _, err := bw.Write(buf[:2]); err != nil {
-		return err
-	}
 	// Count roads: every one-way segment and one member of each two-way
 	// pair (the one with the lower ID, which was built first).
 	var roads []*Segment
@@ -44,92 +46,110 @@ func WriteNetwork(w io.Writer, n *Network) error {
 			roads = append(roads, s)
 		}
 	}
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(roads)))
-	if _, err := bw.Write(buf[:4]); err != nil {
-		return err
-	}
+	fw := storage.NewChecksumWriter(w, netMagic, netVersion)
+	fw.Uint32(uint32(len(roads)))
 	for _, s := range roads {
 		if len(s.Shape) > math.MaxUint16 {
 			return fmt.Errorf("roadnet: segment %d has %d shape points, max %d", s.ID, len(s.Shape), math.MaxUint16)
 		}
-		if err := bw.WriteByte(byte(s.Class)); err != nil {
-			return err
-		}
-		oneway := byte(0)
+		fw.Uint8(uint8(s.Class))
+		oneway := uint8(0)
 		if s.OneWay {
 			oneway = 1
 		}
-		if err := bw.WriteByte(oneway); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint16(buf[:2], uint16(len(s.Shape)))
-		if _, err := bw.Write(buf[:2]); err != nil {
-			return err
-		}
+		fw.Uint8(oneway)
+		fw.Uint16(uint16(len(s.Shape)))
 		for _, p := range s.Shape {
-			binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(p.Lat))
-			if _, err := bw.Write(buf[:8]); err != nil {
-				return err
-			}
-			binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(p.Lng))
-			if _, err := bw.Write(buf[:8]); err != nil {
-				return err
-			}
+			fw.Uint64(math.Float64bits(p.Lat))
+			fw.Uint64(math.Float64bits(p.Lng))
 		}
 	}
-	return bw.Flush()
+	if err := fw.Finish(); err != nil {
+		return fmt.Errorf("roadnet: write network: %w", err)
+	}
+	return nil
 }
 
-// ReadNetwork decodes a network from r, rebuilding adjacency and the
-// spatial index.
+// ReadNetwork decodes a network of either version from r, rebuilding
+// adjacency and the spatial index. Every failure of the input — a bad
+// header, a truncation, a checksum mismatch, a road the builder refuses
+// — is marked xerr.KindCorrupt; an error of the reader itself is not.
 func ReadNetwork(r io.Reader) (*Network, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("roadnet: read magic: %w", err)
+	var head [6]byte
+	if _, err := io.ReadFull(r, head[:4]); err != nil {
+		return nil, fmt.Errorf("roadnet: read magic: %w", endedEarly(err))
 	}
-	if string(magic) != netMagic {
-		return nil, fmt.Errorf("roadnet: bad magic %q", magic)
+	if string(head[:4]) != netMagic {
+		return nil, xerr.Markf(xerr.KindCorrupt, "roadnet: bad magic %q", head[:4])
 	}
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:2]); err != nil {
-		return nil, fmt.Errorf("roadnet: read version: %w", err)
+	if _, err := io.ReadFull(r, head[4:]); err != nil {
+		return nil, fmt.Errorf("roadnet: read version: %w", endedEarly(err))
 	}
-	if v := binary.LittleEndian.Uint16(buf[:2]); v != netVersion {
-		return nil, fmt.Errorf("roadnet: unsupported version %d", v)
+	switch v := binary.LittleEndian.Uint16(head[4:]); v {
+	case netVersion:
+		fr, err := storage.NewChecksumReader(storage.Rewound(head[:], r), netMagic, netVersion)
+		if err != nil {
+			return nil, fmt.Errorf("roadnet: %w", err)
+		}
+		n, err := readRoads(func(k int) ([]byte, error) {
+			if b := fr.Next(k); b != nil {
+				return b, nil
+			}
+			return nil, fr.Err()
+		})
+		if err != nil {
+			return nil, err
+		}
+		if err := fr.Finish(); err != nil {
+			return nil, fmt.Errorf("roadnet: %w", err)
+		}
+		return n, nil
+	case v1Version:
+		br := bufio.NewReader(r)
+		var buf [16]byte
+		return readRoads(func(k int) ([]byte, error) {
+			_, err := io.ReadFull(br, buf[:k])
+			return buf[:k], endedEarly(err)
+		})
+	default:
+		return nil, xerr.Markf(xerr.KindCorrupt, "roadnet: unsupported version %d", v)
 	}
-	if _, err := io.ReadFull(br, buf[:4]); err != nil {
+}
+
+// endedEarly marks a read error that is the input ending early
+// xerr.KindCorrupt, and passes any other as it is.
+func endedEarly(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return xerr.Markf(xerr.KindCorrupt, "%w", err)
+	}
+	return err
+}
+
+// readRoads decodes the road records, pulling each field's k bytes
+// through next, and builds the network.
+func readRoads(next func(k int) ([]byte, error)) (*Network, error) {
+	b, err := next(4)
+	if err != nil {
 		return nil, fmt.Errorf("roadnet: read road count: %w", err)
 	}
-	numRoads := binary.LittleEndian.Uint32(buf[:4])
-	b := NewBuilder()
+	numRoads := binary.LittleEndian.Uint32(b)
+	builder := NewBuilder()
 	for i := uint32(0); i < numRoads; i++ {
-		class, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("roadnet: road %d class: %w", i, err)
+		if b, err = next(4); err != nil {
+			return nil, fmt.Errorf("roadnet: road %d header: %w", i, err)
 		}
-		oneway, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("roadnet: road %d oneway: %w", i, err)
-		}
-		if _, err := io.ReadFull(br, buf[:2]); err != nil {
-			return nil, fmt.Errorf("roadnet: road %d npoints: %w", i, err)
-		}
-		np := binary.LittleEndian.Uint16(buf[:2])
-		shape := make(geo.Polyline, np)
+		class, oneway := RoadClass(b[0]), b[1] == 1
+		shape := make(geo.Polyline, binary.LittleEndian.Uint16(b[2:]))
 		for j := range shape {
-			if _, err := io.ReadFull(br, buf[:8]); err != nil {
+			if b, err = next(16); err != nil {
 				return nil, fmt.Errorf("roadnet: road %d point %d: %w", i, j, err)
 			}
-			shape[j].Lat = math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))
-			if _, err := io.ReadFull(br, buf[:8]); err != nil {
-				return nil, fmt.Errorf("roadnet: road %d point %d: %w", i, j, err)
-			}
-			shape[j].Lng = math.Float64frombits(binary.LittleEndian.Uint64(buf[:8]))
+			shape[j].Lat = math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))
+			shape[j].Lng = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
 		}
-		if _, err := b.AddRoad(shape, RoadClass(class), oneway == 1); err != nil {
-			return nil, fmt.Errorf("roadnet: road %d: %w", i, err)
+		if _, err := builder.AddRoad(shape, class, oneway); err != nil {
+			return nil, xerr.Markf(xerr.KindCorrupt, "roadnet: road %d: %w", i, err)
 		}
 	}
-	return b.Build(), nil
+	return builder.Build(), nil
 }

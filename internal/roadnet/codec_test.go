@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"streach/internal/geo"
+	"streach/internal/storage"
+	"streach/internal/xerr"
 )
 
 func TestNetworkCodecRoundTrip(t *testing.T) {
@@ -108,14 +110,40 @@ func TestNetworkCodecRejectsGarbage(t *testing.T) {
 	if err := WriteNetwork(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadNetwork(bytes.NewReader(buf.Bytes()[:buf.Len()/3])); err == nil {
-		t.Fatal("truncated input should error")
+	for _, file := range [][]byte{buf.Bytes(), v1Of(buf.Bytes())} {
+		if _, err := ReadNetwork(bytes.NewReader(file[:len(file)/3])); xerr.KindOf(err) != xerr.KindCorrupt {
+			t.Fatalf("truncated input: err %v, want a corruption", err)
+		}
 	}
 }
 
-// TestNetworkCodecRejectsNonFinite: network.bin is unframed, so a
+// v1Of is the version 1 file of the same network as a version 2 file:
+// the frame's payload, unframed after the header.
+func v1Of(frame []byte) []byte {
+	out := binary.LittleEndian.AppendUint16([]byte(netMagic), v1Version)
+	for off := 6; ; {
+		n := int(binary.LittleEndian.Uint32(frame[off:]))
+		if n == 0 {
+			return out
+		}
+		out = append(out, frame[off+4:off+4+n]...)
+		off += 8 + n
+	}
+}
+
+// framedV2 is payload in a version 2 frame with valid checksums.
+func framedV2(payload []byte) []byte {
+	var b bytes.Buffer
+	fw := storage.NewChecksumWriter(&b, netMagic, netVersion)
+	fw.Write(payload)
+	fw.Finish()
+	return b.Bytes()
+}
+
+// TestNetworkCodecRejectsNonFinite: a version 1 file is unframed, so a
 // corrupt coordinate reaches AddRoad, which must refuse it and name the
-// road and the point.
+// road and the point; so must a version 2 file whose checksums were
+// written over the corrupt coordinate.
 func TestNetworkCodecRejectsNonFinite(t *testing.T) {
 	orig, err := Generate(GenerateConfig{Origin: o, Rows: 3, Cols: 3, SpacingMeters: 700, Seed: 11})
 	if err != nil {
@@ -127,11 +155,48 @@ func TestNetworkCodecRejectsNonFinite(t *testing.T) {
 	}
 	// Header (10 bytes), road 0's class, oneway and npoints (4), then
 	// point 0's lat and lng: make point 1's lng (offset 14+16+8) +Inf.
-	raw := buf.Bytes()
+	raw := v1Of(buf.Bytes())
 	binary.LittleEndian.PutUint64(raw[38:], math.Float64bits(math.Inf(1)))
-	_, err = ReadNetwork(bytes.NewReader(raw))
-	if want := "road 0: roadnet: road shape point 1"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("ReadNetwork of an infinite coordinate: err %v, want one containing %q", err, want)
+	for name, file := range map[string][]byte{"v1": raw, "v2": framedV2(raw[6:])} {
+		_, err = ReadNetwork(bytes.NewReader(file))
+		if want := "road 0: roadnet: road shape point 1"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: ReadNetwork of an infinite coordinate: err %v, want one containing %q", name, err, want)
+		}
+		if xerr.KindOf(err) != xerr.KindCorrupt {
+			t.Fatalf("%s: %v is not marked corrupt", name, err)
+		}
+	}
+}
+
+// TestNetworkCodecReadsV1: a version 1 file, as earlier builds wrote it,
+// reads as the same network as version 2 and re-encodes to version 2;
+// any flipped bit of a version 2 file fails the read as corruption.
+func TestNetworkCodecReadsV1(t *testing.T) {
+	orig, err := Generate(GenerateConfig{Origin: o, Rows: 3, Cols: 4, SpacingMeters: 700, LocalFraction: 0.3, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if err := WriteNetwork(&v2, orig); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadNetwork(bytes.NewReader(v1Of(v2.Bytes())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := WriteNetwork(&again, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), v2.Bytes()) {
+		t.Fatalf("a version 1 file re-encodes to %d bytes, not the %d of the network it was written from", again.Len(), v2.Len())
+	}
+	for bit := 0; bit < v2.Len()*8; bit += 7 {
+		file := bytes.Clone(v2.Bytes())
+		file[bit/8] ^= 1 << (bit % 8)
+		if _, err := ReadNetwork(bytes.NewReader(file)); xerr.KindOf(err) != xerr.KindCorrupt {
+			t.Fatalf("bit %d flipped: err %v, want a corruption", bit, err)
+		}
 	}
 }
 

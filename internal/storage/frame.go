@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,9 +13,10 @@ import (
 	"streach/internal/xerr"
 )
 
-// The frame of every derived file on disk — the ST-Index meta and the
-// Con-Index statistics and adjacency rows (DESIGN.md §11.3). Little
-// endian:
+// The frame of every file a saved system holds apart from the page store
+// and the WAL — the road network, the trajectories, the ST-Index meta
+// and the Con-Index statistics and adjacency rows (DESIGN.md §11.3).
+// Little endian:
 //
 //	magic [4]byte | version u16
 //	chunk:  length u32 (1..64 KiB) | length bytes of payload | crc u32
@@ -182,6 +184,27 @@ func inputSize(r io.Reader) int64 {
 		}
 	}
 	return -1
+}
+
+// Rewound returns r as it was before head, its first bytes, were read
+// from it: a reader of head and then of the rest of r. A loader that
+// reads a file's first bytes to choose between a framed and an older
+// unframed layout hands the rewound input to NewChecksumReader, which
+// still learns a file's length from r's Stat for Remaining.
+func Rewound(head []byte, r io.Reader) io.Reader {
+	return &rewound{Reader: io.MultiReader(bytes.NewReader(head), r), src: r}
+}
+
+type rewound struct {
+	io.Reader
+	src io.Reader
+}
+
+func (r *rewound) Stat() (fs.FileInfo, error) {
+	if f, ok := r.src.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		return f.Stat()
+	}
+	return nil, errors.ErrUnsupported
 }
 
 // corrupt records a frame failure.

@@ -327,3 +327,41 @@ func FuzzFrame(f *testing.F) {
 		}
 	})
 }
+
+// TestRewoundReadsAsTheInput: a frame whose header was read off a file
+// reads back whole through Rewound, and Remaining still counts the file's
+// length; over an input with no Stat it vouches for the bytes in hand.
+func TestRewoundReadsAsTheInput(t *testing.T) {
+	payload := make([]byte, 2*frameChunk+5)
+	frame := refFrame(testMagic, testVersion, payload, frameChunk)
+	path := filepath.Join(t.TempDir(), "frame")
+	if err := os.WriteFile(path, frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for name, r := range map[string]io.Reader{"file": f, "bytes": bytes.NewReader(frame)} {
+		head := make([]byte, frameHeader)
+		if _, err := io.ReadFull(r, head); err != nil {
+			t.Fatal(err)
+		}
+		fr, err := NewChecksumReader(Rewound(head, r), testMagic, testVersion)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fr.Next(1)
+		want := int64(frameChunk - 1)
+		if name == "file" {
+			want = int64(len(frame)) - (frameHeader + 4 + frameChunk + 4) + frameChunk - 1
+		}
+		if got := fr.Remaining(); got != want {
+			t.Fatalf("%s: Remaining %d, want %d", name, got, want)
+		}
+		if !bytes.Equal(fr.Next(len(payload)-1), payload[1:]) || fr.Finish() != nil {
+			t.Fatalf("%s: the rewound frame does not read back (%v)", name, fr.Err())
+		}
+	}
+}

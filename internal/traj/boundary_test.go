@@ -3,6 +3,7 @@ package traj_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -53,18 +54,11 @@ func FuzzReadDatasetBuilds(f *testing.F) {
 		f.Fatal(err)
 	}
 	n := net.NumSegments()
-	encode := func(ds *traj.Dataset) []byte {
-		var buf bytes.Buffer
-		if err := traj.WriteDataset(&buf, ds); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	good := &traj.Dataset{BaseDate: time.Unix(1_400_000_000, 0).UTC(), Days: 2, Matched: []traj.MatchedTrajectory{
 		{Taxi: 1, Day: 0, Visits: []traj.Visit{{Segment: 0, EnterMs: 36e6, ExitMs: 36e6 + 9000, Speed: 8}, {Segment: 1, EnterMs: 36e6 + 9000, ExitMs: 36e6 + 20000, Speed: 11}}},
 		{Taxi: 2, Day: 1, Visits: []traj.Visit{{Segment: roadnet.SegmentID(n - 1), EnterMs: 0, ExitMs: 86_399_000, Speed: 0.2}}},
 	}}
-	f.Add(encode(good))
+	seeds := []*traj.Dataset{good}
 	for _, bad := range []func(ds *traj.Dataset){
 		func(ds *traj.Dataset) { ds.Matched[0].Visits[1].Segment = roadnet.SegmentID(n) },
 		func(ds *traj.Dataset) { ds.Matched[1].Visits[0].ExitMs = -1 },
@@ -84,7 +78,19 @@ func FuzzReadDatasetBuilds(f *testing.F) {
 			ds.Matched[i].Visits = append([]traj.Visit(nil), ds.Matched[i].Visits...)
 		}
 		bad(&ds)
-		f.Add(encode(&ds))
+		seeds = append(seeds, &ds)
+	}
+	// Each dataset in both versions: version 3 as written, version 2 as
+	// earlier builds wrote it. Mutation gets past version 3's checksums
+	// only on the version 2 seeds.
+	for _, write := range []func(io.Writer, *traj.Dataset) error{traj.WriteDataset, traj.WriteDatasetV2} {
+		for _, ds := range seeds {
+			var buf bytes.Buffer
+			if err := write(&buf, ds); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ds, err := traj.ReadDataset(bytes.NewReader(data))

@@ -10,17 +10,22 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"runtime"
 	"testing"
 	"time"
+
+	"streach/internal/storage"
+	"streach/internal/xerr"
 )
 
-// readDatasetRef is the reader this package shipped before ScanDataset:
-// every field through its own io.ReadFull, one trajectory after another.
-// It is the oracle the bulk reader and the structural walk are held to —
-// same datasets, same errors. The one change from the shipped code is
-// that it appends instead of sizing slices from the file's counts, so it
-// can be fed hostile input.
+// readDatasetRef is the version 2 reader this package shipped before
+// ScanDataset: every field through its own io.ReadFull, one trajectory
+// after another. It is the oracle the bulk reader and the structural walk
+// are held to on every input that is not version 3 — same datasets, same
+// errors. The one change from the shipped code is that it appends
+// instead of sizing slices from the file's counts, so it can be fed
+// hostile input.
 func readDatasetRef(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -53,7 +58,7 @@ func readDatasetRef(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("traj: read version: %w", err)
 	}
-	if ver != codecVersion {
+	if ver != v2Version {
 		return nil, fmt.Errorf("traj: unsupported version %d", ver)
 	}
 	baseUnix, err := readU64()
@@ -102,7 +107,7 @@ func readDatasetRef(r io.Reader) (*Dataset, error) {
 	return ds, nil
 }
 
-// encodeForTest returns ds in the dataset codec.
+// encodeForTest returns ds as WriteDataset encodes it, version 3.
 func encodeForTest(t testing.TB, ds *Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -112,15 +117,87 @@ func encodeForTest(t testing.TB, ds *Dataset) []byte {
 	return buf.Bytes()
 }
 
-// checkAgainstRef holds ReadDataset and the structural walk to the
-// reference reader on one input: all three accept or all three reject
-// with the same message, the datasets are equal bit for bit (speeds
-// included, NaNs too), and both scans report the reference's Stats.
+// encodeV2 returns ds in version 2.
+func encodeV2(t testing.TB, ds *Dataset) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeDatasetRef(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// framed is payload in a version 3 frame with valid checksums.
+func framed(payload []byte) []byte {
+	var b bytes.Buffer
+	fw := storage.NewChecksumWriter(&b, codecMagic, codecVersion)
+	fw.Write(payload)
+	fw.Finish()
+	return b.Bytes()
+}
+
+// payloadOf is the payload of a frame with valid chunk lengths.
+func payloadOf(frame []byte) []byte {
+	var p []byte
+	for off := 6; ; {
+		n := int(binary.LittleEndian.Uint32(frame[off:]))
+		if n == 0 {
+			return p
+		}
+		p = append(p, frame[off+4:off+4+n]...)
+		off += 8 + n
+	}
+}
+
+// isV3 reports whether data begins with a version 3 header.
+func isV3(data []byte) bool {
+	return len(data) >= 6 && string(data[:4]) == codecMagic && binary.LittleEndian.Uint16(data[4:6]) == codecVersion
+}
+
+// blockErr matches a version 3 failure inside a trajectory's visits.
+var blockErr = regexp.MustCompile(`^traj: trajectory \d+ (visit \d+|block):`)
+
+// checkAgainstRef holds ReadDataset and the structural walk to their
+// oracle on one input. A version 3 input is held to the writer: one it
+// accepts re-encodes to the same bytes, the walk reports its Stats, and
+// both fail with the same words unless the walk, which decodes no visit,
+// passes a block whose checksums hold and whose visits do not decode.
+// Any other input is held to the version 2 reference reader: all three
+// accept or all three reject with the same message, the datasets are
+// equal bit for bit (speeds included, NaNs too), and both scans report
+// the reference's Stats. Every rejection is marked KindCorrupt.
 func checkAgainstRef(t testing.TB, data []byte) {
 	t.Helper()
-	want, wantErr := readDatasetRef(bytes.NewReader(data))
 	got, gotErr := ReadDataset(bytes.NewReader(data))
 	base, stats, walkErr := ScanDataset(bytes.NewReader(data), nil)
+	for _, err := range []error{gotErr, walkErr} {
+		if err != nil && xerr.KindOf(err) != xerr.KindCorrupt {
+			t.Fatalf("failure not marked corrupt: %v", err)
+		}
+	}
+	if isV3(data) {
+		// The walk decodes no block: past one that fails to decode it
+		// reads on, and accepts or fails further on.
+		inBlock := gotErr != nil && blockErr.MatchString(gotErr.Error())
+		switch {
+		case gotErr == nil && walkErr == nil:
+			if !base.Equal(got.BaseDate) || stats != got.Stats() {
+				t.Fatalf("structural walk: base %v stats %+v, want %v %+v", base, stats, got.BaseDate, got.Stats())
+			}
+			if again := encodeForTest(t, got); !bytes.Equal(again, data) {
+				t.Fatalf("an accepted file re-encodes differently (%d bytes in, %d out)", len(data), len(again))
+			}
+		case gotErr == nil:
+			t.Fatalf("the structural walk rejected what ReadDataset accepted: %v", walkErr)
+		case inBlock:
+		case walkErr == nil:
+			t.Fatalf("the structural walk accepted a file ReadDataset rejected outside the visits: %v", gotErr)
+		case gotErr.Error() != walkErr.Error():
+			t.Fatalf("error text differs:\n ReadDataset %v\n walk        %v", gotErr, walkErr)
+		}
+		return
+	}
+	want, wantErr := readDatasetRef(bytes.NewReader(data))
 	if (wantErr == nil) != (gotErr == nil) || (wantErr == nil) != (walkErr == nil) {
 		t.Fatalf("reference err %v, ReadDataset err %v, structural walk err %v", wantErr, gotErr, walkErr)
 	}
@@ -150,7 +227,7 @@ func checkAgainstRef(t testing.TB, data []byte) {
 // visitBits re-encodes visits so that comparison is on bits, not on
 // float equality (a NaN speed must compare equal to itself).
 func visitBits(vs []Visit) []byte {
-	out := make([]byte, 0, len(vs)*visitBytes)
+	out := make([]byte, 0, len(vs)*v2VisitBytes)
 	for _, v := range vs {
 		out = binary.LittleEndian.AppendUint32(out, uint32(v.Segment))
 		out = binary.LittleEndian.AppendUint32(out, uint32(v.EnterMs))
@@ -160,26 +237,29 @@ func visitBits(vs []Visit) []byte {
 	return out
 }
 
-// TestReadDatasetMatchesReference truncates a real dataset at every
-// offset through its header and first trajectories, and at a spread of
-// offsets beyond: each prefix must fail (or, at full length, decode)
-// exactly as the field-by-field reference does.
+// TestReadDatasetMatchesReference truncates a real dataset, in each
+// version, at every offset through its header and first trajectories,
+// and at a spread of offsets beyond: each prefix must fail (or, at full
+// length, decode) as its oracle says.
 func TestReadDatasetMatchesReference(t *testing.T) {
-	data := encodeForTest(t, smallSim(t, testNetwork(t)))
-	checkAgainstRef(t, data)
-	for cut := 0; cut < len(data); cut++ {
-		if cut > 600 && cut%997 != 0 && cut != len(data)-1 {
-			continue
+	ds := smallSim(t, testNetwork(t))
+	for _, data := range [][]byte{encodeForTest(t, ds), encodeV2(t, ds)} {
+		checkAgainstRef(t, data)
+		for cut := 0; cut < len(data); cut++ {
+			if cut > 600 && cut%997 != 0 && cut != len(data)-1 {
+				continue
+			}
+			checkAgainstRef(t, data[:cut])
 		}
-		checkAgainstRef(t, data[:cut])
 	}
-	for _, bad := range [][]byte{nil, []byte("NOPE00000000"), append([]byte("STRJ\x03\x00"), make([]byte, 16)...)} {
+	for _, bad := range [][]byte{nil, []byte("NOPE00000000"), append([]byte("STRJ\x03\x00"), make([]byte, 16)...), append([]byte("STRJ\x04\x00"), make([]byte, 16)...)} {
 		checkAgainstRef(t, bad)
 	}
 }
 
-// TestScanDatasetChunks covers a trajectory longer than one bulk read,
-// the reuse of the visit buffer across callbacks, and a callback error.
+// TestScanDatasetChunks covers, in each version, a trajectory longer
+// than one bulk read of version 2, the reuse of the visit buffer across
+// callbacks, and a callback error.
 func TestScanDatasetChunks(t *testing.T) {
 	long := make([]Visit, 2*scanChunkVisits+17)
 	for i := range long {
@@ -190,32 +270,47 @@ func TestScanDatasetChunks(t *testing.T) {
 		{Taxi: 4, Day: 1, Visits: []Visit{}},
 		{Taxi: 9, Day: 2, Visits: long[:3]},
 	}}
-	data := encodeForTest(t, ds)
-	checkAgainstRef(t, data)
-	checkAgainstRef(t, data[:len(data)-5])
-	checkAgainstRef(t, data[:22+10+scanChunkVisits*visitBytes+8])
+	v2 := encodeV2(t, ds)
+	checkAgainstRef(t, v2[:len(v2)-5])
+	checkAgainstRef(t, v2[:22+10+scanChunkVisits*v2VisitBytes+8]) // header, head, a bulk read, half a visit
+	for _, data := range [][]byte{encodeForTest(t, ds), v2} {
+		checkAgainstRef(t, data)
+		checkAgainstRef(t, data[:len(data)/2])
+		var lens []int
+		_, stats, err := ScanDataset(bytes.NewReader(data), func(mt *MatchedTrajectory) error {
+			lens = append(lens, len(mt.Visits))
+			return nil
+		})
+		if err != nil || !reflect.DeepEqual(lens, []int{len(long), 0, 3}) || stats != ds.Stats() {
+			t.Fatalf("scan: lens %v stats %+v err %v, want %+v", lens, stats, err, ds.Stats())
+		}
+		stop := errors.New("stop")
+		if _, _, err := ScanDataset(bytes.NewReader(data), func(*MatchedTrajectory) error { return stop }); err != stop {
+			t.Fatalf("callback error came back as %v", err)
+		}
+	}
+}
 
-	var lens []int
-	_, stats, err := ScanDataset(bytes.NewReader(data), func(mt *MatchedTrajectory) error {
-		lens = append(lens, len(mt.Visits))
-		return nil
-	})
-	if err != nil || !reflect.DeepEqual(lens, []int{len(long), 0, 3}) || stats != ds.Stats() {
-		t.Fatalf("scan: lens %v stats %+v err %v, want %+v", lens, stats, err, ds.Stats())
+// v3Head is a version 3 payload's header and the head of one trajectory
+// (taxi 7, day 0) declaring nv visits in size bytes.
+func v3Head(count uint32, nv, size uint64) []byte {
+	p := binary.LittleEndian.AppendUint64(nil, 0)
+	p = binary.LittleEndian.AppendUint32(p, 1)
+	p = binary.LittleEndian.AppendUint32(p, count)
+	for _, f := range []uint64{7, 0, nv, size} {
+		p = binary.AppendUvarint(p, f)
 	}
-	stop := errors.New("stop")
-	if _, _, err := ScanDataset(bytes.NewReader(data), func(*MatchedTrajectory) error { return stop }); err != stop {
-		t.Fatalf("callback error came back as %v", err)
-	}
+	return p
 }
 
 // TestReadDatasetHostileCounts feeds headers that declare four billion
 // trajectories, or visits, over a few bytes of input: the reader must
-// fail for lack of input having allocated next to nothing.
+// fail having allocated next to nothing. Version 3 files carry valid
+// checksums, so the counts reach the decoder.
 func TestReadDatasetHostileCounts(t *testing.T) {
 	head := func(count uint32) []byte {
 		b := []byte(codecMagic)
-		b = binary.LittleEndian.AppendUint16(b, codecVersion)
+		b = binary.LittleEndian.AppendUint16(b, v2Version)
 		b = binary.LittleEndian.AppendUint64(b, 0)
 		b = binary.LittleEndian.AppendUint32(b, 1)
 		return binary.LittleEndian.AppendUint32(b, count)
@@ -226,7 +321,15 @@ func TestReadDatasetHostileCounts(t *testing.T) {
 	manyVisits = binary.LittleEndian.AppendUint16(manyVisits, 0)
 	manyVisits = binary.LittleEndian.AppendUint32(manyVisits, 1<<32-1)
 	manyVisits = append(manyVisits, make([]byte, 40)...)
-	for _, data := range [][]byte{manyTraj, manyVisits} {
+	const nv = 1<<32 - 1
+	for _, data := range [][]byte{
+		manyTraj,
+		manyVisits,
+		framed(v3Head(1<<32-1, 0, 0)),
+		framed(append(v3Head(1, nv, nv*minVisitBytes), make([]byte, 60)...)),
+		framed(append(v3Head(1, nv, nv*maxVisitBytes), make([]byte, 60)...)),
+		framed(append(v3Head(1, nv, 60), make([]byte, 60)...)),
+	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := ReadDataset(bytes.NewReader(data))
@@ -241,28 +344,84 @@ func TestReadDatasetHostileCounts(t *testing.T) {
 	}
 }
 
+// TestDatasetV3Layout pins version 3 byte by byte on a hand-coded
+// trajectory: shortest-form varints, the contiguous flag, negative
+// deltas and gaps, a visit running backwards in time.
+func TestDatasetV3Layout(t *testing.T) {
+	ds := &Dataset{BaseDate: time.Unix(1_400_000_000, 0).UTC(), Days: 2, Matched: []MatchedTrajectory{
+		{Taxi: 300, Day: 1, Visits: []Visit{
+			{Segment: 5, EnterMs: 1000, ExitMs: 1500, Speed: 2},  // gap 1000 from time 0
+			{Segment: 70, EnterMs: 1500, ExitMs: 1600, Speed: 1}, // contiguous
+			{Segment: 3, EnterMs: 1590, ExitMs: 1580, Speed: 0},  // gap -10, duration -10
+		}},
+		{Taxi: -1, Day: -1},
+	}}
+	le := binary.LittleEndian
+	p := le.AppendUint64(nil, 1_400_000_000)
+	p = le.AppendUint32(p, 2)
+	p = le.AppendUint32(p, 2)
+	block := []byte{
+		0x0a, 0xe8, 0x07, 0xd0, 0x0f, 0x00, 0x00, 0x00, 0x40, // +5, 500<<1, gap zigzag 2000, 2.0
+		0x82, 0x01, 0xc9, 0x01, 0x00, 0x00, 0x80, 0x3f, // zigzag +65, 100<<1|1, 1.0
+		0x85, 0x01, 0xec, 0xff, 0xff, 0xff, 0x1f, 0x13, 0x00, 0x00, 0x00, 0x00, // zigzag -67, (2^32-10)<<1, gap zigzag -10, 0.0
+	}
+	p = append(p, 0xac, 0x02, 1, 3, byte(len(block)))
+	p = append(p, block...)
+	p = append(p, 0xff, 0xff, 0xff, 0xff, 0x0f, 0xff, 0xff, 0x03, 0, 0)
+	want := framed(p)
+	if got := encodeForTest(t, ds); !bytes.Equal(got, want) {
+		t.Fatalf("encoding\n got  % x\n want % x", payloadOf(got), p)
+	}
+	got, err := ReadDataset(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeV2(t, got), encodeV2(t, ds)) {
+		t.Fatalf("decoded %+v, want %+v", got.Matched, ds.Matched)
+	}
+}
+
 // FuzzReadDataset: arbitrary bytes never panic or over-allocate, and
-// ReadDataset, the structural walk and the reference reader agree on
-// every input — accept/reject, error text, dataset bits, Stats.
+// ReadDataset and the structural walk agree with their oracle on every
+// input (checkAgainstRef). With frame set the input is a version 3
+// payload, framed with valid checksums so that mutation reaches the
+// records; otherwise it is the file itself, version 2 or anything else.
 func FuzzReadDataset(f *testing.F) {
 	ds := &Dataset{BaseDate: time.Unix(1_400_000_000, 0).UTC(), Days: 2, Matched: []MatchedTrajectory{
 		{Taxi: 1, Day: 0, Visits: []Visit{{Segment: 3, EnterMs: 10, ExitMs: 20, Speed: 7.5}, {Segment: 4, EnterMs: 20, ExitMs: 35, Speed: 9}}},
 		{Taxi: 2, Day: 1, Visits: []Visit{}},
 	}}
 	valid := encodeForTest(f, ds)
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])
-	f.Add(valid[:25])
-	f.Add([]byte("NOPE"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	payload := payloadOf(valid)
+	f.Add(payload, true)
+	f.Add(payload[:len(payload)-3], true)
+	f.Add(valid[:25], false)
+	f.Add([]byte("NOPE"), false)
+	f.Add([]byte{}, false)
+	v2 := encodeV2(f, ds)
+	f.Add(v2, false)
+	f.Add(v2[:len(v2)-3], false)
+	// Two inputs that are not the writer's form: the first taxi as a
+	// two-byte varint, and the first visit's entry gap (header 16 bytes,
+	// trajectory head 4, segment delta and duration 1 each) as 0 without
+	// the contiguous flag.
+	overlong := append(append(bytes.Clone(payload[:16]), 0x81, 0x00), payload[17:]...)
+	f.Add(overlong, true)
+	zeroGap := bytes.Clone(payload)
+	zeroGap[16+4+2] = 0
+	f.Add(zeroGap, true)
+	f.Fuzz(func(t *testing.T, data []byte, frame bool) {
+		if frame {
+			data = framed(data)
+		}
 		checkAgainstRef(t, data)
 	})
 }
 
-// writeDatasetRef is the encoder this package shipped before the append
-// encoder: every field through its own bufio.Writer.Write. WriteDataset
-// is held to it byte for byte.
+// writeDatasetRef is the version 2 encoder this package shipped: every
+// field through its own bufio.Writer.Write. It makes the version 2 files
+// the reader still reads, and, as every field's bits in a fixed layout,
+// the record of a dataset that two datasets are compared on.
 func writeDatasetRef(w io.Writer, ds *Dataset) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(codecMagic); err != nil {
@@ -284,7 +443,7 @@ func writeDatasetRef(w io.Writer, ds *Dataset) error {
 		_, err := bw.Write(scratch[:8])
 		return err
 	}
-	if err := writeU16(codecVersion); err != nil {
+	if err := writeU16(v2Version); err != nil {
 		return fmt.Errorf("traj: write version: %w", err)
 	}
 	if err := writeU64(uint64(ds.BaseDate.Unix())); err != nil {
@@ -345,14 +504,15 @@ func randomBitsDataset(rng *rand.Rand, trajs, maxVisits int) *Dataset {
 	return ds
 }
 
-// TestWriteDatasetMatchesReference: the append encoder writes the bytes
-// the field-by-field encoder wrote, on random datasets, on datasets that
-// cross its buffer several times, on an empty dataset and on trajectories
-// with no visits.
+// TestWriteDatasetMatchesReference: what WriteDataset writes decodes to
+// the dataset it was written from, every field's bits as the version 2
+// reference encoder records them, and re-encodes to the same bytes — on
+// random datasets, on datasets that cross the frame's chunk many times,
+// on an empty dataset and on trajectories with no visits.
 func TestWriteDatasetMatchesReference(t *testing.T) {
 	long := randomBitsDataset(rand.New(rand.NewSource(1)), 1, 0)
 	long.Matched[0].Visits = randomBitsDataset(rand.New(rand.NewSource(2)), 1, 0).Matched[0].Visits
-	for i := 0; i < 3*encodeChunk/visitBytes+5; i++ {
+	for i := 0; i < 3*writeChunk/minVisitBytes+5; i++ {
 		long.Matched[0].Visits = append(long.Matched[0].Visits, Visit{Segment: segID(uint32(i)), EnterMs: int32(i), ExitMs: int32(-i), Speed: float32(i)})
 	}
 	cases := map[string]*Dataset{
@@ -366,18 +526,23 @@ func TestWriteDatasetMatchesReference(t *testing.T) {
 		cases[fmt.Sprintf("random %d", seed)] = randomBitsDataset(rand.New(rand.NewSource(seed)), int(seed)*37, 40)
 	}
 	for name, ds := range cases {
-		var got, want bytes.Buffer
-		if err := WriteDataset(&got, ds); err != nil {
+		data := encodeForTest(t, ds)
+		got, err := ReadDataset(bytes.NewReader(data))
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := writeDatasetRef(&want, ds); err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
+		if !bytes.Equal(encodeV2(t, got), encodeV2(t, ds)) {
+			t.Fatalf("%s: decodes to another dataset", name)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%s: %d bytes differ from the reference's %d", name, got.Len(), want.Len())
+		if again := encodeForTest(t, got); !bytes.Equal(again, data) {
+			t.Fatalf("%s: re-encodes to %d bytes, first encoding %d", name, len(again), len(data))
 		}
 	}
 }
+
+// writeChunk is the frame's chunk payload, which WriteDataset writes out
+// whole.
+const writeChunk = 64 << 10
 
 // shortWriter accepts limit bytes, then fails every write.
 type shortWriter struct{ limit int }
@@ -395,13 +560,60 @@ func (w *shortWriter) Write(p []byte) (int, error) {
 }
 
 // TestWriteDatasetReportsWriteError: a writer that fails at the first
-// write, or after one or more full buffers, fails WriteDataset with its
+// write, or after one or more full chunks, fails WriteDataset with its
 // error.
 func TestWriteDatasetReportsWriteError(t *testing.T) {
-	ds := randomBitsDataset(rand.New(rand.NewSource(4)), 3_000, 200) // about 4.8 MB
-	for _, limit := range []int{0, 100, encodeChunk - 1, encodeChunk + 1, 2 * encodeChunk} {
+	ds := randomBitsDataset(rand.New(rand.NewSource(4)), 3_000, 200) // about 4 MB
+	for _, limit := range []int{0, 100, writeChunk - 1, writeChunk + 1, 2 * writeChunk, 20 * writeChunk} {
 		if err := WriteDataset(&shortWriter{limit: limit}, ds); !errors.Is(err, errShortWrite) {
 			t.Fatalf("limit %d: error %v, want the writer's", limit, err)
 		}
+	}
+}
+
+// BenchmarkDatasetCodec measures both versions of dataset.bin on a fifth
+// of the benchmark world's fleet: the bytes a visit takes, and the ns a
+// visit takes to encode and to decode through ReadDataset (version 3's
+// checksums included). Version 2 is encoded by the field-by-field
+// reference encoder, the only version 2 writer left.
+func BenchmarkDatasetCodec(b *testing.B) {
+	cfg := benchSimConfig()
+	cfg.Taxis = 100
+	ds, err := Simulate(benchCity(b), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	visits := float64(ds.Stats().Visits)
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer, *Dataset) error
+	}{{"v2", writeDatasetRef}, {"v3", WriteDataset}} {
+		var file bytes.Buffer
+		if err := c.write(&file, ds); err != nil {
+			b.Fatal(err)
+		}
+		perVisit := func(b *testing.B) {
+			b.ReportMetric(float64(file.Len())/visits, "B/visit")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/visits, "ns/visit")
+		}
+		b.Run(c.name+"/encode", func(b *testing.B) {
+			var out bytes.Buffer
+			out.Grow(file.Len())
+			for i := 0; i < b.N; i++ {
+				out.Reset()
+				if err := c.write(&out, ds); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perVisit(b)
+		})
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ReadDataset(bytes.NewReader(file.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perVisit(b)
+		})
 	}
 }

@@ -83,19 +83,6 @@ type MatchedTrajectory struct {
 	Visits []Visit
 }
 
-// Validate checks temporal ordering of visits.
-func (mt *MatchedTrajectory) Validate() error {
-	for i, v := range mt.Visits {
-		if v.ExitMs < v.EnterMs {
-			return fmt.Errorf("traj: taxi %d day %d visit %d exits before entering", mt.Taxi, mt.Day, i)
-		}
-		if i > 0 && v.EnterMs < mt.Visits[i-1].EnterMs {
-			return fmt.Errorf("traj: taxi %d day %d visit %d out of order", mt.Taxi, mt.Day, i)
-		}
-	}
-	return nil
-}
-
 // MaxTaxis bounds taxi IDs: the ST-Index packs a taxi into 15 bits of a
 // time-list entry, so both index builders and live ingest refuse IDs at
 // or above it.

@@ -52,8 +52,13 @@ func TestSimulateProducesValidTrajectories(t *testing.T) {
 	}
 	for i := range ds.Matched {
 		mt := &ds.Matched[i]
-		if err := mt.Validate(); err != nil {
-			t.Fatal(err)
+		for j, v := range mt.Visits {
+			if v.ExitMs < v.EnterMs {
+				t.Fatalf("taxi %d day %d visit %d exits before entering", mt.Taxi, mt.Day, j)
+			}
+			if j > 0 && v.EnterMs < mt.Visits[j-1].EnterMs {
+				t.Fatalf("taxi %d day %d visit %d out of order", mt.Taxi, mt.Day, j)
+			}
 		}
 		for _, v := range mt.Visits {
 			if v.Segment < 0 || int(v.Segment) >= n.NumSegments() {

@@ -20,11 +20,12 @@ import (
 
 // On-disk layout of a saved system:
 //
-//	dir/network.bin    road network (roadnet codec)
-//	dir/dataset.bin    matched trajectories (traj codec). The indexes
-//	                   are derived from it; an opened system checks its
-//	                   structure, keeps its statistics and reads it again
-//	                   only on demand (see System.Dataset).
+//	dir/network.bin    road network (roadnet codec, STRN v2)
+//	dir/dataset.bin    matched trajectories (traj codec, STRJ v3: visits
+//	                   delta-coded, about 8.4 B each). The indexes are
+//	                   derived from it; an opened system checks its
+//	                   frame and structure, keeps its statistics and
+//	                   reads it again only on demand (see System.Dataset).
 //	dir/pages.db       ST-Index time-list pages
 //	dir/stindex.meta   ST-Index metadata and handle table (flat,
 //	                   slot-major, one handle per (slot, segment))
@@ -36,15 +37,17 @@ import (
 //	                   without it reopens with cold, lazily-materialised
 //	                   tables.
 //
-// The three files derived from the ground truth — stindex.meta,
-// conindex.bin and conindex.adj — share one checksummed frame
-// (storage.ChecksumWriter, DESIGN.md §11.3). One that does not load,
-// whatever the reason (a layout from before the frame included), is
-// rebuilt from the trajectories or, for the adjacency cache, dropped.
+// All of them but pages.db share one checksummed frame
+// (storage.ChecksumWriter, DESIGN.md §11.3). A derived file — stindex.meta,
+// conindex.bin, conindex.adj — that does not load, whatever the reason
+// (a layout from before the frame included), is rebuilt from the
+// trajectories or, for the adjacency cache, dropped. The network and the
+// trajectories are the ground truth and have no rebuild path: a damaged
+// one fails the open as CorruptData, and their unframed layouts from
+// before the frame (STRN v1, STRJ v2) are still read. Save copies an
+// opened system's dataset.bin byte for byte, whatever its version.
 // dir/planshapes.bin, a plan-shape hint written by earlier builds, is
 // now ignored: neither read nor removed.
-// The network and the dataset keep their own codecs: they have no
-// rebuild path.
 //
 // A live-ingesting system adds a write-ahead log directory:
 //
@@ -263,7 +266,8 @@ func (s *System) persistIndexes(dir string) error {
 // is taken from idx; granularity comes from
 // the saved indexes, and from idx only when neither index file tells it.
 //
-// The network and dataset are the ground truth and must load cleanly.
+// The network and dataset are the ground truth and must load cleanly;
+// a damaged one fails the open as CorruptData.
 // Both indexes are derived from them, so a corrupt index file — a
 // checksum mismatch, truncation, or any other load failure — is
 // detected, logged, and repaired by a cold rebuild from the
@@ -272,10 +276,12 @@ func (s *System) persistIndexes(dir string) error {
 // (best effort) so the next open is warm again.
 //
 // The opened system holds its indexes, not its input: dataset.bin is
-// walked once for structure and statistics (a bad magic, an unsupported
-// version or a truncation fails the open) and decoded only if an index
-// needs a cold rebuild. What later asks for the trajectories reads the
-// file then; see System.Dataset.
+// walked once for structure and statistics — every checksum of its frame
+// verified, its visits stepped over undecoded; a bad magic, an
+// unsupported version, a truncation or a checksum mismatch fails the
+// open as CorruptData — and decoded only if an index needs a cold
+// rebuild. What later asks for the trajectories reads the file then; see
+// System.Dataset.
 func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 	if idx.PoolPages == 0 {
 		idx.PoolPages = 1024

@@ -14,6 +14,7 @@ import (
 
 	"streach/internal/stindex"
 	"streach/internal/storage"
+	"streach/internal/traj"
 )
 
 // framed is payload in a frame with a valid checksum.
@@ -25,11 +26,26 @@ func framed(magic string, version uint16, payload []byte) []byte {
 	return b.Bytes()
 }
 
-// TestLoadersAllocateByBytesRead: a derived file whose checksums hold
+// payloadOf is the payload of a frame with valid chunk lengths.
+func payloadOf(frame []byte) []byte {
+	var p []byte
+	for off := 6; ; {
+		n := int(binary.LittleEndian.Uint32(frame[off:]))
+		if n == 0 {
+			return p
+		}
+		p = append(p, frame[off+4:off+4+n]...)
+		off += 8 + n
+	}
+}
+
+// TestLoadersAllocateByBytesRead: a framed file whose checksums hold
 // but whose header claims far more records than it carries fails
 // without allocating what the header promises, from a stream and from a
 // file alike: the loaders size their arrays by what the frame can still
-// hold. (The Con-Index files have the same case in their package.)
+// hold. That covers dataset.bin, whose trajectory heads may claim four
+// billion visits. (The Con-Index files have the same case in their
+// package.)
 func TestLoadersAllocateByBytesRead(t *testing.T) {
 	net := smallSystem(t).Network()
 	nseg := uint32(net.NumSegments())
@@ -47,6 +63,25 @@ func TestLoadersAllocateByBytesRead(t *testing.T) {
 		_, err := stindex.LoadIndex(net, stindex.Config{Store: storage.NewMemStore()}, r)
 		return err
 	}
+	// A dataset.bin of one trajectory declaring nv visits in size bytes
+	// over 64 bytes of them, or of count trajectories and nothing more.
+	dataset := func(count uint32, nv, size uint64) []byte {
+		p := binary.LittleEndian.AppendUint64(nil, 0)
+		p = binary.LittleEndian.AppendUint32(p, 1)
+		p = binary.LittleEndian.AppendUint32(p, count)
+		if nv > 0 {
+			for _, f := range []uint64{7, 0, nv, size} {
+				p = binary.AppendUvarint(p, f)
+			}
+			p = append(p, make([]byte, 64)...)
+		}
+		return framed("STRJ", 3, p)
+	}
+	loadDataset := func(r io.Reader) error {
+		_, err := traj.ReadDataset(r)
+		return err
+	}
+	const nv = 1<<32 - 1
 	for _, row := range []struct {
 		name string
 		file []byte
@@ -54,6 +89,9 @@ func TestLoadersAllocateByBytesRead(t *testing.T) {
 	}{
 		{"stindex.meta: 1-second slots, no handles", meta(1, 7), loadMeta},
 		{"stindex.meta: 2^32-1 days", meta(300, 1<<32-1), loadMeta},
+		{"dataset.bin: 2^32-1 trajectories", dataset(nv, 0, 0), loadDataset},
+		{"dataset.bin: 2^32-1 visits in 6 B each", dataset(1, nv, 6*nv), loadDataset},
+		{"dataset.bin: 2^32-1 visits in 64 B", dataset(1, nv, 64), loadDataset},
 	} {
 		path := filepath.Join(t.TempDir(), "file")
 		if err := os.WriteFile(path, row.file, 0o644); err != nil {
