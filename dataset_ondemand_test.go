@@ -67,47 +67,32 @@ func TestOpenedSystemHoldsNoDataset(t *testing.T) {
 	}
 }
 
-// TestBusiestLocationStreamsAndMemoises: an opened system answers
-// BusiestLocation from one streamed pass over dataset.bin — the same
-// answer the in-memory scan gives — and a repeated question from its
-// memo, without the file.
-func TestBusiestLocationStreamsAndMemoises(t *testing.T) {
+// TestBusiestLocationWithoutDatasetFile: after the open, the pick and the
+// queries an opened system answers read its indexes only. With
+// dataset.bin deleted, every pick equals the built system's, logs
+// nothing, leaves the decoded-list cache as it was, and the requests
+// around it answer as the reference does; only Dataset() misses the file.
+func TestBusiestLocationWithoutDatasetFile(t *testing.T) {
 	built, opened := smallSystem(t), variant(t, vcfg{planCache: -1, saved: true})
-	dir := opened.dir
-	for _, tod := range []time.Duration{11 * time.Hour, 8*time.Hour + 7*time.Minute, 3 * time.Hour} {
-		if got, want := opened.BusiestLocation(tod), built.BusiestLocation(tod); got != want {
-			t.Fatalf("BusiestLocation(%v) = %+v from the file, %+v from memory", tod, got, want)
-		}
-	}
-	// With the file gone a repeated question is still answered (one file
-	// read for two calls) and a new one is visibly not.
-	if err := os.Rename(filepath.Join(dir, fileDataset), filepath.Join(dir, "moved")); err != nil {
+	if err := os.Remove(filepath.Join(opened.dir, fileDataset)); err != nil {
 		t.Fatal(err)
 	}
 	logBuf := captureLog(t)
-	if got, want := opened.BusiestLocation(11*time.Hour), built.BusiestLocation(11*time.Hour); got != want {
-		t.Fatalf("memoised BusiestLocation = %+v, want %+v", got, want)
+	for _, tod := range []time.Duration{11 * time.Hour, 8*time.Hour + 7*time.Minute, 3 * time.Hour, 17 * time.Hour} {
+		cache := opened.st.CacheStats()
+		if got, want := opened.BusiestLocation(tod), built.BusiestLocation(tod); got != want {
+			t.Fatalf("BusiestLocation(%v) = %+v without the file, %+v built", tod, got, want)
+		}
+		if opened.st.CacheStats() != cache {
+			t.Fatalf("BusiestLocation(%v) moved the decoded-list cache", tod)
+		}
 	}
+	checkOracle(t, reference(t), serial(opened), requestMatrix(built, 11*time.Hour).full)
 	if logBuf.Len() != 0 {
-		t.Fatalf("a memoised answer went to the file:\n%s", logBuf.String())
-	}
-	opened.BusiestLocation(17 * time.Hour)
-	if !strings.Contains(logBuf.String(), "dataset scan cut short") {
-		t.Fatal("a new time of day did not read the dataset file")
-	}
-	if len(opened.busiest) != 3 {
-		t.Fatalf("memo holds %d answers, want the 3 complete ones", len(opened.busiest))
+		t.Fatalf("picks and queries logged:\n%s", logBuf.String())
 	}
 	if opened.Dataset() != nil {
 		t.Fatal("Dataset() of a system whose file is gone should be nil")
-	}
-
-	// The memo is bounded.
-	for i := 0; i < 3*busiestMemoCap; i++ {
-		built.BusiestLocation(time.Duration(i) * time.Second)
-		if len(built.busiest) > busiestMemoCap {
-			t.Fatalf("memo grew to %d entries, cap is %d", len(built.busiest), busiestMemoCap)
-		}
 	}
 }
 
@@ -171,7 +156,8 @@ func datasetV2(ds *traj.Dataset) []byte {
 
 // TestOpenSystemRejectsDamagedDataset: the structural walk fails the
 // open on what the full decode fails on, with the same words, and as
-// CorruptData — on a version 2 file at every kind of cut, and on the
+// CorruptData — on a version 2 file at every kind of cut or with bytes
+// after its end, and on the
 // version 3 file Save writes wherever its frame is damaged.
 func TestOpenSystemRejectsDamagedDataset(t *testing.T) {
 	built := smallSystem(t)
@@ -201,6 +187,7 @@ func TestOpenSystemRejectsDamagedDataset(t *testing.T) {
 		{"cut inside a visit field", "traj: trajectory 0 visit 2: unexpected EOF", data[:22+10+2*16+5]},
 		{"cut between visit fields", "traj: trajectory 0 visit 2: EOF", data[:22+10+2*16+8]},
 		{"last byte missing", "unexpected EOF", data[:len(data)-1]},
+		{"16 bytes after the end", "declared trajectories", append(bytes.Clone(data), bytes.Repeat([]byte{0xa5}, 16)...)},
 		{"v3 cut in the header", "traj: read header: storage: STRJ frame: truncated at byte 16", v3[:16]},
 		{"v3 flipped bit", "storage: STRJ frame: checksum mismatch", flipped},
 		{"v3 last byte missing", "storage: STRJ frame: truncated", v3[:len(v3)-1]},

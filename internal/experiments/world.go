@@ -133,40 +133,30 @@ func (w *World) MultiQueryLocations(n int, tod time.Duration) ([]streach.Locatio
 	if n <= 0 {
 		return nil, fmt.Errorf("experiments: need n > 0")
 	}
-	// Rank segments by distinct traffic days in the slot at tod.
-	type busy struct {
-		seg  roadnet.SegmentID
-		days int
+	// Rank segments by distinct traffic days in the slot containing tod,
+	// as System.BusiestLocation does.
+	sys, err := w.System(300)
+	if err != nil {
+		return nil, err
 	}
-	counts := map[roadnet.SegmentID]map[traj.Day]bool{}
-	lo, hi := tod, tod+5*time.Minute
-	for i := range w.DS.Matched {
-		mt := &w.DS.Matched[i]
-		for _, v := range mt.Visits {
-			enter := time.Duration(v.EnterMs) * time.Millisecond
-			if enter >= lo && enter < hi {
-				if counts[v.Segment] == nil {
-					counts[v.Segment] = map[traj.Day]bool{}
-				}
-				counts[v.Segment][mt.Day] = true
-			}
+	x := sys.Engine().STIndex()
+	traffic, err := x.SlotTraffic(int(tod / (time.Duration(x.SlotSeconds()) * time.Second)))
+	if err != nil {
+		return nil, err
+	}
+	var ranked []roadnet.SegmentID
+	for seg, days := range traffic {
+		if days > 0 {
+			ranked = append(ranked, roadnet.SegmentID(seg))
 		}
 	}
-	ranked := make([]busy, 0, len(counts))
-	for seg, d := range counts {
-		ranked = append(ranked, busy{seg, len(d)})
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].days != ranked[j].days {
-			return ranked[i].days > ranked[j].days
-		}
-		return ranked[i].seg < ranked[j].seg
-	})
+	// Stable: equal traffic keeps the lowest ID first.
+	sort.SliceStable(ranked, func(i, j int) bool { return traffic[ranked[i]] > traffic[ranked[j]] })
 	const minSpacing = 1500.0 // metres between query locations
 	var picked []geo.Point
 	var out []streach.Location
-	for _, b := range ranked {
-		p := w.Net.Segment(b.seg).Midpoint()
+	for _, seg := range ranked {
+		p := w.Net.Segment(seg).Midpoint()
 		tooClose := false
 		for _, q := range picked {
 			if geo.Distance(p, q) < minSpacing {

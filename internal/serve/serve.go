@@ -453,8 +453,8 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 		// No location given: the busiest segment at the start time, picked
-		// once the request is admitted (the first pick per time of day
-		// scans the whole dataset).
+		// once the request is admitted (the pick reads one slot's time
+		// lists from the ST-Index).
 		req.Kind = streach.KindReach
 	}
 	if p.Reverse {

@@ -264,11 +264,11 @@ func TestReachRejectsNaNAndOverflow(t *testing.T) {
 }
 
 // TestNoLocationScansOnlyWhenAdmitted: a request without a location
-// asks for the busiest segment at its start, and the first such pick
-// per time of day scans the whole dataset. Only a request that passed
-// its parameter checks, its client's quota and admission may start that
-// scan. The opened system's dataset.bin is removed, so every scan logs
-// "dataset scan cut short".
+// asks for the busiest segment at its start, which reads that slot's
+// time lists from the ST-Index. Only a request that passed its parameter
+// checks, its client's quota and admission may start that read: a shed
+// request leaves the buffer pool's counters as they were. The opened
+// system's dataset.bin is removed, which no request may notice.
 func TestNoLocationScansOnlyWhenAdmitted(t *testing.T) {
 	built, err := streach.NewSystem(streach.CityConfig{
 		OriginLat: 22.50, OriginLng: 114.00,
@@ -295,7 +295,9 @@ func TestNoLocationScansOnlyWhenAdmitted(t *testing.T) {
 	var logged bytes.Buffer
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(&logged)
-	scanned := func() bool { return strings.Contains(logged.String(), "dataset scan cut short") }
+	pool := sys.Engine().STIndex().Pool()
+	before := pool.Stats()
+	read := func() bool { return pool.Stats() != before }
 
 	// One request per client per two seconds, one deep.
 	h := New(sys, Config{ClientRPS: 0.5}).Handler()
@@ -306,22 +308,24 @@ func TestNoLocationScansOnlyWhenAdmitted(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		return rec.Code
 	}
-	if code := get("a", "start=25h&dur=10m"); code != http.StatusBadRequest || scanned() {
-		t.Errorf("start=25h: status %d, scanned %v; want 400 and no scan", code, scanned())
+	if code := get("a", "start=25h&dur=10m"); code != http.StatusBadRequest || read() {
+		t.Errorf("start=25h: status %d, read the index %v; want 400 and no read", code, read())
 	}
-	logged.Reset()
 	mid := sys.Network().Segment(0).Midpoint()
 	at := fmt.Sprintf("start=11h&dur=10m&lat=%g&lng=%g", mid.Lat, mid.Lng)
 	if code := get("c", at); code != http.StatusOK {
 		t.Fatalf("located request: status %d", code)
 	}
-	if code := get("c", "start=11h&dur=10m"); code != http.StatusTooManyRequests || scanned() {
-		t.Errorf("over quota: status %d, scanned %v; want 429 and no scan", code, scanned())
+	before = pool.Stats()
+	if code := get("c", "start=11h&dur=10m"); code != http.StatusTooManyRequests || read() {
+		t.Errorf("over quota: status %d, read the index %v; want 429 and no read", code, read())
 	}
-	// The check sees a scan: an admitted request makes one.
-	get("b", "start=11h&dur=10m")
-	if !scanned() {
-		t.Fatal("an admitted no-location request logged no scan")
+	// The check sees a read: an admitted request makes one.
+	if code := get("b", "start=11h&dur=10m"); code != http.StatusOK || !read() {
+		t.Fatalf("admitted no-location request: status %d, read the index %v; want 200 and a read", code, read())
+	}
+	if logged.Len() != 0 {
+		t.Fatalf("requests logged:\n%s", logged.String())
 	}
 }
 

@@ -294,6 +294,50 @@ func (x *Index) NewMatcher(s *MatchSets) *Matcher {
 	return &Matcher{matchState: newMatchState(s), tableReader: x.newTableReader()}
 }
 
+// SlotTraffic returns, per segment, the number of distinct days with an
+// entry in the segment's merged time list (base ∪ pending delta) at slot
+// — the traffic query origins are ranked by. It runs a Matcher with a
+// probe that every taxi matches on every day, so it reads under the same
+// lock discipline as verification (DESIGN.md §13.1) and never touches
+// the decoded-list cache. A slot outside the day counts nothing.
+func (x *Index) SlotTraffic(slot int) ([]int, error) {
+	m := x.NewMatcher(anyTaxiSets(x.days))
+	out := make([]int, x.net.NumSegments())
+	for seg := range out {
+		n, err := m.Match(roadnet.SegmentID(seg), slot, slot)
+		if err != nil {
+			return nil, err
+		}
+		out[seg] = n
+	}
+	return out, nil
+}
+
+// anyTaxiSets is one source holding every taxi on every day, built
+// directly: NewMatchSets would visit all 2^15 taxi bits of every day.
+func anyTaxiSets(days int) *MatchSets {
+	dw := bitset.Words(days)
+	allDays := bitset.New(days)
+	for d := range days {
+		allDays.Add(d)
+	}
+	// Every taxi's mask is allDays: copy it, then double what is filled.
+	byTaxi := make([]uint64, maxTaxis*dw)
+	for n := copy(byTaxi, allDays); n < len(byTaxi); n *= 2 {
+		copy(byTaxi[n:], byTaxi[:n])
+	}
+	allTaxis := make([]uint64, bitset.Words(maxTaxis))
+	for w := range allTaxis {
+		allTaxis[w] = ^uint64(0)
+	}
+	byDay := make([][]uint64, days)
+	for d := range byDay {
+		byDay[d] = allTaxis
+	}
+	return &MatchSets{days: days, dw: dw, sets: [][][]uint64{byDay}, byTaxi: [][]uint64{byTaxi},
+		taxis: maxTaxis, need: [][]uint64{allDays}, needN: days}
+}
+
 // Lists reports how many non-empty time lists (base blobs and pending
 // delta entries) the matcher has walked so far.
 func (m *Matcher) Lists() int64 { return m.lists }

@@ -797,3 +797,81 @@ func BenchmarkMatch(b *testing.B) {
 		})
 	}
 }
+
+// slotTrafficRef counts, per (slot, segment), the distinct days of the
+// raw visits that overlap the slot plus the delta observations at it.
+func slotTrafficRef(x *Index, ds *traj.Dataset, obs []DeltaObs) [][]int {
+	slotMs := int32(x.SlotSeconds() * 1000)
+	days := make([]map[[2]int]bool, x.NumSlots())
+	for i := range days {
+		days[i] = map[[2]int]bool{}
+	}
+	for _, mt := range ds.Matched {
+		for _, v := range mt.Visits {
+			lo, hi := slotSpan(v, slotMs, x.NumSlots())
+			for slot := lo; slot <= hi; slot++ {
+				days[slot][[2]int{int(v.Segment), int(mt.Day)}] = true
+			}
+		}
+	}
+	for _, o := range obs {
+		days[o.Slot][[2]int{int(o.Seg), int(o.Day)}] = true
+	}
+	out := make([][]int, x.NumSlots())
+	for slot := range out {
+		out[slot] = make([]int, x.Network().NumSegments())
+		for k := range days[slot] {
+			out[slot][k[0]]++
+		}
+	}
+	return out
+}
+
+// TestSlotTrafficCountsMergedDays: SlotTraffic is the raw count of
+// distinct days per segment at every slot — over one-word and two-word
+// day masks, the largest taxi, with pending deltas and after their
+// compaction — and leaves the decoded-list cache as it found it.
+func TestSlotTrafficCountsMergedDays(t *testing.T) {
+	n := testNetwork(t)
+	wide := randomDataset(rand.New(rand.NewSource(7)), n.NumSegments(), 70, 400, 300)
+	for name, ds := range map[string]*traj.Dataset{"simulated": testDataset(t, n), "70 days": wide} {
+		t.Run(name, func(t *testing.T) {
+			x := buildIndex(t, n, ds)
+			defer x.Close()
+			check := func(stage string, obs []DeltaObs) {
+				t.Helper()
+				want := slotTrafficRef(x, ds, obs)
+				cacheStats, cacheLen := x.CacheStats(), x.CacheLen()
+				for slot := -1; slot <= x.NumSlots(); slot++ {
+					got, err := x.SlotTraffic(slot)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if slot < 0 || slot == x.NumSlots() {
+						if slices.ContainsFunc(got, func(n int) bool { return n != 0 }) {
+							t.Fatalf("%s: slot %d outside the day counts traffic", stage, slot)
+						}
+						continue
+					}
+					if !slices.Equal(got, want[slot]) {
+						t.Fatalf("%s: slot %d: SlotTraffic = %v, raw visits say %v", stage, slot, got, want[slot])
+					}
+				}
+				if x.CacheStats() != cacheStats || x.CacheLen() != cacheLen {
+					t.Fatalf("%s: SlotTraffic moved the decoded-list cache", stage)
+				}
+			}
+			check("base", nil)
+			obs := testDeltaObs(x)
+			obs = append(obs, DeltaObs{Seg: 0, Slot: 0, Day: traj.Day(x.Days() - 1), Taxi: maxTaxis - 1})
+			if err := x.AppendDelta(obs); err != nil {
+				t.Fatal(err)
+			}
+			check("base+delta", obs)
+			if _, err := x.CompactDeltasBudget(0); err != nil {
+				t.Fatal(err)
+			}
+			check("compacted", obs)
+		})
+	}
+}

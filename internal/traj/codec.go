@@ -420,6 +420,13 @@ func scanV2(r io.Reader, visit func(mt *MatchedTrajectory) error) (time.Time, Da
 			}
 		}
 	}
+	// The file ends after its last trajectory, as a frame ends after its
+	// end marker: bytes past it are a file no writer wrote.
+	if _, err := br.ReadByte(); err == nil {
+		return scanFailed("traj: bytes after the %d declared trajectories", count)
+	} else if err != io.EOF {
+		return scanFailed("traj: after the last trajectory: %w", err)
+	}
 	stats.Taxis = len(taxis)
 	return base, stats, nil
 }

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,9 +24,10 @@ import (
 // ScanDataset: every field through its own io.ReadFull, one trajectory
 // after another. It is the oracle the bulk reader and the structural walk
 // are held to on every input that is not version 3 — same datasets, same
-// errors. The one change from the shipped code is that it appends
-// instead of sizing slices from the file's counts, so it can be fed
-// hostile input.
+// errors. It changes the shipped code twice: it appends instead of
+// sizing slices from the file's counts, so it can be fed hostile input,
+// and it rejects bytes after the last trajectory, which the shipped
+// code ignored.
 func readDatasetRef(r io.Reader) (*Dataset, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -103,6 +105,11 @@ func readDatasetRef(r io.Reader) (*Dataset, error) {
 			})
 		}
 		ds.Matched = append(ds.Matched, mt)
+	}
+	if _, err := br.ReadByte(); err == nil {
+		return nil, fmt.Errorf("traj: bytes after the %d declared trajectories", count)
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("traj: after the last trajectory: %w", err)
 	}
 	return ds, nil
 }
@@ -254,6 +261,29 @@ func TestReadDatasetMatchesReference(t *testing.T) {
 	}
 	for _, bad := range [][]byte{nil, []byte("NOPE00000000"), append([]byte("STRJ\x03\x00"), make([]byte, 16)...), append([]byte("STRJ\x04\x00"), make([]byte, 16)...)} {
 		checkAgainstRef(t, bad)
+	}
+}
+
+// TestReadDatasetV2RejectsTrailingBytes: a version 2 file ends after the
+// trajectories its header declares. Garbage appended to one fails the
+// decode and the structural walk alike, as corruption, as the reference
+// reader fails it; the same file without the garbage reads.
+func TestReadDatasetV2RejectsTrailingBytes(t *testing.T) {
+	v2 := encodeV2(t, smallSim(t, testNetwork(t)))
+	for _, data := range [][]byte{append(bytes.Clone(v2), bytes.Repeat([]byte{0xa5}, 16)...), append(bytes.Clone(v2), 0)} {
+		checkAgainstRef(t, data)
+		for name, err := range map[string]error{
+			"ReadDataset": func() error { _, err := ReadDataset(bytes.NewReader(data)); return err }(),
+			"walk":        func() error { _, _, err := ScanDataset(bytes.NewReader(data), nil); return err }(),
+		} {
+			if err == nil || xerr.KindOf(err) != xerr.KindCorrupt || !strings.Contains(err.Error(), "bytes after the") {
+				t.Fatalf("%s of a v2 file with %d bytes appended: %v, want corruption naming the bytes after the end", name, len(data)-len(v2), err)
+			}
+		}
+	}
+	checkAgainstRef(t, v2)
+	if _, err := ReadDataset(bytes.NewReader(v2)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -24,8 +24,11 @@ import (
 //	dir/dataset.bin    matched trajectories (traj codec, STRJ v3: visits
 //	                   delta-coded, about 8.4 B each). The indexes are
 //	                   derived from it; an opened system checks its
-//	                   frame and structure, keeps its statistics and
-//	                   reads it again only on demand (see System.Dataset).
+//	                   frame and structure and keeps its statistics.
+//	                   After that only a cold index rebuild,
+//	                   System.Dataset and Save into another directory
+//	                   read it; queries and BusiestLocation read the
+//	                   indexes.
 //	dir/pages.db       ST-Index time-list pages
 //	dir/stindex.meta   ST-Index metadata and handle table (flat,
 //	                   slot-major, one handle per (slot, segment))
@@ -156,16 +159,16 @@ func openDataset(dir string) (*os.File, error) {
 	return f, nil
 }
 
-// scanDataset streams dir/dataset.bin through visit one trajectory at a
-// time (traj.ScanDataset; a nil visit only walks the file's structure)
-// and returns the dataset's statistics.
-func scanDataset(dir string, visit func(*traj.MatchedTrajectory) error) (traj.DatasetStats, error) {
+// scanDataset walks dir/dataset.bin's structure and checksums without
+// keeping a trajectory (traj.ScanDataset with no visitor) and returns
+// the dataset's statistics.
+func scanDataset(dir string) (traj.DatasetStats, error) {
 	f, err := openDataset(dir)
 	if err != nil {
 		return traj.DatasetStats{}, err
 	}
 	defer f.Close()
-	_, stats, err := traj.ScanDataset(f, visit)
+	_, stats, err := traj.ScanDataset(f, nil)
 	return stats, err
 }
 
@@ -304,7 +307,7 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	dsStats, err := scanDataset(dir, nil)
+	dsStats, err := scanDataset(dir)
 	if err != nil {
 		return nil, err
 	}

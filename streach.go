@@ -42,7 +42,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,17 +182,13 @@ type System struct {
 	// ds is the base dataset of a system built in memory (NewSystem,
 	// NewSystemFromData), which keeps what its caller handed it. A system
 	// opened from a directory holds none — its indexes are the resident
-	// form of the data — and what asks for the trajectories themselves
-	// (Dataset, BusiestLocation, Save elsewhere) reads dir/dataset.bin
-	// when it is called and keeps nothing. dsStats is the dataset's
-	// statistics either way, taken when the system was assembled.
+	// form of the data, and they answer everything a query or
+	// BusiestLocation asks. Only Dataset and Save elsewhere read
+	// dir/dataset.bin, when they are called, and keep nothing. dsStats
+	// is the dataset's statistics either way, taken when the system was
+	// assembled.
 	ds      *traj.Dataset
 	dsStats traj.DatasetStats
-	// busiest memoises BusiestLocation per time of day: the base dataset
-	// never changes (live updates do not enter it) and each answer is a
-	// scan of every visit.
-	busiestMu sync.Mutex
-	busiest   map[time.Duration]Location
 
 	st     *stindex.Index
 	con    *conindex.Index
@@ -357,7 +352,7 @@ func assembleSystem(net *roadnet.Network, ds *traj.Dataset, dsStats traj.Dataset
 	if err != nil {
 		return nil, err
 	}
-	s := &System{net: net, netStats: net.Stats(), ds: ds, dsStats: dsStats, busiest: map[time.Duration]Location{},
+	s := &System{net: net, netStats: net.Stats(), ds: ds, dsStats: dsStats,
 		st: st, con: con, engine: engine, plans: newPlanStore()}
 	return s, nil
 }
@@ -596,73 +591,23 @@ func (s *System) Stats() Stats {
 	}
 }
 
-// busiestMemoCap bounds the BusiestLocation memo. Callers ask for a
-// handful of round times of day; a client that walks the clock only
-// makes the memo start over.
-const busiestMemoCap = 64
-
 // BusiestLocation returns the midpoint of the segment with traffic on the
-// most distinct days during the 5-minute window starting at tod. Useful
-// for picking realistic query origins, mirroring the paper's downtown
-// query location. The first call for a tod scans every visit of the base
-// dataset — streamed from dir/dataset.bin, one trajectory in memory at a
-// time, when the system holds no dataset — and later calls are answered
-// from a memo.
+// most distinct days in the slot containing tod, live updates included
+// (ties go to the lowest segment ID). Useful for picking realistic query
+// origins, mirroring the paper's downtown query location. Each call reads
+// that slot's time lists from the ST-Index (stindex.Index.SlotTraffic);
+// if they cannot be read it logs why and answers segment 0's midpoint.
 func (s *System) BusiestLocation(tod time.Duration) Location {
-	// Held across the scan, so concurrent first calls make one scan.
-	s.busiestMu.Lock()
-	defer s.busiestMu.Unlock()
-	if loc, ok := s.busiest[tod]; ok {
-		return loc
-	}
-	lo, hi := tod, tod+5*time.Minute
-	// One flat pass: a [segment]-indexed slice of day bitmasks instead of
-	// nested maps — no per-segment allocations on what is a full scan of
-	// every visit in the dataset.
-	days, nseg := s.dsStats.Days, s.net.NumSegments()
-	words := (days + 63) / 64
-	masks := make([]uint64, nseg*words)
-	visit := func(mt *traj.MatchedTrajectory) error {
-		if mt.Day < 0 || int(mt.Day) >= days {
-			return nil
-		}
-		for _, v := range mt.Visits {
-			enter := time.Duration(v.EnterMs) * time.Millisecond
-			if enter >= lo && enter < hi && v.Segment >= 0 && int(v.Segment) < nseg {
-				masks[int(v.Segment)*words+int(mt.Day)>>6] |= 1 << (uint(mt.Day) & 63)
-			}
-		}
-		return nil
-	}
-	var err error
-	if s.ds != nil {
-		for i := range s.ds.Matched {
-			visit(&s.ds.Matched[i])
-		}
-	} else {
-		_, err = scanDataset(s.dir, visit)
-	}
-	best := roadnet.SegmentID(0)
-	bestN := -1
-	for seg := 0; seg < nseg; seg++ {
-		n := 0
-		for w := 0; w < words; w++ {
-			n += bits.OnesCount64(masks[seg*words+w])
-		}
-		if n > bestN {
-			best, bestN = roadnet.SegmentID(seg), n
-		}
-	}
-	p := s.net.Segment(best).Midpoint()
-	loc := Location{Lat: p.Lat, Lng: p.Lng}
+	traffic, err := s.st.SlotTraffic(int(tod / (time.Duration(s.st.SlotSeconds()) * time.Second)))
 	if err != nil {
-		// Answer from what was read, and ask the file again next time.
-		log.Printf("streach: busiest location: dataset scan cut short: %v", err)
-		return loc
+		log.Printf("streach: busiest location: %v", err)
 	}
-	if len(s.busiest) >= busiestMemoCap {
-		clear(s.busiest)
+	best := 0
+	for seg, n := range traffic {
+		if n > traffic[best] {
+			best = seg
+		}
 	}
-	s.busiest[tod] = loc
-	return loc
+	p := s.net.Segment(roadnet.SegmentID(best)).Midpoint()
+	return Location{Lat: p.Lat, Lng: p.Lng}
 }
