@@ -7,37 +7,12 @@ import (
 	"testing"
 )
 
-// TestSaveRestoresWarmedAdjacency asserts the persisted conindex.adj
-// blob makes a reopened system answer its first (cold) query from
-// restored rows instead of re-running travel-time Dijkstras.
-func TestSaveRestoresWarmedAdjacency(t *testing.T) {
-	q := testQuery(smallSystem(t))
-	reopened := variant(t, vcfg{saved: true, warm: q.Start})
-
-	con := reopened.Engine().ConIndex()
-	if con.Stats().Loaded == 0 {
-		t.Fatal("reopened system should restore adjacency rows")
-	}
-	if con.CachedLists() == 0 {
-		t.Fatal("reopened system should have warmed forward tables")
-	}
-	got, err := reopened.Do(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Metrics.ConMaterialised != 0 {
-		t.Fatalf("cold query on restored adjacency materialised %d rows, want 0",
-			got.Metrics.ConMaterialised)
-	}
-	if got.Metrics.ConHits == 0 {
-		t.Fatal("cold query should report adjacency hits")
-	}
-	checkOracle(t, reference(t), serial(reopened), requestMatrix(smallSystem(t), q.Start).full)
-}
-
-// TestOpenSystemPreAdjacencySaveDir asserts save directories written
-// before the adjacency blob existed (no conindex.adj) still open, and
-// that a corrupt blob degrades to a cold-table open instead of failing.
+// TestOpenSystemPreAdjacencySaveDir asserts a warmed save writes no
+// conindex.adj and reopens cold, answering as the reference, and that a
+// conindex.adj left by an earlier build — garbage, or the CADJ v2 file
+// of testdata/preframe — is never read: the open logs nothing and
+// answers as the reference, and the next Save or durable compaction
+// into the directory deletes the file.
 func TestOpenSystemPreAdjacencySaveDir(t *testing.T) {
 	q := testQuery(smallSystem(t))
 	s := variant(t, warmed(q.Start))
@@ -45,18 +20,59 @@ func TestOpenSystemPreAdjacencySaveDir(t *testing.T) {
 	if err := s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	adj := filepath.Join(dir, "conindex.adj")
+	adj := filepath.Join(dir, fileConAdj)
 	reqs := requestMatrix(s, q.Start).smoke
-
-	if err := os.Remove(adj); err != nil {
+	gone := func(after string) {
+		t.Helper()
+		if _, err := os.Stat(adj); !os.IsNotExist(err) {
+			t.Fatalf("%s left %s in the directory (%v)", after, fileConAdj, err)
+		}
+	}
+	gone("a warmed save")
+	opened := variant(t, vcfg{dir: dir})
+	if n := opened.Engine().ConIndex().CachedLists(); n != 0 {
+		t.Fatalf("a reopened system holds %d warm rows, want a cold start", n)
+	}
+	checkOracle(t, reference(t), serial(opened), reqs)
+	if err := opened.Close(); err != nil {
 		t.Fatal(err)
 	}
-	checkOracle(t, reference(t), serial(variant(t, vcfg{dir: dir})), reqs)
 
-	if err := os.WriteFile(adj, []byte("not an adjacency blob"), 0o644); err != nil {
+	preframe, err := os.ReadFile(filepath.Join("testdata", "preframe", fileConAdj))
+	if err != nil {
 		t.Fatal(err)
 	}
-	checkOracle(t, reference(t), serial(variant(t, vcfg{dir: dir})), reqs)
+	for name, blob := range map[string][]byte{"garbage": []byte("not an adjacency blob"), "CADJ v2": preframe} {
+		for _, rewrite := range []string{"save", "durable compaction"} {
+			if err := os.WriteFile(adj, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			logBuf := captureLog(t)
+			sys := variant(t, vcfg{dir: dir})
+			if logBuf.Len() != 0 {
+				t.Fatalf("%s: opening beside a leftover %s logged:\n%s", name, fileConAdj, logBuf.String())
+			}
+			checkOracle(t, reference(t), serial(sys), reqs)
+			switch rewrite {
+			case "save":
+				err = sys.Save(dir)
+			default:
+				if err = sys.StartIngest(IngestConfig{}); err == nil {
+					var res CompactResult
+					if res, err = sys.CompactIngestN(context.Background(), 0); err == nil && !res.Durable {
+						t.Fatalf("%s: the compaction was not durable: %+v", name, res)
+					}
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			gone(name + ", then a " + rewrite)
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestWarmParallelDeterministic asserts a parallel Warm produces the

@@ -164,7 +164,7 @@ func runQuery(args []string) error {
 	geojson := fs.String("geojson", "", "write the region as GeoJSON to this file")
 	htmlOut := fs.String("html", "", "write the region as a Leaflet HTML map to this file")
 	dir := fs.String("dir", "", "system save directory: reopened when it holds a saved system, written after -precompute")
-	precompute := fs.Bool("precompute", false, "materialise the Con-Index adjacency for the query window (parallel) and persist it with -dir")
+	precompute := fs.Bool("precompute", false, "warm the query window, and save with -dir")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -299,9 +299,9 @@ func runMQuery(args []string) error {
 
 // loadOrBuildSystem resolves the query system: reopen a saved directory
 // when one is present, otherwise build the world from flags; with
-// precompute, warm the Con-Index adjacency for the query window on all
-// cores and (when dir is set) persist the system including the warmed
-// adjacency blob.
+// precompute, warm the Con-Index rows for the query window on all cores
+// and (when dir is set) save the system. The warmed rows are not saved:
+// a reopened system starts cold.
 func loadOrBuildSystem(wf *worldFlags, dir string, precompute bool, start, dur time.Duration) (*streach.System, error) {
 	if dir != "" && !precompute {
 		if _, err := os.Stat(filepath.Join(dir, "network.bin")); err == nil {
@@ -311,9 +311,7 @@ func loadOrBuildSystem(wf *worldFlags, dir string, precompute bool, start, dur t
 			if err != nil {
 				return nil, err
 			}
-			stats := sys.Engine().ConIndex().Stats()
-			fmt.Fprintf(os.Stderr, "system open in %.2fs (%d adjacency rows restored)\n",
-				time.Since(t0).Seconds(), stats.Loaded)
+			fmt.Fprintf(os.Stderr, "system open in %.2fs\n", time.Since(t0).Seconds())
 			return sys, nil
 		}
 	}
@@ -338,7 +336,7 @@ func loadOrBuildSystem(wf *worldFlags, dir string, precompute bool, start, dur t
 			if err := sys.Save(dir); err != nil {
 				return nil, err
 			}
-			fmt.Fprintf(os.Stderr, "saved system (with adjacency) to %s in %.2fs\n",
+			fmt.Fprintf(os.Stderr, "saved system to %s in %.2fs\n",
 				dir, time.Since(t0).Seconds())
 		}
 	}

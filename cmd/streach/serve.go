@@ -34,7 +34,7 @@ func runServe(args []string) error {
 	accessLog := fs.Bool("access-log", false, "log one line per request (method, URI, status, latency, request ID) to stderr")
 	ingestOn := fs.Bool("ingest", false, "enable live ingestion: POST /v1/ingest accepts position updates, /v1/ingest/compact folds the delta layer")
 	compactEvery := fs.Duration("compact-every", 0, "background incremental compaction period (0 = manual compaction only)")
-	warmStart := fs.Duration("warm-start", 0, "precompute the Con-Index adjacency from this time of day (with -warm-dur)")
+	warmStart := fs.Duration("warm-start", 0, "warm the Con-Index rows from this time of day (with -warm-dur); a reopened -dir starts cold")
 	warmDur := fs.Duration("warm-dur", 0, "warm window length (0 = skip warming)")
 	dir := fs.String("dir", "", "system save directory: reopened when it holds a saved system")
 	if err := fs.Parse(args); err != nil {

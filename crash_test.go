@@ -136,7 +136,6 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 		"persist.pages.flush", "pages.sync",
 		"persist." + fileSTMeta + ".write", "persist." + fileSTMeta + ".rename", "persist." + fileSTMeta + ".dirsync",
 		"persist." + fileConIndex + ".rename",
-		"persist." + fileConAdj + ".rename",
 	} {
 		if !seen[must] {
 			t.Fatalf("discovery pass missed boundary %s (saw %v)", must, points)
@@ -198,9 +197,9 @@ func TestCrashPointRecoveryMatrix(t *testing.T) {
 
 // TestCrashPointResaveMatrix: Save into the directory a system was
 // opened from crosses every persist.* boundary of the shared write path
-// — network, meta, statistics, adjacency, plan shapes, each installed
-// atomically — and a power cut at any one of them leaves a directory
-// that reopens without a rebuild and answers identically.
+// — network, meta, statistics, each installed atomically — and a power
+// cut at any one of them leaves a directory that reopens without a
+// rebuild and answers identically.
 func TestCrashPointResaveMatrix(t *testing.T) {
 	tmpl := t.TempDir()
 	if err := smallSystem(t).Save(tmpl); err != nil {
@@ -231,7 +230,7 @@ func TestCrashPointResaveMatrix(t *testing.T) {
 			points = append(points, name)
 		}
 	})
-	for _, f := range []string{fileNetwork, fileSTMeta, fileConIndex, fileConAdj} {
+	for _, f := range []string{fileNetwork, fileSTMeta, fileConIndex} {
 		for _, step := range []string{"write", "rename", "dirsync"} {
 			if !seen["persist."+f+"."+step] {
 				t.Fatalf("a re-save missed persist.%s.%s (saw %v)", f, step, points)

@@ -362,8 +362,8 @@ func (s *System) IngestStats() IngestStats {
 //
 //  1. the WAL is sealed, fixing the retirement cut — every record at or
 //     below it is in the delta snapshot the fold sees;
-//  2. the fold is persisted (pages synced, then ST-Index meta,
-//     Con-Index statistics, and adjacency, each installed atomically);
+//  2. the fold is persisted (pages synced, then ST-Index meta and
+//     Con-Index statistics, each installed atomically);
 //  3. observations the budget rolled over are re-logged as WAL carry
 //     records (their speed statistics are already durable from step 2);
 //  4. only then are the covered segments retired.

@@ -142,7 +142,6 @@ type Index struct {
 type statCounters struct {
 	hits         atomic.Int64
 	materialised atomic.Int64
-	loaded       atomic.Int64
 }
 
 // Stats is a snapshot of adjacency-row activity.
@@ -153,8 +152,6 @@ type Stats struct {
 	Hits int64
 	// Materialised counts rows built by running a Dijkstra expansion.
 	Materialised int64
-	// Loaded counts rows restored from a persisted adjacency blob.
-	Loaded int64
 }
 
 // Stats snapshots the adjacency counters.
@@ -162,7 +159,6 @@ func (x *Index) Stats() Stats {
 	return Stats{
 		Hits:         x.stats.hits.Load(),
 		Materialised: x.stats.materialised.Load(),
-		Loaded:       x.stats.loaded.Load(),
 	}
 }
 
@@ -171,7 +167,6 @@ func (s Stats) Sub(o Stats) Stats {
 	return Stats{
 		Hits:         s.Hits - o.Hits,
 		Materialised: s.Materialised - o.Materialised,
-		Loaded:       s.Loaded - o.Loaded,
 	}
 }
 
@@ -360,8 +355,7 @@ func cacheKey(seg roadnet.SegmentID, slot int) int64 {
 	return int64(slot)<<32 | int64(uint32(seg))
 }
 
-// Kind names one of the four adjacency tables, in their fixed on-disk
-// order.
+// Kind names one of the four adjacency tables.
 type Kind uint8
 
 const (

@@ -24,8 +24,9 @@ import (
 // A file of any other version — the layouts before the frame — does not
 // load, and the facade rebuilds the index from its trajectories.
 //
-// The materialised adjacency rows are persisted separately (the blob is
-// a warm cache, not part of the index's identity): see SaveAdjacency.
+// The materialised Near/Far rows are not persisted: an index loaded
+// from this file starts with cold tables, which queries fill on demand
+// and PrecomputeSlotsCtx fills ahead of them.
 const (
 	conMagic   = "CIDX"
 	conVersion = 3

@@ -74,26 +74,6 @@ func TestLoadAllocatesByBytesRead(t *testing.T) {
 	}
 }
 
-// TestLoadAdjacencyAllocatesByBytesRead: a conindex.adj whose checksums
-// hold but whose header claims 2^32-1 rows and carries none must fail
-// without pre-sizing its pending rows from that count, from a stream and
-// from a file alike.
-func TestLoadAdjacencyAllocatesByBytesRead(t *testing.T) {
-	n := testNetwork(t)
-	idx := build(t, n, testDataset(t, n))
-	blob := framed(adjMagic, adjVersion, u32s(300, uint32(n.NumSegments()), 0xFFFFFFFF))
-	for name, r := range streamAndFile(t, blob) {
-		var err error
-		got := allocatedBy(func() { err = idx.LoadAdjacency(r) })
-		if xerr.KindOf(err) != xerr.KindCorrupt {
-			t.Fatalf("%s: a header-only adjacency blob loaded or failed unmarked: %v", name, err)
-		}
-		if got > 1<<20 {
-			t.Fatalf("%s: loading a %d-byte adjacency blob allocated %d bytes", name, len(blob), got)
-		}
-	}
-}
-
 // streamAndFile returns blob twice: as a plain stream, and as an open
 // file, whose length the loaders may size their arrays from.
 func streamAndFile(t *testing.T, blob []byte) map[string]io.Reader {
@@ -109,7 +89,7 @@ func streamAndFile(t *testing.T, blob []byte) map[string]io.Reader {
 	return map[string]io.Reader{"stream": bytes.NewReader(blob), "file": f}
 }
 
-// fuzzIndex is a small Con-Index for the fuzz targets: 6-hour slots, so
+// fuzzIndex is a small Con-Index for the fuzz target: 6-hour slots, so
 // its statistics are 7 KB and a Load is cheap enough to run per input.
 func fuzzIndex(f *testing.F) (*roadnet.Network, *Index) {
 	n := testNetwork(f)
@@ -146,58 +126,6 @@ func FuzzLoadConIndex(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), blob) {
 			t.Fatalf("a loaded blob re-saves differently (%d bytes in, %d out)", len(blob), out.Len())
-		}
-	})
-}
-
-// FuzzLoadAdjacency: no records, framed with a valid checksum, panic
-// LoadAdjacency, and a blob it accepts installs rows whose keys and
-// members lie inside the index and re-saves byte for byte.
-func FuzzLoadAdjacency(f *testing.F) {
-	n, idx := fuzzIndex(f)
-	for slot := 0; slot < idx.numSlots; slot++ {
-		for seg := 0; seg < n.NumSegments(); seg += 2 {
-			for _, k := range []Kind{Far, Near, FarReverse, NearReverse} {
-				row(idx, k, roadnet.SegmentID(seg), slot)
-			}
-		}
-	}
-	var stats, adj bytes.Buffer
-	if err := idx.Save(&stats); err != nil {
-		f.Fatal(err)
-	}
-	if err := idx.SaveAdjacency(&adj); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(payloadOf(adj.Bytes()))
-	f.Add(u32s(21600, uint32(n.NumSegments()), 0xFFFFFFFF))
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		blob := framed(adjMagic, adjVersion, payload)
-		x, err := Load(n, bytes.NewReader(stats.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := x.LoadAdjacency(bytes.NewReader(blob)); err != nil {
-			return
-		}
-		for ti, tbl := range x.adjTables() {
-			tbl.forEach(func(slot int, seg roadnet.SegmentID, r Row) {
-				if slot >= x.numSlots || int(seg) >= n.NumSegments() {
-					t.Fatalf("table %d: row at slot %d seg %d outside the index", ti, slot, seg)
-				}
-				for _, m := range r.AppendTo(nil) {
-					if m < 0 || int(m) >= n.NumSegments() {
-						t.Fatalf("table %d slot %d seg %d: member %d outside the network", ti, slot, seg, m)
-					}
-				}
-			})
-		}
-		var out bytes.Buffer
-		if err := x.SaveAdjacency(&out); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), blob) {
-			t.Fatalf("a loaded adjacency blob re-saves differently (%d bytes in, %d out)", len(blob), out.Len())
 		}
 	})
 }

@@ -1,15 +1,11 @@
 package conindex
 
 import (
-	"bytes"
-	"encoding/binary"
-	"io"
 	"slices"
 	"testing"
 
 	"streach/internal/bitset"
 	"streach/internal/roadnet"
-	"streach/internal/storage"
 )
 
 // TestRowOracle holds every Row method to a plain map set, over the list
@@ -112,8 +108,8 @@ func TestRowOracle(t *testing.T) {
 					t.Fatalf("OrInto: bit %d = %v", s, dst.Has(s))
 				}
 			}
-			// The same set arriving as dense words (the adjacency blob's
-			// bitset record) packs to the same block.
+			// The same set arriving as dense words packs to the same
+			// block.
 			dense := bitset.New(numSegments)
 			for s := range want {
 				dense.Add(int(s))
@@ -146,145 +142,56 @@ func sameBlock(a, b Row) bool {
 	return a.Len() == b.Len() && slices.Equal(ai, bi) && slices.Equal(aw, bw)
 }
 
-// refRow is the adaptive two-form row this package held before Row went
-// word-sparse — a sorted ID list below numSegments/32 members, a
-// full-width bitset from there on — kept, with the writer that went
-// with it, as the reference for the bytes of conindex.adj.
-type refRow struct {
-	ids  []roadnet.SegmentID
-	bits bitset.Set
-}
+// adjSparse reports whether a row of n members over numSegments
+// segments lies below the list/bitset cutoff the two-form rows used
+// before Row went word-sparse: tests hold rows on both sides of it.
+func adjSparse(n, numSegments int) bool { return n*32 < numSegments }
 
-// refMakeRow builds the two-form row of a sorted, duplicate-free list.
-func refMakeRow(list []roadnet.SegmentID, numSegments int) refRow {
-	if len(list)*32 < numSegments {
-		return refRow{ids: list}
-	}
-	bs := bitset.New(numSegments)
-	for _, s := range list {
-		bs.Add(int(s))
-	}
-	return refRow{bits: bs}
-}
-
-func refWriteAdjRow(w io.Writer, tableID uint8, slot int, seg roadnet.SegmentID, r refRow) (enc byte) {
-	var buf [8]byte
-	buf[0] = tableID
-	w.Write(buf[:1])
-	binary.LittleEndian.PutUint32(buf[:4], uint32(slot))
-	w.Write(buf[:4])
-	binary.LittleEndian.PutUint32(buf[:4], uint32(seg))
-	w.Write(buf[:4])
-	if r.bits != nil {
-		words := r.bits
-		for len(words) > 0 && words[len(words)-1] == 0 {
-			words = words[:len(words)-1]
-		}
-		buf[0] = adjEncBitset
-		w.Write(buf[:1])
-		binary.LittleEndian.PutUint32(buf[:4], uint32(len(words)))
-		w.Write(buf[:4])
-		for _, wd := range words {
-			binary.LittleEndian.PutUint64(buf[:8], wd)
-			w.Write(buf[:8])
-		}
-		return adjEncBitset
-	}
-	buf[0] = adjEncSparse
-	w.Write(buf[:1])
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(r.ids)))
-	w.Write(buf[:4])
-	for _, s := range r.ids {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(s))
-		w.Write(buf[:4])
-	}
-	return adjEncSparse
-}
-
-// refSaveAdjacency writes x's materialised tables the way the two-form
-// writer did — the records, in the storage frame every derived file
-// shares — and reports how many records of each encoding it wrote.
-func refSaveAdjacency(x *Index, w io.Writer) (sparse, dense int, err error) {
-	var rec bytes.Buffer
-	var buf [4]byte
-	for _, v := range []int{x.slotSec, x.net.NumSegments()} {
-		binary.LittleEndian.PutUint32(buf[:], uint32(v))
-		rec.Write(buf[:])
-	}
-	numRows := 0
-	for _, t := range x.adjTables() {
-		numRows += t.size()
-	}
-	binary.LittleEndian.PutUint32(buf[:], uint32(numRows))
-	rec.Write(buf[:])
-	nseg := x.net.NumSegments()
-	for ti, t := range x.adjTables() {
-		t.forEach(func(slot int, seg roadnet.SegmentID, r Row) {
-			if refWriteAdjRow(&rec, uint8(ti), slot, seg, refMakeRow(r.AppendTo(nil), nseg)) == adjEncBitset {
-				dense++
-			} else {
-				sparse++
-			}
-		})
-	}
-	fw := storage.NewChecksumWriter(w, adjMagic, adjVersion)
-	fw.Write(rec.Bytes())
-	return sparse, dense, fw.Finish()
-}
-
-// TestAdjacencyGolden pins the bytes of conindex.adj: for the same
-// warmed tables SaveAdjacency writes exactly what the two-form writer
-// wrote — both record encodings, empty rows included — and a blob from
-// that writer loads into the same rows.
-func TestAdjacencyGolden(t *testing.T) {
+// TestRowMatchesExpansion asserts the row form expands to exactly the
+// Dijkstra list, per (segment, slot), for all four tables, over rows on
+// both sides of the list/bitset cutoff (adjSparse).
+func TestRowMatchesExpansion(t *testing.T) {
 	n := testNetwork(t)
-	ds := testDataset(t, n)
-	idx := build(t, n, ds)
-	warmSome(idx)
-	warm(t, idx, 270, 270, 1)
-	// A materialised empty row (a Near list whose own segment cannot be
-	// crossed in one Δt) must round-trip as a zero-count list record.
-	idx.nearRev.put(7, 3, Row{})
-
-	var got, want bytes.Buffer
-	if err := idx.SaveAdjacency(&got); err != nil {
-		t.Fatal(err)
-	}
-	sparse, dense, err := refSaveAdjacency(idx, &want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sparse == 0 || dense == 0 {
-		t.Fatalf("fixture must produce both record encodings (sparse %d, dense %d)", sparse, dense)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("conindex.adj differs from the two-form writer's: %d vs %d bytes", got.Len(), want.Len())
-	}
-
-	fresh := build(t, n, ds)
-	if err := fresh.LoadAdjacency(bytes.NewReader(want.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	for ti, tbl := range idx.adjTables() {
-		loaded := fresh.adjTables()[ti]
-		if loaded.size() != tbl.size() {
-			t.Fatalf("table %d: loaded %d rows, want %d", ti, loaded.size(), tbl.size())
-		}
-		tbl.forEach(func(slot int, seg roadnet.SegmentID, r Row) {
-			l, ok := loaded.lookup(slot, seg)
-			if !ok || !sameBlock(l, r) {
-				t.Fatalf("table %d slot %d seg %d: loaded row differs (found %v)", ti, slot, seg, ok)
+	idx := build(t, n, testDataset(t, n))
+	sawSparse, sawDense := false, false
+	for _, slot := range []int{0, 50, 132, 270} {
+		for seg := 0; seg < n.NumSegments(); seg += 2 {
+			id := roadnet.SegmentID(seg)
+			for _, tc := range []struct {
+				name string
+				row  Row
+				want []roadnet.SegmentID
+			}{
+				{"far", row(idx, Far, id, slot), refExpand(idx, id, slot, true)},
+				{"near", row(idx, Near, id, slot), refExpand(idx, id, slot, false)},
+				{"farRev", row(idx, FarReverse, id, slot), refExpandReverse(idx, id, slot, true)},
+				{"nearRev", row(idx, NearReverse, id, slot), refExpandReverse(idx, id, slot, false)},
+			} {
+				if !adjSparse(tc.row.Len(), n.NumSegments()) {
+					sawDense = true
+				} else if tc.row.Len() > 0 {
+					sawSparse = true
+				}
+				if tc.row.Len() != len(tc.want) {
+					t.Fatalf("%s seg=%d slot=%d: row has %d members, expansion %d",
+						tc.name, seg, slot, tc.row.Len(), len(tc.want))
+				}
+				for _, s := range tc.want {
+					if !tc.row.Has(s) {
+						t.Fatalf("%s seg=%d slot=%d: row missing %d", tc.name, seg, slot, s)
+					}
+				}
+				// AppendTo must yield the sorted expansion set.
+				got := tc.row.AppendTo(nil)
+				for i := 1; i < len(got); i++ {
+					if got[i-1] >= got[i] {
+						t.Fatalf("%s seg=%d slot=%d: AppendTo not strictly ascending", tc.name, seg, slot)
+					}
+				}
 			}
-		})
+		}
 	}
-	if r, ok := fresh.nearRev.lookup(7, 3); !ok || r.Len() != 0 {
-		t.Fatalf("the empty row did not come back materialised and empty (found %v, %d members)", ok, r.Len())
-	}
-	var again bytes.Buffer
-	if err := fresh.SaveAdjacency(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), want.Bytes()) {
-		t.Fatal("blob changed across a load and a save")
+	if !sawSparse || !sawDense {
+		t.Fatalf("test should exercise rows on both sides of the cutoff (sparse=%v dense=%v)", sawSparse, sawDense)
 	}
 }

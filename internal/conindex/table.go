@@ -185,22 +185,6 @@ func (t *table) size() int {
 // full reports whether every row of slot is materialised.
 func (t *table) full(slot int) bool { return int(t.filled[slot].Load()) == t.nseg }
 
-// forEach calls fn for every materialised row in (slot, segment) order.
-// Rows installed or dropped while it runs may or may not be seen.
-func (t *table) forEach(fn func(slot int, seg roadnet.SegmentID, r Row)) {
-	for slot := range t.slots {
-		sr := t.slots[slot].Load()
-		if sr == nil {
-			continue
-		}
-		for seg := range *sr {
-			if p := (*sr)[seg].Load(); p != nil {
-				fn(slot, roadnet.SegmentID(seg), Row{p})
-			}
-		}
-	}
-}
-
 // invalidateSlot drops every materialised row at slot that the probe
 // set can have influenced: the rows of the selves segments (a row always
 // contains its own segment, but may be empty when nothing is reachable
@@ -227,11 +211,4 @@ func (t *table) invalidateSlot(slot int, selves, probes bitset.Set) {
 			t.filled[slot].Add(-1)
 		}
 	}
-}
-
-// put installs a row directly (the adjacency-blob load path).
-func (t *table) put(slot int, seg roadnet.SegmentID, r Row) {
-	t.mu.Lock()
-	t.store(slot, seg, r)
-	t.mu.Unlock()
 }

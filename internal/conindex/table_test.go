@@ -2,6 +2,7 @@ package conindex
 
 import (
 	"context"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -60,12 +61,12 @@ func TestTableOneComputePerColdKey(t *testing.T) {
 
 // TestTableRowsNeverOutliveInvalidation hammers all four tables with
 // lock-free lookups and cold misses while speed observations keep
-// invalidating the slot and an adjacency load keeps installing rows at
-// another. When the dust settles, every row still materialised at the
-// observed slot must be the expansion under the final speeds: a row
-// built from older speeds has either been dropped by the invalidation
-// scan or was refused at install by the slot's generation. The loaded
-// rows must all be there, served without a single expansion.
+// invalidating the slot and a warm keeps installing rows at another.
+// When the dust settles, every row still materialised at the observed
+// slot must be the expansion under the final speeds: a row built from
+// older speeds has either been dropped by the invalidation scan or was
+// refused at install by the slot's generation. The warmed rows must all
+// be there, served without a single expansion.
 func TestTableRowsNeverOutliveInvalidation(t *testing.T) {
 	n := testNetwork(t)
 	idx := build(t, n, testDataset(t, n))
@@ -104,15 +105,10 @@ func TestTableRowsNeverOutliveInvalidation(t *testing.T) {
 			idx.ObserveSpeedBatch([]SpeedSample{{Seg: seg, Slot0: slot, Slot1: slot, Speed: 3 - float64(i)/200}}) // ever slower: min moves
 		}
 	}()
-	loaded := makeRow([]roadnet.SegmentID{1, 2, 3}, bitset.New(nseg))
-	go func() { // adjacency load path
+	go func() { // a warm of another slot, on workers of its own
 		defer writers.Done()
-		for round := 0; round < 20; round++ {
-			for seg := 0; seg < nseg; seg++ {
-				for _, tbl := range idx.adjTables() {
-					tbl.put(loadSlot, roadnet.SegmentID(seg), loaded)
-				}
-			}
+		if err := idx.PrecomputeSlotsCtx(ctx, loadSlot, loadSlot, 2); err != nil {
+			t.Error(err)
 		}
 	}()
 	writers.Wait()
@@ -122,27 +118,31 @@ func TestTableRowsNeverOutliveInvalidation(t *testing.T) {
 		return
 	}
 
+	// want is the reference row of table ti under the final speeds.
+	want := func(ti int, id roadnet.SegmentID, slot int) []roadnet.SegmentID {
+		far := ti == 0 || ti == 2
+		list := refExpand(idx, id, slot, far)
+		if ti >= 2 {
+			list = refExpandReverse(idx, id, slot, far)
+		}
+		return makeRow(list, bitset.New(nseg)).AppendTo(nil)
+	}
 	survivors := 0
 	for ti, tbl := range idx.adjTables() {
-		far, reverse := ti == 0 || ti == 2, ti >= 2
 		for seg := 0; seg < nseg; seg++ {
 			id := roadnet.SegmentID(seg)
 			if got, ok := tbl.lookup(slot, id); ok {
 				survivors++
-				list := refExpand(idx, id, slot, far)
-				if reverse {
-					list = refExpandReverse(idx, id, slot, far)
-				}
-				if want := makeRow(list, bitset.New(nseg)); !slices.Equal(got.AppendTo(nil), want.AppendTo(nil)) {
+				if !slices.Equal(got.AppendTo(nil), want(ti, id, slot)) {
 					t.Fatalf("table %d seg %d: a row built from superseded speeds survived", ti, seg)
 				}
 			}
-			if got, ok := tbl.lookup(loadSlot, id); !ok || !slices.Equal(got.AppendTo(nil), loaded.AppendTo(nil)) {
-				t.Fatalf("table %d seg %d: loaded row missing or altered", ti, seg)
+			if got, ok := tbl.lookup(loadSlot, id); !ok || !slices.Equal(got.AppendTo(nil), want(ti, id, loadSlot)) {
+				t.Fatalf("table %d seg %d: warmed row missing or altered", ti, seg)
 			}
 		}
 		if got := tbl.size(); got < nseg {
-			t.Fatalf("table %d counts %d rows with %d loaded", ti, got, nseg)
+			t.Fatalf("table %d counts %d rows with %d warmed", ti, got, nseg)
 		}
 	}
 	if survivors == 0 {
@@ -155,7 +155,7 @@ func TestTableRowsNeverOutliveInvalidation(t *testing.T) {
 		}
 	}
 	if after := idx.Stats().Materialised; after != before {
-		t.Fatalf("loaded rows re-ran %d expansions", after-before)
+		t.Fatalf("warmed rows re-ran %d expansions", after-before)
 	}
 }
 
@@ -251,9 +251,67 @@ func TestPrecomputeSkipsWarmSlots(t *testing.T) {
 	}
 	for ti, tbl := range idx.adjTables() {
 		cells := 0
-		tbl.forEach(func(int, roadnet.SegmentID, Row) { cells++ })
+		for slot := 0; slot < idx.NumSlots(); slot++ {
+			for seg := 0; seg < nseg; seg++ {
+				if _, ok := tbl.lookup(slot, roadnet.SegmentID(seg)); ok {
+					cells++
+				}
+			}
+		}
 		if cells != tbl.size() || cells != 3*nseg {
 			t.Fatalf("table %d: %d cells hold rows, counts say %d, want %d", ti, cells, tbl.size(), 3*nseg)
+		}
+	}
+}
+
+// TestSingleflightColdMiss asserts concurrent cold misses on one key run
+// exactly one expansion.
+func TestSingleflightColdMiss(t *testing.T) {
+	n := testNetwork(t)
+	idx := build(t, n, testDataset(t, n))
+	const goroutines = 16
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	lists := make([][]roadnet.SegmentID, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			lists[g] = list(idx, Far, 7, 130)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if m := idx.Stats().Materialised; m != 1 {
+		t.Fatalf("16 concurrent cold misses materialised %d rows, want 1", m)
+	}
+	for g := 1; g < goroutines; g++ {
+		if !reflect.DeepEqual(lists[0], lists[g]) {
+			t.Fatalf("goroutine %d saw a different list", g)
+		}
+	}
+}
+
+func TestParallelPrecomputeMatchesSerial(t *testing.T) {
+	n := testNetwork(t)
+	ds := testDataset(t, n)
+	serial := build(t, n, ds)
+	warm(t, serial, 130, 135, 1)
+	parallel := build(t, n, ds)
+	warm(t, parallel, 130, 135, 8)
+	if serial.CachedLists() != parallel.CachedLists() {
+		t.Fatalf("serial warmed %d rows, parallel %d", serial.CachedLists(), parallel.CachedLists())
+	}
+	for slot := 130; slot <= 135; slot++ {
+		for seg := 0; seg < n.NumSegments(); seg += 5 {
+			id := roadnet.SegmentID(seg)
+			if !reflect.DeepEqual(list(serial, Far, id, slot), list(parallel, Far, id, slot)) {
+				t.Fatalf("Far mismatch at seg=%d slot=%d", seg, slot)
+			}
+			if !reflect.DeepEqual(list(serial, Near, id, slot), list(parallel, Near, id, slot)) {
+				t.Fatalf("Near mismatch at seg=%d slot=%d", seg, slot)
+			}
 		}
 	}
 }

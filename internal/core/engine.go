@@ -82,7 +82,7 @@ type Metrics struct {
 	// query's own plan resolved: hits were served from materialised rows
 	// (or from another query's expansion of the same key in flight),
 	// materialised rows ran a travel-time Dijkstra for this query (the
-	// cold-start cost the persisted adjacency blob eliminates). Counted by
+	// cold-start cost a warm moves out of the query path). Counted by
 	// the plan's row source, so exact under concurrency: over any set of
 	// queries ConMaterialised sums to the index's Stats().Materialised
 	// delta. A plan reused from the plan cache reports zero.

@@ -1,10 +1,14 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -74,7 +78,7 @@ func collectReplay(t *testing.T, dir string, workers int) (map[roadnet.SegmentID
 	return got, obs, stats
 }
 
-func segFiles(t *testing.T, dir string) []string {
+func segFiles(t testing.TB, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -620,4 +624,115 @@ func TestSegmentCrashPointTruncate(t *testing.T) {
 	if fi.Size() != int64(segHeaderSize)+frameLen {
 		t.Fatalf("repair truncated to %d bytes, want %d", fi.Size(), int64(segHeaderSize)+frameLen)
 	}
+}
+
+// replayedFrame is one frame ReplaySegments delivered: its kind and
+// records.
+type replayedFrame struct {
+	kind    byte
+	updates []Update
+	obs     []stindex.DeltaObs
+}
+
+// encode re-frames the delivered records as the log writes them.
+func (f replayedFrame) encode() []byte {
+	if f.kind == frameObs {
+		return encodeFrame(frameObs, len(f.obs), encodeObsRecords(f.obs))
+	}
+	return encodeFrame(frameUpdates, len(f.updates), encodeUpdateRecords(f.updates))
+}
+
+// replayFrames replays dir on one worker and returns the frames it
+// delivered, in order.
+func replayFrames(t *testing.T, dir string) ([]replayedFrame, ReplayStats) {
+	t.Helper()
+	var frames []replayedFrame
+	stats, err := ReplaySegments(dir, 1,
+		func(batch []Update) error {
+			frames = append(frames, replayedFrame{kind: frameUpdates, updates: batch})
+			return nil
+		},
+		func(obs []stindex.DeltaObs) error {
+			frames = append(frames, replayedFrame{kind: frameObs, obs: obs})
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("ReplaySegments: %v", err)
+	}
+	return frames, stats
+}
+
+// FuzzReplaySegment: a valid segment header followed by arbitrary bytes
+// never panics ReplaySegments; the frames it delivers, re-encoded, are
+// byte for byte what the repaired file holds after its header (the
+// intact prefix, nothing more and nothing less); and a second replay
+// delivers the same frames and truncates nothing. Seeded with a real
+// segment holding one update frame and one carry frame, its torn tail,
+// and the same segment with a flipped CRC.
+func FuzzReplaySegment(f *testing.F) {
+	src := f.TempDir()
+	l, err := OpenSegmented(src, SegmentedConfig{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := l.AppendUpdates(0, mkUpdates(40, 3)); err != nil {
+		f.Fatal(err)
+	}
+	if err := l.AppendObs(0, []stindex.DeltaObs{{Seg: 5, Slot: 17, Day: 2, Taxi: 44}, {Seg: 9, Slot: 3, Day: 0, Taxi: 7}}); err != nil {
+		f.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	names := segFiles(f, src)
+	if len(names) != 1 {
+		f.Fatalf("the seed log wrote %d segments, want 1", len(names))
+	}
+	seg, err := os.ReadFile(filepath.Join(src, names[0]))
+	if err != nil {
+		f.Fatal(err)
+	}
+	header, body := seg[:segHeaderSize], seg[segHeaderSize:]
+	if want := len(encodeFrame(frameUpdates, 3, make([]byte, 3*recordSize))) + len(encodeFrame(frameObs, 2, make([]byte, 2*obsRecordSize))); len(body) != want {
+		f.Fatalf("the seed segment holds %d bytes of frames, want %d", len(body), want)
+	}
+	f.Add(body)
+	f.Add(body[:len(body)-3])
+	flipped := append([]byte{}, body...)
+	flipped[len(flipped)-1] ^= 0x80
+	f.Add(flipped)
+
+	prev := log.Writer()
+	log.SetOutput(io.Discard) // a repair logs each truncation
+	f.Cleanup(func() { log.SetOutput(prev) })
+	f.Fuzz(func(t *testing.T, frames []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, names[0])
+		if err := os.WriteFile(path, append(append([]byte{}, header...), frames...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		first, stats := replayFrames(t, dir)
+		repaired, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reencoded []byte
+		for _, fr := range first {
+			reencoded = append(reencoded, fr.encode()...)
+		}
+		if !bytes.Equal(repaired[segHeaderSize:], reencoded) {
+			t.Fatalf("the repaired segment holds %d bytes of frames, the %d delivered frames re-encode to %d",
+				len(repaired)-segHeaderSize, len(first), len(reencoded))
+		}
+		if want := int64(len(frames) - len(reencoded)); stats.TruncatedBytes != want {
+			t.Fatalf("replay reported %d bytes truncated, the file lost %d", stats.TruncatedBytes, want)
+		}
+		second, stats := replayFrames(t, dir)
+		if stats.TruncatedBytes != 0 || stats.CorruptSegments != 0 {
+			t.Fatalf("a second replay repaired the repaired segment again: %+v", stats)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("a second replay delivered %d frames, the first %d, or different records", len(second), len(first))
+		}
+	})
 }

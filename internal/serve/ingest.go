@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -33,8 +32,13 @@ type ingestPayload struct {
 
 // maxIngestBatch bounds one POST body: larger batches should be split
 // by the client (the CLI replayer does), keeping a single request from
-// monopolising the queue.
-const maxIngestBatch = 65536
+// monopolising the queue. maxIngestBody caps the body's bytes at 256 per
+// update, about twice what a full-width update takes, so the cap is
+// checked before the whole body is decoded.
+const (
+	maxIngestBatch = 65536
+	maxIngestBody  = 256 * maxIngestBatch
+)
 
 // handleIngest accepts one batch of live updates. The write path is
 // deliberately non-blocking: a full ingest queue answers a typed 429
@@ -60,8 +64,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var p ingestPayload
-	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-		s.badRequest(w, r, "bad JSON body: %v", err)
+	if !s.decodeBody(w, r, maxIngestBody, &p) {
 		return
 	}
 	if len(p.Updates) == 0 {

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -328,6 +329,36 @@ func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, format strin
 	})
 }
 
+// maxReachBody caps a POST /v1/reach body; a multi-location request
+// of thousands of locations fits well inside it.
+const maxReachBody = 1 << 20
+
+// decodeBody decodes r's JSON body into v and reports whether it could.
+// A body past limit bytes, what follows the JSON value included, is
+// answered 413 and any other bad body 400, both typed invalid_request.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	body := http.MaxBytesReader(w, r.Body, limit)
+	err := json.NewDecoder(body).Decode(v)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.recordError(http.StatusRequestEntityTooLarge)
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
+			"error":      fmt.Sprintf("request body exceeds %d bytes", limit),
+			"code":       streach.InvalidRequest.String(),
+			"request_id": RequestID(r.Context()),
+		})
+	default:
+		s.badRequest(w, r, "bad JSON body: %v", err)
+	}
+	return false
+}
+
 // queryCtx derives the per-request deadline context: the default server
 // timeout, or the client's ?timeout= capped at MaxTimeout. The cap
 // applies only to client-requested timeouts — the operator's configured
@@ -407,8 +438,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		}
 		p.Reverse = q.Get("reverse") == "true" || q.Get("reverse") == "1"
 	case http.MethodPost:
-		if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-			s.badRequest(w, r, "bad JSON body: %v", err)
+		if !s.decodeBody(w, r, maxReachBody, &p) {
 			return
 		}
 		if p.Prob != nil {

@@ -15,7 +15,7 @@ import (
 
 // The frame of every file a saved system holds apart from the page store
 // and the WAL — the road network, the trajectories, the ST-Index meta
-// and the Con-Index statistics and adjacency rows (DESIGN.md §11.3).
+// and the Con-Index statistics (DESIGN.md §11.3).
 // Little endian:
 //
 //	magic [4]byte | version u16

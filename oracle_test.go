@@ -282,7 +282,7 @@ type vcfg struct {
 	planCache int           // plan-store capacity: 0 the default, -1 parks no plan
 	shards    int           // Shard(shards) when > 1
 	warm      time.Duration // WarmCtx over [warm, warm+10m] when non-zero
-	saved     bool          // open a saved copy of smallSystem, or of warmed
+	saved     bool          // open a saved copy of smallSystem
 	dir       string        // open this save directory instead of building
 	data      *traj.Dataset // build over this dataset instead of smallSystem's
 	// shared: build the configuration once and keep it for every test
@@ -290,15 +290,14 @@ type vcfg struct {
 	shared bool
 }
 
-// warmed is the shared build warmed over [at, at+10m]: the system a
-// warmed save is made from.
+// warmed is the shared build warmed over [at, at+10m].
 func warmed(at time.Duration) vcfg { return vcfg{planCache: -1, warm: at, shared: true} }
 
 var sharedVariants sync.Map // vcfg → *System
 
 // variant is the one system builder over smallSystem's world: a fresh
-// offline build, an opened saved copy of smallSystem or warmed(warm), or
-// an opened save directory, then sharded as cfg says. Unless shared, the
+// offline build, an opened saved copy of smallSystem, or an opened save
+// directory, then warmed and sharded as cfg says. Unless shared, the
 // system is closed when t ends. smallSystem itself is never changed:
 // saving it leaves it as it was.
 func variant(t testing.TB, cfg vcfg) *System {
@@ -314,12 +313,8 @@ func variant(t testing.TB, cfg vcfg) *System {
 	case cfg.dir != "":
 		s, err = OpenSystem(cfg.dir, idx)
 	case cfg.saved:
-		src := base
-		if cfg.warm != 0 {
-			src = variant(t, warmed(cfg.warm))
-		}
 		dir := t.TempDir()
-		if err = src.Save(dir); err == nil {
+		if err = base.Save(dir); err == nil {
 			s, err = OpenSystem(dir, idx)
 		}
 	default:
@@ -327,9 +322,10 @@ func variant(t testing.TB, cfg vcfg) *System {
 		if ds == nil {
 			ds = base.Dataset()
 		}
-		if s, err = NewSystemFromData(base.Network(), ds, idx); err == nil && cfg.warm != 0 {
-			err = s.WarmCtx(context.Background(), cfg.warm, 10*time.Minute)
-		}
+		s, err = NewSystemFromData(base.Network(), ds, idx)
+	}
+	if err == nil && cfg.warm != 0 {
+		err = s.WarmCtx(context.Background(), cfg.warm, 10*time.Minute)
 	}
 	if err == nil && cfg.shards > 1 {
 		err = s.Shard(cfg.shards)
@@ -433,11 +429,10 @@ func TestDiffRegionBites(t *testing.T) {
 }
 
 // TestOpenPreFrameDirectory: a directory saved before the derived files
-// shared one frame (testdata/preframe, Δt one hour: meta v5, CIDX v2
-// and CADJ v2 files, and an SPSH v1 file no build reads any more),
+// shared one frame (testdata/preframe, Δt one hour: meta v5 and CIDX v2
+// files, and a CADJ v2 and an SPSH v1 file no build reads any more),
 // opened with the default 300 s config, rebuilds both indexes at its own
-// hour and drops the adjacency cache,
-// answers exactly as a fresh build over its own network and
+// hour, answers exactly as a fresh build over its own network and
 // trajectories, and opens the second time with no rebuild.
 func TestOpenPreFrameDirectory(t *testing.T) {
 	dir := t.TempDir()
@@ -455,7 +450,7 @@ func TestOpenPreFrameDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer opened.Close()
-	for _, want := range []string{"st-index unreadable", "con-index unreadable", "adjacency cache unreadable"} {
+	for _, want := range []string{"st-index unreadable", "con-index unreadable"} {
 		if !strings.Contains(logBuf.String(), want) {
 			t.Fatalf("open of a pre-frame directory did not log %q:\n%s", want, logBuf.String())
 		}

@@ -33,22 +33,21 @@ import (
 //	dir/stindex.meta   ST-Index metadata and handle table (flat,
 //	                   slot-major, one handle per (slot, segment))
 //	dir/conindex.bin   Con-Index speed statistics
-//	dir/conindex.adj   Con-Index materialised Near/Far adjacency rows
-//	                   (optional warm cache: the rows of all four tables,
-//	                   each as a sorted ID list or a bitset, whichever is
-//	                   smaller; see conindex.SaveAdjacency). A directory
-//	                   without it reopens with cold, lazily-materialised
-//	                   tables.
 //
 // All of them but pages.db share one checksummed frame
 // (storage.ChecksumWriter, DESIGN.md §11.3). A derived file — stindex.meta,
-// conindex.bin, conindex.adj — that does not load, whatever the reason
-// (a layout from before the frame included), is rebuilt from the
-// trajectories or, for the adjacency cache, dropped. The network and the
-// trajectories are the ground truth and have no rebuild path: a damaged
-// one fails the open as CorruptData, and their unframed layouts from
-// before the frame (STRN v1, STRJ v2) are still read. Save copies an
-// opened system's dataset.bin byte for byte, whatever its version.
+// conindex.bin — that does not load, whatever the reason (a layout from
+// before the frame included), is rebuilt from the trajectories. The
+// network and the trajectories are the ground truth and have no rebuild
+// path: a damaged one fails the open as CorruptData, and their unframed
+// layouts from before the frame (STRN v1, STRJ v2) are still read. Save
+// copies an opened system's dataset.bin byte for byte, whatever its
+// version.
+//
+// The Con-Index's materialised Near/Far rows are not saved: an opened
+// system starts with cold rows, like a fresh build, and System.WarmCtx
+// warms them. dir/conindex.adj, where earlier builds saved those rows,
+// is never read, and Save and a durable compaction delete it.
 // dir/planshapes.bin, a plan-shape hint written by earlier builds, is
 // now ignored: neither read nor removed.
 //
@@ -73,7 +72,7 @@ const (
 	filePages       = "pages.db"
 	fileSTMeta      = "stindex.meta"
 	fileConIndex    = "conindex.bin"
-	fileConAdj      = "conindex.adj"
+	fileConAdj      = "conindex.adj" // written by earlier builds; deleted on save
 	fileIngestDelta = "ingest.delta"
 	walDirName      = "wal"
 )
@@ -235,7 +234,7 @@ func writeFileAtomic(dir, name string, fn func(w io.Writer) error) error {
 // persistIndexes makes the system's derived state durable in dir, the
 // one write path of Save and of a compaction: the pages first (the blob
 // data the new handles point into), then the ST-Index meta, then the
-// Con-Index statistics and adjacency rows, each installed atomically.
+// Con-Index statistics, each installed atomically.
 // Ordering matters for crash consistency: a crash between steps leaves a
 // meta whose handles all resolve (the blob file is append-only) plus a
 // WAL that replays anything newer.
@@ -259,10 +258,12 @@ func (s *System) persistIndexes(dir string) error {
 	if err := writeFileAtomic(dir, fileConIndex, s.con.Save); err != nil {
 		return err
 	}
-	// The adjacency cache is re-written too: rows invalidated by live
-	// speed observations must not resurrect from a stale blob on the
-	// next open.
-	return writeFileAtomic(dir, fileConAdj, s.con.SaveAdjacency)
+	// Rows an earlier build saved here are stale from the first speed
+	// fold on, and nothing reads them.
+	if err := os.Remove(filepath.Join(dir, fileConAdj)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("streach: remove %s: %w", fileConAdj, err)
+	}
+	return nil
 }
 
 // OpenSystem reopens a system saved with Save, unsharded. PoolPages
@@ -360,23 +361,11 @@ func OpenSystem(dir string, idx IndexConfig) (*System, error) {
 			return nil, fmt.Errorf("streach: con-index cold rebuild: %w", err)
 		}
 	}
-	// Restore the persisted adjacency rows when present. The blob is a
-	// derived warm cache, so a missing file or a corrupt, mismatched or
-	// old-version one must not fail the open: the blob is fully validated
-	// and verified before anything is installed, and anything not
-	// restored just re-materialises lazily.
-	if adjFile, err := os.Open(filepath.Join(dir, fileConAdj)); err == nil {
-		if aerr := con.LoadAdjacency(adjFile); aerr != nil {
-			log.Printf("streach: con-index adjacency cache unreadable (%v): dropped, rows re-materialise lazily", aerr)
-		}
-		adjFile.Close()
-	}
 	// Replay the ingest WAL: live updates accepted since the last durable
-	// compaction fold back into the delta layer and the speed statistics
-	// (after the adjacency load, so replayed observations invalidate any
-	// stale restored rows). Shards replay in parallel. Frame corruption is
-	// contained per segment: the file is truncated to its intact prefix
-	// and later segments still replay. The apply callbacks hit the same
+	// compaction fold back into the delta layer and the speed statistics.
+	// Shards replay in parallel. Frame corruption is contained per
+	// segment: the file is truncated to its intact prefix and later
+	// segments still replay. The apply callbacks hit the same
 	// locked index paths the live worker pool does, so concurrent shard
 	// replay is safe; both are idempotent, so records that straddle a
 	// repaired tail or a carry record simply re-union.

@@ -324,6 +324,32 @@ func TestWarmEndOfDaySlotCap(t *testing.T) {
 	}
 }
 
+// TestWarmStartBeforeMidnightClip: a window that starts before midnight
+// warms from slot 0, like the queries it serves (a negative start is
+// refused), rather than the wrapped slots at the end of the previous
+// day: [-10m, +10m] warms slots 0–2 of all four tables, and the last
+// two slots of the day stay cold.
+func TestWarmStartBeforeMidnightClip(t *testing.T) {
+	sys := variant(t, vcfg{})
+	con := sys.Engine().ConIndex()
+	nSeg := int64(sys.Network().NumSegments())
+	if err := sys.WarmCtx(context.Background(), -10*time.Minute, 20*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	slotSec := time.Duration(con.SlotSeconds()) * time.Second
+	wantSlots := int64(10*time.Minute/slotSec) + 1
+	if got, want := con.Stats().Materialised, 4*wantSlots*nSeg; got != want {
+		t.Fatalf("warming [-10m, 10m] materialised %d rows, want %d (%d slots x 4 tables x %d segments)",
+			got, want, wantSlots, nSeg)
+	}
+	before := con.Stats()
+	warmWindow(t, sys, 24*time.Hour-2*slotSec, 2*slotSec)
+	if got, want := con.Stats().Sub(before), 2*4*nSeg; got.Hits != 0 || got.Materialised != want {
+		t.Fatalf("the day's last two slots were not cold: warming them hit %d rows and materialised %d, want 0 and %d",
+			got.Hits, got.Materialised, want)
+	}
+}
+
 // TestWarmCancellation: WarmCtx must stop early under a cancelled
 // context (reach-side of the satellite requirement; the conindex side is
 // tested in internal/conindex).

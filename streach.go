@@ -141,8 +141,9 @@ type Metrics struct {
 	TLCacheMisses int64 // decoded time-list cache misses
 	// ConHits and ConMaterialised count the Con-Index adjacency rows this
 	// query's plan was served from cache vs. materialised itself by a
-	// query-time Dijkstra (the cost a persisted conindex.adj eliminates
-	// on cold starts). Counted per plan, so exact under concurrency.
+	// query-time Dijkstra (the cost WarmCtx moves out of the query path;
+	// a freshly built or reopened system starts with every row cold).
+	// Counted per plan, so exact under concurrency.
 	ConHits         int64
 	ConMaterialised int64
 	MaxRegion       int
@@ -442,9 +443,11 @@ func (s *System) ShardStats() []ShardStat {
 // pool: reach, multi and reverse queries inside the window then bound
 // by lookups alone. The thesis builds these tables offline during index
 // construction; calling WarmCtx moves that cost out of the first query's
-// measured time, and Save persists the materialised rows so reopened
-// systems skip it entirely. Idempotent, and cheap to repeat: a slot
-// that is already fully warm is recognised without walking its rows.
+// measured time. It is the one way to warm them: Save does not persist
+// the rows, so a reopened system starts cold and is warmed by calling
+// WarmCtx again. Only the part of the window inside the day is warmed.
+// Idempotent, and cheap to repeat: a slot that is already fully warm is
+// recognised without walking its rows.
 // Nothing calls it on the caller's behalf: outside the windows it warmed,
 // a query builds the rows it misses itself.
 //
@@ -465,12 +468,11 @@ func (s *System) warmSlots(start, dur time.Duration) (lo, hi int, ok bool) {
 	slotSec := s.con.SlotSeconds()
 	lo = int(start.Seconds()) / slotSec
 	hi = int((start + dur).Seconds()) / slotSec
-	// Cap at the end of the day exactly as Engine.slotWindow does:
-	// queries never touch slots past midnight, so warming a window that
-	// crosses it must not precompute (wrapped) out-of-range slots.
-	if maxSlot := s.con.NumSlots() - 1; hi > maxSlot {
-		hi = maxSlot
-	}
+	// Clip to the day as queries do: Engine.slotWindow caps a window at
+	// midnight and request validation refuses a negative start, so no
+	// query reads a (wrapped) slot before midnight or after it.
+	lo = max(lo, 0)
+	hi = min(hi, s.con.NumSlots()-1)
 	return lo, hi, lo <= hi
 }
 
