@@ -283,10 +283,12 @@ func TestWorkerPanicIsTheRoundsError(t *testing.T) {
 		idx := build(t, n, ds)
 		pin := idx.NewPin()
 		base := runtime.NumGoroutine()
-		whole := idx.maxSpeed
-		idx.maxSpeed = whole[:slot*len(segs)+len(segs)/2] // the slot's upper segments index past the end
+		whole := idx.speeds[slot].Load()
+		cut := *idx.slot(slot)
+		cut.max = cut.max[:len(segs)/2] // the slot's upper segments index past the end
+		idx.speeds[slot].Store(&cut)
 		err := pin.OrRows(context.Background(), Far, segs, slot, bitset.New(len(segs)))
-		idx.maxSpeed = whole
+		idx.speeds[slot].Store(whole)
 		if err == nil || xerr.KindOf(err) != xerr.KindInternal {
 			t.Fatalf("procs %d: round over a panicking expansion returned %v, want an internal error", procs, err)
 		}

@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -92,15 +93,14 @@ type Index struct {
 	net      *roadnet.Network
 	slotSec  int
 	numSlots int
-	// minSpeed/maxSpeed are indexed [slot*numSegments + segment] and hold
-	// math.Float32bits of the speed in m/s. They are read atomically: the
-	// ingest path updates them in place while expansions run.
-	minSpeed []uint32
-	maxSpeed []uint32
-	// sumSpeed (Float32bits) / cntSpeed accumulate per-slot means for
-	// MeanSpeed (used by the time-dependent router).
-	sumSpeed []uint32
-	cntSpeed []uint32
+	// speeds holds each slot's speed statistics, nil for a slot without
+	// a sample, which reads fallback instead. A slot's row is published
+	// once and never replaced; the ingest path updates its cells in place
+	// while expansions run.
+	speeds []atomic.Pointer[slotSpeeds]
+	// fallback is every cell of a slot without a sample: the speeds Build
+	// assumes on a segment nobody drove. Shared and read-only.
+	fallback *slotSpeeds
 
 	// obsMu serialises ObserveSpeedBatch writers; readers stay lock-free.
 	obsMu sync.Mutex
@@ -218,6 +218,79 @@ func (x *Index) getScratch() *expScratch {
 
 func (x *Index) putScratch(sc *expScratch) { x.scratch.Put(sc) }
 
+// slotSpeeds is one slot's speed statistics, indexed by segment.
+// min and max hold math.Float32bits of the speed in m/s, the minimum
+// already scaled by nearSafetyFactor; sum (Float32bits) and cnt
+// accumulate the mean for MeanSpeed (used by the time-dependent router).
+// Cells are read atomically: the ingest path updates them in place while
+// expansions run.
+type slotSpeeds struct {
+	min, max, sum, cnt []uint32
+}
+
+// newSlotSpeeds returns a zeroed row over n segments.
+func newSlotSpeeds(n int) *slotSpeeds {
+	b := make([]uint32, 4*n)
+	return &slotSpeeds{min: b[:n:n], max: b[n : 2*n : 2*n], sum: b[2*n : 3*n : 3*n], cnt: b[3*n:]}
+}
+
+// fallbackSpeeds is the row of a slot without a sample over net.
+func fallbackSpeeds(net *roadnet.Network) *slotSpeeds {
+	r := newSlotSpeeds(net.NumSegments())
+	for seg := range r.min {
+		r.fillFallback(seg, net.Segment(roadnet.SegmentID(seg)).Class.FreeFlowSpeed())
+	}
+	return r
+}
+
+// fillFallback gives the unobserved bounds of seg, whose free-flow speed
+// is ff, their fallbacks, then scales the minimum by nearSafetyFactor —
+// Build's last step on every cell, in its float32 operations.
+func (r *slotSpeeds) fillFallback(seg int, ff float64) {
+	minS, maxS := math.Float32frombits(r.min[seg]), math.Float32frombits(r.max[seg])
+	if minS == 0 {
+		minS = float32(ff * fallbackMinFraction)
+	}
+	if maxS == 0 {
+		maxS = float32(ff * fallbackMaxFraction)
+	}
+	minS *= nearSafetyFactor
+	r.min[seg], r.max[seg] = math.Float32bits(minS), math.Float32bits(maxS)
+}
+
+// sampled reports whether some cell of the row holds a sample.
+func (r *slotSpeeds) sampled() bool {
+	for i := range r.cnt {
+		if atomic.LoadUint32(&r.cnt[i]) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// sameCells reports whether r and o hold the same statistics.
+func (r *slotSpeeds) sameCells(o *slotSpeeds) bool {
+	return slices.Equal(r.min, o.min) && slices.Equal(r.max, o.max) && slices.Equal(r.sum, o.sum) && slices.Equal(r.cnt, o.cnt)
+}
+
+// newIndex returns an index over net at slotSec whose slots all read
+// the fallback row.
+func newIndex(net *roadnet.Network, slotSec int) *Index {
+	numSlots, n := 86400/slotSec, net.NumSegments()
+	return &Index{
+		net:      net,
+		slotSec:  slotSec,
+		numSlots: numSlots,
+		speeds:   make([]atomic.Pointer[slotSpeeds], numSlots),
+		fallback: fallbackSpeeds(net),
+		slotGen:  make([]atomic.Uint64, numSlots),
+		near:     newTable(numSlots, n),
+		far:      newTable(numSlots, n),
+		nearRev:  newTable(numSlots, n),
+		farRev:   newTable(numSlots, n),
+	}
+}
+
 // Build scans the dataset once to derive per-(segment, slot) speed
 // extremes, then returns the index. List materialisation happens lazily.
 func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
@@ -231,29 +304,14 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 	if 86400%cfg.SlotSeconds != 0 {
 		return nil, fmt.Errorf("conindex: slot seconds %d must divide 86400", cfg.SlotSeconds)
 	}
-	numSlots := 86400 / cfg.SlotSeconds
-	n := net.NumSegments()
-	idx := &Index{
-		net:      net,
-		slotSec:  cfg.SlotSeconds,
-		numSlots: numSlots,
-		minSpeed: make([]uint32, numSlots*n),
-		maxSpeed: make([]uint32, numSlots*n),
-		sumSpeed: make([]uint32, numSlots*n),
-		cntSpeed: make([]uint32, numSlots*n),
-		slotGen:  make([]atomic.Uint64, numSlots),
-		near:     newTable(numSlots, n),
-		far:      newTable(numSlots, n),
-		nearRev:  newTable(numSlots, n),
-		farRev:   newTable(numSlots, n),
-	}
-	// Accumulate in plain float32, then publish as bits: construction is
-	// offline, and this goroutine alone writes the index until Build
-	// returns (the facade runs it beside the ST-Index build, which only
-	// shares the read-only network and dataset).
-	minS := make([]float32, numSlots*n)
-	maxS := make([]float32, numSlots*n)
-	sumS := make([]float32, numSlots*n)
+	idx := newIndex(net, cfg.SlotSeconds)
+	numSlots, n := idx.numSlots, net.NumSegments()
+	// Accumulate into unpublished rows, one per slot with a sample, with
+	// plain stores: construction is offline, and this goroutine alone
+	// writes the index until Build returns (the facade runs it beside the
+	// ST-Index build, which only shares the read-only network and
+	// dataset).
+	rows := make([]*slotSpeeds, numSlots)
 	for i := range ds.Matched {
 		// A visit out of range would land on another segment's cell, or
 		// another slot's; a NaN speed would poison a bound. Refusing
@@ -274,38 +332,33 @@ func Build(net *roadnet.Network, ds *traj.Dataset, cfg Config) (*Index, error) {
 				if s < 0 || s >= numSlots {
 					continue
 				}
-				k := s*n + int(v.Segment)
-				sp := v.Speed
-				if minS[k] == 0 || sp < minS[k] {
-					minS[k] = sp
+				r := rows[s]
+				if r == nil {
+					r = newSlotSpeeds(n)
+					rows[s] = r
 				}
-				if sp > maxS[k] {
-					maxS[k] = sp
+				k, sp := int(v.Segment), v.Speed
+				if m := math.Float32frombits(r.min[k]); m == 0 || sp < m {
+					r.min[k] = math.Float32bits(sp)
 				}
-				sumS[k] += sp
-				idx.cntSpeed[k]++
+				if sp > math.Float32frombits(r.max[k]) {
+					r.max[k] = math.Float32bits(sp)
+				}
+				r.sum[k] = math.Float32bits(math.Float32frombits(r.sum[k]) + sp)
+				r.cnt[k]++
 			}
 		}
 	}
-	// Fallbacks for unobserved (segment, slot) pairs, then the Near-table
-	// safety factor on the minima.
-	for s := 0; s < numSlots; s++ {
-		for seg := 0; seg < n; seg++ {
-			k := s*n + seg
-			ff := net.Segment(roadnet.SegmentID(seg)).Class.FreeFlowSpeed()
-			if minS[k] == 0 {
-				minS[k] = float32(ff * fallbackMinFraction)
-			}
-			if maxS[k] == 0 {
-				maxS[k] = float32(ff * fallbackMaxFraction)
-			}
-			minS[k] *= nearSafetyFactor
+	// Fallbacks for the unobserved segments of each sampled slot, then
+	// the Near-table safety factor on the minima.
+	for s, r := range rows {
+		if r == nil {
+			continue
 		}
-	}
-	for k := range minS {
-		idx.minSpeed[k] = math.Float32bits(minS[k])
-		idx.maxSpeed[k] = math.Float32bits(maxS[k])
-		idx.sumSpeed[k] = math.Float32bits(sumS[k])
+		for seg := range r.min {
+			r.fillFallback(seg, net.Segment(roadnet.SegmentID(seg)).Class.FreeFlowSpeed())
+		}
+		idx.speeds[s].Store(r)
 	}
 	return idx, nil
 }
@@ -321,34 +374,39 @@ func loadSpeed(a []uint32, k int) float32 {
 	return math.Float32frombits(atomic.LoadUint32(&a[k]))
 }
 
+// slot returns the statistics of slot, normalised: its row, or the
+// fallback row when it has no sample.
+func (x *Index) slot(slot int) *slotSpeeds {
+	if r := x.speeds[slot].Load(); r != nil {
+		return r
+	}
+	return x.fallback
+}
+
 // MinSpeed returns the slot's minimum observed (or fallback) speed on seg.
 func (x *Index) MinSpeed(seg roadnet.SegmentID, slot int) float64 {
-	return float64(loadSpeed(x.minSpeed, x.key(seg, slot)))
+	return float64(loadSpeed(x.slot(x.normSlot(slot)).min, int(seg)))
 }
 
 // MaxSpeed returns the slot's maximum observed (or fallback) speed on seg.
 func (x *Index) MaxSpeed(seg roadnet.SegmentID, slot int) float64 {
-	return float64(loadSpeed(x.maxSpeed, x.key(seg, slot)))
+	return float64(loadSpeed(x.slot(x.normSlot(slot)).max, int(seg)))
 }
 
 // MeanSpeed returns the slot's mean observed speed on seg, falling back
 // to 70% of free-flow when the slot was never observed. Used by the
 // time-dependent route queries.
 func (x *Index) MeanSpeed(seg roadnet.SegmentID, slot int) float64 {
-	k := x.key(seg, slot)
-	if cnt := atomic.LoadUint32(&x.cntSpeed[k]); cnt > 0 {
-		return float64(loadSpeed(x.sumSpeed, k)) / float64(cnt)
+	r := x.slot(x.normSlot(slot))
+	if cnt := atomic.LoadUint32(&r.cnt[seg]); cnt > 0 {
+		return float64(loadSpeed(r.sum, int(seg))) / float64(cnt)
 	}
 	return 0.7 * x.net.Segment(seg).Class.FreeFlowSpeed()
 }
 
 // Observations returns how many speed samples the slot has for seg.
 func (x *Index) Observations(seg roadnet.SegmentID, slot int) int {
-	return int(atomic.LoadUint32(&x.cntSpeed[x.key(seg, slot)]))
-}
-
-func (x *Index) key(seg roadnet.SegmentID, slot int) int {
-	return x.normSlot(slot)*x.net.NumSegments() + int(seg)
+	return int(atomic.LoadUint32(&x.slot(x.normSlot(slot)).cnt[seg]))
 }
 
 func cacheKey(seg roadnet.SegmentID, slot int) int64 {
@@ -439,10 +497,10 @@ func (x *Index) expand(ctx context.Context, seg roadnet.SegmentID, slot int, far
 	budget := float64(x.slotSec)
 	length := x.net.Lengths()
 	off, succ := x.net.Adjacency(roadnet.Forward)
-	base := slot * len(length)
-	speeds := x.minSpeed
+	row := x.slot(slot)
+	speeds := row.min
 	if far {
-		speeds = x.maxSpeed
+		speeds = row.max
 	}
 
 	sc := x.getScratch()
@@ -467,7 +525,7 @@ func (x *Index) expand(ctx context.Context, seg roadnet.SegmentID, slot int, far
 		if it.cost > sc.enterCost[it.seg] {
 			continue // stale entry (a pushed segment carries this stamp)
 		}
-		sp := float64(loadSpeed(speeds, base+int(it.seg)))
+		sp := float64(loadSpeed(speeds, int(it.seg)))
 		exit := budget + 1
 		if sp > 0 {
 			exit = it.cost + length[it.seg]/sp

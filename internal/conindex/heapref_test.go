@@ -38,12 +38,10 @@ func (q *refPQ) Pop() interface{} {
 
 // refExpand is the forward expansion in pop order.
 func refExpand(x *Index, seg roadnet.SegmentID, slot int, far bool) []roadnet.SegmentID {
-	n := x.net.NumSegments()
 	budget := float64(x.slotSec)
-	base := slot * n
-	speeds := x.minSpeed
+	speeds := x.slot(slot).min
 	if far {
-		speeds = x.maxSpeed
+		speeds = x.slot(slot).max
 	}
 	enter := map[roadnet.SegmentID]float64{seg: 0}
 	pq := &refPQ{}
@@ -54,7 +52,7 @@ func refExpand(x *Index, seg roadnet.SegmentID, slot int, far bool) []roadnet.Se
 		if it.cost > enter[it.seg] {
 			continue
 		}
-		sp := float64(loadSpeed(speeds, base+int(it.seg)))
+		sp := float64(loadSpeed(speeds, int(it.seg)))
 		exit := budget + 1
 		if sp > 0 {
 			exit = it.cost + x.net.Segment(it.seg).Length/sp
@@ -83,15 +81,13 @@ func refExpand(x *Index, seg roadnet.SegmentID, slot int, far bool) []roadnet.Se
 
 // refExpandReverse is the mirrored expansion in pop order.
 func refExpandReverse(x *Index, seg roadnet.SegmentID, slot int, far bool) []roadnet.SegmentID {
-	n := x.net.NumSegments()
 	budget := float64(x.slotSec)
-	base := slot * n
-	speeds := x.minSpeed
+	speeds := x.slot(slot).min
 	if far {
-		speeds = x.maxSpeed
+		speeds = x.slot(slot).max
 	}
 	timeOf := func(s roadnet.SegmentID) float64 {
-		sp := float64(loadSpeed(speeds, base+int(s)))
+		sp := float64(loadSpeed(speeds, int(s)))
 		if sp <= 0 {
 			return budget + 1
 		}

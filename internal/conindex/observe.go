@@ -83,17 +83,27 @@ func (x *Index) ObserveSpeedBatch(samples []SpeedSample) bool {
 }
 
 // observeSlot applies the fold rule to one cell under obsMu and reports
-// whether a bound moved. The field writes are atomic stores (readers
-// are lock-free); the slot's generation is bumped after the writes so
-// any expansion at this slot that recorded the previous generation
-// refuses to cache itself.
+// whether a bound moved. A slot without a sample first gets a copy of
+// the fallback row, published before any store into it: an expansion
+// that loaded the fallback row reads the values the stores replace, as
+// one that loads a cell before its store does. The field writes are
+// atomic stores (readers are lock-free); the slot's generation is
+// bumped after the writes so any expansion at this slot that recorded
+// the previous generation refuses to cache itself.
 func (x *Index) observeSlot(seg roadnet.SegmentID, slot int, sp float32) bool {
-	k := slot*x.net.NumSegments() + int(seg)
+	k := int(seg)
 	spMin := sp * nearSafetyFactor
 	x.obsMu.Lock()
-	oldMin := math.Float32frombits(x.minSpeed[k])
-	oldMax := math.Float32frombits(x.maxSpeed[k])
-	cnt := x.cntSpeed[k]
+	r := x.speeds[slot].Load()
+	if r == nil {
+		r = newSlotSpeeds(len(x.fallback.min))
+		copy(r.min, x.fallback.min)
+		copy(r.max, x.fallback.max)
+		x.speeds[slot].Store(r)
+	}
+	oldMin := math.Float32frombits(r.min[k])
+	oldMax := math.Float32frombits(r.max[k])
+	cnt := r.cnt[k]
 	var newMin, newMax, newSum float32
 	if cnt == 0 {
 		newMin, newMax, newSum = spMin, sp, sp
@@ -105,12 +115,12 @@ func (x *Index) observeSlot(seg roadnet.SegmentID, slot int, sp float32) bool {
 		if sp > newMax {
 			newMax = sp
 		}
-		newSum = math.Float32frombits(x.sumSpeed[k]) + sp
+		newSum = math.Float32frombits(r.sum[k]) + sp
 	}
-	atomic.StoreUint32(&x.minSpeed[k], math.Float32bits(newMin))
-	atomic.StoreUint32(&x.maxSpeed[k], math.Float32bits(newMax))
-	atomic.StoreUint32(&x.sumSpeed[k], math.Float32bits(newSum))
-	atomic.StoreUint32(&x.cntSpeed[k], cnt+1)
+	atomic.StoreUint32(&r.min[k], math.Float32bits(newMin))
+	atomic.StoreUint32(&r.max[k], math.Float32bits(newMax))
+	atomic.StoreUint32(&r.sum[k], math.Float32bits(newSum))
+	atomic.StoreUint32(&r.cnt[k], cnt+1)
 	changed := newMin != oldMin || newMax != oldMax
 	if changed {
 		x.invGen.Add(1)

@@ -64,18 +64,21 @@ func TestObserveSpeedMatchesOfflineRebuild(t *testing.T) {
 	}
 	offline := build(t, n, union)
 
-	for k := range live.minSpeed {
-		if live.minSpeed[k] != offline.minSpeed[k] {
-			t.Fatalf("cell %d: live min %#x, offline rebuild %#x", k, live.minSpeed[k], offline.minSpeed[k])
-		}
-		if live.maxSpeed[k] != offline.maxSpeed[k] {
-			t.Fatalf("cell %d: live max %#x, offline rebuild %#x", k, live.maxSpeed[k], offline.maxSpeed[k])
-		}
-		if live.cntSpeed[k] != offline.cntSpeed[k] {
-			t.Fatalf("cell %d: live cnt %d, offline rebuild %d", k, live.cntSpeed[k], offline.cntSpeed[k])
-		}
-		if live.sumSpeed[k] != offline.sumSpeed[k] {
-			t.Fatalf("cell %d: live sum %#x, offline rebuild %#x", k, live.sumSpeed[k], offline.sumSpeed[k])
+	for slot := 0; slot < live.numSlots; slot++ {
+		l, o := live.slot(slot), offline.slot(slot)
+		for k := range l.min {
+			if l.min[k] != o.min[k] {
+				t.Fatalf("slot %d seg %d: live min %#x, offline rebuild %#x", slot, k, l.min[k], o.min[k])
+			}
+			if l.max[k] != o.max[k] {
+				t.Fatalf("slot %d seg %d: live max %#x, offline rebuild %#x", slot, k, l.max[k], o.max[k])
+			}
+			if l.cnt[k] != o.cnt[k] {
+				t.Fatalf("slot %d seg %d: live cnt %d, offline rebuild %d", slot, k, l.cnt[k], o.cnt[k])
+			}
+			if l.sum[k] != o.sum[k] {
+				t.Fatalf("slot %d seg %d: live sum %#x, offline rebuild %#x", slot, k, l.sum[k], o.sum[k])
+			}
 		}
 	}
 }

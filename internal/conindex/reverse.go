@@ -33,13 +33,13 @@ func (x *Index) expandReverse(ctx context.Context, seg roadnet.SegmentID, slot i
 	budget := float64(x.slotSec)
 	length := x.net.Lengths()
 	off, pred := x.net.Adjacency(roadnet.Backward)
-	base := slot * len(length)
-	speeds := x.minSpeed
+	row := x.slot(slot)
+	speeds := row.min
 	if far {
-		speeds = x.maxSpeed
+		speeds = row.max
 	}
 	timeOf := func(s roadnet.SegmentID) float64 {
-		sp := float64(loadSpeed(speeds, base+int(s)))
+		sp := float64(loadSpeed(speeds, int(s)))
 		if sp <= 0 {
 			return budget + 1
 		}

@@ -1,8 +1,11 @@
 package stindex
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"streach/internal/roadnet"
@@ -16,27 +19,46 @@ import (
 // handle table — so the index can be reopened without rebuilding from
 // trajectories.
 //
-// The meta is a storage frame (magic "STIX", version 6) whose payload is,
+// The meta is a storage frame (magic "STIX", version 7) whose payload is,
 // little endian:
 //
 //	slotSec u32 | days u32 | baseDate unix s i64 | numSegments u32 |
 //	blob tail i64 | pagesCRC u32 |
-//	numSlots x numSegments x (offset i64, length i32)
+//	present [(numSlots+7)/8]byte, bit s%8 of byte s/8 for slot s |
+//	per present slot, numSegments handles:
+//	    length uvarint | gap zigzag varint, only when length > 0
 //
-// The handles go out flat, slot-major, a slot without a list as zero
-// handles. pagesCRC is the CRC-32C of the first `tail` bytes of the
+// Only the slots that hold a list are written: a fleet that works a
+// shift leaves most of a day empty. A handle's gap is its offset less
+// the end of the previous non-empty handle, in slot and then segment
+// order (0 for the first). Build appends the lists back to back in
+// that order, so a built handle's gap is 0; a key a compaction folded
+// sits at the blob tail and has a gap of its own, as has the handle
+// after it. The
+// form is canonical — shortest varints, no bit past the last slot, no
+// present slot without a list — so a loaded meta saves back byte for
+// byte. pagesCRC is the CRC-32C of the first `tail` bytes of the
 // page store — the bytes the handles can reach. The blob file is
 // append-only, so a compaction that appended new blobs but crashed
 // before installing its meta leaves bytes only beyond the old tail: the
 // old meta still verifies and reopens over them, and the WAL replays
 // the unfolded rest. The day count must be below maxDays, the blob tail
 // inside the page store and every handle inside the tail: a probe sizes
-// its slices by the day count and a read by the handle. A meta of any
-// other version — the layouts before the frame — does not load, and the
-// facade rebuilds the index from its trajectories.
+// its slices by the day count and a read by the handle.
+//
+// Version 6, the layout before this one, has the same header and then
+// numSlots x numSegments x (offset i64, length i32), flat and
+// slot-major, an empty slot as zero handles. LoadIndex still reads it,
+// so a directory saved by that build opens without a rebuild: a rebuild
+// would drop the live updates a durable compaction folded into the
+// index, whose only durable copy is the index itself. The next SaveMeta
+// writes version 7. A meta of any other version — the layouts before
+// the frame — does not load, and the facade rebuilds the index from its
+// trajectories.
 const (
 	metaMagic   = "STIX"
-	metaVersion = 6
+	metaVersion = 7
+	metaV6      = 6
 )
 
 // SaveMeta writes the index metadata. The page store must be flushed (or
@@ -52,26 +74,51 @@ func (x *Index) SaveMeta(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	nseg := x.net.NumSegments()
 	fw := storage.NewChecksumWriter(w, metaMagic, metaVersion)
 	fw.Uint32(uint32(x.slotSec))
 	fw.Uint32(uint32(x.days))
 	fw.Uint64(uint64(x.baseDate.Unix()))
-	fw.Uint32(uint32(nseg))
+	fw.Uint32(uint32(x.net.NumSegments()))
 	fw.Uint64(uint64(tail))
 	fw.Uint32(pagesCRC)
 	handles := x.liveHandles()
-	for slot := range handles {
-		for seg := 0; seg < nseg; seg++ {
-			hd := handles.at(slot, seg)
-			fw.Uint64(uint64(hd.Offset))
-			fw.Uint32(uint32(hd.Length))
+	present := make([]byte, (len(handles)+7)/8)
+	for slot, row := range handles {
+		if holdsList(row) {
+			present[slot>>3] |= 1 << (slot & 7)
 		}
+	}
+	fw.Write(present)
+	var rec []byte
+	var end int64
+	for slot, row := range handles {
+		if present[slot>>3]&(1<<(slot&7)) == 0 {
+			continue
+		}
+		rec = rec[:0]
+		for _, h := range row {
+			rec = binary.AppendUvarint(rec, uint64(h.Length))
+			if h.Length > 0 {
+				rec = binary.AppendVarint(rec, h.Offset-end)
+				end = h.Offset + int64(h.Length)
+			}
+		}
+		fw.Write(rec)
 	}
 	if err := fw.Finish(); err != nil {
 		return fmt.Errorf("stindex: write meta: %w", err)
 	}
 	return nil
+}
+
+// holdsList reports whether a slot's row locates at least one list.
+func holdsList(row []storage.BlobHandle) bool {
+	for _, h := range row {
+		if h.Length > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // LoadIndex reopens a persisted index: net must be the same network it
@@ -84,7 +131,15 @@ func (x *Index) SaveMeta(w io.Writer) error {
 // index over bytes it cannot vouch for.
 func LoadIndex(net *roadnet.Network, cfg Config, meta io.Reader) (*Index, error) {
 	cfg = cfg.withDefaults()
-	fr, err := storage.NewChecksumReader(meta, metaMagic, metaVersion)
+	// The header names the layout; anything but version 6 is read as
+	// the current one, which refuses it by its version.
+	var head [6]byte
+	n, _ := io.ReadFull(meta, head[:])
+	version := uint16(metaVersion)
+	if n == len(head) && binary.LittleEndian.Uint16(head[4:]) == metaV6 {
+		version = metaV6
+	}
+	fr, err := storage.NewChecksumReader(storage.Rewound(head[:n], meta), metaMagic, version)
 	if err != nil {
 		return nil, fmt.Errorf("stindex: read meta: %w", err)
 	}
@@ -94,7 +149,7 @@ func LoadIndex(net *roadnet.Network, cfg Config, meta io.Reader) (*Index, error)
 		return nil, fmt.Errorf("stindex: read meta: %w", err)
 	}
 	if numSeg != net.NumSegments() {
-		return nil, fmt.Errorf("stindex: meta built over %d segments, network has %d", numSeg, net.NumSegments())
+		return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta built over %d segments, network has %d", numSeg, net.NumSegments())
 	}
 	if slotSec == 0 || 86400%slotSec != 0 {
 		return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta has invalid slot seconds %d", slotSec)
@@ -105,28 +160,14 @@ func LoadIndex(net *roadnet.Network, cfg Config, meta io.Reader) (*Index, error)
 	if stored := cfg.Store.NumPages() * storage.PageSize; tail < 0 || tail > stored {
 		return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta blob tail %d is past the page store's %d bytes", tail, stored)
 	}
-	// One row of handles per slot: the table is sized by the rows the
-	// meta can hold, not by the slot count it claims.
 	numSlots := 86400 / int(slotSec)
-	handles := make(handleTable, 0, min(int64(numSlots), fr.Remaining()/int64(12*max(numSeg, 1))))
-	for slot := 0; slot < numSlots; slot++ {
-		var row []storage.BlobHandle
-		for seg := 0; seg < numSeg; seg++ {
-			h := storage.BlobHandle{Offset: int64(fr.Uint64()), Length: int32(fr.Uint32())}
-			if h.Offset < 0 || h.Length < 0 || h.Offset > tail-int64(h.Length) {
-				return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta handle (slot %d, seg %d) at offset %d, length %d is past the blob tail %d", slot, seg, h.Offset, h.Length, tail)
-			}
-			if !h.IsZero() && row == nil {
-				row = make([]storage.BlobHandle, numSeg)
-			}
-			if row != nil {
-				row[seg] = h
-			}
-		}
-		if err := fr.Err(); err != nil {
-			return nil, fmt.Errorf("stindex: read meta handles: %w", err)
-		}
-		handles = append(handles, row)
+	readHandles := readSparseHandles
+	if version == metaV6 {
+		readHandles = readDenseHandles
+	}
+	handles, err := readHandles(fr, numSlots, numSeg, tail)
+	if err != nil {
+		return nil, err
 	}
 	if err := fr.Finish(); err != nil {
 		return nil, fmt.Errorf("stindex: read meta: %w", err)
@@ -157,4 +198,78 @@ func LoadIndex(net *roadnet.Network, cfg Config, meta io.Reader) (*Index, error)
 		return nil, xerr.Markf(xerr.KindCorrupt, "stindex: page store checksum mismatch (stored %08x, computed %08x)", pagesCRC, got)
 	}
 	return idx, nil
+}
+
+// readSparseHandles reads a version 7 handle table: the slot presence
+// bitmap, then each present slot's handles. Every slice is sized by the
+// bytes the frame still holds, never by a count in it.
+func readSparseHandles(fr *storage.ChecksumReader, numSlots, numSeg int, tail int64) (handleTable, error) {
+	present := bytes.Clone(fr.Next((numSlots + 7) / 8))
+	if present == nil {
+		return nil, fmt.Errorf("stindex: read meta slots: %w", fr.Err())
+	}
+	if numSlots%8 != 0 && present[len(present)-1]>>(numSlots%8) != 0 {
+		return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta marks a slot past the last of %d", numSlots)
+	}
+	handles := make(handleTable, numSlots)
+	var end int64
+	for slot := range handles {
+		if present[slot>>3]&(1<<(slot&7)) == 0 {
+			continue
+		}
+		// A handle takes at least a byte.
+		row := make([]storage.BlobHandle, 0, min(int64(numSeg), fr.Remaining()))
+		for seg := 0; seg < numSeg; seg++ {
+			var h storage.BlobHandle
+			length, u := int64(fr.Uvarint(math.MaxInt32)), uint64(0)
+			if length > 0 {
+				u = fr.Uvarint(math.MaxInt64)
+			}
+			if err := fr.Err(); err != nil {
+				return nil, fmt.Errorf("stindex: read meta handles: %w", err)
+			}
+			if length > 0 {
+				gap := int64(u>>1) ^ -int64(u&1)
+				if gap < -end || gap > tail-end-length {
+					return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta handle (slot %d, seg %d) of length %d at gap %d after %d is outside the blob tail %d", slot, seg, length, gap, end, tail)
+				}
+				h = storage.BlobHandle{Offset: end + gap, Length: int32(length)}
+				end += gap + length
+			}
+			row = append(row, h)
+		}
+		if !holdsList(row) {
+			return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta marks slot %d present, and it holds no list", slot)
+		}
+		handles[slot] = row
+	}
+	return handles, nil
+}
+
+// readDenseHandles reads a version 6 handle table: every slot's
+// handles, a slot without a list as zero handles.
+func readDenseHandles(fr *storage.ChecksumReader, numSlots, numSeg int, tail int64) (handleTable, error) {
+	// One row of handles per slot: the table is sized by the rows the
+	// meta can hold, not by the slot count it claims.
+	handles := make(handleTable, 0, min(int64(numSlots), fr.Remaining()/int64(12*max(numSeg, 1))))
+	for slot := 0; slot < numSlots; slot++ {
+		var row []storage.BlobHandle
+		for seg := 0; seg < numSeg; seg++ {
+			h := storage.BlobHandle{Offset: int64(fr.Uint64()), Length: int32(fr.Uint32())}
+			if h.Offset < 0 || h.Length < 0 || h.Offset > tail-int64(h.Length) {
+				return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta handle (slot %d, seg %d) at offset %d, length %d is past the blob tail %d", slot, seg, h.Offset, h.Length, tail)
+			}
+			if !h.IsZero() && row == nil {
+				row = make([]storage.BlobHandle, numSeg)
+			}
+			if row != nil {
+				row[seg] = h
+			}
+		}
+		if err := fr.Err(); err != nil {
+			return nil, fmt.Errorf("stindex: read meta handles: %w", err)
+		}
+		handles = append(handles, row)
+	}
+	return handles, nil
 }

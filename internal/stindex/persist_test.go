@@ -3,8 +3,12 @@ package stindex
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -272,9 +276,10 @@ func payloadOf(frame []byte) []byte {
 	}
 }
 
-// metaPayload writes a meta's records by hand. Handles not in set are
-// zero.
-func metaPayload(n *roadnet.Network, slotSec int, days uint32, tail uint64, pagesCRC uint32, set map[int]storage.BlobHandle) []byte {
+// metaPayload writes a meta's records by hand, in the layout of version
+// v (metaV6 or metaVersion). Handles not in set, keyed
+// slot*numSegments+seg, are zero.
+func metaPayload(v uint16, n *roadnet.Network, slotSec int, days uint32, tail uint64, pagesCRC uint32, set map[int]storage.BlobHandle) []byte {
 	var b []byte
 	b = binary.LittleEndian.AppendUint32(b, uint32(slotSec))
 	b = binary.LittleEndian.AppendUint32(b, days)
@@ -282,34 +287,86 @@ func metaPayload(n *roadnet.Network, slotSec int, days uint32, tail uint64, page
 	b = binary.LittleEndian.AppendUint32(b, uint32(n.NumSegments()))
 	b = binary.LittleEndian.AppendUint64(b, tail)
 	b = binary.LittleEndian.AppendUint32(b, pagesCRC)
-	for i := 0; i < 86400/slotSec*n.NumSegments(); i++ {
-		h := set[i]
-		b = binary.LittleEndian.AppendUint64(b, uint64(h.Offset))
-		b = binary.LittleEndian.AppendUint32(b, uint32(h.Length))
+	numSlots, nseg := 86400/slotSec, n.NumSegments()
+	if v == metaV6 {
+		for i := 0; i < numSlots*nseg; i++ {
+			h := set[i]
+			b = binary.LittleEndian.AppendUint64(b, uint64(h.Offset))
+			b = binary.LittleEndian.AppendUint32(b, uint32(h.Length))
+		}
+		return b
+	}
+	present := make([]byte, (numSlots+7)/8)
+	for i, h := range set {
+		if h.Length != 0 {
+			present[i/nseg/8] |= 1 << (i / nseg % 8)
+		}
+	}
+	b = append(b, present...)
+	var end int64
+	for slot := 0; slot < numSlots; slot++ {
+		if present[slot/8]&(1<<(slot%8)) == 0 {
+			continue
+		}
+		for seg := 0; seg < nseg; seg++ {
+			h := set[slot*nseg+seg]
+			b = binary.AppendUvarint(b, uint64(uint32(h.Length)))
+			if h.Length != 0 {
+				b = binary.AppendVarint(b, h.Offset-end)
+				end = h.Offset + int64(h.Length)
+			}
+		}
 	}
 	return b
 }
 
-// badMetaPayloads are meta records whose counts would, if trusted, make
-// the first probe allocate gigabytes.
-func badMetaPayloads(n *roadnet.Network, slotSec int, tail int64, pagesCRC uint32) map[string][]byte {
-	return map[string][]byte{
-		"days 1<<30": metaPayload(n, slotSec, 1<<30, uint64(tail), pagesCRC, nil),
-		"handle past the tail": metaPayload(n, slotSec, 7, uint64(tail), pagesCRC, map[int]storage.BlobHandle{
+// badMetaPayloads are meta records of version v whose counts would, if
+// trusted, make the first probe allocate gigabytes, and, for the sparse
+// layout, records that break its canonical form.
+func badMetaPayloads(v uint16, n *roadnet.Network, slotSec int, tail int64, pagesCRC uint32) map[string][]byte {
+	bad := map[string][]byte{
+		"days 1<<30": metaPayload(v, n, slotSec, 1<<30, uint64(tail), pagesCRC, map[int]storage.BlobHandle{5: {Offset: tail - 10, Length: 10}}),
+		"handle past the tail": metaPayload(v, n, slotSec, 7, uint64(tail), pagesCRC, map[int]storage.BlobHandle{
 			5: {Offset: 1 << 40, Length: 1<<31 - 1},
 		}),
-		"negative handle length": metaPayload(n, slotSec, 7, uint64(tail), pagesCRC, map[int]storage.BlobHandle{
+		"negative handle length": metaPayload(v, n, slotSec, 7, uint64(tail), pagesCRC, map[int]storage.BlobHandle{
 			5: {Offset: 1, Length: -1},
 		}),
-		"tail past the page store": metaPayload(n, slotSec, 7, 1<<41, pagesCRC, map[int]storage.BlobHandle{
+		"tail past the page store": metaPayload(v, n, slotSec, 7, 1<<41, pagesCRC, map[int]storage.BlobHandle{
 			5: {Offset: 1 << 40, Length: 1<<31 - 1},
 		}),
 	}
+	if v == metaV6 {
+		return bad
+	}
+	// The sparse records after the 36-byte header: the presence bitmap,
+	// then slot 0's handles.
+	ok := metaPayload(v, n, slotSec, 7, uint64(tail), pagesCRC, map[int]storage.BlobHandle{5: {Offset: tail - 10, Length: 10}})
+	const hdr = 36
+	numSlots := 86400 / slotSec
+	edit := func(fn func(b []byte) []byte) []byte { return fn(slices.Clone(ok)) }
+	bad["a slot past the last"] = edit(func(b []byte) []byte {
+		b[hdr+(numSlots+7)/8-1] |= 0x80
+		return b
+	})
+	bad["a present slot without a list"] = edit(func(b []byte) []byte {
+		b[hdr] |= 2
+		return append(b, make([]byte, n.NumSegments())...)
+	})
+	bad["an overlong length"] = edit(func(b []byte) []byte {
+		b = b[:hdr+(numSlots+7)/8]
+		return append(append(b, 0x80, 0x00), make([]byte, n.NumSegments()-1)...)
+	})
+	bad["a gap before the blob file"] = metaPayload(v, n, slotSec, 7, uint64(tail), pagesCRC, map[int]storage.BlobHandle{
+		5: {Offset: -1, Length: 10},
+	})
+	return bad
 }
 
-// TestLoadRejectsUntrustworthyCounts: a meta whose checksums all hold
-// but whose day count or handles are out of bounds is corrupt, and the
-// same meta with sane values loads.
+// TestLoadRejectsUntrustworthyCounts: a meta of either layout whose
+// checksums all hold but whose day count or handles are out of bounds,
+// or whose sparse records are not in their one canonical form, is
+// corrupt, and the same meta with sane values loads.
 func TestLoadRejectsUntrustworthyCounts(t *testing.T) {
 	n := testNetwork(t)
 	_, mem, meta := savedIndex(t)
@@ -322,23 +379,150 @@ func TestLoadRejectsUntrustworthyCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, bad := range badMetaPayloads(n, 300, tail, pagesCRC) {
-		_, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(framed(metaMagic, metaVersion, bad)))
-		if xerr.KindOf(err) != xerr.KindCorrupt {
-			t.Fatalf("%s: load error %v, want KindCorrupt", name, err)
+	for _, v := range []uint16{metaV6, metaVersion} {
+		for name, bad := range badMetaPayloads(v, n, 300, tail, pagesCRC) {
+			_, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(framed(metaMagic, v, bad)))
+			if xerr.KindOf(err) != xerr.KindCorrupt {
+				t.Fatalf("v%d %s: load error %v, want KindCorrupt", v, name, err)
+			}
 		}
-	}
-	ok := metaPayload(n, 300, 7, uint64(tail), pagesCRC, map[int]storage.BlobHandle{5: {Offset: tail - 10, Length: 10}})
-	if _, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(framed(metaMagic, metaVersion, ok))); err != nil {
-		t.Fatalf("in-bounds meta: %v", err)
+		ok := metaPayload(v, n, 300, 7, uint64(tail), pagesCRC, map[int]storage.BlobHandle{5: {Offset: tail - 10, Length: 10}})
+		x, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(framed(metaMagic, v, ok)))
+		if err != nil {
+			t.Fatalf("v%d in-bounds meta: %v", v, err)
+		}
+		if h := x.liveHandles().at(0, 5); h != (storage.BlobHandle{Offset: tail - 10, Length: 10}) {
+			t.Fatalf("v%d: loaded handle %+v", v, h)
+		}
 	}
 }
 
-// FuzzLoadMeta: no meta records, framed with a valid checksum (the frame
-// itself is FuzzFrame's), panic LoadIndex, and an index it returns
-// has a day count below maxDays and every handle inside a blob tail the
-// page store holds — so no list it serves can ask for more memory than
-// the store has bytes. Every list it locates then reads without a panic.
+// denseMeta is the version 6 meta of x, as the build before version 7
+// wrote it.
+func denseMeta(t testing.TB, x *Index) []byte {
+	t.Helper()
+	tail := x.blob.Tail()
+	pagesCRC, err := x.pool.Checksum(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	fw := storage.NewChecksumWriter(&b, metaMagic, metaV6)
+	fw.Uint32(uint32(x.slotSec))
+	fw.Uint32(uint32(x.days))
+	fw.Uint64(uint64(x.baseDate.Unix()))
+	fw.Uint32(uint32(x.net.NumSegments()))
+	fw.Uint64(uint64(tail))
+	fw.Uint32(pagesCRC)
+	handles := x.liveHandles()
+	for slot := range handles {
+		for seg := 0; seg < x.net.NumSegments(); seg++ {
+			hd := handles.at(slot, seg)
+			fw.Uint64(uint64(hd.Offset))
+			fw.Uint32(uint32(hd.Length))
+		}
+	}
+	if err := fw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestMetaV6Upgrade: a version 6 meta — an index with a compacted key
+// at the blob tail among them — loads into the handle table it was
+// written from, and the loaded index saves the version 7 meta that the
+// index itself saves.
+func TestMetaV6Upgrade(t *testing.T) {
+	n := testNetwork(t)
+	ds := testDataset(t, n)
+	mem := storage.NewMemStore()
+	idx, err := Build(n, ds, Config{SlotSeconds: 300, Store: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	mt := &ds.Matched[0]
+	v := mt.Visits[0]
+	slot := slotOf(idx, v.Enter(ds.DayStart(mt.Day)))
+	if err := idx.AppendDelta([]DeltaObs{{Seg: v.Segment, Slot: slot, Day: mt.Day, Taxi: 31}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := idx.CompactDeltasBudget(0); err != nil {
+		t.Fatal(err)
+	}
+	if h := idx.liveHandles().at(slot, int(v.Segment)); h.Offset+int64(h.Length) != idx.blob.Tail() {
+		t.Fatalf("the compacted key's blob %+v is not at the tail %d", h, idx.blob.Tail())
+	}
+	var sparse bytes.Buffer
+	if err := idx.SaveMeta(&sparse); err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Pool().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	dense := denseMeta(t, idx)
+	if len(sparse.Bytes()) >= len(dense)/4 {
+		t.Fatalf("the sparse meta is %d bytes against the dense %d", sparse.Len(), len(dense))
+	}
+	old, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(dense))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, got := idx.liveHandles(), old.liveHandles(); !reflect.DeepEqual(got, want) {
+		t.Fatal("a version 6 meta loads a different handle table")
+	}
+	var again bytes.Buffer
+	if err := old.SaveMeta(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), sparse.Bytes()) {
+		t.Fatal("an index loaded from version 6 saves a different version 7 meta")
+	}
+}
+
+// TestLoadMetaAllocatesByBytesRead: a version 7 meta whose checksums
+// hold and whose bitmap marks every slot present, in a few hundred
+// bytes, fails without allocating the rows it promises, from a stream
+// and from a file alike.
+func TestLoadMetaAllocatesByBytesRead(t *testing.T) {
+	n := testNetwork(t)
+	_, mem, _ := savedIndex(t)
+	numSlots := 86400 / 300
+	p := metaPayload(metaVersion, n, 300, 7, 0, 0, nil)
+	p = append(p[:len(p)-(numSlots+7)/8], bytes.Repeat([]byte{0xff}, (numSlots+7)/8)...)
+	p = append(p, make([]byte, 300)...)
+	blob := framed(metaMagic, metaVersion, p)
+	path := filepath.Join(t.TempDir(), "meta")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dense := int64(numSlots * n.NumSegments() * 16)
+	for name, r := range map[string]io.Reader{"stream": bytes.NewReader(blob), "file": f} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadIndex(n, Config{Store: mem}, r)
+		runtime.ReadMemStats(&after)
+		if xerr.KindOf(err) != xerr.KindCorrupt {
+			t.Fatalf("%s: load error %v, want KindCorrupt", name, err)
+		}
+		if got := int64(after.TotalAlloc - before.TotalAlloc); got > 64<<10 || got > dense/4 {
+			t.Fatalf("%s: loading a %d-byte meta allocated %d bytes (all rows: %d)", name, len(blob), got, dense)
+		}
+	}
+}
+
+// FuzzLoadMeta: no meta records of either layout, framed with a valid
+// checksum (the frame itself is FuzzFrame's), panic LoadIndex, and an
+// index it returns has a day count below maxDays and every handle
+// inside a blob tail the page store holds — so no list it serves can
+// ask for more memory than the store has bytes. Every list it locates
+// then reads without a panic, and it saves a version 7 meta that loads
+// back to the same handle table (a version 7 input byte for byte).
 func FuzzLoadMeta(f *testing.F) {
 	const slotSec = 21600 // 4 slots keep the metas small enough to mutate
 	n := testNetwork(f)
@@ -347,18 +531,29 @@ func FuzzLoadMeta(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	pagesCRC, err := idx.pool.Checksum(idx.blob.Tail())
+	tail := idx.blob.Tail()
+	pagesCRC, err := idx.pool.Checksum(tail)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(payloadOf(meta))
-	f.Add(payloadOf(meta)[:len(payloadOf(meta))-6]) // ends inside a handle
-	for _, bad := range badMetaPayloads(n, slotSec, idx.blob.Tail(), pagesCRC) {
-		f.Add(bad)
+	f.Add(false, payloadOf(meta))
+	f.Add(false, payloadOf(meta)[:len(payloadOf(meta))-2]) // ends inside a handle
+	dense := payloadOf(denseMeta(f, idx))
+	f.Add(true, dense)
+	f.Add(true, dense[:len(dense)-6])
+	for _, v := range []uint16{metaV6, metaVersion} {
+		for _, bad := range badMetaPayloads(v, n, slotSec, tail, pagesCRC) {
+			f.Add(v == metaV6, bad)
+		}
 	}
 	storeBytes := mem.NumPages() * storage.PageSize
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		x, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(framed(metaMagic, metaVersion, payload)))
+	f.Fuzz(func(t *testing.T, v6 bool, payload []byte) {
+		v := uint16(metaVersion)
+		if v6 {
+			v = metaV6
+		}
+		in := framed(metaMagic, v, payload)
+		x, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(in))
 		if err != nil {
 			return
 		}
@@ -378,6 +573,24 @@ func FuzzLoadMeta(f *testing.F) {
 				}
 				if !h.IsZero() {
 					x.timeListBitsAt(roadnet.SegmentID(seg), slot)
+				}
+			}
+		}
+		var out bytes.Buffer
+		if err := x.SaveMeta(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !v6 && !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("a loaded meta saves back differently (%d bytes in, %d out)", len(in), out.Len())
+		}
+		y, err := LoadIndex(n, Config{Store: mem}, bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("a saved meta does not load: %v", err)
+		}
+		for slot := range handles {
+			for seg := 0; seg < n.NumSegments(); seg++ {
+				if a, b := handles.at(slot, seg), y.liveHandles().at(slot, seg); a.Length > 0 && a != b || a.Length == 0 && b.Length != 0 {
+					t.Fatalf("slot %d seg %d: handle %+v saves and loads as %+v", slot, seg, a, b)
 				}
 			}
 		}

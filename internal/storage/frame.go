@@ -316,6 +316,46 @@ func (c *ChecksumReader) Uint64() uint64 {
 	return 0
 }
 
+// Uvarint reads a uvarint of at most limit (below 2^63) in its shortest
+// form. Any other encoding fails the reader as corrupt, so a format
+// built from these has one encoding of each value.
+func (c *ChecksumReader) Uvarint(limit uint64) uint64 {
+	var buf [binary.MaxVarintLen64]byte
+	for n := 0; n < len(buf); n++ {
+		b := c.Next(1)
+		if b == nil {
+			return 0
+		}
+		if buf[n] = b[0]; b[0] < 0x80 {
+			if x, end := UvarintAt(buf[:n+1], 0, limit); end > 0 {
+				return x
+			}
+			break
+		}
+	}
+	c.corrupt("malformed varint")
+	return 0
+}
+
+// UvarintAt decodes the shortest-form uvarint at b[i:] when it is at
+// most limit (below 2^63), returning it and the offset after it; the
+// offset is -1 for anything else.
+func UvarintAt(b []byte, i int, limit uint64) (uint64, int) {
+	var x uint64
+	for s := uint(0); s < 63 && i < len(b); s += 7 {
+		c := b[i]
+		i++
+		x |= uint64(c&0x7f) << s
+		if c < 0x80 {
+			if (c == 0 && s > 0) || x > limit {
+				return 0, -1
+			}
+			return x, i
+		}
+	}
+	return 0, -1
+}
+
 // Err reports the first failure.
 func (c *ChecksumReader) Err() error { return c.err }
 

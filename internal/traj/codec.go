@@ -236,62 +236,22 @@ func scanV3(r io.Reader, visit func(mt *MatchedTrajectory) error) (time.Time, Da
 	return base, stats, nil
 }
 
-// errVarint is a head field that is not a shortest-form varint within
-// the field's range.
-var errVarint = xerr.Markf(xerr.KindCorrupt, "malformed varint")
-
 // readTrajHead reads a version 3 trajectory head: taxi, day, the visit
 // count and the byte length of the visits, which must lie within what
 // that many visits can take.
 func readTrajHead(fr *storage.ChecksumReader) (taxi, day uint64, nv, size int, err error) {
 	var f [4]uint64
 	for k, limit := range [4]uint64{math.MaxUint32, math.MaxUint16, math.MaxUint32, maxVisitBytes * math.MaxUint32} {
-		if f[k], err = readUvarint(fr, limit); err != nil {
-			return 0, 0, 0, 0, err
-		}
+		f[k] = fr.Uvarint(limit)
+	}
+	if err := fr.Err(); err != nil {
+		return 0, 0, 0, 0, err
 	}
 	nv, size = int(f[2]), int(f[3])
 	if size < nv*minVisitBytes || size > nv*maxVisitBytes {
 		return 0, 0, 0, 0, xerr.Markf(xerr.KindCorrupt, "%d visits in a %d-byte block", nv, size)
 	}
 	return f[0], f[1], nv, size, nil
-}
-
-// readUvarint reads a shortest-form uvarint of at most limit from fr.
-func readUvarint(fr *storage.ChecksumReader, limit uint64) (uint64, error) {
-	var buf [binary.MaxVarintLen64]byte
-	for n := 0; n < len(buf); n++ {
-		b := fr.Next(1)
-		if b == nil {
-			return 0, fr.Err()
-		}
-		if buf[n] = b[0]; b[0] < 0x80 {
-			if x, end := uvarintAt(buf[:n+1], 0, limit); end > 0 {
-				return x, nil
-			}
-			break
-		}
-	}
-	return 0, errVarint
-}
-
-// uvarintAt decodes the shortest-form uvarint at b[i:] when it is at
-// most limit (below 2^63), returning it and the offset after it; the
-// offset is -1 for anything else.
-func uvarintAt(b []byte, i int, limit uint64) (uint64, int) {
-	var x uint64
-	for s := uint(0); s < 63 && i < len(b); s += 7 {
-		c := b[i]
-		i++
-		x |= uint64(c&0x7f) << s
-		if c < 0x80 {
-			if (c == 0 && s > 0) || x > limit {
-				return 0, -1
-			}
-			return x, i
-		}
-	}
-	return 0, -1
 }
 
 // decodeVisits decodes the n visits of a version 3 block into vs, reused.
@@ -304,15 +264,15 @@ func decodeVisits(vs []Visit, b []byte, n int) ([]Visit, error) {
 	i := 0
 	for j := range vs {
 		var d, dur, gap uint64
-		if d, i = uvarintAt(b, i, math.MaxUint32); i < 0 {
+		if d, i = storage.UvarintAt(b, i, math.MaxUint32); i < 0 {
 			return vs[:j], xerr.Markf(xerr.KindCorrupt, "visit %d: malformed segment delta", j)
 		}
-		if dur, i = uvarintAt(b, i, 1<<33-1); i < 0 {
+		if dur, i = storage.UvarintAt(b, i, 1<<33-1); i < 0 {
 			return vs[:j], xerr.Markf(xerr.KindCorrupt, "visit %d: malformed duration", j)
 		}
 		enter := exit
 		if dur&1 == 0 {
-			if gap, i = uvarintAt(b, i, math.MaxUint32); i < 0 || gap == 0 {
+			if gap, i = storage.UvarintAt(b, i, math.MaxUint32); i < 0 || gap == 0 {
 				return vs[:j], xerr.Markf(xerr.KindCorrupt, "visit %d: malformed entry gap", j)
 			}
 			enter += unzigzag(gap)

@@ -49,7 +49,9 @@ func payloadOf(frame []byte) []byte {
 func TestLoadersAllocateByBytesRead(t *testing.T) {
 	net := smallSystem(t).Network()
 	nseg := uint32(net.NumSegments())
-	meta := func(slotSec, days uint32) []byte {
+	// A meta of the given version with nothing after its header but
+	// rest.
+	meta := func(version uint16, slotSec, days uint32, rest ...byte) []byte {
 		var p []byte
 		p = binary.LittleEndian.AppendUint32(p, slotSec)
 		p = binary.LittleEndian.AppendUint32(p, days)
@@ -57,8 +59,9 @@ func TestLoadersAllocateByBytesRead(t *testing.T) {
 		p = binary.LittleEndian.AppendUint32(p, nseg)
 		p = binary.LittleEndian.AppendUint64(p, 0)
 		p = binary.LittleEndian.AppendUint32(p, 0)
-		return framed("STIX", 6, p)
+		return framed("STIX", version, append(p, rest...))
 	}
+	everySlot := append(bytes.Repeat([]byte{0xff}, 288/8), make([]byte, 300)...)
 	loadMeta := func(r io.Reader) error {
 		_, err := stindex.LoadIndex(net, stindex.Config{Store: storage.NewMemStore()}, r)
 		return err
@@ -87,8 +90,10 @@ func TestLoadersAllocateByBytesRead(t *testing.T) {
 		file []byte
 		load func(io.Reader) error
 	}{
-		{"stindex.meta: 1-second slots, no handles", meta(1, 7), loadMeta},
-		{"stindex.meta: 2^32-1 days", meta(300, 1<<32-1), loadMeta},
+		{"stindex.meta v6: 1-second slots, no handles", meta(6, 1, 7), loadMeta},
+		{"stindex.meta v6: 2^32-1 days", meta(6, 300, 1<<32-1), loadMeta},
+		{"stindex.meta v7: 1-second slots, no bitmap", meta(7, 1, 7), loadMeta},
+		{"stindex.meta v7: every slot present in 300 B", meta(7, 300, 7, everySlot...), loadMeta},
 		{"dataset.bin: 2^32-1 trajectories", dataset(nv, 0, 0), loadDataset},
 		{"dataset.bin: 2^32-1 visits in 6 B each", dataset(1, nv, 6*nv), loadDataset},
 		{"dataset.bin: 2^32-1 visits in 64 B", dataset(1, nv, 64), loadDataset},
@@ -126,6 +131,65 @@ func TestLoadersAllocateByBytesRead(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOpenParentLayoutsAfterCompaction: testdata/v6compacted was saved
+// by the build before the sparse layouts (stindex.meta v6, conindex.bin
+// v3): a 4×4 city at one-hour slots whose fleet drives 07:00–12:00,
+// saved, reopened, given blanketUpdates at 10:00, 11:00 and 15:00
+// (three slots of 300 s), flushed and compacted durably, then closed.
+// Its indexes are the only durable copy of those updates, so it must
+// open without a rebuild: it logs nothing and answers bit-identically to
+// an offline build over the base trajectories and the updates. Its next
+// Save writes the sparse layouts, and the directory opens again to the
+// same answers.
+func TestOpenParentLayoutsAfterCompaction(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, filepath.Join("testdata", "v6compacted"), dir)
+	logBuf := captureLog(t)
+	open := func() *System {
+		t.Helper()
+		s, err := OpenSystem(dir, DefaultIndexConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		if logBuf.Len() > 0 {
+			t.Fatalf("the open logged:\n%s", logBuf)
+		}
+		return s
+	}
+	opened := open()
+	if v := fileVersion(t, dir, fileSTMeta); v != 6 {
+		t.Fatalf("the fixture's stindex.meta is version %d", v)
+	}
+	offline, err := NewSystemFromData(opened.Network(), unionDataset(opened.Dataset(), blanketUpdates(opened, []int{120, 132, 180})),
+		IndexConfig{SlotSeconds: 3600, PoolPages: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer offline.Close()
+	reqs := append(requestMatrix(offline, 10*time.Hour).full, requestMatrix(offline, 15*time.Hour).smoke...)
+	checkOracle(t, serial(offline), serial(opened), reqs)
+	if err := opened.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	for file, want := range map[string]uint16{fileSTMeta: 7, fileConIndex: 4} {
+		if v := fileVersion(t, dir, file); v != want {
+			t.Fatalf("the save wrote %s version %d, want %d", file, v, want)
+		}
+	}
+	checkOracle(t, serial(offline), serial(open()), reqs)
+}
+
+// fileVersion is the version in the frame header of dir/file.
+func fileVersion(t *testing.T, dir, file string) uint16 {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(dir, file))
+	if err != nil || len(b) < 6 {
+		t.Fatalf("read %s: %v (%d bytes)", file, err, len(b))
+	}
+	return binary.LittleEndian.Uint16(b[4:6])
 }
 
 // TestOpenSystemIgnoresLeftoverPlanShapes: earlier builds wrote a
