@@ -21,11 +21,17 @@ var ErrClosed = errors.New("ingest: writer is closed")
 // 429).
 var ErrBackpressure = errors.New("ingest: queue full")
 
+// DefaultQueueDepth is the writer's default queue depth, in updates.
+// It is also the most updates one request may carry: a larger batch
+// could never be taken whole, even by an idle writer.
+const DefaultQueueDepth = 4096
+
 // Config controls a Writer.
 type Config struct {
 	// Workers is the apply worker-pool size (default 2).
 	Workers int
-	// QueueDepth bounds the pending-update queue (default 4096 updates);
+	// QueueDepth bounds the pending-update queue (default
+	// DefaultQueueDepth updates);
 	// TryAdd rejects beyond it rather than letting ingest latency leak
 	// into query latency.
 	QueueDepth int
@@ -53,7 +59,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = 2
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
+		c.QueueDepth = DefaultQueueDepth
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 256

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -623,6 +624,12 @@ func replaySegment(path string, applyUpdates func([]Update) error, applyObs func
 	if err != nil {
 		return stats, nil // raced a retire; nothing to replay
 	}
+	// The file's length bounds every frame: a count in a torn or
+	// damaged header must not size an allocation past it.
+	size := int64(math.MaxInt64)
+	if fi, err := f.Stat(); err == nil {
+		size = fi.Size()
+	}
 	br := bufio.NewReader(f)
 	if _, err := br.Discard(segHeaderSize); err != nil {
 		f.Close()
@@ -651,6 +658,9 @@ func replaySegment(path string, applyUpdates func([]Update) error, applyObs func
 		}
 		if corrupt == "" && (n <= 0 || n > 1<<20) {
 			corrupt = fmt.Sprintf("implausible frame count %d", n)
+		}
+		if left := size - good - int64(len(hdr)); corrupt == "" && int64(recSize*n+4) > left {
+			corrupt = fmt.Sprintf("truncated frame: %d records need %d bytes, %d left", n, recSize*n+4, left)
 		}
 		if corrupt != "" {
 			break

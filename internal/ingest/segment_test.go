@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -735,4 +737,55 @@ func FuzzReplaySegment(f *testing.F) {
 			t.Fatalf("a second replay delivered %d frames, the first %d, or different records", len(second), len(first))
 		}
 	})
+}
+
+// TestReplayTornFrameAllocatesByBytesRead: a segment whose one frame
+// header claims 2^20 records, and that ends right after it (29 bytes in
+// all), is torn. Replay finds it so without allocating the records the
+// header claims — the bytes left in the file bound a frame — and
+// truncates the segment to its header.
+func TestReplayTornFrameAllocatesByBytesRead(t *testing.T) {
+	src := t.TempDir()
+	l, err := OpenSegmented(src, SegmentedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendUpdates(0, mkUpdates(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	name := segFiles(t, src)[0]
+	seg, err := os.ReadFile(filepath.Join(src, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, name)
+	torn := append(seg[:segHeaderSize:segHeaderSize], frameUpdates)
+	torn = binary.LittleEndian.AppendUint32(torn, 1<<20)
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prev := log.Writer()
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(prev)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	frames, stats := replayFrames(t, dir)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("replaying a %d-byte segment allocated %d bytes", len(torn), got)
+	}
+	if len(frames) != 0 || stats.CorruptSegments != 1 || stats.TruncatedBytes != 5 {
+		t.Fatalf("replay delivered %d frames, stats %+v; want none, one corrupt segment, 5 bytes truncated", len(frames), stats)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != segHeaderSize {
+		t.Fatalf("the torn segment was left at %d bytes, want its %d-byte header", fi.Size(), segHeaderSize)
+	}
 }

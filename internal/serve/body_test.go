@@ -56,9 +56,11 @@ func tooLarge(t *testing.T, what string, status int, out map[string]any) {
 }
 
 // TestBodyCaps: /v1/ingest reads at most maxIngestBody bytes and POST
-// /v1/reach at most maxReachBody. A body of exactly the cap is decoded —
-// a full 65 536-update batch fits the ingest cap — and one byte more,
-// inside the JSON value or after it, is a typed 413 that ingests nothing.
+// /v1/reach at most maxReachBody. A body of exactly the cap is decoded,
+// and one byte more, inside the JSON value or after it, is a typed 413
+// that ingests nothing. A full maxIngestBatch-update batch — the
+// writer's queue depth — is taken whole by an idle server; one update
+// more is refused, and nothing is ingested.
 func TestBodyCaps(t *testing.T) {
 	sys, err := streach.NewSystem(streach.CityConfig{
 		OriginLat: 22.50, OriginLng: 114.00,
@@ -78,35 +80,46 @@ func TestBodyCaps(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	var batch strings.Builder
-	batch.WriteString(`{"updates":[`)
 	nSeg := sys.Network().NumSegments()
-	for i := 0; i < maxIngestBatch; i++ {
-		if i > 0 {
-			batch.WriteByte(',')
+	batchOf := func(n int) []byte {
+		var batch strings.Builder
+		batch.WriteString(`{"updates":[`)
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				batch.WriteByte(',')
+			}
+			fmt.Fprintf(&batch, `{"taxi":%d,"day":%d,"seg":%d,"enter_ms":%d,"exit_ms":%d,"speed_mps":%g}`,
+				i%10, i%2, i%nSeg, 3600000+i, 3600000+i+5000, 8.5)
 		}
-		fmt.Fprintf(&batch, `{"taxi":%d,"day":%d,"seg":%d,"enter_ms":%d,"exit_ms":%d,"speed_mps":%g}`,
-			i%10, i%2, i%nSeg, 3600000+i, 3600000+i+5000, 8.5)
+		batch.WriteString(`]}`)
+		return []byte(batch.String())
 	}
-	batch.WriteString(`]}`)
-	full := []byte(batch.String())
+	full := batchOf(maxIngestBatch)
 
 	status, out := postBody(t, ts.URL+"/v1/ingest", padTo(t, full, maxIngestBody, true))
-	if status != http.StatusOK && status != http.StatusTooManyRequests || out["accepted"] == nil || out["accepted"].(float64) == 0 {
-		t.Fatalf("a %d-update batch of exactly the cap was not taken: status %d, %v", maxIngestBatch, status, out)
+	if status != http.StatusOK || out["accepted"] != float64(maxIngestBatch) {
+		t.Fatalf("a %d-update batch of exactly the cap was not taken whole: status %d, %v", maxIngestBatch, status, out)
 	}
 	if err := sys.FlushIngest(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	accepted := sys.IngestStats().Accepted
-	for _, inside := range []bool{true, false} {
-		what := fmt.Sprintf("ingest body one byte over the cap (padding inside the value: %v)", inside)
-		status, out := postBody(t, ts.URL+"/v1/ingest", padTo(t, full, maxIngestBody+1, inside))
-		tooLarge(t, what, status, out)
+	refused := func(what string) {
+		t.Helper()
 		if got := sys.IngestStats().Accepted; got != accepted {
 			t.Fatalf("%s: accepted %d updates", what, got-accepted)
 		}
 	}
+	for _, inside := range []bool{true, false} {
+		what := fmt.Sprintf("ingest body one byte over the cap (padding inside the value: %v)", inside)
+		status, out := postBody(t, ts.URL+"/v1/ingest", padTo(t, full, maxIngestBody+1, inside))
+		tooLarge(t, what, status, out)
+		refused(what)
+	}
+	if status, out := postBody(t, ts.URL+"/v1/ingest", batchOf(maxIngestBatch+1)); status != http.StatusBadRequest || out["code"] != streach.InvalidRequest.String() {
+		t.Fatalf("a batch one update over the cap: status %d, %v; want a typed 400", status, out)
+	}
+	refused("a batch one update over the cap")
 
 	reach := []byte(`{"start":"11h","dur":"10m","prob":0.2,"algorithm":"exhaustive"}`)
 	if status, out := postBody(t, ts.URL+"/v1/reach", padTo(t, reach, maxReachBody, true)); status != http.StatusOK {

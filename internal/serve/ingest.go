@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streach"
+	"streach/internal/ingest"
 )
 
 // Live ingestion over HTTP (DESIGN.md §13): POST /v1/ingest accepts
@@ -30,13 +31,13 @@ type ingestPayload struct {
 	Updates []ingestUpdate `json:"updates"`
 }
 
-// maxIngestBatch bounds one POST body: larger batches should be split
-// by the client (the CLI replayer does), keeping a single request from
-// monopolising the queue. maxIngestBody caps the body's bytes at 256 per
-// update, about twice what a full-width update takes, so the cap is
-// checked before the whole body is decoded.
+// maxIngestBatch bounds one POST body at the writer's queue depth, the
+// most an idle server can take whole: larger batches should be split by
+// the client (the CLI replayer does). maxIngestBody caps the body's
+// bytes at 256 per update, about twice what a full-width update takes,
+// so the cap is checked before the whole body is decoded.
 const (
-	maxIngestBatch = 65536
+	maxIngestBatch = ingest.DefaultQueueDepth
 	maxIngestBody  = 256 * maxIngestBatch
 )
 

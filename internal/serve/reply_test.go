@@ -229,9 +229,9 @@ func TestPlanHitReplyAllocations(t *testing.T) {
 			t.Fatalf("%s: %d plan hits over 201 requests — not measuring the plan-hit path", name, hits)
 		}
 		t.Logf("%s: %.1f allocations per plan-hit request, %d reply bytes", name, allocs, w.n)
-		// 52 (JSON) and 53 (GeoJSON, one more URL parameter) since the
-		// plan store's key is built in one allocation; the headroom is for
-		// net/url and context differing between Go releases.
+		// 54 (JSON) and 55 (GeoJSON, one more URL parameter) with
+		// go1.24.0; the headroom is for net/url and context differing
+		// between Go releases.
 		const maxPlanHitAllocs = 68
 		if allocs > maxPlanHitAllocs {
 			t.Fatalf("%s: %.1f allocations per plan-hit request, pinned at %d", name, allocs, maxPlanHitAllocs)
