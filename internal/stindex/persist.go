@@ -42,9 +42,10 @@ import (
 // append-only, so a compaction that appended new blobs but crashed
 // before installing its meta leaves bytes only beyond the old tail: the
 // old meta still verifies and reopens over them, and the WAL replays
-// the unfolded rest. The day count must be below maxDays, the blob tail
-// inside the page store and every handle inside the tail: a probe sizes
-// its slices by the day count and a read by the handle.
+// the unfolded rest. The day count must be below maxDays, the base date
+// a time, the blob tail past the reserved byte 0 and inside the page
+// store, and every handle inside the tail: a probe sizes its slices by
+// the day count and a read by the handle.
 //
 // Version 6, the layout before this one, has the same header and then
 // numSlots x numSegments x (offset i64, length i32), flat and
@@ -157,7 +158,13 @@ func LoadIndex(net *roadnet.Network, cfg Config, meta io.Reader) (*Index, error)
 	if days == 0 || days >= maxDays {
 		return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta has %d days, want 1..%d", days, maxDays-1)
 	}
-	if stored := cfg.Store.NumPages() * storage.PageSize; tail < 0 || tail > stored {
+	baseDate := time.Unix(int64(baseUnix), 0).UTC()
+	if baseDate.Unix() != int64(baseUnix) {
+		return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta has a base date of %d s, past what a time holds", int64(baseUnix))
+	}
+	// Offset 0 is never written (a zero handle means no list), so a tail
+	// is at least 1.
+	if stored := cfg.Store.NumPages() * storage.PageSize; tail < 1 || tail > stored {
 		return nil, xerr.Markf(xerr.KindCorrupt, "stindex: meta blob tail %d is past the page store's %d bytes", tail, stored)
 	}
 	numSlots := 86400 / int(slotSec)
@@ -182,7 +189,7 @@ func LoadIndex(net *roadnet.Network, cfg Config, meta io.Reader) (*Index, error)
 		slotSec:  int(slotSec),
 		numSlots: numSlots,
 		days:     int(days),
-		baseDate: time.Unix(int64(baseUnix), 0).UTC(),
+		baseDate: baseDate,
 		pool:     pool,
 		blob:     storage.ReopenBlobFile(pool, tail),
 		live:     newLiveState(handles),

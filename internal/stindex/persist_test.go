@@ -488,7 +488,7 @@ func TestLoadMetaAllocatesByBytesRead(t *testing.T) {
 	n := testNetwork(t)
 	_, mem, _ := savedIndex(t)
 	numSlots := 86400 / 300
-	p := metaPayload(metaVersion, n, 300, 7, 0, 0, nil)
+	p := metaPayload(metaVersion, n, 300, 7, 1, 0, nil)
 	p = append(p[:len(p)-(numSlots+7)/8], bytes.Repeat([]byte{0xff}, (numSlots+7)/8)...)
 	p = append(p, make([]byte, 300)...)
 	blob := framed(metaMagic, metaVersion, p)

@@ -30,14 +30,19 @@ import (
 //	                   read it; queries and BusiestLocation read the
 //	                   indexes.
 //	dir/pages.db       ST-Index time-list pages
-//	dir/stindex.meta   ST-Index metadata and handle table (flat,
-//	                   slot-major, one handle per (slot, segment))
-//	dir/conindex.bin   Con-Index speed statistics
+//	dir/stindex.meta   ST-Index metadata and handle table (STIX v7:
+//	                   only the slots that hold a list, each handle
+//	                   as varints)
+//	dir/conindex.bin   Con-Index speed statistics (CIDX v4: only the
+//	                   slots that hold a sample)
 //
 // All of them but pages.db share one checksummed frame
 // (storage.ChecksumWriter, DESIGN.md §11.3). A derived file — stindex.meta,
 // conindex.bin — that does not load, whatever the reason (a layout from
 // before the frame included), is rebuilt from the trajectories. The
+// previous framed layouts, STIX v6 and CIDX v3, still load, and the next
+// Save or durable compaction rewrites them: a rebuild would drop the
+// live updates a durable compaction folded into the indexes. The
 // network and the trajectories are the ground truth and have no rebuild
 // path: a damaged one fails the open as CorruptData, and their unframed
 // layouts from before the frame (STRN v1, STRJ v2) are still read. Save

@@ -57,13 +57,18 @@ func TestLoadersAllocateByBytesRead(t *testing.T) {
 		p = binary.LittleEndian.AppendUint32(p, days)
 		p = binary.LittleEndian.AppendUint64(p, 0)
 		p = binary.LittleEndian.AppendUint32(p, nseg)
-		p = binary.LittleEndian.AppendUint64(p, 0)
+		p = binary.LittleEndian.AppendUint64(p, 1)
 		p = binary.LittleEndian.AppendUint32(p, 0)
 		return framed("STIX", version, append(p, rest...))
 	}
 	everySlot := append(bytes.Repeat([]byte{0xff}, 288/8), make([]byte, 300)...)
+	// One page, so the metas' blob tail of 1 lies inside the store.
+	onePage := storage.NewMemStore()
+	if _, err := onePage.Allocate(); err != nil {
+		t.Fatal(err)
+	}
 	loadMeta := func(r io.Reader) error {
-		_, err := stindex.LoadIndex(net, stindex.Config{Store: storage.NewMemStore()}, r)
+		_, err := stindex.LoadIndex(net, stindex.Config{Store: onePage}, r)
 		return err
 	}
 	// A dataset.bin of one trajectory declaring nv visits in size bytes
@@ -141,8 +146,8 @@ func TestLoadersAllocateByBytesRead(t *testing.T) {
 // Its indexes are the only durable copy of those updates, so it must
 // open without a rebuild: it logs nothing and answers bit-identically to
 // an offline build over the base trajectories and the updates. Its next
-// Save writes the sparse layouts, and the directory opens again to the
-// same answers.
+// Save writes the sparse layouts, the directory opens again to the same
+// answers, and saving that system elsewhere writes the same bytes.
 func TestOpenParentLayoutsAfterCompaction(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "v6compacted"), dir)
@@ -179,7 +184,19 @@ func TestOpenParentLayoutsAfterCompaction(t *testing.T) {
 			t.Fatalf("the save wrote %s version %d, want %d", file, v, want)
 		}
 	}
-	checkOracle(t, serial(offline), serial(open()), reqs)
+	reopened := open()
+	checkOracle(t, serial(offline), serial(reopened), reqs)
+	again := t.TempDir()
+	if err := reopened.Save(again); err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{fileNetwork, fileDataset, filePages, fileSTMeta, fileConIndex} {
+		a, errA := os.ReadFile(filepath.Join(dir, file))
+		b, errB := os.ReadFile(filepath.Join(again, file))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("save, open, save: %s differs (%v, %v)", file, errA, errB)
+		}
+	}
 }
 
 // fileVersion is the version in the frame header of dir/file.
