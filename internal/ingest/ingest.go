@@ -31,9 +31,8 @@ type Config struct {
 	// Workers is the apply worker-pool size (default 2).
 	Workers int
 	// QueueDepth bounds the pending-update queue (default
-	// DefaultQueueDepth updates);
-	// TryAdd rejects beyond it rather than letting ingest latency leak
-	// into query latency.
+	// DefaultQueueDepth updates); TryAdd rejects beyond it rather than
+	// letting ingest latency leak into query latency.
 	QueueDepth int
 	// BatchSize is how many updates a worker folds into one index append
 	// and one WAL record (default 256).
