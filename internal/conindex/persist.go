@@ -86,18 +86,11 @@ func (x *Index) Save(w io.Writer) error {
 // count its header implies: a few bytes claiming 1-second slots would
 // otherwise allocate 160 MB on a 112-segment network.
 func Load(net *roadnet.Network, r io.Reader) (*Index, error) {
-	// The header names the layout; anything but version 3 is read as the
-	// current one, which refuses it by its version.
-	var head [6]byte
-	n, _ := io.ReadFull(r, head[:])
-	version := uint16(conVersion)
-	if n == len(head) && binary.LittleEndian.Uint16(head[4:]) == conV3 {
-		version = conV3
-	}
-	fr, err := storage.NewChecksumReader(storage.Rewound(head[:n], r), conMagic, version)
+	fr, err := storage.NewChecksumReader(r, conMagic, conVersion, conV3)
 	if err != nil {
 		return nil, fmt.Errorf("conindex: read statistics: %w", err)
 	}
+	version := fr.Version()
 	slotSec, numSeg := int(fr.Uint32()), int(fr.Uint32())
 	if err := fr.Err(); err != nil {
 		return nil, fmt.Errorf("conindex: read statistics: %w", err)

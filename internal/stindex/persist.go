@@ -132,15 +132,7 @@ func holdsList(row []storage.BlobHandle) bool {
 // index over bytes it cannot vouch for.
 func LoadIndex(net *roadnet.Network, cfg Config, meta io.Reader) (*Index, error) {
 	cfg = cfg.withDefaults()
-	// The header names the layout; anything but version 6 is read as
-	// the current one, which refuses it by its version.
-	var head [6]byte
-	n, _ := io.ReadFull(meta, head[:])
-	version := uint16(metaVersion)
-	if n == len(head) && binary.LittleEndian.Uint16(head[4:]) == metaV6 {
-		version = metaV6
-	}
-	fr, err := storage.NewChecksumReader(storage.Rewound(head[:n], meta), metaMagic, version)
+	fr, err := storage.NewChecksumReader(meta, metaMagic, metaVersion, metaV6)
 	if err != nil {
 		return nil, fmt.Errorf("stindex: read meta: %w", err)
 	}
@@ -169,7 +161,7 @@ func LoadIndex(net *roadnet.Network, cfg Config, meta io.Reader) (*Index, error)
 	}
 	numSlots := 86400 / int(slotSec)
 	readHandles := readSparseHandles
-	if version == metaV6 {
+	if fr.Version() == metaV6 {
 		readHandles = readDenseHandles
 	}
 	handles, err := readHandles(fr, numSlots, numSeg, tail)

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"slices"
 
 	"streach/internal/xerr"
 )
@@ -145,8 +146,9 @@ func (c *ChecksumWriter) Finish() error {
 // end marker — is marked xerr.KindCorrupt. A loader reads its records,
 // then calls Finish, which fails unless the payload ends exactly there.
 type ChecksumReader struct {
-	r     *bufio.Reader
-	magic string
+	r       *bufio.Reader
+	magic   string
+	version uint16
 	// size is the input's length when it can tell it, else -1; off is
 	// how much of it has been read.
 	size, off int64
@@ -159,8 +161,9 @@ type ChecksumReader struct {
 }
 
 // NewChecksumReader reads the header of a frame from r and checks its
-// magic and version.
-func NewChecksumReader(r io.Reader, magic string, version uint16) (*ChecksumReader, error) {
+// magic and that its version is version or one of the older layouts a
+// loader still reads; Version reports which.
+func NewChecksumReader(r io.Reader, magic string, version uint16, older ...uint16) (*ChecksumReader, error) {
 	c := &ChecksumReader{r: bufio.NewReader(r), magic: magic, size: inputSize(r)}
 	var hdr [frameHeader]byte
 	if !c.read(hdr[:]) {
@@ -169,12 +172,16 @@ func NewChecksumReader(r io.Reader, magic string, version uint16) (*ChecksumRead
 	if string(hdr[:4]) != magic {
 		return nil, xerr.Markf(xerr.KindCorrupt, "storage: bad magic %q, want %q", hdr[:4], magic)
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:]); v != version {
-		return nil, xerr.Markf(xerr.KindCorrupt, "storage: %s version %d, want %d", magic, v, version)
+	c.version = binary.LittleEndian.Uint16(hdr[4:])
+	if c.version != version && !slices.Contains(older, c.version) {
+		return nil, xerr.Markf(xerr.KindCorrupt, "storage: %s version %d, want %d", magic, c.version, version)
 	}
 	c.crc = crc32.Update(0, castagnoliTable, hdr[:])
 	return c, nil
 }
+
+// Version is the frame's layout version.
+func (c *ChecksumReader) Version() uint16 { return c.version }
 
 // inputSize is r's length when r is a regular file, else -1.
 func inputSize(r io.Reader) int64 {

@@ -210,6 +210,25 @@ func TestChecksumReaderRejectsDamage(t *testing.T) {
 	mustFail("old version", refFrame(testMagic, testVersion-1, payload, frameChunk), len(payload))
 }
 
+// TestChecksumReaderOlderVersions: a reader given older versions reads
+// a frame of each of them, or of the current one, and reports which;
+// any other version fails, marked corrupt.
+func TestChecksumReaderOlderVersions(t *testing.T) {
+	for _, v := range []uint16{testVersion, testVersion - 1} {
+		fr, err := NewChecksumReader(bytes.NewReader(refFrame(testMagic, v, []byte{7}, frameChunk)), testMagic, testVersion, testVersion-1)
+		if err != nil {
+			t.Fatalf("version %d: %v", v, err)
+		}
+		if b := fr.Next(1); fr.Version() != v || b == nil || b[0] != 7 || fr.Finish() != nil {
+			t.Fatalf("version %d: read as version %d, record %v, %v", v, fr.Version(), b, fr.Err())
+		}
+	}
+	_, err := NewChecksumReader(bytes.NewReader(refFrame(testMagic, testVersion-2, nil, frameChunk)), testMagic, testVersion, testVersion-1)
+	if xerr.KindOf(err) != xerr.KindCorrupt {
+		t.Fatalf("a version neither current nor listed: error %v, want a corrupt frame", err)
+	}
+}
+
 // TestChecksumReaderRemaining: Remaining never falls below the payload
 // still to come from a file; any other reader, in-memory ones included,
 // vouches for the verified bytes in hand only.
